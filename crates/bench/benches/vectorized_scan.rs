@@ -1,5 +1,5 @@
-//! E15 (§4h): vectorized batch executor + zone-map pruning vs the
-//! row-at-a-time path on a cold filtered full scan.
+//! E15 (§4h): the batch executor with and without zone-map pruning on
+//! a cold filtered full scan.
 //!
 //! Besides the criterion statistics, each configuration's median is
 //! written as a machine-readable `BENCH_*.json` record (see
@@ -36,10 +36,7 @@ fn bench_vectorized_scan(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("e15_vectorized_scan");
     group.sample_size(10);
-    for (label, batch, zone) in
-        [("row", false, false), ("batch", true, false), ("batch_zone", true, true)]
-    {
-        db.set_batch_execution(batch);
+    for (label, zone) in [("batch", false), ("batch_zone", true)] {
         db.set_zone_pruning(zone);
         group.bench_with_input(BenchmarkId::new("cold_scan", label), &sql, |b, sql| {
             b.iter(|| {
@@ -54,7 +51,6 @@ fn bench_vectorized_scan(c: &mut Criterion) {
         });
         emit_bench_json(&format!("e15-scan-{label}"), med, N as u64).expect("bench json");
     }
-    db.set_batch_execution(true);
     db.set_zone_pruning(true);
     group.finish();
 }

@@ -627,10 +627,11 @@ fn e14_quarantine() -> Result<()> {
     Ok(())
 }
 
-/// E15 — the vectorized executor: cold filtered full scan with zone-map
-/// pruning + batching vs the row-at-a-time path, and cost-ordered
-/// conjunct evaluation on a selective domain-operator query. Emits
-/// `BENCH_*.json` for both workloads (see `emit_bench_json`).
+/// E15 — the batch executor: cold filtered full scan with zone-map
+/// pruning on vs off, and cost-ordered conjunct evaluation on a
+/// selective domain-operator query. (The row-at-a-time arm was retired
+/// with the row path; its last measurement is kept in EXPERIMENTS.md.)
+/// Emits `BENCH_*.json` for both workloads (see `emit_bench_json`).
 /// Speedup floors are env-tunable so CI can tighten or relax them
 /// without a rebuild; the defaults are the acceptance thresholds.
 fn env_f64(key: &str, default: f64) -> f64 {
@@ -643,8 +644,7 @@ fn e15_vectorized() -> Result<()> {
 
     // -- Part A: cold 100k-row filtered full scan -------------------------
     // Sequential ids cluster naturally per page, so zone maps prune ~99%
-    // of pages for a narrow BETWEEN; batching removes the per-row
-    // virtual-call + borrow overhead on whatever survives.
+    // of pages for a narrow BETWEEN.
     let mut db = Database::with_cache_pages(32_768);
     db.execute("CREATE TABLE events (id INTEGER, val INTEGER, note VARCHAR2(64))")?;
     for i in 0..n {
@@ -664,29 +664,25 @@ fn e15_vectorized() -> Result<()> {
         time_median(runs, || {
             db.cold_start();
             let got = db.query(sql).expect("scan").len();
-            assert_eq!(got, expect, "both paths must agree");
+            assert_eq!(got, expect, "pruning must not change the result");
         })
     };
-    db.set_batch_execution(false);
     db.set_zone_pruning(false);
-    let row_t = cold_time(&mut db, &sql);
-    db.set_batch_execution(true);
+    let full_t = cold_time(&mut db, &sql);
     db.set_zone_pruning(true);
     let vec_t = cold_time(&mut db, &sql);
 
-    let mut rep = Report::new(&["path", "median", "rows/s", "speedup"]);
+    let mut rep = Report::new(&["scan", "median", "rows/s", "speedup"]);
     let rate = |d: std::time::Duration| format!("{:.0}", n as f64 / d.as_secs_f64());
-    rep.row(&["row-at-a-time".into(), fmt_dur(row_t), rate(row_t), "1.0x".into()]);
+    rep.row(&["every page".into(), fmt_dur(full_t), rate(full_t), "1.0x".into()]);
     rep.row(&[
-        "batch + zone maps".into(),
+        "zone-map pruned".into(),
         fmt_dur(vec_t),
         rate(vec_t),
-        format!("{:.1}x", row_t.as_secs_f64() / vec_t.as_secs_f64()),
+        format!("{:.1}x", full_t.as_secs_f64() / vec_t.as_secs_f64()),
     ]);
     rep.print();
-    println!(
-        "\nEXPLAIN ANALYZE (vectorized) — note `pruned=` on the scan and batches≪rows:"
-    );
+    println!("\nEXPLAIN ANALYZE — note `pruned=` on the scan and batches≪rows:");
     for line in db.query(&format!("EXPLAIN ANALYZE {sql}"))? {
         println!("  {}", line[0]);
     }
@@ -694,7 +690,7 @@ fn e15_vectorized() -> Result<()> {
         .map_err(|e| extidx_common::Error::Storage(e.to_string()))?;
     println!("\nwrote {path_a}");
     let floor_a = env_f64("E15_MIN_SCAN_SPEEDUP", 5.0);
-    let speedup_a = row_t.as_secs_f64() / vec_t.as_secs_f64();
+    let speedup_a = full_t.as_secs_f64() / vec_t.as_secs_f64();
     assert!(
         speedup_a >= floor_a,
         "cold pruned scan speedup {speedup_a:.1}x below the {floor_a:.1}x floor"
@@ -1015,17 +1011,16 @@ fn e17_mvcc() -> Result<()> {
     Ok(())
 }
 
-/// E18 — MVCC hardening (DESIGN.md §4k), two ablations:
+/// E18 — MVCC hardening (DESIGN.md §4k), two bounds:
 ///
-/// Part A pits the incremental, horizon-keyed vacuum against the
-/// quiescence-only baseline under a stream of updates with at least one
-/// transaction open at every moment: the baseline can never reclaim and
-/// version chains grow with the round count, while the incremental pass
-/// holds occupancy at a small constant. Part B pits span-granular LOB
-/// conflict detection against whole-locator granularity on two sessions
-/// maintaining the *same* chemistry index over disjoint rows: whole-LOB
-/// conflicts abort one writer of every pair, spans abort none. Emits
-/// `BENCH_e18_vacuum.json` for the incremental-vacuum run.
+/// Part A runs the incremental, horizon-keyed vacuum under a stream of
+/// updates with at least one transaction open at every moment — the
+/// system is never quiescent, yet chain occupancy must stay at a small
+/// constant. Part B has two sessions maintain the *same* chemistry index
+/// over disjoint rows: span-granular LOB conflict detection must abort
+/// none of them. (The quiescence-only and whole-locator baseline arms
+/// were retired with their engine flags; their last measurements are
+/// kept in EXPERIMENTS.md.) Emits `BENCH_e18_vacuum.json`.
 fn e18_vacuum() -> Result<()> {
     use extidx_sql::Server;
 
@@ -1040,17 +1035,16 @@ fn e18_vacuum() -> Result<()> {
             db.storage().mvcc_segment_stats().iter().map(|(_, _, v)| *v).sum::<usize>()
         })
     };
-    let run_churn = |incremental: bool| -> Result<(usize, usize, std::time::Duration)> {
+    let (i_max, i_end, i_t) = {
         let mut db = Database::with_cache_pages(8192);
         db.execute("CREATE TABLE m18 (id INTEGER, num INTEGER)")?;
         for i in 0..n {
             db.execute_with("INSERT INTO m18 VALUES (?, ?)", &[(i as i64).into(), 0i64.into()])?;
         }
-        // Pin vacuum to the commit path: E18 compares vacuum *policies*
-        // (incremental vs quiescence-only); placement (inline vs the
-        // maintenance daemon) is E19's subject.
+        // Pin vacuum to the commit path: E18 measures the vacuum
+        // *policy*; placement (inline vs the maintenance daemon) is
+        // E19's subject.
         let server = Server::with_config(db, extidx_sql::GovernorConfig::inline_vacuum());
-        server.admin(|db| db.storage_mut().set_incremental_vacuum(incremental));
         let mut a = server.session();
         let mut b = server.session();
         a.execute("BEGIN")?;
@@ -1068,20 +1062,11 @@ fn e18_vacuum() -> Result<()> {
         let at_end = occupancy(&server);
         let last = if (rounds - 1).is_multiple_of(2) { &mut b } else { &mut a };
         last.execute("COMMIT")?;
-        Ok((max_held, at_end, started.elapsed()))
+        (max_held, at_end, started.elapsed())
     };
-
-    let (q_max, q_end, _q_t) = run_churn(false)?;
-    let (i_max, i_end, i_t) = run_churn(true)?;
 
     let mut rep =
         Report::new(&["vacuum policy", "max versions held", "versions after last round", "wall time"]);
-    rep.row(&[
-        "quiescence-only (baseline)".into(),
-        q_max.to_string(),
-        q_end.to_string(),
-        String::new(),
-    ]);
     rep.row(&[
         "incremental (oldest-snapshot horizon)".into(),
         i_max.to_string(),
@@ -1090,10 +1075,6 @@ fn e18_vacuum() -> Result<()> {
     ]);
     rep.print();
 
-    assert!(
-        q_max >= rounds / 2,
-        "the baseline must accumulate versions without quiescence (held {q_max} of {rounds})"
-    );
     let cap = env_f64("E18_MAX_HELD", 16.0) as usize;
     assert!(
         i_max <= cap,
@@ -1101,10 +1082,9 @@ fn e18_vacuum() -> Result<()> {
     );
 
     // -- Part B: sub-LOB conflict granularity -----------------------------
-    let run_pairs = |span: bool| -> Result<(u64, u64)> {
+    let (span_commits, span_aborts) = {
         let fx = chem_fixture(n.min(80), 5, ":Storage LOB")?;
         let server = Server::new(fx.db);
-        server.admin(|db| db.storage_mut().set_lob_span_conflicts(span));
         let mut w1 = server.session();
         let mut w2 = server.session();
         let mut wl = MoleculeWorkload::new(9);
@@ -1138,28 +1118,16 @@ fn e18_vacuum() -> Result<()> {
                 }
             }
         }
-        Ok((commits, aborts))
+        (commits, aborts)
     };
 
-    let (whole_commits, whole_aborts) = run_pairs(false)?;
-    let (span_commits, span_aborts) = run_pairs(true)?;
-
     let mut rep = Report::new(&["LOB conflict granularity", "commits", "aborts"]);
-    rep.row(&[
-        "whole locator (baseline)".into(),
-        whole_commits.to_string(),
-        whole_aborts.to_string(),
-    ]);
     rep.row(&["byte-range spans".into(), span_commits.to_string(), span_aborts.to_string()]);
     rep.print();
 
     assert_eq!(
         span_aborts, 0,
         "disjoint-row maintenance of one index must not conflict at span granularity"
-    );
-    assert!(
-        whole_aborts >= (pairs / 2) as u64,
-        "whole-locator granularity must serialize same-LOB writers (saw {whole_aborts} aborts)"
     );
 
     let path = extidx_bench::emit_bench_json("e18-vacuum", i_t, rounds as u64)

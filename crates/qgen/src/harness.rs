@@ -20,10 +20,9 @@ use crate::gen::{generate, Query, Stmt};
 use crate::interp::{apply_cell, query_ids, Mirror};
 
 /// Chaos switches for an oracle run. All are deterministic: batch
-/// dropping is stateless, quarantine flips are keyed on the
+/// dropping is stateless, and quarantine flips are keyed on the
 /// statement text (see [`quarantine_chaos`]) so delta-debugging subsets
-/// replay identically, and row-at-a-time execution is a global engine
-/// knob.
+/// replay identically.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChaosOpts {
     /// Drop the final batch of every domain-index scan (exercises the
@@ -33,10 +32,6 @@ pub struct ChaosOpts {
     /// REBUILD` a quarantined one — before ~8% of statements, forcing
     /// queries through the functional fallback mid-stream.
     pub quarantine: bool,
-    /// Run the engine on the legacy row-at-a-time executor path instead
-    /// of the vectorized default — a sweep on this flag is the
-    /// batch-vs-row bag-equality oracle.
-    pub row_exec: bool,
     /// Seeded daemon-cadence chaos for the concurrent scheduler: `0`
     /// keeps the fixed every-3rd-step vacuum; any other value salts a
     /// dedicated rng so incremental vacuum fires at scheduler-random
@@ -55,11 +50,6 @@ impl ChaosOpts {
     /// Quarantine/rebuild chaos only.
     pub fn quarantine() -> Self {
         Self { quarantine: true, ..Self::default() }
-    }
-
-    /// Row-at-a-time executor (batch path disabled).
-    pub fn row_exec() -> Self {
-        Self { row_exec: true, ..Self::default() }
     }
 
     /// Scheduler-random vacuum cadence (see [`ChaosOpts::random_vacuum`]).
@@ -91,7 +81,6 @@ pub fn fresh_db(chaos: ChaosOpts) -> Database {
     extidx_vir::install(&mut db).expect("vir cartridge");
     extidx_chem::install(&mut db).expect("chem cartridge");
     db.set_chaos_drop_last_domain_batch(chaos.drop_last_batch);
-    db.set_batch_execution(!chaos.row_exec);
     db
 }
 
@@ -575,17 +564,6 @@ mod tests {
     fn short_seeded_run_survives_quarantine_chaos() {
         if let Some(d) = run_seed(1, 40, ChaosOpts::quarantine()) {
             panic!("unexpected divergence under quarantine chaos: {}\n{}", d.detail, d.script);
-        }
-    }
-
-    /// Cost-ordered conjuncts + the row-at-a-time executor must agree
-    /// with the Kleene mirror interpreter: the engine's term reordering
-    /// and NULL short-circuiting are semantics-preserving under 3VL on
-    /// both executor paths.
-    #[test]
-    fn short_seeded_run_is_clean_on_row_path() {
-        if let Some(d) = run_seed(1, 40, ChaosOpts::row_exec()) {
-            panic!("unexpected divergence on row executor: {}\n{}", d.detail, d.script);
         }
     }
 }

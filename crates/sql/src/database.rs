@@ -105,10 +105,6 @@ pub struct Database {
     next_ws: u64,
     /// Rows per ODCIIndexFetch call (the §2.5 batch interface, E8).
     pub(crate) batch_size: usize,
-    /// Drive SELECT through the vectorized `next_batch` path (default).
-    /// Off = the legacy row-at-a-time loop, kept for A/B benchmarking
-    /// and the differential oracle's batch-vs-row sweep.
-    pub(crate) batch_exec: bool,
     /// Sort residual WHERE conjuncts cheapest-first before building the
     /// Filter node (const < zone/B-tree shaped < plain column < ODCI op).
     pub(crate) cost_ordered_terms: bool,
@@ -237,7 +233,6 @@ impl Database {
             workspace: Mutex::new(HashMap::new()),
             next_ws: 0,
             batch_size: 32,
-            batch_exec: true,
             cost_ordered_terms: true,
             zone_pruning: true,
             stmt_created: Vec::new(),
@@ -352,19 +347,9 @@ impl Database {
         self.batch_size
     }
 
-    /// Toggle the vectorized executor drive loop (on by default). Off
-    /// falls back to row-at-a-time `next()` — the A/B baseline for E15
-    /// and the oracle's batch-vs-row equivalence sweep.
-    pub fn set_batch_execution(&mut self, on: bool) {
-        self.batch_exec = on;
-    }
-
-    /// Whether SELECT drives the executor batch-at-a-time.
-    pub fn batch_execution(&self) -> bool {
-        self.batch_exec
-    }
-
     /// Toggle cost-ordered residual-conjunct evaluation (on by default).
+    /// Kept as a knob because the off arm is the reference: tests and E15
+    /// compare cost-ordered results against source-order evaluation.
     pub fn set_cost_ordered_terms(&mut self, on: bool) {
         self.cost_ordered_terms = on;
     }
@@ -374,7 +359,9 @@ impl Database {
         self.cost_ordered_terms
     }
 
-    /// Toggle zone-map page pruning in full scans (on by default).
+    /// Toggle zone-map page pruning in full scans (on by default). Kept
+    /// as a knob because the off arm is the reference: the widen-never-
+    /// narrow tests and E15 compare pruned scans against unpruned ones.
     pub fn set_zone_pruning(&mut self, on: bool) {
         self.zone_pruning = on;
     }
@@ -384,9 +371,10 @@ impl Database {
         self.zone_pruning
     }
 
-    /// Plant the deliberate lost-last-batch executor bug. Exists solely
-    /// so the differential oracle's own tests can prove the oracle
-    /// detects (and minimizes) a real result-corruption defect.
+    /// Plant the deliberate lost-last-batch executor bug. Kept as the
+    /// differential oracle's negative control: it exists solely so the
+    /// oracle's own tests can prove the oracle detects (and minimizes) a
+    /// real result-corruption defect.
     #[doc(hidden)]
     pub fn set_chaos_drop_last_domain_batch(&mut self, on: bool) {
         self.chaos_drop_last_domain_batch = on;
@@ -757,6 +745,7 @@ impl Database {
             boundary,
             snap,
             scratch: std::cell::RefCell::new(SessionScratch::default()),
+            buffered: Default::default(),
         })
     }
 
@@ -1047,19 +1036,10 @@ impl Database {
                     let before = self.cache_stats();
                     let started = Instant::now();
                     let mut produced = 0u64;
-                    if self.batch_exec {
-                        loop {
-                            let b = exec.next_batch(&ecx, executor::BATCH_TARGET)?;
-                            if b.rows.is_empty() {
-                                break;
-                            }
-                            produced += b.rows.len() as u64;
-                        }
-                    } else {
-                        while exec.next(&ecx)?.is_some() {
-                            produced += 1;
-                        }
-                    }
+                    executor::drain(exec.as_mut(), &ecx, |batch| {
+                        produced += batch.rows.len() as u64;
+                        Ok(())
+                    })?;
                     let elapsed = started.elapsed().as_micros() as u64;
                     let delta = self.cache_stats().since(&before);
                     let mut rows: Vec<Row> = lines
@@ -1067,12 +1047,9 @@ impl Database {
                         .zip(cells.iter())
                         .map(|(line, cell)| {
                             let s = cell.snapshot();
-                            // Rows ≠ calls on the vectorized path: batches
-                            // and pruned pages are reported as their own
-                            // fields alongside the row-path call count.
                             vec![Value::from(format!(
-                                "{line}  [actual rows={} calls={} batches={} pruned={} gets={} ({} phys) time={}us]",
-                                s.rows, s.next_calls, s.batches, s.pages_pruned,
+                                "{line}  [actual rows={} batches={} pruned={} gets={} ({} phys) time={}us]",
+                                s.rows, s.batches, s.pages_pruned,
                                 s.logical_reads, s.physical_reads, s.elapsed_micros
                             ))]
                         })
@@ -1931,24 +1908,17 @@ impl Database {
         let mut exec = executor::build(plan);
         let col_count = tdef.columns.len();
         let mut out = Vec::new();
-        let run = (|| -> Result<()> {
-            loop {
-                extidx_core::governor::poll()?;
-                let Some(r) = exec.next(&ecx)? else { break };
+        executor::drain(exec.as_mut(), &ecx, |batch| {
+            for mut r in batch.rows {
                 // Heap rows carry physical rowids; IOT rows carry logical
                 // rowids (ordinals) — both arrive in the hidden ROWID
                 // column.
                 let rid = Some(r.values[col_count].as_rowid()?);
-                out.push((rid, r.values[..col_count].to_vec()));
+                r.values.truncate(col_count);
+                out.push((rid, r.values));
             }
             Ok(())
-        })();
-        if let Err(e) = run {
-            // A mid-scan failure (deadline, injected fault…) must not
-            // leak an open cartridge scan context: Start ≡ Close.
-            exec.abandon(&ecx);
-            return Err(e);
-        }
+        })?;
         Ok(out)
     }
 
@@ -2464,6 +2434,8 @@ pub struct QueryCursor<'a> {
     snap: extidx_storage::Snapshot,
     /// Cursor-private cartridge scratch (ODCI scan workspace).
     scratch: std::cell::RefCell<SessionScratch>,
+    /// Rows of the last executor batch not yet handed out.
+    buffered: VecDeque<ExecRow>,
 }
 
 impl QueryCursor<'_> {
@@ -2474,13 +2446,32 @@ impl QueryCursor<'_> {
 
     /// Produce the next row, or `None` at end of results.
     pub fn next_row(&mut self) -> Result<Option<Row>> {
-        let ecx = Exec::new(&*self.db, &self.scratch, self.snap);
-        Ok(self.exec.next(&ecx)?.map(|r| r.values))
+        if self.buffered.is_empty() {
+            // Refill a batch at a time. Still pipelined: domain scans and
+            // joins return after their first non-empty inner batch.
+            let ecx = Exec::new(&*self.db, &self.scratch, self.snap);
+            match self.exec.next_batch(&ecx, executor::BATCH_TARGET) {
+                Ok(batch) => self.buffered = batch.rows.into(),
+                Err(e) => {
+                    self.exec.abandon(&ecx);
+                    return Err(e);
+                }
+            }
+        }
+        Ok(self.buffered.pop_front().map(|r| r.values))
     }
 }
 
 impl Drop for QueryCursor<'_> {
     fn drop(&mut self) {
+        // A cursor dropped before exhaustion still owes its open domain
+        // scans an ODCIIndexClose (a no-op once they are closed). A client
+        // that stops reading is a normal close, so `reset` first; the
+        // error-path teardown only if that close itself fails.
+        let ecx = Exec::new(&*self.db, &self.scratch, self.snap);
+        if self.exec.reset(&ecx).is_err() {
+            self.exec.abandon(&ecx);
+        }
         if self.boundary {
             // Queries do not mutate database state (scan callbacks are
             // restricted to SELECTs), so the statement log is discarded.

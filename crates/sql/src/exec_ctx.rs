@@ -45,6 +45,7 @@ use extidx_storage::Snapshot;
 use crate::ast::{bind_statement, Select, Statement};
 use crate::database::Database;
 use crate::executor;
+use crate::expr::EvalCtx;
 use crate::optimizer;
 use crate::parser::parse;
 
@@ -82,6 +83,11 @@ impl<'a> Exec<'a> {
         snap: Snapshot,
     ) -> Self {
         Exec { db, scratch, snap }
+    }
+
+    /// Expression-evaluation context pinned to this statement's snapshot.
+    pub(crate) fn eval_ctx(&self) -> EvalCtx<'a> {
+        EvalCtx { catalog: &self.db.catalog, storage: &self.db.storage, snap: self.snap }
     }
 
     /// Read-lane twin of `Database::sandboxed_odci`: same sandbox, fault
@@ -299,33 +305,9 @@ pub(crate) fn run_select_shared(
     let columns = planned.column_names;
     let mut exec = executor::build(planned.root);
     let mut rows = Vec::new();
-    // The statement deadline is charged once per executor iteration; on
-    // *any* error the tree is abandoned so an open cartridge scan context
-    // is closed best-effort (Start ≡ Close on the error path too).
-    let drained: Result<()> = (|| {
-        if db.batch_exec {
-            loop {
-                extidx_core::governor::poll()?;
-                let b = exec.next_batch(&ecx, executor::BATCH_TARGET)?;
-                if b.rows.is_empty() {
-                    break;
-                }
-                rows.extend(b.rows.into_iter().map(|r| r.values));
-            }
-        } else {
-            loop {
-                extidx_core::governor::poll()?;
-                match exec.next(&ecx)? {
-                    Some(r) => rows.push(r.values),
-                    None => break,
-                }
-            }
-        }
+    executor::drain(exec.as_mut(), &ecx, |batch| {
+        rows.extend(batch.rows.into_iter().map(|r| r.values));
         Ok(())
-    })();
-    if let Err(e) = drained {
-        exec.abandon(&ecx);
-        return Err(e);
-    }
+    })?;
     Ok((columns, rows))
 }

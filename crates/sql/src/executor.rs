@@ -1,27 +1,29 @@
 //! The Volcano-style executor.
 //!
-//! Plan nodes become pull-based state machines ([`ExecNode`]); every
-//! `next` call receives the read-lane [`Exec`] context — a shared
-//! database reference plus the statement's snapshot — which is what lets
-//! a domain scan re-enter the engine: each fetch drives the cartridge's
-//! `ODCIIndexFetch` through a Scan-mode server context, and the
-//! cartridge's own SQL callbacks recurse into the engine underneath, all
-//! pinned to the snapshot that opened the scan.
+//! Plan nodes become pull-based state machines ([`ExecNode`]) that move
+//! rows a batch at a time; every `next_batch` call receives the read-lane
+//! [`Exec`] context — a shared database reference plus the statement's
+//! snapshot — which is what lets a domain scan re-enter the engine: each
+//! fetch drives the cartridge's `ODCIIndexFetch` through a Scan-mode
+//! server context, and the cartridge's own SQL callbacks recurse into the
+//! engine underneath, all pinned to the snapshot that opened the scan.
 //!
 //! The crucial property reproduced from §3.2.1: domain-scan results are
 //! **streamed** ("the relevant row identifiers are streamed back to the
 //! server via the ODCI interfaces… all rows that satisfy the text
 //! predicate do not have to be identified before the first result row can
-//! be returned to the user"). `next` returns as soon as one fetched rowid
-//! has been joined to its base row.
+//! be returned to the user"). A domain scan's `next_batch` returns as
+//! soon as one non-empty `ODCIIndexFetch` has been joined to its base
+//! rows — the batch protocol *is* the paper's `ODCIIndexFetch(nrows)`.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use extidx_common::{Error, Key, Result, RowId, Value};
-use extidx_core::meta::{IndexInfo, OperatorCall, PredicateBound};
+use extidx_core::governor;
+use extidx_core::meta::{IndexInfo, OperatorCall};
 use extidx_core::sandbox;
 use extidx_core::scan::ScanContext;
 use extidx_core::server::CallbackMode;
@@ -29,7 +31,7 @@ use extidx_core::trace::Component;
 use extidx_core::OdciIndex;
 use extidx_storage::SegmentId;
 
-use crate::ast::BinOp;
+use crate::catalog::TableOrg;
 use crate::exec_ctx::Exec;
 use crate::expr::{eval, filter_accepts, AggKind, EvalCtx, ExecRow, RExpr};
 use crate::plan::{FilterTerm, PlanKind, PlanNode, ZoneBound};
@@ -38,12 +40,12 @@ use crate::plan::{FilterTerm, PlanKind, PlanNode, ZoneBound};
 /// B-tree bounds cover every `(key, rowid)` entry of the bound key.
 const MAX_ROWID: RowId = RowId { table: u32::MAX, page: u32::MAX, slot: u16::MAX };
 
-/// Target rows per executor batch on the vectorized path.
+/// Target rows per executor batch.
 pub const BATCH_TARGET: usize = 1024;
 
-/// A batch of rows flowing through the vectorized executor path. An
-/// empty batch means the producing node is exhausted — nodes never
-/// return an empty batch while more rows remain.
+/// A batch of rows flowing through the executor. An empty batch means
+/// the producing node is exhausted — nodes never return an empty batch
+/// while more rows remain.
 #[derive(Debug, Default)]
 pub struct RowBatch {
     pub rows: Vec<ExecRow>,
@@ -51,23 +53,11 @@ pub struct RowBatch {
 
 /// A pull-based physical operator.
 pub trait ExecNode: Send {
-    /// Produce the next row, or `None` when exhausted.
-    fn next(&mut self, db: &Exec<'_>) -> Result<Option<ExecRow>>;
-
-    /// Produce up to `max_rows` rows at once; an empty batch means
-    /// exhausted. The default adapter loops `next`, so row-only nodes
-    /// (joins, sorts, V$ const rows) ride the vectorized path unmodified;
-    /// hot nodes override this with a native batch implementation.
-    fn next_batch(&mut self, db: &Exec<'_>, max_rows: usize) -> Result<RowBatch> {
-        let mut rows = Vec::new();
-        while rows.len() < max_rows {
-            match self.next(db)? {
-                Some(r) => rows.push(r),
-                None => break,
-            }
-        }
-        Ok(RowBatch { rows })
-    }
+    /// Produce up to `max_rows` rows; an empty batch means exhausted.
+    /// The only way rows move: parents pull their children through this,
+    /// and `max_rows` is a hard cap so `Limit` can push its remaining
+    /// quota down and stop joins and domain scans early.
+    fn next_batch(&mut self, db: &Exec<'_>, max_rows: usize) -> Result<RowBatch>;
 
     /// Rewind so the node can be executed again (nested-loop inners).
     fn reset(&mut self, db: &Exec<'_>) -> Result<()>;
@@ -85,6 +75,79 @@ pub trait ExecNode: Send {
     fn abandon(&mut self, db: &Exec<'_>) {
         let _ = db;
     }
+}
+
+/// Pull `exec` to exhaustion, handing each non-empty batch to `sink`.
+/// The statement deadline is charged once per batch.
+fn pump(
+    exec: &mut dyn ExecNode,
+    db: &Exec<'_>,
+    mut sink: impl FnMut(RowBatch) -> Result<()>,
+) -> Result<()> {
+    loop {
+        governor::poll()?;
+        let batch = exec.next_batch(db, BATCH_TARGET)?;
+        if batch.rows.is_empty() {
+            return Ok(());
+        }
+        sink(batch)?;
+    }
+}
+
+/// The one statement-level drive loop (SELECT, EXPLAIN ANALYZE, DML
+/// target collection): [`pump`] the tree, and on *any* error abandon it
+/// so an open cartridge scan context is closed best-effort (Start ≡ Close
+/// on the error path too).
+pub(crate) fn drain(
+    exec: &mut dyn ExecNode,
+    db: &Exec<'_>,
+    sink: impl FnMut(RowBatch) -> Result<()>,
+) -> Result<()> {
+    let run = pump(exec, db, sink);
+    if run.is_err() {
+        exec.abandon(db);
+    }
+    run
+}
+
+/// Hand out up to `max_rows` rows from the front of a materialized queue.
+fn take_front(queue: &mut VecDeque<ExecRow>, max_rows: usize) -> RowBatch {
+    let k = queue.len().min(max_rows);
+    RowBatch { rows: queue.drain(..k).collect() }
+}
+
+/// Rowid→row join shared by every rowid-producing access path: resolve
+/// `rids` against `table` under the statement's snapshot in one
+/// page-ordered multi-fetch, aligned with the input. A rowid may resolve
+/// to an older displaced version, or to nothing at all (version not
+/// visible) — `None`, which callers skip like a non-match. Visible rows
+/// carry their rowid in the hidden trailing ROWID column.
+fn fetch_visible(db: &Exec<'_>, table: &str, rids: &[RowId]) -> Result<Vec<Option<ExecRow>>> {
+    let tdef = db.catalog.table(table)?;
+    let joined = match tdef.org {
+        TableOrg::Heap => db.storage.heap_fetch_multi_visible(tdef.seg, rids, &db.snap)?,
+        TableOrg::Index { .. } => db.storage.iot_fetch_multi_visible(tdef.seg, rids, &db.snap)?,
+    };
+    Ok(joined
+        .into_iter()
+        .zip(rids)
+        .map(|(values, &rid)| {
+            values.map(|mut v| {
+                v.push(Value::RowId(rid));
+                ExecRow::new(v)
+            })
+        })
+        .collect())
+}
+
+/// Concatenate an outer and an inner row (values and ancillary data).
+fn join_rows(left: &ExecRow, right: ExecRow) -> ExecRow {
+    let mut values = left.values.clone();
+    values.extend(right.values);
+    let mut row = ExecRow::new(values);
+    row.ancillary.extend(left.ancillary.iter().cloned());
+    row.ancillary.extend(right.ancillary);
+    row
 }
 
 /// Build the executor tree for a plan.
@@ -132,7 +195,7 @@ fn build_node(plan: PlanNode, cells: &mut Option<Vec<Arc<NodeStats>>>) -> Box<dy
             Box::new(ProjectExec { input: build_node(*input, cells), exprs })
         }
         PlanKind::NestedLoopJoin { left, right, pred } => Box::new(NestedLoopJoinExec {
-            left: build_node(*left, cells),
+            left: OuterRows::new(build_node(*left, cells)),
             right: build_node(*right, cells),
             pred,
             current: None,
@@ -148,7 +211,7 @@ fn build_node(plan: PlanNode, cells: &mut Option<Vec<Arc<NodeStats>>>) -> Box<dy
             label,
             ..
         } => Box::new(DomainJoinExec {
-            left: build_node(*left, cells),
+            left: OuterRows::new(build_node(*left, cells)),
             scan: DomainScanExec::new(
                 right_table,
                 index,
@@ -181,7 +244,7 @@ fn build_node(plan: PlanNode, cells: &mut Option<Vec<Arc<NodeStats>>>) -> Box<dy
             Box::new(LimitExec { input: build_node(*input, cells), n, produced: 0 })
         }
         PlanKind::Distinct { input } => {
-            Box::new(DistinctExec { input: build_node(*input, cells), seen: BTreeMap::new() })
+            Box::new(DistinctExec { input: build_node(*input, cells), seen: BTreeSet::new() })
         }
         PlanKind::Aggregate { input, group, aggs } => Box::new(AggregateExec {
             input: build_node(*input, cells),
@@ -206,7 +269,6 @@ fn build_node(plan: PlanNode, cells: &mut Option<Vec<Arc<NodeStats>>>) -> Box<dy
 #[derive(Debug, Default)]
 pub struct NodeStats {
     rows: AtomicU64,
-    next_calls: AtomicU64,
     batches: AtomicU64,
     pages_pruned: AtomicU64,
     elapsed_nanos: AtomicU64,
@@ -220,10 +282,8 @@ pub struct NodeStats {
 pub struct NodeStatsSnapshot {
     /// Rows this node produced.
     pub rows: u64,
-    /// `next` calls (for a domain scan this bounds the batches fetched).
-    pub next_calls: u64,
-    /// `next_batch` calls — on the vectorized path rows ≠ calls, so the
-    /// two are accounted (and reported) separately.
+    /// `next_batch` calls (for a domain scan this bounds the
+    /// `ODCIIndexFetch` batches issued).
     pub batches: u64,
     /// Pages this node's scan skipped via zone maps.
     pub pages_pruned: u64,
@@ -242,7 +302,6 @@ impl NodeStats {
     pub fn snapshot(&self) -> NodeStatsSnapshot {
         NodeStatsSnapshot {
             rows: self.rows.load(Ordering::Relaxed),
-            next_calls: self.next_calls.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
             pages_pruned: self.pages_pruned.load(Ordering::Relaxed),
             elapsed_micros: self.elapsed_nanos.load(Ordering::Relaxed) / 1_000,
@@ -253,8 +312,8 @@ impl NodeStats {
     }
 }
 
-/// Wrapper recording rows, calls, wall time, and buffer-get deltas around
-/// every `next` of the wrapped node. Deltas are measured with per-call
+/// Wrapper recording rows, batches, wall time, and buffer-get deltas around
+/// every `next_batch` of the wrapped node. Deltas are measured with per-call
 /// [`extidx_storage::buffer::CacheStats`] snapshots, so a parent's
 /// counters include its children's (inclusive accounting, like Oracle's
 /// row-source statistics).
@@ -264,24 +323,6 @@ struct InstrumentExec {
 }
 
 impl ExecNode for InstrumentExec {
-    fn next(&mut self, db: &Exec<'_>) -> Result<Option<ExecRow>> {
-        let cache_before = db.cache_stats();
-        let started = Instant::now();
-        let out = self.inner.next(db);
-        let elapsed = started.elapsed().as_nanos() as u64;
-        let delta = db.cache_stats().since(&cache_before);
-        self.stats.next_calls.fetch_add(1, Ordering::Relaxed);
-        self.stats.elapsed_nanos.fetch_add(elapsed, Ordering::Relaxed);
-        self.stats.logical_reads.fetch_add(delta.logical_reads, Ordering::Relaxed);
-        self.stats.physical_reads.fetch_add(delta.physical_reads, Ordering::Relaxed);
-        self.stats.physical_writes.fetch_add(delta.physical_writes, Ordering::Relaxed);
-        if let Ok(Some(_)) = &out {
-            self.stats.rows.fetch_add(1, Ordering::Relaxed);
-        }
-        self.stats.pages_pruned.store(self.inner.pages_pruned(), Ordering::Relaxed);
-        out
-    }
-
     fn next_batch(&mut self, db: &Exec<'_>, max_rows: usize) -> Result<RowBatch> {
         let cache_before = db.cache_stats();
         let started = Instant::now();
@@ -337,10 +378,6 @@ impl FullScanExec {
 }
 
 impl ExecNode for FullScanExec {
-    fn next(&mut self, db: &Exec<'_>) -> Result<Option<ExecRow>> {
-        Ok(self.next_batch(db, 1)?.rows.pop())
-    }
-
     fn next_batch(&mut self, db: &Exec<'_>, max_rows: usize) -> Result<RowBatch> {
         let seg = match self.seg {
             Some(s) => s,
@@ -428,13 +465,14 @@ struct IotScanExec {
     table: String,
     lo: Option<Key>,
     hi: Option<Key>,
-    rows: Option<Vec<Vec<Value>>>,
-    idx: usize,
+    /// Materialized on first pull and handed out by move; `reset` drops
+    /// it so a rescan re-reads the segment.
+    rows: Option<VecDeque<ExecRow>>,
 }
 
 impl IotScanExec {
     fn new(table: String, lo: Option<Key>, hi: Option<Key>) -> Self {
-        IotScanExec { table, lo, hi, rows: None, idx: 0 }
+        IotScanExec { table, lo, hi, rows: None }
     }
 
     fn ensure_rows(&mut self, db: &Exec<'_>) -> Result<()> {
@@ -444,7 +482,7 @@ impl IotScanExec {
             // A bound on a key prefix must cover all longer keys sharing
             // the prefix: pad the upper bound with NULLs, which sort last.
             let key_cols = match tdef.org {
-                crate::catalog::TableOrg::Index { key_cols } => key_cols,
+                TableOrg::Index { key_cols } => key_cols,
                 _ => 1,
             };
             let hi = self.hi.clone().map(|mut k| {
@@ -465,45 +503,27 @@ impl IotScanExec {
                     &db.snap,
                 )?
             };
-            let rows: Vec<Vec<Value>> = with_rids
+            let rows = with_rids
                 .into_iter()
                 .map(|(rid, mut row)| {
                     row.push(Value::RowId(rid));
-                    row
+                    ExecRow::new(row)
                 })
                 .collect();
             self.rows = Some(rows);
-            self.idx = 0;
         }
         Ok(())
     }
 }
 
 impl ExecNode for IotScanExec {
-    fn next(&mut self, db: &Exec<'_>) -> Result<Option<ExecRow>> {
-        self.ensure_rows(db)?;
-        let rows = self.rows.as_ref().expect("materialized");
-        if self.idx >= rows.len() {
-            return Ok(None);
-        }
-        let row = rows[self.idx].clone();
-        self.idx += 1;
-        Ok(Some(ExecRow::new(row)))
-    }
-
     fn next_batch(&mut self, db: &Exec<'_>, max_rows: usize) -> Result<RowBatch> {
         self.ensure_rows(db)?;
-        let rows = self.rows.as_ref().expect("materialized");
-        let end = (self.idx + max_rows).min(rows.len());
-        let out: Vec<ExecRow> =
-            rows[self.idx..end].iter().map(|r| ExecRow::new(r.clone())).collect();
-        self.idx = end;
-        Ok(RowBatch { rows: out })
+        Ok(take_front(self.rows.as_mut().expect("materialized"), max_rows))
     }
 
     fn reset(&mut self, _db: &Exec<'_>) -> Result<()> {
         self.rows = None;
-        self.idx = 0;
         Ok(())
     }
 }
@@ -524,54 +544,38 @@ impl BTreeAccessExec {
 }
 
 impl ExecNode for BTreeAccessExec {
-    fn next(&mut self, db: &Exec<'_>) -> Result<Option<ExecRow>> {
+    fn next_batch(&mut self, db: &Exec<'_>, max_rows: usize) -> Result<RowBatch> {
         if self.entries.is_none() {
             let idef = db
                 .catalog
                 .btree_index(&self.index)
-                .ok_or_else(|| Error::not_found("index", self.index.clone()))?
-                .clone();
+                .ok_or_else(|| Error::not_found("index", self.index.clone()))?;
             // Pad the upper bound with MAX_ROWID so every (key, rowid)
             // entry of the boundary key is included.
-            let lo = self.lo.clone();
             let hi = self
                 .hi
                 .clone()
                 .map(|k| Key(k.0.into_iter().chain([Value::RowId(MAX_ROWID)]).collect()));
             let rows =
-                db.storage.iot_range_visible(idef.seg, lo.as_ref(), hi.as_ref(), &db.snap)?;
-            let mut rids = Vec::with_capacity(rows.len());
-            for r in rows {
-                rids.push(r[1].as_rowid()?);
-            }
+                db.storage.iot_range_visible(idef.seg, self.lo.as_ref(), hi.as_ref(), &db.snap)?;
+            let rids = rows.iter().map(|r| r[1].as_rowid()).collect::<Result<_>>()?;
             self.entries = Some(rids);
             self.idx = 0;
         }
+        let entries = self.entries.as_ref().expect("materialized");
         // Index entries and base rows are maintained in the same
         // transaction, but the *versions* can diverge mid-statement: an
         // entry visible in the index may point at a base row whose visible
-        // image is a different (or no) version — skip those.
-        loop {
-            let entries = self.entries.as_ref().expect("materialized");
-            if self.idx >= entries.len() {
-                return Ok(None);
-            }
-            let rid = entries[self.idx];
-            self.idx += 1;
-            let tdef = db.catalog.table(&self.table)?;
-            let (seg, org) = (tdef.seg, tdef.org.clone());
-            let fetched = match org {
-                crate::catalog::TableOrg::Heap => {
-                    db.storage.heap_fetch_multi_visible(seg, &[rid], &db.snap)?.pop().flatten()
-                }
-                crate::catalog::TableOrg::Index { .. } => {
-                    db.storage.iot_fetch_by_rowid_visible(seg, rid, &db.snap)?
-                }
-            };
-            let Some(mut values) = fetched else { continue };
-            values.push(Value::RowId(rid));
-            return Ok(Some(ExecRow::new(values)));
+        // image is a different (or no) version — skip those, and keep
+        // pulling rowid slices until one yields a row.
+        let mut rows = Vec::new();
+        while rows.is_empty() && self.idx < entries.len() {
+            let end = (self.idx + max_rows).min(entries.len());
+            let fetched = fetch_visible(db, &self.table, &entries[self.idx..end])?;
+            rows.extend(fetched.into_iter().flatten());
+            self.idx = end;
         }
+        Ok(RowBatch { rows })
     }
 
     fn reset(&mut self, _db: &Exec<'_>) -> Result<()> {
@@ -588,13 +592,11 @@ struct ConstRowsExec {
 }
 
 impl ExecNode for ConstRowsExec {
-    fn next(&mut self, _db: &Exec<'_>) -> Result<Option<ExecRow>> {
-        if self.idx >= self.rows.len() {
-            return Ok(None);
-        }
-        let row = self.rows[self.idx].clone();
-        self.idx += 1;
-        Ok(Some(ExecRow::new(row)))
+    fn next_batch(&mut self, _db: &Exec<'_>, max_rows: usize) -> Result<RowBatch> {
+        let end = (self.idx + max_rows).min(self.rows.len());
+        let rows = self.rows[self.idx..end].iter().map(|r| ExecRow::new(r.clone())).collect();
+        self.idx = end;
+        Ok(RowBatch { rows })
     }
 
     fn reset(&mut self, _db: &Exec<'_>) -> Result<()> {
@@ -612,32 +614,16 @@ struct RowIdEqExec {
 }
 
 impl ExecNode for RowIdEqExec {
-    fn next(&mut self, db: &Exec<'_>) -> Result<Option<ExecRow>> {
-        if self.done {
-            return Ok(None);
+    fn next_batch(&mut self, db: &Exec<'_>, _max_rows: usize) -> Result<RowBatch> {
+        if std::mem::replace(&mut self.done, true) {
+            return Ok(RowBatch::default());
         }
-        self.done = true;
-        let tdef = db.catalog.table(&self.table)?;
-        let (seg, org) = (tdef.seg, tdef.org.clone());
-        let fetched = match org {
-            crate::catalog::TableOrg::Heap => db
-                .storage
-                .heap_fetch_multi_visible(seg, &[self.rid], &db.snap)
-                .ok()
-                .and_then(|mut v| v.pop().flatten()),
-            crate::catalog::TableOrg::Index { .. } => db
-                .storage
-                .iot_fetch_by_rowid_visible(seg, self.rid, &db.snap)
-                .ok()
-                .flatten(),
-        };
-        match fetched {
-            Some(mut values) => {
-                values.push(Value::RowId(self.rid));
-                Ok(Some(ExecRow::new(values)))
-            }
-            None => Ok(None),
-        }
+        // Only the storage fetch may fail quietly (stale rowid ⇒ no row);
+        // an unknown table is still an error.
+        db.catalog.table(&self.table)?;
+        let row =
+            fetch_visible(db, &self.table, &[self.rid]).ok().and_then(|mut v| v.pop().flatten());
+        Ok(RowBatch { rows: row.into_iter().collect() })
     }
 
     fn reset(&mut self, _db: &Exec<'_>) -> Result<()> {
@@ -660,9 +646,9 @@ struct DomainScanExec {
     runtime: Option<(Arc<dyn OdciIndex>, IndexInfo, String)>,
     ctx: Option<ScanContext>,
     /// Rows already joined to the base table, ready to stream out. Whole
-    /// `FetchResult` batches are joined at once through
-    /// `heap_fetch_multi`, which orders page touches, so the cache sees
-    /// each heap page once per batch instead of once per row.
+    /// `FetchResult` batches are joined at once through [`fetch_visible`],
+    /// which orders page touches, so the cache sees each heap page once
+    /// per batch instead of once per row.
     buffer: VecDeque<ExecRow>,
     fetch_done: bool,
     closed: bool,
@@ -791,19 +777,17 @@ impl DomainScanExec {
 
 impl DomainScanExec {
     /// Drive ODCIIndexFetch until the join buffer holds at least one row
-    /// or the scan is exhausted (closing it). Returns whether rows are
-    /// buffered — the shared engine under both `next` and `next_batch`.
-    fn fill_buffer(&mut self, db: &Exec<'_>) -> Result<bool> {
+    /// or the scan is exhausted (closing it).
+    fn fill_buffer(&mut self, db: &Exec<'_>) -> Result<()> {
         if self.ctx.is_none() && !self.closed {
             self.open(db)?;
         }
         loop {
             if !self.buffer.is_empty() {
-                return Ok(true);
+                return Ok(());
             }
             if self.fetch_done {
-                self.close(db)?;
-                return Ok(false);
+                return self.close(db);
             }
             let (index, info, indextype) = self.runtime.as_ref().expect("runtime resolved").clone();
             let batch = db.batch_size();
@@ -843,25 +827,10 @@ impl DomainScanExec {
             }
             // Join the whole fetch batch at once: one page-ordered
             // multi-fetch instead of a heap_fetch per rowid.
-            let tdef = db.catalog.table(&self.table)?;
-            let (seg, org) = (tdef.seg, tdef.org.clone());
             let rids: Vec<RowId> = result.rows.iter().map(|fr| fr.rowid).collect();
-            // Visibility-aware join: a rowid the cartridge streams back
-            // may resolve to an older displaced version under this
-            // snapshot, or to nothing at all (version not yet visible) —
-            // invisible rowids are silently skipped, like a non-match.
-            let joined = match org {
-                crate::catalog::TableOrg::Heap => {
-                    db.storage.heap_fetch_multi_visible(seg, &rids, &db.snap)?
-                }
-                crate::catalog::TableOrg::Index { .. } => {
-                    db.storage.iot_fetch_multi_visible(seg, &rids, &db.snap)?
-                }
-            };
-            for (fr, values) in result.rows.into_iter().zip(joined) {
-                let Some(mut values) = values else { continue };
-                values.push(Value::RowId(fr.rowid));
-                let mut row = ExecRow::new(values);
+            let joined = fetch_visible(db, &self.table, &rids)?;
+            for (fr, row) in result.rows.into_iter().zip(joined) {
+                let Some(mut row) = row else { continue };
                 if let (Some(label), Some(v)) = (self.label, fr.ancillary) {
                     row.ancillary.push((label, v));
                 }
@@ -872,23 +841,11 @@ impl DomainScanExec {
 }
 
 impl ExecNode for DomainScanExec {
-    fn next(&mut self, db: &Exec<'_>) -> Result<Option<ExecRow>> {
-        if self.fill_buffer(db)? {
-            Ok(self.buffer.pop_front())
-        } else {
-            Ok(None)
-        }
-    }
-
     fn next_batch(&mut self, db: &Exec<'_>, max_rows: usize) -> Result<RowBatch> {
-        // The rowid→row join already happened a whole ODCIIndexFetch
-        // batch at a time (`heap_fetch_multi`); hand that work out
-        // wholesale instead of draining it row by row.
-        if !self.fill_buffer(db)? {
-            return Ok(RowBatch::default());
-        }
-        let k = self.buffer.len().min(max_rows);
-        Ok(RowBatch { rows: self.buffer.drain(..k).collect() })
+        // Returns after one non-empty ODCIIndexFetch — the pipelining
+        // property: the first rows never wait for the rest of the scan.
+        self.fill_buffer(db)?;
+        Ok(take_front(&mut self.buffer, max_rows))
     }
 
     fn reset(&mut self, db: &Exec<'_>) -> Result<()> {
@@ -909,8 +866,35 @@ impl ExecNode for DomainScanExec {
 // joins
 // ---------------------------------------------------------------------------
 
+/// The outer side of a join: pulls the child a batch at a time and hands
+/// the rows to the join loop one by one.
+struct OuterRows {
+    input: Box<dyn ExecNode>,
+    queue: VecDeque<ExecRow>,
+}
+
+impl OuterRows {
+    fn new(input: Box<dyn ExecNode>) -> Self {
+        OuterRows { input, queue: VecDeque::new() }
+    }
+
+    /// The next outer row, refilling from the child with at most
+    /// `max_rows` rows (the join's own quota bounds the read-ahead).
+    fn pop(&mut self, db: &Exec<'_>, max_rows: usize) -> Result<Option<ExecRow>> {
+        if self.queue.is_empty() {
+            self.queue = self.input.next_batch(db, max_rows)?.rows.into();
+        }
+        Ok(self.queue.pop_front())
+    }
+
+    fn reset(&mut self, db: &Exec<'_>) -> Result<()> {
+        self.queue.clear();
+        self.input.reset(db)
+    }
+}
+
 struct NestedLoopJoinExec {
-    left: Box<dyn ExecNode>,
+    left: OuterRows,
     right: Box<dyn ExecNode>,
     pred: Option<RExpr>,
     current: Option<ExecRow>,
@@ -918,41 +902,38 @@ struct NestedLoopJoinExec {
 }
 
 impl ExecNode for NestedLoopJoinExec {
-    fn next(&mut self, db: &Exec<'_>) -> Result<Option<ExecRow>> {
-        loop {
+    fn next_batch(&mut self, db: &Exec<'_>, max_rows: usize) -> Result<RowBatch> {
+        // Returns as soon as one inner batch yields a joined row — the
+        // same contract as DomainScan and Filter, so the first rows of a
+        // join never wait for the rest of it.
+        let ctx = db.eval_ctx();
+        let mut rows = Vec::new();
+        while rows.is_empty() {
             if self.current.is_none() {
-                match self.left.next(db)? {
-                    Some(l) => {
-                        self.current = Some(l);
-                        if self.started {
-                            self.right.reset(db)?;
-                        }
-                        self.started = true;
-                    }
-                    None => return Ok(None),
+                let Some(l) = self.left.pop(db, max_rows)? else { break };
+                if self.started {
+                    self.right.reset(db)?;
                 }
+                self.started = true;
+                self.current = Some(l);
             }
-            match self.right.next(db)? {
-                Some(r) => {
-                    let left = self.current.as_ref().expect("outer row present");
-                    let mut values = left.values.clone();
-                    values.extend(r.values);
-                    let mut row = ExecRow::new(values);
-                    row.ancillary.extend(left.ancillary.iter().cloned());
-                    row.ancillary.extend(r.ancillary);
-                    if let Some(pred) = &self.pred {
-                        let ctx = EvalCtx { catalog: &db.catalog, storage: &db.storage, snap: db.snap };
-                        if !filter_accepts(&eval(pred, &row, &ctx)?) {
-                            continue;
-                        }
+            let inner = self.right.next_batch(db, max_rows)?;
+            if inner.rows.is_empty() {
+                self.current = None;
+                continue;
+            }
+            let left = self.current.as_ref().expect("outer row present");
+            for r in inner.rows {
+                let row = join_rows(left, r);
+                if let Some(pred) = &self.pred {
+                    if !filter_accepts(&eval(pred, &row, &ctx)?) {
+                        continue;
                     }
-                    return Ok(Some(row));
                 }
-                None => {
-                    self.current = None;
-                }
+                rows.push(row);
             }
         }
+        Ok(RowBatch { rows })
     }
 
     fn reset(&mut self, db: &Exec<'_>) -> Result<()> {
@@ -964,7 +945,7 @@ impl ExecNode for NestedLoopJoinExec {
     }
 
     fn abandon(&mut self, db: &Exec<'_>) {
-        self.left.abandon(db);
+        self.left.input.abandon(db);
         self.right.abandon(db);
     }
 }
@@ -972,46 +953,36 @@ impl ExecNode for NestedLoopJoinExec {
 /// Nested loop whose inner side is a parameterized domain scan: the outer
 /// row's values become the operator's arguments (spatial-join pattern).
 struct DomainJoinExec {
-    left: Box<dyn ExecNode>,
+    left: OuterRows,
     scan: DomainScanExec,
     arg_exprs: Vec<RExpr>,
     current: Option<ExecRow>,
 }
 
 impl ExecNode for DomainJoinExec {
-    fn next(&mut self, db: &Exec<'_>) -> Result<Option<ExecRow>> {
+    fn next_batch(&mut self, db: &Exec<'_>, max_rows: usize) -> Result<RowBatch> {
+        // Pipelined like the scan it wraps: returns after the first
+        // non-empty `ODCIIndexFetch` of whichever outer row matches first.
+        let ctx = db.eval_ctx();
         loop {
             if self.current.is_none() {
-                match self.left.next(db)? {
-                    Some(l) => {
-                        let args: Vec<Value> = {
-                            let ctx = EvalCtx { catalog: &db.catalog, storage: &db.storage, snap: db.snap };
-                            self.arg_exprs
-                                .iter()
-                                .map(|e| eval(e, &l, &ctx))
-                                .collect::<Result<_>>()?
-                        };
-                        self.scan.reset(db)?;
-                        self.scan.set_args(args);
-                        self.current = Some(l);
-                    }
-                    None => return Ok(None),
-                }
+                let Some(l) = self.left.pop(db, max_rows)? else {
+                    return Ok(RowBatch::default());
+                };
+                let args: Vec<Value> =
+                    self.arg_exprs.iter().map(|e| eval(e, &l, &ctx)).collect::<Result<_>>()?;
+                self.scan.reset(db)?;
+                self.scan.set_args(args);
+                self.current = Some(l);
             }
-            match self.scan.next(db)? {
-                Some(r) => {
-                    let left = self.current.as_ref().expect("outer row present");
-                    let mut values = left.values.clone();
-                    values.extend(r.values);
-                    let mut row = ExecRow::new(values);
-                    row.ancillary.extend(left.ancillary.iter().cloned());
-                    row.ancillary.extend(r.ancillary);
-                    return Ok(Some(row));
-                }
-                None => {
-                    self.current = None;
-                }
+            let inner = self.scan.next_batch(db, max_rows)?;
+            if inner.rows.is_empty() {
+                self.current = None;
+                continue;
             }
+            let left = self.current.as_ref().expect("outer row present");
+            let rows = inner.rows.into_iter().map(|r| join_rows(left, r)).collect();
+            return Ok(RowBatch { rows });
         }
     }
 
@@ -1023,7 +994,7 @@ impl ExecNode for DomainJoinExec {
     }
 
     fn abandon(&mut self, db: &Exec<'_>) {
-        self.left.abandon(db);
+        self.left.input.abandon(db);
         self.scan.abandon(db);
     }
 }
@@ -1036,51 +1007,45 @@ struct HashJoinExec {
     extra_pred: Option<RExpr>,
     /// Build side (right input) keyed by join key.
     table: Option<BTreeMap<Key, Vec<ExecRow>>>,
+    /// Joined rows of the last probe batch not yet handed out.
     pending: VecDeque<ExecRow>,
 }
 
 impl ExecNode for HashJoinExec {
-    fn next(&mut self, db: &Exec<'_>) -> Result<Option<ExecRow>> {
+    fn next_batch(&mut self, db: &Exec<'_>, max_rows: usize) -> Result<RowBatch> {
+        let ctx = db.eval_ctx();
         if self.table.is_none() {
+            // Build side is a pipeline breaker — `pump` charges the
+            // statement deadline per input batch.
             let mut table: BTreeMap<Key, Vec<ExecRow>> = BTreeMap::new();
-            while let Some(r) = self.right.next(db)? {
-                // Build side is a pipeline breaker — deadline per row.
-                extidx_core::governor::poll()?;
-                let key = {
-                    let ctx = EvalCtx { catalog: &db.catalog, storage: &db.storage, snap: db.snap };
-                    eval(&self.right_key, &r, &ctx)?
-                };
-                if key.is_null() {
-                    continue; // NULL keys never join
+            pump(self.right.as_mut(), db, |batch| {
+                for r in batch.rows {
+                    let key = eval(&self.right_key, &r, &ctx)?;
+                    if !key.is_null() {
+                        // NULL keys never join
+                        table.entry(Key::single(key)).or_default().push(r);
+                    }
                 }
-                table.entry(Key::single(key)).or_default().push(r);
-            }
+                Ok(())
+            })?;
             self.table = Some(table);
         }
-        loop {
-            if let Some(row) = self.pending.pop_front() {
-                return Ok(Some(row));
+        let table = self.table.as_ref().expect("built");
+        // One probe batch in, its matches out: keep probing only while a
+        // whole batch found no partner.
+        while self.pending.is_empty() {
+            let probe = self.left.next_batch(db, max_rows)?;
+            if probe.rows.is_empty() {
+                break;
             }
-            let left = match self.left.next(db)? {
-                Some(l) => l,
-                None => return Ok(None),
-            };
-            let key = {
-                let ctx = EvalCtx { catalog: &db.catalog, storage: &db.storage, snap: db.snap };
-                eval(&self.left_key, &left, &ctx)?
-            };
-            if key.is_null() {
-                continue;
-            }
-            if let Some(matches) = self.table.as_ref().expect("built").get(&Key::single(key)) {
-                for m in matches {
-                    let mut values = left.values.clone();
-                    values.extend(m.values.iter().cloned());
-                    let mut row = ExecRow::new(values);
-                    row.ancillary.extend(left.ancillary.iter().cloned());
-                    row.ancillary.extend(m.ancillary.iter().cloned());
+            for left in probe.rows {
+                let key = eval(&self.left_key, &left, &ctx)?;
+                if key.is_null() {
+                    continue;
+                }
+                for m in table.get(&Key::single(key)).into_iter().flatten() {
+                    let row = join_rows(&left, m.clone());
                     if let Some(pred) = &self.extra_pred {
-                        let ctx = EvalCtx { catalog: &db.catalog, storage: &db.storage, snap: db.snap };
                         if !filter_accepts(&eval(pred, &row, &ctx)?) {
                             continue;
                         }
@@ -1089,6 +1054,7 @@ impl ExecNode for HashJoinExec {
                 }
             }
         }
+        Ok(take_front(&mut self.pending, max_rows))
     }
 
     fn reset(&mut self, db: &Exec<'_>) -> Result<()> {
@@ -1131,25 +1097,15 @@ impl FilterExec {
 }
 
 impl ExecNode for FilterExec {
-    fn next(&mut self, db: &Exec<'_>) -> Result<Option<ExecRow>> {
-        while let Some(row) = self.input.next(db)? {
-            let ctx = EvalCtx { catalog: &db.catalog, storage: &db.storage, snap: db.snap };
-            if self.accepts(&row, &ctx)? {
-                return Ok(Some(row));
-            }
-        }
-        Ok(None)
-    }
-
     fn next_batch(&mut self, db: &Exec<'_>, max_rows: usize) -> Result<RowBatch> {
         // Keep pulling input batches until at least one row survives (or
         // the input is exhausted) — an empty batch means "done" upstream.
+        let ctx = db.eval_ctx();
         loop {
             let batch = self.input.next_batch(db, max_rows)?;
             if batch.rows.is_empty() {
                 return Ok(batch);
             }
-            let ctx = EvalCtx { catalog: &db.catalog, storage: &db.storage, snap: db.snap };
             let mut out = Vec::with_capacity(batch.rows.len());
             for row in batch.rows {
                 if self.accepts(&row, &ctx)? {
@@ -1177,23 +1133,9 @@ struct ProjectExec {
 }
 
 impl ExecNode for ProjectExec {
-    fn next(&mut self, db: &Exec<'_>) -> Result<Option<ExecRow>> {
-        match self.input.next(db)? {
-            Some(row) => {
-                let ctx = EvalCtx { catalog: &db.catalog, storage: &db.storage, snap: db.snap };
-                let values: Vec<Value> =
-                    self.exprs.iter().map(|e| eval(e, &row, &ctx)).collect::<Result<_>>()?;
-                let mut out = ExecRow::new(values);
-                out.ancillary = row.ancillary;
-                Ok(Some(out))
-            }
-            None => Ok(None),
-        }
-    }
-
     fn next_batch(&mut self, db: &Exec<'_>, max_rows: usize) -> Result<RowBatch> {
         let batch = self.input.next_batch(db, max_rows)?;
-        let ctx = EvalCtx { catalog: &db.catalog, storage: &db.storage, snap: db.snap };
+        let ctx = db.eval_ctx();
         let mut rows = Vec::with_capacity(batch.rows.len());
         for row in batch.rows {
             let values: Vec<Value> =
@@ -1221,19 +1163,21 @@ struct SortExec {
 }
 
 impl ExecNode for SortExec {
-    fn next(&mut self, db: &Exec<'_>) -> Result<Option<ExecRow>> {
+    fn next_batch(&mut self, db: &Exec<'_>, max_rows: usize) -> Result<RowBatch> {
         if self.sorted.is_none() {
+            // Pipeline breaker: the whole input drains inside this one
+            // call, so `pump` charges the statement deadline per input
+            // batch here rather than at the (never-reached) top level.
+            let ctx = db.eval_ctx();
             let mut rows: Vec<(Vec<Value>, ExecRow)> = Vec::new();
-            while let Some(r) = self.input.next(db)? {
-                // Pipeline breaker: the whole input drains inside this one
-                // `next` call, so the statement deadline is charged per
-                // row here rather than at the (never-reached) top level.
-                extidx_core::governor::poll()?;
-                let ctx = EvalCtx { catalog: &db.catalog, storage: &db.storage, snap: db.snap };
-                let key: Vec<Value> =
-                    self.keys.iter().map(|(e, _)| eval(e, &r, &ctx)).collect::<Result<_>>()?;
-                rows.push((key, r));
-            }
+            pump(self.input.as_mut(), db, |batch| {
+                for r in batch.rows {
+                    let key: Vec<Value> =
+                        self.keys.iter().map(|(e, _)| eval(e, &r, &ctx)).collect::<Result<_>>()?;
+                    rows.push((key, r));
+                }
+                Ok(())
+            })?;
             let dirs: Vec<bool> = self.keys.iter().map(|(_, d)| *d).collect();
             rows.sort_by(|(a, _), (b, _)| {
                 for ((x, y), desc) in a.iter().zip(b.iter()).zip(&dirs) {
@@ -1247,7 +1191,7 @@ impl ExecNode for SortExec {
             });
             self.sorted = Some(rows.into_iter().map(|(_, r)| r).collect());
         }
-        Ok(self.sorted.as_mut().expect("sorted").pop_front())
+        Ok(take_front(self.sorted.as_mut().expect("sorted"), max_rows))
     }
 
     fn reset(&mut self, db: &Exec<'_>) -> Result<()> {
@@ -1267,21 +1211,6 @@ struct LimitExec {
 }
 
 impl ExecNode for LimitExec {
-    fn next(&mut self, db: &Exec<'_>) -> Result<Option<ExecRow>> {
-        if self.produced >= self.n {
-            // Give scans beneath a chance to close their ODCI contexts.
-            self.input.reset(db)?;
-            return Ok(None);
-        }
-        match self.input.next(db)? {
-            Some(r) => {
-                self.produced += 1;
-                Ok(Some(r))
-            }
-            None => Ok(None),
-        }
-    }
-
     fn next_batch(&mut self, db: &Exec<'_>, max_rows: usize) -> Result<RowBatch> {
         if self.produced >= self.n {
             // Give scans beneath a chance to close their ODCI contexts.
@@ -1308,18 +1237,23 @@ impl ExecNode for LimitExec {
 
 struct DistinctExec {
     input: Box<dyn ExecNode>,
-    seen: BTreeMap<Key, ()>,
+    seen: BTreeSet<Key>,
 }
 
 impl ExecNode for DistinctExec {
-    fn next(&mut self, db: &Exec<'_>) -> Result<Option<ExecRow>> {
-        while let Some(r) = self.input.next(db)? {
-            let key = Key(r.values.clone());
-            if self.seen.insert(key, ()).is_none() {
-                return Ok(Some(r));
+    fn next_batch(&mut self, db: &Exec<'_>, max_rows: usize) -> Result<RowBatch> {
+        // Like Filter: keep pulling until a first-seen row survives or
+        // the input is exhausted.
+        loop {
+            let mut batch = self.input.next_batch(db, max_rows)?;
+            if batch.rows.is_empty() {
+                return Ok(batch);
+            }
+            batch.rows.retain(|r| self.seen.insert(Key(r.values.clone())));
+            if !batch.rows.is_empty() {
+                return Ok(batch);
             }
         }
-        Ok(None)
     }
 
     fn reset(&mut self, db: &Exec<'_>) -> Result<()> {
@@ -1419,57 +1353,51 @@ struct AggregateExec {
 }
 
 impl ExecNode for AggregateExec {
-    fn next(&mut self, db: &Exec<'_>) -> Result<Option<ExecRow>> {
+    fn next_batch(&mut self, db: &Exec<'_>, max_rows: usize) -> Result<RowBatch> {
         if self.output.is_none() {
             // Group order: first-seen, tracked separately from the map.
             let mut groups: BTreeMap<Key, Vec<AggState>> = BTreeMap::new();
             let mut order: Vec<Key> = Vec::new();
-            let mut any_row = false;
-            while let Some(r) = self.input.next(db)? {
-                // Pipeline breaker — deadline charged per drained row.
-                extidx_core::governor::poll()?;
-                any_row = true;
-                let ctx = EvalCtx { catalog: &db.catalog, storage: &db.storage, snap: db.snap };
-                let key_vals: Vec<Value> =
-                    self.group.iter().map(|e| eval(e, &r, &ctx)).collect::<Result<_>>()?;
-                let key = Key(key_vals);
-                let states = match groups.get_mut(&key) {
-                    Some(s) => s,
-                    None => {
-                        order.push(key.clone());
-                        groups
-                            .entry(key.clone())
-                            .or_insert_with(|| self.aggs.iter().map(|(k, _)| AggState::new(*k)).collect())
-                    }
-                };
-                for ((_, arg), state) in self.aggs.iter().zip(states.iter_mut()) {
-                    match arg {
-                        None => state.update(None)?,
-                        Some(e) => {
-                            let v = eval(e, &r, &ctx)?;
-                            state.update(Some(&v))?;
+            let fresh =
+                || -> Vec<AggState> { self.aggs.iter().map(|(k, _)| AggState::new(*k)).collect() };
+            let ctx = db.eval_ctx();
+            // Pipeline breaker — `pump` charges the deadline per input batch.
+            pump(self.input.as_mut(), db, |batch| {
+                for r in batch.rows {
+                    let key_vals: Vec<Value> =
+                        self.group.iter().map(|e| eval(e, &r, &ctx)).collect::<Result<_>>()?;
+                    let key = Key(key_vals);
+                    let states = match groups.get_mut(&key) {
+                        Some(s) => s,
+                        None => {
+                            order.push(key.clone());
+                            groups.entry(key).or_insert_with(fresh)
+                        }
+                    };
+                    for ((_, arg), state) in self.aggs.iter().zip(states.iter_mut()) {
+                        match arg {
+                            None => state.update(None)?,
+                            Some(e) => state.update(Some(&eval(e, &r, &ctx)?))?,
                         }
                     }
                 }
-            }
+                Ok(())
+            })?;
             // Global aggregate over zero rows still yields one group.
-            if !any_row && self.group.is_empty() {
-                groups.insert(
-                    Key(vec![]),
-                    self.aggs.iter().map(|(k, _)| AggState::new(*k)).collect(),
-                );
+            if order.is_empty() && self.group.is_empty() {
+                groups.insert(Key(vec![]), fresh());
                 order.push(Key(vec![]));
             }
             let mut out = VecDeque::with_capacity(order.len());
             for key in order {
                 let states = &groups[&key];
-                let mut values = key.0.clone();
+                let mut values = key.0;
                 values.extend(states.iter().map(|s| s.finish()));
                 out.push_back(ExecRow::new(values));
             }
             self.output = Some(out);
         }
-        Ok(self.output.as_mut().expect("aggregated").pop_front())
+        Ok(take_front(self.output.as_mut().expect("aggregated"), max_rows))
     }
 
     fn reset(&mut self, db: &Exec<'_>) -> Result<()> {
@@ -1481,8 +1409,3 @@ impl ExecNode for AggregateExec {
         self.input.abandon(db);
     }
 }
-
-// Re-export for the optimizer's BinOp usage in key matching (avoids an
-// unused-import warning when compiled standalone).
-#[allow(unused)]
-fn _uses(_: BinOp, _: PredicateBound) {}

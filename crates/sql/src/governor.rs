@@ -93,8 +93,10 @@ impl Default for GovernorConfig {
 }
 
 impl GovernorConfig {
-    /// PR 9 behaviour: no daemon, vacuum inline on commit/rollback.
-    /// The backpressure gate and retry machinery stay armed.
+    /// No daemon, vacuum inline on commit/rollback. The backpressure
+    /// gate and retry machinery stay armed. Kept as the deterministic
+    /// test mode: without the daemon thread, vacuum timing (and so chain
+    /// occupancy) is a pure function of the statement stream.
     pub fn inline_vacuum() -> Self {
         GovernorConfig { daemon: false, ..Self::default() }
     }

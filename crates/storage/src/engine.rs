@@ -70,16 +70,6 @@ pub struct StorageEngine {
     /// First-writer-wins enforcement knob. Turned off only by the
     /// differential oracle to demonstrate that it catches lost updates.
     conflict_checks: bool,
-    /// Incremental-vacuum knob. On (default): every vacuum call prunes
-    /// against the oldest-active-snapshot horizon. Off: the PR 8
-    /// quiescence-only behavior — chains drain only when no transaction is
-    /// active (the ablation baseline for the E18 experiment).
-    incremental_vacuum: bool,
-    /// LOB conflict-granularity knob. On (default): LOB writes conflict
-    /// per byte range. Off: every LOB write is treated as a whole-locator
-    /// write for conflict purposes — the PR 8 serialized-maintenance
-    /// baseline (visibility stays span-exact either way).
-    lob_span_conflicts: bool,
     /// Lifetime incremental-vacuum counters (V$MVCC).
     vacuum_stats: VacuumStats,
     /// Overlay version chains; empty whenever nothing concurrent is live.
@@ -106,8 +96,6 @@ impl StorageEngine {
             txns: Arc::new(TxnManager::default()),
             current: Snapshot::latest(),
             conflict_checks: true,
-            incremental_vacuum: true,
-            lob_span_conflicts: true,
             vacuum_stats: VacuumStats::default(),
             versions: VersionStore::default(),
         }
@@ -140,7 +128,9 @@ impl StorageEngine {
     /// Toggle first-writer-wins enforcement (early conflict detection and
     /// commit-time validation). Structural conflicts between two *active*
     /// writers are always rejected regardless — overlay MVCC cannot hold
-    /// two uncommitted in-place versions of one row.
+    /// two uncommitted in-place versions of one row. Kept as the
+    /// concurrent oracle's negative control: with checks off it must
+    /// catch the resulting lost update.
     pub fn set_conflict_checks(&mut self, on: bool) {
         self.conflict_checks = on;
     }
@@ -156,29 +146,6 @@ impl StorageEngine {
     pub fn segment_has_chains(&self, seg: SegmentId) -> bool {
         self.versions.heap.get(&seg).is_some_and(|m| !m.is_empty())
             || self.versions.iot.get(&seg).is_some_and(|m| !m.is_empty())
-    }
-
-    /// Toggle incremental vacuum (on by default). Off restores the PR 8
-    /// quiescence-only behavior for ablation benchmarks.
-    pub fn set_incremental_vacuum(&mut self, on: bool) {
-        self.incremental_vacuum = on;
-    }
-
-    /// Whether incremental vacuum is on.
-    pub fn incremental_vacuum(&self) -> bool {
-        self.incremental_vacuum
-    }
-
-    /// Toggle byte-range LOB conflict granularity (on by default). Off
-    /// treats every LOB write as a whole-locator conflict — the serialized
-    /// same-index-maintenance baseline.
-    pub fn set_lob_span_conflicts(&mut self, on: bool) {
-        self.lob_span_conflicts = on;
-    }
-
-    /// Whether LOB conflicts are byte-range granular.
-    pub fn lob_span_conflicts(&self) -> bool {
-        self.lob_span_conflicts
     }
 
     /// Lifetime incremental-vacuum counters.
@@ -218,27 +185,18 @@ impl StorageEngine {
         out
     }
 
-    /// Garbage-collect version chains and commit history.
-    ///
-    /// Incremental mode (default): keyed to the *oldest active snapshot*
-    /// horizon — the smallest snapshot high among live transactions, or
-    /// the next CSN at quiescence. A displaced version whose end stamp
-    /// committed at or below the horizon is invisible to every live and
-    /// future snapshot (they all see a newer one instead) and is pruned;
+    /// Garbage-collect version chains and commit history, keyed to the
+    /// *oldest active snapshot* horizon — the smallest snapshot high among
+    /// live transactions, or the next CSN at quiescence. A displaced
+    /// version whose end stamp committed at or below the horizon is
+    /// invisible to every live and future snapshot (they all see a newer
+    /// one instead) and is pruned;
     /// an in-place version whose delete mark committed at or below the
     /// horizon is physically reclaimed — the rowid becomes reusable
     /// exactly when no snapshot can see the old row, preserving the
     /// no-rowid-reuse guarantee for live snapshots. Runs on every
     /// commit/rollback, so chains stay bounded without quiescence.
-    ///
-    /// Quiescence mode (`set_incremental_vacuum(false)`, the PR 8
-    /// baseline): only acts when no transaction is active, then clears
-    /// everything.
     pub fn vacuum(&mut self) {
-        if !self.incremental_vacuum {
-            self.vacuum_at_quiescence();
-            return;
-        }
         let txns = Arc::clone(&self.txns);
         let horizon = txns.horizon();
         // A stamp is "settled" when its writer committed at or below the
@@ -342,36 +300,6 @@ impl StorageEngine {
         self.txns.prune_history(horizon, &self.versions.referenced_stamps());
     }
 
-    /// The PR 8 quiescence-only vacuum (ablation baseline): frees heap
-    /// slots with committed delete marks, drops every chain, and forgets
-    /// commit history — but only when no transaction is active.
-    fn vacuum_at_quiescence(&mut self) {
-        if self.txns.active_count() != 0 {
-            return;
-        }
-        let mut dead: Vec<(SegmentId, RowId)> = Vec::new();
-        for (&seg, chains) in &self.versions.heap {
-            for (&rid, chain) in chains {
-                if chain.dead.is_some_and(|d| self.txns.committed_csn(d).is_some()) {
-                    dead.push((seg, rid));
-                }
-            }
-        }
-        // Deterministic free order so repeated runs produce identical
-        // free-list state.
-        dead.sort_by_key(|&(s, r)| (s.0, r.page, r.slot));
-        for (seg, rid) in dead {
-            if let Some(h) = self.heaps.get_mut(&seg) {
-                let _ = h.delete(rid);
-                self.cache.write((seg, rid.page));
-            }
-        }
-        self.versions.heap.clear();
-        self.versions.iot.clear();
-        self.versions.lobs.clear();
-        self.txns.forget_history();
-    }
-
     /// Structural + early conflict check for a heap row write.
     fn check_heap_write(&self, seg: SegmentId, rid: RowId) -> Result<()> {
         let t = self.current.txn;
@@ -454,10 +382,9 @@ impl StorageEngine {
 
     /// The byte range a LOB write of `len` bytes at `start` conflicts on.
     /// `len == WHOLE_LOB` marks a whole-locator operation (overwrite,
-    /// free). With the granularity knob off every write widens to the
-    /// whole locator, restoring serialized same-index maintenance.
-    fn lob_conflict_span(&self, start: u64, len: u64) -> (u64, u64) {
-        if !self.lob_span_conflicts || len == WHOLE_LOB {
+    /// free).
+    fn lob_conflict_span(start: u64, len: u64) -> (u64, u64) {
+        if len == WHOLE_LOB {
             return (0, WHOLE_LOB);
         }
         (start, start.saturating_add(len))
@@ -474,13 +401,9 @@ impl StorageEngine {
         if t == 0 {
             return Ok(());
         }
-        let (cs, ce) = self.lob_conflict_span(start, len);
+        let (cs, ce) = Self::lob_conflict_span(start, len);
         let overlaps = |v: &LobSpanVersion| {
-            let (vs, ve) = if v.len == WHOLE_LOB {
-                (0, WHOLE_LOB)
-            } else {
-                (v.start, v.start.saturating_add(v.len))
-            };
+            let (vs, ve) = Self::lob_conflict_span(v.start, v.len);
             vs < ce && cs < ve
         };
         if let Some(chain) = self.versions.lobs.get(&lob) {
@@ -546,7 +469,7 @@ impl StorageEngine {
         };
         let chain = self.versions.lobs.entry(lob).or_default();
         chain.spans.insert(0, LobSpanVersion { start, len, old, by: t });
-        let (cs, ce) = self.lob_conflict_span(start, len);
+        let (cs, ce) = Self::lob_conflict_span(start, len);
         self.txns.record_write(
             t,
             WriteRef { seg: LOB_SEGMENT, key: WriteKey::LobSpan { lob, start: cs, end: ce } },

@@ -334,14 +334,6 @@ impl TxnManager {
             .retain(|txn, s| matches!(s, TxnStatus::Active) || referenced.contains(txn));
         g.committed.retain(|_, &mut (csn, _)| csn > horizon);
     }
-
-    /// Drop commit history (status + committed write sets) once the engine
-    /// has vacuumed every chain. Ids keep increasing monotonically.
-    pub fn forget_history(&self) {
-        let mut g = self.inner.lock();
-        g.status.retain(|_, s| matches!(s, TxnStatus::Active));
-        g.committed.clear();
-    }
 }
 
 /// One displaced heap version: the row image plus its validity interval.

@@ -10,6 +10,12 @@ export CARGO_NET_OFFLINE=true
 echo "== build (release) =="
 cargo build --release
 
+# The perf ledger (BENCHMARK.json) is its own workspace, so the build
+# above never compiles it: check here that a crates/* API change has not
+# broken it, rather than in the benchmark pipeline.
+echo "== build (perf ledger, offline) =="
+cargo build --release --offline --manifest-path ledger/Cargo.toml
+
 echo "== tests (workspace, including ignored long sweeps) =="
 cargo test --workspace -q -- --include-ignored
 
@@ -40,11 +46,13 @@ cargo test -q --test quarantine
 cargo test -q --test fault_matrix panic_at_every_crossing -- --include-ignored
 cargo test -q --test differential quarantine_chaos_sweep -- --include-ignored
 
-# Vectorized batch executor: batch-vs-row bag equality (direct + qgen
-# sweep on both executor paths), zone-map widen-never-narrow under
-# UPDATE/DELETE, LIMIT early termination, and the pruning-aware
-# root-gets == cache-delta invariant.
-echo "== vectorized executor (batch/row equality + zone maps) =="
+# Batch executor (the only row path): batch-seam cases against
+# closed-form answers (joins emitting > BATCH_TARGET rows, inner scans
+# spanning batches, ragged LIMIT over a join, GROUP BY / DISTINCT /
+# ORDER BY over several input batches), one ODCIIndexFetch for a
+# cursor's first row (scan and domain join), zone-map widen-never-narrow,
+# LIMIT early termination, and root-gets == cache-delta under pruning.
+echo "== batch executor (batch seams + pipelining + zone maps) =="
 cargo test -q --test vectorized -- --include-ignored
 
 # Durability: WAL + checkpoints. The crash-point matrix (every wal.*
@@ -56,8 +64,10 @@ cargo test -q --test vectorized -- --include-ignored
 echo "== crash recovery (WAL + checkpoints + qgen sweep) =="
 cargo test -q --test recovery
 
-# Bench smoke: the E15 repro must clear its speedup floors (>=5x cold
-# pruned scan, >=2x cost-ordered conjuncts) at a reduced N, and leave
+# Bench smoke: the E15 repro must clear its speedup floors at a reduced
+# N — part A is zone pruning on vs off over a cold filtered scan
+# (E15_MIN_SCAN_SPEEDUP, default 5x), part B cost-ordered vs source-order
+# conjuncts (E15_MIN_ORDER_SPEEDUP, default 2x) — and leave
 # machine-readable BENCH_*.json records under target/bench-json.
 echo "== bench smoke (e15-vectorized + BENCH_*.json) =="
 mkdir -p target/bench-json
@@ -112,10 +122,10 @@ ls target/bench-json/BENCH_e17_mvcc.json
 echo "== vacuum (incremental GC + span conflicts + chained-zone pruning) =="
 cargo test -q --test mvcc_vacuum
 
-# Vacuum bench smoke: quiescence-only vacuum must accumulate versions
-# under a never-quiescent update stream while the incremental pass stays
-# bounded (cap 16), and whole-locator LOB conflicts must abort writer
-# pairs that byte-range spans commit. Records BENCH_e18_vacuum.json.
+# Vacuum bench smoke: under a never-quiescent update stream the
+# incremental pass must keep chain occupancy bounded (cap 16), and
+# byte-range LOB spans must commit every disjoint-row writer pair.
+# Records BENCH_e18_vacuum.json.
 echo "== bench smoke (e18-vacuum + BENCH json) =="
 E18_ROUNDS=200 E18_PAIRS=25 \
     BENCH_OUT=target/bench-json \
@@ -135,7 +145,7 @@ echo "== governor (daemon + timeouts + backpressure + retry) =="
 cargo test -q --test server_governor
 
 # Governor bench smoke: foreground p99 statement latency with the
-# maintenance daemon owning the vacuum cadence vs PR 9's inline vacuum
+# maintenance daemon owning the vacuum cadence vs inline vacuum
 # on every commit, under a pinned-horizon chain set the vacuum must scan
 # but cannot reclaim. Floor 2x; records BENCH_e19_governor.json.
 echo "== bench smoke (e19-governor + BENCH json) =="

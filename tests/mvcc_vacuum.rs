@@ -178,21 +178,6 @@ fn same_index_concurrent_maintenance_is_span_granular() {
         rows.iter().any(|r| r[0].to_string().contains(&format!("txn {winner}"))),
         "the FWW abort must be recorded in V$TRACE: {rows:?}"
     );
-
-    // Ablation: with whole-locator conflicts (the pre-span baseline) the
-    // very same disjoint-row schedule aborts spuriously.
-    server.admin(|db| db.storage_mut().set_lob_span_conflicts(false));
-    w1.execute("BEGIN").unwrap();
-    w2.execute("BEGIN").unwrap();
-    w1.execute("UPDATE MV SET mol = 'CCO' WHERE id = 1").unwrap();
-    let spurious = w2.execute("UPDATE MV SET mol = 'COC' WHERE id = 9");
-    assert!(
-        matches!(spurious, Err(Error::WriteConflict { .. })),
-        "whole-locator granularity must serialize all same-LOB writers: {spurious:?}"
-    );
-    w1.execute("COMMIT").unwrap();
-    w2.execute("ROLLBACK").unwrap();
-    server.admin(|db| db.storage_mut().set_lob_span_conflicts(true));
 }
 
 /// V$MVCC: the TOTAL row is always present; chain counters rise while a

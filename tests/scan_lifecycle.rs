@@ -6,13 +6,18 @@
 //! RECOVERY) while the original error still wins.
 
 use extidx::core::fault::FaultKind;
+use extidx::core::trace::{CallTrace, Component};
 use extidx::sql::Database;
 use extidx::spatial::{geometry_sql, Geometry, Mbr};
 
 fn start_close_counts(db: &Database) -> (u64, u64) {
+    trace_counts(db.trace())
+}
+
+fn trace_counts(trace: &CallTrace) -> (u64, u64) {
     let mut starts = 0;
     let mut closes = 0;
-    for (_, routine, s) in db.trace().aggregates() {
+    for (_, routine, s) in trace.aggregates() {
         match routine {
             "ODCIIndexStart" => starts += s.calls,
             "ODCIIndexClose" => closes += s.calls,
@@ -107,6 +112,59 @@ fn limit_early_termination_and_forced_plans_close_the_scan() {
         assert!(starts > 0, "{sql}: the domain scan never started");
         assert_eq!(starts, closes, "{sql}: unbalanced lifecycle");
     }
+}
+
+/// A residual conjunct that raises *above* an open domain scan: the
+/// failing parent must not leak the child's scan context, under plain
+/// SELECT and under EXPLAIN ANALYZE alike (both drain through the one
+/// shared loop, which abandons the tree on any error).
+#[test]
+fn parent_failure_above_an_open_scan_closes_it() {
+    let mut db = text_db(100);
+    db.trace().set_enabled(true);
+    let select = "SELECT id FROM docs WHERE Contains(body, 'gorse') AND 10 / (id - id) > 0";
+    for sql in [select.to_string(), format!("EXPLAIN ANALYZE {select}")] {
+        db.trace().clear();
+        let err = db.query(&sql).expect_err("division by zero must surface");
+        assert!(err.to_string().to_lowercase().contains("zero"), "{sql}: {err}");
+        let (starts, closes) = start_close_counts(&db);
+        assert_eq!(starts, 1, "{sql}: the domain scan must have opened");
+        assert_eq!(closes, 1, "{sql}: the failing parent leaked the scan context");
+    }
+}
+
+/// A cursor dropped before exhaustion still owes its scan a close: open
+/// a `Contains` cursor, read one row, drop it.
+#[test]
+fn dropped_cursor_closes_its_scan() {
+    let mut db = text_db(100);
+    db.set_batch_size(4);
+    db.trace().set_enabled(true);
+    db.trace().clear();
+    {
+        let mut cur =
+            db.open_query("SELECT id FROM docs WHERE Contains(body, 'gorse')").unwrap();
+        assert!(cur.next_row().unwrap().is_some());
+    }
+    let (starts, closes) = start_close_counts(&db);
+    assert_eq!((starts, closes), (1, 1), "dropped cursor must close its scan");
+    // A client that stops reading is a routine close, not error recovery.
+    let close = db.trace().events().into_iter().find(|e| e.routine == "ODCIIndexClose").unwrap();
+    assert_eq!(close.component, Component::IndexAccess, "{close}");
+
+    // Same for a cursor whose `next_row` failed above the open scan (a
+    // raising residual — the scan itself saw no error to close on).
+    // The close is owed by the failing `next_row` itself, not only by the
+    // later drop (the cursor borrows `db`; a trace clone shares counters).
+    db.trace().clear();
+    let trace = db.trace().clone();
+    let mut cur = db
+        .open_query("SELECT id FROM docs WHERE Contains(body, 'gorse') AND 10 / (id - id) > 0")
+        .unwrap();
+    cur.next_row().expect_err("division by zero must surface");
+    assert_eq!(trace_counts(&trace), (1, 1), "a failed next_row must close its scan");
+    drop(cur);
+    assert_eq!(trace_counts(&trace), (1, 1), "and the drop must not close it twice");
 }
 
 /// Domain joins re-parameterize one scan per outer row (reset + start);

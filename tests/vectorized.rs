@@ -1,17 +1,22 @@
-//! The vectorized batch executor (see DESIGN.md §4h).
+//! The batch executor (see DESIGN.md §4h): `next_batch` is the only way
+//! rows move, so what is load-bearing here is the protocol itself.
 //!
-//! Three things are load-bearing and checked here:
-//! - the batch path and the row path are bag-equal — directly on pinned
-//!   queries across heap, B-tree, and domain-index access paths, and
-//!   through the differential oracle's forced-plan sweep with the
-//!   executor pinned to each path;
 //! - zone maps only ever widen under UPDATE/DELETE (superset validity),
-//!   so pruning never drops a live row even after heavy churn; and
-//! - LIMIT terminates a batched scan early by shrinking the batch quota
-//!   it hands downstream, visible in EXPLAIN ANALYZE actual-row counts.
+//!   so pruning never drops a live row even after heavy churn;
+//! - LIMIT terminates a scan — or a join — early by shrinking the batch
+//!   quota it hands downstream, visible in EXPLAIN ANALYZE actual rows;
+//! - batch boundaries are invisible: joins emitting more than
+//!   `BATCH_TARGET` rows, inner scans spanning several batches per outer
+//!   row, and pipeline breakers fed more than one input batch all return
+//!   closed-form (or index-free reference) answers; and
+//! - a cursor stays pipelined: its first row costs exactly one
+//!   `ODCIIndexFetch` over a domain scan, one Start + one Fetch over a
+//!   domain join.
 
+use extidx::core::trace::CallTrace;
+use extidx::spatial::{geometry_sql, Geometry, Mbr};
+use extidx::sql::executor::BATCH_TARGET;
 use extidx::sql::Database;
-use extidx_qgen::{run_seed, ChaosOpts};
 
 /// Parse `key=<digits>` from a plan line, searching from the *last*
 /// occurrence (lines carry both the estimate and the actual).
@@ -44,75 +49,6 @@ fn bag(db: &mut Database, sql: &str) -> Vec<String> {
         .collect();
     rows.sort();
     rows
-}
-
-fn mixed_db() -> Database {
-    let mut db = Database::with_cache_pages(4096);
-    extidx::text::install(&mut db).unwrap();
-    db.execute("CREATE TABLE docs (id INTEGER, score INTEGER, body VARCHAR2(200))").unwrap();
-    for i in 0..600i64 {
-        let body = if i % 9 == 0 {
-            format!("heather moor number {i}")
-        } else {
-            format!("plain filler row {i}")
-        };
-        db.execute_with(
-            "INSERT INTO docs VALUES (?, ?, ?)",
-            &[i.into(), ((i * 31) % 500).into(), body.into()],
-        )
-        .unwrap();
-    }
-    db.execute("CREATE INDEX ds ON docs(score)").unwrap();
-    db.execute("CREATE INDEX dt ON docs(body) INDEXTYPE IS TextIndexType").unwrap();
-    db.execute("ANALYZE TABLE docs").unwrap();
-    db
-}
-
-/// Batch and row execution must return the same bag on every access
-/// path: full scan, B-tree range, domain-index scan, and the functional
-/// fallback, with and without cost-ordered conjuncts.
-#[test]
-fn batch_and_row_paths_are_bag_equal() {
-    let mut db = mixed_db();
-    let queries = [
-        "SELECT id, score FROM docs WHERE id BETWEEN 100 AND 180".to_string(),
-        "SELECT /*+ FULL(docs) */ id FROM docs WHERE score < 40".to_string(),
-        "SELECT /*+ INDEX(docs ds) */ id FROM docs WHERE score < 40".to_string(),
-        "SELECT id FROM docs WHERE Contains(body, 'heather') AND id < 300".to_string(),
-        "SELECT /*+ NO_INDEX(docs) */ id FROM docs WHERE Contains(body, 'moor')".to_string(),
-        "SELECT id FROM docs WHERE score > 450 OR body LIKE '%number 9%'".to_string(),
-        "SELECT COUNT(*), MAX(score) FROM docs WHERE id > 250".to_string(),
-        "SELECT score, COUNT(*) FROM docs GROUP BY score HAVING COUNT(*) > 1".to_string(),
-    ];
-    for sql in &queries {
-        for ordered in [true, false] {
-            db.set_cost_ordered_terms(ordered);
-            db.set_batch_execution(true);
-            let batched = bag(&mut db, sql);
-            db.set_batch_execution(false);
-            let rowed = bag(&mut db, sql);
-            assert_eq!(batched, rowed, "batch/row divergence (ordered={ordered}) on {sql}");
-        }
-    }
-}
-
-/// The differential oracle's full forced-plan sweep, pinned to each
-/// executor path. Every reachable plan must stay bag-equal to the
-/// brute-force mirror whether rows flow one at a time or in batches.
-#[test]
-fn qgen_sweep_agrees_on_batch_and_row_paths() {
-    for seed in [1u64, 2, 3] {
-        for (label, chaos) in
-            [("batch", ChaosOpts::default()), ("row", ChaosOpts::row_exec())]
-        {
-            if let Some(d) = run_seed(seed, 120, chaos) {
-                panic!(
-                    "{label} path diverged at seed {} statement {}\n{}\n{}",
-                    d.seed, d.step, d.detail, d.script
-                );
-            }
-        }
-    }
 }
 
 /// Zone maps must stay supersets of page contents under churn: UPDATE
@@ -170,7 +106,7 @@ fn zone_maps_widen_never_narrow_under_update_delete() {
 
 /// A pruning scan still satisfies the observability invariant: pruned
 /// pages are never charged to the buffer cache, so the root node's gets
-/// equal the statement cache delta — on both executor paths.
+/// equal the statement cache delta.
 #[test]
 fn pruned_scan_keeps_root_gets_equal_statement_delta() {
     let mut db = Database::with_cache_pages(4096);
@@ -181,30 +117,20 @@ fn pruned_scan_keeps_root_gets_equal_statement_delta() {
     db.execute("ANALYZE TABLE big").unwrap();
     let sql = "SELECT id FROM big WHERE id BETWEEN 2400 AND 2450";
 
-    for batch in [true, false] {
-        db.set_batch_execution(batch);
-        let lines = analyze(&mut db, sql);
-        let root = &lines[0];
-        let summary = lines.last().unwrap();
-        assert!(summary.starts_with("statement:"), "{summary}");
-        assert_eq!(
-            field(root, "gets"),
-            field(summary, "gets"),
-            "batch={batch}\nroot: {root}\nsummary: {summary}"
-        );
-        assert_eq!(field(summary, "rows"), 51, "batch={batch}");
-        let scan = lines.iter().find(|l| l.contains("FULL SCAN")).unwrap();
-        assert!(scan.contains("zone-prune[ID]"), "plan should advertise pruning: {scan}");
-        assert!(field(scan, "pruned") > 0, "a tight range over 5000 rows must skip pages: {scan}");
-        assert_eq!(field(summary, "pages pruned"), field(scan, "pruned"));
-        if batch {
-            assert!(field(root, "batches") >= 1, "{root}");
-        }
-    }
-    db.set_batch_execution(true);
+    let lines = analyze(&mut db, sql);
+    let root = &lines[0];
+    let summary = lines.last().unwrap();
+    assert!(summary.starts_with("statement:"), "{summary}");
+    assert_eq!(field(root, "gets"), field(summary, "gets"), "root: {root}\nsummary: {summary}");
+    assert_eq!(field(summary, "rows"), 51);
+    let scan = lines.iter().find(|l| l.contains("FULL SCAN")).unwrap();
+    assert!(scan.contains("zone-prune[ID]"), "plan should advertise pruning: {scan}");
+    assert!(field(scan, "pruned") > 0, "a tight range over 5000 rows must skip pages: {scan}");
+    assert_eq!(field(summary, "pages pruned"), field(scan, "pruned"));
+    assert!(field(root, "batches") >= 1, "{root}");
 }
 
-/// LIMIT inside the batch path: the limit node shrinks the batch quota
+/// LIMIT over a scan: the limit node shrinks the batch quota
 /// it requests, so the scan materializes only as many rows as the limit
 /// needs instead of a full BATCH_TARGET batch per call.
 #[test]
@@ -228,4 +154,245 @@ fn limit_terminates_batched_scan_early() {
     // Early termination is also visible in I/O: 4000 rows span many
     // pages, but a LIMIT 5 scan touches only the first.
     assert!(field(scan, "gets") <= 2, "LIMIT 5 should touch at most a page or two: {scan}");
+}
+
+/// Two small tables whose joins overflow a batch: `ja` × `jb` is 3600
+/// rows as a cross product (nested loop) and 1200 on `k` (hash join —
+/// `k = id % 3`, so every `ja` row matches 20 `jb` rows).
+fn join_db() -> Database {
+    let mut db = Database::with_cache_pages(4096);
+    for t in ["ja", "jb"] {
+        db.execute(&format!("CREATE TABLE {t} (id INTEGER, k INTEGER)")).unwrap();
+        for i in 0..60i64 {
+            db.execute_with(&format!("INSERT INTO {t} VALUES (?, ?)"), &[i.into(), (i % 3).into()])
+                .unwrap();
+        }
+        db.execute(&format!("ANALYZE TABLE {t}")).unwrap();
+    }
+    db
+}
+
+/// `ODCIIndexFetch` crossings recorded so far, over all indextypes.
+fn fetch_calls(trace: &CallTrace) -> u64 {
+    trace
+        .aggregates()
+        .into_iter()
+        .filter(|(_, routine, _)| *routine == "ODCIIndexFetch")
+        .map(|(_, _, s)| s.calls)
+        .sum()
+}
+
+fn ints(row: &[extidx::common::Value]) -> Vec<i64> {
+    row.iter().map(|v| v.to_string().parse().unwrap()).collect()
+}
+
+/// Hash join and nested-loop join each emit more than `BATCH_TARGET`
+/// rows; the result must be exactly the closed-form pair set, in
+/// outer-major order, with nothing lost or duplicated at a batch seam.
+#[test]
+fn joins_emitting_more_than_a_batch_are_exact() {
+    let mut db = join_db();
+
+    let cross = "SELECT ja.id, jb.id FROM ja, jb";
+    assert!(db.explain(cross).unwrap().join("\n").contains("NESTED LOOP JOIN"));
+    let rows: Vec<Vec<i64>> = db.query(cross).unwrap().iter().map(|r| ints(r)).collect();
+    assert!(rows.len() > BATCH_TARGET);
+    let want: Vec<Vec<i64>> = (0..60).flat_map(|a| (0..60).map(move |b| vec![a, b])).collect();
+    assert_eq!(rows, want, "cross product must be every pair, outer-major");
+
+    let equi = "SELECT ja.id, jb.id FROM ja, jb WHERE ja.k = jb.k";
+    assert!(db.explain(equi).unwrap().join("\n").contains("HASH JOIN"));
+    let rows: Vec<Vec<i64>> = db.query(equi).unwrap().iter().map(|r| ints(r)).collect();
+    assert!(rows.len() > BATCH_TARGET);
+    let want: Vec<Vec<i64>> = (0..60)
+        .flat_map(|a| (0..60).filter(move |b| a % 3 == b % 3).map(move |b| vec![a, b]))
+        .collect();
+    assert_eq!(rows, want, "hash join must be every k-matching pair, probe-major");
+}
+
+/// `LIMIT k` over a join with `k` not a multiple of the batch: exactly
+/// the first `k` rows of the unlimited result, and the join node itself
+/// never produces a row past the quota pushed down to it.
+#[test]
+fn limit_over_a_join_stops_at_a_ragged_quota() {
+    let mut db = join_db();
+    for (sql, k) in [
+        ("SELECT ja.id, jb.id FROM ja, jb", BATCH_TARGET + 476),
+        ("SELECT ja.id, jb.id FROM ja, jb WHERE ja.k = jb.k", BATCH_TARGET + 6),
+        ("SELECT ja.id, jb.id FROM ja, jb", 7),
+    ] {
+        let full = db.query(sql).unwrap();
+        let limited = db.query(&format!("{sql} LIMIT {k}")).unwrap();
+        assert_eq!(limited, full[..k], "{sql} LIMIT {k}");
+        let lines = analyze(&mut db, &format!("{sql} LIMIT {k}"));
+        let join = lines.iter().find(|l| l.contains("JOIN")).unwrap();
+        assert_eq!(field(join, "actual rows"), k as u64, "quota must reach the join: {join}");
+    }
+}
+
+/// Nested loop whose inner full scan spans several batches per outer
+/// row: 3 outer rows × 2500 inner rows, re-scanned from the top each
+/// time.
+#[test]
+fn nested_loop_inner_scan_spans_batches_per_outer_row() {
+    let mut db = Database::with_cache_pages(4096);
+    db.execute("CREATE TABLE o3 (id INTEGER)").unwrap();
+    db.execute("INSERT INTO o3 VALUES (0), (1), (2)").unwrap();
+    db.execute("CREATE TABLE inner_t (id INTEGER)").unwrap();
+    for i in 0..2500i64 {
+        db.execute_with("INSERT INTO inner_t VALUES (?)", &[i.into()]).unwrap();
+    }
+    let rows = db.query("SELECT o3.id, inner_t.id FROM o3, inner_t").unwrap();
+    let got: Vec<Vec<i64>> = rows.iter().map(|r| ints(r)).collect();
+    let want: Vec<Vec<i64>> = (0..3).flat_map(|o| (0..2500).map(move |i| vec![o, i])).collect();
+    assert_eq!(got, want);
+}
+
+/// Domain join whose inner scan needs several `ODCIIndexFetch` batches
+/// per outer row (fetch size 2): bag-equal to the index-free plan, which
+/// evaluates the operator functionally over the cross product.
+#[test]
+fn domain_join_inner_scan_spans_fetch_batches_per_outer_row() {
+    let mut db = Database::with_cache_pages(4096);
+    extidx::spatial::install(&mut db).unwrap();
+    for table in ["roads", "parks"] {
+        db.execute(&format!("CREATE TABLE {table} (gid INTEGER, geometry SDO_GEOMETRY)")).unwrap();
+    }
+    let rect = |x0: f64, y0: f64, x1: f64, y1: f64| {
+        geometry_sql(&Geometry::Rect(Mbr { xmin: x0, ymin: y0, xmax: x1, ymax: y1 }))
+    };
+    // Every road crosses a run of neighbouring parks.
+    for i in 0..8 {
+        let o = f64::from(i) * 10.0;
+        let road = rect(o, 20.0, o + 95.0, 25.0);
+        db.execute(&format!("INSERT INTO roads VALUES ({i}, {road})")).unwrap();
+    }
+    for j in 0..16 {
+        let o = f64::from(j) * 10.0;
+        let park = rect(o + 2.0, 0.0, o + 8.0, 50.0);
+        db.execute(&format!("INSERT INTO parks VALUES ({j}, {park})")).unwrap();
+    }
+    let join = "SELECT r.gid, p.gid FROM roads r, parks p \
+                WHERE Sdo_Relate(r.geometry, p.geometry, 'mask=ANYINTERACT')";
+    let reference = bag(&mut db, join);
+    assert!(reference.len() > 8 * 4, "fixture must give every road several parks");
+
+    db.execute("CREATE INDEX parks_sidx ON parks(geometry) INDEXTYPE IS SpatialIndexType").unwrap();
+    assert!(db.explain(join).unwrap().join("\n").contains("DOMAIN JOIN"));
+    db.set_batch_size(2);
+    db.trace().set_enabled(true);
+    assert_eq!(bag(&mut db, join), reference);
+    let fetches = fetch_calls(db.trace());
+    assert!(fetches > 8 * 2, "each outer row must need several fetch batches ({fetches} total)");
+}
+
+/// Pipelining pin for joins: the first `next_row` of a domain-join cursor
+/// pays one `ODCIIndexStart` and one `ODCIIndexFetch` — the first outer
+/// row's first fetch batch — not a whole executor batch of joined rows.
+#[test]
+fn first_domain_join_cursor_row_costs_one_start_and_one_fetch() {
+    let mut db = Database::with_cache_pages(4096);
+    extidx::spatial::install(&mut db).unwrap();
+    for table in ["roads", "parks"] {
+        db.execute(&format!("CREATE TABLE {table} (gid INTEGER, geometry SDO_GEOMETRY)")).unwrap();
+    }
+    // Road i and park i share the same square; nothing else touches.
+    for i in 0..40 {
+        let o = f64::from(i) * 10.0;
+        let sq =
+            geometry_sql(&Geometry::Rect(Mbr { xmin: o, ymin: o, xmax: o + 5.0, ymax: o + 5.0 }));
+        db.execute(&format!("INSERT INTO roads VALUES ({i}, {sq})")).unwrap();
+        db.execute(&format!("INSERT INTO parks VALUES ({i}, {sq})")).unwrap();
+    }
+    db.execute("CREATE INDEX parks_sidx ON parks(geometry) INDEXTYPE IS SpatialIndexType").unwrap();
+    let join = "SELECT r.gid, p.gid FROM roads r, parks p \
+                WHERE Sdo_Relate(r.geometry, p.geometry, 'mask=ANYINTERACT')";
+    assert!(db.explain(join).unwrap().join("\n").contains("DOMAIN JOIN"));
+    db.trace().set_enabled(true);
+    db.trace().clear();
+    // The cursor borrows the database; a trace clone shares its counters.
+    let trace = db.trace().clone();
+    let calls = |routine: &str| -> u64 {
+        trace.aggregates().iter().filter(|(_, r, _)| *r == routine).map(|(_, _, s)| s.calls).sum()
+    };
+    let mut cur = db.open_query(join).unwrap();
+    assert_eq!(ints(&cur.next_row().unwrap().unwrap()), [0, 0]);
+    assert_eq!((calls("ODCIIndexStart"), calls("ODCIIndexFetch")), (1, 1));
+    let mut n = 1;
+    while cur.next_row().unwrap().is_some() {
+        n += 1;
+    }
+    assert_eq!(n, 40);
+    assert_eq!(calls("ODCIIndexStart"), 40, "one parameterized scan per outer row");
+}
+
+/// The pipeline breakers (GROUP BY, DISTINCT, ORDER BY) fed more than
+/// one input batch, checked against closed-form answers.
+#[test]
+fn pipeline_breakers_over_several_input_batches() {
+    const N: i64 = 3000;
+    let mut db = Database::with_cache_pages(4096);
+    db.execute("CREATE TABLE pb (id INTEGER, g INTEGER, v INTEGER)").unwrap();
+    for i in 0..N {
+        let row = [i.into(), (i % 7).into(), (N - i).into()];
+        db.execute_with("INSERT INTO pb VALUES (?, ?, ?)", &row).unwrap();
+    }
+
+    let mut groups: Vec<Vec<i64>> = db
+        .query("SELECT g, COUNT(*), MIN(id), MAX(id) FROM pb GROUP BY g")
+        .unwrap()
+        .iter()
+        .map(|r| ints(r))
+        .collect();
+    groups.sort();
+    let want: Vec<Vec<i64>> = (0..7)
+        .map(|g| {
+            let ids: Vec<i64> = (0..N).filter(|i| i % 7 == g).collect();
+            vec![g, ids.len() as i64, ids[0], *ids.last().unwrap()]
+        })
+        .collect();
+    assert_eq!(groups, want);
+
+    let mut distinct: Vec<Vec<i64>> =
+        db.query("SELECT DISTINCT g FROM pb").unwrap().iter().map(|r| ints(r)).collect();
+    distinct.sort();
+    assert_eq!(distinct, (0..7).map(|g| vec![g]).collect::<Vec<_>>());
+    // DISTINCT over an all-unique column keeps every row of every batch.
+    assert_eq!(db.query("SELECT DISTINCT id FROM pb").unwrap().len(), N as usize);
+
+    // v = N - id, so ascending v is descending id.
+    let sorted: Vec<Vec<i64>> =
+        db.query("SELECT id FROM pb ORDER BY v").unwrap().iter().map(|r| ints(r)).collect();
+    assert_eq!(sorted, (0..N).rev().map(|i| vec![i]).collect::<Vec<_>>());
+}
+
+/// Pipelining pin (§3.2.1): the first `next_row` of a domain-scan cursor
+/// issues exactly one `ODCIIndexFetch`, however many rows the scan will
+/// eventually return.
+#[test]
+fn first_cursor_row_costs_one_odci_fetch() {
+    let mut db = Database::with_cache_pages(4096);
+    extidx::text::install(&mut db).unwrap();
+    db.execute("CREATE TABLE docs (id INTEGER, body VARCHAR2(200))").unwrap();
+    for i in 0..200i64 {
+        let row = [i.into(), format!("heather moor {i}").into()];
+        db.execute_with("INSERT INTO docs VALUES (?, ?)", &row).unwrap();
+    }
+    db.execute("CREATE INDEX dt ON docs(body) INDEXTYPE IS TextIndexType").unwrap();
+    db.set_batch_size(8);
+    db.trace().set_enabled(true);
+    db.trace().clear();
+    // The cursor borrows the database; a trace clone shares its counters.
+    let trace = db.trace().clone();
+    let mut cur = db
+        .open_query("SELECT /*+ INDEX(docs dt) */ id FROM docs WHERE Contains(body, 'heather')")
+        .unwrap();
+    assert!(cur.next_row().unwrap().is_some());
+    assert_eq!(fetch_calls(&trace), 1, "the first row must not wait for the rest of the scan");
+    let mut n = 1;
+    while cur.next_row().unwrap().is_some() {
+        n += 1;
+    }
+    assert_eq!(n, 200);
+    assert!(fetch_calls(&trace) >= 200 / 8, "the full drain pays the remaining fetches");
 }
