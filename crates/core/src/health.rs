@@ -77,13 +77,27 @@ impl Default for BreakerConfig {
     }
 }
 
-/// One deferred maintenance operation for a quarantined index — the
-/// index's share of a base-table DML that succeeded without it.
+/// One domain-index maintenance operation — an index's share of a
+/// base-table DML. Applied directly to a usable index (and kept in the
+/// statement's compensation log), deferred to the pending log of a
+/// quarantined one.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PendingOp {
     Insert { rid: RowId, value: Value },
     Update { rid: RowId, old: Value, new: Value },
     Delete { rid: RowId, old: Value },
+}
+
+impl PendingOp {
+    /// The operation that undoes this one: delete-for-insert,
+    /// re-insert-for-delete, reverse-update.
+    pub fn inverse(self) -> PendingOp {
+        match self {
+            PendingOp::Insert { rid, value } => PendingOp::Delete { rid, old: value },
+            PendingOp::Update { rid, old, new } => PendingOp::Update { rid, old: new, new: old },
+            PendingOp::Delete { rid, old } => PendingOp::Insert { rid, value: old },
+        }
+    }
 }
 
 /// A state transition observed by the registry, for CallTrace recording.

@@ -21,6 +21,8 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
+use crate::server::CallbackMode;
+
 /// Default ring capacity (events retained before the oldest are dropped).
 pub const DEFAULT_TRACE_CAPACITY: usize = 8192;
 
@@ -44,7 +46,8 @@ pub enum Component {
     /// QUARANTINED / BUILD_FAILED) recorded by the circuit breaker.
     Health,
     /// Transaction-layer events: write-write conflicts (first-writer-wins
-    /// aborts naming the winning transaction and the contended key).
+    /// aborts naming the winning transaction and the contended key), and
+    /// commit/rollback delivery to registered event handlers.
     Txn,
 }
 
@@ -61,6 +64,79 @@ impl std::fmt::Display for Component {
             Component::Txn => "TXN",
         };
         write!(f, "{s}")
+    }
+}
+
+/// A routine the server invokes on cartridge code. Everything the host's
+/// crossing needs to know about a call besides *which index* is a
+/// function of the routine, so it lives in this one table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Routine {
+    IndexCreate,
+    IndexAlter,
+    IndexTruncate,
+    IndexDrop,
+    IndexInsert,
+    IndexUpdate,
+    IndexDelete,
+    IndexStart,
+    IndexFetch,
+    IndexClose,
+    StatsCollect,
+    StatsSelectivity,
+    StatsIndexCost,
+    /// `EventHandler::on_event(DbEvent::Commit)` (§5 database events).
+    EventCommit,
+    /// `EventHandler::on_event(DbEvent::Rollback)`.
+    EventRollback,
+}
+
+impl Routine {
+    /// `(name, invoking component, callback restriction mode, writes the
+    /// cartridge's index storage)`.
+    const fn row(self) -> (&'static str, Component, CallbackMode, bool) {
+        use CallbackMode::{Definition, Maintenance, Scan};
+        use Component::{Ddl, Dml, IndexAccess, Optimizer, Txn};
+        match self {
+            Routine::IndexCreate => ("ODCIIndexCreate", Ddl, Definition, true),
+            Routine::IndexAlter => ("ODCIIndexAlter", Ddl, Definition, true),
+            Routine::IndexTruncate => ("ODCIIndexTruncate", Ddl, Definition, true),
+            Routine::IndexDrop => ("ODCIIndexDrop", Ddl, Definition, true),
+            Routine::IndexInsert => ("ODCIIndexInsert", Dml, Maintenance, true),
+            Routine::IndexUpdate => ("ODCIIndexUpdate", Dml, Maintenance, true),
+            Routine::IndexDelete => ("ODCIIndexDelete", Dml, Maintenance, true),
+            Routine::IndexStart => ("ODCIIndexStart", IndexAccess, Scan, false),
+            Routine::IndexFetch => ("ODCIIndexFetch", IndexAccess, Scan, false),
+            Routine::IndexClose => ("ODCIIndexClose", IndexAccess, Scan, false),
+            Routine::StatsCollect => ("ODCIStatsCollect", Optimizer, Definition, false),
+            Routine::StatsSelectivity => ("ODCIStatsSelectivity", Optimizer, Scan, false),
+            Routine::StatsIndexCost => ("ODCIStatsIndexCost", Optimizer, Scan, false),
+            Routine::EventCommit => ("DbEventCommit", Txn, Definition, false),
+            Routine::EventRollback => ("DbEventRollback", Txn, Definition, false),
+        }
+    }
+
+    /// The name fault points, `V$ODCI_CALLS`, `V$TRACE` and
+    /// `Error::CartridgeFault` know the routine by.
+    pub const fn name(self) -> &'static str {
+        self.row().0
+    }
+
+    /// The server component that makes this call (Fig. 1).
+    pub const fn component(self) -> Component {
+        self.row().1
+    }
+
+    /// The §2.5 restriction the routine's server callbacks run under.
+    pub const fn mode(self) -> CallbackMode {
+        self.row().2
+    }
+
+    /// Whether the routine writes the cartridge's index storage — a fault
+    /// inside one leaves that storage in an unknown state, so REBUILD must
+    /// go back to the base table instead of replaying pending ops.
+    pub const fn writes_index_storage(self) -> bool {
+        self.row().3
     }
 }
 

@@ -36,7 +36,7 @@ use extidx_core::sandbox;
 use extidx_core::scan::WorkspaceHandle;
 use extidx_core::server::{BaseRow, BatchSink, CallbackMode, ServerContext};
 use extidx_core::stats::OdciStats;
-use extidx_core::trace::{CallTrace, Component, CrossingHandle};
+use extidx_core::trace::{CallTrace, Component, Routine};
 use extidx_core::OdciIndex;
 use extidx_storage::buffer::CacheStats;
 use extidx_storage::file_store::FileStats;
@@ -44,7 +44,7 @@ use extidx_storage::{CommitBlob, DurableMedium, Snapshot, StorageEngine, UndoLog
 
 use crate::ast::{bind_statement, AlterIndexAction, ColumnSpec, InsertSource, Statement};
 use crate::catalog::{BTreeIndexDef, Catalog, CatalogDump, ColumnDef, ColumnStats, DomainIndexDef, TableDef, TableOrg, TableStats};
-use crate::exec_ctx::{self, Exec, SessionScratch};
+use crate::exec_ctx::{self, odci_call, Callee, Exec, Lane, SessionScratch};
 use crate::executor::{self, ExecNode};
 use crate::expr::{compile_expr, eval, EvalCtx, ExecRow, Scope};
 use crate::optimizer::{self, CostModel};
@@ -98,7 +98,7 @@ pub struct Database {
     pub(crate) cost: CostModel,
     odci_impls: HashMap<String, OdciImplementation>,
     event_handlers: Vec<(String, Arc<dyn EventHandler>)>,
-    trace: CallTrace,
+    pub(crate) trace: CallTrace,
     txn_undo: Option<UndoLog>,
     pub(crate) stmt_undo: Option<UndoLog>,
     workspace: Mutex<HashMap<u64, Box<dyn Any + Send>>>,
@@ -186,14 +186,26 @@ struct MaintRecord {
     /// Domain index name (re-resolved through the catalog at replay time,
     /// so an index dropped later in the statement is skipped cleanly).
     index: String,
-    op: MaintOp,
+    op: PendingOp,
 }
 
-#[derive(Debug, Clone)]
-enum MaintOp {
-    Insert { rid: RowId, value: Value },
-    Update { rid: RowId, old: Value, new: Value },
-    Delete { rid: RowId, old: Value },
+/// How `op` crosses into the cartridge: the maintenance routine, the row
+/// it is about, and the call itself.
+fn maintenance_call<'a>(
+    op: &'a PendingOp,
+    index: &'a dyn OdciIndex,
+    info: &'a IndexInfo,
+) -> (Routine, RowId, impl FnOnce(&mut dyn ServerContext) -> Result<()> + 'a) {
+    let (routine, rid) = match op {
+        PendingOp::Insert { rid, .. } => (Routine::IndexInsert, *rid),
+        PendingOp::Update { rid, .. } => (Routine::IndexUpdate, *rid),
+        PendingOp::Delete { rid, .. } => (Routine::IndexDelete, *rid),
+    };
+    (routine, rid, move |ctx: &mut dyn ServerContext| match op {
+        PendingOp::Insert { rid, value } => index.insert(ctx, info, *rid, value),
+        PendingOp::Update { rid, old, new } => index.update(ctx, info, *rid, old, new),
+        PendingOp::Delete { rid, old } => index.delete(ctx, info, *rid, old),
+    })
 }
 
 /// A schema object created during the current statement, for
@@ -585,66 +597,29 @@ impl Database {
         }
     }
 
-    /// Feed a sandboxed crossing's outcome to the index-health breaker.
+    /// Feed a crossing's outcome to the index-health breaker.
     /// Only [`Error::CartridgeFault`] counts as a fault — errors a
     /// cartridge *reports* (including injected ones) keep their existing
     /// fail-the-statement semantics and never degrade the index. Skipped
     /// during compensation replay.
     pub(crate) fn note_health_outcome(
         &self,
-        routine: &'static str,
-        index: &str,
-        indextype: &str,
+        routine: Routine,
+        info: &IndexInfo,
         err: Option<&Error>,
     ) {
         if self.compensating {
             return;
         }
+        let health = &self.catalog.health;
         let t = match err {
             Some(Error::CartridgeFault { .. }) => {
-                // A fault inside a routine that writes cartridge storage
-                // leaves that storage in an unknown state: REBUILD must go
-                // back to the base table instead of replaying pending ops.
-                let dirty = matches!(
-                    routine,
-                    "ODCIIndexInsert"
-                        | "ODCIIndexUpdate"
-                        | "ODCIIndexDelete"
-                        | "ODCIIndexCreate"
-                        | "ODCIIndexAlter"
-                        | "ODCIIndexTruncate"
-                        | "ODCIIndexDrop"
-                );
-                self.catalog.health.note_fault(index, dirty)
+                health.note_fault(&info.index_name, routine.writes_index_storage())
             }
             Some(_) => None,
-            None => self.catalog.health.note_success(index),
+            None => health.note_success(&info.index_name),
         };
-        self.trace_health_transition(index, indextype, t);
-    }
-
-    /// The single sandboxed path for a server↔cartridge crossing: runs
-    /// the fault check *and* the cartridge routine under
-    /// [`sandbox::sandboxed_call`] (so an injected `FaultKind::Panic` is
-    /// contained exactly like a real cartridge bug), then feeds the
-    /// outcome to the health breaker.
-    pub(crate) fn sandboxed_odci<T>(
-        &mut self,
-        routine: &'static str,
-        index: &str,
-        indextype: &str,
-        mode: CallbackMode,
-        base_table: Option<String>,
-        f: impl FnOnce(&mut ServerCtx) -> Result<T>,
-    ) -> Result<T> {
-        let budget = self.tick_budget;
-        let result = sandbox::sandboxed_call(indextype, routine, budget, || {
-            self.fault_check(routine, Some(indextype))?;
-            let mut ctx = ServerCtx { db: self, mode, base_table };
-            f(&mut ctx)
-        });
-        self.note_health_outcome(routine, index, indextype, result.as_ref().err());
-        result
+        self.trace_health_transition(&info.index_name, &info.indextype_name, t);
     }
 
     /// The optimizer's cost model (read).
@@ -956,36 +931,13 @@ impl Database {
         for rec in maint.into_iter().rev() {
             let Some(d) = self.catalog.domain_index(&rec.index).cloned() else { continue };
             let Ok((index, _, info)) = self.domain_index_runtime(&d) else { continue };
-            let (routine, rid): (&'static str, RowId) = match &rec.op {
-                MaintOp::Insert { rid, .. } => ("ODCIIndexDelete", *rid),
-                MaintOp::Update { rid, .. } => ("ODCIIndexUpdate", *rid),
-                MaintOp::Delete { rid, .. } => ("ODCIIndexInsert", *rid),
-            };
-            let h = self.trace.record(
-                Component::Recovery,
-                routine,
-                &d.indextype,
-                format!("compensate {rid}"),
-            );
-            // Inverse calls run sandboxed too: a cartridge that panics
+            // Inverse calls cross like any other: a cartridge that panics
             // while being compensated must not tear the process down, and
             // its error is swallowed like any other compensation failure.
-            let budget = self.tick_budget;
-            let _ = sandbox::sandboxed_call(&d.indextype, routine, budget, || {
-                let mut ctx = ServerCtx {
-                    db: self,
-                    mode: CallbackMode::Maintenance,
-                    base_table: Some(d.table.clone()),
-                };
-                match &rec.op {
-                    MaintOp::Insert { rid, value } => index.delete(&mut ctx, &info, *rid, value),
-                    MaintOp::Update { rid, old, new } => {
-                        index.update(&mut ctx, &info, *rid, new, old)
-                    }
-                    MaintOp::Delete { rid, old } => index.insert(&mut ctx, &info, *rid, old),
-                }
-            });
-            self.trace.finish(h);
+            let inverse = rec.op.inverse();
+            let (routine, rid, call) = maintenance_call(&inverse, &*index, &info);
+            let (callee, detail) = (Callee::Recovering(&info), format!("compensate {rid}"));
+            let _ = odci_call(Lane::Write(self), routine, callee, detail, call);
         }
         self.compensating = false;
         let comp = self.stmt_undo.take().unwrap_or_default();
@@ -1307,17 +1259,10 @@ impl Database {
                 continue;
             }
             let (index, _, info) = self.domain_index_runtime(&d)?;
-            let h = self.trace.record(Component::Ddl, "ODCIIndexTruncate", &d.indextype, &d.name);
-            let r = self.sandboxed_odci(
-                "ODCIIndexTruncate",
-                &d.name,
-                &d.indextype,
-                CallbackMode::Definition,
-                None,
-                |ctx| index.truncate(ctx, &info),
-            );
-            self.trace.finish(h);
-            r?;
+            let callee = Callee::Index(&info);
+            odci_call(Lane::Write(self), Routine::IndexTruncate, callee, &d.name, |ctx| {
+                index.truncate(ctx, &info)
+            })?;
             // An emptied index has no catch-up left to do: the pending
             // log described rows that no longer exist.
             let _ = self.catalog.health.take_pending(&d.name);
@@ -1394,21 +1339,13 @@ impl Database {
         // §2.4.1: dictionary entries first, then ODCIIndexCreate.
         self.catalog.create_domain_index(def.clone())?;
         let (index, _, info) = self.domain_index_runtime(&def)?;
-        let h = self.trace.record(
-            Component::Ddl,
-            "ODCIIndexCreate",
-            &def.indextype,
+        let created = odci_call(
+            Lane::Write(self),
+            Routine::IndexCreate,
+            Callee::Index(&info),
             format!("{} ON {}({})", def.name, def.table, def.column),
-        );
-        let created = self.sandboxed_odci(
-            "ODCIIndexCreate",
-            &def.name,
-            &def.indextype,
-            CallbackMode::Definition,
-            None,
             |ctx| index.create(ctx, &info),
         );
-        self.trace.finish(h);
         match created {
             Ok(()) => Ok(StmtResult::Ok),
             Err(e) => {
@@ -1418,12 +1355,11 @@ impl Database {
                 // stores) is invisible to undo — best-effort invoke the
                 // cartridge's own drop routine so nothing leaks, then
                 // remove the dictionary entry.
-                let cleaned = self.sandboxed_odci(
-                    "ODCIIndexDrop",
-                    &def.name,
-                    &def.indextype,
-                    CallbackMode::Definition,
-                    None,
+                let cleaned = odci_call(
+                    Lane::Write(self),
+                    Routine::IndexDrop,
+                    Callee::Index(&info),
+                    format!("{}: cleanup after failed create", def.name),
                     |ctx| index.drop_index(ctx, &info),
                 );
                 if cleaned.is_ok() {
@@ -1456,17 +1392,10 @@ impl Database {
             d.clone()
         };
         let (index, _, info) = self.domain_index_runtime(&def)?;
-        let h = self.trace.record(Component::Ddl, "ODCIIndexAlter", &def.indextype, &def.name);
-        let r = self.sandboxed_odci(
-            "ODCIIndexAlter",
-            &def.name,
-            &def.indextype,
-            CallbackMode::Definition,
-            None,
-            |ctx| index.alter(ctx, &info, &delta),
-        );
-        self.trace.finish(h);
-        r?;
+        let callee = Callee::Index(&info);
+        odci_call(Lane::Write(self), Routine::IndexAlter, callee, &def.name, |ctx| {
+            index.alter(ctx, &info, &delta)
+        })?;
         Ok(StmtResult::Ok)
     }
 
@@ -1482,25 +1411,21 @@ impl Database {
             .domain_index(name)
             .cloned()
             .ok_or_else(|| Error::not_found("domain index", name.to_ascii_uppercase()))?;
-        let tdef = self.catalog.table(&d.table)?.clone();
         let (index, _, info) = self.domain_index_runtime(&d)?;
         let state = self.catalog.health.state(&d.name);
         let replay = state == HealthState::Quarantined && !self.catalog.health.needs_full_rebuild(&d.name);
+        // The umbrella event is a marker, not a bracket: REBUILD's time is
+        // the time of the crossings it makes, each counted on its own.
         if replay {
             let ops = self.catalog.health.take_pending(&d.name);
-            let h = self.trace.record(
+            self.trace.record(
                 Component::Recovery,
                 "IndexRebuild",
                 &d.indextype,
                 format!("{}: replay {} pending ops", d.name, ops.len()),
             );
             for op in ops.iter() {
-                let mop = match op.clone() {
-                    PendingOp::Insert { rid, value } => MaintOp::Insert { rid, value },
-                    PendingOp::Update { rid, old, new } => MaintOp::Update { rid, old, new },
-                    PendingOp::Delete { rid, old } => MaintOp::Delete { rid, old },
-                };
-                if let Err(e) = self.invoke_maintenance(&tdef, &d, mop) {
+                if let Err(e) = self.invoke_maintenance(&d, op.clone()) {
                     // Statement compensation inverses the prefix we
                     // already applied (each replayed op was recorded as
                     // this statement's maintenance), so the index returns
@@ -1512,13 +1437,11 @@ impl Database {
                     // marks dirty on a cartridge fault); a transient
                     // fault leaves the replay path retryable.
                     self.catalog.health.restore_pending(&d.name, ops.to_vec());
-                    self.trace.finish(h);
                     return Err(e);
                 }
             }
-            self.trace.finish(h);
         } else {
-            let h = self.trace.record(
+            self.trace.record(
                 Component::Recovery,
                 "IndexRebuild",
                 &d.indextype,
@@ -1526,29 +1449,19 @@ impl Database {
             );
             // Best-effort drop of whatever storage the cartridge has —
             // it may be half-written, which is exactly why we're here.
-            let _ = self.sandboxed_odci(
-                "ODCIIndexDrop",
-                &d.name,
-                &d.indextype,
-                CallbackMode::Definition,
-                None,
-                |ctx| index.drop_index(ctx, &info),
-            );
+            let callee = Callee::Index(&info);
+            let _ = odci_call(Lane::Write(self), Routine::IndexDrop, callee, &d.name, |ctx| {
+                index.drop_index(ctx, &info)
+            });
             // Rebuild-from-scratch must *replace* external storage, not
             // append to half-written leftovers the faulted drop may have
             // missed.
             self.force_remove_external_files(&index, &info);
             // The rebuild re-reads the base table; deferred ops are moot.
             let _ = self.catalog.health.take_pending(&d.name);
-            let r = self.sandboxed_odci(
-                "ODCIIndexCreate",
-                &d.name,
-                &d.indextype,
-                CallbackMode::Definition,
-                None,
-                |ctx| index.create(ctx, &info),
-            );
-            self.trace.finish(h);
+            let r = odci_call(Lane::Write(self), Routine::IndexCreate, callee, &d.name, |ctx| {
+                index.create(ctx, &info)
+            });
             if let Err(e) = r {
                 let t = self.catalog.health.set_build_failed(&d.name);
                 self.trace_health_transition(&d.name, &d.indextype, t);
@@ -1579,16 +1492,10 @@ impl Database {
             self.catalog.health.state(&d.name),
             HealthState::Valid | HealthState::Suspect
         );
-        let h = self.trace.record(Component::Ddl, "ODCIIndexDrop", &d.indextype, &d.name);
-        let r = self.sandboxed_odci(
-            "ODCIIndexDrop",
-            &d.name,
-            &d.indextype,
-            CallbackMode::Definition,
-            None,
-            |ctx| index.drop_index(ctx, &info),
-        );
-        self.trace.finish(h);
+        let callee = Callee::Index(&info);
+        let r = odci_call(Lane::Write(self), Routine::IndexDrop, callee, &d.name, |ctx| {
+            index.drop_index(ctx, &info)
+        });
         if healthy {
             r?;
         } else if let Err(e) = r {
@@ -1694,18 +1601,10 @@ impl Database {
                 continue;
             }
             let (_, stats, info) = self.domain_index_runtime(&d)?;
-            let h =
-                self.trace.record(Component::Optimizer, "ODCIStatsCollect", &d.indextype, &d.name);
-            let r = self.sandboxed_odci(
-                "ODCIStatsCollect",
-                &d.name,
-                &d.indextype,
-                CallbackMode::Definition,
-                None,
-                |ctx| stats.collect(ctx, &info),
-            );
-            self.trace.finish(h);
-            r?;
+            let callee = Callee::Index(&info);
+            odci_call(Lane::Write(self), Routine::StatsCollect, callee, &d.name, |ctx| {
+                stats.collect(ctx, &info)
+            })?;
         }
         Ok(StmtResult::Ok)
     }
@@ -1940,7 +1839,7 @@ impl Database {
         for d in domain {
             let idx = tdef.column_index(&d.column)?;
             let value = row[idx].clone();
-            self.maintain_or_defer(tdef, &d, MaintOp::Insert { rid, value })?;
+            self.maintain_or_defer(&d, PendingOp::Insert { rid, value })?;
         }
         Ok(())
     }
@@ -1968,7 +1867,7 @@ impl Database {
         for d in domain {
             let idx = tdef.column_index(&d.column)?;
             let (old_v, new_v) = (old[idx].clone(), new[idx].clone());
-            self.maintain_or_defer(tdef, &d, MaintOp::Update { rid, old: old_v, new: new_v })?;
+            self.maintain_or_defer(&d, PendingOp::Update { rid, old: old_v, new: new_v })?;
         }
         Ok(())
     }
@@ -1990,7 +1889,7 @@ impl Database {
         for d in domain {
             let idx = tdef.column_index(&d.column)?;
             let old_v = old[idx].clone();
-            self.maintain_or_defer(tdef, &d, MaintOp::Delete { rid, old: old_v })?;
+            self.maintain_or_defer(&d, PendingOp::Delete { rid, old: old_v })?;
         }
         Ok(())
     }
@@ -2000,66 +1899,34 @@ impl Database {
     /// its pending-work log so base-table DML keeps succeeding; a
     /// BUILD_FAILED index has no index data to maintain (REBUILD re-reads
     /// the base table).
-    fn maintain_or_defer(
-        &mut self,
-        tdef: &TableDef,
-        d: &DomainIndexDef,
-        op: MaintOp,
-    ) -> Result<()> {
+    fn maintain_or_defer(&mut self, d: &DomainIndexDef, op: PendingOp) -> Result<()> {
         match self.catalog.health.state(&d.name) {
             HealthState::Quarantined => {
-                let pending = match op {
-                    MaintOp::Insert { rid, value } => PendingOp::Insert { rid, value },
-                    MaintOp::Update { rid, old, new } => PendingOp::Update { rid, old, new },
-                    MaintOp::Delete { rid, old } => PendingOp::Delete { rid, old },
-                };
-                self.catalog.health.append_pending(&d.name, pending);
+                self.catalog.health.append_pending(&d.name, op);
                 self.stmt_pending.push(d.name.clone());
                 Ok(())
             }
             HealthState::BuildFailed => Ok(()),
-            HealthState::Valid | HealthState::Suspect => self.invoke_maintenance(tdef, d, op),
+            HealthState::Valid | HealthState::Suspect => self.invoke_maintenance(d, op),
         }
     }
 
-    /// The single chokepoint for domain-index maintenance crossings:
-    /// traces the call, consults the fault injector, invokes the cartridge
-    /// routine, and on success records the operation in the compensation
-    /// log. A retryable failure (cartridge-classified or injected) first
-    /// rewinds the failed call's partial storage effects — undo recorded
-    /// past a pre-call mark — then retries under the bounded-backoff
-    /// [`RetryPolicy`]. Exhausted retries surface the underlying error.
-    fn invoke_maintenance(
-        &mut self,
-        tdef: &TableDef,
-        d: &DomainIndexDef,
-        op: MaintOp,
-    ) -> Result<()> {
+    /// The single chokepoint for domain-index maintenance: crosses into
+    /// the cartridge routine and on success records the operation in the
+    /// compensation log. A retryable failure (cartridge-classified or
+    /// injected) first rewinds the failed call's partial storage effects —
+    /// undo recorded past a pre-call mark — then retries under the
+    /// bounded-backoff [`RetryPolicy`]. Exhausted retries surface the
+    /// underlying error.
+    fn invoke_maintenance(&mut self, d: &DomainIndexDef, op: PendingOp) -> Result<()> {
         let (index, _, info) = self.domain_index_runtime(d)?;
-        let (routine, rid): (&'static str, RowId) = match &op {
-            MaintOp::Insert { rid, .. } => ("ODCIIndexInsert", *rid),
-            MaintOp::Update { rid, .. } => ("ODCIIndexUpdate", *rid),
-            MaintOp::Delete { rid, .. } => ("ODCIIndexDelete", *rid),
-        };
         let mut attempt: u32 = 0;
         loop {
             attempt += 1;
-            let h = self.trace.record(Component::Dml, routine, &d.indextype, format!("{rid}"));
             let mark = self.stmt_undo.as_ref().map(|u| u.len());
-            let result = self.sandboxed_odci(
-                routine,
-                &d.name,
-                &d.indextype,
-                CallbackMode::Maintenance,
-                Some(tdef.name.clone()),
-                |ctx| match &op {
-                    MaintOp::Insert { rid, value } => index.insert(ctx, &info, *rid, value),
-                    MaintOp::Update { rid, old, new } => index.update(ctx, &info, *rid, old, new),
-                    MaintOp::Delete { rid, old } => index.delete(ctx, &info, *rid, old),
-                },
-            );
-            self.trace.finish(h);
-            match result {
+            let (routine, rid, call) = maintenance_call(&op, &*index, &info);
+            let callee = Callee::Index(&info);
+            match odci_call(Lane::Write(self), routine, callee, rid.to_string(), call) {
                 Ok(()) => {
                     self.stmt_maint.push(MaintRecord { index: d.name.clone(), op });
                     return Ok(());
@@ -2127,24 +1994,6 @@ impl Database {
             parameters: d.parameters.clone(),
         };
         Ok((it.implementation.clone(), it.stats.clone(), info))
-    }
-
-    /// Record a framework trace event (engine-internal use). The handle
-    /// can be passed to [`Database::trace_finish`] once the crossing
-    /// returns to stamp its elapsed time.
-    pub(crate) fn trace_event(
-        &self,
-        component: Component,
-        routine: &'static str,
-        indextype: &str,
-        detail: impl Into<String>,
-    ) -> CrossingHandle {
-        self.trace.record(component, routine, indextype, detail)
-    }
-
-    /// Stamp a crossing's elapsed time (engine-internal use).
-    pub(crate) fn trace_finish(&self, handle: CrossingHandle) {
-        self.trace.finish(handle);
     }
 
     /// Run an incremental vacuum pass now (the `VACUUM` statement, also
@@ -2412,11 +2261,19 @@ impl Database {
         out
     }
 
+    /// Deliver a §5 database event to every registered handler, in
+    /// registration order, stopping at the first handler error. Handlers
+    /// are cartridge code: each delivery is a crossing like any other.
     pub(crate) fn fire_event(&mut self, event: DbEvent) -> Result<()> {
-        let handlers = self.event_handlers.clone();
-        for (_, h) in handlers {
-            let mut ctx = ServerCtx { db: self, mode: CallbackMode::Definition, base_table: None };
-            h.on_event(event, &mut ctx)?;
+        let routine = match event {
+            DbEvent::Commit => Routine::EventCommit,
+            DbEvent::Rollback => Routine::EventRollback,
+        };
+        for (name, h) in self.event_handlers.clone() {
+            let callee = Callee::Handler(&name);
+            odci_call(Lane::Write(self), routine, callee, event.to_string(), |ctx| {
+                h.on_event(event, ctx)
+            })?;
         }
         Ok(())
     }

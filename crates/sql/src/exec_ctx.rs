@@ -1,4 +1,4 @@
-//! Read-lane execution context for MVCC query processing.
+//! Execution contexts, and the one server→cartridge crossing.
 //!
 //! Historically every executor node and planner routine took
 //! `&mut Database`, which made the whole query path exclusive: one
@@ -16,6 +16,10 @@
 //!   `ODCIStatsSelectivity/IndexCost`). It is the §2.5 `Scan` restriction
 //!   made structural: mutation entry points fail with
 //!   [`Error::CallbackViolation`] instead of merely being policed.
+//! - [`odci_call`]: the crossing itself. Both lanes — `&mut Database`
+//!   handing out a `ServerCtx`, `&Exec` handing out a [`SharedCtx`] — go
+//!   through its single body, so tracing, fault injection, the sandbox
+//!   and health accounting hold at every call into cartridge code.
 //! - [`run_select_shared`]: the single SELECT implementation used by the
 //!   legacy `Database::execute` lane, nested cartridge callbacks, and the
 //!   concurrent `Session` read lane — all three produce byte-identical
@@ -35,15 +39,17 @@ use std::sync::Arc;
 
 use extidx_common::{Error, LobRef, Result, Row, Value};
 use extidx_core::events::EventHandler;
+use extidx_core::meta::IndexInfo;
 use extidx_core::sandbox;
 use extidx_core::scan::WorkspaceHandle;
 use extidx_core::server::{
     scan_base_batches_via_query, BatchSink, CallbackMode, ServerContext,
 };
+use extidx_core::trace::{Component, Routine};
 use extidx_storage::Snapshot;
 
 use crate::ast::{bind_statement, Select, Statement};
-use crate::database::Database;
+use crate::database::{Database, ServerCtx};
 use crate::executor;
 use crate::expr::EvalCtx;
 use crate::optimizer;
@@ -89,44 +95,88 @@ impl<'a> Exec<'a> {
     pub(crate) fn eval_ctx(&self) -> EvalCtx<'a> {
         EvalCtx { catalog: &self.db.catalog, storage: &self.db.storage, snap: self.snap }
     }
+}
 
-    /// Read-lane twin of `Database::sandboxed_odci`: same sandbox, fault
-    /// check, and health-breaker accounting, but the cartridge sees a
-    /// read-only [`SharedCtx`] bound to this statement's snapshot and
-    /// scratch. `base_table` is accepted for call-site parity and unused —
-    /// read contexts never run maintenance routines.
-    pub(crate) fn sandboxed_odci<T>(
-        &self,
-        routine: &'static str,
-        index: &str,
-        indextype: &str,
-        mode: CallbackMode,
-        _base_table: Option<String>,
-        f: impl FnOnce(&mut SharedCtx) -> Result<T>,
-    ) -> Result<T> {
-        let budget = self.db.tick_budget();
-        let result = sandbox::sandboxed_call(indextype, routine, budget, || {
-            self.db.fault_check(routine, Some(indextype))?;
-            let mut guard = self.scratch.borrow_mut();
-            let mut ctx = SharedCtx { db: self.db, snap: self.snap, ws: &mut guard, mode };
-            f(&mut ctx)
-        });
-        self.db.note_health_outcome(routine, index, indextype, result.as_ref().err());
-        result
-    }
+/// Which engine handle a crossing runs on; decides the [`ServerContext`]
+/// the cartridge gets. Statement execution holds `&mut Database` and its
+/// routines may mutate; planning and scans hold a shared [`Exec`] and
+/// their routines get the read-only [`SharedCtx`].
+pub(crate) enum Lane<'a, 'e> {
+    Write(&'a mut Database),
+    Read(&'a Exec<'e>),
+}
 
-    /// Build a [`SharedCtx`] and hand it to `f` without the fault-check /
-    /// health plumbing — the executor's best-effort error-path close uses
-    /// this so recovery is never sabotaged by injected faults.
-    pub(crate) fn with_shared_ctx<T>(
-        &self,
-        mode: CallbackMode,
-        f: impl FnOnce(&mut SharedCtx) -> T,
-    ) -> T {
-        let mut guard = self.scratch.borrow_mut();
-        let mut ctx = SharedCtx { db: self.db, snap: self.snap, ws: &mut guard, mode };
-        f(&mut ctx)
+impl Lane<'_, '_> {
+    fn db(&self) -> &Database {
+        match self {
+            Lane::Write(db) => db,
+            Lane::Read(ecx) => ecx.db,
+        }
     }
+}
+
+/// Whose code a crossing runs.
+#[derive(Clone, Copy)]
+pub(crate) enum Callee<'a> {
+    /// A domain index's cartridge. The call is fault-injectable and its
+    /// outcome feeds the index's health breaker.
+    Index(&'a IndexInfo),
+    /// The same cartridge on a recovery path (compensation replay, a
+    /// scan's error-path close): no fault check and no breaker
+    /// accounting — recovery is never sabotaged by the harness that
+    /// caused the failure, nor blamed for it — and traced under
+    /// [`Component::Recovery`].
+    Recovering(&'a IndexInfo),
+    /// A registered [`EventHandler`], by name: there is no index to blame.
+    Handler(&'a str),
+}
+
+/// The server→cartridge crossing. Every call the engine makes into user
+/// code goes through this body, in this order: trace `record` (before
+/// the routine, so events its callbacks generate order after it), then
+/// under [`sandbox::sandboxed_call`] the fault check, the lane's
+/// [`ServerContext`] and the routine itself, then trace `finish`, then
+/// the health-breaker note. Component, callback mode, the Maintenance
+/// base table and "does a fault dirty cartridge storage" all derive from
+/// `routine` and the callee.
+pub(crate) fn odci_call<T>(
+    mut lane: Lane<'_, '_>,
+    routine: Routine,
+    callee: Callee<'_>,
+    detail: impl Into<String>,
+    f: impl FnOnce(&mut dyn ServerContext) -> Result<T>,
+) -> Result<T> {
+    let (who, info, recovering) = match callee {
+        Callee::Index(i) => (i.indextype_name.as_str(), Some(i), false),
+        Callee::Recovering(i) => (i.indextype_name.as_str(), Some(i), true),
+        Callee::Handler(name) => (name, None, false),
+    };
+    let (name, mode) = (routine.name(), routine.mode());
+    let component = if recovering { Component::Recovery } else { routine.component() };
+    let budget = lane.db().tick_budget();
+    let h = lane.db().trace.record(component, name, who, detail);
+    let result = sandbox::sandboxed_call(who, name, budget, || {
+        if !recovering {
+            lane.db().fault_check(name, Some(who))?;
+        }
+        match &mut lane {
+            Lane::Write(db) => {
+                let base_table = info
+                    .filter(|_| mode == CallbackMode::Maintenance)
+                    .map(|i| i.table_name.clone());
+                f(&mut ServerCtx { db, mode, base_table })
+            }
+            Lane::Read(ecx) => {
+                let mut ws = ecx.scratch.borrow_mut();
+                f(&mut SharedCtx { db: ecx.db, snap: ecx.snap, ws: &mut ws, mode })
+            }
+        }
+    });
+    lane.db().trace.finish(h);
+    if let (Some(info), false) = (info, recovering) {
+        lane.db().note_health_outcome(routine, info, result.as_ref().err());
+    }
+    result
 }
 
 /// Read-only [`ServerContext`] for cartridge crossings on the query path.

@@ -24,15 +24,13 @@ use std::time::Instant;
 use extidx_common::{Error, Key, Result, RowId, Value};
 use extidx_core::governor;
 use extidx_core::meta::{IndexInfo, OperatorCall};
-use extidx_core::sandbox;
 use extidx_core::scan::ScanContext;
-use extidx_core::server::CallbackMode;
-use extidx_core::trace::Component;
+use extidx_core::trace::{Component, Routine};
 use extidx_core::OdciIndex;
 use extidx_storage::SegmentId;
 
 use crate::catalog::TableOrg;
-use crate::exec_ctx::Exec;
+use crate::exec_ctx::{odci_call, Callee, Exec, Lane};
 use crate::expr::{eval, filter_accepts, AggKind, EvalCtx, ExecRow, RExpr};
 use crate::plan::{FilterTerm, PlanKind, PlanNode, ZoneBound};
 
@@ -194,10 +192,9 @@ fn build_node(plan: PlanNode, cells: &mut Option<Vec<Arc<NodeStats>>>) -> Box<dy
         PlanKind::Project { input, exprs } => {
             Box::new(ProjectExec { input: build_node(*input, cells), exprs })
         }
-        PlanKind::NestedLoopJoin { left, right, pred } => Box::new(NestedLoopJoinExec {
+        PlanKind::NestedLoopJoin { left, right } => Box::new(NestedLoopJoinExec {
             left: OuterRows::new(build_node(*left, cells)),
             right: build_node(*right, cells),
-            pred,
             current: None,
             started: false,
         }),
@@ -226,13 +223,12 @@ fn build_node(plan: PlanNode, cells: &mut Option<Vec<Arc<NodeStats>>>) -> Box<dy
             arg_exprs,
             current: None,
         }),
-        PlanKind::HashJoin { left, right, left_key, right_key, extra_pred } => {
+        PlanKind::HashJoin { left, right, left_key, right_key } => {
             Box::new(HashJoinExec {
                 left: build_node(*left, cells),
                 right: build_node(*right, cells),
                 left_key,
                 right_key,
-                extra_pred,
                 table: None,
                 pending: VecDeque::new(),
             })
@@ -643,7 +639,7 @@ struct DomainScanExec {
     index: String,
     call: OperatorCall,
     label: Option<i64>,
-    runtime: Option<(Arc<dyn OdciIndex>, IndexInfo, String)>,
+    runtime: Option<(Arc<dyn OdciIndex>, IndexInfo)>,
     ctx: Option<ScanContext>,
     /// Rows already joined to the base table, ready to stream out. Whole
     /// `FetchResult` batches are joined at once through [`fetch_visible`],
@@ -682,39 +678,31 @@ impl DomainScanExec {
                 .ok_or_else(|| Error::not_found("domain index", self.index.clone()))?
                 .clone();
             let (index, _, info) = db.domain_index_runtime(&def)?;
-            self.runtime = Some((index, info, def.indextype));
+            self.runtime = Some((index, info));
         }
         Ok(())
     }
 
     fn open(&mut self, db: &Exec<'_>) -> Result<()> {
         self.ensure_runtime(db)?;
-        let (index, info, indextype) = self.runtime.as_ref().expect("runtime resolved").clone();
-        let h = db.trace_event(
-            Component::IndexAccess,
-            "ODCIIndexStart",
-            &indextype,
+        let (index, info) = self.runtime.as_ref().expect("runtime resolved").clone();
+        let started = odci_call(
+            Lane::Read(db),
+            Routine::IndexStart,
+            Callee::Index(&info),
             format!("{}({} args)", self.call.operator, self.call.args.len()),
-        );
-        let started = db.sandboxed_odci(
-            "ODCIIndexStart",
-            &self.index,
-            &indextype,
-            CallbackMode::Scan,
-            None,
             |ctx| index.start(ctx, &info, &self.call),
         );
-        db.trace_finish(h);
         let scan_ctx = match started {
             Ok(c) => c,
             Err(e) => {
                 // A failed start leaves no scan context to close, but the
                 // event stream must still balance Start/Close pairs — the
                 // lifecycle invariant tests count events, not contexts.
-                db.trace_event(
+                db.trace().record(
                     Component::Recovery,
                     "ODCIIndexClose",
-                    &indextype,
+                    &info.indextype_name,
                     "start failed; no scan context",
                 );
                 return Err(e);
@@ -730,18 +718,11 @@ impl DomainScanExec {
     fn close(&mut self, db: &Exec<'_>) -> Result<()> {
         if let Some(ctx) = self.ctx.take() {
             if !self.closed {
-                let (index, info, indextype) =
-                    self.runtime.as_ref().expect("runtime resolved").clone();
-                let h = db.trace_event(Component::IndexAccess, "ODCIIndexClose", &indextype, "");
-                let r = db.sandboxed_odci(
-                    "ODCIIndexClose",
-                    &self.index,
-                    &indextype,
-                    CallbackMode::Scan,
-                    None,
-                    |sctx| index.close(sctx, &info, ctx),
-                );
-                db.trace_finish(h);
+                let (index, info) = self.runtime.as_ref().expect("runtime resolved").clone();
+                let callee = Callee::Index(&info);
+                let r = odci_call(Lane::Read(db), Routine::IndexClose, callee, "", |sctx| {
+                    index.close(sctx, &info, ctx)
+                });
                 self.closed = true;
                 r?;
             }
@@ -752,25 +733,30 @@ impl DomainScanExec {
     /// Best-effort close on the scan's error path. A failed
     /// `ODCIIndexFetch` used to propagate with `?` and leak the
     /// cartridge's scan context without ever calling `ODCIIndexClose`;
-    /// this runs the close routine directly — no fault check, recovery is
-    /// never sabotaged — and swallows any close failure (traced under
-    /// RECOVERY) so the original error wins.
+    /// this runs the close routine as a recovery crossing — no fault
+    /// check, recovery is never sabotaged — and swallows any close failure
+    /// (traced under RECOVERY) so the original error wins.
     fn close_on_error(&mut self, db: &Exec<'_>) {
         let Some(ctx) = self.ctx.take() else { return };
         if self.closed {
             return;
         }
         self.closed = true;
-        let (index, info, indextype) = self.runtime.as_ref().expect("runtime resolved").clone();
-        let h =
-            db.trace_event(Component::Recovery, "ODCIIndexClose", &indextype, "error-path close");
-        let budget = db.tick_budget();
-        let r = sandbox::sandboxed_call(&indextype, "ODCIIndexClose", budget, || {
-            db.with_shared_ctx(CallbackMode::Scan, |sctx| index.close(sctx, &info, ctx))
-        });
-        db.trace_finish(h);
+        let (index, info) = self.runtime.as_ref().expect("runtime resolved").clone();
+        let r = odci_call(
+            Lane::Read(db),
+            Routine::IndexClose,
+            Callee::Recovering(&info),
+            "error-path close",
+            |sctx| index.close(sctx, &info, ctx),
+        );
         if let Err(e) = r {
-            db.trace_event(Component::Recovery, "CloseFailed", &indextype, e.to_string());
+            db.trace().record(
+                Component::Recovery,
+                "CloseFailed",
+                &info.indextype_name,
+                e.to_string(),
+            );
         }
     }
 }
@@ -789,24 +775,16 @@ impl DomainScanExec {
             if self.fetch_done {
                 return self.close(db);
             }
-            let (index, info, indextype) = self.runtime.as_ref().expect("runtime resolved").clone();
+            let (index, info) = self.runtime.as_ref().expect("runtime resolved").clone();
             let batch = db.batch_size();
-            let h = db.trace_event(
-                Component::IndexAccess,
-                "ODCIIndexFetch",
-                &indextype,
-                format!("nrows={batch}"),
-            );
             let scan_ctx = self.ctx.as_mut().expect("scan open");
-            let fetched = db.sandboxed_odci(
-                "ODCIIndexFetch",
-                &self.index,
-                &indextype,
-                CallbackMode::Scan,
-                None,
+            let fetched = odci_call(
+                Lane::Read(db),
+                Routine::IndexFetch,
+                Callee::Index(&info),
+                format!("nrows={batch}"),
                 |sctx| index.fetch(sctx, &info, scan_ctx, batch),
             );
-            db.trace_finish(h);
             let result = match fetched {
                 Ok(r) => r,
                 Err(e) => {
@@ -896,7 +874,6 @@ impl OuterRows {
 struct NestedLoopJoinExec {
     left: OuterRows,
     right: Box<dyn ExecNode>,
-    pred: Option<RExpr>,
     current: Option<ExecRow>,
     started: bool,
 }
@@ -906,7 +883,6 @@ impl ExecNode for NestedLoopJoinExec {
         // Returns as soon as one inner batch yields a joined row — the
         // same contract as DomainScan and Filter, so the first rows of a
         // join never wait for the rest of it.
-        let ctx = db.eval_ctx();
         let mut rows = Vec::new();
         while rows.is_empty() {
             if self.current.is_none() {
@@ -923,15 +899,7 @@ impl ExecNode for NestedLoopJoinExec {
                 continue;
             }
             let left = self.current.as_ref().expect("outer row present");
-            for r in inner.rows {
-                let row = join_rows(left, r);
-                if let Some(pred) = &self.pred {
-                    if !filter_accepts(&eval(pred, &row, &ctx)?) {
-                        continue;
-                    }
-                }
-                rows.push(row);
-            }
+            rows.extend(inner.rows.into_iter().map(|r| join_rows(left, r)));
         }
         Ok(RowBatch { rows })
     }
@@ -1004,7 +972,6 @@ struct HashJoinExec {
     right: Box<dyn ExecNode>,
     left_key: RExpr,
     right_key: RExpr,
-    extra_pred: Option<RExpr>,
     /// Build side (right input) keyed by join key.
     table: Option<BTreeMap<Key, Vec<ExecRow>>>,
     /// Joined rows of the last probe batch not yet handed out.
@@ -1044,13 +1011,7 @@ impl ExecNode for HashJoinExec {
                     continue;
                 }
                 for m in table.get(&Key::single(key)).into_iter().flatten() {
-                    let row = join_rows(&left, m.clone());
-                    if let Some(pred) = &self.extra_pred {
-                        if !filter_accepts(&eval(pred, &row, &ctx)?) {
-                            continue;
-                        }
-                    }
-                    self.pending.push_back(row);
+                    self.pending.push_back(join_rows(&left, m.clone()));
                 }
             }
         }

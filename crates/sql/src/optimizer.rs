@@ -18,13 +18,12 @@
 
 use extidx_common::{Error, Key, Result, SqlType, Value};
 use extidx_core::meta::{OperatorCall, PredicateBound, RelOp};
-use extidx_core::server::CallbackMode;
-use extidx_core::trace::Component;
+use extidx_core::trace::Routine;
 
 use crate::ast::{BinOp, Expr, Hint, OrderItem, Select, SelectItem, UnOp};
 use crate::catalog::{Catalog, TableDef, TableOrg};
 use crate::database::Database;
-use crate::exec_ctx::Exec;
+use crate::exec_ctx::{odci_call, Callee, Exec, Lane};
 use crate::expr::{aggregate_kind, compile_expr, AggKind, RExpr, Scope, ScopeCol};
 use crate::plan::{FilterTerm, PlanKind, PlanNode, PlannedQuery, TermClass, ZoneBound};
 
@@ -913,38 +912,21 @@ fn best_table_access(
                 call.operator = op_pred.name.clone();
                 // Ask the cartridge's ODCIStats for selectivity and cost.
                 let (_, stats, info) = db.domain_index_runtime(&d)?;
-                let h = db.trace_event(
-                    Component::Optimizer,
-                    "ODCIStatsSelectivity",
-                    &d.indextype,
+                let sel = odci_call(
+                    Lane::Read(db),
+                    Routine::StatsSelectivity,
+                    Callee::Index(&info),
                     format!("{}({})", call.operator, d.name),
-                );
-                let sel = db.sandboxed_odci(
-                    "ODCIStatsSelectivity",
-                    &d.name,
-                    &d.indextype,
-                    CallbackMode::Scan,
-                    None,
                     |ctx| stats.selectivity(ctx, &info, &call),
-                );
-                db.trace_finish(h);
-                let sel = sel?.clamp(0.0, 1.0);
-                let h = db.trace_event(
-                    Component::Optimizer,
-                    "ODCIStatsIndexCost",
-                    &d.indextype,
+                )?
+                .clamp(0.0, 1.0);
+                let icost = odci_call(
+                    Lane::Read(db),
+                    Routine::StatsIndexCost,
+                    Callee::Index(&info),
                     format!("sel={sel:.4}"),
-                );
-                let icost = db.sandboxed_odci(
-                    "ODCIStatsIndexCost",
-                    &d.name,
-                    &d.indextype,
-                    CallbackMode::Scan,
-                    None,
                     |ctx| stats.index_cost(ctx, &info, &call, sel),
-                );
-                db.trace_finish(h);
-                let icost = icost?;
+                )?;
                 let matched = (rows * sel).max(1.0);
                 // Index scan + rowid fetches of matches. A query that
                 // references the scan's ancillary data (SCORE) can only be
@@ -1466,7 +1448,6 @@ fn build_join(
                         right: Box::new(right),
                         left_key,
                         right_key,
-                        extra_pred: None,
                     },
                 };
                 return wrap_filter(db, node, &residual, &joined_scope, &degraded_names);
@@ -1486,7 +1467,7 @@ fn build_join(
         scope: joined_scope.clone(),
         est_rows,
         est_cost,
-        kind: PlanKind::NestedLoopJoin { left: Box::new(left), right: Box::new(right), pred: None },
+        kind: PlanKind::NestedLoopJoin { left: Box::new(left), right: Box::new(right) },
     };
     wrap_filter(db, node, &residual, &joined_scope, &degraded_names)
 }

@@ -124,9 +124,9 @@ pub enum PlanKind {
     },
     /// Projection.
     Project { input: Box<PlanNode>, exprs: Vec<RExpr> },
-    /// Nested-loop join with optional residual predicate (over the
-    /// concatenated scope).
-    NestedLoopJoin { left: Box<PlanNode>, right: Box<PlanNode>, pred: Option<RExpr> },
+    /// Nested-loop (cross) join; any residual predicate is a `Filter`
+    /// above it.
+    NestedLoopJoin { left: Box<PlanNode>, right: Box<PlanNode> },
     /// Domain join: for each outer (left) row, evaluate `arg_exprs`
     /// against it and drive a domain-index scan of `right_table` with the
     /// resulting argument values — how a user-defined operator acting as
@@ -145,13 +145,12 @@ pub enum PlanKind {
         label: Option<i64>,
     },
     /// Hash join on one equi-key pair (keys compiled against each side's
-    /// scope); `extra_pred` evaluated over the concatenated scope.
+    /// scope); residual conjuncts are a `Filter` above it.
     HashJoin {
         left: Box<PlanNode>,
         right: Box<PlanNode>,
         left_key: RExpr,
         right_key: RExpr,
-        extra_pred: Option<RExpr>,
     },
     /// Sort by keys (`true` = descending).
     Sort { input: Box<PlanNode>, keys: Vec<(RExpr, bool)> },
@@ -237,9 +236,7 @@ impl PlanNode {
                 }
             }
             PlanKind::Project { exprs, .. } => format!("{pad}PROJECT {} cols", exprs.len()),
-            PlanKind::NestedLoopJoin { pred, .. } => {
-                format!("{pad}NESTED LOOP JOIN pred={pred:?}")
-            }
+            PlanKind::NestedLoopJoin { .. } => format!("{pad}NESTED LOOP JOIN"),
             PlanKind::DomainJoin { right_table, index, indextype, operator, .. } => format!(
                 "{pad}DOMAIN JOIN {right_table} VIA {index} ({indextype}) OP {operator}"
             ),

@@ -6,7 +6,7 @@
 //! whose routines fail must leave no debris behind (statement atomicity).
 
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use extidx_common::{Error, Result, RowId, Value};
 use extidx_core::meta::{IndexInfo, OperatorCall};
@@ -22,6 +22,15 @@ use extidx_sql::Database;
 /// 0 = behave; 1 = DDL in maintenance; 2 = base-table DML in maintenance;
 /// 3 = DML in scan; 4 = fail during create after creating a table.
 static MODE: AtomicU8 = AtomicU8::new(0);
+
+/// `MODE` is process-global and the harness runs tests on parallel
+/// threads, so every test that reads or writes it holds this lock for its
+/// whole length. Poison-tolerant: one failing test must not fail the rest.
+static MODE_LOCK: Mutex<()> = Mutex::new(());
+
+fn lock_mode() -> MutexGuard<'static, ()> {
+    MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 struct NaughtyIndex;
 
@@ -133,6 +142,7 @@ fn naughty_db() -> Database {
 
 #[test]
 fn maintenance_cannot_execute_ddl() {
+    let _mode = lock_mode();
     let mut db = naughty_db();
     MODE.store(1, Ordering::SeqCst);
     let err = db.execute("INSERT INTO base VALUES (3)").unwrap_err();
@@ -145,6 +155,7 @@ fn maintenance_cannot_execute_ddl() {
 
 #[test]
 fn maintenance_cannot_modify_base_table() {
+    let _mode = lock_mode();
     let mut db = naughty_db();
     MODE.store(2, Ordering::SeqCst);
     let err = db.execute("INSERT INTO base VALUES (3)").unwrap_err();
@@ -155,6 +166,7 @@ fn maintenance_cannot_modify_base_table() {
 
 #[test]
 fn scan_routines_are_query_only() {
+    let _mode = lock_mode();
     let mut db = naughty_db();
     MODE.store(3, Ordering::SeqCst);
     let err = db.query("SELECT v FROM base WHERE NMatch(v)").unwrap_err();
@@ -163,6 +175,7 @@ fn scan_routines_are_query_only() {
 
 #[test]
 fn definition_routines_are_unrestricted() {
+    let _mode = lock_mode();
     // naughty_db()'s create issued DDL (its own index table) — §2.5: "no
     // restrictions on the index definition routines."
     let mut db = naughty_db();
@@ -171,6 +184,7 @@ fn definition_routines_are_unrestricted() {
 
 #[test]
 fn failed_create_leaves_no_debris() {
+    let _mode = lock_mode();
     MODE.store(0, Ordering::SeqCst);
     let mut db = Database::new();
     db.register_function(ScalarFunction::new("NMatchFn", |_, _| Ok(Value::Boolean(true)))).unwrap();

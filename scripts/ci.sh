@@ -45,6 +45,12 @@ echo "== cartridge sandbox (quarantine + panic containment) =="
 cargo test -q --test quarantine
 cargo test -q --test fault_matrix panic_at_every_crossing -- --include-ignored
 cargo test -q --test differential quarantine_chaos_sweep -- --include-ignored
+# The §2.5 callback-restriction suite shares one process-global MODE
+# across parallel test threads (serialized by MODE_LOCK): loop it so a
+# regression of that lock shows up here, not as a 1-in-10 flake.
+for _ in $(seq 10); do
+    cargo test -q -p extidx-sql --test callback_restrictions
+done
 
 # Batch executor (the only row path): batch-seam cases against
 # closed-form answers (joins emitting > BATCH_TARGET rows, inner scans
@@ -158,5 +164,12 @@ ls target/bench-json/BENCH_e19_governor.json
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Structural guard (DESIGN.md §4d "The crossing"): the sandbox is entered
+# at exactly one place, and only that function and the two TXN marker
+# helpers (trace_conflict, trace_timeout) close a trace bracket.
+echo "== one ODCI crossing (structural guard) =="
+[ "$(grep -rn "sandboxed_call(" crates/sql/src | wc -l)" -eq 1 ]
+[ "$(grep -rnE "trace\.finish\(|trace_finish\(" crates/sql/src | wc -l)" -eq 3 ]
 
 echo "CI OK"

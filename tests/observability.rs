@@ -149,6 +149,40 @@ fn v_odci_calls_counts_match_trace_event_counts() {
     assert_eq!(seen, by_routine.len(), "V$ODCI_CALLS missing routines: {by_routine:?}");
 }
 
+/// Every crossing is counted, by construction: the Drop + Create inside a
+/// full `ALTER INDEX … REBUILD` and the cleanup Drop after a failed
+/// CREATE INDEX used to reach the cartridge without a trace bracket, so
+/// `V$ODCI_CALLS` undercounted them.
+#[test]
+fn rebuild_and_failed_create_crossings_are_counted() {
+    fn calls(db: &mut Database, routine: &str) -> i64 {
+        db.query(&format!("SELECT CALLS FROM V$ODCI_CALLS WHERE ROUTINE = '{routine}'"))
+            .unwrap()
+            .first()
+            .map_or(0, |r| r[0].as_integer().unwrap())
+    }
+
+    let mut db = text_db(20);
+    db.trace().set_enabled(true);
+
+    // A VALID index has no pending log to replay: REBUILD drops the
+    // cartridge's storage and re-creates it from the base table.
+    let (drops, creates) = (calls(&mut db, "ODCIIndexDrop"), calls(&mut db, "ODCIIndexCreate"));
+    db.execute("ALTER INDEX dt REBUILD").unwrap();
+    assert_eq!(calls(&mut db, "ODCIIndexDrop"), drops + 1);
+    assert_eq!(calls(&mut db, "ODCIIndexCreate"), creates + 1);
+    // The umbrella RECOVERY event is still there.
+    assert_eq!(calls(&mut db, "IndexRebuild"), 1);
+
+    // CREATE INDEX whose create routine fails: the cleanup drop crosses too.
+    db.execute("CREATE TABLE notes (id INTEGER, body VARCHAR2(200))").unwrap();
+    let (drops, creates) = (calls(&mut db, "ODCIIndexDrop"), calls(&mut db, "ODCIIndexCreate"));
+    db.fault_injector().arm_fail("ODCIIndexCreate", Some("TEXTINDEXTYPE"), 1);
+    db.execute("CREATE INDEX nt ON notes(body) INDEXTYPE IS TextIndexType").unwrap_err();
+    assert_eq!(calls(&mut db, "ODCIIndexCreate"), creates + 1);
+    assert_eq!(calls(&mut db, "ODCIIndexDrop"), drops + 1);
+}
+
 /// The V$ tables answer plain SQL — projection, WHERE, ORDER BY — like
 /// ordinary tables.
 #[test]

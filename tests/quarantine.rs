@@ -322,3 +322,79 @@ fn tick_budget_overrun_is_a_cartridge_fault() {
     let rows = db.query("SELECT /*+ INDEX(docs d_txt) */ id FROM docs WHERE Contains(body, 'alpha')");
     assert_eq!(ids(&rows.unwrap()), vec![1, 2]);
 }
+
+/// §5 event handlers are cartridge code like any other: a handler that
+/// panics on Commit or Rollback is contained at the crossing — the
+/// statement gets a `CartridgeFault` naming the handler (or, after a
+/// failed statement, keeps its own error), nothing unwinds through the
+/// engine or a `Session` holding the server's write lock, and the next
+/// statement runs normally. No index is blamed.
+#[test]
+fn panicking_event_handler_is_contained() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    use extidx::core::events::DbEvent;
+    use extidx::core::ServerContext;
+    use extidx::sql::Server;
+
+    fn assert_handler_fault(err: Error, want_routine: &str) {
+        match err {
+            Error::CartridgeFault { indextype, routine, reason } => {
+                assert_eq!(indextype, "BOOM");
+                assert_eq!(routine, want_routine);
+                assert!(reason.contains("handler bug"), "reason: {reason}");
+            }
+            other => panic!("expected CartridgeFault from {want_routine}, got {other}"),
+        }
+    }
+
+    let armed = Arc::new(AtomicBool::new(true));
+    let flag = Arc::clone(&armed);
+    let handler = move |ev: DbEvent, _srv: &mut dyn ServerContext| -> extidx_common::Result<()> {
+        if flag.load(Ordering::SeqCst) {
+            panic!("handler bug on {ev}");
+        }
+        Ok(())
+    };
+
+    // Via `Database`: explicit COMMIT and ROLLBACK, then a failed statement.
+    let mut db = quarantine_db();
+    db.register_event_handler("boom", Arc::new(handler));
+    db.execute("BEGIN").unwrap();
+    db.execute("INSERT INTO docs VALUES (5, 'alpha five', 50.0)").unwrap();
+    assert_handler_fault(db.execute("COMMIT").unwrap_err(), "DbEventCommit");
+    db.execute("BEGIN").unwrap();
+    db.execute("INSERT INTO docs VALUES (6, 'alpha six', 60.0)").unwrap();
+    assert_handler_fault(db.execute("ROLLBACK").unwrap_err(), "DbEventRollback");
+    // The Rollback event after a failed statement cannot displace the
+    // statement's own error.
+    db.fault_injector().arm_fail("ODCIIndexInsert", Some("TEXTINDEXTYPE"), 1);
+    let err = db.execute("INSERT INTO docs VALUES (7, 'alpha seven', 70.0)").unwrap_err();
+    assert!(matches!(err, Error::Injected { .. }), "statement error must win, got {err}");
+    assert_eq!(ids(&db.query(FORCED).unwrap()), vec![1, 2, 4, 5]);
+    assert_eq!(db.index_health("D_TXT"), HealthState::Valid, "no index to blame");
+
+    // Via a `Session` on an OS thread: the events fire under the server's
+    // write lock, and the thread must survive both.
+    let server = Server::new(db);
+    let remote = server.clone();
+    std::thread::spawn(move || {
+        let mut s = remote.session();
+        // Autocommit: the Commit-event failure surfaces after the marker
+        // is written, so the row is in.
+        let err = s.execute("INSERT INTO docs VALUES (8, 'alpha eight', 80.0)").unwrap_err();
+        assert_handler_fault(err, "DbEventCommit");
+        s.execute("BEGIN").unwrap();
+        s.execute("INSERT INTO docs VALUES (9, 'alpha nine', 90.0)").unwrap();
+        assert_handler_fault(s.execute("ROLLBACK").unwrap_err(), "DbEventRollback");
+    })
+    .join()
+    .expect("a panicking handler must not take the session's thread down");
+
+    // Same server, next statements: the lock is free and the engine sane.
+    armed.store(false, Ordering::SeqCst);
+    let mut s = server.session();
+    s.execute("INSERT INTO docs VALUES (10, 'alpha ten', 100.0)").unwrap();
+    assert_eq!(ids(&s.query(FORCED).unwrap()), vec![1, 2, 4, 5, 8, 10]);
+}
