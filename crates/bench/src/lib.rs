@@ -1,10 +1,12 @@
 //! # extidx-bench — the experiment harness
 //!
 //! Shared workload builders and reporting helpers for the paper's
-//! experiments (see DESIGN.md §3 for the experiment index E1–E9 and
+//! experiments (see DESIGN.md §3 for the experiment index and
 //! EXPERIMENTS.md for recorded results). The `repro` binary drives each
-//! experiment; the Criterion benches in `benches/` reuse the same
-//! builders for statistically sound timing.
+//! experiment and asserts the paper's claims as counts and plan shapes;
+//! the timings it prints are information only. Measured wall-clock
+//! numbers and regression bounds live in one place, the perf ledger
+//! (`ledger/`, BENCHMARK.json).
 
 use std::time::{Duration, Instant};
 
@@ -132,7 +134,6 @@ pub fn vir_fixture(n: usize, planted: usize, seed: u64, indexed: bool) -> Result
 /// A chemistry fixture in a given storage mode (E5).
 pub struct ChemFixture {
     pub db: Database,
-    pub compounds: usize,
 }
 
 /// Build a compound library indexed under `storage_params`
@@ -150,19 +151,12 @@ pub fn chem_fixture(n: usize, seed: u64, storage_params: &str) -> Result<ChemFix
     db.execute(&format!(
         "CREATE INDEX cidx ON compounds(mol) INDEXTYPE IS ChemIndexType PARAMETERS ('{storage_params}')"
     ))?;
-    Ok(ChemFixture { db, compounds: n })
+    Ok(ChemFixture { db })
 }
 
 // ---------------------------------------------------------------------------
 // measurement + reporting helpers
 // ---------------------------------------------------------------------------
-
-/// Time a closure once.
-pub fn time_once<T>(f: impl FnOnce() -> T) -> (T, Duration) {
-    let t = Instant::now();
-    let out = f();
-    (out, t.elapsed())
-}
 
 /// Median wall time of `runs` executions (plus one discarded warmup).
 pub fn time_median(runs: usize, mut f: impl FnMut()) -> Duration {
@@ -188,27 +182,6 @@ pub fn fmt_dur(d: Duration) -> String {
     } else {
         format!("{:.1}µs", d.as_secs_f64() * 1e6)
     }
-}
-
-/// Write one `BENCH_<name>.json` result file so the perf trajectory is
-/// recorded PR-over-PR. Output directory comes from `BENCH_OUT`
-/// (default: current directory); git revision and date are passed via
-/// `GIT_REV` / `BENCH_DATE` env so the harness stays hermetic. JSON is
-/// hand-formatted — no serde dependency for five fields.
-pub fn emit_bench_json(bench: &str, median: Duration, rows: u64) -> std::io::Result<String> {
-    let dir = std::env::var("BENCH_OUT").unwrap_or_else(|_| ".".into());
-    let git_rev = std::env::var("GIT_REV").unwrap_or_else(|_| "unknown".into());
-    let date = std::env::var("BENCH_DATE").unwrap_or_else(|_| "unknown".into());
-    let median_ns = median.as_nanos() as u64;
-    let rows_per_s = if median_ns == 0 { 0.0 } else { rows as f64 / median.as_secs_f64() };
-    let sanitized: String =
-        bench.chars().map(|c| if c.is_ascii_alphanumeric() { c } else { '_' }).collect();
-    let path = format!("{dir}/BENCH_{sanitized}.json");
-    let json = format!(
-        "{{\n  \"bench\": \"{bench}\",\n  \"median_ns\": {median_ns},\n  \"rows_per_s\": {rows_per_s:.1},\n  \"git_rev\": \"{git_rev}\",\n  \"date\": \"{date}\"\n}}\n"
-    );
-    std::fs::write(&path, json)?;
-    Ok(path)
 }
 
 /// A minimal fixed-width table printer for experiment reports.
@@ -277,35 +250,12 @@ mod tests {
 
     #[test]
     fn timing_helpers() {
-        let (v, d) = time_once(|| 7);
-        assert_eq!(v, 7);
-        assert!(d.as_nanos() > 0);
         let _ = time_median(3, || {
             std::hint::black_box(1 + 1);
         });
         assert_eq!(fmt_dur(Duration::from_millis(1500)), "1.50s");
         assert_eq!(fmt_dur(Duration::from_micros(1500)), "1.50ms");
         assert!(fmt_dur(Duration::from_nanos(500)).ends_with("µs"));
-    }
-
-    #[test]
-    fn bench_json_emitted() {
-        let dir = std::env::temp_dir().join("extidx_bench_json_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        std::env::set_var("BENCH_OUT", &dir);
-        std::env::set_var("GIT_REV", "deadbee");
-        std::env::set_var("BENCH_DATE", "2026-01-01");
-        let path = emit_bench_json("e15-cold/scan", Duration::from_millis(10), 100_000).unwrap();
-        std::env::remove_var("BENCH_OUT");
-        std::env::remove_var("GIT_REV");
-        std::env::remove_var("BENCH_DATE");
-        assert!(path.ends_with("BENCH_e15_cold_scan.json"), "{path}");
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert!(body.contains("\"bench\": \"e15-cold/scan\""), "{body}");
-        assert!(body.contains("\"median_ns\": 10000000"), "{body}");
-        assert!(body.contains("\"rows_per_s\": 10000000.0"), "{body}");
-        assert!(body.contains("\"git_rev\": \"deadbee\""), "{body}");
-        assert!(body.contains("\"date\": \"2026-01-01\""), "{body}");
     }
 
     #[test]

@@ -105,9 +105,6 @@ pub struct Database {
     next_ws: u64,
     /// Rows per ODCIIndexFetch call (the §2.5 batch interface, E8).
     pub(crate) batch_size: usize,
-    /// Sort residual WHERE conjuncts cheapest-first before building the
-    /// Filter node (const < zone/B-tree shaped < plain column < ODCI op).
-    pub(crate) cost_ordered_terms: bool,
     /// Consult per-page zone maps in full scans to skip pages whose
     /// min/max provably exclude the scan's pruning bounds.
     pub(crate) zone_pruning: bool,
@@ -127,8 +124,6 @@ pub struct Database {
     compensating: bool,
     /// Fault injection at every server↔cartridge crossing.
     fault: FaultInjector,
-    /// Retry policy for cartridge-reported transient errors.
-    retry: RetryPolicy,
     /// Per-crossing tick budget for sandboxed cartridge calls: every
     /// server callback a routine issues costs one tick, and exceeding the
     /// budget converts the call into an [`Error::CartridgeFault`].
@@ -245,13 +240,11 @@ impl Database {
             workspace: Mutex::new(HashMap::new()),
             next_ws: 0,
             batch_size: 32,
-            cost_ordered_terms: true,
             zone_pruning: true,
             stmt_created: Vec::new(),
             stmt_maint: Vec::new(),
             compensating: false,
             fault: FaultInjector::new(),
-            retry: RetryPolicy::default(),
             tick_budget: extidx_core::DEFAULT_TICK_BUDGET,
             stmt_pending: Vec::new(),
             chaos_drop_last_domain_batch: false,
@@ -359,18 +352,6 @@ impl Database {
         self.batch_size
     }
 
-    /// Toggle cost-ordered residual-conjunct evaluation (on by default).
-    /// Kept as a knob because the off arm is the reference: tests and E15
-    /// compare cost-ordered results against source-order evaluation.
-    pub fn set_cost_ordered_terms(&mut self, on: bool) {
-        self.cost_ordered_terms = on;
-    }
-
-    /// Whether Filter terms are sorted cheapest-first.
-    pub fn cost_ordered_terms(&self) -> bool {
-        self.cost_ordered_terms
-    }
-
     /// Toggle zone-map page pruning in full scans (on by default). Kept
     /// as a knob because the off arm is the reference: the widen-never-
     /// narrow tests and E15 compare pruned scans against unpruned ones.
@@ -408,16 +389,6 @@ impl Database {
     /// them fire while the engine runs.
     pub fn fault_injector(&self) -> &FaultInjector {
         &self.fault
-    }
-
-    /// Replace the retry policy for transient cartridge errors.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.retry = policy;
-    }
-
-    /// The active retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 
     /// Register a commit/rollback event handler (§5). Re-registering the
@@ -620,16 +591,6 @@ impl Database {
             None => health.note_success(&info.index_name),
         };
         self.trace_health_transition(&info.index_name, &info.indextype_name, t);
-    }
-
-    /// The optimizer's cost model (read).
-    pub fn cost_model(&self) -> CostModel {
-        self.cost
-    }
-
-    /// Replace the optimizer's cost model (ablation experiments).
-    pub fn set_cost_model(&mut self, cm: CostModel) {
-        self.cost = cm;
     }
 
     // ---- statement execution ------------------------------------------------
@@ -1920,6 +1881,7 @@ impl Database {
     /// underlying error.
     fn invoke_maintenance(&mut self, d: &DomainIndexDef, op: PendingOp) -> Result<()> {
         let (index, _, info) = self.domain_index_runtime(d)?;
+        let retry = RetryPolicy::default();
         let mut attempt: u32 = 0;
         loop {
             attempt += 1;
@@ -1931,7 +1893,7 @@ impl Database {
                     self.stmt_maint.push(MaintRecord { index: d.name.clone(), op });
                     return Ok(());
                 }
-                Err(e) if e.is_retryable() && self.retry.should_retry(attempt) => {
+                Err(e) if e.is_retryable() && retry.should_retry(attempt) => {
                     // Rewind just this call's partial effects so the retry
                     // starts from a clean slate instead of double-applying.
                     if let Some(m) = mark {
@@ -1951,7 +1913,7 @@ impl Database {
                         &d.indextype,
                         format!("attempt {attempt}: {e}"),
                     );
-                    std::thread::sleep(self.retry.backoff(attempt));
+                    std::thread::sleep(retry.backoff(attempt));
                 }
                 Err(e) => return Err(e.into_permanent()),
             }

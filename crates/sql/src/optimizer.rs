@@ -1150,9 +1150,7 @@ fn wrap_filter(
     // non-TRUE (FALSE *or* NULL) term either way.
     let mut classed: Vec<(TermClass, &Expr)> =
         residual.iter().map(|e| (classify_conjunct(db, e), *e)).collect();
-    if db.cost_ordered_terms() {
-        classed.sort_by_key(|(c, _)| *c);
-    }
+    classed.sort_by_key(|(c, _)| *c);
     // User-defined operators left in the residual evaluate through their
     // functional implementation — name them so EXPLAIN exposes the
     // fallback path.
@@ -1863,9 +1861,7 @@ fn plan_aggregate(db: &Exec<'_>, s: &Select, source: PlanNode) -> Result<Aggrega
             .iter()
             .map(|e| (classify_conjunct(db, e), e))
             .collect();
-        if db.cost_ordered_terms() {
-            classed.sort_by_key(|(c, _)| *c);
-        }
+        classed.sort_by_key(|(c, _)| *c);
         let terms = classed
             .iter()
             .map(|(class, e)| {

@@ -8,10 +8,12 @@
 //! - batch boundaries are invisible: joins emitting more than
 //!   `BATCH_TARGET` rows, inner scans spanning several batches per outer
 //!   row, and pipeline breakers fed more than one input batch all return
-//!   closed-form (or index-free reference) answers; and
+//!   closed-form (or index-free reference) answers;
 //! - a cursor stays pipelined: its first row costs exactly one
 //!   `ODCIIndexFetch` over a domain scan, one Start + one Fetch over a
-//!   domain join.
+//!   domain join; and
+//! - filter conjuncts run cheapest-first, so a functional operator is
+//!   called only on the rows the cheap terms let through.
 
 use extidx::core::trace::CallTrace;
 use extidx::spatial::{geometry_sql, Geometry, Mbr};
@@ -395,4 +397,80 @@ fn first_cursor_row_costs_one_odci_fetch() {
     }
     assert_eq!(n, 200);
     assert!(fetch_calls(&trace) >= 200 / 8, "the full drain pays the remaining fetches");
+}
+
+/// Residual conjuncts run cheapest-first whatever their source order
+/// (`wrap_filter` sorts by `TermClass`), so a functional operator only
+/// sees the rows the cheap terms let through. A counting functional
+/// implementation pins that as a call count: with the operator written
+/// *first* and zone pruning off (every page is scanned, so only term
+/// order can shield the operator), it runs once per row with `id < K` —
+/// not once per table row. HAVING goes through the same ordering.
+#[test]
+fn cost_ordered_conjuncts_call_the_operator_only_on_surviving_rows() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    use extidx::common::Value;
+    use extidx::core::operator::ScalarFunction;
+
+    const N: i64 = 3000;
+    const K: i64 = 151;
+    const GROUPS: i64 = 40;
+    const G: i64 = 5;
+
+    let calls = Arc::new(AtomicU64::new(0));
+    let seen = Arc::clone(&calls);
+    let mut db = Database::with_cache_pages(4096);
+    db.register_function(ScalarFunction::new("SlowOpFn", move |_, args| {
+        seen.fetch_add(1, Ordering::Relaxed);
+        Ok(Value::Integer(args[0].as_integer()? % 2))
+    }))
+    .unwrap();
+    db.execute("CREATE OPERATOR SlowOp BINDING (INTEGER) RETURN INTEGER USING SlowOpFn").unwrap();
+    db.execute("CREATE TABLE t (id INTEGER, x INTEGER, grp INTEGER)").unwrap();
+    for i in 1..=N {
+        db.execute_with("INSERT INTO t VALUES (?, ?, ?)", &[i.into(), i.into(), (i % GROUPS).into()])
+            .unwrap();
+    }
+    db.set_zone_pruning(false);
+
+    // The FILTER line's terms, in evaluation order, as their class tags.
+    let filter_classes = |db: &mut Database, sql: &str| -> Vec<String> {
+        let plan = db.explain(sql).unwrap();
+        let line = plan
+            .iter()
+            .find(|l| l.trim_start().starts_with("FILTER"))
+            .unwrap_or_else(|| panic!("no FILTER in {plan:?}"));
+        let terms = line.rsplit("] ").next().unwrap().trim_start().trim_start_matches("FILTER ");
+        terms.split(" AND ").map(|t| t.split(':').next().unwrap().to_string()).collect()
+    };
+
+    // WHERE: ids 1..K pass the range, the odd ones pass the operator.
+    let sql =
+        format!("SELECT /*+ FULL(t) */ id FROM t WHERE SlowOp(x) = 1 AND id < {K} ORDER BY id");
+    assert_eq!(filter_classes(&mut db, &sql), ["zone", "op"], "range term first, operator last");
+    assert_eq!(calls.load(Ordering::Relaxed), 0, "planning never runs the operator");
+    let got: Vec<i64> = db.query(&sql).unwrap().iter().map(|r| ints(r)[0]).collect();
+    assert_eq!(got, (1..K).step_by(2).collect::<Vec<_>>());
+    assert_eq!(
+        calls.swap(0, Ordering::Relaxed),
+        (K - 1) as u64,
+        "the operator must see only the rows with id < {K}, not all {N}"
+    );
+
+    // HAVING: groups 0..G pass the range, the odd ones pass the operator.
+    let having = format!(
+        "SELECT grp, COUNT(*) FROM t GROUP BY grp HAVING SlowOp(grp) = 1 AND grp < {G} ORDER BY grp"
+    );
+    let classes = filter_classes(&mut db, &having);
+    assert_eq!(classes.len(), 2);
+    assert_eq!(classes[1], "op", "operator last: {classes:?}");
+    let got: Vec<Vec<i64>> = db.query(&having).unwrap().iter().map(|r| ints(r)).collect();
+    assert_eq!(got, (1..G).step_by(2).map(|g| vec![g, N / GROUPS]).collect::<Vec<_>>());
+    assert_eq!(
+        calls.load(Ordering::Relaxed),
+        G as u64,
+        "the operator must see only the groups with grp < {G}, not all {GROUPS}"
+    );
 }
