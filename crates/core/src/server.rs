@@ -84,12 +84,16 @@ pub trait ServerContext {
     /// postings, write LOBs, …) between batches while only `batch_size`
     /// rows are ever held in memory.
     ///
-    /// A host engine should override the page-clone fallback in
-    /// `scan_base_batches_via_query` with a true streaming scan; it is a
-    /// required method (not defaulted) only because a default body cannot
-    /// coerce `&mut Self` to `&mut dyn ServerContext` — implementors
-    /// without a native scan should delegate to
-    /// [`scan_base_batches_via_query`].
+    /// A host engine streams from its own snapshot-pinned table scan
+    /// (the SQL engine's `BaseScan`; index builds read everything
+    /// committed plus their own transaction, and are refused with a
+    /// retryable write conflict, before the first batch, while another
+    /// transaction has uncommitted changes in the table — so scan before
+    /// destroying what the scan is to replace). It is a required method
+    /// (not defaulted) only because a default body cannot coerce
+    /// `&mut Self` to `&mut dyn ServerContext` — mock servers without a
+    /// native scan delegate to [`scan_base_batches_via_query`], which
+    /// materializes one whole query result.
     fn scan_base_batches(
         &mut self,
         table: &str,

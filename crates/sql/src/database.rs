@@ -34,7 +34,7 @@ use extidx_core::operator::{Operator, ScalarFunction};
 use extidx_core::params::ParamString;
 use extidx_core::sandbox;
 use extidx_core::scan::WorkspaceHandle;
-use extidx_core::server::{BaseRow, BatchSink, CallbackMode, ServerContext};
+use extidx_core::server::{BatchSink, CallbackMode, ServerContext};
 use extidx_core::stats::OdciStats;
 use extidx_core::trace::{CallTrace, Component, Routine};
 use extidx_core::OdciIndex;
@@ -45,7 +45,7 @@ use extidx_storage::{CommitBlob, DurableMedium, Snapshot, StorageEngine, UndoLog
 use crate::ast::{bind_statement, AlterIndexAction, ColumnSpec, InsertSource, Statement};
 use crate::catalog::{BTreeIndexDef, Catalog, CatalogDump, ColumnDef, ColumnStats, DomainIndexDef, TableDef, TableOrg, TableStats};
 use crate::exec_ctx::{self, odci_call, Callee, Exec, Lane, SessionScratch};
-use crate::executor::{self, ExecNode};
+use crate::executor::{self, BaseScan, ExecNode, BATCH_TARGET};
 use crate::expr::{compile_expr, eval, EvalCtx, ExecRow, Scope};
 use crate::optimizer::{self, CostModel};
 use crate::parser::parse;
@@ -1240,6 +1240,8 @@ impl Database {
                 tdef.columns[col_idx].name
             )));
         }
+        // Refused (in-flight writer on the table) before anything exists.
+        let snap = self.storage.build_snapshot(tdef.seg)?;
         let seg = self.storage.create_iot(2)?; // (key, rowid)
         self.catalog.create_btree_index(BTreeIndexDef {
             name: name.to_ascii_uppercase(),
@@ -1248,34 +1250,28 @@ impl Database {
             seg,
         })?;
         self.stmt_created.push(CreatedObject::BTreeIndex(name.to_ascii_uppercase()));
-        // Populate from existing rows. For IOT base tables the secondary
-        // index stores logical rowids (key ordinals), which stay valid
-        // across in-place updates.
-        let existing: Vec<(RowId, Value)> = match tdef.org {
-            TableOrg::Heap => self
-                .storage
-                .heap(tdef.seg)?
-                .scan()
-                .map(|(rid, _, row)| (rid, row[col_idx].clone()))
-                .collect(),
-            TableOrg::Index { .. } => self
-                .storage
-                .iot_range_with_rids(tdef.seg, None, None)?
-                .into_iter()
-                .map(|(rid, row)| (rid, row[col_idx].clone()))
-                .collect(),
-        };
-        for (rid, key) in existing {
-            // B-trees do not index NULL keys (Oracle semantics): a NULL in
-            // the indexed column simply has no index entry, so range scans
-            // can never produce NULL-keyed rows.
-            if key.is_null() {
-                continue;
+        // Populate from existing rows, a batch at a time. For IOT base
+        // tables the secondary index stores logical rowids (key ordinals),
+        // which stay valid across in-place updates.
+        let mut scan = BaseScan::new(&tdef);
+        loop {
+            let batch = scan.next_batch(&self.storage, &snap, BATCH_TARGET, |rid, row| {
+                (rid, row[col_idx].clone())
+            })?;
+            if batch.is_empty() {
+                return Ok(StmtResult::Ok);
             }
-            let undo = self.stmt_undo.as_mut();
-            self.storage.iot_insert(seg, vec![key, Value::RowId(rid)], undo)?;
+            for (rid, key) in batch {
+                // B-trees do not index NULL keys (Oracle semantics): a NULL
+                // in the indexed column simply has no index entry, so range
+                // scans can never produce NULL-keyed rows.
+                if key.is_null() {
+                    continue;
+                }
+                let undo = self.stmt_undo.as_mut();
+                self.storage.iot_insert(seg, vec![key, Value::RowId(rid)], undo)?;
+            }
         }
-        Ok(StmtResult::Ok)
     }
 
     fn run_create_domain_index(
@@ -1344,6 +1340,13 @@ impl Database {
 
     fn run_alter_index(&mut self, name: &str, parameters: &str) -> Result<StmtResult> {
         let delta = ParamString::parse(parameters);
+        // Cartridges alter by truncating their storage and repopulating it
+        // from the base table, and TRUNCATE is not undone by a statement
+        // rollback: ask for the build snapshot the repopulation will take
+        // now, so a refusal comes before anything is destroyed or merged.
+        if let Some(d) = self.catalog.domain_index(name) {
+            self.storage.build_snapshot(self.catalog.table(&d.table)?.seg)?;
+        }
         let def = {
             let d = self
                 .catalog
@@ -1402,6 +1405,9 @@ impl Database {
                 }
             }
         } else {
+            // The create below takes its own build snapshot; asking here
+            // as well refuses before the old storage is dropped, not after.
+            self.storage.build_snapshot(self.catalog.table(&d.table)?.seg)?;
             self.trace.record(
                 Component::Recovery,
                 "IndexRebuild",
@@ -1493,21 +1499,16 @@ impl Database {
 
     fn run_analyze(&mut self, name: &str) -> Result<StmtResult> {
         let tdef = self.catalog.table(name)?.clone();
-        let (rows, pages, col_count) = match tdef.org {
-            TableOrg::Heap => {
-                let h = self.storage.heap(tdef.seg)?;
-                (h.row_count(), h.page_count(), tdef.columns.len())
-            }
-            TableOrg::Index { .. } => {
-                let t = self.storage.iot(tdef.seg)?;
-                (t.row_count(), t.page_count(), tdef.columns.len())
-            }
+        let col_count = tdef.columns.len();
+        let pages = match tdef.org {
+            TableOrg::Heap => self.storage.heap(tdef.seg)?.page_count(),
+            TableOrg::Index { .. } => self.storage.iot(tdef.seg)?.page_count(),
         };
         let mut distinct: Vec<std::collections::BTreeSet<Key>> = vec![Default::default(); col_count];
         let mut nulls = vec![0usize; col_count];
         let mut mins: Vec<Option<Value>> = vec![None; col_count];
         let mut maxs: Vec<Option<Value>> = vec![None; col_count];
-        let mut visit = |row: &Row| {
+        let mut visit = |_: RowId, row: &Row| {
             for (i, v) in row.iter().enumerate().take(col_count) {
                 if v.is_null() {
                     nulls[i] += 1;
@@ -1530,17 +1531,18 @@ impl Database {
                 }
             }
         };
-        match tdef.org {
-            TableOrg::Heap => {
-                for (_, _, row) in self.storage.heap(tdef.seg)?.scan() {
-                    visit(row);
-                }
+        // Statistics describe what this statement's own snapshot sees:
+        // deferred-deleted rows and other sessions' uncommitted ones are
+        // physically present but must not be counted.
+        let snap = self.storage.current_snapshot();
+        let mut scan = BaseScan::new(&tdef);
+        let mut rows = 0;
+        loop {
+            let visited = scan.next_batch(&self.storage, &snap, BATCH_TARGET, &mut visit)?.len();
+            if visited == 0 {
+                break;
             }
-            TableOrg::Index { .. } => {
-                for row in self.storage.iot(tdef.seg)?.scan() {
-                    visit(row);
-                }
-            }
+            rows += visited;
         }
         let columns = (0..col_count)
             .map(|i| ColumnStats {
@@ -2369,12 +2371,12 @@ impl ServerContext for ServerCtx<'_> {
         }
     }
 
-    /// True streaming scan: walks the base heap page by page with a
-    /// (page, slot) cursor, cloning at most `batch_size` rows before
-    /// handing them (and this context) to the sink. The whole table is
-    /// never materialized, unlike the `SELECT …, ROWID` path a cartridge
-    /// would otherwise use. Page reads are charged to the buffer cache
-    /// exactly once per visited page.
+    /// True streaming scan: at most `batch_size` rows, projected to
+    /// `cols`, are cloned before the sink gets them (and this context),
+    /// unlike the `SELECT …, ROWID` path a cartridge would otherwise use.
+    /// On the write lane the base scan is an index (re)build's — create,
+    /// a repopulating alter, an event handler's resync — so it reads under
+    /// [`StorageEngine::build_snapshot`] and is refused with it.
     fn scan_base_batches(
         &mut self,
         table: &str,
@@ -2383,56 +2385,12 @@ impl ServerContext for ServerCtx<'_> {
         sink: &mut BatchSink,
     ) -> Result<()> {
         sandbox::tick();
-        let tdef = self.db.catalog.table(table)?.clone();
-        let col_idx: Vec<usize> =
-            cols.iter().map(|c| tdef.column_index(c)).collect::<Result<Vec<_>>>()?;
-        if let TableOrg::Index { .. } = tdef.org {
-            // IOT base table: page through in key order with an exclusive
-            // after-key cursor; rowids delivered are logical (ordinals).
-            let batch_size = batch_size.max(1);
-            let mut after: Option<Key> = None;
-            loop {
-                let chunk = self.db.storage.iot_batch_after(tdef.seg, after.as_ref(), batch_size)?;
-                let Some((_, last_key, _)) = chunk.last() else { return Ok(()) };
-                after = Some(last_key.clone());
-                let batch: Vec<BaseRow> = chunk
-                    .into_iter()
-                    .map(|(rid, _, row)| BaseRow {
-                        rid,
-                        values: col_idx.iter().map(|&i| row[i].clone()).collect(),
-                    })
-                    .collect();
-                sandbox::tick();
-                sink(self, &batch)?;
-            }
-        }
-        let seg = tdef.seg;
-        let batch_size = batch_size.max(1);
-        let (mut page, mut slot): (u32, u16) = (0, 0);
-        let mut charged: Option<u32> = None;
+        let (mut scan, project) = BaseScan::open(&self.db.catalog, table, cols)?;
+        let snap = self.db.storage.build_snapshot(self.db.catalog.table(table)?.seg)?;
         loop {
-            let mut batch = Vec::with_capacity(batch_size);
-            {
-                // Immutable borrow of the heap while assembling one batch;
-                // released before the sink gets `&mut self` back.
-                let heap = self.db.storage.heap(seg)?;
-                while (page as usize) < heap.page_count() && batch.len() < batch_size {
-                    if (slot as usize) >= heap.slots_in_page(page) {
-                        page += 1;
-                        slot = 0;
-                        continue;
-                    }
-                    if charged != Some(page) {
-                        self.db.storage.charge_page_read(seg, page);
-                        charged = Some(page);
-                    }
-                    if let Some(row) = heap.slot(page, slot) {
-                        let values: Row = col_idx.iter().map(|&i| row[i].clone()).collect();
-                        batch.push(BaseRow { rid: RowId::new(seg.0, page, slot), values });
-                    }
-                    slot += 1;
-                }
-            }
+            // The storage borrow ends with the batch, before the sink gets
+            // `&mut self` back.
+            let batch = scan.next_batch(&self.db.storage, &snap, batch_size, &project)?;
             if batch.is_empty() {
                 return Ok(());
             }

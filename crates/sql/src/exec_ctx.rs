@@ -42,15 +42,13 @@ use extidx_core::events::EventHandler;
 use extidx_core::meta::IndexInfo;
 use extidx_core::sandbox;
 use extidx_core::scan::WorkspaceHandle;
-use extidx_core::server::{
-    scan_base_batches_via_query, BatchSink, CallbackMode, ServerContext,
-};
+use extidx_core::server::{BatchSink, CallbackMode, ServerContext};
 use extidx_core::trace::{Component, Routine};
 use extidx_storage::Snapshot;
 
 use crate::ast::{bind_statement, Select, Statement};
 use crate::database::{Database, ServerCtx};
-use crate::executor;
+use crate::executor::{self, BaseScan};
 use crate::expr::EvalCtx;
 use crate::optimizer;
 use crate::parser::parse;
@@ -233,9 +231,17 @@ impl ServerContext for SharedCtx<'_> {
         sink: &mut BatchSink,
     ) -> Result<()> {
         sandbox::tick();
-        // The snapshot-consistent SELECT path; the streaming heap walk is
-        // a write-lane (index build) optimization and is not needed here.
-        scan_base_batches_via_query(self, table, cols, batch_size, sink)
+        // The same streaming scan as the write lane's, pinned to the
+        // statement's snapshot instead of the build snapshot.
+        let (mut scan, project) = BaseScan::open(&self.db.catalog, table, cols)?;
+        loop {
+            let batch = scan.next_batch(&self.db.storage, &self.snap, batch_size, &project)?;
+            if batch.is_empty() {
+                return Ok(());
+            }
+            sandbox::tick();
+            sink(self, &batch)?;
+        }
     }
 
     fn fault_point(&mut self, point: &str) -> Result<()> {

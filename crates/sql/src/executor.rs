@@ -21,15 +21,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use extidx_common::{Error, Key, Result, RowId, Value};
+use extidx_common::{Error, Key, Result, Row, RowId, Value};
 use extidx_core::governor;
 use extidx_core::meta::{IndexInfo, OperatorCall};
 use extidx_core::scan::ScanContext;
+use extidx_core::server::BaseRow;
 use extidx_core::trace::{Component, Routine};
 use extidx_core::OdciIndex;
-use extidx_storage::SegmentId;
+use extidx_storage::{SegmentId, Snapshot, StorageEngine};
 
-use crate::catalog::TableOrg;
+use crate::catalog::{Catalog, TableDef, TableOrg};
 use crate::exec_ctx::{odci_call, Callee, Exec, Lane};
 use crate::expr::{eval, filter_accepts, AggKind, EvalCtx, ExecRow, RExpr};
 use crate::plan::{FilterTerm, PlanKind, PlanNode, ZoneBound};
@@ -123,8 +124,8 @@ fn take_front(queue: &mut VecDeque<ExecRow>, max_rows: usize) -> RowBatch {
 fn fetch_visible(db: &Exec<'_>, table: &str, rids: &[RowId]) -> Result<Vec<Option<ExecRow>>> {
     let tdef = db.catalog.table(table)?;
     let joined = match tdef.org {
-        TableOrg::Heap => db.storage.heap_fetch_multi_visible(tdef.seg, rids, &db.snap)?,
-        TableOrg::Index { .. } => db.storage.iot_fetch_multi_visible(tdef.seg, rids, &db.snap)?,
+        TableOrg::Heap => db.storage.heap_fetch_multi(tdef.seg, rids, &db.snap)?,
+        TableOrg::Index { .. } => db.storage.iot_fetch_multi(tdef.seg, rids, &db.snap)?,
     };
     Ok(joined
         .into_iter()
@@ -354,99 +355,164 @@ impl ExecNode for InstrumentExec {
 // scans
 // ---------------------------------------------------------------------------
 
+/// Cursor of the one heap page walk in the workspace: [`FullScanExec`]
+/// and every [`BaseScan`] resume through it, so a scan that stops
+/// mid-page (a `LIMIT` quota, a build batch boundary) re-enters the page
+/// where it left off without a second cache charge.
+pub(crate) struct HeapWalk {
+    seg: SegmentId,
+    page: u32,
+    slot: u16,
+}
+
+impl HeapWalk {
+    /// The next up-to-`max_rows` rows visible under `snap`, each as
+    /// `project(rowid, row)` — the row is borrowed, so callers clone only
+    /// what they keep. Fewer than `max_rows` means the segment ended.
+    /// `skip_page` is asked once per page, on first entry and before any
+    /// read is charged.
+    fn next_rows<T>(
+        &mut self,
+        storage: &StorageEngine,
+        snap: &Snapshot,
+        max_rows: usize,
+        mut skip_page: impl FnMut(u32) -> bool,
+        mut project: impl FnMut(RowId, &Row) -> T,
+    ) -> Result<Vec<T>> {
+        let mut out = Vec::new();
+        while out.len() < max_rows {
+            if self.slot == 0 && skip_page(self.page) {
+                self.page += 1;
+                continue;
+            }
+            let Some(rows) = storage.heap_page(self.seg, self.page, self.slot, snap)? else {
+                break;
+            };
+            for (rid, row) in rows {
+                out.push(project(rid, row));
+                if out.len() == max_rows {
+                    self.slot = rid.slot + 1;
+                    return Ok(out);
+                }
+            }
+            self.page += 1;
+            self.slot = 0;
+        }
+        Ok(out)
+    }
+}
+
+/// The resumable, snapshot-pinned scan of one base table behind index
+/// builds (`scan_base_batches` on both lanes, `CREATE INDEX` of a B-tree)
+/// and `ANALYZE`: never more than one batch is held. Heap tables go
+/// through the [`HeapWalk`]; IOTs page in key order with an exclusive
+/// after-key cursor and deliver logical rowids.
+pub(crate) enum BaseScan {
+    Heap(HeapWalk),
+    Iot { seg: SegmentId, after: Option<Key> },
+}
+
+impl BaseScan {
+    pub(crate) fn new(tdef: &TableDef) -> Self {
+        match tdef.org {
+            TableOrg::Heap => BaseScan::Heap(HeapWalk { seg: tdef.seg, page: 0, slot: 0 }),
+            TableOrg::Index { .. } => BaseScan::Iot { seg: tdef.seg, after: None },
+        }
+    }
+
+    /// What `ServerContext::scan_base_batches` streams on either lane: the
+    /// scan of `table` plus the projection of a row to its `cols`, so a
+    /// build clones only the columns it indexes.
+    pub(crate) fn open(
+        catalog: &Catalog,
+        table: &str,
+        cols: &[&str],
+    ) -> Result<(BaseScan, impl Fn(RowId, &Row) -> BaseRow)> {
+        let tdef = catalog.table(table)?;
+        let col_idx = cols.iter().map(|c| tdef.column_index(c)).collect::<Result<Vec<_>>>()?;
+        let project = move |rid: RowId, row: &Row| BaseRow {
+            rid,
+            values: col_idx.iter().map(|&i| row[i].clone()).collect(),
+        };
+        Ok((BaseScan::new(tdef), project))
+    }
+
+    /// The next up-to-`batch_size` visible rows, each as
+    /// `project(rowid, row)`; an empty batch means exhausted.
+    pub(crate) fn next_batch<T>(
+        &mut self,
+        storage: &StorageEngine,
+        snap: &Snapshot,
+        batch_size: usize,
+        mut project: impl FnMut(RowId, &Row) -> T,
+    ) -> Result<Vec<T>> {
+        let batch_size = batch_size.max(1);
+        match self {
+            BaseScan::Heap(walk) => walk.next_rows(storage, snap, batch_size, |_| false, project),
+            BaseScan::Iot { seg, after } => {
+                let mut chunk = storage.iot_batch_after(*seg, after.as_ref(), batch_size, snap)?;
+                let batch = chunk.iter().map(|(rid, _, row)| project(*rid, row)).collect();
+                if let Some((_, last_key, _)) = chunk.pop() {
+                    *after = Some(last_key);
+                }
+                Ok(batch)
+            }
+        }
+    }
+}
+
 struct FullScanExec {
     table: String,
     /// Zone-map bounds from the residual predicate: a page whose
     /// recorded min/max excludes *any* bound (they are ANDed conjuncts)
     /// is skipped without ever charging a buffer read.
     prune: Vec<ZoneBound>,
-    seg: Option<SegmentId>,
-    page: u32,
-    slot: u16,
-    charged_page: Option<u32>,
+    walk: Option<HeapWalk>,
     pruned: u64,
 }
 
 impl FullScanExec {
     fn new(table: String, prune: Vec<ZoneBound>) -> Self {
-        FullScanExec { table, prune, seg: None, page: 0, slot: 0, charged_page: None, pruned: 0 }
+        FullScanExec { table, prune, walk: None, pruned: 0 }
     }
 }
 
 impl ExecNode for FullScanExec {
     fn next_batch(&mut self, db: &Exec<'_>, max_rows: usize) -> Result<RowBatch> {
-        let seg = match self.seg {
-            Some(s) => s,
+        let walk = match &mut self.walk {
+            Some(w) => w,
             None => {
-                let s = db.catalog.table(&self.table)?.seg;
-                self.seg = Some(s);
-                s
+                let seg = db.catalog.table(&self.table)?.seg;
+                self.walk.insert(HeapWalk { seg, page: 0, slot: 0 })
             }
         };
-        // Fast gate: no version chains on the segment ⇒ every physical
-        // row is visible to every snapshot and the legacy path is exact.
-        let versioned = db.storage.segment_has_chains(seg);
-        let mut rows = Vec::new();
-        loop {
-            if rows.len() >= max_rows {
-                return Ok(RowBatch { rows });
-            }
-            let heap = db.storage.heap(seg)?;
-            if (self.page as usize) >= heap.page_count() {
-                return Ok(RowBatch { rows });
-            }
-            let slots = heap.slots_in_page(self.page);
-            // Zone check once per page, on first entry, before any read
-            // is charged: consulting segment metadata costs no cache get.
-            // Valid on chained segments too: the engine widens a page's
-            // zone with every displaced version its chains hold (and
-            // re-widens after each exact rebuild), so the bounds are a
-            // superset of everything any snapshot could see on the page.
-            if self.slot == 0 && !self.prune.is_empty() {
-                let page = self.page;
-                let excluded = self.prune.iter().any(|b| {
-                    db.storage.heap_zone_excludes(seg, page, b.col, b.lo.as_ref(), b.hi.as_ref())
-                });
-                if excluded {
-                    self.pruned += 1;
-                    self.page += 1;
-                    continue;
-                }
-            }
-            if (self.slot as usize) >= slots {
-                self.page += 1;
-                self.slot = 0;
-                continue;
-            }
-            if self.charged_page != Some(self.page) {
-                db.storage.charge_page_read(seg, self.page);
-                self.charged_page = Some(self.page);
-            }
-            let slot = self.slot;
-            self.slot += 1;
-            if let Some(row) = db.storage.heap(seg)?.slot(self.page, slot) {
-                let rid = RowId::new(seg.0, self.page, slot);
-                // Snapshot isolation: replace the in-place (newest) image
-                // with the version this statement's snapshot may see —
-                // possibly a displaced older version, possibly nothing
-                // (uncommitted insert, or a delete committed before us).
-                let visible = if versioned {
-                    db.storage.heap_visible_image(seg, rid, row, &db.snap)
-                } else {
-                    Some(row.clone())
-                };
-                if let Some(mut values) = visible {
-                    values.push(Value::RowId(rid));
-                    rows.push(ExecRow::new(values));
-                }
-            }
-        }
+        let (seg, prune, pruned) = (walk.seg, &self.prune, &mut self.pruned);
+        // Consulting the zone map is a segment-metadata check and costs no
+        // cache get. Valid on chained segments too: the engine widens a
+        // page's zone with every displaced version its chains hold (and
+        // re-widens after each exact rebuild), so the bounds are a
+        // superset of everything any snapshot could see on the page.
+        let zone_excluded = |page: u32| {
+            let excluded = prune.iter().any(|b| {
+                db.storage.heap_zone_excludes(seg, page, b.col, b.lo.as_ref(), b.hi.as_ref())
+            });
+            *pruned += u64::from(excluded);
+            excluded
+        };
+        // Snapshot isolation: the walk replaces each in-place (newest)
+        // image with the version this statement's snapshot may see —
+        // possibly a displaced older version, possibly nothing
+        // (uncommitted insert, or a delete committed before us).
+        let rows = walk.next_rows(&db.storage, &db.snap, max_rows, zone_excluded, |rid, row| {
+            let mut values = row.clone();
+            values.push(Value::RowId(rid));
+            ExecRow::new(values)
+        })?;
+        Ok(RowBatch { rows })
     }
 
     fn reset(&mut self, _db: &Exec<'_>) -> Result<()> {
-        self.page = 0;
-        self.slot = 0;
-        self.charged_page = None;
+        self.walk = None;
         Ok(())
     }
 
@@ -490,14 +556,9 @@ impl IotScanExec {
             // Every row carries its logical rowid in the hidden ROWID
             // column, mirroring heap scans.
             let with_rids = if self.lo.is_none() && hi.is_none() {
-                db.storage.iot_scan_with_rids_visible(seg, &db.snap)?
+                db.storage.iot_scan_with_rids(seg, &db.snap)?
             } else {
-                db.storage.iot_range_with_rids_visible(
-                    seg,
-                    self.lo.as_ref(),
-                    hi.as_ref(),
-                    &db.snap,
-                )?
+                db.storage.iot_range_with_rids(seg, self.lo.as_ref(), hi.as_ref(), &db.snap)?
             };
             let rows = with_rids
                 .into_iter()
@@ -552,8 +613,7 @@ impl ExecNode for BTreeAccessExec {
                 .hi
                 .clone()
                 .map(|k| Key(k.0.into_iter().chain([Value::RowId(MAX_ROWID)]).collect()));
-            let rows =
-                db.storage.iot_range_visible(idef.seg, self.lo.as_ref(), hi.as_ref(), &db.snap)?;
+            let rows = db.storage.iot_range(idef.seg, self.lo.as_ref(), hi.as_ref(), &db.snap)?;
             let rids = rows.iter().map(|r| r[1].as_rowid()).collect::<Result<_>>()?;
             self.entries = Some(rids);
             self.idx = 0;

@@ -20,11 +20,11 @@ use extidx_common::{Error, Key, LobRef, Result, Row, RowId};
 use crate::buffer::{BufferCache, CacheStats};
 use crate::file_store::FileStore;
 use crate::heap::HeapTable;
-use crate::iot::IndexOrganizedTable;
 use crate::lob::LobStore;
+use crate::iot::{IndexOrganizedTable, IotIoCharge};
 use crate::mvcc::{
-    self, HeapVersion, IotCurrent, IotVersion, LobChain, LobImage, LobSpanVersion, Snapshot,
-    TxnManager, TxnStatus, VersionStore, WriteKey, WriteRef, WHOLE_LOB,
+    self, HeapChain, HeapVersion, IotCurrent, IotVersion, LobChain, LobImage, LobSpanVersion,
+    Snapshot, TxnManager, TxnStatus, VersionStore, WriteKey, WriteRef, WHOLE_LOB,
 };
 use crate::page::{SegmentId, PAGE_SIZE};
 use crate::undo::{UndoLog, UndoOp};
@@ -140,9 +140,10 @@ impl StorageEngine {
         self.conflict_checks
     }
 
-    /// True when any version chain exists for the segment (fast gate for
-    /// scan paths: no chains ⇒ every physical row is visible to every
-    /// snapshot and legacy code paths are exact).
+    /// True when any version chain exists for the segment: without chains
+    /// every physical row is visible to every snapshot, so the snapshot
+    /// reads take their fast path and the optimizer may answer `COUNT(*)`
+    /// from the physical row count.
     pub fn segment_has_chains(&self, seg: SegmentId) -> bool {
         self.versions.heap.get(&seg).is_some_and(|m| !m.is_empty())
             || self.versions.iot.get(&seg).is_some_and(|m| !m.is_empty())
@@ -378,6 +379,37 @@ impl StorageEngine {
             }
         }
         Ok(())
+    }
+
+    /// The snapshot any (re)build of an index reads base segment `seg`
+    /// under: everything committed plus the statement's own transaction —
+    /// not its pinned snapshot, since an index is shared by every session
+    /// and must cover rows committed since. Handed out only with the
+    /// refusal: a build can neither include nor skip another transaction's
+    /// *uncommitted* version correctly (that writer maintained only the
+    /// indexes that existed when it wrote, and may yet roll back), so it
+    /// loses first-writer-wins to any other active transaction holding a
+    /// version in the segment.
+    pub fn build_snapshot(&self, seg: SegmentId) -> Result<Snapshot> {
+        let t = self.current.txn;
+        let heap = self.versions.heap.get(&seg).into_iter().flatten();
+        let iot = self.versions.iot.get(&seg).into_iter().flatten();
+        let writer = heap
+            .flat_map(|(_, c)| [Some(c.begin), c.dead])
+            .chain(iot.flat_map(|(_, c)| {
+                [c.current.as_ref().map(|cur| cur.begin), c.older.first().map(|v| v.end)]
+            }))
+            .flatten()
+            .filter(|&stamp| stamp != 0 && stamp != t && self.txns.is_active(stamp))
+            .min();
+        match writer {
+            None => Ok(Snapshot { txn: t, high: u64::MAX }),
+            Some(w) => Err(Error::write_conflict(
+                w,
+                format!("index build over {seg}"),
+                format!("txn {t}: {seg} holds an uncommitted version from txn {w}; an index build must wait for that transaction to end"),
+            )),
+        }
     }
 
     /// The byte range a LOB write of `len` bytes at `start` conflicts on.
@@ -728,15 +760,17 @@ impl StorageEngine {
         self.wal_applied()
     }
 
-    // ----- read-only access (callers charge scans themselves) --------------
+    // ----- segment shape and cache ------------------------------------------
 
-    /// Borrow a heap segment for reading. Use [`Self::charge_page_read`]
-    /// while scanning.
+    /// Borrow a heap segment for its shape metadata (`row_count`,
+    /// `page_count`). Rows are read through the snapshot reads below.
     pub fn heap(&self, seg: SegmentId) -> Result<&HeapTable> {
         self.heaps.get(&seg).ok_or_else(|| Error::Storage(format!("{seg}: no such heap segment")))
     }
 
-    /// Borrow an IOT segment for reading.
+    /// Borrow an IOT segment for its shape metadata (`row_count`,
+    /// `page_count`, `height`). Rows are read through the snapshot reads
+    /// below.
     pub fn iot(&self, seg: SegmentId) -> Result<&IndexOrganizedTable> {
         self.iots.get(&seg).ok_or_else(|| Error::Storage(format!("{seg}: no such IOT segment")))
     }
@@ -744,11 +778,6 @@ impl StorageEngine {
     /// The buffer cache (for stats snapshots and cold-start simulation).
     pub fn cache(&self) -> &BufferCache {
         &self.cache
-    }
-
-    /// Charge one page read on behalf of a scan.
-    pub fn charge_page_read(&self, seg: SegmentId, page: u32) {
-        self.cache.read((seg, page));
     }
 
     /// Zone-map check for a full scan: true when the page provably holds
@@ -812,37 +841,6 @@ impl StorageEngine {
         }
         self.wal_applied()?;
         Ok(inserted)
-    }
-
-    /// Fetch one row by rowid (charges one page read).
-    pub fn heap_fetch(&self, seg: SegmentId, rid: RowId) -> Result<Row> {
-        let h = self.heap(seg)?;
-        let row = h.fetch(rid)?.clone();
-        self.cache.read((seg, rid.page));
-        Ok(row)
-    }
-
-    /// Fetch a batch of rows by rowid, visiting pages in (page, slot)
-    /// order so the buffer cache is charged **once per distinct page**
-    /// instead of once per row — the batched half of the domain-scan
-    /// rowid→row join. Results are returned aligned with the input order;
-    /// a missing row (deleted slot, out-of-range page) yields the same
-    /// error a single [`StorageEngine::heap_fetch`] would.
-    pub fn heap_fetch_multi(&self, seg: SegmentId, rids: &[RowId]) -> Result<Vec<Row>> {
-        let h = self.heap(seg)?;
-        let mut order: Vec<usize> = (0..rids.len()).collect();
-        order.sort_by_key(|&i| (rids[i].page, rids[i].slot));
-        let mut out: Vec<Option<Row>> = vec![None; rids.len()];
-        let mut last_page: Option<u32> = None;
-        for i in order {
-            let rid = rids[i];
-            if last_page != Some(rid.page) {
-                self.cache.read((seg, rid.page));
-                last_page = Some(rid.page);
-            }
-            out[i] = Some(h.fetch(rid)?.clone());
-        }
-        Ok(out.into_iter().map(|r| r.expect("every index filled")).collect())
     }
 
     /// Update a row in place; returns the old image. Under a transaction
@@ -943,7 +941,7 @@ impl StorageEngine {
             .ok_or_else(|| Error::Storage(format!("{seg}: no such IOT segment")))
     }
 
-    fn charge_iot(&self, seg: SegmentId, charge: crate::iot::IotIoCharge, base_page: u32) {
+    fn charge_iot(&self, seg: SegmentId, charge: IotIoCharge, base_page: u32) {
         // Model: reads touch pages descending from the root; writes dirty
         // the leaf. Page numbers are synthetic but stable enough for LRU
         // behaviour (root pages stay hot, leaves cycle).
@@ -1098,169 +1096,70 @@ impl StorageEngine {
         Ok(old)
     }
 
-    /// The logical rowid of an IOT row, if the key exists.
-    pub fn iot_rowid(&self, seg: SegmentId, key: &Key) -> Result<Option<RowId>> {
-        Ok(self.iot(seg)?.ordinal_of(key).map(|ord| Self::ord_to_rid(seg, ord)))
-    }
-
-    /// Fetch one IOT row by logical rowid (charges a height-probe read).
-    pub fn iot_fetch_by_rowid(&self, seg: SegmentId, rid: RowId) -> Result<Row> {
-        let iot = self.iot(seg)?;
-        let (found, charge) = iot.by_ordinal(Self::rid_to_ord(rid));
-        let (key, row) = found.ok_or_else(|| {
-            Error::Storage(format!("{rid} does not address a live row in IOT {seg}"))
-        })?;
-        let out = row.clone();
-        let leaf = self.iot_leaf_page_for(seg, &key.clone());
-        self.charge_iot(seg, charge, leaf);
-        Ok(out)
-    }
-
-    /// Batched logical-rowid→row join for IOTs, aligned with input order
-    /// — the IOT counterpart of [`StorageEngine::heap_fetch_multi`].
-    pub fn iot_fetch_multi(&self, seg: SegmentId, rids: &[RowId]) -> Result<Vec<Row>> {
-        rids.iter().map(|&rid| self.iot_fetch_by_rowid(seg, rid)).collect()
-    }
-
-    /// Full scan of an IOT with each row's logical rowid, charging one
-    /// read per page (the sequential full-scan cost model, matching the
-    /// rowid-less scan path).
-    pub fn iot_scan_with_rids(&self, seg: SegmentId) -> Result<Vec<(RowId, Row)>> {
-        let iot = self.iot(seg)?;
-        let out: Vec<(RowId, Row)> =
-            iot.scan_with_ordinals().map(|(ord, r)| (Self::ord_to_rid(seg, ord), r.clone())).collect();
-        let pages = iot.page_count();
-        for p in 0..pages {
-            self.charge_page_read(seg, p as u32);
-        }
-        Ok(out)
-    }
-
-    /// Inclusive range scan in an IOT with each row's logical rowid.
-    pub fn iot_range_with_rids(
-        &self,
-        seg: SegmentId,
-        lo: Option<&Key>,
-        hi: Option<&Key>,
-    ) -> Result<Vec<(RowId, Row)>> {
-        let iot = self.iot(seg)?;
-        let (rows, charge) = iot.range(lo, hi);
-        let key_cols = iot.key_cols();
-        let out: Vec<(RowId, Row)> = rows
-            .into_iter()
-            .map(|r| {
-                let key = Key(r[..key_cols.min(r.len())].to_vec());
-                let ord = iot.ordinal_of(&key).unwrap_or(u64::MAX >> 22);
-                (Self::ord_to_rid(seg, ord), r.clone())
-            })
-            .collect();
-        let leaf = lo.or(hi).map(|k| self.iot_leaf_page_for(seg, k)).unwrap_or(0);
-        self.charge_iot(seg, charge, leaf);
-        Ok(out)
-    }
-
-    /// Up to `limit` IOT rows with keys strictly after `after` (`None`
-    /// starts from the beginning), each with its logical rowid — the
-    /// streaming cursor behind base-table scans over IOTs.
-    pub fn iot_batch_after(
-        &self,
-        seg: SegmentId,
-        after: Option<&Key>,
-        limit: usize,
-    ) -> Result<Vec<(RowId, Key, Row)>> {
-        let iot = self.iot(seg)?;
-        let batch: Vec<(RowId, Key, Row)> = iot
-            .batch_after(after, limit.max(1))
-            .into_iter()
-            .map(|(ord, k, r)| (Self::ord_to_rid(seg, ord), k.clone(), r.clone()))
-            .collect();
-        let leaf_pages = batch.len().div_ceil(64).max(1);
-        let charge =
-            crate::iot::IotIoCharge { page_reads: iot.height() + leaf_pages, page_writes: 0 };
-        self.charge_iot(seg, charge, 0);
-        Ok(batch)
-    }
-
-    /// Point lookup in an IOT.
-    pub fn iot_get(&self, seg: SegmentId, key: &Key) -> Result<Option<Row>> {
-        let iot = self.iot(seg)?;
-        let (row, charge) = iot.get(key);
-        let out = row.cloned();
-        let leaf = self.iot_leaf_page_for(seg, key);
-        self.charge_iot(seg, charge, leaf);
-        Ok(out)
-    }
-
-    /// Inclusive range scan in an IOT.
-    pub fn iot_range(
-        &self,
-        seg: SegmentId,
-        lo: Option<&Key>,
-        hi: Option<&Key>,
-    ) -> Result<Vec<Row>> {
-        let iot = self.iot(seg)?;
-        let (rows, charge) = iot.range(lo, hi);
-        let out: Vec<Row> = rows.into_iter().cloned().collect();
-        let leaf = lo
-            .or(hi)
-            .map(|k| self.iot_leaf_page_for(seg, k))
-            .unwrap_or(0);
-        self.charge_iot(seg, charge, leaf);
-        Ok(out)
-    }
-
-    /// Key-prefix scan in an IOT (posting-list access pattern).
-    pub fn iot_prefix_scan(&self, seg: SegmentId, prefix: &Key) -> Result<Vec<Row>> {
-        let iot = self.iot(seg)?;
-        let (rows, charge) = iot.prefix_scan(prefix);
-        let out: Vec<Row> = rows.into_iter().cloned().collect();
-        let leaf = self.iot_leaf_page_for(seg, prefix);
-        self.charge_iot(seg, charge, leaf);
-        Ok(out)
-    }
-
-    // ----- MVCC-visible reads ----------------------------------------------
+    // ----- snapshot reads ---------------------------------------------------
     //
-    // Every variant degrades to the legacy path (bit-identical results and
-    // identical cache charges) when the segment carries no version chains —
-    // which is always the case outside concurrent multi-session windows,
-    // because the engine vacuums at quiescence.
+    // The whole heap/IOT read surface: the heap page walk, six more access
+    // shapes and one merge routine, all pinned to a `Snapshot`. A segment
+    // without version chains takes the fast path inside each body: every
+    // physical row is visible to every snapshot.
 
     /// The image of a physically present heap row visible under `snap`
     /// (`None` = invisible: written by a concurrent uncommitted/too-new
-    /// transaction, or deleted for this snapshot). Callers gate on
-    /// [`Self::segment_has_chains`] to skip per-row calls entirely.
-    pub fn heap_visible_image(
-        &self,
-        seg: SegmentId,
+    /// transaction, or deleted for this snapshot). `chains` are the
+    /// segment's, `None` when it has none: no per-row lookup then.
+    fn heap_visible_image<'a>(
+        &'a self,
+        chains: Option<&'a HashMap<RowId, HeapChain>>,
         rid: RowId,
-        physical: &Row,
+        physical: &'a Row,
         snap: &Snapshot,
-    ) -> Option<Row> {
-        match self.versions.heap_chain(seg, rid) {
-            None => Some(physical.clone()),
-            Some(chain) => {
-                mvcc::resolve_heap(&self.txns, chain, Some(physical), snap).cloned()
-            }
+    ) -> Option<&'a Row> {
+        match chains.and_then(|m| m.get(&rid)) {
+            None => Some(physical),
+            Some(chain) => mvcc::resolve_heap(&self.txns, chain, Some(physical), snap),
         }
     }
 
-    /// Batched rowid→row join that drops rows invisible to `snap` (the
-    /// domain-scan join: cartridge postings are not versioned, so
-    /// visibility is applied at the base-row fetch). Aligned with the
-    /// input: `None` marks an invisible rowid. A rowid that addresses no
-    /// physical row errors exactly like [`Self::heap_fetch_multi`] when no
-    /// chain explains its absence.
-    pub fn heap_fetch_multi_visible(
+    /// One step of the heap page walk, the only way to scan a heap
+    /// segment: the rows of `page` visible under `snap`, in slot order
+    /// from `from_slot` on, each with its rowid; `None` past the last
+    /// page. A row's image may be a displaced older version, so the
+    /// borrow is of the engine, not of the page. One logical read per
+    /// visited page: a visit that starts at slot 0 of a non-empty page
+    /// pays it, and `from_slot > 0` resumes a visit that already has.
+    pub fn heap_page<'a>(
+        &'a self,
+        seg: SegmentId,
+        page: u32,
+        from_slot: u16,
+        snap: &'a Snapshot,
+    ) -> Result<Option<impl Iterator<Item = (RowId, &'a Row)> + 'a>> {
+        let Some(slots) = self.heap(seg)?.page_slots(page) else { return Ok(None) };
+        if from_slot == 0 && !slots.is_empty() {
+            self.cache.read((seg, page));
+        }
+        let chains = self.versions.heap.get(&seg).filter(|m| !m.is_empty());
+        Ok(Some(slots.iter().enumerate().skip(from_slot as usize).filter_map(move |(slot, row)| {
+            let rid = RowId::new(seg.0, page, slot as u16);
+            Some((rid, self.heap_visible_image(chains, rid, row.as_ref()?, snap)?))
+        })))
+    }
+
+    /// Batched rowid→row join under `snap` (the domain-scan join:
+    /// cartridge postings are not versioned, so visibility is applied at
+    /// the base-row fetch). Pages are visited in (page, slot) order so the
+    /// buffer cache is charged **once per distinct page** instead of once
+    /// per row. Aligned with the input: `None` marks a rowid with no
+    /// visible version. A rowid that addresses no physical row is an error
+    /// unless a chain explains its absence.
+    pub fn heap_fetch_multi(
         &self,
         seg: SegmentId,
         rids: &[RowId],
         snap: &Snapshot,
     ) -> Result<Vec<Option<Row>>> {
-        if !self.segment_has_chains(seg) {
-            return Ok(self.heap_fetch_multi(seg, rids)?.into_iter().map(Some).collect());
-        }
         let h = self.heap(seg)?;
+        let chains = self.versions.heap.get(&seg).filter(|m| !m.is_empty());
         let mut order: Vec<usize> = (0..rids.len()).collect();
         order.sort_by_key(|&i| (rids[i].page, rids[i].slot));
         let mut out: Vec<Option<Row>> = vec![None; rids.len()];
@@ -1272,30 +1171,13 @@ impl StorageEngine {
                 last_page = Some(rid.page);
             }
             match h.fetch(rid) {
-                Ok(row) => out[i] = self.heap_visible_image(seg, rid, row, snap),
-                Err(e) => {
-                    if self.versions.heap_chain(seg, rid).is_none() {
-                        return Err(e);
-                    }
-                }
+                Ok(row) => out[i] = self.heap_visible_image(chains, rid, row, snap).cloned(),
+                // A reclaimed slot that a chain still explains is just invisible.
+                Err(e) if chains.is_none_or(|m| !m.contains_key(&rid)) => return Err(e),
+                Err(_) => {}
             }
         }
         Ok(out)
-    }
-
-    /// Number of heap rows visible under `snap` (COUNT(*) fast path).
-    pub fn heap_visible_row_count(&self, seg: SegmentId, snap: &Snapshot) -> Result<usize> {
-        let h = self.heap(seg)?;
-        if !self.segment_has_chains(seg) {
-            return Ok(h.row_count());
-        }
-        let mut n = 0;
-        for (rid, _page, row) in h.scan() {
-            if self.heap_visible_image(seg, rid, row, snap).is_some() {
-                n += 1;
-            }
-        }
-        Ok(n)
     }
 
     /// Key-ordered rows of an IOT visible under `snap` within the given
@@ -1358,203 +1240,153 @@ impl StorageEngine {
         Ok(out)
     }
 
-    /// Visibility-filtered [`Self::iot_get`].
-    pub fn iot_get_visible(
+    /// Full scan of an IOT under `snap` with each row's logical rowid,
+    /// charging one read per page (the sequential full-scan cost model).
+    pub fn iot_scan_with_rids(
         &self,
         seg: SegmentId,
-        key: &Key,
         snap: &Snapshot,
-    ) -> Result<Option<Row>> {
-        let Some(chain) = self.versions.iot_chain(seg, key) else {
-            return self.iot_get(seg, key);
-        };
+    ) -> Result<Vec<(RowId, Row)>> {
         let iot = self.iot(seg)?;
-        let (row, charge) = iot.get(key);
-        let out = mvcc::resolve_iot(&self.txns, chain, row, snap).map(|(r, _)| r.clone());
-        let leaf = self.iot_leaf_page_for(seg, key);
-        self.charge_iot(seg, charge, leaf);
+        let out = if self.segment_has_chains(seg) {
+            self.iot_visible_merged(seg, Bound::Unbounded, Bound::Unbounded, snap)?
+                .into_iter()
+                .map(|(_, ord, r)| (Self::ord_to_rid(seg, ord), r))
+                .collect()
+        } else {
+            iot.scan_with_ordinals().map(|(ord, r)| (Self::ord_to_rid(seg, ord), r.clone())).collect()
+        };
+        for p in 0..iot.page_count() {
+            self.cache.read((seg, p as u32));
+        }
         Ok(out)
     }
 
-    /// Visibility-filtered [`Self::iot_scan_with_rids`].
-    pub fn iot_scan_with_rids_visible(
-        &self,
-        seg: SegmentId,
-        snap: &Snapshot,
-    ) -> Result<Vec<(RowId, Row)>> {
-        if !self.segment_has_chains(seg) {
-            return self.iot_scan_with_rids(seg);
-        }
-        let rows = self.iot_visible_merged(seg, Bound::Unbounded, Bound::Unbounded, snap)?;
-        let pages = self.iot(seg)?.page_count();
-        for p in 0..pages {
-            self.charge_page_read(seg, p as u32);
-        }
-        Ok(rows.into_iter().map(|(_, ord, r)| (Self::ord_to_rid(seg, ord), r)).collect())
-    }
-
-    /// Visibility-filtered [`Self::iot_range_with_rids`].
-    pub fn iot_range_with_rids_visible(
+    /// Inclusive range scan in an IOT under `snap` with each row's logical
+    /// rowid. Charges the height plus the leaf pages spanned (the merge
+    /// has no leaf geometry, so there a leaf is taken to hold 64 rows).
+    pub fn iot_range_with_rids(
         &self,
         seg: SegmentId,
         lo: Option<&Key>,
         hi: Option<&Key>,
         snap: &Snapshot,
     ) -> Result<Vec<(RowId, Row)>> {
-        if !self.segment_has_chains(seg) {
-            return self.iot_range_with_rids(seg, lo, hi);
-        }
-        let rows = self.iot_visible_merged(
-            seg,
-            lo.map_or(Bound::Unbounded, Bound::Included),
-            hi.map_or(Bound::Unbounded, Bound::Included),
-            snap,
-        )?;
-        let charge = crate::iot::IotIoCharge {
-            page_reads: self.iot(seg)?.height() + rows.len().div_ceil(64).max(1),
-            page_writes: 0,
+        let iot = self.iot(seg)?;
+        let (out, page_reads): (Vec<(RowId, Row)>, usize) = if self.segment_has_chains(seg) {
+            let lo = lo.map_or(Bound::Unbounded, Bound::Included);
+            let hi = hi.map_or(Bound::Unbounded, Bound::Included);
+            let rows = self.iot_visible_merged(seg, lo, hi, snap)?;
+            let page_reads = iot.height() + rows.len().div_ceil(64).max(1);
+            let with_rids = rows.into_iter().map(|(_, ord, r)| (Self::ord_to_rid(seg, ord), r));
+            (with_rids.collect(), page_reads)
+        } else {
+            let (rows, charge) = iot.range(lo, hi);
+            let key_cols = iot.key_cols();
+            let with_rids = rows.into_iter().map(|r| {
+                let key = Key(r[..key_cols.min(r.len())].to_vec());
+                let ord = iot.ordinal_of(&key).expect("every live IOT key has an ordinal");
+                (Self::ord_to_rid(seg, ord), r.clone())
+            });
+            (with_rids.collect(), charge.page_reads)
         };
         let leaf = lo.or(hi).map(|k| self.iot_leaf_page_for(seg, k)).unwrap_or(0);
-        self.charge_iot(seg, charge, leaf);
-        Ok(rows.into_iter().map(|(_, ord, r)| (Self::ord_to_rid(seg, ord), r)).collect())
+        self.charge_iot(seg, IotIoCharge { page_reads, page_writes: 0 }, leaf);
+        Ok(out)
     }
 
-    /// Visibility-filtered [`Self::iot_range`].
-    pub fn iot_range_visible(
+    /// Inclusive range scan in an IOT under `snap` without rowids (what a
+    /// secondary-index probe needs). Charged like
+    /// [`Self::iot_range_with_rids`].
+    pub fn iot_range(
         &self,
         seg: SegmentId,
         lo: Option<&Key>,
         hi: Option<&Key>,
         snap: &Snapshot,
     ) -> Result<Vec<Row>> {
-        if !self.segment_has_chains(seg) {
-            return self.iot_range(seg, lo, hi);
+        if self.segment_has_chains(seg) {
+            // The merge produces ordinals whether or not they are wanted.
+            let with_rids = self.iot_range_with_rids(seg, lo, hi, snap)?;
+            return Ok(with_rids.into_iter().map(|(_, r)| r).collect());
         }
-        Ok(self
-            .iot_range_with_rids_visible(seg, lo, hi, snap)?
-            .into_iter()
-            .map(|(_, r)| r)
-            .collect())
-    }
-
-    /// Visibility-filtered [`Self::iot_prefix_scan`].
-    pub fn iot_prefix_scan_visible(
-        &self,
-        seg: SegmentId,
-        prefix: &Key,
-        snap: &Snapshot,
-    ) -> Result<Vec<Row>> {
-        if !self.segment_has_chains(seg) {
-            return self.iot_prefix_scan(seg, prefix);
-        }
-        let rows =
-            self.iot_visible_merged(seg, Bound::Included(prefix), Bound::Unbounded, snap)?;
-        let leaf = self.iot_leaf_page_for(seg, prefix);
-        let charge = crate::iot::IotIoCharge {
-            page_reads: self.iot(seg)?.height().max(1),
-            page_writes: 0,
-        };
+        let (rows, charge) = self.iot(seg)?.range(lo, hi);
+        let leaf = lo.or(hi).map(|k| self.iot_leaf_page_for(seg, k)).unwrap_or(0);
         self.charge_iot(seg, charge, leaf);
-        Ok(rows
-            .into_iter()
-            .filter(|(k, _, _)| k.0.len() >= prefix.0.len() && k.0[..prefix.0.len()] == prefix.0)
-            .map(|(_, _, r)| r)
-            .collect())
+        Ok(rows.into_iter().cloned().collect())
     }
 
-    /// Visibility-filtered [`Self::iot_batch_after`]. Ghost rows (visible
-    /// to `snap` but physically deleted by a concurrent transaction) are
-    /// merged into the batch in key order, and invisible physical rows are
-    /// dropped, so the cursor never terminates early or stalls.
-    pub fn iot_batch_after_visible(
+    /// Up to `limit` IOT rows visible under `snap` with keys strictly
+    /// after `after` (`None` starts from the beginning), each with its
+    /// logical rowid — the streaming cursor behind base-table scans over
+    /// IOTs. Ghost rows (visible to `snap` but physically deleted by a
+    /// concurrent transaction) are merged into the batch in key order and
+    /// invisible physical rows are dropped, so the cursor never ends early
+    /// or stalls. Charges the height plus one leaf page per 64 rows.
+    pub fn iot_batch_after(
         &self,
         seg: SegmentId,
         after: Option<&Key>,
         limit: usize,
         snap: &Snapshot,
     ) -> Result<Vec<(RowId, Key, Row)>> {
-        if !self.segment_has_chains(seg) {
-            return self.iot_batch_after(seg, after, limit);
-        }
-        let rows = self.iot_visible_merged(
-            seg,
-            after.map_or(Bound::Unbounded, Bound::Excluded),
-            Bound::Unbounded,
-            snap,
-        )?;
-        let out: Vec<(RowId, Key, Row)> = rows
-            .into_iter()
-            .take(limit.max(1))
-            .map(|(k, ord, r)| (Self::ord_to_rid(seg, ord), k, r))
-            .collect();
-        let leaf_pages = out.len().div_ceil(64).max(1);
-        let charge = crate::iot::IotIoCharge {
-            page_reads: self.iot(seg)?.height() + leaf_pages,
-            page_writes: 0,
-        };
-        self.charge_iot(seg, charge, 0);
-        Ok(out)
-    }
-
-    /// Visibility-filtered [`Self::iot_fetch_by_rowid`]: resolves ghost
-    /// ordinals through the chains, returns `None` when nothing visible
-    /// lives at the logical rowid.
-    pub fn iot_fetch_by_rowid_visible(
-        &self,
-        seg: SegmentId,
-        rid: RowId,
-        snap: &Snapshot,
-    ) -> Result<Option<Row>> {
         let iot = self.iot(seg)?;
-        let ord = Self::rid_to_ord(rid);
-        let (found, charge) = iot.by_ordinal(ord);
-        if let Some((key, row)) = found {
-            let out = match self.versions.iot_chain(seg, key) {
-                None => Some(row.clone()),
-                Some(chain) => mvcc::resolve_iot(&self.txns, chain, Some(row), snap)
-                    .and_then(|(r, gord)| match gord {
-                        // A ghost at a different ordinal is addressed by a
-                        // different rowid — nothing visible *here*.
-                        Some(g) if g != ord => None,
-                        _ => Some(r.clone()),
-                    }),
-            };
-            let leaf = self.iot_leaf_page_for(seg, &key.clone());
-            self.charge_iot(seg, charge, leaf);
-            return Ok(out);
-        }
-        self.charge_iot(seg, charge, 0);
-        // Physically absent: the rowid may address a ghost version.
-        if let Some(m) = self.versions.iot.get(&seg) {
-            for chain in m.values() {
-                if let Some(v) = chain.older.iter().find(|v| {
-                    v.ord == ord
-                        && self.txns.stamp_visible(v.begin, snap)
-                        && !self.txns.stamp_visible(v.end, snap)
-                }) {
-                    return Ok(Some(v.row.clone()));
-                }
-            }
-        }
-        Ok(None)
+        let limit = limit.max(1);
+        let batch: Vec<(RowId, Key, Row)> = if self.segment_has_chains(seg) {
+            let lo = after.map_or(Bound::Unbounded, Bound::Excluded);
+            self.iot_visible_merged(seg, lo, Bound::Unbounded, snap)?
+                .into_iter()
+                .take(limit)
+                .map(|(k, ord, r)| (Self::ord_to_rid(seg, ord), k, r))
+                .collect()
+        } else {
+            iot.batch_after(after, limit)
+                .into_iter()
+                .map(|(ord, k, r)| (Self::ord_to_rid(seg, ord), k.clone(), r.clone()))
+                .collect()
+        };
+        let page_reads = iot.height() + batch.len().div_ceil(64).max(1);
+        self.charge_iot(seg, IotIoCharge { page_reads, page_writes: 0 }, 0);
+        Ok(batch)
     }
 
-    /// Batched visibility-filtered logical-rowid→row join for IOTs.
-    pub fn iot_fetch_multi_visible(
+    /// Batched logical-rowid→row join for IOTs under `snap`, aligned with
+    /// the input — the IOT counterpart of [`Self::heap_fetch_multi`].
+    /// Ghost ordinals resolve through the chains; `None` marks a rowid
+    /// nothing visible lives at. One height-probe read per rowid.
+    pub fn iot_fetch_multi(
         &self,
         seg: SegmentId,
         rids: &[RowId],
         snap: &Snapshot,
     ) -> Result<Vec<Option<Row>>> {
-        rids.iter().map(|&rid| self.iot_fetch_by_rowid_visible(seg, rid, snap)).collect()
-    }
-
-    /// Number of IOT rows visible under `snap` (COUNT(*) fast path).
-    pub fn iot_visible_row_count(&self, seg: SegmentId, snap: &Snapshot) -> Result<usize> {
-        if !self.segment_has_chains(seg) {
-            return Ok(self.iot(seg)?.row_count());
-        }
-        Ok(self.iot_visible_merged(seg, Bound::Unbounded, Bound::Unbounded, snap)?.len())
+        let iot = self.iot(seg)?;
+        let chains = self.versions.iot.get(&seg).filter(|m| !m.is_empty());
+        let fetch = |rid: RowId| {
+            let ord = Self::rid_to_ord(rid);
+            let (found, charge) = iot.by_ordinal(ord);
+            let Some((key, row)) = found else {
+                self.charge_iot(seg, charge, 0);
+                // Physically absent: the rowid may address a ghost version.
+                let ghost = chains?.values().flat_map(|chain| &chain.older).find(|v| {
+                    v.ord == ord
+                        && self.txns.stamp_visible(v.begin, snap)
+                        && !self.txns.stamp_visible(v.end, snap)
+                })?;
+                return Some(ghost.row.clone());
+            };
+            self.charge_iot(seg, charge, self.iot_leaf_page_for(seg, key));
+            let Some(chain) = chains.and_then(|m| m.get(key)) else {
+                return Some(row.clone());
+            };
+            match mvcc::resolve_iot(&self.txns, chain, Some(row), snap)? {
+                // A ghost at a different ordinal is addressed by a
+                // different rowid — nothing visible *here*.
+                (_, Some(g)) if g != ord => None,
+                (r, _) => Some(r.clone()),
+            }
+        };
+        Ok(rids.iter().map(|&rid| fetch(rid)).collect())
     }
 
     /// Pop the version a transactional IOT write displaced (rollback
@@ -2137,9 +1969,9 @@ mod tests {
         e.heap_delete(seg, doomed, Some(&mut undo)).unwrap();
 
         e.rollback(&mut undo).unwrap();
-        assert_eq!(e.heap_fetch(seg, keep).unwrap(), row(1));
-        assert_eq!(e.heap_fetch(seg, doomed).unwrap(), row(2));
-        assert!(e.heap_fetch(seg, added).is_err());
+        let fetched = e.heap_fetch_multi(seg, &[keep, doomed], &Snapshot::latest()).unwrap();
+        assert_eq!(fetched, vec![Some(row(1)), Some(row(2))]);
+        assert!(e.heap_fetch_multi(seg, &[added], &Snapshot::latest()).is_err());
         assert_eq!(e.heap(seg).unwrap().row_count(), 2);
     }
 
@@ -2155,9 +1987,12 @@ mod tests {
         e.iot_delete(seg, &Key::single(Value::Integer(1)), Some(&mut undo)).unwrap();
 
         e.rollback(&mut undo).unwrap();
-        let got = e.iot_get(seg, &Key::single(Value::Integer(1))).unwrap().unwrap();
-        assert_eq!(got[1], Value::from("old"));
-        assert!(e.iot_get(seg, &Key::single(Value::Integer(2))).unwrap().is_none());
+        let get = |k: i64| {
+            let key = Key::single(Value::Integer(k));
+            e.iot_range(seg, Some(&key), Some(&key), &Snapshot::latest()).unwrap()
+        };
+        assert_eq!(get(1), vec![vec![Value::Integer(1), Value::from("old")]]);
+        assert!(get(2).is_empty());
     }
 
     #[test]
@@ -2221,22 +2056,26 @@ mod tests {
         let mut e = StorageEngine::new(64);
         let seg = e.create_iot(1).unwrap();
         let rid = e.iot_insert(seg, vec![Value::Integer(7), Value::from("v1")], None).unwrap();
-        assert_eq!(e.iot_fetch_by_rowid(seg, rid).unwrap()[1], Value::from("v1"));
+        let latest = Snapshot::latest();
+        let fetch = |e: &StorageEngine| e.iot_fetch_multi(seg, &[rid], &latest).unwrap().remove(0);
+        assert_eq!(fetch(&e).unwrap()[1], Value::from("v1"));
 
         // In-place replace keeps the logical rowid.
         let (_, rid2) = e.iot_upsert(seg, vec![Value::Integer(7), Value::from("v2")], None).unwrap();
         assert_eq!(rid, rid2);
-        assert_eq!(e.iot_rowid(seg, &Key::single(Value::Integer(7))).unwrap(), Some(rid));
+        let key = Key::single(Value::Integer(7));
+        let by_key = e.iot_range_with_rids(seg, Some(&key), Some(&key), &latest).unwrap();
+        assert_eq!(by_key, vec![(rid, vec![Value::Integer(7), Value::from("v2")])]);
 
         // Delete + rollback restores the row under the same rowid.
         let mut undo = UndoLog::new();
-        e.iot_delete(seg, &Key::single(Value::Integer(7)), Some(&mut undo)).unwrap();
-        assert!(e.iot_fetch_by_rowid(seg, rid).is_err());
+        e.iot_delete(seg, &key, Some(&mut undo)).unwrap();
+        assert!(fetch(&e).is_none());
         e.rollback(&mut undo).unwrap();
-        assert_eq!(e.iot_fetch_by_rowid(seg, rid).unwrap()[1], Value::from("v2"));
+        assert_eq!(fetch(&e).unwrap()[1], Value::from("v2"));
 
         // Range scan hands back the same rowids.
-        let pairs = e.iot_range_with_rids(seg, None, None).unwrap();
+        let pairs = e.iot_range_with_rids(seg, None, None, &latest).unwrap();
         assert_eq!(pairs, vec![(rid, vec![Value::Integer(7), Value::from("v2")])]);
     }
 
@@ -2249,9 +2088,9 @@ mod tests {
         }
         e.cache().reset_stats();
         let key = Key::single(Value::Integer(42));
-        e.iot_get(seg, &key).unwrap();
+        e.iot_range(seg, Some(&key), Some(&key), &Snapshot::latest()).unwrap();
         let cold = e.cache_stats();
-        e.iot_get(seg, &key).unwrap();
+        e.iot_range(seg, Some(&key), Some(&key), &Snapshot::latest()).unwrap();
         let warm = e.cache_stats().since(&cold);
         assert_eq!(warm.physical_reads, 0, "second probe should be fully cached");
     }

@@ -345,19 +345,10 @@ impl HeapTable {
         self.rows = 0;
     }
 
-    /// Number of slots (live or free) in a page; 0 for out-of-range pages.
-    /// Together with [`HeapTable::slot`] this supports external cursors
-    /// (the executor's scan state machine).
-    pub fn slots_in_page(&self, page: u32) -> usize {
-        self.pages.get(page as usize).map_or(0, |p| p.slots.len())
-    }
-
-    /// The row at (page, slot), if live.
-    pub fn slot(&self, page: u32, slot: u16) -> Option<&Row> {
-        self.pages
-            .get(page as usize)
-            .and_then(|p| p.slots.get(slot as usize))
-            .and_then(|s| s.as_ref())
+    /// The slots (live or free) of a page, `None` for out-of-range pages —
+    /// what the engine's page walk iterates.
+    pub fn page_slots(&self, page: u32) -> Option<&[Option<Row>]> {
+        self.pages.get(page as usize).map(|p| p.slots.as_slice())
     }
 
     /// Iterate all live rows in physical order, with the page number of

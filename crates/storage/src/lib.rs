@@ -24,7 +24,9 @@
 //!   database objects rolls back for free**, while file-stored index data
 //!   does not (paper §5);
 //! - [`engine::StorageEngine`] — the façade that owns all segments and
-//!   funnels every access through the buffer cache and undo log.
+//!   funnels every mutation through the buffer cache, WAL and undo log,
+//!   and every heap/IOT read through one snapshot-pinned function per
+//!   access shape (there is no snapshot-blind read to call instead).
 
 pub mod buffer;
 pub mod engine;

@@ -613,7 +613,7 @@ impl VersionStore {
 /// Resolve a heap row to the version visible under `snap`, given its
 /// chain. `physical` is the in-place row. Returns `None` if no version is
 /// visible.
-pub fn resolve_heap<'a>(
+pub(crate) fn resolve_heap<'a>(
     txns: &TxnManager,
     chain: &'a HeapChain,
     physical: Option<&'a Row>,
@@ -623,15 +623,8 @@ pub fn resolve_heap<'a>(
         let deleted = chain.dead.is_some_and(|d| txns.stamp_visible(d, snap));
         return if deleted { None } else { physical };
     }
-    resolve_older_heap(txns, &chain.older, snap)
-}
-
-fn resolve_older_heap<'a>(
-    txns: &TxnManager,
-    older: &'a [HeapVersion],
-    snap: &Snapshot,
-) -> Option<&'a Row> {
-    older
+    chain
+        .older
         .iter()
         .find(|v| txns.stamp_visible(v.begin, snap) && !txns.stamp_visible(v.end, snap))
         .map(|v| &v.row)
@@ -639,7 +632,7 @@ fn resolve_older_heap<'a>(
 
 /// Resolve an IOT key to the version visible under `snap`. `physical` is
 /// the physically present row for the key, if any.
-pub fn resolve_iot<'a>(
+pub(crate) fn resolve_iot<'a>(
     txns: &TxnManager,
     chain: &'a IotChain,
     physical: Option<&'a Row>,

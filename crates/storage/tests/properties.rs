@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 
 use extidx_common::{Key, Row, RowId, Value};
-use extidx_storage::{StorageEngine, UndoLog};
+use extidx_storage::{Snapshot, StorageEngine, UndoLog};
 
 #[derive(Debug, Clone)]
 enum HeapOp {
@@ -64,9 +64,12 @@ proptest! {
             }
         }
 
-        // Final state: every model row fetchable, scan sees exactly them.
+        // Final state: every model row fetchable, scan sees exactly them —
+        // the physical scan and the snapshot-pinned page walk alike.
+        let latest = Snapshot::latest();
         for (rid, expected) in &model {
-            prop_assert_eq!(&engine.heap_fetch(seg, *rid).unwrap(), expected);
+            let fetched = engine.heap_fetch_multi(seg, &[*rid], &latest).unwrap();
+            prop_assert_eq!(fetched, vec![Some(expected.clone())]);
         }
         let scanned: BTreeMap<RowId, Row> = engine
             .heap(seg)
@@ -74,7 +77,14 @@ proptest! {
             .scan()
             .map(|(rid, _, r)| (rid, r.clone()))
             .collect();
-        prop_assert_eq!(scanned, model);
+        prop_assert_eq!(&scanned, &model);
+        let mut walked: BTreeMap<RowId, Row> = BTreeMap::new();
+        let mut page = 0;
+        while let Some(rows) = engine.heap_page(seg, page, 0, &latest).unwrap() {
+            walked.extend(rows.map(|(rid, r)| (rid, r.clone())));
+            page += 1;
+        }
+        prop_assert_eq!(walked, model);
     }
 
     /// Any transactional op sequence fully unwinds on rollback.
@@ -117,14 +127,14 @@ proptest! {
                 }
                 HeapOp::Update(i, v) if !txn_live.is_empty() => {
                     let rid = txn_live[i % txn_live.len()];
-                    if engine.heap_fetch(seg, rid).is_ok() {
+                    if engine.heap(seg).unwrap().fetch(rid).is_ok() {
                         engine.heap_update(seg, rid, row(v), Some(&mut log)).unwrap();
                     }
                 }
                 HeapOp::Delete(i) if !txn_live.is_empty() => {
                     let idx = i % txn_live.len();
                     let rid = txn_live.swap_remove(idx);
-                    if engine.heap_fetch(seg, rid).is_ok() {
+                    if engine.heap(seg).unwrap().fetch(rid).is_ok() {
                         engine.heap_delete(seg, rid, Some(&mut log)).unwrap();
                     }
                 }
@@ -162,6 +172,7 @@ proptest! {
                 seg,
                 Some(&Key::single(Value::Integer(lo))),
                 Some(&Key::single(Value::Integer(hi))),
+                &Snapshot::latest(),
             )
             .unwrap();
         let expected: Vec<(i64, i64)> =
@@ -209,10 +220,11 @@ proptest! {
 }
 
 proptest! {
-    /// `heap_fetch_multi` returns exactly what N single `heap_fetch`
+    /// `heap_fetch_multi` returns exactly what N single `HeapTable::fetch`
     /// calls would, in the caller's order — regardless of how the batch
-    /// is internally sorted by (page, slot) — and errors whenever a
-    /// requested rowid is deleted, just like the single-row path.
+    /// is internally sorted by (page, slot) — charges the cache once per
+    /// distinct page, and errors whenever a requested rowid is deleted,
+    /// just like the single-row path.
     #[test]
     fn heap_fetch_multi_matches_single_fetches(
         values in prop::collection::vec(any::<i64>(), 1..80),
@@ -237,17 +249,23 @@ proptest! {
 
         // All-live batch, in an arbitrary (possibly repeating) order.
         let batch: Vec<RowId> = picks.iter().map(|&i| live[i % live.len()]).collect();
-        let multi = engine.heap_fetch_multi(seg, &batch).unwrap();
-        let singles: Vec<Row> =
-            batch.iter().map(|&rid| engine.heap_fetch(seg, rid).unwrap()).collect();
+        let latest = Snapshot::latest();
+        let before = engine.cache_stats();
+        let multi = engine.heap_fetch_multi(seg, &batch, &latest).unwrap();
+        let charged = engine.cache_stats().since(&before).logical_reads;
+        let heap = engine.heap(seg).unwrap();
+        let singles: Vec<Option<Row>> =
+            batch.iter().map(|&rid| Some(heap.fetch(rid).unwrap().clone())).collect();
         prop_assert_eq!(multi, singles);
+        let pages: std::collections::BTreeSet<u32> = batch.iter().map(|rid| rid.page).collect();
+        prop_assert_eq!(charged, pages.len() as u64, "one logical read per distinct page");
 
         // A batch containing any deleted rowid fails, as single fetch does.
         if let Some(&bad) = dead.first() {
             let mut poisoned = batch.clone();
             poisoned.push(bad);
-            prop_assert!(engine.heap_fetch(seg, bad).is_err());
-            prop_assert!(engine.heap_fetch_multi(seg, &poisoned).is_err());
+            prop_assert!(heap.fetch(bad).is_err());
+            prop_assert!(engine.heap_fetch_multi(seg, &poisoned, &latest).is_err());
         }
     }
 }

@@ -82,8 +82,10 @@ cargo test -q --test recovery
 # MVCC: the concurrent differential oracle (N interleaved sessions vs a
 # commit-order serial twin, incl. the 8-seed sweep and the 4-thread
 # insert stress), the snapshot-visibility property tests (every scan
-# shape, incl. the chem cartridge's shared-LOB fingerprint store), and
-# the two-in-flight-transactions crash tests. MVCC_SEED pins the
+# shape, incl. the chem cartridge's shared-LOB fingerprint store; index
+# builds and ANALYZE reading under a snapshot, and a build refusing
+# while another transaction has uncommitted versions), and the
+# two-in-flight-transactions crash tests. MVCC_SEED pins the
 # default oracle run's seed; panics print the diverging seed + report.
 echo "== mvcc (concurrent oracle + visibility properties) =="
 MVCC_SEED="${MVCC_SEED:-1}" \
@@ -128,6 +130,20 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== one ODCI crossing (structural guard) =="
 [ "$(grep -rn "sandboxed_call(" crates/sql/src | wc -l)" -eq 1 ]
 [ "$(grep -rnE "trace\.finish\(|trace_finish\(" crates/sql/src | wc -l)" -eq 3 ]
+
+# One read path (DESIGN.md §4j "Snapshots and visibility"): every heap/IOT
+# read of StorageEngine takes a snapshot, so no `_visible` twin may come
+# back, and nothing outside crates/storage walks or probes a segment
+# itself — `heap()`/`iot()` hand out shape metadata only. (`-z` reads a
+# file as one record, so a call chain split across lines is caught too.)
+echo "== one read path (structural guard) =="
+if grep -nE "pub fn [a-z_]+_visible\(" crates/storage/src/engine.rs; then
+    exit 1
+fi
+if grep -rlPz "\.heap\([^)]*\)\??\s*\.(scan|slot|fetch)\(|\.iot\([^)]*\)\??\s*\.(scan|get|range|prefix_scan|batch_after)\(" \
+    crates/sql/src crates/qgen/src; then
+    exit 1
+fi
 
 # One perf instrument: no hand-set timing floor, bench-record writer or
 # micro-bench harness may come back beside the ledger. (Bracketed so the

@@ -189,3 +189,275 @@ proptest! {
         late.execute("COMMIT").unwrap();
     }
 }
+
+// ---------------------------------------------------------------------------
+// Index builds and ANALYZE read through the snapshot-pinned base scan
+// ---------------------------------------------------------------------------
+
+use extidx::common::Error;
+use extidx::sql::GovernorConfig;
+
+/// A deterministic server (no daemon: vacuum runs inline or on `VACUUM`)
+/// with `T (id, k, doc)` holding rows 1 = (5, 'alpha …') and
+/// 2 = (6, 'beta …'), and no index yet.
+fn build_rig() -> Server {
+    let server =
+        Server::with_config(fresh_db(ChaosOpts::default()), GovernorConfig::inline_vacuum());
+    let mut s = server.session();
+    s.execute("CREATE TABLE T (id INTEGER, k INTEGER, doc VARCHAR2(64))").unwrap();
+    s.execute("INSERT INTO T (id, k, doc) VALUES (1, 5, 'alpha one')").unwrap();
+    s.execute("INSERT INTO T (id, k, doc) VALUES (2, 6, 'beta two')").unwrap();
+    server
+}
+
+const CREATE_BTREE: &str = "CREATE INDEX T_K ON T(k)";
+const CREATE_TEXT: &str = "CREATE INDEX T_DOC ON T(doc) INDEXTYPE IS TextIndexType";
+
+/// Every forcible index answer must equal the index-free answer.
+fn assert_index_agrees(sess: &mut Session, preds: &[(&str, &str)]) {
+    for (index, pred) in preds {
+        let forced =
+            sorted_ids(&sess.query(&format!("SELECT /*+ INDEX(T {index}) */ id FROM T WHERE {pred}")).unwrap());
+        let free = sorted_ids(&sess.query(&format!("SELECT /*+ NO_INDEX */ id FROM T WHERE {pred}")).unwrap());
+        assert_eq!(forced, free, "INDEX({index}) vs NO_INDEX for `{pred}`");
+    }
+}
+
+const T_PROBES: [(&str, &str); 5] = [
+    ("T_K", "k = 5"),
+    ("T_K", "k = 6"),
+    ("T_K", "k = 9"),
+    ("T_DOC", "Contains(doc, 'alpha')"),
+    ("T_DOC", "Contains(doc, 'gamma')"),
+];
+
+/// A row deleted and committed, but still physically present because an
+/// older reader pins it, must not be indexed by a build: once the slot is
+/// vacuumed and reused, the stale entry would hand back an unrelated row.
+#[test]
+fn index_build_skips_rows_deleted_for_its_snapshot() {
+    let server = build_rig();
+    let mut a = server.session();
+    let mut reader = server.session();
+    reader.execute("BEGIN").unwrap();
+    assert_eq!(sorted_ids(&reader.query("SELECT id FROM T").unwrap()), vec![1, 2]);
+
+    a.execute("DELETE FROM T WHERE id = 1").unwrap();
+    a.execute(CREATE_BTREE).unwrap();
+    a.execute(CREATE_TEXT).unwrap();
+    reader.execute("COMMIT").unwrap();
+    a.execute("VACUUM").unwrap();
+    // Lands in the reclaimed slot of row 1.
+    a.execute("INSERT INTO T (id, k, doc) VALUES (3, 9, 'gamma three')").unwrap();
+
+    assert_index_agrees(&mut a, &T_PROBES);
+    assert!(a.query("SELECT /*+ INDEX(T T_K) */ id FROM T WHERE k = 5").unwrap().is_empty());
+    let alpha = "SELECT /*+ INDEX(T T_DOC) */ id FROM T WHERE Contains(doc, 'alpha')";
+    assert!(a.query(alpha).unwrap().is_empty());
+}
+
+/// The same defect through `ALTER INDEX … REBUILD` (full-rebuild path) on
+/// a heap table with a chemistry index.
+#[test]
+fn index_rebuild_skips_rows_deleted_for_its_snapshot() {
+    let server =
+        Server::with_config(fresh_db(ChaosOpts::default()), GovernorConfig::inline_vacuum());
+    let mut a = server.session();
+    a.execute("CREATE TABLE MV (id INTEGER, mol VARCHAR2(64), num INTEGER)").unwrap();
+    a.execute("CREATE INDEX MV_MOL ON MV(mol) INDEXTYPE IS ChemIndexType").unwrap();
+    a.execute("INSERT INTO MV (id, mol, num) VALUES (1, 'CCO', 1)").unwrap();
+    a.execute("INSERT INTO MV (id, mol, num) VALUES (2, 'CCC', 2)").unwrap();
+    let mut reader = server.session();
+    reader.execute("BEGIN").unwrap();
+    assert_eq!(observe(&mut reader, 0, 10)[0], vec![1]);
+
+    a.execute("DELETE FROM MV WHERE id = 1").unwrap();
+    a.execute("ALTER INDEX MV_MOL REBUILD").unwrap();
+    // The scan verifies candidates against the base row, so a stale entry
+    // cannot surface in an answer — count the rebuilt store's records.
+    let lob = a.query("SELECT data FROM DR$MV_MOL$META WHERE id = 1").unwrap()[0][0].as_lob().unwrap();
+    let stored = server.read(|db| db.storage().lob_length(lob)).unwrap();
+    assert_eq!(stored, extidx::chem::store::RECORD_BYTES as u64, "only row 2 is indexed");
+    reader.execute("COMMIT").unwrap();
+    a.execute("VACUUM").unwrap();
+    a.execute("INSERT INTO MV (id, mol, num) VALUES (3, 'CCN', 3)").unwrap();
+
+    let seen = observe(&mut a, 0, 10);
+    assert_eq!(seen[0], seen[1], "forced chem index vs functional fallback");
+    assert!(seen[0].is_empty(), "no surviving molecule contains C-O: {seen:?}");
+}
+
+/// A build cannot index another transaction's uncommitted versions
+/// correctly — whether that transaction later commits or rolls back — so
+/// it refuses with `WriteConflict`, leaves nothing behind, and succeeds
+/// once the writer has ended.
+#[test]
+fn index_build_refuses_while_another_transaction_has_uncommitted_versions() {
+    for writer_commits in [false, true] {
+        let server = build_rig();
+        let mut a = server.session();
+        a.execute("SET CONFLICT_RETRIES 0").unwrap();
+        let mut w = server.session();
+        w.execute("BEGIN").unwrap();
+        w.execute("INSERT INTO T (id, k, doc) VALUES (3, 9, 'gamma three')").unwrap();
+        w.execute("UPDATE T SET k = 9, doc = 'gamma one' WHERE id = 1").unwrap();
+        let writer = w.snapshot().expect("writer transaction open").txn;
+
+        for ddl in [CREATE_BTREE, CREATE_TEXT] {
+            match a.execute(ddl) {
+                Err(Error::WriteConflict { other_txn, .. }) => assert_eq!(other_txn, writer),
+                other => panic!("`{ddl}` with a writer in flight: expected WriteConflict, got {other:?}"),
+            }
+        }
+        server.read(|db| {
+            assert!(db.catalog().btree_index("T_K").is_none());
+            assert!(db.catalog().domain_index("T_DOC").is_none());
+            assert!(!db.catalog().has_table("DR$T_DOC$I"), "index storage left behind");
+        });
+
+        w.execute(if writer_commits { "COMMIT" } else { "ROLLBACK" }).unwrap();
+        a.execute(CREATE_BTREE).unwrap();
+        a.execute(CREATE_TEXT).unwrap();
+        assert_index_agrees(&mut a, &T_PROBES);
+        let k9 = sorted_ids(&a.query("SELECT /*+ INDEX(T T_K) */ id FROM T WHERE k = 9").unwrap());
+        assert_eq!(k9, if writer_commits { vec![1, 3] } else { vec![] });
+    }
+}
+
+/// A text `ALTER INDEX … PARAMETERS` truncates and repopulates, and the
+/// truncate is not undone by a statement rollback: with a writer in flight
+/// it is refused before it touches the index data or the dictionary's
+/// parameters.
+#[test]
+fn repopulating_alter_refuses_while_another_transaction_has_uncommitted_versions() {
+    const ALTER: &str = "ALTER INDEX T_DOC PARAMETERS (':Ignore zzz')";
+    let probes = [T_PROBES[3], T_PROBES[4], ("T_DOC", "Contains(doc, 'beta')")];
+    let beta = "SELECT /*+ INDEX(T T_DOC) */ id FROM T WHERE Contains(doc, 'beta')";
+    for writer_commits in [false, true] {
+        let server = build_rig();
+        let mut a = server.session();
+        a.execute("SET CONFLICT_RETRIES 0").unwrap();
+        a.execute(CREATE_TEXT).unwrap();
+        let mut w = server.session();
+        w.execute("BEGIN").unwrap();
+        w.execute("INSERT INTO T (id, k, doc) VALUES (3, 9, 'gamma three')").unwrap();
+        w.execute("UPDATE T SET doc = 'gamma one' WHERE id = 1").unwrap();
+        let writer = w.snapshot().expect("writer transaction open").txn;
+
+        match a.execute(ALTER) {
+            Err(Error::WriteConflict { other_txn, .. }) => assert_eq!(other_txn, writer),
+            other => panic!("ALTER with a writer in flight: expected WriteConflict, got {other:?}"),
+        }
+        let ignored = |db: &extidx::sql::Database| {
+            db.catalog().domain_index("T_DOC").unwrap().parameters.has("Ignore")
+        };
+        assert!(!server.read(ignored), "a refused ALTER must not leave its parameters merged");
+
+        w.execute(if writer_commits { "COMMIT" } else { "ROLLBACK" }).unwrap();
+        let gamma = "SELECT /*+ INDEX(T T_DOC) */ id FROM T WHERE Contains(doc, 'gamma')";
+        let expect = if writer_commits { vec![1, 3] } else { vec![] };
+        assert_index_agrees(&mut a, &probes);
+        assert_eq!(sorted_ids(&a.query(gamma).unwrap()), expect);
+        assert_eq!(sorted_ids(&a.query(beta).unwrap()), vec![2], "untouched row still indexed");
+
+        a.execute(ALTER).unwrap();
+        assert!(server.read(ignored));
+        assert_index_agrees(&mut a, &probes);
+        assert_eq!(sorted_ids(&a.query(gamma).unwrap()), expect);
+    }
+}
+
+/// The chemistry cartridge's `:Events ON` handler rebuilds its external
+/// file from the base table after a rollback. The file is shared and not
+/// transactional: a resync that skipped another transaction's uncommitted
+/// row would lose it for good once that transaction commits, so the
+/// resync is refused (loudly, from `ROLLBACK`) and the file keeps the
+/// writer's record.
+#[test]
+fn file_store_resync_refuses_while_another_transaction_has_uncommitted_versions() {
+    let server =
+        Server::with_config(fresh_db(ChaosOpts::default()), GovernorConfig::inline_vacuum());
+    let mut a = server.session();
+    a.execute("CREATE TABLE MV (id INTEGER, mol VARCHAR2(64), num INTEGER)").unwrap();
+    a.execute(
+        "CREATE INDEX MV_MOL ON MV(mol) INDEXTYPE IS ChemIndexType \
+         PARAMETERS (':Storage FILE :Events ON')",
+    )
+    .unwrap();
+    a.execute("INSERT INTO MV (id, mol, num) VALUES (1, 'CCO', 1)").unwrap();
+    let mut w = server.session();
+    w.execute("BEGIN").unwrap();
+    w.execute("INSERT INTO MV (id, mol, num) VALUES (2, 'COC', 2)").unwrap();
+    let writer = w.snapshot().expect("writer transaction open").txn;
+
+    a.execute("BEGIN").unwrap();
+    a.execute("INSERT INTO MV (id, mol, num) VALUES (3, 'OCC', 3)").unwrap();
+    match a.execute("ROLLBACK") {
+        Err(Error::WriteConflict { other_txn, .. }) => assert_eq!(other_txn, writer),
+        other => panic!("resync with a writer in flight: expected WriteConflict, got {other:?}"),
+    }
+    assert!(a.snapshot().is_none(), "the transaction itself is rolled back");
+    w.execute("COMMIT").unwrap();
+
+    let seen = observe(&mut a, 0, 10);
+    assert_eq!(seen[0], seen[1], "forced chem index vs functional fallback");
+    assert_eq!(seen[0], vec![1, 2]);
+
+    // With no writer in flight the next rollback resyncs as before.
+    a.execute("BEGIN").unwrap();
+    a.execute("INSERT INTO MV (id, mol, num) VALUES (4, 'OCC', 4)").unwrap();
+    a.execute("ROLLBACK").unwrap();
+    assert_eq!(observe(&mut a, 0, 10)[0], vec![1, 2]);
+}
+
+/// With the default retry budget the refusal is invisible to an
+/// autocommit client: its `CREATE INDEX` waits the writer out.
+#[test]
+fn autocommit_index_build_waits_for_the_writer_to_end() {
+    let server = build_rig();
+    let mut w = server.session();
+    w.execute("BEGIN").unwrap();
+    w.execute("INSERT INTO T (id, k, doc) VALUES (3, 9, 'gamma three')").unwrap();
+
+    let retries = || {
+        let rows = server.governor().vserver_rows();
+        rows.iter().find(|(name, _)| *name == "CONFLICT_RETRIES").expect("V$SERVER counter").1
+    };
+    std::thread::scope(|scope| {
+        let builder = scope.spawn(|| server.session().execute(CREATE_BTREE));
+        // The writer ends only after the build has been refused at least
+        // once — the interleaving is forced, not timed.
+        while retries() == 0 && !builder.is_finished() {
+            std::thread::yield_now();
+        }
+        assert!(retries() > 0, "the build went ahead over an uncommitted version");
+        w.execute("COMMIT").unwrap();
+        builder.join().expect("builder thread").expect("CREATE INDEX succeeds after the writer ends");
+    });
+    let mut a = server.session();
+    assert_index_agrees(&mut a, &T_PROBES[..3]);
+    assert_eq!(sorted_ids(&a.query("SELECT /*+ INDEX(T T_K) */ id FROM T WHERE k = 9").unwrap()), vec![3]);
+}
+
+/// `ANALYZE` describes what the analysing statement can see, not what is
+/// physically in the segment.
+#[test]
+fn analyze_counts_only_rows_visible_to_its_snapshot() {
+    let server = build_rig();
+    let mut a = server.session();
+    for id in 3..=8 {
+        a.execute(&format!("INSERT INTO T (id, k, doc) VALUES ({id}, {id}, 'doc')")).unwrap();
+    }
+    let mut reader = server.session();
+    reader.execute("BEGIN").unwrap();
+    assert_eq!(reader.query("SELECT id FROM T").unwrap().len(), 8);
+
+    a.execute("DELETE FROM T WHERE id <= 4").unwrap();
+    a.execute("ANALYZE TABLE T").unwrap();
+    let counted = a.query("SELECT COUNT(*) FROM T").unwrap();
+    assert_eq!(counted, vec![vec![Value::Integer(4)]]);
+    let stats = server.read(|db| db.catalog().table("T").unwrap().stats.clone()).expect("analyzed");
+    assert_eq!(stats.row_count, 4);
+    assert_eq!(stats.columns[0].min, Some(Value::Integer(5)), "deleted ids must not set the minimum");
+    reader.execute("COMMIT").unwrap();
+}
