@@ -40,7 +40,7 @@ use extidx_core::trace::{CallTrace, Component, Routine};
 use extidx_core::OdciIndex;
 use extidx_storage::buffer::CacheStats;
 use extidx_storage::file_store::FileStats;
-use extidx_storage::{CommitBlob, DurableMedium, Snapshot, StorageEngine, UndoLog, WalRecord};
+use extidx_storage::{CommitBlob, DurableMedium, Snapshot, StorageEngine, WalRecord};
 
 use crate::ast::{bind_statement, AlterIndexAction, ColumnSpec, InsertSource, Statement};
 use crate::catalog::{BTreeIndexDef, Catalog, CatalogDump, ColumnDef, ColumnStats, DomainIndexDef, TableDef, TableOrg, TableStats};
@@ -99,39 +99,19 @@ pub struct Database {
     odci_impls: HashMap<String, OdciImplementation>,
     event_handlers: Vec<(String, Arc<dyn EventHandler>)>,
     pub(crate) trace: CallTrace,
-    txn_undo: Option<UndoLog>,
-    pub(crate) stmt_undo: Option<UndoLog>,
-    workspace: Mutex<HashMap<u64, Box<dyn Any + Send>>>,
-    next_ws: u64,
+    /// What the open top-level statement may have to take back.
+    scope: StatementScope,
     /// Rows per ODCIIndexFetch call (the §2.5 batch interface, E8).
     pub(crate) batch_size: usize,
     /// Consult per-page zone maps in full scans to skip pages whose
     /// min/max provably exclude the scan's pruning bounds.
     pub(crate) zone_pruning: bool,
-    /// Schema objects created during the current top-level statement —
-    /// compensated (dropped) if the statement fails, so a cartridge
-    /// routine that errors after issuing DDL leaves no debris.
-    stmt_created: Vec<CreatedObject>,
-    /// Compensation log: every *successful* ODCIIndex maintenance call in
-    /// the current statement. On statement failure the inverse operations
-    /// are replayed in reverse before storage rollback, so domain indexes
-    /// (including external-file stores invisible to undo) return to their
-    /// pre-statement state (§5).
-    stmt_maint: Vec<MaintRecord>,
-    /// True while inverse maintenance operations are being replayed —
-    /// suppresses fault injection and compensation recording so recovery
-    /// itself is never sabotaged or re-logged.
-    compensating: bool,
     /// Fault injection at every server↔cartridge crossing.
     fault: FaultInjector,
     /// Per-crossing tick budget for sandboxed cartridge calls: every
     /// server callback a routine issues costs one tick, and exceeding the
     /// budget converts the call into an [`Error::CartridgeFault`].
     tick_budget: u64,
-    /// Pending-log appends made by the current statement (index names, in
-    /// order). A failed statement retracts them so the pending log only
-    /// ever mirrors committed statement effects.
-    stmt_pending: Vec<String>,
     /// Deliberate executor bug for validating the differential oracle:
     /// when set, a domain scan silently discards the rows of its final
     /// ODCIIndexFetch batch. Never enabled outside tests.
@@ -214,6 +194,39 @@ enum CreatedObject {
     ObjectType(String),
 }
 
+/// One top-level statement's scope: everything that must be taken back
+/// if it fails, beside the row-level undo the storage engine keeps with
+/// the transaction. [`Database::rollback_statement`] is the only reader
+/// of the logs; a statement that succeeds just closes the scope.
+#[derive(Default)]
+struct StatementScope {
+    /// Storage savepoint ([`StorageEngine::undo_mark`]) the statement
+    /// rolls back to.
+    mark: usize,
+    /// Schema objects created during the statement — compensated
+    /// (dropped) if it fails, so a cartridge routine that errors after
+    /// issuing DDL leaves no debris.
+    created: Vec<CreatedObject>,
+    /// Compensation log: every *successful* ODCIIndex maintenance call in
+    /// the statement. On failure the inverse operations are replayed in
+    /// reverse before storage rollback, so domain indexes (including
+    /// external-file stores invisible to undo) return to their
+    /// pre-statement state (§5).
+    maint: Vec<MaintRecord>,
+    /// Pending-log appends made by the statement (index names, in order).
+    /// A failed statement retracts them so the pending log only ever
+    /// mirrors committed statement effects.
+    pending: Vec<String>,
+    /// True while inverse maintenance operations are being replayed —
+    /// suppresses fault injection and compensation recording so recovery
+    /// itself is never sabotaged or re-logged.
+    compensating: bool,
+    /// Write-lane cartridge workspace, statement duration. Behind a mutex
+    /// only because `Database` is `Sync` and the stored states are not;
+    /// the write lane reaches it through `get_mut`.
+    workspace: Mutex<SessionScratch>,
+}
+
 impl Default for Database {
     fn default() -> Self {
         Self::new()
@@ -235,18 +248,11 @@ impl Database {
             odci_impls: HashMap::new(),
             event_handlers: Vec::new(),
             trace: CallTrace::new(),
-            txn_undo: None,
-            stmt_undo: None,
-            workspace: Mutex::new(HashMap::new()),
-            next_ws: 0,
+            scope: StatementScope::default(),
             batch_size: 32,
             zone_pruning: true,
-            stmt_created: Vec::new(),
-            stmt_maint: Vec::new(),
-            compensating: false,
             fault: FaultInjector::new(),
             tick_budget: extidx_core::DEFAULT_TICK_BUDGET,
-            stmt_pending: Vec::new(),
             chaos_drop_last_domain_batch: false,
             sqlstats: Mutex::new(VecDeque::new()),
             next_sql_id: AtomicU64::new(0),
@@ -408,7 +414,7 @@ impl Database {
     /// fired faults. Suppressed during compensation replay: recovery must
     /// never be sabotaged by the same harness that caused the failure.
     pub(crate) fn fault_check(&self, routine: &str, indextype: Option<&str>) -> Result<()> {
-        if self.compensating {
+        if self.scope.compensating {
             return Ok(());
         }
         self.fault.check(routine, indextype).inspect_err(|e| {
@@ -475,10 +481,15 @@ impl Database {
     }
 
     /// Take a checkpoint: snapshot engine + catalog into the durable
-    /// medium and truncate the WAL up to the snapshot's LSN. Refused
-    /// inside an open transaction (its effects are not yet committed).
+    /// medium and truncate the WAL up to the snapshot's LSN. The snapshot
+    /// is the physical pages and nothing else — no version chain, no undo
+    /// — so it must hold committed rows only: refused while any
+    /// transaction is active on any lane (orphans parked by dropped
+    /// sessions are aborted first), and vacuumed first so no deferred
+    /// delete survives as a live row and no chain is needed to read it.
     pub fn checkpoint(&mut self) -> Result<()> {
-        if self.txn_undo.is_some() {
+        self.drain_orphans();
+        if self.storage.txn_manager().active_count() > 0 {
             return Err(Error::Transaction(
                 "cannot checkpoint inside an open transaction".into(),
             ));
@@ -486,6 +497,7 @@ impl Database {
         let Some(medium) = self.storage.wal_medium().cloned() else {
             return Err(Error::Unsupported("durability is not enabled".into()));
         };
+        self.vacuum();
         medium.checkpoint_begin()?;
         let engine = self.storage.snapshot();
         let payload: CommitBlob = Arc::new(self.catalog.dump());
@@ -579,7 +591,7 @@ impl Database {
         info: &IndexInfo,
         err: Option<&Error>,
     ) {
-        if self.compensating {
+        if self.scope.compensating {
             return;
         }
         let health = &self.catalog.health;
@@ -606,24 +618,10 @@ impl Database {
         bind_statement(&mut stmt, binds)?;
         let before = self.cache_stats();
         let started = Instant::now();
+        // Nested callback statements go through `run_statement` directly
+        // and are charged to this, their parent.
         let result = self.run_top(stmt);
-        // V$SQLSTATS: per-statement resource accounting for successful
-        // top-level statements (nested callback statements go through
-        // `run_statement` directly and are charged to their parent).
-        if let Ok(r) = &result {
-            let rows_processed = match r {
-                StmtResult::Rows { rows, .. } => rows.len() as u64,
-                StmtResult::Affected(n) => *n,
-                StmtResult::Ok => 0,
-            };
-            self.record_sql_stat(SqlStat {
-                sql_id: 0, // assigned inside record_sql_stat
-                sql_text: sql.to_string(),
-                rows_processed,
-                elapsed_micros: started.elapsed().as_micros() as u64,
-                cache: self.cache_stats().since(&before),
-            });
-        }
+        self.record_statement(sql, started, &before, &result);
         result
     }
 
@@ -663,10 +661,6 @@ impl Database {
             Statement::Select(s) => s,
             _ => return Err(Error::Semantic("open_query requires a SELECT".into())),
         };
-        let boundary = self.stmt_undo.is_none();
-        if boundary {
-            self.stmt_undo = Some(UndoLog::new());
-        }
         let snap = self.storage.current_snapshot();
         let planned = {
             let scratch = std::cell::RefCell::new(SessionScratch::default());
@@ -678,7 +672,6 @@ impl Database {
             db: self,
             exec,
             columns: planned.column_names,
-            boundary,
             snap,
             scratch: std::cell::RefCell::new(SessionScratch::default()),
             buffered: Default::default(),
@@ -688,87 +681,76 @@ impl Database {
     /// Top-level statement wrapper: statement atomicity plus
     /// statement-duration workspace teardown.
     fn run_top(&mut self, stmt: Statement) -> Result<StmtResult> {
-        let boundary = self.stmt_undo.is_none();
-        if boundary {
-            self.stmt_undo = Some(UndoLog::new());
-        }
-        let mut result = self.run_statement(stmt);
-        if boundary {
-            let mut log = self.stmt_undo.take().expect("statement undo present");
-            let created = std::mem::take(&mut self.stmt_created);
-            let maint = std::mem::take(&mut self.stmt_maint);
-            let pending = std::mem::take(&mut self.stmt_pending);
-            match result {
-                Ok(_) => {
-                    if let Some(txn) = self.txn_undo.as_mut() {
-                        txn.absorb(log);
-                    }
-                }
-                Err(original) => {
-                    // Statement atomicity, in three layers: replay inverse
-                    // maintenance operations so domain indexes (including
-                    // external stores invisible to undo) return to their
-                    // pre-statement state, compensate any DDL the statement
-                    // (or its callbacks) performed, then roll back the
-                    // row-level changes. Compensation failures are
-                    // swallowed — the original error wins — but a failed
-                    // *storage* rollback is a double fault that must
-                    // surface: state may be torn.
-                    let had_effects = !log.is_empty()
-                        || !created.is_empty()
-                        || !maint.is_empty()
-                        || !pending.is_empty();
-                    // Retract this statement's pending-log appends first:
-                    // the deferred work must mirror only statements that
-                    // actually committed their base-table effects.
-                    for name in pending.iter().rev() {
-                        self.catalog.health.pop_pending(name);
-                    }
-                    let comp = self.compensate_maintenance(maint);
-                    // The inverse calls' *database-resident* effects fold
-                    // into the statement log so the physical rollback below
-                    // reverses them too (span-granular LOB undo restores
-                    // exact byte ranges, so compensation records would
-                    // otherwise survive as duplicates). External file-store
-                    // effects are invisible to undo and persist — which is
-                    // the whole point of logical compensation.
-                    log.absorb(comp);
-                    for obj in created.into_iter().rev() {
-                        let _ = self.compensate_created(obj);
-                    }
-                    let err = match self.storage.rollback(&mut log) {
-                        Ok(()) => original,
-                        Err(cause) => Error::RollbackFailed {
-                            original: Box::new(original),
-                            cause: Box::new(cause),
-                        },
-                    };
-                    // §5: a rolled-back statement delivers the Rollback
-                    // event so external-file cartridges can reconcile.
-                    // Handler errors cannot displace the statement's error.
-                    if had_effects {
-                        let _ = self.fire_event(DbEvent::Rollback);
-                    }
-                    result = Err(err);
-                }
-            }
-            self.workspace.get_mut().clear();
-            // Durability: a top-level statement outside an explicit
-            // transaction is a commit boundary — stamp the WAL with a
-            // commit marker carrying the catalog image. Inside BEGIN…
-            // COMMIT no marker is written, so a crash discards the whole
-            // open transaction. A marker failure means the durable
-            // medium is gone (simulated crash): the statement must not
-            // report success.
-            if self.txn_undo.is_none() {
-                if let Err(e) = self.wal_commit_marker() {
-                    if result.is_ok() {
-                        result = Err(e);
-                    }
-                }
+        debug_assert!(
+            self.storage.in_txn() || self.storage.undo_mark() == 0,
+            "undo outlived its transaction: a write outside any statement scope was not closed"
+        );
+        self.scope.mark = self.storage.undo_mark();
+        let mut result = self.run_statement(stmt).map_err(|e| self.rollback_statement(e));
+        // Statement end, either way: nothing recorded outlives it.
+        self.scope = StatementScope::default();
+        // Durability: a top-level statement outside an explicit
+        // transaction is a commit boundary — its undo is dropped and the
+        // WAL stamped with a commit marker carrying the catalog image.
+        // Inside BEGIN…COMMIT no marker is written, so a crash discards
+        // the whole open transaction. A marker failure means the durable
+        // medium is gone (simulated crash): the statement must not
+        // report success.
+        if !self.storage.in_txn() {
+            let ended = self.storage.commit_txn(self.storage.current_snapshot());
+            let committed = ended.and_then(|_| self.wal_commit_marker());
+            if let (Err(e), true) = (committed, result.is_ok()) {
+                result = Err(e);
             }
         }
         result
+    }
+
+    /// Statement atomicity — the one failure sequence, in its fixed order:
+    /// retract the statement's pending-log appends, replay inverse
+    /// maintenance operations so domain indexes (including external
+    /// stores invisible to undo) return to their pre-statement state,
+    /// compensate any DDL the statement (or its callbacks) performed, roll
+    /// the row-level changes back to the statement's savepoint, deliver
+    /// the §5 Rollback event. Compensation failures are swallowed — the
+    /// original error wins — but a failed *storage* rollback is a double
+    /// fault that must surface: state may be torn.
+    fn rollback_statement(&mut self, original: Error) -> Error {
+        let created = std::mem::take(&mut self.scope.created);
+        let maint = std::mem::take(&mut self.scope.maint);
+        let pending = std::mem::take(&mut self.scope.pending);
+        let had_effects = self.storage.undo_mark() > self.scope.mark
+            || !created.is_empty()
+            || !maint.is_empty()
+            || !pending.is_empty();
+        // The deferred work must mirror only statements that actually
+        // committed their base-table effects.
+        for name in pending.iter().rev() {
+            self.catalog.health.pop_pending(name);
+        }
+        // The inverse calls' *database-resident* effects land in the same
+        // undo log, so the physical rollback below reverses them too
+        // (span-granular LOB undo restores exact byte ranges, so
+        // compensation records would otherwise survive as duplicates).
+        // External file-store effects are invisible to undo and persist —
+        // which is the whole point of logical compensation.
+        self.compensate_maintenance(maint);
+        for obj in created.into_iter().rev() {
+            let _ = self.compensate_created(obj);
+        }
+        let err = match self.storage.rollback_to(self.scope.mark) {
+            Ok(()) => original,
+            Err(cause) => {
+                Error::RollbackFailed { original: Box::new(original), cause: Box::new(cause) }
+            }
+        };
+        // §5: a rolled-back statement delivers the Rollback event so
+        // external-file cartridges can reconcile. Handler errors cannot
+        // displace the statement's error.
+        if had_effects {
+            let _ = self.fire_event(DbEvent::Rollback);
+        }
+        err
     }
 
     /// Append a WAL commit marker (no-op when durability is off). The
@@ -790,46 +772,45 @@ impl Database {
     // ---- session (multi-version) statement plumbing -----------------------
     //
     // `Session` (see `crate::session`) drives explicit transactions through
-    // these three methods while holding the server's write lock, so ODCI
+    // these methods while holding the server's write lock, so ODCI
     // maintenance, the compensation log, and the pending-work log are
     // trivially serialized per statement: a cartridge never observes a torn
     // statement, and the WAL commit marker for a transaction is appended in
     // commit (csn) order because csn assignment and the marker append happen
-    // under the same exclusive hold.
+    // under the same exclusive hold. A session's transaction is its
+    // `Snapshot`; the undo it accumulates stays in the storage engine.
 
     /// Run one statement as part of a session transaction: install the
-    /// session's snapshot as the mutation driver, swap its accumulated undo
-    /// in as the transaction log (so `run_top` absorbs statement effects
-    /// into it and writes no commit marker), and restore the legacy lane
-    /// afterwards.
+    /// session's snapshot as the mutation driver (an active transaction,
+    /// so `run_top` neither drops its undo nor writes a commit marker),
+    /// and restore the direct lane afterwards.
     pub(crate) fn session_statement(
         &mut self,
         stmt: Statement,
         snap: Snapshot,
-        undo: &mut UndoLog,
     ) -> Result<StmtResult> {
         self.storage.set_current_txn(snap);
-        let session_undo = std::mem::replace(undo, UndoLog::new());
-        let saved = self.txn_undo.replace(session_undo);
         let result = self.run_top(stmt);
-        let session_undo = self.txn_undo.take().expect("session undo present");
-        *undo = session_undo;
-        self.txn_undo = saved;
         self.storage.set_current_txn(Snapshot::latest());
         result
     }
 
-    /// Post-validation commit work for a session transaction whose
-    /// `TxnManager::commit` already succeeded: append the commit marker
-    /// tagged with the transaction (still under the caller's exclusive
-    /// hold, so markers land in csn order), garbage-collect versions if
-    /// the system is quiescent, and fire the Commit event.
-    pub(crate) fn session_commit_finish(&mut self, snap: Snapshot) -> Result<()> {
+    /// Commit a session transaction: first-writer-wins validation, then —
+    /// still under the caller's exclusive hold, so markers land in csn
+    /// order — the commit marker tagged with the transaction, version GC
+    /// if no daemon owns it, and the Commit event. On a write-write
+    /// conflict the transaction is rolled back and the conflict surfaces.
+    pub(crate) fn session_commit(&mut self, snap: Snapshot) -> Result<()> {
+        if let Err(conflict) = self.storage.commit_txn(snap) {
+            self.trace_conflict(&conflict);
+            let _ = self.session_abort(snap);
+            return Err(conflict);
+        }
         self.storage.set_current_txn(snap);
         let marker = self.wal_commit_marker();
         self.storage.set_current_txn(Snapshot::latest());
         self.maintenance_after_txn_end();
-        let ev = self.fire_event(DbEvent::Commit);
+        let ev = self.fire_event_unscoped(DbEvent::Commit);
         marker?;
         ev
     }
@@ -846,22 +827,26 @@ impl Database {
         self.refresh_backpressure();
     }
 
-    /// Roll back a session transaction: reverse its undo (chain-aware),
-    /// force indexes with replayable pending work onto the rebuild path
-    /// (mirroring the legacy ROLLBACK arm), abort the transaction, vacuum,
-    /// and fire the Rollback event.
-    pub(crate) fn session_abort(&mut self, snap: Snapshot, undo: &mut UndoLog) -> Result<()> {
-        self.storage.set_current_txn(snap);
-        let rolled = self.storage.rollback(undo);
+    /// Base rows the pending log refers to may have just been un-made by
+    /// a transaction rollback; a replay could double-apply or miss. Force
+    /// those indexes onto the full-rebuild path.
+    fn force_rebuild_of_pending(&mut self) {
         for s in self.catalog.health.snapshot() {
             if s.pending_ops > 0 {
                 self.catalog.health.mark_dirty(&s.index);
             }
         }
-        self.storage.set_current_txn(Snapshot::latest());
-        self.storage.txn_manager().abort(snap.txn);
+    }
+
+    /// Roll back a session transaction (also an orphaned one: its
+    /// snapshot is all that is needed): reverse its undo (chain-aware)
+    /// and abort it, force indexes with replayable pending work onto the
+    /// rebuild path, vacuum, and fire the Rollback event.
+    pub(crate) fn session_abort(&mut self, snap: Snapshot) -> Result<()> {
+        let rolled = self.storage.rollback_txn(snap);
+        self.force_rebuild_of_pending();
         self.maintenance_after_txn_end();
-        let ev = self.fire_event(DbEvent::Rollback);
+        let ev = self.fire_event_unscoped(DbEvent::Rollback);
         rolled?;
         ev
     }
@@ -870,7 +855,7 @@ impl Database {
     /// statement already rolled itself back): abort and vacuum, without
     /// firing a second Rollback event.
     pub(crate) fn session_discard(&mut self, snap: Snapshot) {
-        self.storage.txn_manager().abort(snap.txn);
+        let _ = self.storage.rollback_txn(snap);
         self.maintenance_after_txn_end();
     }
 
@@ -880,15 +865,8 @@ impl Database {
     /// and inverse-call failures are swallowed (the statement's original
     /// error wins; storage rollback still restores database-resident
     /// index data).
-    /// Returns the undo recorded by the inverse calls' database-resident
-    /// mutations; the caller folds it into the statement log ahead of
-    /// physical rollback.
-    fn compensate_maintenance(&mut self, maint: Vec<MaintRecord>) -> UndoLog {
-        if maint.is_empty() {
-            return UndoLog::new();
-        }
-        self.compensating = true;
-        let saved_undo = self.stmt_undo.replace(UndoLog::new());
+    fn compensate_maintenance(&mut self, maint: Vec<MaintRecord>) {
+        self.scope.compensating = true;
         for rec in maint.into_iter().rev() {
             let Some(d) = self.catalog.domain_index(&rec.index).cloned() else { continue };
             let Ok((index, _, info)) = self.domain_index_runtime(&d) else { continue };
@@ -900,10 +878,7 @@ impl Database {
             let (callee, detail) = (Callee::Recovering(&info), format!("compensate {rid}"));
             let _ = odci_call(Lane::Write(self), routine, callee, detail, call);
         }
-        self.compensating = false;
-        let comp = self.stmt_undo.take().unwrap_or_default();
-        self.stmt_undo = saved_undo;
-        comp
+        self.scope.compensating = false;
     }
 
     /// Dispatch without boundary bookkeeping (also the entry point for
@@ -984,29 +959,29 @@ impl Database {
                 self.run_update(&table, assignments, where_clause)
             }
             Statement::Delete { table, where_clause } => self.run_delete(&table, where_clause),
+            // Transaction control reaches here on the direct lane only
+            // (`Session` handles its own): the transaction is id 0. Ending
+            // it empties its undo log, so this statement's savepoint —
+            // what a failing event handler's writes roll back to —
+            // restarts at 0 with it.
             Statement::Begin => {
-                if self.txn_undo.is_some() {
+                if self.storage.in_txn() {
                     return Err(Error::Transaction("a transaction is already active".into()));
                 }
-                self.txn_undo = Some(UndoLog::new());
+                self.storage.txn_manager().begin_direct();
                 Ok(StmtResult::Ok)
             }
             Statement::Commit => {
-                self.txn_undo = None;
+                self.storage.commit_txn(self.storage.current_snapshot())?;
+                self.scope.mark = 0;
                 self.fire_event(DbEvent::Commit)?;
                 Ok(StmtResult::Ok)
             }
             Statement::Rollback => {
-                if let Some(mut log) = self.txn_undo.take() {
-                    self.storage.rollback(&mut log)?;
-                    // Base rows the pending log refers to may have just
-                    // been un-made; a replay could double-apply or miss.
-                    // Force those indexes onto the full-rebuild path.
-                    for s in self.catalog.health.snapshot() {
-                        if s.pending_ops > 0 {
-                            self.catalog.health.mark_dirty(&s.index);
-                        }
-                    }
+                if self.storage.in_txn() {
+                    self.storage.rollback_txn(self.storage.current_snapshot())?;
+                    self.scope.mark = 0;
+                    self.force_rebuild_of_pending();
                 }
                 self.fire_event(DbEvent::Rollback)?;
                 Ok(StmtResult::Ok)
@@ -1028,7 +1003,7 @@ impl Database {
                 let upper = name.to_ascii_uppercase();
                 self.catalog
                     .create_object_type(extidx_common::ObjectTypeDef::new(name, resolved))?;
-                self.stmt_created.push(CreatedObject::ObjectType(upper));
+                self.scope.created.push(CreatedObject::ObjectType(upper));
                 Ok(StmtResult::Ok)
             }
             Statement::CreateIndex { name, table, column, indextype, parameters } => {
@@ -1060,7 +1035,7 @@ impl Database {
                 let op = op.ok_or_else(|| Error::Semantic("operator needs a binding".into()))?;
                 let op_name = op.name.clone();
                 self.catalog.registry.create_operator(op)?;
-                self.stmt_created.push(CreatedObject::Operator(op_name));
+                self.scope.created.push(CreatedObject::Operator(op_name));
                 Ok(StmtResult::Ok)
             }
             Statement::CreateIndexType { name, operators, using } => {
@@ -1078,7 +1053,7 @@ impl Database {
                 let it = IndexType::new(&name, ops, implementation.index, implementation.stats);
                 let it_name = it.name.clone();
                 self.catalog.registry.create_indextype(it)?;
-                self.stmt_created.push(CreatedObject::IndexType(it_name));
+                self.scope.created.push(CreatedObject::IndexType(it_name));
                 Ok(StmtResult::Ok)
             }
             Statement::DropOperator { name } => {
@@ -1177,7 +1152,7 @@ impl Database {
         };
         self.catalog
             .create_table(TableDef { name: upper.clone(), columns: cols, org, seg, stats: None })?;
-        self.stmt_created.push(CreatedObject::Table(upper));
+        self.scope.created.push(CreatedObject::Table(upper));
         Ok(StmtResult::Ok)
     }
 
@@ -1249,7 +1224,7 @@ impl Database {
             column: tdef.columns[col_idx].name.clone(),
             seg,
         })?;
-        self.stmt_created.push(CreatedObject::BTreeIndex(name.to_ascii_uppercase()));
+        self.scope.created.push(CreatedObject::BTreeIndex(name.to_ascii_uppercase()));
         // Populate from existing rows, a batch at a time. For IOT base
         // tables the secondary index stores logical rowids (key ordinals),
         // which stay valid across in-place updates.
@@ -1268,8 +1243,7 @@ impl Database {
                 if key.is_null() {
                     continue;
                 }
-                let undo = self.stmt_undo.as_mut();
-                self.storage.iot_insert(seg, vec![key, Value::RowId(rid)], undo)?;
+                self.storage.iot_insert(seg, vec![key, Value::RowId(rid)])?;
             }
         }
     }
@@ -1642,19 +1616,11 @@ impl Database {
                 return Err(Error::type_mismatch(c.ty.to_string(), v.type_name()));
             }
         }
-        match tdef.org {
-            TableOrg::Heap => {
-                let undo = self.stmt_undo.as_mut();
-                let rid = self.storage.heap_insert(tdef.seg, row.clone(), undo)?;
-                self.maintain_insert(tdef, rid, &row)?;
-            }
-            TableOrg::Index { .. } => {
-                let undo = self.stmt_undo.as_mut();
-                let rid = self.storage.iot_insert(tdef.seg, row.clone(), undo)?;
-                self.maintain_insert(tdef, rid, &row)?;
-            }
-        }
-        Ok(())
+        let rid = match tdef.org {
+            TableOrg::Heap => self.storage.heap_insert(tdef.seg, row.clone())?,
+            TableOrg::Index { .. } => self.storage.iot_insert(tdef.seg, row.clone())?,
+        };
+        self.maintain(tdef, rid, None, Some(&row))
     }
 
     fn run_update(
@@ -1697,9 +1663,8 @@ impl Database {
             extidx_core::governor::poll()?;
             match (tdef.org.clone(), rid) {
                 (TableOrg::Heap, Some(rid)) => {
-                    let undo = self.stmt_undo.as_mut();
-                    let old = self.storage.heap_update(tdef.seg, rid, new_row.clone(), undo)?;
-                    self.maintain_update(&tdef, rid, &old, &new_row)?;
+                    let old = self.storage.heap_update(tdef.seg, rid, new_row.clone())?;
+                    self.maintain(&tdef, rid, Some(&old), Some(&new_row))?;
                 }
                 (TableOrg::Index { key_cols }, rid) => {
                     let old_rid = rid.expect("IOT rows carry logical rowids");
@@ -1708,18 +1673,15 @@ impl Database {
                     if old_key == new_key {
                         // Key unchanged: in-place replace keeps the logical
                         // rowid, so indexes see a plain update.
-                        let undo = self.stmt_undo.as_mut();
-                        self.storage.iot_upsert(tdef.seg, new_row.clone(), undo)?;
-                        self.maintain_update(&tdef, old_rid, &old_row, &new_row)?;
+                        self.storage.iot_upsert(tdef.seg, new_row.clone())?;
+                        self.maintain(&tdef, old_rid, Some(&old_row), Some(&new_row))?;
                     } else {
                         // Key change moves the row: a new logical rowid, so
                         // indexes see delete-old + insert-new.
-                        let undo = self.stmt_undo.as_mut();
-                        self.storage.iot_delete(tdef.seg, &old_key, undo)?;
-                        let undo = self.stmt_undo.as_mut();
-                        let new_rid = self.storage.iot_insert(tdef.seg, new_row.clone(), undo)?;
-                        self.maintain_delete(&tdef, old_rid, &old_row)?;
-                        self.maintain_insert(&tdef, new_rid, &new_row)?;
+                        self.storage.iot_delete(tdef.seg, &old_key)?;
+                        let new_rid = self.storage.iot_insert(tdef.seg, new_row.clone())?;
+                        self.maintain(&tdef, old_rid, Some(&old_row), None)?;
+                        self.maintain(&tdef, new_rid, None, Some(&new_row))?;
                     }
                 }
                 (TableOrg::Heap, None) => unreachable!("heap rows always carry rowids"),
@@ -1738,16 +1700,14 @@ impl Database {
             extidx_core::governor::poll()?;
             match (tdef.org.clone(), rid) {
                 (TableOrg::Heap, Some(rid)) => {
-                    let undo = self.stmt_undo.as_mut();
-                    let old = self.storage.heap_delete(tdef.seg, rid, undo)?;
-                    self.maintain_delete(&tdef, rid, &old)?;
+                    let old = self.storage.heap_delete(tdef.seg, rid)?;
+                    self.maintain(&tdef, rid, Some(&old), None)?;
                 }
                 (TableOrg::Index { key_cols }, rid) => {
                     let old_rid = rid.expect("IOT rows carry logical rowids");
                     let key = Key(old_row[..key_cols].to_vec());
-                    let undo = self.stmt_undo.as_mut();
-                    self.storage.iot_delete(tdef.seg, &key, undo)?;
-                    self.maintain_delete(&tdef, old_rid, &old_row)?;
+                    self.storage.iot_delete(tdef.seg, &key)?;
+                    self.maintain(&tdef, old_rid, Some(&old_row), None)?;
                 }
                 (TableOrg::Heap, None) => unreachable!("heap rows always carry rowids"),
             }
@@ -1786,73 +1746,47 @@ impl Database {
 
     // ---- index maintenance (the implicit part of §2.4.1) -----------------------
 
-    fn maintain_insert(&mut self, tdef: &TableDef, rid: RowId, row: &[Value]) -> Result<()> {
+    /// Maintain every index on `tdef` for one row change, given the row
+    /// images before and after it (an insert has no `old`, a delete no
+    /// `new`).
+    fn maintain(
+        &mut self,
+        tdef: &TableDef,
+        rid: RowId,
+        old: Option<&[Value]>,
+        new: Option<&[Value]>,
+    ) -> Result<()> {
         let btree: Vec<BTreeIndexDef> =
             self.catalog.btree_indexes_on(&tdef.name).into_iter().cloned().collect();
         for b in btree {
             let idx = tdef.column_index(&b.column)?;
-            if row[idx].is_null() {
-                continue; // B-trees do not index NULL keys
+            // B-trees do not index NULL keys: a side that is NULL has no
+            // entry, exactly like a side that does not exist.
+            let old_key = old.map(|r| &r[idx]).filter(|v| !v.is_null());
+            let new_key = new.map(|r| &r[idx]).filter(|v| !v.is_null());
+            if old_key == new_key {
+                continue;
             }
-            let undo = self.stmt_undo.as_mut();
-            self.storage.iot_insert(b.seg, vec![row[idx].clone(), Value::RowId(rid)], undo)?;
+            if let Some(k) = old_key {
+                self.storage.iot_delete(b.seg, &Key(vec![k.clone(), Value::RowId(rid)]))?;
+            }
+            if let Some(k) = new_key {
+                self.storage.iot_insert(b.seg, vec![k.clone(), Value::RowId(rid)])?;
+            }
         }
         let domain: Vec<DomainIndexDef> =
             self.catalog.domain_indexes_on(&tdef.name).into_iter().cloned().collect();
         for d in domain {
             let idx = tdef.column_index(&d.column)?;
-            let value = row[idx].clone();
-            self.maintain_or_defer(&d, PendingOp::Insert { rid, value })?;
-        }
-        Ok(())
-    }
-
-    fn maintain_update(&mut self, tdef: &TableDef, rid: RowId, old: &[Value], new: &[Value]) -> Result<()> {
-        let btree: Vec<BTreeIndexDef> =
-            self.catalog.btree_indexes_on(&tdef.name).into_iter().cloned().collect();
-        for b in btree {
-            let idx = tdef.column_index(&b.column)?;
-            if old[idx] != new[idx] {
-                if !old[idx].is_null() {
-                    let old_key = Key(vec![old[idx].clone(), Value::RowId(rid)]);
-                    let undo = self.stmt_undo.as_mut();
-                    self.storage.iot_delete(b.seg, &old_key, undo)?;
+            let op = match (old, new) {
+                (None, Some(n)) => PendingOp::Insert { rid, value: n[idx].clone() },
+                (Some(o), Some(n)) => {
+                    PendingOp::Update { rid, old: o[idx].clone(), new: n[idx].clone() }
                 }
-                if !new[idx].is_null() {
-                    let undo = self.stmt_undo.as_mut();
-                    self.storage
-                        .iot_insert(b.seg, vec![new[idx].clone(), Value::RowId(rid)], undo)?;
-                }
-            }
-        }
-        let domain: Vec<DomainIndexDef> =
-            self.catalog.domain_indexes_on(&tdef.name).into_iter().cloned().collect();
-        for d in domain {
-            let idx = tdef.column_index(&d.column)?;
-            let (old_v, new_v) = (old[idx].clone(), new[idx].clone());
-            self.maintain_or_defer(&d, PendingOp::Update { rid, old: old_v, new: new_v })?;
-        }
-        Ok(())
-    }
-
-    fn maintain_delete(&mut self, tdef: &TableDef, rid: RowId, old: &[Value]) -> Result<()> {
-        let btree: Vec<BTreeIndexDef> =
-            self.catalog.btree_indexes_on(&tdef.name).into_iter().cloned().collect();
-        for b in btree {
-            let idx = tdef.column_index(&b.column)?;
-            if old[idx].is_null() {
-                continue; // NULL keys were never indexed
-            }
-            let key = Key(vec![old[idx].clone(), Value::RowId(rid)]);
-            let undo = self.stmt_undo.as_mut();
-            self.storage.iot_delete(b.seg, &key, undo)?;
-        }
-        let domain: Vec<DomainIndexDef> =
-            self.catalog.domain_indexes_on(&tdef.name).into_iter().cloned().collect();
-        for d in domain {
-            let idx = tdef.column_index(&d.column)?;
-            let old_v = old[idx].clone();
-            self.maintain_or_defer(&d, PendingOp::Delete { rid, old: old_v })?;
+                (Some(o), None) => PendingOp::Delete { rid, old: o[idx].clone() },
+                (None, None) => return Ok(()),
+            };
+            self.maintain_or_defer(&d, op)?;
         }
         Ok(())
     }
@@ -1866,7 +1800,7 @@ impl Database {
         match self.catalog.health.state(&d.name) {
             HealthState::Quarantined => {
                 self.catalog.health.append_pending(&d.name, op);
-                self.stmt_pending.push(d.name.clone());
+                self.scope.pending.push(d.name.clone());
                 Ok(())
             }
             HealthState::BuildFailed => Ok(()),
@@ -1887,28 +1821,21 @@ impl Database {
         let mut attempt: u32 = 0;
         loop {
             attempt += 1;
-            let mark = self.stmt_undo.as_ref().map(|u| u.len());
+            let mark = self.storage.undo_mark();
             let (routine, rid, call) = maintenance_call(&op, &*index, &info);
             let callee = Callee::Index(&info);
             match odci_call(Lane::Write(self), routine, callee, rid.to_string(), call) {
                 Ok(()) => {
-                    self.stmt_maint.push(MaintRecord { index: d.name.clone(), op });
+                    self.scope.maint.push(MaintRecord { index: d.name.clone(), op });
                     return Ok(());
                 }
                 Err(e) if e.is_retryable() && retry.should_retry(attempt) => {
                     // Rewind just this call's partial effects so the retry
                     // starts from a clean slate instead of double-applying.
-                    if let Some(m) = mark {
-                        let tail = self.stmt_undo.as_mut().map(|u| u.split_off(m));
-                        if let Some(mut t) = tail {
-                            self.storage.rollback(&mut t).map_err(|cause| {
-                                Error::RollbackFailed {
-                                    original: Box::new(e.clone()),
-                                    cause: Box::new(cause),
-                                }
-                            })?;
-                        }
-                    }
+                    self.storage.rollback_to(mark).map_err(|cause| Error::RollbackFailed {
+                        original: Box::new(e.clone()),
+                        cause: Box::new(cause),
+                    })?;
                     self.trace.record(
                         Component::Fault,
                         "MaintenanceRetry",
@@ -1929,10 +1856,8 @@ impl Database {
     fn coerce_value(&mut self, v: Value, ty: &SqlType) -> Result<Value> {
         match (v, ty) {
             (Value::Varchar(s), SqlType::Lob) => {
-                let undo = self.stmt_undo.as_mut();
-                let lob = self.storage.lob_allocate(undo)?;
-                let undo = self.stmt_undo.as_mut();
-                self.storage.lob_write(lob, 0, s.as_bytes(), undo)?;
+                let lob = self.storage.lob_allocate()?;
+                self.storage.lob_write(lob, 0, s.as_bytes())?;
                 Ok(Value::Lob(lob))
             }
             (Value::Integer(i), SqlType::Number) => Ok(Value::Number(i as f64)),
@@ -1998,8 +1923,8 @@ impl Database {
         if !self.governor.has_orphans() {
             return;
         }
-        for mut o in self.governor.take_orphans() {
-            let _ = self.session_abort(o.snap, &mut o.undo);
+        for snap in self.governor.take_orphans() {
+            let _ = self.session_abort(snap);
             self.governor.bump(&self.governor.counters.orphan_aborts);
         }
     }
@@ -2034,11 +1959,34 @@ impl Database {
         self.sqlstats.lock().iter().cloned().collect()
     }
 
-    /// Append one completed statement's stats to the bounded `V$SQLSTATS`
-    /// ring. Thread-safe: concurrent session statements interleave without
-    /// corrupting the ring or reusing ids.
-    pub(crate) fn record_sql_stat(&self, mut stat: SqlStat) {
-        stat.sql_id = self.next_sql_id.fetch_add(1, Ordering::Relaxed);
+    /// Append one client statement to the bounded `V$SQLSTATS` ring — the
+    /// only place a [`SqlStat`] is built, for every lane. A statement that
+    /// completed is recorded, and so is one that hit its deadline (rows =
+    /// 0), so the timeout is observable at statement level; any other
+    /// failure leaves no row, which is also why a transparently retried
+    /// statement records once: only its final attempt gets here with an
+    /// `Ok`. Thread-safe: concurrent session statements interleave
+    /// without corrupting the ring or reusing ids.
+    pub(crate) fn record_statement(
+        &self,
+        sql: &str,
+        started: Instant,
+        before: &CacheStats,
+        result: &Result<StmtResult>,
+    ) {
+        let rows_processed = match result {
+            Ok(StmtResult::Rows { rows, .. }) => rows.len() as u64,
+            Ok(StmtResult::Affected(n)) => *n,
+            Ok(StmtResult::Ok) | Err(Error::StatementTimeout { .. }) => 0,
+            Err(_) => return,
+        };
+        let stat = SqlStat {
+            sql_id: self.next_sql_id.fetch_add(1, Ordering::Relaxed),
+            sql_text: sql.to_string(),
+            rows_processed,
+            elapsed_micros: started.elapsed().as_micros() as u64,
+            cache: self.cache_stats().since(before),
+        };
         let mut q = self.sqlstats.lock();
         if q.len() == SQLSTATS_CAPACITY {
             q.pop_front();
@@ -2241,6 +2189,21 @@ impl Database {
         }
         Ok(())
     }
+
+    /// §5 delivery outside any statement: a session's transaction just
+    /// ended, or its COMMIT/ROLLBACK found none open. With no statement to
+    /// fail, nothing could take a handler's writes back: they were
+    /// recorded under the direct lane's transaction like any other write
+    /// and are final, so its log is dropped here — unless the direct lane
+    /// has its own explicit transaction open, which then owns them.
+    pub(crate) fn fire_event_unscoped(&mut self, event: DbEvent) -> Result<()> {
+        let delivered = self.fire_event(event);
+        if !self.storage.in_txn() {
+            // Transaction 0 has no write set to validate: this cannot fail.
+            let _ = self.storage.commit_txn(Snapshot::latest());
+        }
+        delivered
+    }
 }
 
 /// A streaming query cursor (pull-based row delivery).
@@ -2248,7 +2211,6 @@ pub struct QueryCursor<'a> {
     db: &'a mut Database,
     exec: Box<dyn ExecNode>,
     columns: Vec<String>,
-    boundary: bool,
     /// The snapshot the cursor was opened under. Fetch state stays pinned
     /// to it for the cursor's whole lifetime: rows committed after open
     /// never appear, no matter how long the cursor is drained.
@@ -2292,11 +2254,6 @@ impl Drop for QueryCursor<'_> {
         let ecx = Exec::new(&*self.db, &self.scratch, self.snap);
         if self.exec.reset(&ecx).is_err() {
             self.exec.abandon(&ecx);
-        }
-        if self.boundary {
-            // Queries do not mutate database state (scan callbacks are
-            // restricted to SELECTs), so the statement log is discarded.
-            self.db.stmt_undo = None;
         }
     }
 }
@@ -2406,8 +2363,7 @@ impl ServerContext for ServerCtx<'_> {
 
     fn lob_create(&mut self) -> Result<LobRef> {
         sandbox::tick();
-        let undo = self.db.stmt_undo.as_mut();
-        self.db.storage.lob_allocate(undo)
+        self.db.storage.lob_allocate()
     }
 
     fn lob_length(&mut self, lob: LobRef) -> Result<u64> {
@@ -2427,54 +2383,42 @@ impl ServerContext for ServerCtx<'_> {
 
     fn lob_write(&mut self, lob: LobRef, offset: u64, bytes: &[u8]) -> Result<()> {
         sandbox::tick();
-        let undo = self.db.stmt_undo.as_mut();
-        self.db.storage.lob_write(lob, offset, bytes, undo)
+        self.db.storage.lob_write(lob, offset, bytes)
     }
 
     fn lob_append(&mut self, lob: LobRef, bytes: &[u8]) -> Result<u64> {
         sandbox::tick();
-        let undo = self.db.stmt_undo.as_mut();
-        self.db.storage.lob_append(lob, bytes, undo)
+        self.db.storage.lob_append(lob, bytes)
     }
 
     fn lob_overwrite(&mut self, lob: LobRef, bytes: &[u8]) -> Result<()> {
         sandbox::tick();
-        let undo = self.db.stmt_undo.as_mut();
-        self.db.storage.lob_overwrite(lob, bytes, undo)
+        self.db.storage.lob_overwrite(lob, bytes)
     }
 
     fn lob_free(&mut self, lob: LobRef) -> Result<()> {
         sandbox::tick();
-        let undo = self.db.stmt_undo.as_mut();
-        self.db.storage.lob_free(lob, undo)
+        self.db.storage.lob_free(lob)
     }
 
     fn workspace_put(&mut self, state: Box<dyn Any + Send>) -> WorkspaceHandle {
         sandbox::tick();
-        let h = WorkspaceHandle(self.db.next_ws);
-        self.db.next_ws += 1;
-        self.db.workspace.get_mut().insert(h.0, state);
-        h
+        self.db.scope.workspace.get_mut().put(state)
     }
 
     fn workspace_get(&mut self, handle: WorkspaceHandle) -> Option<&mut (dyn Any + Send)> {
         sandbox::tick();
-        self.db.workspace.get_mut().get_mut(&handle.0).map(|b| b.as_mut())
+        self.db.scope.workspace.get_mut().get(handle)
     }
 
     fn workspace_take(&mut self, handle: WorkspaceHandle) -> Option<Box<dyn Any + Send>> {
         sandbox::tick();
-        self.db.workspace.get_mut().remove(&handle.0)
+        self.db.scope.workspace.get_mut().take(handle)
     }
 
     fn register_event_handler(&mut self, name: &str, handler: Arc<dyn EventHandler>) {
         sandbox::tick();
-        let upper = name.to_ascii_uppercase();
-        if let Some(slot) = self.db.event_handlers.iter_mut().find(|(n, _)| *n == upper) {
-            slot.1 = handler;
-        } else {
-            self.db.event_handlers.push((upper, handler));
-        }
+        self.db.register_event_handler(name, handler);
     }
 
     fn file_create(&mut self, name: &str) -> Result<()> {

@@ -55,11 +55,29 @@ use crate::parser::parse;
 
 /// Per-statement cartridge scratch: the scan workspace `ODCIIndexStart`
 /// fills and `ODCIIndexFetch`/`Close` consume. Owned by the statement
-/// (or cursor), never by the shared `Database`.
+/// (or cursor) on the read lane and by the statement scope on the write
+/// lane — one implementation behind both lanes' `workspace_*` callbacks.
 #[derive(Default)]
 pub(crate) struct SessionScratch {
     ws: HashMap<u64, Box<dyn Any + Send>>,
     next: u64,
+}
+
+impl SessionScratch {
+    pub(crate) fn put(&mut self, state: Box<dyn Any + Send>) -> WorkspaceHandle {
+        let h = WorkspaceHandle(self.next);
+        self.next += 1;
+        self.ws.insert(h.0, state);
+        h
+    }
+
+    pub(crate) fn get(&mut self, handle: WorkspaceHandle) -> Option<&mut (dyn Any + Send)> {
+        self.ws.get_mut(&handle.0).map(|b| b.as_mut())
+    }
+
+    pub(crate) fn take(&mut self, handle: WorkspaceHandle) -> Option<Box<dyn Any + Send>> {
+        self.ws.remove(&handle.0)
+    }
 }
 
 /// The read-lane execution context threaded through the planner and every
@@ -286,20 +304,17 @@ impl ServerContext for SharedCtx<'_> {
 
     fn workspace_put(&mut self, state: Box<dyn Any + Send>) -> WorkspaceHandle {
         sandbox::tick();
-        let h = WorkspaceHandle(self.ws.next);
-        self.ws.next += 1;
-        self.ws.ws.insert(h.0, state);
-        h
+        self.ws.put(state)
     }
 
     fn workspace_get(&mut self, handle: WorkspaceHandle) -> Option<&mut (dyn Any + Send)> {
         sandbox::tick();
-        self.ws.ws.get_mut(&handle.0).map(|b| b.as_mut())
+        self.ws.get(handle)
     }
 
     fn workspace_take(&mut self, handle: WorkspaceHandle) -> Option<Box<dyn Any + Send>> {
         sandbox::tick();
-        self.ws.ws.remove(&handle.0)
+        self.ws.take(handle)
     }
 
     fn register_event_handler(&mut self, _name: &str, _handler: Arc<dyn EventHandler>) {

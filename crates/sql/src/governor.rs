@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Condvar;
 use std::time::Duration;
 
-use extidx_storage::{Snapshot, UndoLog};
+use extidx_storage::Snapshot;
 use parking_lot::Mutex;
 
 /// Tuning for the maintenance daemon, backpressure gate, and transparent
@@ -114,14 +114,6 @@ impl GovernorConfig {
     }
 }
 
-/// An open transaction abandoned by a dropped [`crate::Session`] while
-/// the engine write lock was contended; aborted later under the lock by
-/// the daemon or the next write statement.
-pub struct OrphanTxn {
-    pub snap: Snapshot,
-    pub undo: UndoLog,
-}
-
 /// Cumulative governor counters, surfaced through `V$SERVER`.
 #[derive(Default)]
 pub struct GovernorCounters {
@@ -163,8 +155,12 @@ pub struct ServerGovernor {
     engaged: AtomicBool,
     /// Last occupancy snapshot: (total held versions, max per-segment).
     occupancy: Mutex<(usize, usize)>,
-    /// Orphaned-transaction parking lot (see [`OrphanTxn`]).
-    orphans: Mutex<Vec<OrphanTxn>>,
+    /// Orphaned-transaction parking lot: open transactions abandoned by
+    /// a dropped [`crate::Session`] while the engine write lock was
+    /// contended, aborted later under the lock by the daemon or the next
+    /// write statement. A transaction is parked as its snapshot — its
+    /// undo never left the storage engine.
+    orphans: Mutex<Vec<Snapshot>>,
     has_orphans: AtomicBool,
     /// Daemon wake-up: sessions notify when occupancy crosses the
     /// high-water mark (or orphans are parked) so the daemon need not
@@ -300,8 +296,8 @@ impl ServerGovernor {
 
     /// Park an abandoned open transaction for later abort under the
     /// engine lock; wakes the daemon to collect it.
-    pub(crate) fn park_orphan(&self, snap: Snapshot, undo: UndoLog) {
-        self.orphans.lock().push(OrphanTxn { snap, undo });
+    pub(crate) fn park_orphan(&self, snap: Snapshot) {
+        self.orphans.lock().push(snap);
         self.has_orphans.store(true, Ordering::SeqCst);
         self.daemon_cv.notify_all();
     }
@@ -313,7 +309,7 @@ impl ServerGovernor {
 
     /// Take every parked orphan (caller must hold the engine write lock
     /// and abort them).
-    pub(crate) fn take_orphans(&self) -> Vec<OrphanTxn> {
+    pub(crate) fn take_orphans(&self) -> Vec<Snapshot> {
         let mut g = self.orphans.lock();
         self.has_orphans.store(false, Ordering::SeqCst);
         std::mem::take(&mut *g)

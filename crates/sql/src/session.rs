@@ -61,11 +61,11 @@ use extidx_common::{Error, Result, Row, Value};
 use extidx_core::events::DbEvent;
 use extidx_core::governor as stmt_governor;
 use extidx_core::governor::CancelToken;
-use extidx_storage::{Snapshot, UndoLog};
+use extidx_storage::Snapshot;
 use parking_lot::{Mutex, RwLock};
 
 use crate::ast::{bind_statement, Select, Statement};
-use crate::database::{Database, SqlStat, StmtResult};
+use crate::database::{Database, StmtResult};
 use crate::exec_ctx::run_select_shared;
 use crate::governor::{GovernorConfig, JitterRng, ServerGovernor};
 use crate::parser::parse;
@@ -230,19 +230,14 @@ fn daemon_main(db: Arc<RwLock<Database>>, g: Arc<ServerGovernor>) {
     }
 }
 
-/// The session's open transaction: the snapshot every statement reads
-/// under plus the accumulated undo for rollback.
-struct SessionTxn {
-    snap: Snapshot,
-    undo: UndoLog,
-}
-
 /// One database connection. `Send` — hand sessions to worker threads —
 /// but driven by one thread at a time.
 pub struct Session {
     db: Arc<RwLock<Database>>,
     governor: Arc<ServerGovernor>,
-    txn: Option<SessionTxn>,
+    /// The open explicit transaction, as the snapshot every statement
+    /// reads under. Its undo lives with the transaction in storage.
+    txn: Option<Snapshot>,
     /// Cancellation flag for the in-flight statement; clone it out via
     /// [`Session::cancel_token`] and trip it from any thread.
     token: CancelToken,
@@ -265,7 +260,7 @@ impl Session {
 
     /// The open transaction's snapshot (None in autocommit mode).
     pub fn snapshot(&self) -> Option<Snapshot> {
-        self.txn.as_ref().map(|t| t.snap)
+        self.txn
     }
 
     /// A handle other threads can use to cancel this session's running
@@ -305,7 +300,7 @@ impl Session {
             Statement::Set { name, value } => self.set_param(&name, value),
             Statement::Show { name } => self.show_param(&name),
             Statement::Select(s) => self.run_select(sql, &s),
-            other => self.write_statement(other),
+            other => self.write_statement(sql, other),
         };
         if let Err(e @ Error::StatementTimeout { .. }) = &result {
             // Central deadline accounting: `V$SERVER` counter + a
@@ -378,43 +373,22 @@ impl Session {
         // Read lane: shared lock, snapshot-pinned, no mutation.
         let started = Instant::now();
         let db = self.db.read();
-        let snap = self.txn.as_ref().map(|t| t.snap).unwrap_or_else(Snapshot::latest);
+        let snap = self.txn.unwrap_or_else(Snapshot::latest);
         let before = db.cache_stats();
-        let outcome = run_select_shared(&db, snap, s);
-        // Completed statements always hit `V$SQLSTATS`; a timed-out one
-        // is recorded too (rows_processed = whatever it managed), so the
-        // deadline is observable in the statement-level stats.
-        let record = |rows_processed: u64| {
-            db.record_sql_stat(SqlStat {
-                sql_id: 0, // assigned by record_sql_stat
-                sql_text: sql.to_string(),
-                rows_processed,
-                elapsed_micros: started.elapsed().as_micros() as u64,
-                cache: db.cache_stats().since(&before),
-            });
-        };
-        match outcome {
-            Ok((columns, rows)) => {
-                record(rows.len() as u64);
-                Ok(StmtResult::Rows { columns, rows })
-            }
-            Err(e) => {
-                if matches!(e, Error::StatementTimeout { .. }) {
-                    record(0);
-                }
-                Err(e)
-            }
-        }
+        let result = run_select_shared(&db, snap, s)
+            .map(|(columns, rows)| StmtResult::Rows { columns, rows });
+        db.record_statement(sql, started, &before, &result);
+        result
     }
 
     /// Open an explicit transaction: reserve a txn id and pin the
     /// snapshot every subsequent statement reads under.
     fn begin(&mut self) -> Result<StmtResult> {
-        if self.txn.is_some() {
+        let txns = self.db.read().storage().txn_manager();
+        if self.txn.is_some_and(|snap| txns.is_active(snap.txn)) {
             return Err(Error::Transaction("a transaction is already active".into()));
         }
-        let snap = self.db.read().storage().txn_manager().begin();
-        self.txn = Some(SessionTxn { snap, undo: UndoLog::new() });
+        self.txn = Some(txns.begin());
         Ok(StmtResult::Ok)
     }
 
@@ -425,36 +399,24 @@ impl Session {
     /// Explicit transactions are **never** transparently retried: the
     /// client saw intermediate state, so only it can decide to re-run.
     fn commit(&mut self) -> Result<StmtResult> {
-        let Some(mut t) = self.txn.take() else {
+        let mut db = self.db.write();
+        match self.txn.take() {
+            Some(snap) => db.session_commit(snap)?,
             // COMMIT with nothing open mirrors the legacy arm: fire the
             // event, succeed.
-            self.db.write().fire_event(DbEvent::Commit)?;
-            return Ok(StmtResult::Ok);
-        };
-        let mut db = self.db.write();
-        let txns = db.storage().txn_manager();
-        let enforce = db.storage().conflict_checks();
-        match txns.commit(&t.snap, enforce) {
-            Ok(_csn) => {
-                db.session_commit_finish(t.snap)?;
-                Ok(StmtResult::Ok)
-            }
-            Err(conflict) => {
-                db.trace_conflict(&conflict);
-                let _ = db.session_abort(t.snap, &mut t.undo);
-                Err(conflict)
-            }
+            None => db.fire_event_unscoped(DbEvent::Commit)?,
         }
+        Ok(StmtResult::Ok)
     }
 
     /// Roll back the open transaction (no-op + event when none is open,
     /// mirroring the legacy arm).
     fn rollback(&mut self) -> Result<StmtResult> {
-        let Some(mut t) = self.txn.take() else {
-            self.db.write().fire_event(DbEvent::Rollback)?;
-            return Ok(StmtResult::Ok);
-        };
-        self.db.write().session_abort(t.snap, &mut t.undo)?;
+        let mut db = self.db.write();
+        match self.txn.take() {
+            Some(snap) => db.session_abort(snap)?,
+            None => db.fire_event_unscoped(DbEvent::Rollback)?,
+        }
         Ok(StmtResult::Ok)
     }
 
@@ -462,27 +424,36 @@ impl Session {
     /// transaction the statement joins it; otherwise the statement is an
     /// implicit begin+statement+commit so autocommit writers take part in
     /// the same first-writer-wins protocol (with transparent retry).
-    fn write_statement(&mut self, stmt: Statement) -> Result<StmtResult> {
+    fn write_statement(&mut self, sql: &str, stmt: Statement) -> Result<StmtResult> {
         let _guard = self.stmt_guard();
+        // The client statement, for `V$SQLSTATS`: whichever attempt ends
+        // it records it, under the write lock that attempt holds anyway.
+        let client = (sql, Instant::now());
         // The gate runs *before* the write lock is taken: a yielding
         // statement must not block the daemon (or other sessions) out of
         // the very lock the drain needs.
         self.backpressure_gate()?;
-        if self.txn.is_some() {
-            return self.txn_statement(stmt);
+        match self.txn {
+            Some(snap) => self.txn_statement(client, stmt, snap),
+            None => self.autocommit_statement(client, stmt),
         }
-        self.autocommit_statement(stmt)
     }
 
-    fn txn_statement(&mut self, stmt: Statement) -> Result<StmtResult> {
-        let t = self.txn.as_mut().expect("explicit transaction open");
+    fn txn_statement(
+        &mut self,
+        (sql, started): (&str, Instant),
+        stmt: Statement,
+        snap: Snapshot,
+    ) -> Result<StmtResult> {
         let mut db = self.db.write();
+        let before = db.cache_stats();
         // A failed statement already rolled its own effects back
         // inside `run_top`; the transaction stays open either way.
-        let result = db.session_statement(stmt, t.snap, &mut t.undo);
+        let result = db.session_statement(stmt, snap);
         if let Err(e) = &result {
             db.trace_conflict(e);
         }
+        db.record_statement(sql, started, &before, &result);
         result
     }
 
@@ -490,10 +461,14 @@ impl Session {
     /// first-writer-wins validation is re-run on a fresh snapshot up to
     /// `retry_max` times with seeded jittered backoff. Every other error
     /// (including a statement timeout) surfaces immediately.
-    fn autocommit_statement(&mut self, stmt: Statement) -> Result<StmtResult> {
+    fn autocommit_statement(
+        &mut self,
+        client: (&str, Instant),
+        stmt: Statement,
+    ) -> Result<StmtResult> {
         let mut attempt: u32 = 0;
         loop {
-            match self.autocommit_once(stmt.clone()) {
+            match self.autocommit_once(client, stmt.clone()) {
                 Err(e @ Error::WriteConflict { .. }) => {
                     if attempt >= self.retry_max {
                         if self.retry_max > 0 {
@@ -521,33 +496,25 @@ impl Session {
         }
     }
 
-    fn autocommit_once(&mut self, stmt: Statement) -> Result<StmtResult> {
+    fn autocommit_once(
+        &mut self,
+        (sql, started): (&str, Instant),
+        stmt: Statement,
+    ) -> Result<StmtResult> {
         let mut db = self.db.write();
         // Adopt any transactions orphaned by dropped sessions while we
         // hold the lock anyway (keeps the vacuum horizon moving even if
         // the daemon is off).
         db.drain_orphans();
-        let txns = db.storage().txn_manager();
-        let snap = txns.begin();
-        let mut undo = UndoLog::new();
-        match db.session_statement(stmt, snap, &mut undo) {
+        let before = db.cache_stats();
+        let snap = db.storage().txn_manager().begin();
+        let result = match db.session_statement(stmt, snap) {
             Ok(result) => {
                 // The statement's work is done — from here the commit
                 // must not be interrupted by its deadline (half-committed
                 // is strictly worse than late).
                 stmt_governor::disarm();
-                let enforce = db.storage().conflict_checks();
-                match txns.commit(&snap, enforce) {
-                    Ok(_csn) => {
-                        db.session_commit_finish(snap)?;
-                        Ok(result)
-                    }
-                    Err(conflict) => {
-                        db.trace_conflict(&conflict);
-                        let _ = db.session_abort(snap, &mut undo);
-                        Err(conflict)
-                    }
-                }
+                db.session_commit(snap).map(|()| result)
             }
             Err(e) => {
                 // Statement-level rollback (and its Rollback event) ran in
@@ -556,7 +523,9 @@ impl Session {
                 db.session_discard(snap);
                 Err(e)
             }
-        }
+        };
+        db.record_statement(sql, started, &before, &result);
+        result
     }
 
     /// The backpressure gate. When chain occupancy sits above the
@@ -617,13 +586,12 @@ impl Drop for Session {
         // (a statement that panicked mid-write) or a wedged peer; park
         // the transaction with the governor instead, and the daemon (or
         // the next write statement) aborts it under the lock.
-        if let Some(t) = self.txn.take() {
+        if let Some(snap) = self.txn.take() {
             match self.db.try_write() {
                 Some(mut db) => {
-                    let mut undo = t.undo;
-                    let _ = db.session_abort(t.snap, &mut undo);
+                    let _ = db.session_abort(snap);
                 }
-                None => self.governor.park_orphan(t.snap, t.undo),
+                None => self.governor.park_orphan(snap),
             }
         }
     }

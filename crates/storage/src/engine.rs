@@ -5,8 +5,9 @@
 //! file store. All mutating access flows through it so that:
 //!
 //! 1. every page touch is charged to the [`BufferCache`],
-//! 2. every database-resident mutation is recorded in the caller's
-//!    [`UndoLog`] (when one is active),
+//! 2. every database-resident mutation is recorded in the undo log of
+//!    the transaction driving it — the engine keeps the logs, callers
+//!    hold savepoint marks ([`StorageEngine::undo_mark`]),
 //! 3. external-file operations are *not* recorded — reproducing the
 //!    paper's §5 transactional limitation for outside-the-database index
 //!    data.
@@ -63,6 +64,9 @@ pub struct StorageEngine {
     wal: Option<DurableMedium>,
     /// Transaction manager shared with every session of the database.
     txns: Arc<TxnManager>,
+    /// Undo log of every open transaction, by id (0 = the direct lane).
+    /// An entry leaves when its transaction ends, whichever way.
+    undo: HashMap<u64, UndoLog>,
     /// Snapshot of the transaction currently driving mutations. Txn 0 is
     /// the legacy single-session/autocommit lane: no version chains are
     /// created and every path behaves exactly as before MVCC.
@@ -94,6 +98,7 @@ impl StorageEngine {
             next_segment: 1,
             wal: None,
             txns: Arc::new(TxnManager::default()),
+            undo: HashMap::new(),
             current: Snapshot::latest(),
             conflict_checks: true,
             vacuum_stats: VacuumStats::default(),
@@ -125,6 +130,43 @@ impl StorageEngine {
         self.current
     }
 
+    /// Whether the transaction currently driving mutations is open beyond
+    /// the statement at hand: a session's transaction, or the direct
+    /// lane's explicit one. The one answer for every lane — the registry's.
+    pub fn in_txn(&self) -> bool {
+        self.txns.is_active(self.current.txn)
+    }
+
+    /// Savepoint in the current transaction's undo log: everything a
+    /// later [`Self::rollback_to`] of this mark takes back.
+    pub fn undo_mark(&self) -> usize {
+        self.undo.get(&self.current.txn).map_or(0, UndoLog::len)
+    }
+
+    fn record(&mut self, op: UndoOp) {
+        self.undo.entry(self.current.txn).or_default().push(op);
+    }
+
+    /// Commit a transaction: first-writer-wins validation of its write
+    /// set, then its undo log is dropped. On a conflict nothing ends —
+    /// the caller rolls the transaction back.
+    pub fn commit_txn(&mut self, snap: Snapshot) -> Result<u64> {
+        let csn = self.txns.commit(&snap, self.conflict_checks)?;
+        self.undo.remove(&snap.txn);
+        Ok(csn)
+    }
+
+    /// Roll a whole transaction back (chain-aware, under its own
+    /// snapshot) and mark it aborted.
+    pub fn rollback_txn(&mut self, snap: Snapshot) -> Result<()> {
+        let driver = std::mem::replace(&mut self.current, snap);
+        let rolled = self.rollback_to(0);
+        self.current = driver;
+        self.undo.remove(&snap.txn);
+        self.txns.abort(snap.txn);
+        rolled
+    }
+
     /// Toggle first-writer-wins enforcement (early conflict detection and
     /// commit-time validation). Structural conflicts between two *active*
     /// writers are always rejected regardless — overlay MVCC cannot hold
@@ -133,11 +175,6 @@ impl StorageEngine {
     /// catch the resulting lost update.
     pub fn set_conflict_checks(&mut self, on: bool) {
         self.conflict_checks = on;
-    }
-
-    /// Whether first-writer-wins enforcement is on.
-    pub fn conflict_checks(&self) -> bool {
-        self.conflict_checks
     }
 
     /// True when any version chain exists for the segment: without chains
@@ -567,8 +604,9 @@ impl StorageEngine {
         self.lobs = snap.lobs;
         self.files = snap.files;
         self.next_segment = snap.next_segment;
-        // Checkpoints are only taken at quiescence after a vacuum, so the
-        // restored state carries no version chains.
+        // The SQL layer's checkpoint refuses while any transaction is
+        // active and vacuums first, so the restored state carries no
+        // version chains.
         self.versions = VersionStore::default();
         self.current = Snapshot::latest();
     }
@@ -583,23 +621,15 @@ impl StorageEngine {
     /// with the WAL detached. Application errors are swallowed: a record
     /// whose original apply failed fails identically on replay (same
     /// state, deterministic operations), leaving state unchanged both
-    /// times.
+    /// times. Replay is redo only, so the undo an applied record leaves
+    /// behind is dropped at once.
     pub fn apply_wal_record(&mut self, rec: &WalRecord) {
         match rec {
-            WalRecord::CreateHeap => {
-                let _ = self.create_heap();
-            }
-            WalRecord::CreateIot { key_cols } => {
-                let _ = self.create_iot(*key_cols);
-            }
             WalRecord::DropSegment { seg } => {
                 let _ = self.drop_segment(*seg);
             }
             WalRecord::TruncateSegment { seg } => {
                 let _ = self.truncate_segment(*seg);
-            }
-            WalRecord::HeapInsert { seg, row } => {
-                let _ = self.heap_insert(*seg, row.clone(), None);
             }
             WalRecord::HeapInsertAt { seg, rid, row } => {
                 if let Some(h) = self.heaps.get_mut(seg) {
@@ -608,13 +638,10 @@ impl StorageEngine {
                 }
             }
             WalRecord::HeapUpdate { seg, rid, row } => {
-                let _ = self.heap_update(*seg, *rid, row.clone(), None);
+                let _ = self.heap_update(*seg, *rid, row.clone());
             }
             WalRecord::HeapDelete { seg, rid } => {
-                let _ = self.heap_delete(*seg, *rid, None);
-            }
-            WalRecord::IotInsert { seg, row } => {
-                let _ = self.iot_insert(*seg, row.clone(), None);
+                let _ = self.heap_delete(*seg, *rid);
             }
             WalRecord::IotInsertOrd { seg, row, ord } => {
                 if let Some(t) = self.iots.get_mut(seg) {
@@ -637,17 +664,11 @@ impl StorageEngine {
             WalRecord::LobAllocateAt { lob } => {
                 self.lobs.allocate_at(*lob);
             }
-            WalRecord::IotUpsert { seg, row } => {
-                let _ = self.iot_upsert(*seg, row.clone(), None);
-            }
             WalRecord::IotDelete { seg, key } => {
-                let _ = self.iot_delete(*seg, key, None);
-            }
-            WalRecord::LobAllocate => {
-                let _ = self.lob_allocate(None);
+                let _ = self.iot_delete(*seg, key);
             }
             WalRecord::LobWrite { lob, offset, bytes } => {
-                let _ = self.lob_write(*lob, *offset, bytes, None);
+                let _ = self.lob_write(*lob, *offset, bytes);
             }
             WalRecord::LobAppendAt { lob, offset, bytes } => {
                 // A gap below the recorded offset means an aborted
@@ -655,16 +676,16 @@ impl StorageEngine {
                 // replay; live rollback hole-filled that space with 0xFF
                 // tombstone bytes, so replay must too.
                 let _ = self.lobs.pad_to(*lob, *offset, 0xFF);
-                let _ = self.lob_write(*lob, *offset, bytes, None);
+                let _ = self.lob_write(*lob, *offset, bytes);
             }
             WalRecord::LobTruncate { lob, len } => {
                 let _ = self.lobs.truncate(*lob, *len);
             }
             WalRecord::LobOverwrite { lob, bytes } => {
-                let _ = self.lob_overwrite(*lob, bytes, None);
+                let _ = self.lob_overwrite(*lob, bytes);
             }
             WalRecord::LobFree { lob } => {
-                let _ = self.lob_free(*lob, None);
+                let _ = self.lob_free(*lob);
             }
             WalRecord::LobRestore { lob, bytes } => {
                 self.lobs.restore(*lob, bytes.clone());
@@ -673,6 +694,7 @@ impl StorageEngine {
             // are the SQL layer's business.
             WalRecord::FileActivity { .. } | WalRecord::Commit { .. } => {}
         }
+        self.undo.clear();
     }
 
     /// Recompute exact zone maps on every heap segment (end of recovery:
@@ -815,12 +837,7 @@ impl StorageEngine {
     /// Insert a row into a heap segment. The WAL record names the rowid
     /// the insert will land on (peeked before the apply) so commit-order
     /// replay reproduces live placement exactly.
-    pub fn heap_insert(
-        &mut self,
-        seg: SegmentId,
-        row: Row,
-        undo: Option<&mut UndoLog>,
-    ) -> Result<RowId> {
+    pub fn heap_insert(&mut self, seg: SegmentId, row: Row) -> Result<RowId> {
         let Some(h) = self.heaps.get(&seg) else {
             return Err(Error::Storage(format!("{seg}: no such heap segment")));
         };
@@ -836,9 +853,7 @@ impl StorageEngine {
             chain.begin = t;
             self.txns.record_write(t, WriteRef { seg, key: WriteKey::Rid(inserted) });
         }
-        if let Some(log) = undo {
-            log.push(UndoOp::HeapInsert { seg, rid: inserted });
-        }
+        self.record(UndoOp::HeapInsert { seg, rid: inserted });
         self.wal_applied()?;
         Ok(inserted)
     }
@@ -846,13 +861,7 @@ impl StorageEngine {
     /// Update a row in place; returns the old image. Under a transaction
     /// the displaced image is pushed onto the row's version chain so
     /// concurrent snapshots keep seeing it.
-    pub fn heap_update(
-        &mut self,
-        seg: SegmentId,
-        rid: RowId,
-        new_row: Row,
-        undo: Option<&mut UndoLog>,
-    ) -> Result<Row> {
+    pub fn heap_update(&mut self, seg: SegmentId, rid: RowId, new_row: Row) -> Result<Row> {
         if !self.heaps.contains_key(&seg) {
             return Err(Error::Storage(format!("{seg}: no such heap segment")));
         }
@@ -876,9 +885,7 @@ impl StorageEngine {
             }
             self.txns.record_write(t, WriteRef { seg, key: WriteKey::Rid(rid) });
         }
-        if let Some(log) = undo {
-            log.push(UndoOp::HeapUpdate { seg, rid, old: old.clone() });
-        }
+        self.record(UndoOp::HeapUpdate { seg, rid, old: old.clone() });
         self.wal_applied()?;
         Ok(old)
     }
@@ -888,12 +895,7 @@ impl StorageEngine {
     /// physical slot survives until vacuum, so the rowid is never recycled
     /// while a snapshot can still see the row. (Replay applies the delete
     /// physically — by then the commit is durable and unconditional.)
-    pub fn heap_delete(
-        &mut self,
-        seg: SegmentId,
-        rid: RowId,
-        undo: Option<&mut UndoLog>,
-    ) -> Result<Row> {
+    pub fn heap_delete(&mut self, seg: SegmentId, rid: RowId) -> Result<Row> {
         if !self.heaps.contains_key(&seg) {
             return Err(Error::Storage(format!("{seg}: no such heap segment")));
         }
@@ -926,9 +928,7 @@ impl StorageEngine {
             old
         };
         self.cache.write((seg, rid.page));
-        if let Some(log) = undo {
-            log.push(UndoOp::HeapDelete { seg, rid, old: old.clone() });
-        }
+        self.record(UndoOp::HeapDelete { seg, rid, old: old.clone() });
         self.wal_applied()?;
         Ok(old)
     }
@@ -983,12 +983,7 @@ impl StorageEngine {
     /// the insert will receive so commit-order replay reproduces logical
     /// rowids exactly; consequently the duplicate check runs *before*
     /// logging (replay applies ordinal-explicit records unconditionally).
-    pub fn iot_insert(
-        &mut self,
-        seg: SegmentId,
-        row: Row,
-        undo: Option<&mut UndoLog>,
-    ) -> Result<RowId> {
+    pub fn iot_insert(&mut self, seg: SegmentId, row: Row) -> Result<RowId> {
         let iot = self.iot(seg)?;
         let key_cols = iot.key_cols();
         let key = Key(row[..key_cols.min(row.len())].to_vec());
@@ -1008,21 +1003,14 @@ impl StorageEngine {
             chain.current = Some(IotCurrent { begin: t });
             self.txns.record_write(t, WriteRef { seg, key: WriteKey::Key(key.clone()) });
         }
-        if let Some(log) = undo {
-            log.push(UndoOp::IotInsert { seg, key });
-        }
+        self.record(UndoOp::IotInsert { seg, key });
         self.wal_applied()?;
         Ok(Self::ord_to_rid(seg, inserted))
     }
 
     /// Insert-or-replace into an IOT. Returns the previous row (if any)
     /// and the row's logical rowid, which is stable across replaces.
-    pub fn iot_upsert(
-        &mut self,
-        seg: SegmentId,
-        row: Row,
-        undo: Option<&mut UndoLog>,
-    ) -> Result<(Option<Row>, RowId)> {
+    pub fn iot_upsert(&mut self, seg: SegmentId, row: Row) -> Result<(Option<Row>, RowId)> {
         let iot = self.iot(seg)?;
         let key_cols = iot.key_cols();
         let key = Key(row[..key_cols.min(row.len())].to_vec());
@@ -1047,23 +1035,16 @@ impl StorageEngine {
             chain.current = Some(IotCurrent { begin: t });
             self.txns.record_write(t, WriteRef { seg, key: WriteKey::Key(key.clone()) });
         }
-        if let Some(log) = undo {
-            match &old {
-                Some(o) => log.push(UndoOp::IotReplace { seg, old: o.clone() }),
-                None => log.push(UndoOp::IotInsert { seg, key }),
-            }
-        }
+        self.record(match &old {
+            Some(o) => UndoOp::IotReplace { seg, old: o.clone() },
+            None => UndoOp::IotInsert { seg, key },
+        });
         self.wal_applied()?;
         Ok((old, Self::ord_to_rid(seg, ord)))
     }
 
     /// Delete by key from an IOT; returns the removed row if present.
-    pub fn iot_delete(
-        &mut self,
-        seg: SegmentId,
-        key: &Key,
-        undo: Option<&mut UndoLog>,
-    ) -> Result<Option<Row>> {
+    pub fn iot_delete(&mut self, seg: SegmentId, key: &Key) -> Result<Option<Row>> {
         self.check_iot_write(seg, key)?;
         self.wal_append(WalRecord::IotDelete { seg, key: key.clone() })?;
         // IOT deletes are physically immediate (ordinals are never reused,
@@ -1085,9 +1066,7 @@ impl StorageEngine {
                     chain.current = None;
                     self.txns.record_write(t, WriteRef { seg, key: WriteKey::Key(key.clone()) });
                 }
-                if let Some(log) = undo {
-                    log.push(UndoOp::IotDelete { seg, old: o.clone(), ord });
-                }
+                self.record(UndoOp::IotDelete { seg, old: o.clone(), ord });
                 Some(o)
             }
             None => None,
@@ -1447,12 +1426,10 @@ impl StorageEngine {
 
     /// Allocate an empty LOB. The record names the locator explicitly so
     /// commit-order replay reproduces live assignments.
-    pub fn lob_allocate(&mut self, undo: Option<&mut UndoLog>) -> Result<LobRef> {
+    pub fn lob_allocate(&mut self) -> Result<LobRef> {
         self.wal_append(WalRecord::LobAllocateAt { lob: self.lobs.peek_next_ref() })?;
         let lob = self.lobs.allocate();
-        if let Some(log) = undo {
-            log.push(UndoOp::LobAllocate { lob });
-        }
+        self.record(UndoOp::LobAllocate { lob });
         // Stamp the new LOB with its creating transaction so snapshots
         // that cannot see the creator do not see its content either.
         let t = self.current.txn;
@@ -1568,27 +1545,19 @@ impl StorageEngine {
     /// `[offset, offset+len)` is touched (widened down to the current end
     /// of the LOB when the write lands past it, so the zero-filled gap is
     /// part of the span and rollback can truncate it away).
-    pub fn lob_write(
-        &mut self,
-        lob: LobRef,
-        offset: u64,
-        bytes: &[u8],
-        undo: Option<&mut UndoLog>,
-    ) -> Result<()> {
+    pub fn lob_write(&mut self, lob: LobRef, offset: u64, bytes: &[u8]) -> Result<()> {
         let cur = self.lobs.length(lob)?;
         let start = offset.min(cur);
         let len = offset.saturating_add(bytes.len() as u64) - start;
         self.check_lob_write(lob, start, len)?;
         self.wal_append(WalRecord::LobWrite { lob, offset, bytes: bytes.to_vec() })?;
-        if let Some(log) = undo {
-            let end = start.saturating_add(len).min(cur);
-            let old = if start < end {
-                self.lobs.read(lob, start, (end - start) as usize)?.0
-            } else {
-                Vec::new()
-            };
-            log.push(UndoOp::LobSpan { lob, start, len, old });
-        }
+        let end = start.saturating_add(len).min(cur);
+        let old = if start < end {
+            self.lobs.read(lob, start, (end - start) as usize)?.0
+        } else {
+            Vec::new()
+        };
+        self.record(UndoOp::LobSpan { lob, start, len, old });
         self.displace_lob_span(lob, start, len);
         let charge = self.lobs.write(lob, offset, bytes)?;
         self.charge_lob(lob, charge);
@@ -1599,19 +1568,12 @@ impl StorageEngine {
     /// offset-explicit (peeked before apply) so commit-order replay places
     /// the bytes exactly where the live run did even when other
     /// transactions' appends interleaved.
-    pub fn lob_append(
-        &mut self,
-        lob: LobRef,
-        bytes: &[u8],
-        undo: Option<&mut UndoLog>,
-    ) -> Result<u64> {
+    pub fn lob_append(&mut self, lob: LobRef, bytes: &[u8]) -> Result<u64> {
         let offset = self.lobs.length(lob)?;
         let len = bytes.len() as u64;
         self.check_lob_write(lob, offset, len)?;
         self.wal_append(WalRecord::LobAppendAt { lob, offset, bytes: bytes.to_vec() })?;
-        if let Some(log) = undo {
-            log.push(UndoOp::LobSpan { lob, start: offset, len, old: Vec::new() });
-        }
+        self.record(UndoOp::LobSpan { lob, start: offset, len, old: Vec::new() });
         self.displace_lob_span(lob, offset, len);
         let (off, charge) = self.lobs.append(lob, bytes)?;
         debug_assert_eq!(off, offset, "peeked append offset must match placement");
@@ -1622,18 +1584,11 @@ impl StorageEngine {
 
     /// Replace a LOB's entire contents (a whole-locator operation: it
     /// conflicts with every concurrent write to the locator).
-    pub fn lob_overwrite(
-        &mut self,
-        lob: LobRef,
-        bytes: &[u8],
-        undo: Option<&mut UndoLog>,
-    ) -> Result<()> {
+    pub fn lob_overwrite(&mut self, lob: LobRef, bytes: &[u8]) -> Result<()> {
         self.check_lob_write(lob, 0, WHOLE_LOB)?;
         self.wal_append(WalRecord::LobOverwrite { lob, bytes: bytes.to_vec() })?;
-        if let Some(log) = undo {
-            let (old, _) = self.lobs.read_all(lob)?;
-            log.push(UndoOp::LobModify { lob, old });
-        }
+        let (old, _) = self.lobs.read_all(lob)?;
+        self.record(UndoOp::LobModify { lob, old });
         self.displace_lob_span(lob, 0, WHOLE_LOB);
         let charge = self.lobs.overwrite(lob, bytes)?;
         self.charge_lob(lob, charge);
@@ -1643,14 +1598,12 @@ impl StorageEngine {
     /// Free a LOB (whole-locator). The before-image is displaced into the
     /// version chain first, so snapshots that predate the free still read
     /// the content.
-    pub fn lob_free(&mut self, lob: LobRef, undo: Option<&mut UndoLog>) -> Result<()> {
+    pub fn lob_free(&mut self, lob: LobRef) -> Result<()> {
         self.check_lob_write(lob, 0, WHOLE_LOB)?;
         self.wal_append(WalRecord::LobFree { lob })?;
         self.displace_lob_span(lob, 0, WHOLE_LOB);
         let old = self.lobs.free(lob)?;
-        if let Some(log) = undo {
-            log.push(UndoOp::LobFree { lob, old });
-        }
+        self.record(UndoOp::LobFree { lob, old });
         self.wal_applied()
     }
 
@@ -1733,16 +1686,20 @@ impl StorageEngine {
 
     // ----- rollback ---------------------------------------------------------------
 
-    /// Apply a transaction's undo log in reverse, restoring all
-    /// database-resident state. External files are untouched.
+    /// Apply the current transaction's undo log in reverse down to `mark`
+    /// (an earlier [`Self::undo_mark`]; 0 = the whole transaction),
+    /// restoring all database-resident state. The one rollback routine:
+    /// a failed statement, a retried cartridge call and a transaction's
+    /// end differ only in the mark. External files are untouched.
     ///
     /// Every undo application is itself written ahead as a *redo* record:
     /// an explicit-transaction ROLLBACK is a completed statement followed
     /// by a commit marker, so its effects must replay on recovery exactly
     /// like forward work.
-    pub fn rollback(&mut self, log: &mut UndoLog) -> Result<()> {
+    pub fn rollback_to(&mut self, mark: usize) -> Result<()> {
         let t = self.current.txn;
-        for op in log.drain_reverse() {
+        let ops = self.undo.get_mut(&t).map(|log| log.drain_reverse_from(mark));
+        for op in ops.unwrap_or_default() {
             match op {
                 UndoOp::HeapInsert { seg, rid } => {
                     if self.heaps.contains_key(&seg) {
@@ -1960,15 +1917,15 @@ mod tests {
     fn heap_rollback_restores_all_three_ops() {
         let mut e = StorageEngine::new(64);
         let seg = e.create_heap().unwrap();
-        let keep = e.heap_insert(seg, row(1), None).unwrap();
-        let doomed = e.heap_insert(seg, row(2), None).unwrap();
+        let keep = e.heap_insert(seg, row(1)).unwrap();
+        let doomed = e.heap_insert(seg, row(2)).unwrap();
 
-        let mut undo = UndoLog::new();
-        let added = e.heap_insert(seg, row(3), Some(&mut undo)).unwrap();
-        e.heap_update(seg, keep, row(100), Some(&mut undo)).unwrap();
-        e.heap_delete(seg, doomed, Some(&mut undo)).unwrap();
+        let mark = e.undo_mark();
+        let added = e.heap_insert(seg, row(3)).unwrap();
+        e.heap_update(seg, keep, row(100)).unwrap();
+        e.heap_delete(seg, doomed).unwrap();
 
-        e.rollback(&mut undo).unwrap();
+        e.rollback_to(mark).unwrap();
         let fetched = e.heap_fetch_multi(seg, &[keep, doomed], &Snapshot::latest()).unwrap();
         assert_eq!(fetched, vec![Some(row(1)), Some(row(2))]);
         assert!(e.heap_fetch_multi(seg, &[added], &Snapshot::latest()).is_err());
@@ -1979,14 +1936,14 @@ mod tests {
     fn iot_rollback_restores() {
         let mut e = StorageEngine::new(64);
         let seg = e.create_iot(1).unwrap();
-        e.iot_insert(seg, vec![Value::Integer(1), Value::from("old")], None).unwrap();
+        e.iot_insert(seg, vec![Value::Integer(1), Value::from("old")]).unwrap();
 
-        let mut undo = UndoLog::new();
-        e.iot_insert(seg, vec![Value::Integer(2), Value::from("new")], Some(&mut undo)).unwrap();
-        e.iot_upsert(seg, vec![Value::Integer(1), Value::from("changed")], Some(&mut undo)).unwrap();
-        e.iot_delete(seg, &Key::single(Value::Integer(1)), Some(&mut undo)).unwrap();
+        let mark = e.undo_mark();
+        e.iot_insert(seg, vec![Value::Integer(2), Value::from("new")]).unwrap();
+        e.iot_upsert(seg, vec![Value::Integer(1), Value::from("changed")]).unwrap();
+        e.iot_delete(seg, &Key::single(Value::Integer(1))).unwrap();
 
-        e.rollback(&mut undo).unwrap();
+        e.rollback_to(mark).unwrap();
         let get = |k: i64| {
             let key = Key::single(Value::Integer(k));
             e.iot_range(seg, Some(&key), Some(&key), &Snapshot::latest()).unwrap()
@@ -1998,15 +1955,15 @@ mod tests {
     #[test]
     fn lob_rollback_restores_bytes() {
         let mut e = StorageEngine::new(64);
-        let mut undo = UndoLog::new();
-        let keep = e.lob_allocate(None).unwrap();
-        e.lob_write(keep, 0, b"stable", None).unwrap();
+        let keep = e.lob_allocate().unwrap();
+        e.lob_write(keep, 0, b"stable").unwrap();
 
-        e.lob_write(keep, 0, b"CLOBBERED!", Some(&mut undo)).unwrap();
-        let temp = e.lob_allocate(Some(&mut undo)).unwrap();
-        e.lob_write(temp, 0, b"scratch", Some(&mut undo)).unwrap();
+        let mark = e.undo_mark();
+        e.lob_write(keep, 0, b"CLOBBERED!").unwrap();
+        let temp = e.lob_allocate().unwrap();
+        e.lob_write(temp, 0, b"scratch").unwrap();
 
-        e.rollback(&mut undo).unwrap();
+        e.rollback_to(mark).unwrap();
         assert_eq!(e.lob_read_all(keep).unwrap(), b"stable");
         assert!(e.lob_read_all(temp).is_err(), "rolled-back allocation is gone");
     }
@@ -2014,13 +1971,13 @@ mod tests {
     #[test]
     fn external_files_survive_rollback() {
         let mut e = StorageEngine::new(64);
-        let mut undo = UndoLog::new();
+        let mark = e.undo_mark();
         let seg = e.create_heap().unwrap();
-        e.heap_insert(seg, row(1), Some(&mut undo)).unwrap();
+        e.heap_insert(seg, row(1)).unwrap();
         e.files().create("external.idx");
         e.files().write("external.idx", b"orphaned index entry").unwrap();
 
-        e.rollback(&mut undo).unwrap();
+        e.rollback_to(mark).unwrap();
         // Database state rolled back…
         assert_eq!(e.heap(seg).unwrap().row_count(), 0);
         // …but the external file kept the now-inconsistent data (§5).
@@ -2031,7 +1988,7 @@ mod tests {
     fn drop_segment_discards_cache_pages() {
         let mut e = StorageEngine::new(64);
         let seg = e.create_heap().unwrap();
-        e.heap_insert(seg, row(1), None).unwrap();
+        e.heap_insert(seg, row(1)).unwrap();
         assert!(e.cache().resident_pages() > 0);
         e.drop_segment(seg).unwrap();
         assert_eq!(e.cache().resident_pages(), 0);
@@ -2043,8 +2000,8 @@ mod tests {
         let mut e = StorageEngine::new(64);
         let h = e.create_heap().unwrap();
         let t = e.create_iot(1).unwrap();
-        e.heap_insert(h, row(1), None).unwrap();
-        e.iot_insert(t, vec![Value::Integer(1)], None).unwrap();
+        e.heap_insert(h, row(1)).unwrap();
+        e.iot_insert(t, vec![Value::Integer(1)]).unwrap();
         e.truncate_segment(h).unwrap();
         e.truncate_segment(t).unwrap();
         assert_eq!(e.heap(h).unwrap().row_count(), 0);
@@ -2055,23 +2012,23 @@ mod tests {
     fn iot_logical_rowids_survive_update_and_rollback() {
         let mut e = StorageEngine::new(64);
         let seg = e.create_iot(1).unwrap();
-        let rid = e.iot_insert(seg, vec![Value::Integer(7), Value::from("v1")], None).unwrap();
+        let rid = e.iot_insert(seg, vec![Value::Integer(7), Value::from("v1")]).unwrap();
         let latest = Snapshot::latest();
         let fetch = |e: &StorageEngine| e.iot_fetch_multi(seg, &[rid], &latest).unwrap().remove(0);
         assert_eq!(fetch(&e).unwrap()[1], Value::from("v1"));
 
         // In-place replace keeps the logical rowid.
-        let (_, rid2) = e.iot_upsert(seg, vec![Value::Integer(7), Value::from("v2")], None).unwrap();
+        let (_, rid2) = e.iot_upsert(seg, vec![Value::Integer(7), Value::from("v2")]).unwrap();
         assert_eq!(rid, rid2);
         let key = Key::single(Value::Integer(7));
         let by_key = e.iot_range_with_rids(seg, Some(&key), Some(&key), &latest).unwrap();
         assert_eq!(by_key, vec![(rid, vec![Value::Integer(7), Value::from("v2")])]);
 
         // Delete + rollback restores the row under the same rowid.
-        let mut undo = UndoLog::new();
-        e.iot_delete(seg, &key, Some(&mut undo)).unwrap();
+        let mark = e.undo_mark();
+        e.iot_delete(seg, &key).unwrap();
         assert!(fetch(&e).is_none());
-        e.rollback(&mut undo).unwrap();
+        e.rollback_to(mark).unwrap();
         assert_eq!(fetch(&e).unwrap()[1], Value::from("v2"));
 
         // Range scan hands back the same rowids.
@@ -2084,7 +2041,7 @@ mod tests {
         let mut e = StorageEngine::new(1024);
         let seg = e.create_iot(1).unwrap();
         for i in 0..100 {
-            e.iot_insert(seg, vec![Value::Integer(i), Value::from("v")], None).unwrap();
+            e.iot_insert(seg, vec![Value::Integer(i), Value::from("v")]).unwrap();
         }
         e.cache().reset_stats();
         let key = Key::single(Value::Integer(42));

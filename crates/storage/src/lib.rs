@@ -19,14 +19,17 @@
 //! - [`buffer::BufferCache`] — an LRU page cache that converts every page
 //!   touch into logical/physical I/O statistics, so experiments can report
 //!   the paper's "reduced I/O" claims quantitatively;
-//! - [`undo::UndoLog`] — row-level undo enabling transaction rollback; the
+//! - [`undo::UndoLog`] — row-level undo enabling transaction rollback,
+//!   one log per open transaction, kept by the engine beside its
+//!   [`TxnManager`] and reached from outside only as savepoint marks; the
 //!   key point reproduced here is that **domain-index data stored in
 //!   database objects rolls back for free**, while file-stored index data
 //!   does not (paper §5);
 //! - [`engine::StorageEngine`] — the façade that owns all segments and
-//!   funnels every mutation through the buffer cache, WAL and undo log,
-//!   and every heap/IOT read through one snapshot-pinned function per
-//!   access shape (there is no snapshot-blind read to call instead).
+//!   funnels every mutation through the buffer cache, WAL and the driving
+//!   transaction's undo log (no mutator takes a log), and every heap/IOT
+//!   read through one snapshot-pinned function per access shape (there is
+//!   no snapshot-blind read to call instead).
 
 pub mod buffer;
 pub mod engine;
@@ -43,7 +46,6 @@ pub use buffer::{BufferCache, CacheStats};
 pub use engine::StorageEngine;
 pub use mvcc::{Snapshot, TxnManager, TxnStatus, WriteKey, WriteRef};
 pub use page::{SegmentId, PAGE_SIZE};
-pub use undo::{UndoLog, UndoOp};
 pub use wal::{
     CommitBlob, DurableMedium, EngineSnapshot, RecoveryImage, WalRecord, WalStats,
     WAL_FAULT_POINTS,

@@ -216,6 +216,16 @@ impl TxnManager {
         Snapshot { txn, high }
     }
 
+    /// Open the direct lane's explicit transaction (`BEGIN` on a bare
+    /// `Database`). It keeps id 0 — no snapshot, no write set, no stamps —
+    /// and is registered only so that this one registry answers "is a
+    /// transaction open" for every lane. [`Self::commit`] and
+    /// [`Self::abort`] of id 0 just unregister it: a status left behind
+    /// under the bootstrap stamp would read as every unchained row's.
+    pub fn begin_direct(&self) {
+        self.inner.lock().status.insert(0, TxnStatus::Active);
+    }
+
     pub fn status(&self, txn: u64) -> Option<TxnStatus> {
         self.inner.lock().status.get(&txn).copied()
     }
@@ -271,6 +281,10 @@ impl TxnManager {
     /// the differential oracle uses to prove it can detect anomalies).
     pub fn commit(&self, snap: &Snapshot, enforce: bool) -> Result<u64> {
         let mut g = self.inner.lock();
+        if snap.txn == 0 {
+            g.status.remove(&0);
+            return Ok(g.next_csn);
+        }
         let writes = g.writes.remove(&snap.txn).unwrap_or_default();
         if enforce {
             let conflict = writes.iter().find_map(|w| {
@@ -309,6 +323,10 @@ impl TxnManager {
     /// Mark a transaction aborted and drop its write set.
     pub fn abort(&self, txn: u64) {
         let mut g = self.inner.lock();
+        if txn == 0 {
+            g.status.remove(&0);
+            return;
+        }
         g.status.insert(txn, TxnStatus::Aborted);
         g.snapshots.remove(&txn);
         g.writes.remove(&txn);

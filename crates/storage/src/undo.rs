@@ -1,13 +1,16 @@
 //! Row-level undo for transaction rollback.
 //!
 //! Every mutating operation on *database-resident* storage (heap rows, IOT
-//! rows, LOB bytes) appends a compensating record to the active
-//! [`UndoLog`]. Rolling back applies the records in reverse. Because
-//! domain-index data stored in tables/IOTs/LOBs flows through the same
-//! paths, the paper's claim falls out structurally (§2.5: "The
-//! transactional semantics are also automatically ensured for the user
-//! index data, if the index data resides within the database") — and the
-//! *absence* of any `FileStore` variant here is the §5 limitation.
+//! rows, LOB bytes) appends a compensating record to the [`UndoLog`] of
+//! the transaction driving it. The engine keeps one log per open
+//! transaction, keyed by transaction id beside its `TxnManager`; nothing
+//! outside this crate holds one. Callers see savepoints only: a mark is a
+//! log length, and rolling back to a mark applies the records past it in
+//! reverse. Because domain-index data stored in tables/IOTs/LOBs flows
+//! through the same paths, the paper's claim falls out structurally (§2.5:
+//! "The transactional semantics are also automatically ensured for the
+//! user index data, if the index data resides within the database") — and
+//! the *absence* of any `FileStore` variant here is the §5 limitation.
 
 use extidx_common::{Key, LobRef, Row, RowId};
 
@@ -72,9 +75,12 @@ impl UndoLog {
         self.ops.is_empty()
     }
 
-    /// Drain the actions in reverse (rollback) order.
-    pub fn drain_reverse(&mut self) -> Vec<UndoOp> {
-        let mut ops = std::mem::take(&mut self.ops);
+    /// Drain every action recorded at or after `mark` (a prior
+    /// [`len`](Self::len) observation) in reverse (rollback) order,
+    /// leaving the log at `mark` actions. Mark 0 is the whole transaction;
+    /// a statement's or a single cartridge call's mark rewinds just that.
+    pub fn drain_reverse_from(&mut self, mark: usize) -> Vec<UndoOp> {
+        let mut ops = self.ops.split_off(mark.min(self.ops.len()));
         ops.reverse();
         ops
     }
@@ -82,20 +88,6 @@ impl UndoLog {
     /// Discard everything (commit).
     pub fn clear(&mut self) {
         self.ops.clear();
-    }
-
-    /// Append another log's actions after this one's (a completed
-    /// statement's undo folding into its enclosing transaction).
-    pub fn absorb(&mut self, mut other: UndoLog) {
-        self.ops.append(&mut other.ops);
-    }
-
-    /// Split off every action recorded at or after `mark` (a prior
-    /// [`len`](Self::len) observation) into its own log, leaving this one
-    /// at `mark` actions. The retry path uses this to rewind just the
-    /// partial effects of one failed cartridge call.
-    pub fn split_off(&mut self, mark: usize) -> UndoLog {
-        UndoLog { ops: self.ops.split_off(mark.min(self.ops.len())) }
     }
 }
 
@@ -109,7 +101,7 @@ mod tests {
         let mut log = UndoLog::new();
         log.push(UndoOp::HeapInsert { seg: SegmentId(1), rid: RowId::new(1, 0, 0) });
         log.push(UndoOp::HeapInsert { seg: SegmentId(1), rid: RowId::new(1, 0, 1) });
-        let ops = log.drain_reverse();
+        let ops = log.drain_reverse_from(0);
         assert_eq!(ops.len(), 2);
         match &ops[0] {
             UndoOp::HeapInsert { rid, .. } => assert_eq!(rid.slot, 1),
@@ -128,18 +120,17 @@ mod tests {
     }
 
     #[test]
-    fn split_off_partitions_at_mark() {
+    fn drain_from_mark_partitions_at_mark() {
         let mut log = UndoLog::new();
         log.push(UndoOp::HeapInsert { seg: SegmentId(1), rid: RowId::new(1, 0, 0) });
         let mark = log.len();
         log.push(UndoOp::HeapInsert { seg: SegmentId(1), rid: RowId::new(1, 0, 1) });
         log.push(UndoOp::HeapInsert { seg: SegmentId(1), rid: RowId::new(1, 0, 2) });
-        let tail = log.split_off(mark);
+        let tail = log.drain_reverse_from(mark);
         assert_eq!(log.len(), 1);
         assert_eq!(tail.len(), 2);
         // Out-of-range marks are clamped, not panicking.
-        let mut empty_tail = log.split_off(99);
-        assert!(empty_tail.is_empty());
-        assert_eq!(empty_tail.drain_reverse().len(), 0);
+        assert!(log.drain_reverse_from(99).is_empty());
+        assert_eq!(log.len(), 1);
     }
 }

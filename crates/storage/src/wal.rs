@@ -79,28 +79,22 @@ pub const WAL_FAULT_POINTS: &[&str] =
 /// itself redone on recovery, since a commit marker follows it.
 #[derive(Clone)]
 pub enum WalRecord {
-    CreateHeap,
     /// Segment-explicit creation. Under concurrent transactions, replay
     /// order is commit order — not statement-execution order — so every
     /// allocation-bearing record must carry the placement decision the
     /// live run made instead of re-deriving it from replay-time state.
     CreateHeapAt { seg: SegmentId },
-    CreateIot { key_cols: usize },
     CreateIotAt { seg: SegmentId, key_cols: usize },
     DropSegment { seg: SegmentId },
     TruncateSegment { seg: SegmentId },
-    HeapInsert { seg: SegmentId, row: Row },
     HeapInsertAt { seg: SegmentId, rid: RowId, row: Row },
     HeapUpdate { seg: SegmentId, rid: RowId, row: Row },
     HeapDelete { seg: SegmentId, rid: RowId },
-    IotInsert { seg: SegmentId, row: Row },
     IotInsertOrd { seg: SegmentId, row: Row, ord: u64 },
-    IotUpsert { seg: SegmentId, row: Row },
     /// Ordinal-explicit upsert (see [`WalRecord::CreateHeapAt`]): an upsert
     /// that inserts must assign the same logical rowid on replay.
     IotUpsertOrd { seg: SegmentId, row: Row, ord: u64 },
     IotDelete { seg: SegmentId, key: Key },
-    LobAllocate,
     /// Ref-explicit LOB allocation (see [`WalRecord::CreateHeapAt`]).
     LobAllocateAt { lob: LobRef },
     LobWrite { lob: LobRef, offset: u64, bytes: Vec<u8> },
@@ -128,22 +122,16 @@ pub enum WalRecord {
 impl std::fmt::Debug for WalRecord {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let name = match self {
-            WalRecord::CreateHeap => "CreateHeap",
             WalRecord::CreateHeapAt { .. } => "CreateHeapAt",
-            WalRecord::CreateIot { .. } => "CreateIot",
             WalRecord::CreateIotAt { .. } => "CreateIotAt",
             WalRecord::DropSegment { .. } => "DropSegment",
             WalRecord::TruncateSegment { .. } => "TruncateSegment",
-            WalRecord::HeapInsert { .. } => "HeapInsert",
             WalRecord::HeapInsertAt { .. } => "HeapInsertAt",
             WalRecord::HeapUpdate { .. } => "HeapUpdate",
             WalRecord::HeapDelete { .. } => "HeapDelete",
-            WalRecord::IotInsert { .. } => "IotInsert",
             WalRecord::IotInsertOrd { .. } => "IotInsertOrd",
-            WalRecord::IotUpsert { .. } => "IotUpsert",
             WalRecord::IotUpsertOrd { .. } => "IotUpsertOrd",
             WalRecord::IotDelete { .. } => "IotDelete",
-            WalRecord::LobAllocate => "LobAllocate",
             WalRecord::LobAllocateAt { .. } => "LobAllocateAt",
             WalRecord::LobWrite { .. } => "LobWrite",
             WalRecord::LobAppendAt { .. } => "LobAppendAt",
@@ -459,10 +447,10 @@ mod tests {
     #[test]
     fn append_commit_and_tail_discard() {
         let m = DurableMedium::new();
-        m.append(WalRecord::CreateHeap).unwrap();
+        m.append(WalRecord::CreateHeapAt { seg: SegmentId(1) }).unwrap();
         m.commit(None).unwrap();
-        m.append(WalRecord::HeapInsert { seg: SegmentId(1), row: vec![] }).unwrap();
-        // No marker after the insert: it is an uncommitted tail.
+        m.append(WalRecord::HeapDelete { seg: SegmentId(1), rid: RowId::new(1, 0, 0) }).unwrap();
+        // No marker after the delete: it is an uncommitted tail.
         let img = m.recovery_image();
         assert_eq!(img.committed.len(), 2);
         assert!(matches!(img.committed[1], WalRecord::Commit { .. }));
@@ -478,7 +466,7 @@ mod tests {
                 Ok(())
             }
         }));
-        assert!(m.append(WalRecord::CreateHeap).is_err());
+        assert!(m.append(WalRecord::CreateHeapAt { seg: SegmentId(1) }).is_err());
         assert!(m.is_crashed());
         // Frozen: the commit marker never lands.
         assert!(m.commit(None).is_err());
@@ -539,7 +527,7 @@ mod tests {
     #[test]
     fn checkpoint_lsn_rule_skips_stale_records() {
         let m = DurableMedium::new();
-        m.append(WalRecord::CreateHeap).unwrap();
+        m.append(WalRecord::CreateHeapAt { seg: SegmentId(1) }).unwrap();
         m.commit(None).unwrap();
         m.checkpoint_begin().unwrap();
         m.install_checkpoint(EngineSnapshot::default(), None).unwrap();

@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 
 use extidx_common::{Key, Row, RowId, Value};
-use extidx_storage::{Snapshot, StorageEngine, UndoLog};
+use extidx_storage::{SegmentId, Snapshot, StorageEngine};
 
 #[derive(Debug, Clone)]
 enum HeapOp {
@@ -42,21 +42,21 @@ proptest! {
         for op in ops {
             match op {
                 HeapOp::Insert(v) => {
-                    let rid = engine.heap_insert(seg, row(v), None).unwrap();
+                    let rid = engine.heap_insert(seg, row(v)).unwrap();
                     prop_assert!(!model.contains_key(&rid), "fresh rowid must be unused");
                     model.insert(rid, row(v));
                     live.push(rid);
                 }
                 HeapOp::Update(i, v) if !live.is_empty() => {
                     let rid = live[i % live.len()];
-                    let old = engine.heap_update(seg, rid, row(v), None).unwrap();
+                    let old = engine.heap_update(seg, rid, row(v)).unwrap();
                     prop_assert_eq!(&old, model.get(&rid).unwrap());
                     model.insert(rid, row(v));
                 }
                 HeapOp::Delete(i) if !live.is_empty() => {
                     let idx = i % live.len();
                     let rid = live.swap_remove(idx);
-                    let old = engine.heap_delete(seg, rid, None).unwrap();
+                    let old = engine.heap_delete(seg, rid).unwrap();
                     prop_assert_eq!(&old, model.get(&rid).unwrap());
                     model.remove(&rid);
                 }
@@ -97,15 +97,15 @@ proptest! {
         // Committed prefix.
         for op in before {
             match op {
-                HeapOp::Insert(v) => live.push(engine.heap_insert(seg, row(v), None).unwrap()),
+                HeapOp::Insert(v) => live.push(engine.heap_insert(seg, row(v)).unwrap()),
                 HeapOp::Update(i, v) if !live.is_empty() => {
                     let rid = live[i % live.len()];
-                    engine.heap_update(seg, rid, row(v), None).unwrap();
+                    engine.heap_update(seg, rid, row(v)).unwrap();
                 }
                 HeapOp::Delete(i) if !live.is_empty() => {
                     let idx = i % live.len();
                     let rid = live.swap_remove(idx);
-                    engine.heap_delete(seg, rid, None).unwrap();
+                    engine.heap_delete(seg, rid).unwrap();
                 }
                 _ => {}
             }
@@ -117,31 +117,31 @@ proptest! {
             .map(|(rid, _, r)| (rid, r.clone()))
             .collect();
 
-        // Logged suffix, then rollback.
-        let mut log = UndoLog::new();
+        // Suffix past a savepoint, then rollback to it.
+        let mark = engine.undo_mark();
         let mut txn_live = live.clone();
         for op in during {
             match op {
                 HeapOp::Insert(v) => {
-                    txn_live.push(engine.heap_insert(seg, row(v), Some(&mut log)).unwrap())
+                    txn_live.push(engine.heap_insert(seg, row(v)).unwrap())
                 }
                 HeapOp::Update(i, v) if !txn_live.is_empty() => {
                     let rid = txn_live[i % txn_live.len()];
                     if engine.heap(seg).unwrap().fetch(rid).is_ok() {
-                        engine.heap_update(seg, rid, row(v), Some(&mut log)).unwrap();
+                        engine.heap_update(seg, rid, row(v)).unwrap();
                     }
                 }
                 HeapOp::Delete(i) if !txn_live.is_empty() => {
                     let idx = i % txn_live.len();
                     let rid = txn_live.swap_remove(idx);
                     if engine.heap(seg).unwrap().fetch(rid).is_ok() {
-                        engine.heap_delete(seg, rid, Some(&mut log)).unwrap();
+                        engine.heap_delete(seg, rid).unwrap();
                     }
                 }
                 _ => {}
             }
         }
-        engine.rollback(&mut log).unwrap();
+        engine.rollback_to(mark).unwrap();
 
         let after: BTreeMap<RowId, Row> = engine
             .heap(seg)
@@ -163,7 +163,7 @@ proptest! {
         let seg = engine.create_iot(1).unwrap();
         for (k, v) in &entries {
             engine
-                .iot_insert(seg, vec![Value::Integer(*k), Value::Integer(*v)], None)
+                .iot_insert(seg, vec![Value::Integer(*k), Value::Integer(*v)])
                 .unwrap();
         }
         let hi = lo + len;
@@ -189,7 +189,7 @@ proptest! {
     #[test]
     fn cache_counter_invariants(pages in prop::collection::vec(0u32..40, 1..200), cap in 1usize..32) {
         let engine = StorageEngine::new(cap);
-        let seg = extidx_storage::SegmentId(1);
+        let seg = SegmentId(1);
         for p in &pages {
             engine.cache().read((seg, *p));
         }
@@ -205,7 +205,7 @@ proptest! {
         chunks in prop::collection::vec((0u64..5000, prop::collection::vec(any::<u8>(), 0..300)), 0..12),
     ) {
         let mut engine = StorageEngine::new(64);
-        let lob = engine.lob_allocate(None).unwrap();
+        let lob = engine.lob_allocate().unwrap();
         let mut model: Vec<u8> = Vec::new();
         for (off, bytes) in &chunks {
             let off = *off as usize;
@@ -213,7 +213,7 @@ proptest! {
                 model.resize(off + bytes.len(), 0);
             }
             model[off..off + bytes.len()].copy_from_slice(bytes);
-            engine.lob_write(lob, off as u64, bytes, None).unwrap();
+            engine.lob_write(lob, off as u64, bytes).unwrap();
         }
         prop_assert_eq!(engine.lob_read_all(lob).unwrap(), model);
     }
@@ -235,7 +235,7 @@ proptest! {
         let seg = engine.create_heap().unwrap();
         let mut live: Vec<RowId> = values
             .iter()
-            .map(|&v| engine.heap_insert(seg, row(v), None).unwrap())
+            .map(|&v| engine.heap_insert(seg, row(v)).unwrap())
             .collect();
         let mut dead: Vec<RowId> = Vec::new();
         for d in deletes {
@@ -243,7 +243,7 @@ proptest! {
                 break;
             }
             let rid = live.swap_remove(d % live.len());
-            engine.heap_delete(seg, rid, None).unwrap();
+            engine.heap_delete(seg, rid).unwrap();
             dead.push(rid);
         }
 
@@ -267,5 +267,155 @@ proptest! {
             prop_assert!(heap.fetch(bad).is_err());
             prop_assert!(engine.heap_fetch_multi(seg, &poisoned, &latest).is_err());
         }
+    }
+}
+
+// ---- per-transaction undo: nested savepoints, interleaved transactions ----
+
+#[derive(Debug, Clone)]
+enum MixedOp {
+    HeapInsert(i64),
+    HeapUpdate(usize, i64),
+    HeapDelete(usize),
+    IotUpsert(i64, i64),
+    IotDelete(i64),
+    LobWrite(u64, Vec<u8>),
+    LobAppend(Vec<u8>),
+}
+
+fn arb_mixed() -> impl Strategy<Value = Vec<MixedOp>> {
+    let bytes = || prop::collection::vec(any::<u8>(), 0..40);
+    prop::collection::vec(
+        prop_oneof![
+            any::<i64>().prop_map(MixedOp::HeapInsert),
+            (any::<usize>(), any::<i64>()).prop_map(|(i, v)| MixedOp::HeapUpdate(i, v)),
+            any::<usize>().prop_map(MixedOp::HeapDelete),
+            (0i64..12, any::<i64>()).prop_map(|(k, v)| MixedOp::IotUpsert(k, v)),
+            (0i64..12).prop_map(MixedOp::IotDelete),
+            (0u64..200, bytes()).prop_map(|(o, b)| MixedOp::LobWrite(o, b)),
+            bytes().prop_map(MixedOp::LobAppend),
+        ],
+        0..25,
+    )
+}
+
+/// One transaction's footprint. Lanes never write the same row, key or
+/// LOB (the engine would rightly refuse the second writer), so whatever
+/// one lane's rollback disturbs in another is a mixed-up log.
+struct TxnLane {
+    snap: Snapshot,
+    heap_live: Vec<RowId>,
+    key_base: i64,
+    lob: extidx_common::LobRef,
+}
+
+type View = (BTreeMap<RowId, Row>, Vec<(RowId, Row)>, Vec<u8>);
+
+fn apply(e: &mut StorageEngine, heap: SegmentId, iot: SegmentId, lane: &mut TxnLane, ops: &[MixedOp]) {
+    e.set_current_txn(lane.snap);
+    for op in ops {
+        let live = &mut lane.heap_live;
+        match op {
+            MixedOp::HeapInsert(v) => live.push(e.heap_insert(heap, row(*v)).unwrap()),
+            MixedOp::HeapUpdate(i, v) if !live.is_empty() => {
+                e.heap_update(heap, live[i % live.len()], row(*v)).unwrap();
+            }
+            MixedOp::HeapDelete(i) if !live.is_empty() => {
+                let rid = live.swap_remove(i % live.len());
+                e.heap_delete(heap, rid).unwrap();
+            }
+            MixedOp::IotUpsert(k, v) => {
+                let r = vec![Value::Integer(lane.key_base + k), Value::Integer(*v)];
+                e.iot_upsert(iot, r).unwrap();
+            }
+            MixedOp::IotDelete(k) => {
+                e.iot_delete(iot, &Key::single(Value::Integer(lane.key_base + k))).unwrap();
+            }
+            MixedOp::LobWrite(off, bytes) => e.lob_write(lane.lob, *off, bytes).unwrap(),
+            MixedOp::LobAppend(bytes) => {
+                e.lob_append(lane.lob, bytes).unwrap();
+            }
+            _ => {}
+        }
+    }
+    e.set_current_txn(Snapshot::latest());
+}
+
+/// Everything `snap` can see: heap rows, IOT rows with their logical
+/// rowids, the lane's LOB bytes.
+fn view(e: &StorageEngine, heap: SegmentId, iot: SegmentId, lane: &TxnLane) -> View {
+    let mut rows = BTreeMap::new();
+    let mut page = 0;
+    while let Some(visible) = e.heap_page(heap, page, 0, &lane.snap).unwrap() {
+        rows.extend(visible.map(|(rid, r)| (rid, r.clone())));
+        page += 1;
+    }
+    let keyed = e.iot_scan_with_rids(iot, &lane.snap).unwrap();
+    (rows, keyed, e.lob_read_all_at(lane.lob, &lane.snap).unwrap())
+}
+
+fn mark_of(e: &mut StorageEngine, lane: &TxnLane) -> usize {
+    e.set_current_txn(lane.snap);
+    let mark = e.undo_mark();
+    e.set_current_txn(Snapshot::latest());
+    mark
+}
+
+proptest! {
+    /// Savepoints nest, and logs of interleaved transactions never mix:
+    /// rolling A back to `mark₂` then `mark₁` restores exactly what A saw
+    /// at each, and neither that nor A's abort touches what B did.
+    #[test]
+    fn nested_savepoints_and_interleaved_transactions(
+        prefix in arb_mixed(),
+        a in (arb_mixed(), arb_mixed(), arb_mixed()),
+        b in (arb_mixed(), arb_mixed(), arb_mixed()),
+    ) {
+        let mut e = StorageEngine::new(256);
+        let heap = e.create_heap().unwrap();
+        let iot = e.create_iot(1).unwrap();
+        let lob = e.lob_allocate().unwrap();
+        let txns = e.txn_manager();
+
+        // Committed prefix on the direct lane, in A's key range.
+        let mut base = TxnLane { snap: Snapshot::latest(), heap_live: Vec::new(), key_base: 0, lob };
+        apply(&mut e, heap, iot, &mut base, &prefix);
+        e.commit_txn(Snapshot::latest()).unwrap();
+        let committed = view(&e, heap, iot, &base);
+
+        let mut ta = TxnLane { snap: txns.begin(), heap_live: base.heap_live.clone(), key_base: 0, lob };
+        let b_lob = e.lob_allocate().unwrap();
+        e.commit_txn(Snapshot::latest()).unwrap();
+        let mut tb = TxnLane { snap: txns.begin(), heap_live: Vec::new(), key_base: 1000, lob: b_lob };
+
+        apply(&mut e, heap, iot, &mut ta, &a.0);
+        apply(&mut e, heap, iot, &mut tb, &b.0);
+        let (mark1, at_mark1) = (mark_of(&mut e, &ta), view(&e, heap, iot, &ta));
+        apply(&mut e, heap, iot, &mut ta, &a.1);
+        apply(&mut e, heap, iot, &mut tb, &b.1);
+        let (mark2, at_mark2) = (mark_of(&mut e, &ta), view(&e, heap, iot, &ta));
+        apply(&mut e, heap, iot, &mut ta, &a.2);
+        apply(&mut e, heap, iot, &mut tb, &b.2);
+        let (b_mark, b_sees) = (mark_of(&mut e, &tb), view(&e, heap, iot, &tb));
+
+        e.set_current_txn(ta.snap);
+        e.rollback_to(mark2).unwrap();
+        prop_assert_eq!(e.undo_mark(), mark2);
+        prop_assert_eq!(&view(&e, heap, iot, &ta), &at_mark2);
+        e.rollback_to(mark1).unwrap();
+        prop_assert_eq!(e.undo_mark(), mark1);
+        prop_assert_eq!(&view(&e, heap, iot, &ta), &at_mark1);
+        e.set_current_txn(Snapshot::latest());
+        prop_assert_eq!(&view(&e, heap, iot, &tb), &b_sees);
+
+        e.rollback_txn(ta.snap).unwrap();
+        prop_assert!(!txns.is_active(ta.snap.txn));
+        prop_assert_eq!(mark_of(&mut e, &tb), b_mark);
+        prop_assert_eq!(&view(&e, heap, iot, &tb), &b_sees);
+
+        // With B gone too, the committed prefix is all that is left.
+        e.rollback_txn(tb.snap).unwrap();
+        prop_assert_eq!(e.undo_mark(), 0);
+        prop_assert_eq!(&view(&e, heap, iot, &base), &committed);
     }
 }

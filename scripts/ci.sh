@@ -145,6 +145,26 @@ if grep -rlPz "\.heap\([^)]*\)\??\s*\.(scan|slot|fetch)\(|\.iot\([^)]*\)\??\s*\.
     exit 1
 fi
 
+# One statement scope (DESIGN.md §4d "Statement atomicity"): a
+# transaction's undo lives with the transaction in crates/storage, so no
+# mutator may take a log again, nothing outside that crate may name the
+# type, the loose per-statement fields of `Database` may not come back
+# beside `StatementScope`, and the WAL variants their placement-explicit
+# forms superseded stay deleted (`\b` leaves `…At`/`…Ord` alone).
+echo "== one statement scope (structural guard) =="
+if grep -rn "Option<&mut UndoLog>" crates; then
+    exit 1
+fi
+if grep -rn "UndoLog" crates/sql crates/qgen crates/bench tests ledger/src; then
+    exit 1
+fi
+if grep -rnE "stmt_undo|txn_undo|stmt_created|stmt_maint|stmt_pending" crates/sql/src; then
+    exit 1
+fi
+if grep -rnE "WalRecord::(CreateHeap|CreateIot|HeapInsert|IotInsert|IotUpsert|LobAllocate)\b" crates; then
+    exit 1
+fi
+
 # One perf instrument: no hand-set timing floor, bench-record writer or
 # micro-bench harness may come back beside the ledger. (Bracketed so the
 # pattern does not match this file.)

@@ -461,3 +461,104 @@ fn analyze_counts_only_rows_visible_to_its_snapshot() {
     assert_eq!(stats.columns[0].min, Some(Value::Integer(5)), "deleted ids must not set the minimum");
     reader.execute("COMMIT").unwrap();
 }
+
+/// Undo is per transaction: statements of two sessions interleave under
+/// the write lock, yet A's rollback takes back exactly A's writes, B's
+/// committed write stays, and B's failed multi-row statement (its own
+/// savepoint inside an implicit transaction) leaves nothing behind.
+#[test]
+fn interleaved_transactions_roll_back_only_their_own_writes() {
+    let server = build_rig();
+    let mut a = server.session();
+    let mut b = server.session();
+    a.execute("INSERT INTO T (id, k, doc) VALUES (3, 7, 'gamma three')").unwrap();
+    a.execute("CREATE TABLE K (k INTEGER, v INTEGER, PRIMARY KEY (k)) ORGANIZATION INDEX").unwrap();
+    a.execute("INSERT INTO K VALUES (1, 10)").unwrap();
+    b.execute("SET CONFLICT_RETRIES 0").unwrap();
+
+    a.execute("BEGIN").unwrap();
+    a.execute("UPDATE T SET k = 50 WHERE id = 1").unwrap();
+    b.execute("UPDATE T SET k = 60 WHERE id = 2").unwrap();
+    // Second row collides with the committed key 1: the first row's
+    // insert is rolled back with the statement.
+    let dup = b.execute("INSERT INTO K VALUES (2, 20), (1, 99)").unwrap_err();
+    assert!(matches!(dup, Error::Constraint(_)), "unexpected error: {dup}");
+    a.execute("UPDATE T SET k = 70 WHERE id = 3").unwrap();
+    a.execute("INSERT INTO K VALUES (3, 30)").unwrap();
+    a.execute("ROLLBACK").unwrap();
+
+    let rows = |s: &mut Session, q: &str| s.query(q).unwrap();
+    for s in [&mut a, &mut b] {
+        assert_eq!(
+            rows(s, "SELECT id, k FROM T ORDER BY id"),
+            vec![
+                vec![Value::Integer(1), Value::Integer(5)],
+                vec![Value::Integer(2), Value::Integer(60)],
+                vec![Value::Integer(3), Value::Integer(7)],
+            ]
+        );
+        assert_eq!(
+            rows(s, "SELECT k, v FROM K"),
+            vec![vec![Value::Integer(1), Value::Integer(10)]]
+        );
+    }
+    // Nothing is left open or held: the registry is idle and the inline
+    // vacuum has drained every chain.
+    server.read(|db| {
+        assert_eq!(db.storage().txn_manager().active_count(), 0);
+        assert_eq!(db.mvcc_occupancy(), (0, 0));
+    });
+}
+
+/// Standing invariant: outside an explicit transaction the driving
+/// transaction's undo log is empty at every statement boundary — also
+/// after §5 event handlers that write once the statement scope has
+/// closed (a session's COMMIT/ROLLBACK delivers its event after the
+/// transaction ended). Their writes are final, and leave no undo behind.
+#[test]
+fn no_undo_outlives_its_transaction_even_when_event_handlers_write() {
+    use extidx::core::events::DbEvent;
+    use extidx::core::server::ServerContext;
+    use std::sync::Arc;
+
+    let server = build_rig();
+    let audit = |ev: DbEvent, srv: &mut dyn ServerContext| -> extidx::common::Result<()> {
+        srv.execute("INSERT INTO AUDIT VALUES (?)", &[Value::from(ev.to_string())]).map(drop)
+    };
+    server.admin(|db| {
+        db.execute("CREATE TABLE AUDIT (ev VARCHAR2(16))").unwrap();
+        db.register_event_handler("audit", Arc::new(audit));
+    });
+    let idle = |server: &Server| {
+        server.read(|db| {
+            assert_eq!(db.storage().undo_mark(), 0, "undo outlived its transaction");
+            assert_eq!(db.storage().txn_manager().active_count(), 0);
+        })
+    };
+
+    let mut s = server.session();
+    s.execute("INSERT INTO T (id, k, doc) VALUES (3, 7, 'gamma three')").unwrap(); // Commit
+    idle(&server);
+    s.execute("BEGIN").unwrap();
+    s.execute("UPDATE T SET k = 8 WHERE id = 3").unwrap();
+    s.execute("ROLLBACK").unwrap(); // Rollback
+    idle(&server);
+    s.execute("COMMIT").unwrap(); // nothing open: Commit
+    idle(&server);
+    // A failed autocommit statement delivers Rollback from inside its
+    // scope, so the handler's write joins the implicit transaction — and
+    // is discarded with it.
+    assert!(s.execute("INSERT INTO T (id, k, doc) VALUES (4, 4, 'ok'), (5, 'x', 'bad')").is_err());
+    idle(&server);
+    // The direct lane: events are delivered inside the statement.
+    server.admin(|db| {
+        db.execute("BEGIN").unwrap();
+        db.execute("DELETE FROM T WHERE id = 3").unwrap();
+        db.execute("COMMIT").unwrap(); // Commit
+    });
+    idle(&server);
+
+    let seen: Vec<String> =
+        s.query("SELECT ev FROM AUDIT").unwrap().iter().map(|r| r[0].to_string()).collect();
+    assert_eq!(seen, ["COMMIT", "ROLLBACK", "COMMIT", "COMMIT"], "every delivered write is final");
+}

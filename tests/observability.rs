@@ -321,6 +321,14 @@ fn v_tables_stay_coherent_under_two_sessions() {
         stats.iter().any(|r| format!("{:?}", r[0]).contains("Contains(body, 'gorse')")),
         "reader statements missing from V$SQLSTATS: {stats:?}"
     );
+    // A session's DML is recorded once per client statement, however
+    // many transparent conflict retries it took.
+    let inserts: Vec<_> = stats
+        .iter()
+        .filter(|r| format!("{:?}", r[0]).contains("INSERT INTO docs VALUES (90"))
+        .collect();
+    assert_eq!(inserts.len(), 40, "writer statements missing from V$SQLSTATS: {stats:?}");
+    assert!(inserts.iter().all(|r| r[1] == Value::Integer(1)), "{inserts:?}");
     // Trace ring: SEQ strictly increasing even though two sessions fed it.
     let trace = s.query("SELECT SEQ FROM V$TRACE ORDER BY SEQ").unwrap();
     let seqs: Vec<i64> = trace

@@ -484,6 +484,79 @@ fn checkpoint_refused_inside_transaction() {
     db.checkpoint().unwrap();
 }
 
+/// A checkpoint is the physical pages and nothing else, and "is a
+/// transaction open" has one answer for every lane: a `Session`'s open
+/// transaction blocks it exactly like the direct lane's, so an
+/// uncommitted in-place row can never be snapshotted as committed.
+#[test]
+fn checkpoint_refused_while_a_session_transaction_is_open() {
+    use extidx::sql::Server;
+
+    let medium = DurableMedium::new();
+    let mut db = Database::with_cache_pages(256);
+    db.enable_durability(medium.clone()).unwrap();
+    db.execute("CREATE TABLE t (id INTEGER)").unwrap();
+    let server = Server::new(db);
+
+    let mut s = server.session();
+    s.execute("BEGIN").unwrap();
+    s.execute("INSERT INTO t VALUES (1)").unwrap();
+    assert!(
+        server.admin(|db| db.checkpoint()).is_err(),
+        "checkpoint while a session transaction is open must be refused"
+    );
+    s.execute("COMMIT").unwrap();
+    server.admin(|db| db.checkpoint()).expect("nothing open: checkpoint goes through");
+
+    s.execute("BEGIN").unwrap();
+    s.execute("INSERT INTO t VALUES (666)").unwrap();
+    assert!(server.admin(|db| db.checkpoint()).is_err());
+    // Process death with the transaction open.
+    std::mem::forget(s);
+    drop(server);
+
+    let mut rec = Database::with_cache_pages(256);
+    rec.enable_durability(medium).unwrap();
+    assert_eq!(
+        bag(&mut rec, "t"),
+        vec!["[Integer(1)]".to_string()],
+        "an uncommitted session row must not survive recovery as committed"
+    );
+}
+
+/// Under a daemon that never gets round to it, a committed session
+/// DELETE is still a dead mark on a physically present row. The
+/// checkpoint vacuums first, so the snapshot (which carries no chains)
+/// cannot resurrect it.
+#[test]
+fn checkpoint_vacuums_first_so_a_deferred_delete_stays_deleted() {
+    use extidx::sql::{GovernorConfig, Server};
+    use std::time::Duration;
+
+    let medium = DurableMedium::new();
+    let mut db = Database::with_cache_pages(256);
+    db.enable_durability(medium.clone()).unwrap();
+    db.execute("CREATE TABLE t (id INTEGER)").unwrap();
+    db.execute("INSERT INTO t VALUES (1), (2), (3)").unwrap();
+    let hour = Duration::from_secs(3600);
+    let lazy = GovernorConfig { interval: hour, min_interval: hour, ..GovernorConfig::default() };
+    let server = Server::with_config(db, lazy);
+
+    let mut s = server.session();
+    s.execute("DELETE FROM t WHERE id = 2").unwrap();
+    server.admin(|db| db.checkpoint()).unwrap();
+    std::mem::forget(s);
+    drop(server);
+
+    let mut rec = Database::with_cache_pages(256);
+    rec.enable_durability(medium).unwrap();
+    assert_eq!(
+        bag(&mut rec, "t"),
+        vec!["[Integer(1)]".to_string(), "[Integer(3)]".to_string()],
+        "a committed delete must stay deleted across checkpoint + recovery"
+    );
+}
+
 // ---- explicit transactions --------------------------------------------------
 
 #[test]
