@@ -14,8 +14,19 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// The heap-organized fuzz table.
 pub const HEAP: &str = "F_HEAP";
-/// The index-organized fuzz table (primary key `id`).
+/// The index-organized fuzz table (primary key `(grp, id)`).
 pub const IOT: &str = "F_IOT";
+
+/// Distinct non-NULL `grp` values.
+const GROUPS: i64 = 4;
+
+/// A row's `grp` — the leading key column of [`IOT`] — as a function of its
+/// id, so neither [`GenRow`] nor [`IdPred`] has to carry it. Every 11th id
+/// gets a NULL `grp`: key columns may hold NULL here, and NULL sorts last
+/// in a key range, which is exactly where a one-sided bound goes wrong.
+pub fn grp_of(id: i64) -> Option<i64> {
+    (id % 11 != 0).then_some(id % GROUPS)
+}
 
 /// Probability that a generated cell is NULL — the workload is
 /// deliberately NULL-heavy so three-valued logic divergences surface.
@@ -60,8 +71,9 @@ impl GenRow {
             Some(n) => format!("{n:.1}"),
             None => "NULL".into(),
         };
+        let grp = grp_of(self.id).map_or("NULL".into(), |g| g.to_string());
         format!(
-            "INSERT INTO {table} VALUES ({}, {}, {geom}, {img}, {}, {num})",
+            "INSERT INTO {table} VALUES ({grp}, {}, {}, {geom}, {img}, {}, {num})",
             self.id,
             opt_str(&self.doc),
             opt_str(&self.mol),
@@ -125,7 +137,9 @@ impl GenCell {
 
 /// DML row selection — restricted to the unique `id` column so the
 /// mirror's notion of "which rows changed" is trivially identical to the
-/// engine's.
+/// engine's. An equality also pins `grp` when the row has one (it adds
+/// nothing logically), so single-row DML on [`IOT`] runs as a probe of the
+/// full `(grp, id)` key.
 #[derive(Debug, Clone)]
 pub enum IdPred {
     Eq(i64),
@@ -135,7 +149,10 @@ pub enum IdPred {
 impl IdPred {
     pub fn sql(&self) -> String {
         match self {
-            IdPred::Eq(k) => format!("id = {k}"),
+            IdPred::Eq(k) => match grp_of(*k) {
+                Some(g) => format!("grp = {g} AND id = {k}"),
+                None => format!("id = {k}"),
+            },
             IdPred::Between(lo, hi) => format!("id BETWEEN {lo} AND {hi}"),
         }
     }
@@ -144,6 +161,30 @@ impl IdPred {
         match self {
             IdPred::Eq(k) => id == *k,
             IdPred::Between(lo, hi) => (*lo..=*hi).contains(&id),
+        }
+    }
+}
+
+/// A column of [`IOT`]'s primary key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KeyCol {
+    Grp,
+    Id,
+}
+
+impl KeyCol {
+    pub fn name(self) -> &'static str {
+        match self {
+            KeyCol::Grp => "grp",
+            KeyCol::Id => "id",
+        }
+    }
+
+    /// The column's value in the row with this id (`None` = NULL).
+    pub fn of(self, id: i64) -> Option<i64> {
+        match self {
+            KeyCol::Grp => grp_of(id),
+            KeyCol::Id => Some(id),
         }
     }
 }
@@ -159,8 +200,8 @@ pub enum Atom {
     MolContains { frag: Option<String> },
     MolSimilar { query: String, threshold: f64 },
     NumCmp { op: &'static str, value: f64 },
-    IdEq { id: i64 },
-    IdBetween { lo: i64, hi: i64 },
+    KeyCmp { col: KeyCol, op: &'static str, value: i64 },
+    KeyBetween { col: KeyCol, lo: i64, hi: i64 },
     IsNull { col: Col, negated: bool },
 }
 
@@ -190,8 +231,8 @@ impl Atom {
                 format!("MolSimilar(mol, {}, {threshold:.2})", quote(query))
             }
             Atom::NumCmp { op, value } => format!("num {op} {value:.1}"),
-            Atom::IdEq { id } => format!("id = {id}"),
-            Atom::IdBetween { lo, hi } => format!("id BETWEEN {lo} AND {hi}"),
+            Atom::KeyCmp { col, op, value } => format!("{} {op} {value}", col.name()),
+            Atom::KeyBetween { col, lo, hi } => format!("{} BETWEEN {lo} AND {hi}", col.name()),
             Atom::IsNull { col, negated } => {
                 format!("{} IS {}NULL", col.name(), if *negated { "NOT " } else { "" })
             }
@@ -329,7 +370,8 @@ pub struct Workload {
 
 const MASKS: [&str; 6] = ["ANYINTERACT", "OVERLAPS", "INSIDE", "CONTAINS", "EQUAL", "TOUCH"];
 const WEIGHTS: [&str; 3] = ["", "globalcolor=1.0", "globalcolor=0.5, texture=0.5"];
-const NUM_OPS: [&str; 5] = ["<", "<=", ">", ">=", "="];
+/// Comparison operators of [`Atom::NumCmp`] and [`Atom::KeyCmp`].
+pub const CMP_OPS: [&str; 5] = ["<", "<=", ">", ">=", "="];
 
 /// Domain/B-tree index slots the stream can drop and recreate. Names are
 /// fixed; the indexing *scheme* behind the geometry slot can flip between
@@ -376,6 +418,10 @@ struct WorkloadGen {
     /// Serialized signatures of inserted images; query signatures are
     /// sometimes drawn from here so VirSimilar thresholds bite.
     sig_pool: Vec<String>,
+    /// `num` values that were stored at some point; half of all `num`
+    /// comparison literals are drawn from here, because `<` and `<=` only
+    /// differ on a row that holds the literal itself.
+    num_pool: Vec<f64>,
     /// Which index slots the *generator* believes exist — only steers
     /// which DDL gets emitted; the harness derives truth from the
     /// catalog, so a stale belief just yields a no-op statement.
@@ -395,6 +441,7 @@ impl WorkloadGen {
             mols,
             frags,
             sig_pool: Vec::new(),
+            num_pool: Vec::new(),
             slot_alive: [true; SLOTS.len()],
         }
     }
@@ -424,8 +471,11 @@ impl WorkloadGen {
         let cols = "doc VARCHAR2(4000), geom SDO_GEOMETRY, img VIR_IMAGE, \
                     mol VARCHAR2(400), num NUMBER";
         let mut out = vec![
-            format!("CREATE TABLE {HEAP} (id INTEGER, {cols})"),
-            format!("CREATE TABLE {IOT} (id INTEGER, {cols}, PRIMARY KEY (id)) ORGANIZATION INDEX"),
+            format!("CREATE TABLE {HEAP} (grp INTEGER, id INTEGER, {cols})"),
+            format!(
+                "CREATE TABLE {IOT} (grp INTEGER, id INTEGER, {cols}, PRIMARY KEY (grp, id)) \
+                 ORGANIZATION INDEX"
+            ),
         ];
         for slot in &SLOTS {
             let sql = self.create_sql(slot);
@@ -456,13 +506,36 @@ impl WorkloadGen {
                 self.mols.molecule(8)
             }
         });
-        let num = (!self.rng.gen_bool(NULL_P)).then(|| self.rng.gen_range(0..1000i64) as f64 / 10.0);
+        let num = (!self.rng.gen_bool(NULL_P)).then(|| self.stored_num());
         if let Some(s) = &img {
             if self.sig_pool.len() < 24 {
                 self.sig_pool.push(s.clone());
             }
         }
         GenRow { id, doc, geom, img, mol, num }
+    }
+
+    /// A fresh `num` cell value, remembered for later comparison literals.
+    fn stored_num(&mut self) -> f64 {
+        let n = self.rng.gen_range(0..1000i64) as f64 / 10.0;
+        self.num_pool.push(n);
+        n
+    }
+
+    /// A comparison or BETWEEN over one key column. Literals come from the
+    /// range of values ever stored (ids are dense, groups few), so they
+    /// usually equal a stored value.
+    fn key_atom(&mut self, col: KeyCol) -> Atom {
+        let (lo, hi, span) = match col {
+            KeyCol::Grp => (0, GROUPS, 3i64),
+            KeyCol::Id => (1, self.next_id.max(2), 8),
+        };
+        let value = self.rng.gen_range(lo..hi);
+        if self.rng.gen_bool(0.25) {
+            Atom::KeyBetween { col, lo: value, hi: value + self.rng.gen_range(0..span) }
+        } else {
+            Atom::KeyCmp { col, op: CMP_OPS[self.rng.gen_range(0..CMP_OPS.len())], value }
+        }
     }
 
     fn cell(&mut self) -> GenCell {
@@ -472,7 +545,7 @@ impl WorkloadGen {
             1 => GenCell::Geom((!null).then(|| self.spatial.rect(2.0, 25.0))),
             2 => GenCell::Img((!null).then(|| self.sigs.random().serialize())),
             3 => GenCell::Mol((!null).then(|| self.mols.molecule(8))),
-            _ => GenCell::Num((!null).then(|| self.rng.gen_range(0..1000i64) as f64 / 10.0)),
+            _ => GenCell::Num((!null).then(|| self.stored_num())),
         }
     }
 
@@ -534,17 +607,16 @@ impl WorkloadGen {
                 threshold: self.rng.gen_range(10..80i64) as f64 / 100.0,
             },
             78..=87 => Atom::NumCmp {
-                op: NUM_OPS[self.rng.gen_range(0..NUM_OPS.len())],
-                value: self.rng.gen_range(0..1000i64) as f64 / 10.0,
+                op: CMP_OPS[self.rng.gen_range(0..CMP_OPS.len())],
+                value: if !self.num_pool.is_empty() && self.rng.gen_bool(0.5) {
+                    self.num_pool[self.rng.gen_range(0..self.num_pool.len())]
+                } else {
+                    self.rng.gen_range(0..1000i64) as f64 / 10.0
+                },
             },
             88..=93 => {
-                let hi = self.next_id.max(2);
-                if self.rng.gen_bool(0.5) {
-                    Atom::IdEq { id: self.rng.gen_range(1..hi) }
-                } else {
-                    let lo = self.rng.gen_range(1..hi);
-                    Atom::IdBetween { lo, hi: lo + self.rng.gen_range(0..8i64) }
-                }
+                let col = if self.rng.gen_bool(0.3) { KeyCol::Grp } else { KeyCol::Id };
+                self.key_atom(col)
             }
             _ => Atom::IsNull {
                 col: [Col::Doc, Col::Geom, Col::Img, Col::Mol, Col::Num]
@@ -563,6 +635,18 @@ impl WorkloadGen {
                 children.push(Pred::Or(vec![Pred::Atom(self.atom()), Pred::Atom(self.atom())]));
             } else {
                 children.push(Pred::Atom(self.atom()));
+            }
+        }
+        // A key clause on a third of the queries: one or both key columns,
+        // in either order, ANDed on — the shapes a key-prefix range serves.
+        if self.rng.gen_bool(0.35) {
+            let mut cols = [KeyCol::Grp, KeyCol::Id];
+            if self.rng.gen_bool(0.5) {
+                cols.reverse();
+            }
+            let take = self.rng.gen_range(1..=2usize);
+            for col in &cols[..take] {
+                children.push(Pred::Atom(self.key_atom(*col)));
             }
         }
         let mut pred = if children.len() == 1 {
@@ -715,5 +799,22 @@ mod tests {
         {
             assert!(all.contains(needle), "workload never exercises {needle}");
         }
+        // Every comparison shape reaches both key columns, and some query
+        // bounds both at once, in each order.
+        for col in ["grp", "id"] {
+            for op in CMP_OPS.iter().copied().chain(["BETWEEN"]) {
+                assert!(all.contains(&format!("{col} {op} ")), "no `{col} {op}` atom");
+            }
+        }
+        let both = |a: &str, b: &str| {
+            w.stmts.iter().any(|s| match s {
+                Stmt::Query(q) => {
+                    let sql = q.pred.sql();
+                    sql.find(a).zip(sql.find(b)).is_some_and(|(x, y)| x < y)
+                }
+                _ => false,
+            })
+        };
+        assert!(both("grp ", "id ") && both("id ", "grp "), "key columns never bounded together");
     }
 }

@@ -98,7 +98,7 @@ pub(crate) fn forcible_indexes(db: &Database, q: &Query) -> Vec<String> {
         if !db.catalog().health.is_usable(&d.name) {
             continue;
         }
-        let Ok(it) = db.catalog().registry.indextype(&d.indextype) else { continue };
+        let Ok(it) = db.catalog().registry().indextype(&d.indextype) else { continue };
         let usable = atoms.iter().any(|a| {
             a.op_info().is_some_and(|(op, col, arity, has_null)| {
                 !has_null && d.column.eq_ignore_ascii_case(col) && it.supports(op, arity)

@@ -58,6 +58,18 @@ fn mol(s: &str) -> Molecule {
     Molecule::parse(s).expect("generated molecule parses")
 }
 
+/// `a op b` for the generator's comparison operators ([`crate::gen::CMP_OPS`]).
+fn cmp_holds<T: PartialOrd>(op: &str, a: &T, b: &T) -> bool {
+    match op {
+        "<" => a < b,
+        "<=" => a <= b,
+        ">" => a > b,
+        ">=" => a >= b,
+        "=" => a == b,
+        other => panic!("unknown comparison operator {other}"),
+    }
+}
+
 /// Evaluate one atom under three-valued logic: `None` is SQL's UNKNOWN.
 /// Any NULL operand — stored or literal — makes an operator atom
 /// UNKNOWN, matching both the engine's functional short-circuit and the
@@ -93,19 +105,9 @@ pub fn eval_atom(a: &Atom, row: &GenRow) -> Option<bool> {
             let b = Fingerprint::of(&mol(query));
             Some(a.tanimoto(&b) >= *threshold)
         }
-        Atom::NumCmp { op, value } => {
-            let n = row.num?;
-            Some(match *op {
-                "<" => n < *value,
-                "<=" => n <= *value,
-                ">" => n > *value,
-                ">=" => n >= *value,
-                "=" => n == *value,
-                other => panic!("unknown num op {other}"),
-            })
-        }
-        Atom::IdEq { id } => Some(row.id == *id),
-        Atom::IdBetween { lo, hi } => Some((*lo..=*hi).contains(&row.id)),
+        Atom::NumCmp { op, value } => Some(cmp_holds(op, &row.num?, value)),
+        Atom::KeyCmp { col, op, value } => Some(cmp_holds(op, &col.of(row.id)?, value)),
+        Atom::KeyBetween { col, lo, hi } => Some((*lo..=*hi).contains(&col.of(row.id)?)),
         Atom::IsNull { col, negated } => {
             let is_null = match col {
                 Col::Doc => row.doc.is_none(),

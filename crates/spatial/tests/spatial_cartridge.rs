@@ -302,3 +302,30 @@ fn panic_in_maintenance_is_contained() {
     gids.sort_unstable();
     assert_eq!(gids, vec![0, 9]);
 }
+
+/// Tile maintenance issues one `DELETE … WHERE tile = ? AND rid = ?` per
+/// covered tile and the server runs it as a probe of the `(tile, rid)`
+/// key, so unindexing a geometry costs the same however many geometries
+/// share its tile (1 000 and 10 000 entries both sit in a
+/// height-2 tree; much below that the whole table is a page or two and the
+/// optimizer rightly scans it).
+#[test]
+fn delete_cost_does_not_grow_with_the_tile_population() {
+    let delete_reads = |n: usize| {
+        let mut db = spatial_db();
+        load_layer(&mut db, "parcels", &vec![rect(1.0, 1.0, 2.0, 2.0); n]);
+        db.execute("CREATE INDEX parcel_sidx ON parcels(geometry) INDEXTYPE IS SpatialIndexType")
+            .unwrap();
+        let rid = db.query("SELECT ROWID FROM parcels WHERE gid = 7").unwrap()[0][0].clone();
+        let before = db.cache_stats().logical_reads;
+        db.execute_with("DELETE FROM parcels WHERE ROWID = ?", &[rid]).unwrap();
+        let reads = db.cache_stats().logical_reads - before;
+        let window = geometry_sql(&rect(0.0, 0.0, 3.0, 3.0));
+        let left = db.query(&format!(
+            "SELECT COUNT(*) FROM parcels WHERE Sdo_Relate(geometry, {window}, 'mask=ANYINTERACT')"
+        ));
+        assert_eq!(left.unwrap()[0][0], Value::Integer(n as i64 - 1));
+        reads
+    };
+    assert_eq!(delete_reads(1_000), delete_reads(10_000));
+}

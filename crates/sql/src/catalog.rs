@@ -7,6 +7,7 @@
 //! [`SchemaRegistry`] — functions, operators, and indextypes.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use extidx_common::{Error, ObjectTypeDef, Result, SqlType};
 use extidx_core::health::HealthRegistry;
@@ -106,16 +107,33 @@ pub struct Catalog {
     domain_indexes: HashMap<String, DomainIndexDef>,
     object_types: HashMap<String, ObjectTypeDef>,
     /// Extensibility schema objects (functions, operators, indextypes).
-    pub registry: SchemaRegistry,
+    registry: SchemaRegistry,
     /// Domain-index health: the VALID/SUSPECT/QUARANTINED/BUILD_FAILED
     /// state machine, circuit breaker, and pending-work logs.
     pub health: HealthRegistry,
+    /// Stamp of the dictionary contents (everything but `health`): every
+    /// `&mut` entry point bumps it, so equal stamps mean equal contents.
+    version: u64,
+    /// The image [`Catalog::dump`] built last, with the stamp it is of.
+    image: Option<(u64, Arc<DictImage>)>,
 }
 
 impl Catalog {
     /// Empty catalog.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The extensibility schema objects, read-only.
+    pub fn registry(&self) -> &SchemaRegistry {
+        &self.registry
+    }
+
+    /// The extensibility schema objects, for CREATE / DROP of a function,
+    /// operator or indextype.
+    pub fn registry_mut(&mut self) -> &mut SchemaRegistry {
+        self.version += 1;
+        &mut self.registry
     }
 
     // ---- V$ virtual tables ------------------------------------------------------
@@ -209,6 +227,7 @@ impl Catalog {
 
     /// Add a table.
     pub fn create_table(&mut self, def: TableDef) -> Result<()> {
+        self.version += 1;
         if self.tables.contains_key(&def.name) {
             return Err(Error::already_exists("table", &def.name));
         }
@@ -224,6 +243,7 @@ impl Catalog {
 
     /// Mutable table entry (for stats updates).
     pub fn table_mut(&mut self, name: &str) -> Result<&mut TableDef> {
+        self.version += 1;
         let upper = name.to_ascii_uppercase();
         self.tables.get_mut(&upper).ok_or_else(|| Error::not_found("table", upper))
     }
@@ -235,6 +255,7 @@ impl Catalog {
 
     /// Remove a table entry; returns it.
     pub fn drop_table(&mut self, name: &str) -> Result<TableDef> {
+        self.version += 1;
         let upper = name.to_ascii_uppercase();
         self.tables.remove(&upper).ok_or_else(|| Error::not_found("table", upper))
     }
@@ -250,6 +271,7 @@ impl Catalog {
 
     /// Register a B-tree index.
     pub fn create_btree_index(&mut self, def: BTreeIndexDef) -> Result<()> {
+        self.version += 1;
         if self.btree_indexes.contains_key(&def.name) || self.domain_indexes.contains_key(&def.name) {
             return Err(Error::already_exists("index", &def.name));
         }
@@ -273,6 +295,7 @@ impl Catalog {
 
     /// Remove a B-tree index entry.
     pub fn drop_btree_index(&mut self, name: &str) -> Option<BTreeIndexDef> {
+        self.version += 1;
         self.btree_indexes.remove(&name.to_ascii_uppercase())
     }
 
@@ -280,6 +303,7 @@ impl Catalog {
 
     /// Register a domain index.
     pub fn create_domain_index(&mut self, def: DomainIndexDef) -> Result<()> {
+        self.version += 1;
         if self.btree_indexes.contains_key(&def.name) || self.domain_indexes.contains_key(&def.name) {
             return Err(Error::already_exists("index", &def.name));
         }
@@ -295,6 +319,7 @@ impl Catalog {
 
     /// Mutable domain index (for ALTER parameter merging).
     pub fn domain_index_mut(&mut self, name: &str) -> Option<&mut DomainIndexDef> {
+        self.version += 1;
         self.domain_indexes.get_mut(&name.to_ascii_uppercase())
     }
 
@@ -309,6 +334,7 @@ impl Catalog {
 
     /// Remove a domain index entry (and its health record).
     pub fn drop_domain_index(&mut self, name: &str) -> Option<DomainIndexDef> {
+        self.version += 1;
         self.health.remove(name);
         self.domain_indexes.remove(&name.to_ascii_uppercase())
     }
@@ -317,6 +343,7 @@ impl Catalog {
 
     /// Register an object type.
     pub fn create_object_type(&mut self, def: ObjectTypeDef) -> Result<()> {
+        self.version += 1;
         if self.object_types.contains_key(&def.name) {
             return Err(Error::already_exists("type", &def.name));
         }
@@ -331,6 +358,7 @@ impl Catalog {
 
     /// Remove an object type (statement-failure compensation).
     pub fn drop_object_type(&mut self, name: &str) -> Option<ObjectTypeDef> {
+        self.version += 1;
         self.object_types.remove(&name.to_ascii_uppercase())
     }
 
@@ -363,45 +391,61 @@ impl Catalog {
 
     // ---- durability -------------------------------------------------------
 
-    /// Deep-copy the whole catalog for a WAL commit marker or checkpoint.
-    /// `SchemaRegistry` clones its maps (indextype implementations stay
-    /// shared `Arc`s, which is fine — they are immutable once registered);
-    /// health is exported by value.
-    pub fn dump(&self) -> CatalogDump {
-        CatalogDump {
-            tables: self.tables.clone(),
-            btree_indexes: self.btree_indexes.clone(),
-            domain_indexes: self.domain_indexes.clone(),
-            object_types: self.object_types.clone(),
-            registry: self.registry.clone(),
-            health: self.health.export(),
-        }
+    /// The catalog as of now, for a WAL commit marker or checkpoint. The
+    /// dictionary image is deep-copied once per stamp and shared by every
+    /// dump until the next DDL / ANALYZE (`SchemaRegistry` clones its
+    /// maps; indextype implementations stay shared `Arc`s, immutable once
+    /// registered). Health is exported by value every time — its `calls`
+    /// counter is the breaker's clock and moves on every crossing.
+    pub fn dump(&mut self) -> CatalogDump {
+        let dict = match &self.image {
+            Some((stamp, dict)) if *stamp == self.version => dict.clone(),
+            _ => {
+                let dict = Arc::new(DictImage {
+                    tables: self.tables.clone(),
+                    btree_indexes: self.btree_indexes.clone(),
+                    domain_indexes: self.domain_indexes.clone(),
+                    object_types: self.object_types.clone(),
+                    registry: self.registry.clone(),
+                });
+                self.image = Some((self.version, dict.clone()));
+                dict
+            }
+        };
+        CatalogDump { dict, health: self.health.export() }
     }
 
     /// Restore catalog contents from a dump taken by [`Catalog::dump`].
     /// The existing `HealthRegistry` handle is kept (so clones held by
     /// V$ views and cartridges stay wired) and its contents replaced.
     pub fn restore(&mut self, dump: &CatalogDump) {
-        self.tables = dump.tables.clone();
-        self.btree_indexes = dump.btree_indexes.clone();
-        self.domain_indexes = dump.domain_indexes.clone();
-        self.object_types = dump.object_types.clone();
-        self.registry = dump.registry.clone();
+        self.version += 1;
+        self.tables = dump.dict.tables.clone();
+        self.btree_indexes = dump.dict.btree_indexes.clone();
+        self.domain_indexes = dump.dict.domain_indexes.clone();
+        self.object_types = dump.dict.object_types.clone();
+        self.registry = dump.dict.registry.clone();
         self.health.import(&dump.health);
     }
 }
 
-/// Point-in-time deep copy of the catalog: the durable half of a WAL
-/// commit marker (the other half being engine row/LOB state, which the
-/// WAL records rebuild directly).
+/// Point-in-time copy of the catalog: the durable half of a WAL commit
+/// marker (the other half being engine row/LOB state, which the WAL
+/// records rebuild directly).
 #[derive(Debug, Clone)]
 pub struct CatalogDump {
+    dict: Arc<DictImage>,
+    health: extidx_core::HealthDump,
+}
+
+/// The dictionary half of a [`CatalogDump`], immutable once built.
+#[derive(Debug)]
+struct DictImage {
     tables: HashMap<String, TableDef>,
     btree_indexes: HashMap<String, BTreeIndexDef>,
     domain_indexes: HashMap<String, DomainIndexDef>,
     object_types: HashMap<String, ObjectTypeDef>,
     registry: SchemaRegistry,
-    health: extidx_core::HealthDump,
 }
 
 #[cfg(test)]
@@ -488,5 +532,51 @@ mod tests {
         let t = c.resolve_type(&TypeSpec::Named("PT".into())).unwrap();
         assert!(matches!(t, SqlType::Object(def) if def.name == "PT"));
         assert!(c.resolve_type(&TypeSpec::Named("NOPE".into())).is_err());
+    }
+
+    /// A dump reuses the dictionary image until a `&mut` entry point runs,
+    /// and every one of them cuts a new image.
+    #[test]
+    fn dump_shares_the_image_until_the_dictionary_is_touched() {
+        let same = |c: &mut Catalog| Arc::ptr_eq(&c.dump().dict, &c.dump().dict);
+        let mut c = Catalog::new();
+        assert!(same(&mut c));
+        let idx = |name: &str| BTreeIndexDef {
+            name: name.into(),
+            table: "EMPLOYEES".into(),
+            column: "ID".into(),
+            seg: SegmentId(2),
+        };
+        let dom = DomainIndexDef {
+            name: "D".into(),
+            table: "EMPLOYEES".into(),
+            column: "RESUME".into(),
+            indextype: "X".into(),
+            parameters: ParamString::empty(),
+        };
+        type Touch = Box<dyn Fn(&mut Catalog)>;
+        let touches: Vec<Touch> = vec![
+            Box::new(|c| c.create_table(emp_table(1)).unwrap()),
+            Box::new(|c| c.table_mut("employees").unwrap().stats = Some(TableStats::default())),
+            Box::new(move |c| c.create_btree_index(idx("I")).unwrap()),
+            Box::new(|c| drop(c.drop_btree_index("I"))),
+            Box::new(move |c| c.create_domain_index(dom.clone()).unwrap()),
+            Box::new(|c| assert!(c.domain_index_mut("D").is_some())),
+            Box::new(|c| drop(c.drop_domain_index("D"))),
+            Box::new(|c| c.create_object_type(ObjectTypeDef::new("pt", vec![])).unwrap()),
+            Box::new(|c| drop(c.drop_object_type("pt"))),
+            Box::new(|c| assert!(c.registry_mut().indextype_names().is_empty())),
+            Box::new(|c| drop(c.drop_table("employees"))),
+            Box::new(|c| {
+                let d = c.dump();
+                c.restore(&d)
+            }),
+        ];
+        for (i, touch) in touches.iter().enumerate() {
+            let before = c.dump().dict;
+            touch(&mut c);
+            assert!(!Arc::ptr_eq(&before, &c.dump().dict), "entry point {i} kept the old image");
+            assert!(same(&mut c), "entry point {i}: image not reused afterwards");
+        }
     }
 }

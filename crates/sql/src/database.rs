@@ -308,7 +308,7 @@ impl Database {
 
     /// Register a scalar function (the engine-side `CREATE FUNCTION`).
     pub fn register_function(&mut self, f: ScalarFunction) -> Result<()> {
-        self.catalog.registry.create_function(f)
+        self.catalog.registry_mut().create_function(f)
     }
 
     // ---- observation hooks ---------------------------------------------------
@@ -754,9 +754,10 @@ impl Database {
     }
 
     /// Append a WAL commit marker (no-op when durability is off). The
-    /// marker carries a full catalog dump — tables, indexes, registry,
-    /// health — so recovery restores dictionary state as of the last
-    /// committed statement without replaying DDL logic.
+    /// marker carries a catalog dump — the dictionary image it shares with
+    /// every marker since the last DDL, plus its own health export — so
+    /// recovery restores dictionary state as of the last committed
+    /// statement without replaying DDL logic.
     fn wal_commit_marker(&mut self) -> Result<()> {
         let Some(medium) = self.storage.wal_medium().cloned() else {
             return Ok(());
@@ -1034,7 +1035,7 @@ impl Database {
                 }
                 let op = op.ok_or_else(|| Error::Semantic("operator needs a binding".into()))?;
                 let op_name = op.name.clone();
-                self.catalog.registry.create_operator(op)?;
+                self.catalog.registry_mut().create_operator(op)?;
                 self.scope.created.push(CreatedObject::Operator(op_name));
                 Ok(StmtResult::Ok)
             }
@@ -1052,12 +1053,12 @@ impl Database {
                 }
                 let it = IndexType::new(&name, ops, implementation.index, implementation.stats);
                 let it_name = it.name.clone();
-                self.catalog.registry.create_indextype(it)?;
+                self.catalog.registry_mut().create_indextype(it)?;
                 self.scope.created.push(CreatedObject::IndexType(it_name));
                 Ok(StmtResult::Ok)
             }
             Statement::DropOperator { name } => {
-                self.catalog.registry.drop_operator(&name)?;
+                self.catalog.registry_mut().drop_operator(&name)?;
                 Ok(StmtResult::Ok)
             }
             Statement::DropIndexType { name } => {
@@ -1069,7 +1070,7 @@ impl Database {
                         )));
                     }
                 }
-                self.catalog.registry.drop_indextype(&name)?;
+                self.catalog.registry_mut().drop_indextype(&name)?;
                 Ok(StmtResult::Ok)
             }
             Statement::AnalyzeTable { name } => self.run_analyze(&name),
@@ -1096,10 +1097,10 @@ impl Database {
                 }
             }
             CreatedObject::Operator(name) => {
-                let _ = self.catalog.registry.drop_operator(&name);
+                let _ = self.catalog.registry_mut().drop_operator(&name);
             }
             CreatedObject::IndexType(name) => {
-                let _ = self.catalog.registry.drop_indextype(&name);
+                let _ = self.catalog.registry_mut().drop_indextype(&name);
             }
             CreatedObject::ObjectType(name) => {
                 self.catalog.drop_object_type(&name);
@@ -1258,7 +1259,7 @@ impl Database {
     ) -> Result<StmtResult> {
         let tdef = self.catalog.table(table)?.clone();
         tdef.column_index(column)?;
-        let it = self.catalog.registry.indextype(indextype)?;
+        let it = self.catalog.registry().indextype(indextype)?;
         let params = ParamString::parse(parameters.as_deref().unwrap_or(""));
         let def = DomainIndexDef {
             name: name.to_ascii_uppercase(),
@@ -1871,7 +1872,7 @@ impl Database {
         &self,
         d: &DomainIndexDef,
     ) -> Result<DomainRuntime> {
-        let it = self.catalog.registry.indextype(&d.indextype)?;
+        let it = self.catalog.registry().indextype(&d.indextype)?;
         let tdef = self.catalog.table(&d.table)?;
         let col = tdef.column(&d.column)?;
         let info = IndexInfo {

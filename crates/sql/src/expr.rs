@@ -268,11 +268,11 @@ fn compile_call(name: &str, args: &[Expr], scope: &Scope, catalog: &Catalog) -> 
     if catalog.object_type(&upper).is_some() {
         return Ok(RExpr::ObjectCtor { type_name: upper, args: compiled });
     }
-    if catalog.registry.has_operator(&upper) {
-        let op = catalog.registry.operator(&upper)?.clone();
+    if catalog.registry().has_operator(&upper) {
+        let op = catalog.registry().operator(&upper)?.clone();
         return Ok(RExpr::OperatorCall { op, args: compiled });
     }
-    if let Ok(func) = catalog.registry.function(&upper) {
+    if let Ok(func) = catalog.registry().function(&upper) {
         return Ok(RExpr::FuncCall { func: func.clone(), args: compiled });
     }
     let builtin = match upper.as_str() {
@@ -380,7 +380,7 @@ pub fn eval(expr: &RExpr, row: &ExecRow, ctx: &EvalCtx<'_>) -> Result<Value> {
                 Value::Null
             } else {
                 let binding = op.resolve(&vals)?;
-                let func = ctx.catalog.registry.function(&binding.function_name)?;
+                let func = ctx.catalog.registry().function(&binding.function_name)?;
                 func.call(ctx, &vals)?
             }
         }
@@ -848,7 +848,7 @@ mod tests {
     fn operator_functional_fallback() {
         let mut catalog = Catalog::new();
         catalog
-            .registry
+            .registry_mut()
             .create_function(ScalarFunction::new("TEXTCONTAINS", |_, args| {
                 let text = args[0].as_str()?;
                 let kw = args[1].as_str()?;
@@ -856,7 +856,7 @@ mod tests {
             }))
             .unwrap();
         catalog
-            .registry
+            .registry_mut()
             .create_operator(Operator::with_binding(
                 "CONTAINS",
                 vec![SqlType::Varchar(4000), SqlType::Varchar(4000)],

@@ -16,6 +16,8 @@
 //! whose arguments span tables — the spatial `Sdo_Relate(r.geometry,
 //! p.geometry, …)` pattern.
 
+use std::cmp::Ordering;
+
 use extidx_common::{Error, Key, Result, SqlType, Value};
 use extidx_core::meta::{OperatorCall, PredicateBound, RelOp};
 use extidx_core::trace::Routine;
@@ -307,7 +309,7 @@ fn resolve_table_hints(
 /// a Filter node.
 fn collect_op_call_names(e: &Expr, db: &Database, out: &mut Vec<String>) {
     if let Expr::Call { name, args } = e {
-        if db.catalog().registry.has_operator(name) {
+        if db.catalog().registry().has_operator(name) {
             let upper = name.to_ascii_uppercase();
             if !out.contains(&upper) {
                 out.push(upper);
@@ -465,7 +467,7 @@ struct OpPredicate {
 fn match_op_predicate(e: &Expr, db: &Database) -> Option<OpPredicate> {
     let as_call = |e: &Expr| -> Option<(String, Vec<Expr>)> {
         if let Expr::Call { name, args } = e {
-            if db.catalog().registry.has_operator(name) {
+            if db.catalog().registry().has_operator(name) {
                 return Some((name.to_ascii_uppercase(), args.clone()));
             }
         }
@@ -511,58 +513,185 @@ fn match_op_predicate(e: &Expr, db: &Database) -> Option<OpPredicate> {
     None
 }
 
-/// Selectivity of an ordinary predicate from column statistics.
-fn builtin_selectivity(db: &Database, tdef: &TableDef, e: &Expr, scope: &Scope) -> f64 {
-    let cm = db.cost;
-    let stats = tdef.stats.as_ref();
-    if let Some((col, relop, v)) = match_col_relop(e, scope, tdef) {
-        let idx = tdef.column_index(&col).unwrap_or(0);
-        let cs = stats.and_then(|s| s.columns.get(idx));
-        return match relop {
-            RelOp::Eq => cs
-                .filter(|c| c.ndv > 0)
-                .map(|c| 1.0 / c.ndv as f64)
-                .unwrap_or(cm.default_eq_sel),
-            RelOp::Like => cm.default_range_sel,
-            _ => {
-                // Range fraction over [min, max] when numeric stats exist.
-                if let (Some(c), Ok(x)) = (cs, v.as_number()) {
-                    if let (Some(Ok(lo)), Some(Ok(hi))) =
-                        (c.min.as_ref().map(|m| m.as_number()), c.max.as_ref().map(|m| m.as_number()))
-                    {
-                        if hi > lo {
-                            let f = ((x - lo) / (hi - lo)).clamp(0.0, 1.0);
-                            return match relop {
-                                RelOp::Lt | RelOp::Le => f.max(1e-4),
-                                RelOp::Gt | RelOp::Ge => (1.0 - f).max(1e-4),
-                                _ => cm.default_range_sel,
-                            };
-                        }
+/// A sargable conjunct: one column of this table compared with literals.
+enum Sarg {
+    Rel(RelOp, Value),
+    Between(Value, Value),
+}
+
+/// The one sargable matcher; everything access-path selection knows about
+/// `col relop literal` / `col BETWEEN` conjuncts comes from this call.
+/// Yields the column's index and name with the comparison.
+fn match_sarg(e: &Expr, scope: &Scope, tdef: &TableDef) -> Option<(usize, String, Sarg)> {
+    let (name, sarg) = match_col_relop(e, scope, tdef)
+        .map(|(col, relop, v)| (col, Sarg::Rel(relop, v)))
+        .or_else(|| match_between(e, scope, tdef).map(|(col, l, h)| (col, Sarg::Between(l, h))))?;
+    Some((tdef.column_index(&name).ok()?, name, sarg))
+}
+
+/// Selectivity of a sargable conjunct from column statistics.
+fn sarg_selectivity(cm: &CostModel, tdef: &TableDef, col: usize, sarg: &Sarg) -> f64 {
+    let cs = tdef.stats.as_ref().and_then(|s| s.columns.get(col));
+    let num = |v: Option<&Value>| v.map(|m| m.as_number());
+    match sarg {
+        Sarg::Rel(RelOp::Eq, _) => {
+            cs.filter(|c| c.ndv > 0).map(|c| 1.0 / c.ndv as f64).unwrap_or(cm.default_eq_sel)
+        }
+        Sarg::Rel(relop, v) => {
+            // Range fraction over [min, max] when numeric stats exist.
+            if let (Some(c), Ok(x)) = (cs, v.as_number()) {
+                if let (Some(Ok(lo)), Some(Ok(hi))) = (num(c.min.as_ref()), num(c.max.as_ref())) {
+                    if hi > lo {
+                        let f = ((x - lo) / (hi - lo)).clamp(0.0, 1.0);
+                        return match relop {
+                            RelOp::Lt | RelOp::Le => f.max(1e-4),
+                            RelOp::Gt | RelOp::Ge => (1.0 - f).max(1e-4),
+                            _ => cm.default_range_sel,
+                        };
                     }
                 }
-                cm.default_range_sel
             }
-        };
-    }
-    if let Some((col, lo, hi)) = match_between(e, scope, tdef) {
-        // Range fraction over [min, max] when numeric stats exist.
-        let idx = tdef.column_index(&col).unwrap_or(0);
-        if let Some(c) = stats.and_then(|s| s.columns.get(idx)) {
-            if let (Ok(lo), Ok(hi), Some(Ok(mn)), Some(Ok(mx))) = (
-                lo.as_number(),
-                hi.as_number(),
-                c.min.as_ref().map(|m| m.as_number()),
-                c.max.as_ref().map(|m| m.as_number()),
-            ) {
-                if mx > mn {
-                    return (((hi.min(mx) - lo.max(mn)) / (mx - mn)).clamp(0.0, 1.0)).max(1e-4);
+            cm.default_range_sel
+        }
+        Sarg::Between(lo, hi) => {
+            if let Some(c) = cs {
+                if let (Ok(lo), Ok(hi), Some(Ok(mn)), Some(Ok(mx))) =
+                    (lo.as_number(), hi.as_number(), num(c.min.as_ref()), num(c.max.as_ref()))
+                {
+                    if mx > mn {
+                        return (((hi.min(mx) - lo.max(mn)) / (mx - mn)).clamp(0.0, 1.0)).max(1e-4);
+                    }
                 }
             }
+            cm.default_range_sel
         }
-        return cm.default_range_sel;
     }
-    // Unknown shapes: default.
-    cm.default_range_sel
+}
+
+/// One side of a column's sargable range: the tightest literal the
+/// conjuncts put there, whether the comparison excludes the literal
+/// itself, and the conjuncts that say exactly this.
+struct Side {
+    v: Value,
+    strict: bool,
+    from: Vec<usize>,
+}
+
+impl Side {
+    /// Fold conjunct `ci`'s bound into `slot`, keeping the tightest.
+    /// `narrows` is how a literal that narrows this side compares with the
+    /// one already there (`Greater` for a lower bound, `Less` for an upper).
+    /// A looser conjunct is not recorded and so stays in the residual.
+    fn fold(slot: &mut Option<Side>, v: &Value, strict: bool, ci: usize, narrows: Ordering) {
+        let tighter = match slot {
+            None => true,
+            Some(s) => match v.total_cmp(&s.v) {
+                Ordering::Equal if strict == s.strict => return s.from.push(ci),
+                Ordering::Equal => strict,
+                o => o == narrows,
+            },
+        };
+        if tighter {
+            *slot = Some(Side { v: v.clone(), strict, from: vec![ci] });
+        }
+    }
+}
+
+/// What the table's conjuncts pin one column to. Both sides are carried
+/// as *inclusive* key / zone bounds; `exact` says which conjuncts such a
+/// bound expresses with nothing left over.
+struct ColBounds {
+    col: usize,
+    name: String,
+    lo: Option<Side>,
+    hi: Option<Side>,
+}
+
+/// The distinct conjuncts behind some sides (an equality is behind two).
+fn conjuncts_of<'a>(sides: impl Iterator<Item = &'a Side>) -> Vec<usize> {
+    let mut ids: Vec<usize> = sides.flat_map(|s| s.from.iter().copied()).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    ids
+}
+
+impl ColBounds {
+    /// Every conjunct the bounds were read from.
+    fn conjuncts(&self) -> Vec<usize> {
+        conjuncts_of(self.lo.iter().chain(&self.hi))
+    }
+
+    /// The conjuncts an inclusive range over this column answers exactly,
+    /// so they may leave the residual. A strict comparison never does (the
+    /// range admits the boundary). Where NULL keys are stored (an IOT's
+    /// primary key; B-trees skip them) they sort last, so a lower bound is
+    /// exact only under an upper bound that cuts them off.
+    fn exact(&self, nulls_stored: bool) -> Vec<usize> {
+        let lo = self.lo.iter().filter(|_| !nulls_stored || self.hi.is_some());
+        conjuncts_of(lo.chain(&self.hi).filter(|s| !s.strict))
+    }
+
+    /// Is the column pinned to one value (`=`, or two inclusive bounds that meet)?
+    fn pinned(&self) -> bool {
+        matches!((&self.lo, &self.hi), (Some(l), Some(h))
+            if !l.strict && !h.strict && l.v.total_cmp(&h.v).is_eq())
+    }
+}
+
+/// The table of sargable bounds — per column the tightest lower / upper
+/// literal (an equality is both) — plus every conjunct's selectivity.
+/// B-tree candidates, the key-prefix candidate and zone-map pruning all
+/// read this one table. `col relop NULL` is never true, so a NULL literal
+/// bounds nothing.
+fn sargable_bounds(
+    cm: &CostModel,
+    tdef: &TableDef,
+    scope: &Scope,
+    table_conjuncts: &[Expr],
+) -> (Vec<ColBounds>, Vec<f64>) {
+    let mut bounds: Vec<ColBounds> = Vec::new();
+    let mut sels = Vec::with_capacity(table_conjuncts.len());
+    for (ci, e) in table_conjuncts.iter().enumerate() {
+        let Some((col, name, sarg)) = match_sarg(e, scope, tdef) else {
+            sels.push(cm.default_range_sel);
+            continue;
+        };
+        sels.push(sarg_selectivity(cm, tdef, col, &sarg));
+        let (lo, hi) = match &sarg {
+            Sarg::Rel(RelOp::Eq, v) => (Some((v, false)), Some((v, false))),
+            Sarg::Rel(RelOp::Ge, v) => (Some((v, false)), None),
+            Sarg::Rel(RelOp::Gt, v) => (Some((v, true)), None),
+            Sarg::Rel(RelOp::Le, v) => (None, Some((v, false))),
+            Sarg::Rel(RelOp::Lt, v) => (None, Some((v, true))),
+            Sarg::Rel(RelOp::Like, _) => (None, None),
+            Sarg::Between(l, h) => (Some((l, false)), Some((h, false))),
+        };
+        if [lo, hi].iter().flatten().any(|(v, _)| v.is_null()) {
+            continue;
+        }
+        let at = bounds.iter().position(|b| b.col == col).unwrap_or_else(|| {
+            bounds.push(ColBounds { col, name, lo: None, hi: None });
+            bounds.len() - 1
+        });
+        if let Some((v, strict)) = lo {
+            Side::fold(&mut bounds[at].lo, v, strict, ci, Ordering::Greater);
+        }
+        if let Some((v, strict)) = hi {
+            Side::fold(&mut bounds[at].hi, v, strict, ci, Ordering::Less);
+        }
+    }
+    // Bounds that contradict each other select nothing. Collapse them to
+    // the one-value range at `lo`, so no reversed range reaches storage,
+    // and call both sides strict, so every conjunct stays in the residual
+    // and rejects whatever that range reads.
+    for b in &mut bounds {
+        if let (Some(l), Some(h)) = (&mut b.lo, &mut b.hi) {
+            if l.v.total_cmp(&h.v).is_gt() {
+                (h.v, l.strict, h.strict) = (l.v.clone(), true, true);
+            }
+        }
+    }
+    (bounds, sels)
 }
 
 /// Count functional user-operator calls in an expression (they dominate
@@ -571,7 +700,7 @@ fn count_op_calls(e: &Expr, db: &Database) -> usize {
     let mut n = 0;
     fn walk(e: &Expr, db: &Database, n: &mut usize) {
         if let Expr::Call { name, args } = e {
-            if db.catalog().registry.has_operator(name) {
+            if db.catalog().registry().has_operator(name) {
                 *n += 1;
             }
             for a in args {
@@ -667,34 +796,40 @@ fn best_table_access(
     let scope = table_scope(tdef, Some(alias));
     let (rows, pages) = table_shape(db, tdef);
 
+    let (bounds, conj_sel) = sargable_bounds(&cm, tdef, &scope, table_conjuncts);
+
     // Candidate: full scan (always available).
-    let full_sel: f64 = table_conjuncts
-        .iter()
-        .map(|e| builtin_selectivity(db, tdef, e, &scope))
-        .product();
+    let full_sel: f64 = conj_sel.iter().product();
     let op_calls: usize = table_conjuncts.iter().map(|e| count_op_calls(e, db)).sum();
     let full_cost = pages
         + rows * cm.cpu_tuple
         + rows * table_conjuncts.len() as f64 * cm.cpu_pred
         + rows * op_calls as f64 * cm.func_eval;
     // Per-row cost of evaluating each conjunct (operator calls dominate).
-    // An index candidate that consumes conjunct `ci` still pays
-    // `per_conjunct_cost` for every OTHER conjunct on each matched row —
-    // this is what makes "B-tree + functional Contains" pay for its
-    // Contains.
+    // An index candidate still pays `per_conjunct_cost` on each matched
+    // row for every conjunct it does not consume — this is what makes
+    // "B-tree + functional Contains" pay for its Contains.
     let per_conjunct_cost: Vec<f64> = table_conjuncts
         .iter()
         .map(|e| cm.cpu_pred + count_op_calls(e, db) as f64 * cm.func_eval)
         .collect();
     let total_conjunct_cost: f64 = per_conjunct_cost.iter().sum();
-    let residual_row_cost = |consumed: usize| -> f64 {
-        total_conjunct_cost - per_conjunct_cost.get(consumed).copied().unwrap_or(0.0)
+    let residual_row_cost = |consumed: &[usize]| -> f64 {
+        total_conjunct_cost - consumed.iter().map(|&ci| per_conjunct_cost[ci]).sum::<f64>()
+    };
+    let sel_of = |used: &[usize]| -> f64 { used.iter().map(|&ci| conj_sel[ci]).product() };
+    // `(height, leaf pages)` of the B-tree a segment holds.
+    let tree_shape = |seg| match db.storage().iot(seg) {
+        Ok(t) => (t.height() as f64, t.page_count() as f64),
+        Err(_) => (1.0, 1.0),
     };
 
+    /// `consumed` are the conjuncts the access path answers exactly; all
+    /// others go to the residual Filter.
     struct Candidate {
         cost: f64,
         rows: f64,
-        consumed: Option<usize>,
+        consumed: Vec<usize>,
         kind: CandKind,
     }
     enum CandKind {
@@ -708,7 +843,7 @@ fn best_table_access(
     let mut best = Candidate {
         cost: full_cost,
         rows: (rows * full_sel).max(1.0),
-        consumed: None,
+        consumed: Vec::new(),
         kind: CandKind::Full,
     };
 
@@ -720,6 +855,89 @@ fn best_table_access(
     // candidates for conjunct `ci` — if that conjunct ends up in the
     // residual filter, EXPLAIN annotates the degradation.
     let mut degraded: Vec<(usize, String)> = Vec::new();
+    // B-tree range / equality: one candidate per index on a bounded column.
+    // The entries skip NULL keys, so every inclusive bound is exact.
+    for cb in bounds.iter().filter(|_| consider_alternatives) {
+        let (used, consumed) = (cb.conjuncts(), cb.exact(false));
+        let sel = sel_of(&used);
+        for b in db.catalog().btree_indexes_on(&tdef.name) {
+            if b.column != cb.name {
+                continue;
+            }
+            // An INDEX hint excludes every other index, and makes
+            // the named one win unconditionally.
+            let forced = match &hints.force_index {
+                Some(f) if *f != b.name => continue,
+                Some(_) => true,
+                None => false,
+            };
+            let (height, leaf_pages) = tree_shape(b.seg);
+            let matched = (rows * sel).max(1.0);
+            let cost = if forced {
+                f64::MIN
+            } else {
+                height
+                    + sel * leaf_pages
+                    + matched * cm.rowid_fetch
+                    + matched * cm.cpu_tuple
+                    + matched * residual_row_cost(&consumed)
+            };
+            if cost < best.cost {
+                best = Candidate {
+                    cost,
+                    rows: matched,
+                    consumed: consumed.clone(),
+                    kind: CandKind::BTree {
+                        index: b.name.clone(),
+                        lo: cb.lo.as_ref().map(|s| Key::single(s.v.clone())),
+                        hi: cb.hi.as_ref().map(|s| Key::single(s.v.clone())),
+                    },
+                };
+            }
+        }
+    }
+    // IOT key prefix: walk the primary-key columns in order, appending
+    // every pinned column to both bounds and closing with the first
+    // range-bounded one. A fully pinned key is a unique probe.
+    if let (TableOrg::Index { key_cols }, true) = (&tdef.org, consider_alternatives) {
+        let (mut lo, mut hi, mut used, mut consumed) = (vec![], vec![], vec![], vec![]);
+        let mut pinned = 0;
+        for col in 0..*key_cols {
+            let Some(cb) = bounds.iter().find(|b| b.col == col) else { break };
+            lo.extend(cb.lo.as_ref().map(|s| s.v.clone()));
+            hi.extend(cb.hi.as_ref().map(|s| s.v.clone()));
+            used.extend(cb.conjuncts());
+            consumed.extend(cb.exact(true));
+            if !cb.pinned() {
+                break;
+            }
+            pinned += 1;
+        }
+        if !used.is_empty() {
+            let (height, leaf_pages) = tree_shape(tdef.seg);
+            let sel = sel_of(&used);
+            let (matched, leaves) = if pinned == *key_cols {
+                (1.0, 1.0)
+            } else {
+                ((rows * sel).max(1.0), sel * leaf_pages)
+            };
+            let cost = height
+                + leaves
+                + matched * cm.cpu_tuple
+                + matched * residual_row_cost(&consumed);
+            if cost < best.cost {
+                best = Candidate {
+                    cost,
+                    rows: matched,
+                    consumed,
+                    kind: CandKind::IotRange {
+                        lo: (!lo.is_empty()).then_some(Key(lo)),
+                        hi: (!hi.is_empty()).then_some(Key(hi)),
+                    },
+                };
+            }
+        }
+    }
     for (ci, e) in table_conjuncts.iter().enumerate().filter(|_| consider_alternatives) {
         // Direct ROWID fetch: `t.ROWID = <rowid literal>` (the legacy
         // temp-table join pattern resolves through this).
@@ -739,92 +957,9 @@ fn best_table_access(
                     best = Candidate {
                         cost: 1.2,
                         rows: 1.0,
-                        consumed: Some(ci),
+                        consumed: vec![ci],
                         kind: CandKind::RowIdEq { rid },
                     };
-                }
-            }
-        }
-
-        // B-tree range / equality.
-        let range = match_col_relop(e, &scope, tdef)
-            .map(|(col, relop, v)| {
-                let (lo, hi) = match relop {
-                    RelOp::Eq => (Some(v.clone()), Some(v)),
-                    RelOp::Lt | RelOp::Le => (None, Some(v)),
-                    RelOp::Gt | RelOp::Ge => (Some(v), None),
-                    RelOp::Like => (None, None),
-                };
-                (col, lo, hi)
-            })
-            .or_else(|| match_between(e, &scope, tdef).map(|(c, l, h)| (c, Some(l), Some(h))));
-        if let Some((col, lo, hi)) = range {
-            if lo.is_none() && hi.is_none() {
-                // LIKE — not range-indexable here.
-            } else {
-                let sel = builtin_selectivity(db, tdef, e, &scope);
-                for b in db.catalog().btree_indexes_on(&tdef.name) {
-                    if b.column != col {
-                        continue;
-                    }
-                    // An INDEX hint excludes every other index, and makes
-                    // the named one win unconditionally.
-                    let forced = match &hints.force_index {
-                        Some(f) if *f != b.name => continue,
-                        Some(_) => true,
-                        None => false,
-                    };
-                    let (height, leaf_pages) = match db.storage().iot(b.seg) {
-                        Ok(t) => (t.height() as f64, t.page_count() as f64),
-                        Err(_) => (1.0, 1.0),
-                    };
-                    let matched = (rows * sel).max(1.0);
-                    let cost = if forced {
-                        f64::MIN
-                    } else {
-                        height
-                            + sel * leaf_pages
-                            + matched * cm.rowid_fetch
-                            + matched * cm.cpu_tuple
-                            + matched * residual_row_cost(ci)
-                    };
-                    if cost < best.cost {
-                        best = Candidate {
-                            cost,
-                            rows: matched,
-                            consumed: Some(ci),
-                            kind: CandKind::BTree {
-                                index: b.name.clone(),
-                                lo: lo.clone().map(Key::single),
-                                hi: hi.clone().map(Key::single),
-                            },
-                        };
-                    }
-                }
-                // IOT primary-key access on the leading key column.
-                if let TableOrg::Index { .. } = tdef.org {
-                    if tdef.columns.first().map(|c| c.name.as_str()) == Some(col.as_str()) {
-                        let (height, leaf_pages) = match db.storage().iot(tdef.seg) {
-                            Ok(t) => (t.height() as f64, t.page_count() as f64),
-                            Err(_) => (1.0, 1.0),
-                        };
-                        let matched = (rows * sel).max(1.0);
-                        let cost = height
-                            + sel * leaf_pages
-                            + matched * cm.cpu_tuple
-                            + matched * residual_row_cost(ci);
-                        if cost < best.cost {
-                            best = Candidate {
-                                cost,
-                                rows: matched,
-                                consumed: Some(ci),
-                                kind: CandKind::IotRange {
-                                    lo: lo.clone().map(Key::single),
-                                    hi: hi.clone().map(Key::single),
-                                },
-                            };
-                        }
-                    }
                 }
             }
         }
@@ -839,7 +974,7 @@ fn best_table_access(
                     Some(_) => true,
                     None => false,
                 };
-                let Ok(it) = db.catalog().registry.indextype(&d.indextype) else { continue };
+                let Ok(it) = db.catalog().registry().indextype(&d.indextype) else { continue };
                 if !it.supports(&op_pred.name, op_pred.args.len()) {
                     continue;
                 }
@@ -938,13 +1073,13 @@ fn best_table_access(
                     icost.total()
                         + matched * cm.rowid_fetch
                         + matched * cm.cpu_tuple
-                        + matched * residual_row_cost(ci)
+                        + matched * residual_row_cost(&[ci])
                 };
                 if cost < best.cost {
                     best = Candidate {
                         cost,
                         rows: matched,
-                        consumed: Some(ci),
+                        consumed: vec![ci],
                         kind: CandKind::Domain {
                             index: d.name.clone(),
                             indextype: d.indextype.clone(),
@@ -990,30 +1125,21 @@ fn best_table_access(
             .filter(|f| *f == index)
             .map(|f| format!("INDEX({alias} {f})"))
     };
-    // Zone-map pruning bounds for a heap full scan: every range-shaped
-    // conjunct restated over physical column indexes. The conjunct stays
+    // Zone-map pruning bounds for a heap full scan: every bounded column
+    // restated over its physical column index. The conjuncts stay
     // in the residual filter — the bound only lets the scan skip pages
     // whose recorded min/max provably exclude every qualifying row.
     let zone_prune: Vec<ZoneBound> = if db.zone_pruning()
         && matches!(best.kind, CandKind::Full)
         && matches!(tdef.org, TableOrg::Heap)
     {
-        table_conjuncts
-            .iter()
-            .filter_map(|e| {
-                match_col_relop(e, &scope, tdef)
-                    .and_then(|(col, relop, v)| match relop {
-                        RelOp::Eq => Some((col, Some(v.clone()), Some(v))),
-                        RelOp::Lt | RelOp::Le => Some((col, None, Some(v))),
-                        RelOp::Gt | RelOp::Ge => Some((col, Some(v), None)),
-                        RelOp::Like => None,
-                    })
-                    .or_else(|| {
-                        match_between(e, &scope, tdef).map(|(c, l, h)| (c, Some(l), Some(h)))
-                    })
-            })
-            .filter_map(|(col_name, lo, hi)| {
-                tdef.column_index(&col_name).ok().map(|col| ZoneBound { col, col_name, lo, hi })
+        bounds
+            .into_iter()
+            .map(|cb| ZoneBound {
+                col: cb.col,
+                col_name: cb.name,
+                lo: cb.lo.map(|s| s.v),
+                hi: cb.hi.map(|s| s.v),
             })
             .collect()
     } else {
@@ -1080,12 +1206,12 @@ fn best_table_access(
     let residual: Vec<&Expr> = table_conjuncts
         .iter()
         .enumerate()
-        .filter(|(i, _)| best.consumed != Some(*i))
+        .filter(|(i, _)| !best.consumed.contains(i))
         .map(|(_, e)| e)
         .collect();
     let degraded_names: Vec<String> = degraded
         .into_iter()
-        .filter(|(ci, _)| best.consumed != Some(*ci))
+        .filter(|(ci, _)| !best.consumed.contains(ci))
         .map(|(_, name)| name)
         .collect();
     wrap_filter(db, access, &residual, &scope, &degraded_names)
@@ -1349,7 +1475,7 @@ fn build_join(
         for (ci, e) in conjuncts.iter().enumerate() {
             let Some(op_pred) = match_op_predicate(e, db) else { continue };
             for d in db.catalog().domain_indexes_on(&tdef.name).into_iter().cloned().collect::<Vec<_>>() {
-                let Ok(it) = db.catalog().registry.indextype(&d.indextype) else { continue };
+                let Ok(it) = db.catalog().registry().indextype(&d.indextype) else { continue };
                 if !it.supports(&op_pred.name, op_pred.args.len()) {
                     continue;
                 }

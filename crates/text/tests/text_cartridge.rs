@@ -319,3 +319,25 @@ fn panic_in_maintenance_is_contained() {
     let rows = db.query("SELECT id FROM employees WHERE Contains(resume, 'containment')").unwrap();
     assert_eq!(rows, vec![vec![Value::Integer(9)]]);
 }
+
+/// `ODCIIndexDelete` issues one `DELETE … WHERE token = ? AND rid = ?` per
+/// token and the server runs it as a probe of the `(token, rid)` key, so
+/// unindexing a document costs the same however long the token's posting
+/// list is (1 000 and 10 000 postings both sit in a
+/// height-2 tree; much below that the whole table is a page or two and the
+/// optimizer rightly scans it).
+#[test]
+fn delete_cost_does_not_grow_with_the_posting_list() {
+    let delete_reads = |n: usize| {
+        let mut db = db_with_docs(&vec!["common"; n]);
+        db.execute("CREATE INDEX rti ON employees(resume) INDEXTYPE IS TextIndexType").unwrap();
+        let rid = db.query("SELECT ROWID FROM employees WHERE id = 7").unwrap()[0][0].clone();
+        let before = db.cache_stats().logical_reads;
+        db.execute_with("DELETE FROM employees WHERE ROWID = ?", &[rid]).unwrap();
+        let reads = db.cache_stats().logical_reads - before;
+        let left = db.query("SELECT COUNT(*) FROM employees WHERE Contains(resume, 'common')");
+        assert_eq!(left.unwrap()[0][0], Value::Integer(n as i64 - 1));
+        reads
+    };
+    assert_eq!(delete_reads(1_000), delete_reads(10_000));
+}

@@ -303,3 +303,37 @@ fn panic_in_maintenance_is_contained() {
     .unwrap();
     assert!(found(&mut db, &base).contains(&9000), "clean retry must be findable");
 }
+
+/// Signature maintenance issues `DELETE … WHERE q1 = ? AND rid = ?` and
+/// the server runs it as a probe of the `(q1, rid)` key, so unindexing an
+/// image costs the same however many images share its first coarse
+/// coordinate (1 000 and 10 000 entries both sit in a
+/// height-2 tree; much below that the whole table is a page or two and the
+/// optimizer rightly scans it).
+#[test]
+fn delete_cost_does_not_grow_with_the_q1_population() {
+    let delete_reads = |n: usize| {
+        let mut db = vir_db();
+        db.execute("CREATE TABLE images (id INTEGER, img VIR_IMAGE)").unwrap();
+        let sig = SignatureWorkload::new(5).random().serialize();
+        for i in 0..n {
+            db.execute_with(
+                "INSERT INTO images VALUES (?, VIR_IMAGE(?))",
+                &[(i as i64).into(), sig.clone().into()],
+            )
+            .unwrap();
+        }
+        db.execute("CREATE INDEX img_idx ON images(img) INDEXTYPE IS VirIndexType").unwrap();
+        let rid = db.query("SELECT ROWID FROM images WHERE id = 7").unwrap()[0][0].clone();
+        let before = db.cache_stats().logical_reads;
+        db.execute_with("DELETE FROM images WHERE ROWID = ?", &[rid]).unwrap();
+        let reads = db.cache_stats().logical_reads - before;
+        let left = db.query_with(
+            "SELECT COUNT(*) FROM images WHERE VirSimilar(img, ?, 'globalcolor=1.0', 1.0)",
+            &[sig.into()],
+        );
+        assert_eq!(left.unwrap()[0][0], Value::Integer(n as i64 - 1));
+        reads
+    };
+    assert_eq!(delete_reads(1_000), delete_reads(10_000));
+}

@@ -70,6 +70,17 @@ done
 echo "== batch executor (batch seams + pipelining + zone maps) =="
 cargo test -q --test vectorized -- --include-ignored
 
+# Key-prefix access paths (DESIGN.md §4h "One table of sargable bounds"):
+# plan shapes over a composite-key IOT, the strict-bound regression with
+# its FULL twins, point-probe DML maintaining a secondary B-tree; one
+# test per cartridge that a per-entry callback DELETE reads the same
+# number of pages whether 1 000 or 10 000 entries share its leading key;
+# and the 3-seed composite-key differential sweep (ignored tier) whose
+# seeds catch the key-prefix candidate widened by one.
+echo "== key-prefix access paths (plan shapes + size independence + qgen sweep) =="
+cargo test -q --test key_prefix -- --include-ignored
+cargo test -q -p extidx-text -p extidx-spatial -p extidx-vir delete_cost_does_not_grow
+
 # Durability: WAL + checkpoints. The crash-point matrix (every wal.*
 # fault point x {heap, IOT, LOB, each cartridge}, with an at-call sweep
 # over every call site inside the crashing statement), checkpoint
@@ -164,6 +175,20 @@ fi
 if grep -rnE "WalRecord::(CreateHeap|CreateIot|HeapInsert|IotInsert|IotUpsert|LobAllocate)\b" crates; then
     exit 1
 fi
+
+# One key-bound builder (DESIGN.md §4h): the leading-column special case
+# (a candidate that could consume one conjunct only) stays gone, the
+# sargable matchers are called from the bounds table's builder alone, and
+# no cartridge grew a bypass — each still issues its per-entry callback
+# DELETE, exactly once, and the server turns it into a point probe.
+echo "== one key-bound builder (structural guard) =="
+if grep -n "consumed: Option<usize>" crates/sql/src/optimizer.rs; then
+    exit 1
+fi
+[ "$(grep -cE "match_col_relop\(|match_between\(" crates/sql/src/optimizer.rs)" -eq 4 ]
+[ "$(grep -c "WHERE token = ? AND rid = ?" crates/text/src/cartridge.rs)" -eq 1 ]
+[ "$(grep -c "WHERE tile = ? AND rid = ?" crates/spatial/src/cartridge.rs)" -eq 1 ]
+[ "$(grep -c "WHERE q1 = ? AND rid = ?" crates/vir/src/cartridge.rs)" -eq 1 ]
 
 # One perf instrument: no hand-set timing floor, bench-record writer or
 # micro-bench harness may come back beside the ledger. (Bracketed so the

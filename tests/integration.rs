@@ -19,7 +19,7 @@ fn full_db() -> Database {
 #[test]
 fn all_four_cartridges_coexist() {
     let db = full_db();
-    let names = db.catalog().registry.indextype_names();
+    let names = db.catalog().registry().indextype_names();
     assert_eq!(
         names,
         vec![

@@ -826,3 +826,39 @@ fn crash_during_commit_with_second_transaction_in_flight_discards_both() {
         "a commit that never reached its marker must vanish wholesale"
     );
 }
+
+/// Commit markers share one dictionary image until something changes the
+/// dictionary (DESIGN.md §4i). DDL between two DML commits must therefore
+/// cut a new image: the recovered catalog is the post-DDL one, not the
+/// image the earlier commits were sharing.
+#[test]
+fn ddl_between_dml_commits_recovers_the_post_ddl_catalog() {
+    use extidx::core::operator::ScalarFunction;
+
+    let medium = DurableMedium::new();
+    {
+        let mut db = Database::with_cache_pages(256);
+        db.enable_durability(medium.clone()).unwrap();
+        db.register_function(ScalarFunction::new("HalfFn", |_, args| {
+            Ok(Value::Integer(args[0].as_integer()? / 2))
+        }))
+        .unwrap();
+        db.execute("CREATE TABLE a (id INTEGER, v INTEGER)").unwrap();
+        db.execute("INSERT INTO a VALUES (1, 10)").unwrap();
+        db.execute("INSERT INTO a VALUES (2, 20)").unwrap();
+        db.execute("CREATE TABLE b (id INTEGER)").unwrap();
+        db.execute("ANALYZE TABLE a").unwrap();
+        db.execute("CREATE OPERATOR Half BINDING (INTEGER) RETURN INTEGER USING HalfFn").unwrap();
+        db.execute("INSERT INTO b VALUES (7)").unwrap();
+        crash(db, &medium, FP_WAL_COMMIT, "INSERT INTO b VALUES (8)");
+    }
+    let mut rec = Database::with_cache_pages(256);
+    rec.enable_durability(medium).unwrap();
+    assert_eq!(rec.catalog().table_names(), ["A", "B"]);
+    let stats = rec.catalog().table("a").unwrap().stats.clone().expect("ANALYZE output lost");
+    assert_eq!(stats.row_count, 2);
+    assert!(rec.catalog().registry().has_operator("Half"), "CREATE OPERATOR lost");
+    assert_eq!(bag(&mut rec, "b"), ["[Integer(7)]"]);
+    let hit = rec.query("SELECT id FROM b WHERE Half(id) = 3").unwrap();
+    assert_eq!(hit.len(), 1, "the recovered operator must evaluate");
+}
