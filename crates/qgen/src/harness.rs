@@ -425,88 +425,135 @@ fn rebuild_degraded(db: &mut Database) -> Result<(), String> {
 /// cleanly; `Some(detail)` describes the first mismatch.
 pub fn run_crash_seed(seed: u64, n: usize) -> Option<String> {
     let workload = generate(seed, n);
-    // Crash on a mutation statement (queries never touch the WAL, so a
-    // fault armed there would sit unfired and the run would not crash).
-    let mutation_idxs: Vec<usize> = workload
-        .stmts
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| !matches!(s, Stmt::Query(_)))
-        .map(|(i, _)| i)
-        .collect();
-    if mutation_idxs.is_empty() {
+    let mutations = mutation_idxs(&workload.stmts);
+    if mutations.is_empty() {
         return None;
     }
     for (pi, point) in WAL_FAULT_POINTS.iter().enumerate() {
-        let crash_at = mutation_idxs[(seed as usize + pi) % mutation_idxs.len()];
-        if let Some(detail) = crash_recover_once(&workload.preamble, &workload.stmts, point, crash_at)
-        {
-            return Some(format!("seed {seed}, crash point {point}, statement {crash_at}: {detail}"));
+        let crash_at = mutations[(seed as usize + pi) % mutations.len()];
+        let crashes = [(crash_at, *point)];
+        if let Some(detail) = crash_and_resume(&workload.preamble, &workload.stmts, &crashes, &[]) {
+            return Some(format!("seed {seed}: {detail}"));
         }
     }
     None
 }
 
-fn crash_recover_once(
+/// The recover-and-resume arm: one seeded workload crashed up to
+/// `crashes` times at seeded `wal.*` points, with checkpoints at seeded
+/// statements between the crashes. Every recovery is checked against the
+/// committed-prefix twin and the victim resumes on the recovered engine,
+/// so a statement lost in one crash must stay lost across every later
+/// recovery.
+pub fn run_multi_crash_seed(seed: u64, n: usize, crashes: usize) -> Option<String> {
+    let workload = generate(seed, n);
+    let mutations = mutation_idxs(&workload.stmts);
+    if mutations.is_empty() {
+        return None;
+    }
+    let mut x = seed;
+    let mut draw = |m: usize| {
+        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (x >> 33) as usize % m
+    };
+    let mut sites: Vec<(usize, &str)> = (0..crashes)
+        .map(|_| {
+            (mutations[draw(mutations.len())], WAL_FAULT_POINTS[draw(WAL_FAULT_POINTS.len())])
+        })
+        .collect();
+    sites.sort_by_key(|&(i, _)| i);
+    sites.dedup_by_key(|&mut (i, _)| i);
+    let checkpoints: Vec<usize> = (0..n).filter(|_| draw(6) == 0).collect();
+    crash_and_resume(&workload.preamble, &workload.stmts, &sites, &checkpoints)
+        .map(|detail| format!("seed {seed}: {detail}"))
+}
+
+/// Queries never touch the WAL, so a fault armed there would sit unfired
+/// and the run would not crash: crash sites are mutation statements.
+fn mutation_idxs(stmts: &[Stmt]) -> Vec<usize> {
+    stmts.iter().enumerate().filter(|(_, s)| !matches!(s, Stmt::Query(_))).map(|(i, _)| i).collect()
+}
+
+/// Run `stmts` on a durable victim and a non-durable twin; take a
+/// checkpoint before each statement listed in `checkpoints`; at each
+/// `(statement, point)` of `crashes` arm the point and crash — inside a
+/// checkpoint taken before the statement for the `wal.checkpoint*`
+/// points, inside the statement for the others — then recover a fresh
+/// victim from the medium, compare it with the twin, and resume. The
+/// process finally dies with nothing in flight, and that recovery is
+/// compared too.
+fn crash_and_resume(
     preamble: &[String],
     stmts: &[Stmt],
-    point: &str,
-    crash_at: usize,
+    crashes: &[(usize, &str)],
+    checkpoints: &[usize],
 ) -> Option<String> {
     let medium = DurableMedium::new();
     let chaos = ChaosOpts::default();
-    // Victim: durable engine that will die mid-statement.
-    {
-        let mut db = fresh_db(chaos);
-        db.enable_durability(medium.clone()).expect("enable durability");
-        for sql in preamble {
-            db.execute(sql).unwrap_or_else(|e| panic!("preamble failed: {sql}: {e}"));
-        }
-        for (i, s) in stmts.iter().enumerate() {
-            if i == crash_at {
-                db.fault_injector().arm_fail(point, None, 1);
-                // Checkpoint crash points only fire inside `checkpoint()`;
-                // the others fire inside ordinary statements.
-                let r = if point.starts_with("wal.checkpoint") {
-                    db.checkpoint()
-                } else {
-                    db.execute(&s.sql()).map(|_| ())
-                };
-                if db.fault_injector().fired() == 0 {
-                    // The statement never reached the WAL (e.g. a DML
-                    // matching zero rows appends nothing). No crash
-                    // happened; nothing to recover — the scenario is
-                    // vacuous for this site.
-                    db.fault_injector().disarm_all();
-                    return None;
-                }
-                assert!(r.is_err(), "statement survived a WAL crash at {point}");
-                break;
-            }
-            let _ = db.execute(&s.sql());
-        }
-        // Victim dropped here: the process is dead; only `medium` survives.
-    }
-    // Recovered engine from the surviving medium.
-    let mut recovered = fresh_db(chaos);
-    if let Err(e) = recovered.enable_durability(medium) {
-        return Some(format!("recovery failed: {e}"));
-    }
-    // Twin: a fresh engine that executes exactly the committed prefix.
+    let mut db = fresh_db(chaos);
+    db.enable_durability(medium.clone()).expect("enable durability");
     let mut twin = fresh_db(chaos);
     for sql in preamble {
+        db.execute(sql).unwrap_or_else(|e| panic!("preamble failed: {sql}: {e}"));
         twin.execute(sql).unwrap_or_else(|e| panic!("preamble failed: {sql}: {e}"));
     }
-    for s in &stmts[..crash_at] {
-        let _ = twin.execute(&s.sql());
+    let recover = |twin: &mut Database, what: String| -> Result<Database, String> {
+        let mut db = fresh_db(chaos);
+        db.enable_durability(medium.clone()).map_err(|e| format!("{what}: recovery failed: {e}"))?;
+        match compare_recovered(&mut db, twin) {
+            Some(detail) => Err(format!("{what}: {detail}")),
+            None => Ok(db),
+        }
+    };
+    for (i, s) in stmts.iter().enumerate() {
+        if checkpoints.contains(&i) {
+            if let Err(e) = db.checkpoint() {
+                return Some(format!("checkpoint before statement {i}: {e}"));
+            }
+        }
+        let Some(&(_, point)) = crashes.iter().find(|&&(at, _)| at == i) else {
+            let _ = db.execute(&s.sql());
+            let _ = twin.execute(&s.sql());
+            continue;
+        };
+        db.fault_injector().arm_fail(point, None, 1);
+        let in_checkpoint = point.starts_with("wal.checkpoint");
+        let r = if in_checkpoint { db.checkpoint() } else { db.execute(&s.sql()).map(|_| ()) };
+        let fired = db.fault_injector().fired() > 0;
+        if fired {
+            assert!(r.is_err(), "statement survived a WAL crash at {point}");
+            // The victim is dead; only `medium` survives.
+            db = match recover(&mut twin, format!("crash at {point}, statement {i}")) {
+                Ok(db) => db,
+                Err(detail) => return Some(detail),
+            };
+        } else {
+            // The statement never reached the WAL (e.g. a DML matching
+            // zero rows appends nothing): it ran like any other.
+            db.fault_injector().disarm_all();
+        }
+        // A checkpoint crash struck before the statement ran; a statement
+        // crash took the statement with it.
+        if in_checkpoint {
+            let _ = db.execute(&s.sql());
+        }
+        if in_checkpoint || !fired {
+            let _ = twin.execute(&s.sql());
+        }
     }
-    // External-file indexes may come back QUARANTINED (their files do
-    // not wait for commit); REBUILD restores them, and nothing else may
-    // be degraded on either side afterwards.
-    if let Err(e) = rebuild_degraded(&mut recovered) {
+    drop(db);
+    recover(&mut twin, "death after the last statement".into()).err()
+}
+
+/// Bag-equality of every table plus index health between a recovered
+/// engine and its committed-prefix twin. External-file indexes may come
+/// back QUARANTINED (their files do not wait for commit); REBUILD restores
+/// them on both sides first, and nothing else may be degraded afterwards.
+fn compare_recovered(recovered: &mut Database, twin: &mut Database) -> Option<String> {
+    if let Err(e) = rebuild_degraded(recovered) {
         return Some(e);
     }
-    if let Err(e) = rebuild_degraded(&mut twin) {
+    if let Err(e) = rebuild_degraded(twin) {
         return Some(format!("twin: {e}"));
     }
     // Per-table bag equality.
@@ -520,11 +567,11 @@ fn crash_recover_once(
         ));
     }
     for t in &tables {
-        let got = match table_bag(&mut recovered, t) {
+        let got = match table_bag(recovered, t) {
             Ok(b) => b,
             Err(e) => return Some(format!("recovered: {e}")),
         };
-        let want = match table_bag(&mut twin, t) {
+        let want = match table_bag(twin, t) {
             Ok(b) => b,
             Err(e) => return Some(format!("twin: {e}")),
         };

@@ -31,4 +31,4 @@ pub use concurrent::{
     ConcurrentReport, StormReport,
 };
 pub use gen::{generate, Workload};
-pub use harness::{fresh_db, run_crash_seed, run_seed, ChaosOpts, Divergence};
+pub use harness::{fresh_db, run_crash_seed, run_multi_crash_seed, run_seed, ChaosOpts, Divergence};

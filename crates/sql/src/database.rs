@@ -40,7 +40,7 @@ use extidx_core::trace::{CallTrace, Component, Routine};
 use extidx_core::OdciIndex;
 use extidx_storage::buffer::CacheStats;
 use extidx_storage::file_store::FileStats;
-use extidx_storage::{CommitBlob, DurableMedium, Snapshot, StorageEngine, WalRecord};
+use extidx_storage::{CommitBlob, DurableMedium, Snapshot, StorageEngine};
 
 use crate::ast::{bind_statement, AlterIndexAction, ColumnSpec, InsertSource, Statement};
 use crate::catalog::{BTreeIndexDef, Catalog, CatalogDump, ColumnDef, ColumnStats, DomainIndexDef, TableDef, TableOrg, TableStats};
@@ -457,13 +457,17 @@ impl Database {
 
     /// Attach a durable medium (write-ahead log + checkpoint store).
     ///
-    /// On an empty medium this takes an initial checkpoint of current
-    /// state and starts logging. On a medium with data — the survivor of
-    /// a crashed instance — it first runs recovery: restore the last
-    /// checkpoint, replay committed WAL records, discard the uncommitted
-    /// tail, adopt the external-file mirror, restore the catalog from the
-    /// last commit marker, rebuild zone maps, and quarantine any domain
-    /// index whose external files saw activity after the last commit.
+    /// On an empty medium this takes the first checkpoint and starts
+    /// logging. That image is a copy of current state, so it is refused
+    /// while a transaction is open and vacuums first: nothing uncommitted,
+    /// and no deferred delete, may be copied in as a committed row. On a
+    /// medium with data — the survivor of a crashed instance — it first
+    /// runs recovery: fold the committed WAL suffix into the medium's
+    /// image and drop the uncommitted tail, load the image, adopt the
+    /// external-file mirror, restore the catalog from the last commit,
+    /// rebuild zone maps, and quarantine any domain index whose external
+    /// files the dropped tail touched; the checkpoint that follows stamps
+    /// that post-recovery catalog, quarantines included, onto the image.
     ///
     /// Crash points (`wal.*`, see [`extidx_storage::WAL_FAULT_POINTS`])
     /// are checked through this database's [`FaultInjector`].
@@ -472,64 +476,42 @@ impl Database {
         medium.set_fault_hook(Arc::new(move |point| fault.check(point, None)));
         if medium.has_data() {
             self.recover_from(&medium)?;
-            self.storage.attach_wal(medium);
-            Ok(())
+        } else if self.storage.txn_manager().active_count() > 0 {
+            return Err(Error::Transaction(
+                "durability cannot be enabled inside an open transaction".into(),
+            ));
         } else {
-            self.storage.attach_wal(medium);
-            self.checkpoint()
+            self.vacuum();
         }
+        self.storage.attach_wal(medium);
+        self.checkpoint()
     }
 
-    /// Take a checkpoint: snapshot engine + catalog into the durable
-    /// medium and truncate the WAL up to the snapshot's LSN. The snapshot
-    /// is the physical pages and nothing else — no version chain, no undo
-    /// — so it must hold committed rows only: refused while any
-    /// transaction is active on any lane (orphans parked by dropped
-    /// sessions are aborted first), and vacuumed first so no deferred
-    /// delete survives as a live row and no chain is needed to read it.
+    /// Take a checkpoint (DESIGN.md §4i): fold the WAL's committed suffix
+    /// into the medium's image, stamp it with the current catalog, and
+    /// truncate the WAL to the records of transactions still open. It
+    /// costs the records since the last checkpoint, and it is fuzzy: an
+    /// open transaction on any lane neither blocks it nor reaches the
+    /// image.
     pub fn checkpoint(&mut self) -> Result<()> {
-        self.drain_orphans();
-        if self.storage.txn_manager().active_count() > 0 {
-            return Err(Error::Transaction(
-                "cannot checkpoint inside an open transaction".into(),
-            ));
-        }
         let Some(medium) = self.storage.wal_medium().cloned() else {
             return Err(Error::Unsupported("durability is not enabled".into()));
         };
-        self.vacuum();
-        medium.checkpoint_begin()?;
-        let engine = self.storage.snapshot();
         let payload: CommitBlob = Arc::new(self.catalog.dump());
-        medium.install_checkpoint(engine, Some(payload))
+        let txns = self.storage.txn_manager();
+        medium.checkpoint(|| self.storage.snapshot(), payload, |txn| txns.is_active(txn))
     }
 
     /// Crash recovery (ARIES-lite, logical redo): rebuild this instance's
     /// state from what the medium durably holds.
     fn recover_from(&mut self, medium: &DurableMedium) -> Result<()> {
-        // The medium may still be marked crashed from the instance that
-        // died on it; this instance is a fresh process.
-        medium.clear_crash();
-        let img = medium.recovery_image();
-        let mut payload: Option<CommitBlob> =
-            img.checkpoint.as_ref().and_then(|c| c.payload.clone());
-        if let Some(cp) = img.checkpoint {
-            self.storage.restore_snapshot(cp.engine);
-        }
-        for rec in &img.committed {
-            if let WalRecord::Commit { payload: p } = rec {
-                if p.is_some() {
-                    payload = p.clone();
-                }
-            } else {
-                self.storage.apply_wal_record(rec);
-            }
-        }
+        let img = medium.recover();
+        self.storage.restore_snapshot(img.engine);
         // External files write through to the medium immediately (like a
-        // real filesystem), so the mirror — not the replay — is the
+        // real filesystem), so the mirror — not the redo — is the
         // authoritative post-crash file state.
         self.storage.set_files(img.files);
-        if let Some(p) = payload {
+        if let Some(p) = img.payload {
             let dump = p.downcast_ref::<CatalogDump>().ok_or_else(|| {
                 Error::Storage("durable commit payload is not a catalog dump".into())
             })?;

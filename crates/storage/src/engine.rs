@@ -558,11 +558,6 @@ impl StorageEngine {
         self.wal = Some(medium);
     }
 
-    /// Detach the medium (recovery replays with logging off).
-    pub fn detach_wal(&mut self) -> Option<DurableMedium> {
-        self.wal.take()
-    }
-
     /// The attached medium, if durability is on.
     pub fn wal_medium(&self) -> Option<&DurableMedium> {
         self.wal.as_ref()
@@ -584,29 +579,27 @@ impl StorageEngine {
         }
     }
 
-    /// Deep snapshot of all durable state (checkpoint source).
+    /// Deep copy of every segment: the first image of an empty durable
+    /// medium. Every later checkpoint folds WAL records into that image
+    /// instead of copying the engine again.
     pub fn snapshot(&self) -> EngineSnapshot {
         EngineSnapshot {
             heaps: self.heaps.clone(),
             iots: self.iots.clone(),
             lobs: self.lobs.clone(),
-            files: self.files.clone(),
             next_segment: self.next_segment,
         }
     }
 
-    /// Replace all durable state from a snapshot. The buffer cache comes
-    /// up cold, as it would after a real restart.
+    /// Replace every segment from a recovered image. The buffer cache
+    /// comes up cold, as it would after a real restart; the image holds
+    /// committed state only, so no version chain comes with it.
     pub fn restore_snapshot(&mut self, snap: EngineSnapshot) {
         self.cache.invalidate_all();
         self.heaps = snap.heaps;
         self.iots = snap.iots;
         self.lobs = snap.lobs;
-        self.files = snap.files;
         self.next_segment = snap.next_segment;
-        // The SQL layer's checkpoint refuses while any transaction is
-        // active and vacuums first, so the restored state carries no
-        // version chains.
         self.versions = VersionStore::default();
         self.current = Snapshot::latest();
     }
@@ -617,88 +610,8 @@ impl StorageEngine {
         self.files = files;
     }
 
-    /// Redo one WAL record against current state. Used only by recovery,
-    /// with the WAL detached. Application errors are swallowed: a record
-    /// whose original apply failed fails identically on replay (same
-    /// state, deterministic operations), leaving state unchanged both
-    /// times. Replay is redo only, so the undo an applied record leaves
-    /// behind is dropped at once.
-    pub fn apply_wal_record(&mut self, rec: &WalRecord) {
-        match rec {
-            WalRecord::DropSegment { seg } => {
-                let _ = self.drop_segment(*seg);
-            }
-            WalRecord::TruncateSegment { seg } => {
-                let _ = self.truncate_segment(*seg);
-            }
-            WalRecord::HeapInsertAt { seg, rid, row } => {
-                if let Some(h) = self.heaps.get_mut(seg) {
-                    let _ = h.insert_at(*rid, row.clone());
-                    self.cache.write((*seg, rid.page));
-                }
-            }
-            WalRecord::HeapUpdate { seg, rid, row } => {
-                let _ = self.heap_update(*seg, *rid, row.clone());
-            }
-            WalRecord::HeapDelete { seg, rid } => {
-                let _ = self.heap_delete(*seg, *rid);
-            }
-            WalRecord::IotInsertOrd { seg, row, ord } => {
-                if let Some(t) = self.iots.get_mut(seg) {
-                    let _ = t.insert_with_ordinal(row.clone(), *ord);
-                }
-            }
-            WalRecord::IotUpsertOrd { seg, row, ord } => {
-                if let Some(t) = self.iots.get_mut(seg) {
-                    let _ = t.insert_with_ordinal(row.clone(), *ord);
-                }
-            }
-            WalRecord::CreateHeapAt { seg } => {
-                self.heaps.insert(*seg, HeapTable::new(*seg));
-                self.next_segment = self.next_segment.max(seg.0 + 1);
-            }
-            WalRecord::CreateIotAt { seg, key_cols } => {
-                self.iots.insert(*seg, IndexOrganizedTable::new(*seg, *key_cols));
-                self.next_segment = self.next_segment.max(seg.0 + 1);
-            }
-            WalRecord::LobAllocateAt { lob } => {
-                self.lobs.allocate_at(*lob);
-            }
-            WalRecord::IotDelete { seg, key } => {
-                let _ = self.iot_delete(*seg, key);
-            }
-            WalRecord::LobWrite { lob, offset, bytes } => {
-                let _ = self.lob_write(*lob, *offset, bytes);
-            }
-            WalRecord::LobAppendAt { lob, offset, bytes } => {
-                // A gap below the recorded offset means an aborted
-                // transaction's append was skipped during commit-order
-                // replay; live rollback hole-filled that space with 0xFF
-                // tombstone bytes, so replay must too.
-                let _ = self.lobs.pad_to(*lob, *offset, 0xFF);
-                let _ = self.lob_write(*lob, *offset, bytes);
-            }
-            WalRecord::LobTruncate { lob, len } => {
-                let _ = self.lobs.truncate(*lob, *len);
-            }
-            WalRecord::LobOverwrite { lob, bytes } => {
-                let _ = self.lob_overwrite(*lob, bytes);
-            }
-            WalRecord::LobFree { lob } => {
-                let _ = self.lob_free(*lob);
-            }
-            WalRecord::LobRestore { lob, bytes } => {
-                self.lobs.restore(*lob, bytes.clone());
-            }
-            // File content survives in the medium's mirror; commit markers
-            // are the SQL layer's business.
-            WalRecord::FileActivity { .. } | WalRecord::Commit { .. } => {}
-        }
-        self.undo.clear();
-    }
-
     /// Recompute exact zone maps on every heap segment (end of recovery:
-    /// replay re-derives superset bounds, this tightens them). Chain-held
+    /// redo leaves superset bounds, this tightens them). Chain-held
     /// displaced rows are re-widened in so the superset invariant covers
     /// versions a snapshot may still resolve to.
     pub fn rebuild_all_zone_maps(&mut self) {

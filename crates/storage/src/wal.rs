@@ -7,8 +7,9 @@
 //! [`StorageEngine`](crate::engine::StorageEngine)/`Database` instance and
 //! holds
 //!
-//! - the last **checkpoint** — a deep snapshot of every segment plus
-//!   opaque catalog/health dumps, stamped with the LSN it covers;
+//! - the last **checkpoint** — an image of every segment holding committed
+//!   state only, plus an opaque catalog/health dump, stamped with the LSN
+//!   it covers and the transactions whose records it carried past it;
 //! - the **WAL** — logical redo records appended *before* each in-memory
 //!   apply, with per-record LSNs and [`WalRecord::Commit`] markers at
 //!   statement/transaction boundaries;
@@ -19,22 +20,31 @@
 //!   medium (nothing later reaches it), simulating the process dying
 //!   between append and apply, apply and commit, or mid-checkpoint.
 //!
-//! Recovery (driven by the SQL layer) restores the snapshot, replays every
-//! record with `lsn > snapshot.last_lsn` up to the last commit marker,
-//! discards the uncommitted tail, and compares [`WalRecord::FileActivity`]
-//! stamps in that tail against each index's
+//! A checkpoint **folds**: it regroups the WAL per transaction (`group`,
+//! the one grouping recovery uses too), redoes the committed records onto
+//! the image in place and in commit order ([`EngineSnapshot::redo`]),
+//! carries the records of transactions that may still commit — and txn
+//! 0's markerless tail — forward in the WAL, and truncates the rest. It
+//! costs the records since the previous checkpoint, not the size of the
+//! database, and needs no quiescence: the image only ever receives
+//! committed records. Only the first image of an empty medium is a copy
+//! of a live engine.
+//!
+//! Recovery (driven by the SQL layer) is the same fold with nothing open —
+//! the uncommitted tail is dropped from the medium, not merely skipped, so
+//! no later commit marker can adopt it — followed by one copy of the image,
+//! one of the two going to the live engine. [`WalRecord::FileActivity`]
+//! stamps among the dropped records are compared against each index's
 //! `OdciIndex::external_files` to decide which file-backed indexes come up
 //! QUARANTINED instead of VALID.
 //!
-//! All redo records are *logical* (operation + arguments). That is sound
-//! because every physical placement decision in the engine — heap
-//! free-list slot choice, IOT ordinal assignment, LOB ref numbering,
-//! segment ids — is a deterministic function of prior state, so replaying
-//! the same logical operations from the snapshot reproduces the same
-//! physical state, byte for byte.
+//! All redo records are *logical* (operation + arguments) and carry every
+//! placement decision the live run made (heap rowid, IOT ordinal, LOB ref
+//! and append offset, segment id), so redoing them in commit order — not
+//! execution order — reproduces the committed physical state.
 
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use extidx_common::{Error, Key, LobRef, Result, Row, RowId};
@@ -63,9 +73,9 @@ pub const FP_WAL_APPEND: &str = "wal.append";
 pub const FP_WAL_APPLY: &str = "wal.apply";
 /// Crash point: at the statement boundary, before the commit marker lands.
 pub const FP_WAL_COMMIT: &str = "wal.commit";
-/// Crash point: at checkpoint start, before the snapshot is taken.
+/// Crash point: at checkpoint start, before the image is touched.
 pub const FP_WAL_CHECKPOINT: &str = "wal.checkpoint";
-/// Crash point: after the snapshot is installed, before the WAL tail is
+/// Crash point: after the fold updated the image, before the WAL is
 /// truncated.
 pub const FP_WAL_CHECKPOINT_TRUNCATE: &str = "wal.checkpoint.truncate";
 
@@ -111,8 +121,8 @@ pub enum WalRecord {
     LobFree { lob: LobRef },
     LobRestore { lob: LobRef, bytes: Vec<u8> },
     /// An external file was touched (create/remove/write/append). Not
-    /// replayed — file content survives in the mirror — but recovery uses
-    /// stamps *after* the last commit marker to mark files dirty.
+    /// replayed — file content survives in the mirror — but recovery marks
+    /// the files of stamps it drops uncommitted dirty.
     FileActivity { name: String },
     /// Statement/transaction boundary: everything before this marker is
     /// committed. Carries the catalog + health dumps current at commit.
@@ -146,27 +156,120 @@ impl std::fmt::Debug for WalRecord {
     }
 }
 
-/// Deep snapshot of the storage engine (everything but the buffer cache,
-/// which is rebuilt cold on recovery — a restart starts with a cold
-/// cache, as it would in a real system).
+/// Image of the storage engine's segments — not the buffer cache, which
+/// comes up cold on recovery as it would after a real restart, and not the
+/// external files, whose crash-surviving state is the medium's mirror.
 #[derive(Clone, Default)]
 pub struct EngineSnapshot {
     pub heaps: HashMap<SegmentId, HeapTable>,
     pub iots: HashMap<SegmentId, IndexOrganizedTable>,
     pub lobs: LobStore,
-    pub files: FileStore,
     pub next_segment: u32,
 }
 
-/// A checkpoint: engine snapshot + catalog/health dumps, valid through
-/// `last_lsn`. Records with `lsn <= last_lsn` that linger in the WAL
-/// (crash between snapshot install and truncation) are skipped on
-/// recovery — the LSN rule that makes mid-checkpoint crashes safe.
-#[derive(Clone)]
-pub struct CheckpointImage {
-    pub last_lsn: u64,
-    pub engine: EngineSnapshot,
-    pub payload: Option<CommitBlob>,
+impl EngineSnapshot {
+    /// Redo one committed record onto the image: segment-level, touching
+    /// no undo log, version chain or buffer cache. The checkpoint fold and
+    /// recovery both go through here. Application errors are swallowed: a
+    /// record whose live apply failed fails identically here (same state,
+    /// deterministic operations), leaving the image unchanged both times.
+    pub fn redo(&mut self, rec: &WalRecord) {
+        match rec {
+            WalRecord::CreateHeapAt { seg } => {
+                self.heaps.insert(*seg, HeapTable::new(*seg));
+                self.next_segment = self.next_segment.max(seg.0 + 1);
+            }
+            WalRecord::CreateIotAt { seg, key_cols } => {
+                self.iots.insert(*seg, IndexOrganizedTable::new(*seg, *key_cols));
+                self.next_segment = self.next_segment.max(seg.0 + 1);
+            }
+            WalRecord::DropSegment { seg } => {
+                self.heaps.remove(seg);
+                self.iots.remove(seg);
+            }
+            WalRecord::TruncateSegment { seg } => {
+                if let Some(h) = self.heaps.get_mut(seg) {
+                    h.truncate();
+                } else if let Some(t) = self.iots.get_mut(seg) {
+                    t.truncate();
+                }
+            }
+            WalRecord::HeapInsertAt { seg, rid, row } => {
+                if let Some(h) = self.heaps.get_mut(seg) {
+                    let _ = h.insert_at(*rid, row.clone());
+                }
+            }
+            WalRecord::HeapUpdate { seg, rid, row } => {
+                if let Some(h) = self.heaps.get_mut(seg) {
+                    let _ = h.update(*rid, row.clone());
+                }
+            }
+            WalRecord::HeapDelete { seg, rid } => {
+                if let Some(h) = self.heaps.get_mut(seg) {
+                    let _ = h.delete(*rid);
+                }
+            }
+            WalRecord::IotInsertOrd { seg, row, ord }
+            | WalRecord::IotUpsertOrd { seg, row, ord } => {
+                if let Some(t) = self.iots.get_mut(seg) {
+                    let _ = t.insert_with_ordinal(row.clone(), *ord);
+                }
+            }
+            WalRecord::IotDelete { seg, key } => {
+                if let Some(t) = self.iots.get_mut(seg) {
+                    t.delete(key);
+                }
+            }
+            WalRecord::LobAllocateAt { lob } => self.lobs.allocate_at(*lob),
+            WalRecord::LobWrite { lob, offset, bytes } => {
+                let _ = self.lobs.write(*lob, *offset, bytes);
+            }
+            WalRecord::LobAppendAt { lob, offset, bytes } => {
+                // A gap below the recorded offset is an aborted
+                // transaction's append, which commit-order redo skips; live
+                // rollback hole-filled that space with 0xFF tombstone
+                // bytes, so redo must too.
+                let _ = self.lobs.pad_to(*lob, *offset, 0xFF);
+                let _ = self.lobs.write(*lob, *offset, bytes);
+            }
+            WalRecord::LobOverwrite { lob, bytes } => {
+                let _ = self.lobs.overwrite(*lob, bytes);
+            }
+            WalRecord::LobTruncate { lob, len } => {
+                let _ = self.lobs.truncate(*lob, *len);
+            }
+            WalRecord::LobFree { lob } => {
+                let _ = self.lobs.free(*lob);
+            }
+            WalRecord::LobRestore { lob, bytes } => self.lobs.restore(*lob, bytes.clone()),
+            // File content survives in the medium's mirror; a marker's
+            // catalog payload is the fold's business.
+            WalRecord::FileActivity { .. } | WalRecord::Commit { .. } => {}
+        }
+    }
+}
+
+/// A checkpoint: the engine image plus the catalog/health dump, folded
+/// through `last_lsn`. The records of transactions that could still
+/// commit when it was folded stayed in the WAL; `carried` names each such
+/// transaction with the LSN of its first carried record.
+#[derive(Default)]
+struct CheckpointImage {
+    last_lsn: u64,
+    carried: Vec<(u64, u64)>,
+    engine: EngineSnapshot,
+    payload: Option<CommitBlob>,
+}
+
+impl CheckpointImage {
+    /// The LSN rule: an entry is still to be redone over this image iff it
+    /// is past `last_lsn` or one the image carried. A crash between a fold
+    /// and its WAL truncation therefore neither loses nor re-applies a
+    /// record.
+    fn replays(&self, e: &WalEntry) -> bool {
+        e.lsn > self.last_lsn
+            || self.carried.iter().any(|&(txn, from)| txn == e.txn && e.lsn >= from)
+    }
 }
 
 /// Counters for observability and the E16 experiment.
@@ -187,6 +290,35 @@ struct WalEntry {
     rec: WalRecord,
 }
 
+/// The committed records in commit order, and the rest per transaction.
+type Grouped<'a> = (Vec<&'a WalRecord>, BTreeMap<u64, Vec<&'a WalEntry>>);
+
+/// The WAL regrouped over `image` — the one grouping the checkpoint fold
+/// and recovery share. Entries the LSN rule skips are left out. Each
+/// transaction's records are emitted at its commit marker's position, so
+/// the committed list is in commit order (the order the serial twin of a
+/// concurrent history uses); txn 0, the direct/autocommit lane, commits at
+/// every marker. Records of transactions whose marker has not landed —
+/// still open, rolled back, or cut off by a crash — come back per
+/// transaction, in append order.
+fn group<'a>(wal: &'a [WalEntry], image: &CheckpointImage) -> Grouped<'a> {
+    let mut committed: Vec<&WalRecord> = Vec::new();
+    let mut pending: BTreeMap<u64, Vec<&WalEntry>> = BTreeMap::new();
+    for e in wal.iter().filter(|e| image.replays(e)) {
+        if let WalRecord::Commit { .. } = e.rec {
+            // Txn 0's records before this point belong to the statement
+            // the marker closes; a transaction's own group follows.
+            for txn in [0, e.txn] {
+                committed.extend(pending.remove(&txn).into_iter().flatten().map(|p| &p.rec));
+            }
+            committed.push(&e.rec);
+        } else {
+            pending.entry(e.txn).or_default().push(e);
+        }
+    }
+    (committed, pending)
+}
+
 struct MediumInner {
     checkpoint: Option<CheckpointImage>,
     wal: Vec<WalEntry>,
@@ -204,7 +336,7 @@ impl Default for MediumInner {
         MediumInner {
             checkpoint: None,
             wal: Vec::new(),
-            // LSNs start at 1: a checkpoint of a virgin medium covers
+            // LSNs start at 1: an image of a virgin medium covers
             // `last_lsn = 0`, and `lsn > last_lsn` must then keep every
             // record, including the very first.
             next_lsn: 1,
@@ -230,19 +362,54 @@ impl MediumInner {
     fn crash_err() -> Error {
         Error::Storage("durable medium offline (simulated crash)".into())
     }
+
+    /// Fold the committed suffix of the WAL into the image (an empty one
+    /// if the medium has none), in commit order. Afterwards the image
+    /// covers every LSN assigned so far except the records of the
+    /// transactions `open` keeps, which it lists as carried. The WAL
+    /// itself is left for the caller to truncate. Returns the external
+    /// files that records neither folded nor carried touched, sorted.
+    fn fold(&mut self, open: impl Fn(u64) -> bool) -> Vec<String> {
+        let image = self.checkpoint.get_or_insert_with(CheckpointImage::default);
+        let (committed, pending) = group(&self.wal, image);
+        for rec in committed {
+            match rec {
+                WalRecord::Commit { payload: Some(p) } => image.payload = Some(p.clone()),
+                rec => image.engine.redo(rec),
+            }
+        }
+        image.carried.clear();
+        let mut dead_files: Vec<String> = Vec::new();
+        for (txn, entries) in pending {
+            if open(txn) {
+                image.carried.push((txn, entries[0].lsn));
+                continue;
+            }
+            for e in entries {
+                if let WalRecord::FileActivity { name } = &e.rec {
+                    if !dead_files.contains(name) {
+                        dead_files.push(name.clone());
+                    }
+                }
+            }
+        }
+        image.last_lsn = self.next_lsn - 1;
+        dead_files.sort();
+        dead_files
+    }
 }
 
-/// What recovery needs from the medium, extracted under one lock.
+/// What recovery loads into the live engine, extracted under one lock.
 pub struct RecoveryImage {
-    /// The checkpoint to start from (possibly empty/default).
-    pub checkpoint: Option<CheckpointImage>,
-    /// WAL records with `lsn > checkpoint.last_lsn`, up to and including
-    /// the last commit marker. The uncommitted tail is already discarded.
-    pub committed: Vec<WalRecord>,
+    /// A copy of the checkpoint image with every committed record folded in.
+    pub engine: EngineSnapshot,
+    /// The catalog/health dump of the last commit folded in (the
+    /// checkpoint's own when none came after it).
+    pub payload: Option<CommitBlob>,
     /// Authoritative external-file contents (latest, crash-surviving).
     pub files: FileStore,
-    /// Files touched *after* the last commit marker: their content may be
-    /// ahead of the recovered database state, so indexes built on them
+    /// Files the dropped, uncommitted records touched: their content may
+    /// be ahead of the recovered database state, so indexes built on them
     /// must come up QUARANTINED, not VALID.
     pub dirty_files: Vec<String>,
 }
@@ -275,11 +442,6 @@ impl DurableMedium {
         self.inner.lock().crashed
     }
 
-    /// A rebooted process may write again (recovery calls this).
-    pub fn clear_crash(&self) {
-        self.inner.lock().crashed = false;
-    }
-
     /// Append one redo record (called by the engine *before* applying the
     /// mutation). Fires the `wal.append` crash point after the record is
     /// durably in the log — a crash here loses the apply, and recovery
@@ -289,10 +451,10 @@ impl DurableMedium {
     }
 
     /// Append one redo record on behalf of a transaction. Records stay in
-    /// statement-execution order in the log, but recovery regroups them per
-    /// transaction and replays each group at its commit-marker position, so
-    /// the recovered state matches the *commit order* — the order the
-    /// serial twin of a concurrent history uses.
+    /// statement-execution order in the log, but the fold regroups them per
+    /// transaction and redoes each group at its commit-marker position, so
+    /// the durable state matches the *commit order* — the order the serial
+    /// twin of a concurrent history uses.
     pub fn append_txn(&self, txn: u64, rec: WalRecord) -> Result<()> {
         let mut g = self.inner.lock();
         if g.crashed {
@@ -323,9 +485,9 @@ impl DurableMedium {
 
     /// Append a commit marker for one transaction. Markers land in commit
     /// order (callers hold the engine's write lock while committing), and
-    /// recovery replays each transaction's records at its marker position.
+    /// the fold redoes each transaction's records at its marker position.
     /// A transaction whose marker never lands — crash, or rollback — has
-    /// all of its records discarded at recovery.
+    /// all of its records dropped once it is over.
     pub fn commit_txn(&self, txn: u64, payload: Option<CommitBlob>) -> Result<()> {
         let mut g = self.inner.lock();
         if g.crashed {
@@ -340,29 +502,34 @@ impl DurableMedium {
         Ok(())
     }
 
-    /// Fire the `wal.checkpoint` crash point (checkpoint start).
-    pub fn checkpoint_begin(&self) -> Result<()> {
+    /// Take a checkpoint: fold the committed WAL suffix into the image (a
+    /// medium without one first gets `first()`, a copy of the live engine
+    /// — only ever taken on an empty medium), stamp it with `payload`, and
+    /// truncate the WAL to what the image carried: the records of
+    /// transactions `open` says may still commit, and txn 0's markerless
+    /// tail. The `wal.checkpoint` point fires before the image is touched,
+    /// `wal.checkpoint.truncate` between the fold and the truncation.
+    pub fn checkpoint(
+        &self,
+        first: impl FnOnce() -> EngineSnapshot,
+        payload: CommitBlob,
+        open: impl Fn(u64) -> bool,
+    ) -> Result<()> {
         let mut g = self.inner.lock();
         if g.crashed {
             return Err(MediumInner::crash_err());
         }
-        g.check(FP_WAL_CHECKPOINT)
-    }
-
-    /// Install a checkpoint covering everything appended so far, then
-    /// truncate the WAL. The `wal.checkpoint.truncate` point fires between
-    /// the two steps; a crash there leaves stale records whose LSNs the
-    /// next recovery skips.
-    pub fn install_checkpoint(&self, engine: EngineSnapshot, payload: Option<CommitBlob>) -> Result<()> {
-        let mut g = self.inner.lock();
-        if g.crashed {
-            return Err(MediumInner::crash_err());
+        g.check(FP_WAL_CHECKPOINT)?;
+        if g.checkpoint.is_none() {
+            g.checkpoint = Some(CheckpointImage { engine: first(), ..CheckpointImage::default() });
         }
-        let last_lsn = g.next_lsn.saturating_sub(1);
-        g.checkpoint = Some(CheckpointImage { last_lsn, engine, payload });
+        g.fold(|txn| txn == 0 || open(txn));
+        g.checkpoint.as_mut().expect("fold installs an image").payload = Some(payload);
         g.stats.checkpoints += 1;
         g.check(FP_WAL_CHECKPOINT_TRUNCATE)?;
-        g.wal.retain(|e| e.lsn > last_lsn);
+        let MediumInner { checkpoint, wal, .. } = &mut *g;
+        let image = checkpoint.as_ref().expect("fold installs an image");
+        wal.retain(|e| image.replays(e));
         Ok(())
     }
 
@@ -376,59 +543,26 @@ impl DurableMedium {
         f(&mut g.files);
     }
 
-    /// Extract everything recovery needs. Records are regrouped per
-    /// transaction: each transaction's records are emitted at its commit
-    /// marker's position (so replay order is commit order, matching the
-    /// serial twin of a concurrent history), and records of transactions
-    /// whose marker never landed — the uncommitted tail, in-flight
-    /// transactions at the crash, rolled-back transactions — are discarded.
-    /// The dirty-file set is every `FileActivity` stamp among the discarded
-    /// records: the mirror's content for those files may be ahead of the
-    /// recovered database state.
-    pub fn recovery_image(&self) -> RecoveryImage {
-        let g = self.inner.lock();
-        let skip_to = g.checkpoint.as_ref().map(|c| c.last_lsn).unwrap_or(0);
-        let live: Vec<&WalEntry> = g
-            .wal
-            .iter()
-            .filter(|e| g.checkpoint.is_none() || e.lsn > skip_to)
-            .collect();
-        let mut pending: HashMap<u64, Vec<WalRecord>> = HashMap::new();
-        let mut committed: Vec<WalRecord> = Vec::new();
-        for e in &live {
-            match &e.rec {
-                WalRecord::Commit { .. } => {
-                    // The legacy lane (txn 0) commits at every marker — its
-                    // records before this point belong to the statement the
-                    // marker closes. A transaction's own group follows.
-                    if let Some(recs) = pending.remove(&0) {
-                        committed.extend(recs);
-                    }
-                    if e.txn != 0 {
-                        if let Some(recs) = pending.remove(&e.txn) {
-                            committed.extend(recs);
-                        }
-                    }
-                    committed.push(e.rec.clone());
-                }
-                rec => pending.entry(e.txn).or_default().push(rec.clone()),
-            }
-        }
-        let mut dirty_files: Vec<String> = Vec::new();
-        for recs in pending.values() {
-            for r in recs {
-                if let WalRecord::FileActivity { name } = r {
-                    if !dirty_files.contains(name) {
-                        dirty_files.push(name.clone());
-                    }
-                }
-            }
-        }
-        dirty_files.sort();
+    /// Recovery's half on the medium, run by a fresh process (the crash
+    /// flag is cleared): the fold with nothing open, so the uncommitted
+    /// tail — in-flight and rolled-back transactions, txn 0's unfinished
+    /// statement — is dropped from the WAL, never to be adopted by a later
+    /// commit marker. Hands back what the live engine loads.
+    pub fn recover(&self) -> RecoveryImage {
+        let mut g = self.inner.lock();
+        g.crashed = false;
+        let dirty_files = g.fold(|_| false);
+        g.wal.clear();
+        let files = g.files.clone();
+        let image = g.checkpoint.as_mut().expect("fold installs an image");
+        // The live engine takes the image the folds grew in place, the
+        // medium keeps the fresh copy: laid out in one pass, it is the
+        // cheaper one to copy at the next recovery.
+        let copy = image.engine.clone();
         RecoveryImage {
-            checkpoint: g.checkpoint.clone(),
-            committed,
-            files: g.files.clone(),
+            engine: std::mem::replace(&mut image.engine, copy),
+            payload: image.payload.clone(),
+            files,
             dirty_files,
         }
     }
@@ -443,35 +577,52 @@ impl DurableMedium {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use extidx_common::Value;
+
+    const SEG: SegmentId = SegmentId(1);
+
+    fn insert(slot: u16, v: i64) -> WalRecord {
+        let row = vec![Value::Integer(v)];
+        WalRecord::HeapInsertAt { seg: SEG, rid: RowId::new(1, 0, slot), row }
+    }
+
+    /// The heap's values in the recovered image, in slot order.
+    fn rows(img: &RecoveryImage) -> Vec<i64> {
+        img.engine.heaps.get(&SEG).map_or(Vec::new(), |h| {
+            h.scan().map(|(_, _, r)| r[0].as_integer().unwrap()).collect()
+        })
+    }
+
+    fn crash_at(point: &'static str) -> WalFaultHook {
+        Arc::new(move |p| if p == point { Err(Error::Storage("boom".into())) } else { Ok(()) })
+    }
 
     #[test]
     fn append_commit_and_tail_discard() {
         let m = DurableMedium::new();
-        m.append(WalRecord::CreateHeapAt { seg: SegmentId(1) }).unwrap();
+        m.append(WalRecord::CreateHeapAt { seg: SEG }).unwrap();
+        m.append(insert(0, 1)).unwrap();
         m.commit(None).unwrap();
-        m.append(WalRecord::HeapDelete { seg: SegmentId(1), rid: RowId::new(1, 0, 0) }).unwrap();
-        // No marker after the delete: it is an uncommitted tail.
-        let img = m.recovery_image();
-        assert_eq!(img.committed.len(), 2);
-        assert!(matches!(img.committed[1], WalRecord::Commit { .. }));
+        m.append(insert(1, 666)).unwrap();
+        // No marker after the second insert: an uncommitted tail, which
+        // recovery drops from the medium so no later marker can adopt it.
+        assert_eq!(rows(&m.recover()), [1]);
+        assert_eq!(m.stats().wal_len, 0);
+        m.commit(None).unwrap();
+        assert_eq!(rows(&m.recover()), [1]);
     }
 
     #[test]
     fn crash_hook_freezes_medium() {
         let m = DurableMedium::new();
-        m.set_fault_hook(Arc::new(|point| {
-            if point == FP_WAL_APPEND {
-                Err(Error::Storage("boom".into()))
-            } else {
-                Ok(())
-            }
-        }));
-        assert!(m.append(WalRecord::CreateHeapAt { seg: SegmentId(1) }).is_err());
+        m.set_fault_hook(crash_at(FP_WAL_APPEND));
+        assert!(m.append(WalRecord::CreateHeapAt { seg: SEG }).is_err());
         assert!(m.is_crashed());
         // Frozen: the commit marker never lands.
         assert!(m.commit(None).is_err());
-        let img = m.recovery_image();
-        assert!(img.committed.is_empty(), "record without marker is an uncommitted tail");
+        let img = m.recover();
+        assert!(img.engine.heaps.is_empty(), "record without marker is an uncommitted tail");
+        assert!(!m.is_crashed(), "recovery runs in a fresh process");
         // But the appended record itself *is* durable (crash was after append).
         assert_eq!(m.stats().records_appended, 1);
     }
@@ -482,30 +633,26 @@ mod tests {
         m.append(WalRecord::FileActivity { name: "a.idx".into() }).unwrap();
         m.commit(None).unwrap();
         m.append(WalRecord::FileActivity { name: "b.idx".into() }).unwrap();
-        let img = m.recovery_image();
-        assert_eq!(img.dirty_files, vec!["b.idx".to_string()]);
+        assert_eq!(m.recover().dirty_files, vec!["b.idx".to_string()]);
     }
 
     #[test]
     fn interleaved_txn_records_replay_in_commit_order() {
         let m = DurableMedium::new();
         // T1 and T2 interleave appends; T2 commits first, then T1.
-        m.append_txn(1, WalRecord::HeapInsertAt { seg: SegmentId(1), rid: RowId::new(1, 0, 0), row: vec![] })
-            .unwrap();
-        m.append_txn(2, WalRecord::HeapInsertAt { seg: SegmentId(1), rid: RowId::new(1, 0, 1), row: vec![] })
-            .unwrap();
-        m.append_txn(1, WalRecord::HeapDelete { seg: SegmentId(1), rid: RowId::new(1, 0, 0) }).unwrap();
+        m.append_txn(1, insert(0, 1)).unwrap();
+        m.append_txn(2, insert(1, 2)).unwrap();
+        m.append_txn(1, WalRecord::HeapDelete { seg: SEG, rid: RowId::new(1, 0, 0) }).unwrap();
         m.commit_txn(2, None).unwrap();
         m.commit_txn(1, None).unwrap();
-        let img = m.recovery_image();
+        let g = m.inner.lock();
+        let (committed, pending) = group(&g.wal, &CheckpointImage::default());
+        assert!(pending.is_empty());
         // T2's record lands before T2's marker; both T1 records follow,
         // grouped at T1's marker — commit order, not append order.
-        let names: Vec<String> = img.committed.iter().map(|r| format!("{r:?}")).collect();
-        assert_eq!(
-            names,
-            vec!["HeapInsertAt", "Commit", "HeapInsertAt", "HeapDelete", "Commit"]
-        );
-        match &img.committed[0] {
+        let names: Vec<String> = committed.iter().map(|r| format!("{r:?}")).collect();
+        assert_eq!(names, vec!["HeapInsertAt", "Commit", "HeapInsertAt", "HeapDelete", "Commit"]);
+        match committed[0] {
             WalRecord::HeapInsertAt { rid, .. } => assert_eq!(*rid, RowId::new(1, 0, 1)),
             other => panic!("unexpected {other:?}"),
         }
@@ -514,26 +661,53 @@ mod tests {
     #[test]
     fn in_flight_txn_records_are_discarded_and_files_marked_dirty() {
         let m = DurableMedium::new();
+        m.append(WalRecord::CreateHeapAt { seg: SEG }).unwrap();
+        m.commit(None).unwrap();
         m.append_txn(7, WalRecord::FileActivity { name: "t7.idx".into() }).unwrap();
-        m.append_txn(8, WalRecord::HeapInsertAt { seg: SegmentId(1), rid: RowId::new(1, 0, 0), row: vec![] })
-            .unwrap();
+        m.append_txn(8, insert(0, 8)).unwrap();
         m.commit_txn(8, None).unwrap();
         // T7 never commits: its records vanish, its file is dirty.
-        let img = m.recovery_image();
-        assert_eq!(img.committed.len(), 2);
+        let img = m.recover();
+        assert_eq!(rows(&img), [8]);
         assert_eq!(img.dirty_files, vec!["t7.idx".to_string()]);
     }
 
     #[test]
-    fn checkpoint_lsn_rule_skips_stale_records() {
+    fn checkpoint_folds_committed_records_and_carries_open_ones() {
         let m = DurableMedium::new();
-        m.append(WalRecord::CreateHeapAt { seg: SegmentId(1) }).unwrap();
+        m.append(WalRecord::CreateHeapAt { seg: SEG }).unwrap();
         m.commit(None).unwrap();
-        m.checkpoint_begin().unwrap();
-        m.install_checkpoint(EngineSnapshot::default(), None).unwrap();
-        // Truncated: nothing left to replay.
-        let img = m.recovery_image();
-        assert!(img.committed.is_empty());
-        assert_eq!(img.checkpoint.as_ref().unwrap().last_lsn, 2);
+        m.append_txn(5, insert(0, 5)).unwrap(); // open at the checkpoint, commits after it
+        m.append_txn(6, insert(1, 6)).unwrap(); // over without a marker: dropped
+        m.append(insert(2, 2)).unwrap();
+        m.commit(None).unwrap();
+        m.append(insert(3, 3)).unwrap(); // txn 0's markerless tail
+        m.checkpoint(EngineSnapshot::default, Arc::new(()), |txn| txn == 5).unwrap();
+        assert_eq!(m.stats().wal_len, 2, "the WAL keeps exactly what the image carried");
+        m.commit_txn(5, None).unwrap();
+        assert_eq!(rows(&m.recover()), [5, 2, 3]);
+    }
+
+    #[test]
+    fn crash_between_fold_and_truncate_neither_loses_nor_reapplies() {
+        let m = DurableMedium::new();
+        m.append(WalRecord::CreateHeapAt { seg: SEG }).unwrap();
+        m.append(insert(0, 1)).unwrap();
+        m.commit(None).unwrap();
+        m.append_txn(5, insert(1, 5)).unwrap();
+        m.append(WalRecord::HeapDelete { seg: SEG, rid: RowId::new(1, 0, 0) }).unwrap();
+        m.commit(None).unwrap();
+        m.set_fault_hook(crash_at(FP_WAL_CHECKPOINT_TRUNCATE));
+        assert!(m.checkpoint(EngineSnapshot::default, Arc::new(()), |txn| txn == 5).is_err());
+        assert_eq!(m.stats().wal_len, 6, "the crash left the WAL untruncated");
+        {
+            // The LSN rule: every folded record is skipped, the carried
+            // transaction's are not.
+            let g = m.inner.lock();
+            let (committed, pending) = group(&g.wal, g.checkpoint.as_ref().unwrap());
+            assert!(committed.is_empty());
+            assert_eq!(pending.keys().copied().collect::<Vec<_>>(), [5]);
+        }
+        assert!(rows(&m.recover()).is_empty(), "T5 never committed; row 1 was deleted");
     }
 }

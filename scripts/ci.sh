@@ -84,11 +84,18 @@ cargo test -q -p extidx-text -p extidx-spatial -p extidx-vir delete_cost_does_no
 # Durability: WAL + checkpoints. The crash-point matrix (every wal.*
 # fault point x {heap, IOT, LOB, each cartridge}, with an at-call sweep
 # over every call site inside the crashing statement), checkpoint
-# crash/truncate behaviour, the external-file quarantine contract, the
-# lifecycle/rollback bugfix pins, and the 3-seed qgen crash-recover
-# sweep (recovered state bag-equal to a committed-prefix twin).
-echo "== crash recovery (WAL + checkpoints + qgen sweep) =="
-cargo test -q --test recovery
+# crash/truncate behaviour, fuzzy checkpoints (inside open transactions,
+# crash points inside one with two sessions mid-transaction, the
+# 4-session bounded-WAL soak), the two-media equivalence test (a medium
+# that checkpoints recovers exactly what one that never does recovers),
+# the dead-tail pins (a statement lost in a crash stays lost after a
+# second one; a chem FILE quarantine survives it), the external-file
+# quarantine contract, the lifecycle/rollback bugfix pins, the 3-seed
+# qgen crash-recover sweep (recovered state bag-equal to a
+# committed-prefix twin) and, ignored tier, its multi-crash
+# recover-and-resume arm with seeded checkpoints between the crashes.
+echo "== crash recovery (WAL + checkpoints + qgen sweeps) =="
+cargo test -q --test recovery -- --include-ignored
 
 # MVCC: the concurrent differential oracle (N interleaved sessions vs a
 # commit-order serial twin, incl. the 8-seed sweep and the 4-thread
@@ -189,6 +196,23 @@ fi
 [ "$(grep -c "WHERE token = ? AND rid = ?" crates/text/src/cartridge.rs)" -eq 1 ]
 [ "$(grep -c "WHERE tile = ? AND rid = ?" crates/spatial/src/cartridge.rs)" -eq 1 ]
 [ "$(grep -c "WHERE q1 = ? AND rid = ?" crates/vir/src/cartridge.rs)" -eq 1 ]
+
+# One checkpoint fold (DESIGN.md §4i): a checkpoint folds the committed
+# WAL suffix into the durable image, so it never refuses an open
+# transaction and the engine-side replay routine stays deleted; the live
+# engine is deep-copied in one place only (the first image of an empty
+# medium); and one function groups the WAL per transaction, for the fold
+# and recovery alike.
+echo "== one checkpoint fold (structural guard) =="
+if grep -rn "cannot checkpoint inside an open transaction" crates; then
+    exit 1
+fi
+if grep -rn "fn apply_wal_record" crates; then
+    exit 1
+fi
+[ "$(grep -rnE "storage(\(\))?\.snapshot\(\)" crates/sql/src | wc -l)" -eq 1 ]
+[ "$(grep -rn "pending.remove(" crates | wc -l)" -eq 1 ]
+[ "$(grep -c "^fn group<" crates/storage/src/wal.rs)" -eq 1 ]
 
 # One perf instrument: no hand-set timing floor, bench-record writer or
 # micro-bench harness may come back beside the ledger. (Bracketed so the
