@@ -17,6 +17,7 @@
 //! rows — the batch protocol *is* the paper's `ODCIIndexFetch(nrows)`.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -402,21 +403,69 @@ impl HeapWalk {
     }
 }
 
+/// Cursor of the one IOT read: [`IotScanExec`], [`BTreeAccessExec`] and
+/// [`BaseScan`] page through `StorageEngine::iot_range` with it, `max_rows`
+/// rows at a time from an exclusive after-key, so a scan that stops early
+/// (a `LIMIT` quota, a join's, a build batch boundary) has read and
+/// charged only the batches it returned. `lo`/`hi` are inclusive.
+pub(crate) struct IotCursor {
+    seg: SegmentId,
+    lo: Option<Key>,
+    hi: Option<Key>,
+    /// Key of the last row handed out (`None` before the first batch).
+    after: Option<Key>,
+    /// A short batch ended the range: nothing is left to read.
+    done: bool,
+}
+
+impl IotCursor {
+    fn new(seg: SegmentId, lo: Option<Key>, hi: Option<Key>) -> Self {
+        IotCursor { seg, lo, hi, after: None, done: false }
+    }
+
+    /// The next up-to-`max_rows` rows visible under `snap`, each as
+    /// `project(rowid, row)` — the row is borrowed, so callers clone only
+    /// what they keep. Fewer than `max_rows` means the range ended.
+    fn next_rows<T>(
+        &mut self,
+        storage: &StorageEngine,
+        snap: &Snapshot,
+        max_rows: usize,
+        mut project: impl FnMut(RowId, &Row) -> T,
+    ) -> Result<Vec<T>> {
+        if self.done {
+            return Ok(Vec::new());
+        }
+        let lo = match (&self.after, &self.lo) {
+            (Some(after), _) => Bound::Excluded(after),
+            (None, lo) => lo.as_ref().map_or(Bound::Unbounded, Bound::Included),
+        };
+        let hi = self.hi.as_ref().map_or(Bound::Unbounded, Bound::Included);
+        let max_rows = max_rows.max(1);
+        let batch = storage.iot_range(self.seg, lo, hi, max_rows, snap)?;
+        self.done = batch.len() < max_rows;
+        if let Some(&(_, last, _)) = batch.last() {
+            self.after = Some(last.clone());
+        }
+        Ok(batch.into_iter().map(|(rid, _, row)| project(rid, row)).collect())
+    }
+}
+
 /// The resumable, snapshot-pinned scan of one base table behind index
 /// builds (`scan_base_batches` on both lanes, `CREATE INDEX` of a B-tree)
 /// and `ANALYZE`: never more than one batch is held. Heap tables go
-/// through the [`HeapWalk`]; IOTs page in key order with an exclusive
-/// after-key cursor and deliver logical rowids.
+/// through the [`HeapWalk`]; IOTs through the [`IotCursor`], in key order
+/// with logical rowids.
 pub(crate) enum BaseScan {
     Heap(HeapWalk),
-    Iot { seg: SegmentId, after: Option<Key> },
+    Iot(IotCursor),
 }
 
 impl BaseScan {
     pub(crate) fn new(tdef: &TableDef) -> Self {
         match tdef.org {
             TableOrg::Heap => BaseScan::Heap(HeapWalk { seg: tdef.seg, page: 0, slot: 0 }),
-            TableOrg::Index { .. } => BaseScan::Iot { seg: tdef.seg, after: None },
+            TableOrg::Index { .. } => BaseScan::Iot(IotCursor::new(tdef.seg, None, None)),
         }
     }
 
@@ -444,19 +493,12 @@ impl BaseScan {
         storage: &StorageEngine,
         snap: &Snapshot,
         batch_size: usize,
-        mut project: impl FnMut(RowId, &Row) -> T,
+        project: impl FnMut(RowId, &Row) -> T,
     ) -> Result<Vec<T>> {
         let batch_size = batch_size.max(1);
         match self {
             BaseScan::Heap(walk) => walk.next_rows(storage, snap, batch_size, |_| false, project),
-            BaseScan::Iot { seg, after } => {
-                let mut chunk = storage.iot_batch_after(*seg, after.as_ref(), batch_size, snap)?;
-                let batch = chunk.iter().map(|(rid, _, row)| project(*rid, row)).collect();
-                if let Some((_, last_key, _)) = chunk.pop() {
-                    *after = Some(last_key);
-                }
-                Ok(batch)
-            }
+            BaseScan::Iot(cursor) => cursor.next_rows(storage, snap, batch_size, project),
         }
     }
 }
@@ -521,122 +563,108 @@ impl ExecNode for FullScanExec {
     }
 }
 
-/// Full or range scan over an index-organized table (materialized — IOT
-/// ranges are returned by the storage layer in one call).
+/// Full or key-range scan over an index-organized table, streamed through
+/// an [`IotCursor`]; every row carries its logical rowid in the hidden
+/// ROWID column, mirroring heap scans.
 struct IotScanExec {
     table: String,
     lo: Option<Key>,
     hi: Option<Key>,
-    /// Materialized on first pull and handed out by move; `reset` drops
-    /// it so a rescan re-reads the segment.
-    rows: Option<VecDeque<ExecRow>>,
+    cursor: Option<IotCursor>,
 }
 
 impl IotScanExec {
     fn new(table: String, lo: Option<Key>, hi: Option<Key>) -> Self {
-        IotScanExec { table, lo, hi, rows: None }
-    }
-
-    fn ensure_rows(&mut self, db: &Exec<'_>) -> Result<()> {
-        if self.rows.is_none() {
-            let tdef = db.catalog.table(&self.table)?;
-            let seg = tdef.seg;
-            // A bound on a key prefix must cover all longer keys sharing
-            // the prefix: pad the upper bound with NULLs, which sort last.
-            let key_cols = match tdef.org {
-                TableOrg::Index { key_cols } => key_cols,
-                _ => 1,
-            };
-            let hi = self.hi.clone().map(|mut k| {
-                while k.0.len() < key_cols {
-                    k.0.push(Value::Null);
-                }
-                k
-            });
-            // Every row carries its logical rowid in the hidden ROWID
-            // column, mirroring heap scans.
-            let with_rids = if self.lo.is_none() && hi.is_none() {
-                db.storage.iot_scan_with_rids(seg, &db.snap)?
-            } else {
-                db.storage.iot_range_with_rids(seg, self.lo.as_ref(), hi.as_ref(), &db.snap)?
-            };
-            let rows = with_rids
-                .into_iter()
-                .map(|(rid, mut row)| {
-                    row.push(Value::RowId(rid));
-                    ExecRow::new(row)
-                })
-                .collect();
-            self.rows = Some(rows);
-        }
-        Ok(())
+        IotScanExec { table, lo, hi, cursor: None }
     }
 }
 
 impl ExecNode for IotScanExec {
     fn next_batch(&mut self, db: &Exec<'_>, max_rows: usize) -> Result<RowBatch> {
-        self.ensure_rows(db)?;
-        Ok(take_front(self.rows.as_mut().expect("materialized"), max_rows))
+        let cursor = match &mut self.cursor {
+            Some(c) => c,
+            None => {
+                let tdef = db.catalog.table(&self.table)?;
+                // A bound on a key prefix must cover all longer keys sharing
+                // the prefix: pad the upper bound with NULLs, which sort last.
+                let key_cols = match tdef.org {
+                    TableOrg::Index { key_cols } => key_cols,
+                    _ => 1,
+                };
+                let hi = self.hi.clone().map(|mut k| {
+                    k.0.resize(k.0.len().max(key_cols), Value::Null);
+                    k
+                });
+                self.cursor.insert(IotCursor::new(tdef.seg, self.lo.clone(), hi))
+            }
+        };
+        let rows = cursor.next_rows(&db.storage, &db.snap, max_rows, |rid, row| {
+            let mut values = row.clone();
+            values.push(Value::RowId(rid));
+            ExecRow::new(values)
+        })?;
+        Ok(RowBatch { rows })
     }
 
     fn reset(&mut self, _db: &Exec<'_>) -> Result<()> {
-        self.rows = None;
+        self.cursor = None;
         Ok(())
     }
 }
 
+/// B-tree index range → base rows: the index's `(key, rowid)` entries
+/// stream through an [`IotCursor`], one batch of rowids per base fetch.
 struct BTreeAccessExec {
     table: String,
     index: String,
     lo: Option<Key>,
     hi: Option<Key>,
-    entries: Option<Vec<RowId>>,
-    idx: usize,
+    cursor: Option<IotCursor>,
 }
 
 impl BTreeAccessExec {
     fn new(table: String, index: String, lo: Option<Key>, hi: Option<Key>) -> Self {
-        BTreeAccessExec { table, index, lo, hi, entries: None, idx: 0 }
+        BTreeAccessExec { table, index, lo, hi, cursor: None }
     }
 }
 
 impl ExecNode for BTreeAccessExec {
     fn next_batch(&mut self, db: &Exec<'_>, max_rows: usize) -> Result<RowBatch> {
-        if self.entries.is_none() {
-            let idef = db
-                .catalog
-                .btree_index(&self.index)
-                .ok_or_else(|| Error::not_found("index", self.index.clone()))?;
-            // Pad the upper bound with MAX_ROWID so every (key, rowid)
-            // entry of the boundary key is included.
-            let hi = self
-                .hi
-                .clone()
-                .map(|k| Key(k.0.into_iter().chain([Value::RowId(MAX_ROWID)]).collect()));
-            let rows = db.storage.iot_range(idef.seg, self.lo.as_ref(), hi.as_ref(), &db.snap)?;
-            let rids = rows.iter().map(|r| r[1].as_rowid()).collect::<Result<_>>()?;
-            self.entries = Some(rids);
-            self.idx = 0;
-        }
-        let entries = self.entries.as_ref().expect("materialized");
+        let cursor = match &mut self.cursor {
+            Some(c) => c,
+            None => {
+                let idef = db
+                    .catalog
+                    .btree_index(&self.index)
+                    .ok_or_else(|| Error::not_found("index", self.index.clone()))?;
+                // Pad the upper bound with MAX_ROWID so every (key, rowid)
+                // entry of the boundary key is included.
+                let hi = self
+                    .hi
+                    .clone()
+                    .map(|k| Key(k.0.into_iter().chain([Value::RowId(MAX_ROWID)]).collect()));
+                self.cursor.insert(IotCursor::new(idef.seg, self.lo.clone(), hi))
+            }
+        };
         // Index entries and base rows are maintained in the same
         // transaction, but the *versions* can diverge mid-statement: an
         // entry visible in the index may point at a base row whose visible
         // image is a different (or no) version — skip those, and keep
-        // pulling rowid slices until one yields a row.
+        // pulling entry batches until one yields a row.
         let mut rows = Vec::new();
-        while rows.is_empty() && self.idx < entries.len() {
-            let end = (self.idx + max_rows).min(entries.len());
-            let fetched = fetch_visible(db, &self.table, &entries[self.idx..end])?;
-            rows.extend(fetched.into_iter().flatten());
-            self.idx = end;
+        while rows.is_empty() {
+            let rids = cursor.next_rows(&db.storage, &db.snap, max_rows, |_, e| e[1].as_rowid())?;
+            if rids.is_empty() {
+                break;
+            }
+            let rids = rids.into_iter().collect::<Result<Vec<_>>>()?;
+            rows.extend(fetch_visible(db, &self.table, &rids)?.into_iter().flatten());
         }
         Ok(RowBatch { rows })
     }
 
     fn reset(&mut self, _db: &Exec<'_>) -> Result<()> {
-        self.entries = None;
-        self.idx = 0;
+        self.cursor = None;
         Ok(())
     }
 }

@@ -1773,10 +1773,10 @@ fn plan_bare_count(db: &Database, s: &Select) -> Result<Option<PlannedQuery>> {
         return Ok(None);
     }
     let tdef = db.catalog.table(&s.from[0].table)?.clone();
-    // Physical row counts are only snapshot-exact while no version chains
-    // exist; with concurrent writers in flight the count must come from a
-    // visibility-filtered scan instead.
-    if db.storage.segment_has_chains(tdef.seg) {
+    // Physical row counts are only snapshot-exact while every version chain
+    // of the segment is settled; with a concurrent writer's versions in
+    // play the count must come from a visibility-filtered scan instead.
+    if !db.storage.segment_settled(tdef.seg) {
         return Ok(None);
     }
     let (rows, _) = table_shape(db, &tdef);

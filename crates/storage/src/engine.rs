@@ -177,13 +177,22 @@ impl StorageEngine {
         self.conflict_checks = on;
     }
 
-    /// True when any version chain exists for the segment: without chains
-    /// every physical row is visible to every snapshot, so the snapshot
-    /// reads take their fast path and the optimizer may answer `COUNT(*)`
-    /// from the physical row count.
-    pub fn segment_has_chains(&self, seg: SegmentId) -> bool {
-        self.versions.heap.get(&seg).is_some_and(|m| !m.is_empty())
-            || self.versions.iot.get(&seg).is_some_and(|m| !m.is_empty())
+    /// True when every snapshot, live or future, sees exactly the
+    /// segment's physical rows, so the optimizer may answer `COUNT(*)` from
+    /// the physical row count: every stamp its version chains hold is
+    /// settled (committed at or below the vacuum horizon) and no heap row
+    /// waits for the vacuum to reclaim it. A chain the next vacuum would
+    /// fold away changes no snapshot's answer.
+    pub fn segment_settled(&self, seg: SegmentId) -> bool {
+        let horizon = self.txns.horizon();
+        let settled = |stamp: u64| stamp == 0 || self.txns.settled(stamp, horizon);
+        let mut heap = self.versions.heap.get(&seg).into_iter().flatten();
+        let mut iot = self.versions.iot.get(&seg).into_iter().flatten();
+        heap.all(|(_, c)| c.dead.is_none() && settled(c.begin))
+            && iot.all(|(_, c)| {
+                c.current.as_ref().is_none_or(|cur| settled(cur.begin))
+                    && c.older.iter().all(|v| settled(v.end))
+            })
     }
 
     /// Lifetime incremental-vacuum counters.
@@ -237,10 +246,7 @@ impl StorageEngine {
     pub fn vacuum(&mut self) {
         let txns = Arc::clone(&self.txns);
         let horizon = txns.horizon();
-        // A stamp is "settled" when its writer committed at or below the
-        // horizon: every live snapshot has high ≥ horizon, so all of them
-        // (and every future snapshot) see that commit.
-        let settled = |stamp: u64| txns.committed_csn(stamp).is_some_and(|csn| csn <= horizon);
+        let settled = |stamp: u64| txns.settled(stamp, horizon);
         let aborted = |stamp: u64| matches!(txns.status(stamp), Some(TxnStatus::Aborted));
 
         let mut pruned = 0u64;
@@ -990,10 +996,9 @@ impl StorageEngine {
 
     // ----- snapshot reads ---------------------------------------------------
     //
-    // The whole heap/IOT read surface: the heap page walk, six more access
-    // shapes and one merge routine, all pinned to a `Snapshot`. A segment
-    // without version chains takes the fast path inside each body: every
-    // physical row is visible to every snapshot.
+    // The whole heap/IOT read surface, four functions, all pinned to a
+    // `Snapshot`: the heap page walk, the heap rowid join, the IOT key
+    // range and the IOT rowid join.
 
     /// The image of a physically present heap row visible under `snap`
     /// (`None` = invisible: written by a concurrent uncommitted/too-new
@@ -1072,174 +1077,61 @@ impl StorageEngine {
         Ok(out)
     }
 
-    /// Key-ordered rows of an IOT visible under `snap` within the given
-    /// bounds, each with the ordinal it is (or was) reachable under. Merges
-    /// physical rows with ghost chain versions — a row deleted by a
-    /// concurrent transaction is physically absent but still visible to
-    /// snapshots that predate the delete.
-    fn iot_visible_merged(
-        &self,
+    /// The one IOT read: up to `limit` rows visible under `snap` with keys
+    /// inside `(lo, hi)`, in key order, each with the logical rowid it is
+    /// (or was) reachable under. A merge of two key-ordered ranges over the
+    /// same bounds — the segment's physical rows and its version chains —
+    /// resolving each key through [`mvcc::resolve_iot`]: a physical row
+    /// without a chain is visible to everyone, a row with one may resolve
+    /// to a displaced version or to nothing, and a chain without a row is
+    /// a ghost some older snapshot still sees. A segment without chains is
+    /// the same merge with an empty side. A point probe, a key-prefix
+    /// range and one page of a resumable scan (`lo = Excluded(last key)`)
+    /// are all this call; fewer than `limit` rows means the range ended.
+    /// Charged [`IndexOrganizedTable::read_charge`] of the rows returned.
+    pub fn iot_range<'a>(
+        &'a self,
         seg: SegmentId,
         lo: Bound<&Key>,
         hi: Bound<&Key>,
-        snap: &Snapshot,
-    ) -> Result<Vec<(Key, u64, Row)>> {
-        let iot = self.iot(seg)?;
-        let key_cols = iot.key_cols();
-        let in_range = |k: &Key| {
-            (match lo {
-                Bound::Unbounded => true,
-                Bound::Included(b) => k >= b,
-                Bound::Excluded(b) => k > b,
-            }) && (match hi {
-                Bound::Unbounded => true,
-                Bound::Included(b) => k <= b,
-                Bound::Excluded(b) => k < b,
-            })
-        };
-        let chains = self.versions.iot.get(&seg);
-        let mut out: Vec<(Key, u64, Row)> = Vec::new();
-        for (ord, row) in iot.scan_with_ordinals() {
-            let key = Key(row[..key_cols.min(row.len())].to_vec());
-            if !in_range(&key) {
-                continue;
-            }
-            match chains.and_then(|m| m.get(&key)) {
-                None => out.push((key, ord, row.clone())),
-                Some(chain) => {
-                    if let Some((r, gord)) = mvcc::resolve_iot(&self.txns, chain, Some(row), snap)
-                    {
-                        out.push((key, gord.unwrap_or(ord), r.clone()));
-                    }
-                }
-            }
-        }
-        if let Some(m) = chains {
-            let mut added_ghosts = false;
-            for (key, chain) in m {
-                if !in_range(key) || iot.ordinal_of(key).is_some() {
-                    continue;
-                }
-                if let Some((r, gord)) = mvcc::resolve_iot(&self.txns, chain, None, snap) {
-                    out.push((key.clone(), gord.unwrap_or(0), r.clone()));
-                    added_ghosts = true;
-                }
-            }
-            if added_ghosts {
-                out.sort_by(|a, b| a.0.cmp(&b.0));
-            }
-        }
-        Ok(out)
-    }
-
-    /// Full scan of an IOT under `snap` with each row's logical rowid,
-    /// charging one read per page (the sequential full-scan cost model).
-    pub fn iot_scan_with_rids(
-        &self,
-        seg: SegmentId,
-        snap: &Snapshot,
-    ) -> Result<Vec<(RowId, Row)>> {
-        let iot = self.iot(seg)?;
-        let out = if self.segment_has_chains(seg) {
-            self.iot_visible_merged(seg, Bound::Unbounded, Bound::Unbounded, snap)?
-                .into_iter()
-                .map(|(_, ord, r)| (Self::ord_to_rid(seg, ord), r))
-                .collect()
-        } else {
-            iot.scan_with_ordinals().map(|(ord, r)| (Self::ord_to_rid(seg, ord), r.clone())).collect()
-        };
-        for p in 0..iot.page_count() {
-            self.cache.read((seg, p as u32));
-        }
-        Ok(out)
-    }
-
-    /// Inclusive range scan in an IOT under `snap` with each row's logical
-    /// rowid. Charges the height plus the leaf pages spanned (the merge
-    /// has no leaf geometry, so there a leaf is taken to hold 64 rows).
-    pub fn iot_range_with_rids(
-        &self,
-        seg: SegmentId,
-        lo: Option<&Key>,
-        hi: Option<&Key>,
-        snap: &Snapshot,
-    ) -> Result<Vec<(RowId, Row)>> {
-        let iot = self.iot(seg)?;
-        let (out, page_reads): (Vec<(RowId, Row)>, usize) = if self.segment_has_chains(seg) {
-            let lo = lo.map_or(Bound::Unbounded, Bound::Included);
-            let hi = hi.map_or(Bound::Unbounded, Bound::Included);
-            let rows = self.iot_visible_merged(seg, lo, hi, snap)?;
-            let page_reads = iot.height() + rows.len().div_ceil(64).max(1);
-            let with_rids = rows.into_iter().map(|(_, ord, r)| (Self::ord_to_rid(seg, ord), r));
-            (with_rids.collect(), page_reads)
-        } else {
-            let (rows, charge) = iot.range(lo, hi);
-            let key_cols = iot.key_cols();
-            let with_rids = rows.into_iter().map(|r| {
-                let key = Key(r[..key_cols.min(r.len())].to_vec());
-                let ord = iot.ordinal_of(&key).expect("every live IOT key has an ordinal");
-                (Self::ord_to_rid(seg, ord), r.clone())
-            });
-            (with_rids.collect(), charge.page_reads)
-        };
-        let leaf = lo.or(hi).map(|k| self.iot_leaf_page_for(seg, k)).unwrap_or(0);
-        self.charge_iot(seg, IotIoCharge { page_reads, page_writes: 0 }, leaf);
-        Ok(out)
-    }
-
-    /// Inclusive range scan in an IOT under `snap` without rowids (what a
-    /// secondary-index probe needs). Charged like
-    /// [`Self::iot_range_with_rids`].
-    pub fn iot_range(
-        &self,
-        seg: SegmentId,
-        lo: Option<&Key>,
-        hi: Option<&Key>,
-        snap: &Snapshot,
-    ) -> Result<Vec<Row>> {
-        if self.segment_has_chains(seg) {
-            // The merge produces ordinals whether or not they are wanted.
-            let with_rids = self.iot_range_with_rids(seg, lo, hi, snap)?;
-            return Ok(with_rids.into_iter().map(|(_, r)| r).collect());
-        }
-        let (rows, charge) = self.iot(seg)?.range(lo, hi);
-        let leaf = lo.or(hi).map(|k| self.iot_leaf_page_for(seg, k)).unwrap_or(0);
-        self.charge_iot(seg, charge, leaf);
-        Ok(rows.into_iter().cloned().collect())
-    }
-
-    /// Up to `limit` IOT rows visible under `snap` with keys strictly
-    /// after `after` (`None` starts from the beginning), each with its
-    /// logical rowid — the streaming cursor behind base-table scans over
-    /// IOTs. Ghost rows (visible to `snap` but physically deleted by a
-    /// concurrent transaction) are merged into the batch in key order and
-    /// invisible physical rows are dropped, so the cursor never ends early
-    /// or stalls. Charges the height plus one leaf page per 64 rows.
-    pub fn iot_batch_after(
-        &self,
-        seg: SegmentId,
-        after: Option<&Key>,
         limit: usize,
         snap: &Snapshot,
-    ) -> Result<Vec<(RowId, Key, Row)>> {
+    ) -> Result<Vec<(RowId, &'a Key, &'a Row)>> {
+        use std::cmp::Ordering::{Greater, Less};
         let iot = self.iot(seg)?;
-        let limit = limit.max(1);
-        let batch: Vec<(RowId, Key, Row)> = if self.segment_has_chains(seg) {
-            let lo = after.map_or(Bound::Unbounded, Bound::Excluded);
-            self.iot_visible_merged(seg, lo, Bound::Unbounded, snap)?
-                .into_iter()
-                .take(limit)
-                .map(|(k, ord, r)| (Self::ord_to_rid(seg, ord), k, r))
-                .collect()
-        } else {
-            iot.batch_after(after, limit)
-                .into_iter()
-                .map(|(ord, k, r)| (Self::ord_to_rid(seg, ord), k.clone(), r.clone()))
-                .collect()
-        };
-        let page_reads = iot.height() + batch.len().div_ceil(64).max(1);
-        self.charge_iot(seg, IotIoCharge { page_reads, page_writes: 0 }, 0);
-        Ok(batch)
+        let admits = crate::iot::bounds_admit_keys(lo, hi);
+        let mut rows = iot.range(lo, hi).peekable();
+        let chained = self.versions.iot.get(&seg).filter(|_| admits).map(|m| m.range((lo, hi)));
+        let mut chains = chained.into_iter().flatten().peekable();
+        let mut out = Vec::new();
+        while out.len() < limit {
+            let order = match (rows.peek(), chains.peek()) {
+                (None, None) => break,
+                (Some(_), None) => Less,
+                (None, Some(_)) => Greater,
+                (Some((key, ..)), Some((chain_key, _))) => key.cmp(chain_key),
+            };
+            let row = if order == Greater { None } else { rows.next() };
+            let chain = if order == Less { None } else { chains.next() };
+            let ghost = chain.map(|(key, _)| (key, 0, None));
+            let Some((key, ord, physical)) = row.map(|(k, o, r)| (k, o, Some(r))).or(ghost) else {
+                break;
+            };
+            let visible = match chain {
+                None => physical.map(|r| (r, None)),
+                Some((_, c)) => mvcc::resolve_iot(&self.txns, c, physical, snap),
+            };
+            if let Some((r, ghost_ord)) = visible {
+                out.push((Self::ord_to_rid(seg, ghost_ord.unwrap_or(ord)), key, r));
+            }
+        }
+        let anchor = [lo, hi].into_iter().find_map(|b| match b {
+            Bound::Included(k) | Bound::Excluded(k) => Some(k),
+            Bound::Unbounded => None,
+        });
+        let leaf = anchor.map_or(0, |k| self.iot_leaf_page_for(seg, k));
+        self.charge_iot(seg, iot.read_charge(out.len()), leaf);
+        Ok(out)
     }
 
     /// Batched logical-rowid→row join for IOTs under `snap`, aligned with
@@ -1821,6 +1713,7 @@ impl StorageEngine {
 mod tests {
     use super::*;
     use extidx_common::Value;
+    use Bound::{Included, Unbounded};
 
     fn row(i: i64) -> Row {
         vec![Value::Integer(i)]
@@ -1859,7 +1752,8 @@ mod tests {
         e.rollback_to(mark).unwrap();
         let get = |k: i64| {
             let key = Key::single(Value::Integer(k));
-            e.iot_range(seg, Some(&key), Some(&key), &Snapshot::latest()).unwrap()
+            let got = e.iot_range(seg, Included(&key), Included(&key), 1, &Snapshot::latest());
+            got.unwrap().into_iter().map(|(_, _, r)| r.clone()).collect::<Vec<_>>()
         };
         assert_eq!(get(1), vec![vec![Value::Integer(1), Value::from("old")]]);
         assert!(get(2).is_empty());
@@ -1934,7 +1828,11 @@ mod tests {
         let (_, rid2) = e.iot_upsert(seg, vec![Value::Integer(7), Value::from("v2")]).unwrap();
         assert_eq!(rid, rid2);
         let key = Key::single(Value::Integer(7));
-        let by_key = e.iot_range_with_rids(seg, Some(&key), Some(&key), &latest).unwrap();
+        let range = |e: &StorageEngine, lo, hi| -> Vec<(RowId, Row)> {
+            let got = e.iot_range(seg, lo, hi, usize::MAX, &latest).unwrap();
+            got.into_iter().map(|(rid, _, r)| (rid, r.clone())).collect()
+        };
+        let by_key = range(&e, Included(&key), Included(&key));
         assert_eq!(by_key, vec![(rid, vec![Value::Integer(7), Value::from("v2")])]);
 
         // Delete + rollback restores the row under the same rowid.
@@ -1945,8 +1843,54 @@ mod tests {
         assert_eq!(fetch(&e).unwrap()[1], Value::from("v2"));
 
         // Range scan hands back the same rowids.
-        let pairs = e.iot_range_with_rids(seg, None, None, &latest).unwrap();
+        let pairs = range(&e, Unbounded, Unbounded);
         assert_eq!(pairs, vec![(rid, vec![Value::Integer(7), Value::from("v2")])]);
+    }
+
+    /// The physical row count is every snapshot's answer exactly when the
+    /// segment's chains are settled at the vacuum horizon — whether or not
+    /// a vacuum has folded them away yet.
+    #[test]
+    fn physical_count_is_exact_once_chains_settle() {
+        let mut e = StorageEngine::new(64);
+        let heap = e.create_heap().unwrap();
+        let iot = e.create_iot(1).unwrap();
+        let kept = e.heap_insert(heap, row(1)).unwrap();
+        e.iot_insert(iot, row(1)).unwrap();
+        e.commit_txn(Snapshot::latest()).unwrap();
+        let txns = e.txn_manager();
+        let write = |e: &mut StorageEngine, f: &dyn Fn(&mut StorageEngine)| {
+            let t = txns.begin();
+            e.set_current_txn(t);
+            f(e);
+            e.set_current_txn(Snapshot::latest());
+            t
+        };
+
+        let reader = txns.begin();
+        let writer = write(&mut e, &|e| {
+            e.heap_update(heap, kept, row(2)).unwrap();
+            e.iot_insert(iot, row(2)).unwrap();
+        });
+        assert!(!e.segment_settled(heap) && !e.segment_settled(iot), "writer in flight");
+        e.commit_txn(writer).unwrap();
+        assert!(!e.segment_settled(iot), "the reader's snapshot predates the commit");
+        let seen = e.iot_range(iot, Unbounded, Unbounded, 9, &reader).unwrap().len();
+        assert_eq!((seen, e.iot(iot).unwrap().row_count()), (1, 2));
+        e.commit_txn(reader).unwrap();
+        assert!(e.segment_settled(heap) && e.segment_settled(iot), "settled, not yet vacuumed");
+        assert_eq!(e.mvcc_segment_stats().len(), 2, "the chains are still there");
+
+        // A committed heap delete leaves its row in the slot until the
+        // vacuum reclaims it, so the physical count is not exact before.
+        let deleter = write(&mut e, &|e| {
+            e.heap_delete(heap, kept).unwrap();
+        });
+        e.commit_txn(deleter).unwrap();
+        assert!(!e.segment_settled(heap));
+        e.vacuum();
+        assert!(e.segment_settled(heap) && e.segment_settled(iot));
+        assert_eq!(e.heap(heap).unwrap().row_count(), 0);
     }
 
     #[test]
@@ -1958,9 +1902,9 @@ mod tests {
         }
         e.cache().reset_stats();
         let key = Key::single(Value::Integer(42));
-        e.iot_range(seg, Some(&key), Some(&key), &Snapshot::latest()).unwrap();
+        e.iot_range(seg, Included(&key), Included(&key), 1, &Snapshot::latest()).unwrap();
         let cold = e.cache_stats();
-        e.iot_range(seg, Some(&key), Some(&key), &Snapshot::latest()).unwrap();
+        e.iot_range(seg, Included(&key), Included(&key), 1, &Snapshot::latest()).unwrap();
         let warm = e.cache_stats().since(&cold);
         assert_eq!(warm.physical_reads, 0, "second probe should be fully cached");
     }

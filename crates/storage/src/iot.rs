@@ -6,25 +6,29 @@
 //! data stores") — the text cartridge's inverted index lives in one, keyed
 //! by `(token, rowid)`.
 //!
-//! Rows live in an in-memory ordered map; I/O is *modeled*: a probe charges
-//! the tree height in page reads, a range scan additionally charges leaf
-//! pages proportional to rows returned, and mutations charge height reads
-//! plus one leaf write. The engine layer applies these charges to the
-//! buffer cache.
+//! Rows live in an in-memory ordered map; I/O is *modeled*: mutations
+//! charge the tree height in page reads plus one leaf write, and every
+//! read — a point probe, a key range, one batch of a full scan — is one
+//! [`IndexOrganizedTable::range`] charged by one rule,
+//! [`IndexOrganizedTable::read_charge`]: the height to descend plus the
+//! leaf pages the rows it returned span, at least one. The engine layer
+//! applies these charges to the buffer cache.
 //!
 //! ## Logical rowids
 //!
 //! IOT rows have no heap slot, so the engine cannot hand a physical
 //! `RowId` to secondary B-tree or domain indexes — the reason Oracle
 //! invented *logical rowids* for IOTs. Here every row carries a
-//! monotonically assigned **ordinal**: stable across in-place updates
-//! (upsert of an existing key keeps its ordinal), never reused after
-//! delete, and restorable by undo. The engine packs the ordinal into the
-//! page/slot fields of a `RowId`, giving IOT rows addresses that flow
-//! through index maintenance and rowid→row joins exactly like heap rows.
+//! monotonically assigned **ordinal**, stored beside the row: stable
+//! across in-place updates (upsert of an existing key keeps its ordinal),
+//! never reused after delete, and restorable by undo. The engine packs the
+//! ordinal into the page/slot fields of a `RowId`, giving IOT rows
+//! addresses that flow through index maintenance and rowid→row joins
+//! exactly like heap rows.
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
+use std::sync::Arc;
 
 use extidx_common::value::approx_row_size;
 use extidx_common::{Error, Key, Result, Row};
@@ -37,10 +41,12 @@ pub struct IndexOrganizedTable {
     seg: SegmentId,
     /// Number of leading row columns forming the primary key.
     key_cols: usize,
-    rows: BTreeMap<Key, Row>,
-    /// Logical-rowid support: key → ordinal and the reverse map.
-    ords: BTreeMap<Key, u64>,
-    keys_by_ord: BTreeMap<u64, Key>,
+    /// Every row by key, beside its logical-rowid ordinal. The key is
+    /// shared with `keys_by_ord` (and with every image cloned from this
+    /// table), not copied.
+    rows: BTreeMap<Arc<Key>, (u64, Row)>,
+    /// The reverse map, for logical-rowid fetches.
+    keys_by_ord: BTreeMap<u64, Arc<Key>>,
     next_ord: u64,
     /// Running total of estimated row bytes, for leaf-page modeling.
     total_bytes: usize,
@@ -54,6 +60,18 @@ pub struct IotIoCharge {
     pub page_writes: usize,
 }
 
+/// Whether key bounds `(lo, hi)` can hold any key. `BTreeMap::range`
+/// panics on the ones that cannot (`lo > hi`, or `Excluded(k)` on both
+/// sides), so every ranged read of a key-ordered map asks this first.
+pub(crate) fn bounds_admit_keys(lo: Bound<&Key>, hi: Bound<&Key>) -> bool {
+    use Bound::{Excluded, Included, Unbounded};
+    match (lo, hi) {
+        (Unbounded, _) | (_, Unbounded) => true,
+        (Included(a), Included(b)) => a <= b,
+        (Included(a) | Excluded(a), Included(b) | Excluded(b)) => a < b,
+    }
+}
+
 impl IndexOrganizedTable {
     /// Create an empty IOT whose first `key_cols` row columns are the key.
     pub fn new(seg: SegmentId, key_cols: usize) -> Self {
@@ -62,7 +80,6 @@ impl IndexOrganizedTable {
             seg,
             key_cols,
             rows: BTreeMap::new(),
-            ords: BTreeMap::new(),
             keys_by_ord: BTreeMap::new(),
             next_ord: 0,
             total_bytes: 0,
@@ -103,6 +120,14 @@ impl IndexOrganizedTable {
         btree_height(self.rows.len())
     }
 
+    /// The one read charge: descend the tree, then read the leaf pages
+    /// `rows` returned rows span — at least one, since even a probe that
+    /// finds nothing lands on a leaf.
+    pub fn read_charge(&self, rows: usize) -> IotIoCharge {
+        let leaf_pages = rows.div_ceil(self.rows_per_leaf()).max(1);
+        IotIoCharge { page_reads: self.height() + leaf_pages, page_writes: 0 }
+    }
+
     fn key_of(&self, row: &[extidx_common::Value]) -> Result<Key> {
         if row.len() < self.key_cols {
             return Err(Error::Storage(format!(
@@ -115,11 +140,10 @@ impl IndexOrganizedTable {
         Ok(Key(row[..self.key_cols].to_vec()))
     }
 
-    fn alloc_ord(&mut self, key: &Key) -> u64 {
+    fn alloc_ord(&mut self, key: &Arc<Key>) -> u64 {
         let ord = self.next_ord;
         self.next_ord += 1;
-        self.ords.insert(key.clone(), ord);
-        self.keys_by_ord.insert(ord, key.clone());
+        self.keys_by_ord.insert(ord, Arc::clone(key));
         ord
     }
 
@@ -134,7 +158,7 @@ impl IndexOrganizedTable {
     /// key's ordinal, or the next fresh one.
     pub fn peek_upsert_ord(&self, row: &[extidx_common::Value]) -> Result<u64> {
         let key = self.key_of(row)?;
-        Ok(self.ords.get(&key).copied().unwrap_or(self.next_ord))
+        Ok(self.ordinal_of(&key).unwrap_or(self.next_ord))
     }
 
     /// Insert a row. Duplicate keys are a constraint violation, like an
@@ -149,8 +173,9 @@ impl IndexOrganizedTable {
         }
         let charge = IotIoCharge { page_reads: self.height(), page_writes: 1 };
         self.total_bytes += approx_row_size(&row);
+        let key = Arc::new(key);
         let ord = self.alloc_ord(&key);
-        self.rows.insert(key, row);
+        self.rows.insert(key, (ord, row));
         Ok((ord, charge))
     }
 
@@ -160,13 +185,13 @@ impl IndexOrganizedTable {
         let key = self.key_of(&row)?;
         let charge = IotIoCharge { page_reads: self.height(), page_writes: 1 };
         self.total_bytes += approx_row_size(&row);
-        if let Some(old) = self.rows.insert(key.clone(), row) {
+        if let Some((prev, old)) = self.rows.remove(&key) {
             self.total_bytes = self.total_bytes.saturating_sub(approx_row_size(&old));
-        }
-        if let Some(prev) = self.ords.insert(key.clone(), ord) {
             self.keys_by_ord.remove(&prev);
         }
-        self.keys_by_ord.insert(ord, key);
+        let key = Arc::new(key);
+        self.keys_by_ord.insert(ord, Arc::clone(&key));
+        self.rows.insert(key, (ord, row));
         self.next_ord = self.next_ord.max(ord + 1);
         Ok(charge)
     }
@@ -178,14 +203,18 @@ impl IndexOrganizedTable {
         let key = self.key_of(&row)?;
         let charge = IotIoCharge { page_reads: self.height(), page_writes: 1 };
         self.total_bytes += approx_row_size(&row);
-        let old = self.rows.insert(key.clone(), row);
+        let (ord, old) = match self.rows.get_mut(&key) {
+            Some((ord, slot)) => (*ord, Some(std::mem::replace(slot, row))),
+            None => {
+                let key = Arc::new(key);
+                let ord = self.alloc_ord(&key);
+                self.rows.insert(key, (ord, row));
+                (ord, None)
+            }
+        };
         if let Some(ref o) = old {
             self.total_bytes = self.total_bytes.saturating_sub(approx_row_size(o));
         }
-        let ord = match self.ords.get(&key) {
-            Some(&ord) => ord,
-            None => self.alloc_ord(&key),
-        };
         Ok((old, ord, charge))
     }
 
@@ -193,21 +222,17 @@ impl IndexOrganizedTable {
     /// present.
     pub fn delete(&mut self, key: &Key) -> (Option<(Row, u64)>, IotIoCharge) {
         let charge = IotIoCharge { page_reads: self.height(), page_writes: 1 };
-        let old = self.rows.remove(key);
-        if let Some(ref o) = old {
-            self.total_bytes = self.total_bytes.saturating_sub(approx_row_size(o));
-        }
-        let removed = old.map(|o| {
-            let ord = self.ords.remove(key).unwrap_or(u64::MAX);
+        let removed = self.rows.remove(key).map(|(ord, old)| {
+            self.total_bytes = self.total_bytes.saturating_sub(approx_row_size(&old));
             self.keys_by_ord.remove(&ord);
-            (o, ord)
+            (old, ord)
         });
         (removed, charge)
     }
 
     /// The logical-rowid ordinal of a key, if the row exists.
     pub fn ordinal_of(&self, key: &Key) -> Option<u64> {
-        self.ords.get(key).copied()
+        self.rows.get(key).map(|&(ord, _)| ord)
     }
 
     /// Point lookup by ordinal (logical-rowid fetch).
@@ -216,84 +241,30 @@ impl IndexOrganizedTable {
         let found = self
             .keys_by_ord
             .get(&ord)
-            .and_then(|k| self.rows.get_key_value(k));
+            .and_then(|k| self.rows.get_key_value(&**k))
+            .map(|(k, (_, row))| (&**k, row));
         (found, charge)
     }
 
-    /// Up to `limit` rows with keys strictly greater than `after`
-    /// (`None` = from the start), each with its ordinal — the streaming
-    /// base-scan cursor for index builds over IOT base tables.
-    pub fn batch_after(&self, after: Option<&Key>, limit: usize) -> Vec<(u64, &Key, &Row)> {
-        let lower = after.map_or(Bound::Unbounded, |k| Bound::Excluded(k.clone()));
-        self.rows
-            .range((lower, Bound::Unbounded))
-            .take(limit)
-            .map(|(k, r)| (self.ords.get(k).copied().unwrap_or(u64::MAX), k, r))
-            .collect()
-    }
-
-    /// Iterate all rows in key order with their ordinals.
-    pub fn scan_with_ordinals(&self) -> impl Iterator<Item = (u64, &Row)> + '_ {
-        self.rows
-            .iter()
-            .map(|(k, r)| (self.ords.get(k).copied().unwrap_or(u64::MAX), r))
-    }
-
-    /// Point lookup by exact key.
-    pub fn get(&self, key: &Key) -> (Option<&Row>, IotIoCharge) {
-        let charge = IotIoCharge { page_reads: self.height(), page_writes: 0 };
-        (self.rows.get(key), charge)
-    }
-
-    /// Range scan over `[lo, hi]` key bounds (either side optional,
-    /// inclusive when present). Returns matching rows and the modeled I/O:
-    /// height to descend plus one read per leaf page spanned.
-    pub fn range(
-        &self,
-        lo: Option<&Key>,
-        hi: Option<&Key>,
-    ) -> (Vec<&Row>, IotIoCharge) {
-        let lower = lo.map_or(Bound::Unbounded, |k| Bound::Included(k.clone()));
-        let upper = hi.map_or(Bound::Unbounded, |k| Bound::Included(k.clone()));
-        let rows: Vec<&Row> = self.rows.range((lower, upper)).map(|(_, r)| r).collect();
-        let leaf_pages = rows.len().div_ceil(self.rows_per_leaf()).max(1);
-        (
-            rows,
-            IotIoCharge { page_reads: self.height() + leaf_pages, page_writes: 0 },
-        )
-    }
-
-    /// Scan every row whose key starts with `prefix` (prefix must be
-    /// shorter than or equal to the key length). The inverted-index
-    /// pattern: key `(token, rowid)`, prefix `(token)`.
-    pub fn prefix_scan(&self, prefix: &Key) -> (Vec<&Row>, IotIoCharge) {
-        let rows: Vec<&Row> = self
-            .rows
-            .range(prefix.clone()..)
-            .take_while(|(k, _)| {
-                k.0.len() >= prefix.0.len()
-                    && Key(k.0[..prefix.0.len()].to_vec()) == *prefix
-            })
-            .map(|(_, r)| r)
-            .collect();
-        let leaf_pages = rows.len().div_ceil(self.rows_per_leaf()).max(1);
-        (
-            rows,
-            IotIoCharge { page_reads: self.height() + leaf_pages, page_writes: 0 },
-        )
-    }
-
-    /// Iterate all rows in key order (no I/O modeling; callers charge a
-    /// full-scan of `page_count()` themselves).
-    pub fn scan(&self) -> impl Iterator<Item = &Row> + '_ {
-        self.rows.values()
+    /// The one read of an IOT: every row with a key inside `(lo, hi)`, in
+    /// key order, with its ordinal — a point probe, a key-prefix range
+    /// (prefix lower bound, NULL-padded upper bound) and a page of a full
+    /// scan (`Excluded(last key)` onwards) alike. Borrows, allocates
+    /// nothing per row, and yields nothing for bounds that admit no key.
+    /// Charge what was consumed with [`Self::read_charge`].
+    pub fn range<'a>(
+        &'a self,
+        lo: Bound<&Key>,
+        hi: Bound<&Key>,
+    ) -> impl Iterator<Item = (&'a Key, u64, &'a Row)> + 'a {
+        let rows = bounds_admit_keys(lo, hi).then(|| self.rows.range::<Key, _>((lo, hi)));
+        rows.into_iter().flatten().map(|(k, (ord, row))| (&**k, *ord, row))
     }
 
     /// Remove every row. Ordinals are not reused, so logical rowids from
     /// before the truncate never resurrect.
     pub fn truncate(&mut self) {
         self.rows.clear();
-        self.ords.clear();
         self.keys_by_ord.clear();
         self.total_bytes = 0;
     }
@@ -303,6 +274,7 @@ impl IndexOrganizedTable {
 mod tests {
     use super::*;
     use extidx_common::Value;
+    use Bound::{Excluded, Included, Unbounded};
 
     fn iot() -> IndexOrganizedTable {
         IndexOrganizedTable::new(SegmentId(9), 2)
@@ -312,14 +284,23 @@ mod tests {
         vec![Value::from(token), Value::Integer(doc), Value::Integer(doc * 10)]
     }
 
+    /// The rows of `t` inside `(lo, hi)`, cloned.
+    fn rows(t: &IndexOrganizedTable, lo: Bound<&Key>, hi: Bound<&Key>) -> Vec<Row> {
+        t.range(lo, hi).map(|(_, _, r)| r.clone()).collect()
+    }
+
+    fn get(t: &IndexOrganizedTable, key: &Key) -> Option<Row> {
+        rows(t, Included(key), Included(key)).pop()
+    }
+
     #[test]
     fn insert_and_point_get() {
         let mut t = iot();
         t.insert(entry("oracle", 1)).unwrap();
         let key = Key(vec![Value::from("oracle"), Value::Integer(1)]);
-        let (row, io) = t.get(&key);
-        assert_eq!(row.unwrap()[2], Value::Integer(10));
-        assert_eq!(io.page_reads, 1); // tiny tree: height 1
+        assert_eq!(get(&t, &key).unwrap()[2], Value::Integer(10));
+        // Tiny tree: height 1, plus the one leaf a probe lands on.
+        assert_eq!(t.read_charge(1).page_reads, 2);
     }
 
     #[test]
@@ -339,18 +320,23 @@ mod tests {
         let (old, _, _) = t.upsert(newer).unwrap();
         assert!(old.is_some());
         let key = Key(vec![Value::from("oracle"), Value::Integer(1)]);
-        assert_eq!(t.get(&key).0.unwrap()[2], Value::Integer(999));
+        assert_eq!(get(&t, &key).unwrap()[2], Value::Integer(999));
         assert_eq!(t.row_count(), 1);
     }
 
+    /// The inverted-index pattern: key `(token, rowid)`, the posting list
+    /// of a token is the range from the prefix `(token)` to `(token, NULL)`
+    /// — NULL sorts last, so the padded bound covers every `(token, …)`.
     #[test]
-    fn prefix_scan_finds_posting_list() {
+    fn posting_list_is_a_prefix_range() {
         let mut t = iot();
         for d in 1..=5 {
             t.insert(entry("oracle", d)).unwrap();
             t.insert(entry("unix", d * 100)).unwrap();
         }
-        let (rows, _) = t.prefix_scan(&Key::single(Value::from("oracle")));
+        let prefix = Key::single(Value::from("oracle"));
+        let padded = Key(vec![Value::from("oracle"), Value::Null]);
+        let rows = rows(&t, Included(&prefix), Included(&padded));
         assert_eq!(rows.len(), 5);
         assert!(rows.iter().all(|r| r[0] == Value::from("oracle")));
         // Results come back in key order.
@@ -359,11 +345,12 @@ mod tests {
     }
 
     #[test]
-    fn prefix_scan_empty_for_absent_token() {
+    fn absent_token_prefix_range_is_empty() {
         let mut t = iot();
         t.insert(entry("oracle", 1)).unwrap();
-        let (rows, _) = t.prefix_scan(&Key::single(Value::from("cobol")));
-        assert!(rows.is_empty());
+        let prefix = Key::single(Value::from("cobol"));
+        let padded = Key(vec![Value::from("cobol"), Value::Null]);
+        assert!(rows(&t, Included(&prefix), Included(&padded)).is_empty());
     }
 
     #[test]
@@ -374,8 +361,23 @@ mod tests {
         }
         let lo = Key::single(Value::Integer(3));
         let hi = Key::single(Value::Integer(6));
-        let (rows, _) = t.range(Some(&lo), Some(&hi));
-        assert_eq!(rows.len(), 4);
+        assert_eq!(rows(&t, Included(&lo), Included(&hi)).len(), 4);
+        assert_eq!(rows(&t, Excluded(&lo), Excluded(&hi)).len(), 2);
+    }
+
+    /// Bounds that admit no key yield nothing; `BTreeMap::range` would
+    /// panic on both of these.
+    #[test]
+    fn inverted_or_doubly_excluded_bounds_yield_nothing() {
+        let mut t = IndexOrganizedTable::new(SegmentId(1), 1);
+        for i in 0..10 {
+            t.insert(vec![Value::Integer(i)]).unwrap();
+        }
+        let (three, seven) = (Key::single(Value::Integer(3)), Key::single(Value::Integer(7)));
+        assert!(rows(&t, Included(&seven), Included(&three)).is_empty());
+        assert!(rows(&t, Excluded(&three), Excluded(&three)).is_empty());
+        assert!(rows(&t, Excluded(&three), Included(&three)).is_empty());
+        assert_eq!(rows(&t, Included(&three), Included(&three)).len(), 1);
     }
 
     #[test]
@@ -398,9 +400,9 @@ mod tests {
         }
         // ~112 bytes/row → ~73 rows/page → ~14 pages.
         assert!(t.page_count() >= 10 && t.page_count() <= 20, "{}", t.page_count());
-        let (rows, io) = t.range(None, None);
-        assert_eq!(rows.len(), 1000);
-        assert!(io.page_reads > 10, "full range should touch many leaves");
+        assert_eq!(t.range(Unbounded, Unbounded).count(), 1000);
+        assert!(t.read_charge(1000).page_reads > 10, "full range should touch many leaves");
+        assert_eq!(t.read_charge(0), t.read_charge(1), "an empty read still lands on a leaf");
     }
 
     #[test]
@@ -436,18 +438,21 @@ mod tests {
         assert_eq!(t.ordinal_of(&key_a), Some(o1));
         let (found, _) = t.by_ordinal(o1);
         assert_eq!(found.unwrap().0, &key_a);
+        // The range read hands back the ordinal stored beside the row.
+        let ordinals: Vec<u64> = t.range(Unbounded, Unbounded).map(|(_, o, _)| o).collect();
+        assert_eq!(ordinals, vec![o1, o2]);
     }
 
     #[test]
-    fn batch_after_pages_through_in_key_order() {
+    fn after_key_pages_through_in_key_order() {
         let mut t = IndexOrganizedTable::new(SegmentId(1), 1);
         for i in 0..7 {
             t.insert(vec![Value::Integer(i)]).unwrap();
         }
-        let first = t.batch_after(None, 3);
+        let first: Vec<_> = t.range(Unbounded, Unbounded).take(3).collect();
         assert_eq!(first.len(), 3);
-        let last_key = first.last().unwrap().1.clone();
-        let second = t.batch_after(Some(&last_key), 10);
+        let last_key = first.last().unwrap().0;
+        let second: Vec<_> = t.range(Excluded(last_key), Unbounded).take(10).collect();
         assert_eq!(second.len(), 4);
         assert_eq!(second[0].2[0], Value::Integer(3));
     }

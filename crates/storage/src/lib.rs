@@ -28,8 +28,11 @@
 //! - [`engine::StorageEngine`] — the façade that owns all segments and
 //!   funnels every mutation through the buffer cache, WAL and the driving
 //!   transaction's undo log (no mutator takes a log), and every heap/IOT
-//!   read through one snapshot-pinned function per access shape (there is
-//!   no snapshot-blind read to call instead).
+//!   read through four snapshot-pinned functions (there is no
+//!   snapshot-blind read to call instead): the heap page walk, the IOT key
+//!   range — one merge of the segment's rows with its version chains over
+//!   the same bounds, charged height plus the leaves it returned — and a
+//!   rowid join for each.
 
 pub mod buffer;
 pub mod engine;

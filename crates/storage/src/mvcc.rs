@@ -242,6 +242,13 @@ impl TxnManager {
         }
     }
 
+    /// Whether `stamp`'s writer committed at or below `horizon`: every live
+    /// snapshot (its high is at least the horizon) and every future one
+    /// sees that commit.
+    pub fn settled(&self, stamp: u64, horizon: u64) -> bool {
+        self.committed_csn(stamp).is_some_and(|csn| csn <= horizon)
+    }
+
     /// Snapshot-isolation visibility of a version stamp.
     pub fn stamp_visible(&self, stamp: u64, snap: &Snapshot) -> bool {
         if stamp == 0 || stamp == snap.txn {

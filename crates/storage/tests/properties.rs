@@ -1,7 +1,9 @@
 //! Model-based property tests for the storage engine: heap operations
-//! against a reference map, and rollback restoring exact prior state.
+//! against a reference map, IOT range reads against one map per snapshot,
+//! and rollback restoring exact prior state.
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 use proptest::prelude::*;
 
@@ -150,38 +152,6 @@ proptest! {
             .map(|(rid, _, r)| (rid, r.clone()))
             .collect();
         prop_assert_eq!(after, snapshot);
-    }
-
-    /// IOT range scans return exactly the model's range, in order.
-    #[test]
-    fn iot_range_matches_btreemap(
-        entries in prop::collection::btree_map(-500i64..500, any::<i64>(), 0..80),
-        lo in -600i64..600,
-        len in 0i64..400,
-    ) {
-        let mut engine = StorageEngine::new(256);
-        let seg = engine.create_iot(1).unwrap();
-        for (k, v) in &entries {
-            engine
-                .iot_insert(seg, vec![Value::Integer(*k), Value::Integer(*v)])
-                .unwrap();
-        }
-        let hi = lo + len;
-        let got = engine
-            .iot_range(
-                seg,
-                Some(&Key::single(Value::Integer(lo))),
-                Some(&Key::single(Value::Integer(hi))),
-                &Snapshot::latest(),
-            )
-            .unwrap();
-        let expected: Vec<(i64, i64)> =
-            entries.range(lo..=hi).map(|(k, v)| (*k, *v)).collect();
-        let got_pairs: Vec<(i64, i64)> = got
-            .iter()
-            .map(|r| (r[0].as_integer().unwrap(), r[1].as_integer().unwrap()))
-            .collect();
-        prop_assert_eq!(got_pairs, expected);
     }
 
     /// Cache counters: hits never exceed logical reads; physical reads
@@ -350,7 +320,9 @@ fn view(e: &StorageEngine, heap: SegmentId, iot: SegmentId, lane: &TxnLane) -> V
         rows.extend(visible.map(|(rid, r)| (rid, r.clone())));
         page += 1;
     }
-    let keyed = e.iot_scan_with_rids(iot, &lane.snap).unwrap();
+    let all = (Bound::Unbounded, Bound::Unbounded);
+    let keyed = e.iot_range(iot, all.0, all.1, usize::MAX, &lane.snap).unwrap();
+    let keyed = keyed.into_iter().map(|(rid, _, r)| (rid, r.clone())).collect();
     (rows, keyed, e.lob_read_all_at(lane.lob, &lane.snap).unwrap())
 }
 
@@ -417,5 +389,134 @@ proptest! {
         e.rollback_txn(tb.snap).unwrap();
         prop_assert_eq!(e.undo_mark(), 0);
         prop_assert_eq!(&view(&e, heap, iot, &base), &committed);
+    }
+}
+
+// ---- the one IOT read: a key-range merge of rows and version chains ----
+
+/// One write of an open transaction: upsert `(key, value)` or delete `key`.
+type IotWrite = (bool, i64, i64);
+
+fn arb_writes() -> impl Strategy<Value = Vec<IotWrite>> {
+    prop::collection::vec((any::<bool>(), -30i64..30, any::<i64>()), 0..30)
+}
+
+/// A key bound: 0 = `Unbounded`, 1 = `Included`, 2 = `Excluded`.
+fn arb_bound() -> impl Strategy<Value = (u8, i64)> {
+    (0u8..3, -70i64..70)
+}
+
+fn to_bound(kind: u8, key: &Key) -> Bound<&Key> {
+    match kind {
+        0 => Bound::Unbounded,
+        1 => Bound::Included(key),
+        _ => Bound::Excluded(key),
+    }
+}
+
+fn ikey(k: i64) -> Key {
+    Key::single(Value::Integer(k))
+}
+
+/// Apply one lane's writes to the engine and to that lane's model; keys
+/// are `2k + parity`, so the two lanes never write the same key.
+fn write_lane(
+    e: &mut StorageEngine,
+    seg: SegmentId,
+    snap: Snapshot,
+    parity: i64,
+    writes: &[IotWrite],
+    model: &mut BTreeMap<i64, i64>,
+) {
+    e.set_current_txn(snap);
+    for &(upsert, k, v) in writes {
+        let key = 2 * k + parity;
+        if upsert {
+            e.iot_upsert(seg, vec![Value::Integer(key), Value::Integer(v)]).unwrap();
+            model.insert(key, v);
+        } else {
+            e.iot_delete(seg, &ikey(key)).unwrap();
+            model.remove(&key);
+        }
+    }
+    e.set_current_txn(Snapshot::latest());
+}
+
+proptest! {
+    /// `iot_range` over a segment with version chains: a committed prefix
+    /// plus two open transactions that upsert and delete keys inside and
+    /// outside the read's range. Under every snapshot, paging through any
+    /// bounds (incl. `lo > hi` and `Excluded(k)` on both sides, which
+    /// `BTreeMap::range` panics on) with an exclusive after-key and any
+    /// `limit` returns exactly that snapshot's model of the range, in key
+    /// order, and each row's rowid is one `iot_fetch_multi` resolves back
+    /// to that row.
+    #[test]
+    fn iot_range_matches_btreemap(
+        prefix in prop::collection::btree_map(-60i64..60, any::<i64>(), 0..80),
+        a in arb_writes(),
+        b in arb_writes(),
+        reads in prop::collection::vec((arb_bound(), arb_bound(), 1usize..12), 1..6),
+    ) {
+        let mut e = StorageEngine::new(256);
+        let seg = e.create_iot(1).unwrap();
+        for (k, v) in &prefix {
+            e.iot_insert(seg, vec![Value::Integer(*k), Value::Integer(*v)]).unwrap();
+        }
+        e.commit_txn(Snapshot::latest()).unwrap();
+        let txns = e.txn_manager();
+        let early_reader = txns.begin();
+        let (ta, tb) = (txns.begin(), txns.begin());
+        let (mut model_a, mut model_b) = (prefix.clone(), prefix.clone());
+        write_lane(&mut e, seg, ta, 0, &a, &mut model_a);
+        write_lane(&mut e, seg, tb, 1, &b, &mut model_b);
+        let late_reader = txns.begin();
+
+        let lanes = [
+            (Snapshot::latest(), &prefix),
+            (early_reader, &prefix),
+            (late_reader, &prefix),
+            (ta, &model_a),
+            (tb, &model_b),
+        ];
+        for ((lo_kind, lo), (hi_kind, hi), limit) in reads {
+            let (lo_key, hi_key) = (ikey(lo), ikey(hi));
+            let (lo_b, hi_b) = (to_bound(lo_kind, &lo_key), to_bound(hi_kind, &hi_key));
+            let in_range = |k: &i64| {
+                let k = ikey(*k);
+                (match lo_b {
+                    Bound::Unbounded => true,
+                    Bound::Included(b) => k >= *b,
+                    Bound::Excluded(b) => k > *b,
+                }) && (match hi_b {
+                    Bound::Unbounded => true,
+                    Bound::Included(b) => k <= *b,
+                    Bound::Excluded(b) => k < *b,
+                })
+            };
+            for (snap, model) in &lanes {
+                let expected: Vec<(i64, i64)> =
+                    model.iter().filter(|(k, _)| in_range(k)).map(|(k, v)| (*k, *v)).collect();
+                let mut got: Vec<(i64, i64)> = Vec::new();
+                let mut after: Option<Key> = None;
+                loop {
+                    let from = after.as_ref().map_or(lo_b, Bound::Excluded);
+                    let page = e.iot_range(seg, from, hi_b, limit, snap).unwrap();
+                    prop_assert!(page.len() <= limit);
+                    for &(rid, key, row) in &page {
+                        prop_assert_eq!(&Key(row[..1].to_vec()), key);
+                        let fetched = e.iot_fetch_multi(seg, &[rid], snap).unwrap();
+                        let want = vec![Some(row.clone())];
+                        prop_assert_eq!(fetched, want, "{} under {:?}", rid, snap);
+                        got.push((row[0].as_integer().unwrap(), row[1].as_integer().unwrap()));
+                    }
+                    if page.len() < limit {
+                        break;
+                    }
+                    after = page.last().map(|&(_, key, _)| key.clone());
+                }
+                prop_assert_eq!(&got, &expected, "snapshot {:?}", snap);
+            }
+        }
     }
 }

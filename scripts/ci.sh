@@ -163,6 +163,18 @@ if grep -rlPz "\.heap\([^)]*\)\??\s*\.(scan|slot|fetch)\(|\.iot\([^)]*\)\??\s*\.
     exit 1
 fi
 
+# One IOT read (DESIGN.md §4j "One read path"): `iot_range` is the only IOT
+# read, one merge of the segment's rows with its version chains over the
+# same key bounds. The whole-segment merge, the two-armed readers it backed
+# and the ordinal side map stay deleted, and the chain map is read by key
+# range in exactly one place.
+echo "== one IOT read (structural guard) =="
+if grep -rnE "iot_visible_merged|iot_scan_with_rids|iot_range_with_rids|iot_batch_after|scan_with_ordinals|fn batch_after|fn prefix_scan| ords:" \
+    crates/storage/src; then
+    exit 1
+fi
+[ "$(grep -cE "versions\.iot\b.*\.range\(" crates/storage/src/engine.rs)" -eq 1 ]
+
 # One statement scope (DESIGN.md §4d "Statement atomicity"): a
 # transaction's undo lives with the transaction in crates/storage, so no
 # mutator may take a log again, nothing outside that crate may name the

@@ -158,6 +158,48 @@ fn limit_terminates_batched_scan_early() {
     assert!(field(scan, "gets") <= 2, "LIMIT 5 should touch at most a page or two: {scan}");
 }
 
+/// LIMIT streams IOT and B-tree scans the way it streams heap scans: both
+/// page through one IOT cursor, so the quota reaches the key-range read
+/// and a LIMIT 5 statement's logical reads do not grow with the table
+/// beyond the modelled tree-height difference (at the parent the IOT full
+/// scan charged every page and the B-tree range its whole range).
+#[test]
+fn limit_streams_iot_and_btree_scans() {
+    // (IOT LIMIT reads, B-tree LIMIT reads, IOT height, B-tree height)
+    let measure = |rows: i64| {
+        let mut db = Database::with_cache_pages(4096);
+        db.execute("CREATE TABLE kv (k INTEGER, v VARCHAR2(8), PRIMARY KEY (k)) ORGANIZATION INDEX")
+            .unwrap();
+        db.execute("CREATE TABLE t (id INTEGER, k INTEGER)").unwrap();
+        db.execute("CREATE INDEX t_k ON t(k)").unwrap();
+        for i in 0..rows {
+            db.execute_with("INSERT INTO kv VALUES (?, 'value')", &[i.into()]).unwrap();
+            db.execute_with("INSERT INTO t VALUES (?, ?)", &[i.into(), i.into()]).unwrap();
+        }
+        let mut reads = |sql: &str| {
+            let before = db.cache_stats();
+            assert_eq!(db.query(sql).unwrap().len(), 5, "{sql}");
+            db.cache_stats().since(&before).logical_reads
+        };
+        let iot = reads("SELECT * FROM kv LIMIT 5");
+        let btree = reads("SELECT /*+ INDEX(t t_k) */ id FROM t WHERE k >= 0 LIMIT 5");
+        let height = |seg| db.storage().iot(seg).unwrap().height() as u64;
+        let kv_seg = db.catalog().table("kv").unwrap().seg;
+        let t_k_seg = db.catalog().btree_index("t_k").unwrap().seg;
+        (iot, btree, height(kv_seg), height(t_k_seg))
+    };
+    let (iot_small, btree_small, iot_h_small, btree_h_small) = measure(1_000);
+    let (iot_big, btree_big, iot_h_big, btree_h_big) = measure(10_000);
+    assert!(
+        iot_big <= iot_small + (iot_h_big - iot_h_small),
+        "IOT LIMIT 5 reads grew with the table: {iot_small} at 1 000 rows, {iot_big} at 10k"
+    );
+    assert!(
+        btree_big <= btree_small + (btree_h_big - btree_h_small),
+        "B-tree LIMIT 5 reads grew with the table: {btree_small} at 1 000 rows, {btree_big} at 10k"
+    );
+}
+
 /// Two small tables whose joins overflow a batch: `ja` × `jb` is 3600
 /// rows as a cross product (nested loop) and 1200 on `k` (hash join —
 /// `k = id % 3`, so every `ja` row matches 20 `jb` rows).
