@@ -210,9 +210,11 @@ impl Value {
         }
     }
 
-    /// Total ordering used for sorting (ORDER BY, B-tree keys): NULLs sort
-    /// last (Oracle default), incomparable pairs order by type name so the
-    /// sort is still total.
+    /// Total ordering used for sorting (ORDER BY, B-tree keys) and for
+    /// telling values apart (DISTINCT, GROUP BY): NULLs sort last (Oracle
+    /// default); objects and VARRAYs order by their parts and LOBs by
+    /// locator, so only equal values compare equal; other incomparable
+    /// pairs order by type name so the sort is still total.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
         match (self.is_null(), other.is_null()) {
             (true, true) => return Ordering::Equal,
@@ -220,8 +222,16 @@ impl Value {
             (false, true) => return Ordering::Less,
             _ => {}
         }
-        self.sql_cmp(other)
-            .unwrap_or_else(|| self.type_name().cmp(other.type_name()))
+        let parts = |a: &[Value], b: &[Value]| {
+            let unequal = a.iter().zip(b).map(|(x, y)| x.total_cmp(y)).find(|o| o.is_ne());
+            unequal.unwrap_or_else(|| a.len().cmp(&b.len()))
+        };
+        self.sql_cmp(other).unwrap_or_else(|| match (self, other) {
+            (Value::Object(a, xs), Value::Object(b, ys)) => a.cmp(b).then_with(|| parts(xs, ys)),
+            (Value::Array(xs), Value::Array(ys)) => parts(xs, ys),
+            (Value::Lob(a), Value::Lob(b)) => a.cmp(b),
+            _ => self.type_name().cmp(other.type_name()),
+        })
     }
 }
 
@@ -322,6 +332,20 @@ mod tests {
         let mut vals = vec![Value::Null, Value::Integer(2), Value::Integer(1)];
         vals.sort_by(|a, b| a.total_cmp(b));
         assert_eq!(vals, vec![Value::Integer(1), Value::Integer(2), Value::Null]);
+    }
+
+    #[test]
+    fn total_cmp_tells_objects_apart_by_their_parts() {
+        let geom = |x: i64| {
+            let coords = Value::Array(vec![Value::Integer(x), Value::Integer(1)]);
+            Value::Object("SDO_GEOMETRY".into(), vec![Value::Integer(2), coords])
+        };
+        assert_eq!(geom(1).total_cmp(&geom(1)), std::cmp::Ordering::Equal);
+        assert_eq!(geom(1).total_cmp(&geom(3)), std::cmp::Ordering::Less);
+        let other = Value::Object("PT".into(), vec![]);
+        assert_eq!(geom(3).total_cmp(&other), std::cmp::Ordering::Greater, "by type name first");
+        let lob = |id| Value::Lob(LobRef(id));
+        assert_eq!(lob(2).total_cmp(&lob(1)), std::cmp::Ordering::Greater);
     }
 
     #[test]

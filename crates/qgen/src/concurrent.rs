@@ -44,8 +44,8 @@ use extidx_sql::{Server, Session};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::gen::{ConcurrentGen, Query, Stmt, HEAP, IOT};
-use crate::harness::{forcible_indexes, fresh_db, ChaosOpts};
-use crate::interp::{apply_cell, query_ids, Mirror};
+use crate::harness::{fmt_rows, forcible_indexes, fresh_db, ChaosOpts};
+use crate::interp::{answer_rows, apply_cell, query_rows, Mirror};
 
 /// Counters from a clean concurrent run — returned so tests can assert
 /// the schedule actually exercised commits, conflicts, and queries
@@ -141,7 +141,7 @@ fn check_snapshot_query(
     expected_mirror: &Mirror,
     report: &mut ConcurrentReport,
 ) -> Result<(), String> {
-    let expected = query_ids(q, expected_mirror);
+    let expected = query_rows(q, expected_mirror);
     let mut variants: Vec<(String, String)> = vec![
         ("plan".into(), q.sql(None)),
         ("full".into(), q.sql(Some(&format!("FULL({})", q.table)))),
@@ -151,28 +151,26 @@ fn check_snapshot_query(
         variants.push((format!("index:{idx}"), q.sql(Some(&hint))));
     }
     let mut bad: Vec<String> = Vec::new();
+    let mut first: Option<Vec<Vec<String>>> = None;
     for (label, sql) in &variants {
         let rows = sess
             .query(sql)
             .map_err(|e| format!("variant [{label}] errored: {e}\n  sql: {sql}"))?;
-        let got = ids_of(&rows).map_err(|e| format!("variant [{label}]: {e}\n  sql: {sql}"))?;
-        let got = if q.order_limit.is_some() {
-            got
-        } else {
-            let mut g = got;
-            g.sort_unstable();
-            g
-        };
+        let [got, full] =
+            answer_rows(q, &rows).map_err(|e| format!("variant [{label}]: {e}\n  sql: {sql}"))?;
         if got != expected {
-            bad.push(format!("variant [{label}]\n  sql: {sql}\n  got      {got:?}"));
+            bad.push(format!("variant [{label}]\n  sql: {sql}\n  got      {}", fmt_rows(&got)));
+        } else if first.get_or_insert_with(|| full.clone()) != &full {
+            bad.push(format!("variant [{label}] differs from [plan]\n  sql: {sql}"));
         }
         report.queries += 1;
     }
     if !bad.is_empty() {
         return Err(format!(
-            "{} of {} variants violate the snapshot (expected {expected:?}):\n{}",
+            "{} of {} variants violate the snapshot (expected {}):\n{}",
             bad.len(),
             variants.len(),
+            fmt_rows(&expected),
             bad.join("\n")
         ));
     }

@@ -189,6 +189,37 @@ impl KeyCol {
     }
 }
 
+/// One item of a generated query's select list: a key column, an
+/// updatable column, or the ROWID pseudo-column.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Item {
+    Key(KeyCol),
+    Cell(Col),
+    RowId,
+}
+
+/// Every column of a fuzz table, then ROWID.
+const ITEMS: [Item; 8] = [
+    Item::Key(KeyCol::Grp),
+    Item::Key(KeyCol::Id),
+    Item::Cell(Col::Doc),
+    Item::Cell(Col::Geom),
+    Item::Cell(Col::Img),
+    Item::Cell(Col::Mol),
+    Item::Cell(Col::Num),
+    Item::RowId,
+];
+
+impl Item {
+    pub fn sql(self) -> &'static str {
+        match self {
+            Item::Key(c) => c.name(),
+            Item::Cell(c) => c.name(),
+            Item::RowId => "ROWID",
+        }
+    }
+}
+
 /// One atomic predicate. Operator literal arguments are `Option` so the
 /// generator can inject NULL literals (a NULL operand makes the whole
 /// operator NULL under three-valued logic).
@@ -297,12 +328,19 @@ impl Pred {
     }
 }
 
-/// A generated query: `SELECT id[, SCORE(label)] FROM table WHERE pred
-/// [ORDER BY id LIMIT n]`.
+/// A generated query: `SELECT [DISTINCT] items[, SCORE(label)] FROM table
+/// WHERE pred [ORDER BY id LIMIT n]`.
 #[derive(Debug, Clone)]
 pub struct Query {
     pub table: &'static str,
     pub pred: Pred,
+    /// The select list: a non-empty list of distinct [`Item`]s — `id`
+    /// alone, or a random subset in random order, so the ORDER BY column
+    /// is often not selected.
+    pub items: Vec<Item>,
+    /// `SELECT DISTINCT`; never with `order_limit` or `select_score`,
+    /// whose rows it would make plan-dependent.
+    pub distinct: bool,
     /// Ancillary `SCORE(label)` select item; paired with a labeled atom.
     pub select_score: Option<i64>,
     /// `ORDER BY id LIMIT n` — id is unique, so the prefix is
@@ -314,15 +352,19 @@ impl Query {
     /// Render, optionally with a plan-forcing hint after SELECT.
     pub fn sql(&self, hint: Option<&str>) -> String {
         let hint = hint.map(|h| format!("/*+ {h} */ ")).unwrap_or_default();
-        let items = match self.select_score {
-            Some(l) => format!("id, SCORE({l})"),
-            None => "id".into(),
-        };
+        let distinct = if self.distinct { "DISTINCT " } else { "" };
+        let mut items: Vec<String> = self.items.iter().map(|i| i.sql().to_string()).collect();
+        items.extend(self.select_score.map(|l| format!("SCORE({l})")));
         let tail = match self.order_limit {
             Some(n) => format!(" ORDER BY id LIMIT {n}"),
             None => String::new(),
         };
-        format!("SELECT {hint}{items} FROM {} WHERE {}{tail}", self.table, self.pred.sql())
+        format!(
+            "SELECT {hint}{distinct}{} FROM {} WHERE {}{tail}",
+            items.join(", "),
+            self.table,
+            self.pred.sql()
+        )
     }
 
     /// The NoREC companion: same predicate, aggregated server-side.
@@ -407,6 +449,9 @@ const SLOTS: [IndexSlot; 10] = [
 
 struct WorkloadGen {
     rng: StdRng,
+    /// Draws every query's select list, so a seed's statements and
+    /// predicates are the same whatever its select lists are.
+    select_rng: StdRng,
     next_id: i64,
     corpus: CorpusGenerator,
     spatial: SpatialWorkload,
@@ -434,6 +479,7 @@ impl WorkloadGen {
         let frags = vec![mols.molecule(3), mols.molecule(4), mols.molecule(3)];
         WorkloadGen {
             rng: StdRng::seed_from_u64(seed),
+            select_rng: StdRng::seed_from_u64(seed ^ 0x73656c),
             next_id: 1,
             corpus: CorpusGenerator::new(50, 1.1, seed ^ 0x747874),
             spatial: SpatialWorkload::new(100.0, seed ^ 0x67656f),
@@ -671,7 +717,24 @@ impl WorkloadGen {
             }
         }
         let order_limit = self.rng.gen_bool(0.3).then(|| self.rng.gen_range(1..=8u64));
-        Query { table, pred, select_score, order_limit }
+        let (items, distinct) = self.select_list(select_score.is_none() && order_limit.is_none());
+        Query { table, pred, items, distinct, select_score, order_limit }
+    }
+
+    /// A select list: `id` alone for a third of the queries, else one to
+    /// four items of [`ITEMS`] in random order; DISTINCT on a quarter of
+    /// those that may have it.
+    fn select_list(&mut self, may_distinct: bool) -> (Vec<Item>, bool) {
+        let r = &mut self.select_rng;
+        if r.gen_bool(1.0 / 3.0) {
+            return (vec![Item::Key(KeyCol::Id)], false);
+        }
+        let mut items = ITEMS.to_vec();
+        for i in (1..items.len()).rev() {
+            items.swap(i, r.gen_range(0..=i));
+        }
+        items.truncate(r.gen_range(1..=4));
+        (items, may_distinct && r.gen_bool(0.25))
     }
 
     fn statement(&mut self) -> Stmt {
@@ -816,5 +879,22 @@ mod tests {
             })
         };
         assert!(both("grp ", "id ") && both("id ", "grp "), "key columns never bounded together");
+        // Select lists: every column and ROWID is selected somewhere,
+        // DISTINCT occurs, and some query orders by an id it does not select.
+        let queries: Vec<&Query> = w
+            .stmts
+            .iter()
+            .filter_map(|s| if let Stmt::Query(q) = s { Some(q) } else { None })
+            .collect();
+        let any = |f: &dyn Fn(&Query) -> bool| queries.iter().any(|q| f(q));
+        for item in ITEMS {
+            assert!(any(&|q| q.items.contains(&item)), "{item:?} never selected");
+        }
+        assert!(any(&|q| q.distinct && q.items.len() > 1), "no multi-column DISTINCT");
+        let unselected_order = |q: &Query| !q.items.contains(&Item::Key(KeyCol::Id));
+        assert!(
+            any(&|q| q.order_limit.is_some() && unselected_order(q)),
+            "no ORDER BY a column outside the select list"
+        );
     }
 }

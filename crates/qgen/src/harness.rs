@@ -3,8 +3,10 @@
 //! Every generated query runs through each reachable engine plan —
 //! optimizer's choice, `/*+ FULL */`, `/*+ NO_INDEX */`, and one
 //! `/*+ INDEX(t idx) */` per applicable index — plus the mirror
-//! interpreter, and all answers must agree. `COUNT(*)` over the same
-//! predicate (the NoREC construction) must match the row count too.
+//! interpreter, and all answers must agree: each against the mirror in
+//! the columns it models, and every value, ROWIDs included, against the
+//! first plan's. `COUNT(*)` over the same predicate (the NoREC
+//! construction) must match the accepted-row count too.
 //!
 //! With [`ChaosOpts::binds`] every variant also runs a second time, as the
 //! same text with its literals lifted to `?` binds ([`lift_binds`]), under
@@ -23,7 +25,7 @@ use extidx_sql::lexer::{lex, Token};
 use extidx_sql::{Database, DurableMedium, WAL_FAULT_POINTS};
 
 use crate::gen::{generate, Query, Stmt};
-use crate::interp::{apply_cell, query_ids, Mirror};
+use crate::interp::{answer_rows, apply_cell, query_rows, Mirror};
 
 /// Chaos switches for an oracle run. All are deterministic: batch
 /// dropping is stateless, and quarantine flips are keyed on the
@@ -197,23 +199,11 @@ pub(crate) fn forcible_indexes(db: &Database, q: &Query) -> Vec<String> {
     out
 }
 
-fn fmt_ids(ids: &[i64]) -> String {
-    let shown: Vec<String> = ids.iter().take(24).map(|i| i.to_string()).collect();
-    let ellipsis = if ids.len() > 24 { ", …" } else { "" };
-    format!("[{}{ellipsis}] ({} rows)", shown.join(", "), ids.len())
-}
-
-/// Extract the id column (always column 0) from engine rows. Ancillary
-/// SCORE columns are deliberately ignored: the functional and full-scan
-/// paths have no index scan to produce a score, so only row membership
-/// is comparable across paths.
-fn ids_of(rows: &[Vec<Value>]) -> Result<Vec<i64>, String> {
-    rows.iter()
-        .map(|r| match r.first() {
-            Some(Value::Integer(i)) => Ok(*i),
-            other => Err(format!("expected integer id column, got {other:?}")),
-        })
-        .collect()
+/// The first rows of an answer, one `(a|b|…)` each, and how many it has.
+pub(crate) fn fmt_rows(rows: &[Vec<String>]) -> String {
+    let shown: Vec<String> = rows.iter().take(24).map(|r| format!("({})", r.join("|"))).collect();
+    let ellipsis = if rows.len() > 24 { ", …" } else { "" };
+    format!("[{}{ellipsis}] ({} rows)", shown.join(", "), rows.len())
 }
 
 /// Each `(label, sql)` as itself, then — under [`ChaosOpts::binds`] — as
@@ -243,7 +233,7 @@ fn run_variant(db: &mut Database, v: &Lifted) -> extidx_common::Result<Vec<Vec<V
 /// Run one query through every path and compare. `Some(detail)` on the
 /// first disagreement.
 fn check_query(db: &mut Database, mirror: &Mirror, q: &Query, chaos: ChaosOpts) -> Option<String> {
-    let expected = query_ids(q, mirror);
+    let expected = query_rows(q, mirror);
     let expected_count = crate::interp::accepted_ids(q, mirror).len() as i64;
 
     let mut variants: Vec<(String, String)> = vec![
@@ -256,33 +246,39 @@ fn check_query(db: &mut Database, mirror: &Mirror, q: &Query, chaos: ChaosOpts) 
         variants.push((format!("index:{idx}"), q.sql(Some(&hint))));
     }
 
+    // Every variant's full answer, geometries, images and ROWIDs included,
+    // must equal the first one's.
+    let mut first: Option<(String, Vec<Vec<String>>)> = None;
     for (label, v) in &with_bind_forms(variants, chaos) {
         let Lifted { sql, binds, .. } = v;
-        let got = match run_variant(db, v) {
+        let [got, full] = match run_variant(db, v) {
             Err(e) => {
                 return Some(format!("variant [{label}] errored: {e}\n  sql: {sql}\n  binds: {binds:?}"))
             }
-            Ok(rows) => match ids_of(&rows) {
-                Ok(ids) => ids,
+            Ok(rows) => match answer_rows(q, &rows) {
+                Ok(forms) => forms,
                 Err(e) => return Some(format!("variant [{label}] bad row shape: {e}\n  sql: {sql}")),
             },
-        };
-        // Ordered comparison under ORDER BY id LIMIT n; bag comparison
-        // otherwise (ids are unique, so a sorted list is the bag).
-        let got = if q.order_limit.is_some() {
-            got
-        } else {
-            let mut g = got;
-            g.sort_unstable();
-            g
         };
         if got != expected {
             return Some(format!(
                 "variant [{label}] diverges from interpreter\n  sql: {sql}\n  binds: {binds:?}\n  \
                  expected {}\n  got      {}",
-                fmt_ids(&expected),
-                fmt_ids(&got)
+                fmt_rows(&expected),
+                fmt_rows(&got)
             ));
+        }
+        match &first {
+            None => first = Some((label.clone(), full)),
+            Some((first_label, want)) if full != *want => {
+                return Some(format!(
+                    "variant [{label}] diverges from [{first_label}]\n  sql: {sql}\n  \
+                     binds: {binds:?}\n  [{first_label}] {}\n  [{label}] {}",
+                    fmt_rows(want),
+                    fmt_rows(&full)
+                ));
+            }
+            Some(_) => {}
         }
     }
 

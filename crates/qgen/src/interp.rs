@@ -12,11 +12,12 @@
 use std::collections::BTreeMap;
 
 use extidx_chem::{Fingerprint, Molecule};
-use extidx_spatial::Mask;
+use extidx_common::Value;
+use extidx_spatial::{geometry_sql, Mask};
 use extidx_text::{query::parse_query, tokenizer};
 use extidx_vir::{Signature, Weights};
 
-use crate::gen::{Atom, Col, GenCell, GenRow, Pred, Query, HEAP, IOT};
+use crate::gen::{Atom, Col, GenCell, GenRow, Item, Pred, Query, HEAP, IOT};
 
 /// In-memory copies of both fuzz tables, keyed by the unique `id`.
 #[derive(Debug, Default, Clone)]
@@ -170,13 +171,84 @@ pub fn accepted_ids(q: &Query, mirror: &Mirror) -> Vec<i64> {
         .collect()
 }
 
-/// The query's expected id list: ascending, truncated by LIMIT.
-pub fn query_ids(q: &Query, mirror: &Mirror) -> Vec<i64> {
-    let mut ids = accepted_ids(q, mirror);
-    if let Some(n) = q.order_limit {
-        ids.truncate(n as usize);
+/// Whether the mirror models an item's values. A geometry, an image or a
+/// ROWID it only tells apart from NULL and from one another; their values
+/// are compared between the engine's plans instead.
+fn modelled(item: Item) -> bool {
+    !matches!(item, Item::Cell(Col::Geom | Col::Img) | Item::RowId)
+}
+
+/// One answer cell as the oracles compare it with the mirror: the value's
+/// display form if the mirror models the item, else `NULL` or `*`.
+fn shown(item: Item, v: &Value) -> String {
+    match v {
+        Value::Null => "NULL".into(),
+        v if modelled(item) => v.to_string(),
+        _ => "*".into(),
     }
-    ids
+}
+
+/// A mirror row's value of `item` as `(shown, identity)`: what
+/// [`shown`] makes of the engine's cell, and what tells the row's value
+/// apart from others' for DISTINCT.
+fn mirror_cell(item: Item, row: &GenRow) -> (String, String) {
+    let v = match item {
+        Item::Key(c) => c.of(row.id).map_or(Value::Null, Value::Integer),
+        Item::Cell(Col::Doc) => row.doc.clone().map_or(Value::Null, Value::from),
+        Item::Cell(Col::Mol) => row.mol.clone().map_or(Value::Null, Value::from),
+        Item::Cell(Col::Num) => row.num.map_or(Value::Null, Value::Number),
+        Item::Cell(Col::Geom) => row.geom.as_ref().map_or(Value::Null, |g| geometry_sql(g).into()),
+        Item::Cell(Col::Img) => row.img.clone().map_or(Value::Null, Value::from),
+        // Rowids are unique, like ids.
+        Item::RowId => Value::Integer(row.id),
+    };
+    (shown(item, &v), v.to_string())
+}
+
+/// The query's expected answer as [`answer_rows`] renders the engine's:
+/// ascending by id and truncated by LIMIT under `ORDER BY id LIMIT n`,
+/// else deduplicated under DISTINCT and sorted.
+pub fn query_rows(q: &Query, mirror: &Mirror) -> Vec<Vec<String>> {
+    let rows = mirror.table(q.table).values();
+    let accepted = rows.filter(|row| eval_pred(&q.pred, row) == Some(true));
+    let cells = accepted.map(|row| -> (Vec<String>, Vec<String>) {
+        q.items.iter().map(|&i| mirror_cell(i, row)).unzip()
+    });
+    let mut rows: Vec<Vec<String>> = match q.order_limit {
+        Some(n) => return cells.take(n as usize).map(|(shown, _)| shown).collect(),
+        None if q.distinct => {
+            let mut seen = BTreeMap::new();
+            for (shown, identity) in cells {
+                seen.entry(identity).or_insert(shown);
+            }
+            seen.into_values().collect()
+        }
+        None => cells.map(|(shown, _)| shown).collect(),
+    };
+    rows.sort();
+    rows
+}
+
+/// An engine answer to `q` in the two forms the oracles compare: as
+/// [`query_rows`] renders the mirror's, and every cell's display form, for
+/// comparing the engine's plans with one another. Ordered under `ORDER BY
+/// id LIMIT n`, sorted otherwise. A SCORE column is dropped: only an index
+/// scan produces one.
+pub fn answer_rows(q: &Query, rows: &[Vec<Value>]) -> Result<[Vec<Vec<String>>; 2], String> {
+    let width = q.items.len() + usize::from(q.select_score.is_some());
+    let mut forms = [Vec::with_capacity(rows.len()), Vec::with_capacity(rows.len())];
+    for r in rows {
+        if r.len() != width {
+            return Err(format!("expected {width} columns, got {r:?}"));
+        }
+        let cells = q.items.iter().zip(r);
+        forms[0].push(cells.clone().map(|(&i, v)| shown(i, v)).collect());
+        forms[1].push(cells.map(|(_, v)| v.to_string()).collect());
+    }
+    if q.order_limit.is_none() {
+        forms.iter_mut().for_each(|f| f.sort());
+    }
+    Ok(forms)
 }
 
 #[cfg(test)]

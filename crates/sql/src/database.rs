@@ -1740,10 +1740,8 @@ impl Database {
         let snap = self.storage.current_snapshot();
         let scratch = std::cell::RefCell::new(SessionScratch::default());
         let ecx = Exec::new(&*self, &scratch, snap, binds);
-        let plan = self.stmts.plan(p, &ecx, |ecx| {
-            let root = optimizer::plan_dml_scan(ecx, tdef, where_clause)?;
-            Ok(PlannedQuery::new(root, Vec::new()))
-        })?;
+        let plan =
+            self.stmts.plan(p, &ecx, |ecx| optimizer::plan_dml_scan(ecx, tdef, where_clause))?;
         let mut exec = executor::build(&plan.root);
         let col_count = tdef.columns.len();
         let mut out = Vec::new();

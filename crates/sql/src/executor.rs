@@ -38,8 +38,8 @@ use extidx_storage::{SegmentId, Snapshot, StorageEngine};
 
 use crate::catalog::{Catalog, TableDef, TableOrg};
 use crate::exec_ctx::{odci_call, Callee, Exec, Lane};
-use crate::expr::{eval, filter_accepts, AggKind, EvalCtx, ExecRow, RExpr};
-use crate::plan::{value_of, FilterTerm, KeyBound, PlanKind, PlanNode};
+use crate::expr::{eval, filter_accepts, AggKind, EvalCtx, ExecRow, RExpr, Slots};
+use crate::plan::{value_of, FilterTerm, KeyBound, PlanKind, PlanNode, Projection, ReadSet};
 
 /// The largest possible rowid — used as an upper key pad so inclusive
 /// B-tree bounds cover every `(key, rowid)` entry of the bound key.
@@ -136,26 +136,49 @@ fn take_front(queue: &mut VecDeque<ExecRow>, max_rows: usize) -> RowBatch {
 
 /// Rowid→row join shared by every rowid-producing access path: resolve
 /// `rids` against `table` under the statement's snapshot in one
-/// page-ordered multi-fetch, aligned with the input. A rowid may resolve
-/// to an older displaced version, or to nothing at all (version not
-/// visible) — `None`, which callers skip like a non-match. Visible rows
-/// carry their rowid in the hidden trailing ROWID column.
-fn fetch_visible(db: &Exec<'_>, table: &str, rids: &[RowId]) -> Result<Vec<Option<ExecRow>>> {
+/// page-ordered multi-fetch, aligned with the input, each row borrowed
+/// from storage. A rowid may resolve to an older displaced version, or to
+/// nothing at all (version not visible) — `None`, which callers skip like
+/// a non-match.
+fn fetch_visible<'a>(
+    db: &'a Exec<'_>,
+    table: &str,
+    rids: &[RowId],
+) -> Result<Vec<Option<&'a Row>>> {
     let tdef = db.catalog.table(table)?;
-    let joined = match tdef.org {
-        TableOrg::Heap => db.storage.heap_fetch_multi(tdef.seg, rids, &db.snap)?,
-        TableOrg::Index { .. } => db.storage.iot_fetch_multi(tdef.seg, rids, &db.snap)?,
-    };
-    Ok(joined
-        .into_iter()
-        .zip(rids)
-        .map(|(values, &rid)| {
-            values.map(|mut v| {
-                v.push(Value::RowId(rid));
-                ExecRow::new(v)
-            })
-        })
-        .collect())
+    match tdef.org {
+        TableOrg::Heap => db.storage.heap_fetch_multi(tdef.seg, rids, &db.snap),
+        TableOrg::Index { .. } => db.storage.iot_fetch_multi(tdef.seg, rids, &db.snap),
+    }
+}
+
+/// The one copy of a storage row into the executor: the columns `reads`
+/// names are cloned, every other column is carried as NULL, and the
+/// hidden trailing ROWID slot holds `rid` when it is read.
+fn exec_row(reads: &ReadSet, rid: RowId, row: &Row) -> ExecRow {
+    let mut values = Vec::with_capacity(row.len() + 1);
+    let kept = |(i, v): (usize, &Value)| if reads.reads(i) { v.clone() } else { Value::Null };
+    values.extend(row.iter().enumerate().map(kept));
+    values.push(if reads.reads(row.len()) { Value::RowId(rid) } else { Value::Null });
+    ExecRow::new(values)
+}
+
+/// A visited storage row, borrowed where it lies: what a fused Filter
+/// tests before anything of it is copied. Its last slot is the hidden
+/// ROWID; a stored row carries no ancillary data.
+struct StoredRow<'r> {
+    row: &'r Row,
+    rowid: Value,
+}
+
+impl Slots for StoredRow<'_> {
+    fn slot(&self, i: usize) -> Option<&Value> {
+        self.row.get(i).or((i == self.row.len()).then_some(&self.rowid))
+    }
+
+    fn ancillary_for(&self, _label: i64) -> Option<&Value> {
+        None
+    }
 }
 
 /// Concatenate an outer and an inner row (values and ancillary data).
@@ -191,18 +214,26 @@ pub fn build_instrumented(plan: &PlanNode) -> (Box<dyn ExecNode>, Vec<Arc<NodeSt
 fn build_node(plan: &PlanNode, cells: &mut Option<Vec<Arc<NodeStats>>>) -> Box<dyn ExecNode> {
     // Pre-order: allocate this node's cell before descending, mirroring
     // `explain_into` (self line first, then children left-to-right).
-    let stats = cells.as_mut().map(|v| {
-        let s: Arc<NodeStats> = Arc::default();
-        v.push(s.clone());
-        s
-    });
+    let mut cell = || {
+        cells.as_mut().map(|v| {
+            let s: Arc<NodeStats> = Arc::default();
+            v.push(s.clone());
+            s
+        })
+    };
+    let stats = cell();
     let inner: Box<dyn ExecNode> = match &plan.kind {
-        PlanKind::FullScan { .. } => Box::<FullScanExec>::default(),
-        PlanKind::IotFullScan { .. } | PlanKind::IotRange { .. } => {
-            Box::new(IotScanExec { cursor: None })
+        PlanKind::FullScan { .. }
+        | PlanKind::IotFullScan { .. }
+        | PlanKind::IotRange { .. }
+        | PlanKind::BTreeAccess { .. }
+        | PlanKind::RowIdEq { .. } => Box::new(ScanExec::new(&plan.kind, None)),
+        // A Filter over such an access runs inside it; the access's
+        // EXPLAIN ANALYZE line, which follows the FILTER line, gets its
+        // own cell.
+        PlanKind::Filter { input, .. } if reads_in_place(&input.kind) => {
+            Box::new(ScanExec::new(&input.kind, cell()))
         }
-        PlanKind::BTreeAccess { .. } => Box::new(BTreeAccessExec { cursor: None }),
-        PlanKind::RowIdEq { .. } => Box::new(RowIdEqExec { done: false }),
         PlanKind::RowCount { .. } => Box::new(RowCountExec { done: false }),
         PlanKind::View { .. } => Box::new(ViewExec { rows: None, idx: 0 }),
         PlanKind::DomainScan { .. } => Box::<DomainScanExec>::default(),
@@ -295,6 +326,31 @@ impl NodeStats {
             physical_writes: self.physical_writes.load(Ordering::Relaxed),
         }
     }
+
+    /// Run `batch` — one batch of the node these counters describe — and
+    /// add what it cost: a batch, its wall time and buffer-cache deltas,
+    /// and `rows(out)` rows when it succeeds.
+    fn time<T>(
+        &self,
+        db: &Exec<'_>,
+        batch: impl FnOnce() -> Result<T>,
+        rows: impl FnOnce(&T) -> usize,
+    ) -> Result<T> {
+        let cache_before = db.cache_stats();
+        let started = Instant::now();
+        let out = batch();
+        let elapsed = started.elapsed().as_nanos() as u64;
+        let delta = db.cache_stats().since(&cache_before);
+        self.batches.fetch_add(1, Ordering::Relaxed);
+        self.elapsed_nanos.fetch_add(elapsed, Ordering::Relaxed);
+        self.logical_reads.fetch_add(delta.logical_reads, Ordering::Relaxed);
+        self.physical_reads.fetch_add(delta.physical_reads, Ordering::Relaxed);
+        self.physical_writes.fetch_add(delta.physical_writes, Ordering::Relaxed);
+        if let Ok(out) = &out {
+            self.rows.fetch_add(rows(out) as u64, Ordering::Relaxed);
+        }
+        out
+    }
 }
 
 /// Wrapper recording rows, batches, wall time, and buffer-get deltas around
@@ -309,19 +365,8 @@ struct InstrumentExec {
 
 impl ExecNode for InstrumentExec {
     fn next_batch(&mut self, plan: &PlanNode, db: &Exec<'_>, max_rows: usize) -> Result<RowBatch> {
-        let cache_before = db.cache_stats();
-        let started = Instant::now();
-        let out = self.inner.next_batch(plan, db, max_rows);
-        let elapsed = started.elapsed().as_nanos() as u64;
-        let delta = db.cache_stats().since(&cache_before);
-        self.stats.batches.fetch_add(1, Ordering::Relaxed);
-        self.stats.elapsed_nanos.fetch_add(elapsed, Ordering::Relaxed);
-        self.stats.logical_reads.fetch_add(delta.logical_reads, Ordering::Relaxed);
-        self.stats.physical_reads.fetch_add(delta.physical_reads, Ordering::Relaxed);
-        self.stats.physical_writes.fetch_add(delta.physical_writes, Ordering::Relaxed);
-        if let Ok(b) = &out {
-            self.stats.rows.fetch_add(b.rows.len() as u64, Ordering::Relaxed);
-        }
+        let inner = &mut self.inner;
+        let out = self.stats.time(db, || inner.next_batch(plan, db, max_rows), |b| b.rows.len());
         self.stats.pages_pruned.store(self.inner.pages_pruned(), Ordering::Relaxed);
         out
     }
@@ -354,19 +399,17 @@ pub(crate) struct HeapWalk {
 }
 
 impl HeapWalk {
-    /// The next up-to-`max_rows` rows visible under `snap`, each as
-    /// `project(rowid, row)` — the row is borrowed, so callers clone only
-    /// what they keep. Fewer than `max_rows` means the segment ended.
-    /// `skip_page` is asked once per page, on first entry and before any
-    /// read is charged.
-    fn next_rows<T>(
+    /// The next up-to-`max_rows` rows visible under `snap`, each with its
+    /// rowid — borrowed, so callers clone only what they keep. Fewer than
+    /// `max_rows` means the segment ended. `skip_page` is asked once per
+    /// page, on first entry and before any read is charged.
+    fn next_rows<'a>(
         &mut self,
-        storage: &StorageEngine,
-        snap: &Snapshot,
+        storage: &'a StorageEngine,
+        snap: &'a Snapshot,
         max_rows: usize,
         mut skip_page: impl FnMut(u32) -> bool,
-        mut project: impl FnMut(RowId, &Row) -> T,
-    ) -> Result<Vec<T>> {
+    ) -> Result<Vec<(RowId, &'a Row)>> {
         let mut out = Vec::new();
         while out.len() < max_rows {
             if self.slot == 0 && skip_page(self.page) {
@@ -377,7 +420,7 @@ impl HeapWalk {
                 break;
             };
             for (rid, row) in rows {
-                out.push(project(rid, row));
+                out.push((rid, row));
                 if out.len() == max_rows {
                     self.slot = rid.slot + 1;
                     return Ok(out);
@@ -434,16 +477,15 @@ impl IotCursor {
         Ok(IotCursor { done: reversed, ..cursor })
     }
 
-    /// The next up-to-`max_rows` rows visible under `snap`, each as
-    /// `project(rowid, row)` — the row is borrowed, so callers clone only
-    /// what they keep. Fewer than `max_rows` means the range ended.
-    fn next_rows<T>(
+    /// The next up-to-`max_rows` rows visible under `snap`, each with its
+    /// rowid — borrowed, so callers clone only what they keep. Fewer than
+    /// `max_rows` means the range ended.
+    fn next_rows<'a>(
         &mut self,
-        storage: &StorageEngine,
+        storage: &'a StorageEngine,
         snap: &Snapshot,
         max_rows: usize,
-        mut project: impl FnMut(RowId, &Row) -> T,
-    ) -> Result<Vec<T>> {
+    ) -> Result<Vec<(RowId, &'a Row)>> {
         if self.done {
             return Ok(Vec::new());
         }
@@ -458,7 +500,7 @@ impl IotCursor {
         if let Some(&(_, last, _)) = batch.last() {
             self.after = Some(last.clone());
         }
-        Ok(batch.into_iter().map(|(rid, _, row)| project(rid, row)).collect())
+        Ok(batch.into_iter().map(|(rid, _, row)| (rid, row)).collect())
     }
 }
 
@@ -504,12 +546,129 @@ impl BaseScan {
         storage: &StorageEngine,
         snap: &Snapshot,
         batch_size: usize,
-        project: impl FnMut(RowId, &Row) -> T,
+        mut project: impl FnMut(RowId, &Row) -> T,
     ) -> Result<Vec<T>> {
         let batch_size = batch_size.max(1);
-        match self {
-            BaseScan::Heap(walk) => walk.next_rows(storage, snap, batch_size, |_| false, project),
-            BaseScan::Iot(cursor) => cursor.next_rows(storage, snap, batch_size, project),
+        let rows = match self {
+            BaseScan::Heap(walk) => walk.next_rows(storage, snap, batch_size, |_| false)?,
+            BaseScan::Iot(cursor) => cursor.next_rows(storage, snap, batch_size)?,
+        };
+        Ok(rows.into_iter().map(|(rid, row)| project(rid, row)).collect())
+    }
+}
+
+/// The execution state of an access that reads stored rows in place — a
+/// heap full scan, an IOT scan or key range, a B-tree range, a rowid
+/// fetch. It only visits rows; [`ScanExec`] tests and copies them.
+trait Access: Send {
+    /// The next up-to-`max_rows` rows of `plan` visible to the statement,
+    /// each with its rowid, borrowed from storage; none means exhausted.
+    fn visit<'a>(
+        &mut self,
+        plan: &PlanNode,
+        db: &'a Exec<'_>,
+        max_rows: usize,
+    ) -> Result<Vec<(RowId, &'a Row)>>;
+
+    /// Rewind to the first row.
+    fn reset(&mut self);
+
+    /// Pages skipped via zone maps (heap full scans only).
+    fn pages_pruned(&self) -> u64 {
+        0
+    }
+}
+
+/// Whether `kind` reads stored rows in place: every base access but a
+/// domain scan, whose rows arrive by rowid one `ODCIIndexFetch` at a time.
+fn reads_in_place(kind: &PlanKind) -> bool {
+    matches!(
+        kind,
+        PlanKind::FullScan { .. }
+            | PlanKind::IotFullScan { .. }
+            | PlanKind::IotRange { .. }
+            | PlanKind::BTreeAccess { .. }
+            | PlanKind::RowIdEq { .. }
+    )
+}
+
+/// A stored-row access with the Filter above it, if there is one, fused
+/// in: each visited row is tested where it lies in storage, and only the
+/// rows that pass are copied — only the columns the plan reads (the
+/// access's [`ReadSet`]). The same state runs a bare access (its own plan
+/// node, no terms) and a fused one (the Filter's node); the batches are
+/// the bare access's, so term order, short-circuiting and the rows each
+/// batch visits are what a Filter pulling from the access would see.
+struct ScanExec {
+    access: Box<dyn Access>,
+    /// EXPLAIN ANALYZE of a fused Filter: the access line's counters —
+    /// rows visited there, survivors on the FILTER line.
+    access_stats: Option<Arc<NodeStats>>,
+}
+
+impl ScanExec {
+    fn new(kind: &PlanKind, access_stats: Option<Arc<NodeStats>>) -> Self {
+        let access: Box<dyn Access> = match kind {
+            PlanKind::FullScan { .. } => Box::<FullScanExec>::default(),
+            PlanKind::IotFullScan { .. } | PlanKind::IotRange { .. } => {
+                Box::new(IotScanExec { cursor: None })
+            }
+            PlanKind::BTreeAccess { .. } => Box::new(BTreeAccessExec { cursor: None }),
+            PlanKind::RowIdEq { .. } => Box::new(RowIdEqExec { done: false }),
+            _ => unreachable!("a scan state built for a plan node that is not a stored access"),
+        };
+        ScanExec { access, access_stats }
+    }
+}
+
+impl ExecNode for ScanExec {
+    fn next_batch(&mut self, plan: &PlanNode, db: &Exec<'_>, max_rows: usize) -> Result<RowBatch> {
+        // Conjuncts arrive in optimizer-chosen (cost-ordered) order.
+        let (access, terms) = match &plan.kind {
+            PlanKind::Filter { input, terms, .. } => (input.as_ref(), terms.as_slice()),
+            _ => (plan, &[][..]),
+        };
+        let reads = access.kind.read_set().expect("a stored access has a read set");
+        let ctx = db.eval_ctx();
+        // Keep visiting until at least one row survives (or the access is
+        // exhausted) — an empty batch means "done" upstream.
+        loop {
+            let visited = match &self.access_stats {
+                None => self.access.visit(access, db, max_rows)?,
+                Some(stats) => {
+                    let access_state = &mut self.access;
+                    let visit = || access_state.visit(access, db, max_rows);
+                    let visited = stats.time(db, visit, Vec::len)?;
+                    stats.pages_pruned.store(self.access.pages_pruned(), Ordering::Relaxed);
+                    visited
+                }
+            };
+            let mut rows = Vec::with_capacity(if terms.is_empty() { visited.len() } else { 0 });
+            for &(rid, row) in &visited {
+                let stored = StoredRow { row, rowid: Value::RowId(rid) };
+                if terms.is_empty() || accepts(terms, &stored, &ctx)? {
+                    rows.push(exec_row(reads, rid, row));
+                }
+            }
+            if visited.is_empty() || !rows.is_empty() {
+                return Ok(RowBatch { rows });
+            }
+        }
+    }
+
+    fn reset(&mut self, _db: &Exec<'_>) -> Result<()> {
+        self.access.reset();
+        Ok(())
+    }
+
+    /// Read by EXPLAIN ANALYZE only. A fused state answers for its FILTER
+    /// line, which skips no page; its access line is counted through
+    /// `access_stats`.
+    fn pages_pruned(&self) -> u64 {
+        if self.access_stats.is_some() {
+            0
+        } else {
+            self.access.pages_pruned()
         }
     }
 }
@@ -525,8 +684,13 @@ struct FullScanExec {
     pruned: u64,
 }
 
-impl ExecNode for FullScanExec {
-    fn next_batch(&mut self, plan: &PlanNode, db: &Exec<'_>, max_rows: usize) -> Result<RowBatch> {
+impl Access for FullScanExec {
+    fn visit<'a>(
+        &mut self,
+        plan: &PlanNode,
+        db: &'a Exec<'_>,
+        max_rows: usize,
+    ) -> Result<Vec<(RowId, &'a Row)>> {
         plan_of!(plan, PlanKind::FullScan { table, prune, .. });
         let walk = match &mut self.walk {
             Some(w) => w,
@@ -563,18 +727,11 @@ impl ExecNode for FullScanExec {
         // image with the version this statement's snapshot may see —
         // possibly a displaced older version, possibly nothing
         // (uncommitted insert, or a delete committed before us).
-        let rows = walk.next_rows(&db.storage, &db.snap, max_rows, zone_excluded, |rid, row| {
-            let mut values = Vec::with_capacity(row.len() + 1);
-            values.extend_from_slice(row);
-            values.push(Value::RowId(rid));
-            ExecRow::new(values)
-        })?;
-        Ok(RowBatch { rows })
+        walk.next_rows(&db.storage, &db.snap, max_rows, zone_excluded)
     }
 
-    fn reset(&mut self, _db: &Exec<'_>) -> Result<()> {
+    fn reset(&mut self) {
         self.walk = None;
-        Ok(())
     }
 
     fn pages_pruned(&self) -> u64 {
@@ -589,11 +746,16 @@ struct IotScanExec {
     cursor: Option<IotCursor>,
 }
 
-impl ExecNode for IotScanExec {
-    fn next_batch(&mut self, plan: &PlanNode, db: &Exec<'_>, max_rows: usize) -> Result<RowBatch> {
+impl Access for IotScanExec {
+    fn visit<'a>(
+        &mut self,
+        plan: &PlanNode,
+        db: &'a Exec<'_>,
+        max_rows: usize,
+    ) -> Result<Vec<(RowId, &'a Row)>> {
         let (table, lo, hi) = match &plan.kind {
             PlanKind::IotFullScan { table, .. } => (table, None, None),
-            PlanKind::IotRange { table, lo, hi } => (table, lo.as_ref(), hi.as_ref()),
+            PlanKind::IotRange { table, lo, hi, .. } => (table, lo.as_ref(), hi.as_ref()),
             _ => unreachable!("executor state run against a plan node of another kind"),
         };
         let cursor = match &mut self.cursor {
@@ -613,18 +775,11 @@ impl ExecNode for IotScanExec {
                 self.cursor.insert(IotCursor::over(db, tdef.seg, lo, hi, pad)?)
             }
         };
-        let rows = cursor.next_rows(&db.storage, &db.snap, max_rows, |rid, row| {
-            let mut values = Vec::with_capacity(row.len() + 1);
-            values.extend_from_slice(row);
-            values.push(Value::RowId(rid));
-            ExecRow::new(values)
-        })?;
-        Ok(RowBatch { rows })
+        cursor.next_rows(&db.storage, &db.snap, max_rows)
     }
 
-    fn reset(&mut self, _db: &Exec<'_>) -> Result<()> {
+    fn reset(&mut self) {
         self.cursor = None;
-        Ok(())
     }
 }
 
@@ -634,8 +789,13 @@ struct BTreeAccessExec {
     cursor: Option<IotCursor>,
 }
 
-impl ExecNode for BTreeAccessExec {
-    fn next_batch(&mut self, plan: &PlanNode, db: &Exec<'_>, max_rows: usize) -> Result<RowBatch> {
+impl Access for BTreeAccessExec {
+    fn visit<'a>(
+        &mut self,
+        plan: &PlanNode,
+        db: &'a Exec<'_>,
+        max_rows: usize,
+    ) -> Result<Vec<(RowId, &'a Row)>> {
         plan_of!(plan, PlanKind::BTreeAccess { table, index, lo, hi, .. });
         let cursor = match &mut self.cursor {
             Some(c) => c,
@@ -657,19 +817,19 @@ impl ExecNode for BTreeAccessExec {
         // pulling entry batches until one yields a row.
         let mut rows = Vec::new();
         while rows.is_empty() {
-            let rids = cursor.next_rows(&db.storage, &db.snap, max_rows, |_, e| e[1].as_rowid())?;
-            if rids.is_empty() {
+            let entries = cursor.next_rows(&db.storage, &db.snap, max_rows)?;
+            if entries.is_empty() {
                 break;
             }
-            let rids = rids.into_iter().collect::<Result<Vec<_>>>()?;
-            rows.extend(fetch_visible(db, table, &rids)?.into_iter().flatten());
+            let rids = entries.iter().map(|(_, e)| e[1].as_rowid()).collect::<Result<Vec<_>>>()?;
+            let fetched = fetch_visible(db, table, &rids)?;
+            rows.extend(rids.into_iter().zip(fetched).filter_map(|(rid, row)| Some((rid, row?))));
         }
-        Ok(RowBatch { rows })
+        Ok(rows)
     }
 
-    fn reset(&mut self, _db: &Exec<'_>) -> Result<()> {
+    fn reset(&mut self) {
         self.cursor = None;
-        Ok(())
     }
 }
 
@@ -746,11 +906,16 @@ struct RowIdEqExec {
     done: bool,
 }
 
-impl ExecNode for RowIdEqExec {
-    fn next_batch(&mut self, plan: &PlanNode, db: &Exec<'_>, _max_rows: usize) -> Result<RowBatch> {
-        plan_of!(plan, PlanKind::RowIdEq { table, rid });
+impl Access for RowIdEqExec {
+    fn visit<'a>(
+        &mut self,
+        plan: &PlanNode,
+        db: &'a Exec<'_>,
+        _max_rows: usize,
+    ) -> Result<Vec<(RowId, &'a Row)>> {
+        plan_of!(plan, PlanKind::RowIdEq { table, rid, .. });
         if std::mem::replace(&mut self.done, true) {
-            return Ok(RowBatch::default());
+            return Ok(Vec::new());
         }
         // Only the storage fetch may fail quietly (stale rowid ⇒ no row);
         // an unknown table is still an error.
@@ -758,15 +923,14 @@ impl ExecNode for RowIdEqExec {
         // A bind holding anything but a rowid matches nothing, as the
         // comparison `ROWID = ?` would not.
         let Value::RowId(rid) = value_of(rid, &db.eval_ctx())? else {
-            return Ok(RowBatch::default());
+            return Ok(Vec::new());
         };
         let row = fetch_visible(db, table, &[rid]).ok().and_then(|mut v| v.pop().flatten());
-        Ok(RowBatch { rows: row.into_iter().collect() })
+        Ok(row.map(|row| (rid, row)).into_iter().collect())
     }
 
-    fn reset(&mut self, _db: &Exec<'_>) -> Result<()> {
+    fn reset(&mut self) {
         self.done = false;
-        Ok(())
     }
 }
 
@@ -782,15 +946,22 @@ struct DomainTarget<'p> {
     operator: &'p str,
     bound: &'p PredicateBound,
     label: Option<i64>,
+    reads: &'p ReadSet,
 }
 
 impl<'p> DomainTarget<'p> {
     fn of(plan: &'p PlanNode) -> Self {
         match &plan.kind {
-            PlanKind::DomainScan { table, index, operator, bound, label, .. }
-            | PlanKind::DomainJoin { right_table: table, index, operator, bound, label, .. } => {
-                DomainTarget { table, index, operator, bound, label: *label }
-            }
+            PlanKind::DomainScan { table, index, operator, bound, label, reads, .. }
+            | PlanKind::DomainJoin {
+                right_table: table,
+                index,
+                operator,
+                bound,
+                label,
+                reads,
+                ..
+            } => DomainTarget { table, index, operator, bound, label: *label, reads },
             _ => unreachable!("executor state run against a plan node of another kind"),
         }
     }
@@ -957,7 +1128,8 @@ impl DomainScanExec {
             let rids: Vec<RowId> = result.rows.iter().map(|fr| fr.rowid).collect();
             let joined = fetch_visible(db, t.table, &rids)?;
             for (fr, row) in result.rows.into_iter().zip(joined) {
-                let Some(mut row) = row else { continue };
+                let Some(row) = row else { continue };
+                let mut row = exec_row(t.reads, fr.rowid, row);
                 if let (Some(label), Some(v)) = (t.label, fr.ancillary) {
                     row.ancillary.push((label, v));
                 }
@@ -1206,7 +1378,7 @@ struct FilterExec {
 /// non-TRUE (FALSE or NULL) result — sound under any term order, since
 /// three-valued AND is commutative and a row qualifies only when every
 /// conjunct is TRUE.
-fn accepts(terms: &[FilterTerm], row: &ExecRow, ctx: &EvalCtx) -> Result<bool> {
+fn accepts(terms: &[FilterTerm], row: &impl Slots, ctx: &EvalCtx) -> Result<bool> {
     for t in terms {
         if !filter_accepts(&eval(&t.pred, row, ctx)?) {
             return Ok(false);
@@ -1252,20 +1424,34 @@ struct ProjectExec {
     input: Box<dyn ExecNode>,
 }
 
+/// Each output row is made in its input row, whose values (and ancillary
+/// data) it takes over: see [`Projection`].
 impl ExecNode for ProjectExec {
     fn next_batch(&mut self, plan: &PlanNode, db: &Exec<'_>, max_rows: usize) -> Result<RowBatch> {
-        plan_of!(plan, PlanKind::Project { input, exprs });
-        let batch = self.input.next_batch(input, db, max_rows)?;
+        plan_of!(plan, PlanKind::Project { input, exprs, shape });
+        let mut batch = self.input.next_batch(input, db, max_rows)?;
         let ctx = db.eval_ctx();
-        let mut rows = Vec::with_capacity(batch.rows.len());
-        for row in batch.rows {
-            let values: Vec<Value> =
-                exprs.iter().map(|e| eval(e, &row, &ctx)).collect::<Result<_>>()?;
-            let mut out = ExecRow::new(values);
-            out.ancillary = row.ancillary;
-            rows.push(out);
+        for row in &mut batch.rows {
+            match shape {
+                Projection::Permute(swaps) => {
+                    for &(a, b) in swaps {
+                        row.values.swap(a, b);
+                    }
+                    row.values.truncate(exprs.len());
+                }
+                Projection::Build(moves) => {
+                    let mut values = Vec::with_capacity(exprs.len());
+                    for (e, m) in exprs.iter().zip(moves) {
+                        values.push(match m {
+                            Some(s) => std::mem::replace(&mut row.values[*s], Value::Null),
+                            None => eval(e, &*row, &ctx)?,
+                        });
+                    }
+                    row.values = values;
+                }
+            }
         }
-        Ok(RowBatch { rows })
+        Ok(batch)
     }
 
     fn reset(&mut self, db: &Exec<'_>) -> Result<()> {

@@ -105,9 +105,25 @@ impl ExecRow {
     pub fn new(values: Vec<Value>) -> Self {
         ExecRow { values, ancillary: Vec::new() }
     }
+}
+
+/// What an expression reads a row through: its slots, and the ancillary
+/// data a domain scan attached. An [`ExecRow`] is one; so is a storage row
+/// the executor tests in place, before (and instead of) copying it.
+pub trait Slots {
+    /// The value in slot `i`, if the row has that many.
+    fn slot(&self, i: usize) -> Option<&Value>;
 
     /// Look up ancillary data by label.
-    pub fn ancillary_for(&self, label: i64) -> Option<&Value> {
+    fn ancillary_for(&self, label: i64) -> Option<&Value>;
+}
+
+impl Slots for ExecRow {
+    fn slot(&self, i: usize) -> Option<&Value> {
+        self.values.get(i)
+    }
+
+    fn ancillary_for(&self, label: i64) -> Option<&Value> {
         self.ancillary.iter().find(|(l, _)| *l == label).map(|(_, v)| v)
     }
 }
@@ -175,6 +191,35 @@ impl std::fmt::Debug for RExpr {
             RExpr::ObjectCtor { type_name, args } => write!(f, "New({type_name}, {args:?})"),
             RExpr::VArrayCtor { args } => write!(f, "VArray({args:?})"),
             RExpr::Score { label } => write!(f, "Score({label})"),
+        }
+    }
+}
+
+impl RExpr {
+    /// Call `f` with every slot this expression reads.
+    pub(crate) fn visit_slots(&self, f: &mut dyn FnMut(usize)) {
+        match self {
+            RExpr::Slot(i) => f(*i),
+            RExpr::Const(_) | RExpr::Param(_) | RExpr::Score { .. } => {}
+            RExpr::Attr(e, _) | RExpr::Unary(_, e) | RExpr::IsNull(e, _) => e.visit_slots(f),
+            RExpr::Binary(_, a, b) => {
+                a.visit_slots(f);
+                b.visit_slots(f);
+            }
+            RExpr::Between(a, b, c) => {
+                a.visit_slots(f);
+                b.visit_slots(f);
+                c.visit_slots(f);
+            }
+            RExpr::InList(a, list) => {
+                a.visit_slots(f);
+                list.iter().for_each(|e| e.visit_slots(f));
+            }
+            RExpr::OperatorCall { args, .. }
+            | RExpr::FuncCall { args, .. }
+            | RExpr::BuiltinCall { args, .. }
+            | RExpr::ObjectCtor { args, .. }
+            | RExpr::VArrayCtor { args } => args.iter().for_each(|e| e.visit_slots(f)),
         }
     }
 }
@@ -299,7 +344,7 @@ fn compile_call(name: &str, args: &[Expr], scope: &Scope, catalog: &Catalog) -> 
 ///
 /// `ctx` supplies LOB access for functional operator implementations and
 /// object-type metadata for attribute resolution.
-pub fn eval(expr: &RExpr, row: &ExecRow, ctx: &EvalCtx<'_>) -> Result<Value> {
+pub fn eval<R: Slots + ?Sized>(expr: &RExpr, row: &R, ctx: &EvalCtx<'_>) -> Result<Value> {
     Ok(match expr {
         RExpr::Const(v) => v.clone(),
         RExpr::Param(i) => match ctx.binds.get(*i) {
@@ -307,8 +352,7 @@ pub fn eval(expr: &RExpr, row: &ExecRow, ctx: &EvalCtx<'_>) -> Result<Value> {
             None => return Err(missing_bind(*i, ctx.binds.len())),
         },
         RExpr::Slot(i) => row
-            .values
-            .get(*i)
+            .slot(*i)
             .cloned()
             .ok_or_else(|| Error::Semantic(format!("row has no slot {i}")))?,
         RExpr::Attr(inner, attr) => {
@@ -430,7 +474,13 @@ fn missing_bind(index: usize, supplied: usize) -> Error {
     Error::Semantic(format!("bind placeholder {index} has no value ({supplied} supplied)"))
 }
 
-fn eval_binary(op: BinOp, a: &RExpr, b: &RExpr, row: &ExecRow, ctx: &EvalCtx<'_>) -> Result<Value> {
+fn eval_binary<R: Slots + ?Sized>(
+    op: BinOp,
+    a: &RExpr,
+    b: &RExpr,
+    row: &R,
+    ctx: &EvalCtx<'_>,
+) -> Result<Value> {
     match op {
         BinOp::And => {
             let l = truthiness(&eval(a, row, ctx)?);

@@ -36,8 +36,8 @@ use crate::database::Database;
 use crate::exec_ctx::{odci_call, Callee, Exec, Lane};
 use crate::expr::{aggregate_kind, compile_expr, AggKind, ExecRow, RExpr, Scope, ScopeCol};
 use crate::plan::{
-    score_label, FilterTerm, KeyBound, LabelBinds, PlanKind, PlanNode, PlannedQuery, TermClass,
-    ZoneBound,
+    score_label, FilterTerm, KeyBound, LabelBinds, PlanKind, PlanNode, PlannedQuery, Projection,
+    ReadSet, TermClass, ZoneBound,
 };
 
 /// Tunable cost constants (page-read units).
@@ -1256,16 +1256,17 @@ fn best_table_access(
     } else {
         Vec::new()
     };
+    // What the access reads is known once the plan above it is:
+    // `PlannedQuery::new` marks it.
+    let (table, reads) = (tdef.name.clone(), ReadSet::default());
     let access = match best.kind {
         CandKind::Full => PlanNode {
             kind: match tdef.org {
-                TableOrg::Heap => PlanKind::FullScan {
-                    table: tdef.name.clone(),
-                    forced: scan_forced,
-                    prune: zone_prune,
-                },
+                TableOrg::Heap => {
+                    PlanKind::FullScan { table, forced: scan_forced, prune: zone_prune, reads }
+                }
                 TableOrg::Index { .. } => {
-                    PlanKind::IotFullScan { table: tdef.name.clone(), forced: scan_forced }
+                    PlanKind::IotFullScan { table, forced: scan_forced, reads }
                 }
             },
             scope: scope.clone(),
@@ -1273,7 +1274,7 @@ fn best_table_access(
             est_cost: pages + rows * cm.cpu_tuple,
         },
         CandKind::RowIdEq { rid } => PlanNode {
-            kind: PlanKind::RowIdEq { table: tdef.name.clone(), rid },
+            kind: PlanKind::RowIdEq { table, rid, reads },
             scope: scope.clone(),
             est_rows: 1.0,
             est_cost: best.cost,
@@ -1281,14 +1282,14 @@ fn best_table_access(
         CandKind::BTree { index, lo, hi } => {
             let forced = forced_note(&index);
             PlanNode {
-                kind: PlanKind::BTreeAccess { table: tdef.name.clone(), index, lo, hi, forced },
+                kind: PlanKind::BTreeAccess { table, index, lo, hi, forced, reads },
                 scope: scope.clone(),
                 est_rows: best.rows,
                 est_cost: best.cost,
             }
         }
         CandKind::IotRange { lo, hi } => PlanNode {
-            kind: PlanKind::IotRange { table: tdef.name.clone(), lo, hi },
+            kind: PlanKind::IotRange { table, lo, hi, reads },
             scope: scope.clone(),
             est_rows: best.rows,
             est_cost: best.cost,
@@ -1299,7 +1300,7 @@ fn best_table_access(
             // evaluates them when it opens.
             PlanNode {
                 kind: PlanKind::DomainScan {
-                    table: tdef.name.clone(),
+                    table,
                     index,
                     indextype,
                     operator: call.operator,
@@ -1307,6 +1308,7 @@ fn best_table_access(
                     bound: call.bound,
                     label,
                     forced,
+                    reads,
                 },
                 scope: scope.clone(),
                 est_rows: best.rows,
@@ -1420,17 +1422,20 @@ fn wrap_filter(
     })
 }
 
-/// Plan the table access for UPDATE/DELETE target collection.
+/// Plan the table access for UPDATE/DELETE target collection. Its rows
+/// are the targets, so every column of them is read: the new row images
+/// and index maintenance start from the whole old row.
 pub(crate) fn plan_dml_scan(
     db: &Exec<'_>,
     tdef: &TableDef,
     where_clause: Option<&Expr>,
-) -> Result<PlanNode> {
+) -> Result<PlannedQuery> {
     let mut cs = Vec::new();
     if let Some(w) = where_clause {
         conjuncts(w, &mut cs);
     }
-    best_table_access(db, tdef, &tdef.name.clone(), &cs, &[], &TableHints::default())
+    let root = best_table_access(db, tdef, &tdef.name.clone(), &cs, &[], &TableHints::default())?;
+    Ok(PlannedQuery::new(root, Vec::new()))
 }
 
 // ---------------------------------------------------------------------------
@@ -1671,6 +1676,7 @@ fn build_join(
                         arg_exprs: outer_args,
                         bound: op_pred.bound.clone(),
                         label,
+                        reads: ReadSet::default(),
                     },
                 };
                 let degraded_names: Vec<String> = degraded
@@ -1843,11 +1849,12 @@ fn finish_select(db: &Exec<'_>, s: &Select, source: PlanNode) -> Result<PlannedQ
         .collect::<Result<_>>()?;
     let est_rows = node.est_rows;
     let est_cost = node.est_cost + est_rows * cm.cpu_tuple;
+    let shape = Projection::of(&compiled_items);
     node = PlanNode {
         scope: out_scope.clone(),
         est_rows,
         est_cost,
-        kind: PlanKind::Project { input: Box::new(node), exprs: compiled_items },
+        kind: PlanKind::Project { input: Box::new(node), exprs: compiled_items, shape },
     };
 
     if s.distinct {

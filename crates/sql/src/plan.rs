@@ -98,6 +98,71 @@ impl fmt::Debug for KeyBound {
     }
 }
 
+/// The columns of a base access's rows that anything above the access
+/// reads: one flag per slot of its scope — the table's columns, then the
+/// hidden ROWID. The executor copies these out of storage and carries
+/// every other column as NULL, so row width and slot numbers are the same
+/// whatever the set. Filled by [`PlanNode::mark_reads`], which every
+/// [`PlannedQuery`] runs once, so a cached plan carries its read sets.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ReadSet(Vec<bool>);
+
+impl ReadSet {
+    /// Whether slot `i` is read.
+    pub(crate) fn reads(&self, i: usize) -> bool {
+        self.0.get(i).copied().unwrap_or(false)
+    }
+}
+
+/// How a Project makes its output row out of its input row, moving the
+/// input's values rather than cloning them. Decided when the plan is made.
+#[derive(Debug)]
+pub enum Projection {
+    /// Every expression is a distinct bare slot: the swaps that put each
+    /// value in its output position in the input row's own `Vec`, which
+    /// is then truncated — no allocation per row.
+    Permute(Vec<(usize, usize)>),
+    /// Otherwise a fresh row, per expression: `Some(slot)` moves the
+    /// input's value of a bare slot no other expression reads, `None`
+    /// evaluates the expression.
+    Build(Vec<Option<usize>>),
+}
+
+impl Projection {
+    pub(crate) fn of(exprs: &[RExpr]) -> Projection {
+        let bare: Vec<Option<usize>> =
+            exprs.iter().map(|e| if let RExpr::Slot(s) = e { Some(*s) } else { None }).collect();
+        let mut uses: Vec<usize> = Vec::new();
+        for e in exprs {
+            e.visit_slots(&mut |s| {
+                if uses.len() <= s {
+                    uses.resize(s + 1, 0);
+                }
+                uses[s] += 1;
+            });
+        }
+        if !bare.iter().all(|s| s.is_some_and(|s| uses[s] == 1)) {
+            let moves = bare.into_iter().map(|s| s.filter(|&s| uses[s] == 1));
+            return Projection::Build(moves.collect());
+        }
+        // Simulate the swaps: `at[p]` is the input slot now at position
+        // `p`, `pos[s]` the position input slot `s` is now at.
+        let mut at: Vec<usize> = (0..uses.len()).collect();
+        let mut pos = at.clone();
+        let mut swaps = Vec::new();
+        for (k, s) in bare.into_iter().flatten().enumerate() {
+            let p = pos[s];
+            if p != k {
+                swaps.push((k, p));
+                let displaced = at[k];
+                at.swap(k, p);
+                (pos[s], pos[displaced]) = (k, p);
+            }
+        }
+        Projection::Permute(swaps)
+    }
+}
+
 /// A zone-map pruning bound a full scan applies before reading a page:
 /// the residual conjunct restated as `col ∈ [lo, hi]` over the table's
 /// physical column index (`None` = unbounded on that side).
@@ -121,18 +186,20 @@ pub struct PlanNode {
     pub est_cost: f64,
 }
 
-/// The physical operator.
+/// The physical operator. Every base access — each kind that reads a
+/// table's rows, and a domain join for its inner side — carries the
+/// [`ReadSet`] of the columns read above it.
 #[derive(Debug)]
 pub enum PlanKind {
     /// Sequential scan of a heap table; exposes columns plus ROWID.
     /// `forced` names the hint that mandated this path, if any.
     /// `prune` lists zone-map bounds the scan checks per page so it can
     /// skip pages whose min/max provably exclude every bound.
-    FullScan { table: String, forced: Option<String>, prune: Vec<ZoneBound> },
+    FullScan { table: String, forced: Option<String>, prune: Vec<ZoneBound>, reads: ReadSet },
     /// Full scan of an index-organized table (key order).
-    IotFullScan { table: String, forced: Option<String> },
+    IotFullScan { table: String, forced: Option<String>, reads: ReadSet },
     /// Key range access on an index-organized table's primary key.
-    IotRange { table: String, lo: Option<KeyBound>, hi: Option<KeyBound> },
+    IotRange { table: String, lo: Option<KeyBound>, hi: Option<KeyBound>, reads: ReadSet },
     /// B-tree index range access: scan index entries, fetch base rows.
     BTreeAccess {
         table: String,
@@ -140,9 +207,10 @@ pub enum PlanKind {
         lo: Option<KeyBound>,
         hi: Option<KeyBound>,
         forced: Option<String>,
+        reads: ReadSet,
     },
     /// Direct fetch of one row by ROWID (`WHERE t.ROWID = <literal or ?>`).
-    RowIdEq { table: String, rid: RExpr },
+    RowIdEq { table: String, rid: RExpr, reads: ReadSet },
     /// `SELECT COUNT(*) FROM table`: the physical row count while every
     /// version chain of the segment is settled, else a count of the rows
     /// the statement's snapshot sees — decided when it runs.
@@ -164,6 +232,7 @@ pub enum PlanKind {
         /// operators).
         label: Option<i64>,
         forced: Option<String>,
+        reads: ReadSet,
     },
     /// Row filter over cost-ordered conjuncts (see [`TermClass`]), each
     /// evaluated under Kleene logic and short-circuited at the first
@@ -180,7 +249,7 @@ pub enum PlanKind {
         degraded: Vec<String>,
     },
     /// Projection.
-    Project { input: Box<PlanNode>, exprs: Vec<RExpr> },
+    Project { input: Box<PlanNode>, exprs: Vec<RExpr>, shape: Projection },
     /// Nested-loop (cross) join; any residual predicate is a `Filter`
     /// above it.
     NestedLoopJoin { left: Box<PlanNode>, right: Box<PlanNode> },
@@ -200,6 +269,8 @@ pub enum PlanKind {
         arg_exprs: Vec<RExpr>,
         bound: PredicateBound,
         label: Option<i64>,
+        /// What is read of `right_table`'s rows.
+        reads: ReadSet,
     },
     /// Hash join on one equi-key pair (keys compiled against each side's
     /// scope); residual conjuncts are a `Filter` above it.
@@ -223,6 +294,23 @@ pub enum PlanKind {
     },
 }
 
+impl PlanKind {
+    /// The read set of a base access (of its inner side, for a domain
+    /// join); `None` for every other operator.
+    pub(crate) fn read_set(&self) -> Option<&ReadSet> {
+        match self {
+            PlanKind::FullScan { reads, .. }
+            | PlanKind::IotFullScan { reads, .. }
+            | PlanKind::IotRange { reads, .. }
+            | PlanKind::BTreeAccess { reads, .. }
+            | PlanKind::RowIdEq { reads, .. }
+            | PlanKind::DomainScan { reads, .. }
+            | PlanKind::DomainJoin { reads, .. } => Some(reads),
+            _ => None,
+        }
+    }
+}
+
 impl PlanNode {
     /// Indented one-line-per-node rendering for EXPLAIN.
     pub fn explain(&self) -> Vec<String> {
@@ -240,7 +328,7 @@ impl PlanNode {
             None => String::new(),
         };
         let line = match &self.kind {
-            PlanKind::FullScan { table, forced, prune } => {
+            PlanKind::FullScan { table, forced, prune, .. } => {
                 let prune_suffix = if prune.is_empty() {
                     String::new()
                 } else {
@@ -250,22 +338,22 @@ impl PlanNode {
                 };
                 format!("{pad}FULL SCAN {table}{prune_suffix}{}", forced_suffix(forced))
             }
-            PlanKind::IotFullScan { table, forced } => {
+            PlanKind::IotFullScan { table, forced, .. } => {
                 format!("{pad}IOT FULL SCAN {table}{}", forced_suffix(forced))
             }
-            PlanKind::IotRange { table, lo, hi } => {
+            PlanKind::IotRange { table, lo, hi, .. } => {
                 format!("{pad}IOT RANGE {table} lo={lo:?} hi={hi:?}")
             }
-            PlanKind::BTreeAccess { table, index, lo, hi, forced } => {
+            PlanKind::BTreeAccess { table, index, lo, hi, forced, .. } => {
                 format!(
                     "{pad}BTREE ACCESS {table} VIA {index} lo={lo:?} hi={hi:?}{}",
                     forced_suffix(forced)
                 )
             }
-            PlanKind::RowIdEq { table, rid: RExpr::Const(rid) } => {
+            PlanKind::RowIdEq { table, rid: RExpr::Const(rid), .. } => {
                 format!("{pad}ROWID FETCH {table} {rid}")
             }
-            PlanKind::RowIdEq { table, rid } => format!("{pad}ROWID FETCH {table} {rid:?}"),
+            PlanKind::RowIdEq { table, rid, .. } => format!("{pad}ROWID FETCH {table} {rid:?}"),
             PlanKind::RowCount { table } => format!("{pad}ROW COUNT {table}"),
             PlanKind::View { table } => format!("{pad}VIEW {table}"),
             PlanKind::DomainScan { table, index, indextype, operator, args, forced, .. } => {
@@ -417,6 +505,79 @@ impl PlanNode {
             out.push(t);
         }
     }
+
+    /// Record on every base access below this node the columns anything
+    /// above the access reads, given `need`: which of this node's output
+    /// slots are read above it. Readers are Filter terms, Project, Sort
+    /// and Aggregate expressions, hash-join keys and domain-join
+    /// arguments; Distinct reads every column it is handed.
+    pub(crate) fn mark_reads(&mut self, mut need: Vec<bool>) {
+        match &mut self.kind {
+            PlanKind::FullScan { reads, .. }
+            | PlanKind::IotFullScan { reads, .. }
+            | PlanKind::IotRange { reads, .. }
+            | PlanKind::BTreeAccess { reads, .. }
+            | PlanKind::RowIdEq { reads, .. }
+            | PlanKind::DomainScan { reads, .. } => *reads = ReadSet(need),
+            PlanKind::RowCount { .. } | PlanKind::View { .. } => {}
+            PlanKind::Filter { input, terms, .. } => {
+                read_by(terms.iter().map(|t| &t.pred), &mut need);
+                input.mark_reads(need);
+            }
+            PlanKind::Sort { input, keys } => {
+                read_by(keys.iter().map(|(e, _)| e), &mut need);
+                input.mark_reads(need);
+            }
+            PlanKind::Limit { input, .. } => input.mark_reads(need),
+            PlanKind::Distinct { input } => input.mark_reads(vec![true; input.width()]),
+            // Every expression is evaluated whether or not its output is
+            // read above, so each one reads its input.
+            PlanKind::Project { input, exprs, .. } => {
+                let mut below = vec![false; input.width()];
+                read_by(exprs.iter(), &mut below);
+                input.mark_reads(below);
+            }
+            PlanKind::Aggregate { input, group, aggs } => {
+                let mut below = vec![false; input.width()];
+                let args = aggs.iter().filter_map(|(_, a)| a.as_ref());
+                read_by(group.iter().chain(args), &mut below);
+                input.mark_reads(below);
+            }
+            PlanKind::NestedLoopJoin { left, right } => {
+                let right_need = need.split_off(left.width());
+                left.mark_reads(need);
+                right.mark_reads(right_need);
+            }
+            PlanKind::HashJoin { left, right, left_key, right_key } => {
+                let mut right_need = need.split_off(left.width());
+                read_by([&*left_key], &mut need);
+                read_by([&*right_key], &mut right_need);
+                left.mark_reads(need);
+                right.mark_reads(right_need);
+            }
+            PlanKind::DomainJoin { left, arg_exprs, reads, .. } => {
+                *reads = ReadSet(need.split_off(left.width()));
+                read_by(arg_exprs.iter(), &mut need);
+                left.mark_reads(need);
+            }
+        }
+    }
+
+    /// Slots in this node's output rows.
+    fn width(&self) -> usize {
+        self.scope.columns.len()
+    }
+}
+
+/// Mark in `need` every slot the expressions read.
+fn read_by<'e>(exprs: impl IntoIterator<Item = &'e RExpr>, need: &mut [bool]) {
+    for e in exprs {
+        e.visit_slots(&mut |s| {
+            if let Some(read) = need.get_mut(s) {
+                *read = true;
+            }
+        });
+    }
 }
 
 /// A fully planned query: the root node plus output column names.
@@ -428,7 +589,11 @@ pub struct PlannedQuery {
 }
 
 impl PlannedQuery {
-    pub(crate) fn new(root: PlanNode, column_names: Vec<String>) -> PlannedQuery {
+    /// The finished plan, its read sets marked: the root's rows are the
+    /// statement's answer (or a DML statement's targets), so every column
+    /// of them is read.
+    pub(crate) fn new(mut root: PlanNode, column_names: Vec<String>) -> PlannedQuery {
+        root.mark_reads(vec![true; root.width()]);
         PlannedQuery { root, column_names, label_binds: LabelBinds::default() }
     }
 }
@@ -458,5 +623,250 @@ pub(crate) struct LabelBinds {
 impl LabelBinds {
     pub(crate) fn hold(&self, binds: &[Value]) -> bool {
         self.peeked.iter().all(|&(i, l)| score_label(&self.labels, binds.get(i)) == l)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::RefCell;
+    use std::sync::Arc;
+
+    use extidx_common::{RowId, Value};
+    use extidx_core::meta::{IndexInfo, OperatorCall};
+    use extidx_core::operator::{FnContext, ScalarFunction};
+    use extidx_core::params::ParamString;
+    use extidx_core::scan::{FetchResult, ScanContext};
+    use extidx_core::server::ServerContext as Srv;
+    use extidx_core::stats::{IndexCost, OdciStats};
+    use extidx_core::OdciIndex;
+
+    use super::*;
+    use crate::ast::Statement;
+    use crate::database::Database;
+    use crate::exec_ctx::{Exec, SessionScratch};
+    use crate::optimizer;
+    use crate::parser::parse;
+
+    /// An indextype that stores nothing and matches nothing: planning
+    /// needs only the domain index to exist.
+    struct Inert;
+
+    impl OdciIndex for Inert {
+        fn create(&self, _: &mut dyn Srv, _: &IndexInfo) -> Result<()> {
+            Ok(())
+        }
+        fn alter(&self, _: &mut dyn Srv, _: &IndexInfo, _: &ParamString) -> Result<()> {
+            Ok(())
+        }
+        fn truncate(&self, _: &mut dyn Srv, _: &IndexInfo) -> Result<()> {
+            Ok(())
+        }
+        fn drop_index(&self, _: &mut dyn Srv, _: &IndexInfo) -> Result<()> {
+            Ok(())
+        }
+        fn insert(&self, _: &mut dyn Srv, _: &IndexInfo, _: RowId, _: &Value) -> Result<()> {
+            Ok(())
+        }
+        fn update(
+            &self,
+            _: &mut dyn Srv,
+            _: &IndexInfo,
+            _: RowId,
+            _: &Value,
+            _: &Value,
+        ) -> Result<()> {
+            Ok(())
+        }
+        fn delete(&self, _: &mut dyn Srv, _: &IndexInfo, _: RowId, _: &Value) -> Result<()> {
+            Ok(())
+        }
+        fn start(&self, _: &mut dyn Srv, _: &IndexInfo, _: &OperatorCall) -> Result<ScanContext> {
+            Ok(ScanContext::State(Box::new(())))
+        }
+        fn fetch(
+            &self,
+            _: &mut dyn Srv,
+            _: &IndexInfo,
+            _: &mut ScanContext,
+            _: usize,
+        ) -> Result<FetchResult> {
+            Ok(FetchResult { rows: Vec::new(), done: true })
+        }
+        fn close(&self, _: &mut dyn Srv, _: &IndexInfo, _: ScanContext) -> Result<()> {
+            Ok(())
+        }
+    }
+
+    impl OdciStats for Inert {
+        fn collect(&self, _: &mut dyn Srv, _: &IndexInfo) -> Result<()> {
+            Ok(())
+        }
+        fn selectivity(&self, _: &mut dyn Srv, _: &IndexInfo, _: &OperatorCall) -> Result<f64> {
+            Ok(0.01)
+        }
+        fn index_cost(
+            &self,
+            _: &mut dyn Srv,
+            _: &IndexInfo,
+            _: &OperatorCall,
+            _: f64,
+        ) -> Result<IndexCost> {
+            Ok(IndexCost { io_cost: 0.0, cpu_cost: 0.0 })
+        }
+    }
+
+    /// The ledger's shapes in miniature: `docs` under a text index, the
+    /// `roads × parks` layers under a spatial one, a heap `events` table,
+    /// and a text index's posting IOT with enough rows to be probed by key.
+    fn fixture() -> Database {
+        let mut db = Database::new();
+        db.register_odci_implementation("Inert", Arc::new(Inert), Arc::new(Inert));
+        fn never(_: &dyn FnContext, _: &[Value]) -> Result<Value> {
+            Ok(Value::Integer(0))
+        }
+        db.register_function(ScalarFunction::new("ContainsFn", never)).unwrap();
+        db.register_function(ScalarFunction::new("RelateFn", never)).unwrap();
+        for ddl in [
+            "CREATE OPERATOR Contains BINDING (VARCHAR2, VARCHAR2) RETURN NUMBER USING ContainsFn",
+            "CREATE OPERATOR Sdo_Relate BINDING (VARCHAR2, VARCHAR2, VARCHAR2) RETURN NUMBER \
+             USING RelateFn",
+            "CREATE INDEXTYPE TextIndexType FOR Contains(VARCHAR2, VARCHAR2) USING Inert",
+            "CREATE INDEXTYPE SpatialIndexType FOR Sdo_Relate(VARCHAR2, VARCHAR2, VARCHAR2) \
+             USING Inert",
+            "CREATE TABLE docs (id INTEGER, body VARCHAR2(400))",
+            "CREATE INDEX dt ON docs(body) INDEXTYPE IS TextIndexType",
+            "CREATE TABLE roads (gid INTEGER, geometry VARCHAR2(64))",
+            "CREATE TABLE parks (gid INTEGER, geometry VARCHAR2(64))",
+            "CREATE INDEX parks_sidx ON parks(geometry) INDEXTYPE IS SpatialIndexType",
+            "CREATE TABLE events (id INTEGER, val INTEGER, note VARCHAR2(64))",
+            "CREATE TABLE DR$DT$I (token VARCHAR2(128), rid ROWID, freq INTEGER, \
+             PRIMARY KEY (token, rid)) ORGANIZATION INDEX",
+        ] {
+            db.execute(ddl).unwrap();
+        }
+        for i in 0..2000u16 {
+            let posting =
+                [format!("t{}", i % 50).into(), Value::RowId(RowId::new(1, 0, i)), 1i64.into()];
+            db.execute_with("INSERT INTO DR$DT$I VALUES (?, ?, ?)", &posting).unwrap();
+        }
+        db
+    }
+
+    /// Plan `sql` under `binds` as a statement would: a SELECT through the
+    /// optimizer, an UPDATE or DELETE through its target scan.
+    fn plan(db: &Database, sql: &str, binds: &[Value]) -> PlannedQuery {
+        let scratch = RefCell::new(SessionScratch::default());
+        let ecx = Exec::new(db, &scratch, db.storage().current_snapshot(), binds);
+        match parse(sql).unwrap() {
+            Statement::Select(s) => optimizer::plan_select(&ecx, &s).unwrap(),
+            Statement::Update { table, where_clause, .. }
+            | Statement::Delete { table, where_clause } => {
+                let tdef = db.catalog().table(&table).unwrap();
+                optimizer::plan_dml_scan(&ecx, tdef, where_clause.as_ref()).unwrap()
+            }
+            other => panic!("not a query or a DML target scan: {other:?}"),
+        }
+    }
+
+    /// Each base access of `plan`, in [`PlanNode::access_paths`] order, as
+    /// its path and the names of the columns it reads.
+    fn read_sets(plan: &PlanNode) -> Vec<(String, Vec<String>)> {
+        fn walk(node: &PlanNode, out: &mut Vec<(String, Vec<String>)>) {
+            let children: Vec<&PlanNode> = match &node.kind {
+                PlanKind::Filter { input, .. }
+                | PlanKind::Project { input, .. }
+                | PlanKind::Sort { input, .. }
+                | PlanKind::Limit { input, .. }
+                | PlanKind::Distinct { input }
+                | PlanKind::Aggregate { input, .. }
+                | PlanKind::DomainJoin { left: input, .. } => vec![input],
+                PlanKind::NestedLoopJoin { left, right }
+                | PlanKind::HashJoin { left, right, .. } => vec![left, right],
+                _ => Vec::new(),
+            };
+            children.into_iter().for_each(|c| walk(c, out));
+            let Some(reads) = node.kind.read_set() else { return };
+            // A domain join's own columns follow its outer side's.
+            let first = match &node.kind {
+                PlanKind::DomainJoin { left, .. } => left.width(),
+                _ => 0,
+            };
+            let cols = node.scope.columns[first..].iter().enumerate();
+            let read = cols.filter(|(i, _)| reads.reads(*i));
+            let names = read.map(|(_, c)| c.name.clone()).collect();
+            out.push((node.access_paths().pop().unwrap(), names));
+        }
+        let mut out = Vec::new();
+        walk(plan, &mut out);
+        out
+    }
+
+    fn sets(plan: &PlannedQuery) -> Vec<(String, Vec<String>)> {
+        read_sets(&plan.root)
+    }
+
+    fn set(path: &str, cols: &[&str]) -> (String, Vec<String>) {
+        (path.to_string(), cols.iter().map(|c| c.to_string()).collect())
+    }
+
+    #[test]
+    fn a_domain_scan_reads_only_the_projected_column() {
+        let db = fixture();
+        let q = plan(&db, "SELECT id FROM docs WHERE Contains(body, 'oracle')", &[]);
+        assert_eq!(sets(&q), [set("DOMAIN(DOCS,DT)", &["ID"])]);
+    }
+
+    #[test]
+    fn a_counted_filter_reads_only_its_column() {
+        let db = fixture();
+        let q = plan(&db, "SELECT COUNT(*) FROM events WHERE val < 100", &[]);
+        assert_eq!(sets(&q), [set("FULL(EVENTS)", &["VAL"])]);
+    }
+
+    #[test]
+    fn distinct_reads_every_column_it_is_handed() {
+        let db = fixture();
+        let q = plan(&db, "SELECT DISTINCT * FROM events", &[]);
+        assert_eq!(sets(&q), [set("FULL(EVENTS)", &["ID", "VAL", "NOTE"])]);
+        let q = plan(&db, "SELECT DISTINCT note FROM events WHERE id > 3", &[]);
+        assert_eq!(sets(&q), [set("FULL(EVENTS)", &["ID", "NOTE"])]);
+    }
+
+    #[test]
+    fn a_domain_join_reads_its_arguments_outside_and_its_projection_inside() {
+        let db = fixture();
+        let sql = "SELECT r.gid, p.gid FROM roads r, parks p \
+                   WHERE Sdo_Relate(r.geometry, p.geometry, 'mask=OVERLAPS') AND r.gid < 150";
+        let q = plan(&db, sql, &[]);
+        assert_eq!(
+            sets(&q),
+            [
+                set("FULL(ROADS)", &["GID", "GEOMETRY"]),
+                set("DOMAINJOIN(PARKS,PARKS_SIDX)", &["GID"]),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_dml_target_scan_reads_the_whole_row() {
+        let db = fixture();
+        let q = plan(&db, "UPDATE events SET note = 'x' WHERE val = 7", &[]);
+        assert_eq!(sets(&q), [set("FULL(EVENTS)", &["ID", "VAL", "NOTE", "ROWID"])]);
+    }
+
+    #[test]
+    fn a_posting_list_callback_reads_rid_and_freq() {
+        let db = fixture();
+        let q = plan(&db, "SELECT rid, freq FROM DR$DT$I WHERE token = ?", &["t7".into()]);
+        assert_eq!(sets(&q), [set("IOTRANGE(DR$DT$I)", &["RID", "FREQ"])]);
+    }
+
+    #[test]
+    fn rowid_and_sort_keys_are_read_where_they_are_used() {
+        let db = fixture();
+        let q = plan(&db, "SELECT id FROM events WHERE ROWID IS NOT NULL ORDER BY note", &[]);
+        assert_eq!(sets(&q), [set("FULL(EVENTS)", &["ID", "NOTE", "ROWID"])]);
+        let q = plan(&db, "SELECT e.id FROM events e, docs d WHERE e.val = d.id", &[]);
+        assert_eq!(sets(&q), [set("FULL(EVENTS)", &["ID", "VAL"]), set("FULL(DOCS)", &["ID"])]);
     }
 }

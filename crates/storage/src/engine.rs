@@ -1042,18 +1042,19 @@ impl StorageEngine {
     /// buffer cache is charged **once per distinct page** instead of once
     /// per row. Aligned with the input: `None` marks a rowid with no
     /// visible version. A rowid that addresses no physical row is an error
-    /// unless a chain explains its absence.
-    pub fn heap_fetch_multi(
-        &self,
+    /// unless a chain explains its absence. Rows are borrowed, like the
+    /// page walk's, so the caller copies only what it keeps.
+    pub fn heap_fetch_multi<'a>(
+        &'a self,
         seg: SegmentId,
         rids: &[RowId],
         snap: &Snapshot,
-    ) -> Result<Vec<Option<Row>>> {
+    ) -> Result<Vec<Option<&'a Row>>> {
         let h = self.heap(seg)?;
         let chains = self.versions.heap.get(&seg).filter(|m| !m.is_empty());
         let mut order: Vec<usize> = (0..rids.len()).collect();
         order.sort_by_key(|&i| (rids[i].page, rids[i].slot));
-        let mut out: Vec<Option<Row>> = vec![None; rids.len()];
+        let mut out: Vec<Option<&Row>> = vec![None; rids.len()];
         let mut last_page: Option<u32> = None;
         for i in order {
             let rid = rids[i];
@@ -1062,7 +1063,7 @@ impl StorageEngine {
                 last_page = Some(rid.page);
             }
             match h.fetch(rid) {
-                Ok(row) => out[i] = self.heap_visible_image(chains, rid, row, snap).cloned(),
+                Ok(row) => out[i] = self.heap_visible_image(chains, rid, row, snap),
                 // A reclaimed slot that a chain still explains is just invisible.
                 Err(e) if chains.is_none_or(|m| !m.contains_key(&rid)) => return Err(e),
                 Err(_) => {}
@@ -1131,13 +1132,14 @@ impl StorageEngine {
     /// Batched logical-rowid→row join for IOTs under `snap`, aligned with
     /// the input — the IOT counterpart of [`Self::heap_fetch_multi`].
     /// Ghost ordinals resolve through the chains; `None` marks a rowid
-    /// nothing visible lives at. One height-probe read per rowid.
-    pub fn iot_fetch_multi(
-        &self,
+    /// nothing visible lives at. One height-probe read per rowid. Rows are
+    /// borrowed, as from [`Self::iot_range`].
+    pub fn iot_fetch_multi<'a>(
+        &'a self,
         seg: SegmentId,
         rids: &[RowId],
         snap: &Snapshot,
-    ) -> Result<Vec<Option<Row>>> {
+    ) -> Result<Vec<Option<&'a Row>>> {
         let iot = self.iot(seg)?;
         let chains = self.versions.iot.get(&seg).filter(|m| !m.is_empty());
         let fetch = |rid: RowId| {
@@ -1151,17 +1153,17 @@ impl StorageEngine {
                         && self.txns.stamp_visible(v.begin, snap)
                         && !self.txns.stamp_visible(v.end, snap)
                 })?;
-                return Some(ghost.row.clone());
+                return Some(&ghost.row);
             };
             self.charge_iot(seg, charge, self.iot_leaf_page_for(seg, key));
             let Some(chain) = chains.and_then(|m| m.get(key)) else {
-                return Some(row.clone());
+                return Some(row);
             };
             match mvcc::resolve_iot(&self.txns, chain, Some(row), snap)? {
                 // A ghost at a different ordinal is addressed by a
                 // different rowid — nothing visible *here*.
                 (_, Some(g)) if g != ord => None,
-                (r, _) => Some(r.clone()),
+                (r, _) => Some(r),
             }
         };
         Ok(rids.iter().map(|&rid| fetch(rid)).collect())
@@ -1775,7 +1777,7 @@ mod tests {
 
         e.rollback_to(mark).unwrap();
         let fetched = e.heap_fetch_multi(seg, &[keep, doomed], &Snapshot::latest()).unwrap();
-        assert_eq!(fetched, vec![Some(row(1)), Some(row(2))]);
+        assert_eq!(fetched, vec![Some(&row(1)), Some(&row(2))]);
         assert!(e.heap_fetch_multi(seg, &[added], &Snapshot::latest()).is_err());
         assert_eq!(e.heap(seg).unwrap().row_count(), 2);
     }
@@ -1863,7 +1865,8 @@ mod tests {
         let seg = e.create_iot(1).unwrap();
         let rid = e.iot_insert(seg, vec![Value::Integer(7), Value::from("v1")]).unwrap();
         let latest = Snapshot::latest();
-        let fetch = |e: &StorageEngine| e.iot_fetch_multi(seg, &[rid], &latest).unwrap().remove(0);
+        let fetch =
+            |e: &StorageEngine| e.iot_fetch_multi(seg, &[rid], &latest).unwrap().remove(0).cloned();
         assert_eq!(fetch(&e).unwrap()[1], Value::from("v1"));
 
         // In-place replace keeps the logical rowid.

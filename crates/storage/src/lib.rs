@@ -32,7 +32,9 @@
 //!   snapshot-blind read to call instead): the heap page walk, the IOT key
 //!   range — one merge of the segment's rows with its version chains over
 //!   the same bounds, charged height plus the leaves it returned — and a
-//!   rowid join for each.
+//!   rowid join for each. Every one of the four borrows: a row comes back
+//!   as `&Row` into the engine, never as a copy, so a reader copies only
+//!   the columns it keeps, and only of the rows it keeps.
 
 pub mod buffer;
 pub mod engine;

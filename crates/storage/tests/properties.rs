@@ -71,7 +71,7 @@ proptest! {
         let latest = Snapshot::latest();
         for (rid, expected) in &model {
             let fetched = engine.heap_fetch_multi(seg, &[*rid], &latest).unwrap();
-            prop_assert_eq!(fetched, vec![Some(expected.clone())]);
+            prop_assert_eq!(fetched, vec![Some(expected)]);
         }
         let scanned: BTreeMap<RowId, Row> = engine
             .heap(seg)
@@ -224,8 +224,8 @@ proptest! {
         let multi = engine.heap_fetch_multi(seg, &batch, &latest).unwrap();
         let charged = engine.cache_stats().since(&before).logical_reads;
         let heap = engine.heap(seg).unwrap();
-        let singles: Vec<Option<Row>> =
-            batch.iter().map(|&rid| Some(heap.fetch(rid).unwrap().clone())).collect();
+        let singles: Vec<Option<&Row>> =
+            batch.iter().map(|&rid| Some(heap.fetch(rid).unwrap())).collect();
         prop_assert_eq!(multi, singles);
         let pages: std::collections::BTreeSet<u32> = batch.iter().map(|rid| rid.page).collect();
         prop_assert_eq!(charged, pages.len() as u64, "one logical read per distinct page");
@@ -506,7 +506,7 @@ proptest! {
                     for &(rid, key, row) in &page {
                         prop_assert_eq!(&Key(row[..1].to_vec()), key);
                         let fetched = e.iot_fetch_multi(seg, &[rid], snap).unwrap();
-                        let want = vec![Some(row.clone())];
+                        let want = vec![Some(row)];
                         prop_assert_eq!(fetched, want, "{} under {:?}", rid, snap);
                         got.push((row[0].as_integer().unwrap(), row[1].as_integer().unwrap()));
                     }

@@ -257,6 +257,23 @@ if grep -n "vtable_rows" crates/sql/src/optimizer.rs; then
     exit 1
 fi
 
+# Rows copied once (DESIGN.md §4h "Rows copied once"): every stored-row
+# read borrows — the rowid joins hand out `&Row` like the page walk and the
+# key range — so nothing in the executor copies a whole stored row, and
+# exactly one function builds an executor row out of a stored one (the
+# columns the plan reads, NULL for the rest).
+echo "== rows copied once (structural guard) =="
+if grep -n -- "-> Result<Vec<Option<Row>>>" crates/storage/src/engine.rs; then
+    exit 1
+fi
+if grep -rn "extend_from_slice(row)" crates/sql/src; then
+    exit 1
+fi
+if grep -rlPz "(fetch_multi|fetch_visible|heap_page|iot_range)\([^;]*\.cloned\(\)" crates/sql/src; then
+    exit 1
+fi
+[ "$(grep -rnE "fn [a-z_]+(<[^>]*>)?\(.*&Row\b.*\) -> ExecRow" crates/sql/src | wc -l)" -eq 1 ]
+
 # One perf instrument: no hand-set timing floor, bench-record writer or
 # micro-bench harness may come back beside the ledger. (Bracketed so the
 # pattern does not match this file.)
