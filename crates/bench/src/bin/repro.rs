@@ -35,6 +35,7 @@ use extidx_chem::MoleculeWorkload;
 use extidx_common::Result;
 use extidx_spatial::Mask;
 use extidx_sql::Database;
+use extidx_storage::Snapshot;
 use extidx_text::legacy as text_legacy;
 use extidx_spatial::legacy as spatial_legacy;
 
@@ -481,7 +482,7 @@ fn e9_events() -> Result<()> {
             } else {
                 // LOB store: records = lob length / record size; read via meta.
                 let lob = db.query("SELECT data FROM DR$CIDX$META WHERE id = 1")?[0][0].as_lob()?;
-                Ok((db.storage().lob_length(lob)? / extidx_chem::store::RECORD_BYTES as u64) as i64)
+                Ok((db.storage().lob_length(lob, &Snapshot::latest())? / extidx_chem::store::RECORD_BYTES as u64) as i64)
             }
         };
         db.execute("BEGIN")?;

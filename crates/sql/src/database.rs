@@ -2411,17 +2411,17 @@ impl ServerContext for ServerCtx<'_> {
 
     fn lob_length(&mut self, lob: LobRef) -> Result<u64> {
         sandbox::tick();
-        self.db.storage.lob_length(lob)
+        self.db.storage.lob_length(lob, &self.db.storage.current_snapshot())
     }
 
     fn lob_read(&mut self, lob: LobRef, offset: u64, len: usize) -> Result<Vec<u8>> {
         sandbox::tick();
-        self.db.storage.lob_read(lob, offset, len)
+        self.db.storage.lob_read(lob, offset, len, &self.db.storage.current_snapshot())
     }
 
     fn lob_read_all(&mut self, lob: LobRef) -> Result<Vec<u8>> {
         sandbox::tick();
-        self.db.storage.lob_read_all(lob)
+        self.db.storage.lob_read_all(lob, &self.db.storage.current_snapshot())
     }
 
     fn lob_write(&mut self, lob: LobRef, offset: u64, bytes: &[u8]) -> Result<()> {

@@ -281,17 +281,17 @@ impl ServerContext for SharedCtx<'_> {
 
     fn lob_length(&mut self, lob: LobRef) -> Result<u64> {
         sandbox::tick();
-        self.db.storage.lob_length_at(lob, &self.snap)
+        self.db.storage.lob_length(lob, &self.snap)
     }
 
     fn lob_read(&mut self, lob: LobRef, offset: u64, len: usize) -> Result<Vec<u8>> {
         sandbox::tick();
-        self.db.storage.lob_read_at(lob, offset, len, &self.snap)
+        self.db.storage.lob_read(lob, offset, len, &self.snap)
     }
 
     fn lob_read_all(&mut self, lob: LobRef) -> Result<Vec<u8>> {
         sandbox::tick();
-        self.db.storage.lob_read_all_at(lob, &self.snap)
+        self.db.storage.lob_read_all(lob, &self.snap)
     }
 
     fn lob_write(&mut self, _lob: LobRef, _offset: u64, _bytes: &[u8]) -> Result<()> {

@@ -775,7 +775,7 @@ pub struct EvalCtx<'a> {
 
 impl FnContext for EvalCtx<'_> {
     fn lob_read_all(&self, lob: extidx_common::LobRef) -> Result<Vec<u8>> {
-        self.storage.lob_read_all_at(lob, &self.snap)
+        self.storage.lob_read_all(lob, &self.snap)
     }
 }
 

@@ -11,6 +11,12 @@
 //! 3. external-file operations are *not* recorded — reproducing the
 //!    paper's §5 transactional limitation for outside-the-database index
 //!    data.
+//!
+//! Row versions are not kept here: the engine applies a write physically
+//! and stamps it into [`VersionStore`] (one chain type, one write check,
+//! one rollback pop and one prune rule for heap and IOT rows alike), and
+//! every read — heap, IOT and LOB — resolves what its `&Snapshot` sees
+//! through that store.
 
 use std::collections::HashMap;
 use std::ops::Bound;
@@ -24,8 +30,8 @@ use crate::heap::HeapTable;
 use crate::lob::LobStore;
 use crate::iot::{IndexOrganizedTable, IotIoCharge};
 use crate::mvcc::{
-    self, HeapChain, HeapVersion, IotCurrent, IotVersion, LobChain, LobImage, LobSpanVersion,
-    Snapshot, TxnManager, TxnStatus, VersionStore, WriteKey, WriteRef, WHOLE_LOB,
+    self, LobChain, LobImage, LobSpanVersion, RowChain, RowKey, Snapshot, TxnManager,
+    VersionStore, WriteKey, WriteRef, WHOLE_LOB,
 };
 use crate::page::{SegmentId, PAGE_SIZE};
 use crate::undo::{UndoLog, UndoOp};
@@ -143,6 +149,10 @@ impl StorageEngine {
         self.undo.get(&self.current.txn).map_or(0, UndoLog::len)
     }
 
+    /// Log one undo entry for the current transaction. Each pairs with
+    /// exactly one write recorded for commit-time validation
+    /// ([`Self::stamp_write`], [`Self::displace_lob_span`], `lob_allocate`),
+    /// so an undo mark also counts the writes that stand.
     fn record(&mut self, op: UndoOp) {
         self.undo.entry(self.current.txn).or_default().push(op);
     }
@@ -184,15 +194,7 @@ impl StorageEngine {
     /// waits for the vacuum to reclaim it. A chain the next vacuum would
     /// fold away changes no snapshot's answer.
     pub fn segment_settled(&self, seg: SegmentId) -> bool {
-        let horizon = self.txns.horizon();
-        let settled = |stamp: u64| stamp == 0 || self.txns.settled(stamp, horizon);
-        let mut heap = self.versions.heap.get(&seg).into_iter().flatten();
-        let mut iot = self.versions.iot.get(&seg).into_iter().flatten();
-        heap.all(|(_, c)| c.dead.is_none() && settled(c.begin))
-            && iot.all(|(_, c)| {
-                c.current.as_ref().is_none_or(|cur| settled(cur.begin))
-                    && c.older.iter().all(|v| settled(v.end))
-            })
+        self.versions.settled(&self.txns, seg)
     }
 
     /// Lifetime incremental-vacuum counters.
@@ -210,26 +212,7 @@ impl StorageEngine {
     /// in-place one (heap/IOT rows, LOB span patches). LOB chains
     /// aggregate under one `LOB` row; ordering is deterministic.
     pub fn mvcc_segment_stats(&self) -> Vec<(String, usize, usize)> {
-        let mut out: Vec<(String, usize, usize)> = Vec::new();
-        let mut heap_segs: Vec<_> =
-            self.versions.heap.iter().filter(|(_, m)| !m.is_empty()).collect();
-        heap_segs.sort_by_key(|(s, _)| s.0);
-        for (seg, m) in heap_segs {
-            let versions = m.values().map(|c| c.version_count()).sum();
-            out.push((format!("HEAP:{}", seg.0), m.len(), versions));
-        }
-        let mut iot_segs: Vec<_> =
-            self.versions.iot.iter().filter(|(_, m)| !m.is_empty()).collect();
-        iot_segs.sort_by_key(|(s, _)| s.0);
-        for (seg, m) in iot_segs {
-            let versions = m.values().map(|c| c.version_count()).sum();
-            out.push((format!("IOT:{}", seg.0), m.len(), versions));
-        }
-        if !self.versions.lobs.is_empty() {
-            let versions = self.versions.lobs.values().map(|c| c.version_count()).sum();
-            out.push(("LOB".to_string(), self.versions.lobs.len(), versions));
-        }
-        out
+        self.versions.stats()
     }
 
     /// Garbage-collect version chains and commit history, keyed to the
@@ -244,72 +227,9 @@ impl StorageEngine {
     /// no-rowid-reuse guarantee for live snapshots. Runs on every
     /// commit/rollback, so chains stay bounded without quiescence.
     pub fn vacuum(&mut self) {
-        let txns = Arc::clone(&self.txns);
-        let horizon = txns.horizon();
-        let settled = |stamp: u64| txns.settled(stamp, horizon);
-        let aborted = |stamp: u64| matches!(txns.status(stamp), Some(TxnStatus::Aborted));
-
-        let mut pruned = 0u64;
-        let mut dropped = 0u64;
-        let mut reclaim: Vec<(SegmentId, RowId)> = Vec::new();
-
-        for (&seg, chains) in self.versions.heap.iter_mut() {
-            chains.retain(|&rid, chain| {
-                if chain.dead.is_some_and(&settled) {
-                    // The delete is settled: no snapshot can see this row
-                    // or any displaced version under it.
-                    pruned += chain.older.len() as u64;
-                    dropped += 1;
-                    reclaim.push((seg, rid));
-                    return false;
-                }
-                let before = chain.older.len();
-                chain.older.retain(|v| !settled(v.end) && !aborted(v.begin));
-                pruned += (before - chain.older.len()) as u64;
-                if chain.begin != 0 && settled(chain.begin) {
-                    chain.begin = 0; // in-place version now visible to all
-                }
-                if chain.is_trivial() {
-                    dropped += 1;
-                    return false;
-                }
-                true
-            });
-        }
-        self.versions.heap.retain(|_, m| !m.is_empty());
-
-        for chains in self.versions.iot.values_mut() {
-            chains.retain(|_, chain| {
-                let before = chain.older.len();
-                chain.older.retain(|v| !settled(v.end) && !aborted(v.begin));
-                pruned += (before - chain.older.len()) as u64;
-                if let Some(cur) = &mut chain.current {
-                    if cur.begin != 0 && settled(cur.begin) {
-                        cur.begin = 0;
-                    }
-                }
-                if chain.is_trivial() {
-                    dropped += 1;
-                    return false;
-                }
-                true
-            });
-        }
-        self.versions.iot.retain(|_, m| !m.is_empty());
-
-        self.versions.lobs.retain(|_, chain| {
-            let before = chain.spans.len();
-            chain.spans.retain(|v| !settled(v.by) && !aborted(v.by));
-            pruned += (before - chain.spans.len()) as u64;
-            if chain.begin != 0 && (settled(chain.begin) || aborted(chain.begin)) {
-                chain.begin = 0;
-            }
-            if chain.is_trivial() {
-                dropped += 1;
-                return false;
-            }
-            true
-        });
+        let horizon = self.txns.horizon();
+        let mvcc::VacuumPass { pruned, dropped, mut reclaim } =
+            self.versions.vacuum(&self.txns, horizon);
 
         // Physically reclaim settled-dead slots in deterministic order so
         // repeated runs produce identical free-list state.
@@ -344,84 +264,21 @@ impl StorageEngine {
         self.txns.prune_history(horizon, &self.versions.referenced_stamps());
     }
 
-    /// Structural + early conflict check for a heap row write.
-    fn check_heap_write(&self, seg: SegmentId, rid: RowId) -> Result<()> {
-        let t = self.current.txn;
-        if t == 0 {
-            return Ok(());
-        }
-        if let Some(chain) = self.versions.heap_chain(seg, rid) {
-            for stamp in [Some(chain.begin), chain.dead].into_iter().flatten() {
-                if stamp != 0 && stamp != t && self.txns.is_active(stamp) {
-                    return Err(Error::write_conflict(
-                        stamp,
-                        format!("heap rowid {rid} in {seg}"),
-                        format!(
-                            "txn {t}: heap row {rid} in {seg} has an uncommitted version from txn {stamp}"
-                        ),
-                    ));
-                }
-            }
-        }
-        if self.conflict_checks {
-            let wref = WriteRef { seg, key: WriteKey::Rid(rid) };
-            if let Some((csn, winner)) = self.txns.committed_writer(&wref) {
-                if csn > self.current.high {
-                    return Err(Error::write_conflict(
-                        winner,
-                        format!("heap rowid {rid} in {seg}"),
-                        format!(
-                            "txn {t}: heap row {rid} in {seg} was committed by txn {winner} at csn {csn}, after this snapshot (high {})",
-                            self.current.high
-                        ),
-                    ));
-                }
-            }
-        }
-        Ok(())
+    /// Structural + early conflict check for a write of the current
+    /// transaction to one heap row or IOT key.
+    fn check_write(&self, seg: SegmentId, key: RowKey) -> Result<()> {
+        self.versions.check_write(&self.txns, &self.current, self.conflict_checks, seg, key)
     }
 
-    /// Structural + early conflict check for an IOT key write.
-    fn check_iot_write(&self, seg: SegmentId, key: &Key) -> Result<()> {
+    /// MVCC bookkeeping after the current transaction wrote one heap row or
+    /// IOT key: `f` stamps the write into the row's chain, and the write is
+    /// recorded for commit-time validation. No-op on the legacy lane.
+    fn stamp_write(&mut self, seg: SegmentId, key: RowKey, f: impl FnOnce(&mut RowChain)) {
         let t = self.current.txn;
-        if t == 0 {
-            return Ok(());
+        if t != 0 {
+            self.versions.edit(seg, key, t, f);
+            self.txns.record_write(t, WriteRef { seg, key: key.write_key() });
         }
-        if let Some(chain) = self.versions.iot_chain(seg, key) {
-            let stamps = chain
-                .current
-                .as_ref()
-                .map(|c| c.begin)
-                .into_iter()
-                .chain(chain.older.first().map(|v| v.end));
-            for stamp in stamps {
-                if stamp != 0 && stamp != t && self.txns.is_active(stamp) {
-                    return Err(Error::write_conflict(
-                        stamp,
-                        format!("iot key {key} in {seg}"),
-                        format!(
-                            "txn {t}: IOT key {key} in {seg} has an uncommitted version from txn {stamp}"
-                        ),
-                    ));
-                }
-            }
-        }
-        if self.conflict_checks {
-            let wref = WriteRef { seg, key: WriteKey::Key(key.clone()) };
-            if let Some((csn, winner)) = self.txns.committed_writer(&wref) {
-                if csn > self.current.high {
-                    return Err(Error::write_conflict(
-                        winner,
-                        format!("iot key {key} in {seg}"),
-                        format!(
-                            "txn {t}: IOT key {key} in {seg} was committed by txn {winner} at csn {csn}, after this snapshot (high {})",
-                            self.current.high
-                        ),
-                    ));
-                }
-            }
-        }
-        Ok(())
     }
 
     /// The snapshot any (re)build of an index reads base segment `seg`
@@ -435,17 +292,7 @@ impl StorageEngine {
     /// version in the segment.
     pub fn build_snapshot(&self, seg: SegmentId) -> Result<Snapshot> {
         let t = self.current.txn;
-        let heap = self.versions.heap.get(&seg).into_iter().flatten();
-        let iot = self.versions.iot.get(&seg).into_iter().flatten();
-        let writer = heap
-            .flat_map(|(_, c)| [Some(c.begin), c.dead])
-            .chain(iot.flat_map(|(_, c)| {
-                [c.current.as_ref().map(|cur| cur.begin), c.older.first().map(|v| v.end)]
-            }))
-            .flatten()
-            .filter(|&stamp| stamp != 0 && stamp != t && self.txns.is_active(stamp))
-            .min();
-        match writer {
+        match self.versions.active_writer(&self.txns, seg, t) {
             None => Ok(Snapshot { txn: t, high: u64::MAX }),
             Some(w) => Err(Error::write_conflict(
                 w,
@@ -506,18 +353,7 @@ impl StorageEngine {
         if self.conflict_checks {
             let wref =
                 WriteRef { seg: LOB_SEGMENT, key: WriteKey::LobSpan { lob, start: cs, end: ce } };
-            if let Some((csn, winner)) = self.txns.committed_writer(&wref) {
-                if csn > self.current.high {
-                    return Err(Error::write_conflict(
-                        winner,
-                        format!("{lob} bytes [{cs}, {ce})"),
-                        format!(
-                            "txn {t}: {lob} bytes [{cs}, {ce}) overlap a write committed by txn {winner} at csn {csn}, after this snapshot (high {})",
-                            self.current.high
-                        ),
-                    ));
-                }
-            }
+            self.txns.check_committed(&wref, &self.current)?;
         }
         Ok(())
     }
@@ -634,12 +470,9 @@ impl StorageEngine {
     /// only if no physical row *and no displaced version* on it can
     /// match. Widen-only — bounds never tighten here.
     fn widen_zones_with_chains(&mut self, seg: SegmentId) {
-        let Some(chains) = self.versions.heap.get(&seg) else { return };
         let Some(h) = self.heaps.get_mut(&seg) else { return };
-        for (rid, chain) in chains {
-            for v in &chain.older {
-                h.widen_page_zone(rid.page, &v.row);
-            }
+        for (rid, row) in self.versions.displaced(seg) {
+            h.widen_page_zone(rid.page, row);
         }
     }
 
@@ -767,11 +600,7 @@ impl StorageEngine {
         debug_assert_eq!(inserted, rid, "peeked rowid must match actual placement");
         self.cache.write((seg, page));
         let t = self.current.txn;
-        if t != 0 {
-            let chain = self.versions.heap_chain_mut(seg, inserted);
-            chain.begin = t;
-            self.txns.record_write(t, WriteRef { seg, key: WriteKey::Rid(inserted) });
-        }
+        self.stamp_write(seg, RowKey::Rid(inserted), |c| c.write(t, None, false));
         self.record(UndoOp::HeapInsert { seg, rid: inserted });
         self.wal_applied()?;
         Ok(inserted)
@@ -784,26 +613,13 @@ impl StorageEngine {
         if !self.heaps.contains_key(&seg) {
             return Err(Error::Storage(format!("{seg}: no such heap segment")));
         }
-        self.check_heap_write(seg, rid)?;
+        self.check_write(seg, RowKey::Rid(rid))?;
         self.wal_append(WalRecord::HeapUpdate { seg, rid, row: new_row.clone() })?;
         let h = self.heaps.get_mut(&seg).expect("existence checked above");
         let old = h.update(rid, new_row)?;
         self.cache.write((seg, rid.page));
         let t = self.current.txn;
-        if t != 0 {
-            let chain = self.versions.heap_chain_mut(seg, rid);
-            if chain.begin != t {
-                // Displace the previous writer's version; a second update
-                // by the same transaction overwrites silently (nobody else
-                // can see the intermediate image).
-                chain.older.insert(
-                    0,
-                    HeapVersion { row: old.clone(), begin: chain.begin, end: t },
-                );
-                chain.begin = t;
-            }
-            self.txns.record_write(t, WriteRef { seg, key: WriteKey::Rid(rid) });
-        }
+        self.stamp_write(seg, RowKey::Rid(rid), |c| c.write(t, Some((&old, 0)), false));
         self.record(UndoOp::HeapUpdate { seg, rid, old: old.clone() });
         self.wal_applied()?;
         Ok(old)
@@ -818,7 +634,7 @@ impl StorageEngine {
         if !self.heaps.contains_key(&seg) {
             return Err(Error::Storage(format!("{seg}: no such heap segment")));
         }
-        self.check_heap_write(seg, rid)?;
+        self.check_write(seg, RowKey::Rid(rid))?;
         let t = self.current.txn;
         if t != 0 {
             // Validate before logging: replay applies the delete physically
@@ -826,7 +642,7 @@ impl StorageEngine {
             // that succeed live.
             let h = self.heaps.get(&seg).expect("existence checked above");
             h.fetch(rid)?;
-            if self.versions.heap_chain(seg, rid).is_some_and(|c| c.dead.is_some()) {
+            if self.versions.chain(seg, RowKey::Rid(rid)).is_some_and(|c| c.dead.is_some()) {
                 return Err(Error::Storage(format!("{rid}: row already deleted")));
             }
         }
@@ -841,9 +657,7 @@ impl StorageEngine {
         } else {
             let h = self.heaps.get(&seg).expect("existence checked above");
             let old = h.fetch(rid)?.clone();
-            let chain = self.versions.heap_chain_mut(seg, rid);
-            chain.dead = Some(t);
-            self.txns.record_write(t, WriteRef { seg, key: WriteKey::Rid(rid) });
+            self.stamp_write(seg, RowKey::Rid(rid), |c| c.dead = Some(t));
             old
         };
         self.cache.write((seg, rid.page));
@@ -903,7 +717,7 @@ impl StorageEngine {
         if iot.ordinal_of(&key).is_some() {
             return Err(Error::Constraint(format!("duplicate key {key} in IOT {seg}")));
         }
-        self.check_iot_write(seg, &key)?;
+        self.check_write(seg, RowKey::Key(&key))?;
         let ord = iot.peek_next_ord();
         self.wal_append(WalRecord::IotInsertOrd { seg, row: row.clone(), ord })?;
         let (inserted, charge) = self.iot_mut(seg)?.insert(row)?;
@@ -911,11 +725,7 @@ impl StorageEngine {
         let leaf = self.iot_leaf_page_for(seg, &key);
         self.charge_iot(seg, charge, leaf);
         let t = self.current.txn;
-        if t != 0 {
-            let chain = self.versions.iot_chain_mut(seg, key.clone());
-            chain.current = Some(IotCurrent { begin: t });
-            self.txns.record_write(t, WriteRef { seg, key: WriteKey::Key(key.clone()) });
-        }
+        self.stamp_write(seg, RowKey::Key(&key), |c| c.write(t, None, false));
         self.record(UndoOp::IotInsert { seg, key });
         self.wal_applied()?;
         Ok(Self::ord_to_rid(seg, inserted))
@@ -927,27 +737,15 @@ impl StorageEngine {
         let iot = self.iot(seg)?;
         let key_cols = iot.key_cols();
         let key = Key(row[..key_cols.min(row.len())].to_vec());
-        self.check_iot_write(seg, &key)?;
+        self.check_write(seg, RowKey::Key(&key))?;
         let ord = iot.peek_upsert_ord(&row)?;
         self.wal_append(WalRecord::IotUpsertOrd { seg, row: row.clone(), ord })?;
         let (old, ord, charge) = self.iot_mut(seg)?.upsert(row)?;
         let leaf = self.iot_leaf_page_for(seg, &key);
         self.charge_iot(seg, charge, leaf);
         let t = self.current.txn;
-        if t != 0 {
-            let chain = self.versions.iot_chain_mut(seg, key.clone());
-            let prev_begin = chain.current.as_ref().map(|c| c.begin).unwrap_or(0);
-            if let Some(o) = &old {
-                if prev_begin != t {
-                    chain.older.insert(
-                        0,
-                        IotVersion { row: o.clone(), begin: prev_begin, end: t, ord },
-                    );
-                }
-            }
-            chain.current = Some(IotCurrent { begin: t });
-            self.txns.record_write(t, WriteRef { seg, key: WriteKey::Key(key.clone()) });
-        }
+        let displaced = old.as_ref().map(|o| (o, ord));
+        self.stamp_write(seg, RowKey::Key(&key), |c| c.write(t, displaced, false));
         self.record(match &old {
             Some(o) => UndoOp::IotReplace { seg, old: o.clone() },
             None => UndoOp::IotInsert { seg, key },
@@ -958,7 +756,7 @@ impl StorageEngine {
 
     /// Delete by key from an IOT; returns the removed row if present.
     pub fn iot_delete(&mut self, seg: SegmentId, key: &Key) -> Result<Option<Row>> {
-        self.check_iot_write(seg, key)?;
+        self.check_write(seg, RowKey::Key(key))?;
         self.wal_append(WalRecord::IotDelete { seg, key: key.clone() })?;
         // IOT deletes are physically immediate (ordinals are never reused,
         // so no rowid-recycling hazard); the removed row survives as a
@@ -969,16 +767,7 @@ impl StorageEngine {
         let t = self.current.txn;
         let old = match removed {
             Some((o, ord)) => {
-                if t != 0 {
-                    let chain = self.versions.iot_chain_mut(seg, key.clone());
-                    let prev_begin = chain.current.as_ref().map(|c| c.begin).unwrap_or(0);
-                    chain.older.insert(
-                        0,
-                        IotVersion { row: o.clone(), begin: prev_begin, end: t, ord },
-                    );
-                    chain.current = None;
-                    self.txns.record_write(t, WriteRef { seg, key: WriteKey::Key(key.clone()) });
-                }
+                self.stamp_write(seg, RowKey::Key(key), |c| c.write(t, Some((&o, ord)), true));
                 self.record(UndoOp::IotDelete { seg, old: o.clone(), ord });
                 Some(o)
             }
@@ -1000,14 +789,14 @@ impl StorageEngine {
     /// segment's, `None` when it has none: no per-row lookup then.
     fn heap_visible_image<'a>(
         &'a self,
-        chains: Option<&'a HashMap<RowId, HeapChain>>,
+        chains: Option<&'a HashMap<RowId, RowChain>>,
         rid: RowId,
         physical: &'a Row,
         snap: &Snapshot,
     ) -> Option<&'a Row> {
         match chains.and_then(|m| m.get(&rid)) {
             None => Some(physical),
-            Some(chain) => mvcc::resolve_heap(&self.txns, chain, Some(physical), snap),
+            Some(chain) => chain.resolve(&self.txns, Some(physical), snap).map(|(row, _)| row),
         }
     }
 
@@ -1076,7 +865,7 @@ impl StorageEngine {
     /// inside `(lo, hi)`, in key order, each with the logical rowid it is
     /// (or was) reachable under. A merge of two key-ordered ranges over the
     /// same bounds — the segment's physical rows and its version chains —
-    /// resolving each key through [`mvcc::resolve_iot`]: a physical row
+    /// resolving each key through [`RowChain::resolve`]: a physical row
     /// without a chain is visible to everyone, a row with one may resolve
     /// to a displaced version or to nothing, and a chain without a row is
     /// a ghost some older snapshot still sees. A segment without chains is
@@ -1114,7 +903,7 @@ impl StorageEngine {
             };
             let visible = match chain {
                 None => physical.map(|r| (r, None)),
-                Some((_, c)) => mvcc::resolve_iot(&self.txns, c, physical, snap),
+                Some((_, c)) => c.resolve(&self.txns, physical, snap),
             };
             if let Some((r, ghost_ord)) = visible {
                 out.push((Self::ord_to_rid(seg, ghost_ord.unwrap_or(ord)), key, r));
@@ -1148,18 +937,15 @@ impl StorageEngine {
             let Some((key, row)) = found else {
                 self.charge_iot(seg, charge, 0);
                 // Physically absent: the rowid may address a ghost version.
-                let ghost = chains?.values().flat_map(|chain| &chain.older).find(|v| {
-                    v.ord == ord
-                        && self.txns.stamp_visible(v.begin, snap)
-                        && !self.txns.stamp_visible(v.end, snap)
-                })?;
+                let mut older = chains?.values().flat_map(|chain| &chain.older);
+                let ghost = older.find(|v| v.ord == ord && v.visible(&self.txns, snap))?;
                 return Some(&ghost.row);
             };
             self.charge_iot(seg, charge, self.iot_leaf_page_for(seg, key));
             let Some(chain) = chains.and_then(|m| m.get(key)) else {
                 return Some(row);
             };
-            match mvcc::resolve_iot(&self.txns, chain, Some(row), snap)? {
+            match chain.resolve(&self.txns, Some(row), snap)? {
                 // A ghost at a different ordinal is addressed by a
                 // different rowid — nothing visible *here*.
                 (_, Some(g)) if g != ord => None,
@@ -1167,29 +953,6 @@ impl StorageEngine {
             }
         };
         Ok(rids.iter().map(|&rid| fetch(rid)).collect())
-    }
-
-    /// Pop the version a transactional IOT write displaced (rollback
-    /// support): only if this write was the displacing one — its undo
-    /// image matches the displaced row.
-    fn pop_iot_version(
-        versions: &mut VersionStore,
-        seg: SegmentId,
-        key: &Key,
-        t: u64,
-        old: &Row,
-    ) {
-        if let Some(m) = versions.iot.get_mut(&seg) {
-            if let Some(chain) = m.get_mut(key) {
-                if chain.older.first().is_some_and(|v| v.end == t && v.row == *old) {
-                    let popped = chain.older.remove(0);
-                    chain.current = Some(IotCurrent { begin: popped.begin });
-                }
-                if chain.is_trivial() {
-                    m.remove(key);
-                }
-            }
-        }
     }
 
     /// Pop the newest span a rolled-back LOB write pushed (rollback
@@ -1248,13 +1011,8 @@ impl StorageEngine {
         Ok(lob)
     }
 
-    /// LOB length as the write lane's current snapshot sees it.
-    pub fn lob_length(&self, lob: LobRef) -> Result<u64> {
-        self.lob_length_at(lob, &self.current)
-    }
-
-    /// LOB length under a specific snapshot.
-    pub fn lob_length_at(&self, lob: LobRef, snap: &Snapshot) -> Result<u64> {
+    /// LOB length as `snap` sees it.
+    pub fn lob_length(&self, lob: LobRef, snap: &Snapshot) -> Result<u64> {
         match self.lob_image(lob, snap)? {
             LobImage::Current => self.lobs.length(lob),
             LobImage::Patched(bytes) => Ok(bytes.len() as u64),
@@ -1262,13 +1020,8 @@ impl StorageEngine {
         }
     }
 
-    /// Read from a LOB at an offset (write lane's current snapshot).
-    pub fn lob_read(&self, lob: LobRef, offset: u64, len: usize) -> Result<Vec<u8>> {
-        self.lob_read_at(lob, offset, len, &self.current)
-    }
-
-    /// Read from a LOB at an offset under a specific snapshot.
-    pub fn lob_read_at(
+    /// Read from a LOB at an offset, as `snap` sees it.
+    pub fn lob_read(
         &self,
         lob: LobRef,
         offset: u64,
@@ -1291,13 +1044,8 @@ impl StorageEngine {
         }
     }
 
-    /// Read a whole LOB (write lane's current snapshot).
-    pub fn lob_read_all(&self, lob: LobRef) -> Result<Vec<u8>> {
-        self.lob_read_all_at(lob, &self.current)
-    }
-
-    /// Read a whole LOB under a specific snapshot.
-    pub fn lob_read_all_at(&self, lob: LobRef, snap: &Snapshot) -> Result<Vec<u8>> {
+    /// Read a whole LOB, as `snap` sees it.
+    pub fn lob_read_all(&self, lob: LobRef, snap: &Snapshot) -> Result<Vec<u8>> {
         match self.lob_image(lob, snap)? {
             LobImage::Current => {
                 let (bytes, charge) = self.lobs.read_all(lob)?;
@@ -1500,6 +1248,7 @@ impl StorageEngine {
     pub fn rollback_to(&mut self, mark: usize) -> Result<()> {
         let t = self.current.txn;
         let ops = self.undo.get_mut(&t).map(|log| log.drain_reverse_from(mark));
+        self.txns.truncate_writes(t, mark);
         for op in ops.unwrap_or_default() {
             match op {
                 UndoOp::HeapInsert { seg, rid } => {
@@ -1507,9 +1256,7 @@ impl StorageEngine {
                         self.wal_append(WalRecord::HeapDelete { seg, rid })?;
                         let h = self.heaps.get_mut(&seg).expect("checked");
                         h.delete(rid)?;
-                        if t != 0 {
-                            self.versions.drop_heap_chain(seg, rid);
-                        }
+                        self.versions.edit(seg, RowKey::Rid(rid), t, |c| c.undo(t, None));
                         self.widen_zones_with_chains(seg);
                         self.cache.write((seg, rid.page));
                     }
@@ -1518,28 +1265,7 @@ impl StorageEngine {
                     if self.heaps.contains_key(&seg) {
                         self.wal_append(WalRecord::HeapUpdate { seg, rid, row: old.clone() })?;
                         self.heaps.get_mut(&seg).expect("checked").update(rid, old.clone())?;
-                        if t != 0 {
-                            // Pop the version this update displaced, if this
-                            // was the displacing write (a same-transaction
-                            // re-update pushed nothing, and its undo image
-                            // won't match the displaced row).
-                            if let Some(m) = self.versions.heap.get_mut(&seg) {
-                                if let Some(chain) = m.get_mut(&rid) {
-                                    if chain.begin == t
-                                        && chain
-                                            .older
-                                            .first()
-                                            .is_some_and(|v| v.end == t && v.row == old)
-                                    {
-                                        let popped = chain.older.remove(0);
-                                        chain.begin = popped.begin;
-                                    }
-                                    if chain.is_trivial() {
-                                        m.remove(&rid);
-                                    }
-                                }
-                            }
-                        }
+                        self.versions.edit(seg, RowKey::Rid(rid), t, |c| c.undo(t, Some(&old)));
                         self.cache.write((seg, rid.page));
                     }
                 }
@@ -1550,23 +1276,14 @@ impl StorageEngine {
                         // dead mark needs clearing. The compensating WAL
                         // record must still restore the row, because replay
                         // applies deletes physically.
-                        let deferred = t != 0
-                            && self
-                                .versions
-                                .heap_chain(seg, rid)
-                                .is_some_and(|c| c.dead == Some(t));
-                        if deferred {
+                        let key = RowKey::Rid(rid);
+                        if self.versions.chain(seg, key).is_some_and(|c| c.dead == Some(t)) {
                             self.wal_append(WalRecord::HeapInsertAt {
                                 seg,
                                 rid,
                                 row: old.clone(),
                             })?;
-                            let m = self.versions.heap.get_mut(&seg).expect("chain checked");
-                            let chain = m.get_mut(&rid).expect("chain checked");
-                            chain.dead = None;
-                            if chain.is_trivial() {
-                                m.remove(&rid);
-                            }
+                            self.versions.edit(seg, key, t, |c| c.dead = None);
                         } else {
                             // Legacy lane: the slot was freed; restore into
                             // it (or in place, if something re-occupied it).
@@ -1595,18 +1312,7 @@ impl StorageEngine {
                     if self.iots.contains_key(&seg) {
                         self.wal_append(WalRecord::IotDelete { seg, key: key.clone() })?;
                         self.iots.get_mut(&seg).expect("checked").delete(&key);
-                        if t != 0 {
-                            if let Some(m) = self.versions.iot.get_mut(&seg) {
-                                if let Some(chain) = m.get_mut(&key) {
-                                    if chain.current.as_ref().is_some_and(|c| c.begin == t) {
-                                        chain.current = None;
-                                    }
-                                    if chain.older.is_empty() {
-                                        m.remove(&key);
-                                    }
-                                }
-                            }
-                        }
+                        self.versions.edit(seg, RowKey::Key(&key), t, |c| c.undo(t, None));
                     }
                 }
                 UndoOp::IotReplace { seg, old } => {
@@ -1622,11 +1328,8 @@ impl StorageEngine {
                             ord,
                         })?;
                         self.iots.get_mut(&seg).expect("checked").upsert(old.clone())?;
-                        if t != 0 {
-                            let key_cols = self.iots[&seg].key_cols();
-                            let key = Key(old[..key_cols.min(old.len())].to_vec());
-                            Self::pop_iot_version(&mut self.versions, seg, &key, t, &old);
-                        }
+                        let key = Key(old[..self.iots[&seg].key_cols().min(old.len())].to_vec());
+                        self.versions.edit(seg, RowKey::Key(&key), t, |c| c.undo(t, Some(&old)));
                     }
                 }
                 UndoOp::IotDelete { seg, old, ord } => {
@@ -1642,11 +1345,8 @@ impl StorageEngine {
                             .get_mut(&seg)
                             .expect("checked")
                             .insert_with_ordinal(old.clone(), ord)?;
-                        if t != 0 {
-                            let key_cols = self.iots[&seg].key_cols();
-                            let key = Key(old[..key_cols.min(old.len())].to_vec());
-                            Self::pop_iot_version(&mut self.versions, seg, &key, t, &old);
-                        }
+                        let key = Key(old[..self.iots[&seg].key_cols().min(old.len())].to_vec());
+                        self.versions.edit(seg, RowKey::Key(&key), t, |c| c.undo(t, Some(&old)));
                     }
                 }
                 UndoOp::LobAllocate { lob } => {
@@ -1815,8 +1515,11 @@ mod tests {
         e.lob_write(temp, 0, b"scratch").unwrap();
 
         e.rollback_to(mark).unwrap();
-        assert_eq!(e.lob_read_all(keep).unwrap(), b"stable");
-        assert!(e.lob_read_all(temp).is_err(), "rolled-back allocation is gone");
+        assert_eq!(e.lob_read_all(keep, &Snapshot::latest()).unwrap(), b"stable");
+        assert!(
+            e.lob_read_all(temp, &Snapshot::latest()).is_err(),
+            "rolled-back allocation is gone"
+        );
     }
 
     #[test]
@@ -1936,6 +1639,29 @@ mod tests {
         e.vacuum();
         assert!(e.segment_settled(heap) && e.segment_settled(iot));
         assert_eq!(e.heap(heap).unwrap().row_count(), 0);
+    }
+
+    /// A write a savepoint rollback took back is no write: a transaction
+    /// that reuses its rowid or key does not lose first-writer-wins to the
+    /// one that rolled it back and then committed.
+    #[test]
+    fn a_rolled_back_write_wins_no_conflict() {
+        let mut e = StorageEngine::new(64);
+        let heap = e.create_heap().unwrap();
+        let iot = e.create_iot(1).unwrap();
+        let txns = e.txn_manager();
+        let (a, b) = (txns.begin(), txns.begin());
+        e.set_current_txn(a);
+        let mark = e.undo_mark();
+        let rid = e.heap_insert(heap, row(1)).unwrap();
+        e.iot_insert(iot, row(1)).unwrap();
+        e.rollback_to(mark).unwrap();
+        e.set_current_txn(b);
+        assert_eq!(e.heap_insert(heap, row(2)).unwrap(), rid, "the freed slot is reused");
+        e.iot_insert(iot, row(1)).unwrap();
+        e.commit_txn(a).unwrap();
+        e.heap_update(heap, rid, row(3)).expect("a wrote nothing b must wait for");
+        e.commit_txn(b).expect("b's write set contends with nothing a committed");
     }
 
     #[test]

@@ -25,6 +25,12 @@
 //!   key point reproduced here is that **domain-index data stored in
 //!   database objects rolls back for free**, while file-stored index data
 //!   does not (paper §5);
+//! - [`mvcc`] — the transaction manager and the overlay version store:
+//!   one [`RowChain`](mvcc::RowChain) type for heap rows (by rowid) and
+//!   IOT rows (by key), with one visibility rule, one write check, one
+//!   rollback pop and one prune rule — a heap delete is deferred and an IOT
+//!   delete immediate, and that is the only difference — plus byte-span
+//!   chains for LOBs;
 //! - [`engine::StorageEngine`] — the façade that owns all segments and
 //!   funnels every mutation through the buffer cache, WAL and the driving
 //!   transaction's undo log (no mutator takes a log), and every heap/IOT
@@ -34,7 +40,8 @@
 //!   the same bounds, charged height plus the leaves it returned — and a
 //!   rowid join for each. Every one of the four borrows: a row comes back
 //!   as `&Row` into the engine, never as a copy, so a reader copies only
-//!   the columns it keeps, and only of the rows it keeps.
+//!   the columns it keeps, and only of the rows it keeps. LOB reads take a
+//!   snapshot as well.
 
 pub mod buffer;
 pub mod engine;

@@ -8,8 +8,9 @@
 //! - the **newest** version of every row stays physically in place in its
 //!   heap page / IOT node, exactly where the single-session engine put it;
 //! - a row touched by an in-flight or recently committed transaction gains
-//!   a [`HeapChain`]/[`IotChain`] entry carrying the begin/end stamps of
-//!   the in-place version plus the displaced older versions;
+//!   a [`RowChain`] — one type for heap rows (by rowid) and IOT rows (by
+//!   key) — carrying the stamps of the in-place version plus the displaced
+//!   older versions;
 //! - a row with **no** chain is implicitly stamped `(begin=0, end=∞)` —
 //!   bootstrap data, visible to every snapshot. Since the single-session
 //!   autocommit lane runs as txn 0 and the engine prunes chains
@@ -48,12 +49,17 @@
 //! next_csn >= csn`), so the engine's incremental vacuum can prune it
 //! without waiting for quiescence.
 //!
-//! Heap deletes are **deferred**: the chain marks the in-place version
-//! dead and the slot is only freed once the delete's CSN drops below the
-//! horizon, so a rowid is never recycled while a snapshot that can still
-//! see the old row exists. IOT deletes are physically immediate (ordinals
-//! are never reused), with the deleted row kept as a ghost version in the
-//! chain.
+//! **One row version.** Every row chain is read through one visibility
+//! rule (`RowChain::resolve`), written through one displace
+//! (`RowChain::write`) and one rollback pop (`RowChain::undo`), checked
+//! by one write check (`VersionStore::check_write`) and pruned by one
+//! rule. The only per-organisation difference is how a delete is
+//! stamped. Heap deletes are **deferred** (`dead`): the in-place version is
+//! marked dead and the slot is only freed once the delete's CSN drops below
+//! the horizon, so a rowid is never recycled while a snapshot that can
+//! still see the old row exists. IOT deletes are physically immediate
+//! (`begin = None`; ordinals are never reused), with the deleted row kept
+//! as a ghost version in the chain.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -122,31 +128,21 @@ impl WriteKey {
     }
 }
 
-impl std::fmt::Display for WriteKey {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WriteKey::Rid(rid) => write!(f, "heap rowid {rid:?}"),
-            WriteKey::Key(k) => write!(f, "iot key {k:?}"),
-            WriteKey::LobSpan { lob, start, end } => {
-                if *end == WHOLE_LOB {
-                    write!(f, "{lob} (whole)")
-                } else {
-                    write!(f, "{lob} bytes [{start}, {end})")
-                }
-            }
-        }
-    }
-}
-
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct WriteRef {
     pub seg: SegmentId,
     pub key: WriteKey,
 }
 
+/// How a conflict names the contended write.
 impl std::fmt::Display for WriteRef {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "seg {} {}", self.seg.0, self.key)
+        match &self.key {
+            WriteKey::Rid(rid) => write!(f, "heap rowid {rid} in {}", self.seg),
+            WriteKey::Key(key) => write!(f, "iot key {key} in {}", self.seg),
+            WriteKey::LobSpan { lob, end: WHOLE_LOB, .. } => write!(f, "{lob} (whole)"),
+            WriteKey::LobSpan { lob, start, end } => write!(f, "{lob} bytes [{start}, {end})"),
+        }
     }
 }
 
@@ -273,6 +269,18 @@ impl TxnManager {
         self.inner.lock().writes.entry(txn).or_default().push(wref);
     }
 
+    /// Take back the writes a rollback to savepoint `mark` undid: the
+    /// engine records one write per undo entry, so a transaction's first
+    /// `mark` writes are the ones that stand. A write rolled back is no
+    /// write at all — left in the set, it would make a later writer of the
+    /// same rowid or key lose first-writer-wins to a transaction that never
+    /// wrote it.
+    pub(crate) fn truncate_writes(&self, txn: u64, mark: usize) {
+        if let Some(writes) = self.inner.lock().writes.get_mut(&txn) {
+            writes.truncate(mark);
+        }
+    }
+
     /// The latest committed writer contending with `wref`, if any writer
     /// committed since its entry was pruned: `(csn, txn)`.
     pub fn committed_writer(&self, wref: &WriteRef) -> Option<(u64, u64)> {
@@ -280,6 +288,23 @@ impl TxnManager {
             .lock()
             .committed_contender(wref)
             .map(|(csn, txn, _)| (csn, txn))
+    }
+
+    /// The committed half of every write check (rows and LOB spans alike):
+    /// `wref` conflicts when a contending write committed after `snap` was
+    /// taken — first-writer-wins caught at write time, not at commit.
+    pub(crate) fn check_committed(&self, wref: &WriteRef, snap: &Snapshot) -> Result<()> {
+        match self.committed_writer(wref) {
+            Some((csn, winner)) if csn > snap.high => {
+                let what = wref.to_string();
+                let detail = format!(
+                    "txn {}: {what} was written by txn {winner}, committed at csn {csn}, after this snapshot (high {})",
+                    snap.txn, snap.high
+                );
+                Err(Error::write_conflict(winner, what, detail))
+            }
+            _ => Ok(()),
+        }
     }
 
     /// First-writer-wins commit: validate the write set against writers
@@ -361,73 +386,154 @@ impl TxnManager {
     }
 }
 
-/// One displaced heap version: the row image plus its validity interval.
-/// `end` is the transaction that superseded (or deleted) it.
-#[derive(Debug, Clone)]
-pub struct HeapVersion {
-    pub row: Row,
-    pub begin: u64,
-    pub end: u64,
+/// The address of one row chain: a heap rowid or an IOT key.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum RowKey<'a> {
+    Rid(RowId),
+    Key(&'a Key),
 }
 
-/// Version chain for one heap rowid. The in-place (physical) version is
-/// *not* duplicated here — only its stamps are.
-#[derive(Debug, Clone, Default)]
-pub struct HeapChain {
-    /// Stamp of the transaction that wrote the in-place version (0 =
-    /// bootstrap data displaced by `older` pushes).
-    pub begin: u64,
-    /// Deleting transaction, if the in-place version was deleted. The
-    /// physical slot survives until the delete's CSN drops below the
-    /// vacuum horizon (rowid-reuse safety).
-    pub dead: Option<u64>,
-    /// Displaced versions, newest first.
-    pub older: Vec<HeapVersion>,
-}
-
-impl HeapChain {
-    /// A chain carrying no information (equivalent to no chain).
-    pub fn is_trivial(&self) -> bool {
-        self.begin == 0 && self.dead.is_none() && self.older.is_empty()
-    }
-
-    /// Versions held beyond the in-place row.
-    pub fn version_count(&self) -> usize {
-        self.older.len()
+impl RowKey<'_> {
+    /// The key this row's writes are validated under at commit.
+    pub(crate) fn write_key(self) -> WriteKey {
+        match self {
+            RowKey::Rid(rid) => WriteKey::Rid(rid),
+            RowKey::Key(key) => WriteKey::Key(key.clone()),
+        }
     }
 }
 
-/// One displaced IOT version, keeping the logical rowid (ordinal) it was
-/// reachable under so secondary-index fetches into history still resolve.
+/// One displaced row version: the image, the transactions that wrote it
+/// (`begin`) and displaced it (`end`), and the IOT logical-rowid ordinal it
+/// was reachable under, so secondary-index fetches into history still
+/// resolve (0 for a heap version: its rowid is the chain's key).
 #[derive(Debug, Clone)]
-pub struct IotVersion {
+pub struct RowVersion {
     pub row: Row,
     pub begin: u64,
     pub end: u64,
     pub ord: u64,
 }
 
-/// Version chain for one IOT key. `current` describes the physically
-/// present row for the key; `None` means the key is physically absent
-/// (ghost-only chain after a delete).
-#[derive(Debug, Clone, Default)]
-pub struct IotChain {
-    pub current: Option<IotCurrent>,
-    pub older: Vec<IotVersion>,
+impl RowVersion {
+    /// Whether `snap` sees this version: its writer visible, its
+    /// displacer not.
+    pub(crate) fn visible(&self, txns: &TxnManager, snap: &Snapshot) -> bool {
+        txns.stamp_visible(self.begin, snap) && !txns.stamp_visible(self.end, snap)
+    }
 }
 
+/// Version chain for one heap rowid or IOT key. The in-place (physical)
+/// version is *not* duplicated here — only its stamps are. The two
+/// organisations differ in how a delete is stamped, and in nothing else: a
+/// heap delete is deferred (`dead`, the row stays in its slot), an IOT
+/// delete is immediate (`begin = None`, the row lives on in `older`).
 #[derive(Debug, Clone)]
-pub struct IotCurrent {
-    pub begin: u64,
+pub struct RowChain {
+    /// Writer of the in-place version (0 = visible to every snapshot), or
+    /// `None` when the row is physically gone — an IOT ghost.
+    pub begin: Option<u64>,
+    /// Deleting transaction of a heap row. The physical slot survives
+    /// until the delete's CSN drops below the vacuum horizon (rowid-reuse
+    /// safety).
+    pub dead: Option<u64>,
+    /// Displaced versions, newest first.
+    pub older: Vec<RowVersion>,
 }
 
-impl IotChain {
-    pub fn is_trivial(&self) -> bool {
-        self.older.is_empty() && self.current.as_ref().is_none_or(|c| c.begin == 0)
+impl Default for RowChain {
+    /// The chain of a row no transaction has touched: bootstrap data.
+    fn default() -> Self {
+        RowChain { begin: Some(0), dead: None, older: Vec::new() }
+    }
+}
+
+impl RowChain {
+    /// A chain carrying no information (equivalent to no chain).
+    pub(crate) fn is_trivial(&self) -> bool {
+        self.begin.is_none_or(|b| b == 0) && self.dead.is_none() && self.older.is_empty()
     }
 
-    pub fn version_count(&self) -> usize {
-        self.older.len()
+    /// The stamps a writer of this row leaves that a later writer must
+    /// wait out: the in-place version's writer, a deferred deleter, and
+    /// whoever displaced the newest older version (an IOT deleter). Read by
+    /// the write check, [`VersionStore::active_writer`] and
+    /// [`VersionStore::settled`].
+    pub(crate) fn writer_stamps(&self) -> impl Iterator<Item = u64> + '_ {
+        self.begin.into_iter().chain(self.dead).chain(self.older.first().map(|v| v.end))
+    }
+
+    /// The one visibility rule: the version of this row `snap` sees, given
+    /// the physically present row (if any), paired with the ordinal of the
+    /// displaced version it came from (`None`: the in-place row). `None`
+    /// when no version is visible — written by a transaction `snap` cannot
+    /// see, or deleted for it.
+    pub(crate) fn resolve<'a>(
+        &'a self,
+        txns: &TxnManager,
+        physical: Option<&'a Row>,
+        snap: &Snapshot,
+    ) -> Option<(&'a Row, Option<u64>)> {
+        if let Some(row) = physical {
+            match self.begin {
+                // A physical row under a ghost-only chain should not
+                // happen; be conservative and treat it as bootstrap data.
+                None => return Some((row, None)),
+                Some(begin) if txns.stamp_visible(begin, snap) => {
+                    let deleted = self.dead.is_some_and(|d| txns.stamp_visible(d, snap));
+                    return (!deleted).then_some((row, None));
+                }
+                Some(_) => {}
+            }
+        }
+        let v = self.older.iter().find(|v| v.visible(txns, snap))?;
+        Some((&v.row, Some(v.ord)))
+    }
+
+    /// Transaction `t` writes the row: `old` is the in-place version it
+    /// displaces, with the ordinal it is reachable under (`None` for an
+    /// insert), and `gone` says the row leaves physically (an IOT delete).
+    /// A displaced version `t` wrote itself is not kept — nobody else can
+    /// see the intermediate image — except by a delete, whose rollback must
+    /// pop it to restore `t`'s stamp.
+    pub(crate) fn write(&mut self, t: u64, old: Option<(&Row, u64)>, gone: bool) {
+        if let Some((row, ord)) = old {
+            if gone || self.begin != Some(t) {
+                let begin = self.begin.unwrap_or(0);
+                self.older.insert(0, RowVersion { row: row.clone(), begin, end: t, ord });
+            }
+        }
+        self.begin = (!gone).then_some(t);
+    }
+
+    /// Undo `t`'s write now that the in-place image is `restored` (`None`:
+    /// the undone write was an insert, the row is gone again): pop the
+    /// version that write displaced, if it was the displacing one — its
+    /// undo image matches the newest version, which `t` ended.
+    pub(crate) fn undo(&mut self, t: u64, restored: Option<&Row>) {
+        let Some(old) = restored else {
+            if self.begin == Some(t) {
+                self.begin = None;
+            }
+            return;
+        };
+        let head = self.older.first();
+        if self.begin.is_none_or(|b| b == t) && head.is_some_and(|v| v.end == t && v.row == *old) {
+            self.begin = Some(self.older.remove(0).begin);
+        }
+    }
+
+    /// The one prune rule: drop every displaced version no live or future
+    /// snapshot can see — its displacer settled, or its writer aborted —
+    /// and freeze a settled in-place stamp to the bootstrap lane. Returns
+    /// how many versions went.
+    fn prune(&mut self, settled: &impl Fn(u64) -> bool, aborted: &impl Fn(u64) -> bool) -> u64 {
+        let before = self.older.len();
+        self.older.retain(|v| !settled(v.end) && !aborted(v.begin));
+        if self.begin.is_some_and(|b| b != 0 && settled(b)) {
+            self.begin = Some(0);
+        }
+        (before - self.older.len()) as u64
     }
 }
 
@@ -500,10 +606,6 @@ impl LobChain {
     pub fn is_trivial(&self) -> bool {
         self.begin == 0 && self.spans.is_empty()
     }
-
-    pub fn version_count(&self) -> usize {
-        self.spans.len()
-    }
 }
 
 /// The content of a LOB as one snapshot sees it.
@@ -541,50 +643,155 @@ pub fn resolve_lob_image(
     LobImage::Patched(content)
 }
 
-/// All version chains, segment-keyed. Empty whenever nothing concurrent
-/// is in flight (the engine prunes incrementally against the snapshot
-/// horizon), so legacy single-session behavior — including physical
-/// layout — is untouched.
+/// Counts of one [`VersionStore::vacuum`] pass.
+#[derive(Debug, Default)]
+pub(crate) struct VacuumPass {
+    /// Displaced versions (row images, LOB spans) pruned.
+    pub(crate) pruned: u64,
+    /// Whole chains dropped (drained to trivial, or their row reclaimed).
+    pub(crate) dropped: u64,
+    /// Heap rows whose deferred delete settled: the engine frees the slots.
+    pub(crate) reclaim: Vec<(SegmentId, RowId)>,
+}
+
+/// All version chains: row chains by segment — keyed by rowid for heaps,
+/// by key for IOTs — and LOB chains by locator. Empty whenever nothing
+/// concurrent is in flight (the engine prunes incrementally against the
+/// snapshot horizon), so legacy single-session behavior — including
+/// physical layout — is untouched. A row chain is written only through
+/// [`Self::edit`]; the direct lane (transaction 0) keeps none.
 #[derive(Default)]
 pub struct VersionStore {
-    pub heap: HashMap<SegmentId, HashMap<RowId, HeapChain>>,
-    pub iot: HashMap<SegmentId, BTreeMap<Key, IotChain>>,
+    pub heap: HashMap<SegmentId, HashMap<RowId, RowChain>>,
+    pub iot: HashMap<SegmentId, BTreeMap<Key, RowChain>>,
     pub lobs: HashMap<LobRef, LobChain>,
 }
 
 impl VersionStore {
-    pub fn is_empty(&self) -> bool {
-        self.heap.values().all(|m| m.is_empty())
-            && self.iot.values().all(|m| m.is_empty())
-            && self.lobs.is_empty()
-    }
-
-    pub fn heap_chain(&self, seg: SegmentId, rid: RowId) -> Option<&HeapChain> {
-        self.heap.get(&seg).and_then(|m| m.get(&rid))
-    }
-
-    pub fn heap_chain_mut(&mut self, seg: SegmentId, rid: RowId) -> &mut HeapChain {
-        self.heap.entry(seg).or_default().entry(rid).or_default()
-    }
-
-    pub fn drop_heap_chain(&mut self, seg: SegmentId, rid: RowId) {
-        if let Some(m) = self.heap.get_mut(&seg) {
-            m.remove(&rid);
+    /// The chain of one heap row or IOT key, if it has one.
+    pub(crate) fn chain(&self, seg: SegmentId, key: RowKey) -> Option<&RowChain> {
+        match key {
+            RowKey::Rid(rid) => self.heap.get(&seg)?.get(&rid),
+            RowKey::Key(key) => self.iot.get(&seg)?.get(key),
         }
     }
 
-    pub fn iot_chain(&self, seg: SegmentId, key: &Key) -> Option<&IotChain> {
-        self.iot.get(&seg).and_then(|m| m.get(key))
-    }
-
-    pub fn iot_chain_mut(&mut self, seg: SegmentId, key: Key) -> &mut IotChain {
-        self.iot.entry(seg).or_default().entry(key).or_default()
-    }
-
-    pub fn drop_iot_chain(&mut self, seg: SegmentId, key: &Key) {
-        if let Some(m) = self.iot.get_mut(&seg) {
-            m.remove(key);
+    /// Apply transaction `t`'s change `f` to the chain of row `key`
+    /// (bootstrap if it has none), dropping the chain if that leaves it
+    /// trivial. A no-op for the direct lane (`t == 0`).
+    pub(crate) fn edit(
+        &mut self,
+        seg: SegmentId,
+        key: RowKey,
+        t: u64,
+        f: impl FnOnce(&mut RowChain),
+    ) {
+        if t == 0 {
+            return;
         }
+        match key {
+            RowKey::Rid(rid) => {
+                let chains = self.heap.entry(seg).or_default();
+                let chain = chains.entry(rid).or_default();
+                f(chain);
+                if chain.is_trivial() {
+                    chains.remove(&rid);
+                }
+            }
+            RowKey::Key(key) => {
+                let chains = self.iot.entry(seg).or_default();
+                let chain = chains.entry(key.clone()).or_default();
+                f(chain);
+                if chain.is_trivial() {
+                    chains.remove(key);
+                }
+            }
+        }
+    }
+
+    /// Every row chain of `seg`, heap or IOT.
+    fn segment_chains(&self, seg: SegmentId) -> impl Iterator<Item = &RowChain> {
+        let heap = self.heap.get(&seg).into_iter().flat_map(|m| m.values());
+        heap.chain(self.iot.get(&seg).into_iter().flat_map(|m| m.values()))
+    }
+
+    /// The one write check, for a heap row or an IOT key alike, of a write
+    /// by `snap`'s transaction: another *active* transaction holding a
+    /// writer stamp on the row conflicts (overlay MVCC cannot hold two
+    /// uncommitted in-place versions), and with `committed` checks on so
+    /// does a write committed after `snap` ([`TxnManager::check_committed`]).
+    pub(crate) fn check_write(
+        &self,
+        txns: &TxnManager,
+        snap: &Snapshot,
+        committed: bool,
+        seg: SegmentId,
+        key: RowKey,
+    ) -> Result<()> {
+        let t = snap.txn;
+        if t == 0 {
+            return Ok(());
+        }
+        let wref = WriteRef { seg, key: key.write_key() };
+        let mut stamps = self.chain(seg, key).into_iter().flat_map(RowChain::writer_stamps);
+        if let Some(stamp) = stamps.find(|&s| s != 0 && s != t && txns.is_active(s)) {
+            let what = wref.to_string();
+            let detail = format!("txn {t}: {what} has an uncommitted version from txn {stamp}");
+            return Err(Error::write_conflict(stamp, what, detail));
+        }
+        if committed {
+            txns.check_committed(&wref, snap)
+        } else {
+            Ok(())
+        }
+    }
+
+    /// The oldest *active* transaction other than `t` holding a writer
+    /// stamp anywhere in `seg` — what an index build over it must wait out.
+    pub(crate) fn active_writer(&self, txns: &TxnManager, seg: SegmentId, t: u64) -> Option<u64> {
+        let stamps = self.segment_chains(seg).flat_map(RowChain::writer_stamps);
+        stamps.filter(|&s| s != 0 && s != t && txns.is_active(s)).min()
+    }
+
+    /// Whether every writer stamp in `seg` is settled at the vacuum horizon
+    /// and no heap row waits for the vacuum to reclaim it.
+    pub(crate) fn settled(&self, txns: &TxnManager, seg: SegmentId) -> bool {
+        let horizon = txns.horizon();
+        self.segment_chains(seg).all(|c| {
+            c.dead.is_none() && c.writer_stamps().all(|s| s == 0 || txns.settled(s, horizon))
+        })
+    }
+
+    /// Per-segment `(label, chains, versions)` for `V$MVCC`, heaps then
+    /// IOTs by segment id, then one `LOB` row for all LOB chains.
+    pub(crate) fn stats(&self) -> Vec<(String, usize, usize)> {
+        let kinds: [(&str, Vec<SegmentId>); 2] = [
+            ("HEAP", self.heap.keys().copied().collect()),
+            ("IOT", self.iot.keys().copied().collect()),
+        ];
+        let mut out = Vec::new();
+        for (kind, mut segs) in kinds {
+            segs.sort_by_key(|s| s.0);
+            for seg in segs {
+                let count = |(c, v), ch: &RowChain| (c + 1, v + ch.older.len());
+                let (chains, versions) = self.segment_chains(seg).fold((0, 0), count);
+                if chains > 0 {
+                    out.push((format!("{kind}:{}", seg.0), chains, versions));
+                }
+            }
+        }
+        if !self.lobs.is_empty() {
+            let versions = self.lobs.values().map(|c| c.spans.len()).sum();
+            out.push(("LOB".to_string(), self.lobs.len(), versions));
+        }
+        out
+    }
+
+    /// The displaced heap rows of `seg`, each with the rowid it lives at —
+    /// what the zone maps must keep covering.
+    pub(crate) fn displaced(&self, seg: SegmentId) -> impl Iterator<Item = (RowId, &Row)> {
+        let chains = self.heap.get(&seg).into_iter().flatten();
+        chains.flat_map(|(&rid, c)| c.older.iter().map(move |v| (rid, &v.row)))
     }
 
     /// Remove all chains for a dropped/truncated segment.
@@ -593,90 +800,73 @@ impl VersionStore {
         self.iot.remove(&seg);
     }
 
+    /// One incremental vacuum pass at `horizon`. Heap and IOT chains share
+    /// [`RowChain::prune`]; a heap chain whose deferred delete settled goes
+    /// whole, its row handed back for the engine to reclaim. LOB chains
+    /// drop settled or aborted spans and forget a settled or aborted
+    /// allocation stamp.
+    pub(crate) fn vacuum(&mut self, txns: &TxnManager, horizon: u64) -> VacuumPass {
+        let settled = |stamp: u64| txns.settled(stamp, horizon);
+        let aborted = |stamp: u64| matches!(txns.status(stamp), Some(TxnStatus::Aborted));
+        let (mut pruned, mut dropped, mut reclaim) = (0, 0, Vec::new());
+        let mut keep = |chain: &mut RowChain| {
+            // A settled delete: no snapshot can see the row or any
+            // displaced version under it.
+            let keep = if chain.dead.is_some_and(&settled) {
+                pruned += chain.older.len() as u64;
+                false
+            } else {
+                pruned += chain.prune(&settled, &aborted);
+                !chain.is_trivial()
+            };
+            dropped += u64::from(!keep);
+            keep
+        };
+        for (&seg, chains) in self.heap.iter_mut() {
+            chains.retain(|&rid, chain| {
+                let kept = keep(chain);
+                // Dropped while still marking its row dead: a settled delete.
+                if !kept && chain.dead.is_some() {
+                    reclaim.push((seg, rid));
+                }
+                kept
+            });
+        }
+        for chains in self.iot.values_mut() {
+            chains.retain(|_, chain| keep(chain));
+        }
+        self.heap.retain(|_, m| !m.is_empty());
+        self.iot.retain(|_, m| !m.is_empty());
+
+        self.lobs.retain(|_, chain| {
+            let before = chain.spans.len();
+            chain.spans.retain(|v| !settled(v.by) && !aborted(v.by));
+            pruned += (before - chain.spans.len()) as u64;
+            if chain.begin != 0 && (settled(chain.begin) || aborted(chain.begin)) {
+                chain.begin = 0;
+            }
+            let keep = !chain.is_trivial();
+            dropped += u64::from(!keep);
+            keep
+        });
+        VacuumPass { pruned, dropped, reclaim }
+    }
+
     /// Every nonzero transaction stamp referenced by a surviving chain —
     /// the statuses [`TxnManager::prune_history`] must retain.
     pub fn referenced_stamps(&self) -> HashSet<u64> {
-        let mut out = HashSet::new();
-        let mut add = |s: u64| {
-            if s != 0 {
-                out.insert(s);
-            }
-        };
-        for m in self.heap.values() {
-            for c in m.values() {
-                add(c.begin);
-                if let Some(d) = c.dead {
-                    add(d);
-                }
-                for v in &c.older {
-                    add(v.begin);
-                    add(v.end);
-                }
-            }
-        }
-        for m in self.iot.values() {
-            for c in m.values() {
-                if let Some(cur) = &c.current {
-                    add(cur.begin);
-                }
-                for v in &c.older {
-                    add(v.begin);
-                    add(v.end);
-                }
-            }
-        }
-        for c in self.lobs.values() {
-            add(c.begin);
-            for v in &c.spans {
-                add(v.by);
-            }
-        }
-        out
+        let rows = self.heap.values().flat_map(|m| m.values());
+        let rows = rows.chain(self.iot.values().flat_map(|m| m.values()));
+        let row_stamps = rows.flat_map(|c| {
+            let older = c.older.iter().flat_map(|v| [v.begin, v.end]);
+            c.begin.into_iter().chain(c.dead).chain(older)
+        });
+        let lob_stamps = self
+            .lobs
+            .values()
+            .flat_map(|c| std::iter::once(c.begin).chain(c.spans.iter().map(|v| v.by)));
+        row_stamps.chain(lob_stamps).filter(|&s| s != 0).collect()
     }
-}
-
-/// Resolve a heap row to the version visible under `snap`, given its
-/// chain. `physical` is the in-place row. Returns `None` if no version is
-/// visible.
-pub(crate) fn resolve_heap<'a>(
-    txns: &TxnManager,
-    chain: &'a HeapChain,
-    physical: Option<&'a Row>,
-    snap: &Snapshot,
-) -> Option<&'a Row> {
-    if txns.stamp_visible(chain.begin, snap) {
-        let deleted = chain.dead.is_some_and(|d| txns.stamp_visible(d, snap));
-        return if deleted { None } else { physical };
-    }
-    chain
-        .older
-        .iter()
-        .find(|v| txns.stamp_visible(v.begin, snap) && !txns.stamp_visible(v.end, snap))
-        .map(|v| &v.row)
-}
-
-/// Resolve an IOT key to the version visible under `snap`. `physical` is
-/// the physically present row for the key, if any.
-pub(crate) fn resolve_iot<'a>(
-    txns: &TxnManager,
-    chain: &'a IotChain,
-    physical: Option<&'a Row>,
-    snap: &Snapshot,
-) -> Option<(&'a Row, Option<u64>)> {
-    if let (Some(cur), Some(row)) = (&chain.current, physical) {
-        if txns.stamp_visible(cur.begin, snap) {
-            return Some((row, None));
-        }
-    } else if chain.current.is_none() && physical.is_some() {
-        // Physical row with a ghost-only chain should not happen, but be
-        // conservative: treat the physical row as bootstrap-visible.
-        return physical.map(|r| (r, None));
-    }
-    chain
-        .older
-        .iter()
-        .find(|v| txns.stamp_visible(v.begin, snap) && !txns.stamp_visible(v.end, snap))
-        .map(|v| (&v.row, Some(v.ord)))
 }
 
 #[cfg(test)]
@@ -813,18 +1003,26 @@ mod tests {
         let old = vec![extidx_common::Value::Integer(1)];
         let new = vec![extidx_common::Value::Integer(2)];
         // a updated a bootstrap row in place.
-        let chain = HeapChain {
-            begin: a.txn,
+        let chain = RowChain {
+            begin: Some(a.txn),
             dead: None,
-            older: vec![HeapVersion { row: old.clone(), begin: 0, end: a.txn }],
+            older: vec![RowVersion { row: old.clone(), begin: 0, end: a.txn, ord: 0 }],
         };
+        fn resolve<'a>(
+            m: &TxnManager,
+            chain: &'a RowChain,
+            physical: Option<&'a Row>,
+            snap: &Snapshot,
+        ) -> Option<&'a Row> {
+            chain.resolve(m, physical, snap).map(|(row, _)| row)
+        }
         let reader = m.begin();
-        assert_eq!(resolve_heap(&m, &chain, Some(&new), &reader), Some(&old));
-        assert_eq!(resolve_heap(&m, &chain, Some(&new), &a), Some(&new));
+        assert_eq!(resolve(&m, &chain, Some(&new), &reader), Some(&old));
+        assert_eq!(resolve(&m, &chain, Some(&new), &a), Some(&new));
         m.commit(&a, true).unwrap();
         // Pre-commit reader still sees the old version; new readers the new.
-        assert_eq!(resolve_heap(&m, &chain, Some(&new), &reader), Some(&old));
-        assert_eq!(resolve_heap(&m, &chain, Some(&new), &Snapshot::latest()), Some(&new));
+        assert_eq!(resolve(&m, &chain, Some(&new), &reader), Some(&old));
+        assert_eq!(resolve(&m, &chain, Some(&new), &Snapshot::latest()), Some(&new));
     }
 
     #[test]

@@ -185,7 +185,7 @@ proptest! {
             model[off..off + bytes.len()].copy_from_slice(bytes);
             engine.lob_write(lob, off as u64, bytes).unwrap();
         }
-        prop_assert_eq!(engine.lob_read_all(lob).unwrap(), model);
+        prop_assert_eq!(engine.lob_read_all(lob, &Snapshot::latest()).unwrap(), model);
     }
 }
 
@@ -323,7 +323,7 @@ fn view(e: &StorageEngine, heap: SegmentId, iot: SegmentId, lane: &TxnLane) -> V
     let all = (Bound::Unbounded, Bound::Unbounded);
     let keyed = e.iot_range(iot, all.0, all.1, usize::MAX, &lane.snap).unwrap();
     let keyed = keyed.into_iter().map(|(rid, _, r)| (rid, r.clone())).collect();
-    (rows, keyed, e.lob_read_all_at(lane.lob, &lane.snap).unwrap())
+    (rows, keyed, e.lob_read_all(lane.lob, &lane.snap).unwrap())
 }
 
 fn mark_of(e: &mut StorageEngine, lane: &TxnLane) -> usize {
@@ -518,5 +518,220 @@ proptest! {
                 prop_assert_eq!(&got, &expected, "snapshot {:?}", snap);
             }
         }
+    }
+}
+
+// ---- one row version: a heap and an IOT keyed by id, written alike ----
+
+/// One step of the twin stream. A lane is one transaction at a time; a
+/// write on an idle lane runs in a transaction of its own (autocommit).
+/// Picks are taken modulo what the writer's snapshot sees.
+#[derive(Debug, Clone)]
+enum TwinOp {
+    Begin(usize),
+    Insert(usize, i64),
+    Update(usize, usize, i64),
+    Delete(usize, usize),
+    Savepoint(usize),
+    RollbackTo(usize, usize),
+    Commit(usize),
+    Abort(usize),
+    Vacuum,
+}
+
+const TWIN_LANES: usize = 3;
+
+fn arb_twin_ops() -> impl Strategy<Value = Vec<TwinOp>> {
+    let lane = || 0..TWIN_LANES;
+    prop::collection::vec(
+        prop_oneof![
+            lane().prop_map(TwinOp::Begin),
+            (lane(), any::<i64>()).prop_map(|(l, v)| TwinOp::Insert(l, v)),
+            (lane(), any::<usize>(), any::<i64>()).prop_map(|(l, i, v)| TwinOp::Update(l, i, v)),
+            (lane(), any::<usize>()).prop_map(|(l, i)| TwinOp::Delete(l, i)),
+            lane().prop_map(TwinOp::Savepoint),
+            (lane(), any::<usize>()).prop_map(|(l, i)| TwinOp::RollbackTo(l, i)),
+            lane().prop_map(TwinOp::Commit),
+            lane().prop_map(TwinOp::Abort),
+            Just(TwinOp::Vacuum),
+        ],
+        0..120,
+    )
+}
+
+/// An open transaction of the twin stream and its savepoints.
+struct TwinLane {
+    snap: Snapshot,
+    marks: Vec<usize>,
+}
+
+/// The `(rowid, id, value)` of every heap row `snap` sees.
+fn twin_heap(e: &StorageEngine, seg: SegmentId, snap: &Snapshot) -> Vec<(RowId, i64, i64)> {
+    let mut out = Vec::new();
+    let mut page = 0;
+    while let Some(rows) = e.heap_page(seg, page, 0, snap).unwrap() {
+        let int = |r: &Row, i: usize| r[i].as_integer().unwrap();
+        out.extend(rows.map(|(rid, r)| (rid, int(r, 0), int(r, 1))));
+        page += 1;
+    }
+    out
+}
+
+/// The `(id, value)` multiset `snap` sees in each segment: heap, IOT.
+type TwinView = (Vec<(i64, i64)>, Vec<(i64, i64)>);
+
+fn twin_view(e: &StorageEngine, heap: SegmentId, iot: SegmentId, snap: &Snapshot) -> TwinView {
+    let mut heap_rows: Vec<(i64, i64)> =
+        twin_heap(e, heap, snap).into_iter().map(|(_, id, v)| (id, v)).collect();
+    heap_rows.sort();
+    let keyed = e.iot_range(iot, Bound::Unbounded, Bound::Unbounded, usize::MAX, snap).unwrap();
+    let int = |r: &Row, i: usize| r[i].as_integer().unwrap();
+    (heap_rows, keyed.into_iter().map(|(_, _, r)| (int(r, 0), int(r, 1))).collect())
+}
+
+/// A write's outcome: done, or lost to the named transaction. Any other
+/// error is a failure of its own.
+fn outcome<T>(r: extidx_common::Result<T>) -> Result<Option<u64>, String> {
+    match r {
+        Ok(_) => Ok(None),
+        Err(extidx_common::Error::WriteConflict { other_txn, .. }) => Ok(Some(other_txn)),
+        Err(e) => Err(e.to_string()),
+    }
+}
+
+/// End a transaction; a commit that loses validation is rolled back.
+fn end_twin_txn(e: &mut StorageEngine, snap: Snapshot, commit: bool) {
+    if !commit || outcome(e.commit_txn(snap)).unwrap().is_some() {
+        e.rollback_txn(snap).unwrap();
+    }
+}
+
+/// Invariants between steps: every live snapshot sees the same rows in
+/// both segments, and an index build over either refuses or proceeds alike.
+fn check_twins(
+    e: &mut StorageEngine,
+    heap: SegmentId,
+    iot: SegmentId,
+    lanes: &[Option<TwinLane>],
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let live = lanes.iter().flatten().map(|l| l.snap);
+    for snap in std::iter::once(Snapshot::latest()).chain(live) {
+        let (heap_rows, iot_rows) = twin_view(e, heap, iot, &snap);
+        prop_assert_eq!(heap_rows, iot_rows, "heap and IOT differ under {:?}", snap);
+        e.set_current_txn(snap);
+        let build = |e: &StorageEngine, seg| outcome(e.build_snapshot(seg));
+        prop_assert_eq!(build(e, heap), build(e, iot), "build_snapshot differs under {:?}", snap);
+        e.set_current_txn(Snapshot::latest());
+    }
+    Ok(())
+}
+
+proptest! {
+    /// Heaps and IOTs share one row version: one random stream of inserts,
+    /// updates and deletes by id — over interleaved transactions with
+    /// commits, aborts, savepoint rollbacks and vacuums — applied to a heap
+    /// and to an IOT keyed by `id` leaves both segments alike. At every
+    /// step each live snapshot sees the same `(id, value)` multiset in
+    /// both, the same writes lose `WriteConflict` to the same transaction,
+    /// `build_snapshot` refuses or accepts alike, and after every vacuum
+    /// `segment_settled` agrees (and holds at quiescence).
+    #[test]
+    fn heap_and_iot_share_one_row_version(
+        prefix in prop::collection::vec(any::<i64>(), 0..12),
+        ops in arb_twin_ops(),
+    ) {
+        let mut e = StorageEngine::new(256);
+        let heap = e.create_heap().unwrap();
+        let iot = e.create_iot(1).unwrap();
+        let txns = e.txn_manager();
+        let twin_row = |id: i64, v: i64| vec![Value::Integer(id), Value::Integer(v)];
+        let mut next_id = 0;
+        for v in prefix {
+            e.heap_insert(heap, twin_row(next_id, v)).unwrap();
+            e.iot_insert(iot, twin_row(next_id, v)).unwrap();
+            next_id += 1;
+        }
+        e.commit_txn(Snapshot::latest()).unwrap();
+
+        let mut lanes: Vec<Option<TwinLane>> = (0..TWIN_LANES).map(|_| None).collect();
+        for op in ops {
+            match op {
+                TwinOp::Insert(l, _) | TwinOp::Update(l, ..) | TwinOp::Delete(l, _) => {
+                    let auto = lanes[l].is_none();
+                    let snap = lanes[l].as_ref().map_or_else(|| txns.begin(), |lane| lane.snap);
+                    let seen = twin_heap(&e, heap, &snap);
+                    e.set_current_txn(snap);
+                    let (h, i) = match op {
+                        TwinOp::Insert(_, v) => {
+                            let row = twin_row(next_id, v);
+                            next_id += 1;
+                            let h = outcome(e.heap_insert(heap, row.clone()));
+                            (h, outcome(e.iot_insert(iot, row)))
+                        }
+                        TwinOp::Update(_, pick, v) if !seen.is_empty() => {
+                            let (rid, id, _) = seen[pick % seen.len()];
+                            let row = twin_row(id, v);
+                            let h = outcome(e.heap_update(heap, rid, row.clone()));
+                            (h, outcome(e.iot_upsert(iot, row)))
+                        }
+                        TwinOp::Delete(_, pick) if !seen.is_empty() => {
+                            let (rid, id, _) = seen[pick % seen.len()];
+                            let key = Key::single(Value::Integer(id));
+                            let h = outcome(e.heap_delete(heap, rid));
+                            (h, outcome(e.iot_delete(iot, &key)))
+                        }
+                        _ => (Ok(None), Ok(None)),
+                    };
+                    e.set_current_txn(Snapshot::latest());
+                    prop_assert!(h.is_ok(), "heap write failed: {:?}", h);
+                    prop_assert_eq!(&h, &i, "{:?}: heap and IOT write outcomes differ", op);
+                    if auto {
+                        end_twin_txn(&mut e, snap, h == Ok(None));
+                    }
+                }
+                TwinOp::Begin(l) => {
+                    if lanes[l].is_none() {
+                        lanes[l] = Some(TwinLane { snap: txns.begin(), marks: Vec::new() });
+                    }
+                }
+                TwinOp::Savepoint(l) => {
+                    if let Some(lane) = &mut lanes[l] {
+                        e.set_current_txn(lane.snap);
+                        lane.marks.push(e.undo_mark());
+                        e.set_current_txn(Snapshot::latest());
+                    }
+                }
+                TwinOp::RollbackTo(l, pick) => {
+                    if let Some(lane) = lanes[l].as_mut().filter(|lane| !lane.marks.is_empty()) {
+                        let keep = pick % lane.marks.len() + 1;
+                        lane.marks.truncate(keep);
+                        e.set_current_txn(lane.snap);
+                        e.rollback_to(lane.marks[keep - 1]).unwrap();
+                        e.set_current_txn(Snapshot::latest());
+                    }
+                }
+                TwinOp::Commit(l) | TwinOp::Abort(l) => {
+                    if let Some(lane) = lanes[l].take() {
+                        end_twin_txn(&mut e, lane.snap, matches!(op, TwinOp::Commit(_)));
+                    }
+                }
+                TwinOp::Vacuum => {
+                    e.vacuum();
+                    prop_assert_eq!(
+                        e.segment_settled(heap),
+                        e.segment_settled(iot),
+                        "segment_settled differs after a vacuum"
+                    );
+                }
+            }
+            check_twins(&mut e, heap, iot, &lanes)?;
+        }
+
+        for lane in lanes.iter_mut().filter_map(Option::take) {
+            end_twin_txn(&mut e, lane.snap, true);
+        }
+        e.vacuum();
+        prop_assert!(e.segment_settled(heap) && e.segment_settled(iot), "unsettled at quiescence");
+        check_twins(&mut e, heap, iot, &[])?;
     }
 }

@@ -187,6 +187,20 @@ if grep -rnE "iot_visible_merged|iot_scan_with_rids|iot_range_with_rids|iot_batc
 fi
 [ "$(grep -cE "versions\.iot\b.*\.range\(" crates/storage/src/engine.rs)" -eq 1 ]
 
+# One row version (DESIGN.md §4j "Overlay version store"): heap and IOT rows
+# share one chain type, one visibility rule, one write check and one
+# rollback pop in mvcc.rs, so the per-organisation twins stay deleted; and
+# LOB reads take a snapshot like the heap/IOT reads, with no `_at` twin
+# beside a snapshot-blind read.
+echo "== one row version (structural guard) =="
+if grep -rnE "HeapChain|IotChain|HeapVersion|IotVersion|IotCurrent|resolve_heap|resolve_iot|check_heap_write|check_iot_write|pop_iot_version" \
+    crates; then
+    exit 1
+fi
+if grep -nE "pub fn lob_(length|read|read_all)_at" crates/storage/src/engine.rs; then
+    exit 1
+fi
+
 # One statement scope (DESIGN.md §4d "Statement atomicity"): a
 # transaction's undo lives with the transaction in crates/storage, so no
 # mutator may take a log again, nothing outside that crate may name the

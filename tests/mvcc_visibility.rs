@@ -16,6 +16,7 @@
 
 use extidx::common::Value;
 use extidx::sql::{Server, Session};
+use extidx::storage::Snapshot;
 use extidx_qgen::{fresh_db, ChaosOpts};
 use proptest::prelude::*;
 
@@ -276,7 +277,7 @@ fn index_rebuild_skips_rows_deleted_for_its_snapshot() {
     // The scan verifies candidates against the base row, so a stale entry
     // cannot surface in an answer — count the rebuilt store's records.
     let lob = a.query("SELECT data FROM DR$MV_MOL$META WHERE id = 1").unwrap()[0][0].as_lob().unwrap();
-    let stored = server.read(|db| db.storage().lob_length(lob)).unwrap();
+    let stored = server.read(|db| db.storage().lob_length(lob, &Snapshot::latest())).unwrap();
     assert_eq!(stored, extidx::chem::store::RECORD_BYTES as u64, "only row 2 is indexed");
     reader.execute("COMMIT").unwrap();
     a.execute("VACUUM").unwrap();

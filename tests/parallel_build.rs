@@ -6,6 +6,7 @@
 
 use extidx::spatial::{geometry_sql, Geometry, Mbr};
 use extidx::sql::Database;
+use extidx::storage::Snapshot;
 use extidx::vir::SignatureWorkload;
 use extidx_common::Value;
 
@@ -141,7 +142,7 @@ fn chem_parallel_build_is_deterministic() {
             .unwrap();
         let lob =
             db.query("SELECT data FROM DR$MI$META WHERE id = 1").unwrap()[0][0].as_lob().unwrap();
-        db.storage().lob_read_all(lob).unwrap()
+        db.storage().lob_read_all(lob, &Snapshot::latest()).unwrap()
     };
     let serial = lob_bytes("");
     assert!(!serial.is_empty(), "chem: serial build produced an empty store");

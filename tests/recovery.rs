@@ -25,7 +25,7 @@ use extidx::spatial::{geometry_sql, SpatialWorkload};
 use extidx::storage::wal::{
     FP_WAL_APPEND, FP_WAL_APPLY, FP_WAL_CHECKPOINT, FP_WAL_CHECKPOINT_TRUNCATE, FP_WAL_COMMIT,
 };
-use extidx::storage::DurableMedium;
+use extidx::storage::{DurableMedium, Snapshot};
 use extidx::vir::SignatureWorkload;
 use extidx_common::Value;
 
@@ -159,7 +159,7 @@ fn lob_crash_points_restore_committed_prefix() {
         assert_eq!(rows.len(), 1, "crash at {point}: uncommitted LOB row survived");
         let Value::Lob(lob) = rows[0][1] else { panic!("expected LOB value") };
         assert_eq!(
-            rec.storage().lob_read_all(lob).unwrap(),
+            rec.storage().lob_read_all(lob, &Snapshot::latest()).unwrap(),
             b"the committed payload",
             "crash at {point}: LOB bytes not recovered"
         );
