@@ -3,8 +3,8 @@
 //! The paper's framework runs cartridge code *inside* the server, so a
 //! runaway statement — a scan over a huge result, a cartridge routine
 //! that loops through server callbacks — would otherwise hold the
-//! engine's write lock (or a read lock the vacuum daemon is waiting
-//! behind) forever. This module supplies the server-resident guard: a
+//! engine's write lock (or a read lock a writer is waiting behind)
+//! forever. This module supplies the server-resident guard: a
 //! per-statement [`CancelToken`] plus an optional deadline, installed
 //! thread-locally for the duration of one statement and *polled
 //! cooperatively*:

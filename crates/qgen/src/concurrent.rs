@@ -290,12 +290,11 @@ pub fn run_concurrent_seed_opts(
     for step in 0..steps {
         report.steps = step + 1;
         // Incremental vacuum fires between scheduler steps (on top of the
-        // commit/rollback triggers): the horizon invariant must hold at
-        // every interleaving point, not only at quiescence. With
-        // `random_vacuum` armed the cadence is scheduler-random (seeded),
-        // standing in for the maintenance daemon firing at arbitrary
-        // points of the interleaving; otherwise it is the fixed every-3rd
-        // step of the original oracle.
+        // pass at every transaction end): the horizon invariant must hold
+        // at every interleaving point, not only where transactions end.
+        // With `random_vacuum` armed the cadence is scheduler-random
+        // (seeded); otherwise it is the fixed every-3rd step of the
+        // original oracle.
         let vacuum_now = if chaos.random_vacuum != 0 {
             vac_rng.gen_range(0..3u32) == 0
         } else {

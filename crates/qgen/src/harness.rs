@@ -40,10 +40,11 @@ pub struct ChaosOpts {
     /// REBUILD` a quarantined one — before ~8% of statements, forcing
     /// queries through the functional fallback mid-stream.
     pub quarantine: bool,
-    /// Seeded daemon-cadence chaos for the concurrent scheduler: `0`
+    /// Seeded vacuum-cadence chaos for the concurrent scheduler: `0`
     /// keeps the fixed every-3rd-step vacuum; any other value salts a
-    /// dedicated rng so incremental vacuum fires at scheduler-random
-    /// steps instead. Vacuum is semantics-preserving, so every cadence
+    /// dedicated rng so an extra incremental vacuum fires at
+    /// scheduler-random steps instead (on top of the pass every
+    /// transaction end runs). Vacuum is semantics-preserving, so every cadence
     /// must leave the oracles green — this knob hunts for timings the
     /// fixed cadence never produces.
     pub random_vacuum: u64,

@@ -207,8 +207,9 @@ impl Catalog {
                 col("VERSIONS_PRUNED", SqlType::Integer),
                 col("SLOTS_RECLAIMED", SqlType::Integer),
             ],
-            // Server governor counters (maintenance daemon, backpressure,
-            // conflict retry, statement timeouts) as NAME/VALUE rows.
+            // Server governor counters (conflict retry, statement
+            // timeouts, orphan aborts) and the occupancy reading of the
+            // last transaction end, as NAME/VALUE rows.
             "V$SERVER" => vec![
                 col("NAME", SqlType::Varchar(64)),
                 col("VALUE", SqlType::Integer),

@@ -121,10 +121,13 @@ pub struct Database {
     /// Bounded per-statement execution history backing `V$SQLSTATS`.
     sqlstats: Mutex<VecDeque<SqlStat>>,
     next_sql_id: AtomicU64,
-    /// The server governor blackboard: maintenance-daemon state,
-    /// backpressure watermarks, retry/timeout counters (`V$SERVER`).
-    /// Shared with the `Server`'s daemon thread and every `Session`.
+    /// The server governor blackboard: `V$SERVER` counters, the
+    /// occupancy reading and the parked orphans. Shared with the `Server`
+    /// and every `Session`.
     governor: Arc<crate::governor::ServerGovernor>,
+    /// The vacuum horizon of the last vacuum pass. A commit that finds the
+    /// horizon still there skips its pass (DESIGN.md §4l).
+    vacuumed_at: Option<u64>,
     /// Every SQL text parsed and planned once, for every lane
     /// (DESIGN.md §4m).
     pub(crate) stmts: StatementCache,
@@ -261,27 +264,20 @@ impl Database {
             chaos_drop_last_domain_batch: false,
             sqlstats: Mutex::new(VecDeque::new()),
             next_sql_id: AtomicU64::new(0),
-            governor: Arc::new(crate::governor::ServerGovernor::new(
-                crate::governor::GovernorConfig::default(),
-            )),
+            governor: Arc::default(),
+            vacuumed_at: None,
             stmts: StatementCache::default(),
         }
     }
 
-    /// The server governor blackboard (daemon, backpressure, retry and
-    /// timeout counters). `Server` shares this with its daemon thread.
+    /// The server governor blackboard (`V$SERVER` counters, occupancy,
+    /// parked orphans). A `Server` and its sessions share this one.
     pub fn governor(&self) -> Arc<crate::governor::ServerGovernor> {
         Arc::clone(&self.governor)
     }
 
-    /// Replace the governor configuration (server construction only —
-    /// the existing counters are kept).
-    pub(crate) fn set_governor(&mut self, g: Arc<crate::governor::ServerGovernor>) {
-        self.governor = g;
-    }
-
     /// Current MVCC chain occupancy: `(total held versions, max held
-    /// versions in any single segment)` — the watermark inputs.
+    /// versions in any single segment)`.
     pub fn mvcc_occupancy(&self) -> (usize, usize) {
         let per = self.storage.mvcc_segment_stats();
         let total = per.iter().map(|(_, _, v)| *v).sum();
@@ -289,10 +285,9 @@ impl Database {
         (total, max_seg)
     }
 
-    /// Feed fresh occupancy into the governor's watermark logic
-    /// (engaging or releasing backpressure). Called after commits,
-    /// aborts, vacuum passes, and write statements.
-    pub fn refresh_backpressure(&self) {
+    /// Record fresh occupancy on the governor blackboard, where
+    /// `V$SERVER` and samplers on other threads read it without the lock.
+    fn refresh_occupancy(&self) {
         let (total, max_seg) = self.mvcc_occupancy();
         self.governor.note_occupancy(total, max_seg);
     }
@@ -794,9 +789,9 @@ impl Database {
 
     /// Commit a session transaction: first-writer-wins validation, then —
     /// still under the caller's exclusive hold, so markers land in csn
-    /// order — the commit marker tagged with the transaction, version GC
-    /// if no daemon owns it, and the Commit event. On a write-write
-    /// conflict the transaction is rolled back and the conflict surfaces.
+    /// order — the commit marker tagged with the transaction, version GC,
+    /// and the Commit event. On a write-write conflict the transaction is
+    /// rolled back and the conflict surfaces.
     pub(crate) fn session_commit(&mut self, snap: Snapshot) -> Result<()> {
         if let Err(conflict) = self.storage.commit_txn(snap) {
             self.trace_conflict(&conflict);
@@ -806,22 +801,23 @@ impl Database {
         self.storage.set_current_txn(snap);
         let marker = self.wal_commit_marker();
         self.storage.set_current_txn(Snapshot::latest());
-        self.maintenance_after_txn_end();
+        self.maintenance_after_txn_end(true);
         let ev = self.fire_event_unscoped(DbEvent::Commit);
         marker?;
         ev
     }
 
-    /// Post-commit/abort maintenance: with the daemon owning vacuum
-    /// cadence the foreground stays O(1) — it only refreshes the
-    /// governor's occupancy reading (engaging backpressure past the
-    /// high-water mark and waking the daemon). Without a daemon this is
-    /// the PR 9 inline path: vacuum on every transaction end.
-    fn maintenance_after_txn_end(&mut self) {
-        if !self.governor.daemon_running() {
-            self.storage.vacuum();
+    /// The one vacuum placement (DESIGN.md §4l): the end of a session
+    /// transaction, under the write lock it already holds. An abort always
+    /// runs the §4k pass. A commit skips it when the horizon still equals
+    /// the last pass's: horizons only rise, and every commit since that
+    /// pass got a csn above it, so the pass would prune nothing.
+    fn maintenance_after_txn_end(&mut self, committed: bool) {
+        if committed && self.vacuumed_at == Some(self.storage.vacuum_horizon()) {
+            self.refresh_occupancy();
+        } else {
+            self.vacuum();
         }
-        self.refresh_backpressure();
     }
 
     /// Base rows the pending log refers to may have just been un-made by
@@ -842,7 +838,7 @@ impl Database {
     pub(crate) fn session_abort(&mut self, snap: Snapshot) -> Result<()> {
         let rolled = self.storage.rollback_txn(snap);
         self.force_rebuild_of_pending();
-        self.maintenance_after_txn_end();
+        self.maintenance_after_txn_end(false);
         let ev = self.fire_event_unscoped(DbEvent::Rollback);
         rolled?;
         ev
@@ -853,7 +849,7 @@ impl Database {
     /// firing a second Rollback event.
     pub(crate) fn session_discard(&mut self, snap: Snapshot) {
         let _ = self.storage.rollback_txn(snap);
-        self.maintenance_after_txn_end();
+        self.maintenance_after_txn_end(false);
     }
 
     /// Replay the inverse of every recorded maintenance operation, newest
@@ -1908,43 +1904,19 @@ impl Database {
     }
 
     /// Run an incremental vacuum pass now (the `VACUUM` statement, also
-    /// callable by embedders). Commit and rollback already trigger the
-    /// same pass; this is an explicit extra trigger.
+    /// callable by embedders). The end of every session transaction runs
+    /// the same pass, except a commit that left the horizon where the
+    /// last pass did; this one always runs.
     pub fn vacuum(&mut self) {
+        self.vacuumed_at = Some(self.storage.vacuum_horizon());
         self.storage.vacuum();
-        self.refresh_backpressure();
-    }
-
-    /// One maintenance-daemon pass body, run under the engine write
-    /// lock: check the `daemon.vacuum` fault point (an injected panic is
-    /// contained by the daemon loop's `catch_unwind` — parking_lot locks
-    /// do not poison), abort any orphaned transactions parked by dropped
-    /// sessions, vacuum, and refresh the watermarks.
-    pub fn daemon_pass(&mut self) -> Result<()> {
-        self.fault_check("daemon.vacuum", None)?;
-        self.drain_orphans();
-        self.vacuum();
-        Ok(())
-    }
-
-    /// Foreground drain run by a backpressure-gated session (zero
-    /// `yield_wait`, or the daemon missed its window). Its fault point
-    /// fires *before* any mutation, so an injected failure leaves state
-    /// byte-identical and merely fails the gated statement pre-execution.
-    pub(crate) fn backpressure_drain(&mut self) -> Result<()> {
-        self.fault_check("governor.backpressure", None)?;
-        self.drain_orphans();
-        self.vacuum();
-        Ok(())
+        self.refresh_occupancy();
     }
 
     /// Abort every orphaned transaction parked with the governor (see
-    /// `ServerGovernor::park_orphan`). Called by the daemon and at the
-    /// start of write statements, both under the write lock.
+    /// `ServerGovernor::park_orphan`). Every write lock a `Server` or
+    /// `Session` takes calls this first.
     pub(crate) fn drain_orphans(&mut self) {
-        if !self.governor.has_orphans() {
-            return;
-        }
         for snap in self.governor.take_orphans() {
             let _ = self.session_abort(snap);
             self.governor.bump(&self.governor.counters.orphan_aborts);

@@ -35,7 +35,7 @@ pub mod session;
 mod stmt_cache;
 
 pub use database::{Database, QueryCursor, StmtResult};
-pub use governor::{GovernorConfig, ServerGovernor};
+pub use governor::ServerGovernor;
 pub use session::{Server, Session};
 // Statement cancellation tokens are minted by `Session::cancel_token`.
 pub use extidx_core::governor::CancelToken;

@@ -30,18 +30,19 @@
 //! begin+statement+commit, so autocommit writers participate in the same
 //! conflict protocol.
 //!
-//! On top of PR 9's incremental vacuum this module adds the
-//! server-resident governance layer:
+//! Around that, this module adds the server-resident governance layer
+//! (DESIGN.md §4l):
 //!
-//! - a **maintenance daemon** thread owned by the [`Server`]: it runs
-//!   incremental vacuum passes on an adaptive cadence (occupancy-driven,
-//!   see `ServerGovernor::adaptive_interval`) so foreground commits no
-//!   longer pay the inline sweep. Daemon panics are contained per pass
-//!   and the loop restarts (`DAEMON_RESTARTS` in `V$SERVER`);
-//! - **backpressure**: when MVCC chain occupancy crosses the high-water
-//!   mark, new DML briefly yields at [`Session::backpressure_gate`]
-//!   (bounded rounds; with a zero `yield_wait` every round self-drains
-//!   deterministically) until the low-water mark releases the gate;
+//! - **maintenance where transactions end**: COMMIT, ROLLBACK and every
+//!   autocommit statement end their transaction under the write lock they
+//!   already hold, and run the §4k vacuum pass there
+//!   (`Database::maintenance_after_txn_end`). A commit that leaves the
+//!   horizon where the last pass left it skips the pass in O(1). No thread
+//!   runs beside the sessions;
+//! - **orphans**: a [`Session`] dropped mid-transaction while the lock is
+//!   contended parks its transaction with the governor, and every write
+//!   lock taken here (statements, COMMIT, ROLLBACK, [`Server::admin`],
+//!   [`Server::into_inner`]) aborts what is parked before anything else;
 //! - **statement deadlines**: `SET STATEMENT_TIMEOUT` (wall ms) / `SET
 //!   STATEMENT_TIMEOUT_TICKS` (deterministic poll count) arm a
 //!   per-statement guard polled by executor loops and charged alongside
@@ -52,7 +53,7 @@
 //!   seeded, jittered backoff; explicit transactions still surface the
 //!   conflict to the client.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::ops::DerefMut;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -62,21 +63,19 @@ use extidx_core::events::DbEvent;
 use extidx_core::governor as stmt_governor;
 use extidx_core::governor::CancelToken;
 use extidx_storage::Snapshot;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 use crate::ast::{Select, Statement};
 use crate::database::{Database, StmtResult};
 use crate::exec_ctx::run_select;
-use crate::governor::{GovernorConfig, JitterRng, ServerGovernor};
+use crate::governor::{JitterRng, ServerGovernor, RETRY_BACKOFF, RETRY_MAX};
 use crate::stmt_cache::Prepared;
 
-/// A shared database server: the constructor of [`Session`]s and the
-/// owner of the maintenance daemon.
+/// A shared database server: the constructor of [`Session`]s.
 #[derive(Clone)]
 pub struct Server {
     db: Arc<RwLock<Database>>,
     governor: Arc<ServerGovernor>,
-    daemon: Option<Arc<DaemonHandle>>,
 }
 
 // The whole point: a `Server` (and its `Database`) crosses threads.
@@ -85,28 +84,23 @@ const _: () = {
     assert_send_sync::<Server>();
 };
 
+/// Exclusive access to the engine, as every write-lock holder in this
+/// module takes it: first abort each transaction that a session, dropped
+/// while the lock was contended, parked with the governor.
+fn exclusive<D: DerefMut<Target = Database>>(mut db: D) -> D {
+    db.drain_orphans();
+    db
+}
+
 impl Server {
     /// Wrap an engine (typically already loaded with schema/cartridges)
-    /// for shared multi-session access, with the default governor
-    /// configuration (maintenance daemon on).
+    /// for shared multi-session access.
     pub fn new(db: Database) -> Self {
-        Self::with_config(db, GovernorConfig::default())
+        let governor = db.governor();
+        Server { db: Arc::new(RwLock::new(db)), governor }
     }
 
-    /// Wrap an engine with an explicit governor configuration. With
-    /// `config.daemon == false` vacuum stays inline on commit/rollback
-    /// (PR 9 behaviour); otherwise the daemon thread owns the cadence.
-    pub fn with_config(mut db: Database, config: GovernorConfig) -> Self {
-        let daemon_wanted = config.daemon;
-        let governor = Arc::new(ServerGovernor::new(config));
-        db.set_governor(Arc::clone(&governor));
-        db.refresh_backpressure();
-        let db = Arc::new(RwLock::new(db));
-        let daemon = daemon_wanted.then(|| spawn_daemon(&db, &governor));
-        Server { db, governor, daemon }
-    }
-
-    /// The shared governor blackboard (counters, watermarks, config).
+    /// The shared governor blackboard (`V$SERVER` counters, occupancy).
     pub fn governor(&self) -> Arc<ServerGovernor> {
         Arc::clone(&self.governor)
     }
@@ -114,7 +108,6 @@ impl Server {
     /// Open a new session. Sessions are independent: each owns its
     /// transaction state and can run on its own thread.
     pub fn session(&self) -> Session {
-        let cfg = self.governor.config();
         // Per-session jitter seed: deterministic in the session-creation
         // order, distinct across sessions (`SET RETRY_SEED` overrides).
         let seed = 0x0DC1_5EED ^ SESSION_SEQ.fetch_add(1, Ordering::Relaxed);
@@ -125,8 +118,7 @@ impl Server {
             token: CancelToken::new(),
             timeout: None,
             poll_limit: None,
-            retry_max: cfg.retry_max,
-            retry_backoff: cfg.retry_backoff,
+            retry_max: RETRY_MAX,
             jitter: JitterRng::new(seed),
             seed,
         }
@@ -135,7 +127,12 @@ impl Server {
     /// Run `f` with exclusive access to the engine — setup, ablation
     /// toggles, assertions. Not a statement path.
     pub fn admin<T>(&self, f: impl FnOnce(&mut Database) -> T) -> T {
-        f(&mut self.db.write())
+        let mut db = exclusive(self.db.write());
+        let out = f(&mut db);
+        // `f` may itself have dropped a session mid-transaction, which
+        // parked on this very lock: abort it before the lock is released.
+        db.drain_orphans();
+        out
     }
 
     /// Run `f` with shared access to the engine (metrics, catalog reads).
@@ -143,92 +140,22 @@ impl Server {
         f(&self.db.read())
     }
 
-    /// Tear the server down and reclaim the engine. Fails (returning the
-    /// still-shared server) if sessions or clones are alive.
-    ///
-    /// Ordering matters: the daemon thread holds its own `Arc` on the
-    /// engine, so it must be stopped (and joined) *before* the engine
-    /// `Arc` can unwrap — and if live sessions then block the unwrap, the
-    /// daemon is restarted so the surviving server keeps its maintenance
-    /// cadence instead of silently regressing to inline vacuum.
-    pub fn into_inner(mut self) -> std::result::Result<Database, Server> {
-        let governor = Arc::clone(&self.governor);
-        if let Some(d) = self.daemon.take() {
-            match Arc::try_unwrap(d) {
-                // Last daemon handle: stopping it joins the thread and
-                // releases the daemon's engine Arc.
-                Ok(handle) => drop(handle),
-                Err(shared) => {
-                    // Other Server clones are alive — teardown impossible.
-                    return Err(Server { db: self.db, governor, daemon: Some(shared) });
-                }
-            }
-        }
+    /// Tear the server down and reclaim the engine, with every orphaned
+    /// transaction aborted. Fails (returning the still-shared server) if
+    /// sessions or clones are alive.
+    pub fn into_inner(self) -> std::result::Result<Database, Server> {
         match Arc::try_unwrap(self.db) {
-            Ok(lock) => Ok(lock.into_inner()),
-            Err(db) => {
-                let daemon = governor.config().daemon.then(|| spawn_daemon(&db, &governor));
-                Err(Server { db, governor, daemon })
+            Ok(lock) => {
+                let mut db = lock.into_inner();
+                exclusive(&mut db);
+                Ok(db)
             }
+            Err(db) => Err(Server { db, governor: self.governor }),
         }
     }
 }
 
 static SESSION_SEQ: AtomicU64 = AtomicU64::new(1);
-
-/// Owner of the maintenance daemon thread; shared by every clone of one
-/// [`Server`]. Dropping the last handle requests shutdown and joins.
-struct DaemonHandle {
-    governor: Arc<ServerGovernor>,
-    join: Mutex<Option<std::thread::JoinHandle<()>>>,
-}
-
-impl Drop for DaemonHandle {
-    fn drop(&mut self) {
-        self.governor.request_shutdown();
-        if let Some(j) = self.join.lock().take() {
-            let _ = j.join();
-        }
-        // Sessions still holding the engine fall back to inline vacuum.
-        self.governor.set_daemon_running(false);
-    }
-}
-
-fn spawn_daemon(db: &Arc<RwLock<Database>>, governor: &Arc<ServerGovernor>) -> Arc<DaemonHandle> {
-    governor.reset_shutdown();
-    governor.set_daemon_running(true);
-    let db = Arc::clone(db);
-    let g = Arc::clone(governor);
-    let join = std::thread::Builder::new()
-        .name("extidx-maintenance".into())
-        .spawn(move || daemon_main(db, g))
-        .expect("spawn maintenance daemon");
-    Arc::new(DaemonHandle { governor: Arc::clone(governor), join: Mutex::new(Some(join)) })
-}
-
-/// The daemon loop: adaptive sleep, then one maintenance pass (orphan
-/// aborts + incremental vacuum) under the write lock. Each pass runs
-/// inside the cartridge sandbox, so an injected panic at the
-/// `daemon.vacuum` fault point is contained exactly like a cartridge
-/// bug — the loop counts a restart and continues; the engine lock is
-/// never poisoned (the `parking_lot` shim recovers poisoned `std` locks).
-fn daemon_main(db: Arc<RwLock<Database>>, g: Arc<ServerGovernor>) {
-    while !g.shutdown_requested() {
-        g.daemon_wait(g.adaptive_interval());
-        if g.shutdown_requested() {
-            break;
-        }
-        let pass = catch_unwind(AssertUnwindSafe(|| db.write().daemon_pass()));
-        match pass {
-            Ok(Ok(())) => g.bump(&g.counters.daemon_passes),
-            // An injected (non-panic) fault aborted the pass before it
-            // touched anything; the next interval retries.
-            Ok(Err(_)) => g.bump(&g.counters.daemon_faults),
-            // Contained panic: the pass died, the daemon did not.
-            Err(_) => g.bump(&g.counters.daemon_restarts),
-        }
-    }
-}
 
 /// One database connection. `Send` — hand sessions to worker threads —
 /// but driven by one thread at a time.
@@ -247,7 +174,6 @@ pub struct Session {
     poll_limit: Option<u64>,
     /// `SET CONFLICT_RETRIES` — transparent autocommit retry budget.
     retry_max: u32,
-    retry_backoff: Duration,
     jitter: JitterRng,
     seed: u64,
 }
@@ -294,7 +220,7 @@ impl Session {
             // snapshots (including this session's) hold the horizon back,
             // so an explicit VACUUM mid-transaction is always safe.
             Statement::Vacuum => {
-                self.db.write().vacuum();
+                exclusive(self.db.write()).vacuum();
                 Ok(StmtResult::Ok)
             }
             Statement::Set { name, value } => self.set_param(name, *value),
@@ -405,7 +331,7 @@ impl Session {
     /// Explicit transactions are **never** transparently retried: the
     /// client saw intermediate state, so only it can decide to re-run.
     fn commit(&mut self) -> Result<StmtResult> {
-        let mut db = self.db.write();
+        let mut db = exclusive(self.db.write());
         match self.txn.take() {
             Some(snap) => db.session_commit(snap)?,
             // COMMIT with nothing open mirrors the legacy arm: fire the
@@ -418,7 +344,7 @@ impl Session {
     /// Roll back the open transaction (no-op + event when none is open,
     /// mirroring the legacy arm).
     fn rollback(&mut self) -> Result<StmtResult> {
-        let mut db = self.db.write();
+        let mut db = exclusive(self.db.write());
         match self.txn.take() {
             Some(snap) => db.session_abort(snap)?,
             None => db.fire_event_unscoped(DbEvent::Rollback)?,
@@ -435,10 +361,6 @@ impl Session {
         // The client statement, for `V$SQLSTATS`: whichever attempt ends
         // it records it, under the write lock that attempt holds anyway.
         let client = (sql, Instant::now());
-        // The gate runs *before* the write lock is taken: a yielding
-        // statement must not block the daemon (or other sessions) out of
-        // the very lock the drain needs.
-        self.backpressure_gate()?;
         match self.txn {
             Some(snap) => self.txn_statement(client, p, binds, snap),
             None => self.autocommit_statement(client, p, binds),
@@ -452,7 +374,7 @@ impl Session {
         binds: &[Value],
         snap: Snapshot,
     ) -> Result<StmtResult> {
-        let mut db = self.db.write();
+        let mut db = exclusive(self.db.write());
         let before = db.cache_stats();
         // A failed statement already rolled its own effects back
         // inside `run_top`; the transaction stays open either way.
@@ -510,11 +432,7 @@ impl Session {
         p: &Prepared,
         binds: &[Value],
     ) -> Result<StmtResult> {
-        let mut db = self.db.write();
-        // Adopt any transactions orphaned by dropped sessions while we
-        // hold the lock anyway (keeps the vacuum horizon moving even if
-        // the daemon is off).
-        db.drain_orphans();
+        let mut db = exclusive(self.db.write());
         let before = db.cache_stats();
         let snap = db.storage().txn_manager().begin();
         let result = match db.session_statement(p, binds, snap) {
@@ -537,51 +455,11 @@ impl Session {
         result
     }
 
-    /// The backpressure gate. When chain occupancy sits above the
-    /// high-water mark this briefly parks new DML (bounded rounds — the
-    /// gate must never wedge a client): each round either waits
-    /// `yield_wait` for the daemon to drain, or — with a zero wait (the
-    /// deterministic test clock) or as the final round's last resort —
-    /// vacuums in the foreground itself. A statement deadline keeps
-    /// ticking while gated.
-    fn backpressure_gate(&mut self) -> Result<()> {
-        if self.governor.has_orphans() {
-            self.db.write().drain_orphans();
-        }
-        if !self.governor.backpressure_engaged() {
-            return Ok(());
-        }
-        let cfg = self.governor.config();
-        let mut rounds = 0u32;
-        while self.governor.backpressure_engaged() && rounds < cfg.max_yield_rounds {
-            stmt_governor::poll()?;
-            rounds += 1;
-            self.governor.bump(&self.governor.counters.backpressure_waits);
-            if cfg.yield_wait.is_zero() || rounds == cfg.max_yield_rounds {
-                // Deterministic clock, or the daemon didn't make it in
-                // time: drain in the foreground (armed with its own
-                // `governor.backpressure` fault point).
-                self.db.write().backpressure_drain()?;
-                self.governor.bump(&self.governor.counters.backpressure_self_drains);
-            } else {
-                self.governor.wake_daemon();
-                self.governor.gate_wait(cfg.yield_wait);
-            }
-        }
-        // Still engaged after the bounded rounds (e.g. versions pinned by
-        // long snapshots): proceed anyway — overload protection degrades
-        // to best-effort, never to a hang.
-        Ok(())
-    }
-
     fn retry_sleep(&mut self, attempt: u32) {
-        if self.retry_backoff.is_zero() {
-            return;
-        }
         // Exponential base with ±50% seeded jitter, so colliding sessions
         // decorrelate deterministically under a fixed seed.
         let shift = attempt.saturating_sub(1).min(10);
-        let base = self.retry_backoff.saturating_mul(1 << shift);
+        let base = RETRY_BACKOFF.saturating_mul(1 << shift);
         let pct = 50 + (self.jitter.next() % 101); // 50..=150
         std::thread::sleep(base.mul_f64(pct as f64 / 100.0));
     }
@@ -593,12 +471,12 @@ impl Drop for Session {
         // uncommitted in-place images behind: roll it back. Never block
         // on the engine lock here — the holder may be this very thread
         // (a statement that panicked mid-write) or a wedged peer; park
-        // the transaction with the governor instead, and the daemon (or
-        // the next write statement) aborts it under the lock.
+        // the transaction with the governor instead, and the next write
+        // lock holder aborts it.
         if let Some(snap) = self.txn.take() {
             match self.db.try_write() {
-                Some(mut db) => {
-                    let _ = db.session_abort(snap);
+                Some(db) => {
+                    let _ = exclusive(db).session_abort(snap);
                 }
                 None => self.governor.park_orphan(snap),
             }

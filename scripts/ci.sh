@@ -133,13 +133,12 @@ echo "== vacuum (incremental GC + span conflicts + chained-zone pruning) =="
 cargo test -q --test mvcc_vacuum
 
 # Server governor: statement timeouts striking mid-scan / mid-ODCI /
-# mid-maintenance / mid-backpressure-wait with full statement rollback,
-# the daemon panic/fault sweep (contained, restarted, lock never
-# poisoned), cross-thread cancellation, the 4-session soak with bounded
-# occupancy, drop-ordering regression, and V$SERVER counters. The
-# conflict storm + random-cadence sweeps ride in the --include-ignored
-# runs above.
-echo "== governor (daemon + timeouts + backpressure + retry) =="
+# mid-maintenance with full statement rollback, cross-thread
+# cancellation, the 4-session soak that the transaction ends alone drain
+# to zero occupancy, orphaned transactions aborted by the next write-lock
+# holder (teardown included), and V$SERVER counters. The conflict storm +
+# random-cadence sweeps ride in the --include-ignored runs above.
+echo "== governor (timeouts + orphans + retry + maintenance at transaction end) =="
 cargo test -q --test server_governor
 
 # Paper claims as counts and plan shapes (never timings): the §2.4.2
@@ -287,6 +286,20 @@ if grep -rlPz "(fetch_multi|fetch_visible|heap_page|iot_range)\([^;]*\.cloned\(\
     exit 1
 fi
 [ "$(grep -rnE "fn [a-z_]+(<[^>]*>)?\(.*&Row\b.*\) -> ExecRow" crates/sql/src | wc -l)" -eq 1 ]
+
+# One maintenance placement (DESIGN.md §4l): the vacuum pass runs where a
+# session transaction ends, under the write lock it already holds. No
+# daemon thread, backpressure gate, governor configuration or their fault
+# points may come back beside it, and the SQL engine spawns no thread of
+# its own. (Bracketed so the patterns do not match this file.)
+echo "== one maintenance placement (structural guard) =="
+if grep -rnE "GovernorConfi[g]|inline_vacuu[m]|with_confi[g]|daemon_pas[s]|backpressure_(gat[e]|drai[n])|wake_daemo[n]|thread::Builde[r]|Condva[r]|daemon\.vacuu[m]|governor\.backpressur[e]" \
+    crates tests; then
+    exit 1
+fi
+if grep -rnE "thread::(spaw[n]|scop[e])" crates/sql/src; then
+    exit 1
+fi
 
 # One perf instrument: no hand-set timing floor, bench-record writer or
 # micro-bench harness may come back beside the ledger. (Bracketed so the

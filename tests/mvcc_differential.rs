@@ -72,11 +72,11 @@ fn lost_update_is_caught_without_enforcement_and_prevented_with() {
 }
 
 /// Long multi-seed sweep, run by scripts/ci.sh via `--include-ignored`.
-/// Transparent conflict retry and the maintenance daemon are both live
-/// (`Server::new` defaults), and each seed also runs with the seeded
-/// random-vacuum cadence — the bag-equality and serial-twin oracles must
-/// stay green no matter when maintenance fires or how often statements
-/// are invisibly retried.
+/// Transparent conflict retry is live and every transaction end runs its
+/// vacuum pass, and each seed also runs with the seeded random-vacuum
+/// cadence on top — the bag-equality and serial-twin oracles must stay
+/// green no matter when maintenance fires or how often statements are
+/// invisibly retried.
 #[test]
 #[ignore = "long sweep; run via scripts/ci.sh or --include-ignored"]
 fn concurrent_multi_seed_sweep() {

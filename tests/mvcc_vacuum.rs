@@ -1,6 +1,7 @@
-//! Incremental vacuum and sub-LOB conflict granularity (DESIGN.md §4k).
+//! Incremental vacuum and sub-LOB conflict granularity (DESIGN.md §4k),
+//! and where the vacuum runs (§4l).
 //!
-//! Four invariants:
+//! Five invariants:
 //! - **bounded chains without quiescence**: with at least one transaction
 //!   open at every moment, the horizon-keyed vacuum still prunes settled
 //!   versions, so chain occupancy stays bounded under churn and drains to
@@ -15,10 +16,12 @@
 //!   (naming the winning transaction) only on genuine overlap;
 //! - **chain-aware pruning**: zone pruning stays active on a segment that
 //!   carries version chains, and the widened bounds remain a superset of
-//!   every version any snapshot can see.
+//!   every version any snapshot can see;
+//! - **no idle pass**: a commit that leaves the horizon where the last
+//!   pass left it runs no pass, and loses nothing by skipping it.
 
 use extidx::common::{Error, Value};
-use extidx::sql::{GovernorConfig, Server, Session};
+use extidx::sql::{Database, Server, Session};
 use extidx_qgen::{fresh_db, ChaosOpts};
 use proptest::prelude::*;
 
@@ -52,12 +55,9 @@ fn observe(sess: &mut Session, lo: i64, hi: i64) -> Vec<Vec<i64>> {
 }
 
 /// A server with `MV (id, mol, num)`, a chemistry domain index on `mol`
-/// (fingerprints in a shared LOB), and `n` seeded rows. Runs with inline
-/// vacuum (no maintenance daemon): this file pins the commit/rollback
-/// vacuum invariants; the daemon's own cadence is covered by
-/// `tests/server_governor.rs`.
+/// (fingerprints in a shared LOB), and `n` seeded rows.
 fn setup(n: usize, seed: u64) -> Server {
-    let server = Server::with_config(fresh_db(ChaosOpts::default()), GovernorConfig::inline_vacuum());
+    let server = Server::new(fresh_db(ChaosOpts::default()));
     let mut s = server.session();
     s.execute("CREATE TABLE MV (id INTEGER, mol VARCHAR2(64), num INTEGER)").unwrap();
     s.execute("CREATE INDEX MV_MOL ON MV(mol) INDEXTYPE IS ChemIndexType").unwrap();
@@ -277,6 +277,52 @@ fn zone_pruning_active_on_chained_segment() {
     reader.execute("COMMIT").unwrap();
     s.execute("VACUUM").unwrap();
     assert_eq!(occupancy(&server), (0, 0), "chains must drain once the reader retires");
+}
+
+/// E19's pinned-horizon case as counts (DESIGN.md §4l): a reader pins the
+/// horizon under ~8 000 displaced versions, and 500 autocommit updates of
+/// an 8-row hot table then commit without one vacuum pass — each would
+/// walk every chain and prune nothing. An explicit `VACUUM` afterwards
+/// prunes nothing either, so the skipped passes lost nothing, and the
+/// reader's `COMMIT` alone drains every chain.
+#[test]
+fn commits_under_a_pinned_horizon_skip_the_vacuum_pass() {
+    let mut db = Database::new();
+    db.execute("CREATE TABLE big (id INTEGER, val INTEGER)").unwrap();
+    for chunk in 0..8 {
+        let rows: Vec<String> = (0..500).map(|i| format!("({}, 0)", chunk * 500 + i)).collect();
+        db.execute(&format!("INSERT INTO big VALUES {}", rows.join(", "))).unwrap();
+    }
+    db.execute("CREATE TABLE hot (id INTEGER, n INTEGER)").unwrap();
+    let hot: Vec<String> = (0..8).map(|i| format!("({i}, 0)")).collect();
+    db.execute(&format!("INSERT INTO hot VALUES {}", hot.join(", "))).unwrap();
+    let server = Server::new(db);
+    let vacuum_stats = || server.read(|db| db.storage().vacuum_stats());
+
+    let mut reader = server.session();
+    reader.execute("BEGIN").unwrap();
+    let mut w = server.session();
+    w.execute("UPDATE big SET val = val + 1").unwrap();
+    w.execute("UPDATE big SET val = val + 1").unwrap();
+
+    let before = vacuum_stats();
+    for i in 0..500 {
+        w.execute(&format!("UPDATE hot SET n = n + 1 WHERE id = {}", i % 8)).unwrap();
+    }
+    assert_eq!(vacuum_stats().runs, before.runs, "a commit under a pinned horizon ran a pass");
+    assert!(occupancy(&server).1 >= 8_500, "the reader must pin every displaced version");
+
+    w.execute("VACUUM").unwrap();
+    let after = vacuum_stats();
+    assert_eq!(after.runs, before.runs + 1);
+    assert_eq!(after.versions_pruned, before.versions_pruned, "a skipped pass had work to do");
+
+    reader.execute("COMMIT").unwrap();
+    let total = w
+        .query("SELECT CHAINS, VERSIONS FROM V$MVCC WHERE SEGMENT = 'TOTAL'")
+        .unwrap()
+        .remove(0);
+    assert_eq!(total, vec![Value::Integer(0), Value::Integer(0)], "the reader's COMMIT must drain");
 }
 
 proptest! {

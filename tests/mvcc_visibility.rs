@@ -196,14 +196,12 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 use extidx::common::Error;
-use extidx::sql::GovernorConfig;
 
-/// A deterministic server (no daemon: vacuum runs inline or on `VACUUM`)
+/// A server (vacuum runs where transactions end, or on `VACUUM`)
 /// with `T (id, k, doc)` holding rows 1 = (5, 'alpha …') and
 /// 2 = (6, 'beta …'), and no index yet.
 fn build_rig() -> Server {
-    let server =
-        Server::with_config(fresh_db(ChaosOpts::default()), GovernorConfig::inline_vacuum());
+    let server = Server::new(fresh_db(ChaosOpts::default()));
     let mut s = server.session();
     s.execute("CREATE TABLE T (id INTEGER, k INTEGER, doc VARCHAR2(64))").unwrap();
     s.execute("INSERT INTO T (id, k, doc) VALUES (1, 5, 'alpha one')").unwrap();
@@ -261,8 +259,7 @@ fn index_build_skips_rows_deleted_for_its_snapshot() {
 /// a heap table with a chemistry index.
 #[test]
 fn index_rebuild_skips_rows_deleted_for_its_snapshot() {
-    let server =
-        Server::with_config(fresh_db(ChaosOpts::default()), GovernorConfig::inline_vacuum());
+    let server = Server::new(fresh_db(ChaosOpts::default()));
     let mut a = server.session();
     a.execute("CREATE TABLE MV (id INTEGER, mol VARCHAR2(64), num INTEGER)").unwrap();
     a.execute("CREATE INDEX MV_MOL ON MV(mol) INDEXTYPE IS ChemIndexType").unwrap();
@@ -376,8 +373,7 @@ fn repopulating_alter_refuses_while_another_transaction_has_uncommitted_versions
 /// writer's record.
 #[test]
 fn file_store_resync_refuses_while_another_transaction_has_uncommitted_versions() {
-    let server =
-        Server::with_config(fresh_db(ChaosOpts::default()), GovernorConfig::inline_vacuum());
+    let server = Server::new(fresh_db(ChaosOpts::default()));
     let mut a = server.session();
     a.execute("CREATE TABLE MV (id INTEGER, mol VARCHAR2(64), num INTEGER)").unwrap();
     a.execute(
@@ -503,8 +499,8 @@ fn interleaved_transactions_roll_back_only_their_own_writes() {
             vec![vec![Value::Integer(1), Value::Integer(10)]]
         );
     }
-    // Nothing is left open or held: the registry is idle and the inline
-    // vacuum has drained every chain.
+    // Nothing is left open or held: the registry is idle and the
+    // transaction ends' vacuum has drained every chain.
     server.read(|db| {
         assert_eq!(db.storage().txn_manager().active_count(), 0);
         assert_eq!(db.mvcc_occupancy(), (0, 0));

@@ -10,7 +10,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use extidx::common::Value;
-use extidx::sql::{Database, DurableMedium, GovernorConfig, Server};
+use extidx::sql::{Database, DurableMedium, Server};
 
 type Rows = Vec<Vec<Value>>;
 
@@ -258,7 +258,7 @@ fn a_cached_count_follows_the_sessions_snapshot() {
     for i in 0..5i64 {
         db.execute_with("INSERT INTO c VALUES (?)", &[i.into()]).unwrap();
     }
-    let server = Server::with_config(db, GovernorConfig::inline_vacuum());
+    let server = Server::new(db);
     let (mut reader, mut writer) = (server.session(), server.session());
     let sql = "SELECT COUNT(*) FROM c";
     let count = |s: &mut extidx::sql::Session| s.query(sql).unwrap()[0][0].as_integer().unwrap();

@@ -534,28 +534,29 @@ fn checkpoint_while_a_session_transaction_is_open_keeps_only_committed_rows() {
     );
 }
 
-/// Under a daemon that never gets round to it, a committed session
-/// DELETE is still a dead mark on a physically present row. The
-/// checkpoint vacuums first, so the snapshot (which carries no chains)
-/// cannot resurrect it.
+/// While a reader's snapshot still sees the row, a committed session
+/// DELETE is only a dead mark on a physically present row: no vacuum may
+/// reclaim it. The checkpoint folds the committed DELETE from the WAL, so
+/// the image (which carries no chains) cannot resurrect the row.
 #[test]
-fn checkpoint_vacuums_first_so_a_deferred_delete_stays_deleted() {
-    use extidx::sql::{GovernorConfig, Server};
-    use std::time::Duration;
+fn a_delete_pinned_by_a_reader_stays_deleted_across_checkpoint() {
+    use extidx::sql::Server;
 
     let medium = DurableMedium::new();
     let mut db = Database::with_cache_pages(256);
     db.enable_durability(medium.clone()).unwrap();
     db.execute("CREATE TABLE t (id INTEGER)").unwrap();
     db.execute("INSERT INTO t VALUES (1), (2), (3)").unwrap();
-    let hour = Duration::from_secs(3600);
-    let lazy = GovernorConfig { interval: hour, min_interval: hour, ..GovernorConfig::default() };
-    let server = Server::with_config(db, lazy);
+    let server = Server::new(db);
 
+    let mut reader = server.session();
+    reader.execute("BEGIN").unwrap();
     let mut s = server.session();
     s.execute("DELETE FROM t WHERE id = 2").unwrap();
+    let pinned = server.read(|db| db.storage().mvcc_segment_stats());
+    assert!(!pinned.is_empty(), "the reader must keep the dead mark from being reclaimed");
     server.admin(|db| db.checkpoint()).unwrap();
-    std::mem::forget(s);
+    std::mem::forget((reader, s));
     drop(server);
 
     let mut rec = Database::with_cache_pages(256);
@@ -576,7 +577,7 @@ fn checkpoint_vacuums_first_so_a_deferred_delete_stays_deleted() {
 /// recovery after more work loses nothing and resurrects nothing.
 #[test]
 fn crash_inside_a_fuzzy_checkpoint_keeps_exactly_the_committed_rows() {
-    use extidx::sql::{GovernorConfig, Server};
+    use extidx::sql::Server;
 
     for point in [FP_WAL_CHECKPOINT, FP_WAL_CHECKPOINT_TRUNCATE] {
         let medium = DurableMedium::new();
@@ -584,7 +585,7 @@ fn crash_inside_a_fuzzy_checkpoint_keeps_exactly_the_committed_rows() {
         db.enable_durability(medium.clone()).unwrap();
         db.execute("CREATE TABLE t (id INTEGER)").unwrap();
         db.execute("INSERT INTO t VALUES (0)").unwrap();
-        let server = Server::with_config(db, GovernorConfig::inline_vacuum());
+        let server = Server::new(db);
         let (mut a, mut b, mut c) = (server.session(), server.session(), server.session());
         a.execute("BEGIN").unwrap();
         b.execute("BEGIN").unwrap();
@@ -624,7 +625,7 @@ fn crash_inside_a_fuzzy_checkpoint_keeps_exactly_the_committed_rows() {
 /// recovery is bag-equal to the committed history.
 #[test]
 fn four_session_soak_with_fuzzy_checkpoints_keeps_the_wal_bounded() {
-    use extidx::sql::{GovernorConfig, Server};
+    use extidx::sql::Server;
     use std::collections::BTreeMap;
 
     const SESSIONS: i64 = 4;
@@ -634,7 +635,7 @@ fn four_session_soak_with_fuzzy_checkpoints_keeps_the_wal_bounded() {
     let mut db = Database::with_cache_pages(256);
     db.enable_durability(medium.clone()).unwrap();
     db.execute("CREATE TABLE t (id INTEGER, grp INTEGER, v INTEGER)").unwrap();
-    let server = Server::with_config(db, GovernorConfig::inline_vacuum());
+    let server = Server::new(db);
     let mut sessions: Vec<_> = (0..SESSIONS).map(|_| server.session()).collect();
     // Each session writes its own rows only (no conflicts): its committed
     // rows (id -> v), and its open transaction's view of them.

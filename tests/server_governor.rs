@@ -1,11 +1,11 @@
 //! The server-governance matrix (DESIGN.md §4l): statement deadlines and
-//! cancellation, the backpressure gate, the maintenance daemon's fault
-//! containment, and the teardown/drop ordering regressions.
+//! cancellation, maintenance at transaction end, orphaned transactions,
+//! and the teardown/drop ordering regressions.
 //!
 //! The timeout tests sweep the *deterministic* poll-count deadline
 //! (`SET STATEMENT_TIMEOUT_TICKS`) across a statement's execution, so the
-//! deadline strikes mid-scan, mid-ODCI-crossing, mid-maintenance, and
-//! inside the backpressure wait on different iterations — and after every
+//! deadline strikes mid-scan, mid-ODCI-crossing and mid-maintenance on
+//! different iterations — and after every
 //! strike the observable state must be byte-identical to the
 //! pre-statement fingerprint (statement atomicity is deadline-blind),
 //! domain scans must stay Start≡Close balanced, and the deadline must be
@@ -15,13 +15,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use extidx::common::{Error, Value};
-use extidx::core::fault::FaultKind;
-use extidx::sql::{Database, GovernorConfig, Server};
+use extidx::sql::{Database, Server};
 
 /// Everything observable about user state: every cataloged table's full
 /// contents plus index-path probe queries, rendered deterministically.
-/// MVCC vacuum is semantics-preserving, so a concurrently running daemon
-/// can never change a fingerprint — only a torn statement can.
+/// MVCC vacuum is semantics-preserving, so the passes that run where
+/// transactions end can never change a fingerprint — only a torn
+/// statement can.
 fn fingerprint(server: &Server, probes: &[&str]) -> Vec<String> {
     server.admin(|db| {
         let mut out = Vec::new();
@@ -61,7 +61,7 @@ fn wait_until(mut cond: impl FnMut() -> bool, what: &str) {
 
 const PROBE: &str = "SELECT /*+ INDEX(docs dt) */ id FROM docs WHERE Contains(body, 'gorse')";
 
-fn text_server(config: GovernorConfig, rows: i64) -> Server {
+fn text_server(rows: i64) -> Server {
     let mut db = Database::with_cache_pages(4096);
     extidx::text::install(&mut db).unwrap();
     db.execute("CREATE TABLE docs (id INTEGER, body VARCHAR2(200))").unwrap();
@@ -71,7 +71,7 @@ fn text_server(config: GovernorConfig, rows: i64) -> Server {
             .unwrap();
     }
     db.execute("CREATE INDEX dt ON docs(body) INDEXTYPE IS TextIndexType").unwrap();
-    Server::with_config(db, config)
+    Server::new(db)
 }
 
 fn start_close_counts(server: &Server) -> (u64, u64) {
@@ -103,7 +103,7 @@ fn timeout_trace_rows(server: &Server) -> usize {
 /// `V$SERVER`); once the budget clears the statement, results are exact.
 #[test]
 fn timeout_mid_scan_surfaces_and_is_traced() {
-    let server = text_server(GovernorConfig::inline_vacuum(), 60);
+    let server = text_server(60);
     server.admin(|db| db.trace().set_enabled(true));
     let mut s = server.session();
     let mut fired = 0u64;
@@ -136,7 +136,7 @@ fn timeout_mid_scan_surfaces_and_is_traced() {
 /// Start≡Close stays balanced — and the engine stays fully usable.
 #[test]
 fn timeout_mid_odci_crossing_keeps_start_close_balanced() {
-    let server = text_server(GovernorConfig::inline_vacuum(), 80);
+    let server = text_server(80);
     server.admin(|db| db.trace().set_enabled(true));
     let mut s = server.session();
     let clean = {
@@ -172,7 +172,7 @@ fn timeout_mid_odci_crossing_keeps_start_close_balanced() {
 /// byte-identical to the pre-statement fingerprint.
 #[test]
 fn timeout_mid_maintenance_rolls_the_statement_back() {
-    let server = text_server(GovernorConfig::inline_vacuum(), 40);
+    let server = text_server(40);
     let mut s = server.session();
     let mut fired = 0u64;
     let mut completed = false;
@@ -204,147 +204,13 @@ fn timeout_mid_maintenance_rolls_the_statement_back() {
     assert!(completed, "the UPDATE never cleared its deadline");
 }
 
-/// A backpressure config that can only engage, never drain: the horizon
-/// is pinned by a reader transaction, watermarks are at zero, and the
-/// deterministic zero `yield_wait` makes every gate round self-drain.
-fn gated_server() -> Server {
-    let config = GovernorConfig {
-        daemon: false,
-        high_water_versions: 0,
-        high_water_chain: 0,
-        low_water_versions: 0,
-        yield_wait: Duration::ZERO,
-        retry_backoff: Duration::ZERO,
-        ..GovernorConfig::default()
-    };
-    let mut db = Database::with_cache_pages(4096);
-    db.execute("CREATE TABLE T (id INTEGER, n INTEGER)").unwrap();
-    for id in 0..4 {
-        db.execute(&format!("INSERT INTO T VALUES ({id}, 0)")).unwrap();
-    }
-    Server::with_config(db, config)
-}
-
-/// Deadline during the backpressure wait: a gated statement's deadline
-/// keeps ticking while it yields, and an expiry inside the gate aborts
-/// the statement *before it mutates anything*.
-#[test]
-fn timeout_during_backpressure_wait_leaves_state_intact() {
-    let server = gated_server();
-    let mut pin = server.session();
-    pin.execute("BEGIN").unwrap();
-
-    let mut w = server.session();
-    for i in 1..=6 {
-        w.execute(&format!("UPDATE T SET n = {i} WHERE id = 1")).unwrap();
-    }
-    let g = server.governor();
-    assert!(g.backpressure_engaged(), "pinned versions above a zero high-water must engage");
-
-    let mut gated = server.session();
-    gated.execute("SET STATEMENT_TIMEOUT_TICKS = 1").unwrap();
-    let before = fingerprint(&server, &[]);
-    let waits0 = g.counters.backpressure_waits.load(Ordering::Relaxed);
-    let err = gated.execute("UPDATE T SET n = 99 WHERE id = 2").unwrap_err();
-    assert!(matches!(err, Error::StatementTimeout { .. }), "got {err}");
-    assert_eq!(fingerprint(&server, &[]), before, "gated timeout must not mutate");
-    assert!(
-        g.counters.backpressure_waits.load(Ordering::Relaxed) > waits0,
-        "the statement never actually waited under the gate"
-    );
-
-    // Without the deadline the gate is bounded: the statement self-drains
-    // (counted) and proceeds even though the pinned horizon keeps the
-    // gate nominally engaged — overload protection never wedges.
-    gated.execute("SET STATEMENT_TIMEOUT_TICKS = 0").unwrap();
-    gated.execute("UPDATE T SET n = 99 WHERE id = 2").unwrap();
-    assert!(
-        g.counters.backpressure_self_drains.load(Ordering::Relaxed) > 0,
-        "zero yield_wait rounds must self-drain deterministically"
-    );
-    pin.execute("COMMIT").unwrap();
-}
-
-/// The gate's own fault point: an injected failure in the foreground
-/// drain surfaces to the gated statement before any mutation.
-#[test]
-fn backpressure_fault_point_surfaces_without_mutation() {
-    let server = gated_server();
-    let mut pin = server.session();
-    pin.execute("BEGIN").unwrap();
-    let mut w = server.session();
-    for i in 1..=4 {
-        w.execute(&format!("UPDATE T SET n = {i} WHERE id = 1")).unwrap();
-    }
-    assert!(server.governor().backpressure_engaged());
-
-    let before = fingerprint(&server, &[]);
-    server.read(|db| db.fault_injector().arm("governor.backpressure", None, 1, FaultKind::Fail));
-    let mut gated = server.session();
-    let err = gated.execute("UPDATE T SET n = 77 WHERE id = 3").unwrap_err();
-    assert!(
-        !matches!(err, Error::StatementTimeout { .. } | Error::WriteConflict { .. }),
-        "expected the injected fault, got {err}"
-    );
-    assert_eq!(fingerprint(&server, &[]), before, "faulted drain must not mutate");
-    server.read(|db| db.fault_injector().disarm_all());
-    gated.execute("UPDATE T SET n = 77 WHERE id = 3").unwrap();
-    pin.execute("COMMIT").unwrap();
-}
-
-/// Daemon fault sweep: a panic injected at the `daemon.vacuum` crossing
-/// (at varying pass counts) is contained — the pass dies, the daemon
-/// does not, the engine lock is never poisoned, and state stays
-/// byte-identical. A plain injected failure is counted separately.
-#[test]
-fn daemon_panic_sweep_is_contained_and_state_intact() {
-    let config = GovernorConfig { interval: Duration::from_millis(1), ..GovernorConfig::default() };
-    let server = text_server(config, 20);
-    let g = server.governor();
-    wait_until(|| g.counters.daemon_passes.load(Ordering::Relaxed) > 0, "first daemon pass");
-
-    for k in [1u64, 2] {
-        let before = fingerprint(&server, &[PROBE]);
-        let restarts0 = g.counters.daemon_restarts.load(Ordering::Relaxed);
-        server.read(|db| db.fault_injector().arm("daemon.vacuum", None, k, FaultKind::Panic));
-        g.wake_daemon();
-        wait_until(
-            || g.counters.daemon_restarts.load(Ordering::Relaxed) > restarts0,
-            "contained daemon panic",
-        );
-        assert!(g.daemon_running(), "a contained panic must not stop the daemon");
-        assert_eq!(fingerprint(&server, &[PROBE]), before, "panicked pass mutated state");
-        // The loop keeps making healthy passes afterwards.
-        let passes0 = g.counters.daemon_passes.load(Ordering::Relaxed);
-        g.wake_daemon();
-        wait_until(
-            || g.counters.daemon_passes.load(Ordering::Relaxed) > passes0,
-            "daemon pass after the contained panic",
-        );
-        server.read(|db| db.fault_injector().disarm_all());
-    }
-
-    // Non-panic injected fault: counted as a fault, not a restart.
-    let faults0 = g.counters.daemon_faults.load(Ordering::Relaxed);
-    server.read(|db| db.fault_injector().arm("daemon.vacuum", None, 1, FaultKind::Fail));
-    g.wake_daemon();
-    wait_until(|| g.counters.daemon_faults.load(Ordering::Relaxed) > faults0, "daemon fault");
-    server.read(|db| db.fault_injector().disarm_all());
-    assert!(g.daemon_running());
-
-    // And the engine still answers exactly through a session.
-    let mut s = server.session();
-    assert!(!s.query(PROBE).unwrap().is_empty());
-}
-
 /// Teardown/drop ordering regression: a session dropped mid-transaction
 /// while the engine lock is held must park (not deadlock), the parked
-/// transaction must be aborted properly, and `Server::into_inner` must
-/// stop-and-join the daemon before unwrapping the engine — restarting it
-/// when live clones force the teardown to roll back.
+/// transaction must be aborted before that lock is released, and
+/// `Server::into_inner` must refuse while a clone is alive.
 #[test]
 fn into_inner_and_session_drop_never_deadlock() {
-    let server = text_server(GovernorConfig::default(), 10);
+    let server = text_server(10);
     let clone = server.clone();
     let g = server.governor();
 
@@ -360,50 +226,63 @@ fn into_inner_and_session_drop_never_deadlock() {
     assert_ne!(rows[0][0], Value::from("orphaned-write"), "orphaned txn must roll back");
     drop(c);
 
-    // A live clone forces teardown to fail — and the daemon must keep
-    // running on the surviving server rather than silently dying.
+    // A live clone forces teardown to fail.
     let server = match server.into_inner() {
         Err(s) => s,
         Ok(_) => panic!("teardown must fail while a clone is alive"),
     };
-    assert!(server.governor().daemon_running(), "daemon must survive a refused teardown");
     drop(clone);
 
     // Mid-transaction session dropped normally (uncontended): aborts
-    // inline; then the full teardown joins the daemon and hands the
-    // engine back.
+    // inline; then the full teardown hands the engine back.
     let mut s2 = server.session();
     s2.execute("BEGIN").unwrap();
     s2.execute("UPDATE docs SET body = 'also-orphaned' WHERE id = 1").unwrap();
     drop(s2);
-    let governor = server.governor();
     let Ok(mut db) = server.into_inner() else { panic!("full teardown must succeed") };
-    assert!(!governor.daemon_running(), "into_inner must stop the daemon");
     let rows = db.query("SELECT body FROM docs WHERE id = 1").unwrap();
     assert_ne!(rows[0][0], Value::from("also-orphaned"));
 }
 
-/// Four sessions, never quiescent: continuous commutative updates with an
-/// aggressive daemon cadence. Every statement completes (bounded gate),
-/// the sum is exact, and occupancy drains back under the high-water mark.
+/// A session dropped while a reader holds the lock parks its transaction,
+/// and nothing takes the write lock before the teardown: `into_inner`
+/// itself must abort the orphan, so the engine it hands back has no open
+/// transaction and no version of the orphan's UPDATE left anywhere.
+#[test]
+fn into_inner_aborts_a_parked_orphan() {
+    let server = text_server(10);
+    let mut s = server.session();
+    s.execute("BEGIN").unwrap();
+    s.execute("UPDATE docs SET body = 'parked-write' WHERE id = 3").unwrap();
+    server.read(move |_db| drop(s));
+    let g = server.governor();
+    assert_eq!(g.counters.orphan_aborts.load(Ordering::Relaxed), 0, "a reader never drains");
+
+    let Ok(mut db) = server.into_inner() else { panic!("full teardown must succeed") };
+    assert_eq!(g.counters.orphan_aborts.load(Ordering::Relaxed), 1);
+    assert_eq!(db.storage().txn_manager().active_count(), 0);
+    assert!(
+        db.storage().mvcc_segment_stats().is_empty(),
+        "the orphan's versions must be rolled back and vacuumed"
+    );
+    let rows = db.query("SELECT body FROM docs WHERE id = 3").unwrap();
+    assert_eq!(rows[0][0], Value::from("filler 3"), "the in-place row must be the original");
+}
+
+/// Four sessions, never quiescent: continuous commutative updates on four
+/// OS threads. Every statement completes, the sum is exact, and the
+/// transaction ends alone drain occupancy to zero once every session is
+/// idle.
 #[test]
 fn four_session_soak_stays_bounded() {
     const SESSIONS: usize = 4;
     const UPDATES: usize = 150;
-    let config = GovernorConfig {
-        interval: Duration::from_millis(1),
-        min_interval: Duration::from_micros(200),
-        high_water_versions: 512,
-        high_water_chain: 256,
-        low_water_versions: 64,
-        ..GovernorConfig::default()
-    };
     let mut db = Database::with_cache_pages(4096);
     db.execute("CREATE TABLE SOAK (id INTEGER, n INTEGER)").unwrap();
     for id in 0..16 {
         db.execute(&format!("INSERT INTO SOAK VALUES ({id}, 0)")).unwrap();
     }
-    let server = Server::with_config(db, config.clone());
+    let server = Server::new(db);
     std::thread::scope(|scope| {
         for t in 0..SESSIONS {
             let mut sess = server.session();
@@ -416,15 +295,7 @@ fn four_session_soak_stays_bounded() {
             });
         }
     });
-    let g = server.governor();
-    assert!(g.counters.daemon_passes.load(Ordering::Relaxed) > 0, "daemon never ran");
-    wait_until(
-        || {
-            g.wake_daemon();
-            server.read(|db| db.mvcc_occupancy()).0 <= config.high_water_versions
-        },
-        "post-soak drain below high water",
-    );
+    assert_eq!(server.governor().occupancy(), (0, 0), "idle sessions must hold no versions");
     let mut s = server.session();
     let rows = s.query("SELECT n FROM SOAK").unwrap();
     let sum: i64 = rows
@@ -443,7 +314,7 @@ fn four_session_soak_stays_bounded() {
 /// usable for the next statement.
 #[test]
 fn cancel_token_interrupts_from_another_thread() {
-    let server = text_server(GovernorConfig::inline_vacuum(), 400);
+    let server = text_server(400);
     let mut s = server.session();
     let token = s.cancel_token();
     // Each statement clears its token at start, so a single pre-cancel
@@ -482,11 +353,11 @@ fn cancel_token_interrupts_from_another_thread() {
     assert!(!rows.is_empty());
 }
 
-/// `V$SERVER` end to end: queryable through a session, daemon liveness
-/// and the governor counters visible as NAME/VALUE rows.
+/// `V$SERVER` end to end: queryable through a session, the governor
+/// counters visible as NAME/VALUE rows.
 #[test]
 fn vserver_reports_governor_counters() {
-    let server = text_server(GovernorConfig::default(), 10);
+    let server = text_server(10);
     let mut s = server.session();
     let rows = s.query("SELECT NAME, VALUE FROM V$SERVER").unwrap();
     let get = |name: &str| -> i64 {
@@ -500,17 +371,7 @@ fn vserver_reports_governor_counters() {
             })
             .unwrap()
     };
-    assert_eq!(get("DAEMON_RUNNING"), 1);
-    assert_eq!(get("HIGH_WATER_VERSIONS"), 4096);
-    assert_eq!(get("LOW_WATER_VERSIONS"), 512);
     for name in [
-        "DAEMON_PASSES",
-        "DAEMON_RESTARTS",
-        "DAEMON_FAULTS",
-        "BACKPRESSURE_ENGAGED",
-        "BACKPRESSURE_EVENTS",
-        "BACKPRESSURE_WAITS",
-        "BACKPRESSURE_SELF_DRAINS",
         "CONFLICT_RETRIES",
         "CONFLICT_RETRY_SUCCESSES",
         "CONFLICT_RETRY_EXHAUSTED",
