@@ -261,8 +261,10 @@ impl Atom {
             Atom::MolSimilar { query, threshold } => {
                 format!("MolSimilar(mol, {}, {threshold:.2})", quote(query))
             }
-            Atom::NumCmp { op, value } => format!("num {op} {value:.1}"),
-            Atom::KeyCmp { col, op, value } => format!("{} {op} {value}", col.name()),
+            Atom::NumCmp { op, value } => {
+                cmp_sql("num", op, &format!("{value:.1}"), (value * 10.0).round() as i64)
+            }
+            Atom::KeyCmp { col, op, value } => cmp_sql(col.name(), op, &value.to_string(), *value),
             Atom::KeyBetween { col, lo, hi } => format!("{} BETWEEN {lo} AND {hi}", col.name()),
             Atom::IsNull { col, negated } => {
                 format!("{} IS {}NULL", col.name(), if *negated { "NOT " } else { "" })
@@ -290,6 +292,24 @@ impl Atom {
     pub fn btreeable_on_num(&self) -> bool {
         matches!(self, Atom::NumCmp { .. })
     }
+}
+
+/// `col op value`, or — when `draw` is odd, so for about every other atom —
+/// the same comparison written the other way round, `value op' col` with
+/// `op'` the flipped operator. The parity comes from the atom's own value,
+/// so the rendering takes no draw of its own.
+fn cmp_sql(col: &str, op: &str, value: &str, draw: i64) -> String {
+    if draw % 2 == 0 {
+        return format!("{col} {op} {value}");
+    }
+    let flipped = match op {
+        "<" => ">",
+        "<=" => ">=",
+        ">" => "<",
+        ">=" => "<=",
+        other => other,
+    };
+    format!("{value} {flipped} {col}")
 }
 
 /// A two-level predicate tree: AND of atoms and 2-way OR groups.
@@ -862,12 +882,22 @@ mod tests {
         {
             assert!(all.contains(needle), "workload never exercises {needle}");
         }
-        // Every comparison shape reaches both key columns, and some query
-        // bounds both at once, in each order.
+        // Every comparison shape reaches both key columns, either way round,
+        // and some query bounds both at once, in each order. Comparisons
+        // are written the other way round with every operator, and on
+        // every compared column.
         for col in ["grp", "id"] {
             for op in CMP_OPS.iter().copied().chain(["BETWEEN"]) {
-                assert!(all.contains(&format!("{col} {op} ")), "no `{col} {op}` atom");
+                let either = [format!("{col} {op} "), cmp_sql(col, op, "", 1)];
+                assert!(either.iter().any(|s| all.contains(s)), "no `{col} {op}` atom");
             }
+        }
+        for op in CMP_OPS {
+            let flipped = cmp_sql("", op, "", 1);
+            assert!(all.contains(&flipped), "no `…{flipped}…` atom");
+        }
+        for col in ["grp", "id", "num"] {
+            assert!(CMP_OPS.iter().any(|op| all.contains(&cmp_sql(col, op, "", 1))), "{col}");
         }
         let both = |a: &str, b: &str| {
             w.stmts.iter().any(|s| match s {

@@ -38,7 +38,7 @@ use extidx_storage::{SegmentId, Snapshot, StorageEngine};
 
 use crate::catalog::{Catalog, TableDef, TableOrg};
 use crate::exec_ctx::{odci_call, Callee, Exec, Lane};
-use crate::expr::{eval, filter_accepts, AggKind, EvalCtx, ExecRow, RExpr, Slots};
+use crate::expr::{eval, AggKind, EvalCtx, ExecRow, RExpr, Slots};
 use crate::plan::{value_of, FilterTerm, KeyBound, PlanKind, PlanNode, Projection, ReadSet};
 
 /// The largest possible rowid — used as an upper key pad so inclusive
@@ -1377,10 +1377,11 @@ struct FilterExec {
 /// Kleene-AND over the ordered terms, short-circuiting at the first
 /// non-TRUE (FALSE or NULL) result — sound under any term order, since
 /// three-valued AND is commutative and a row qualifies only when every
-/// conjunct is TRUE.
+/// conjunct is TRUE. The one per-row filter test: a fused scan's and
+/// `FilterExec`'s, each term through `FilterTerm::accepts`.
 fn accepts(terms: &[FilterTerm], row: &impl Slots, ctx: &EvalCtx) -> Result<bool> {
     for t in terms {
-        if !filter_accepts(&eval(&t.pred, row, ctx)?) {
+        if !t.accepts(row, ctx)? {
             return Ok(false);
         }
     }
@@ -1713,5 +1714,197 @@ impl ExecNode for AggregateExec {
 
     fn abandon(&mut self, db: &Exec<'_>) {
         self.input.abandon(db);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use extidx_common::LobRef;
+
+    use super::*;
+    use crate::ast::BinOp;
+    use crate::catalog::Catalog;
+    use crate::expr::filter_accepts;
+    use crate::plan::TermClass;
+
+    /// One value of every kind a column or an operand can hold.
+    fn values() -> Vec<Value> {
+        vec![
+            Value::Null,
+            Value::Integer(-1),
+            Value::Integer(0),
+            Value::Integer(1),
+            Value::Integer(100),
+            Value::Number(0.0),
+            Value::Number(1.0),
+            Value::Number(99.5),
+            Value::Number(f64::NAN),
+            Value::from(""),
+            Value::from("a"),
+            Value::Boolean(false),
+            Value::Boolean(true),
+            Value::RowId(RowId::new(1, 2, 3)),
+            Value::Lob(LobRef(7)),
+            Value::Object("PT".into(), vec![Value::Integer(1)]),
+            Value::Array(vec![Value::Integer(1)]),
+        ]
+    }
+
+    const RELOPS: [BinOp; 6] = [BinOp::Eq, BinOp::Ne, BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge];
+
+    fn bin(op: BinOp, a: RExpr, b: RExpr) -> RExpr {
+        RExpr::Binary(op, Box::new(a), Box::new(b))
+    }
+
+    fn between(e: RExpr, lo: RExpr, hi: RExpr) -> RExpr {
+        RExpr::Between(Box::new(e), Box::new(lo), Box::new(hi))
+    }
+
+    /// Run `f` with an evaluation context over `binds`.
+    fn with_binds<T>(binds: &[Value], f: impl FnOnce(&EvalCtx) -> T) -> T {
+        let (catalog, storage) = (Catalog::new(), StorageEngine::new(4));
+        f(&EvalCtx { catalog: &catalog, storage: &storage, snap: Snapshot::latest(), binds })
+    }
+
+    /// `pred` as a compiled Filter term says of `row` what the generic
+    /// `eval` + `filter_accepts` says, error text included; where `eval`
+    /// answers, the compiled test answers on its own, without falling back.
+    fn agree(pred: RExpr, row: &impl Slots, ctx: &EvalCtx, case: &dyn Fn() -> String) {
+        let generic = eval(&pred, row, ctx).map(|v| filter_accepts(&v)).map_err(|e| e.to_string());
+        let term = FilterTerm { pred, class: TermClass::IndexedCol };
+        if let Ok(pass) = generic {
+            assert_eq!(term.decide(row, ctx.binds), Some(pass), "decided: {}", case());
+        }
+        let compiled = accepts(std::slice::from_ref(&term), row, ctx).map_err(|e| e.to_string());
+        assert_eq!(compiled, generic, "accepted: {}", case());
+    }
+
+    /// A value as the predicate sees it: a literal, or bind `?i` of `binds`.
+    fn operand(v: &Value, as_bind: bool, binds: &mut Vec<Value>) -> RExpr {
+        if as_bind {
+            binds.push(v.clone());
+            RExpr::Param(binds.len() - 1)
+        } else {
+            RExpr::Const(v.clone())
+        }
+    }
+
+    #[test]
+    fn compiled_comparisons_decide_as_eval_does() {
+        for col in values() {
+            let row = ExecRow::new(vec![Value::Integer(5), col.clone()]);
+            for v in values() {
+                for op in RELOPS {
+                    let shapes = [(true, false), (true, true), (false, false), (false, true)];
+                    for (col_left, as_bind) in shapes {
+                        let mut binds = Vec::new();
+                        let value = operand(&v, as_bind, &mut binds);
+                        let pred = if col_left {
+                            bin(op, RExpr::Slot(1), value)
+                        } else {
+                            bin(op, value, RExpr::Slot(1))
+                        };
+                        let case = || format!("{col:?} {op:?} {v:?}, left {col_left}, bind {as_bind}");
+                        with_binds(&binds, |ctx| agree(pred, &row, ctx, &case));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every ordered pair of bounds, reversed and NULL ones included.
+    #[test]
+    fn compiled_between_decides_as_eval_does() {
+        for col in values() {
+            let row = ExecRow::new(vec![col.clone()]);
+            for lo in values() {
+                for hi in values() {
+                    for (lo_bind, hi_bind) in [(false, false), (true, true), (false, true)] {
+                        let mut binds = Vec::new();
+                        let lo_e = operand(&lo, lo_bind, &mut binds);
+                        let hi_e = operand(&hi, hi_bind, &mut binds);
+                        let pred = between(RExpr::Slot(0), lo_e, hi_e);
+                        let case = || format!("{col:?} BETWEEN {lo:?} AND {hi:?}, binds {binds:?}");
+                        with_binds(&binds, |ctx| agree(pred, &row, ctx, &case));
+                    }
+                }
+            }
+        }
+    }
+
+    /// A fused scan's stored row: the hidden ROWID slot follows the
+    /// columns and reads as the row's own rowid.
+    #[test]
+    fn compiled_tests_read_the_hidden_rowid_slot() {
+        let stored: Row = vec![Value::Integer(1), Value::from("x")];
+        let rid = RowId::new(1, 2, 3);
+        let mut others = vec![RowId::new(1, 2, 2), rid, RowId::new(1, 2, 4), RowId::new(0, 9, 9)]
+            .into_iter()
+            .map(Value::RowId)
+            .collect::<Vec<_>>();
+        others.extend(values());
+        for v in &others {
+            for op in RELOPS {
+                for col_left in [true, false] {
+                    let row = StoredRow { row: &stored, rowid: Value::RowId(rid) };
+                    let pred = if col_left {
+                        bin(op, RExpr::Slot(2), RExpr::Const(v.clone()))
+                    } else {
+                        bin(op, RExpr::Const(v.clone()), RExpr::Slot(2))
+                    };
+                    let case = || format!("ROWID {op:?} {v:?}, column left {col_left}");
+                    with_binds(&[], |ctx| agree(pred, &row, ctx, &case));
+                }
+            }
+        }
+        let row = StoredRow { row: &stored, rowid: Value::RowId(rid) };
+        let pred = between(RExpr::Slot(2), RExpr::Param(0), RExpr::Param(1));
+        let binds = [Value::RowId(RowId::new(1, 2, 3)), Value::RowId(RowId::new(1, 2, 9))];
+        with_binds(&binds, |ctx| agree(pred, &row, ctx, &|| "ROWID BETWEEN".into()));
+    }
+
+    /// A bind past the supplied ones, or a slot the row lacks, is `eval`'s
+    /// error, whichever operand comes first in the predicate.
+    #[test]
+    fn a_missing_bind_or_slot_fails_as_eval_does() {
+        let row = ExecRow::new(vec![Value::Integer(5)]);
+        let missing_bind = "bind placeholder 3 has no value (1 supplied)";
+        let missing_slot = "row has no slot 9";
+        let cases = [
+            (bin(BinOp::Lt, RExpr::Slot(0), RExpr::Param(3)), missing_bind),
+            (bin(BinOp::Lt, RExpr::Param(3), RExpr::Slot(0)), missing_bind),
+            (bin(BinOp::Ge, RExpr::Slot(9), RExpr::Param(0)), missing_slot),
+            (bin(BinOp::Ge, RExpr::Slot(9), RExpr::Param(3)), missing_slot),
+            (bin(BinOp::Ge, RExpr::Param(3), RExpr::Slot(9)), missing_bind),
+            (between(RExpr::Slot(0), RExpr::Const(9i64.into()), RExpr::Param(3)), missing_bind),
+            (between(RExpr::Slot(9), RExpr::Param(3), RExpr::Param(0)), missing_slot),
+        ];
+        for (pred, want) in cases {
+            let case = format!("{pred:?}");
+            with_binds(&[Value::Integer(1)], |ctx| {
+                let term = FilterTerm { pred: pred.clone(), class: TermClass::IndexedCol };
+                let err = accepts(std::slice::from_ref(&term), &row, ctx).unwrap_err();
+                assert!(err.to_string().contains(want), "{case}: {err}");
+                agree(pred, &row, ctx, &|| case.clone());
+            });
+        }
+    }
+
+    /// Every other shape is left to `eval`.
+    #[test]
+    fn other_predicates_are_evaluated() {
+        let row = ExecRow::new(vec![Value::Integer(1), Value::Integer(2)]);
+        let one = || RExpr::Const(Value::Integer(1));
+        for pred in [
+            bin(BinOp::Eq, RExpr::Slot(0), RExpr::Slot(1)),
+            bin(BinOp::Lt, bin(BinOp::Add, RExpr::Slot(0), one()), one()),
+            bin(BinOp::Lt, one(), one()),
+            bin(BinOp::Like, RExpr::Slot(0), RExpr::Const(Value::from("a%"))),
+            between(one(), RExpr::Slot(0), one()),
+            RExpr::IsNull(Box::new(RExpr::Slot(0)), false),
+        ] {
+            let term = FilterTerm { pred, class: TermClass::PlainCol };
+            assert_eq!(term.decide(&row, &[]), None, "{:?}", term.pred);
+        }
     }
 }

@@ -539,6 +539,19 @@ pub fn compare(op: BinOp, l: &Value, r: &Value) -> Option<bool> {
     if l.is_null() || r.is_null() {
         return None;
     }
+    // Two INTEGERs order as `i64`s; where both also read as booleans (0
+    // and 1) that order gives the boolean answer.
+    if let (Value::Integer(a), Value::Integer(b)) = (l, r) {
+        return Some(match op {
+            BinOp::Eq => a == b,
+            BinOp::Ne => a != b,
+            BinOp::Lt => a < b,
+            BinOp::Le => a <= b,
+            BinOp::Gt => a > b,
+            BinOp::Ge => a >= b,
+            _ => return None,
+        });
+    }
     if matches!(op, BinOp::Eq | BinOp::Ne) {
         if let (Ok(a), Ok(b)) = (l.as_bool(), r.as_bool()) {
             return Some(if op == BinOp::Eq { a == b } else { a != b });
@@ -1003,6 +1016,23 @@ mod tests {
     fn compare_boolean_number_idiom() {
         assert_eq!(compare(BinOp::Eq, &Value::Boolean(true), &Value::Integer(1)), Some(true));
         assert_eq!(compare(BinOp::Eq, &Value::Boolean(false), &Value::Integer(1)), Some(false));
+    }
+
+    /// Two INTEGERs compare as the same values do with one of them a
+    /// NUMBER, boolean idiom included; past 2^53 only the `i64`s tell apart.
+    #[test]
+    fn compare_integers_as_numbers() {
+        let ints = [-2i64, -1, 0, 1, 2, 100];
+        for op in [BinOp::Eq, BinOp::Ne, BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge] {
+            for (a, b) in ints.iter().flat_map(|a| ints.iter().map(move |b| (*a, *b))) {
+                let as_number = compare(op, &Value::Number(a as f64), &Value::Integer(b));
+                assert_eq!(compare(op, &Value::Integer(a), &Value::Integer(b)), as_number);
+            }
+        }
+        let (big, next) = (Value::Integer(1 << 60), Value::Integer((1 << 60) + 1));
+        assert_eq!(compare(BinOp::Lt, &big, &next), Some(true));
+        assert_eq!(compare(BinOp::Ne, &big, &next), Some(true));
+        assert_eq!(compare(BinOp::Like, &big, &next), None);
     }
 
     #[test]

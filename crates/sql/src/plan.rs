@@ -11,7 +11,8 @@ use std::fmt;
 use extidx_common::{Key, Result, Value};
 use extidx_core::meta::PredicateBound;
 
-use crate::expr::{eval, AggKind, EvalCtx, ExecRow, RExpr, Scope};
+use crate::ast::BinOp;
+use crate::expr::{compare, eval, filter_accepts, AggKind, EvalCtx, ExecRow, RExpr, Scope, Slots};
 
 /// Evaluation-cost class of one WHERE conjunct, cheapest first. The
 /// optimizer sorts Filter terms by this rank (stably, preserving source
@@ -48,6 +49,71 @@ impl std::fmt::Display for TermClass {
 pub struct FilterTerm {
     pub pred: RExpr,
     pub class: TermClass,
+}
+
+impl FilterTerm {
+    /// Whether `row` passes this term: exactly what `filter_accepts` says
+    /// of the predicate's value, errors included (DESIGN.md §4h "Compiled
+    /// filter terms"). Where [`FilterTerm::decide`] cannot say, `eval` does.
+    #[inline]
+    pub(crate) fn accepts<R: Slots + ?Sized>(&self, row: &R, ctx: &EvalCtx<'_>) -> Result<bool> {
+        match self.decide(row, ctx.binds) {
+            Some(pass) => Ok(pass),
+            None => Ok(filter_accepts(&eval(&self.pred, row, ctx)?)),
+        }
+    }
+
+    /// Whether `row` passes a term of shape `Slot relop value` (either
+    /// operand order) or `Slot BETWEEN value AND value`, a value being a
+    /// literal or a bind: [`compare`] — what `eval` asks — on the borrowed
+    /// column and value, nothing cloned. `None` for any other shape, a slot
+    /// the row lacks or a bind past `binds`' end; in the last two `eval`
+    /// fails, and its error is the one to report.
+    #[inline]
+    pub(crate) fn decide<R: Slots + ?Sized>(&self, row: &R, binds: &[Value]) -> Option<bool> {
+        let flip = |op: BinOp| match op {
+            BinOp::Lt => BinOp::Gt,
+            BinOp::Le => BinOp::Ge,
+            BinOp::Gt => BinOp::Lt,
+            BinOp::Ge => BinOp::Le,
+            other => other,
+        };
+        match &self.pred {
+            RExpr::Binary(
+                op @ (BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge),
+                a,
+                b,
+            ) => {
+                // `value op Slot` is `Slot op' value`, `op'` the flipped
+                // operator: `compare` is antisymmetric.
+                let (slot, op, value) = match (&**a, &**b) {
+                    (RExpr::Slot(slot), v) => (*slot, *op, v),
+                    (v, RExpr::Slot(slot)) => (*slot, flip(*op), v),
+                    _ => return None,
+                };
+                let (v, value) = (row.slot(slot)?, operand(value, binds)?);
+                Some(compare(op, v, value) == Some(true))
+            }
+            RExpr::Between(e, lo, hi) => {
+                let RExpr::Slot(slot) = **e else { return None };
+                let (v, lo, hi) = (row.slot(slot)?, operand(lo, binds)?, operand(hi, binds)?);
+                let holds = |op, bound| compare(op, v, bound) == Some(true);
+                Some(holds(BinOp::Ge, lo) && holds(BinOp::Le, hi))
+            }
+            _ => None,
+        }
+    }
+}
+
+/// A literal's value, or a bind's under `binds`; `None` for any other
+/// expression and for a bind past `binds`' end.
+#[inline]
+fn operand<'a>(e: &'a RExpr, binds: &'a [Value]) -> Option<&'a Value> {
+    match e {
+        RExpr::Const(v) => Some(v),
+        RExpr::Param(i) => binds.get(*i),
+        _ => None,
+    }
 }
 
 /// The value of a column-free plan expression under the statement's

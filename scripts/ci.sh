@@ -66,9 +66,15 @@ done
 # ORDER BY over several input batches), one ODCIIndexFetch for a
 # cursor's first row (scan and domain join), zone-map widen-never-narrow,
 # LIMIT early termination, root-gets == cache-delta under pruning, and
-# cost-ordered conjuncts pinned as a functional-operator call count.
-echo "== batch executor (batch seams + pipelining + zone maps) =="
+# cost-ordered conjuncts pinned as a functional-operator call count. Then
+# compiled filter terms (DESIGN.md §4h): compiled ≡ eval over every value
+# kind × relop × operand order × literal/bind, BETWEEN bounds, the hidden
+# ROWID slot and missing binds; and EXPLAIN ANALYZE of a compiled term equal,
+# line for line, to its generic twin's.
+echo "== batch executor (batch seams + pipelining + zone maps + compiled terms) =="
 cargo test -q --test vectorized -- --include-ignored
+cargo test -q -p extidx-sql --lib executor::tests
+cargo test -q --test rows_copied_once
 
 # Key-prefix access paths (DESIGN.md §4h "One table of sargable bounds"):
 # plan shapes over a composite-key IOT, the strict-bound regression with

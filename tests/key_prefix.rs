@@ -239,7 +239,7 @@ fn pinned_key_dml_touches_one_row_and_maintains_the_secondary_index() {
 /// interpreter; run by scripts/ci.sh via `--include-ignored`. The seeds
 /// are ones that catch the key-prefix candidate widened by one: with a
 /// strict bound consumed as if inclusive 0x4B33 diverges at statement 98
-/// and 0x4B34 at 411; with a lower-only bound consumed although NULL keys
+/// and 0x4B34 at 1; with a lower-only bound consumed although NULL keys
 /// sort past it 0x4B34 diverges at 444 and 0x4B3B at 430.
 #[test]
 #[ignore = "long sweep; run via scripts/ci.sh or --include-ignored"]

@@ -257,3 +257,61 @@ fn explain_analyze_of_a_fused_filter_reports_the_scan_and_the_filter_apart() {
     let scan_batches = (N as u64).div_ceil(extidx::sql::executor::BATCH_TARGET as u64) + 1;
     assert_eq!((field(filter, "batches"), field(scan, "batches")), (2, scan_batches));
 }
+
+/// `(actual rows, batches, gets)` of each operator line of `EXPLAIN
+/// ANALYZE sql` under `binds`, then the statement's `(rows, 0, gets)`.
+fn analyzed(db: &mut Database, sql: &str, binds: &[Value]) -> Vec<[u64; 3]> {
+    let lines = db.query_with(&format!("EXPLAIN ANALYZE {sql}"), binds).unwrap();
+    let lines: Vec<String> = lines.into_iter().map(|r| r[0].to_string()).collect();
+    let mut out: Vec<[u64; 3]> = lines
+        .iter()
+        .filter(|l| l.contains("[actual rows="))
+        .map(|l| [field(l, "actual rows"), field(l, "batches"), field(l, "gets")])
+        .collect();
+    let summary = lines.iter().find(|l| l.trim_start().starts_with("statement:")).unwrap();
+    out.push([field(summary, "rows"), 0, field(summary, "gets")]);
+    out
+}
+
+/// A compiled filter term (`col relop value`, DESIGN.md §4h "Compiled
+/// filter terms") reports, line for line, the rows, batches and gets of
+/// its generic twin — the same term written `col + 0 relop value`, which
+/// only `eval` can test: fused into a scan of several pages, with a literal
+/// or a bind, and in a `FilterExec` over a join.
+#[test]
+fn explain_analyze_of_a_compiled_term_matches_its_generic_twin() {
+    let mut db = table_db();
+    db.set_zone_pruning(false);
+    let seg = db.catalog().table("t").unwrap().seg;
+    let pages = db.storage().heap(seg).unwrap().page_count() as u64;
+    assert!(pages >= 4, "{pages} pages");
+    let batches = (N as u64).div_ceil(extidx::sql::executor::BATCH_TARGET as u64) + 1;
+    let count = "SELECT /*+ FULL(t) */ COUNT(*) FROM t WHERE v < 100";
+    let got = analyzed(&mut db, count, &[]);
+    // PROJECT, AGGREGATE, FILTER, FULL SCAN, statement: 99 rows survive,
+    // all in the FILTER's first batch, and its second finds the scan done.
+    assert_eq!(got[2], [99, 2, pages], "{got:?}");
+    assert_eq!(got[3], [N as u64, batches, pages], "{got:?}");
+    assert_eq!(got, analyzed(&mut db, &count.replace("v <", "v + 0 <"), &[]));
+    assert!(plan(&mut db, count).contains("zone:Binary(Lt, Slot(2), Const(100))"));
+
+    // The bind twin, written the other way round: `? > v` is `v < ?`.
+    let bind = "SELECT /*+ FULL(t) */ COUNT(*) FROM t WHERE ? > v";
+    let bound = analyzed(&mut db, bind, &[100.into()]);
+    assert_eq!(bound, got);
+    assert_eq!(bound, analyzed(&mut db, &bind.replace("> v", "> v + 0"), &[100.into()]));
+
+    db.execute("CREATE TABLE u (id INTEGER, g INTEGER)").unwrap();
+    for i in 0..40i64 {
+        db.execute_with("INSERT INTO u VALUES (?, ?)", &[i.into(), (i % 7).into()]).unwrap();
+    }
+    let join = "SELECT t.g, COUNT(*) FROM t, u WHERE t.g = u.g AND t.id < 300 \
+                GROUP BY t.g HAVING COUNT(*) > 250";
+    let shape = plan(&mut db, join);
+    assert!(shape.contains("FILTER zone:Binary(Gt, Slot(1), Const(250))"), "{shape}");
+    assert!(shape.contains("JOIN"), "{shape}");
+    let got = analyzed(&mut db, join, &[]);
+    assert_eq!(got, analyzed(&mut db, &join.replace("COUNT(*) >", "COUNT(*) + 0 >"), &[]));
+    // Groups 0–4 join 43 rows of t with 6 of u; groups 5 and 6 fewer.
+    assert_eq!(bag(&mut db, join), (0..5).map(|g| strs([g, 258])).collect::<Vec<_>>());
+}
