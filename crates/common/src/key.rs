@@ -25,12 +25,6 @@ impl Key {
     pub fn values(&self) -> &[Value] {
         &self.0
     }
-
-    /// Approximate serialized size in bytes, used by the storage layer's
-    /// page-occupancy model.
-    pub fn approx_size(&self) -> usize {
-        self.0.iter().map(crate::value::approx_value_size).sum()
-    }
 }
 
 impl Eq for Key {}

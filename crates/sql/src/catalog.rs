@@ -146,88 +146,11 @@ impl Catalog {
 
     /// Whether a name addresses a `V$` dynamic-performance virtual table.
     /// These are resolved by the optimizer like ordinary tables but are
-    /// materialized from engine state when they run and are read-only.
+    /// materialized from engine state when they run and are read-only;
+    /// the views themselves are declared once, in `vtables.rs`.
     pub fn is_vtable(name: &str) -> bool {
         let n = name.as_bytes();
         n.len() > 2 && (n[0] == b'V' || n[0] == b'v') && n[1] == b'$'
-    }
-
-    /// Schema of a `V$` virtual table, or `None` if the name is not one of
-    /// the defined views. Column order here is the row layout
-    /// [`vtable`-materialization in the engine] must produce.
-    pub fn vtable_columns(name: &str) -> Option<Vec<ColumnDef>> {
-        let col = |n: &str, ty: SqlType| ColumnDef { name: n.into(), ty };
-        let cols = match name.to_ascii_uppercase().as_str() {
-            // Buffer-cache and statement-cache counters as NAME/VALUE rows.
-            "V$CACHE_STATS" => vec![
-                col("NAME", SqlType::Varchar(64)),
-                col("VALUE", SqlType::Integer),
-            ],
-            // Per-(indextype, routine) crossing aggregates.
-            "V$ODCI_CALLS" => vec![
-                col("INDEXTYPE", SqlType::Varchar(128)),
-                col("ROUTINE", SqlType::Varchar(64)),
-                col("CALLS", SqlType::Integer),
-                col("ELAPSED_MICROS", SqlType::Integer),
-            ],
-            // Bounded per-statement execution history.
-            "V$SQLSTATS" => vec![
-                col("SQL_ID", SqlType::Integer),
-                col("SQL_TEXT", SqlType::Varchar(4096)),
-                col("ROWS_PROCESSED", SqlType::Integer),
-                col("ELAPSED_MICROS", SqlType::Integer),
-                col("LOGICAL_READS", SqlType::Integer),
-                col("PHYSICAL_READS", SqlType::Integer),
-                col("PHYSICAL_WRITES", SqlType::Integer),
-            ],
-            // Domain-index health state machine (one row per domain
-            // index): breaker window occupancy, pending-log depth, and
-            // whether REBUILD must go back to the base table.
-            "V$INDEX_HEALTH" => vec![
-                col("INDEX_NAME", SqlType::Varchar(128)),
-                col("TABLE_NAME", SqlType::Varchar(128)),
-                col("INDEXTYPE", SqlType::Varchar(128)),
-                col("STATE", SqlType::Varchar(16)),
-                col("RECENT_FAULTS", SqlType::Integer),
-                col("TOTAL_FAULTS", SqlType::Integer),
-                col("PENDING_OPS", SqlType::Integer),
-                col("CALLS", SqlType::Integer),
-                col("NEEDS_FULL_REBUILD", SqlType::Varchar(4)),
-            ],
-            // MVCC version-chain occupancy per segment (plus a TOTAL row
-            // that is always present, even with no chains), the vacuum
-            // horizon, and cumulative incremental-vacuum counters.
-            "V$MVCC" => vec![
-                col("SEGMENT", SqlType::Varchar(64)),
-                col("CHAINS", SqlType::Integer),
-                col("VERSIONS", SqlType::Integer),
-                col("HORIZON", SqlType::Integer),
-                col("ACTIVE_TXNS", SqlType::Integer),
-                col("VACUUM_RUNS", SqlType::Integer),
-                col("VERSIONS_PRUNED", SqlType::Integer),
-                col("SLOTS_RECLAIMED", SqlType::Integer),
-            ],
-            // Server governor counters (conflict retry, statement
-            // timeouts, orphan aborts) and the occupancy reading of the
-            // last transaction end, as NAME/VALUE rows.
-            "V$SERVER" => vec![
-                col("NAME", SqlType::Varchar(64)),
-                col("VALUE", SqlType::Integer),
-            ],
-            // The CallTrace ring. DROPPED repeats the ring's eviction
-            // counter on every row so `SELECT MAX(DROPPED)` surfaces it.
-            "V$TRACE" => vec![
-                col("SEQ", SqlType::Integer),
-                col("COMPONENT", SqlType::Varchar(32)),
-                col("ROUTINE", SqlType::Varchar(64)),
-                col("INDEXTYPE", SqlType::Varchar(128)),
-                col("DETAIL", SqlType::Varchar(1024)),
-                col("ELAPSED_MICROS", SqlType::Integer),
-                col("DROPPED", SqlType::Integer),
-            ],
-            _ => return None,
-        };
-        Some(cols)
     }
 
     // ---- tables ---------------------------------------------------------------

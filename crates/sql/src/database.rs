@@ -6,17 +6,17 @@
 //!
 //! - DDL on domain indexes drives the cartridge's definition routines
 //!   ("creates the data dictionary entries pertaining to the domain index
-//!   and invokes the ODCIIndexCreate() method");
+//!   and invokes the ODCIIndexCreate() method"; `crate::ddl`);
 //! - base-table DML implicitly maintains every domain index ("when the
 //!   base table is updated, all domain indexes built on columns of the
 //!   table are implicitly maintained");
 //! - queries go through the cost-based optimizer, which may choose a
 //!   domain-index scan over functional evaluation;
-//! - cartridge code calls back in through the internal `ServerCtx` under
-//!   the §2.5 restriction modes;
+//! - cartridge code calls back in through the one `ServerContext`
+//!   implementation (`exec_ctx::ServerCtx`) under the §2.5 restriction
+//!   modes;
 //! - commit/rollback fire registered database events (§5).
 
-use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -24,17 +24,13 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use extidx_common::{Error, Key, LobRef, Result, Row, RowId, SqlType, Value};
+use extidx_common::{Error, Key, Result, Row, RowId, SqlType, Value};
 use extidx_core::events::{DbEvent, EventHandler};
 use extidx_core::fault::{FaultInjector, RetryPolicy};
 use extidx_core::health::{HealthState, PendingOp, Transition};
-use extidx_core::indextype::{IndexType, SupportedOperator};
 use extidx_core::meta::IndexInfo;
-use extidx_core::operator::{Operator, ScalarFunction};
-use extidx_core::params::ParamString;
-use extidx_core::sandbox;
-use extidx_core::scan::WorkspaceHandle;
-use extidx_core::server::{BatchSink, CallbackMode, ServerContext};
+use extidx_core::operator::ScalarFunction;
+use extidx_core::server::ServerContext;
 use extidx_core::stats::OdciStats;
 use extidx_core::trace::{CallTrace, Component, Routine};
 use extidx_core::OdciIndex;
@@ -42,14 +38,14 @@ use extidx_storage::buffer::CacheStats;
 use extidx_storage::file_store::FileStats;
 use extidx_storage::{CommitBlob, DurableMedium, Snapshot, StorageEngine};
 
-use crate::ast::{AlterIndexAction, ColumnSpec, Expr, InsertSource, Statement};
-use crate::catalog::{BTreeIndexDef, Catalog, CatalogDump, ColumnDef, ColumnStats, DomainIndexDef, TableDef, TableOrg, TableStats};
-use crate::exec_ctx::{self, odci_call, Callee, Exec, Lane, SessionScratch};
-use crate::executor::{self, BaseScan, ExecNode, BATCH_TARGET};
+use crate::ast::{AlterIndexAction, Expr, InsertSource, Statement};
+use crate::catalog::{BTreeIndexDef, Catalog, CatalogDump, DomainIndexDef, TableDef, TableOrg};
+use crate::ddl::CreatedObject;
+use crate::exec_ctx::{self, odci_call, Callee, Exec, Lane, QueryCursor, SessionScratch};
+use crate::executor;
 use crate::expr::{compile_expr, eval, EvalCtx, ExecRow, Scope};
 use crate::optimizer::{self, CostModel};
 use crate::parser::parse;
-use crate::plan::PlannedQuery;
 use crate::stmt_cache::{Prepared, StatementCache};
 
 /// Result of executing one statement.
@@ -98,11 +94,11 @@ pub struct Database {
     pub(crate) storage: StorageEngine,
     pub(crate) catalog: Catalog,
     pub(crate) cost: CostModel,
-    odci_impls: HashMap<String, OdciImplementation>,
+    pub(crate) odci_impls: HashMap<String, OdciImplementation>,
     event_handlers: Vec<(String, Arc<dyn EventHandler>)>,
     pub(crate) trace: CallTrace,
     /// What the open top-level statement may have to take back.
-    scope: StatementScope,
+    pub(crate) scope: StatementScope,
     /// Rows per ODCIIndexFetch call (the §2.5 batch interface, E8).
     pub(crate) batch_size: usize,
     /// Consult per-page zone maps in full scans to skip pages whose
@@ -119,12 +115,12 @@ pub struct Database {
     /// ODCIIndexFetch batch. Never enabled outside tests.
     pub(crate) chaos_drop_last_domain_batch: bool,
     /// Bounded per-statement execution history backing `V$SQLSTATS`.
-    sqlstats: Mutex<VecDeque<SqlStat>>,
+    pub(crate) sqlstats: Mutex<VecDeque<SqlStat>>,
     next_sql_id: AtomicU64,
     /// The server governor blackboard: `V$SERVER` counters, the
     /// occupancy reading and the parked orphans. Shared with the `Server`
     /// and every `Session`.
-    governor: Arc<crate::governor::ServerGovernor>,
+    pub(crate) governor: Arc<crate::governor::ServerGovernor>,
     /// The vacuum horizon of the last vacuum pass. A commit that finds the
     /// horizon still there skips its pass (DESIGN.md §4l).
     vacuumed_at: Option<u64>,
@@ -191,30 +187,19 @@ fn maintenance_call<'a>(
     })
 }
 
-/// A schema object created during the current statement, for
-/// failure compensation.
-#[derive(Debug, Clone)]
-enum CreatedObject {
-    Table(String),
-    BTreeIndex(String),
-    Operator(String),
-    IndexType(String),
-    ObjectType(String),
-}
-
 /// One top-level statement's scope: everything that must be taken back
 /// if it fails, beside the row-level undo the storage engine keeps with
 /// the transaction. [`Database::rollback_statement`] is the only reader
 /// of the logs; a statement that succeeds just closes the scope.
 #[derive(Default)]
-struct StatementScope {
+pub(crate) struct StatementScope {
     /// Storage savepoint ([`StorageEngine::undo_mark`]) the statement
     /// rolls back to.
     mark: usize,
     /// Schema objects created during the statement — compensated
     /// (dropped) if it fails, so a cartridge routine that errors after
     /// issuing DDL leaves no debris.
-    created: Vec<CreatedObject>,
+    pub(crate) created: Vec<CreatedObject>,
     /// Compensation log: every *successful* ODCIIndex maintenance call in
     /// the statement. On failure the inverse operations are replayed in
     /// reverse before storage rollback, so domain indexes (including
@@ -232,7 +217,7 @@ struct StatementScope {
     /// Write-lane cartridge workspace, statement duration. Behind a mutex
     /// only because `Database` is `Sync` and the stored states are not;
     /// the write lane reaches it through `get_mut`.
-    workspace: Mutex<SessionScratch>,
+    pub(crate) workspace: Mutex<SessionScratch>,
 }
 
 impl Default for Database {
@@ -555,7 +540,7 @@ impl Database {
     }
 
     /// Record a health-state transition in the call trace.
-    fn trace_health_transition(&self, index: &str, indextype: &str, t: Option<Transition>) {
+    pub(crate) fn trace_health_transition(&self, index: &str, indextype: &str, t: Option<Transition>) {
         if let Some(t) = t {
             self.trace.record(
                 Component::Health,
@@ -617,10 +602,7 @@ impl Database {
 
     /// Convenience: run a query and return just the rows.
     pub fn query(&mut self, sql: &str) -> Result<Vec<Row>> {
-        match self.execute(sql)? {
-            StmtResult::Rows { rows, .. } => Ok(rows),
-            _ => Err(Error::Semantic("statement did not produce rows".into())),
-        }
+        self.query_with(sql, &[])
     }
 
     /// Convenience: run a query with binds and return just the rows.
@@ -638,34 +620,14 @@ impl Database {
         let Statement::Select(s) = parse(sql)? else {
             return Err(Error::Unsupported("EXPLAIN is only supported for SELECT".into()));
         };
-        let scratch = std::cell::RefCell::new(SessionScratch::default());
-        let ecx = Exec::new(&*self, &scratch, self.storage.current_snapshot(), &[]);
-        Ok(optimizer::plan_select(&ecx, &s)?.root.explain())
+        exec_ctx::explain_select(self, self.storage.current_snapshot(), &s, &[], false)
     }
 
     /// Open a streaming cursor over a query — rows are produced on demand,
     /// which is what makes the pipelined domain-scan's first-row latency
     /// measurable (§3.2.1 benefit 2).
     pub fn open_query(&mut self, sql: &str) -> Result<QueryCursor<'_>> {
-        let p = self.prepare(sql)?;
-        let Statement::Select(select) = p.statement(&[])? else {
-            return Err(Error::Semantic("open_query requires a SELECT".into()));
-        };
-        let snap = self.storage.current_snapshot();
-        let plan = {
-            let scratch = std::cell::RefCell::new(SessionScratch::default());
-            let ecx = Exec::new(&*self, &scratch, snap, &[]);
-            self.stmts.plan(&p, &ecx, |ecx| optimizer::plan_select(ecx, select))?
-        };
-        let exec = executor::build(&plan.root);
-        Ok(QueryCursor {
-            db: self,
-            exec,
-            plan,
-            snap,
-            scratch: std::cell::RefCell::new(SessionScratch::default()),
-            buffered: Default::default(),
-        })
+        QueryCursor::open(self, sql)
     }
 
     /// Top-level statement wrapper: statement atomicity plus
@@ -888,67 +850,17 @@ impl Database {
             }
             // EXPLAIN [ANALYZE] plans afresh: the statement cache keeps
             // its parse, never its plan.
-            Statement::Explain(inner) => match inner.as_ref() {
-                Statement::Select(s) => {
-                    let snap = self.storage.current_snapshot();
-                    let scratch = std::cell::RefCell::new(SessionScratch::default());
-                    let ecx = Exec::new(&*self, &scratch, snap, binds);
-                    let planned = optimizer::plan_select(&ecx, s)?;
-                    let rows: Vec<Row> = planned
-                        .root
-                        .explain()
-                        .into_iter()
-                        .map(|l| vec![Value::from(l)])
-                        .collect();
-                    Ok(StmtResult::Rows { columns: vec!["PLAN".into()], rows })
-                }
-                _ => Err(Error::Unsupported("EXPLAIN is only supported for SELECT".into())),
-            },
-            Statement::ExplainAnalyze(inner) => match inner.as_ref() {
-                Statement::Select(s) => {
-                    let snap = self.storage.current_snapshot();
-                    let scratch = std::cell::RefCell::new(SessionScratch::default());
-                    let ecx = Exec::new(&*self, &scratch, snap, binds);
-                    let planned = optimizer::plan_select(&ecx, s)?;
-                    let lines = planned.root.explain();
-                    let (mut exec, cells) = executor::build_instrumented(&planned.root);
-                    // Both the per-node cells and the summary delta span only
-                    // the execution loop, so the root cell's buffer gets must
-                    // equal the statement delta (planning-time cache touches
-                    // are outside both windows).
-                    let before = self.cache_stats();
-                    let started = Instant::now();
-                    let mut produced = 0u64;
-                    executor::drain(exec.as_mut(), &planned.root, &ecx, |batch| {
-                        produced += batch.rows.len() as u64;
-                        Ok(())
-                    })?;
-                    let elapsed = started.elapsed().as_micros() as u64;
-                    let delta = self.cache_stats().since(&before);
-                    let mut rows: Vec<Row> = lines
-                        .iter()
-                        .zip(cells.iter())
-                        .map(|(line, cell)| {
-                            let s = cell.snapshot();
-                            vec![Value::from(format!(
-                                "{line}  [actual rows={} batches={} pruned={} gets={} ({} phys) time={}us]",
-                                s.rows, s.batches, s.pages_pruned,
-                                s.logical_reads, s.physical_reads, s.elapsed_micros
-                            ))]
-                        })
-                        .collect();
-                    let pages_pruned: u64 =
-                        cells.iter().map(|c| c.snapshot().pages_pruned).sum();
-                    rows.push(vec![Value::from(format!(
-                        "statement: rows={produced} gets={} ({} phys, {} written) pages pruned={pages_pruned} elapsed={elapsed}us",
-                        delta.logical_reads, delta.physical_reads, delta.physical_writes
-                    ))]);
-                    Ok(StmtResult::Rows { columns: vec!["PLAN".into()], rows })
-                }
-                _ => Err(Error::Unsupported(
-                    "EXPLAIN ANALYZE is only supported for SELECT".into(),
-                )),
-            },
+            explain @ (Statement::Explain(inner) | Statement::ExplainAnalyze(inner)) => {
+                let analyze = matches!(explain, Statement::ExplainAnalyze(_));
+                let Statement::Select(s) = inner.as_ref() else {
+                    let what = if analyze { "EXPLAIN ANALYZE" } else { "EXPLAIN" };
+                    return Err(Error::Unsupported(format!("{what} is only supported for SELECT")));
+                };
+                let snap = self.storage.current_snapshot();
+                let lines = exec_ctx::explain_select(self, snap, s, binds, analyze)?;
+                let rows = lines.into_iter().map(|l| vec![Value::from(l)]).collect();
+                Ok(StmtResult::Rows { columns: vec!["PLAN".into()], rows })
+            }
             Statement::Insert { table, columns, source } => {
                 self.run_insert(p, binds, table, columns.as_deref(), source)
             }
@@ -994,17 +906,7 @@ impl Database {
             }
             Statement::DropTable { name } => self.run_drop_table(name),
             Statement::TruncateTable { name } => self.run_truncate_table(name),
-            Statement::CreateType { name, attrs } => {
-                let mut resolved = Vec::with_capacity(attrs.len());
-                for a in attrs {
-                    resolved.push((a.name.clone(), self.catalog.resolve_type(&a.type_name)?));
-                }
-                let upper = name.to_ascii_uppercase();
-                self.catalog
-                    .create_object_type(extidx_common::ObjectTypeDef::new(name.as_str(), resolved))?;
-                self.scope.created.push(CreatedObject::ObjectType(upper));
-                Ok(StmtResult::Ok)
-            }
+            Statement::CreateType { name, attrs } => self.run_create_type(name, attrs),
             Statement::CreateIndex { name, table, column, indextype, parameters } => {
                 match indextype {
                     Some(it) => {
@@ -1018,59 +920,12 @@ impl Database {
                 AlterIndexAction::Rebuild => self.run_rebuild_index(name),
             },
             Statement::DropIndex { name } => self.run_drop_index(name),
-            Statement::CreateOperator { name, bindings } => {
-                let mut op: Option<Operator> = None;
-                for b in bindings {
-                    let args: Vec<SqlType> =
-                        b.arg_types.iter().map(|t| self.catalog.resolve_type(t)).collect::<Result<_>>()?;
-                    let ret = self.catalog.resolve_type(&b.return_type)?;
-                    match &mut op {
-                        None => {
-                            op = Some(Operator::with_binding(name, args, ret, &b.function_name))
-                        }
-                        Some(o) => o.add_binding(args, ret, &b.function_name),
-                    }
-                }
-                let op = op.ok_or_else(|| Error::Semantic("operator needs a binding".into()))?;
-                let op_name = op.name.clone();
-                self.catalog.registry_mut().create_operator(op)?;
-                self.scope.created.push(CreatedObject::Operator(op_name));
-                Ok(StmtResult::Ok)
-            }
+            Statement::CreateOperator { name, bindings } => self.run_create_operator(name, bindings),
             Statement::CreateIndexType { name, operators, using } => {
-                let implementation = self
-                    .odci_impls
-                    .get(&using.to_ascii_uppercase())
-                    .cloned()
-                    .ok_or_else(|| Error::not_found("ODCI implementation", using))?;
-                let mut ops = Vec::with_capacity(operators.len());
-                for o in operators {
-                    let args: Vec<SqlType> =
-                        o.arg_types.iter().map(|t| self.catalog.resolve_type(t)).collect::<Result<_>>()?;
-                    ops.push(SupportedOperator { name: o.name.clone(), arg_types: args });
-                }
-                let it = IndexType::new(name, ops, implementation.index, implementation.stats);
-                let it_name = it.name.clone();
-                self.catalog.registry_mut().create_indextype(it)?;
-                self.scope.created.push(CreatedObject::IndexType(it_name));
-                Ok(StmtResult::Ok)
+                self.run_create_indextype(name, operators, using)
             }
-            Statement::DropOperator { name } => {
-                self.catalog.registry_mut().drop_operator(name)?;
-                Ok(StmtResult::Ok)
-            }
-            Statement::DropIndexType { name } => {
-                let upper = name.to_ascii_uppercase();
-                for t in self.catalog.table_names() {
-                    if self.catalog.domain_indexes_on(&t).iter().any(|d| d.indextype == upper) {
-                        return Err(Error::Semantic(format!(
-                            "indextype {upper} has dependent domain indexes"
-                        )));
-                    }
-                }
-                self.catalog.registry_mut().drop_indextype(name)?;
-                Ok(StmtResult::Ok)
-            }
+            Statement::DropOperator { name } => self.run_drop_operator(name),
+            Statement::DropIndexType { name } => self.run_drop_indextype(name),
             Statement::AnalyzeTable { name } => self.run_analyze(name),
             // Session parameters are scoped to a `Session`; the bare
             // `Database` lane has no session state to attach them to.
@@ -1078,471 +933,6 @@ impl Database {
                 format!("{name} is a session parameter; connect through Server::session"),
             )),
         }
-    }
-
-    /// Drop a schema object created by a failed statement. Best-effort:
-    /// used only on the failure path.
-    fn compensate_created(&mut self, obj: CreatedObject) -> Result<()> {
-        match obj {
-            CreatedObject::Table(name) => {
-                if self.catalog.has_table(&name) {
-                    self.run_drop_table(&name)?;
-                }
-            }
-            CreatedObject::BTreeIndex(name) => {
-                if let Some(b) = self.catalog.drop_btree_index(&name) {
-                    self.storage.drop_segment(b.seg)?;
-                }
-            }
-            CreatedObject::Operator(name) => {
-                let _ = self.catalog.registry_mut().drop_operator(&name);
-            }
-            CreatedObject::IndexType(name) => {
-                let _ = self.catalog.registry_mut().drop_indextype(&name);
-            }
-            CreatedObject::ObjectType(name) => {
-                self.catalog.drop_object_type(&name);
-            }
-        }
-        Ok(())
-    }
-
-    // ---- DDL ------------------------------------------------------------------
-
-    fn run_create_table(
-        &mut self,
-        name: &str,
-        columns: &[ColumnSpec],
-        primary_key: &[String],
-        organization_index: bool,
-    ) -> Result<StmtResult> {
-        let upper = name.to_ascii_uppercase();
-        if self.catalog.has_table(&upper) {
-            return Err(Error::already_exists("table", upper));
-        }
-        let mut cols = Vec::with_capacity(columns.len());
-        for c in columns {
-            cols.push(ColumnDef {
-                name: c.name.to_ascii_uppercase(),
-                ty: self.catalog.resolve_type(&c.type_name)?,
-            });
-        }
-        let org = if organization_index {
-            if primary_key.is_empty() {
-                return Err(Error::Semantic(
-                    "ORGANIZATION INDEX requires a PRIMARY KEY".into(),
-                ));
-            }
-            for (i, pk) in primary_key.iter().enumerate() {
-                if cols.get(i).map(|c| c.name.as_str()) != Some(pk.to_ascii_uppercase().as_str()) {
-                    return Err(Error::Semantic(
-                        "PRIMARY KEY of an index-organized table must be a prefix of its columns"
-                            .into(),
-                    ));
-                }
-            }
-            TableOrg::Index { key_cols: primary_key.len() }
-        } else {
-            TableOrg::Heap
-        };
-        let seg = match org {
-            TableOrg::Heap => self.storage.create_heap()?,
-            TableOrg::Index { key_cols } => self.storage.create_iot(key_cols)?,
-        };
-        self.catalog
-            .create_table(TableDef { name: upper.clone(), columns: cols, org, seg, stats: None })?;
-        self.scope.created.push(CreatedObject::Table(upper));
-        Ok(StmtResult::Ok)
-    }
-
-    fn run_drop_table(&mut self, name: &str) -> Result<StmtResult> {
-        let tdef = self.catalog.table(name)?.clone();
-        // Domain indexes first: their drop routines may issue DDL on their
-        // own storage tables.
-        let domain: Vec<DomainIndexDef> =
-            self.catalog.domain_indexes_on(&tdef.name).into_iter().cloned().collect();
-        for d in domain {
-            self.drop_domain_index_entry(&d)?;
-        }
-        let btree: Vec<BTreeIndexDef> =
-            self.catalog.btree_indexes_on(&tdef.name).into_iter().cloned().collect();
-        for b in btree {
-            self.storage.drop_segment(b.seg)?;
-            self.catalog.drop_btree_index(&b.name);
-        }
-        self.storage.drop_segment(tdef.seg)?;
-        self.catalog.drop_table(&tdef.name)?;
-        Ok(StmtResult::Ok)
-    }
-
-    fn run_truncate_table(&mut self, name: &str) -> Result<StmtResult> {
-        let tdef = self.catalog.table(name)?.clone();
-        self.storage.truncate_segment(tdef.seg)?;
-        let btree: Vec<BTreeIndexDef> =
-            self.catalog.btree_indexes_on(&tdef.name).into_iter().cloned().collect();
-        for b in btree {
-            self.storage.truncate_segment(b.seg)?;
-        }
-        // "when the corresponding table is truncated, the truncate method
-        // specified as part of the indextype is invoked" (§2.4.1).
-        let domain: Vec<DomainIndexDef> =
-            self.catalog.domain_indexes_on(&tdef.name).into_iter().cloned().collect();
-        for d in domain {
-            // A BUILD_FAILED index has no (trustworthy) storage to
-            // truncate; it stays failed until REBUILD or DROP.
-            if self.catalog.health.state(&d.name) == HealthState::BuildFailed {
-                continue;
-            }
-            let (index, _, info) = self.domain_index_runtime(&d)?;
-            let callee = Callee::Index(&info);
-            odci_call(Lane::Write(self), Routine::IndexTruncate, callee, &d.name, |ctx| {
-                index.truncate(ctx, &info)
-            })?;
-            // An emptied index has no catch-up left to do: the pending
-            // log described rows that no longer exist.
-            let _ = self.catalog.health.take_pending(&d.name);
-        }
-        Ok(StmtResult::Ok)
-    }
-
-    fn run_create_btree_index(&mut self, name: &str, table: &str, column: &str) -> Result<StmtResult> {
-        let tdef = self.catalog.table(table)?.clone();
-        let col_idx = tdef.column_index(column)?;
-        if !tdef.columns[col_idx].ty.is_scalar_comparable() {
-            return Err(Error::Semantic(format!(
-                "column {} is not B-tree indexable; use a domain index (extensible indexing)",
-                tdef.columns[col_idx].name
-            )));
-        }
-        // Refused (in-flight writer on the table) before anything exists.
-        let snap = self.storage.build_snapshot(tdef.seg)?;
-        let seg = self.storage.create_iot(2)?; // (key, rowid)
-        self.catalog.create_btree_index(BTreeIndexDef {
-            name: name.to_ascii_uppercase(),
-            table: tdef.name.clone(),
-            column: tdef.columns[col_idx].name.clone(),
-            seg,
-        })?;
-        self.scope.created.push(CreatedObject::BTreeIndex(name.to_ascii_uppercase()));
-        // Populate from existing rows, a batch at a time. For IOT base
-        // tables the secondary index stores logical rowids (key ordinals),
-        // which stay valid across in-place updates.
-        let mut scan = BaseScan::new(&tdef);
-        loop {
-            let batch = scan.next_batch(&self.storage, &snap, BATCH_TARGET, |rid, row| {
-                (rid, row[col_idx].clone())
-            })?;
-            if batch.is_empty() {
-                return Ok(StmtResult::Ok);
-            }
-            for (rid, key) in batch {
-                // B-trees do not index NULL keys (Oracle semantics): a NULL
-                // in the indexed column simply has no index entry, so range
-                // scans can never produce NULL-keyed rows.
-                if key.is_null() {
-                    continue;
-                }
-                self.storage.iot_insert(seg, vec![key, Value::RowId(rid)])?;
-            }
-        }
-    }
-
-    fn run_create_domain_index(
-        &mut self,
-        name: &str,
-        table: &str,
-        column: &str,
-        indextype: &str,
-        parameters: Option<&str>,
-    ) -> Result<StmtResult> {
-        let tdef = self.catalog.table(table)?.clone();
-        tdef.column_index(column)?;
-        let it = self.catalog.registry().indextype(indextype)?;
-        let params = ParamString::parse(parameters.unwrap_or(""));
-        let def = DomainIndexDef {
-            name: name.to_ascii_uppercase(),
-            table: tdef.name.clone(),
-            column: column.to_ascii_uppercase(),
-            indextype: it.name.clone(),
-            parameters: params,
-        };
-        // §2.4.1: dictionary entries first, then ODCIIndexCreate.
-        self.catalog.create_domain_index(def.clone())?;
-        let (index, _, info) = self.domain_index_runtime(&def)?;
-        let created = odci_call(
-            Lane::Write(self),
-            Routine::IndexCreate,
-            Callee::Index(&info),
-            format!("{} ON {}({})", def.name, def.table, def.column),
-            |ctx| index.create(ctx, &info),
-        );
-        match created {
-            Ok(()) => Ok(StmtResult::Ok),
-            Err(e) => {
-                // The cartridge may already have created index storage
-                // before failing. DR$ tables are rolled back by statement
-                // compensation, but *external* storage (file-based index
-                // stores) is invisible to undo — best-effort invoke the
-                // cartridge's own drop routine so nothing leaks, then
-                // remove the dictionary entry.
-                let cleaned = odci_call(
-                    Lane::Write(self),
-                    Routine::IndexDrop,
-                    Callee::Index(&info),
-                    format!("{}: cleanup after failed create", def.name),
-                    |ctx| index.drop_index(ctx, &info),
-                );
-                if cleaned.is_ok() {
-                    // Belt and braces: even a successful cartridge drop
-                    // can leave external files behind if the drop was
-                    // bypassed or partial. The name is being released —
-                    // nothing may linger under it.
-                    self.force_remove_external_files(&index, &info);
-                    self.catalog.drop_domain_index(&info.index_name);
-                } else {
-                    // Cleanup itself faulted: cartridge storage may
-                    // linger, so the dictionary entry stays and the name
-                    // is NOT silently reusable. REBUILD or DROP resolves.
-                    let t = self.catalog.health.set_build_failed(&info.index_name);
-                    self.trace_health_transition(&def.name, &def.indextype, t);
-                }
-                Err(e)
-            }
-        }
-    }
-
-    fn run_alter_index(&mut self, name: &str, parameters: &str) -> Result<StmtResult> {
-        let delta = ParamString::parse(parameters);
-        // Cartridges alter by truncating their storage and repopulating it
-        // from the base table, and TRUNCATE is not undone by a statement
-        // rollback: ask for the build snapshot the repopulation will take
-        // now, so a refusal comes before anything is destroyed or merged.
-        if let Some(d) = self.catalog.domain_index(name) {
-            self.storage.build_snapshot(self.catalog.table(&d.table)?.seg)?;
-        }
-        let def = {
-            let d = self
-                .catalog
-                .domain_index_mut(name)
-                .ok_or_else(|| Error::not_found("domain index", name.to_ascii_uppercase()))?;
-            d.parameters = d.parameters.merged_with(&delta);
-            d.clone()
-        };
-        let (index, _, info) = self.domain_index_runtime(&def)?;
-        let callee = Callee::Index(&info);
-        odci_call(Lane::Write(self), Routine::IndexAlter, callee, &def.name, |ctx| {
-            index.alter(ctx, &info, &delta)
-        })?;
-        Ok(StmtResult::Ok)
-    }
-
-    /// `ALTER INDEX … REBUILD`: recover a degraded domain index. A
-    /// quarantined index whose cartridge storage is still trustworthy
-    /// catches up by replaying its pending-work log; a BUILD_FAILED or
-    /// dirty index (a maintenance/definition routine faulted mid-write)
-    /// is rebuilt from the base table via the cartridge's own create
-    /// path. Either way success restores VALID with a clean breaker.
-    fn run_rebuild_index(&mut self, name: &str) -> Result<StmtResult> {
-        let d = self
-            .catalog
-            .domain_index(name)
-            .cloned()
-            .ok_or_else(|| Error::not_found("domain index", name.to_ascii_uppercase()))?;
-        let (index, _, info) = self.domain_index_runtime(&d)?;
-        let state = self.catalog.health.state(&d.name);
-        let replay = state == HealthState::Quarantined && !self.catalog.health.needs_full_rebuild(&d.name);
-        // The umbrella event is a marker, not a bracket: REBUILD's time is
-        // the time of the crossings it makes, each counted on its own.
-        if replay {
-            let ops = self.catalog.health.take_pending(&d.name);
-            self.trace.record(
-                Component::Recovery,
-                "IndexRebuild",
-                &d.indextype,
-                format!("{}: replay {} pending ops", d.name, ops.len()),
-            );
-            for op in ops.iter() {
-                if let Err(e) = self.invoke_maintenance(&d, op.clone()) {
-                    // Statement compensation inverses the prefix we
-                    // already applied (each replayed op was recorded as
-                    // this statement's maintenance), so the index returns
-                    // to its pre-REBUILD state and the WHOLE log is still
-                    // owed — restoring only the `ops[i..]` suffix would
-                    // silently drop the compensated prefix. The health
-                    // breaker decides separately whether the fault makes
-                    // this index rebuild-only (`note_health_outcome`
-                    // marks dirty on a cartridge fault); a transient
-                    // fault leaves the replay path retryable.
-                    self.catalog.health.restore_pending(&d.name, ops.to_vec());
-                    return Err(e);
-                }
-            }
-        } else {
-            // The create below takes its own build snapshot; asking here
-            // as well refuses before the old storage is dropped, not after.
-            self.storage.build_snapshot(self.catalog.table(&d.table)?.seg)?;
-            self.trace.record(
-                Component::Recovery,
-                "IndexRebuild",
-                &d.indextype,
-                format!("{}: full rebuild from {}", d.name, d.table),
-            );
-            // Best-effort drop of whatever storage the cartridge has —
-            // it may be half-written, which is exactly why we're here.
-            let callee = Callee::Index(&info);
-            let _ = odci_call(Lane::Write(self), Routine::IndexDrop, callee, &d.name, |ctx| {
-                index.drop_index(ctx, &info)
-            });
-            // Rebuild-from-scratch must *replace* external storage, not
-            // append to half-written leftovers the faulted drop may have
-            // missed.
-            self.force_remove_external_files(&index, &info);
-            // The rebuild re-reads the base table; deferred ops are moot.
-            let _ = self.catalog.health.take_pending(&d.name);
-            let r = odci_call(Lane::Write(self), Routine::IndexCreate, callee, &d.name, |ctx| {
-                index.create(ctx, &info)
-            });
-            if let Err(e) = r {
-                let t = self.catalog.health.set_build_failed(&d.name);
-                self.trace_health_transition(&d.name, &d.indextype, t);
-                return Err(e);
-            }
-        }
-        let t = self.catalog.health.restore_valid(&d.name);
-        self.trace_health_transition(&d.name, &d.indextype, t);
-        Ok(StmtResult::Ok)
-    }
-
-    fn run_drop_index(&mut self, name: &str) -> Result<StmtResult> {
-        if let Some(d) = self.catalog.domain_index(name).cloned() {
-            self.drop_domain_index_entry(&d)?;
-            return Ok(StmtResult::Ok);
-        }
-        let b = self
-            .catalog
-            .drop_btree_index(name)
-            .ok_or_else(|| Error::not_found("index", name.to_ascii_uppercase()))?;
-        self.storage.drop_segment(b.seg)?;
-        Ok(StmtResult::Ok)
-    }
-
-    fn drop_domain_index_entry(&mut self, d: &DomainIndexDef) -> Result<()> {
-        let (index, _, info) = self.domain_index_runtime(d)?;
-        let healthy = matches!(
-            self.catalog.health.state(&d.name),
-            HealthState::Valid | HealthState::Suspect
-        );
-        let callee = Callee::Index(&info);
-        let r = odci_call(Lane::Write(self), Routine::IndexDrop, callee, &d.name, |ctx| {
-            index.drop_index(ctx, &info)
-        });
-        if healthy {
-            r?;
-        } else if let Err(e) = r {
-            // Dropping a quarantined or build-failed index must always
-            // succeed — its cartridge is already known-bad and the user
-            // is getting rid of it. The cartridge's own cleanup failure
-            // is recorded, then the dictionary entry goes regardless.
-            self.trace.record(
-                Component::Recovery,
-                "ODCIIndexDrop",
-                &d.indextype,
-                format!("{}: cleanup failure ignored on drop: {e}", d.name),
-            );
-        }
-        // The dictionary entry is going away on every path that reaches
-        // here, so nothing may linger under the index's name: even if the
-        // cartridge's own drop faulted (or silently skipped files), its
-        // external storage is force-removed. This is the orphan audit —
-        // a dropped index must never leak its backing file.
-        self.force_remove_external_files(&index, &info);
-        self.catalog.drop_domain_index(&d.name);
-        Ok(())
-    }
-
-    /// Force-remove every external file an index claims, tolerating
-    /// already-missing files. Used wherever an index's name is released
-    /// or its storage is rebuilt from scratch: cartridge cleanup is
-    /// best-effort, this is the engine's guarantee.
-    fn force_remove_external_files(&mut self, index: &Arc<dyn OdciIndex>, info: &IndexInfo) {
-        for f in index.external_files(info) {
-            let _ = self.storage.file_remove_if_exists(&f);
-        }
-    }
-
-    fn run_analyze(&mut self, name: &str) -> Result<StmtResult> {
-        let tdef = self.catalog.table(name)?.clone();
-        let col_count = tdef.columns.len();
-        let pages = match tdef.org {
-            TableOrg::Heap => self.storage.heap(tdef.seg)?.page_count(),
-            TableOrg::Index { .. } => self.storage.iot(tdef.seg)?.page_count(),
-        };
-        let mut distinct: Vec<std::collections::BTreeSet<Key>> = vec![Default::default(); col_count];
-        let mut nulls = vec![0usize; col_count];
-        let mut mins: Vec<Option<Value>> = vec![None; col_count];
-        let mut maxs: Vec<Option<Value>> = vec![None; col_count];
-        let mut visit = |_: RowId, row: &Row| {
-            for (i, v) in row.iter().enumerate().take(col_count) {
-                if v.is_null() {
-                    nulls[i] += 1;
-                    continue;
-                }
-                distinct[i].insert(Key::single(v.clone()));
-                let lower = match &mins[i] {
-                    None => true,
-                    Some(m) => v.total_cmp(m) == std::cmp::Ordering::Less,
-                };
-                if lower {
-                    mins[i] = Some(v.clone());
-                }
-                let higher = match &maxs[i] {
-                    None => true,
-                    Some(m) => v.total_cmp(m) == std::cmp::Ordering::Greater,
-                };
-                if higher {
-                    maxs[i] = Some(v.clone());
-                }
-            }
-        };
-        // Statistics describe what this statement's own snapshot sees:
-        // deferred-deleted rows and other sessions' uncommitted ones are
-        // physically present but must not be counted.
-        let snap = self.storage.current_snapshot();
-        let mut scan = BaseScan::new(&tdef);
-        let mut rows = 0;
-        loop {
-            let visited = scan.next_batch(&self.storage, &snap, BATCH_TARGET, &mut visit)?.len();
-            if visited == 0 {
-                break;
-            }
-            rows += visited;
-        }
-        let columns = (0..col_count)
-            .map(|i| ColumnStats {
-                ndv: distinct[i].len(),
-                null_count: nulls[i],
-                min: mins[i].clone(),
-                max: maxs[i].clone(),
-            })
-            .collect();
-        self.catalog.table_mut(&tdef.name)?.stats =
-            Some(TableStats { row_count: rows, page_count: pages, columns });
-        // ODCIStatsCollect for every domain index on the table.
-        let domain: Vec<DomainIndexDef> =
-            self.catalog.domain_indexes_on(&tdef.name).into_iter().cloned().collect();
-        for d in domain {
-            // Stats on a quarantined/build-failed index are pointless —
-            // the optimizer will not consider it until REBUILD.
-            if !self.catalog.health.is_usable(&d.name) {
-                continue;
-            }
-            let (_, stats, info) = self.domain_index_runtime(&d)?;
-            let callee = Callee::Index(&info);
-            odci_call(Lane::Write(self), Routine::StatsCollect, callee, &d.name, |ctx| {
-                stats.collect(ctx, &info)
-            })?;
-        }
-        Ok(StmtResult::Ok)
     }
 
     // ---- DML -------------------------------------------------------------------
@@ -1826,7 +1216,7 @@ impl Database {
     /// undo recorded past a pre-call mark — then retries under the
     /// bounded-backoff [`RetryPolicy`]. Exhausted retries surface the
     /// underlying error.
-    fn invoke_maintenance(&mut self, d: &DomainIndexDef, op: PendingOp) -> Result<()> {
+    pub(crate) fn invoke_maintenance(&mut self, d: &DomainIndexDef, op: PendingOp) -> Result<()> {
         let (index, _, info) = self.domain_index_runtime(d)?;
         let retry = RetryPolicy::default();
         let mut attempt: u32 = 0;
@@ -1988,206 +1378,6 @@ impl Database {
         q.push_back(stat);
     }
 
-    /// How many rows [`Database::vtable_rows`] returns for `name` now,
-    /// counted without building them (the optimizer's estimate).
-    pub(crate) fn vtable_len(&self, name: &str) -> Result<usize> {
-        Ok(match name.to_ascii_uppercase().as_str() {
-            "V$CACHE_STATS" => 7,
-            "V$ODCI_CALLS" => self.trace.sizes().1,
-            "V$SQLSTATS" => self.sqlstats.lock().len(),
-            "V$INDEX_HEALTH" => self.catalog.health.index_count(),
-            "V$MVCC" => 1 + self.storage.mvcc_segment_stats().len(),
-            "V$SERVER" => self.governor.vserver_rows().len(),
-            "V$TRACE" => self.trace.sizes().0,
-            other => return Err(Error::Semantic(format!("unknown V$ table {other}"))),
-        })
-    }
-
-    /// Materialize the rows of a `V$` virtual table. Each row carries a
-    /// trailing NULL for the hidden ROWID slot every table scope exposes.
-    pub(crate) fn vtable_rows(&self, name: &str) -> Result<Vec<Row>> {
-        let upper = name.to_ascii_uppercase();
-        let mut rows: Vec<Row> = match upper.as_str() {
-            "V$CACHE_STATS" => {
-                let s = self.cache_stats();
-                let (hits, misses, invalidations, entries) = self.stmts.counters();
-                let counter = |name: &str, v: u64| vec![Value::from(name), Value::from(v as i64)];
-                vec![
-                    counter("LOGICAL_READS", s.logical_reads),
-                    counter("PHYSICAL_READS", s.physical_reads),
-                    counter("PHYSICAL_WRITES", s.physical_writes),
-                    counter("PLAN_CACHE_HITS", hits),
-                    counter("PLAN_CACHE_MISSES", misses),
-                    counter("PLAN_CACHE_INVALIDATIONS", invalidations),
-                    counter("PLAN_CACHE_ENTRIES", entries as u64),
-                ]
-            }
-            "V$ODCI_CALLS" => self
-                .trace
-                .aggregates()
-                .into_iter()
-                .map(|(indextype, routine, s)| {
-                    vec![
-                        Value::from(indextype),
-                        Value::from(routine),
-                        Value::from(s.calls as i64),
-                        Value::from(s.total_micros as i64),
-                    ]
-                })
-                .collect(),
-            "V$SQLSTATS" => self
-                .sqlstats
-                .lock()
-                .iter()
-                .map(|s| {
-                    vec![
-                        Value::from(s.sql_id as i64),
-                        Value::from(s.sql_text.clone()),
-                        Value::from(s.rows_processed as i64),
-                        Value::from(s.elapsed_micros as i64),
-                        Value::from(s.cache.logical_reads as i64),
-                        Value::from(s.cache.physical_reads as i64),
-                        Value::from(s.cache.physical_writes as i64),
-                    ]
-                })
-                .collect(),
-            "V$INDEX_HEALTH" => self
-                .catalog
-                .health
-                .snapshot()
-                .into_iter()
-                .map(|s| {
-                    let d = self.catalog.domain_index(&s.index);
-                    vec![
-                        Value::from(s.index.clone()),
-                        Value::from(d.map(|d| d.table.clone()).unwrap_or_default()),
-                        Value::from(d.map(|d| d.indextype.clone()).unwrap_or_default()),
-                        Value::from(s.state.to_string()),
-                        Value::from(s.recent_faults as i64),
-                        Value::from(s.total_faults as i64),
-                        Value::from(s.pending_ops as i64),
-                        Value::from(s.calls as i64),
-                        Value::from(if s.dirty { "YES" } else { "NO" }),
-                    ]
-                })
-                .collect(),
-            "V$MVCC" => {
-                let txns = self.storage.txn_manager();
-                let horizon = self.storage.vacuum_horizon() as i64;
-                let active = txns.active_count() as i64;
-                let vs = self.storage.vacuum_stats();
-                let per_seg = self.storage.mvcc_segment_stats();
-                let (tc, tv) = per_seg
-                    .iter()
-                    .fold((0i64, 0i64), |(c, v), (_, sc, sv)| (c + *sc as i64, v + *sv as i64));
-                // TOTAL first and always present: monitoring queries get a
-                // row even when every chain has drained.
-                let mut out = vec![vec![
-                    Value::from("TOTAL"),
-                    Value::from(tc),
-                    Value::from(tv),
-                    Value::from(horizon),
-                    Value::from(active),
-                    Value::from(vs.runs as i64),
-                    Value::from(vs.versions_pruned as i64),
-                    Value::from(vs.slots_reclaimed as i64),
-                ]];
-                for (label, chains, versions) in per_seg {
-                    out.push(vec![
-                        Value::from(label),
-                        Value::from(chains as i64),
-                        Value::from(versions as i64),
-                        Value::from(horizon),
-                        Value::from(active),
-                        Value::from(vs.runs as i64),
-                        Value::from(vs.versions_pruned as i64),
-                        Value::from(vs.slots_reclaimed as i64),
-                    ]);
-                }
-                out
-            }
-            "V$SERVER" => self
-                .governor
-                .vserver_rows()
-                .into_iter()
-                .map(|(name, value)| vec![Value::from(name), Value::from(value)])
-                .collect(),
-            "V$TRACE" => {
-                let dropped = self.trace.dropped() as i64;
-                self.trace
-                    .events()
-                    .into_iter()
-                    .map(|e| {
-                        vec![
-                            Value::from(e.seq as i64),
-                            Value::from(e.component.to_string()),
-                            Value::from(e.routine),
-                            Value::from(e.indextype),
-                            Value::from(e.detail),
-                            Value::from(e.elapsed_micros as i64),
-                            Value::from(dropped),
-                        ]
-                    })
-                    .collect()
-            }
-            _ => return Err(Error::Semantic(format!("unknown V$ table {upper}"))),
-        };
-        for r in &mut rows {
-            r.push(Value::Null);
-        }
-        Ok(rows)
-    }
-
-    /// A tkprof-style session report: per-routine call counts and wall
-    /// time from the trace aggregates, buffer-cache totals, and the most
-    /// expensive recent statements from the `V$SQLSTATS` ring.
-    pub fn trace_report(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        out.push_str("==== extensible-indexing trace report ====\n\n");
-        out.push_str("ODCI routine                                        calls     total(us)       avg(us)\n");
-        out.push_str("------------------------------------------------ -------- ------------- -------------\n");
-        let aggs = self.trace.aggregates();
-        if aggs.is_empty() {
-            out.push_str("(no crossings recorded — is tracing enabled?)\n");
-        }
-        let mut total_calls = 0u64;
-        let mut total_micros = 0u64;
-        for (indextype, routine, s) in &aggs {
-            let avg = s.total_micros.checked_div(s.calls).unwrap_or(0);
-            let name = format!("{indextype}.{routine}");
-            let _ = writeln!(out, "{name:<48} {:>8} {:>13} {:>13}", s.calls, s.total_micros, avg);
-            total_calls += s.calls;
-            total_micros += s.total_micros;
-        }
-        if !aggs.is_empty() {
-            out.push_str("------------------------------------------------ -------- ------------- -------------\n");
-            let _ = writeln!(out, "{:<48} {:>8} {:>13}", "total", total_calls, total_micros);
-        }
-        let dropped = self.trace.dropped();
-        let _ = writeln!(out, "\ntrace ring: {} events retained, {} dropped", self.trace.events().len(), dropped);
-        let cs = self.cache_stats();
-        let _ = writeln!(
-            out,
-            "buffer cache: {} gets, {} physical reads, {} physical writes",
-            cs.logical_reads, cs.physical_reads, cs.physical_writes
-        );
-        let sqlstats = self.sqlstats.lock();
-        let mut stmts: Vec<&SqlStat> = sqlstats.iter().collect();
-        stmts.sort_by_key(|s| std::cmp::Reverse(s.elapsed_micros));
-        if !stmts.is_empty() {
-            out.push_str("\ntop statements by elapsed time:\n");
-            for s in stmts.iter().take(10) {
-                let _ = writeln!(
-                    out,
-                    "  [{:>6}us rows={} gets={}] {}",
-                    s.elapsed_micros, s.rows_processed, s.cache.logical_reads, s.sql_text
-                );
-            }
-        }
-        out
-    }
-
     /// Deliver a §5 database event to every registered handler, in
     /// registration order, stopping at the first handler error. Handlers
     /// are cartridge code: each delivery is a crossing like any other.
@@ -2218,261 +1408,5 @@ impl Database {
             let _ = self.storage.commit_txn(Snapshot::latest());
         }
         delivered
-    }
-}
-
-/// A streaming query cursor (pull-based row delivery).
-pub struct QueryCursor<'a> {
-    db: &'a mut Database,
-    exec: Box<dyn ExecNode>,
-    /// The statement cache's plan the cursor runs.
-    plan: Arc<PlannedQuery>,
-    /// The snapshot the cursor was opened under. Fetch state stays pinned
-    /// to it for the cursor's whole lifetime: rows committed after open
-    /// never appear, no matter how long the cursor is drained.
-    snap: extidx_storage::Snapshot,
-    /// Cursor-private cartridge scratch (ODCI scan workspace).
-    scratch: std::cell::RefCell<SessionScratch>,
-    /// Rows of the last executor batch not yet handed out.
-    buffered: VecDeque<ExecRow>,
-}
-
-impl QueryCursor<'_> {
-    /// Output column names.
-    pub fn columns(&self) -> &[String] {
-        &self.plan.column_names
-    }
-
-    /// Produce the next row, or `None` at end of results.
-    pub fn next_row(&mut self) -> Result<Option<Row>> {
-        if self.buffered.is_empty() {
-            // Refill a batch at a time. Still pipelined: domain scans and
-            // joins return after their first non-empty inner batch.
-            let ecx = Exec::new(&*self.db, &self.scratch, self.snap, &[]);
-            match self.exec.next_batch(&self.plan.root, &ecx, executor::BATCH_TARGET) {
-                Ok(batch) => self.buffered = batch.rows.into(),
-                Err(e) => {
-                    self.exec.abandon(&ecx);
-                    return Err(e);
-                }
-            }
-        }
-        Ok(self.buffered.pop_front().map(|r| r.values))
-    }
-}
-
-impl Drop for QueryCursor<'_> {
-    fn drop(&mut self) {
-        // A cursor dropped before exhaustion still owes its open domain
-        // scans an ODCIIndexClose (a no-op once they are closed). A client
-        // that stops reading is a normal close, so `reset` first; the
-        // error-path teardown only if that close itself fails.
-        let ecx = Exec::new(&*self.db, &self.scratch, self.snap, &[]);
-        if self.exec.reset(&ecx).is_err() {
-            self.exec.abandon(&ecx);
-        }
-    }
-}
-
-/// The [`ServerContext`] implementation: cartridge callbacks re-enter the
-/// engine through this, under a restriction mode (§2.5).
-pub(crate) struct ServerCtx<'a> {
-    pub db: &'a mut Database,
-    pub mode: CallbackMode,
-    /// For Maintenance mode: the base table that must not be modified.
-    pub base_table: Option<String>,
-}
-
-impl ServerCtx<'_> {
-    fn enforce(&self, stmt: &Statement) -> Result<()> {
-        let violation = |msg: &str| Err(Error::CallbackViolation(msg.to_string()));
-        match self.mode {
-            CallbackMode::Definition => match stmt {
-                Statement::Begin | Statement::Commit | Statement::Rollback => {
-                    violation("transaction control is not allowed inside index routines")
-                }
-                _ => Ok(()),
-            },
-            CallbackMode::Maintenance => match stmt {
-                Statement::Select(_) => Ok(()),
-                Statement::Insert { table, .. }
-                | Statement::Update { table, .. }
-                | Statement::Delete { table, .. } => {
-                    if Some(table.to_ascii_uppercase()) == self.base_table {
-                        violation("index maintenance routines cannot modify the base table")
-                    } else {
-                        Ok(())
-                    }
-                }
-                _ => violation("index maintenance routines cannot execute DDL"),
-            },
-            CallbackMode::Scan => match stmt {
-                Statement::Select(_) => Ok(()),
-                _ => violation("index scan routines can only execute query statements"),
-            },
-        }
-    }
-}
-
-impl ServerContext for ServerCtx<'_> {
-    fn mode(&self) -> CallbackMode {
-        self.mode
-    }
-
-    fn execute(&mut self, sql: &str, binds: &[Value]) -> Result<u64> {
-        sandbox::tick();
-        let p = self.db.prepare(sql)?;
-        self.enforce(p.statement(binds)?)?;
-        match self.db.run_statement(&p, binds)? {
-            StmtResult::Affected(n) => Ok(n),
-            _ => Ok(0),
-        }
-    }
-
-    fn query(&mut self, sql: &str, binds: &[Value]) -> Result<Vec<Row>> {
-        sandbox::tick();
-        let p = self.db.prepare(sql)?;
-        let stmt = p.statement(binds)?;
-        if !matches!(stmt, Statement::Select(_)) {
-            return Err(Error::CallbackViolation("query() requires a SELECT".into()));
-        }
-        self.enforce(stmt)?;
-        match self.db.run_statement(&p, binds)? {
-            StmtResult::Rows { rows, .. } => Ok(rows),
-            _ => unreachable!("SELECT produces rows"),
-        }
-    }
-
-    /// True streaming scan: at most `batch_size` rows, projected to
-    /// `cols`, are cloned before the sink gets them (and this context),
-    /// unlike the `SELECT …, ROWID` path a cartridge would otherwise use.
-    /// On the write lane the base scan is an index (re)build's — create,
-    /// a repopulating alter, an event handler's resync — so it reads under
-    /// [`StorageEngine::build_snapshot`] and is refused with it.
-    fn scan_base_batches(
-        &mut self,
-        table: &str,
-        cols: &[&str],
-        batch_size: usize,
-        sink: &mut BatchSink,
-    ) -> Result<()> {
-        sandbox::tick();
-        let (mut scan, project) = BaseScan::open(&self.db.catalog, table, cols)?;
-        let snap = self.db.storage.build_snapshot(self.db.catalog.table(table)?.seg)?;
-        loop {
-            // The storage borrow ends with the batch, before the sink gets
-            // `&mut self` back.
-            let batch = scan.next_batch(&self.db.storage, &snap, batch_size, &project)?;
-            if batch.is_empty() {
-                return Ok(());
-            }
-            sandbox::tick();
-            sink(self, &batch)?;
-        }
-    }
-
-    fn fault_point(&mut self, point: &str) -> Result<()> {
-        sandbox::tick();
-        self.db.fault_check(point, None)
-    }
-
-    fn lob_create(&mut self) -> Result<LobRef> {
-        sandbox::tick();
-        self.db.storage.lob_allocate()
-    }
-
-    fn lob_length(&mut self, lob: LobRef) -> Result<u64> {
-        sandbox::tick();
-        self.db.storage.lob_length(lob, &self.db.storage.current_snapshot())
-    }
-
-    fn lob_read(&mut self, lob: LobRef, offset: u64, len: usize) -> Result<Vec<u8>> {
-        sandbox::tick();
-        self.db.storage.lob_read(lob, offset, len, &self.db.storage.current_snapshot())
-    }
-
-    fn lob_read_all(&mut self, lob: LobRef) -> Result<Vec<u8>> {
-        sandbox::tick();
-        self.db.storage.lob_read_all(lob, &self.db.storage.current_snapshot())
-    }
-
-    fn lob_write(&mut self, lob: LobRef, offset: u64, bytes: &[u8]) -> Result<()> {
-        sandbox::tick();
-        self.db.storage.lob_write(lob, offset, bytes)
-    }
-
-    fn lob_append(&mut self, lob: LobRef, bytes: &[u8]) -> Result<u64> {
-        sandbox::tick();
-        self.db.storage.lob_append(lob, bytes)
-    }
-
-    fn lob_overwrite(&mut self, lob: LobRef, bytes: &[u8]) -> Result<()> {
-        sandbox::tick();
-        self.db.storage.lob_overwrite(lob, bytes)
-    }
-
-    fn lob_free(&mut self, lob: LobRef) -> Result<()> {
-        sandbox::tick();
-        self.db.storage.lob_free(lob)
-    }
-
-    fn workspace_put(&mut self, state: Box<dyn Any + Send>) -> WorkspaceHandle {
-        sandbox::tick();
-        self.db.scope.workspace.get_mut().put(state)
-    }
-
-    fn workspace_get(&mut self, handle: WorkspaceHandle) -> Option<&mut (dyn Any + Send)> {
-        sandbox::tick();
-        self.db.scope.workspace.get_mut().get(handle)
-    }
-
-    fn workspace_take(&mut self, handle: WorkspaceHandle) -> Option<Box<dyn Any + Send>> {
-        sandbox::tick();
-        self.db.scope.workspace.get_mut().take(handle)
-    }
-
-    fn register_event_handler(&mut self, name: &str, handler: Arc<dyn EventHandler>) {
-        sandbox::tick();
-        self.db.register_event_handler(name, handler);
-    }
-
-    fn file_create(&mut self, name: &str) -> Result<()> {
-        sandbox::tick();
-        self.db.storage.file_create(name)
-    }
-
-    fn file_exists(&mut self, name: &str) -> bool {
-        sandbox::tick();
-        self.db.storage.files_ref().exists(name)
-    }
-
-    fn file_remove(&mut self, name: &str) -> Result<()> {
-        sandbox::tick();
-        self.db.storage.file_remove(name)
-    }
-
-    fn file_read(&mut self, name: &str) -> Result<Vec<u8>> {
-        sandbox::tick();
-        self.db.storage.files().read(name)
-    }
-
-    fn file_write(&mut self, name: &str, bytes: &[u8]) -> Result<()> {
-        sandbox::tick();
-        self.db.storage.file_write(name, bytes)
-    }
-
-    fn file_append(&mut self, name: &str, bytes: &[u8]) -> Result<()> {
-        sandbox::tick();
-        self.db.storage.file_append(name, bytes)
-    }
-
-    fn file_flush(&mut self, name: &str) -> Result<()> {
-        sandbox::tick();
-        self.db.storage.file_flush(name)
-    }
-
-    fn file_length(&mut self, name: &str) -> Result<u64> {
-        sandbox::tick();
-        self.db.storage.files_ref().length(name)
     }
 }

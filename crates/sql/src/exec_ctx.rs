@@ -1,4 +1,5 @@
-//! Execution contexts, and the one server→cartridge crossing.
+//! Execution contexts, the one server→cartridge crossing, and the one
+//! callback surface cartridges call back through.
 //!
 //! Historically every executor node and planner routine took
 //! `&mut Database`, which made the whole query path exclusive: one
@@ -11,19 +12,22 @@
 //!   and a private cartridge scratch. It derefs to `Database` so the
 //!   existing `db.catalog` / `db.storage()` call sites compile unchanged,
 //!   and it carries the snapshot every visibility-aware storage read needs.
-//! - [`SharedCtx`]: the read-only [`ServerContext`] handed to cartridge
-//!   scan and costing routines (`ODCIIndexStart/Fetch/Close`,
-//!   `ODCIStatsSelectivity/IndexCost`). It is the §2.5 `Scan` restriction
-//!   made structural: mutation entry points fail with
-//!   [`Error::CallbackViolation`] instead of merely being policed.
-//! - [`odci_call`]: the crossing itself. Both lanes — `&mut Database`
-//!   handing out a `ServerCtx`, `&Exec` handing out a [`SharedCtx`] — go
-//!   through its single body, so tracing, fault injection, the sandbox
-//!   and health accounting hold at every call into cartridge code.
+//! - `Lane`: which handle a crossing runs on — `&mut Database` for
+//!   statement execution, a shared `&Exec` for planning and scans.
+//! - `ServerCtx`: the one [`ServerContext`] handed to every ODCI routine,
+//!   on either lane. Each callback is written once. A read answers from the
+//!   lane's snapshot and scratch; a mutation runs on the write lane and
+//!   fails with [`Error::CallbackViolation`] on the read lane, which is the
+//!   §2.5 `Scan` restriction made structural rather than merely policed.
+//! - [`odci_call`]: the crossing itself. Both lanes go through its single
+//!   body, so tracing, fault injection, the sandbox and health accounting
+//!   hold at every call into cartridge code.
 //! - [`run_select`]: the single SELECT implementation used by the
 //!   legacy `Database::execute` lane, nested cartridge callbacks, and the
 //!   concurrent `Session` read lane — all three run the statement cache's
-//!   plan and produce byte-identical results for a given snapshot.
+//!   plan and produce byte-identical results for a given snapshot. Beside
+//!   it, `explain_select` (EXPLAIN [ANALYZE], planned afresh) and
+//!   [`QueryCursor`] (the pull-based form of the same plan).
 //!
 //! Scan workspace state (what `ODCIIndexStart` stores and `Fetch`/`Close`
 //! retrieve) lives in a per-statement [`SessionScratch`] rather than the
@@ -32,10 +36,11 @@
 //! opened it.
 
 use std::any::Any;
-use std::cell::RefCell;
-use std::collections::HashMap;
+use std::cell::{RefCell, RefMut};
+use std::collections::{HashMap, VecDeque};
 use std::ops::Deref;
 use std::sync::Arc;
+use std::time::Instant;
 
 use extidx_common::{Error, LobRef, Result, Row, Value};
 use extidx_core::events::EventHandler;
@@ -47,9 +52,9 @@ use extidx_core::trace::{Component, Routine};
 use extidx_storage::Snapshot;
 
 use crate::ast::{Select, Statement};
-use crate::database::{Database, ServerCtx};
-use crate::executor::{self, BaseScan};
-use crate::expr::EvalCtx;
+use crate::database::{Database, StmtResult};
+use crate::executor::{self, BaseScan, ExecNode};
+use crate::expr::{EvalCtx, ExecRow};
 use crate::optimizer;
 use crate::plan::PlannedQuery;
 use crate::stmt_cache::Prepared;
@@ -124,10 +129,9 @@ impl<'a> Exec<'a> {
     }
 }
 
-/// Which engine handle a crossing runs on; decides the [`ServerContext`]
-/// the cartridge gets. Statement execution holds `&mut Database` and its
-/// routines may mutate; planning and scans hold a shared [`Exec`] and
-/// their routines get the read-only [`SharedCtx`].
+/// Which engine handle a crossing runs on. Statement execution holds
+/// `&mut Database` and its routines may mutate; planning and scans hold a
+/// shared [`Exec`], and their routines' mutating callbacks are refused.
 pub(crate) enum Lane<'a, 'e> {
     Write(&'a mut Database),
     Read(&'a Exec<'e>),
@@ -162,7 +166,7 @@ pub(crate) enum Callee<'a> {
 /// code goes through this body, in this order: trace `record` (before
 /// the routine, so events its callbacks generate order after it), then
 /// under [`sandbox::sandboxed_call`] the fault check, the lane's
-/// [`ServerContext`] and the routine itself, then trace `finish`, then
+/// [`ServerCtx`] and the routine itself, then trace `finish`, then
 /// the health-breaker note. Component, callback mode, the Maintenance
 /// base table and "does a fault dirty cartridge storage" all derive from
 /// `routine` and the callee.
@@ -186,18 +190,13 @@ pub(crate) fn odci_call<T>(
         if !recovering {
             lane.db().fault_check(name, Some(who))?;
         }
-        match &mut lane {
-            Lane::Write(db) => {
-                let base_table = info
-                    .filter(|_| mode == CallbackMode::Maintenance)
-                    .map(|i| i.table_name.clone());
-                f(&mut ServerCtx { db, mode, base_table })
-            }
-            Lane::Read(ecx) => {
-                let mut ws = ecx.scratch.borrow_mut();
-                f(&mut SharedCtx { db: ecx.db, snap: ecx.snap, ws: &mut ws, mode })
-            }
-        }
+        let scratch = match &lane {
+            Lane::Write(_) => None,
+            Lane::Read(ecx) => Some(ecx.scratch.borrow_mut()),
+        };
+        let base_table =
+            info.filter(|_| mode == CallbackMode::Maintenance).map(|i| i.table_name.clone());
+        f(&mut ServerCtx { lane: &mut lane, scratch, mode, base_table })
     });
     lane.db().trace.finish(h);
     if let (Some(info), false) = (info, recovering) {
@@ -206,49 +205,134 @@ pub(crate) fn odci_call<T>(
     result
 }
 
-/// Read-only [`ServerContext`] for cartridge crossings on the query path.
+/// The [`ServerContext`] implementation: cartridge callbacks re-enter the
+/// engine through this, on the lane of the crossing that issued them,
+/// under the routine's §2.5 restriction mode.
 ///
-/// Queries re-enter through [`run_select`] under the *same*
-/// snapshot, so a cartridge that probes its own metadata table mid-scan
-/// sees the statement-consistent image. All mutation entry points return
-/// [`Error::CallbackViolation`].
-pub(crate) struct SharedCtx<'a> {
-    pub(crate) db: &'a Database,
-    pub(crate) snap: Snapshot,
-    ws: &'a mut SessionScratch,
+/// Reads — queries, the base scan, LOB and file reads, the workspace —
+/// answer from the lane's snapshot and scratch: the statement's on the
+/// read lane, so a cartridge that probes its own metadata table mid-scan
+/// sees the statement-consistent image; the current transaction's and the
+/// statement scope's on the write lane. Mutations go through
+/// [`ServerCtx::writer`]: they run on the write lane and are refused with
+/// [`Error::CallbackViolation`] on the read lane.
+pub(crate) struct ServerCtx<'c, 'a, 'e> {
+    lane: &'c mut Lane<'a, 'e>,
+    /// The read lane's statement scratch, borrowed for the crossing (the
+    /// write lane's lives in its statement scope).
+    scratch: Option<RefMut<'e, SessionScratch>>,
     mode: CallbackMode,
+    /// For Maintenance mode: the base table that must not be modified.
+    base_table: Option<String>,
 }
 
 fn read_only_violation(what: &str) -> Error {
     Error::CallbackViolation(format!("{what} is not allowed in a read-only scan context"))
 }
 
-impl ServerContext for SharedCtx<'_> {
+/// The §2.5 restriction `mode` puts on a statement a write-lane routine
+/// executes.
+fn enforce(mode: CallbackMode, base_table: Option<&str>, stmt: &Statement) -> Result<()> {
+    let violation = |msg: &str| Err(Error::CallbackViolation(msg.to_string()));
+    match mode {
+        CallbackMode::Definition => match stmt {
+            Statement::Begin | Statement::Commit | Statement::Rollback => {
+                violation("transaction control is not allowed inside index routines")
+            }
+            _ => Ok(()),
+        },
+        CallbackMode::Maintenance => match stmt {
+            Statement::Select(_) => Ok(()),
+            Statement::Insert { table, .. }
+            | Statement::Update { table, .. }
+            | Statement::Delete { table, .. } => {
+                if Some(table.to_ascii_uppercase().as_str()) == base_table {
+                    violation("index maintenance routines cannot modify the base table")
+                } else {
+                    Ok(())
+                }
+            }
+            _ => violation("index maintenance routines cannot execute DDL"),
+        },
+        CallbackMode::Scan => match stmt {
+            Statement::Select(_) => Ok(()),
+            _ => violation("index scan routines can only execute query statements"),
+        },
+    }
+}
+
+impl ServerCtx<'_, '_, '_> {
+    fn db(&self) -> &Database {
+        self.lane.db()
+    }
+
+    /// The snapshot a callback's reads see.
+    fn snap(&self) -> Snapshot {
+        match &*self.lane {
+            Lane::Write(db) => db.storage.current_snapshot(),
+            Lane::Read(ecx) => ecx.snap,
+        }
+    }
+
+    fn scratch(&mut self) -> &mut SessionScratch {
+        match (&mut self.scratch, &mut *self.lane) {
+            (Some(ws), _) => ws,
+            (None, Lane::Write(db)) => db.scope.workspace.get_mut(),
+            (None, Lane::Read(_)) => unreachable!("a read-lane crossing borrows its scratch"),
+        }
+    }
+
+    /// The engine, for a mutating callback: charged one tick on the write
+    /// lane, refused (and not charged) on the read lane.
+    fn writer(&mut self, what: &str) -> Result<&mut Database> {
+        let Lane::Write(db) = &mut *self.lane else {
+            return Err(read_only_violation(what));
+        };
+        sandbox::tick();
+        Ok(db)
+    }
+}
+
+impl ServerContext for ServerCtx<'_, '_, '_> {
     fn mode(&self) -> CallbackMode {
         self.mode
     }
 
     fn execute(&mut self, sql: &str, binds: &[Value]) -> Result<u64> {
         sandbox::tick();
-        let p = self.db.prepare(sql)?;
-        match p.statement(binds)? {
-            Statement::Select(s) => {
-                run_select(self.db, self.snap, &p, s, binds)?;
-                Ok(0)
-            }
-            _ => Err(read_only_violation("execute() of a non-SELECT statement")),
+        let p = self.db().prepare(sql)?;
+        let stmt = p.statement(binds)?;
+        if let Statement::Select(s) = stmt {
+            run_select(self.db(), self.snap(), &p, s, binds)?;
+            return Ok(0);
+        }
+        let Lane::Write(db) = &mut *self.lane else {
+            return Err(read_only_violation("execute() of a non-SELECT statement"));
+        };
+        enforce(self.mode, self.base_table.as_deref(), stmt)?;
+        match db.run_statement(&p, binds)? {
+            StmtResult::Affected(n) => Ok(n),
+            _ => Ok(0),
         }
     }
 
     fn query(&mut self, sql: &str, binds: &[Value]) -> Result<Vec<Row>> {
         sandbox::tick();
-        let p = self.db.prepare(sql)?;
+        let p = self.db().prepare(sql)?;
         let Statement::Select(s) = p.statement(binds)? else {
             return Err(Error::CallbackViolation("query() requires a SELECT".into()));
         };
-        Ok(run_select(self.db, self.snap, &p, s, binds)?.1)
+        Ok(run_select(self.db(), self.snap(), &p, s, binds)?.1)
     }
 
+    /// True streaming scan: at most `batch_size` rows, projected to
+    /// `cols`, are cloned before the sink gets them (and this context),
+    /// unlike the `SELECT …, ROWID` path a cartridge would otherwise use.
+    /// On the read lane it reads under the statement's snapshot. On the
+    /// write lane the base scan is an index (re)build's — create, a
+    /// repopulating alter, an event handler's resync — so it reads under
+    /// [`extidx_storage::StorageEngine::build_snapshot`] and is refused
+    /// with it.
     fn scan_base_batches(
         &mut self,
         table: &str,
@@ -257,11 +341,15 @@ impl ServerContext for SharedCtx<'_> {
         sink: &mut BatchSink,
     ) -> Result<()> {
         sandbox::tick();
-        // The same streaming scan as the write lane's, pinned to the
-        // statement's snapshot instead of the build snapshot.
-        let (mut scan, project) = BaseScan::open(&self.db.catalog, table, cols)?;
+        let (mut scan, project) = BaseScan::open(&self.db().catalog, table, cols)?;
+        let snap = match &*self.lane {
+            Lane::Write(db) => db.storage.build_snapshot(db.catalog.table(table)?.seg)?,
+            Lane::Read(ecx) => ecx.snap,
+        };
         loop {
-            let batch = scan.next_batch(&self.db.storage, &self.snap, batch_size, &project)?;
+            // The storage borrow ends with the batch, before the sink gets
+            // `&mut self` back.
+            let batch = scan.next_batch(&self.db().storage, &snap, batch_size, &project)?;
             if batch.is_empty() {
                 return Ok(());
             }
@@ -272,100 +360,104 @@ impl ServerContext for SharedCtx<'_> {
 
     fn fault_point(&mut self, point: &str) -> Result<()> {
         sandbox::tick();
-        self.db.fault_check(point, None)
+        self.db().fault_check(point, None)
     }
 
     fn lob_create(&mut self) -> Result<LobRef> {
-        Err(read_only_violation("lob_create"))
+        self.writer("lob_create")?.storage.lob_allocate()
     }
 
     fn lob_length(&mut self, lob: LobRef) -> Result<u64> {
         sandbox::tick();
-        self.db.storage.lob_length(lob, &self.snap)
+        self.db().storage.lob_length(lob, &self.snap())
     }
 
     fn lob_read(&mut self, lob: LobRef, offset: u64, len: usize) -> Result<Vec<u8>> {
         sandbox::tick();
-        self.db.storage.lob_read(lob, offset, len, &self.snap)
+        self.db().storage.lob_read(lob, offset, len, &self.snap())
     }
 
     fn lob_read_all(&mut self, lob: LobRef) -> Result<Vec<u8>> {
         sandbox::tick();
-        self.db.storage.lob_read_all(lob, &self.snap)
+        self.db().storage.lob_read_all(lob, &self.snap())
     }
 
-    fn lob_write(&mut self, _lob: LobRef, _offset: u64, _bytes: &[u8]) -> Result<()> {
-        Err(read_only_violation("lob_write"))
+    fn lob_write(&mut self, lob: LobRef, offset: u64, bytes: &[u8]) -> Result<()> {
+        self.writer("lob_write")?.storage.lob_write(lob, offset, bytes)
     }
 
-    fn lob_append(&mut self, _lob: LobRef, _bytes: &[u8]) -> Result<u64> {
-        Err(read_only_violation("lob_append"))
+    fn lob_append(&mut self, lob: LobRef, bytes: &[u8]) -> Result<u64> {
+        self.writer("lob_append")?.storage.lob_append(lob, bytes)
     }
 
-    fn lob_overwrite(&mut self, _lob: LobRef, _bytes: &[u8]) -> Result<()> {
-        Err(read_only_violation("lob_overwrite"))
+    fn lob_overwrite(&mut self, lob: LobRef, bytes: &[u8]) -> Result<()> {
+        self.writer("lob_overwrite")?.storage.lob_overwrite(lob, bytes)
     }
 
-    fn lob_free(&mut self, _lob: LobRef) -> Result<()> {
-        Err(read_only_violation("lob_free"))
+    fn lob_free(&mut self, lob: LobRef) -> Result<()> {
+        self.writer("lob_free")?.storage.lob_free(lob)
     }
 
     fn workspace_put(&mut self, state: Box<dyn Any + Send>) -> WorkspaceHandle {
         sandbox::tick();
-        self.ws.put(state)
+        self.scratch().put(state)
     }
 
     fn workspace_get(&mut self, handle: WorkspaceHandle) -> Option<&mut (dyn Any + Send)> {
         sandbox::tick();
-        self.ws.get(handle)
+        self.scratch().get(handle)
     }
 
     fn workspace_take(&mut self, handle: WorkspaceHandle) -> Option<Box<dyn Any + Send>> {
         sandbox::tick();
-        self.ws.take(handle)
+        self.scratch().take(handle)
     }
 
-    fn register_event_handler(&mut self, _name: &str, _handler: Arc<dyn EventHandler>) {
+    fn register_event_handler(&mut self, name: &str, handler: Arc<dyn EventHandler>) {
+        sandbox::tick();
         // Handler registration mutates shared server state; scan routines
         // have no business doing it. The trait cannot report an error
-        // here, so the registration is dropped — definition/maintenance
-        // routines (write lane) remain the supported registration points.
-        sandbox::tick();
+        // here, so on the read lane the registration is dropped —
+        // definition/maintenance routines (write lane) remain the
+        // supported registration points.
+        if let Lane::Write(db) = &mut *self.lane {
+            db.register_event_handler(name, handler);
+        }
     }
 
-    fn file_create(&mut self, _name: &str) -> Result<()> {
-        Err(read_only_violation("file_create"))
+    fn file_create(&mut self, name: &str) -> Result<()> {
+        self.writer("file_create")?.storage.file_create(name)
     }
 
     fn file_exists(&mut self, name: &str) -> bool {
         sandbox::tick();
-        self.db.storage.files_ref().exists(name)
+        self.db().storage.files_ref().exists(name)
     }
 
-    fn file_remove(&mut self, _name: &str) -> Result<()> {
-        Err(read_only_violation("file_remove"))
+    fn file_remove(&mut self, name: &str) -> Result<()> {
+        self.writer("file_remove")?.storage.file_remove(name)
     }
 
     fn file_read(&mut self, name: &str) -> Result<Vec<u8>> {
         sandbox::tick();
-        self.db.storage.files_ref().read(name)
+        self.db().storage.files_ref().read(name)
     }
 
-    fn file_write(&mut self, _name: &str, _bytes: &[u8]) -> Result<()> {
-        Err(read_only_violation("file_write"))
+    fn file_write(&mut self, name: &str, bytes: &[u8]) -> Result<()> {
+        self.writer("file_write")?.storage.file_write(name, bytes)
     }
 
-    fn file_append(&mut self, _name: &str, _bytes: &[u8]) -> Result<()> {
-        Err(read_only_violation("file_append"))
+    fn file_append(&mut self, name: &str, bytes: &[u8]) -> Result<()> {
+        self.writer("file_append")?.storage.file_append(name, bytes)
     }
 
-    fn file_flush(&mut self, _name: &str) -> Result<()> {
-        Err(read_only_violation("file_flush"))
+    fn file_flush(&mut self, name: &str) -> Result<()> {
+        self.writer("file_flush")?.storage.file_flush(name)
     }
 
     fn file_length(&mut self, name: &str) -> Result<u64> {
         sandbox::tick();
-        self.db.storage.files_ref().length(name)
+        self.db().storage.files_ref().length(name)
     }
 }
 
@@ -391,4 +483,135 @@ pub(crate) fn run_select(
         Ok(())
     })?;
     Ok((planned, rows))
+}
+
+/// `EXPLAIN [ANALYZE]` of one SELECT under `snap` with `binds`. EXPLAIN
+/// answers "what would the optimizer choose now", so the statement is
+/// planned afresh, never through the statement cache. Returns the plan
+/// lines; under ANALYZE the plan also runs, each line carries its node's
+/// actuals, and a statement summary line follows.
+pub(crate) fn explain_select(
+    db: &Database,
+    snap: Snapshot,
+    s: &Select,
+    binds: &[Value],
+    analyze: bool,
+) -> Result<Vec<String>> {
+    let scratch = RefCell::new(SessionScratch::default());
+    let ecx = Exec::new(db, &scratch, snap, binds);
+    let planned = optimizer::plan_select(&ecx, s)?;
+    let lines = planned.root.explain();
+    if !analyze {
+        return Ok(lines);
+    }
+    let (mut exec, cells) = executor::build_instrumented(&planned.root);
+    // Both the per-node cells and the summary delta span only the
+    // execution loop, so the root cell's buffer gets must equal the
+    // statement delta (planning-time cache touches are outside both
+    // windows).
+    let before = db.cache_stats();
+    let started = Instant::now();
+    let mut produced = 0u64;
+    executor::drain(exec.as_mut(), &planned.root, &ecx, |batch| {
+        produced += batch.rows.len() as u64;
+        Ok(())
+    })?;
+    let elapsed = started.elapsed().as_micros() as u64;
+    let delta = db.cache_stats().since(&before);
+    let mut out: Vec<String> = lines
+        .iter()
+        .zip(cells.iter())
+        .map(|(line, cell)| {
+            let s = cell.snapshot();
+            format!(
+                "{line}  [actual rows={} batches={} pruned={} gets={} ({} phys) time={}us]",
+                s.rows, s.batches, s.pages_pruned,
+                s.logical_reads, s.physical_reads, s.elapsed_micros
+            )
+        })
+        .collect();
+    let pages_pruned: u64 = cells.iter().map(|c| c.snapshot().pages_pruned).sum();
+    out.push(format!(
+        "statement: rows={produced} gets={} ({} phys, {} written) pages pruned={pages_pruned} elapsed={elapsed}us",
+        delta.logical_reads, delta.physical_reads, delta.physical_writes
+    ));
+    Ok(out)
+}
+
+/// A streaming query cursor (pull-based row delivery): the plan
+/// `run_select` would run, drained a batch at a time as rows are asked
+/// for.
+pub struct QueryCursor<'a> {
+    db: &'a mut Database,
+    exec: Box<dyn ExecNode>,
+    /// The statement cache's plan the cursor runs.
+    plan: Arc<PlannedQuery>,
+    /// The snapshot the cursor was opened under. Fetch state stays pinned
+    /// to it for the cursor's whole lifetime: rows committed after open
+    /// never appear, no matter how long the cursor is drained.
+    snap: Snapshot,
+    /// Cursor-private cartridge scratch (ODCI scan workspace).
+    scratch: RefCell<SessionScratch>,
+    /// Rows of the last executor batch not yet handed out.
+    buffered: VecDeque<ExecRow>,
+}
+
+impl<'a> QueryCursor<'a> {
+    /// Open a cursor over the SELECT `sql` (`Database::open_query`).
+    pub(crate) fn open(db: &'a mut Database, sql: &str) -> Result<Self> {
+        let p = db.prepare(sql)?;
+        let Statement::Select(select) = p.statement(&[])? else {
+            return Err(Error::Semantic("open_query requires a SELECT".into()));
+        };
+        let snap = db.storage.current_snapshot();
+        let plan = {
+            let scratch = RefCell::new(SessionScratch::default());
+            let ecx = Exec::new(&*db, &scratch, snap, &[]);
+            db.stmts.plan(&p, &ecx, |ecx| optimizer::plan_select(ecx, select))?
+        };
+        let exec = executor::build(&plan.root);
+        Ok(QueryCursor {
+            db,
+            exec,
+            plan,
+            snap,
+            scratch: RefCell::new(SessionScratch::default()),
+            buffered: VecDeque::new(),
+        })
+    }
+
+    /// Output column names.
+    pub fn columns(&self) -> &[String] {
+        &self.plan.column_names
+    }
+
+    /// Produce the next row, or `None` at end of results.
+    pub fn next_row(&mut self) -> Result<Option<Row>> {
+        if self.buffered.is_empty() {
+            // Refill a batch at a time. Still pipelined: domain scans and
+            // joins return after their first non-empty inner batch.
+            let ecx = Exec::new(&*self.db, &self.scratch, self.snap, &[]);
+            match self.exec.next_batch(&self.plan.root, &ecx, executor::BATCH_TARGET) {
+                Ok(batch) => self.buffered = batch.rows.into(),
+                Err(e) => {
+                    self.exec.abandon(&ecx);
+                    return Err(e);
+                }
+            }
+        }
+        Ok(self.buffered.pop_front().map(|r| r.values))
+    }
+}
+
+impl Drop for QueryCursor<'_> {
+    fn drop(&mut self) {
+        // A cursor dropped before exhaustion still owes its open domain
+        // scans an ODCIIndexClose (a no-op once they are closed). A client
+        // that stops reading is a normal close, so `reset` first; the
+        // error-path teardown only if that close itself fails.
+        let ecx = Exec::new(&*self.db, &self.scratch, self.snap, &[]);
+        if self.exec.reset(&ecx).is_err() {
+            self.exec.abandon(&ecx);
+        }
+    }
 }

@@ -40,6 +40,7 @@ use crate::catalog::{Catalog, TableDef, TableOrg};
 use crate::exec_ctx::{odci_call, Callee, Exec, Lane};
 use crate::expr::{eval, AggKind, EvalCtx, ExecRow, RExpr, Slots};
 use crate::plan::{value_of, FilterTerm, KeyBound, PlanKind, PlanNode, Projection, ReadSet};
+use crate::vtables;
 
 /// The largest possible rowid — used as an upper key pad so inclusive
 /// B-tree bounds cover every `(key, rowid)` entry of the bound key.
@@ -886,7 +887,7 @@ impl ExecNode for ViewExec {
         plan_of!(plan, PlanKind::View { table });
         let rows = match &mut self.rows {
             Some(rows) => rows,
-            None => self.rows.insert(db.vtable_rows(table)?),
+            None => self.rows.insert(vtables::vtable_rows(db, table)?),
         };
         let end = (self.idx + max_rows).min(rows.len());
         let batch = rows[self.idx..end].iter().map(|r| ExecRow::new(r.clone())).collect();

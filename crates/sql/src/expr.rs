@@ -7,7 +7,7 @@
 //! back to their *functional implementation* here — exactly what happens
 //! when the optimizer does not choose a domain-index scan (§2.2.1).
 
-use extidx_common::{Error, Result, RowId, SqlType, Value};
+use extidx_common::{Error, Result, SqlType, Value};
 use extidx_core::meta::like_match;
 use extidx_core::operator::{FnContext, Operator, ScalarFunction};
 
@@ -795,11 +795,6 @@ impl FnContext for EvalCtx<'_> {
 /// `true` when a filter predicate accepts the row (NULL = reject).
 pub fn filter_accepts(v: &Value) -> bool {
     truthiness(v) == Some(true)
-}
-
-/// Convenience for tests and internal callers: make a RowId value.
-pub fn rowid_value(rid: RowId) -> Value {
-    Value::RowId(rid)
 }
 
 #[cfg(test)]

@@ -20,9 +20,11 @@
 //! assert_eq!(rows[0][0].to_string(), "grace");
 //! ```
 
+mod access;
 pub mod ast;
 pub mod catalog;
 pub mod database;
+mod ddl;
 pub mod exec_ctx;
 pub mod executor;
 pub mod expr;
@@ -33,8 +35,10 @@ pub mod parser;
 pub mod plan;
 pub mod session;
 mod stmt_cache;
+mod vtables;
 
-pub use database::{Database, QueryCursor, StmtResult};
+pub use database::{Database, StmtResult};
+pub use exec_ctx::QueryCursor;
 pub use governor::ServerGovernor;
 pub use session::{Server, Session};
 // Statement cancellation tokens are minted by `Session::cancel_token`.

@@ -693,7 +693,7 @@ impl LabelBinds {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use std::cell::RefCell;
     use std::sync::Arc;
 
@@ -784,7 +784,7 @@ mod tests {
     /// The ledger's shapes in miniature: `docs` under a text index, the
     /// `roads × parks` layers under a spatial one, a heap `events` table,
     /// and a text index's posting IOT with enough rows to be probed by key.
-    fn fixture() -> Database {
+    pub(crate) fn fixture() -> Database {
         let mut db = Database::new();
         db.register_odci_implementation("Inert", Arc::new(Inert), Arc::new(Inert));
         fn never(_: &dyn FnContext, _: &[Value]) -> Result<Value> {

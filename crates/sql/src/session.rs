@@ -12,7 +12,8 @@
 //!   scan concurrently, each pinned to its snapshot — its own
 //!   transaction's snapshot inside `BEGIN…COMMIT`, latest-committed
 //!   otherwise. Cartridge scan callbacks (`ODCIIndexStart/Fetch/Close`)
-//!   run under the read lock through the read-only `SharedCtx`, so a
+//!   run under the read lock on the read lane of the one `ServerContext`
+//!   (`exec_ctx::ServerCtx`), which refuses every mutating callback, so a
 //!   cartridge can never mutate shared state from a reader.
 //! - Everything else (DML, DDL, transaction control) takes the **write
 //!   lock** for the duration of the statement. That exclusivity is what

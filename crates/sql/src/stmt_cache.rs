@@ -2,9 +2,9 @@
 //!
 //! One bounded LRU map, keyed by the exact SQL text — binds are not part
 //! of the key — serves every lane: `Database::execute_with` / `query_with`
-//! / `open_query`, `Session`, and both callback lanes (`ServerCtx`,
-//! `SharedCtx`), so a cartridge's per-row callback statement is parsed and
-//! planned once per text instead of once per call. A text enters the map
+//! / `open_query`, `Session`, and cartridge callbacks on either lane
+//! (`exec_ctx::ServerCtx`), so a cartridge's per-row callback statement is
+//! parsed and planned once per text instead of once per call. A text enters the map
 //! at its second execution: one-off literal texts (a bulk load's INSERTs,
 //! statements over literal keys) would otherwise churn it (DESIGN.md §4m
 //! has the measurement).

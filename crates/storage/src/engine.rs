@@ -569,16 +569,6 @@ impl StorageEngine {
         self.heaps.get(&seg).is_some_and(|h| h.zone_excludes(page, col, lo, hi))
     }
 
-    /// Recompute exact zone-map bounds for a heap segment (ANALYZE-time
-    /// rebuild; no-op for non-heap segments), then re-widen with
-    /// chain-held displaced rows to keep the superset invariant.
-    pub fn heap_rebuild_zone_maps(&mut self, seg: SegmentId) {
-        if let Some(h) = self.heaps.get_mut(&seg) {
-            h.rebuild_zone_maps();
-        }
-        self.widen_zones_with_chains(seg);
-    }
-
     /// Snapshot of cache statistics.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()

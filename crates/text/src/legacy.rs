@@ -84,17 +84,3 @@ pub fn two_step_query(
     let _ = db.execute(&format!("DROP TABLE {temp}"));
     result
 }
-
-/// The first-row variant: run the two-step flow but stop after the first
-/// joined row (for first-row-latency comparisons). The full temp table is
-/// still built first — that is precisely the pre-8i behaviour E2 measures.
-pub fn two_step_first_row(
-    db: &mut Database,
-    base_table: &str,
-    select_cols: &str,
-    index_name: &str,
-    text_query: &str,
-) -> Result<Option<Row>> {
-    let mut rows = two_step_query(db, base_table, select_cols, index_name, text_query)?;
-    Ok(if rows.is_empty() { None } else { Some(rows.swap_remove(0)) })
-}

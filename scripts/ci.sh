@@ -39,10 +39,13 @@ echo "== fault matrix (statement atomicity at every cartridge crossing) =="
 cargo test -q --test fault_matrix -- --include-ignored
 
 # Observability layer: EXPLAIN ANALYZE instrumentation + V$ virtual
-# tables + scan-lifecycle invariants, then the per-cartridge EXPLAIN
-# ANALYZE smoke tests (all five indextypes annotate their domain scan).
+# tables + scan-lifecycle invariants, the V$ list checked against what
+# every view answers (row width, column types, row count), then the
+# per-cartridge EXPLAIN ANALYZE smoke tests (all five indextypes annotate
+# their domain scan).
 echo "== observability (EXPLAIN ANALYZE + V\$ smoke) =="
 cargo test -q --test observability --test scan_lifecycle
+cargo test -q -p extidx-sql --lib vtables::tests
 cargo test -q -p extidx-text -p extidx-spatial -p extidx-vir -p extidx-chem explain_analyze
 
 # Cartridge sandbox: the quarantine state machine end to end, the panic
@@ -53,6 +56,10 @@ echo "== cartridge sandbox (quarantine + panic containment) =="
 cargo test -q --test quarantine
 cargo test -q --test fault_matrix panic_at_every_crossing -- --include-ignored
 cargo test -q --test differential quarantine_chaos_sweep -- --include-ignored
+# The one callback surface: a scan routine is refused every mutating
+# callback (same text, same tick charge, nothing changed, no handler
+# registered), and every read callback answers the same on both lanes.
+cargo test -q -p extidx-sql --test callback_surface
 # The §2.5 callback-restriction suite shares one process-global MODE
 # across parallel test threads (serialized by MODE_LOCK): loop it so a
 # regression of that lock shows up here, not as a 1-in-10 flake.
@@ -232,10 +239,13 @@ fi
 # no cartridge grew a bypass — each still issues its per-entry callback
 # DELETE, exactly once, and the server turns it into a point probe.
 echo "== one key-bound builder (structural guard) =="
-if grep -n "consumed: Option<usize>" crates/sql/src/optimizer.rs; then
+if grep -n "consumed: Option<usize>" crates/sql/src/access.rs crates/sql/src/optimizer.rs; then
     exit 1
 fi
-[ "$(grep -cE "match_col_relop\(|match_between\(" crates/sql/src/optimizer.rs)" -eq 4 ]
+[ "$(grep -cE "match_col_relop\(|match_between\(" crates/sql/src/access.rs)" -eq 4 ]
+if grep -nE "match_col_relop\(|match_between\(" crates/sql/src/optimizer.rs; then
+    exit 1
+fi
 [ "$(grep -c "WHERE token = ? AND rid = ?" crates/text/src/cartridge.rs)" -eq 1 ]
 [ "$(grep -c "WHERE tile = ? AND rid = ?" crates/spatial/src/cartridge.rs)" -eq 1 ]
 [ "$(grep -c "WHERE q1 = ? AND rid = ?" crates/vir/src/cartridge.rs)" -eq 1 ]
@@ -260,7 +270,9 @@ fi
 # One statement cache (DESIGN.md §4m): outside the parser, only the cache
 # and `Database::explain` (EXPLAIN plans afresh) turn SQL text into a
 # statement; binds are evaluated, never spliced into the tree; and plans
-# hold no data, so the optimizer never materializes a V$ view.
+# hold no data, so plan-time code never materializes a V$ view: a view's
+# row builder is private to vtables.rs, and the executor's View node is
+# the one caller of `vtable_rows` outside it.
 echo "== one statement cache (structural guard) =="
 parses=$(for f in crates/sql/src/*.rs; do
     [ "$f" = crates/sql/src/parser.rs ] && continue
@@ -272,9 +284,7 @@ done)
 if grep -rnE "bind_statement|bind_expr" crates; then
     exit 1
 fi
-if grep -n "vtable_rows" crates/sql/src/optimizer.rs; then
-    exit 1
-fi
+[ "$(grep -rln "vtable_rows(" crates/sql/src | grep -v "/vtables.rs$")" = crates/sql/src/executor.rs ]
 
 # Rows copied once (DESIGN.md §4h "Rows copied once"): every stored-row
 # read borrows — the rowid joins hand out `&Row` like the page walk and the
@@ -306,6 +316,19 @@ fi
 if grep -rnE "thread::(spaw[n]|scop[e])" crates/sql/src; then
     exit 1
 fi
+
+# One place per integration point (DESIGN.md §4d "The crossing", §4f):
+# the callback surface is implemented once, for both lanes; every V$ view
+# is named once, in the one list in vtables.rs; and `Database` and the
+# optimizer stay folded, with DDL in ddl.rs and access paths in access.rs.
+# (Bracketed so the patterns do not match this file.)
+echo "== one place per integration point (structural guard) =="
+[ "$(grep -rn "impl ServerContex[t] for" crates/sql/src | wc -l)" -eq 1 ]
+views=$(grep -rhoE '"V[$][A-Z_]+"' crates/sql/src)
+[ -n "$views" ] && [ -z "$(echo "$views" | sort | uniq -d)" ]
+[ "$(grep -rlE '"V[$][A-Z_]+"' crates/sql/src)" = crates/sql/src/vtables.rs ]
+[ "$(wc -l < crates/sql/src/database.rs)" -lt 1500 ]
+[ "$(wc -l < crates/sql/src/optimizer.rs)" -lt 1200 ]
 
 # One perf instrument: no hand-set timing floor, bench-record writer or
 # micro-bench harness may come back beside the ledger. (Bracketed so the
