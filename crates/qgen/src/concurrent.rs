@@ -17,8 +17,10 @@
 //! 2. **First-writer-wins outcomes.** The scheduler tracks each
 //!    transaction's user-row write set and everything committed since its
 //!    snapshot. A commit that *succeeds* despite overlapping a
-//!    concurrently committed write is reported as a lost update. (The
-//!    converse is deliberately one-sided: the engine may conflict more
+//!    concurrently committed write is reported as a lost update, and a
+//!    `COMMIT` that fails at all is a failure: conflicts are decided when
+//!    a statement writes, so a commit has nothing left to lose. (Statement
+//!    conflicts are deliberately one-sided: the engine may conflict more
 //!    often than the user-row model predicts, because concurrent index
 //!    maintenance can collide on cartridge-internal rows — e.g. two
 //!    transactions extending the same text postings entry — and a
@@ -55,8 +57,6 @@ pub struct ConcurrentReport {
     pub steps: usize,
     /// Explicit transactions committed.
     pub commits: usize,
-    /// Explicit transactions that lost first-writer-wins at COMMIT.
-    pub commit_conflicts: usize,
     /// Statements rejected mid-transaction with a write conflict.
     pub stmt_conflicts: usize,
     /// Statements rejected for any other engine reason (no-ops).
@@ -275,15 +275,10 @@ pub fn run_concurrent_seed_opts(
                 report.commits += 1;
                 Ok(())
             }
-            Err(e) if is_conflict(&e) => {
-                // The engine may conflict on cartridge-internal rows even
-                // when user rows are disjoint — a spurious abort is a
-                // legal outcome, and the transaction's effects must now
-                // be invisible (the mirror simply never learns them).
-                report.commit_conflicts += 1;
-                Ok(())
-            }
-            Err(e) => Err(format!("COMMIT failed with a non-conflict error: {e}")),
+            // First-writer-wins is decided when a statement writes: a
+            // COMMIT has nothing left to lose, so any error — a write
+            // conflict included — is a failure.
+            Err(e) => Err(format!("COMMIT failed: {e}")),
         }
     };
 
@@ -542,8 +537,8 @@ pub struct StormReport {
     pub increments: u64,
     /// Explicit blocker transactions that committed.
     pub blocker_commits: u64,
-    /// Explicit blocker transactions aborted by a write conflict — the
-    /// error *must* surface for explicit transactions (the client owns
+    /// Explicit blocker transactions whose UPDATE lost a write conflict —
+    /// the error *must* surface for explicit transactions (the client owns
     /// the retry decision there).
     pub blocker_conflicts: u64,
     /// `WriteConflict`s that reached an autocommit caller. Transparent
@@ -621,11 +616,9 @@ pub fn conflict_storm(
                     match sess.execute(&format!("UPDATE HOT SET n = n + 1 WHERE id = {k}")) {
                         Ok(_) => {
                             std::thread::yield_now();
-                            match sess.execute("COMMIT") {
-                                Ok(_) => commits += 1,
-                                Err(Error::WriteConflict { .. }) => conflicts += 1,
-                                Err(e) => return Err(format!("blocker COMMIT: {e}")),
-                            }
+                            // A COMMIT cannot lose first-writer-wins.
+                            sess.execute("COMMIT").map_err(|e| format!("blocker COMMIT: {e}"))?;
+                            commits += 1;
                         }
                         Err(Error::WriteConflict { .. }) => {
                             conflicts += 1;

@@ -649,9 +649,8 @@ impl Database {
         // medium is gone (simulated crash): the statement must not
         // report success.
         if !self.storage.in_txn() {
-            let ended = self.storage.commit_txn(self.storage.current_snapshot());
-            let committed = ended.and_then(|_| self.wal_commit_marker());
-            if let (Err(e), true) = (committed, result.is_ok()) {
+            self.storage.commit_txn(self.storage.current_snapshot());
+            if let (Err(e), true) = (self.wal_commit_marker(), result.is_ok()) {
                 result = Err(e);
             }
         }
@@ -749,17 +748,13 @@ impl Database {
         result
     }
 
-    /// Commit a session transaction: first-writer-wins validation, then —
-    /// still under the caller's exclusive hold, so markers land in csn
-    /// order — the commit marker tagged with the transaction, version GC,
-    /// and the Commit event. On a write-write conflict the transaction is
-    /// rolled back and the conflict surfaces.
+    /// Commit a session transaction: its csn, then — still under the
+    /// caller's exclusive hold, so markers land in csn order — the commit
+    /// marker tagged with the transaction, version GC, and the Commit
+    /// event. The commit itself cannot lose first-writer-wins: every write
+    /// was checked when it happened.
     pub(crate) fn session_commit(&mut self, snap: Snapshot) -> Result<()> {
-        if let Err(conflict) = self.storage.commit_txn(snap) {
-            self.trace_conflict(&conflict);
-            let _ = self.session_abort(snap);
-            return Err(conflict);
-        }
+        self.storage.commit_txn(snap);
         self.storage.set_current_txn(snap);
         let marker = self.wal_commit_marker();
         self.storage.set_current_txn(Snapshot::latest());
@@ -883,7 +878,7 @@ impl Database {
                 Ok(StmtResult::Ok)
             }
             Statement::Commit => {
-                self.storage.commit_txn(self.storage.current_snapshot())?;
+                self.storage.commit_txn(self.storage.current_snapshot());
                 self.scope.mark = 0;
                 self.fire_event(DbEvent::Commit)?;
                 Ok(StmtResult::Ok)
@@ -1399,13 +1394,13 @@ impl Database {
     /// ended, or its COMMIT/ROLLBACK found none open. With no statement to
     /// fail, nothing could take a handler's writes back: they were
     /// recorded under the direct lane's transaction like any other write
-    /// and are final, so its log is dropped here — unless the direct lane
-    /// has its own explicit transaction open, which then owns them.
+    /// and are final, so that transaction is committed here (a commit
+    /// cannot fail) and its log dropped — unless the direct lane has its
+    /// own explicit transaction open, which then owns them.
     pub(crate) fn fire_event_unscoped(&mut self, event: DbEvent) -> Result<()> {
         let delivered = self.fire_event(event);
         if !self.storage.in_txn() {
-            // Transaction 0 has no write set to validate: this cannot fail.
-            let _ = self.storage.commit_txn(Snapshot::latest());
+            self.storage.commit_txn(Snapshot::latest());
         }
         delivered
     }

@@ -23,13 +23,14 @@
 //!   commit order because csn assignment and the marker append happen
 //!   under one exclusive hold.
 //!
-//! Isolation level is **snapshot isolation** with first-writer-wins:
-//! `COMMIT` validates the transaction's write set against concurrently
-//! committed writers and fails with a conflict error on overlap,
-//! auto-rolling the loser back (its session returns to autocommit mode).
-//! Statements outside an explicit transaction are an implicit
-//! begin+statement+commit, so autocommit writers participate in the same
-//! conflict protocol.
+//! Isolation level is **snapshot isolation** with first-writer-wins,
+//! decided when a write happens: a statement writing a row that another
+//! open transaction wrote, or that a transaction committed after the
+//! writer's snapshot, fails with a conflict error (the statement rolls
+//! back; an explicit transaction stays open for the client to end).
+//! `COMMIT` has nothing left to check and cannot lose. Statements outside
+//! an explicit transaction are an implicit begin+statement+commit, so
+//! autocommit writers participate in the same conflict protocol.
 //!
 //! Around that, this module adds the server-resident governance layer
 //! (DESIGN.md §4l):
@@ -325,12 +326,11 @@ impl Session {
         Ok(StmtResult::Ok)
     }
 
-    /// Commit the open transaction: first-writer-wins validation, then
-    /// the commit marker (in csn order) and version GC. On a write-write
-    /// conflict the transaction is rolled back automatically and the
-    /// conflict error surfaces — the session drops back to autocommit.
-    /// Explicit transactions are **never** transparently retried: the
-    /// client saw intermediate state, so only it can decide to re-run.
+    /// Commit the open transaction: its csn, the commit marker (in csn
+    /// order) and version GC. It cannot lose first-writer-wins — a
+    /// conflicting write already failed its statement. Explicit
+    /// transactions are **never** transparently retried: the client saw
+    /// intermediate state, so only it can decide to re-run.
     fn commit(&mut self) -> Result<StmtResult> {
         let mut db = exclusive(self.db.write());
         match self.txn.take() {
@@ -388,7 +388,7 @@ impl Session {
     }
 
     /// Autocommit with transparent conflict retry: a statement losing
-    /// first-writer-wins validation is re-run on a fresh snapshot up to
+    /// first-writer-wins is re-run on a fresh snapshot up to
     /// `retry_max` times with seeded jittered backoff. Every other error
     /// (including a statement timeout) surfaces immediately.
     fn autocommit_statement(

@@ -31,7 +31,7 @@ use crate::lob::LobStore;
 use crate::iot::{IndexOrganizedTable, IotIoCharge};
 use crate::mvcc::{
     self, LobChain, LobImage, LobSpanVersion, RowChain, RowKey, Snapshot, TxnManager,
-    VersionStore, WriteKey, WriteRef, WHOLE_LOB,
+    VersionStore, WHOLE_LOB,
 };
 use crate::page::{SegmentId, PAGE_SIZE};
 use crate::undo::{UndoLog, UndoOp};
@@ -149,21 +149,20 @@ impl StorageEngine {
         self.undo.get(&self.current.txn).map_or(0, UndoLog::len)
     }
 
-    /// Log one undo entry for the current transaction. Each pairs with
-    /// exactly one write recorded for commit-time validation
-    /// ([`Self::stamp_write`], [`Self::displace_lob_span`], `lob_allocate`),
-    /// so an undo mark also counts the writes that stand.
+    /// Log one undo entry for the current transaction. Conflicts need no
+    /// record of their own: the write's chain stamp is what a later writer
+    /// is checked against, and rolling the entry back takes the stamp back.
     fn record(&mut self, op: UndoOp) {
         self.undo.entry(self.current.txn).or_default().push(op);
     }
 
-    /// Commit a transaction: first-writer-wins validation of its write
-    /// set, then its undo log is dropped. On a conflict nothing ends —
-    /// the caller rolls the transaction back.
-    pub fn commit_txn(&mut self, snap: Snapshot) -> Result<u64> {
-        let csn = self.txns.commit(&snap, self.conflict_checks)?;
+    /// Commit a transaction: assign its csn and drop its undo log. A
+    /// commit cannot lose first-writer-wins — every write was checked when
+    /// it happened — so it returns the csn.
+    pub fn commit_txn(&mut self, snap: Snapshot) -> u64 {
+        let csn = self.txns.commit(&snap);
         self.undo.remove(&snap.txn);
-        Ok(csn)
+        csn
     }
 
     /// Roll a whole transaction back (chain-aware, under its own
@@ -177,12 +176,12 @@ impl StorageEngine {
         rolled
     }
 
-    /// Toggle first-writer-wins enforcement (early conflict detection and
-    /// commit-time validation). Structural conflicts between two *active*
-    /// writers are always rejected regardless — overlay MVCC cannot hold
-    /// two uncommitted in-place versions of one row. Kept as the
-    /// concurrent oracle's negative control: with checks off it must
-    /// catch the resulting lost update.
+    /// Toggle the committed half of first-writer-wins: whether a write
+    /// loses to a writer that committed after its snapshot. Structural
+    /// conflicts between two *active* writers are always rejected
+    /// regardless — overlay MVCC cannot hold two uncommitted in-place
+    /// versions of one row. Kept as the concurrent oracle's negative
+    /// control: with checks off it must catch the resulting lost update.
     pub fn set_conflict_checks(&mut self, on: bool) {
         self.conflict_checks = on;
     }
@@ -258,27 +257,15 @@ impl StorageEngine {
         self.vacuum_stats.chains_dropped += dropped;
 
         // Commit-history pruning: keep statuses of active transactions and
-        // of any stamp a surviving chain still references; keep committed
-        // write-set entries above the horizon (first-writer-wins
-        // validation still needs them for in-flight snapshots).
-        self.txns.prune_history(horizon, &self.versions.referenced_stamps());
+        // of any stamp a surviving chain still references — the only
+        // stamps visibility or first-writer-wins can still ask about.
+        self.txns.prune_history(&self.versions.referenced_stamps());
     }
 
-    /// Structural + early conflict check for a write of the current
-    /// transaction to one heap row or IOT key.
+    /// First-writer-wins check for a write of the current transaction to
+    /// one heap row or IOT key.
     fn check_write(&self, seg: SegmentId, key: RowKey) -> Result<()> {
         self.versions.check_write(&self.txns, &self.current, self.conflict_checks, seg, key)
-    }
-
-    /// MVCC bookkeeping after the current transaction wrote one heap row or
-    /// IOT key: `f` stamps the write into the row's chain, and the write is
-    /// recorded for commit-time validation. No-op on the legacy lane.
-    fn stamp_write(&mut self, seg: SegmentId, key: RowKey, f: impl FnOnce(&mut RowChain)) {
-        let t = self.current.txn;
-        if t != 0 {
-            self.versions.edit(seg, key, t, f);
-            self.txns.record_write(t, WriteRef { seg, key: key.write_key() });
-        }
     }
 
     /// The snapshot any (re)build of an index reads base segment `seg`
@@ -312,56 +299,58 @@ impl StorageEngine {
         (start, start.saturating_add(len))
     }
 
-    /// Structural + early conflict check for a LOB write of `len` bytes at
-    /// `start` (`len == WHOLE_LOB` for whole-locator operations).
-    /// LOB-backed index stores share one LOB across all of an index's
-    /// rows; byte-range granularity lets two sessions maintain the same
-    /// index concurrently as long as their writes touch disjoint ranges —
-    /// first-writer-wins applies only to genuinely overlapping writes.
+    /// First-writer-wins check for a LOB write of `len` bytes at `start`
+    /// (`len == WHOLE_LOB` for whole-locator operations):
+    /// [`TxnManager::contender`] over the LOB's allocation stamp and the
+    /// writer of every displaced span overlapping the write. LOB-backed
+    /// index stores share one LOB across all of an index's rows;
+    /// byte-range granularity lets two sessions maintain the same index
+    /// concurrently as long as their writes touch disjoint ranges.
     fn check_lob_write(&self, lob: LobRef, start: u64, len: u64) -> Result<()> {
-        let t = self.current.txn;
-        if t == 0 {
+        let Some(chain) = self.versions.lobs.get(&lob) else {
             return Ok(());
-        }
-        let (cs, ce) = Self::lob_conflict_span(start, len);
-        let overlaps = |v: &LobSpanVersion| {
+        };
+        let (t, (cs, ce)) = (self.current.txn, Self::lob_conflict_span(start, len));
+        let overlaps = |v: &&LobSpanVersion| {
             let (vs, ve) = Self::lob_conflict_span(v.start, v.len);
             vs < ce && cs < ve
         };
-        if let Some(chain) = self.versions.lobs.get(&lob) {
-            let stamp = chain.begin;
-            if stamp != 0 && stamp != t && self.txns.is_active(stamp) {
-                return Err(Error::write_conflict(
+        let spans = chain.spans.iter().filter(overlaps).map(|v| v.by);
+        let stamps = std::iter::once(chain.begin).chain(spans);
+        match self.txns.contender(&self.current, self.conflict_checks, stamps) {
+            None => Ok(()),
+            Some((stamp, None)) if stamp == chain.begin => Err(Error::write_conflict(
+                stamp,
+                format!("{lob} (whole)"),
+                format!("txn {t}: {lob} was allocated by uncommitted txn {stamp}"),
+            )),
+            Some((stamp, None)) => {
+                let mut spans = chain.spans.iter().filter(overlaps);
+                let v = spans.find(|v| v.by == stamp).expect("the winner wrote a span");
+                Err(Error::write_conflict(
                     stamp,
-                    format!("{lob} (whole)"),
-                    format!("txn {t}: {lob} was allocated by uncommitted txn {stamp}"),
-                ));
+                    format!("{lob} bytes [{cs}, {ce})"),
+                    format!(
+                        "txn {t}: {lob} bytes [{cs}, {ce}) overlap an uncommitted write by txn {} at [{}, {})",
+                        v.by, v.start, v.start.saturating_add(v.len)
+                    ),
+                ))
             }
-            for v in &chain.spans {
-                if v.by != t && self.txns.is_active(v.by) && overlaps(v) {
-                    return Err(Error::write_conflict(
-                        v.by,
-                        format!("{lob} bytes [{cs}, {ce})"),
-                        format!(
-                            "txn {t}: {lob} bytes [{cs}, {ce}) overlap an uncommitted write by txn {} at [{}, {})",
-                            v.by, v.start, v.start.saturating_add(v.len)
-                        ),
-                    ));
-                }
+            Some((stamp, Some(csn))) => {
+                let what = if ce == WHOLE_LOB {
+                    format!("{lob} (whole)")
+                } else {
+                    format!("{lob} bytes [{cs}, {ce})")
+                };
+                Err(mvcc::committed_conflict(&self.current, stamp, csn, what))
             }
         }
-        if self.conflict_checks {
-            let wref =
-                WriteRef { seg: LOB_SEGMENT, key: WriteKey::LobSpan { lob, start: cs, end: ce } };
-            self.txns.check_committed(&wref, &self.current)?;
-        }
-        Ok(())
     }
 
     /// MVCC bookkeeping before a LOB mutation of `len` bytes at `start`
     /// (`WHOLE_LOB` = whole-locator): displace the before-image of exactly
-    /// that byte range into the version chain and record the write for
-    /// commit-time validation. No-op on the legacy lane.
+    /// that byte range into the version chain, where it is also the
+    /// write's conflict record. No-op on the legacy lane.
     fn displace_lob_span(&mut self, lob: LobRef, start: u64, len: u64) {
         let t = self.current.txn;
         if t == 0 {
@@ -380,11 +369,6 @@ impl StorageEngine {
         };
         let chain = self.versions.lobs.entry(lob).or_default();
         chain.spans.insert(0, LobSpanVersion { start, len, old, by: t });
-        let (cs, ce) = Self::lob_conflict_span(start, len);
-        self.txns.record_write(
-            t,
-            WriteRef { seg: LOB_SEGMENT, key: WriteKey::LobSpan { lob, start: cs, end: ce } },
-        );
     }
 
     fn alloc_segment(&mut self) -> SegmentId {
@@ -590,7 +574,7 @@ impl StorageEngine {
         debug_assert_eq!(inserted, rid, "peeked rowid must match actual placement");
         self.cache.write((seg, page));
         let t = self.current.txn;
-        self.stamp_write(seg, RowKey::Rid(inserted), |c| c.write(t, None, false));
+        self.versions.edit(seg, RowKey::Rid(inserted), t, |c| c.write(t, None, false));
         self.record(UndoOp::HeapInsert { seg, rid: inserted });
         self.wal_applied()?;
         Ok(inserted)
@@ -609,7 +593,7 @@ impl StorageEngine {
         let old = h.update(rid, new_row)?;
         self.cache.write((seg, rid.page));
         let t = self.current.txn;
-        self.stamp_write(seg, RowKey::Rid(rid), |c| c.write(t, Some((&old, 0)), false));
+        self.versions.edit(seg, RowKey::Rid(rid), t, |c| c.write(t, Some((&old, 0)), false));
         self.record(UndoOp::HeapUpdate { seg, rid, old: old.clone() });
         self.wal_applied()?;
         Ok(old)
@@ -647,7 +631,7 @@ impl StorageEngine {
         } else {
             let h = self.heaps.get(&seg).expect("existence checked above");
             let old = h.fetch(rid)?.clone();
-            self.stamp_write(seg, RowKey::Rid(rid), |c| c.dead = Some(t));
+            self.versions.edit(seg, RowKey::Rid(rid), t, |c| c.dead = Some(t));
             old
         };
         self.cache.write((seg, rid.page));
@@ -715,7 +699,7 @@ impl StorageEngine {
         let leaf = self.iot_leaf_page_for(seg, &key);
         self.charge_iot(seg, charge, leaf);
         let t = self.current.txn;
-        self.stamp_write(seg, RowKey::Key(&key), |c| c.write(t, None, false));
+        self.versions.edit(seg, RowKey::Key(&key), t, |c| c.write(t, None, false));
         self.record(UndoOp::IotInsert { seg, key });
         self.wal_applied()?;
         Ok(Self::ord_to_rid(seg, inserted))
@@ -735,7 +719,7 @@ impl StorageEngine {
         self.charge_iot(seg, charge, leaf);
         let t = self.current.txn;
         let displaced = old.as_ref().map(|o| (o, ord));
-        self.stamp_write(seg, RowKey::Key(&key), |c| c.write(t, displaced, false));
+        self.versions.edit(seg, RowKey::Key(&key), t, |c| c.write(t, displaced, false));
         self.record(match &old {
             Some(o) => UndoOp::IotReplace { seg, old: o.clone() },
             None => UndoOp::IotInsert { seg, key },
@@ -757,7 +741,7 @@ impl StorageEngine {
         let t = self.current.txn;
         let old = match removed {
             Some((o, ord)) => {
-                self.stamp_write(seg, RowKey::Key(key), |c| c.write(t, Some((&o, ord)), true));
+                self.versions.edit(seg, RowKey::Key(key), t, |c| c.write(t, Some((&o, ord)), true));
                 self.record(UndoOp::IotDelete { seg, old: o.clone(), ord });
                 Some(o)
             }
@@ -985,17 +969,11 @@ impl StorageEngine {
         let lob = self.lobs.allocate();
         self.record(UndoOp::LobAllocate { lob });
         // Stamp the new LOB with its creating transaction so snapshots
-        // that cannot see the creator do not see its content either.
+        // that cannot see the creator do not see its content either, and
+        // a writer whose snapshot predates the creator's commit loses.
         let t = self.current.txn;
         if t != 0 {
             self.versions.lobs.insert(lob, LobChain { begin: t, spans: Vec::new() });
-            self.txns.record_write(
-                t,
-                WriteRef {
-                    seg: LOB_SEGMENT,
-                    key: WriteKey::LobSpan { lob, start: 0, end: WHOLE_LOB },
-                },
-            );
         }
         self.wal_applied()?;
         Ok(lob)
@@ -1238,7 +1216,6 @@ impl StorageEngine {
     pub fn rollback_to(&mut self, mark: usize) -> Result<()> {
         let t = self.current.txn;
         let ops = self.undo.get_mut(&t).map(|log| log.drain_reverse_from(mark));
-        self.txns.truncate_writes(t, mark);
         for op in ops.unwrap_or_default() {
             match op {
                 UndoOp::HeapInsert { seg, rid } => {
@@ -1595,7 +1572,7 @@ mod tests {
         let iot = e.create_iot(1).unwrap();
         let kept = e.heap_insert(heap, row(1)).unwrap();
         e.iot_insert(iot, row(1)).unwrap();
-        e.commit_txn(Snapshot::latest()).unwrap();
+        e.commit_txn(Snapshot::latest());
         let txns = e.txn_manager();
         let write = |e: &mut StorageEngine, f: &dyn Fn(&mut StorageEngine)| {
             let t = txns.begin();
@@ -1611,11 +1588,11 @@ mod tests {
             e.iot_insert(iot, row(2)).unwrap();
         });
         assert!(!e.segment_settled(heap) && !e.segment_settled(iot), "writer in flight");
-        e.commit_txn(writer).unwrap();
+        e.commit_txn(writer);
         assert!(!e.segment_settled(iot), "the reader's snapshot predates the commit");
         let seen = e.iot_range(iot, Unbounded, Unbounded, 9, &reader).unwrap().len();
         assert_eq!((seen, e.iot(iot).unwrap().row_count()), (1, 2));
-        e.commit_txn(reader).unwrap();
+        e.commit_txn(reader);
         assert!(e.segment_settled(heap) && e.segment_settled(iot), "settled, not yet vacuumed");
         assert_eq!(e.mvcc_segment_stats().len(), 2, "the chains are still there");
 
@@ -1624,7 +1601,7 @@ mod tests {
         let deleter = write(&mut e, &|e| {
             e.heap_delete(heap, kept).unwrap();
         });
-        e.commit_txn(deleter).unwrap();
+        e.commit_txn(deleter);
         assert!(!e.segment_settled(heap));
         e.vacuum();
         assert!(e.segment_settled(heap) && e.segment_settled(iot));
@@ -1649,9 +1626,165 @@ mod tests {
         e.set_current_txn(b);
         assert_eq!(e.heap_insert(heap, row(2)).unwrap(), rid, "the freed slot is reused");
         e.iot_insert(iot, row(1)).unwrap();
-        e.commit_txn(a).unwrap();
+        e.commit_txn(a);
         e.heap_update(heap, rid, row(3)).expect("a wrote nothing b must wait for");
-        e.commit_txn(b).expect("b's write set contends with nothing a committed");
+        e.commit_txn(b);
+    }
+
+    /// The winner and the label of a write that lost first-writer-wins.
+    fn lost<T: std::fmt::Debug>(r: Result<T>) -> (u64, String) {
+        match r {
+            Err(Error::WriteConflict { other_txn, key, .. }) => (other_txn, key),
+            other => panic!("expected a write conflict, got {other:?}"),
+        }
+    }
+
+    /// `f` run as transaction `snap`, back on the direct lane after.
+    fn as_txn<T>(
+        e: &mut StorageEngine,
+        snap: Snapshot,
+        f: impl FnOnce(&mut StorageEngine) -> T,
+    ) -> T {
+        e.set_current_txn(snap);
+        let out = f(e);
+        e.set_current_txn(Snapshot::latest());
+        out
+    }
+
+    /// First-writer-wins is decided when the second write happens, from
+    /// the row's chain: a second writer loses to the uncommitted first
+    /// one, and — with conflict checks on — to one that committed after
+    /// its snapshot; the conflict names the winner and the row.
+    #[test]
+    fn second_writer_loses_at_write_time() {
+        let kv = |k: i64, v: i64| vec![Value::Integer(k), Value::Integer(v)];
+        let mut e = StorageEngine::new(64);
+        let heap = e.create_heap().unwrap();
+        let iot = e.create_iot(1).unwrap();
+        let rid = e.heap_insert(heap, kv(1, 0)).unwrap();
+        e.iot_insert(iot, kv(1, 0)).unwrap();
+        e.commit_txn(Snapshot::latest());
+        let txns = e.txn_manager();
+        let (a, b) = (txns.begin(), txns.begin());
+        as_txn(&mut e, a, |e| {
+            e.heap_update(heap, rid, kv(1, 1)).unwrap();
+            e.iot_upsert(iot, kv(1, 1)).unwrap();
+        });
+        let (h, i) = as_txn(&mut e, b, |e| {
+            (lost(e.heap_update(heap, rid, kv(1, 2))), lost(e.iot_upsert(iot, kv(1, 2))))
+        });
+        assert_eq!(h.0, a.txn, "the uncommitted winner is named");
+        assert!(h.1.starts_with("heap rowid"), "{}", h.1);
+        assert_eq!(i.0, a.txn);
+        assert!(i.1.starts_with("iot key"), "{}", i.1);
+
+        // a commits: b's snapshot predates it, so b still loses, to a.
+        let csn = e.commit_txn(a);
+        assert_eq!(txns.committed_csn(a.txn), Some(csn));
+        let key = Key::single(Value::Integer(1));
+        let (h, i) =
+            as_txn(&mut e, b, |e| (lost(e.heap_delete(heap, rid)), lost(e.iot_delete(iot, &key))));
+        assert_eq!((h.0, i.0), (a.txn, a.txn), "a write committed after b's snapshot wins");
+        assert!(h.1.starts_with("heap rowid") && i.1.starts_with("iot key"));
+
+        // With checks off the same write goes through (a lost update).
+        e.set_conflict_checks(false);
+        as_txn(&mut e, b, |e| {
+            e.heap_update(heap, rid, kv(1, 2)).expect("checks off: no committed conflict");
+            e.iot_upsert(iot, kv(1, 2)).expect("checks off: no committed conflict");
+        });
+        e.commit_txn(b);
+    }
+
+    /// LOB conflicts are byte-range granular: disjoint spans both commit,
+    /// an overlapping span loses to the writer that committed it, a
+    /// whole-LOB operation contends with every span, and another locator
+    /// never contends.
+    #[test]
+    fn lob_span_conflicts_are_range_granular() {
+        let mut e = StorageEngine::new(64);
+        let (lob, other) = (e.lob_allocate().unwrap(), e.lob_allocate().unwrap());
+        e.lob_write(lob, 0, &[0; 120]).unwrap();
+        e.lob_write(other, 0, &[0; 16]).unwrap();
+        e.commit_txn(Snapshot::latest());
+        let txns = e.txn_manager();
+
+        let (a, b) = (txns.begin(), txns.begin());
+        as_txn(&mut e, a, |e| e.lob_write(lob, 0, &[1; 40])).unwrap();
+        as_txn(&mut e, b, |e| e.lob_write(lob, 40, &[2; 40])).expect("disjoint spans");
+        e.commit_txn(a);
+        e.commit_txn(b);
+
+        // c and d share a snapshot; c writes [72, 80) and commits first.
+        let (c, d) = (txns.begin(), txns.begin());
+        as_txn(&mut e, c, |e| e.lob_write(lob, 72, &[3; 8])).unwrap();
+        e.commit_txn(c);
+        let (winner, what) = lost(as_txn(&mut e, d, |e| e.lob_write(lob, 76, &[4; 8])));
+        assert_eq!(winner, c.txn, "the overlapping span loses to its committer");
+        assert!(what.ends_with("bytes [76, 84)"), "{what}");
+        as_txn(&mut e, d, |e| e.lob_write(lob, 80, &[4; 8])).expect("[80, 88) overlaps nothing");
+        e.commit_txn(d);
+
+        // A whole-LOB overwrite committed after f's snapshot contends with
+        // any span f writes; another locator is untouched.
+        let (g, f) = (txns.begin(), txns.begin());
+        as_txn(&mut e, g, |e| e.lob_overwrite(lob, b"fresh")).unwrap();
+        let (winner, what) = lost(as_txn(&mut e, f, |e| e.lob_write(lob, 3, &[5; 2])));
+        assert_eq!(winner, g.txn, "an uncommitted whole-LOB write holds every span");
+        assert!(what.ends_with("bytes [3, 5)"), "{what}");
+        e.commit_txn(g);
+        let (winner, what) = lost(as_txn(&mut e, f, |e| e.lob_write(lob, 2, &[5; 1])));
+        assert_eq!(winner, g.txn, "a committed whole-LOB write contends with every span");
+        assert!(what.ends_with("bytes [2, 3)"), "{what}");
+        let (winner, what) = lost(as_txn(&mut e, f, |e| e.lob_free(lob)));
+        assert_eq!(winner, g.txn);
+        assert!(what.ends_with("(whole)"), "{what}");
+        as_txn(&mut e, f, |e| e.lob_write(other, 0, &[6; 16])).expect("another locator");
+        e.commit_txn(f);
+    }
+
+    /// A LOB allocated by a transaction that committed after a snapshot
+    /// was taken is one that snapshot may not write.
+    #[test]
+    fn a_lob_allocated_after_the_snapshot_loses() {
+        let mut e = StorageEngine::new(64);
+        let txns = e.txn_manager();
+        let (old, a) = (txns.begin(), txns.begin());
+        let lob = as_txn(&mut e, a, |e| e.lob_allocate()).unwrap();
+        let (winner, what) = lost(as_txn(&mut e, old, |e| e.lob_append(lob, b"x")));
+        assert_eq!(winner, a.txn, "the uncommitted allocator wins");
+        assert!(what.ends_with("(whole)"), "{what}");
+        e.commit_txn(a);
+        let (winner, _) = lost(as_txn(&mut e, old, |e| e.lob_append(lob, b"x")));
+        assert_eq!(winner, a.txn, "the allocation committed after the snapshot");
+        let late = txns.begin();
+        as_txn(&mut e, late, |e| e.lob_append(lob, b"x")).expect("a later snapshot sees it");
+    }
+
+    /// The committed half of the rule lives in the chain, so it lasts as
+    /// long as a snapshot that predates the winner's commit pins the
+    /// vacuum horizon, and goes with the chain once the horizon passes it.
+    #[test]
+    fn a_committed_conflict_lasts_while_its_snapshot_pins_the_horizon() {
+        let mut e = StorageEngine::new(64);
+        let heap = e.create_heap().unwrap();
+        let rid = e.heap_insert(heap, row(1)).unwrap();
+        e.commit_txn(Snapshot::latest());
+        let txns = e.txn_manager();
+        let (old, a) = (txns.begin(), txns.begin());
+        as_txn(&mut e, a, |e| e.heap_update(heap, rid, row(2))).unwrap();
+        e.commit_txn(a);
+        let fresh = txns.begin();
+        e.vacuum();
+        assert_eq!(e.vacuum_horizon(), old.high, "old pins the horizon");
+        let (winner, _) = lost(as_txn(&mut e, old, |e| e.heap_update(heap, rid, row(3))));
+        assert_eq!(winner, a.txn, "the conflict survives a vacuum pass");
+        e.rollback_txn(old).unwrap();
+        e.vacuum();
+        assert!(e.mvcc_segment_stats().is_empty(), "the horizon passed a: its chain is gone");
+        assert_eq!(txns.status(a.txn), None, "and so is a's status");
+        as_txn(&mut e, fresh, |e| e.heap_update(heap, rid, row(3))).expect("no conflict left");
+        e.commit_txn(fresh);
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub mod wal;
 
 pub use buffer::{BufferCache, CacheStats};
 pub use engine::StorageEngine;
-pub use mvcc::{Snapshot, TxnManager, TxnStatus, WriteKey, WriteRef};
+pub use mvcc::{Snapshot, TxnManager, TxnStatus};
 pub use page::{SegmentId, PAGE_SIZE};
 pub use wal::{
     CommitBlob, DurableMedium, EngineSnapshot, RecoveryImage, WalRecord, WalStats,

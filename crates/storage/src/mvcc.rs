@@ -23,23 +23,26 @@
 //! writes), or `begin` committed with `csn <= s.high`. A version whose
 //! `end` stamp is visible has been superseded/deleted for that snapshot.
 //!
-//! **Conflicts** (first-writer-wins): writing a row whose in-place version
-//! belongs to another *active* transaction conflicts immediately (two
-//! uncommitted in-place versions cannot coexist in an overlay design);
-//! writing a row already committed by a transaction *newer than the
-//! writer's snapshot* conflicts either immediately (commit already
-//! happened) or at commit-time validation against the committed write set.
-//! The losing transaction is rolled back; [`Error::WriteConflict`] carries
-//! the winning transaction id and the contended key so the session can
-//! diagnose (and V$TRACE can record) exactly what collided.
+//! **Conflicts** (first-writer-wins) are decided once, when the write
+//! happens, from the version chain alone: the chain's writer stamps are
+//! the only per-write conflict record. A stamp contends with a write by
+//! `snap.txn` when its writer is another *active* transaction (two
+//! uncommitted in-place versions cannot coexist in an overlay design) or,
+//! with conflict checks on, one that committed after the writer's snapshot
+//! was taken. The losing write fails at once; since no two uncommitted
+//! writers ever hold one row, a commit has nothing left to lose and cannot
+//! fail. [`Error::WriteConflict`] carries the winning transaction id and
+//! the contended key so the session can diagnose (and V$TRACE can record)
+//! exactly what collided.
 //!
 //! **LOB conflicts are byte-range granular**: LOB-backed index stores (the
 //! chemistry cartridge's fingerprint file, §3.2.4) share one LOB across
-//! all rows, so whole-locator conflict keys would serialize all
-//! maintenance of one index. [`WriteKey::LobSpan`] records the written
-//! byte range instead; two transactions conflict only when their spans
-//! genuinely overlap. Whole-LOB operations (overwrite/free) use the
-//! [`WHOLE_LOB`] sentinel span and therefore conflict with everyone.
+//! all rows, so whole-locator conflicts would serialize all maintenance of
+//! one index. A LOB write contends with the LOB's allocation stamp and
+//! with the writer of every displaced span that overlaps its byte range;
+//! two transactions conflict only when their spans genuinely overlap.
+//! Whole-LOB operations (overwrite/free) use the [`WHOLE_LOB`] sentinel
+//! span and therefore conflict with everyone.
 //!
 //! **Vacuum horizon**: the manager tracks every active transaction's
 //! snapshot high; [`TxnManager::horizon`] is the minimum — the oldest CSN
@@ -100,52 +103,6 @@ pub enum TxnStatus {
     Aborted,
 }
 
-/// Identity of a written row for conflict detection: heap rows by rowid,
-/// IOT rows by key, LOB writes by byte range.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub enum WriteKey {
-    Rid(RowId),
-    Key(Key),
-    /// A byte range `[start, end)` of one LOB. Ranges from different
-    /// transactions conflict only when they overlap, so two sessions
-    /// maintaining the same LOB-backed index store proceed concurrently
-    /// unless they touch the same records. Whole-LOB operations use
-    /// `start = 0, end = WHOLE_LOB`.
-    LobSpan { lob: LobRef, start: u64, end: u64 },
-}
-
-impl WriteKey {
-    /// Whether two write keys contend: exact match for rows/keys, range
-    /// overlap for LOB spans of the same locator.
-    pub fn contends(&self, other: &WriteKey) -> bool {
-        match (self, other) {
-            (
-                WriteKey::LobSpan { lob: a, start: s1, end: e1 },
-                WriteKey::LobSpan { lob: b, start: s2, end: e2 },
-            ) => a == b && s1 < e2 && s2 < e1,
-            (a, b) => a == b,
-        }
-    }
-}
-
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct WriteRef {
-    pub seg: SegmentId,
-    pub key: WriteKey,
-}
-
-/// How a conflict names the contended write.
-impl std::fmt::Display for WriteRef {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.key {
-            WriteKey::Rid(rid) => write!(f, "heap rowid {rid} in {}", self.seg),
-            WriteKey::Key(key) => write!(f, "iot key {key} in {}", self.seg),
-            WriteKey::LobSpan { lob, end: WHOLE_LOB, .. } => write!(f, "{lob} (whole)"),
-            WriteKey::LobSpan { lob, start, end } => write!(f, "{lob} bytes [{start}, {end})"),
-        }
-    }
-}
-
 #[derive(Default)]
 struct TxnInner {
     next_txn: u64,
@@ -154,45 +111,16 @@ struct TxnInner {
     /// Snapshot high of every *active* transaction — the data behind
     /// [`TxnManager::horizon`]. Entries leave at commit/abort.
     snapshots: HashMap<u64, u64>,
-    /// Per-active-transaction write sets, validated at commit.
-    writes: HashMap<u64, Vec<WriteRef>>,
-    /// Committed write sets: row → (CSN, txn) of its latest committed
-    /// writer. Pruned incrementally once the CSN drops below the horizon
-    /// (no active or future snapshot can lose first-writer-wins to it).
-    committed: BTreeMap<WriteRef, (u64, u64)>,
 }
 
 impl TxnInner {
     fn horizon(&self) -> u64 {
         self.snapshots.values().copied().min().unwrap_or(self.next_csn)
     }
-
-    /// Latest committed writer contending with `wref`: exact lookup for
-    /// row/key writes, range-overlap scan for LOB spans.
-    fn committed_contender(&self, wref: &WriteRef) -> Option<(u64, u64, WriteRef)> {
-        match &wref.key {
-            WriteKey::LobSpan { lob, .. } => {
-                let lo = WriteRef {
-                    seg: wref.seg,
-                    key: WriteKey::LobSpan { lob: *lob, start: 0, end: 0 },
-                };
-                let hi = WriteRef {
-                    seg: wref.seg,
-                    key: WriteKey::LobSpan { lob: *lob, start: u64::MAX, end: u64::MAX },
-                };
-                self.committed
-                    .range(lo..=hi)
-                    .filter(|(k, _)| k.key.contends(&wref.key))
-                    .map(|(k, &(csn, txn))| (csn, txn, k.clone()))
-                    .max_by_key(|&(csn, _, _)| csn)
-            }
-            _ => self.committed.get(wref).map(|&(csn, txn)| (csn, txn, wref.clone())),
-        }
-    }
 }
 
 /// Hands out monotone transaction ids and snapshots, tracks commit/abort
-/// status, and runs first-writer-wins write-set validation.
+/// status, and holds the one first-writer-wins rule ([`Self::contender`]).
 #[derive(Default)]
 pub struct TxnManager {
     inner: Mutex<TxnInner>,
@@ -213,8 +141,8 @@ impl TxnManager {
     }
 
     /// Open the direct lane's explicit transaction (`BEGIN` on a bare
-    /// `Database`). It keeps id 0 — no snapshot, no write set, no stamps —
-    /// and is registered only so that this one registry answers "is a
+    /// `Database`). It keeps id 0 — no snapshot, no stamps — and is
+    /// registered only so that this one registry answers "is a
     /// transaction open" for every lane. [`Self::commit`] and
     /// [`Self::abort`] of id 0 just unregister it: a status left behind
     /// under the bootstrap stamp would read as every unchained row's.
@@ -261,98 +189,58 @@ impl TxnManager {
         self.inner.lock().horizon()
     }
 
-    /// Record a row write for commit-time validation.
-    pub fn record_write(&self, txn: u64, wref: WriteRef) {
-        if txn == 0 {
-            return;
+    /// The one first-writer-wins rule, for every write check (rows and
+    /// LOBs alike): of the writer stamps a chain holds on what `snap`'s
+    /// transaction is about to write, which one it loses to. A stamp
+    /// contends when it is neither 0 nor `snap.txn` and its writer is
+    /// active, or — with `committed` checks on — committed above
+    /// `snap.high`. The winner is an active stamp first, else the latest
+    /// committer: `(txn, None)` or `(txn, Some(csn))`. The direct lane
+    /// (transaction 0) contends with nothing.
+    pub(crate) fn contender(
+        &self,
+        snap: &Snapshot,
+        committed: bool,
+        stamps: impl IntoIterator<Item = u64>,
+    ) -> Option<(u64, Option<u64>)> {
+        if snap.txn == 0 {
+            return None;
         }
-        self.inner.lock().writes.entry(txn).or_default().push(wref);
-    }
-
-    /// Take back the writes a rollback to savepoint `mark` undid: the
-    /// engine records one write per undo entry, so a transaction's first
-    /// `mark` writes are the ones that stand. A write rolled back is no
-    /// write at all — left in the set, it would make a later writer of the
-    /// same rowid or key lose first-writer-wins to a transaction that never
-    /// wrote it.
-    pub(crate) fn truncate_writes(&self, txn: u64, mark: usize) {
-        if let Some(writes) = self.inner.lock().writes.get_mut(&txn) {
-            writes.truncate(mark);
-        }
-    }
-
-    /// The latest committed writer contending with `wref`, if any writer
-    /// committed since its entry was pruned: `(csn, txn)`.
-    pub fn committed_writer(&self, wref: &WriteRef) -> Option<(u64, u64)> {
-        self.inner
-            .lock()
-            .committed_contender(wref)
-            .map(|(csn, txn, _)| (csn, txn))
-    }
-
-    /// The committed half of every write check (rows and LOB spans alike):
-    /// `wref` conflicts when a contending write committed after `snap` was
-    /// taken — first-writer-wins caught at write time, not at commit.
-    pub(crate) fn check_committed(&self, wref: &WriteRef, snap: &Snapshot) -> Result<()> {
-        match self.committed_writer(wref) {
-            Some((csn, winner)) if csn > snap.high => {
-                let what = wref.to_string();
-                let detail = format!(
-                    "txn {}: {what} was written by txn {winner}, committed at csn {csn}, after this snapshot (high {})",
-                    snap.txn, snap.high
-                );
-                Err(Error::write_conflict(winner, what, detail))
+        let g = self.inner.lock();
+        let mut latest: Option<(u64, u64)> = None;
+        for stamp in stamps {
+            if stamp == 0 || stamp == snap.txn {
+                continue;
             }
-            _ => Ok(()),
+            match g.status.get(&stamp) {
+                Some(TxnStatus::Active) => return Some((stamp, None)),
+                Some(&TxnStatus::Committed(csn))
+                    if committed && csn > snap.high && latest.is_none_or(|(_, c)| csn > c) =>
+                {
+                    latest = Some((stamp, csn));
+                }
+                _ => {}
+            }
         }
+        latest.map(|(stamp, csn)| (stamp, Some(csn)))
     }
 
-    /// First-writer-wins commit: validate the write set against writers
-    /// that committed after the snapshot was taken, then assign a CSN.
-    /// `enforce = false` skips validation (the deliberate lost-update knob
-    /// the differential oracle uses to prove it can detect anomalies).
-    pub fn commit(&self, snap: &Snapshot, enforce: bool) -> Result<u64> {
+    /// Commit: assign the next CSN. It cannot fail — every conflict was
+    /// decided when the write happened.
+    pub fn commit(&self, snap: &Snapshot) -> u64 {
         let mut g = self.inner.lock();
         if snap.txn == 0 {
             g.status.remove(&0);
-            return Ok(g.next_csn);
-        }
-        let writes = g.writes.remove(&snap.txn).unwrap_or_default();
-        if enforce {
-            let conflict = writes.iter().find_map(|w| {
-                g.committed_contender(w).and_then(|(csn, txn, key)| {
-                    (csn > snap.high).then(|| {
-                        Error::write_conflict(
-                            txn,
-                            key.to_string(),
-                            format!(
-                                "txn {} lost first-writer-wins to txn {txn} on {key} \
-                                 (committed at csn {csn}, snapshot high {})",
-                                snap.txn, snap.high
-                            ),
-                        )
-                    })
-                })
-            });
-            if let Some(err) = conflict {
-                // Put the write set back: the caller rolls the transaction
-                // back, which consults nothing here, but abort() must
-                // still clear it.
-                g.writes.insert(snap.txn, writes);
-                return Err(err);
-            }
+            return g.next_csn;
         }
         g.next_csn += 1;
         let csn = g.next_csn;
         g.status.insert(snap.txn, TxnStatus::Committed(csn));
         g.snapshots.remove(&snap.txn);
-        for w in writes {
-            g.committed.insert(w, (csn, snap.txn));
-        }
-        Ok(csn)
+        csn
     }
 
-    /// Mark a transaction aborted and drop its write set.
+    /// Mark a transaction aborted.
     pub fn abort(&self, txn: u64) {
         let mut g = self.inner.lock();
         if txn == 0 {
@@ -361,7 +249,6 @@ impl TxnManager {
         }
         g.status.insert(txn, TxnStatus::Aborted);
         g.snapshots.remove(&txn);
-        g.writes.remove(&txn);
     }
 
     /// Number of transactions still active.
@@ -375,15 +262,24 @@ impl TxnManager {
     }
 
     /// Incremental history GC, paired with the engine's chain pruning:
-    /// drop committed write-set entries at `csn <= horizon` (no live or
-    /// future snapshot can lose validation to them) and transaction
-    /// statuses neither active nor referenced by a surviving chain stamp.
-    pub fn prune_history(&self, horizon: u64, referenced: &HashSet<u64>) {
+    /// drop transaction statuses neither active nor referenced by a
+    /// surviving chain stamp. A stamp no chain holds decides no visibility
+    /// and no conflict.
+    pub fn prune_history(&self, referenced: &HashSet<u64>) {
         let mut g = self.inner.lock();
         g.status
             .retain(|txn, s| matches!(s, TxnStatus::Active) || referenced.contains(txn));
-        g.committed.retain(|_, &mut (csn, _)| csn > horizon);
     }
+}
+
+/// The conflict a write by `snap` loses to txn `winner`, which wrote
+/// `what` and committed at `csn`, after the snapshot was taken.
+pub(crate) fn committed_conflict(snap: &Snapshot, winner: u64, csn: u64, what: String) -> Error {
+    let detail = format!(
+        "txn {}: {what} was written by txn {winner}, committed at csn {csn}, after this snapshot (high {})",
+        snap.txn, snap.high
+    );
+    Error::write_conflict(winner, what, detail)
 }
 
 /// The address of one row chain: a heap rowid or an IOT key.
@@ -394,11 +290,11 @@ pub(crate) enum RowKey<'a> {
 }
 
 impl RowKey<'_> {
-    /// The key this row's writes are validated under at commit.
-    pub(crate) fn write_key(self) -> WriteKey {
+    /// How a conflict names this row of `seg`.
+    pub(crate) fn label(self, seg: SegmentId) -> String {
         match self {
-            RowKey::Rid(rid) => WriteKey::Rid(rid),
-            RowKey::Key(key) => WriteKey::Key(key.clone()),
+            RowKey::Rid(rid) => format!("heap rowid {rid} in {seg}"),
+            RowKey::Key(key) => format!("iot key {key} in {seg}"),
         }
     }
 }
@@ -716,10 +612,8 @@ impl VersionStore {
     }
 
     /// The one write check, for a heap row or an IOT key alike, of a write
-    /// by `snap`'s transaction: another *active* transaction holding a
-    /// writer stamp on the row conflicts (overlay MVCC cannot hold two
-    /// uncommitted in-place versions), and with `committed` checks on so
-    /// does a write committed after `snap` ([`TxnManager::check_committed`]).
+    /// by `snap`'s transaction: [`TxnManager::contender`] over the row's
+    /// writer stamps.
     pub(crate) fn check_write(
         &self,
         txns: &TxnManager,
@@ -728,21 +622,17 @@ impl VersionStore {
         seg: SegmentId,
         key: RowKey,
     ) -> Result<()> {
-        let t = snap.txn;
-        if t == 0 {
+        let Some(chain) = self.chain(seg, key) else {
             return Ok(());
-        }
-        let wref = WriteRef { seg, key: key.write_key() };
-        let mut stamps = self.chain(seg, key).into_iter().flat_map(RowChain::writer_stamps);
-        if let Some(stamp) = stamps.find(|&s| s != 0 && s != t && txns.is_active(s)) {
-            let what = wref.to_string();
-            let detail = format!("txn {t}: {what} has an uncommitted version from txn {stamp}");
-            return Err(Error::write_conflict(stamp, what, detail));
-        }
-        if committed {
-            txns.check_committed(&wref, snap)
-        } else {
-            Ok(())
+        };
+        match txns.contender(snap, committed, chain.writer_stamps()) {
+            None => Ok(()),
+            Some((stamp, None)) => {
+                let (t, what) = (snap.txn, key.label(seg));
+                let detail = format!("txn {t}: {what} has an uncommitted version from txn {stamp}");
+                Err(Error::write_conflict(stamp, what, detail))
+            }
+            Some((winner, Some(csn))) => Err(committed_conflict(snap, winner, csn, key.label(seg))),
         }
     }
 
@@ -883,7 +773,7 @@ mod tests {
         assert!(!m.stamp_visible(s2.txn, &s1));
         assert!(m.stamp_visible(s1.txn, &s1), "own writes visible");
         assert!(m.stamp_visible(0, &s1), "bootstrap visible");
-        let csn = m.commit(&s2, true).unwrap();
+        let csn = m.commit(&s2);
         // s1 predates the commit: still invisible. A later snapshot sees it.
         assert!(!m.stamp_visible(s2.txn, &s1));
         let s3 = m.begin();
@@ -893,98 +783,18 @@ mod tests {
     }
 
     #[test]
-    fn first_writer_wins_validation() {
-        let m = TxnManager::default();
-        let a = m.begin();
-        let b = m.begin();
-        let row = WriteRef { seg: SegmentId(1), key: WriteKey::Rid(RowId::new(1, 0, 0)) };
-        m.record_write(a.txn, row.clone());
-        m.record_write(b.txn, row.clone());
-        m.commit(&a, true).unwrap();
-        let err = m.commit(&b, true).unwrap_err();
-        match &err {
-            Error::WriteConflict { other_txn, key, .. } => {
-                assert_eq!(*other_txn, a.txn, "conflict names the winning txn");
-                assert!(key.contains("rowid"), "conflict names the contended key: {key}");
-            }
-            other => panic!("expected WriteConflict, got {other}"),
-        }
-        // Unenforced, the same situation commits (lost update on purpose).
-        let c = m.begin();
-        m.record_write(c.txn, row.clone());
-        assert!(m.commit(&c, false).is_ok());
-    }
-
-    #[test]
-    fn lob_span_conflicts_are_range_granular() {
-        let m = TxnManager::default();
-        let seg = SegmentId(u32::MAX);
-        let lob = LobRef(7);
-        let span = |start, end| WriteRef { seg, key: WriteKey::LobSpan { lob, start, end } };
-        // a and b write disjoint ranges: both commit.
-        let a = m.begin();
-        let b = m.begin();
-        m.record_write(a.txn, span(0, 40));
-        m.record_write(b.txn, span(40, 80));
-        m.commit(&a, true).unwrap();
-        m.commit(&b, true).unwrap();
-        // c (snapshot predating both) overlapping b's range: conflict.
-        let c = m.begin();
-        let d = m.begin();
-        m.record_write(c.txn, span(72, 80));
-        m.record_write(d.txn, span(72, 80));
-        m.commit(&c, true).unwrap();
-        let err = m.commit(&d, true).unwrap_err();
-        assert!(matches!(err, Error::WriteConflict { other_txn, .. } if other_txn == c.txn));
-        // Whole-LOB span contends with everything on the locator.
-        let e = m.begin();
-        let f = m.begin();
-        m.record_write(e.txn, span(0, WHOLE_LOB));
-        m.record_write(f.txn, span(100, 108));
-        m.commit(&e, true).unwrap();
-        assert!(m.commit(&f, true).is_err());
-        // …but a different locator never contends.
-        let g = m.begin();
-        m.record_write(
-            g.txn,
-            WriteRef { seg, key: WriteKey::LobSpan { lob: LobRef(8), start: 0, end: 8 } },
-        );
-        m.commit(&g, true).unwrap();
-    }
-
-    #[test]
     fn horizon_tracks_oldest_active_snapshot() {
         let m = TxnManager::default();
         assert_eq!(m.horizon(), 0, "idle horizon = csn watermark");
         let a = m.begin();
         let b = m.begin();
-        m.commit(&b, true).unwrap(); // csn 1
+        m.commit(&b); // csn 1
         let c = m.begin(); // high = 1
         assert_eq!(m.horizon(), a.high, "oldest active snapshot pins the horizon");
-        m.commit(&a, true).unwrap(); // csn 2
+        m.commit(&a); // csn 2
         assert_eq!(m.horizon(), c.high);
         m.abort(c.txn);
         assert_eq!(m.horizon(), 2, "quiescent horizon returns to the watermark");
-    }
-
-    #[test]
-    fn prune_history_keeps_referenced_and_recent() {
-        let m = TxnManager::default();
-        let a = m.begin();
-        let b = m.begin();
-        let r1 = WriteRef { seg: SegmentId(1), key: WriteKey::Rid(RowId::new(1, 0, 0)) };
-        let r2 = WriteRef { seg: SegmentId(1), key: WriteKey::Rid(RowId::new(1, 0, 1)) };
-        m.record_write(a.txn, r1.clone());
-        m.record_write(b.txn, r2.clone());
-        let csn_a = m.commit(&a, true).unwrap();
-        m.commit(&b, true).unwrap();
-        // Horizon past a's commit but short of b's: a's entry prunes, b's stays.
-        let referenced = HashSet::from([b.txn]);
-        m.prune_history(csn_a, &referenced);
-        assert!(m.committed_writer(&r1).is_none(), "pruned below the horizon");
-        assert!(m.committed_writer(&r2).is_some(), "kept above the horizon");
-        assert!(m.status(a.txn).is_none(), "unreferenced status dropped");
-        assert_eq!(m.committed_csn(b.txn), Some(2), "referenced stamp still resolvable");
     }
 
     #[test]
@@ -1019,7 +829,7 @@ mod tests {
         let reader = m.begin();
         assert_eq!(resolve(&m, &chain, Some(&new), &reader), Some(&old));
         assert_eq!(resolve(&m, &chain, Some(&new), &a), Some(&new));
-        m.commit(&a, true).unwrap();
+        m.commit(&a);
         // Pre-commit reader still sees the old version; new readers the new.
         assert_eq!(resolve(&m, &chain, Some(&new), &reader), Some(&old));
         assert_eq!(resolve(&m, &chain, Some(&new), &Snapshot::latest()), Some(&new));
@@ -1072,7 +882,7 @@ mod tests {
             _ => panic!("expected patched image for pre-write reader"),
         }
         assert!(matches!(resolve_lob_image(&m, &chain, b"XYcd", &a), LobImage::Current));
-        m.commit(&a, true).unwrap();
+        m.commit(&a);
         assert!(matches!(
             resolve_lob_image(&m, &chain, b"XYcd", &Snapshot::latest()),
             LobImage::Current

@@ -8,7 +8,7 @@ use std::ops::Bound;
 use proptest::prelude::*;
 
 use extidx_common::{Key, Row, RowId, Value};
-use extidx_storage::{SegmentId, Snapshot, StorageEngine};
+use extidx_storage::{SegmentId, Snapshot, StorageEngine, TxnStatus};
 
 #[derive(Debug, Clone)]
 enum HeapOp {
@@ -352,12 +352,12 @@ proptest! {
         // Committed prefix on the direct lane, in A's key range.
         let mut base = TxnLane { snap: Snapshot::latest(), heap_live: Vec::new(), key_base: 0, lob };
         apply(&mut e, heap, iot, &mut base, &prefix);
-        e.commit_txn(Snapshot::latest()).unwrap();
+        e.commit_txn(Snapshot::latest());
         let committed = view(&e, heap, iot, &base);
 
         let mut ta = TxnLane { snap: txns.begin(), heap_live: base.heap_live.clone(), key_base: 0, lob };
         let b_lob = e.lob_allocate().unwrap();
-        e.commit_txn(Snapshot::latest()).unwrap();
+        e.commit_txn(Snapshot::latest());
         let mut tb = TxnLane { snap: txns.begin(), heap_live: Vec::new(), key_base: 1000, lob: b_lob };
 
         apply(&mut e, heap, iot, &mut ta, &a.0);
@@ -463,7 +463,7 @@ proptest! {
         for (k, v) in &prefix {
             e.iot_insert(seg, vec![Value::Integer(*k), Value::Integer(*v)]).unwrap();
         }
-        e.commit_txn(Snapshot::latest()).unwrap();
+        e.commit_txn(Snapshot::latest());
         let txns = e.txn_manager();
         let early_reader = txns.begin();
         let (ta, tb) = (txns.begin(), txns.begin());
@@ -559,10 +559,61 @@ fn arb_twin_ops() -> impl Strategy<Value = Vec<TwinOp>> {
     )
 }
 
-/// An open transaction of the twin stream and its savepoints.
+/// An open transaction of the twin stream: the ids it wrote, in order,
+/// and its savepoints as `(undo mark, ids written by then)`.
 struct TwinLane {
     snap: Snapshot,
-    marks: Vec<usize>,
+    writes: Vec<i64>,
+    marks: Vec<(usize, usize)>,
+}
+
+/// The test's own first-writer-wins: every id's writers, each a
+/// transaction with its commit csn, or `None` while it is active.
+#[derive(Default)]
+struct FwwModel {
+    writers: BTreeMap<i64, Vec<(u64, Option<u64>)>>,
+}
+
+impl FwwModel {
+    /// Whom a write of `id` by `snap` loses to: another transaction with
+    /// an active write of it, else the latest writer that committed after
+    /// `snap` was taken.
+    fn winner(&self, id: i64, snap: &Snapshot) -> Option<u64> {
+        let others = self.writers.get(&id).into_iter().flatten().filter(|w| w.0 != snap.txn);
+        let mut committed = None;
+        for &(txn, csn) in others {
+            match csn {
+                None => return Some(txn),
+                Some(csn) if csn > snap.high => committed = committed.max(Some((csn, txn))),
+                Some(_) => {}
+            }
+        }
+        committed.map(|(_, txn)| txn)
+    }
+
+    fn wrote(&mut self, id: i64, txn: u64) {
+        let ws = self.writers.entry(id).or_default();
+        if !ws.contains(&(txn, None)) {
+            ws.push((txn, None));
+        }
+    }
+
+    /// `txn` ended: committed at `csn`, or (`None`) rolled back.
+    fn ended(&mut self, txn: u64, csn: Option<u64>) {
+        for ws in self.writers.values_mut() {
+            match csn {
+                Some(csn) => ws.iter_mut().filter(|w| w.0 == txn).for_each(|w| w.1 = Some(csn)),
+                None => ws.retain(|w| w.0 != txn),
+            }
+        }
+    }
+
+    /// A savepoint rollback left `txn` with only the writes in `kept`.
+    fn rolled_back(&mut self, txn: u64, kept: &[i64]) {
+        for (id, ws) in self.writers.iter_mut() {
+            ws.retain(|w| w.0 != txn || kept.contains(id));
+        }
+    }
 }
 
 /// The `(rowid, id, value)` of every heap row `snap` sees.
@@ -599,11 +650,20 @@ fn outcome<T>(r: extidx_common::Result<T>) -> Result<Option<u64>, String> {
     }
 }
 
-/// End a transaction; a commit that loses validation is rolled back.
-fn end_twin_txn(e: &mut StorageEngine, snap: Snapshot, commit: bool) {
-    if !commit || outcome(e.commit_txn(snap)).unwrap().is_some() {
+/// End a transaction and tell the model. A commit never loses: it hands
+/// back the csn the registry records the transaction committed at.
+fn end_twin_txn(e: &mut StorageEngine, model: &mut FwwModel, snap: Snapshot, commit: bool) {
+    let csn = if commit {
+        let csn = e.commit_txn(snap);
+        let status = e.txn_manager().status(snap.txn);
+        assert_eq!(status, Some(TxnStatus::Committed(csn)), "the commit of {snap:?} lost");
+        assert!(csn > snap.high, "{snap:?} committed at csn {csn}, inside its own snapshot");
+        Some(csn)
+    } else {
         e.rollback_txn(snap).unwrap();
-    }
+        None
+    };
+    model.ended(snap.txn, csn);
 }
 
 /// Invariants between steps: every live snapshot sees the same rows in
@@ -632,9 +692,11 @@ proptest! {
     /// commits, aborts, savepoint rollbacks and vacuums — applied to a heap
     /// and to an IOT keyed by `id` leaves both segments alike. At every
     /// step each live snapshot sees the same `(id, value)` multiset in
-    /// both, the same writes lose `WriteConflict` to the same transaction,
-    /// `build_snapshot` refuses or accepts alike, and after every vacuum
-    /// `segment_settled` agrees (and holds at quiescence).
+    /// both, every write wins or loses `WriteConflict` to the transaction
+    /// the reference model of first-writer-wins ([`FwwModel`]) names, in
+    /// both segments, no commit loses, `build_snapshot` refuses or accepts
+    /// alike, and after every vacuum `segment_settled` agrees (and holds
+    /// at quiescence).
     #[test]
     fn heap_and_iot_share_one_row_version(
         prefix in prop::collection::vec(any::<i64>(), 0..12),
@@ -651,8 +713,9 @@ proptest! {
             e.iot_insert(iot, twin_row(next_id, v)).unwrap();
             next_id += 1;
         }
-        e.commit_txn(Snapshot::latest()).unwrap();
+        e.commit_txn(Snapshot::latest());
 
+        let mut model = FwwModel::default();
         let mut lanes: Vec<Option<TwinLane>> = (0..TWIN_LANES).map(|_| None).collect();
         for op in ops {
             match op {
@@ -661,43 +724,52 @@ proptest! {
                     let snap = lanes[l].as_ref().map_or_else(|| txns.begin(), |lane| lane.snap);
                     let seen = twin_heap(&e, heap, &snap);
                     e.set_current_txn(snap);
-                    let (h, i) = match op {
+                    let (id, h, i) = match op {
                         TwinOp::Insert(_, v) => {
                             let row = twin_row(next_id, v);
                             next_id += 1;
                             let h = outcome(e.heap_insert(heap, row.clone()));
-                            (h, outcome(e.iot_insert(iot, row)))
+                            (Some(next_id - 1), h, outcome(e.iot_insert(iot, row)))
                         }
                         TwinOp::Update(_, pick, v) if !seen.is_empty() => {
                             let (rid, id, _) = seen[pick % seen.len()];
                             let row = twin_row(id, v);
                             let h = outcome(e.heap_update(heap, rid, row.clone()));
-                            (h, outcome(e.iot_upsert(iot, row)))
+                            (Some(id), h, outcome(e.iot_upsert(iot, row)))
                         }
                         TwinOp::Delete(_, pick) if !seen.is_empty() => {
                             let (rid, id, _) = seen[pick % seen.len()];
                             let key = Key::single(Value::Integer(id));
                             let h = outcome(e.heap_delete(heap, rid));
-                            (h, outcome(e.iot_delete(iot, &key)))
+                            (Some(id), h, outcome(e.iot_delete(iot, &key)))
                         }
-                        _ => (Ok(None), Ok(None)),
+                        _ => (None, Ok(None), Ok(None)),
                     };
                     e.set_current_txn(Snapshot::latest());
                     prop_assert!(h.is_ok(), "heap write failed: {:?}", h);
                     prop_assert_eq!(&h, &i, "{:?}: heap and IOT write outcomes differ", op);
+                    let expected = id.and_then(|id| model.winner(id, &snap));
+                    prop_assert_eq!(&h, &Ok(expected), "{:?} by {:?}: not the model's", op, snap);
+                    if let (Some(id), Ok(None)) = (id, &h) {
+                        model.wrote(id, snap.txn);
+                        if let Some(lane) = &mut lanes[l] {
+                            lane.writes.push(id);
+                        }
+                    }
                     if auto {
-                        end_twin_txn(&mut e, snap, h == Ok(None));
+                        end_twin_txn(&mut e, &mut model, snap, h == Ok(None));
                     }
                 }
                 TwinOp::Begin(l) => {
                     if lanes[l].is_none() {
-                        lanes[l] = Some(TwinLane { snap: txns.begin(), marks: Vec::new() });
+                        let snap = txns.begin();
+                        lanes[l] = Some(TwinLane { snap, writes: Vec::new(), marks: Vec::new() });
                     }
                 }
                 TwinOp::Savepoint(l) => {
                     if let Some(lane) = &mut lanes[l] {
                         e.set_current_txn(lane.snap);
-                        lane.marks.push(e.undo_mark());
+                        lane.marks.push((e.undo_mark(), lane.writes.len()));
                         e.set_current_txn(Snapshot::latest());
                     }
                 }
@@ -705,14 +777,18 @@ proptest! {
                     if let Some(lane) = lanes[l].as_mut().filter(|lane| !lane.marks.is_empty()) {
                         let keep = pick % lane.marks.len() + 1;
                         lane.marks.truncate(keep);
+                        let (mark, written) = lane.marks[keep - 1];
                         e.set_current_txn(lane.snap);
-                        e.rollback_to(lane.marks[keep - 1]).unwrap();
+                        e.rollback_to(mark).unwrap();
                         e.set_current_txn(Snapshot::latest());
+                        lane.writes.truncate(written);
+                        model.rolled_back(lane.snap.txn, &lane.writes);
                     }
                 }
                 TwinOp::Commit(l) | TwinOp::Abort(l) => {
                     if let Some(lane) = lanes[l].take() {
-                        end_twin_txn(&mut e, lane.snap, matches!(op, TwinOp::Commit(_)));
+                        let commit = matches!(op, TwinOp::Commit(_));
+                        end_twin_txn(&mut e, &mut model, lane.snap, commit);
                     }
                 }
                 TwinOp::Vacuum => {
@@ -728,7 +804,7 @@ proptest! {
         }
 
         for lane in lanes.iter_mut().filter_map(Option::take) {
-            end_twin_txn(&mut e, lane.snap, true);
+            end_twin_txn(&mut e, &mut model, lane.snap, true);
         }
         e.vacuum();
         prop_assert!(e.segment_settled(heap) && e.segment_settled(iot), "unsettled at quiescence");

@@ -135,6 +135,19 @@ MVCC_SEED="${MVCC_SEED:-1}" \
     cargo test -q --test mvcc_differential -- --include-ignored
 cargo test -q --test mvcc_visibility
 cargo test -q --test recovery in_flight
+# First-writer-wins decided once, at write time, from the version chain
+# (DESIGN.md §4j "Write conflicts"): the engine-level conflict tests (a
+# second writer loses to an active or later-committed first one, checks
+# off let it through, LOB spans conflict by byte range and by allocation,
+# a committed conflict lasts exactly as long as its snapshot pins the
+# horizon, a rolled-back write wins nothing), then the heap = IOT property
+# against its reference model of the rule, at 512 cases.
+cargo test -q -p extidx-storage --lib -- second_writer_loses_at_write_time \
+    lob_span_conflicts_are_range_granular a_lob_allocated_after_the_snapshot_loses \
+    a_committed_conflict_lasts_while_its_snapshot_pins_the_horizon \
+    a_rolled_back_write_wins_no_conflict
+PROPTEST_CASES=512 cargo test -q -p extidx-storage --test properties \
+    heap_and_iot_share_one_row_version
 
 # Incremental vacuum + sub-LOB conflict granularity: the no-quiescence
 # soak (chains bounded, drained after the last commit), the
@@ -230,6 +243,20 @@ if grep -rnE "stmt_undo|txn_undo|stmt_created|stmt_maint|stmt_pending" crates/sq
     exit 1
 fi
 if grep -rnE "WalRecord::(CreateHeap|CreateIot|HeapInsert|IotInsert|IotUpsert|LobAllocate)\b" crates; then
+    exit 1
+fi
+
+# One conflict decision (DESIGN.md §4j "Write conflicts"): the version
+# chain is the only per-write conflict record, so the per-transaction write
+# sets, the committed-writes map and the commit-time replay stay deleted,
+# and the transaction registry holds only ids, csns, statuses and snapshot
+# highs.
+echo "== one conflict decision (structural guard) =="
+if grep -rnE "record_write|truncate_writes|committed_contender|committed_writer|check_committed" \
+    crates/storage/src; then
+    exit 1
+fi
+if awk '/^struct TxnInner/,/^}/' crates/storage/src/mvcc.rs | grep -nE "^ *(pub )?(writes|committed):"; then
     exit 1
 fi
 
