@@ -1,14 +1,19 @@
 //! The storage engine façade.
 //!
 //! [`StorageEngine`] owns every segment (heap tables, IOTs, the LOB
-//! segment) plus the buffer cache, the undo machinery, and the *external*
-//! file store. All mutating access flows through it so that:
+//! segment) as one [`Segments`], plus the buffer cache, the undo machinery,
+//! and the *external* file store. All mutating access flows through it so
+//! that:
 //!
-//! 1. every page touch is charged to the [`BufferCache`],
-//! 2. every database-resident mutation is recorded in the undo log of
+//! 1. every segment change is one [`WalRecord`], logged (when durability
+//!    is on) and then applied by [`Segments::apply`] — the apply redo uses
+//!    too, so a recovered image is the live one; forward writes and
+//!    rollback compensations alike go through `log_apply`,
+//! 2. every page touch is charged to the [`BufferCache`],
+//! 3. every database-resident mutation is recorded in the undo log of
 //!    the transaction driving it — the engine keeps the logs, callers
 //!    hold savepoint marks ([`StorageEngine::undo_mark`]),
-//! 3. external-file operations are *not* recorded — reproducing the
+//! 4. external-file operations are *not* recorded — reproducing the
 //!    paper's §5 transactional limitation for outside-the-database index
 //!    data.
 //!
@@ -16,7 +21,9 @@
 //! and stamps it into [`VersionStore`] (one chain type, one write check,
 //! one rollback pop and one prune rule for heap and IOT rows alike), and
 //! every read — heap, IOT and LOB — resolves what its `&Snapshot` sees
-//! through that store.
+//! through that store. The one write applied late is a versioned heap
+//! delete: logged when it runs, applied by the vacuum pass once no
+//! snapshot can see the row.
 
 use std::collections::HashMap;
 use std::ops::Bound;
@@ -27,15 +34,14 @@ use extidx_common::{Error, Key, LobRef, Result, Row, RowId};
 use crate::buffer::{BufferCache, CacheStats};
 use crate::file_store::FileStore;
 use crate::heap::HeapTable;
-use crate::lob::LobStore;
-use crate::iot::{IndexOrganizedTable, IotIoCharge};
+use crate::iot::IndexOrganizedTable;
 use crate::mvcc::{
     self, LobChain, LobImage, LobSpanVersion, RowChain, RowKey, Snapshot, TxnManager,
     VersionStore, WHOLE_LOB,
 };
-use crate::page::{SegmentId, PAGE_SIZE};
+use crate::page::{IoCharge, SegmentId, PAGE_SIZE};
 use crate::undo::{UndoLog, UndoOp};
-use crate::wal::{DurableMedium, EngineSnapshot, WalRecord};
+use crate::wal::{Applied, DurableMedium, Segments, WalRecord};
 
 /// Synthetic segment id under which LOB pages are charged to the cache.
 const LOB_SEGMENT: SegmentId = SegmentId(u32::MAX);
@@ -59,14 +65,12 @@ pub struct VacuumStats {
 /// The storage engine: all segments plus cache, undo, and external files.
 pub struct StorageEngine {
     cache: BufferCache,
-    heaps: HashMap<SegmentId, HeapTable>,
-    iots: HashMap<SegmentId, IndexOrganizedTable>,
-    lobs: LobStore,
+    /// Every heap, IOT and LOB, changed only through [`Segments::apply`].
+    segs: Segments,
     files: FileStore,
-    next_segment: u32,
-    /// When attached, every mutation appends a redo record here *before*
-    /// applying (write-ahead rule) and external-file ops write through to
-    /// the medium's file mirror.
+    /// When attached, every applied record is appended here *before* it
+    /// is applied (write-ahead rule) and external-file ops write through
+    /// to the medium's file mirror.
     wal: Option<DurableMedium>,
     /// Transaction manager shared with every session of the database.
     txns: Arc<TxnManager>,
@@ -97,11 +101,8 @@ impl StorageEngine {
     pub fn new(cache_pages: usize) -> Self {
         StorageEngine {
             cache: BufferCache::new(cache_pages),
-            heaps: HashMap::new(),
-            iots: HashMap::new(),
-            lobs: LobStore::new(),
+            segs: Segments { next_segment: 1, ..Segments::default() },
             files: FileStore::new(),
-            next_segment: 1,
             wal: None,
             txns: Arc::new(TxnManager::default()),
             undo: HashMap::new(),
@@ -235,13 +236,13 @@ impl StorageEngine {
         reclaim.sort_by_key(|&(s, r)| (s.0, r.page, r.slot));
         let mut touched: Vec<SegmentId> = Vec::new();
         for (seg, rid) in reclaim {
-            if let Some(h) = self.heaps.get_mut(&seg) {
-                if h.delete(rid).is_ok() {
-                    self.vacuum_stats.slots_reclaimed += 1;
-                    self.cache.write((seg, rid.page));
-                    if !touched.contains(&seg) {
-                        touched.push(seg);
-                    }
+            // The deferred delete logged its record when it ran; this is
+            // its apply, which redo makes at the delete's commit.
+            if self.segs.apply(WalRecord::HeapDelete { seg, rid }).is_ok() {
+                self.vacuum_stats.slots_reclaimed += 1;
+                self.cache.write((seg, rid.page));
+                if !touched.contains(&seg) {
+                    touched.push(seg);
                 }
             }
         }
@@ -347,34 +348,18 @@ impl StorageEngine {
         }
     }
 
-    /// MVCC bookkeeping before a LOB mutation of `len` bytes at `start`
-    /// (`WHOLE_LOB` = whole-locator): displace the before-image of exactly
-    /// that byte range into the version chain, where it is also the
-    /// write's conflict record. No-op on the legacy lane.
-    fn displace_lob_span(&mut self, lob: LobRef, start: u64, len: u64) {
+    /// MVCC bookkeeping of a LOB write of `len` bytes at `start`
+    /// (`WHOLE_LOB` = whole-locator): keep `old`, the before-image of
+    /// exactly that byte range (the one the undo entry holds), in the
+    /// version chain, where it is also the write's conflict record. No-op
+    /// on the direct lane.
+    fn displace_lob_span(&mut self, lob: LobRef, start: u64, len: u64, old: &[u8]) {
         let t = self.current.txn;
         if t == 0 {
             return;
         }
-        let old = if len == WHOLE_LOB {
-            self.lobs.read_all(lob).map(|(b, _)| b).unwrap_or_default()
-        } else {
-            let cur = self.lobs.length(lob).unwrap_or(0);
-            let end = start.saturating_add(len).min(cur);
-            if start < end {
-                self.lobs.read(lob, start, (end - start) as usize).map(|(b, _)| b).unwrap_or_default()
-            } else {
-                Vec::new()
-            }
-        };
         let chain = self.versions.lobs.entry(lob).or_default();
-        chain.spans.insert(0, LobSpanVersion { start, len, old, by: t });
-    }
-
-    fn alloc_segment(&mut self) -> SegmentId {
-        let id = SegmentId(self.next_segment);
-        self.next_segment += 1;
-        id
+        chain.spans.insert(0, LobSpanVersion { start, len, old: old.to_vec(), by: t });
     }
 
     // ----- write-ahead logging ---------------------------------------------
@@ -389,13 +374,23 @@ impl StorageEngine {
         self.wal.as_ref()
     }
 
-    fn wal_append(&self, rec: WalRecord) -> Result<()> {
+    /// Append `rec` to the WAL under the driving transaction, which lets
+    /// recovery replay whole-transaction groups in commit order. The record
+    /// is copied only when durability is on.
+    fn wal_append(&self, rec: &WalRecord) -> Result<()> {
         match &self.wal {
-            // Tag every record with the driving transaction so recovery can
-            // replay whole-transaction groups in commit order.
-            Some(w) => w.append_txn(self.current.txn, rec),
+            Some(w) => w.append_txn(self.current.txn, rec.clone()),
             None => Ok(()),
         }
+    }
+
+    /// The write-ahead hook: log `rec`, then apply it. Every change the
+    /// engine makes to a heap, an IOT or a LOB goes through here, except
+    /// the vacuum's apply of a deferred heap delete, which was logged when
+    /// the delete ran.
+    fn log_apply(&mut self, rec: WalRecord) -> Result<Applied> {
+        self.wal_append(&rec)?;
+        self.segs.apply(rec)
     }
 
     fn wal_applied(&self) -> Result<()> {
@@ -405,27 +400,19 @@ impl StorageEngine {
         }
     }
 
-    /// Deep copy of every segment: the first image of an empty durable
-    /// medium. Every later checkpoint folds WAL records into that image
-    /// instead of copying the engine again.
-    pub fn snapshot(&self) -> EngineSnapshot {
-        EngineSnapshot {
-            heaps: self.heaps.clone(),
-            iots: self.iots.clone(),
-            lobs: self.lobs.clone(),
-            next_segment: self.next_segment,
-        }
+    /// Copy of every segment: the first image of an empty durable medium.
+    /// Every later checkpoint folds WAL records into that image instead of
+    /// copying the engine again.
+    pub fn snapshot(&self) -> Segments {
+        self.segs.clone()
     }
 
     /// Replace every segment from a recovered image. The buffer cache
     /// comes up cold, as it would after a real restart; the image holds
     /// committed state only, so no version chain comes with it.
-    pub fn restore_snapshot(&mut self, snap: EngineSnapshot) {
+    pub fn restore_snapshot(&mut self, segs: Segments) {
         self.cache.invalidate_all();
-        self.heaps = snap.heaps;
-        self.iots = snap.iots;
-        self.lobs = snap.lobs;
-        self.next_segment = snap.next_segment;
+        self.segs = segs;
         self.versions = VersionStore::default();
         self.current = Snapshot::latest();
     }
@@ -441,9 +428,9 @@ impl StorageEngine {
     /// displaced rows are re-widened in so the superset invariant covers
     /// versions a snapshot may still resolve to.
     pub fn rebuild_all_zone_maps(&mut self) {
-        let segs: Vec<SegmentId> = self.heaps.keys().copied().collect();
+        let segs: Vec<SegmentId> = self.segs.heaps.keys().copied().collect();
         for seg in segs {
-            self.heaps.get_mut(&seg).expect("listed above").rebuild_zone_maps();
+            self.segs.heaps.get_mut(&seg).expect("listed above").rebuild_zone_maps();
             self.widen_zones_with_chains(seg);
         }
     }
@@ -454,7 +441,7 @@ impl StorageEngine {
     /// only if no physical row *and no displaced version* on it can
     /// match. Widen-only — bounds never tighten here.
     fn widen_zones_with_chains(&mut self, seg: SegmentId) {
-        let Some(h) = self.heaps.get_mut(&seg) else { return };
+        let Some(h) = self.segs.heaps.get_mut(&seg) else { return };
         for (rid, row) in self.versions.displaced(seg) {
             h.widen_page_zone(rid.page, row);
         }
@@ -467,9 +454,8 @@ impl StorageEngine {
     /// order than live execution, so allocations must not depend on replay
     /// order.
     pub fn create_heap(&mut self) -> Result<SegmentId> {
-        self.wal_append(WalRecord::CreateHeapAt { seg: SegmentId(self.next_segment) })?;
-        let seg = self.alloc_segment();
-        self.heaps.insert(seg, HeapTable::new(seg));
+        let seg = SegmentId(self.segs.next_segment);
+        self.log_apply(WalRecord::CreateHeapAt { seg })?;
         self.wal_applied()?;
         Ok(seg)
     }
@@ -477,24 +463,26 @@ impl StorageEngine {
     /// Create an index-organized segment keyed on the first `key_cols`
     /// row columns.
     pub fn create_iot(&mut self, key_cols: usize) -> Result<SegmentId> {
-        self.wal_append(WalRecord::CreateIotAt {
-            seg: SegmentId(self.next_segment),
-            key_cols,
-        })?;
-        let seg = self.alloc_segment();
-        self.iots.insert(seg, IndexOrganizedTable::new(seg, key_cols));
+        let seg = SegmentId(self.segs.next_segment);
+        self.log_apply(WalRecord::CreateIotAt { seg, key_cols })?;
         self.wal_applied()?;
         Ok(seg)
     }
 
+    /// `Ok` when `seg` is a heap or an IOT: DDL on a missing segment logs
+    /// nothing.
+    fn has_segment(&self, seg: SegmentId) -> Result<()> {
+        if self.segs.heaps.contains_key(&seg) || self.segs.iots.contains_key(&seg) {
+            Ok(())
+        } else {
+            Err(Error::Storage(format!("{seg}: no such segment")))
+        }
+    }
+
     /// Drop any segment; its cached pages are discarded.
     pub fn drop_segment(&mut self, seg: SegmentId) -> Result<()> {
-        if !self.heaps.contains_key(&seg) && !self.iots.contains_key(&seg) {
-            return Err(Error::Storage(format!("{seg}: no such segment")));
-        }
-        self.wal_append(WalRecord::DropSegment { seg })?;
-        self.heaps.remove(&seg);
-        self.iots.remove(&seg);
+        self.has_segment(seg)?;
+        self.log_apply(WalRecord::DropSegment { seg })?;
         self.versions.forget_segment(seg);
         self.cache.discard_segment(seg);
         self.wal_applied()
@@ -503,16 +491,8 @@ impl StorageEngine {
     /// Truncate a segment in place (non-transactional, like Oracle
     /// TRUNCATE: it is DDL and cannot be rolled back).
     pub fn truncate_segment(&mut self, seg: SegmentId) -> Result<()> {
-        if self.heaps.contains_key(&seg) || self.iots.contains_key(&seg) {
-            self.wal_append(WalRecord::TruncateSegment { seg })?;
-        }
-        if let Some(h) = self.heaps.get_mut(&seg) {
-            h.truncate();
-        } else if let Some(t) = self.iots.get_mut(&seg) {
-            t.truncate();
-        } else {
-            return Err(Error::Storage(format!("{seg}: no such segment")));
-        }
+        self.has_segment(seg)?;
+        self.log_apply(WalRecord::TruncateSegment { seg })?;
         self.versions.forget_segment(seg);
         self.cache.discard_segment(seg);
         self.wal_applied()
@@ -523,14 +503,16 @@ impl StorageEngine {
     /// Borrow a heap segment for its shape metadata (`row_count`,
     /// `page_count`). Rows are read through the snapshot reads below.
     pub fn heap(&self, seg: SegmentId) -> Result<&HeapTable> {
-        self.heaps.get(&seg).ok_or_else(|| Error::Storage(format!("{seg}: no such heap segment")))
+        let found = self.segs.heaps.get(&seg);
+        found.ok_or_else(|| Error::Storage(format!("{seg}: no such heap segment")))
     }
 
     /// Borrow an IOT segment for its shape metadata (`row_count`,
     /// `page_count`, `height`). Rows are read through the snapshot reads
     /// below.
     pub fn iot(&self, seg: SegmentId) -> Result<&IndexOrganizedTable> {
-        self.iots.get(&seg).ok_or_else(|| Error::Storage(format!("{seg}: no such IOT segment")))
+        let found = self.segs.iots.get(&seg);
+        found.ok_or_else(|| Error::Storage(format!("{seg}: no such IOT segment")))
     }
 
     /// The buffer cache (for stats snapshots and cold-start simulation).
@@ -550,7 +532,7 @@ impl StorageEngine {
         lo: Option<&extidx_common::Value>,
         hi: Option<&extidx_common::Value>,
     ) -> bool {
-        self.heaps.get(&seg).is_some_and(|h| h.zone_excludes(page, col, lo, hi))
+        self.segs.heaps.get(&seg).is_some_and(|h| h.zone_excludes(page, col, lo, hi))
     }
 
     /// Snapshot of cache statistics.
@@ -560,37 +542,27 @@ impl StorageEngine {
 
     // ----- heap mutations ----------------------------------------------------
 
-    /// Insert a row into a heap segment. The WAL record names the rowid
-    /// the insert will land on (peeked before the apply) so commit-order
-    /// replay reproduces live placement exactly.
+    /// Insert a row into a heap segment, at the rowid the heap peeks; the
+    /// WAL record names it, so commit-order replay reproduces live
+    /// placement exactly.
     pub fn heap_insert(&mut self, seg: SegmentId, row: Row) -> Result<RowId> {
-        let Some(h) = self.heaps.get(&seg) else {
-            return Err(Error::Storage(format!("{seg}: no such heap segment")));
-        };
-        let rid = h.peek_insert_rid(&row);
-        self.wal_append(WalRecord::HeapInsertAt { seg, rid, row: row.clone() })?;
-        let h = self.heaps.get_mut(&seg).expect("existence checked above");
-        let (inserted, page) = h.insert(row);
-        debug_assert_eq!(inserted, rid, "peeked rowid must match actual placement");
-        self.cache.write((seg, page));
+        let rid = self.heap(seg)?.peek_insert_rid(&row);
+        self.log_apply(WalRecord::HeapInsertAt { seg, rid, row })?;
+        self.cache.write((seg, rid.page));
         let t = self.current.txn;
-        self.versions.edit(seg, RowKey::Rid(inserted), t, |c| c.write(t, None, false));
-        self.record(UndoOp::HeapInsert { seg, rid: inserted });
+        self.versions.edit(seg, RowKey::Rid(rid), t, |c| c.write(t, None, false));
+        self.record(UndoOp::HeapInsert { seg, rid });
         self.wal_applied()?;
-        Ok(inserted)
+        Ok(rid)
     }
 
     /// Update a row in place; returns the old image. Under a transaction
     /// the displaced image is pushed onto the row's version chain so
     /// concurrent snapshots keep seeing it.
     pub fn heap_update(&mut self, seg: SegmentId, rid: RowId, new_row: Row) -> Result<Row> {
-        if !self.heaps.contains_key(&seg) {
-            return Err(Error::Storage(format!("{seg}: no such heap segment")));
-        }
+        self.heap(seg)?;
         self.check_write(seg, RowKey::Rid(rid))?;
-        self.wal_append(WalRecord::HeapUpdate { seg, rid, row: new_row.clone() })?;
-        let h = self.heaps.get_mut(&seg).expect("existence checked above");
-        let old = h.update(rid, new_row)?;
+        let old = self.log_apply(WalRecord::HeapUpdate { seg, rid, row: new_row })?.old_row();
         self.cache.write((seg, rid.page));
         let t = self.current.txn;
         self.versions.edit(seg, RowKey::Rid(rid), t, |c| c.write(t, Some((&old, 0)), false));
@@ -603,34 +575,28 @@ impl StorageEngine {
     /// is *deferred*: the chain marks the in-place version dead and the
     /// physical slot survives until vacuum, so the rowid is never recycled
     /// while a snapshot can still see the row. (Replay applies the delete
-    /// physically — by then the commit is durable and unconditional.)
+    /// at its commit — by then it is durable and unconditional.)
     pub fn heap_delete(&mut self, seg: SegmentId, rid: RowId) -> Result<Row> {
-        if !self.heaps.contains_key(&seg) {
-            return Err(Error::Storage(format!("{seg}: no such heap segment")));
-        }
+        self.heap(seg)?;
         self.check_write(seg, RowKey::Rid(rid))?;
         let t = self.current.txn;
-        if t != 0 {
-            // Validate before logging: replay applies the delete physically
-            // and unconditionally, so a record must only exist for deletes
-            // that succeed live.
-            let h = self.heaps.get(&seg).expect("existence checked above");
-            h.fetch(rid)?;
-            if self.versions.chain(seg, RowKey::Rid(rid)).is_some_and(|c| c.dead.is_some()) {
-                return Err(Error::Storage(format!("{rid}: row already deleted")));
-            }
-        }
-        self.wal_append(WalRecord::HeapDelete { seg, rid })?;
+        let rec = WalRecord::HeapDelete { seg, rid };
         let old = if t == 0 {
-            let h = self.heaps.get_mut(&seg).expect("existence checked above");
-            let old = h.delete(rid)?;
+            let old = self.log_apply(rec)?.old_row();
             // A delete that emptied the page rebuilt its zone entry
             // exactly; re-cover chain-held displaced rows.
             self.widen_zones_with_chains(seg);
             old
         } else {
-            let h = self.heaps.get(&seg).expect("existence checked above");
-            let old = h.fetch(rid)?.clone();
+            // Logged now, applied by the vacuum pass: one of the two
+            // records the engine logs without applying. Validate first —
+            // replay applies the delete unconditionally, so a record must
+            // only exist for a delete that succeeds live.
+            let old = self.heap(seg)?.fetch(rid)?.clone();
+            if self.versions.chain(seg, RowKey::Rid(rid)).is_some_and(|c| c.dead.is_some()) {
+                return Err(Error::Storage(format!("{rid}: row already deleted")));
+            }
+            self.wal_append(&rec)?;
             self.versions.edit(seg, RowKey::Rid(rid), t, |c| c.dead = Some(t));
             old
         };
@@ -642,13 +608,7 @@ impl StorageEngine {
 
     // ----- IOT mutations -------------------------------------------------------
 
-    fn iot_mut(&mut self, seg: SegmentId) -> Result<&mut IndexOrganizedTable> {
-        self.iots
-            .get_mut(&seg)
-            .ok_or_else(|| Error::Storage(format!("{seg}: no such IOT segment")))
-    }
-
-    fn charge_iot(&self, seg: SegmentId, charge: IotIoCharge, base_page: u32) {
+    fn charge_iot(&self, seg: SegmentId, charge: IoCharge, base_page: u32) {
         // Model: reads touch pages descending from the root; writes dirty
         // the leaf. Page numbers are synthetic but stable enough for LRU
         // behaviour (root pages stay hot, leaves cycle).
@@ -663,7 +623,7 @@ impl StorageEngine {
     fn iot_leaf_page_for(&self, seg: SegmentId, key: &Key) -> u32 {
         // Stable leaf-page number derived from the key so repeated probes
         // of the same key hit the same cache page.
-        let pages = self.iots[&seg].page_count().max(1) as u64;
+        let pages = self.segs.iots[&seg].page_count().max(1) as u64;
         (leaf_hash(seg, key) % pages) as u32
     }
 
@@ -681,45 +641,42 @@ impl StorageEngine {
 
     /// Insert a row into an IOT (duplicate key → constraint violation).
     /// Returns the row's logical rowid. The WAL record carries the ordinal
-    /// the insert will receive so commit-order replay reproduces logical
-    /// rowids exactly; consequently the duplicate check runs *before*
-    /// logging (replay applies ordinal-explicit records unconditionally).
+    /// the insert receives so commit-order replay reproduces logical rowids
+    /// exactly; consequently the duplicate check runs *before* logging
+    /// (replay applies ordinal-explicit records unconditionally).
     pub fn iot_insert(&mut self, seg: SegmentId, row: Row) -> Result<RowId> {
         let iot = self.iot(seg)?;
-        let key_cols = iot.key_cols();
-        let key = Key(row[..key_cols.min(row.len())].to_vec());
+        let key = Key(row[..iot.key_cols().min(row.len())].to_vec());
         if iot.ordinal_of(&key).is_some() {
             return Err(Error::Constraint(format!("duplicate key {key} in IOT {seg}")));
         }
-        self.check_write(seg, RowKey::Key(&key))?;
         let ord = iot.peek_next_ord();
-        self.wal_append(WalRecord::IotInsertOrd { seg, row: row.clone(), ord })?;
-        let (inserted, charge) = self.iot_mut(seg)?.insert(row)?;
-        debug_assert_eq!(inserted, ord, "peeked ordinal must match actual assignment");
+        self.check_write(seg, RowKey::Key(&key))?;
+        let charge = self.log_apply(WalRecord::IotInsertOrd { seg, row, ord })?.charge;
         let leaf = self.iot_leaf_page_for(seg, &key);
         self.charge_iot(seg, charge, leaf);
         let t = self.current.txn;
         self.versions.edit(seg, RowKey::Key(&key), t, |c| c.write(t, None, false));
         self.record(UndoOp::IotInsert { seg, key });
         self.wal_applied()?;
-        Ok(Self::ord_to_rid(seg, inserted))
+        Ok(Self::ord_to_rid(seg, ord))
     }
 
     /// Insert-or-replace into an IOT. Returns the previous row (if any)
     /// and the row's logical rowid, which is stable across replaces.
     pub fn iot_upsert(&mut self, seg: SegmentId, row: Row) -> Result<(Option<Row>, RowId)> {
         let iot = self.iot(seg)?;
-        let key_cols = iot.key_cols();
-        let key = Key(row[..key_cols.min(row.len())].to_vec());
+        let key = Key(row[..iot.key_cols().min(row.len())].to_vec());
         self.check_write(seg, RowKey::Key(&key))?;
         let ord = iot.peek_upsert_ord(&row)?;
-        self.wal_append(WalRecord::IotUpsertOrd { seg, row: row.clone(), ord })?;
-        let (old, ord, charge) = self.iot_mut(seg)?.upsert(row)?;
+        let Applied { row: old, charge, .. } =
+            self.log_apply(WalRecord::IotUpsertOrd { seg, row, ord })?;
         let leaf = self.iot_leaf_page_for(seg, &key);
         self.charge_iot(seg, charge, leaf);
         let t = self.current.txn;
-        let displaced = old.as_ref().map(|o| (o, ord));
+        let displaced = old.as_ref().map(|(o, ord)| (o, *ord));
         self.versions.edit(seg, RowKey::Key(&key), t, |c| c.write(t, displaced, false));
+        let old = old.map(|(o, _)| o);
         self.record(match &old {
             Some(o) => UndoOp::IotReplace { seg, old: o.clone() },
             None => UndoOp::IotInsert { seg, key },
@@ -730,23 +687,21 @@ impl StorageEngine {
 
     /// Delete by key from an IOT; returns the removed row if present.
     pub fn iot_delete(&mut self, seg: SegmentId, key: &Key) -> Result<Option<Row>> {
+        self.iot(seg)?;
         self.check_write(seg, RowKey::Key(key))?;
-        self.wal_append(WalRecord::IotDelete { seg, key: key.clone() })?;
         // IOT deletes are physically immediate (ordinals are never reused,
         // so no rowid-recycling hazard); the removed row survives as a
         // ghost version in the chain for older snapshots.
-        let (removed, charge) = self.iot_mut(seg)?.delete(key);
+        let Applied { row: removed, charge, .. } =
+            self.log_apply(WalRecord::IotDelete { seg, key: key.clone() })?;
         let leaf = self.iot_leaf_page_for(seg, key);
         self.charge_iot(seg, charge, leaf);
         let t = self.current.txn;
-        let old = match removed {
-            Some((o, ord)) => {
-                self.versions.edit(seg, RowKey::Key(key), t, |c| c.write(t, Some((&o, ord)), true));
-                self.record(UndoOp::IotDelete { seg, old: o.clone(), ord });
-                Some(o)
-            }
-            None => None,
-        };
+        let old = removed.map(|(o, ord)| {
+            self.versions.edit(seg, RowKey::Key(key), t, |c| c.write(t, Some((&o, ord)), true));
+            self.record(UndoOp::IotDelete { seg, old: o.clone(), ord });
+            o
+        });
         self.wal_applied()?;
         Ok(old)
     }
@@ -953,7 +908,7 @@ impl StorageEngine {
         (((lob.0 as u32) << 10) | (page as u32 & 0x3FF)).wrapping_add(0)
     }
 
-    fn charge_lob(&self, lob: LobRef, charge: crate::lob::LobIoCharge) {
+    fn charge_lob(&self, lob: LobRef, charge: IoCharge) {
         for i in 0..charge.page_reads {
             self.cache.read((LOB_SEGMENT, Self::lob_page(lob, i)));
         }
@@ -965,8 +920,8 @@ impl StorageEngine {
     /// Allocate an empty LOB. The record names the locator explicitly so
     /// commit-order replay reproduces live assignments.
     pub fn lob_allocate(&mut self) -> Result<LobRef> {
-        self.wal_append(WalRecord::LobAllocateAt { lob: self.lobs.peek_next_ref() })?;
-        let lob = self.lobs.allocate();
+        let lob = self.segs.lobs.peek_next_ref();
+        self.log_apply(WalRecord::LobAllocateAt { lob })?;
         self.record(UndoOp::LobAllocate { lob });
         // Stamp the new LOB with its creating transaction so snapshots
         // that cannot see the creator do not see its content either, and
@@ -982,7 +937,7 @@ impl StorageEngine {
     /// LOB length as `snap` sees it.
     pub fn lob_length(&self, lob: LobRef, snap: &Snapshot) -> Result<u64> {
         match self.lob_image(lob, snap)? {
-            LobImage::Current => self.lobs.length(lob),
+            LobImage::Current => self.segs.lobs.length(lob),
             LobImage::Patched(bytes) => Ok(bytes.len() as u64),
             LobImage::Absent => Ok(0),
         }
@@ -998,7 +953,7 @@ impl StorageEngine {
     ) -> Result<Vec<u8>> {
         match self.lob_image(lob, snap)? {
             LobImage::Current => {
-                let (bytes, charge) = self.lobs.read(lob, offset, len)?;
+                let (bytes, charge) = self.segs.lobs.read(lob, offset, len)?;
                 self.charge_lob(lob, charge);
                 Ok(bytes)
             }
@@ -1016,7 +971,7 @@ impl StorageEngine {
     pub fn lob_read_all(&self, lob: LobRef, snap: &Snapshot) -> Result<Vec<u8>> {
         match self.lob_image(lob, snap)? {
             LobImage::Current => {
-                let (bytes, charge) = self.lobs.read_all(lob)?;
+                let (bytes, charge) = self.segs.lobs.read_all(lob)?;
                 self.charge_lob(lob, charge);
                 Ok(bytes)
             }
@@ -1044,7 +999,7 @@ impl StorageEngine {
         // Reconstruction path: start from the physical bytes (empty if the
         // locator was physically freed — a whole-image span restores the
         // content) and un-apply every invisible span, newest first.
-        let physical = self.lobs.read_all(lob).map(|(b, _)| b).unwrap_or_default();
+        let physical = self.segs.lobs.read_all(lob).map(|(b, _)| b).unwrap_or_default();
         Ok(mvcc::resolve_lob_image(&self.txns, chain, &physical, snap))
     }
 
@@ -1063,20 +1018,20 @@ impl StorageEngine {
     /// of the LOB when the write lands past it, so the zero-filled gap is
     /// part of the span and rollback can truncate it away).
     pub fn lob_write(&mut self, lob: LobRef, offset: u64, bytes: &[u8]) -> Result<()> {
-        let cur = self.lobs.length(lob)?;
+        let cur = self.segs.lobs.length(lob)?;
         let start = offset.min(cur);
         let len = offset.saturating_add(bytes.len() as u64) - start;
         self.check_lob_write(lob, start, len)?;
-        self.wal_append(WalRecord::LobWrite { lob, offset, bytes: bytes.to_vec() })?;
         let end = start.saturating_add(len).min(cur);
         let old = if start < end {
-            self.lobs.read(lob, start, (end - start) as usize)?.0
+            self.segs.lobs.read(lob, start, (end - start) as usize)?.0
         } else {
             Vec::new()
         };
+        let rec = WalRecord::LobWrite { lob, offset, bytes: bytes.to_vec() };
+        let charge = self.log_apply(rec)?.charge;
+        self.displace_lob_span(lob, start, len, &old);
         self.record(UndoOp::LobSpan { lob, start, len, old });
-        self.displace_lob_span(lob, start, len);
-        let charge = self.lobs.write(lob, offset, bytes)?;
         self.charge_lob(lob, charge);
         self.wal_applied()
     }
@@ -1086,40 +1041,36 @@ impl StorageEngine {
     /// the bytes exactly where the live run did even when other
     /// transactions' appends interleaved.
     pub fn lob_append(&mut self, lob: LobRef, bytes: &[u8]) -> Result<u64> {
-        let offset = self.lobs.length(lob)?;
+        let offset = self.segs.lobs.length(lob)?;
         let len = bytes.len() as u64;
         self.check_lob_write(lob, offset, len)?;
-        self.wal_append(WalRecord::LobAppendAt { lob, offset, bytes: bytes.to_vec() })?;
+        let rec = WalRecord::LobAppendAt { lob, offset, bytes: bytes.to_vec() };
+        let charge = self.log_apply(rec)?.charge;
+        self.displace_lob_span(lob, offset, len, &[]);
         self.record(UndoOp::LobSpan { lob, start: offset, len, old: Vec::new() });
-        self.displace_lob_span(lob, offset, len);
-        let (off, charge) = self.lobs.append(lob, bytes)?;
-        debug_assert_eq!(off, offset, "peeked append offset must match placement");
         self.charge_lob(lob, charge);
         self.wal_applied()?;
-        Ok(off)
+        Ok(offset)
     }
 
     /// Replace a LOB's entire contents (a whole-locator operation: it
     /// conflicts with every concurrent write to the locator).
     pub fn lob_overwrite(&mut self, lob: LobRef, bytes: &[u8]) -> Result<()> {
         self.check_lob_write(lob, 0, WHOLE_LOB)?;
-        self.wal_append(WalRecord::LobOverwrite { lob, bytes: bytes.to_vec() })?;
-        let (old, _) = self.lobs.read_all(lob)?;
+        let Applied { bytes: old, charge, .. } =
+            self.log_apply(WalRecord::LobOverwrite { lob, bytes: bytes.to_vec() })?;
+        self.displace_lob_span(lob, 0, WHOLE_LOB, &old);
         self.record(UndoOp::LobModify { lob, old });
-        self.displace_lob_span(lob, 0, WHOLE_LOB);
-        let charge = self.lobs.overwrite(lob, bytes)?;
         self.charge_lob(lob, charge);
         self.wal_applied()
     }
 
-    /// Free a LOB (whole-locator). The before-image is displaced into the
-    /// version chain first, so snapshots that predate the free still read
-    /// the content.
+    /// Free a LOB (whole-locator). The freed content is displaced into the
+    /// version chain, so snapshots that predate the free still read it.
     pub fn lob_free(&mut self, lob: LobRef) -> Result<()> {
         self.check_lob_write(lob, 0, WHOLE_LOB)?;
-        self.wal_append(WalRecord::LobFree { lob })?;
-        self.displace_lob_span(lob, 0, WHOLE_LOB);
-        let old = self.lobs.free(lob)?;
+        let old = self.log_apply(WalRecord::LobFree { lob })?.bytes;
+        self.displace_lob_span(lob, 0, WHOLE_LOB, &old);
         self.record(UndoOp::LobFree { lob, old });
         self.wal_applied()
     }
@@ -1148,7 +1099,7 @@ impl StorageEngine {
         name: &str,
         op: impl Fn(&mut FileStore) -> Result<()>,
     ) -> Result<()> {
-        self.wal_append(WalRecord::FileActivity { name: name.to_string() })?;
+        self.wal_append(&WalRecord::FileActivity { name: name.to_string() })?;
         op(&mut self.files)?;
         if let Some(w) = &self.wal {
             w.mirror_files(|fs| {
@@ -1209,116 +1160,77 @@ impl StorageEngine {
     /// a failed statement, a retried cartridge call and a transaction's
     /// end differ only in the mark. External files are untouched.
     ///
-    /// Every undo application is itself written ahead as a *redo* record:
-    /// an explicit-transaction ROLLBACK is a completed statement followed
-    /// by a commit marker, so its effects must replay on recovery exactly
-    /// like forward work.
+    /// Each undo entry becomes compensation records, logged and applied
+    /// like forward work (`log_apply`): an explicit-transaction ROLLBACK
+    /// is a completed statement followed by a commit marker, so its
+    /// effects must replay on recovery exactly like forward work. A
+    /// compensation that fails to apply stops the rollback with its error,
+    /// whatever the segment kind: state may be torn, and the caller
+    /// reports a double fault (`Error::RollbackFailed`).
     pub fn rollback_to(&mut self, mark: usize) -> Result<()> {
         let t = self.current.txn;
         let ops = self.undo.get_mut(&t).map(|log| log.drain_reverse_from(mark));
         for op in ops.unwrap_or_default() {
             match op {
                 UndoOp::HeapInsert { seg, rid } => {
-                    if self.heaps.contains_key(&seg) {
-                        self.wal_append(WalRecord::HeapDelete { seg, rid })?;
-                        let h = self.heaps.get_mut(&seg).expect("checked");
-                        h.delete(rid)?;
+                    if self.segs.heaps.contains_key(&seg) {
+                        self.log_apply(WalRecord::HeapDelete { seg, rid })?;
                         self.versions.edit(seg, RowKey::Rid(rid), t, |c| c.undo(t, None));
                         self.widen_zones_with_chains(seg);
                         self.cache.write((seg, rid.page));
                     }
                 }
                 UndoOp::HeapUpdate { seg, rid, old } => {
-                    if self.heaps.contains_key(&seg) {
-                        self.wal_append(WalRecord::HeapUpdate { seg, rid, row: old.clone() })?;
-                        self.heaps.get_mut(&seg).expect("checked").update(rid, old.clone())?;
+                    if self.segs.heaps.contains_key(&seg) {
+                        self.log_apply(WalRecord::HeapUpdate { seg, rid, row: old.clone() })?;
                         self.versions.edit(seg, RowKey::Rid(rid), t, |c| c.undo(t, Some(&old)));
                         self.cache.write((seg, rid.page));
                     }
                 }
                 UndoOp::HeapDelete { seg, rid, old } => {
-                    if self.heaps.contains_key(&seg) {
-                        // Transactional deletes are deferred: the row is
-                        // still physically present and only the chain's
-                        // dead mark needs clearing. The compensating WAL
-                        // record must still restore the row, because replay
-                        // applies deletes physically.
-                        let key = RowKey::Rid(rid);
-                        if self.versions.chain(seg, key).is_some_and(|c| c.dead == Some(t)) {
-                            self.wal_append(WalRecord::HeapInsertAt {
-                                seg,
-                                rid,
-                                row: old.clone(),
-                            })?;
-                            self.versions.edit(seg, key, t, |c| c.dead = None);
-                        } else {
-                            // Legacy lane: the slot was freed; restore into
-                            // it (or in place, if something re-occupied it).
-                            let live =
-                                self.heaps.get_mut(&seg).expect("checked").fetch(rid).is_ok();
-                            if live {
-                                self.wal_append(WalRecord::HeapUpdate {
-                                    seg,
-                                    rid,
-                                    row: old.clone(),
-                                })?;
-                                self.heaps.get_mut(&seg).expect("checked").update(rid, old)?;
-                            } else {
-                                self.wal_append(WalRecord::HeapInsertAt {
-                                    seg,
-                                    rid,
-                                    row: old.clone(),
-                                })?;
-                                self.heaps.get_mut(&seg).expect("checked").insert_at(rid, old)?;
-                            }
-                        }
-                        self.cache.write((seg, rid.page));
+                    let Some(h) = self.segs.heaps.get(&seg) else { continue };
+                    let key = RowKey::Rid(rid);
+                    if self.versions.chain(seg, key).is_some_and(|c| c.dead == Some(t)) {
+                        // A deferred delete: the row never left its slot,
+                        // so only the dead mark goes. The compensation is
+                        // logged but not applied, like the delete's own
+                        // record: replay applies both, and ends where the
+                        // live run does.
+                        self.wal_append(&WalRecord::HeapInsertAt { seg, rid, row: old })?;
+                        self.versions.edit(seg, key, t, |c| c.dead = None);
+                    } else if h.fetch(rid).is_ok() {
+                        // Direct lane, slot re-occupied: restore in place.
+                        self.log_apply(WalRecord::HeapUpdate { seg, rid, row: old })?;
+                    } else {
+                        // Direct lane: restore into the freed slot.
+                        self.log_apply(WalRecord::HeapInsertAt { seg, rid, row: old })?;
                     }
+                    self.cache.write((seg, rid.page));
                 }
                 UndoOp::IotInsert { seg, key } => {
-                    if self.iots.contains_key(&seg) {
-                        self.wal_append(WalRecord::IotDelete { seg, key: key.clone() })?;
-                        self.iots.get_mut(&seg).expect("checked").delete(&key);
+                    if self.segs.iots.contains_key(&seg) {
+                        self.log_apply(WalRecord::IotDelete { seg, key: key.clone() })?;
                         self.versions.edit(seg, RowKey::Key(&key), t, |c| c.undo(t, None));
                     }
                 }
                 UndoOp::IotReplace { seg, old } => {
-                    // The key still exists, so upsert preserves its ordinal.
-                    if self.iots.contains_key(&seg) {
-                        let ord = {
-                            let iot = self.iots.get(&seg).expect("checked");
-                            iot.peek_upsert_ord(&old)?
-                        };
-                        self.wal_append(WalRecord::IotUpsertOrd {
-                            seg,
-                            row: old.clone(),
-                            ord,
-                        })?;
-                        self.iots.get_mut(&seg).expect("checked").upsert(old.clone())?;
-                        let key = Key(old[..self.iots[&seg].key_cols().min(old.len())].to_vec());
-                        self.versions.edit(seg, RowKey::Key(&key), t, |c| c.undo(t, Some(&old)));
-                    }
+                    // The key still exists, so it keeps its ordinal.
+                    let Some(iot) = self.segs.iots.get(&seg) else { continue };
+                    let key = Key(old[..iot.key_cols().min(old.len())].to_vec());
+                    let ord = iot.peek_upsert_ord(&old)?;
+                    self.log_apply(WalRecord::IotUpsertOrd { seg, row: old.clone(), ord })?;
+                    self.versions.edit(seg, RowKey::Key(&key), t, |c| c.undo(t, Some(&old)));
                 }
                 UndoOp::IotDelete { seg, old, ord } => {
                     // Restore under the original ordinal so logical rowids
                     // held by secondary indexes stay valid after rollback.
-                    if self.iots.contains_key(&seg) {
-                        self.wal_append(WalRecord::IotInsertOrd {
-                            seg,
-                            row: old.clone(),
-                            ord,
-                        })?;
-                        self.iots
-                            .get_mut(&seg)
-                            .expect("checked")
-                            .insert_with_ordinal(old.clone(), ord)?;
-                        let key = Key(old[..self.iots[&seg].key_cols().min(old.len())].to_vec());
-                        self.versions.edit(seg, RowKey::Key(&key), t, |c| c.undo(t, Some(&old)));
-                    }
+                    let Some(iot) = self.segs.iots.get(&seg) else { continue };
+                    let key = Key(old[..iot.key_cols().min(old.len())].to_vec());
+                    self.log_apply(WalRecord::IotInsertOrd { seg, row: old.clone(), ord })?;
+                    self.versions.edit(seg, RowKey::Key(&key), t, |c| c.undo(t, Some(&old)));
                 }
                 UndoOp::LobAllocate { lob } => {
-                    self.wal_append(WalRecord::LobFree { lob })?;
-                    let _ = self.lobs.free(lob);
+                    self.log_apply(WalRecord::LobFree { lob })?;
                     // The allocation never becomes visible; without this
                     // the chain (begin = aborted txn) would linger forever.
                     self.versions.lobs.remove(&lob);
@@ -1327,41 +1239,27 @@ impl StorageEngine {
                     // Offset-stable span rollback: restore the before-image
                     // in place, then truncate (if this write was the end of
                     // the LOB) or 0xFF-hole-fill the part the write
-                    // extended — never shift other writers' bytes. The
-                    // compensation is WAL-logged as plain redo records so
-                    // commit-order replay reproduces it.
-                    let cur = self.lobs.length(lob).unwrap_or(0);
+                    // extended — never shift other writers' bytes.
+                    let cur = self.segs.lobs.length(lob).unwrap_or(0);
                     let old_end = start + old.len() as u64;
                     let write_end = start.saturating_add(len);
                     if !old.is_empty() {
-                        self.wal_append(WalRecord::LobWrite {
-                            lob,
-                            offset: start,
-                            bytes: old.clone(),
-                        })?;
-                        let _ = self.lobs.write(lob, start, &old);
+                        self.log_apply(WalRecord::LobWrite { lob, offset: start, bytes: old })?;
                     }
                     if write_end >= cur {
                         if old_end < cur {
-                            self.wal_append(WalRecord::LobTruncate { lob, len: old_end })?;
-                            let _ = self.lobs.truncate(lob, old_end);
+                            self.log_apply(WalRecord::LobTruncate { lob, len: old_end })?;
                         }
                     } else if write_end > old_end {
-                        let fill = vec![0xFF; (write_end - old_end) as usize];
-                        self.wal_append(WalRecord::LobWrite {
-                            lob,
-                            offset: old_end,
-                            bytes: fill.clone(),
-                        })?;
-                        let _ = self.lobs.write(lob, old_end, &fill);
+                        let bytes = vec![0xFF; (write_end - old_end) as usize];
+                        self.log_apply(WalRecord::LobWrite { lob, offset: old_end, bytes })?;
                     }
                     if t != 0 {
                         Self::pop_lob_span(&mut self.versions, lob, t, start, len);
                     }
                 }
                 UndoOp::LobModify { lob, old } | UndoOp::LobFree { lob, old } => {
-                    self.wal_append(WalRecord::LobRestore { lob, bytes: old.clone() })?;
-                    self.lobs.restore(lob, old);
+                    self.log_apply(WalRecord::LobRestore { lob, bytes: old })?;
                     if t != 0 {
                         Self::pop_lob_span(&mut self.versions, lob, t, 0, WHOLE_LOB);
                     }
@@ -1468,6 +1366,24 @@ mod tests {
         };
         assert_eq!(get(1), vec![vec![Value::Integer(1), Value::from("old")]]);
         assert!(get(2).is_empty());
+    }
+
+    /// A duplicate IOT key is refused before anything is logged or
+    /// applied: the apply itself replaces whatever holds the key.
+    #[test]
+    fn iot_insert_refuses_a_duplicate_key_before_logging() {
+        let mut e = StorageEngine::new(64);
+        let medium = DurableMedium::new();
+        e.attach_wal(medium.clone());
+        let seg = e.create_iot(1).unwrap();
+        e.iot_insert(seg, vec![Value::Integer(1), Value::from("first")]).unwrap();
+        let logged = medium.stats().records_appended;
+        let dup = e.iot_insert(seg, vec![Value::Integer(1), Value::from("second")]);
+        assert!(matches!(dup, Err(Error::Constraint(_))), "{dup:?}");
+        assert_eq!(medium.stats().records_appended, logged, "nothing logged");
+        let key = Key::single(Value::Integer(1));
+        let got = e.iot_range(seg, Included(&key), Included(&key), 2, &Snapshot::latest());
+        assert_eq!(got.unwrap()[0].2[1], Value::from("first"));
     }
 
     #[test]

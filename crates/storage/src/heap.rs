@@ -157,11 +157,11 @@ impl HeapTable {
         self.pages.len()
     }
 
-    /// The rowid [`HeapTable::insert`] would assign to `row` right now,
-    /// without inserting. Lets the engine write a placement-explicit WAL
-    /// record *before* applying the mutation (log-before-apply), which is
-    /// required now that recovery replays transactions in commit order
-    /// rather than statement-execution order.
+    /// The rowid the next insert of `row` lands on: the first recycled
+    /// slot whose page still has byte room, else the end of the last page
+    /// if it fits, else slot 0 of a new page. The engine logs the insert
+    /// at this rowid *before* applying it (log-before-apply), since
+    /// recovery replays transactions in commit order, not execution order.
     pub fn peek_insert_rid(&self, row: &Row) -> RowId {
         let bytes = approx_row_size(row);
         if let Some(&(page, slot)) = self
@@ -179,47 +179,13 @@ impl HeapTable {
         }
     }
 
-    /// Insert a row; returns its new rowid and the page touched.
-    pub fn insert(&mut self, row: Row) -> (RowId, u32) {
-        let bytes = approx_row_size(&row);
-        // Prefer a recycled slot whose page still has byte room.
-        if let Some(pos) = self
-            .free
-            .iter()
-            .position(|&(p, _)| self.pages[p as usize].bytes_used + bytes <= PAGE_SIZE)
-        {
-            let (page, slot) = self.free.swap_remove(pos);
-            let p = &mut self.pages[page as usize];
-            debug_assert!(p.slots[slot as usize].is_none());
-            p.widen_zone(&row);
-            p.slots[slot as usize] = Some(row);
-            p.bytes_used += bytes;
-            self.rows += 1;
-            return (RowId::new(self.seg.0, page, slot), page);
-        }
-        // Append to the last page if it fits, else open a new page.
-        let page_no = match self.pages.last() {
-            Some(p) if p.fits(bytes) => self.pages.len() - 1,
-            _ => {
-                self.pages.push(HeapPage::default());
-                self.pages.len() - 1
-            }
-        };
-        let p = &mut self.pages[page_no];
-        let slot = p.slots.len() as u16;
-        p.widen_zone(&row);
-        p.slots.push(Some(row));
-        p.bytes_used += bytes;
-        self.rows += 1;
-        (RowId::new(self.seg.0, page_no as u32, slot), page_no as u32)
-    }
-
-    /// Insert a row at a specific rowid (undo of a delete, or WAL replay
-    /// of a placement-explicit record). The slot must currently be empty;
-    /// missing pages/slots are grown on demand — commit-order replay can
-    /// materialize placements in a different order than the live run chose
-    /// them, so the target page may not exist yet. Grown-but-skipped slots
-    /// go on the free list, mirroring the live run's recycled slots.
+    /// Insert a row at `rid`: where [`Self::peek_insert_rid`] placed it, or
+    /// the slot a rolled-back delete freed. The slot must be empty. Missing
+    /// pages and slots are grown on demand — commit-order replay can reach
+    /// a placement before the one the live run made ahead of it — and the
+    /// slots skipped on the way go on the free list. A recycled slot leaves
+    /// the free list by `swap_remove`, so live runs and replays reorder the
+    /// list alike.
     pub fn insert_at(&mut self, rid: RowId, row: Row) -> Result<()> {
         let bytes = approx_row_size(&row);
         while self.pages.len() <= rid.page as usize {
@@ -232,21 +198,16 @@ impl HeapTable {
             }
             self.pages[rid.page as usize].slots.push(None);
         }
-        let page = self
-            .pages
-            .get_mut(rid.page as usize)
-            .ok_or_else(|| Error::Storage(format!("{rid}: page out of range")))?;
-        let slot = page
-            .slots
-            .get_mut(rid.slot as usize)
-            .ok_or_else(|| Error::Storage(format!("{rid}: slot out of range")))?;
-        if slot.is_some() {
+        let page = &mut self.pages[rid.page as usize];
+        if page.slots[rid.slot as usize].is_some() {
             return Err(Error::Storage(format!("{rid}: slot is occupied")));
         }
-        *slot = Some(row.clone());
         page.widen_zone(&row);
+        page.slots[rid.slot as usize] = Some(row);
         page.bytes_used += bytes;
-        self.free.retain(|&(p, s)| (p, s) != (rid.page, rid.slot));
+        if let Some(pos) = self.free.iter().position(|&(p, s)| (p, s) == (rid.page, rid.slot)) {
+            self.free.swap_remove(pos);
+        }
         self.rows += 1;
         Ok(())
     }
@@ -267,15 +228,13 @@ impl HeapTable {
             .pages
             .get_mut(rid.page as usize)
             .ok_or_else(|| Error::Storage(format!("{rid}: page out of range")))?;
-        let slot = page
-            .slots
-            .get_mut(rid.slot as usize)
-            .and_then(|s| s.as_mut())
-            .ok_or_else(|| Error::Storage(format!("{rid}: no such row")))?;
-        let old = std::mem::replace(slot, new_row.clone());
+        if !page.slots.get(rid.slot as usize).is_some_and(Option::is_some) {
+            return Err(Error::Storage(format!("{rid}: no such row")));
+        }
         // Widen with the new image only: removing the old value must not
         // narrow the zone (the stale range stays a valid superset).
         page.widen_zone(&new_row);
+        let old = page.slots[rid.slot as usize].replace(new_row).expect("checked above");
         page.bytes_used = page.bytes_used + new_bytes - approx_row_size(&old).min(page.bytes_used);
         Ok(old)
     }
@@ -373,6 +332,13 @@ mod tests {
         HeapTable::new(SegmentId(3))
     }
 
+    /// Insert where the engine does: at the rowid the table peeks.
+    fn put(t: &mut HeapTable, row: Row) -> RowId {
+        let rid = t.peek_insert_rid(&row);
+        t.insert_at(rid, row).unwrap();
+        rid
+    }
+
     fn row(i: i64) -> Row {
         vec![Value::Integer(i), Value::from(format!("row-{i}"))]
     }
@@ -380,7 +346,7 @@ mod tests {
     #[test]
     fn insert_fetch_roundtrip() {
         let mut t = table();
-        let (rid, _) = t.insert(row(1));
+        let rid = put(&mut t, row(1));
         assert_eq!(t.fetch(rid).unwrap(), &row(1));
         assert_eq!(t.row_count(), 1);
     }
@@ -388,9 +354,9 @@ mod tests {
     #[test]
     fn rowids_are_stable_across_other_deletes() {
         let mut t = table();
-        let (r1, _) = t.insert(row(1));
-        let (r2, _) = t.insert(row(2));
-        let (r3, _) = t.insert(row(3));
+        let r1 = put(&mut t, row(1));
+        let r2 = put(&mut t, row(2));
+        let r3 = put(&mut t, row(3));
         t.delete(r2).unwrap();
         assert_eq!(t.fetch(r1).unwrap(), &row(1));
         assert_eq!(t.fetch(r3).unwrap(), &row(3));
@@ -400,10 +366,10 @@ mod tests {
     #[test]
     fn deleted_slots_are_reused() {
         let mut t = table();
-        let (r1, _) = t.insert(row(1));
-        t.insert(row(2));
+        let r1 = put(&mut t, row(1));
+        put(&mut t, row(2));
         t.delete(r1).unwrap();
-        let (r3, _) = t.insert(row(3));
+        let r3 = put(&mut t, row(3));
         assert_eq!(r3, r1, "freed slot should be recycled");
         assert_eq!(t.fetch(r3).unwrap(), &row(3));
     }
@@ -411,7 +377,7 @@ mod tests {
     #[test]
     fn update_returns_old_row() {
         let mut t = table();
-        let (rid, _) = t.insert(row(1));
+        let rid = put(&mut t, row(1));
         let old = t.update(rid, row(9)).unwrap();
         assert_eq!(old, row(1));
         assert_eq!(t.fetch(rid).unwrap(), &row(9));
@@ -421,7 +387,7 @@ mod tests {
     #[test]
     fn insert_at_restores_deleted_row() {
         let mut t = table();
-        let (rid, _) = t.insert(row(1));
+        let rid = put(&mut t, row(1));
         let old = t.delete(rid).unwrap();
         t.insert_at(rid, old).unwrap();
         assert_eq!(t.fetch(rid).unwrap(), &row(1));
@@ -431,9 +397,9 @@ mod tests {
     #[test]
     fn scan_visits_live_rows_in_order() {
         let mut t = table();
-        let (r1, _) = t.insert(row(1));
-        let (r2, _) = t.insert(row(2));
-        let (r3, _) = t.insert(row(3));
+        let r1 = put(&mut t, row(1));
+        let r2 = put(&mut t, row(2));
+        let r3 = put(&mut t, row(3));
         t.delete(r2).unwrap();
         let seen: Vec<RowId> = t.scan().map(|(rid, _, _)| rid).collect();
         assert_eq!(seen, vec![r1, r3]);
@@ -444,7 +410,7 @@ mod tests {
         let mut t = table();
         let wide = vec![Value::from("x".repeat(2000))];
         for _ in 0..16 {
-            t.insert(wide.clone());
+            put(&mut t, wide.clone());
         }
         // 2 KB rows, 8 KB pages → 4 rows/page → 4 pages for 16 rows.
         assert_eq!(t.page_count(), 4);
@@ -454,7 +420,7 @@ mod tests {
     fn zone_maps_track_min_max_per_page() {
         let mut t = table();
         for i in [5i64, 1, 9, 3] {
-            t.insert(row(i));
+            put(&mut t, row(i));
         }
         assert_eq!(t.zone_bounds(0, 0), Some((Value::Integer(1), Value::Integer(9))));
         // Interval wholly above the recorded max prunes; overlap does not.
@@ -467,8 +433,8 @@ mod tests {
     #[test]
     fn zone_maps_widen_never_narrow_under_update_and_delete() {
         let mut t = table();
-        let (rid, _) = t.insert(row(5));
-        let (other, _) = t.insert(row(50));
+        let rid = put(&mut t, row(5));
+        let other = put(&mut t, row(50));
         // Update widens with the new image; the old value's removal must
         // not narrow the range.
         t.update(rid, row(100)).unwrap();
@@ -482,8 +448,8 @@ mod tests {
         t.delete(other).unwrap();
         assert_eq!(t.zone_bounds(0, 0), None);
         // Explicit rebuild recomputes exact bounds from live rows.
-        let (r7, _) = t.insert(row(7));
-        t.insert(row(8));
+        let r7 = put(&mut t, row(7));
+        put(&mut t, row(8));
         t.update(r7, row(2)).unwrap();
         t.rebuild_zone_maps();
         assert_eq!(t.zone_bounds(0, 0), Some((Value::Integer(2), Value::Integer(8))));
@@ -492,14 +458,14 @@ mod tests {
     #[test]
     fn zone_maps_handle_nulls_and_mixed_types() {
         let mut t = table();
-        t.insert(vec![Value::Null, Value::from("x")]);
+        put(&mut t, vec![Value::Null, Value::from("x")]);
         // All-NULL column: no comparison predicate can match the page.
         assert!(t.zone_excludes(0, 0, Some(&Value::Integer(1)), None));
         // A real value arrives: pruning now respects it.
-        t.insert(vec![Value::Integer(4), Value::from("y")]);
+        put(&mut t, vec![Value::Integer(4), Value::from("y")]);
         assert!(!t.zone_excludes(0, 0, Some(&Value::Integer(4)), None));
         // Mixed incomparable types make the entry unbounded — never prune.
-        t.insert(vec![Value::from("oops"), Value::from("z")]);
+        put(&mut t, vec![Value::from("oops"), Value::from("z")]);
         assert!(!t.zone_excludes(0, 0, Some(&Value::Integer(99)), None));
         assert_eq!(t.zone_bounds(0, 0), None);
     }
@@ -507,7 +473,7 @@ mod tests {
     #[test]
     fn truncate_releases_everything() {
         let mut t = table();
-        let (rid, _) = t.insert(row(1));
+        let rid = put(&mut t, row(1));
         t.truncate();
         assert_eq!(t.row_count(), 0);
         assert_eq!(t.page_count(), 0);

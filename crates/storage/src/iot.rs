@@ -33,7 +33,7 @@ use std::sync::Arc;
 use extidx_common::value::approx_row_size;
 use extidx_common::{Error, Key, Result, Row};
 
-use crate::page::{btree_height, SegmentId, PAGE_SIZE};
+use crate::page::{btree_height, IoCharge, SegmentId, PAGE_SIZE};
 
 /// An index-organized table: rows stored in key order.
 #[derive(Debug, Clone)]
@@ -50,14 +50,6 @@ pub struct IndexOrganizedTable {
     next_ord: u64,
     /// Running total of estimated row bytes, for leaf-page modeling.
     total_bytes: usize,
-}
-
-/// Pages an IOT operation touched, to be charged to the buffer cache by
-/// the engine: `(reads, writes)` expressed as page counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IotIoCharge {
-    pub page_reads: usize,
-    pub page_writes: usize,
 }
 
 /// Whether key bounds `(lo, hi)` can hold any key. `BTreeMap::range`
@@ -123,9 +115,9 @@ impl IndexOrganizedTable {
     /// The one read charge: descend the tree, then read the leaf pages
     /// `rows` returned rows span — at least one, since even a probe that
     /// finds nothing lands on a leaf.
-    pub fn read_charge(&self, rows: usize) -> IotIoCharge {
+    pub fn read_charge(&self, rows: usize) -> IoCharge {
         let leaf_pages = rows.div_ceil(self.rows_per_leaf()).max(1);
-        IotIoCharge { page_reads: self.height() + leaf_pages, page_writes: 0 }
+        IoCharge { page_reads: self.height() + leaf_pages, page_writes: 0 }
     }
 
     fn key_of(&self, row: &[extidx_common::Value]) -> Result<Key> {
@@ -140,88 +132,49 @@ impl IndexOrganizedTable {
         Ok(Key(row[..self.key_cols].to_vec()))
     }
 
-    fn alloc_ord(&mut self, key: &Arc<Key>) -> u64 {
-        let ord = self.next_ord;
-        self.next_ord += 1;
-        self.keys_by_ord.insert(ord, Arc::clone(key));
-        ord
-    }
-
-    /// The ordinal the next fresh insert will be assigned. Lets the engine
-    /// write an ordinal-explicit WAL record before applying the mutation
-    /// (commit-order replay must not re-derive ordinal assignments).
+    /// The ordinal the next fresh insert is assigned. The engine logs an
+    /// insert under this ordinal before applying it: commit-order replay
+    /// must not re-derive ordinal assignments.
     pub fn peek_next_ord(&self) -> u64 {
         self.next_ord
     }
 
-    /// The ordinal an upsert of `row` would end up under: the existing
-    /// key's ordinal, or the next fresh one.
+    /// The ordinal an upsert of `row` ends up under: the existing key's
+    /// ordinal, or the next fresh one.
     pub fn peek_upsert_ord(&self, row: &[extidx_common::Value]) -> Result<u64> {
         let key = self.key_of(row)?;
         Ok(self.ordinal_of(&key).unwrap_or(self.next_ord))
     }
 
-    /// Insert a row. Duplicate keys are a constraint violation, like an
-    /// IOT primary key in Oracle. Returns the row's logical-rowid ordinal.
-    pub fn insert(&mut self, row: Row) -> Result<(u64, IotIoCharge)> {
+    /// Put `row` under ordinal `ord`, replacing any row with its key — an
+    /// insert at [`Self::peek_next_ord`], an upsert at
+    /// [`Self::peek_upsert_ord`], or the restore of a deleted row under its
+    /// original logical rowid. Returns the replaced row with its ordinal.
+    /// Duplicate keys are the engine's to refuse before it logs the insert.
+    pub fn insert_with_ordinal(
+        &mut self,
+        row: Row,
+        ord: u64,
+    ) -> Result<(Option<(Row, u64)>, IoCharge)> {
         let key = self.key_of(&row)?;
-        if self.rows.contains_key(&key) {
-            return Err(Error::Constraint(format!(
-                "duplicate key {key} in index-organized table {}",
-                self.seg
-            )));
-        }
-        let charge = IotIoCharge { page_reads: self.height(), page_writes: 1 };
+        let charge = IoCharge { page_reads: self.height(), page_writes: 1 };
         self.total_bytes += approx_row_size(&row);
-        let key = Arc::new(key);
-        let ord = self.alloc_ord(&key);
-        self.rows.insert(key, (ord, row));
-        Ok((ord, charge))
-    }
-
-    /// Re-insert a row under a previously assigned ordinal — the undo
-    /// path restoring a deleted row with its original logical rowid.
-    pub fn insert_with_ordinal(&mut self, row: Row, ord: u64) -> Result<IotIoCharge> {
-        let key = self.key_of(&row)?;
-        let charge = IotIoCharge { page_reads: self.height(), page_writes: 1 };
-        self.total_bytes += approx_row_size(&row);
-        if let Some((prev, old)) = self.rows.remove(&key) {
+        let old = self.rows.remove(&key).map(|(prev, old)| {
             self.total_bytes = self.total_bytes.saturating_sub(approx_row_size(&old));
             self.keys_by_ord.remove(&prev);
-        }
+            (old, prev)
+        });
         let key = Arc::new(key);
         self.keys_by_ord.insert(ord, Arc::clone(&key));
         self.rows.insert(key, (ord, row));
         self.next_ord = self.next_ord.max(ord + 1);
-        Ok(charge)
-    }
-
-    /// Insert or replace by key; returns the previous row if any plus the
-    /// row's ordinal (preserved across replace — logical rowids are
-    /// stable under in-place updates).
-    pub fn upsert(&mut self, row: Row) -> Result<(Option<Row>, u64, IotIoCharge)> {
-        let key = self.key_of(&row)?;
-        let charge = IotIoCharge { page_reads: self.height(), page_writes: 1 };
-        self.total_bytes += approx_row_size(&row);
-        let (ord, old) = match self.rows.get_mut(&key) {
-            Some((ord, slot)) => (*ord, Some(std::mem::replace(slot, row))),
-            None => {
-                let key = Arc::new(key);
-                let ord = self.alloc_ord(&key);
-                self.rows.insert(key, (ord, row));
-                (ord, None)
-            }
-        };
-        if let Some(ref o) = old {
-            self.total_bytes = self.total_bytes.saturating_sub(approx_row_size(o));
-        }
-        Ok((old, ord, charge))
+        Ok((old, charge))
     }
 
     /// Delete by exact key; returns the removed row and its ordinal if
     /// present.
-    pub fn delete(&mut self, key: &Key) -> (Option<(Row, u64)>, IotIoCharge) {
-        let charge = IotIoCharge { page_reads: self.height(), page_writes: 1 };
+    pub fn delete(&mut self, key: &Key) -> (Option<(Row, u64)>, IoCharge) {
+        let charge = IoCharge { page_reads: self.height(), page_writes: 1 };
         let removed = self.rows.remove(key).map(|(ord, old)| {
             self.total_bytes = self.total_bytes.saturating_sub(approx_row_size(&old));
             self.keys_by_ord.remove(&ord);
@@ -236,8 +189,8 @@ impl IndexOrganizedTable {
     }
 
     /// Point lookup by ordinal (logical-rowid fetch).
-    pub fn by_ordinal(&self, ord: u64) -> (Option<(&Key, &Row)>, IotIoCharge) {
-        let charge = IotIoCharge { page_reads: self.height(), page_writes: 0 };
+    pub fn by_ordinal(&self, ord: u64) -> (Option<(&Key, &Row)>, IoCharge) {
+        let charge = IoCharge { page_reads: self.height(), page_writes: 0 };
         let found = self
             .keys_by_ord
             .get(&ord)
@@ -284,6 +237,20 @@ mod tests {
         vec![Value::from(token), Value::Integer(doc), Value::Integer(doc * 10)]
     }
 
+    /// Insert where the engine does: under the next fresh ordinal.
+    fn put(t: &mut IndexOrganizedTable, row: Row) -> Result<u64> {
+        let ord = t.peek_next_ord();
+        t.insert_with_ordinal(row, ord).map(|_| ord)
+    }
+
+    /// Upsert where the engine does: under the key's ordinal, else a
+    /// fresh one. Returns the replaced row and the ordinal.
+    fn upsert(t: &mut IndexOrganizedTable, row: Row) -> (Option<Row>, u64) {
+        let ord = t.peek_upsert_ord(&row).unwrap();
+        let (old, _) = t.insert_with_ordinal(row, ord).unwrap();
+        (old.map(|(r, _)| r), ord)
+    }
+
     /// The rows of `t` inside `(lo, hi)`, cloned.
     fn rows(t: &IndexOrganizedTable, lo: Bound<&Key>, hi: Bound<&Key>) -> Vec<Row> {
         t.range(lo, hi).map(|(_, _, r)| r.clone()).collect()
@@ -296,7 +263,7 @@ mod tests {
     #[test]
     fn insert_and_point_get() {
         let mut t = iot();
-        t.insert(entry("oracle", 1)).unwrap();
+        put(&mut t, entry("oracle", 1)).unwrap();
         let key = Key(vec![Value::from("oracle"), Value::Integer(1)]);
         assert_eq!(get(&t, &key).unwrap()[2], Value::Integer(10));
         // Tiny tree: height 1, plus the one leaf a probe lands on.
@@ -304,20 +271,12 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_key_rejected() {
-        let mut t = iot();
-        t.insert(entry("oracle", 1)).unwrap();
-        let err = t.insert(entry("oracle", 1)).unwrap_err();
-        assert!(matches!(err, Error::Constraint(_)));
-    }
-
-    #[test]
     fn upsert_replaces() {
         let mut t = iot();
-        t.insert(entry("oracle", 1)).unwrap();
+        put(&mut t, entry("oracle", 1)).unwrap();
         let mut newer = entry("oracle", 1);
         newer[2] = Value::Integer(999);
-        let (old, _, _) = t.upsert(newer).unwrap();
+        let (old, _) = upsert(&mut t, newer);
         assert!(old.is_some());
         let key = Key(vec![Value::from("oracle"), Value::Integer(1)]);
         assert_eq!(get(&t, &key).unwrap()[2], Value::Integer(999));
@@ -331,8 +290,8 @@ mod tests {
     fn posting_list_is_a_prefix_range() {
         let mut t = iot();
         for d in 1..=5 {
-            t.insert(entry("oracle", d)).unwrap();
-            t.insert(entry("unix", d * 100)).unwrap();
+            put(&mut t, entry("oracle", d)).unwrap();
+            put(&mut t, entry("unix", d * 100)).unwrap();
         }
         let prefix = Key::single(Value::from("oracle"));
         let padded = Key(vec![Value::from("oracle"), Value::Null]);
@@ -347,7 +306,7 @@ mod tests {
     #[test]
     fn absent_token_prefix_range_is_empty() {
         let mut t = iot();
-        t.insert(entry("oracle", 1)).unwrap();
+        put(&mut t, entry("oracle", 1)).unwrap();
         let prefix = Key::single(Value::from("cobol"));
         let padded = Key(vec![Value::from("cobol"), Value::Null]);
         assert!(rows(&t, Included(&prefix), Included(&padded)).is_empty());
@@ -357,7 +316,7 @@ mod tests {
     fn range_scan_inclusive_bounds() {
         let mut t = IndexOrganizedTable::new(SegmentId(1), 1);
         for i in 0..10 {
-            t.insert(vec![Value::Integer(i)]).unwrap();
+            put(&mut t, vec![Value::Integer(i)]).unwrap();
         }
         let lo = Key::single(Value::Integer(3));
         let hi = Key::single(Value::Integer(6));
@@ -371,7 +330,7 @@ mod tests {
     fn inverted_or_doubly_excluded_bounds_yield_nothing() {
         let mut t = IndexOrganizedTable::new(SegmentId(1), 1);
         for i in 0..10 {
-            t.insert(vec![Value::Integer(i)]).unwrap();
+            put(&mut t, vec![Value::Integer(i)]).unwrap();
         }
         let (three, seven) = (Key::single(Value::Integer(3)), Key::single(Value::Integer(7)));
         assert!(rows(&t, Included(&seven), Included(&three)).is_empty());
@@ -383,7 +342,7 @@ mod tests {
     #[test]
     fn delete_removes_and_reports() {
         let mut t = iot();
-        t.insert(entry("oracle", 1)).unwrap();
+        put(&mut t, entry("oracle", 1)).unwrap();
         let key = Key(vec![Value::from("oracle"), Value::Integer(1)]);
         let (old, _) = t.delete(&key);
         assert!(old.is_some());
@@ -396,7 +355,7 @@ mod tests {
     fn leaf_page_model_scales_with_rows() {
         let mut t = IndexOrganizedTable::new(SegmentId(1), 1);
         for i in 0..1000 {
-            t.insert(vec![Value::Integer(i), Value::from("x".repeat(100))]).unwrap();
+            put(&mut t, vec![Value::Integer(i), Value::from("x".repeat(100))]).unwrap();
         }
         // ~112 bytes/row → ~73 rows/page → ~14 pages.
         assert!(t.page_count() >= 10 && t.page_count() <= 20, "{}", t.page_count());
@@ -408,27 +367,27 @@ mod tests {
     #[test]
     fn key_shorter_than_declared_is_error() {
         let mut t = iot();
-        assert!(t.insert(vec![Value::from("only-one-col")]).is_err());
+        assert!(put(&mut t, vec![Value::from("only-one-col")]).is_err());
     }
 
     #[test]
     fn ordinals_are_stable_and_never_reused() {
         let mut t = iot();
-        let (o1, _) = t.insert(entry("a", 1)).unwrap();
-        let (o2, _) = t.insert(entry("b", 2)).unwrap();
+        let o1 = put(&mut t, entry("a", 1)).unwrap();
+        let o2 = put(&mut t, entry("b", 2)).unwrap();
         assert_ne!(o1, o2);
 
         // In-place replace keeps the ordinal.
         let mut newer = entry("a", 1);
         newer[2] = Value::Integer(777);
-        let (_, o1_again, _) = t.upsert(newer).unwrap();
+        let (_, o1_again) = upsert(&mut t, newer);
         assert_eq!(o1, o1_again);
 
         // Delete retires the ordinal; a fresh insert gets a new one.
         let key_a = Key(vec![Value::from("a"), Value::Integer(1)]);
         let (removed, _) = t.delete(&key_a);
         assert_eq!(removed.unwrap().1, o1);
-        let (o3, _) = t.insert(entry("a", 1)).unwrap();
+        let o3 = put(&mut t, entry("a", 1)).unwrap();
         assert!(o3 > o2);
 
         // Undo-style restore brings back the original ordinal.
@@ -447,7 +406,7 @@ mod tests {
     fn after_key_pages_through_in_key_order() {
         let mut t = IndexOrganizedTable::new(SegmentId(1), 1);
         for i in 0..7 {
-            t.insert(vec![Value::Integer(i)]).unwrap();
+            put(&mut t, vec![Value::Integer(i)]).unwrap();
         }
         let first: Vec<_> = t.range(Unbounded, Unbounded).take(3).collect();
         assert_eq!(first.len(), 3);

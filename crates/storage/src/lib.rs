@@ -31,9 +31,11 @@
 //!   rollback pop and one prune rule — a heap delete is deferred and an IOT
 //!   delete immediate, and that is the only difference — plus byte-span
 //!   chains for LOBs;
-//! - [`engine::StorageEngine`] — the façade that owns all segments and
-//!   funnels every mutation through the buffer cache, WAL and the driving
-//!   transaction's undo log (no mutator takes a log), and every heap/IOT
+//! - [`engine::StorageEngine`] — the façade that owns all segments (one
+//!   [`wal::Segments`], which only its one apply changes — live writes,
+//!   rollback, vacuum and redo alike) and funnels every mutation through
+//!   the buffer cache, WAL and the driving transaction's undo log (no
+//!   mutator takes a log), and every heap/IOT
 //!   read through four snapshot-pinned functions (there is no
 //!   snapshot-blind read to call instead): the heap page walk, the IOT key
 //!   range — one merge of the segment's rows with its version chains over
@@ -59,6 +61,5 @@ pub use engine::StorageEngine;
 pub use mvcc::{Snapshot, TxnManager, TxnStatus};
 pub use page::{SegmentId, PAGE_SIZE};
 pub use wal::{
-    CommitBlob, DurableMedium, EngineSnapshot, RecoveryImage, WalRecord, WalStats,
-    WAL_FAULT_POINTS,
+    CommitBlob, DurableMedium, RecoveryImage, Segments, WalRecord, WalStats, WAL_FAULT_POINTS,
 };

@@ -17,14 +17,7 @@ use std::collections::HashMap;
 
 use extidx_common::{Error, LobRef, Result};
 
-use crate::page::PAGE_SIZE;
-
-/// Pages touched by a LOB operation: `(reads, writes)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LobIoCharge {
-    pub page_reads: usize,
-    pub page_writes: usize,
-}
+use crate::page::{IoCharge, PAGE_SIZE};
 
 /// The LOB segment: all large objects in the database.
 #[derive(Debug, Default, Clone)]
@@ -48,22 +41,14 @@ impl LobStore {
         Self::default()
     }
 
-    /// Allocate a new, empty LOB and return its locator.
-    pub fn allocate(&mut self) -> LobRef {
-        self.next += 1;
-        let r = LobRef(self.next);
-        self.lobs.insert(r, Vec::new());
-        r
-    }
-
-    /// The locator [`LobStore::allocate`] would assign next (WAL
-    /// log-before-apply support for ref-explicit allocation records).
+    /// The locator the next allocation takes. The engine logs the
+    /// allocation of this locator before applying it: commit-order replay
+    /// must reproduce the live run's assignments.
     pub fn peek_next_ref(&self) -> LobRef {
         LobRef(self.next + 1)
     }
 
-    /// Allocate a specific locator (WAL replay of a ref-explicit record —
-    /// commit-order replay must reproduce the live run's assignments).
+    /// Allocate locator `r` as an empty LOB.
     pub fn allocate_at(&mut self, r: LobRef) {
         self.next = self.next.max(r.0);
         self.lobs.insert(r, Vec::new());
@@ -96,45 +81,37 @@ impl LobStore {
     }
 
     /// Read `len` bytes starting at `offset` (short read at end-of-lob).
-    pub fn read(&self, r: LobRef, offset: u64, len: usize) -> Result<(Vec<u8>, LobIoCharge)> {
+    pub fn read(&self, r: LobRef, offset: u64, len: usize) -> Result<(Vec<u8>, IoCharge)> {
         let data = self.get(r)?;
         let off = (offset as usize).min(data.len());
         let end = (off + len).min(data.len());
         let out = data[off..end].to_vec();
-        let charge = LobIoCharge { page_reads: pages_spanned(off, out.len()).max(1), page_writes: 0 };
+        let charge = IoCharge { page_reads: pages_spanned(off, out.len()).max(1), page_writes: 0 };
         Ok((out, charge))
     }
 
     /// Read the whole LOB.
-    pub fn read_all(&self, r: LobRef) -> Result<(Vec<u8>, LobIoCharge)> {
+    pub fn read_all(&self, r: LobRef) -> Result<(Vec<u8>, IoCharge)> {
         let data = self.get(r)?;
-        let charge = LobIoCharge { page_reads: pages_spanned(0, data.len()).max(1), page_writes: 0 };
+        let charge = IoCharge { page_reads: pages_spanned(0, data.len()).max(1), page_writes: 0 };
         Ok((data.clone(), charge))
     }
 
     /// Write bytes at `offset`, extending (zero-filled) if needed.
-    pub fn write(&mut self, r: LobRef, offset: u64, bytes: &[u8]) -> Result<LobIoCharge> {
+    pub fn write(&mut self, r: LobRef, offset: u64, bytes: &[u8]) -> Result<IoCharge> {
         let data = self.get_mut(r)?;
         let off = offset as usize;
         if data.len() < off + bytes.len() {
             data.resize(off + bytes.len(), 0);
         }
         data[off..off + bytes.len()].copy_from_slice(bytes);
-        Ok(LobIoCharge { page_reads: 0, page_writes: pages_spanned(off, bytes.len()).max(1) })
-    }
-
-    /// Append bytes at the end; returns the offset written at.
-    pub fn append(&mut self, r: LobRef, bytes: &[u8]) -> Result<(u64, LobIoCharge)> {
-        let off = self.get(r)?.len() as u64;
-        let charge = self.write(r, off, bytes)?;
-        Ok((off, charge))
+        Ok(IoCharge { page_reads: 0, page_writes: pages_spanned(off, bytes.len()).max(1) })
     }
 
     /// Extend the LOB to at least `len` bytes, filling new space with
-    /// `fill`. Used by WAL replay of offset-explicit appends: a gap below
-    /// the recorded offset means an aborted transaction's append was
-    /// skipped, and live rollback hole-filled that space with `0xFF`
-    /// tombstone bytes — replay must reproduce the same image.
+    /// `fill`. An append lands at a recorded offset: a gap below it on
+    /// replay is an aborted transaction's append, which live rollback
+    /// hole-filled with `0xFF` tombstone bytes, so replay pads alike.
     pub fn pad_to(&mut self, r: LobRef, len: u64, fill: u8) -> Result<()> {
         let data = self.get_mut(r)?;
         if data.len() < len as usize {
@@ -143,12 +120,10 @@ impl LobStore {
         Ok(())
     }
 
-    /// Replace the whole LOB content.
-    pub fn overwrite(&mut self, r: LobRef, bytes: &[u8]) -> Result<LobIoCharge> {
-        let data = self.get_mut(r)?;
-        data.clear();
-        data.extend_from_slice(bytes);
-        Ok(LobIoCharge { page_reads: 0, page_writes: pages_spanned(0, bytes.len()).max(1) })
+    /// Replace the whole LOB content; returns the content it replaced.
+    pub fn overwrite(&mut self, r: LobRef, bytes: Vec<u8>) -> Result<(Vec<u8>, IoCharge)> {
+        let charge = IoCharge { page_reads: 0, page_writes: pages_spanned(0, bytes.len()).max(1) };
+        Ok((std::mem::replace(self.get_mut(r)?, bytes), charge))
     }
 
     /// Truncate to `len` bytes.
@@ -165,7 +140,8 @@ impl LobStore {
             .ok_or_else(|| Error::Storage(format!("{r}: no such LOB")))
     }
 
-    /// Restore a previously freed LOB (undo support).
+    /// Put `bytes` back as the content of locator `r`, allocated or not —
+    /// the rollback of an overwrite or a free.
     pub fn restore(&mut self, r: LobRef, bytes: Vec<u8>) {
         self.next = self.next.max(r.0);
         self.lobs.insert(r, bytes);
@@ -176,10 +152,17 @@ impl LobStore {
 mod tests {
     use super::*;
 
+    /// Allocate where the engine does: the next locator.
+    fn alloc(s: &mut LobStore) -> LobRef {
+        let r = s.peek_next_ref();
+        s.allocate_at(r);
+        r
+    }
+
     #[test]
     fn allocate_write_read_roundtrip() {
         let mut s = LobStore::new();
-        let r = s.allocate();
+        let r = alloc(&mut s);
         s.write(r, 0, b"hello world").unwrap();
         let (bytes, _) = s.read(r, 6, 5).unwrap();
         assert_eq!(&bytes, b"world");
@@ -189,26 +172,36 @@ mod tests {
     #[test]
     fn write_beyond_end_zero_fills() {
         let mut s = LobStore::new();
-        let r = s.allocate();
+        let r = alloc(&mut s);
         s.write(r, 4, b"xy").unwrap();
         let (all, _) = s.read_all(r).unwrap();
         assert_eq!(all, vec![0, 0, 0, 0, b'x', b'y']);
     }
 
     #[test]
-    fn append_reports_offset() {
+    fn pad_to_fills_the_gap_below_an_append() {
         let mut s = LobStore::new();
-        let r = s.allocate();
-        let (o1, _) = s.append(r, b"abc").unwrap();
-        let (o2, _) = s.append(r, b"def").unwrap();
-        assert_eq!((o1, o2), (0, 3));
-        assert_eq!(s.read_all(r).unwrap().0, b"abcdef");
+        let r = alloc(&mut s);
+        s.write(r, 0, b"abc").unwrap();
+        s.pad_to(r, 5, 0xFF).unwrap();
+        s.write(r, 5, b"def").unwrap();
+        s.pad_to(r, 2, 0xFF).unwrap();
+        assert_eq!(s.read_all(r).unwrap().0, b"abc\xff\xffdef");
+    }
+
+    #[test]
+    fn overwrite_returns_the_replaced_content() {
+        let mut s = LobStore::new();
+        let r = alloc(&mut s);
+        s.write(r, 0, b"old").unwrap();
+        let (old, _) = s.overwrite(r, b"newer".to_vec()).unwrap();
+        assert_eq!((old, s.read_all(r).unwrap().0), (b"old".to_vec(), b"newer".to_vec()));
     }
 
     #[test]
     fn short_read_at_end() {
         let mut s = LobStore::new();
-        let r = s.allocate();
+        let r = alloc(&mut s);
         s.write(r, 0, b"abc").unwrap();
         let (bytes, _) = s.read(r, 2, 100).unwrap();
         assert_eq!(&bytes, b"c");
@@ -217,7 +210,7 @@ mod tests {
     #[test]
     fn page_charges_span_chunks() {
         let mut s = LobStore::new();
-        let r = s.allocate();
+        let r = alloc(&mut s);
         let big = vec![7u8; PAGE_SIZE * 3 + 10];
         let charge = s.write(r, 0, &big).unwrap();
         assert_eq!(charge.page_writes, 4);
@@ -228,7 +221,7 @@ mod tests {
     #[test]
     fn free_and_restore() {
         let mut s = LobStore::new();
-        let r = s.allocate();
+        let r = alloc(&mut s);
         s.write(r, 0, b"data").unwrap();
         let bytes = s.free(r).unwrap();
         assert!(s.read_all(r).is_err());
@@ -239,7 +232,7 @@ mod tests {
     #[test]
     fn truncate_shrinks() {
         let mut s = LobStore::new();
-        let r = s.allocate();
+        let r = alloc(&mut s);
         s.write(r, 0, b"abcdef").unwrap();
         s.truncate(r, 2).unwrap();
         assert_eq!(s.read_all(r).unwrap().0, b"ab");
@@ -248,7 +241,7 @@ mod tests {
     #[test]
     fn locators_are_distinct() {
         let mut s = LobStore::new();
-        assert_ne!(s.allocate(), s.allocate());
+        assert_ne!(alloc(&mut s), alloc(&mut s));
         assert_eq!(s.lob_count(), 2);
     }
 }

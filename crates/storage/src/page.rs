@@ -26,6 +26,14 @@ impl std::fmt::Display for SegmentId {
     }
 }
 
+/// Pages an IOT or LOB operation touched, for the engine to charge to the
+/// buffer cache: `(reads, writes)` as page counts.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IoCharge {
+    pub page_reads: usize,
+    pub page_writes: usize,
+}
+
 /// Modeled height of a B-tree holding `n` entries with [`BTREE_FANOUT`]:
 /// the number of page reads a point probe costs. Always at least 1.
 pub fn btree_height(n: usize) -> usize {

@@ -20,9 +20,18 @@
 //!   medium (nothing later reaches it), simulating the process dying
 //!   between append and apply, apply and commit, or mid-checkpoint.
 //!
+//! There is **one apply**, [`Segments::apply`]: the only code that changes
+//! a heap, an IOT or a LOB. The live engine holds a [`Segments`] and logs
+//! each record before applying it there; rollback logs and applies its
+//! compensation records the same way; the vacuum applies a deferred heap
+//! delete whose record was logged when the delete ran; and redo onto the
+//! medium's image is the same apply. A versioned heap delete and the
+//! compensation of its rollback are the only records logged but not
+//! applied live: the row stays in its slot until the vacuum pass.
+//!
 //! A checkpoint **folds**: it regroups the WAL per transaction (`group`,
 //! the one grouping recovery uses too), redoes the committed records onto
-//! the image in place and in commit order ([`EngineSnapshot::redo`]),
+//! the image in place and in commit order ([`Segments::redo`]),
 //! carries the records of transactions that may still commit — and txn
 //! 0's markerless tail — forward in the WAL, and truncates the rest. It
 //! costs the records since the previous checkpoint, not the size of the
@@ -40,8 +49,9 @@
 //!
 //! All redo records are *logical* (operation + arguments) and carry every
 //! placement decision the live run made (heap rowid, IOT ordinal, LOB ref
-//! and append offset, segment id), so redoing them in commit order — not
-//! execution order — reproduces the committed physical state.
+//! and append offset, segment id). Redoing them in commit order — not
+//! execution order — through the apply the live run used reproduces the
+//! committed physical state, down to where the next insert lands.
 
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
@@ -54,7 +64,7 @@ use crate::file_store::FileStore;
 use crate::heap::HeapTable;
 use crate::iot::IndexOrganizedTable;
 use crate::lob::LobStore;
-use crate::page::SegmentId;
+use crate::page::{IoCharge, SegmentId};
 
 /// Opaque dump attached to commit markers and checkpoints. The storage
 /// crate cannot name the SQL layer's catalog types, so they travel as
@@ -83,10 +93,10 @@ pub const FP_WAL_CHECKPOINT_TRUNCATE: &str = "wal.checkpoint.truncate";
 pub const WAL_FAULT_POINTS: &[&str] =
     &[FP_WAL_APPEND, FP_WAL_APPLY, FP_WAL_COMMIT, FP_WAL_CHECKPOINT, FP_WAL_CHECKPOINT_TRUNCATE];
 
-/// One logical redo record. Mirrors every undo-visible mutation of the
-/// storage engine plus the rollback-only applications (`HeapInsertAt`,
-/// `IotInsertOrd`, `LobRestore`) — an explicit-transaction ROLLBACK is
-/// itself redone on recovery, since a commit marker follows it.
+/// One logical redo record: the unit [`Segments::apply`] applies. Every
+/// change to a heap, an IOT or a LOB is one of these, forward work and
+/// rollback compensation alike — an explicit-transaction ROLLBACK is itself
+/// redone on recovery, since a commit marker follows it.
 #[derive(Clone)]
 pub enum WalRecord {
     /// Segment-explicit creation. Under concurrent transactions, replay
@@ -156,96 +166,123 @@ impl std::fmt::Debug for WalRecord {
     }
 }
 
-/// Image of the storage engine's segments — not the buffer cache, which
-/// comes up cold on recovery as it would after a real restart, and not the
-/// external files, whose crash-surviving state is the medium's mirror.
+/// Every segment of the engine — heaps, IOTs, LOBs and the next segment
+/// id. The live engine holds one, and so does the durable medium's image.
+/// Not the buffer cache, which comes up cold on recovery as it would after
+/// a real restart, and not the external files, whose crash-surviving state
+/// is the medium's mirror.
 #[derive(Clone, Default)]
-pub struct EngineSnapshot {
+pub struct Segments {
     pub heaps: HashMap<SegmentId, HeapTable>,
     pub iots: HashMap<SegmentId, IndexOrganizedTable>,
     pub lobs: LobStore,
     pub next_segment: u32,
 }
 
-impl EngineSnapshot {
-    /// Redo one committed record onto the image: segment-level, touching
-    /// no undo log, version chain or buffer cache. The checkpoint fold and
-    /// recovery both go through here. Application errors are swallowed: a
-    /// record whose live apply failed fails identically here (same state,
-    /// deterministic operations), leaving the image unchanged both times.
-    pub fn redo(&mut self, rec: &WalRecord) {
+/// What applying one record displaced, and the pages it touched: all the
+/// engine needs for its undo entry, version chain and buffer cache.
+#[derive(Default)]
+pub(crate) struct Applied {
+    /// The row the record replaced or removed, with its IOT ordinal (0 for
+    /// a heap row).
+    pub(crate) row: Option<(Row, u64)>,
+    /// The content of a LOB the record overwrote or freed.
+    pub(crate) bytes: Vec<u8>,
+    /// Pages an IOT or LOB record touched (a heap record touches the page
+    /// of its rowid).
+    pub(crate) charge: IoCharge,
+}
+
+impl Applied {
+    /// The row a heap update or delete displaced.
+    pub(crate) fn old_row(self) -> Row {
+        self.row.expect("an applied heap update or delete displaces its row").0
+    }
+}
+
+/// The segment `seg` of one kind, or the engine's "no such segment" error.
+fn segment<'a, T>(
+    map: &'a mut HashMap<SegmentId, T>,
+    seg: SegmentId,
+    kind: &str,
+) -> Result<&'a mut T> {
+    map.get_mut(&seg).ok_or_else(|| Error::Storage(format!("{seg}: no such {kind} segment")))
+}
+
+impl Segments {
+    /// The one physical apply: the only code that changes a heap, an IOT
+    /// or a LOB. Segment-level — no undo log, version chain or buffer
+    /// cache. A live write, a rollback's compensation, the vacuum's
+    /// reclaim of a deferred heap delete, the checkpoint fold and recovery
+    /// all come through here, so replaying a record reproduces exactly
+    /// what applying it live did.
+    pub(crate) fn apply(&mut self, rec: WalRecord) -> Result<Applied> {
+        let mut out = Applied::default();
         match rec {
             WalRecord::CreateHeapAt { seg } => {
-                self.heaps.insert(*seg, HeapTable::new(*seg));
+                self.heaps.insert(seg, HeapTable::new(seg));
                 self.next_segment = self.next_segment.max(seg.0 + 1);
             }
             WalRecord::CreateIotAt { seg, key_cols } => {
-                self.iots.insert(*seg, IndexOrganizedTable::new(*seg, *key_cols));
+                self.iots.insert(seg, IndexOrganizedTable::new(seg, key_cols));
                 self.next_segment = self.next_segment.max(seg.0 + 1);
             }
             WalRecord::DropSegment { seg } => {
-                self.heaps.remove(seg);
-                self.iots.remove(seg);
+                self.heaps.remove(&seg);
+                self.iots.remove(&seg);
             }
-            WalRecord::TruncateSegment { seg } => {
-                if let Some(h) = self.heaps.get_mut(seg) {
-                    h.truncate();
-                } else if let Some(t) = self.iots.get_mut(seg) {
-                    t.truncate();
-                }
-            }
+            WalRecord::TruncateSegment { seg } => match self.heaps.get_mut(&seg) {
+                Some(h) => h.truncate(),
+                None => segment(&mut self.iots, seg, "IOT")?.truncate(),
+            },
             WalRecord::HeapInsertAt { seg, rid, row } => {
-                if let Some(h) = self.heaps.get_mut(seg) {
-                    let _ = h.insert_at(*rid, row.clone());
-                }
+                segment(&mut self.heaps, seg, "heap")?.insert_at(rid, row)?;
             }
             WalRecord::HeapUpdate { seg, rid, row } => {
-                if let Some(h) = self.heaps.get_mut(seg) {
-                    let _ = h.update(*rid, row.clone());
-                }
+                out.row = Some((segment(&mut self.heaps, seg, "heap")?.update(rid, row)?, 0));
             }
             WalRecord::HeapDelete { seg, rid } => {
-                if let Some(h) = self.heaps.get_mut(seg) {
-                    let _ = h.delete(*rid);
-                }
+                out.row = Some((segment(&mut self.heaps, seg, "heap")?.delete(rid)?, 0));
             }
             WalRecord::IotInsertOrd { seg, row, ord }
             | WalRecord::IotUpsertOrd { seg, row, ord } => {
-                if let Some(t) = self.iots.get_mut(seg) {
-                    let _ = t.insert_with_ordinal(row.clone(), *ord);
-                }
+                let iot = segment(&mut self.iots, seg, "IOT")?;
+                (out.row, out.charge) = iot.insert_with_ordinal(row, ord)?;
             }
             WalRecord::IotDelete { seg, key } => {
-                if let Some(t) = self.iots.get_mut(seg) {
-                    t.delete(key);
-                }
+                (out.row, out.charge) = segment(&mut self.iots, seg, "IOT")?.delete(&key);
             }
-            WalRecord::LobAllocateAt { lob } => self.lobs.allocate_at(*lob),
+            WalRecord::LobAllocateAt { lob } => self.lobs.allocate_at(lob),
             WalRecord::LobWrite { lob, offset, bytes } => {
-                let _ = self.lobs.write(*lob, *offset, bytes);
+                out.charge = self.lobs.write(lob, offset, &bytes)?;
             }
             WalRecord::LobAppendAt { lob, offset, bytes } => {
-                // A gap below the recorded offset is an aborted
-                // transaction's append, which commit-order redo skips; live
-                // rollback hole-filled that space with 0xFF tombstone
-                // bytes, so redo must too.
-                let _ = self.lobs.pad_to(*lob, *offset, 0xFF);
-                let _ = self.lobs.write(*lob, *offset, bytes);
+                // Live, the offset is the end of the LOB and the pad is
+                // empty. On replay a gap below it is an aborted
+                // transaction's append, which commit-order redo skips and
+                // live rollback hole-filled with 0xFF tombstone bytes.
+                self.lobs.pad_to(lob, offset, 0xFF)?;
+                out.charge = self.lobs.write(lob, offset, &bytes)?;
             }
             WalRecord::LobOverwrite { lob, bytes } => {
-                let _ = self.lobs.overwrite(*lob, bytes);
+                (out.bytes, out.charge) = self.lobs.overwrite(lob, bytes)?;
             }
-            WalRecord::LobTruncate { lob, len } => {
-                let _ = self.lobs.truncate(*lob, *len);
-            }
-            WalRecord::LobFree { lob } => {
-                let _ = self.lobs.free(*lob);
-            }
-            WalRecord::LobRestore { lob, bytes } => self.lobs.restore(*lob, bytes.clone()),
+            WalRecord::LobTruncate { lob, len } => self.lobs.truncate(lob, len)?,
+            WalRecord::LobFree { lob } => out.bytes = self.lobs.free(lob)?,
+            WalRecord::LobRestore { lob, bytes } => self.lobs.restore(lob, bytes),
             // File content survives in the medium's mirror; a marker's
             // catalog payload is the fold's business.
             WalRecord::FileActivity { .. } | WalRecord::Commit { .. } => {}
         }
+        Ok(out)
+    }
+
+    /// Redo one committed record onto the image: [`Self::apply`], with
+    /// the error dropped — a record whose live apply failed fails
+    /// identically here (same state, same apply), leaving the image
+    /// unchanged both times. The checkpoint fold and recovery redo here.
+    pub fn redo(&mut self, rec: &WalRecord) {
+        let _ = self.apply(rec.clone());
     }
 }
 
@@ -257,7 +294,7 @@ impl EngineSnapshot {
 struct CheckpointImage {
     last_lsn: u64,
     carried: Vec<(u64, u64)>,
-    engine: EngineSnapshot,
+    engine: Segments,
     payload: Option<CommitBlob>,
 }
 
@@ -402,7 +439,7 @@ impl MediumInner {
 /// What recovery loads into the live engine, extracted under one lock.
 pub struct RecoveryImage {
     /// A copy of the checkpoint image with every committed record folded in.
-    pub engine: EngineSnapshot,
+    pub engine: Segments,
     /// The catalog/health dump of the last commit folded in (the
     /// checkpoint's own when none came after it).
     pub payload: Option<CommitBlob>,
@@ -511,7 +548,7 @@ impl DurableMedium {
     /// `wal.checkpoint.truncate` between the fold and the truncation.
     pub fn checkpoint(
         &self,
-        first: impl FnOnce() -> EngineSnapshot,
+        first: impl FnOnce() -> Segments,
         payload: CommitBlob,
         open: impl Fn(u64) -> bool,
     ) -> Result<()> {
@@ -682,7 +719,7 @@ mod tests {
         m.append(insert(2, 2)).unwrap();
         m.commit(None).unwrap();
         m.append(insert(3, 3)).unwrap(); // txn 0's markerless tail
-        m.checkpoint(EngineSnapshot::default, Arc::new(()), |txn| txn == 5).unwrap();
+        m.checkpoint(Segments::default, Arc::new(()), |txn| txn == 5).unwrap();
         assert_eq!(m.stats().wal_len, 2, "the WAL keeps exactly what the image carried");
         m.commit_txn(5, None).unwrap();
         assert_eq!(rows(&m.recover()), [5, 2, 3]);
@@ -698,7 +735,7 @@ mod tests {
         m.append(WalRecord::HeapDelete { seg: SEG, rid: RowId::new(1, 0, 0) }).unwrap();
         m.commit(None).unwrap();
         m.set_fault_hook(crash_at(FP_WAL_CHECKPOINT_TRUNCATE));
-        assert!(m.checkpoint(EngineSnapshot::default, Arc::new(()), |txn| txn == 5).is_err());
+        assert!(m.checkpoint(Segments::default, Arc::new(()), |txn| txn == 5).is_err());
         assert_eq!(m.stats().wal_len, 6, "the crash left the WAL untruncated");
         {
             // The LSN rule: every folded record is skipped, the carried

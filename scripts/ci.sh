@@ -121,6 +121,13 @@ cargo test -q --test differential bind_literal_sweep -- --include-ignored
 # recover-and-resume arm with seeded checkpoints between the crashes.
 echo "== crash recovery (WAL + checkpoints + qgen sweeps) =="
 cargo test -q --test recovery -- --include-ignored
+# Replay reproduces the live placement (DESIGN.md §4i "One apply"): a
+# seeded heap / IOT / LOB history with statement and transaction
+# rollbacks and checkpoints, recovered and compared slot for slot with the
+# engine that wrote it — rows by rowid, where the next inserts land, IOT
+# ordinals, LOB bytes — plus the six-insert / four-delete / one-insert
+# probe whose free list once came back reordered.
+cargo test -q -p extidx-storage --test replay_placement
 
 # MVCC: the concurrent differential oracle (N interleaved sessions vs a
 # commit-order serial twin, incl. the 8-seed sweep and the 4-thread
@@ -259,6 +266,37 @@ fi
 if awk '/^struct TxnInner/,/^}/' crates/storage/src/mvcc.rs | grep -nE "^ *(pub )?(writes|committed):"; then
     exit 1
 fi
+
+# One physical apply (DESIGN.md §4i "One apply"): `Segments::apply` in
+# wal.rs is the only non-test code that calls a heap, IOT or LOB mutator —
+# live writes, rollback compensations, the vacuum's reclaim and redo all
+# reach a segment through it (zone-map upkeep is metadata and not counted).
+# The mutators it replaced stay deleted, and the replay-placement tests
+# stay defined, so the recovery stanza above cannot run an empty filter.
+echo "== one physical apply (structural guard) =="
+mutators='\.(insert_at|insert_with_ordinal|allocate_at|pad_to|overwrite|restore|free|update|delete|truncate)\(|lobs\.write\(|(heaps|iots)\.(insert|remove)\('
+if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' \
+    crates/storage/src/engine.rs | grep -E "$mutators"; then
+    exit 1
+fi
+if awk '/^#\[cfg\(test\)\]/ { exit } /fn apply\(/ { inside = 1 }
+    inside && /^    }$/ { inside = 0; next } !inside { print FILENAME ":" FNR ": " $0 }' \
+    crates/storage/src/wal.rs | grep -E "$mutators"; then
+    exit 1
+fi
+[ "$(grep -c "fn apply(" crates/storage/src/wal.rs)" -eq 1 ]
+for f in heap iot lob; do
+    if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' \
+        "crates/storage/src/$f.rs" | grep -E "fn (insert|upsert|alloc_ord|allocate|append)\("; then
+        exit 1
+    fi
+done
+if grep -rnE "fn (alloc_segment|iot_mut)\(|IotIoCharge|LobIoCharge|EngineSnapshot" crates; then
+    exit 1
+fi
+grep -q "fn replay_reproduces_live_placement" crates/storage/tests/replay_placement.rs
+grep -q "fn the_free_list_comes_back_in_live_order" crates/storage/tests/replay_placement.rs
+grep -q "fn recovered_inserts_land_where_the_live_run_would_have" tests/recovery.rs
 
 # One key-bound builder (DESIGN.md §4h): the leading-column special case
 # (a candidate that could consume one conjunct only) stays gone, the
