@@ -1,8 +1,8 @@
-//! Index health — the `VALID → SUSPECT → QUARANTINED` state machine,
-//! circuit breaker, and per-index pending-work log.
+//! Index health — the `VALID → SUSPECT → QUARANTINED` state machine and
+//! its circuit breaker.
 //!
 //! Oracle8i marks a domain index `FAILED`/`UNUSABLE` when its cartridge
-//! misbehaves; queries then refuse the index and DML can defer its
+//! misbehaves; queries then refuse the index and DML skips its
 //! maintenance. [`HealthRegistry`] is our rendering of that state
 //! machine, layered on the sandbox (`sandbox` module):
 //!
@@ -16,13 +16,11 @@
 //!   `VALID` on its own — only QUARANTINED (and BUILD_FAILED) are sticky
 //!   and require `ALTER INDEX … REBUILD`.
 //!
-//! While an index is QUARANTINED the optimizer plans the functional
-//! fallback (the operator's §2.4.2 functional binding) and base-table
-//! DML appends the index's share of the work to the *pending log* held
-//! here, so the statement succeeds and REBUILD can replay the log later.
-//! Faults in maintenance/definition routines additionally set a *dirty*
-//! flag — the cartridge's own storage may be inconsistent, so REBUILD
-//! must rebuild from the base table instead of trusting a replay.
+//! While an index is unusable (QUARANTINED or BUILD_FAILED) the optimizer
+//! plans the functional fallback (the operator's §2.4.2 functional
+//! binding) and base-table DML makes no crossing into it, so the
+//! statement succeeds. REBUILD has one path: it drops whatever the
+//! cartridge holds and re-creates the index from the base table.
 //!
 //! The breaker is deterministic: windows are measured in per-index
 //! crossing calls, never wall time.
@@ -30,7 +28,6 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use extidx_common::{RowId, Value};
 use parking_lot::Mutex;
 
 /// The health state of one domain index.
@@ -43,7 +40,7 @@ pub enum HealthState {
     /// observation. Heals to `Valid` as clean calls slide the window.
     Suspect,
     /// The breaker tripped: the optimizer must not plan this index, DML
-    /// defers to the pending log, and only REBUILD restores it.
+    /// does not maintain it, and only REBUILD restores it.
     Quarantined,
     /// `CREATE INDEX` failed *and* its cleanup faulted: the dictionary
     /// entry is kept (the name is taken, storage may linger) and only a
@@ -77,29 +74,6 @@ impl Default for BreakerConfig {
     }
 }
 
-/// One domain-index maintenance operation — an index's share of a
-/// base-table DML. Applied directly to a usable index (and kept in the
-/// statement's compensation log), deferred to the pending log of a
-/// quarantined one.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PendingOp {
-    Insert { rid: RowId, value: Value },
-    Update { rid: RowId, old: Value, new: Value },
-    Delete { rid: RowId, old: Value },
-}
-
-impl PendingOp {
-    /// The operation that undoes this one: delete-for-insert,
-    /// re-insert-for-delete, reverse-update.
-    pub fn inverse(self) -> PendingOp {
-        match self {
-            PendingOp::Insert { rid, value } => PendingOp::Delete { rid, old: value },
-            PendingOp::Update { rid, old, new } => PendingOp::Update { rid, old: new, new: old },
-            PendingOp::Delete { rid, old } => PendingOp::Insert { rid, value: old },
-        }
-    }
-}
-
 /// A state transition observed by the registry, for CallTrace recording.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Transition {
@@ -115,10 +89,6 @@ struct IndexHealth {
     /// Call-clock stamps of recent faults, pruned to the breaker window.
     recent_faults: Vec<u64>,
     total_faults: u64,
-    /// Set when a maintenance/definition routine faulted: cartridge
-    /// storage may be inconsistent, so only a full rebuild is safe.
-    dirty: bool,
-    pending: Vec<PendingOp>,
 }
 
 /// One row of the registry snapshot (backs `V$INDEX_HEALTH`).
@@ -128,9 +98,7 @@ pub struct HealthSnapshot {
     pub state: HealthState,
     pub recent_faults: u32,
     pub total_faults: u64,
-    pub pending_ops: usize,
     pub calls: u64,
-    pub dirty: bool,
 }
 
 /// Index name (upper-cased) → its health. Each entry sits behind an `Arc`
@@ -166,7 +134,7 @@ impl Inner {
 
 /// A copy of the registry's whole state — attached (opaquely) to WAL
 /// commit markers and checkpoints so recovery restores health verbatim:
-/// quarantines, pending-work logs, and dirty flags survive a crash.
+/// quarantines and breaker windows survive a crash.
 #[derive(Debug, Clone)]
 pub struct HealthDump {
     config: BreakerConfig,
@@ -236,17 +204,14 @@ impl HealthRegistry {
         None
     }
 
-    /// Record a sandbox-caught fault. `dirty` marks the cartridge's own
-    /// storage as possibly inconsistent (maintenance/definition
-    /// routines); scan/stats faults leave it clean. Returns the breaker's
-    /// transition, if any.
-    pub fn note_fault(&self, index: &str, dirty: bool) -> Option<Transition> {
+    /// Record a sandbox-caught fault. Returns the breaker's transition, if
+    /// any.
+    pub fn note_fault(&self, index: &str) -> Option<Transition> {
         let mut g = self.inner.lock();
         let BreakerConfig { threshold, window } = g.config;
         let h = g.entry_mut(index)?;
         h.calls += 1;
         h.total_faults += 1;
-        h.dirty |= dirty;
         let cutoff = h.calls.saturating_sub(window);
         h.recent_faults.retain(|&stamp| stamp > cutoff);
         h.recent_faults.push(h.calls);
@@ -293,65 +258,9 @@ impl HealthRegistry {
         let h = Arc::make_mut(g.indexes.entry(index.to_ascii_uppercase().into()).or_default());
         let from = h.state;
         h.state = HealthState::BuildFailed;
-        h.dirty = true;
         let t = (from != HealthState::BuildFailed)
             .then_some(Transition { from, to: HealthState::BuildFailed });
         g.note(t)
-    }
-
-    /// Mark the cartridge's storage as requiring a full rebuild (e.g. a
-    /// transaction rollback invalidated pending-log assumptions).
-    pub fn mark_dirty(&self, index: &str) {
-        if let Some(h) = self.inner.lock().entry_mut(index) {
-            h.dirty = true;
-        }
-    }
-
-    /// Whether REBUILD must rebuild from the base table instead of
-    /// replaying the pending log.
-    pub fn needs_full_rebuild(&self, index: &str) -> bool {
-        self.inner
-            .lock()
-            .entry(index)
-            .map(|h| h.dirty || h.state == HealthState::BuildFailed)
-            .unwrap_or(false)
-    }
-
-    /// Append one deferred maintenance op (DML against a quarantined
-    /// index).
-    pub fn append_pending(&self, index: &str, op: PendingOp) {
-        if let Some(h) = self.inner.lock().entry_mut(index) {
-            h.pending.push(op);
-        }
-    }
-
-    /// Drop the most recently appended pending op (statement-failure
-    /// compensation: appends are statement-scoped until the boundary
-    /// commits them).
-    pub fn pop_pending(&self, index: &str) {
-        if let Some(h) = self.inner.lock().entry_mut(index) {
-            h.pending.pop();
-        }
-    }
-
-    /// Take the whole pending log (REBUILD replay).
-    pub fn take_pending(&self, index: &str) -> Vec<PendingOp> {
-        let mut g = self.inner.lock();
-        g.entry_mut(index).map(|h| std::mem::take(&mut h.pending)).unwrap_or_default()
-    }
-
-    /// Put a pending log back (failed REBUILD replay keeps the debt).
-    pub fn restore_pending(&self, index: &str, ops: Vec<PendingOp>) {
-        if let Some(h) = self.inner.lock().entry_mut(index) {
-            let mut ops = ops;
-            ops.append(&mut h.pending);
-            h.pending = ops;
-        }
-    }
-
-    /// Pending-log length.
-    pub fn pending_len(&self, index: &str) -> usize {
-        self.inner.lock().entry(index).map(|h| h.pending.len()).unwrap_or(0)
     }
 
     /// Successful REBUILD: back to VALID with a clean slate.
@@ -406,9 +315,7 @@ impl HealthRegistry {
                 state: h.state,
                 recent_faults: h.recent_faults.len() as u32,
                 total_faults: h.total_faults,
-                pending_ops: h.pending.len(),
                 calls: h.calls,
-                dirty: h.dirty,
             })
             .collect();
         rows.sort_by(|a, b| a.index.cmp(&b.index));
@@ -427,17 +334,17 @@ mod tests {
         reg.register("IX");
         assert_eq!(reg.state("IX"), HealthState::Valid);
         assert_eq!(
-            reg.note_fault("IX", false),
+            reg.note_fault("IX"),
             Some(Transition { from: HealthState::Valid, to: HealthState::Suspect })
         );
-        assert_eq!(reg.note_fault("IX", false), None);
+        assert_eq!(reg.note_fault("IX"), None);
         assert_eq!(
-            reg.note_fault("IX", false),
+            reg.note_fault("IX"),
             Some(Transition { from: HealthState::Suspect, to: HealthState::Quarantined })
         );
         assert!(!reg.is_usable("IX"));
         // Sticky: further faults and successes do not move it.
-        assert_eq!(reg.note_fault("IX", false), None);
+        assert_eq!(reg.note_fault("IX"), None);
         assert_eq!(reg.note_success("IX"), None);
         assert_eq!(reg.state("IX"), HealthState::Quarantined);
     }
@@ -447,7 +354,7 @@ mod tests {
         let reg = HealthRegistry::new();
         reg.set_breaker(BreakerConfig { threshold: 3, window: 4 });
         reg.register("IX");
-        reg.note_fault("IX", false);
+        reg.note_fault("IX");
         assert_eq!(reg.state("IX"), HealthState::Suspect);
         for _ in 0..3 {
             assert_eq!(reg.note_success("IX"), None);
@@ -467,7 +374,7 @@ mod tests {
         reg.set_breaker(BreakerConfig { threshold: 2, window: 3 });
         reg.register("IX");
         for _ in 0..5 {
-            reg.note_fault("IX", false);
+            reg.note_fault("IX");
             for _ in 0..4 {
                 reg.note_success("IX");
             }
@@ -477,45 +384,13 @@ mod tests {
     }
 
     #[test]
-    fn dirty_flag_and_pending_log() {
-        let reg = HealthRegistry::new();
-        reg.register("IX");
-        assert!(!reg.needs_full_rebuild("IX"));
-        reg.note_fault("IX", false); // scan fault: clean storage
-        assert!(!reg.needs_full_rebuild("IX"));
-        reg.note_fault("IX", true); // maintenance fault: dirty
-        assert!(reg.needs_full_rebuild("IX"));
-
-        reg.quarantine("IX");
-        reg.append_pending("IX", PendingOp::Delete { rid: RowId::new(1, 0, 0), old: Value::Null });
-        reg.append_pending(
-            "IX",
-            PendingOp::Insert { rid: RowId::new(1, 0, 1), value: Value::from("x") },
-        );
-        assert_eq!(reg.pending_len("IX"), 2);
-        reg.pop_pending("IX");
-        assert_eq!(reg.pending_len("IX"), 1);
-        let ops = reg.take_pending("IX");
-        assert_eq!(ops.len(), 1);
-        assert_eq!(reg.pending_len("IX"), 0);
-        reg.restore_pending("IX", ops);
-        assert_eq!(reg.pending_len("IX"), 1);
-
-        let t = reg.restore_valid("IX").unwrap();
-        assert_eq!(t.to, HealthState::Valid);
-        assert!(!reg.needs_full_rebuild("IX"));
-        assert_eq!(reg.pending_len("IX"), 0);
-    }
-
-    #[test]
     fn build_failed_is_sticky_until_restore() {
         let reg = HealthRegistry::new();
         reg.register("IX");
         let t = reg.set_build_failed("IX").unwrap();
         assert_eq!(t.to, HealthState::BuildFailed);
         assert!(!reg.is_usable("IX"));
-        assert!(reg.needs_full_rebuild("IX"));
-        reg.note_fault("IX", false);
+        reg.note_fault("IX");
         assert_eq!(reg.state("IX"), HealthState::BuildFailed);
         reg.restore_valid("IX");
         assert_eq!(reg.state("IX"), HealthState::Valid);
@@ -526,8 +401,7 @@ mod tests {
         let reg = HealthRegistry::new();
         assert_eq!(reg.state("NOPE"), HealthState::Valid);
         assert!(reg.is_usable("NOPE"));
-        assert_eq!(reg.note_fault("NOPE", true), None);
-        assert_eq!(reg.pending_len("NOPE"), 0);
+        assert_eq!(reg.note_fault("NOPE"), None);
     }
 
     #[test]
@@ -567,7 +441,7 @@ mod tests {
         let reg = HealthRegistry::new();
         reg.register("B_IX");
         reg.register("A_IX");
-        reg.note_fault("B_IX", false);
+        reg.note_fault("B_IX");
         let snap = reg.snapshot();
         assert_eq!(snap.len(), 2);
         assert_eq!(snap[0].index, "A_IX");

@@ -50,7 +50,7 @@ pub mod trace;
 pub use build::{partition_map, try_partition_map, DEFAULT_BUILD_BATCH_ROWS};
 pub use fault::{FaultInjector, FaultKind, RetryPolicy};
 pub use governor::CancelToken;
-pub use health::{BreakerConfig, HealthDump, HealthRegistry, HealthState, PendingOp};
+pub use health::{BreakerConfig, HealthDump, HealthRegistry, HealthState};
 pub use indextype::IndexType;
 pub use meta::{IndexInfo, OperatorCall, PredicateBound, RelOp};
 pub use odci::OdciIndex;

@@ -92,27 +92,26 @@ pub enum Routine {
 }
 
 impl Routine {
-    /// `(name, invoking component, callback restriction mode, writes the
-    /// cartridge's index storage)`.
-    const fn row(self) -> (&'static str, Component, CallbackMode, bool) {
+    /// `(name, invoking component, callback restriction mode)`.
+    const fn row(self) -> (&'static str, Component, CallbackMode) {
         use CallbackMode::{Definition, Maintenance, Scan};
         use Component::{Ddl, Dml, IndexAccess, Optimizer, Txn};
         match self {
-            Routine::IndexCreate => ("ODCIIndexCreate", Ddl, Definition, true),
-            Routine::IndexAlter => ("ODCIIndexAlter", Ddl, Definition, true),
-            Routine::IndexTruncate => ("ODCIIndexTruncate", Ddl, Definition, true),
-            Routine::IndexDrop => ("ODCIIndexDrop", Ddl, Definition, true),
-            Routine::IndexInsert => ("ODCIIndexInsert", Dml, Maintenance, true),
-            Routine::IndexUpdate => ("ODCIIndexUpdate", Dml, Maintenance, true),
-            Routine::IndexDelete => ("ODCIIndexDelete", Dml, Maintenance, true),
-            Routine::IndexStart => ("ODCIIndexStart", IndexAccess, Scan, false),
-            Routine::IndexFetch => ("ODCIIndexFetch", IndexAccess, Scan, false),
-            Routine::IndexClose => ("ODCIIndexClose", IndexAccess, Scan, false),
-            Routine::StatsCollect => ("ODCIStatsCollect", Optimizer, Definition, false),
-            Routine::StatsSelectivity => ("ODCIStatsSelectivity", Optimizer, Scan, false),
-            Routine::StatsIndexCost => ("ODCIStatsIndexCost", Optimizer, Scan, false),
-            Routine::EventCommit => ("DbEventCommit", Txn, Definition, false),
-            Routine::EventRollback => ("DbEventRollback", Txn, Definition, false),
+            Routine::IndexCreate => ("ODCIIndexCreate", Ddl, Definition),
+            Routine::IndexAlter => ("ODCIIndexAlter", Ddl, Definition),
+            Routine::IndexTruncate => ("ODCIIndexTruncate", Ddl, Definition),
+            Routine::IndexDrop => ("ODCIIndexDrop", Ddl, Definition),
+            Routine::IndexInsert => ("ODCIIndexInsert", Dml, Maintenance),
+            Routine::IndexUpdate => ("ODCIIndexUpdate", Dml, Maintenance),
+            Routine::IndexDelete => ("ODCIIndexDelete", Dml, Maintenance),
+            Routine::IndexStart => ("ODCIIndexStart", IndexAccess, Scan),
+            Routine::IndexFetch => ("ODCIIndexFetch", IndexAccess, Scan),
+            Routine::IndexClose => ("ODCIIndexClose", IndexAccess, Scan),
+            Routine::StatsCollect => ("ODCIStatsCollect", Optimizer, Definition),
+            Routine::StatsSelectivity => ("ODCIStatsSelectivity", Optimizer, Scan),
+            Routine::StatsIndexCost => ("ODCIStatsIndexCost", Optimizer, Scan),
+            Routine::EventCommit => ("DbEventCommit", Txn, Definition),
+            Routine::EventRollback => ("DbEventRollback", Txn, Definition),
         }
     }
 
@@ -130,13 +129,6 @@ impl Routine {
     /// The §2.5 restriction the routine's server callbacks run under.
     pub const fn mode(self) -> CallbackMode {
         self.row().2
-    }
-
-    /// Whether the routine writes the cartridge's index storage — a fault
-    /// inside one leaves that storage in an unknown state, so REBUILD must
-    /// go back to the base table instead of replaying pending ops.
-    pub const fn writes_index_storage(self) -> bool {
-        self.row().3
     }
 }
 

@@ -196,8 +196,7 @@ pub enum AlterIndexAction {
     /// `ALTER INDEX … PARAMETERS ('…')` — merge a parameter delta.
     Parameters(String),
     /// `ALTER INDEX … REBUILD` — recover a quarantined or build-failed
-    /// domain index: replay its pending-work log, or rebuild from the
-    /// base table when the cartridge storage may be inconsistent.
+    /// domain index by re-creating it from the base table.
     Rebuild,
 }
 

@@ -109,7 +109,7 @@ pub struct Catalog {
     /// Extensibility schema objects (functions, operators, indextypes).
     registry: SchemaRegistry,
     /// Domain-index health: the VALID/SUSPECT/QUARANTINED/BUILD_FAILED
-    /// state machine, circuit breaker, and pending-work logs.
+    /// state machine and its circuit breaker.
     pub health: HealthRegistry,
     /// Stamp of the dictionary contents (everything but `health`): every
     /// `&mut` entry point bumps it, so equal stamps mean equal contents.

@@ -27,7 +27,7 @@ use parking_lot::Mutex;
 use extidx_common::{Error, Key, Result, Row, RowId, SqlType, Value};
 use extidx_core::events::{DbEvent, EventHandler};
 use extidx_core::fault::{FaultInjector, RetryPolicy};
-use extidx_core::health::{HealthState, PendingOp, Transition};
+use extidx_core::health::{HealthState, Transition};
 use extidx_core::meta::IndexInfo;
 use extidx_core::operator::ScalarFunction;
 use extidx_core::server::ServerContext;
@@ -158,6 +158,27 @@ fn reject_vtable_dml(table: &str) -> Result<()> {
     Ok(())
 }
 
+/// One domain-index maintenance operation — an index's share of a
+/// base-table DML.
+#[derive(Debug, Clone)]
+enum MaintOp {
+    Insert { rid: RowId, value: Value },
+    Update { rid: RowId, old: Value, new: Value },
+    Delete { rid: RowId, old: Value },
+}
+
+impl MaintOp {
+    /// The operation that undoes this one: delete-for-insert,
+    /// re-insert-for-delete, reverse-update.
+    fn inverse(self) -> MaintOp {
+        match self {
+            MaintOp::Insert { rid, value } => MaintOp::Delete { rid, old: value },
+            MaintOp::Update { rid, old, new } => MaintOp::Update { rid, old: new, new: old },
+            MaintOp::Delete { rid, old } => MaintOp::Insert { rid, value: old },
+        }
+    }
+}
+
 /// One successful domain-index maintenance call, with everything needed
 /// to replay its inverse.
 #[derive(Debug, Clone)]
@@ -165,25 +186,25 @@ struct MaintRecord {
     /// Domain index name (re-resolved through the catalog at replay time,
     /// so an index dropped later in the statement is skipped cleanly).
     index: String,
-    op: PendingOp,
+    op: MaintOp,
 }
 
 /// How `op` crosses into the cartridge: the maintenance routine, the row
 /// it is about, and the call itself.
 fn maintenance_call<'a>(
-    op: &'a PendingOp,
+    op: &'a MaintOp,
     index: &'a dyn OdciIndex,
     info: &'a IndexInfo,
 ) -> (Routine, RowId, impl FnOnce(&mut dyn ServerContext) -> Result<()> + 'a) {
     let (routine, rid) = match op {
-        PendingOp::Insert { rid, .. } => (Routine::IndexInsert, *rid),
-        PendingOp::Update { rid, .. } => (Routine::IndexUpdate, *rid),
-        PendingOp::Delete { rid, .. } => (Routine::IndexDelete, *rid),
+        MaintOp::Insert { rid, .. } => (Routine::IndexInsert, *rid),
+        MaintOp::Update { rid, .. } => (Routine::IndexUpdate, *rid),
+        MaintOp::Delete { rid, .. } => (Routine::IndexDelete, *rid),
     };
     (routine, rid, move |ctx: &mut dyn ServerContext| match op {
-        PendingOp::Insert { rid, value } => index.insert(ctx, info, *rid, value),
-        PendingOp::Update { rid, old, new } => index.update(ctx, info, *rid, old, new),
-        PendingOp::Delete { rid, old } => index.delete(ctx, info, *rid, old),
+        MaintOp::Insert { rid, value } => index.insert(ctx, info, *rid, value),
+        MaintOp::Update { rid, old, new } => index.update(ctx, info, *rid, old, new),
+        MaintOp::Delete { rid, old } => index.delete(ctx, info, *rid, old),
     })
 }
 
@@ -206,10 +227,6 @@ pub(crate) struct StatementScope {
     /// external-file stores invisible to undo) return to their
     /// pre-statement state (§5).
     maint: Vec<MaintRecord>,
-    /// Pending-log appends made by the statement (index names, in order).
-    /// A failed statement retracts them so the pending log only ever
-    /// mirrors committed statement effects.
-    pending: Vec<String>,
     /// True while inverse maintenance operations are being replayed —
     /// suppresses fault injection and compensation recording so recovery
     /// itself is never sabotaged or re-logged.
@@ -510,7 +527,7 @@ impl Database {
         // Domain indexes over internal tables recovered for free via the
         // WAL. Indexes backed by *external files* may have absorbed
         // writes from the uncommitted tail (files do not wait for
-        // commit): quarantine them for replay or REBUILD.
+        // commit): quarantine them until REBUILD re-reads the base table.
         if !img.dirty_files.is_empty() {
             let dirty: std::collections::HashSet<&str> =
                 img.dirty_files.iter().map(String::as_str).collect();
@@ -522,7 +539,6 @@ impl Database {
                 };
                 if index.external_files(&info).iter().any(|f| dirty.contains(f.as_str())) {
                     let t = self.catalog.health.quarantine(&d.name);
-                    self.catalog.health.mark_dirty(&d.name);
                     self.trace_health_transition(&d.name, &d.indextype, t);
                     self.trace.record(
                         Component::Recovery,
@@ -556,20 +572,13 @@ impl Database {
     /// cartridge *reports* (including injected ones) keep their existing
     /// fail-the-statement semantics and never degrade the index. Skipped
     /// during compensation replay.
-    pub(crate) fn note_health_outcome(
-        &self,
-        routine: Routine,
-        info: &IndexInfo,
-        err: Option<&Error>,
-    ) {
+    pub(crate) fn note_health_outcome(&self, info: &IndexInfo, err: Option<&Error>) {
         if self.scope.compensating {
             return;
         }
         let health = &self.catalog.health;
         let t = match err {
-            Some(Error::CartridgeFault { .. }) => {
-                health.note_fault(&info.index_name, routine.writes_index_storage())
-            }
+            Some(Error::CartridgeFault { .. }) => health.note_fault(&info.index_name),
             Some(_) => None,
             None => health.note_success(&info.index_name),
         };
@@ -658,9 +667,8 @@ impl Database {
     }
 
     /// Statement atomicity — the one failure sequence, in its fixed order:
-    /// retract the statement's pending-log appends, replay inverse
-    /// maintenance operations so domain indexes (including external
-    /// stores invisible to undo) return to their pre-statement state,
+    /// replay inverse maintenance operations so domain indexes (including
+    /// external stores invisible to undo) return to their pre-statement state,
     /// compensate any DDL the statement (or its callbacks) performed, roll
     /// the row-level changes back to the statement's savepoint, deliver
     /// the §5 Rollback event. Compensation failures are swallowed — the
@@ -669,16 +677,8 @@ impl Database {
     fn rollback_statement(&mut self, original: Error) -> Error {
         let created = std::mem::take(&mut self.scope.created);
         let maint = std::mem::take(&mut self.scope.maint);
-        let pending = std::mem::take(&mut self.scope.pending);
-        let had_effects = self.storage.undo_mark() > self.scope.mark
-            || !created.is_empty()
-            || !maint.is_empty()
-            || !pending.is_empty();
-        // The deferred work must mirror only statements that actually
-        // committed their base-table effects.
-        for name in pending.iter().rev() {
-            self.catalog.health.pop_pending(name);
-        }
+        let had_effects =
+            self.storage.undo_mark() > self.scope.mark || !created.is_empty() || !maint.is_empty();
         // The inverse calls' *database-resident* effects land in the same
         // undo log, so the physical rollback below reverses them too
         // (span-granular LOB undo restores exact byte ranges, so
@@ -725,12 +725,12 @@ impl Database {
     //
     // `Session` (see `crate::session`) drives explicit transactions through
     // these methods while holding the server's write lock, so ODCI
-    // maintenance, the compensation log, and the pending-work log are
-    // trivially serialized per statement: a cartridge never observes a torn
-    // statement, and the WAL commit marker for a transaction is appended in
-    // commit (csn) order because csn assignment and the marker append happen
-    // under the same exclusive hold. A session's transaction is its
-    // `Snapshot`; the undo it accumulates stays in the storage engine.
+    // maintenance and the compensation log are trivially serialized per
+    // statement: a cartridge never observes a torn statement, and the WAL
+    // commit marker for a transaction is appended in commit (csn) order
+    // because csn assignment and the marker append happen under the same
+    // exclusive hold. A session's transaction is its `Snapshot`; the undo
+    // it accumulates stays in the storage engine.
 
     /// Run one statement as part of a session transaction: install the
     /// session's snapshot as the mutation driver (an active transaction,
@@ -777,24 +777,11 @@ impl Database {
         }
     }
 
-    /// Base rows the pending log refers to may have just been un-made by
-    /// a transaction rollback; a replay could double-apply or miss. Force
-    /// those indexes onto the full-rebuild path.
-    fn force_rebuild_of_pending(&mut self) {
-        for s in self.catalog.health.snapshot() {
-            if s.pending_ops > 0 {
-                self.catalog.health.mark_dirty(&s.index);
-            }
-        }
-    }
-
     /// Roll back a session transaction (also an orphaned one: its
     /// snapshot is all that is needed): reverse its undo (chain-aware)
-    /// and abort it, force indexes with replayable pending work onto the
-    /// rebuild path, vacuum, and fire the Rollback event.
+    /// and abort it, vacuum, and fire the Rollback event.
     pub(crate) fn session_abort(&mut self, snap: Snapshot) -> Result<()> {
         let rolled = self.storage.rollback_txn(snap);
-        self.force_rebuild_of_pending();
         self.maintenance_after_txn_end(false);
         let ev = self.fire_event_unscoped(DbEvent::Rollback);
         rolled?;
@@ -887,7 +874,6 @@ impl Database {
                 if self.storage.in_txn() {
                     self.storage.rollback_txn(self.storage.current_snapshot())?;
                     self.scope.mark = 0;
-                    self.force_rebuild_of_pending();
                 }
                 self.fire_event(DbEvent::Rollback)?;
                 Ok(StmtResult::Ok)
@@ -1173,35 +1159,23 @@ impl Database {
         let domain: Vec<DomainIndexDef> =
             self.catalog.domain_indexes_on(&tdef.name).into_iter().cloned().collect();
         for d in domain {
+            // An unusable index gets no crossing: its REBUILD re-reads the
+            // base table, so there is no work to owe it.
+            if !self.catalog.health.is_usable(&d.name) {
+                continue;
+            }
             let idx = tdef.column_index(&d.column)?;
             let op = match (old, new) {
-                (None, Some(n)) => PendingOp::Insert { rid, value: n[idx].clone() },
+                (None, Some(n)) => MaintOp::Insert { rid, value: n[idx].clone() },
                 (Some(o), Some(n)) => {
-                    PendingOp::Update { rid, old: o[idx].clone(), new: n[idx].clone() }
+                    MaintOp::Update { rid, old: o[idx].clone(), new: n[idx].clone() }
                 }
-                (Some(o), None) => PendingOp::Delete { rid, old: o[idx].clone() },
+                (Some(o), None) => MaintOp::Delete { rid, old: o[idx].clone() },
                 (None, None) => return Ok(()),
             };
-            self.maintain_or_defer(&d, op)?;
+            self.invoke_maintenance(&d, op)?;
         }
         Ok(())
-    }
-
-    /// Route one domain-index maintenance op by index health: a usable
-    /// index is maintained directly; a QUARANTINED index defers the op to
-    /// its pending-work log so base-table DML keeps succeeding; a
-    /// BUILD_FAILED index has no index data to maintain (REBUILD re-reads
-    /// the base table).
-    fn maintain_or_defer(&mut self, d: &DomainIndexDef, op: PendingOp) -> Result<()> {
-        match self.catalog.health.state(&d.name) {
-            HealthState::Quarantined => {
-                self.catalog.health.append_pending(&d.name, op);
-                self.scope.pending.push(d.name.clone());
-                Ok(())
-            }
-            HealthState::BuildFailed => Ok(()),
-            HealthState::Valid | HealthState::Suspect => self.invoke_maintenance(d, op),
-        }
     }
 
     /// The single chokepoint for domain-index maintenance: crosses into
@@ -1211,7 +1185,7 @@ impl Database {
     /// undo recorded past a pre-call mark — then retries under the
     /// bounded-backoff [`RetryPolicy`]. Exhausted retries surface the
     /// underlying error.
-    pub(crate) fn invoke_maintenance(&mut self, d: &DomainIndexDef, op: PendingOp) -> Result<()> {
+    fn invoke_maintenance(&mut self, d: &DomainIndexDef, op: MaintOp) -> Result<()> {
         let (index, _, info) = self.domain_index_runtime(d)?;
         let retry = RetryPolicy::default();
         let mut attempt: u32 = 0;

@@ -12,7 +12,6 @@
 use std::sync::Arc;
 
 use extidx_common::{Error, Key, Result, Row, RowId, SqlType, Value};
-use extidx_core::health::HealthState;
 use extidx_core::indextype::{IndexType, SupportedOperator};
 use extidx_core::meta::IndexInfo;
 use extidx_core::operator::Operator;
@@ -144,9 +143,9 @@ impl Database {
         let domain: Vec<DomainIndexDef> =
             self.catalog.domain_indexes_on(&tdef.name).into_iter().cloned().collect();
         for d in domain {
-            // A BUILD_FAILED index has no (trustworthy) storage to
-            // truncate; it stays failed until REBUILD or DROP.
-            if self.catalog.health.state(&d.name) == HealthState::BuildFailed {
+            // An unusable index gets no crossing, as in DML maintenance:
+            // its REBUILD re-reads the emptied table.
+            if !self.catalog.health.is_usable(&d.name) {
                 continue;
             }
             let (index, _, info) = self.domain_index_runtime(&d)?;
@@ -154,9 +153,6 @@ impl Database {
             odci_call(Lane::Write(self), Routine::IndexTruncate, callee, &d.name, |ctx| {
                 index.truncate(ctx, &info)
             })?;
-            // An emptied index has no catch-up left to do: the pending
-            // log described rows that no longer exist.
-            let _ = self.catalog.health.take_pending(&d.name);
         }
         Ok(StmtResult::Ok)
     }
@@ -308,12 +304,10 @@ impl Database {
         Ok(StmtResult::Ok)
     }
 
-    /// `ALTER INDEX … REBUILD`: recover a degraded domain index. A
-    /// quarantined index whose cartridge storage is still trustworthy
-    /// catches up by replaying its pending-work log; a BUILD_FAILED or
-    /// dirty index (a maintenance/definition routine faulted mid-write)
-    /// is rebuilt from the base table via the cartridge's own create
-    /// path. Either way success restores VALID with a clean breaker.
+    /// `ALTER INDEX … REBUILD`: recover a degraded domain index by
+    /// rebuilding it from the base table through the cartridge's own
+    /// create path (§2.4.1). Success restores VALID with a clean breaker;
+    /// a failed create leaves BUILD_FAILED.
     pub(crate) fn run_rebuild_index(&mut self, name: &str) -> Result<StmtResult> {
         let d = self
             .catalog
@@ -321,64 +315,33 @@ impl Database {
             .cloned()
             .ok_or_else(|| Error::not_found("domain index", name.to_ascii_uppercase()))?;
         let (index, _, info) = self.domain_index_runtime(&d)?;
-        let state = self.catalog.health.state(&d.name);
-        let replay = state == HealthState::Quarantined && !self.catalog.health.needs_full_rebuild(&d.name);
+        // The create below takes its own build snapshot; asking here as
+        // well refuses before the old storage is dropped, not after.
+        self.storage.build_snapshot(self.catalog.table(&d.table)?.seg)?;
         // The umbrella event is a marker, not a bracket: REBUILD's time is
         // the time of the crossings it makes, each counted on its own.
-        if replay {
-            let ops = self.catalog.health.take_pending(&d.name);
-            self.trace.record(
-                Component::Recovery,
-                "IndexRebuild",
-                &d.indextype,
-                format!("{}: replay {} pending ops", d.name, ops.len()),
-            );
-            for op in ops.iter() {
-                if let Err(e) = self.invoke_maintenance(&d, op.clone()) {
-                    // Statement compensation inverses the prefix we
-                    // already applied (each replayed op was recorded as
-                    // this statement's maintenance), so the index returns
-                    // to its pre-REBUILD state and the WHOLE log is still
-                    // owed — restoring only the `ops[i..]` suffix would
-                    // silently drop the compensated prefix. The health
-                    // breaker decides separately whether the fault makes
-                    // this index rebuild-only (`note_health_outcome`
-                    // marks dirty on a cartridge fault); a transient
-                    // fault leaves the replay path retryable.
-                    self.catalog.health.restore_pending(&d.name, ops.to_vec());
-                    return Err(e);
-                }
-            }
-        } else {
-            // The create below takes its own build snapshot; asking here
-            // as well refuses before the old storage is dropped, not after.
-            self.storage.build_snapshot(self.catalog.table(&d.table)?.seg)?;
-            self.trace.record(
-                Component::Recovery,
-                "IndexRebuild",
-                &d.indextype,
-                format!("{}: full rebuild from {}", d.name, d.table),
-            );
-            // Best-effort drop of whatever storage the cartridge has —
-            // it may be half-written, which is exactly why we're here.
-            let callee = Callee::Index(&info);
-            let _ = odci_call(Lane::Write(self), Routine::IndexDrop, callee, &d.name, |ctx| {
-                index.drop_index(ctx, &info)
-            });
-            // Rebuild-from-scratch must *replace* external storage, not
-            // append to half-written leftovers the faulted drop may have
-            // missed.
-            self.force_remove_external_files(&index, &info);
-            // The rebuild re-reads the base table; deferred ops are moot.
-            let _ = self.catalog.health.take_pending(&d.name);
-            let r = odci_call(Lane::Write(self), Routine::IndexCreate, callee, &d.name, |ctx| {
-                index.create(ctx, &info)
-            });
-            if let Err(e) = r {
-                let t = self.catalog.health.set_build_failed(&d.name);
-                self.trace_health_transition(&d.name, &d.indextype, t);
-                return Err(e);
-            }
+        self.trace.record(
+            Component::Recovery,
+            "IndexRebuild",
+            &d.indextype,
+            format!("{}: full rebuild from {}", d.name, d.table),
+        );
+        // Best-effort drop of whatever storage the cartridge has — it may
+        // be half-written, which is exactly why we're here.
+        let callee = Callee::Index(&info);
+        let _ = odci_call(Lane::Write(self), Routine::IndexDrop, callee, &d.name, |ctx| {
+            index.drop_index(ctx, &info)
+        });
+        // Rebuild-from-scratch must *replace* external storage, not append
+        // to half-written leftovers the faulted drop may have missed.
+        self.force_remove_external_files(&index, &info);
+        let r = odci_call(Lane::Write(self), Routine::IndexCreate, callee, &d.name, |ctx| {
+            index.create(ctx, &info)
+        });
+        if let Err(e) = r {
+            let t = self.catalog.health.set_build_failed(&d.name);
+            self.trace_health_transition(&d.name, &d.indextype, t);
+            return Err(e);
         }
         let t = self.catalog.health.restore_valid(&d.name);
         self.trace_health_transition(&d.name, &d.indextype, t);
@@ -400,10 +363,7 @@ impl Database {
 
     fn drop_domain_index_entry(&mut self, d: &DomainIndexDef) -> Result<()> {
         let (index, _, info) = self.domain_index_runtime(d)?;
-        let healthy = matches!(
-            self.catalog.health.state(&d.name),
-            HealthState::Valid | HealthState::Suspect
-        );
+        let healthy = self.catalog.health.is_usable(&d.name);
         let callee = Callee::Index(&info);
         let r = odci_call(Lane::Write(self), Routine::IndexDrop, callee, &d.name, |ctx| {
             index.drop_index(ctx, &info)

@@ -167,9 +167,8 @@ pub(crate) enum Callee<'a> {
 /// the routine, so events its callbacks generate order after it), then
 /// under [`sandbox::sandboxed_call`] the fault check, the lane's
 /// [`ServerCtx`] and the routine itself, then trace `finish`, then
-/// the health-breaker note. Component, callback mode, the Maintenance
-/// base table and "does a fault dirty cartridge storage" all derive from
-/// `routine` and the callee.
+/// the health-breaker note. Component, callback mode and the Maintenance
+/// base table all derive from `routine` and the callee.
 pub(crate) fn odci_call<T>(
     mut lane: Lane<'_, '_>,
     routine: Routine,
@@ -200,7 +199,7 @@ pub(crate) fn odci_call<T>(
     });
     lane.db().trace.finish(h);
     if let (Some(info), false) = (info, recovering) {
-        lane.db().note_health_outcome(routine, info, result.as_ref().err());
+        lane.db().note_health_outcome(info, result.as_ref().err());
     }
     result
 }

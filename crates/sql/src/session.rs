@@ -17,11 +17,10 @@
 //!   cartridge can never mutate shared state from a reader.
 //! - Everything else (DML, DDL, transaction control) takes the **write
 //!   lock** for the duration of the statement. That exclusivity is what
-//!   serializes ODCIIndex maintenance, the compensation log, and the
-//!   pending-work log per index: a cartridge never observes a torn
-//!   statement, and crash recovery's commit markers are appended in
-//!   commit order because csn assignment and the marker append happen
-//!   under one exclusive hold.
+//!   serializes ODCIIndex maintenance and the compensation log: a
+//!   cartridge never observes a torn statement, and crash recovery's
+//!   commit markers are appended in commit order because csn assignment
+//!   and the marker append happen under one exclusive hold.
 //!
 //! Isolation level is **snapshot isolation** with first-writer-wins,
 //! decided when a write happens: a statement writing a row that another

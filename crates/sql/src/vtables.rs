@@ -111,9 +111,8 @@ pub(crate) static VTABLES: &[VTable] = &[
                 .collect()
         },
     },
-    // Domain-index health state machine (one row per domain index):
-    // breaker window occupancy, pending-log depth, and whether REBUILD
-    // must go back to the base table.
+    // Domain-index health state machine (one row per domain index): its
+    // state and the breaker's fault counts and call clock.
     VTable {
         name: "V$INDEX_HEALTH",
         columns: &[
@@ -123,9 +122,7 @@ pub(crate) static VTABLES: &[VTable] = &[
             ("STATE", SqlType::Varchar(16)),
             ("RECENT_FAULTS", SqlType::Integer),
             ("TOTAL_FAULTS", SqlType::Integer),
-            ("PENDING_OPS", SqlType::Integer),
             ("CALLS", SqlType::Integer),
-            ("NEEDS_FULL_REBUILD", SqlType::Varchar(4)),
         ],
         row_count: |db| db.catalog.health.index_count(),
         rows: |db| {
@@ -140,9 +137,7 @@ pub(crate) static VTABLES: &[VTable] = &[
                         Value::from(s.state.to_string()),
                         Value::from(s.recent_faults as i64),
                         Value::from(s.total_faults as i64),
-                        Value::from(s.pending_ops as i64),
                         Value::from(s.calls as i64),
-                        Value::from(if s.dirty { "YES" } else { "NO" }),
                     ]
                 })
                 .collect()

@@ -404,4 +404,19 @@ if grep -rnE "_MI[N]_|_MAX_OVERHEA[D]|emit_bench_jso[n]|BENCH_OU[T]|criterio[n]"
     exit 1
 fi
 
+# One way back from quarantine (DESIGN.md §4g): an unusable domain index
+# gets no maintenance crossing and REBUILD always re-reads the base
+# table, so the pending-work log, its dirty flag and the two V$ columns
+# that exposed them stay deleted; the session probe that pins REBUILD
+# against another transaction's uncommitted rows stays defined.
+echo "== one way back from quarantine (structural guard) =="
+if grep -rnE "PendingOp|append_pending|pop_pending|take_pending|restore_pending|pending_len|force_rebuild_of_pending|needs_full_rebuild|mark_dirty|writes_index_storage" \
+    crates; then
+    exit 1
+fi
+if grep -nE "PENDING_OPS|NEEDS_FULL_REBUILD" crates/sql/src/vtables.rs; then
+    exit 1
+fi
+grep -q "fn rebuild_never_indexes_another_sessions_uncommitted_rows" tests/quarantine.rs
+
 echo "CI OK"

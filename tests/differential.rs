@@ -82,8 +82,8 @@ fn multi_seed_sweep_has_no_divergence() {
 /// (via `ALTER INDEX … REBUILD`) mid-stream. Unlike the planted executor
 /// bug, this must NOT produce a divergence — a quarantined index
 /// degrades to the functional fallback, which answers identically, and a
-/// rebuild replays the pending DML log (or rebuilds from the base table)
-/// before the index serves scans again.
+/// rebuild re-creates the index from the base table before it serves
+/// scans again.
 #[test]
 #[ignore = "long sweep; run via scripts/ci.sh or --include-ignored"]
 fn quarantine_chaos_sweep_has_no_divergence() {

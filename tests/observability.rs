@@ -165,8 +165,8 @@ fn rebuild_and_failed_create_crossings_are_counted() {
     let mut db = text_db(20);
     db.trace().set_enabled(true);
 
-    // A VALID index has no pending log to replay: REBUILD drops the
-    // cartridge's storage and re-creates it from the base table.
+    // REBUILD, of a VALID index too, drops the cartridge's storage and
+    // re-creates it from the base table.
     let (drops, creates) = (calls(&mut db, "ODCIIndexDrop"), calls(&mut db, "ODCIIndexCreate"));
     db.execute("ALTER INDEX dt REBUILD").unwrap();
     assert_eq!(calls(&mut db, "ODCIIndexDrop"), drops + 1);

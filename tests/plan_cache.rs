@@ -131,8 +131,8 @@ fn quarantine_degrades_the_cached_plan_and_rebuild_restores_it() {
     assert_eq!(crossings(&db, "ODCIStats"), stats, "a cached plan consults no stats routine");
     assert_eq!(crossings(&db, "ODCIIndexStart"), starts + 1, "the cached plan is the domain scan");
 
-    // Quarantined, the index misses this row (its maintenance is deferred
-    // to the pending log): a stale domain-scan plan would miss it too.
+    // Quarantined, the index misses this row (DML does not maintain an
+    // unusable index): a stale domain-scan plan would miss it too.
     db.quarantine_index("DT").unwrap();
     db.execute("INSERT INTO docs VALUES (9999, 'gorse after the quarantine')").unwrap();
     let starts = crossings(&db, "ODCIIndexStart");

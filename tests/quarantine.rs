@@ -3,13 +3,13 @@
 //! statement gets a clean `CartridgeFault`, the circuit breaker walks the
 //! index VALID → SUSPECT → QUARANTINED, the optimizer silently degrades
 //! to the functional fallback (annotated in EXPLAIN), base-table DML
-//! keeps succeeding against the pending-work log, and
-//! `ALTER INDEX … REBUILD` replays the log (or rebuilds from the base
-//! table) to restore VALID with results identical to a never-faulted run.
+//! keeps succeeding without crossing into the unusable index, and
+//! `ALTER INDEX … REBUILD` re-creates it from the base table to restore
+//! VALID with results identical to a never-faulted run.
 
 use extidx::core::fault::FaultKind;
 use extidx::core::health::{BreakerConfig, HealthState};
-use extidx::sql::Database;
+use extidx::sql::{Database, Server};
 use extidx_common::{Error, Value};
 
 /// Text cartridge over `docs(body)` plus a B-tree on `num`.
@@ -106,53 +106,81 @@ fn panicking_fetch_degrades_then_rebuild_restores() {
     assert_eq!(ids(&db.query(QUERY).unwrap()), reference, "post-rebuild rows unhinted");
 }
 
-/// DML against a quarantined index goes to the pending-work log (the
-/// base table keeps accepting writes); REBUILD replays the log. After a
-/// rollback the log can no longer be trusted, so REBUILD must take the
-/// full from-base-table path instead — V$INDEX_HEALTH exposes which.
+/// The forced index answer and the `NO_INDEX` answer for one word.
+fn forced_and_free(db: &mut Database, word: &str) -> (Vec<i64>, Vec<i64>) {
+    let pred = format!("WHERE Contains(body, '{word}')");
+    let forced = db.query(&format!("SELECT /*+ INDEX(docs d_txt) */ id FROM docs {pred}"));
+    let free = db.query(&format!("SELECT /*+ NO_INDEX(docs) */ id FROM docs {pred}"));
+    (ids(&forced.unwrap()), ids(&free.unwrap()))
+}
+
+/// DML against a quarantined index succeeds without maintaining it — the
+/// base table keeps accepting writes, including a rolled-back transaction
+/// — and REBUILD re-reads the base table, so the forced index answer
+/// equals the index-free one for every word the DML touched.
 #[test]
-fn pending_log_replay_and_full_rebuild_after_rollback() {
+fn dml_on_a_quarantined_index_then_rebuild_matches_no_index() {
     let mut db = quarantine_db();
     db.quarantine_index("D_TXT").unwrap();
     assert_eq!(db.index_health("D_TXT"), HealthState::Quarantined);
 
-    // DML succeeds while quarantined; the index's share is deferred.
-    db.execute("INSERT INTO docs VALUES (10, 'alpha pending', 100.0)").unwrap();
+    db.execute("INSERT INTO docs VALUES (10, 'alpha inserted', 100.0)").unwrap();
     db.execute("UPDATE docs SET body = 'alpha rewritten' WHERE id = 3").unwrap();
-    let pending = db
-        .query("SELECT PENDING_OPS, NEEDS_FULL_REBUILD FROM V$INDEX_HEALTH WHERE INDEX_NAME = 'D_TXT'")
-        .unwrap();
-    assert_eq!(pending[0][0], Value::Integer(2), "two deferred ops");
-    assert_eq!(pending[0][1], Value::from("NO"), "log is replayable");
-
-    // The fallback already sees the new rows.
-    assert_eq!(ids(&db.query(QUERY).unwrap()), vec![1, 2, 3, 4, 10]);
-
-    // Replay: the deferred ops land in the index; a forced index scan
-    // (bypassing the fallback) agrees.
-    db.execute("ALTER INDEX d_txt REBUILD").unwrap();
-    assert_eq!(db.index_health("D_TXT"), HealthState::Valid);
-    let forced =
-        db.query("SELECT /*+ INDEX(docs d_txt) */ id FROM docs WHERE Contains(body, 'alpha')");
-    assert_eq!(ids(&forced.unwrap()), vec![1, 2, 3, 4, 10]);
-
-    // Rollback with deferred ops poisons the log: the pending entries
-    // may reference rows the rollback un-made.
-    db.quarantine_index("D_TXT").unwrap();
+    db.execute("DELETE FROM docs WHERE id = 2").unwrap();
     db.execute("BEGIN").unwrap();
     db.execute("INSERT INTO docs VALUES (11, 'alpha doomed', 110.0)").unwrap();
+    db.execute("DELETE FROM docs WHERE id = 4").unwrap();
     db.execute("ROLLBACK").unwrap();
-    let dirty = db
-        .query("SELECT NEEDS_FULL_REBUILD FROM V$INDEX_HEALTH WHERE INDEX_NAME = 'D_TXT'")
-        .unwrap();
-    assert_eq!(dirty[0][0], Value::from("YES"), "rollback must force the full-rebuild path");
+    assert_eq!(db.index_health("D_TXT"), HealthState::Quarantined);
 
-    // Full rebuild from the base table still restores an exact index.
+    // The fallback already sees the committed rows.
+    assert_eq!(ids(&db.query(QUERY).unwrap()), vec![1, 3, 4, 10]);
+
     db.execute("ALTER INDEX d_txt REBUILD").unwrap();
     assert_eq!(db.index_health("D_TXT"), HealthState::Valid);
-    let forced =
-        db.query("SELECT /*+ INDEX(docs d_txt) */ id FROM docs WHERE Contains(body, 'alpha')");
-    assert_eq!(ids(&forced.unwrap()), vec![1, 2, 3, 4, 10]);
+    for word in ["alpha", "inserted", "rewritten", "epsilon", "delta", "doomed", "omega"] {
+        let (forced, free) = forced_and_free(&mut db, word);
+        assert_eq!(forced, free, "INDEX vs NO_INDEX for '{word}'");
+    }
+    assert_eq!(forced_and_free(&mut db, "alpha").0, vec![1, 3, 4, 10]);
+}
+
+/// A REBUILD while another session's transaction has written the base
+/// table must not index that transaction's uncommitted rows: it is
+/// refused with the write conflict. Once the writer rolls back, REBUILD
+/// succeeds, and a row that reuses the rolled-back row's slot is indexed
+/// under its own words only.
+#[test]
+fn rebuild_never_indexes_another_sessions_uncommitted_rows() {
+    let server = Server::new(quarantine_db());
+    server.admin(|db| db.quarantine_index("D_TXT")).unwrap();
+    let mut a = server.session();
+    let mut b = server.session();
+    b.execute("SET CONFLICT_RETRIES = 0").unwrap();
+
+    a.execute("BEGIN").unwrap();
+    a.execute("INSERT INTO docs VALUES (10, 'zebra', 100.0)").unwrap();
+    let writer = a.snapshot().expect("writer transaction open").txn;
+    let during = b.execute("ALTER INDEX d_txt REBUILD");
+    a.execute("ROLLBACK").unwrap();
+    // A REBUILD refused while the writer was open is retried now.
+    if during.is_err() {
+        b.execute("ALTER INDEX d_txt REBUILD").unwrap();
+    }
+    assert_eq!(server.read(|db| db.index_health("D_TXT")), HealthState::Valid);
+
+    // Row 11 takes the slot the rolled-back row 10 had.
+    b.execute("INSERT INTO docs VALUES (11, 'apple', 110.0)").unwrap();
+    for word in ["zebra", "apple"] {
+        let pred = format!("WHERE Contains(body, '{word}')");
+        let forced = b.query(&format!("SELECT /*+ INDEX(docs d_txt) */ id FROM docs {pred}"));
+        let free = b.query(&format!("SELECT /*+ NO_INDEX(docs) */ id FROM docs {pred}"));
+        assert_eq!(ids(&forced.unwrap()), ids(&free.unwrap()), "INDEX vs NO_INDEX for '{word}'");
+    }
+    match during {
+        Err(Error::WriteConflict { other_txn, .. }) => assert_eq!(other_txn, writer),
+        other => panic!("REBUILD with a writer in flight: expected WriteConflict, got {other:?}"),
+    }
 }
 
 /// A single fault makes the index SUSPECT, and a clean window heals it

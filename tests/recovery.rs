@@ -868,7 +868,6 @@ fn chem_file_lifecycle_never_leaks_files() {
     .unwrap();
     db.execute("INSERT INTO compounds VALUES (2, 'CCN')").unwrap();
     db.quarantine_index("CX").unwrap();
-    db.catalog().health.mark_dirty("CX");
     db.execute("ALTER INDEX cx REBUILD").unwrap();
     assert_eq!(db.index_health("CX"), HealthState::Valid);
     assert_eq!(db.storage().files_ref().list(), vec!["dr$cx.fpidx".to_string()]);
@@ -927,45 +926,45 @@ fn zone_maps_survive_rollback_churn() {
     }
 }
 
-// ---- satellite 3: REBUILD replay must not lose pending work -----------------
+// ---- satellite 3: a failed REBUILD leaves BUILD_FAILED, the next one recovers --
 
-/// A quarantined index accumulates deferred maintenance; a REBUILD whose
-/// replay faults mid-way must keep the FULL pending log (statement
-/// compensation inverses the applied prefix), so a later recovery still
-/// has everything it is owed.
+/// A REBUILD of a quarantined index whose `ODCIIndexCreate` faults leaves
+/// the index BUILD_FAILED. Base-table DML keeps succeeding against it,
+/// and the next REBUILD re-reads the base table: VALID again, with the
+/// index answering exactly what a scan of the table answers.
 #[test]
-fn failed_replay_keeps_full_pending_log() {
+fn failed_rebuild_leaves_build_failed_and_the_next_rebuild_restores() {
     let mut db = Database::with_cache_pages(256);
     extidx::text::install(&mut db).unwrap();
     db.execute("CREATE TABLE docs (id INTEGER, body VARCHAR2(100))").unwrap();
     db.execute("INSERT INTO docs VALUES (1, 'alpha beta')").unwrap();
     db.execute("CREATE INDEX dt ON docs(body) INDEXTYPE IS TextIndexType").unwrap();
     db.quarantine_index("DT").unwrap();
-    // Deferred maintenance accrues while quarantined.
     db.execute("INSERT INTO docs VALUES (2, 'gamma delta')").unwrap();
     db.execute("INSERT INTO docs VALUES (3, 'epsilon zeta')").unwrap();
-    db.execute("INSERT INTO docs VALUES (4, 'eta theta')").unwrap();
-    let owed = db.catalog().health.snapshot()[0].pending_ops;
-    assert_eq!(owed, 3);
-    // Replay faults on its second op: the first op was applied, then
-    // compensated away by statement atomicity — so all 3 are still owed.
-    db.fault_injector().arm_fail("ODCIIndexInsert", Some("TEXTINDEXTYPE"), 2);
+
+    db.fault_injector().arm_fail("ODCIIndexCreate", Some("TEXTINDEXTYPE"), 1);
     assert!(db.execute("ALTER INDEX dt REBUILD").is_err());
     db.fault_injector().disarm_all();
-    let snap = &db.catalog().health.snapshot()[0];
-    assert_eq!(
-        snap.pending_ops, owed,
-        "failed replay dropped pending ops: {} of {owed} left",
-        snap.pending_ops
-    );
-    // Recovery still completes (the breaker may demand a full rebuild;
-    // either path must restore VALID and correct answers).
+    assert_eq!(db.index_health("DT"), HealthState::BuildFailed);
+
+    db.execute("INSERT INTO docs VALUES (4, 'eta theta')").unwrap();
+    db.execute("UPDATE docs SET body = 'gamma again' WHERE id = 1").unwrap();
+    db.execute("DELETE FROM docs WHERE id = 3").unwrap();
+
     db.execute("ALTER INDEX dt REBUILD").unwrap();
     assert_eq!(db.index_health("DT"), HealthState::Valid);
-    let hits = db.query("SELECT id FROM docs WHERE Contains(body, 'gamma')").unwrap();
-    assert_eq!(hits.len(), 1);
-    let hits = db.query("SELECT id FROM docs WHERE Contains(body, 'eta')").unwrap();
-    assert_eq!(hits.len(), 1);
+    for word in ["alpha", "gamma", "epsilon", "eta"] {
+        let pred = format!("WHERE Contains(body, '{word}')");
+        let mut forced =
+            db.query(&format!("SELECT /*+ INDEX(docs dt) */ id FROM docs {pred}")).unwrap();
+        let mut free = db.query(&format!("SELECT /*+ NO_INDEX(docs) */ id FROM docs {pred}")).unwrap();
+        forced.sort_by_key(|r| format!("{r:?}"));
+        free.sort_by_key(|r| format!("{r:?}"));
+        assert_eq!(forced, free, "INDEX vs NO_INDEX for '{word}'");
+    }
+    let gamma = db.query("SELECT /*+ INDEX(docs dt) */ id FROM docs WHERE Contains(body, 'gamma')");
+    assert_eq!(gamma.unwrap().len(), 2);
 }
 
 // ---- a checkpoint changes what recovery costs, not what it recovers ------------
