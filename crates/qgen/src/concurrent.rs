@@ -1,11 +1,13 @@
 //! The concurrent differential oracle: MVCC snapshot isolation under a
 //! deterministic multi-session scheduler.
 //!
-//! N [`Session`]s share one [`Server`]; a single-threaded scheduler
-//! (seeded, fully deterministic) interleaves their statements — explicit
-//! `BEGIN…COMMIT/ROLLBACK` transactions, autocommit DML, and
-//! domain-operator queries across every reachable plan. Three oracles
-//! run simultaneously:
+//! N [`Session`]s and one client on the `Database` lane (statements sent
+//! through [`Server::admin`]) share one [`Server`]; a single-threaded
+//! scheduler (seeded, fully deterministic) interleaves their statements —
+//! explicit `BEGIN…COMMIT/ROLLBACK` transactions, autocommit DML, and
+//! domain-operator queries across every reachable plan. Both lanes obey
+//! one transaction rule, so the oracles hold the `Database` client to the
+//! same contract as a session. Three oracles run simultaneously:
 //!
 //! 1. **Per-snapshot bag equality.** Every session query is checked
 //!    against a mirror of exactly what its snapshot must see: the
@@ -42,7 +44,7 @@
 use std::collections::HashSet;
 
 use extidx_common::{Error, Value};
-use extidx_sql::{Server, Session};
+use extidx_sql::{Server, Session, StmtResult};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::gen::{ConcurrentGen, Query, Stmt, HEAP, IOT};
@@ -79,8 +81,32 @@ struct TxnState {
     begin_seq: u64,
 }
 
+/// Where a scheduled client sends its statements.
+enum Client {
+    Session(Session),
+    /// The `Database` lane: each statement is one `Server::admin` call,
+    /// and the client's open transaction lives in the `Database`.
+    Admin(Server),
+}
+
+impl Client {
+    fn execute(&mut self, sql: &str) -> Result<StmtResult, Error> {
+        match self {
+            Client::Session(s) => s.execute(sql),
+            Client::Admin(server) => server.admin(|db| db.execute(sql)),
+        }
+    }
+
+    fn query(&mut self, sql: &str) -> Result<Vec<Vec<Value>>, Error> {
+        match self.execute(sql)? {
+            StmtResult::Rows { rows, .. } => Ok(rows),
+            _ => Err(Error::Semantic("statement did not produce rows".into())),
+        }
+    }
+}
+
 struct Sess {
-    session: Session,
+    client: Client,
     txn: Option<TxnState>,
 }
 
@@ -136,7 +162,7 @@ fn ids_of(rows: &[Vec<Value>]) -> Result<Vec<i64>, String> {
 /// every forcible index, comparing each against the snapshot mirror.
 fn check_snapshot_query(
     server: &Server,
-    sess: &mut Session,
+    sess: &mut Client,
     q: &Query,
     expected_mirror: &Mirror,
     report: &mut ConcurrentReport,
@@ -194,10 +220,10 @@ fn pick_id(rng: &mut StdRng, mirror: &Mirror, table: &'static str) -> Option<i64
     Some(ids[rng.gen_range(0..ids.len())])
 }
 
-/// Drive `sessions` sessions for `steps` scheduler steps and check every
-/// oracle. `Ok(report)` when every snapshot read, conflict outcome, and
-/// the final serial-twin comparison agree; `Err(detail)` on the first
-/// divergence.
+/// Drive `sessions` sessions plus one `Database`-lane client for `steps`
+/// scheduler steps and check every oracle. `Ok(report)` when every
+/// snapshot read, conflict outcome, and the final serial-twin comparison
+/// agree; `Err(detail)` on the first divergence.
 pub fn run_concurrent_seed(
     seed: u64,
     sessions: usize,
@@ -230,8 +256,12 @@ pub fn run_concurrent_seed_opts(
     // Dedicated cadence rng so flipping `random_vacuum` never perturbs
     // the statement schedule itself — only *when* vacuum runs changes.
     let mut vac_rng = StdRng::seed_from_u64(seed ^ chaos.random_vacuum ^ 0xDAE_0ACC);
+    // The last client is the `Database` lane's: autocommit DML and
+    // queries, and now and then a BEGIN … COMMIT of its own.
     let mut sess: Vec<Sess> = (0..sessions)
-        .map(|_| Sess { session: server.session(), txn: None })
+        .map(|_| Client::Session(server.session()))
+        .chain([Client::Admin(server.clone())])
+        .map(|client| Sess { client, txn: None })
         .collect();
     let mut report = ConcurrentReport::default();
 
@@ -253,7 +283,7 @@ pub fn run_concurrent_seed_opts(
                          report: &mut ConcurrentReport|
      -> Result<(), String> {
         let t = s.txn.take().expect("commit with no open transaction");
-        match s.session.execute("COMMIT") {
+        match s.client.execute("COMMIT") {
             Ok(_) => {
                 let overlap: Vec<&(&'static str, i64)> = committed_writes
                     .iter()
@@ -298,7 +328,8 @@ pub fn run_concurrent_seed_opts(
         if vacuum_now {
             server.admin(|db| db.storage_mut().vacuum());
         }
-        let si = rng.gen_range(0..sessions);
+        let si = rng.gen_range(0..sess.len());
+        let admin = matches!(sess[si].client, Client::Admin(_));
         let in_txn = sess[si].txn.is_some();
         let roll = rng.gen_range(0..100u32);
         if in_txn {
@@ -316,7 +347,7 @@ pub fn run_concurrent_seed_opts(
             } else if roll < 22 {
                 let t = s.txn.take().expect("rollback with no open transaction");
                 drop(t);
-                s.session
+                s.client
                     .execute("ROLLBACK")
                     .map_err(|e| format!("step {step}: ROLLBACK failed: {e}"))?;
             } else if roll < 50 {
@@ -325,7 +356,7 @@ pub fn run_concurrent_seed_opts(
                 // Borrow dance: clone the expected mirror view out of the
                 // txn so the session can be borrowed mutably.
                 let expected = t.expected.clone();
-                check_snapshot_query(&server, &mut s.session, &q, &expected, &mut report)
+                check_snapshot_query(&server, &mut s.client, &q, &expected, &mut report)
                     .map_err(|e| format!("step {step} (in txn): {e}"))?;
             } else {
                 let table = gen.table();
@@ -339,7 +370,7 @@ pub fn run_concurrent_seed_opts(
                         None => gen.insert(table),
                     }
                 };
-                match s.session.execute(&stmt.sql()) {
+                match s.client.execute(&stmt.sql()) {
                     Ok(_) => {
                         let t = s.txn.as_mut().expect("txn dml state");
                         t.writes.extend(writes_of(&t.expected, &stmt));
@@ -350,9 +381,9 @@ pub fn run_concurrent_seed_opts(
                     Err(_) => report.stmt_errors += 1,
                 }
             }
-        } else if roll < 20 {
+        } else if roll < if admin { 6 } else { 20 } {
             let s = &mut sess[si];
-            s.session
+            s.client
                 .execute("BEGIN")
                 .map_err(|e| format!("step {step}: BEGIN failed: {e}"))?;
             s.txn = Some(TxnState {
@@ -363,7 +394,7 @@ pub fn run_concurrent_seed_opts(
             });
         } else if roll < 50 {
             let q = gen.query();
-            check_snapshot_query(&server, &mut sess[si].session, &q, &committed, &mut report)
+            check_snapshot_query(&server, &mut sess[si].client, &q, &committed, &mut report)
                 .map_err(|e| format!("step {step} (autocommit): {e}"))?;
         } else {
             // Autocommit DML: an implicit begin+statement+commit under one
@@ -379,7 +410,7 @@ pub fn run_concurrent_seed_opts(
                     None => gen.insert(table),
                 }
             };
-            match sess[si].session.execute(&stmt.sql()) {
+            match sess[si].client.execute(&stmt.sql()) {
                 Ok(_) => {
                     let writes: HashSet<(&'static str, i64)> =
                         writes_of(&committed, &stmt).into_iter().collect();
@@ -412,7 +443,7 @@ pub fn run_concurrent_seed_opts(
 
     // Final oracle 1: committed mirror vs engine, via fresh generated
     // queries through an autocommit session.
-    let mut check = server.session();
+    let mut check = Client::Session(server.session());
     for _ in 0..8 {
         let q = gen.query();
         check_snapshot_query(&server, &mut check, &q, &committed, &mut report)

@@ -27,6 +27,7 @@ use parking_lot::Mutex;
 use extidx_common::{Error, Key, Result, Row, RowId, SqlType, Value};
 use extidx_core::events::{DbEvent, EventHandler};
 use extidx_core::fault::{FaultInjector, RetryPolicy};
+use extidx_core::governor as stmt_governor;
 use extidx_core::health::{HealthState, Transition};
 use extidx_core::meta::IndexInfo;
 use extidx_core::operator::ScalarFunction;
@@ -127,6 +128,9 @@ pub struct Database {
     /// Every SQL text parsed and planned once, for every lane
     /// (DESIGN.md §4m).
     pub(crate) stmts: StatementCache,
+    /// The open transaction of this lane's own client (`BEGIN` through
+    /// [`Database::execute`]), as a `Session` keeps its own.
+    txn: Option<Snapshot>,
 }
 
 /// One completed top-level statement's execution statistics.
@@ -269,6 +273,7 @@ impl Database {
             governor: Arc::default(),
             vacuumed_at: None,
             stmts: StatementCache::default(),
+            txn: None,
         }
     }
 
@@ -599,9 +604,31 @@ impl Database {
         let started = Instant::now();
         // Nested callback statements go through `run_statement` directly
         // and are charged to this, their parent.
-        let result = self.run_top(&p, binds);
+        let result = self.client_statement(&p, binds);
         self.record_statement(sql, started, &before, &result);
         result
+    }
+
+    /// One statement of this lane's client, run as a `Session` runs it.
+    fn client_statement(&mut self, p: &Prepared, binds: &[Value]) -> Result<StmtResult> {
+        let event = match (p.statement(binds)?, self.txn) {
+            (Statement::Begin, open) => {
+                self.txn = Some(self.begin_txn(open)?);
+                return Ok(StmtResult::Ok);
+            }
+            (Statement::Commit, _) => DbEvent::Commit,
+            (Statement::Rollback, _) => DbEvent::Rollback,
+            // A query needs no transaction of its own, as on a `Session`.
+            (Statement::Select(s), open) => {
+                let snap = open.unwrap_or_else(Snapshot::latest);
+                let (plan, rows) = exec_ctx::run_select(self, snap, p, s, binds)?;
+                return Ok(StmtResult::Rows { columns: plan.column_names.clone(), rows });
+            }
+            (_, Some(snap)) => return self.session_statement(p, binds, snap),
+            (_, None) => return self.autocommit(p, binds),
+        };
+        let txn = self.txn.take();
+        self.end_txn(txn, event).map(|()| StmtResult::Ok)
     }
 
     /// The statement cache's entry for `sql` (parsed on a miss).
@@ -629,14 +656,15 @@ impl Database {
         let Statement::Select(s) = parse(sql)? else {
             return Err(Error::Unsupported("EXPLAIN is only supported for SELECT".into()));
         };
-        exec_ctx::explain_select(self, self.storage.current_snapshot(), &s, &[], false)
+        exec_ctx::explain_select(self, self.txn.unwrap_or_else(Snapshot::latest), &s, &[], false)
     }
 
     /// Open a streaming cursor over a query — rows are produced on demand,
     /// which is what makes the pipelined domain-scan's first-row latency
-    /// measurable (§3.2.1 benefit 2).
+    /// measurable (§3.2.1 benefit 2). It sees the open transaction's writes.
     pub fn open_query(&mut self, sql: &str) -> Result<QueryCursor<'_>> {
-        QueryCursor::open(self, sql)
+        let snap = self.txn.unwrap_or_else(Snapshot::latest);
+        QueryCursor::open(self, sql, snap)
     }
 
     /// Top-level statement wrapper: statement atomicity plus
@@ -647,22 +675,13 @@ impl Database {
             "undo outlived its transaction: a write outside any statement scope was not closed"
         );
         self.scope.mark = self.storage.undo_mark();
-        let mut result = self.run_statement(p, binds).map_err(|e| self.rollback_statement(e));
+        let result = p
+            .statement(binds)
+            .and_then(|stmt| self.refuse_unversioned_ddl(stmt))
+            .and_then(|()| self.run_statement(p, binds))
+            .map_err(|e| self.rollback_statement(e));
         // Statement end, either way: nothing recorded outlives it.
         self.scope = StatementScope::default();
-        // Durability: a top-level statement outside an explicit
-        // transaction is a commit boundary — its undo is dropped and the
-        // WAL stamped with a commit marker carrying the catalog image.
-        // Inside BEGIN…COMMIT no marker is written, so a crash discards
-        // the whole open transaction. A marker failure means the durable
-        // medium is gone (simulated crash): the statement must not
-        // report success.
-        if !self.storage.in_txn() {
-            self.storage.commit_txn(self.storage.current_snapshot());
-            if let (Err(e), true) = (self.wal_commit_marker(), result.is_ok()) {
-                result = Err(e);
-            }
-        }
         result
     }
 
@@ -704,38 +723,52 @@ impl Database {
         err
     }
 
-    /// Append a WAL commit marker (no-op when durability is off). The
-    /// marker carries a catalog dump — the dictionary image it shares with
-    /// every marker since the last DDL, plus its own health export — so
-    /// recovery restores dictionary state as of the last committed
-    /// statement without replaying DDL logic.
-    fn wal_commit_marker(&mut self) -> Result<()> {
+    /// Append a WAL commit marker for transaction `txn` (no-op when
+    /// durability is off). The marker carries a catalog dump — the
+    /// dictionary image it shares with every marker since the last DDL,
+    /// plus its own health export — so recovery restores dictionary state
+    /// as of the last committed statement without replaying DDL logic.
+    fn wal_commit_marker(&mut self, txn: u64) -> Result<()> {
         let Some(medium) = self.storage.wal_medium().cloned() else {
             return Ok(());
         };
         let payload: CommitBlob = Arc::new(self.catalog.dump());
-        // Tag the marker with the transaction whose records it flushes:
-        // legacy autocommit statements run as txn 0, session statements as
-        // their session's transaction. Recovery replays only records whose
-        // transaction reached a marker, in marker (= commit) order.
-        medium.commit_txn(self.storage.current_txn(), Some(payload))
+        medium.commit_txn(txn, Some(payload))
     }
 
-    // ---- session (multi-version) statement plumbing -----------------------
+    // ---- transactions: one rule for every client lane --------------------
     //
-    // `Session` (see `crate::session`) drives explicit transactions through
-    // these methods while holding the server's write lock, so ODCI
-    // maintenance and the compensation log are trivially serialized per
-    // statement: a cartridge never observes a torn statement, and the WAL
-    // commit marker for a transaction is appended in commit (csn) order
-    // because csn assignment and the marker append happen under the same
-    // exclusive hold. A session's transaction is its `Snapshot`; the undo
-    // it accumulates stays in the storage engine.
+    // A `Session` (under the server's write lock) and this lane's own
+    // client drive transactions through these methods, so ODCI maintenance
+    // and the compensation log are serialized per statement, and WAL commit
+    // markers land in csn order. A client's transaction is its `Snapshot`;
+    // its undo stays in the storage engine.
 
-    /// Run one statement as part of a session transaction: install the
-    /// session's snapshot as the mutation driver (an active transaction,
-    /// so `run_top` neither drops its undo nor writes a commit marker),
-    /// and restore the direct lane afterwards.
+    /// `BEGIN` for a client whose open transaction is `open`. A `Session`
+    /// calls this under the engine's read lock, so no snapshot is taken
+    /// while an autocommit unit holds the write lock: what lets an
+    /// unobserved one skip versioning ([`Self::autocommit_unit`]).
+    pub(crate) fn begin_txn(&self, open: Option<Snapshot>) -> Result<Snapshot> {
+        let txns = self.storage.txn_manager();
+        if open.is_some_and(|snap| txns.is_active(snap.txn)) {
+            return Err(Error::Transaction("a transaction is already active".into()));
+        }
+        Ok(txns.begin())
+    }
+
+    /// `COMMIT` or `ROLLBACK` (`event` says which) of a client whose open
+    /// transaction was `txn`; with none open, only the event is delivered.
+    pub(crate) fn end_txn(&mut self, txn: Option<Snapshot>, event: DbEvent) -> Result<()> {
+        match (txn, event) {
+            (Some(snap), DbEvent::Commit) => self.session_commit(snap),
+            (Some(snap), DbEvent::Rollback) => self.session_abort(snap),
+            (None, event) => self.deliver(event),
+        }
+    }
+
+    /// Run one statement of an open client transaction. A failed statement
+    /// rolls its own effects back inside `run_top`; the transaction stays
+    /// open either way.
     pub(crate) fn session_statement(
         &mut self,
         p: &Prepared,
@@ -743,28 +776,74 @@ impl Database {
         snap: Snapshot,
     ) -> Result<StmtResult> {
         self.storage.set_current_txn(snap);
-        let result = self.run_top(p, binds);
+        let result = self.run_top(p, binds).inspect_err(|e| self.trace_conflict(e));
         self.storage.set_current_txn(Snapshot::latest());
         result
     }
 
-    /// Commit a session transaction: its csn, then — still under the
-    /// caller's exclusive hold, so markers land in csn order — the commit
-    /// marker tagged with the transaction, version GC, and the Commit
-    /// event. The commit itself cannot lose first-writer-wins: every write
-    /// was checked when it happened.
-    pub(crate) fn session_commit(&mut self, snap: Snapshot) -> Result<()> {
-        self.storage.commit_txn(snap);
-        self.storage.set_current_txn(snap);
-        let marker = self.wal_commit_marker();
-        self.storage.set_current_txn(Snapshot::latest());
-        self.maintenance_after_txn_end(true);
-        let ev = self.fire_event_unscoped(DbEvent::Commit);
-        marker?;
-        ev
+    /// The one autocommit path, for both client lanes: the statement is a
+    /// transaction of its own, followed by the Commit event as any commit.
+    pub(crate) fn autocommit(&mut self, p: &Prepared, binds: &[Value]) -> Result<StmtResult> {
+        let result = self.autocommit_unit(|db| {
+            let result = db.run_top(p, binds)?;
+            // From here the commit must not be interrupted by the
+            // statement's deadline: half-committed is worse than late.
+            stmt_governor::disarm();
+            Ok((result, true))
+        })?;
+        self.deliver(DbEvent::Commit).map(|()| result)
     }
 
-    /// The one vacuum placement (DESIGN.md §4l): the end of a session
+    /// Run `f` as one autocommit unit: committed when it succeeds (with a
+    /// WAL marker if `f` asks for one), discarded when it fails.
+    ///
+    /// The one rule of who versions (DESIGN.md §4j): the unit is a
+    /// registered transaction when another transaction is active as it
+    /// starts, and transaction 0 otherwise — no chain, an immediate heap
+    /// delete, never a conflict. Sound because no snapshot can be taken
+    /// while the unit holds the engine ([`Self::begin_txn`]), and none
+    /// older is live.
+    fn autocommit_unit<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<(T, bool)>) -> Result<T> {
+        let txns = self.storage.txn_manager();
+        let snap = match txns.other_active(0) {
+            Some(_) => txns.begin(),
+            None => Snapshot::latest(),
+        };
+        self.storage.set_current_txn(snap);
+        let result = f(self);
+        self.storage.set_current_txn(Snapshot::latest());
+        match result {
+            Ok((out, marker)) => self.finish_txn(snap, marker).map(|()| out),
+            Err(e) => {
+                // A statement has already rolled itself back (and
+                // delivered its Rollback event); handlers' writes go here.
+                self.trace_conflict(&e);
+                let _ = self.storage.rollback_txn(snap);
+                self.maintenance_after_txn_end(false);
+                Err(e)
+            }
+        }
+    }
+
+    /// Commit a transaction: its csn, then — under the same exclusive
+    /// hold, so markers land in csn order — its WAL marker if `marker`,
+    /// and version GC. It cannot lose first-writer-wins: every write was
+    /// checked when it happened. A marker failure means the durable medium
+    /// is gone (simulated crash): the commit must not report success.
+    fn finish_txn(&mut self, snap: Snapshot, marker: bool) -> Result<()> {
+        self.storage.commit_txn(snap);
+        let marked = if marker { self.wal_commit_marker(snap.txn) } else { Ok(()) };
+        self.maintenance_after_txn_end(true);
+        marked
+    }
+
+    /// Commit a client transaction and deliver the Commit event.
+    pub(crate) fn session_commit(&mut self, snap: Snapshot) -> Result<()> {
+        self.finish_txn(snap, true)?;
+        self.deliver(DbEvent::Commit)
+    }
+
+    /// The one vacuum placement (DESIGN.md §4l): the end of a
     /// transaction, under the write lock it already holds. An abort always
     /// runs the §4k pass. A commit skips it when the horizon still equals
     /// the last pass's: horizons only rise, and every commit since that
@@ -777,23 +856,15 @@ impl Database {
         }
     }
 
-    /// Roll back a session transaction (also an orphaned one: its
+    /// Roll back a client transaction (also an orphaned one: its
     /// snapshot is all that is needed): reverse its undo (chain-aware)
-    /// and abort it, vacuum, and fire the Rollback event.
+    /// and abort it, vacuum, and deliver the Rollback event.
     pub(crate) fn session_abort(&mut self, snap: Snapshot) -> Result<()> {
         let rolled = self.storage.rollback_txn(snap);
         self.maintenance_after_txn_end(false);
-        let ev = self.fire_event_unscoped(DbEvent::Rollback);
+        let ev = self.deliver(DbEvent::Rollback);
         rolled?;
         ev
-    }
-
-    /// Drop a session transaction that has no surviving effects (its only
-    /// statement already rolled itself back): abort and vacuum, without
-    /// firing a second Rollback event.
-    pub(crate) fn session_discard(&mut self, snap: Snapshot) {
-        let _ = self.storage.rollback_txn(snap);
-        self.maintenance_after_txn_end(false);
     }
 
     /// Replay the inverse of every recorded maintenance operation, newest
@@ -824,8 +895,8 @@ impl Database {
         match p.statement(binds)? {
             Statement::Select(s) => {
                 // All SELECTs run on the shared read lane, pinned to the
-                // current snapshot: `Snapshot::latest()` in the autocommit
-                // lane, the session's fixed snapshot inside BEGIN…COMMIT.
+                // driving transaction's snapshot: `Snapshot::latest()` for
+                // an unobserved autocommit, the transaction's own otherwise.
                 let snap = self.storage.current_snapshot();
                 let (plan, rows) = exec_ctx::run_select(self, snap, p, s, binds)?;
                 Ok(StmtResult::Rows { columns: plan.column_names.clone(), rows })
@@ -852,32 +923,10 @@ impl Database {
             Statement::Delete { table, where_clause } => {
                 self.run_delete(p, binds, table, where_clause.as_ref())
             }
-            // Transaction control reaches here on the direct lane only
-            // (`Session` handles its own): the transaction is id 0. Ending
-            // it empties its undo log, so this statement's savepoint —
-            // what a failing event handler's writes roll back to —
-            // restarts at 0 with it.
-            Statement::Begin => {
-                if self.storage.in_txn() {
-                    return Err(Error::Transaction("a transaction is already active".into()));
-                }
-                self.storage.txn_manager().begin_direct();
-                Ok(StmtResult::Ok)
-            }
-            Statement::Commit => {
-                self.storage.commit_txn(self.storage.current_snapshot());
-                self.scope.mark = 0;
-                self.fire_event(DbEvent::Commit)?;
-                Ok(StmtResult::Ok)
-            }
-            Statement::Rollback => {
-                if self.storage.in_txn() {
-                    self.storage.rollback_txn(self.storage.current_snapshot())?;
-                    self.scope.mark = 0;
-                }
-                self.fire_event(DbEvent::Rollback)?;
-                Ok(StmtResult::Ok)
-            }
+            // Clients end transactions; callbacks may not (`enforce`).
+            Statement::Begin | Statement::Commit | Statement::Rollback => Err(Error::Transaction(
+                "transaction control is not allowed inside a statement".into(),
+            )),
             Statement::Vacuum => {
                 self.vacuum();
                 Ok(StmtResult::Ok)
@@ -1284,7 +1333,7 @@ impl Database {
 
     /// Record a first-writer-wins abort in `V$TRACE` so the contended key
     /// and the winning transaction are observable after the fact.
-    pub(crate) fn trace_conflict(&self, err: &Error) {
+    fn trace_conflict(&self, err: &Error) {
         if let Error::WriteConflict { other_txn, key, .. } = err {
             let h = self.trace.record(
                 Component::Txn,
@@ -1364,18 +1413,19 @@ impl Database {
         Ok(())
     }
 
-    /// §5 delivery outside any statement: a session's transaction just
-    /// ended, or its COMMIT/ROLLBACK found none open. With no statement to
-    /// fail, nothing could take a handler's writes back: they were
-    /// recorded under the direct lane's transaction like any other write
-    /// and are final, so that transaction is committed here (a commit
-    /// cannot fail) and its log dropped — unless the direct lane has its
-    /// own explicit transaction open, which then owns them.
-    pub(crate) fn fire_event_unscoped(&mut self, event: DbEvent) -> Result<()> {
-        let delivered = self.fire_event(event);
-        if !self.storage.in_txn() {
-            self.storage.commit_txn(Snapshot::latest());
+    /// §5 delivery once a transaction has ended (or a COMMIT/ROLLBACK
+    /// found none open): the handlers' writes are one autocommit unit,
+    /// taken back whole if a handler fails. A unit that logged nothing
+    /// needs no WAL marker, and so adds no crash point after a commit.
+    fn deliver(&mut self, event: DbEvent) -> Result<()> {
+        if self.event_handlers.is_empty() {
+            return Ok(());
         }
-        delivered
+        let appended = |db: &Self| db.storage.wal_medium().map(|m| m.stats().records_appended);
+        let before = appended(self);
+        self.autocommit_unit(|db| {
+            db.fire_event(event)?;
+            Ok(((), appended(db) != before))
+        })
     }
 }

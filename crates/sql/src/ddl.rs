@@ -19,7 +19,7 @@ use extidx_core::params::ParamString;
 use extidx_core::trace::{Component, Routine};
 use extidx_core::OdciIndex;
 
-use crate::ast::{BindingSpec, ColumnSpec, IndexTypeOpSpec};
+use crate::ast::{BindingSpec, ColumnSpec, IndexTypeOpSpec, Statement};
 use crate::catalog::{BTreeIndexDef, ColumnDef, ColumnStats, DomainIndexDef, TableDef, TableOrg, TableStats};
 use crate::database::{Database, StmtResult};
 use crate::exec_ctx::{odci_call, Callee, Lane};
@@ -108,6 +108,25 @@ impl Database {
             .create_table(TableDef { name: upper.clone(), columns: cols, org, seg, stats: None })?;
         self.scope.created.push(CreatedObject::Table(upper));
         Ok(StmtResult::Ok)
+    }
+
+    /// A client's `TRUNCATE TABLE` or `DROP TABLE` is not versioned, so it
+    /// loses first-writer-wins while another transaction is active, on the
+    /// predicate that decides whether an autocommit versions. Session
+    /// autocommit retries the refusal as it retries `build_snapshot`'s. A
+    /// cartridge truncating its own tables runs inside index DDL.
+    pub(crate) fn refuse_unversioned_ddl(&self, stmt: &Statement) -> Result<()> {
+        let what = match stmt {
+            Statement::TruncateTable { name } => format!("TRUNCATE TABLE {name}"),
+            Statement::DropTable { name } => format!("DROP TABLE {name}"),
+            _ => return Ok(()),
+        };
+        let t = self.storage.current_snapshot().txn;
+        let Some(w) = self.storage.txn_manager().other_active(t) else {
+            return Ok(());
+        };
+        let detail = format!("txn {t}: {what} is not versioned, and txn {w} is active");
+        Err(Error::write_conflict(w, what.to_ascii_uppercase(), detail))
     }
 
     pub(crate) fn run_drop_table(&mut self, name: &str) -> Result<StmtResult> {

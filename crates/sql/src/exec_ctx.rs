@@ -23,7 +23,7 @@
 //!   body, so tracing, fault injection, the sandbox and health accounting
 //!   hold at every call into cartridge code.
 //! - [`run_select`]: the single SELECT implementation used by the
-//!   legacy `Database::execute` lane, nested cartridge callbacks, and the
+//!   `Database::execute` lane, nested cartridge callbacks, and the
 //!   concurrent `Session` read lane — all three run the statement cache's
 //!   plan and produce byte-identical results for a given snapshot. Beside
 //!   it, `explain_select` (EXPLAIN [ANALYZE], planned afresh) and
@@ -91,9 +91,9 @@ impl SessionScratch {
 pub struct Exec<'a> {
     pub(crate) db: &'a Database,
     scratch: &'a RefCell<SessionScratch>,
-    /// The snapshot this statement reads under. `Snapshot::latest()` in
-    /// the legacy autocommit lane (sees all committed versions), a fixed
-    /// snapshot inside an explicit transaction.
+    /// The snapshot this statement reads under. `Snapshot::latest()`
+    /// outside a transaction (sees all committed versions), a fixed
+    /// snapshot inside an explicit or observed one.
     pub(crate) snap: Snapshot,
     /// The statement's binds: what its `?` placeholders read when it runs,
     /// and the values the optimizer costs them at when it plans.
@@ -463,8 +463,8 @@ impl ServerContext for ServerCtx<'_, '_, '_> {
 /// Run one SELECT of the cached statement `p` against `db` under `snap`
 /// with `binds`, returning its plan (for the column names) and result
 /// rows. `s` is `p`'s SELECT, or the source of its `INSERT … SELECT`. This
-/// is the only SELECT implementation: the autocommit lane, nested
-/// cartridge callbacks, and concurrent sessions all route here.
+/// is the only SELECT implementation: both client lanes and nested
+/// cartridge callbacks route here.
 pub(crate) fn run_select(
     db: &Database,
     snap: Snapshot,
@@ -556,13 +556,13 @@ pub struct QueryCursor<'a> {
 }
 
 impl<'a> QueryCursor<'a> {
-    /// Open a cursor over the SELECT `sql` (`Database::open_query`).
-    pub(crate) fn open(db: &'a mut Database, sql: &str) -> Result<Self> {
+    /// Open a cursor over the SELECT `sql` under `snap`
+    /// (`Database::open_query`).
+    pub(crate) fn open(db: &'a mut Database, sql: &str, snap: Snapshot) -> Result<Self> {
         let p = db.prepare(sql)?;
         let Statement::Select(select) = p.statement(&[])? else {
             return Err(Error::Semantic("open_query requires a SELECT".into()));
         };
-        let snap = db.storage.current_snapshot();
         let plan = {
             let scratch = RefCell::new(SessionScratch::default());
             let ecx = Exec::new(&*db, &scratch, snap, &[]);

@@ -27,9 +27,12 @@
 //! open transaction wrote, or that a transaction committed after the
 //! writer's snapshot, fails with a conflict error (the statement rolls
 //! back; an explicit transaction stays open for the client to end).
-//! `COMMIT` has nothing left to check and cannot lose. Statements outside
-//! an explicit transaction are an implicit begin+statement+commit, so
-//! autocommit writers participate in the same conflict protocol.
+//! `COMMIT` has nothing left to check and cannot lose. A statement outside
+//! an explicit transaction is an autocommit unit, run by the one function
+//! the `Database` lane's own client uses too (`Database::autocommit`): an
+//! ordinary registered transaction while another transaction is active,
+//! so it takes part in the same conflict protocol, and otherwise an
+//! unversioned write no one can observe (DESIGN.md §4j "Who versions").
 //!
 //! Around that, this module adds the server-resident governance layer
 //! (DESIGN.md §4l):
@@ -214,9 +217,14 @@ impl Session {
     pub fn execute_with(&mut self, sql: &str, binds: &[Value]) -> Result<StmtResult> {
         let p = self.db.read().prepare(sql)?;
         let result = match p.statement(binds)? {
-            Statement::Begin => self.begin(),
-            Statement::Commit => self.commit(),
-            Statement::Rollback => self.rollback(),
+            // The snapshot is taken under the read lock, so never while an
+            // autocommit unit holds the write lock (`Database::begin_txn`).
+            Statement::Begin => {
+                self.txn = Some(self.db.read().begin_txn(self.txn)?);
+                Ok(StmtResult::Ok)
+            }
+            Statement::Commit => self.end(DbEvent::Commit),
+            Statement::Rollback => self.end(DbEvent::Rollback),
             // Maintenance command: no transaction of its own. Open
             // snapshots (including this session's) hold the horizon back,
             // so an explicit VACUUM mid-transaction is always safe.
@@ -314,92 +322,38 @@ impl Session {
         result
     }
 
-    /// Open an explicit transaction: reserve a txn id and pin the
-    /// snapshot every subsequent statement reads under.
-    fn begin(&mut self) -> Result<StmtResult> {
-        let txns = self.db.read().storage().txn_manager();
-        if self.txn.is_some_and(|snap| txns.is_active(snap.txn)) {
-            return Err(Error::Transaction("a transaction is already active".into()));
-        }
-        self.txn = Some(txns.begin());
-        Ok(StmtResult::Ok)
-    }
-
-    /// Commit the open transaction: its csn, the commit marker (in csn
-    /// order) and version GC. It cannot lose first-writer-wins — a
-    /// conflicting write already failed its statement. Explicit
-    /// transactions are **never** transparently retried: the client saw
-    /// intermediate state, so only it can decide to re-run.
-    fn commit(&mut self) -> Result<StmtResult> {
+    /// `COMMIT` or `ROLLBACK` (`event` says which). Explicit transactions
+    /// are **never** transparently retried: the client saw intermediate
+    /// state, so only it can decide to re-run.
+    fn end(&mut self, event: DbEvent) -> Result<StmtResult> {
         let mut db = exclusive(self.db.write());
-        match self.txn.take() {
-            Some(snap) => db.session_commit(snap)?,
-            // COMMIT with nothing open mirrors the legacy arm: fire the
-            // event, succeed.
-            None => db.fire_event_unscoped(DbEvent::Commit)?,
-        }
-        Ok(StmtResult::Ok)
-    }
-
-    /// Roll back the open transaction (no-op + event when none is open,
-    /// mirroring the legacy arm).
-    fn rollback(&mut self) -> Result<StmtResult> {
-        let mut db = exclusive(self.db.write());
-        match self.txn.take() {
-            Some(snap) => db.session_abort(snap)?,
-            None => db.fire_event_unscoped(DbEvent::Rollback)?,
-        }
-        Ok(StmtResult::Ok)
+        db.end_txn(self.txn.take(), event).map(|()| StmtResult::Ok)
     }
 
     /// Write lane: DML/DDL under the exclusive lock. Inside an explicit
-    /// transaction the statement joins it; otherwise the statement is an
-    /// implicit begin+statement+commit so autocommit writers take part in
-    /// the same first-writer-wins protocol (with transparent retry).
+    /// transaction the statement joins it. Otherwise it is one autocommit
+    /// unit, re-run on a fresh snapshot when it loses first-writer-wins,
+    /// up to `retry_max` times with seeded jittered backoff. Every other
+    /// error (including a statement timeout) surfaces immediately.
     fn write_statement(&mut self, sql: &str, p: &Prepared, binds: &[Value]) -> Result<StmtResult> {
         let _guard = self.stmt_guard();
-        // The client statement, for `V$SQLSTATS`: whichever attempt ends
-        // it records it, under the write lock that attempt holds anyway.
-        let client = (sql, Instant::now());
-        match self.txn {
-            Some(snap) => self.txn_statement(client, p, binds, snap),
-            None => self.autocommit_statement(client, p, binds),
-        }
-    }
-
-    fn txn_statement(
-        &mut self,
-        (sql, started): (&str, Instant),
-        p: &Prepared,
-        binds: &[Value],
-        snap: Snapshot,
-    ) -> Result<StmtResult> {
-        let mut db = exclusive(self.db.write());
-        let before = db.cache_stats();
-        // A failed statement already rolled its own effects back
-        // inside `run_top`; the transaction stays open either way.
-        let result = db.session_statement(p, binds, snap);
-        if let Err(e) = &result {
-            db.trace_conflict(e);
-        }
-        db.record_statement(sql, started, &before, &result);
-        result
-    }
-
-    /// Autocommit with transparent conflict retry: a statement losing
-    /// first-writer-wins is re-run on a fresh snapshot up to
-    /// `retry_max` times with seeded jittered backoff. Every other error
-    /// (including a statement timeout) surfaces immediately.
-    fn autocommit_statement(
-        &mut self,
-        client: (&str, Instant),
-        p: &Prepared,
-        binds: &[Value],
-    ) -> Result<StmtResult> {
+        let (txn, started) = (self.txn, Instant::now());
         let mut attempt: u32 = 0;
         loop {
-            match self.autocommit_once(client, p, binds) {
-                Err(e @ Error::WriteConflict { .. }) => {
+            // The client statement, for `V$SQLSTATS`: whichever attempt
+            // ends it records it, under the write lock it holds anyway.
+            let result = {
+                let mut db = exclusive(self.db.write());
+                let before = db.cache_stats();
+                let result = match txn {
+                    Some(snap) => db.session_statement(p, binds, snap),
+                    None => db.autocommit(p, binds),
+                };
+                db.record_statement(sql, started, &before, &result);
+                result
+            };
+            match result {
+                Err(e @ Error::WriteConflict { .. }) if txn.is_none() => {
                     if attempt >= self.retry_max {
                         if self.retry_max > 0 {
                             self.governor
@@ -424,35 +378,6 @@ impl Session {
                 other => return other,
             }
         }
-    }
-
-    fn autocommit_once(
-        &mut self,
-        (sql, started): (&str, Instant),
-        p: &Prepared,
-        binds: &[Value],
-    ) -> Result<StmtResult> {
-        let mut db = exclusive(self.db.write());
-        let before = db.cache_stats();
-        let snap = db.storage().txn_manager().begin();
-        let result = match db.session_statement(p, binds, snap) {
-            Ok(result) => {
-                // The statement's work is done — from here the commit
-                // must not be interrupted by its deadline (half-committed
-                // is strictly worse than late).
-                stmt_governor::disarm();
-                db.session_commit(snap).map(|()| result)
-            }
-            Err(e) => {
-                // Statement-level rollback (and its Rollback event) ran in
-                // `run_top`; just retire the implicit transaction.
-                db.trace_conflict(&e);
-                db.session_discard(snap);
-                Err(e)
-            }
-        };
-        db.record_statement(sql, started, &before, &result);
-        result
     }
 
     fn retry_sleep(&mut self, attempt: u32) {

@@ -74,12 +74,13 @@ pub struct StorageEngine {
     wal: Option<DurableMedium>,
     /// Transaction manager shared with every session of the database.
     txns: Arc<TxnManager>,
-    /// Undo log of every open transaction, by id (0 = the direct lane).
+    /// Undo log of every open transaction, by id (0 = an unobserved
+    /// autocommit statement).
     /// An entry leaves when its transaction ends, whichever way.
     undo: HashMap<u64, UndoLog>,
     /// Snapshot of the transaction currently driving mutations. Txn 0 is
-    /// the legacy single-session/autocommit lane: no version chains are
-    /// created and every path behaves exactly as before MVCC.
+    /// a write no other transaction can observe: it creates no version
+    /// chain (`mvcc` module doc, "Who versions").
     current: Snapshot,
     /// First-writer-wins enforcement knob. Turned off only by the
     /// differential oracle to demonstrate that it catches lost updates.
@@ -121,15 +122,10 @@ impl StorageEngine {
     }
 
     /// Install the snapshot whose transaction drives subsequent mutations
-    /// and latest-visibility reads. `Snapshot::latest()` (txn 0) restores
-    /// the legacy lane.
+    /// and latest-visibility reads. `Snapshot::latest()` (txn 0) drives
+    /// unobserved writes.
     pub fn set_current_txn(&mut self, snap: Snapshot) {
         self.current = snap;
-    }
-
-    /// Id of the transaction currently driving mutations (0 = legacy lane).
-    pub fn current_txn(&self) -> u64 {
-        self.current.txn
     }
 
     /// Snapshot of the transaction currently driving mutations.
@@ -137,9 +133,8 @@ impl StorageEngine {
         self.current
     }
 
-    /// Whether the transaction currently driving mutations is open beyond
-    /// the statement at hand: a session's transaction, or the direct
-    /// lane's explicit one. The one answer for every lane — the registry's.
+    /// Whether the transaction currently driving mutations is a registered
+    /// one (explicit, or an observed autocommit): the registry's answer.
     pub fn in_txn(&self) -> bool {
         self.txns.is_active(self.current.txn)
     }
@@ -352,7 +347,7 @@ impl StorageEngine {
     /// (`WHOLE_LOB` = whole-locator): keep `old`, the before-image of
     /// exactly that byte range (the one the undo entry holds), in the
     /// version chain, where it is also the write's conflict record. No-op
-    /// on the direct lane.
+    /// for an unobserved write.
     fn displace_lob_span(&mut self, lob: LobRef, start: u64, len: u64, old: &[u8]) {
         let t = self.current.txn;
         if t == 0 {
@@ -1161,9 +1156,9 @@ impl StorageEngine {
     /// end differ only in the mark. External files are untouched.
     ///
     /// Each undo entry becomes compensation records, logged and applied
-    /// like forward work (`log_apply`): an explicit-transaction ROLLBACK
-    /// is a completed statement followed by a commit marker, so its
-    /// effects must replay on recovery exactly like forward work. A
+    /// like forward work (`log_apply`): a statement rolled back inside a
+    /// transaction that commits must replay on recovery exactly like
+    /// forward work. A
     /// compensation that fails to apply stops the rollback with its error,
     /// whatever the segment kind: state may be torn, and the caller
     /// reports a double fault (`Error::RollbackFailed`).
@@ -1555,7 +1550,7 @@ mod tests {
         }
     }
 
-    /// `f` run as transaction `snap`, back on the direct lane after.
+    /// `f` run as transaction `snap`, back on transaction 0 after.
     fn as_txn<T>(
         e: &mut StorageEngine,
         snap: Snapshot,

@@ -12,11 +12,18 @@
 //!   key) — carrying the stamps of the in-place version plus the displaced
 //!   older versions;
 //! - a row with **no** chain is implicitly stamped `(begin=0, end=∞)` —
-//!   bootstrap data, visible to every snapshot. Since the single-session
-//!   autocommit lane runs as txn 0 and the engine prunes chains
-//!   incrementally against the oldest active snapshot, the store stays
-//!   empty in all legacy paths and the hot read path pays one hash
-//!   lookup, nothing more.
+//!   bootstrap data, visible to every snapshot. Since an unobserved write
+//!   runs as txn 0 (below) and the engine prunes chains incrementally
+//!   against the oldest active snapshot, the store stays empty while one
+//!   client works alone and the hot read path pays one hash lookup,
+//!   nothing more.
+//!
+//! **Who versions**, on every client lane: an explicit transaction
+//! always; an autocommit statement only if another transaction is active
+//! when it starts ([`TxnManager::other_active`]). Otherwise it runs as
+//! transaction 0, a write no one can observe: no chain, an immediate heap
+//! delete, no conflict. Sound because no snapshot is taken while it holds
+//! the engine, and none older is live, so every chain it meets is settled.
 //!
 //! **Visibility** (snapshot isolation): a version stamped `begin` is
 //! visible to snapshot `s` iff `begin == 0`, or `begin == s.txn` (own
@@ -80,8 +87,8 @@ pub const WHOLE_LOB: u64 = u64::MAX;
 /// commit sequence number (CSN) visible to it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Snapshot {
-    /// Owning transaction (0 = the legacy/bootstrap lane: sees everything
-    /// committed, owns nothing).
+    /// Owning transaction (0 = bootstrap data and unobserved writes, which
+    /// keep no chain: sees everything committed, owns nothing).
     pub txn: u64,
     /// Versions committed with `csn <= high` are visible.
     pub high: u64,
@@ -140,16 +147,6 @@ impl TxnManager {
         Snapshot { txn, high }
     }
 
-    /// Open the direct lane's explicit transaction (`BEGIN` on a bare
-    /// `Database`). It keeps id 0 — no snapshot, no stamps — and is
-    /// registered only so that this one registry answers "is a
-    /// transaction open" for every lane. [`Self::commit`] and
-    /// [`Self::abort`] of id 0 just unregister it: a status left behind
-    /// under the bootstrap stamp would read as every unchained row's.
-    pub fn begin_direct(&self) {
-        self.inner.lock().status.insert(0, TxnStatus::Active);
-    }
-
     pub fn status(&self, txn: u64) -> Option<TxnStatus> {
         self.inner.lock().status.get(&txn).copied()
     }
@@ -195,8 +192,9 @@ impl TxnManager {
     /// contends when it is neither 0 nor `snap.txn` and its writer is
     /// active, or — with `committed` checks on — committed above
     /// `snap.high`. The winner is an active stamp first, else the latest
-    /// committer: `(txn, None)` or `(txn, Some(csn))`. The direct lane
-    /// (transaction 0) contends with nothing.
+    /// committer: `(txn, None)` or `(txn, Some(csn))`. An unobserved write
+    /// (transaction 0) contends with nothing: every stamp it meets is
+    /// settled.
     pub(crate) fn contender(
         &self,
         snap: &Snapshot,
@@ -229,10 +227,6 @@ impl TxnManager {
     /// decided when the write happened.
     pub fn commit(&self, snap: &Snapshot) -> u64 {
         let mut g = self.inner.lock();
-        if snap.txn == 0 {
-            g.status.remove(&0);
-            return g.next_csn;
-        }
         g.next_csn += 1;
         let csn = g.next_csn;
         g.status.insert(snap.txn, TxnStatus::Committed(csn));
@@ -240,15 +234,19 @@ impl TxnManager {
         csn
     }
 
-    /// Mark a transaction aborted.
+    /// Mark a transaction aborted (transaction 0 only while no snapshot is
+    /// live; the vacuum pass that follows forgets it).
     pub fn abort(&self, txn: u64) {
         let mut g = self.inner.lock();
-        if txn == 0 {
-            g.status.remove(&0);
-            return;
-        }
         g.status.insert(txn, TxnStatus::Aborted);
         g.snapshots.remove(&txn);
+    }
+
+    /// The oldest transaction other than `t` still active: the one "can
+    /// another transaction see this write" predicate.
+    pub fn other_active(&self, t: u64) -> Option<u64> {
+        let g = self.inner.lock();
+        g.snapshots.keys().copied().filter(|&s| s != t).min()
     }
 
     /// Number of transactions still active.
@@ -553,9 +551,9 @@ pub(crate) struct VacuumPass {
 /// All version chains: row chains by segment — keyed by rowid for heaps,
 /// by key for IOTs — and LOB chains by locator. Empty whenever nothing
 /// concurrent is in flight (the engine prunes incrementally against the
-/// snapshot horizon), so legacy single-session behavior — including
-/// physical layout — is untouched. A row chain is written only through
-/// [`Self::edit`]; the direct lane (transaction 0) keeps none.
+/// snapshot horizon), so a client working alone — physical layout
+/// included — is untouched. A row chain is written only through
+/// [`Self::edit`]; an unobserved write (transaction 0) keeps none.
 #[derive(Default)]
 pub struct VersionStore {
     pub heap: HashMap<SegmentId, HashMap<RowId, RowChain>>,
@@ -574,7 +572,7 @@ impl VersionStore {
 
     /// Apply transaction `t`'s change `f` to the chain of row `key`
     /// (bootstrap if it has none), dropping the chain if that leaves it
-    /// trivial. A no-op for the direct lane (`t == 0`).
+    /// trivial. A no-op for an unobserved write (`t == 0`).
     pub(crate) fn edit(
         &mut self,
         seg: SegmentId,

@@ -319,7 +319,7 @@ pub struct WalStats {
 }
 
 /// One durably appended WAL entry: its LSN, the transaction that wrote it
-/// (0 = the legacy single-session/autocommit lane), and the record.
+/// (0 = a write no other transaction observes), and the record.
 #[derive(Clone)]
 struct WalEntry {
     lsn: u64,
@@ -334,8 +334,8 @@ type Grouped<'a> = (Vec<&'a WalRecord>, BTreeMap<u64, Vec<&'a WalEntry>>);
 /// and recovery share. Entries the LSN rule skips are left out. Each
 /// transaction's records are emitted at its commit marker's position, so
 /// the committed list is in commit order (the order the serial twin of a
-/// concurrent history uses); txn 0, the direct/autocommit lane, commits at
-/// every marker. Records of transactions whose marker has not landed —
+/// concurrent history uses); txn 0, whose writes no other transaction
+/// observes, commits at every marker. Records of transactions whose marker has not landed —
 /// still open, rolled back, or cut off by a crash — come back per
 /// transaction, in append order.
 fn group<'a>(wal: &'a [WalEntry], image: &CheckpointImage) -> Grouped<'a> {

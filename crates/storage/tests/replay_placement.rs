@@ -6,15 +6,16 @@
 //! same apply, so the two can only part where a record is applied live but
 //! not replayed, or the reverse.
 //!
-//! The history is written on the direct lane (autocommit statements and
-//! explicit transactions that commit or roll back whole, each followed by
-//! a commit marker as the SQL layer writes one) and in session
-//! transactions that commit, with statement rollbacks inside both. Two
-//! kinds of history are left out because replay does not reproduce their
-//! placement: a session transaction that aborts (its records are dropped,
-//! yet live it consumed ordinals and locators and reordered the free list)
-//! and a session heap delete that commits (live, the vacuum frees its slot
-//! after the commit; replay frees it at the delete's place in the group).
+//! The history is written by unobserved autocommit statements (transaction
+//! 0, each followed by a commit marker as the SQL layer writes one) and by
+//! registered transactions that commit, with a checkpoint now and then
+//! while one is open and statement rollbacks inside both. Two kinds of
+//! history are left out because replay does not reproduce their
+//! placement: a registered transaction that aborts (its records are
+//! dropped, yet live it consumed ordinals and locators and reordered the
+//! free list) and a versioned heap delete that commits (live, the vacuum
+//! frees its slot after the commit; replay frees it at the delete's place
+//! in the group).
 
 use std::ops::Bound::Unbounded;
 use std::sync::Arc;
@@ -85,8 +86,8 @@ fn durable_engine() -> (StorageEngine, DurableMedium) {
     (e, medium)
 }
 
-/// End a direct-lane statement as the SQL layer does outside an explicit
-/// transaction: drop its undo and write a commit marker.
+/// End an unobserved autocommit statement as the SQL layer does: commit
+/// transaction 0, which drops its undo, and write a commit marker.
 fn autocommit(e: &mut StorageEngine, medium: &DurableMedium) {
     e.commit_txn(Snapshot::latest());
     medium.commit(None).unwrap();
@@ -145,7 +146,7 @@ fn random_write(
                 e.heap_update(seg, rid, row(k, width)).unwrap();
             }
         }
-        // A session's heap delete is deferred to the vacuum; see the
+        // A versioned heap delete is deferred to the vacuum; see the
         // module doc.
         4 if snap.txn == 0 => {
             let rids = live_rids(e);
@@ -218,30 +219,17 @@ fn replay_reproduces_live_placement() {
                     statement(&mut e, &mut rng, &heaps, iot, &mut lobs);
                     autocommit(&mut e, &medium);
                 }
-                // An explicit direct-lane transaction: its statements, a
-                // checkpoint now and then (which carries its open tail),
-                // then COMMIT or ROLLBACK — either one a statement the
-                // commit marker closes.
-                4..=6 => {
-                    txns.begin_direct();
+                // A registered transaction: its statements, a checkpoint
+                // now and then (which carries its open tail), then COMMIT
+                // with its marker and the vacuum pass that ends it.
+                4..=8 => {
+                    let t = txns.begin();
+                    e.set_current_txn(t);
                     for _ in 0..rng.gen_range(1..4) {
                         statement(&mut e, &mut rng, &heaps, iot, &mut lobs);
                         if rng.gen_bool(0.2) {
                             checkpoint(&e);
                         }
-                    }
-                    if rng.gen_bool(0.5) {
-                        e.commit_txn(Snapshot::latest());
-                    } else {
-                        e.rollback_txn(Snapshot::latest()).unwrap();
-                    }
-                    medium.commit(None).unwrap();
-                }
-                7 | 8 => {
-                    let t = txns.begin();
-                    e.set_current_txn(t);
-                    for _ in 0..rng.gen_range(1..4) {
-                        statement(&mut e, &mut rng, &heaps, iot, &mut lobs);
                     }
                     e.set_current_txn(Snapshot::latest());
                     e.commit_txn(t);

@@ -137,6 +137,11 @@ cargo test -q -p extidx-storage --test replay_placement
 # while another transaction has uncommitted versions), and the
 # two-in-flight-transactions crash tests. MVCC_SEED pins the
 # default oracle run's seed; panics print the diverging seed + report.
+# The concurrent oracle schedules a `Database`-lane client beside the
+# sessions, and mvcc_visibility pins the one transaction rule: that
+# client's autocommit loses to a session's open write, its open
+# transaction stays invisible to sessions, and TRUNCATE / DROP TABLE
+# refuse while a snapshot is pinned.
 echo "== mvcc (concurrent oracle + visibility properties) =="
 MVCC_SEED="${MVCC_SEED:-1}" \
     cargo test -q --test mvcc_differential -- --include-ignored
@@ -418,5 +423,28 @@ if grep -nE "PENDING_OPS|NEEDS_FULL_REBUILD" crates/sql/src/vtables.rs; then
     exit 1
 fi
 grep -q "fn rebuild_never_indexes_another_sessions_uncommitted_rows" tests/quarantine.rs
+
+# One transaction rule (DESIGN.md §4j "Who versions"): every client lane —
+# a `Session` and the `Database` lane alike — begins, commits, aborts and
+# autocommits through one set of functions in database.rs, and only an
+# autocommit statement that no other transaction can observe runs
+# unversioned as transaction 0. So the direct lane's private BEGIN and its
+# unscoped event delivery stay deleted, commit and abort in the registry
+# have no transaction-0 arm, and the probes that pin the rule stay defined
+# so the mvcc stanza cannot run an empty filter. (Bracketed so the
+# patterns do not match this file.)
+echo "== one transaction rule (structural guard) =="
+if grep -rnE "begin_direc[t]|fire_event_unscope[d]" crates; then
+    exit 1
+fi
+if awk '/pub fn (commit|abort)\(/,/^    }$/' crates/storage/src/mvcc.rs | grep -nE "== 0"; then
+    exit 1
+fi
+for t in database_lane_autocommit_loses_to_an_open_session_write \
+    database_lane_transaction_is_invisible_to_sessions_until_it_commits \
+    truncate_and_drop_table_refuse_while_a_snapshot_is_pinned; do
+    grep -q "fn $t" tests/mvcc_visibility.rs
+done
+grep -q "Client::Admin" crates/qgen/src/concurrent.rs
 
 echo "CI OK"

@@ -547,7 +547,7 @@ fn no_undo_outlives_its_transaction_even_when_event_handlers_write() {
     // is discarded with it.
     assert!(s.execute("INSERT INTO T (id, k, doc) VALUES (4, 4, 'ok'), (5, 'x', 'bad')").is_err());
     idle(&server);
-    // The direct lane: events are delivered inside the statement.
+    // The `Database` lane: its COMMIT delivers the event as a session's.
     server.admin(|db| {
         db.execute("BEGIN").unwrap();
         db.execute("DELETE FROM T WHERE id = 3").unwrap();
@@ -558,4 +558,91 @@ fn no_undo_outlives_its_transaction_even_when_event_handlers_write() {
     let seen: Vec<String> =
         s.query("SELECT ev FROM AUDIT").unwrap().iter().map(|r| r[0].to_string()).collect();
     assert_eq!(seen, ["COMMIT", "ROLLBACK", "COMMIT", "COMMIT"], "every delivered write is final");
+}
+
+// ---------------------------------------------------------------------------
+// One transaction rule for every client: the `Database` lane (through
+// `Server::admin`) versions and conflicts exactly as a `Session` does
+// ---------------------------------------------------------------------------
+
+/// An autocommit `UPDATE` on the `Database` lane loses first-writer-wins
+/// to a session's open write of the same row. Had it gone through, the
+/// session's ROLLBACK would restore its own before-image and silently
+/// take the committed value back.
+#[test]
+fn database_lane_autocommit_loses_to_an_open_session_write() {
+    let server = build_rig();
+    let mut b = server.session();
+    b.execute("BEGIN").unwrap();
+    b.execute("UPDATE T SET k = 2 WHERE id = 1").unwrap();
+    let writer = b.snapshot().expect("writer transaction open").txn;
+    match server.admin(|db| db.execute("UPDATE T SET k = 3 WHERE id = 1")) {
+        Err(Error::WriteConflict { other_txn, .. }) => assert_eq!(other_txn, writer),
+        other => panic!("expected WriteConflict from the Database lane, got {other:?}"),
+    }
+    b.execute("ROLLBACK").unwrap();
+    let k = |server: &Server| server.admin(|db| db.query("SELECT k FROM T WHERE id = 1").unwrap());
+    assert_eq!(k(&server), vec![vec![Value::Integer(5)]]);
+    server.admin(|db| db.execute("UPDATE T SET k = 3 WHERE id = 1")).unwrap();
+    assert_eq!(k(&server), vec![vec![Value::Integer(3)]]);
+}
+
+/// A `Database`-lane transaction is isolated like a session's: its
+/// uncommitted rows stay invisible to every session until it commits,
+/// and vanish for good when it rolls back. Its own reads see them.
+#[test]
+fn database_lane_transaction_is_invisible_to_sessions_until_it_commits() {
+    let server = build_rig();
+    let mut a = server.session();
+    let ids = "SELECT /*+ NO_INDEX */ id FROM T";
+    for end in ["ROLLBACK", "COMMIT"] {
+        server.admin(|db| {
+            db.execute("BEGIN").unwrap();
+            db.execute("INSERT INTO T (id, k, doc) VALUES (3, 7, 'gamma three')").unwrap();
+            assert_eq!(sorted_ids(&db.query(ids).unwrap()), vec![1, 2, 3], "own write");
+            let mut cur = db.open_query(ids).unwrap();
+            let mut seen = Vec::new();
+            while let Some(row) = cur.next_row().unwrap() {
+                seen.push(row);
+            }
+            assert_eq!(sorted_ids(&seen), vec![1, 2, 3], "a cursor reads the open transaction");
+        });
+        assert_eq!(sorted_ids(&a.query(ids).unwrap()), vec![1, 2], "uncommitted, before {end}");
+        server.admin(|db| db.execute(end)).unwrap();
+        let want = if end == "COMMIT" { vec![1, 2, 3] } else { vec![1, 2] };
+        assert_eq!(sorted_ids(&a.query(ids).unwrap()), want, "after {end}");
+    }
+}
+
+/// `TRUNCATE TABLE` and `DROP TABLE` are not versioned, so they refuse
+/// while another transaction is active: a pinned reader keeps seeing the
+/// rows its snapshot saw. Once it ends, both go through.
+#[test]
+fn truncate_and_drop_table_refuse_while_a_snapshot_is_pinned() {
+    let server = build_rig();
+    let mut reader = server.session();
+    reader.execute("BEGIN").unwrap();
+    let ids = "SELECT /*+ NO_INDEX */ id FROM T";
+    assert_eq!(sorted_ids(&reader.query(ids).unwrap()), vec![1, 2]);
+    let pinned = reader.snapshot().expect("reader transaction open").txn;
+
+    let mut a = server.session();
+    a.execute("SET CONFLICT_RETRIES 0").unwrap();
+    for ddl in ["TRUNCATE TABLE T", "DROP TABLE T"] {
+        match a.execute(ddl) {
+            Err(Error::WriteConflict { other_txn, .. }) => assert_eq!(other_txn, pinned),
+            other => panic!("`{ddl}` under a pinned reader: expected WriteConflict, got {other:?}"),
+        }
+        match server.admin(|db| db.execute(ddl)) {
+            Err(Error::WriteConflict { other_txn, .. }) => assert_eq!(other_txn, pinned),
+            other => panic!("`{ddl}` on the Database lane: expected WriteConflict, got {other:?}"),
+        }
+    }
+    assert_eq!(sorted_ids(&reader.query(ids).unwrap()), vec![1, 2]);
+    reader.execute("COMMIT").unwrap();
+
+    a.execute("TRUNCATE TABLE T").unwrap();
+    assert!(a.query(ids).unwrap().is_empty());
+    a.execute("DROP TABLE T").unwrap();
+    server.read(|db| assert!(!db.catalog().has_table("T")));
 }

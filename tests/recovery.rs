@@ -1114,7 +1114,7 @@ fn checkpointing_and_never_checkpointing_media_recover_identically() {
         for (i, (sql, _)) in stream[..crash_at].iter().enumerate() {
             db.execute(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
             if every.is_some_and(|k| i % k == k - 1) {
-                inside_txn += usize::from(db.storage().in_txn());
+                inside_txn += usize::from(db.storage().txn_manager().active_count() > 0);
                 db.checkpoint().unwrap();
             }
         }
