@@ -11,7 +11,8 @@
 //!    rollback compensations alike go through `log_apply`,
 //! 2. every page touch is charged to the [`BufferCache`],
 //! 3. every database-resident mutation is recorded in the undo log of
-//!    the transaction driving it — the engine keeps the logs, callers
+//!    the transaction driving it — the engine keeps the logs, whose
+//!    entries are the version chains' only before-images, and callers
 //!    hold savepoint marks ([`StorageEngine::undo_mark`]),
 //! 4. external-file operations are *not* recorded — reproducing the
 //!    paper's §5 transactional limitation for outside-the-database index
@@ -36,11 +37,11 @@ use crate::file_store::FileStore;
 use crate::heap::HeapTable;
 use crate::iot::IndexOrganizedTable;
 use crate::mvcc::{
-    self, LobChain, LobImage, LobSpanVersion, RowChain, RowKey, Snapshot, TxnManager,
+    self, LobChain, LobImage, LobSpanVersion, RowChain, RowKey, Snapshot, TxnManager, UndoLogs,
     VersionStore, WHOLE_LOB,
 };
 use crate::page::{IoCharge, SegmentId, PAGE_SIZE};
-use crate::undo::{UndoLog, UndoOp};
+use crate::undo::{LobSpan, UndoOp};
 use crate::wal::{Applied, DurableMedium, Segments, WalRecord};
 
 /// Synthetic segment id under which LOB pages are charged to the cache.
@@ -75,9 +76,9 @@ pub struct StorageEngine {
     /// Transaction manager shared with every session of the database.
     txns: Arc<TxnManager>,
     /// Undo log of every open transaction, by id (0 = an unobserved
-    /// autocommit statement).
-    /// An entry leaves when its transaction ends, whichever way.
-    undo: HashMap<u64, UndoLog>,
+    /// autocommit statement), and of every ended one a chain version still
+    /// reads its image from; the vacuum pass drops those.
+    undo: UndoLogs,
     /// Snapshot of the transaction currently driving mutations. Txn 0 is
     /// a write no other transaction can observe: it creates no version
     /// chain (`mvcc` module doc, "Who versions").
@@ -142,7 +143,7 @@ impl StorageEngine {
     /// Savepoint in the current transaction's undo log: everything a
     /// later [`Self::rollback_to`] of this mark takes back.
     pub fn undo_mark(&self) -> usize {
-        self.undo.get(&self.current.txn).map_or(0, UndoLog::len)
+        self.undo.get(&self.current.txn).map_or(0, Vec::len)
     }
 
     /// Log one undo entry for the current transaction. Conflicts need no
@@ -152,22 +153,29 @@ impl StorageEngine {
         self.undo.entry(self.current.txn).or_default().push(op);
     }
 
-    /// Commit a transaction: assign its csn and drop its undo log. A
-    /// commit cannot lose first-writer-wins — every write was checked when
-    /// it happened — so it returns the csn.
+    /// Commit a transaction and return its csn. A commit cannot lose
+    /// first-writer-wins — every write was checked when it happened. Its
+    /// undo log stays for the vacuum pass to drop, unless it is
+    /// transaction 0's, which no version reads.
     pub fn commit_txn(&mut self, snap: Snapshot) -> u64 {
         let csn = self.txns.commit(&snap);
-        self.undo.remove(&snap.txn);
+        if snap.txn == 0 {
+            self.undo.remove(&0);
+        }
         csn
     }
 
     /// Roll a whole transaction back (chain-aware, under its own
-    /// snapshot) and mark it aborted.
+    /// snapshot) and mark it aborted. A rollback that completed popped
+    /// every version that read the log, so the log goes; one that failed
+    /// leaves the rest of it to the versions that still read it.
     pub fn rollback_txn(&mut self, snap: Snapshot) -> Result<()> {
         let driver = std::mem::replace(&mut self.current, snap);
         let rolled = self.rollback_to(0);
         self.current = driver;
-        self.undo.remove(&snap.txn);
+        if rolled.is_ok() || snap.txn == 0 {
+            self.undo.remove(&snap.txn);
+        }
         self.txns.abort(snap.txn);
         rolled
     }
@@ -254,8 +262,11 @@ impl StorageEngine {
 
         // Commit-history pruning: keep statuses of active transactions and
         // of any stamp a surviving chain still references — the only
-        // stamps visibility or first-writer-wins can still ask about.
-        self.txns.prune_history(&self.versions.referenced_stamps());
+        // stamps visibility or first-writer-wins can still ask about. An
+        // ended transaction's undo log goes with them: no version names it.
+        let referenced = self.versions.referenced_stamps();
+        self.txns.prune_history(&referenced);
+        self.undo.retain(|&t, _| t == 0 || referenced.contains(&t) || self.txns.is_active(t));
     }
 
     /// First-writer-wins check for a write of the current transaction to
@@ -344,17 +355,17 @@ impl StorageEngine {
     }
 
     /// MVCC bookkeeping of a LOB write of `len` bytes at `start`
-    /// (`WHOLE_LOB` = whole-locator): keep `old`, the before-image of
-    /// exactly that byte range (the one the undo entry holds), in the
-    /// version chain, where it is also the write's conflict record. No-op
-    /// for an unobserved write.
-    fn displace_lob_span(&mut self, lob: LobRef, start: u64, len: u64, old: &[u8]) {
-        let t = self.current.txn;
+    /// (`WHOLE_LOB` = whole-locator), made before its undo entry is
+    /// recorded: a span in the version chain that names that entry, which
+    /// holds the range's before-image, and is the write's conflict record.
+    /// No-op for an unobserved write.
+    fn displace_lob_span(&mut self, lob: LobRef, start: u64, len: u64) {
+        let (t, at) = (self.current.txn, self.undo_mark());
         if t == 0 {
             return;
         }
         let chain = self.versions.lobs.entry(lob).or_default();
-        chain.spans.insert(0, LobSpanVersion { start, len, old: old.to_vec(), by: t });
+        chain.spans.insert(0, LobSpanVersion { start, len, by: t, at });
     }
 
     // ----- write-ahead logging ---------------------------------------------
@@ -437,7 +448,7 @@ impl StorageEngine {
     /// match. Widen-only — bounds never tighten here.
     fn widen_zones_with_chains(&mut self, seg: SegmentId) {
         let Some(h) = self.segs.heaps.get_mut(&seg) else { return };
-        for (rid, row) in self.versions.displaced(seg) {
+        for (rid, row) in self.versions.displaced(seg, &self.undo) {
             h.widen_page_zone(rid.page, row);
         }
     }
@@ -546,7 +557,7 @@ impl StorageEngine {
         self.cache.write((seg, rid.page));
         let t = self.current.txn;
         self.versions.edit(seg, RowKey::Rid(rid), t, |c| c.write(t, None, false));
-        self.record(UndoOp::HeapInsert { seg, rid });
+        self.record(UndoOp::Apply(WalRecord::HeapDelete { seg, rid }));
         self.wal_applied()?;
         Ok(rid)
     }
@@ -559,9 +570,9 @@ impl StorageEngine {
         self.check_write(seg, RowKey::Rid(rid))?;
         let old = self.log_apply(WalRecord::HeapUpdate { seg, rid, row: new_row })?.old_row();
         self.cache.write((seg, rid.page));
-        let t = self.current.txn;
-        self.versions.edit(seg, RowKey::Rid(rid), t, |c| c.write(t, Some((&old, 0)), false));
-        self.record(UndoOp::HeapUpdate { seg, rid, old: old.clone() });
+        let (t, at) = (self.current.txn, self.undo_mark());
+        self.versions.edit(seg, RowKey::Rid(rid), t, |c| c.write(t, Some((at, 0)), false));
+        self.record(UndoOp::Apply(WalRecord::HeapUpdate { seg, rid, row: old.clone() }));
         self.wal_applied()?;
         Ok(old)
     }
@@ -596,7 +607,7 @@ impl StorageEngine {
             old
         };
         self.cache.write((seg, rid.page));
-        self.record(UndoOp::HeapDelete { seg, rid, old: old.clone() });
+        self.record(UndoOp::Apply(WalRecord::HeapInsertAt { seg, rid, row: old.clone() }));
         self.wal_applied()?;
         Ok(old)
     }
@@ -652,7 +663,7 @@ impl StorageEngine {
         self.charge_iot(seg, charge, leaf);
         let t = self.current.txn;
         self.versions.edit(seg, RowKey::Key(&key), t, |c| c.write(t, None, false));
-        self.record(UndoOp::IotInsert { seg, key });
+        self.record(UndoOp::Apply(WalRecord::IotDelete { seg, key }));
         self.wal_applied()?;
         Ok(Self::ord_to_rid(seg, ord))
     }
@@ -668,16 +679,15 @@ impl StorageEngine {
             self.log_apply(WalRecord::IotUpsertOrd { seg, row, ord })?;
         let leaf = self.iot_leaf_page_for(seg, &key);
         self.charge_iot(seg, charge, leaf);
-        let t = self.current.txn;
-        let displaced = old.as_ref().map(|(o, ord)| (o, *ord));
+        let (t, at) = (self.current.txn, self.undo_mark());
+        let displaced = old.as_ref().map(|(_, ord)| (at, *ord));
         self.versions.edit(seg, RowKey::Key(&key), t, |c| c.write(t, displaced, false));
-        let old = old.map(|(o, _)| o);
-        self.record(match &old {
-            Some(o) => UndoOp::IotReplace { seg, old: o.clone() },
-            None => UndoOp::IotInsert { seg, key },
-        });
+        self.record(UndoOp::Apply(match &old {
+            Some((o, ord)) => WalRecord::IotUpsertOrd { seg, row: o.clone(), ord: *ord },
+            None => WalRecord::IotDelete { seg, key },
+        }));
         self.wal_applied()?;
-        Ok((old, Self::ord_to_rid(seg, ord)))
+        Ok((old.map(|(o, _)| o), Self::ord_to_rid(seg, ord)))
     }
 
     /// Delete by key from an IOT; returns the removed row if present.
@@ -691,10 +701,10 @@ impl StorageEngine {
             self.log_apply(WalRecord::IotDelete { seg, key: key.clone() })?;
         let leaf = self.iot_leaf_page_for(seg, key);
         self.charge_iot(seg, charge, leaf);
-        let t = self.current.txn;
+        let (t, at) = (self.current.txn, self.undo_mark());
         let old = removed.map(|(o, ord)| {
-            self.versions.edit(seg, RowKey::Key(key), t, |c| c.write(t, Some((&o, ord)), true));
-            self.record(UndoOp::IotDelete { seg, old: o.clone(), ord });
+            self.versions.edit(seg, RowKey::Key(key), t, |c| c.write(t, Some((at, ord)), true));
+            self.record(UndoOp::Apply(WalRecord::IotInsertOrd { seg, row: o.clone(), ord }));
             o
         });
         self.wal_applied()?;
@@ -720,7 +730,9 @@ impl StorageEngine {
     ) -> Option<&'a Row> {
         match chains.and_then(|m| m.get(&rid)) {
             None => Some(physical),
-            Some(chain) => chain.resolve(&self.txns, Some(physical), snap).map(|(row, _)| row),
+            Some(chain) => {
+                chain.resolve(&self.txns, &self.undo, Some(physical), snap).map(|(row, _)| row)
+            }
         }
     }
 
@@ -827,7 +839,7 @@ impl StorageEngine {
             };
             let visible = match chain {
                 None => physical.map(|r| (r, None)),
-                Some((_, c)) => c.resolve(&self.txns, physical, snap),
+                Some((_, c)) => c.resolve(&self.txns, &self.undo, physical, snap),
             };
             if let Some((r, ghost_ord)) = visible {
                 out.push((Self::ord_to_rid(seg, ghost_ord.unwrap_or(ord)), key, r));
@@ -863,13 +875,13 @@ impl StorageEngine {
                 // Physically absent: the rowid may address a ghost version.
                 let mut older = chains?.values().flat_map(|chain| &chain.older);
                 let ghost = older.find(|v| v.ord == ord && v.visible(&self.txns, snap))?;
-                return Some(&ghost.row);
+                return Some(ghost.row(&self.undo));
             };
             self.charge_iot(seg, charge, self.iot_leaf_page_for(seg, key));
             let Some(chain) = chains.and_then(|m| m.get(key)) else {
                 return Some(row);
             };
-            match chain.resolve(&self.txns, Some(row), snap)? {
+            match chain.resolve(&self.txns, &self.undo, Some(row), snap)? {
                 // A ghost at a different ordinal is addressed by a
                 // different rowid — nothing visible *here*.
                 (_, Some(g)) if g != ord => None,
@@ -879,16 +891,12 @@ impl StorageEngine {
         Ok(rids.iter().map(|&rid| fetch(rid)).collect())
     }
 
-    /// Pop the newest span a rolled-back LOB write pushed (rollback
-    /// support): the physical bytes are restored, so the span's patch must
-    /// leave the chain too or readers would un-apply it twice.
-    fn pop_lob_span(versions: &mut VersionStore, lob: LobRef, t: u64, start: u64, len: u64) {
+    /// Pop the span that names `t`'s undo entry `at` (rollback support):
+    /// the physical bytes are restored, so the span's patch must leave the
+    /// chain too or readers would un-apply it twice.
+    fn pop_lob_span(versions: &mut VersionStore, lob: LobRef, t: u64, at: usize) {
         if let Some(chain) = versions.lobs.get_mut(&lob) {
-            if let Some(pos) = chain
-                .spans
-                .iter()
-                .position(|v| v.by == t && v.start == start && v.len == len)
-            {
+            if let Some(pos) = chain.spans.iter().position(|v| v.by == t && v.at == at) {
                 chain.spans.remove(pos);
             }
             if chain.is_trivial() {
@@ -917,7 +925,7 @@ impl StorageEngine {
     pub fn lob_allocate(&mut self) -> Result<LobRef> {
         let lob = self.segs.lobs.peek_next_ref();
         self.log_apply(WalRecord::LobAllocateAt { lob })?;
-        self.record(UndoOp::LobAllocate { lob });
+        self.record(UndoOp::Apply(WalRecord::LobFree { lob }));
         // Stamp the new LOB with its creating transaction so snapshots
         // that cannot see the creator do not see its content either, and
         // a writer whose snapshot predates the creator's commit loses.
@@ -995,7 +1003,7 @@ impl StorageEngine {
         // locator was physically freed — a whole-image span restores the
         // content) and un-apply every invisible span, newest first.
         let physical = self.segs.lobs.read_all(lob).map(|(b, _)| b).unwrap_or_default();
-        Ok(mvcc::resolve_lob_image(&self.txns, chain, &physical, snap))
+        Ok(mvcc::resolve_lob_image(&self.txns, &self.undo, chain, &physical, snap))
     }
 
     /// Cache charge for a read served from a displaced version (same page
@@ -1025,8 +1033,8 @@ impl StorageEngine {
         };
         let rec = WalRecord::LobWrite { lob, offset, bytes: bytes.to_vec() };
         let charge = self.log_apply(rec)?.charge;
-        self.displace_lob_span(lob, start, len, &old);
-        self.record(UndoOp::LobSpan { lob, start, len, old });
+        self.displace_lob_span(lob, start, len);
+        self.record(UndoOp::LobSpan(Box::new(LobSpan { lob, start, len, old })));
         self.charge_lob(lob, charge);
         self.wal_applied()
     }
@@ -1041,8 +1049,9 @@ impl StorageEngine {
         self.check_lob_write(lob, offset, len)?;
         let rec = WalRecord::LobAppendAt { lob, offset, bytes: bytes.to_vec() };
         let charge = self.log_apply(rec)?.charge;
-        self.displace_lob_span(lob, offset, len, &[]);
-        self.record(UndoOp::LobSpan { lob, start: offset, len, old: Vec::new() });
+        self.displace_lob_span(lob, offset, len);
+        let span = LobSpan { lob, start: offset, len, old: Vec::new() };
+        self.record(UndoOp::LobSpan(Box::new(span)));
         self.charge_lob(lob, charge);
         self.wal_applied()?;
         Ok(offset)
@@ -1054,8 +1063,8 @@ impl StorageEngine {
         self.check_lob_write(lob, 0, WHOLE_LOB)?;
         let Applied { bytes: old, charge, .. } =
             self.log_apply(WalRecord::LobOverwrite { lob, bytes: bytes.to_vec() })?;
-        self.displace_lob_span(lob, 0, WHOLE_LOB, &old);
-        self.record(UndoOp::LobModify { lob, old });
+        self.displace_lob_span(lob, 0, WHOLE_LOB);
+        self.record(UndoOp::Apply(WalRecord::LobRestore { lob, bytes: old }));
         self.charge_lob(lob, charge);
         self.wal_applied()
     }
@@ -1065,8 +1074,8 @@ impl StorageEngine {
     pub fn lob_free(&mut self, lob: LobRef) -> Result<()> {
         self.check_lob_write(lob, 0, WHOLE_LOB)?;
         let old = self.log_apply(WalRecord::LobFree { lob })?.bytes;
-        self.displace_lob_span(lob, 0, WHOLE_LOB, &old);
-        self.record(UndoOp::LobFree { lob, old });
+        self.displace_lob_span(lob, 0, WHOLE_LOB);
+        self.record(UndoOp::Apply(WalRecord::LobRestore { lob, bytes: old }));
         self.wal_applied()
     }
 
@@ -1158,109 +1167,114 @@ impl StorageEngine {
     /// Each undo entry becomes compensation records, logged and applied
     /// like forward work (`log_apply`): a statement rolled back inside a
     /// transaction that commits must replay on recovery exactly like
-    /// forward work. A
-    /// compensation that fails to apply stops the rollback with its error,
-    /// whatever the segment kind: state may be torn, and the caller
-    /// reports a double fault (`Error::RollbackFailed`).
+    /// forward work. An entry leaves the log only once its compensation is
+    /// applied, so a compensation that fails stops the rollback with its
+    /// error and every version still reads its image: state may be torn,
+    /// and the caller reports a double fault (`Error::RollbackFailed`).
     pub fn rollback_to(&mut self, mark: usize) -> Result<()> {
         let t = self.current.txn;
-        let ops = self.undo.get_mut(&t).map(|log| log.drain_reverse_from(mark));
-        for op in ops.unwrap_or_default() {
-            match op {
-                UndoOp::HeapInsert { seg, rid } => {
-                    if self.segs.heaps.contains_key(&seg) {
-                        self.log_apply(WalRecord::HeapDelete { seg, rid })?;
-                        self.versions.edit(seg, RowKey::Rid(rid), t, |c| c.undo(t, None));
+        while let Some(at) = self.undo_mark().checked_sub(1).filter(|&at| at >= mark) {
+            match self.undo[&t][at].clone() {
+                UndoOp::Apply(rec) => self.compensate(t, at, rec)?,
+                UndoOp::LobSpan(span) => self.compensate_span(t, at, *span)?,
+            }
+            self.undo.get_mut(&t).expect("the entry just compensated").pop();
+        }
+        Ok(())
+    }
+
+    /// Log and apply `t`'s compensation record `rec`, its undo entry `at`,
+    /// and pop the chain version that entry holds the image of (an undone
+    /// insert pops none: its row is gone again). A compensation on a
+    /// segment dropped since does nothing.
+    fn compensate(&mut self, t: u64, at: usize, rec: WalRecord) -> Result<()> {
+        match rec {
+            WalRecord::HeapDelete { seg, rid } | WalRecord::HeapUpdate { seg, rid, .. } => {
+                if self.segs.heaps.contains_key(&seg) {
+                    let insert = matches!(rec, WalRecord::HeapDelete { .. });
+                    let popped = (!insert).then_some(at);
+                    self.log_apply(rec)?;
+                    self.versions.edit(seg, RowKey::Rid(rid), t, |c| c.undo(t, popped));
+                    if insert {
                         self.widen_zones_with_chains(seg);
-                        self.cache.write((seg, rid.page));
-                    }
-                }
-                UndoOp::HeapUpdate { seg, rid, old } => {
-                    if self.segs.heaps.contains_key(&seg) {
-                        self.log_apply(WalRecord::HeapUpdate { seg, rid, row: old.clone() })?;
-                        self.versions.edit(seg, RowKey::Rid(rid), t, |c| c.undo(t, Some(&old)));
-                        self.cache.write((seg, rid.page));
-                    }
-                }
-                UndoOp::HeapDelete { seg, rid, old } => {
-                    let Some(h) = self.segs.heaps.get(&seg) else { continue };
-                    let key = RowKey::Rid(rid);
-                    if self.versions.chain(seg, key).is_some_and(|c| c.dead == Some(t)) {
-                        // A deferred delete: the row never left its slot,
-                        // so only the dead mark goes. The compensation is
-                        // logged but not applied, like the delete's own
-                        // record: replay applies both, and ends where the
-                        // live run does.
-                        self.wal_append(&WalRecord::HeapInsertAt { seg, rid, row: old })?;
-                        self.versions.edit(seg, key, t, |c| c.dead = None);
-                    } else if h.fetch(rid).is_ok() {
-                        // Direct lane, slot re-occupied: restore in place.
-                        self.log_apply(WalRecord::HeapUpdate { seg, rid, row: old })?;
-                    } else {
-                        // Direct lane: restore into the freed slot.
-                        self.log_apply(WalRecord::HeapInsertAt { seg, rid, row: old })?;
                     }
                     self.cache.write((seg, rid.page));
                 }
-                UndoOp::IotInsert { seg, key } => {
-                    if self.segs.iots.contains_key(&seg) {
-                        self.log_apply(WalRecord::IotDelete { seg, key: key.clone() })?;
-                        self.versions.edit(seg, RowKey::Key(&key), t, |c| c.undo(t, None));
-                    }
+            }
+            WalRecord::HeapInsertAt { seg, rid, .. } => {
+                if !self.segs.heaps.contains_key(&seg) {
+                    return Ok(());
                 }
-                UndoOp::IotReplace { seg, old } => {
-                    // The key still exists, so it keeps its ordinal.
-                    let Some(iot) = self.segs.iots.get(&seg) else { continue };
-                    let key = Key(old[..iot.key_cols().min(old.len())].to_vec());
-                    let ord = iot.peek_upsert_ord(&old)?;
-                    self.log_apply(WalRecord::IotUpsertOrd { seg, row: old.clone(), ord })?;
-                    self.versions.edit(seg, RowKey::Key(&key), t, |c| c.undo(t, Some(&old)));
+                let key = RowKey::Rid(rid);
+                if self.versions.chain(seg, key).is_some_and(|c| c.dead == Some(t)) {
+                    // A deferred delete: the row never left its slot,
+                    // so only the dead mark goes. The compensation is
+                    // logged but not applied, like the delete's own
+                    // record: replay applies both, and ends where the
+                    // live run does.
+                    self.wal_append(&rec)?;
+                    self.versions.edit(seg, key, t, |c| c.dead = None);
+                } else {
+                    // An unobserved delete: restore into the freed slot.
+                    // The write lock is held from the delete to here, and
+                    // later entries were undone first, so it is free.
+                    self.log_apply(rec)?;
                 }
-                UndoOp::IotDelete { seg, old, ord } => {
-                    // Restore under the original ordinal so logical rowids
-                    // held by secondary indexes stay valid after rollback.
-                    let Some(iot) = self.segs.iots.get(&seg) else { continue };
-                    let key = Key(old[..iot.key_cols().min(old.len())].to_vec());
-                    self.log_apply(WalRecord::IotInsertOrd { seg, row: old.clone(), ord })?;
-                    self.versions.edit(seg, RowKey::Key(&key), t, |c| c.undo(t, Some(&old)));
-                }
-                UndoOp::LobAllocate { lob } => {
-                    self.log_apply(WalRecord::LobFree { lob })?;
-                    // The allocation never becomes visible; without this
-                    // the chain (begin = aborted txn) would linger forever.
-                    self.versions.lobs.remove(&lob);
-                }
-                UndoOp::LobSpan { lob, start, len, old } => {
-                    // Offset-stable span rollback: restore the before-image
-                    // in place, then truncate (if this write was the end of
-                    // the LOB) or 0xFF-hole-fill the part the write
-                    // extended — never shift other writers' bytes.
-                    let cur = self.segs.lobs.length(lob).unwrap_or(0);
-                    let old_end = start + old.len() as u64;
-                    let write_end = start.saturating_add(len);
-                    if !old.is_empty() {
-                        self.log_apply(WalRecord::LobWrite { lob, offset: start, bytes: old })?;
-                    }
-                    if write_end >= cur {
-                        if old_end < cur {
-                            self.log_apply(WalRecord::LobTruncate { lob, len: old_end })?;
-                        }
-                    } else if write_end > old_end {
-                        let bytes = vec![0xFF; (write_end - old_end) as usize];
-                        self.log_apply(WalRecord::LobWrite { lob, offset: old_end, bytes })?;
-                    }
-                    if t != 0 {
-                        Self::pop_lob_span(&mut self.versions, lob, t, start, len);
-                    }
-                }
-                UndoOp::LobModify { lob, old } | UndoOp::LobFree { lob, old } => {
-                    self.log_apply(WalRecord::LobRestore { lob, bytes: old })?;
-                    if t != 0 {
-                        Self::pop_lob_span(&mut self.versions, lob, t, 0, WHOLE_LOB);
-                    }
+                self.cache.write((seg, rid.page));
+            }
+            WalRecord::IotDelete { seg, ref key } => {
+                if self.segs.iots.contains_key(&seg) {
+                    let key = key.clone();
+                    self.log_apply(rec)?;
+                    self.versions.edit(seg, RowKey::Key(&key), t, |c| c.undo(t, None));
                 }
             }
+            WalRecord::IotUpsertOrd { seg, ref row, .. }
+            | WalRecord::IotInsertOrd { seg, ref row, .. } => {
+                // An upsert's compensation restores the replaced row, and an
+                // insert's the deleted one, under its original ordinal, so
+                // logical rowids held by secondary indexes stay valid.
+                let Some(iot) = self.segs.iots.get(&seg) else { return Ok(()) };
+                let key = Key(row[..iot.key_cols().min(row.len())].to_vec());
+                self.log_apply(rec)?;
+                self.versions.edit(seg, RowKey::Key(&key), t, |c| c.undo(t, Some(at)));
+            }
+            WalRecord::LobFree { lob } => {
+                self.log_apply(rec)?;
+                // The allocation never becomes visible; without this
+                // the chain (begin = aborted txn) would linger forever.
+                self.versions.lobs.remove(&lob);
+            }
+            WalRecord::LobRestore { lob, .. } => {
+                self.log_apply(rec)?;
+                Self::pop_lob_span(&mut self.versions, lob, t, at);
+            }
+            other => unreachable!("{other:?} is not a compensation record"),
         }
+        Ok(())
+    }
+
+    /// Take back `t`'s LOB span write, its undo entry `at`. Offset-stable:
+    /// restore the before-image in place, then truncate (if this write was
+    /// the end of the LOB) or 0xFF-hole-fill the part the write extended —
+    /// never shift other writers' bytes.
+    fn compensate_span(&mut self, t: u64, at: usize, span: LobSpan) -> Result<()> {
+        let LobSpan { lob, start, len, old } = span;
+        let cur = self.segs.lobs.length(lob).unwrap_or(0);
+        let old_end = start + old.len() as u64;
+        let write_end = start.saturating_add(len);
+        if !old.is_empty() {
+            self.log_apply(WalRecord::LobWrite { lob, offset: start, bytes: old })?;
+        }
+        if write_end >= cur {
+            if old_end < cur {
+                self.log_apply(WalRecord::LobTruncate { lob, len: old_end })?;
+            }
+        } else if write_end > old_end {
+            let bytes = vec![0xFF; (write_end - old_end) as usize];
+            self.log_apply(WalRecord::LobWrite { lob, offset: old_end, bytes })?;
+        }
+        Self::pop_lob_span(&mut self.versions, lob, t, at);
         Ok(())
     }
 }
@@ -1696,6 +1710,80 @@ mod tests {
         assert_eq!(txns.status(a.txn), None, "and so is a's status");
         as_txn(&mut e, fresh, |e| e.heap_update(heap, rid, row(3))).expect("no conflict left");
         e.commit_txn(fresh);
+    }
+
+    /// A versioned write keeps its before-image once, in its undo entry:
+    /// an older snapshot reads the entry's own row — of a heap update, an
+    /// IOT replace and an IOT delete's ghost — and a LOB span names the
+    /// entry that holds its bytes.
+    #[test]
+    fn an_older_snapshot_reads_the_undo_entry_itself() {
+        let kv = |k: i64, v: i64| vec![Value::Integer(k), Value::Integer(v)];
+        let mut e = StorageEngine::new(64);
+        let (heap, iot) = (e.create_heap().unwrap(), e.create_iot(1).unwrap());
+        let lob = e.lob_allocate().unwrap();
+        let rid = e.heap_insert(heap, kv(1, 0)).unwrap();
+        e.iot_insert(iot, kv(1, 0)).unwrap();
+        e.iot_insert(iot, kv(2, 0)).unwrap();
+        e.lob_write(lob, 0, b"before").unwrap();
+        e.commit_txn(Snapshot::latest());
+        let txns = e.txn_manager();
+        let (reader, w) = (txns.begin(), txns.begin());
+        as_txn(&mut e, w, |e| {
+            e.heap_update(heap, rid, kv(1, 1)).unwrap();
+            e.iot_upsert(iot, kv(1, 1)).unwrap();
+            e.iot_delete(iot, &Key::single(Value::Integer(2))).unwrap();
+            e.lob_write(lob, 1, b"XY").unwrap();
+        });
+        let entry = |at: usize| &e.undo[&w.txn][at];
+        let heap_row = e.heap_fetch_multi(heap, &[rid], &reader).unwrap()[0].unwrap();
+        assert!(std::ptr::eq(heap_row, entry(0).row()), "heap update");
+        let rows = e.iot_range(iot, Unbounded, Unbounded, 9, &reader).unwrap();
+        assert!(std::ptr::eq(rows[0].2, entry(1).row()), "IOT replace");
+        assert!(std::ptr::eq(rows[1].2, entry(2).row()), "IOT delete");
+        let span = &e.versions.lobs[&lob].spans[0];
+        assert_eq!((span.by, span.at, entry(3).bytes()), (w.txn, 3, &b"ef"[..]));
+        assert_eq!(e.lob_read_all(lob, &reader).unwrap(), b"before");
+    }
+
+    /// A committed versioned transaction's undo log lives while a chain
+    /// version reads it — while a reader pins the horizon — and goes with
+    /// the vacuum pass after that reader ends. An aborted transaction and
+    /// transaction 0 leave no log.
+    #[test]
+    fn a_log_outlives_its_transaction_only_while_a_version_reads_it() {
+        let mut e = StorageEngine::new(64);
+        let heap = e.create_heap().unwrap();
+        let rid = e.heap_insert(heap, row(1)).unwrap();
+        assert!(e.undo.contains_key(&0));
+        e.commit_txn(Snapshot::latest());
+        assert!(e.undo.is_empty(), "transaction 0's log ends with it");
+        let txns = e.txn_manager();
+        let (reader, w) = (txns.begin(), txns.begin());
+        as_txn(&mut e, w, |e| e.heap_update(heap, rid, row(2))).unwrap();
+        e.commit_txn(w);
+        e.vacuum();
+        assert!(e.undo.contains_key(&w.txn), "the reader still reads w's before-image");
+        assert_eq!(e.heap_fetch_multi(heap, &[rid], &reader).unwrap(), vec![Some(&row(1))]);
+        e.commit_txn(reader);
+        e.vacuum();
+        assert!(e.undo.is_empty(), "no version reads w's log any more");
+
+        let (reader, aborted) = (txns.begin(), txns.begin());
+        as_txn(&mut e, aborted, |e| e.heap_update(heap, rid, row(3))).unwrap();
+        e.rollback_txn(aborted).unwrap();
+        assert!(e.undo.is_empty(), "a rolled-back transaction leaves no log");
+        e.commit_txn(reader);
+    }
+
+    /// An undo entry is one WAL record wide, 48 bytes. `CREATE INDEX` logs
+    /// one entry per index row, so a wider entry costs every index build
+    /// memory: the LOB span entry is boxed because unboxed it made every
+    /// entry 56 bytes.
+    #[test]
+    fn an_undo_entry_is_one_wal_record_wide() {
+        assert_eq!(std::mem::size_of::<UndoOp>(), std::mem::size_of::<WalRecord>());
+        assert_eq!(std::mem::size_of::<UndoOp>(), 48);
     }
 
     #[test]

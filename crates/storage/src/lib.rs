@@ -20,17 +20,18 @@
 //!   touch into logical/physical I/O statistics, so experiments can report
 //!   the paper's "reduced I/O" claims quantitatively;
 //! - [`undo::UndoLog`] — row-level undo enabling transaction rollback,
-//!   one log per open transaction, kept by the engine beside its
-//!   [`TxnManager`] and reached from outside only as savepoint marks; the
-//!   key point reproduced here is that **domain-index data stored in
-//!   database objects rolls back for free**, while file-stored index data
-//!   does not (paper §5);
+//!   one log per transaction, kept by the engine beside its [`TxnManager`]
+//!   and reached from outside only as savepoint marks; its entries are the
+//!   one copy of every displaced before-image; the key point reproduced
+//!   here is that **domain-index data stored in database objects rolls
+//!   back for free**, while file-stored index data does not (paper §5);
 //! - [`mvcc`] — the transaction manager and the overlay version store:
 //!   one [`RowChain`](mvcc::RowChain) type for heap rows (by rowid) and
 //!   IOT rows (by key), with one visibility rule, one write check, one
 //!   rollback pop and one prune rule — a heap delete is deferred and an IOT
 //!   delete immediate, and that is the only difference — plus byte-span
-//!   chains for LOBs;
+//!   chains for LOBs; a displaced version names the undo entry holding its
+//!   image, which lives until no version points into it;
 //! - [`engine::StorageEngine`] — the façade that owns all segments (one
 //!   [`wal::Segments`], which only its one apply changes — live writes,
 //!   rollback, vacuum and redo alike) and funnels every mutation through

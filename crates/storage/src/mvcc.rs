@@ -10,7 +10,9 @@
 //! - a row touched by an in-flight or recently committed transaction gains
 //!   a [`RowChain`] — one type for heap rows (by rowid) and IOT rows (by
 //!   key) — carrying the stamps of the in-place version plus the displaced
-//!   older versions;
+//!   older versions. A displaced version holds no image: it names the entry
+//!   of its displacer's undo log that restores it, and reads the image
+//!   there, so that log lives until no version points into it;
 //! - a row with **no** chain is implicitly stamped `(begin=0, end=∞)` —
 //!   bootstrap data, visible to every snapshot. Since an unobserved write
 //!   runs as txn 0 (below) and the engine prunes chains incrementally
@@ -77,6 +79,11 @@ use extidx_common::{Error, Key, LobRef, Result, Row, RowId};
 use parking_lot::Mutex;
 
 use crate::page::SegmentId;
+use crate::undo::UndoLog;
+
+/// Every transaction's undo log, by id: where displaced versions' images
+/// live.
+pub(crate) type UndoLogs = HashMap<u64, UndoLog>;
 
 /// Span length sentinel marking a whole-LOB operation (overwrite/free):
 /// conflicts with every concurrent writer of the same LOB and versions the
@@ -297,19 +304,25 @@ impl RowKey<'_> {
     }
 }
 
-/// One displaced row version: the image, the transactions that wrote it
-/// (`begin`) and displaced it (`end`), and the IOT logical-rowid ordinal it
-/// was reachable under, so secondary-index fetches into history still
-/// resolve (0 for a heap version: its rowid is the chain's key).
+/// One displaced row version: the transactions that wrote it (`begin`)
+/// and displaced it (`end`), the position `at` in `end`'s undo log of the
+/// entry that holds its image, and the IOT logical-rowid ordinal it was
+/// reachable under, so secondary-index fetches into history still resolve
+/// (0 for a heap version: its rowid is the chain's key).
 #[derive(Debug, Clone)]
 pub struct RowVersion {
-    pub row: Row,
     pub begin: u64,
     pub end: u64,
+    pub at: usize,
     pub ord: u64,
 }
 
 impl RowVersion {
+    /// The image, read from the displacer's undo entry.
+    pub(crate) fn row<'a>(&self, undo: &'a UndoLogs) -> &'a Row {
+        undo[&self.end][self.at].row()
+    }
+
     /// Whether `snap` sees this version: its writer visible, its
     /// displacer not.
     pub(crate) fn visible(&self, txns: &TxnManager, snap: &Snapshot) -> bool {
@@ -363,8 +376,9 @@ impl RowChain {
     /// when no version is visible — written by a transaction `snap` cannot
     /// see, or deleted for it.
     pub(crate) fn resolve<'a>(
-        &'a self,
+        &self,
         txns: &TxnManager,
+        undo: &'a UndoLogs,
         physical: Option<&'a Row>,
         snap: &Snapshot,
     ) -> Option<(&'a Row, Option<u64>)> {
@@ -381,38 +395,37 @@ impl RowChain {
             }
         }
         let v = self.older.iter().find(|v| v.visible(txns, snap))?;
-        Some((&v.row, Some(v.ord)))
+        Some((v.row(undo), Some(v.ord)))
     }
 
     /// Transaction `t` writes the row: `old` is the in-place version it
-    /// displaces, with the ordinal it is reachable under (`None` for an
-    /// insert), and `gone` says the row leaves physically (an IOT delete).
-    /// A displaced version `t` wrote itself is not kept — nobody else can
-    /// see the intermediate image — except by a delete, whose rollback must
-    /// pop it to restore `t`'s stamp.
-    pub(crate) fn write(&mut self, t: u64, old: Option<(&Row, u64)>, gone: bool) {
-        if let Some((row, ord)) = old {
+    /// displaces, as the position of the undo entry that restores it and
+    /// the ordinal it is reachable under (`None` for an insert), and `gone`
+    /// says the row leaves physically (an IOT delete). A displaced version
+    /// `t` wrote itself is not kept — nobody else can see the intermediate
+    /// image — except by a delete, whose rollback must pop it to restore
+    /// `t`'s stamp.
+    pub(crate) fn write(&mut self, t: u64, old: Option<(usize, u64)>, gone: bool) {
+        if let Some((at, ord)) = old {
             if gone || self.begin != Some(t) {
                 let begin = self.begin.unwrap_or(0);
-                self.older.insert(0, RowVersion { row: row.clone(), begin, end: t, ord });
+                self.older.insert(0, RowVersion { begin, end: t, at, ord });
             }
         }
         self.begin = (!gone).then_some(t);
     }
 
-    /// Undo `t`'s write now that the in-place image is `restored` (`None`:
-    /// the undone write was an insert, the row is gone again): pop the
-    /// version that write displaced, if it was the displacing one — its
-    /// undo image matches the newest version, which `t` ended.
-    pub(crate) fn undo(&mut self, t: u64, restored: Option<&Row>) {
-        let Some(old) = restored else {
+    /// Undo `t`'s write whose undo entry sits at `at` (`None`: the undone
+    /// write was an insert, the row is gone again): pop the version that
+    /// entry holds the image of, if the write kept one.
+    pub(crate) fn undo(&mut self, t: u64, at: Option<usize>) {
+        let Some(at) = at else {
             if self.begin == Some(t) {
                 self.begin = None;
             }
             return;
         };
-        let head = self.older.first();
-        if self.begin.is_none_or(|b| b == t) && head.is_some_and(|v| v.end == t && v.row == *old) {
+        if self.older.first().is_some_and(|v| v.end == t && v.at == at) {
             self.begin = Some(self.older.remove(0).begin);
         }
     }
@@ -431,38 +444,39 @@ impl RowChain {
     }
 }
 
-/// One displaced LOB byte span: the before-image of `[start, start+len)`
-/// as it stood when transaction `by` overwrote it. `old` is clipped to the
-/// pre-write LOB length, so `old.len() < len` means the write extended the
-/// LOB past its previous end. `len == WHOLE_LOB` marks a whole-LOB
-/// operation (overwrite/free) whose `old` is the complete prior content.
+/// One displaced LOB byte span: `[start, start+len)` as transaction `by`
+/// overwrote it, whose before-image is entry `at` of `by`'s undo log. That
+/// image is clipped to the pre-write LOB length, so one shorter than `len`
+/// means the write extended the LOB past its previous end. `len ==
+/// WHOLE_LOB` marks a whole-LOB operation (overwrite/free) whose image is
+/// the complete prior content.
 #[derive(Debug, Clone)]
 pub struct LobSpanVersion {
     pub start: u64,
     pub len: u64,
-    pub old: Vec<u8>,
     pub by: u64,
+    pub at: usize,
 }
 
-/// Un-apply one span patch: restore the before-image bytes **in place**.
+/// Un-apply one span patch: restore the before-image `old` **in place**.
 /// Reconstruction is offset-stable — bytes are never shifted — so offsets
 /// computed against a snapshot image stay valid against the physical LOB.
 /// The portion a write *extended* (beyond the clipped before-image) is
 /// truncated when it reaches the current end, else hole-filled with `0xFF`
 /// — the convention record-structured stores read as a tombstone, exactly
 /// like a skipped record.
-pub fn unapply_span(content: &mut Vec<u8>, v: &LobSpanVersion) {
+pub fn unapply_span(content: &mut Vec<u8>, v: &LobSpanVersion, old: &[u8]) {
     if v.len == WHOLE_LOB {
-        *content = v.old.clone();
+        *content = old.to_vec();
         return;
     }
     let start = v.start as usize;
-    let old_end = start + v.old.len();
+    let old_end = start + old.len();
     let write_end = start + v.len as usize;
     if content.len() < old_end {
         content.resize(old_end, 0xFF);
     }
-    content[start..old_end].copy_from_slice(&v.old);
+    content[start..old_end].copy_from_slice(old);
     if write_end >= content.len() {
         content.truncate(old_end);
     } else {
@@ -516,8 +530,9 @@ pub enum LobImage {
 /// Resolve a LOB to the content visible under `snap`: start from the
 /// physical bytes and un-apply, newest first, every span whose writer the
 /// snapshot cannot see.
-pub fn resolve_lob_image(
+pub(crate) fn resolve_lob_image(
     txns: &TxnManager,
+    undo: &UndoLogs,
     chain: &LobChain,
     physical: &[u8],
     snap: &Snapshot,
@@ -531,7 +546,7 @@ pub fn resolve_lob_image(
     let mut content = physical.to_vec();
     for v in &chain.spans {
         if !txns.stamp_visible(v.by, snap) {
-            unapply_span(&mut content, v);
+            unapply_span(&mut content, v, undo[&v.by][v.at].bytes());
         }
     }
     LobImage::Patched(content)
@@ -677,9 +692,13 @@ impl VersionStore {
 
     /// The displaced heap rows of `seg`, each with the rowid it lives at —
     /// what the zone maps must keep covering.
-    pub(crate) fn displaced(&self, seg: SegmentId) -> impl Iterator<Item = (RowId, &Row)> {
+    pub(crate) fn displaced<'a>(
+        &'a self,
+        seg: SegmentId,
+        undo: &'a UndoLogs,
+    ) -> impl Iterator<Item = (RowId, &'a Row)> {
         let chains = self.heap.get(&seg).into_iter().flatten();
-        chains.flat_map(|(&rid, c)| c.older.iter().map(move |v| (rid, &v.row)))
+        chains.flat_map(move |(&rid, c)| c.older.iter().map(move |v| (rid, v.row(undo))))
     }
 
     /// Remove all chains for a dropped/truncated segment.
@@ -760,6 +779,8 @@ impl VersionStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::undo::{LobSpan, UndoOp};
+    use crate::wal::WalRecord;
 
     #[test]
     fn snapshots_are_monotone_and_isolated() {
@@ -810,59 +831,43 @@ mod tests {
         let a = m.begin();
         let old = vec![extidx_common::Value::Integer(1)];
         let new = vec![extidx_common::Value::Integer(2)];
-        // a updated a bootstrap row in place.
-        let chain = RowChain {
-            begin: Some(a.txn),
-            dead: None,
-            older: vec![RowVersion { row: old.clone(), begin: 0, end: a.txn, ord: 0 }],
+        // a updated a bootstrap row in place; its undo entry 0 holds the image.
+        let (seg, rid) = (SegmentId(1), RowId::new(1, 0, 0));
+        let entry = UndoOp::Apply(WalRecord::HeapUpdate { seg, rid, row: old.clone() });
+        let undo = HashMap::from([(a.txn, vec![entry])]);
+        let mut chain = RowChain::default();
+        chain.write(a.txn, Some((0, 0)), false);
+        let resolve = |snap: &Snapshot| {
+            chain.resolve(&m, &undo, Some(&new), snap).map(|(row, _)| row.clone())
         };
-        fn resolve<'a>(
-            m: &TxnManager,
-            chain: &'a RowChain,
-            physical: Option<&'a Row>,
-            snap: &Snapshot,
-        ) -> Option<&'a Row> {
-            chain.resolve(m, physical, snap).map(|(row, _)| row)
-        }
         let reader = m.begin();
-        assert_eq!(resolve(&m, &chain, Some(&new), &reader), Some(&old));
-        assert_eq!(resolve(&m, &chain, Some(&new), &a), Some(&new));
+        assert_eq!(resolve(&reader), Some(old.clone()));
+        assert_eq!(resolve(&a), Some(new.clone()));
         m.commit(&a);
         // Pre-commit reader still sees the old version; new readers the new.
-        assert_eq!(resolve(&m, &chain, Some(&new), &reader), Some(&old));
-        assert_eq!(resolve(&m, &chain, Some(&new), &Snapshot::latest()), Some(&new));
+        assert_eq!(resolve(&reader), Some(old));
+        assert_eq!(resolve(&Snapshot::latest()), Some(new));
     }
 
     #[test]
     fn unapply_span_is_offset_stable() {
         // Physical: a write of "XY" over "bc" at offset 1, then an append
         // of "ef" at offset 4 — both by invisible txns.
+        let span = |start, len| LobSpanVersion { start, len, by: 8, at: 0 };
         let mut content = b"aXYdef".to_vec();
         // Un-apply newest first: the append (no before-image, pure extension).
-        unapply_span(
-            &mut content,
-            &LobSpanVersion { start: 4, len: 2, old: vec![], by: 9 },
-        );
+        unapply_span(&mut content, &span(4, 2), b"");
         assert_eq!(content, b"aXYd", "append at the end truncates back");
-        unapply_span(
-            &mut content,
-            &LobSpanVersion { start: 1, len: 2, old: b"bc".to_vec(), by: 8 },
-        );
+        unapply_span(&mut content, &span(1, 2), b"bc");
         assert_eq!(content, b"abcd", "overwrite restores the before-image in place");
         // Extension *under* a still-visible later write hole-fills with 0xFF
         // instead of shifting the later bytes.
         let mut content = b"aXYZtail".to_vec();
-        unapply_span(
-            &mut content,
-            &LobSpanVersion { start: 1, len: 3, old: b"b".to_vec(), by: 8 },
-        );
+        unapply_span(&mut content, &span(1, 3), b"b");
         assert_eq!(content, b"ab\xFF\xFFtail", "hole-filled, offsets preserved");
         // Whole-LOB sentinel restores the complete prior image.
         let mut content = b"replaced".to_vec();
-        unapply_span(
-            &mut content,
-            &LobSpanVersion { start: 0, len: WHOLE_LOB, old: b"orig".to_vec(), by: 8 },
-        );
+        unapply_span(&mut content, &span(0, WHOLE_LOB), b"orig");
         assert_eq!(content, b"orig");
     }
 
@@ -872,25 +877,24 @@ mod tests {
         let a = m.begin();
         let chain = LobChain {
             begin: 0,
-            spans: vec![LobSpanVersion { start: 0, len: 2, old: b"ab".to_vec(), by: a.txn }],
+            spans: vec![LobSpanVersion { start: 0, len: 2, by: a.txn, at: 0 }],
+        };
+        let span = LobSpan { lob: LobRef(1), start: 0, len: 2, old: b"ab".to_vec() };
+        let undo = HashMap::from([(a.txn, vec![UndoOp::LobSpan(Box::new(span))])]);
+        let image = |chain: &LobChain, physical: &[u8], snap: &Snapshot| {
+            resolve_lob_image(&m, &undo, chain, physical, snap)
         };
         let reader = m.begin();
-        match resolve_lob_image(&m, &chain, b"XYcd", &reader) {
+        match image(&chain, b"XYcd", &reader) {
             LobImage::Patched(img) => assert_eq!(img, b"abcd"),
             _ => panic!("expected patched image for pre-write reader"),
         }
-        assert!(matches!(resolve_lob_image(&m, &chain, b"XYcd", &a), LobImage::Current));
+        assert!(matches!(image(&chain, b"XYcd", &a), LobImage::Current));
         m.commit(&a);
-        assert!(matches!(
-            resolve_lob_image(&m, &chain, b"XYcd", &Snapshot::latest()),
-            LobImage::Current
-        ));
+        assert!(matches!(image(&chain, b"XYcd", &Snapshot::latest()), LobImage::Current));
         // A LOB allocated by an invisible txn is absent.
         let b = m.begin();
         let chain = LobChain { begin: b.txn, spans: vec![] };
-        assert!(matches!(
-            resolve_lob_image(&m, &chain, b"zz", &reader),
-            LobImage::Absent
-        ));
+        assert!(matches!(image(&chain, b"zz", &reader), LobImage::Absent));
     }
 }

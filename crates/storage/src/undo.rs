@@ -2,135 +2,88 @@
 //!
 //! Every mutating operation on *database-resident* storage (heap rows, IOT
 //! rows, LOB bytes) appends a compensating record to the [`UndoLog`] of
-//! the transaction driving it. The engine keeps one log per open
-//! transaction, keyed by transaction id beside its `TxnManager`; nothing
-//! outside this crate holds one. Callers see savepoints only: a mark is a
-//! log length, and rolling back to a mark applies the records past it in
-//! reverse. Because domain-index data stored in tables/IOTs/LOBs flows
-//! through the same paths, the paper's claim falls out structurally (§2.5:
-//! "The transactional semantics are also automatically ensured for the
-//! user index data, if the index data resides within the database") — and
-//! the *absence* of any `FileStore` variant here is the §5 limitation.
+//! the transaction driving it. The engine keeps one log per transaction,
+//! keyed by transaction id beside its `TxnManager`; nothing outside this
+//! crate holds one. Callers see savepoints only: a mark is a log length,
+//! and rolling back to a mark applies the records past it in reverse,
+//! removing each only once its compensation is applied.
+//!
+//! An entry that restores a displaced row or LOB content is the one copy
+//! of that before-image: a version chain names it by its position in the
+//! log and reads it there, so a log outlives its transaction for as long
+//! as a chain version points into it. Because domain-index data stored in
+//! tables/IOTs/LOBs flows through the same paths, the paper's claim falls
+//! out structurally (§2.5: "The transactional semantics are also
+//! automatically ensured for the user index data, if the index data
+//! resides within the database") — and the *absence* of any `FileStore`
+//! variant here is the §5 limitation.
 
-use extidx_common::{Key, LobRef, Row, RowId};
+use extidx_common::{LobRef, Row};
 
-use crate::page::SegmentId;
+use crate::wal::WalRecord;
 
 /// One compensating action.
 #[derive(Debug, Clone)]
 pub enum UndoOp {
-    /// A row was inserted into a heap; undo deletes it.
-    HeapInsert { seg: SegmentId, rid: RowId },
-    /// A heap row was deleted; undo re-inserts the old image at its slot.
-    HeapDelete { seg: SegmentId, rid: RowId, old: Row },
-    /// A heap row was updated; undo restores the old image.
-    HeapUpdate { seg: SegmentId, rid: RowId, old: Row },
-    /// An IOT row was inserted (no previous row); undo deletes the key.
-    IotInsert { seg: SegmentId, key: Key },
-    /// An IOT row was replaced; undo restores the old row.
-    IotReplace { seg: SegmentId, old: Row },
-    /// An IOT row was deleted; undo re-inserts the old row under its
-    /// original logical-rowid ordinal.
-    IotDelete { seg: SegmentId, old: Row, ord: u64 },
-    /// A LOB was allocated; undo frees it.
-    LobAllocate { lob: LobRef },
-    /// A LOB's bytes changed; undo restores the full prior image. Used by
-    /// whole-LOB operations (overwrite) — byte-range writes/appends use
-    /// [`UndoOp::LobSpan`] so concurrent transactions writing disjoint
-    /// ranges of one LOB roll back independently.
-    LobModify { lob: LobRef, old: Vec<u8> },
-    /// A byte range `[start, start+len)` of a LOB was written or appended;
-    /// undo restores `old` (the before-image clipped to the pre-write LOB
-    /// length) in place and truncates/hole-fills the part the write
-    /// extended. Offset-stable: rollback never shifts other writers' bytes.
-    LobSpan { lob: LobRef, start: u64, len: u64, old: Vec<u8> },
-    /// A LOB was freed; undo restores it.
-    LobFree { lob: LobRef, old: Vec<u8> },
+    /// The compensation record, logged and applied like forward work. An
+    /// update's or delete's carries the displaced row or LOB content.
+    Apply(WalRecord),
+    /// A LOB byte range was written or appended. Boxed so an entry stays
+    /// the size of a [`WalRecord`].
+    LobSpan(Box<LobSpan>),
 }
 
-/// An ordered log of compensating actions for one transaction.
-#[derive(Debug, Default)]
-pub struct UndoLog {
-    ops: Vec<UndoOp>,
+/// A LOB write of `[start, start+len)`: `old` is the before-image clipped
+/// to the pre-write LOB length. Undo restores it in place, then truncates
+/// or hole-fills the part the write extended — decided at rollback, from
+/// the LOB's length then. Offset-stable: rollback never shifts other
+/// writers' bytes.
+#[derive(Debug, Clone)]
+pub struct LobSpan {
+    pub lob: LobRef,
+    pub start: u64,
+    pub len: u64,
+    pub old: Vec<u8>,
 }
 
-impl UndoLog {
-    /// Fresh, empty log.
-    pub fn new() -> Self {
-        Self::default()
+impl UndoOp {
+    /// The displaced row this entry restores: the image of the chain
+    /// version that names it.
+    pub(crate) fn row(&self) -> &Row {
+        match self {
+            UndoOp::Apply(
+                WalRecord::HeapUpdate { row, .. }
+                | WalRecord::IotUpsertOrd { row, .. }
+                | WalRecord::IotInsertOrd { row, .. },
+            ) => row,
+            other => unreachable!("undo entry {other:?} holds no row image"),
+        }
     }
 
-    /// Record a compensating action.
-    pub fn push(&mut self, op: UndoOp) {
-        self.ops.push(op);
-    }
-
-    /// Number of recorded actions.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Whether the log is empty.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// Drain every action recorded at or after `mark` (a prior
-    /// [`len`](Self::len) observation) in reverse (rollback) order,
-    /// leaving the log at `mark` actions. Mark 0 is the whole transaction;
-    /// a statement's or a single cartridge call's mark rewinds just that.
-    pub fn drain_reverse_from(&mut self, mark: usize) -> Vec<UndoOp> {
-        let mut ops = self.ops.split_off(mark.min(self.ops.len()));
-        ops.reverse();
-        ops
-    }
-
-    /// Discard everything (commit).
-    pub fn clear(&mut self) {
-        self.ops.clear();
+    /// The displaced LOB bytes this entry restores: the image of the span
+    /// version that names it.
+    pub(crate) fn bytes(&self) -> &[u8] {
+        match self {
+            UndoOp::Apply(WalRecord::LobRestore { bytes, .. }) => bytes,
+            UndoOp::LobSpan(span) => &span.old,
+            other => unreachable!("undo entry {other:?} holds no LOB image"),
+        }
     }
 }
+
+/// One transaction's compensating actions, oldest first. An action's
+/// position is the log's length before it was pushed.
+pub type UndoLog = Vec<UndoOp>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use extidx_common::Value;
 
     #[test]
-    fn drain_reverses_order() {
-        let mut log = UndoLog::new();
-        log.push(UndoOp::HeapInsert { seg: SegmentId(1), rid: RowId::new(1, 0, 0) });
-        log.push(UndoOp::HeapInsert { seg: SegmentId(1), rid: RowId::new(1, 0, 1) });
-        let ops = log.drain_reverse_from(0);
-        assert_eq!(ops.len(), 2);
-        match &ops[0] {
-            UndoOp::HeapInsert { rid, .. } => assert_eq!(rid.slot, 1),
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(log.is_empty());
-    }
-
-    #[test]
-    fn clear_discards() {
-        let mut log = UndoLog::new();
-        log.push(UndoOp::IotDelete { seg: SegmentId(2), old: vec![Value::Integer(1)], ord: 0 });
-        assert_eq!(log.len(), 1);
-        log.clear();
-        assert!(log.is_empty());
-    }
-
-    #[test]
-    fn drain_from_mark_partitions_at_mark() {
-        let mut log = UndoLog::new();
-        log.push(UndoOp::HeapInsert { seg: SegmentId(1), rid: RowId::new(1, 0, 0) });
-        let mark = log.len();
-        log.push(UndoOp::HeapInsert { seg: SegmentId(1), rid: RowId::new(1, 0, 1) });
-        log.push(UndoOp::HeapInsert { seg: SegmentId(1), rid: RowId::new(1, 0, 2) });
-        let tail = log.drain_reverse_from(mark);
-        assert_eq!(log.len(), 1);
-        assert_eq!(tail.len(), 2);
-        // Out-of-range marks are clamped, not panicking.
-        assert!(log.drain_reverse_from(99).is_empty());
-        assert_eq!(log.len(), 1);
+    fn a_span_entry_holds_its_bytes() {
+        let span = LobSpan { lob: LobRef(3), start: 4, len: 2, old: b"ab".to_vec() };
+        assert_eq!(UndoOp::LobSpan(Box::new(span)).bytes(), b"ab");
+        let whole = WalRecord::LobRestore { lob: LobRef(3), bytes: b"all".to_vec() };
+        assert_eq!(UndoOp::Apply(whole).bytes(), b"all");
     }
 }

@@ -121,6 +121,10 @@ cargo test -q --test differential bind_literal_sweep -- --include-ignored
 # recover-and-resume arm with seeded checkpoints between the crashes.
 echo "== crash recovery (WAL + checkpoints + qgen sweeps) =="
 cargo test -q --test recovery -- --include-ignored
+# One before-image (DESIGN.md §4j): a ROLLBACK whose first compensation
+# cannot reach the WAL leaves every version it had not taken back readable
+# (each undo entry leaves the log only once its compensation is applied).
+cargo test -q --test recovery a_rollback_stopped_by_a_fault_leaves_every_version_readable
 # Replay reproduces the live placement (DESIGN.md §4i "One apply"): a
 # seeded heap / IOT / LOB history with statement and transaction
 # rollbacks and checkpoints, recovered and compared slot for slot with the
@@ -160,6 +164,17 @@ cargo test -q -p extidx-storage --lib -- second_writer_loses_at_write_time \
     a_rolled_back_write_wins_no_conflict
 PROPTEST_CASES=512 cargo test -q -p extidx-storage --test properties \
     heap_and_iot_share_one_row_version
+# One before-image per write (DESIGN.md §4j): a displaced version names the
+# undo entry holding its image, and the rollback pop matches that position,
+# never row contents — A's statement rollback after an update that left the
+# row equal keeps A's stamp, so B's update of the row still loses. The
+# engine tests read an older snapshot's image out of the entry itself,
+# keep a committed log exactly while a reader needs it, and hold an entry
+# to one WAL record's 48 bytes.
+cargo test -q --test mvcc_visibility a_statement_rollback_keeps_an_earlier_write_of_the_same_image
+cargo test -q -p extidx-storage --lib -- an_older_snapshot_reads_the_undo_entry_itself \
+    a_log_outlives_its_transaction_only_while_a_version_reads_it \
+    an_undo_entry_is_one_wal_record_wide
 
 # Incremental vacuum + sub-LOB conflict granularity: the no-quiescence
 # soak (chains bounded, drained after the last commit), the
@@ -271,6 +286,26 @@ fi
 if awk '/^struct TxnInner/,/^}/' crates/storage/src/mvcc.rs | grep -nE "^ *(pub )?(writes|committed):"; then
     exit 1
 fi
+
+# One before-image (DESIGN.md §4j "One before-image"): a versioned write's
+# displaced row or LOB bytes live only in its undo entry, which the version
+# chain names by position. So no version type holds an image, the rollback
+# pop never compares rows, the log is never drained ahead of its
+# compensations, and the two tests that pin this stay defined, so the mvcc
+# and recovery stanzas above cannot run an empty filter.
+echo "== one before-image (structural guard) =="
+if awk '/^pub struct (RowVersion|LobSpanVersion)/,/^}/' crates/storage/src/mvcc.rs |
+    grep -nE ": *(Row|Vec<u8>|Option<Row>)\b|^ *pub (row|old|image|bytes):"; then
+    exit 1
+fi
+if grep -n "v\.row ==" crates/storage/src/mvcc.rs; then
+    exit 1
+fi
+if grep -rn "drain_reverse_from" crates; then
+    exit 1
+fi
+grep -q "fn a_statement_rollback_keeps_an_earlier_write_of_the_same_image" tests/mvcc_visibility.rs
+grep -q "fn a_rollback_stopped_by_a_fault_leaves_every_version_readable" tests/recovery.rs
 
 # One physical apply (DESIGN.md §4i "One apply"): `Segments::apply` in
 # wal.rs is the only non-test code that calls a heap, IOT or LOB mutator —

@@ -646,3 +646,55 @@ fn truncate_and_drop_table_refuse_while_a_snapshot_is_pinned() {
     a.execute("DROP TABLE T").unwrap();
     server.read(|db| assert!(!db.catalog().has_table("T")));
 }
+
+// ---------------------------------------------------------------------------
+// One before-image per write: a rollback pops the version its undo entry
+// holds the image of, matched by position, never by row content
+// ---------------------------------------------------------------------------
+
+/// A's first update writes `v` the value it already holds; A's next
+/// statement rewrites that row, then loses first-writer-wins to C on the
+/// other row and rolls back. That statement rollback must leave A's first
+/// write, stamp and all, so B's update of the row still loses to A. Had
+/// the pop matched the equal row image instead of the undo entry, B's
+/// update would commit and A's `ROLLBACK` would write `v = 1` over it.
+#[test]
+fn a_statement_rollback_keeps_an_earlier_write_of_the_same_image() {
+    for ddl in [
+        "CREATE TABLE P (id INTEGER, v INTEGER)",
+        "CREATE TABLE P (id INTEGER, v INTEGER, PRIMARY KEY (id)) ORGANIZATION INDEX",
+    ] {
+        let server = Server::new(fresh_db(ChaosOpts::default()));
+        let (mut a, mut b, mut c) = (server.session(), server.session(), server.session());
+        a.execute(ddl).unwrap();
+        a.execute("INSERT INTO P VALUES (1, 1), (2, 1)").unwrap();
+        b.execute("SET CONFLICT_RETRIES 0").unwrap();
+
+        a.execute("BEGIN").unwrap();
+        a.execute("UPDATE P SET v = 1 WHERE id = 1").unwrap();
+        let writer = a.snapshot().expect("A's transaction open").txn;
+        c.execute("BEGIN").unwrap();
+        c.execute("UPDATE P SET v = 9 WHERE id = 2").unwrap();
+        let blocker = c.snapshot().expect("C's transaction open").txn;
+        match a.execute("UPDATE P SET v = 2") {
+            Err(Error::WriteConflict { other_txn, .. }) => assert_eq!(other_txn, blocker),
+            other => panic!("{ddl}: A's second update: expected WriteConflict, got {other:?}"),
+        }
+        c.execute("ROLLBACK").unwrap();
+        match b.execute("UPDATE P SET v = 5 WHERE id = 1") {
+            Err(Error::WriteConflict { other_txn, .. }) => assert_eq!(other_txn, writer),
+            other => panic!("{ddl}: B's update of A's row: expected WriteConflict, got {other:?}"),
+        }
+
+        a.execute("ROLLBACK").unwrap();
+        b.execute("UPDATE P SET v = 5 WHERE id = 1").unwrap();
+        assert_eq!(
+            c.query("SELECT id, v FROM P ORDER BY id").unwrap(),
+            vec![
+                vec![Value::Integer(1), Value::Integer(5)],
+                vec![Value::Integer(2), Value::Integer(1)],
+            ],
+            "{ddl}"
+        );
+    }
+}

@@ -1315,3 +1315,44 @@ fn recovered_inserts_land_where_the_live_run_would_have() {
     history(&mut twin);
     assert_eq!(next_rowids(&mut rec), next_rowids(&mut twin));
 }
+
+/// A rollback stopped by a double fault leaves every version it had not
+/// taken back readable: an undo entry leaves the log only once its
+/// compensation is applied, and each chain version reads its before-image
+/// from that entry. Writer A updates id 1, deletes id 2 and updates id 3
+/// in one transaction; the first compensation of A's `ROLLBACK` cannot
+/// reach the WAL. Reader R, whose snapshot predates A, a fresh session,
+/// and that session again after R ends all read the rows A found.
+#[test]
+fn a_rollback_stopped_by_a_fault_leaves_every_version_readable() {
+    use extidx::sql::{Server, Session};
+
+    for ddl in [
+        "CREATE TABLE P (id INTEGER, v INTEGER)",
+        "CREATE TABLE P (id INTEGER, v INTEGER, PRIMARY KEY (id)) ORGANIZATION INDEX",
+    ] {
+        let mut db = Database::with_cache_pages(256);
+        db.enable_durability(DurableMedium::new()).unwrap();
+        db.execute(ddl).unwrap();
+        db.execute("INSERT INTO P VALUES (1, 10), (2, 20), (3, 30)").unwrap();
+        let server = Server::new(db);
+        let rows = |s: &mut Session| s.query("SELECT id, v FROM P ORDER BY id").unwrap();
+        let (mut r, mut a) = (server.session(), server.session());
+        r.execute("BEGIN").unwrap();
+        let before = rows(&mut r);
+        assert_eq!(before.len(), 3);
+
+        a.execute("BEGIN").unwrap();
+        a.execute("UPDATE P SET v = 11 WHERE id = 1").unwrap();
+        a.execute("DELETE FROM P WHERE id = 2").unwrap();
+        a.execute("UPDATE P SET v = 33 WHERE id = 3").unwrap();
+        server.admin(|db| db.fault_injector().arm_fail(FP_WAL_APPEND, None, 1));
+        a.execute("ROLLBACK").expect_err("the first compensation cannot reach the WAL");
+
+        assert_eq!(rows(&mut r), before, "{ddl}: R");
+        let mut fresh = server.session();
+        assert_eq!(rows(&mut fresh), before, "{ddl}: a fresh session");
+        r.execute("ROLLBACK").unwrap();
+        assert_eq!(rows(&mut fresh), before, "{ddl}: a fresh session after R ended");
+    }
+}
