@@ -9,9 +9,11 @@
 //! operator, costed through the cartridge's `ODCIStatsSelectivity` and
 //! `ODCIStatsIndexCost`. Everything the relational candidates know about
 //! `col relop literal` / `col BETWEEN` conjuncts comes from one table of
-//! sargable bounds ([`sargable_bounds`]). A `V$` view has one access path,
-//! [`view_access`]. Join, aggregate and filter planning stay in
-//! [`crate::optimizer`].
+//! sargable bounds ([`sargable_bounds`]). Whether a domain index can carry
+//! an operator conjunct is decided by one matcher, [`domain_matches`],
+//! which the optimizer's join planning also asks for a domain join. A `V$`
+//! view has one access path, [`view_access`]. Join, aggregate and filter
+//! planning stay in [`crate::optimizer`].
 
 use std::cmp::Ordering;
 
@@ -20,29 +22,13 @@ use extidx_core::meta::{OperatorCall, PredicateBound, RelOp};
 use extidx_core::trace::Routine;
 
 use crate::ast::{BinOp, Expr, Hint};
-use crate::catalog::{TableDef, TableOrg};
+use crate::catalog::{DomainIndexDef, TableDef, TableOrg};
 use crate::database::Database;
 use crate::exec_ctx::{odci_call, Callee, Exec, Lane};
-use crate::expr::{compile_expr, ExecRow, RExpr, Scope};
+use crate::expr::{compile_expr, RExpr, Scope};
 use crate::optimizer::{count_op_calls, expr_any, table_scope, wrap_filter, CostModel};
-use crate::plan::{score_label, KeyBound, PlanKind, PlanNode, ReadSet, ZoneBound};
+use crate::plan::{score_label, value_of, KeyBound, PlanKind, PlanNode, ReadSet, ZoneBound};
 use crate::vtables::VTable;
-
-/// Evaluate an expression that references no columns to a constant, if
-/// possible (lets geometry/object constructors act as operator arguments
-/// for index matching). Returns what the plan keeps — the value itself, or
-/// for an expression over binds the compiled expression, evaluated again
-/// when the scan opens — and the value the optimizer costs with.
-fn try_const_eval(db: &Exec<'_>, e: &Expr) -> Option<(RExpr, Value)> {
-    let compiled = compile_expr(e, &Scope::default(), db.catalog()).ok()?;
-    let value = crate::expr::eval(&compiled, &ExecRow::default(), &db.eval_ctx()).ok()?;
-    let kept = if expr_any(e, &mut |x| matches!(x, Expr::Parameter(_))) {
-        compiled
-    } else {
-        RExpr::Const(value.clone())
-    };
-    Some((kept, value))
-}
 
 // ---------------------------------------------------------------------------
 // plan-forcing hints
@@ -308,6 +294,153 @@ pub(crate) fn match_op_predicate(e: &Expr, db: &Database) -> Option<OpPredicate>
     None
 }
 
+/// A domain index that can carry one operator conjunct, and what its scan
+/// is driven with: one answer of [`domain_matches`].
+pub(crate) struct DomainMatch {
+    def: DomainIndexDef,
+    operator: String,
+    bound: PredicateBound,
+    /// The operator's non-column arguments as the plan keeps them.
+    args: Vec<RExpr>,
+    /// Their values now, when none of them reads an outer row: what
+    /// ODCIStats costing is asked with.
+    values: Option<Vec<Value>>,
+    label: Option<i64>,
+    /// An `INDEX` hint names this index.
+    forced: bool,
+}
+
+impl DomainMatch {
+    /// The domain scan this match plans: over `outer`, a domain join.
+    pub(crate) fn plan(self, outer: Option<PlanNode>, forced: Option<String>) -> PlanKind {
+        PlanKind::DomainScan {
+            outer: outer.map(Box::new),
+            table: self.def.table,
+            index: self.def.name,
+            indextype: self.def.indextype,
+            operator: self.operator,
+            args: self.args,
+            bound: self.bound,
+            label: self.label,
+            forced,
+            reads: ReadSet::default(),
+        }
+    }
+}
+
+/// The one domain-index matcher (§2.4.2): the domain indexes on `tdef`
+/// (whose columns `scope` names) that can carry the operator conjunct `e`.
+/// For a scan (`outer` is `None`) every other argument must be a constant
+/// or a bind; for a domain join it may also read the outer scope's row.
+/// An index qualifies when its indextype supports the operator, the
+/// indexed column is a bare argument and the hints allow it (`FULL` and
+/// `NO_INDEX` forbid every index, `INDEX` all but the one it names). An
+/// unusable (quarantined or build-failed) index is an error when forced;
+/// otherwise it is returned by name, for EXPLAIN's degraded note.
+pub(crate) fn domain_matches(
+    db: &Exec<'_>,
+    tdef: &TableDef,
+    scope: &Scope,
+    e: &Expr,
+    outer: Option<&Scope>,
+    score_labels: &[i64],
+    hints: &TableHints,
+) -> Result<(Vec<DomainMatch>, Vec<String>)> {
+    let (mut found, mut degraded) = (Vec::new(), Vec::new());
+    let Some(op) = match_op_predicate(e, db).filter(|_| !hints.full && !hints.no_index) else {
+        return Ok((found, degraded));
+    };
+    for d in db.catalog().domain_indexes_on(&tdef.name) {
+        let forced = match &hints.force_index {
+            Some(f) if *f != d.name => continue,
+            Some(_) => true,
+            None => false,
+        };
+        let Ok(it) = db.catalog().registry().indextype(&d.indextype) else { continue };
+        if !it.supports(&op.name, op.args.len()) {
+            continue;
+        }
+        let Some((args, values)) = domain_args(db, &op.args, &d.column, scope, outer) else {
+            continue;
+        };
+        // Health gate: an unusable index is invisible to costing (its
+        // stats routines are never consulted) and the conjunct degrades
+        // to the functional fallback. Forcing one is an error, not a
+        // silent fall-through.
+        if !db.catalog().health.is_usable(&d.name) {
+            if forced {
+                return Err(Error::Semantic(format!(
+                    "cannot force index {} on {}: index is {}",
+                    d.name,
+                    tdef.name,
+                    db.catalog().health.state(&d.name)
+                )));
+            }
+            degraded.push(d.name.clone());
+            continue;
+        }
+        // Ancillary label convention: a trailing integer argument (a
+        // literal, or a bind the plan records in its `LabelBinds`)
+        // matching a SCORE(n) reference in the query.
+        let label = match args.last() {
+            Some(RExpr::Const(v)) => score_label(score_labels, Some(v)),
+            Some(RExpr::Param(i)) => score_label(score_labels, db.binds.get(*i)),
+            _ => None,
+        };
+        found.push(DomainMatch {
+            def: d.clone(),
+            operator: op.name.clone(),
+            bound: op.bound.clone(),
+            args,
+            values,
+            label,
+            forced,
+        });
+    }
+    Ok((found, degraded))
+}
+
+/// The operator's arguments other than the indexed column (a bare column
+/// of `scope`, taken once) as a domain scan keeps them, with their values
+/// when all are known now. A column-free argument is folded: kept as its
+/// value, or as the expression when it reads a bind (evaluated again when
+/// the scan opens). Any other argument must compile against `outer`.
+/// `None` when an argument fits neither or folds to NULL: a NULL operand
+/// makes the operator NULL for every row, which the functional fallback
+/// answers without asking the cartridge.
+fn domain_args(
+    db: &Exec<'_>,
+    args: &[Expr],
+    column: &str,
+    scope: &Scope,
+    outer: Option<&Scope>,
+) -> Option<(Vec<RExpr>, Option<Vec<Value>>)> {
+    let (mut col_seen, mut kept, mut values) = (false, Vec::new(), Some(Vec::new()));
+    for a in args {
+        if let Expr::Column { qualifier, name } = a {
+            if !col_seen
+                && name.eq_ignore_ascii_case(column)
+                && scope.resolve(qualifier.as_deref(), name).is_ok()
+            {
+                col_seen = true;
+                continue;
+            }
+        }
+        let Ok(compiled) = compile_expr(a, &Scope::default(), db.catalog()) else {
+            kept.push(compile_expr(a, outer?, db.catalog()).ok()?);
+            values = None;
+            continue;
+        };
+        let v = value_of(&compiled, &db.eval_ctx()).ok().filter(|v| !v.is_null())?;
+        let binds = expr_any(a, &mut |x| matches!(x, Expr::Parameter(_)));
+        kept.push(if binds { compiled } else { RExpr::Const(v.clone()) });
+        if let Some(vs) = &mut values {
+            vs.push(v);
+        }
+    }
+    col_seen.then_some((kept, values))
+}
+
 /// A sargable conjunct: one column of this table compared with literals
 /// or binds.
 enum Sarg {
@@ -563,13 +696,7 @@ pub(crate) fn best_table_access(
         RowIdEq { rid: RExpr },
         BTree { index: String, lo: Option<KeyBound>, hi: Option<KeyBound> },
         IotRange { lo: Option<KeyBound>, hi: Option<KeyBound> },
-        Domain {
-            index: String,
-            indextype: String,
-            call: OperatorCall,
-            args: Vec<RExpr>,
-            label: Option<i64>,
-        },
+        Domain(Box<DomainMatch>),
     }
 
     let mut best = Candidate {
@@ -700,137 +827,54 @@ pub(crate) fn best_table_access(
             }
         }
 
-        // Domain-index scan (§2.4.2). `NO_INDEX` forbids this path
-        // entirely — the operator then evaluates functionally in the
-        // residual filter.
-        if let Some(op_pred) = match_op_predicate(e, db).filter(|_| !hints.no_index) {
-            for d in db.catalog().domain_indexes_on(&tdef.name).into_iter().cloned().collect::<Vec<_>>() {
-                let forced = match &hints.force_index {
-                    Some(f) if *f != d.name => continue,
-                    Some(_) => true,
-                    None => false,
+        // Domain-index scan (§2.4.2), costed through the cartridge's
+        // ODCIStats at this execution's bind values.
+        let (matches, unusable) = domain_matches(db, tdef, &scope, e, None, score_labels, hints)?;
+        degraded.extend(unusable.into_iter().map(|name| (ci, name)));
+        for m in matches {
+            let Some(values) = &m.values else { continue };
+            let call = OperatorCall {
+                operator: m.operator.clone(),
+                args: values.clone(),
+                bound: m.bound.clone(),
+                wants_ancillary: m.label.is_some(),
+            };
+            let (_, stats, info) = db.domain_index_runtime(&m.def)?;
+            let sel = odci_call(
+                Lane::Read(db),
+                Routine::StatsSelectivity,
+                Callee::Index(&info),
+                format!("{}({})", call.operator, m.def.name),
+                |ctx| stats.selectivity(ctx, &info, &call),
+            )?
+            .clamp(0.0, 1.0);
+            let icost = odci_call(
+                Lane::Read(db),
+                Routine::StatsIndexCost,
+                Callee::Index(&info),
+                format!("sel={sel:.4}"),
+                |ctx| stats.index_cost(ctx, &info, &call, sel),
+            )?;
+            let matched = (rows * sel).max(1.0);
+            // Index scan + rowid fetches of matches. A query that
+            // references the scan's ancillary data (SCORE) can only be
+            // answered through the index — force the path then. An
+            // INDEX hint forces it the same way.
+            let cost = if m.forced || m.label.is_some() {
+                f64::MIN
+            } else {
+                icost.total()
+                    + matched * cm.rowid_fetch
+                    + matched * cm.cpu_tuple
+                    + matched * residual_row_cost(&[ci])
+            };
+            if cost < best.cost {
+                best = Candidate {
+                    cost,
+                    rows: matched,
+                    consumed: vec![ci],
+                    kind: CandKind::Domain(Box::new(m)),
                 };
-                let Ok(it) = db.catalog().registry().indextype(&d.indextype) else { continue };
-                if !it.supports(&op_pred.name, op_pred.args.len()) {
-                    continue;
-                }
-                // The indexed column must appear as a bare argument; all
-                // other args must fold to constants (literals, binds, or
-                // column-free constructor expressions over them).
-                let mut col_arg = None;
-                let (mut args, mut values) = (Vec::new(), Vec::new());
-                let mut ok = true;
-                for a in &op_pred.args {
-                    if let Expr::Column { qualifier, name } = a {
-                        if name.eq_ignore_ascii_case(&d.column)
-                            && scope.resolve(qualifier.as_deref(), name).is_ok()
-                            && col_arg.is_none()
-                        {
-                            col_arg = Some(name.clone());
-                            continue;
-                        }
-                    }
-                    match try_const_eval(db, a) {
-                        // A NULL operand makes the operator NULL for every
-                        // row (three-valued logic), so the predicate can
-                        // never accept — the index path would have to
-                        // guess what the cartridge does with NULL. Leave
-                        // it to the functional fallback, which
-                        // short-circuits NULL args uniformly.
-                        Some((_, Value::Null)) => {
-                            ok = false;
-                            break;
-                        }
-                        Some((kept, v)) => {
-                            args.push(kept);
-                            values.push(v);
-                        }
-                        None => {
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                if !ok || col_arg.is_none() {
-                    continue;
-                }
-                // Health gate: a quarantined (or build-failed) index is
-                // invisible to costing — its stats routines are never
-                // consulted — and the conjunct degrades to the functional
-                // fallback. Forcing an unusable index is an error, not a
-                // silent fall-through.
-                if !db.catalog().health.is_usable(&d.name) {
-                    if forced {
-                        return Err(Error::Semantic(format!(
-                            "cannot force index {} on {}: index is {}",
-                            d.name,
-                            tdef.name,
-                            db.catalog().health.state(&d.name)
-                        )));
-                    }
-                    degraded.push((ci, d.name.clone()));
-                    continue;
-                }
-                // Ancillary label convention: a trailing integer argument
-                // (a literal, or a bind the plan records in its
-                // `LabelBinds`) matching a SCORE(n) reference in the query.
-                let label = match args.last() {
-                    Some(RExpr::Const(_) | RExpr::Param(_)) => {
-                        score_label(score_labels, values.last())
-                    }
-                    _ => None,
-                };
-                // Ask the cartridge's ODCIStats for selectivity and cost,
-                // at this execution's bind values.
-                let call = OperatorCall {
-                    operator: op_pred.name.clone(),
-                    args: values,
-                    bound: op_pred.bound.clone(),
-                    wants_ancillary: label.is_some(),
-                };
-                let (_, stats, info) = db.domain_index_runtime(&d)?;
-                let sel = odci_call(
-                    Lane::Read(db),
-                    Routine::StatsSelectivity,
-                    Callee::Index(&info),
-                    format!("{}({})", call.operator, d.name),
-                    |ctx| stats.selectivity(ctx, &info, &call),
-                )?
-                .clamp(0.0, 1.0);
-                let icost = odci_call(
-                    Lane::Read(db),
-                    Routine::StatsIndexCost,
-                    Callee::Index(&info),
-                    format!("sel={sel:.4}"),
-                    |ctx| stats.index_cost(ctx, &info, &call, sel),
-                )?;
-                let matched = (rows * sel).max(1.0);
-                // Index scan + rowid fetches of matches. A query that
-                // references the scan's ancillary data (SCORE) can only be
-                // answered through the index — force the path then. An
-                // INDEX hint forces it the same way.
-                let cost = if forced || label.is_some() {
-                    f64::MIN
-                } else {
-                    icost.total()
-                        + matched * cm.rowid_fetch
-                        + matched * cm.cpu_tuple
-                        + matched * residual_row_cost(&[ci])
-                };
-                if cost < best.cost {
-                    best = Candidate {
-                        cost,
-                        rows: matched,
-                        consumed: vec![ci],
-                        kind: CandKind::Domain {
-                            index: d.name.clone(),
-                            indextype: d.indextype.clone(),
-                            call: call.clone(),
-                            args: args.clone(),
-                            label,
-                        },
-                    };
-                }
             }
         }
     }
@@ -841,7 +885,8 @@ pub(crate) fn best_table_access(
     // the differential harness relies on).
     if let Some(f) = &hints.force_index {
         let used = match &best.kind {
-            CandKind::BTree { index, .. } | CandKind::Domain { index, .. } => index == f,
+            CandKind::BTree { index, .. } => index == f,
+            CandKind::Domain(m) => m.def.name == *f,
             _ => false,
         };
         if !used {
@@ -926,22 +971,10 @@ pub(crate) fn best_table_access(
             est_rows: best.rows,
             est_cost: best.cost,
         },
-        CandKind::Domain { index, indextype, call, args, label } => {
-            let forced = forced_note(&index);
-            // The plan keeps the arguments as expressions; the scan
-            // evaluates them when it opens.
+        CandKind::Domain(m) => {
+            let forced = forced_note(&m.def.name);
             PlanNode {
-                kind: PlanKind::DomainScan {
-                    table,
-                    index,
-                    indextype,
-                    operator: call.operator,
-                    args,
-                    bound: call.bound,
-                    label,
-                    forced,
-                    reads,
-                },
+                kind: (*m).plan(None, forced),
                 scope: scope.clone(),
                 est_rows: best.rows,
                 est_cost: best.cost,

@@ -29,7 +29,7 @@ use std::time::Instant;
 
 use extidx_common::{Error, Key, Result, Row, RowId, Value};
 use extidx_core::governor;
-use extidx_core::meta::{IndexInfo, OperatorCall, PredicateBound};
+use extidx_core::meta::{IndexInfo, OperatorCall};
 use extidx_core::scan::ScanContext;
 use extidx_core::server::BaseRow;
 use extidx_core::trace::{Component, Routine};
@@ -237,7 +237,10 @@ fn build_node(plan: &PlanNode, cells: &mut Option<Vec<Arc<NodeStats>>>) -> Box<d
         }
         PlanKind::RowCount { .. } => Box::new(RowCountExec { done: false }),
         PlanKind::View { .. } => Box::new(ViewExec { rows: None, idx: 0 }),
-        PlanKind::DomainScan { .. } => Box::<DomainScanExec>::default(),
+        PlanKind::DomainScan { outer, .. } => Box::new(DomainScanExec {
+            outer: outer.as_ref().map(|o| OuterRows::new(build_node(o, cells))),
+            ..DomainScanExec::default()
+        }),
         PlanKind::Filter { input, .. } => Box::new(FilterExec { input: build_node(input, cells) }),
         PlanKind::Project { input, .. } => Box::new(ProjectExec { input: build_node(input, cells) }),
         PlanKind::NestedLoopJoin { left, right } => Box::new(NestedLoopJoinExec {
@@ -245,11 +248,6 @@ fn build_node(plan: &PlanNode, cells: &mut Option<Vec<Arc<NodeStats>>>) -> Box<d
             right: build_node(right, cells),
             current: None,
             started: false,
-        }),
-        PlanKind::DomainJoin { left, .. } => Box::new(DomainJoinExec {
-            left: OuterRows::new(build_node(left, cells)),
-            scan: DomainScanExec::default(),
-            current: None,
         }),
         PlanKind::HashJoin { left, right, .. } => Box::new(HashJoinExec {
             left: build_node(left, cells),
@@ -939,40 +937,20 @@ impl Access for RowIdEqExec {
 // domain-index scan
 // ---------------------------------------------------------------------------
 
-/// What a domain scan drives, read off its plan node: a DomainScan's own
-/// fields, or the inner side of a DomainJoin.
-struct DomainTarget<'p> {
-    table: &'p str,
-    index: &'p str,
-    operator: &'p str,
-    bound: &'p PredicateBound,
-    label: Option<i64>,
-    reads: &'p ReadSet,
-}
-
-impl<'p> DomainTarget<'p> {
-    fn of(plan: &'p PlanNode) -> Self {
-        match &plan.kind {
-            PlanKind::DomainScan { table, index, operator, bound, label, reads, .. }
-            | PlanKind::DomainJoin {
-                right_table: table,
-                index,
-                operator,
-                bound,
-                label,
-                reads,
-                ..
-            } => DomainTarget { table, index, operator, bound, label: *label, reads },
-            _ => unreachable!("executor state run against a plan node of another kind"),
-        }
-    }
-}
-
 /// Drives ODCIIndexStart/Fetch/Close on a cartridge and joins returned
 /// rowids to base rows — the server half of Fig. 1's index-access path.
+/// One pass per row of the outer input (a domain join), or one pass over
+/// an empty row when there is none.
 #[derive(Default)]
 struct DomainScanExec {
+    /// A domain join's outer input.
+    outer: Option<OuterRows>,
+    /// The row the current pass runs against; `None` between passes.
+    current: Option<ExecRow>,
+    /// Whether the one pass of a scan with no outer input has begun.
+    passed: bool,
     runtime: Option<(Arc<dyn OdciIndex>, IndexInfo)>,
+    /// The open cartridge scan context, between ODCIIndexStart and Close.
     ctx: Option<ScanContext>,
     /// Rows already joined to the base table, ready to stream out. Whole
     /// `FetchResult` batches are joined at once through [`fetch_visible`],
@@ -980,15 +958,9 @@ struct DomainScanExec {
     /// per batch instead of once per row.
     buffer: VecDeque<ExecRow>,
     fetch_done: bool,
-    closed: bool,
 }
 
 impl DomainScanExec {
-    /// Whether this pass of the scan has begun (and may have ended).
-    fn started(&self) -> bool {
-        self.ctx.is_some() || self.closed
-    }
-
     fn ensure_runtime(&mut self, index: &str, db: &Exec<'_>) -> Result<()> {
         if self.runtime.is_none() {
             let def = db
@@ -1002,15 +974,39 @@ impl DomainScanExec {
         Ok(())
     }
 
-    /// ODCIIndexStart with the operator's arguments for this pass.
-    fn open(&mut self, t: &DomainTarget<'_>, args: Vec<Value>, db: &Exec<'_>) -> Result<()> {
-        self.ensure_runtime(t.index, db)?;
+    /// The row the next pass runs against: the outer input's next row, or
+    /// once an empty row when there is no outer input.
+    fn next_pass_row(
+        &mut self,
+        outer: Option<&PlanNode>,
+        db: &Exec<'_>,
+        max_rows: usize,
+    ) -> Result<Option<ExecRow>> {
+        match (&mut self.outer, outer) {
+            (Some(rows), Some(plan)) => rows.pop(plan, db, max_rows),
+            _ => Ok((!std::mem::replace(&mut self.passed, true)).then(ExecRow::default)),
+        }
+    }
+
+    /// Begin a pass against `row`: evaluate the operator's arguments and,
+    /// unless one is NULL, ODCIIndexStart with them. A NULL argument makes
+    /// the operator NULL for every row, so the pass holds nothing and the
+    /// cartridge is never asked.
+    fn begin_pass(&mut self, plan: &PlanNode, row: &ExecRow, db: &Exec<'_>) -> Result<()> {
+        plan_of!(plan, PlanKind::DomainScan { index, operator, args, bound, label, .. });
+        let ctx = db.eval_ctx();
+        let args = args.iter().map(|e| eval(e, row, &ctx)).collect::<Result<Vec<_>>>()?;
+        self.fetch_done = true;
+        if args.iter().any(Value::is_null) {
+            return Ok(());
+        }
+        self.ensure_runtime(index, db)?;
         let (index, info) = self.runtime.as_ref().expect("runtime resolved").clone();
         let call = OperatorCall {
-            operator: t.operator.to_string(),
+            operator: operator.clone(),
             args,
-            bound: t.bound.clone(),
-            wants_ancillary: t.label.is_some(),
+            bound: bound.clone(),
+            wants_ancillary: label.is_some(),
         };
         let started = odci_call(
             Lane::Read(db),
@@ -1019,8 +1015,11 @@ impl DomainScanExec {
             format!("{}({} args)", call.operator, call.args.len()),
             |ctx| index.start(ctx, &info, &call),
         );
-        let scan_ctx = match started {
-            Ok(c) => c,
+        match started {
+            Ok(c) => {
+                (self.ctx, self.fetch_done) = (Some(c), false);
+                Ok(())
+            }
             Err(e) => {
                 // A failed start leaves no scan context to close, but the
                 // event stream must still balance Start/Close pairs — the
@@ -1031,27 +1030,18 @@ impl DomainScanExec {
                     &info.indextype_name,
                     "start failed; no scan context",
                 );
-                return Err(e);
+                Err(e)
             }
-        };
-        self.ctx = Some(scan_ctx);
-        self.fetch_done = false;
-        self.closed = false;
-        self.buffer.clear();
-        Ok(())
+        }
     }
 
     fn close(&mut self, db: &Exec<'_>) -> Result<()> {
         if let Some(ctx) = self.ctx.take() {
-            if !self.closed {
-                let (index, info) = self.runtime.as_ref().expect("runtime resolved").clone();
-                let callee = Callee::Index(&info);
-                let r = odci_call(Lane::Read(db), Routine::IndexClose, callee, "", |sctx| {
-                    index.close(sctx, &info, ctx)
-                });
-                self.closed = true;
-                r?;
-            }
+            let (index, info) = self.runtime.as_ref().expect("runtime resolved").clone();
+            let callee = Callee::Index(&info);
+            odci_call(Lane::Read(db), Routine::IndexClose, callee, "", |sctx| {
+                index.close(sctx, &info, ctx)
+            })?;
         }
         Ok(())
     }
@@ -1064,10 +1054,6 @@ impl DomainScanExec {
     /// (traced under RECOVERY) so the original error wins.
     fn close_on_error(&mut self, db: &Exec<'_>) {
         let Some(ctx) = self.ctx.take() else { return };
-        if self.closed {
-            return;
-        }
-        self.closed = true;
         let (index, info) = self.runtime.as_ref().expect("runtime resolved").clone();
         let r = odci_call(
             Lane::Read(db),
@@ -1086,11 +1072,12 @@ impl DomainScanExec {
         }
     }
 
-    /// Up to `max_rows` rows of the started scan: drive ODCIIndexFetch
-    /// until the join buffer holds at least one row or the scan is
+    /// Up to `max_rows` rows of the current pass: drive ODCIIndexFetch
+    /// until the join buffer holds at least one row or the pass is
     /// exhausted (closing it). Returns after one non-empty fetch — the
     /// pipelining property: the first rows never wait for the rest.
-    fn next_rows(&mut self, t: &DomainTarget<'_>, db: &Exec<'_>, max_rows: usize) -> Result<RowBatch> {
+    fn next_rows(&mut self, plan: &PlanNode, db: &Exec<'_>, max_rows: usize) -> Result<RowBatch> {
+        plan_of!(plan, PlanKind::DomainScan { table, label, reads, .. });
         while self.buffer.is_empty() {
             if self.fetch_done {
                 self.close(db)?;
@@ -1127,11 +1114,11 @@ impl DomainScanExec {
             // Join the whole fetch batch at once: one page-ordered
             // multi-fetch instead of a heap_fetch per rowid.
             let rids: Vec<RowId> = result.rows.iter().map(|fr| fr.rowid).collect();
-            let joined = fetch_visible(db, t.table, &rids)?;
+            let joined = fetch_visible(db, table, &rids)?;
             for (fr, row) in result.rows.into_iter().zip(joined) {
                 let Some(row) = row else { continue };
-                let mut row = exec_row(t.reads, fr.rowid, row);
-                if let (Some(label), Some(v)) = (t.label, fr.ancillary) {
+                let mut row = exec_row(reads, fr.rowid, row);
+                if let (Some(label), Some(v)) = (*label, fr.ancillary) {
                     row.ancillary.push((label, v));
                 }
                 self.buffer.push_back(row);
@@ -1143,33 +1130,46 @@ impl DomainScanExec {
 
 impl ExecNode for DomainScanExec {
     fn next_batch(&mut self, plan: &PlanNode, db: &Exec<'_>, max_rows: usize) -> Result<RowBatch> {
-        let t = DomainTarget::of(plan);
-        if !self.started() {
-            plan_of!(plan, PlanKind::DomainScan { args, .. });
-            let ctx = db.eval_ctx();
-            let args = args.iter().map(|e| value_of(e, &ctx)).collect::<Result<Vec<_>>>()?;
-            if args.iter().any(Value::is_null) {
-                // A NULL argument (a bind) makes the operator NULL for
-                // every row: the scan holds nothing, and the cartridge is
-                // never asked.
-                (self.closed, self.fetch_done) = (true, true);
-            } else {
-                self.open(&t, args, db)?;
+        plan_of!(plan, PlanKind::DomainScan { outer, .. });
+        // Returns after the first non-empty `ODCIIndexFetch` of whichever
+        // pass matches first.
+        loop {
+            if self.current.is_none() {
+                let Some(row) = self.next_pass_row(outer.as_deref(), db, max_rows)? else {
+                    return Ok(RowBatch::default());
+                };
+                self.begin_pass(plan, &row, db)?;
+                self.current = Some(row);
             }
+            let inner = self.next_rows(plan, db, max_rows)?;
+            if inner.rows.is_empty() {
+                self.current = None;
+                continue;
+            }
+            if outer.is_none() {
+                // Joining to the empty row leaves each row as it is.
+                return Ok(inner);
+            }
+            let row = self.current.as_ref().expect("pass row present");
+            let rows = inner.rows.into_iter().map(|r| join_rows(row, r)).collect();
+            return Ok(RowBatch { rows });
         }
-        self.next_rows(&t, db, max_rows)
     }
 
     fn reset(&mut self, db: &Exec<'_>) -> Result<()> {
         self.close(db)?;
-        self.ctx = None;
-        self.closed = false;
-        self.fetch_done = false;
+        if let Some(outer) = &mut self.outer {
+            outer.reset(db)?;
+        }
+        (self.current, self.passed, self.fetch_done) = (None, false, false);
         self.buffer.clear();
         Ok(())
     }
 
     fn abandon(&mut self, db: &Exec<'_>) {
+        if let Some(outer) = &mut self.outer {
+            outer.input.abandon(db);
+        }
         self.close_on_error(db);
     }
 }
@@ -1250,56 +1250,6 @@ impl ExecNode for NestedLoopJoinExec {
     fn abandon(&mut self, db: &Exec<'_>) {
         self.left.input.abandon(db);
         self.right.abandon(db);
-    }
-}
-
-/// Nested loop whose inner side is a parameterized domain scan: the outer
-/// row's values become the operator's arguments (spatial-join pattern).
-struct DomainJoinExec {
-    left: OuterRows,
-    scan: DomainScanExec,
-    current: Option<ExecRow>,
-}
-
-impl ExecNode for DomainJoinExec {
-    fn next_batch(&mut self, plan: &PlanNode, db: &Exec<'_>, max_rows: usize) -> Result<RowBatch> {
-        plan_of!(plan, PlanKind::DomainJoin { left: outer, arg_exprs, .. });
-        let t = DomainTarget::of(plan);
-        // Pipelined like the scan it wraps: returns after the first
-        // non-empty `ODCIIndexFetch` of whichever outer row matches first.
-        let ctx = db.eval_ctx();
-        loop {
-            if self.current.is_none() {
-                let Some(l) = self.left.pop(outer, db, max_rows)? else {
-                    return Ok(RowBatch::default());
-                };
-                let args: Vec<Value> =
-                    arg_exprs.iter().map(|e| eval(e, &l, &ctx)).collect::<Result<_>>()?;
-                self.scan.reset(db)?;
-                self.current = Some(l);
-                self.scan.open(&t, args, db)?;
-            }
-            let inner = self.scan.next_rows(&t, db, max_rows)?;
-            if inner.rows.is_empty() {
-                self.current = None;
-                continue;
-            }
-            let left = self.current.as_ref().expect("outer row present");
-            let rows = inner.rows.into_iter().map(|r| join_rows(left, r)).collect();
-            return Ok(RowBatch { rows });
-        }
-    }
-
-    fn reset(&mut self, db: &Exec<'_>) -> Result<()> {
-        self.left.reset(db)?;
-        self.scan.reset(db)?;
-        self.current = None;
-        Ok(())
-    }
-
-    fn abandon(&mut self, db: &Exec<'_>) {
-        self.left.input.abandon(db);
-        self.scan.abandon(db);
     }
 }
 

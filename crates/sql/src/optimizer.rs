@@ -28,14 +28,16 @@
 
 use extidx_common::{Error, Result, SqlType, Value};
 
-use crate::access::{best_table_access, match_op_predicate, resolve_table_hints, view_access, TableHints};
+use crate::access::{
+    best_table_access, domain_matches, resolve_table_hints, view_access, TableHints,
+};
 use crate::ast::{BinOp, Expr, OrderItem, Select, SelectItem, UnOp};
 use crate::catalog::{Catalog, TableDef};
 use crate::database::Database;
 use crate::exec_ctx::Exec;
 use crate::expr::{aggregate_kind, compile_expr, AggKind, RExpr, Scope, ScopeCol};
 use crate::plan::{
-    score_label, FilterTerm, LabelBinds, PlanKind, PlanNode, PlannedQuery, Projection, ReadSet,
+    score_label, FilterTerm, LabelBinds, PlanKind, PlanNode, PlannedQuery, Projection,
     TermClass,
 };
 use crate::vtables;
@@ -507,7 +509,8 @@ pub(crate) fn plan_select(db: &Exec<'_>, s: &Select) -> Result<PlannedQuery> {
             }
         }
         pending_joins = rest;
-        current = build_join(db, current, right, &tdefs[t], &aliases[t], applicable, &score_labels)?;
+        current =
+            build_join(db, current, right, &tdefs[t], applicable, &score_labels, &table_hints[t])?;
         joined_mask |= 1 << t;
     }
     if let Some((_, e)) = pending_joins.into_iter().next() {
@@ -541,11 +544,12 @@ fn label_binds(db: &Exec<'_>, s: &Select, labels: Vec<i64>) -> LabelBinds {
     LabelBinds { labels, peeked }
 }
 
-/// Join `right` (table `tdef` aliased `alias`) onto `left` under the given
-/// join conjuncts. Chooses, in order of preference:
-/// 1. a *domain join* — a user-defined-operator conjunct whose indexed
-///    column belongs to `right` and whose other arguments come from
-///    `left` (the spatial `Sdo_Relate` pattern);
+/// Join `right` (table `tdef`, under its resolved `hints`) onto `left`
+/// under the given join conjuncts. Chooses, in order of preference:
+/// 1. a *domain join* — a domain scan of `right`'s table over `left`, for
+///    the first user-defined-operator conjunct the one domain-index matcher
+///    ([`domain_matches`]) lets an index on `right` carry with its other
+///    arguments read from `left`'s rows (the spatial `Sdo_Relate` pattern);
 /// 2. a hash join on an equality conjunct;
 /// 3. a nested-loop join with the conjuncts as a residual filter.
 fn build_join(
@@ -553,90 +557,31 @@ fn build_join(
     left: PlanNode,
     right: PlanNode,
     tdef: &TableDef,
-    alias: &str,
     conjuncts: Vec<Expr>,
     score_labels: &[i64],
+    hints: &TableHints,
 ) -> Result<PlanNode> {
     let cm = db.cost;
     let joined_scope = left.scope.join(&right.scope);
-    let right_scope = table_scope(tdef, Some(alias));
 
     // 1. Domain join.
     let mut degraded: Vec<(usize, String)> = Vec::new();
     if matches!(right.kind, PlanKind::FullScan { .. } | PlanKind::IotFullScan { .. }) {
         for (ci, e) in conjuncts.iter().enumerate() {
-            let Some(op_pred) = match_op_predicate(e, db) else { continue };
-            for d in db.catalog().domain_indexes_on(&tdef.name).into_iter().cloned().collect::<Vec<_>>() {
-                let Ok(it) = db.catalog().registry().indextype(&d.indextype) else { continue };
-                if !it.supports(&op_pred.name, op_pred.args.len()) {
-                    continue;
-                }
-                // Health gate: quarantined indexes cannot carry a domain
-                // join — the operator evaluates functionally in the join
-                // residual instead.
-                if !db.catalog().health.is_usable(&d.name) {
-                    degraded.push((ci, d.name.clone()));
-                    continue;
-                }
-                // Indexed column must be a bare arg resolving in `right`;
-                // all other args must compile against `left`.
-                let mut col_seen = false;
-                let mut outer_args: Vec<RExpr> = Vec::new();
-                let mut ok = true;
-                for a in &op_pred.args {
-                    if let Expr::Column { qualifier, name } = a {
-                        if name.eq_ignore_ascii_case(&d.column)
-                            && right_scope.resolve(qualifier.as_deref(), name).is_ok()
-                            && !col_seen
-                        {
-                            col_seen = true;
-                            continue;
-                        }
-                    }
-                    match compile_expr(a, &left.scope, db.catalog()) {
-                        Ok(r) => outer_args.push(r),
-                        Err(_) => {
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                if !ok || !col_seen {
-                    continue;
-                }
-                let label = match op_pred.args.last() {
-                    Some(Expr::Literal(v)) => score_label(score_labels, Some(v)),
-                    Some(Expr::Parameter(i)) => score_label(score_labels, db.binds.get(*i)),
-                    _ => None,
-                };
-                // Residual conjuncts after this one.
-                let residual: Vec<&Expr> =
-                    conjuncts.iter().enumerate().filter(|(i, _)| *i != ci).map(|(_, e)| e).collect();
-                let est_rows = (left.est_rows * right.est_rows * cm.default_join_sel).max(1.0);
-                let est_cost = left.est_cost + left.est_rows * (10.0 + right.est_rows * 0.01);
-                let node = PlanNode {
-                    scope: joined_scope.clone(),
-                    est_rows,
-                    est_cost,
-                    kind: PlanKind::DomainJoin {
-                        left: Box::new(left),
-                        right_table: tdef.name.clone(),
-                        index: d.name.clone(),
-                        indextype: d.indextype.clone(),
-                        operator: op_pred.name.clone(),
-                        arg_exprs: outer_args,
-                        bound: op_pred.bound.clone(),
-                        label,
-                        reads: ReadSet::default(),
-                    },
-                };
-                let degraded_names: Vec<String> = degraded
-                    .into_iter()
-                    .filter(|(i, _)| *i != ci)
-                    .map(|(_, name)| name)
-                    .collect();
-                return wrap_filter(db, node, &residual, &joined_scope, &degraded_names);
-            }
+            let (matches, unusable) =
+                domain_matches(db, tdef, &right.scope, e, Some(&left.scope), score_labels, hints)?;
+            degraded.extend(unusable.into_iter().map(|name| (ci, name)));
+            let Some(m) = matches.into_iter().next() else { continue };
+            // Residual conjuncts after this one.
+            let residual: Vec<&Expr> =
+                conjuncts.iter().enumerate().filter(|(i, _)| *i != ci).map(|(_, e)| e).collect();
+            let est_rows = (left.est_rows * right.est_rows * cm.default_join_sel).max(1.0);
+            let est_cost = left.est_cost + left.est_rows * (10.0 + right.est_rows * 0.01);
+            let kind = m.plan(Some(left), None);
+            let node = PlanNode { scope: joined_scope.clone(), est_rows, est_cost, kind };
+            let degraded_names: Vec<String> =
+                degraded.into_iter().filter(|(i, _)| *i != ci).map(|(_, name)| name).collect();
+            return wrap_filter(db, node, &residual, &joined_scope, &degraded_names);
         }
     }
     let degraded_names: Vec<String> = degraded.into_iter().map(|(_, name)| name).collect();

@@ -253,8 +253,8 @@ pub struct PlanNode {
 }
 
 /// The physical operator. Every base access — each kind that reads a
-/// table's rows, and a domain join for its inner side — carries the
-/// [`ReadSet`] of the columns read above it.
+/// table's rows, a domain join included — carries the [`ReadSet`] of the
+/// columns of that table read above it.
 #[derive(Debug)]
 pub enum PlanKind {
     /// Sequential scan of a heap table; exposes columns plus ROWID.
@@ -284,20 +284,27 @@ pub enum PlanKind {
     /// A `V$` view: its rows are read from engine state when it runs.
     View { table: String },
     /// Domain-index scan: drives ODCIIndexStart/Fetch/Close on the
-    /// indextype, fetches base rows by the returned rowids.
+    /// indextype, fetches base rows by the returned rowids. Over an `outer`
+    /// input it is a *domain join*, how a user-defined operator acting as
+    /// a join condition (`Sdo_Relate(r.geometry, p.geometry, …)`) is
+    /// evaluated through the index: one pass per outer row, each fetched
+    /// row joined after it. Without one it makes one pass over an empty
+    /// row.
     DomainScan {
+        outer: Option<Box<PlanNode>>,
         table: String,
         index: String,
         indextype: String,
         operator: String,
-        /// The operator's non-column arguments, evaluated when the scan
-        /// opens (constructors and binds included).
+        /// The operator's non-column arguments, evaluated against each
+        /// pass's row (constructors, binds and outer columns included).
         args: Vec<RExpr>,
         bound: PredicateBound,
         /// Ancillary label bridging to `SCORE(label)` (§2.4.2 ancillary
         /// operators).
         label: Option<i64>,
         forced: Option<String>,
+        /// What is read of `table`'s rows.
         reads: ReadSet,
     },
     /// Row filter over cost-ordered conjuncts (see [`TermClass`]), each
@@ -319,25 +326,6 @@ pub enum PlanKind {
     /// Nested-loop (cross) join; any residual predicate is a `Filter`
     /// above it.
     NestedLoopJoin { left: Box<PlanNode>, right: Box<PlanNode> },
-    /// Domain join: for each outer (left) row, evaluate `arg_exprs`
-    /// against it and drive a domain-index scan of `right_table` with the
-    /// resulting argument values — how a user-defined operator acting as
-    /// a *join* condition (`Sdo_Relate(r.geometry, p.geometry, …)`) is
-    /// evaluated through the index.
-    DomainJoin {
-        left: Box<PlanNode>,
-        right_table: String,
-        index: String,
-        indextype: String,
-        operator: String,
-        /// Non-indexed operator arguments, compiled against the left
-        /// scope, evaluated per outer row.
-        arg_exprs: Vec<RExpr>,
-        bound: PredicateBound,
-        label: Option<i64>,
-        /// What is read of `right_table`'s rows.
-        reads: ReadSet,
-    },
     /// Hash join on one equi-key pair (keys compiled against each side's
     /// scope); residual conjuncts are a `Filter` above it.
     HashJoin {
@@ -361,8 +349,7 @@ pub enum PlanKind {
 }
 
 impl PlanKind {
-    /// The read set of a base access (of its inner side, for a domain
-    /// join); `None` for every other operator.
+    /// The read set of a base access; `None` for every other operator.
     pub(crate) fn read_set(&self) -> Option<&ReadSet> {
         match self {
             PlanKind::FullScan { reads, .. }
@@ -370,8 +357,7 @@ impl PlanKind {
             | PlanKind::IotRange { reads, .. }
             | PlanKind::BTreeAccess { reads, .. }
             | PlanKind::RowIdEq { reads, .. }
-            | PlanKind::DomainScan { reads, .. }
-            | PlanKind::DomainJoin { reads, .. } => Some(reads),
+            | PlanKind::DomainScan { reads, .. } => Some(reads),
             _ => None,
         }
     }
@@ -422,6 +408,9 @@ impl PlanNode {
             PlanKind::RowIdEq { table, rid, .. } => format!("{pad}ROWID FETCH {table} {rid:?}"),
             PlanKind::RowCount { table } => format!("{pad}ROW COUNT {table}"),
             PlanKind::View { table } => format!("{pad}VIEW {table}"),
+            PlanKind::DomainScan { outer: Some(_), table, index, indextype, operator, .. } => {
+                format!("{pad}DOMAIN JOIN {table} VIA {index} ({indextype}) OP {operator}")
+            }
             PlanKind::DomainScan { table, index, indextype, operator, args, forced, .. } => {
                 format!(
                     "{pad}DOMAIN INDEX SCAN {table} VIA {index} ({indextype}) OP {operator}({} args){}",
@@ -453,9 +442,6 @@ impl PlanNode {
             }
             PlanKind::Project { exprs, .. } => format!("{pad}PROJECT {} cols", exprs.len()),
             PlanKind::NestedLoopJoin { .. } => format!("{pad}NESTED LOOP JOIN"),
-            PlanKind::DomainJoin { right_table, index, indextype, operator, .. } => format!(
-                "{pad}DOMAIN JOIN {right_table} VIA {index} ({indextype}) OP {operator}"
-            ),
             PlanKind::HashJoin { left_key, right_key, .. } => {
                 format!("{pad}HASH JOIN {left_key:?} = {right_key:?}")
             }
@@ -479,13 +465,13 @@ impl PlanNode {
             | PlanKind::Sort { input, .. }
             | PlanKind::Limit { input, .. }
             | PlanKind::Distinct { input }
-            | PlanKind::Aggregate { input, .. } => input.explain_into(depth + 1, out),
+            | PlanKind::Aggregate { input, .. }
+            | PlanKind::DomainScan { outer: Some(input), .. } => input.explain_into(depth + 1, out),
             PlanKind::NestedLoopJoin { left, right, .. }
             | PlanKind::HashJoin { left, right, .. } => {
                 left.explain_into(depth + 1, out);
                 right.explain_into(depth + 1, out);
             }
-            PlanKind::DomainJoin { left, .. } => left.explain_into(depth + 1, out),
             _ => {}
         }
     }
@@ -509,8 +495,12 @@ impl PlanNode {
             PlanKind::RowIdEq { table, .. } => out.push(format!("ROWIDEQ({table})")),
             PlanKind::RowCount { table } => out.push(format!("COUNT({table})")),
             PlanKind::View { table } => out.push(format!("VIEW({table})")),
-            PlanKind::DomainScan { table, index, .. } => {
+            PlanKind::DomainScan { outer: None, table, index, .. } => {
                 out.push(format!("DOMAIN({table},{index})"))
+            }
+            PlanKind::DomainScan { outer: Some(outer), table, index, .. } => {
+                outer.collect_paths(out);
+                out.push(format!("DOMAINJOIN({table},{index})"));
             }
             PlanKind::Filter { input, .. }
             | PlanKind::Project { input, .. }
@@ -522,10 +512,6 @@ impl PlanNode {
             | PlanKind::HashJoin { left, right, .. } => {
                 left.collect_paths(out);
                 right.collect_paths(out);
-            }
-            PlanKind::DomainJoin { left, right_table, index, .. } => {
-                left.collect_paths(out);
-                out.push(format!("DOMAINJOIN({right_table},{index})"));
             }
         }
     }
@@ -548,8 +534,7 @@ impl PlanNode {
             | PlanKind::BTreeAccess { table, .. }
             | PlanKind::RowIdEq { table, .. }
             | PlanKind::RowCount { table }
-            | PlanKind::DomainScan { table, .. }
-            | PlanKind::DomainJoin { right_table: table, .. } => Some(table.as_str()),
+            | PlanKind::DomainScan { table, .. } => Some(table.as_str()),
             _ => None,
         };
         match &self.kind {
@@ -559,7 +544,7 @@ impl PlanNode {
             | PlanKind::Limit { input, .. }
             | PlanKind::Distinct { input }
             | PlanKind::Aggregate { input, .. }
-            | PlanKind::DomainJoin { left: input, .. } => input.collect_tables(out),
+            | PlanKind::DomainScan { outer: Some(input), .. } => input.collect_tables(out),
             PlanKind::NestedLoopJoin { left, right, .. }
             | PlanKind::HashJoin { left, right, .. } => {
                 left.collect_tables(out);
@@ -583,8 +568,7 @@ impl PlanNode {
             | PlanKind::IotFullScan { reads, .. }
             | PlanKind::IotRange { reads, .. }
             | PlanKind::BTreeAccess { reads, .. }
-            | PlanKind::RowIdEq { reads, .. }
-            | PlanKind::DomainScan { reads, .. } => *reads = ReadSet(need),
+            | PlanKind::RowIdEq { reads, .. } => *reads = ReadSet(need),
             PlanKind::RowCount { .. } | PlanKind::View { .. } => {}
             PlanKind::Filter { input, terms, .. } => {
                 read_by(terms.iter().map(|t| &t.pred), &mut need);
@@ -621,10 +605,14 @@ impl PlanNode {
                 left.mark_reads(need);
                 right.mark_reads(right_need);
             }
-            PlanKind::DomainJoin { left, arg_exprs, reads, .. } => {
-                *reads = ReadSet(need.split_off(left.width()));
-                read_by(arg_exprs.iter(), &mut need);
-                left.mark_reads(need);
+            // A domain join's own columns follow its outer input's, which
+            // its arguments read.
+            PlanKind::DomainScan { outer, args, reads, .. } => {
+                *reads = ReadSet(need.split_off(outer.as_ref().map_or(0, |o| o.width())));
+                if let Some(outer) = outer {
+                    read_by(args.iter(), &mut need);
+                    outer.mark_reads(need);
+                }
             }
         }
     }
@@ -845,7 +833,7 @@ pub(crate) mod tests {
                 | PlanKind::Limit { input, .. }
                 | PlanKind::Distinct { input }
                 | PlanKind::Aggregate { input, .. }
-                | PlanKind::DomainJoin { left: input, .. } => vec![input],
+                | PlanKind::DomainScan { outer: Some(input), .. } => vec![input],
                 PlanKind::NestedLoopJoin { left, right }
                 | PlanKind::HashJoin { left, right, .. } => vec![left, right],
                 _ => Vec::new(),
@@ -854,7 +842,7 @@ pub(crate) mod tests {
             let Some(reads) = node.kind.read_set() else { return };
             // A domain join's own columns follow its outer side's.
             let first = match &node.kind {
-                PlanKind::DomainJoin { left, .. } => left.width(),
+                PlanKind::DomainScan { outer: Some(outer), .. } => outer.width(),
                 _ => 0,
             };
             let cols = node.scope.columns[first..].iter().enumerate();

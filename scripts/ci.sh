@@ -82,6 +82,15 @@ echo "== batch executor (batch seams + pipelining + zone maps + compiled terms) 
 cargo test -q --test vectorized -- --include-ignored
 cargo test -q -p extidx-sql --lib executor::tests
 cargo test -q --test rows_copied_once
+# One domain-index access path (DESIGN.md §4b "Domain join"): a domain join
+# is a domain scan with an outer input. An outer row with a NULL argument
+# gets an empty pass and no ODCIIndexStart; NO_INDEX / FULL on the inner
+# table plan the functional twin; and the seeded join differential (both
+# spatial indextypes × four masks with NULL geometries on both sides, plus
+# the text join) holds indexed ≡ NO_INDEX and Start ≡ Close.
+cargo test -q --test consistency -- a_null_outer_argument_empties_its_domain_join_pass \
+    no_index_and_full_hints_bind_a_domain_join seeded_domain_joins_match_their_functional_twin
+cargo test -q --test scan_lifecycle domain_join_scans_balance_under_faults
 
 # Key-prefix access paths (DESIGN.md §4h "One table of sargable bounds"):
 # plan shapes over a composite-key IOT, the strict-bound regression with
@@ -434,6 +443,27 @@ views=$(grep -rhoE '"V[$][A-Z_]+"' crates/sql/src)
 [ "$(grep -rlE '"V[$][A-Z_]+"' crates/sql/src)" = crates/sql/src/vtables.rs ]
 [ "$(wc -l < crates/sql/src/database.rs)" -lt 1500 ]
 [ "$(wc -l < crates/sql/src/optimizer.rs)" -lt 1200 ]
+
+# One domain-index access path (DESIGN.md §4b "Domain join"): one matcher
+# in access.rs decides whether a domain index can carry an operator
+# conjunct, for a single-table scan and a domain join alike; a domain join
+# is a DomainScan with an outer input, run by the one DomainScanExec. The
+# join's own plan kind, executor node and matcher stay deleted, and the
+# tests the batch-executor stanza names stay defined. (Bracketed so the
+# patterns do not match this file.)
+echo "== one domain-index access path (structural guard) =="
+if grep -rnE "DomainJoinEx[e]c|DomainTarge[t]|PlanKind::DomainJoi[n]" crates/sql/src; then
+    exit 1
+fi
+[ "$(grep -c "domain_matches(db" crates/sql/src/access.rs)" -eq 1 ]
+[ "$(grep -c "domain_matches(db" crates/sql/src/optimizer.rs)" -eq 1 ]
+if grep -n "match_op_predicat[e]" crates/sql/src/optimizer.rs; then
+    exit 1
+fi
+for t in a_null_outer_argument_empties_its_domain_join_pass \
+    no_index_and_full_hints_bind_a_domain_join seeded_domain_joins_match_their_functional_twin; do
+    grep -q "fn $t" tests/consistency.rs
+done
 
 # One perf instrument: no hand-set timing floor, bench-record writer or
 # micro-bench harness may come back beside the ledger. (Bracketed so the

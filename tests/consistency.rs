@@ -239,3 +239,195 @@ fn text_operator_as_indexed_join_condition() {
     assert_eq!(got, expected);
     assert!(!got.is_empty());
 }
+
+/// `sql`'s rows, each rendered, sorted: a bag to compare.
+fn bag(db: &mut Database, sql: &str) -> Vec<String> {
+    let rows = db.query(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+    let mut rows: Vec<String> = rows.iter().map(|r| format!("{r:?}")).collect();
+    rows.sort();
+    rows
+}
+
+/// `sql` with `hint` in its first SELECT.
+fn hinted(sql: &str, hint: &str) -> String {
+    sql.replacen("SELECT", &format!("SELECT /*+ {hint} */"), 1)
+}
+
+/// `ODCIIndexStart` and `ODCIIndexClose` calls traced since the last clear.
+fn starts_and_closes(db: &Database) -> (u64, u64) {
+    let (mut starts, mut closes) = (0, 0);
+    for (_, routine, s) in db.trace().aggregates() {
+        match routine {
+            "ODCIIndexStart" => starts += s.calls,
+            "ODCIIndexClose" => closes += s.calls,
+            _ => {}
+        }
+    }
+    (starts, closes)
+}
+
+/// Run `sql` as a domain join, and its `NO_INDEX` twin: the answers must be
+/// bag-equal and the join's Start/Close balanced. Returns the join's
+/// `ODCIIndexStart` count.
+fn join_matches_functional_twin(db: &mut Database, sql: &str) -> u64 {
+    let plan = db.explain(sql).unwrap().join("\n");
+    assert!(plan.contains("DOMAIN JOIN"), "{sql} must plan a domain join:\n{plan}");
+    let expect = bag(db, &hinted(sql, "NO_INDEX"));
+    db.trace().clear();
+    assert_eq!(bag(db, sql), expect, "{sql}: indexed join != NO_INDEX twin");
+    let (starts, closes) = starts_and_closes(db);
+    assert_eq!(starts, closes, "{sql}: {starts} ODCIIndexStart vs {closes} ODCIIndexClose");
+    starts
+}
+
+/// Roads `0..n` (`nulls` of them with a NULL geometry) and parks `0..n`,
+/// each road a strip crossing its park; parks indexed by `indextype`.
+fn roads_and_parks(indextype: &str, n: i64, nulls: &[i64]) -> Database {
+    use extidx::spatial::{geometry_sql, Geometry, Mbr};
+
+    let mut db = Database::with_cache_pages(4096);
+    extidx::spatial::install(&mut db).unwrap();
+    for table in ["roads", "parks"] {
+        db.execute(&format!("CREATE TABLE {table} (gid INTEGER, geometry SDO_GEOMETRY)")).unwrap();
+    }
+    let rect = |xmin: f64, ymin: f64, xmax: f64, ymax: f64| {
+        geometry_sql(&Geometry::Rect(Mbr { xmin, ymin, xmax, ymax }))
+    };
+    for i in 0..n {
+        let o = i as f64 * 30.0;
+        let road =
+            if nulls.contains(&i) { "NULL".to_string() } else { rect(o, 0.0, o + 40.0, 10.0) };
+        db.execute(&format!("INSERT INTO roads VALUES ({i}, {road})")).unwrap();
+        let park = rect(o + 5.0, 0.0, o + 20.0, 50.0);
+        db.execute(&format!("INSERT INTO parks VALUES ({i}, {park})")).unwrap();
+    }
+    db.execute(&format!("CREATE INDEX parks_sidx ON parks(geometry) INDEXTYPE IS {indextype}"))
+        .unwrap();
+    db.trace().set_enabled(true);
+    db
+}
+
+#[test]
+fn a_null_outer_argument_empties_its_domain_join_pass() {
+    // A NULL operand makes the operator NULL for every row, so the pass of
+    // an outer row with a NULL argument holds nothing and the cartridge is
+    // never asked — as for a single-table scan under a NULL bind.
+    let mut db = roads_and_parks("SpatialIndexType", 12, &[9]);
+    let only_null = "SELECT r.gid, p.gid FROM roads r, parks p \
+                     WHERE Sdo_Relate(p.geometry, r.geometry, 'mask=ANYINTERACT') AND r.gid = 9";
+    assert_eq!(join_matches_functional_twin(&mut db, only_null), 0, "Start for the NULL road");
+    assert!(bag(&mut db, only_null).is_empty());
+    let all = "SELECT r.gid, p.gid FROM roads r, parks p \
+               WHERE Sdo_Relate(p.geometry, r.geometry, 'mask=ANYINTERACT') AND r.gid < 11";
+    assert_eq!(join_matches_functional_twin(&mut db, all), 10, "one Start per non-NULL road");
+    assert!(!bag(&mut db, all).is_empty());
+
+    // The text join: a NULL watchlist term matches nothing.
+    let mut db = Database::with_cache_pages(8192);
+    extidx::text::install(&mut db).unwrap();
+    db.execute("CREATE TABLE docs (id INTEGER, body VARCHAR2(400))").unwrap();
+    let mut rng = StdRng::seed_from_u64(7);
+    for i in 0..300i64 {
+        let body = random_doc(&mut rng);
+        db.execute_with("INSERT INTO docs VALUES (?, ?)", &[i.into(), body.into()]).unwrap();
+    }
+    db.execute("CREATE INDEX dt ON docs(body) INDEXTYPE IS TextIndexType").unwrap();
+    db.execute("CREATE TABLE watchlist (term VARCHAR2(20))").unwrap();
+    db.execute("INSERT INTO watchlist VALUES ('ale'), (NULL), ('gorse')").unwrap();
+    db.trace().set_enabled(true);
+    let sql = "SELECT w.term, d.id FROM watchlist w, docs d WHERE Contains(d.body, w.term)";
+    assert_eq!(join_matches_functional_twin(&mut db, sql), 2, "Start for the NULL term");
+    assert!(!bag(&mut db, sql).is_empty());
+}
+
+#[test]
+fn no_index_and_full_hints_bind_a_domain_join() {
+    let mut db = roads_and_parks("SpatialIndexType", 12, &[]);
+    let sql = "SELECT r.gid, p.gid FROM roads r, parks p \
+               WHERE Sdo_Relate(p.geometry, r.geometry, 'mask=OVERLAPS') AND r.gid < 11";
+    let unhinted = bag(&mut db, sql);
+    assert!(!unhinted.is_empty());
+    for hint in ["NO_INDEX(p)", "FULL(p)", "NO_INDEX", "FULL"] {
+        let sql = hinted(sql, hint);
+        let plan = db.explain(&sql).unwrap().join("\n");
+        assert!(!plan.contains("DOMAIN JOIN"), "{hint} must suppress the domain join:\n{plan}");
+        assert!(plan.contains("FUNCTIONAL FALLBACK"), "{hint}:\n{plan}");
+        assert_eq!(bag(&mut db, &sql), unhinted, "{hint} changed the answer");
+    }
+    // A hint on the outer table leaves the inner table's index alone.
+    let plan = db.explain(&hinted(sql, "NO_INDEX(r)")).unwrap().join("\n");
+    assert!(plan.contains("DOMAIN JOIN"), "{plan}");
+    // Forcing an index that only a join predicate can use stays an error:
+    // the inner table's own access has no predicate for it.
+    assert!(db.query(&hinted(sql, "INDEX(p parks_sidx)")).is_err());
+}
+
+#[test]
+fn seeded_domain_joins_match_their_functional_twin() {
+    // Random layers with ~10 % NULL geometries on both sides, joined
+    // through each spatial indextype under every mask; then the text
+    // join with NULL documents and NULL terms. Seeds are named so a
+    // failure reproduces.
+    use extidx::spatial::{geometry_sql, SpatialWorkload};
+
+    const SEEDS: [u64; 2] = [0x101A_0001, 0x101A_0002];
+    for seed in SEEDS {
+        for indextype in ["SpatialIndexType", "RtreeIndexType"] {
+            let mut db = Database::with_cache_pages(4096);
+            extidx::spatial::install(&mut db).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut wl = SpatialWorkload::new(300.0, seed);
+            let mut outer_live = 0u64;
+            for (table, rows) in [("roads", 30i64), ("parks", 60)] {
+                db.execute(&format!("CREATE TABLE {table} (gid INTEGER, geometry SDO_GEOMETRY)"))
+                    .unwrap();
+                for gid in 0..rows {
+                    let g = if rng.gen_bool(0.1) {
+                        "NULL".to_string()
+                    } else {
+                        outer_live += u64::from(table == "roads" && gid < 20);
+                        geometry_sql(&wl.rect(2.0, 90.0))
+                    };
+                    db.execute(&format!("INSERT INTO {table} VALUES ({gid}, {g})")).unwrap();
+                }
+            }
+            db.execute(&format!(
+                "CREATE INDEX parks_sidx ON parks(geometry) INDEXTYPE IS {indextype}"
+            ))
+            .unwrap();
+            db.trace().set_enabled(true);
+            for mask in ["ANYINTERACT", "OVERLAPS", "INSIDE", "CONTAINS"] {
+                let sql = format!(
+                    "SELECT r.gid, p.gid FROM roads r, parks p \
+                     WHERE Sdo_Relate(p.geometry, r.geometry, 'mask={mask}') AND r.gid < 20"
+                );
+                let starts = join_matches_functional_twin(&mut db, &sql);
+                assert_eq!(starts, outer_live, "seed {seed:#x}, {indextype}, {mask}");
+            }
+        }
+
+        let mut db = Database::with_cache_pages(8192);
+        extidx::text::install(&mut db).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
+        db.execute("CREATE TABLE docs (id INTEGER, body VARCHAR2(400))").unwrap();
+        for i in 0..200i64 {
+            let body = if rng.gen_bool(0.1) { None } else { Some(random_doc(&mut rng)) };
+            let body = body.map_or(extidx::common::Value::Null, Into::into);
+            db.execute_with("INSERT INTO docs VALUES (?, ?)", &[i.into(), body]).unwrap();
+        }
+        db.execute("CREATE INDEX dt ON docs(body) INDEXTYPE IS TextIndexType").unwrap();
+        db.execute("CREATE TABLE watchlist (term VARCHAR2(20))").unwrap();
+        let mut live = 0u64;
+        for term in VOCAB {
+            if rng.gen_bool(0.1) {
+                db.execute("INSERT INTO watchlist VALUES (NULL)").unwrap();
+            } else {
+                db.execute(&format!("INSERT INTO watchlist VALUES ('{term}')")).unwrap();
+                live += 1;
+            }
+        }
+        db.trace().set_enabled(true);
+        let sql = "SELECT w.term, d.id FROM watchlist w, docs d WHERE Contains(d.body, w.term)";
+        assert_eq!(join_matches_functional_twin(&mut db, sql), live, "seed {seed:#x}, text");
+    }
+}
