@@ -163,12 +163,45 @@ fn e2_text() -> Result<()> {
     Ok(())
 }
 
+/// Statements the statement cache has looked up so far: every client
+/// statement and every SQL callback a cartridge issues.
+fn statements_run(db: &mut Database) -> Result<i64> {
+    let rows = db.query(
+        "SELECT VALUE FROM V$CACHE_STATS \
+         WHERE NAME = 'PLAN_CACHE_HITS' OR NAME = 'PLAN_CACHE_MISSES'",
+    )?;
+    rows.iter().map(|r| r[0].as_integer()).sum()
+}
+
+/// One run of `sql`: its ODCI scan crossings (Start, Fetch, Close) and the
+/// SQL callback statements the cartridge issued in them.
+fn scan_calls(db: &mut Database, sql: &str) -> Result<(u64, i64)> {
+    let idle = -statements_run(db)? + statements_run(db)?;
+    db.trace().set_enabled(true);
+    db.trace().clear();
+    let before = statements_run(db)?;
+    db.query(sql)?;
+    let callbacks = statements_run(db)? - before - idle - 1;
+    let crossings = db
+        .trace()
+        .aggregates()
+        .iter()
+        .filter(|(_, routine, _)| routine.starts_with("ODCIIndex"))
+        .map(|(_, _, s)| s.calls)
+        .sum();
+    db.trace().set_enabled(false);
+    Ok((crossings, callbacks))
+}
+
 /// E3 — §3.2.2: the modern Sdo_Relate join vs the pre-8i hand-written
 /// tile join; the claim is performance parity with a drastically simpler
-/// query.
+/// query. A domain join starts one batched scan per outer batch: its
+/// crossings and callbacks are reported per join.
 fn e3_spatial() -> Result<()> {
-    let mut rep =
-        Report::new(&["layer size", "pairs", "modern (tiles)", "modern (R-tree)", "legacy", "legacy/tiles"]);
+    let mut rep = Report::new(&[
+        "layer size", "pairs", "modern (tiles)", "modern (R-tree)", "legacy", "legacy/tiles",
+        "crossings tiles/R-tree", "callbacks tiles/R-tree",
+    ]);
     for n in [100usize, 300, 600] {
         let mut fx = spatial_fixture(n, 9)?;
         let db = &mut fx.db;
@@ -178,6 +211,7 @@ fn e3_spatial() -> Result<()> {
         let modern = time_median(3, || {
             db.query(sql).expect("modern spatial join");
         });
+        let (tile_crossings, tile_callbacks) = scan_calls(db, sql)?;
         let legacy_rows = spatial_legacy::legacy_relate_join(
             db, "roads", "gid", "roads_sidx", "parks", "gid", "parks_sidx", Mask::Overlaps,
         )?
@@ -200,6 +234,7 @@ fn e3_spatial() -> Result<()> {
         let rtree = time_median(3, || {
             db.query(sql).expect("rtree spatial join");
         });
+        let (rtree_crossings, rtree_callbacks) = scan_calls(db, sql)?;
         rep.row(&[
             format!("{n}x{n}"),
             modern_rows.to_string(),
@@ -207,6 +242,8 @@ fn e3_spatial() -> Result<()> {
             fmt_dur(rtree),
             fmt_dur(legacy),
             format!("{:.2}x", legacy.as_secs_f64() / modern.as_secs_f64()),
+            format!("{tile_crossings}/{rtree_crossings}"),
+            format!("{tile_callbacks}/{rtree_callbacks}"),
         ]);
     }
     rep.print();

@@ -14,6 +14,7 @@
 //! database-event handler that re-synchronizes the external file after
 //! rollbacks.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use extidx_common::{Error, Result, RowId, Value};
@@ -56,7 +57,10 @@ struct ChemScan {
     query: ChemQuery,
     /// `(rid, tanimoto-or-0)` survivors of the fingerprint screen.
     candidates: Vec<(RowId, f64)>,
+    /// The next candidate not yet verified (or emitted, for similarity).
     pos: usize,
+    /// Candidates (by position) that passed verification, not yet emitted.
+    verified: VecDeque<usize>,
     wants_ancillary: bool,
 }
 
@@ -161,6 +165,7 @@ impl OdciIndex for ChemIndexMethods {
         info: &IndexInfo,
         op: &OperatorCall,
     ) -> Result<ScanContext> {
+        op.require_column_first(info)?;
         let records = FingerprintStore::for_index(info).read_all(srv, info)?;
         let (query, candidates) = match op.operator.as_str() {
             "MOLCONTAINS" => {
@@ -207,6 +212,7 @@ impl OdciIndex for ChemIndexMethods {
             query,
             candidates,
             pos: 0,
+            verified: VecDeque::new(),
             wants_ancillary: op.wants_ancillary,
         })))
     }
@@ -218,37 +224,55 @@ impl OdciIndex for ChemIndexMethods {
         ctx: &mut ScanContext,
         nrows: usize,
     ) -> Result<FetchResult> {
-        let base_sql =
-            format!("SELECT {} FROM {} WHERE ROWID = ?", info.column_name, info.table_name);
         let st = ctx.state_mut::<ChemScan>().ok_or_else(|| {
             Error::odci(&info.indextype_name, "ODCIIndexFetch", "bad scan state")
         })?;
-        let mut out = Vec::with_capacity(nrows);
-        while out.len() < nrows && st.pos < st.candidates.len() {
-            let (rid, sim) = st.candidates[st.pos];
-            st.pos += 1;
-            match &st.query {
-                ChemQuery::Similarity => {
+        let len = st.candidates.len();
+        let pattern = match &st.query {
+            ChemQuery::Similarity => {
+                let end = (st.pos + nrows).min(len);
+                let rows = st.candidates[st.pos..end].iter().map(|&(rid, sim)| {
                     if st.wants_ancillary {
-                        out.push(FetchedRow::with_ancillary(rid, Value::Number(sim)));
+                        FetchedRow::with_ancillary(rid, Value::Number(sim))
                     } else {
-                        out.push(FetchedRow::plain(rid));
+                        FetchedRow::plain(rid)
                     }
-                }
-                ChemQuery::Substructure { pattern } => {
-                    // Exact verification against the stored molecule.
-                    let rows = srv.query(&base_sql, &[Value::RowId(rid)])?;
-                    let Some(row) = rows.first() else { continue };
-                    let Ok(text) = row[0].as_str() else { continue };
-                    let mol = Molecule::parse(text)?;
-                    if mol.contains_subgraph(pattern) {
-                        out.push(FetchedRow::plain(rid));
-                    }
+                });
+                let rows = rows.collect();
+                st.pos = end;
+                return Ok(FetchResult { rows, done: end == len });
+            }
+            ChemQuery::Substructure { pattern } => pattern,
+        };
+        // Exact verification against the stored molecules, `nrows`
+        // candidates at a time read as one set from the base table.
+        let mut out: Vec<usize> = Vec::with_capacity(nrows);
+        while out.len() < nrows {
+            if let Some(i) = st.verified.pop_front() {
+                out.push(i);
+                continue;
+            }
+            if st.pos == len {
+                break;
+            }
+            let end = (st.pos + nrows).min(len);
+            let rids: Vec<RowId> = st.candidates[st.pos..end].iter().map(|&(rid, _)| rid).collect();
+            let mols = srv.fetch_base_rows(&info.table_name, &[&info.column_name], &rids)?;
+            for (i, mol) in (st.pos..end).zip(mols) {
+                let Some(text) = mol.as_ref().and_then(|row| row[0].as_str().ok()) else {
+                    continue;
+                };
+                if Molecule::parse(text)?.contains_subgraph(pattern) {
+                    st.verified.push_back(i);
                 }
             }
+            st.pos = end;
         }
-        let done = st.pos >= st.candidates.len();
-        Ok(FetchResult { rows: out, done })
+        // The scan ends where a candidate-at-a-time loop would: when this
+        // call comes up short, or its last row is the last candidate.
+        let done = out.len() < nrows || out.last() == Some(&(len - 1));
+        let rows = out.into_iter().map(|i| FetchedRow::plain(st.candidates[i].0)).collect();
+        Ok(FetchResult { rows, done })
     }
 
     fn close(&self, _srv: &mut dyn ServerContext, _info: &IndexInfo, _ctx: ScanContext) -> Result<()> {

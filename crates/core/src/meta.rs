@@ -7,7 +7,7 @@
 //! predicate a scan must evaluate, including the `op(...) relop value`
 //! bound the optimizer matched (§2.4.2).
 
-use extidx_common::{SqlType, Value};
+use extidx_common::{Error, Result, SqlType, Value};
 
 use crate::params::ParamString;
 
@@ -134,13 +134,21 @@ impl PredicateBound {
 ///
 /// For `Contains(resume, 'Oracle AND UNIX')` on an index over
 /// `EMPLOYEES.RESUME`, the scan sees the operator name, the non-column
-/// arguments (`['Oracle AND UNIX']`), and the predicate bound.
+/// arguments (`['Oracle AND UNIX']`), where the indexed column stood
+/// among the operator's arguments (`0`), and the predicate bound.
 #[derive(Debug, Clone)]
 pub struct OperatorCall {
     /// Operator name (upper-cased).
     pub operator: String,
-    /// Arguments other than the indexed column, in call order.
+    /// Arguments other than the indexed column, in call order. Empty in
+    /// the call [`crate::OdciIndex::start_batch`] receives, whose argument
+    /// rows travel beside it.
     pub args: Vec<Value>,
+    /// Position of the indexed column among the operator's arguments
+    /// (`1` for `Sdo_Relate(:window, geometry, …)`). An asymmetric
+    /// operator answers in that order or refuses it
+    /// ([`OperatorCall::require_column_first`]).
+    pub column_pos: usize,
     /// The bound the returned value must satisfy.
     pub bound: PredicateBound,
     /// Whether the query also wants ancillary data (e.g. `Score(1)` in
@@ -154,9 +162,28 @@ impl OperatorCall {
         OperatorCall {
             operator: operator.into().to_ascii_uppercase(),
             args,
+            column_pos: 0,
             bound: PredicateBound::is_true(),
             wants_ancillary: false,
         }
+    }
+
+    /// For an indextype whose operators take the indexed column as their
+    /// first argument: an `ODCIIndexStart` error when it stands elsewhere,
+    /// instead of an answer to the operator with its operands swapped.
+    pub fn require_column_first(&self, info: &IndexInfo) -> Result<()> {
+        if self.column_pos == 0 {
+            return Ok(());
+        }
+        Err(Error::odci(
+            &info.indextype_name,
+            "ODCIIndexStart",
+            format!(
+                "{} needs the indexed column as its first argument (it is argument {})",
+                self.operator,
+                self.column_pos + 1
+            ),
+        ))
     }
 }
 

@@ -12,7 +12,10 @@
 //! - `DROP INDEX` → [`OdciIndex::drop_index`]
 //! - base-table `INSERT`/`UPDATE`/`DELETE` → the maintenance trio
 //! - an indexable operator predicate chosen by the optimizer →
-//!   [`OdciIndex::start`] / [`OdciIndex::fetch`] / [`OdciIndex::close`]
+//!   [`OdciIndex::start_batch`] / [`OdciIndex::fetch`] / [`OdciIndex::close`],
+//!   driven through [`fetch_batch`] / [`close_batch`]: one scan per batch
+//!   of argument rows (a single-table scan is a batch of one, a domain
+//!   join passes one batch of outer rows at a time)
 //!
 //! Implementations are stateless (Oracle's were STATIC member functions):
 //! all per-index state lives in index storage tables reached via
@@ -23,7 +26,7 @@ use extidx_common::{Result, RowId, Value};
 
 use crate::meta::{IndexInfo, OperatorCall};
 use crate::params::ParamString;
-use crate::scan::{FetchResult, ScanContext};
+use crate::scan::{FetchResult, FetchedRow, ScanContext};
 use crate::server::{BaseRow, ServerContext};
 
 /// The index implementation interface a cartridge supplies.
@@ -149,6 +152,105 @@ pub trait OdciIndex: Send + Sync {
 
     /// `ODCIIndexClose`: release scan resources.
     fn close(&self, srv: &mut dyn ServerContext, info: &IndexInfo, ctx: ScanContext) -> Result<()>;
+
+    /// `ODCIIndexStart` for a batch of argument rows (the batch interface
+    /// of §2.5 applied to a domain join's outer rows): evaluate `call`
+    /// once per row of `args`, each row holding what `call.args` would.
+    /// [`OdciIndex::fetch`] then returns every row of every evaluation,
+    /// each [`FetchedRow::arg`] naming its argument row. The host never
+    /// passes a row with a NULL argument, nor an empty batch.
+    ///
+    /// The default keeps every cartridge working unchanged: it runs
+    /// [`OdciIndex::start`] per argument row, and [`fetch_batch`] /
+    /// [`close_batch`] drive the resulting scans one after another. A
+    /// cartridge overrides it to answer the whole batch at once (the
+    /// spatial indextypes merge the batch's windows with one read of their
+    /// index).
+    fn start_batch(
+        &self,
+        srv: &mut dyn ServerContext,
+        info: &IndexInfo,
+        call: &OperatorCall,
+        args: &[Vec<Value>],
+    ) -> Result<ScanContext> {
+        let one = |row: &Vec<Value>| OperatorCall { args: row.clone(), ..call.clone() };
+        if let [row] = args {
+            return self.start(srv, info, &one(row));
+        }
+        let mut passes = Vec::with_capacity(args.len());
+        for row in args {
+            match self.start(srv, info, &one(row)) {
+                Ok(ctx) => passes.push(ctx),
+                Err(e) => {
+                    for ctx in passes {
+                        let _ = self.close(srv, info, ctx);
+                    }
+                    return Err(e);
+                }
+            }
+        }
+        Ok(ScanContext::State(Box::new(PerRowScans { passes, at: 0 })))
+    }
+}
+
+/// The scans the default [`OdciIndex::start_batch`] opens: one per
+/// argument row, fetched in order, all closed by [`close_batch`].
+struct PerRowScans {
+    passes: Vec<ScanContext>,
+    /// The argument row being fetched.
+    at: usize,
+}
+
+/// `ODCIIndexFetch` on a scan opened by [`OdciIndex::start_batch`]: up to
+/// `nrows` rows, tagged with their argument rows. A cartridge's own batch
+/// scan is its [`OdciIndex::fetch`]; the default's per-row scans are
+/// fetched in argument order, each asked once per call at most.
+pub fn fetch_batch(
+    index: &dyn OdciIndex,
+    srv: &mut dyn ServerContext,
+    info: &IndexInfo,
+    ctx: &mut ScanContext,
+    nrows: usize,
+) -> Result<FetchResult> {
+    let Some(scans) = ctx.state_mut::<PerRowScans>() else {
+        return index.fetch(srv, info, ctx, nrows);
+    };
+    let mut rows = Vec::new();
+    while rows.len() < nrows && scans.at < scans.passes.len() {
+        let at = scans.at;
+        let r = index.fetch(srv, info, &mut scans.passes[at], nrows - rows.len())?;
+        rows.extend(r.rows.into_iter().map(|row| row.for_arg(at)));
+        if !r.done {
+            break;
+        }
+        scans.at += 1;
+    }
+    Ok(FetchResult { rows, done: scans.at == scans.passes.len() })
+}
+
+/// `ODCIIndexClose` on a scan opened by [`OdciIndex::start_batch`]. The
+/// default's per-row scans are all closed, even when one close fails; the
+/// first failure is returned.
+pub fn close_batch(
+    index: &dyn OdciIndex,
+    srv: &mut dyn ServerContext,
+    info: &IndexInfo,
+    ctx: ScanContext,
+) -> Result<()> {
+    let scans = match ctx {
+        ScanContext::State(state) if state.is::<PerRowScans>() => {
+            state.downcast::<PerRowScans>().expect("checked type")
+        }
+        ctx => return index.close(srv, info, ctx),
+    };
+    let mut first = Ok(());
+    for ctx in scans.passes {
+        let closed = index.close(srv, info, ctx);
+        if first.is_ok() {
+            first = closed;
+        }
+    }
+    first
 }
 
 /// Drain an entire scan through the batch interface — convenience for
@@ -160,7 +262,7 @@ pub fn drain_scan(
     info: &IndexInfo,
     op: &OperatorCall,
     batch_size: usize,
-) -> Result<Vec<crate::scan::FetchedRow>> {
+) -> Result<Vec<FetchedRow>> {
     let mut ctx = index.start(srv, info, op)?;
     let mut out = Vec::new();
     loop {

@@ -72,24 +72,34 @@ impl std::fmt::Debug for ScanContext {
 }
 
 /// One row produced by an index scan: the base-table rowid plus optional
-/// ancillary data (the paper's `Score`-style auxiliary value, §2.4.2).
+/// ancillary data (the paper's `Score`-style auxiliary value, §2.4.2),
+/// and which argument row of the scan it answers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FetchedRow {
     pub rowid: RowId,
     /// Ancillary value produced by the scan for this row (e.g. a text
     /// relevance score), retrievable through an ancillary operator.
     pub ancillary: Option<Value>,
+    /// Ordinal of the argument row this row satisfies the operator for,
+    /// in the slice [`crate::OdciIndex::start_batch`] was given; `0` in a
+    /// scan of one argument row.
+    pub arg: usize,
 }
 
 impl FetchedRow {
     /// Row with no ancillary data.
     pub fn plain(rowid: RowId) -> Self {
-        FetchedRow { rowid, ancillary: None }
+        FetchedRow { rowid, ancillary: None, arg: 0 }
     }
 
     /// Row with an ancillary value attached.
     pub fn with_ancillary(rowid: RowId, v: Value) -> Self {
-        FetchedRow { rowid, ancillary: Some(v) }
+        FetchedRow { rowid, ancillary: Some(v), arg: 0 }
+    }
+
+    /// The same row, answering argument row `arg`.
+    pub fn for_arg(self, arg: usize) -> Self {
+        FetchedRow { arg, ..self }
     }
 }
 

@@ -7,7 +7,8 @@
 //!
 //! - parameterized SQL execution (`execute`/`query`) against the host
 //!   engine, which is how cartridges create, maintain, and search their
-//!   index storage tables;
+//!   index storage tables, and the base-table rowid join
+//!   (`fetch_base_rows`) their scans verify candidates with;
 //! - the LOB interface (file-like, per §3.2.4);
 //! - the statement-duration workspace backing "Return Handle" scan
 //!   contexts (§2.2.3);
@@ -101,6 +102,26 @@ pub trait ServerContext {
         batch_size: usize,
         sink: &mut BatchSink,
     ) -> Result<()>;
+
+    /// The base-table rows at `rids`, projected to `cols`, aligned with
+    /// `rids`: `None` where no row is visible. This is the rowid join a
+    /// scan's exact filter or verification step reads its candidates with,
+    /// as one set instead of one `WHERE ROWID = ?` query per candidate.
+    ///
+    /// A host engine reads its own base table in page order under the
+    /// crossing's snapshot; the default, for servers without one, runs
+    /// that query once per rowid.
+    fn fetch_base_rows(
+        &mut self,
+        table: &str,
+        cols: &[&str],
+        rids: &[RowId],
+    ) -> Result<Vec<Option<Row>>> {
+        let sql = format!("SELECT {} FROM {table} WHERE ROWID = ?", cols.join(", "));
+        rids.iter()
+            .map(|rid| Ok(self.query(&sql, &[Value::RowId(*rid)])?.into_iter().next()))
+            .collect()
+    }
 
     // ---- LOB interface (file-like, §3.2.4) --------------------------------
 

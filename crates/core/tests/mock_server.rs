@@ -10,7 +10,7 @@ use std::sync::Arc;
 use extidx_common::{Error, LobRef, Result, Row, RowId, SqlType, Value};
 use extidx_core::events::{DbEvent, EventHandler};
 use extidx_core::meta::{IndexInfo, OperatorCall};
-use extidx_core::odci::drain_scan;
+use extidx_core::odci::{close_batch, drain_scan, fetch_batch};
 use extidx_core::params::ParamString;
 use extidx_core::scan::{FetchResult, FetchedRow, ScanContext, WorkspaceHandle};
 use extidx_core::server::{workspace_state, CallbackMode, ServerContext};
@@ -180,8 +180,20 @@ impl OdciIndex for StubbornBatcher {
     fn delete(&self, _: &mut dyn ServerContext, _: &IndexInfo, _: RowId, _: &Value) -> Result<()> {
         Ok(())
     }
-    fn start(&self, srv: &mut dyn ServerContext, _: &IndexInfo, _: &OperatorCall) -> Result<ScanContext> {
-        let rids: Vec<RowId> = (0..self.n).map(|i| RowId::new(1, 0, i)).collect();
+    /// `n` rowids, or as many as a non-negative integer first argument
+    /// says; a negative one fails the start.
+    fn start(
+        &self,
+        srv: &mut dyn ServerContext,
+        _: &IndexInfo,
+        op: &OperatorCall,
+    ) -> Result<ScanContext> {
+        let n = match op.args.first() {
+            Some(Value::Integer(n)) if *n < 0 => return Err(Error::Semantic("negative".into())),
+            Some(Value::Integer(n)) => *n as u16,
+            _ => self.n,
+        };
+        let rids: Vec<RowId> = (0..n).map(|i| RowId::new(1, 0, i)).collect();
         let h = srv.workspace_put(Box::new((rids, 0usize)));
         Ok(ScanContext::Handle(h))
     }
@@ -233,6 +245,59 @@ fn drain_scan_empty_result() {
     let rows =
         drain_scan(&idx, &mut srv, &info(), &OperatorCall::simple("AnyOp", vec![]), 8).unwrap();
     assert!(rows.is_empty());
+}
+
+/// Drain a batched scan through the core's batch fetch and close.
+fn drain_batch(idx: &dyn OdciIndex, srv: &mut MockServer, args: &[Vec<Value>]) -> Vec<FetchedRow> {
+    let call = OperatorCall::simple("AnyOp", vec![]);
+    let mut ctx = idx.start_batch(srv, &info(), &call, args).unwrap();
+    let mut out = Vec::new();
+    loop {
+        let batch = fetch_batch(idx, srv, &info(), &mut ctx, 5).unwrap();
+        out.extend(batch.rows);
+        if batch.done {
+            break;
+        }
+    }
+    close_batch(idx, srv, &info(), ctx).unwrap();
+    out
+}
+
+#[test]
+fn the_default_start_batch_runs_one_scan_per_argument_row() {
+    let mut srv = MockServer::default();
+    let idx = StubbornBatcher { n: 0 };
+    let args = [vec![Value::Integer(3)], vec![Value::Integer(0)], vec![Value::Integer(9)]];
+    let rows = drain_batch(&idx, &mut srv, &args);
+    let tags: Vec<(usize, u16)> = rows.iter().map(|r| (r.arg, r.rowid.slot)).collect();
+    let want: Vec<(usize, u16)> = (0..3).map(|i| (0, i)).chain((0..9).map(|i| (2, i))).collect();
+    assert_eq!(tags, want, "rows in argument order, each tagged with its row");
+    assert!(srv.workspace.is_empty(), "close_batch closed every per-row scan");
+
+    // A batch of one is the cartridge's own scan, untagged.
+    let rows = drain_batch(&idx, &mut srv, &[vec![Value::Integer(4)]]);
+    assert_eq!(rows.len(), 4);
+    assert!(rows.iter().all(|r| r.arg == 0));
+    assert!(srv.workspace.is_empty());
+}
+
+#[test]
+fn the_default_start_batch_closes_what_it_opened_when_a_row_fails() {
+    let mut srv = MockServer::default();
+    let idx = StubbornBatcher { n: 0 };
+    let args = [vec![Value::Integer(3)], vec![Value::Integer(2)], vec![Value::Integer(-1)]];
+    let call = OperatorCall::simple("AnyOp", vec![]);
+    assert!(idx.start_batch(&mut srv, &info(), &call, &args).is_err());
+    assert!(srv.workspace.is_empty(), "the two opened scans were closed");
+}
+
+#[test]
+fn the_default_fetch_base_rows_asks_query_per_rowid() {
+    // The mock has no SQL, so the query-loop default reports its error.
+    let mut srv = MockServer::default();
+    let err = srv.fetch_base_rows("T", &["C"], &[RowId::new(1, 0, 0)]).unwrap_err();
+    assert!(matches!(err, Error::Unsupported(_)), "{err}");
+    assert_eq!(srv.fetch_base_rows("T", &["C"], &[]).unwrap(), Vec::<Option<Row>>::new());
 }
 
 #[test]

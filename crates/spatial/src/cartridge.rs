@@ -8,13 +8,19 @@
 //! - `DR$<index>$G (rid, geom)` — serialized geometries, the exact
 //!   filter's input.
 //!
-//! A scan evaluates `Sdo_Relate` in the two phases §3.2.2 describes: the
-//! primary filter ("determines the candidate set of tiles … which
-//! overlap") runs in `ODCIIndexStart`; the exact filter ("applies an exact
-//! filter to these candidate rows") runs incrementally during
-//! `ODCIIndexFetch`.
+//! A scan evaluates `Sdo_Relate` for a batch of argument rows (a window
+//! query is a batch of one; a domain join passes a batch of outer rows) in
+//! the two phases §3.2.2 describes: the primary filter ("determines the
+//! candidate set of tiles … which overlap") runs in `ODCIIndexStart`, as
+//! one sort-merge of the batch's tiles with the tile table; the exact
+//! filter ("applies an exact filter to these candidate rows") runs during
+//! `ODCIIndexFetch`, over geometries read from the base table.
+//!
+//! The `…$G` table is still maintained: the ODCIStats routines count it,
+//! and the pre-8i baseline (`legacy.rs`) reads it.
 
-use std::collections::BTreeSet;
+use std::cmp::Ordering;
+use std::collections::HashMap;
 
 use extidx_common::{Error, Result, RowId, Value};
 use extidx_core::build::{try_partition_map, DEFAULT_BUILD_BATCH_ROWS};
@@ -101,44 +107,106 @@ fn unindex_one(
     Ok(())
 }
 
-/// Per-scan state: candidates awaiting the exact filter. Shared by the
-/// tile cartridge and the R-tree cartridge — both produce candidate
-/// rowids from a primary filter, then verify exact geometry during fetch.
+/// Per-scan state of both spatial indextypes, for a batch of argument
+/// rows: each row's query, the primary filter's (argument row, candidate)
+/// pairs awaiting the exact filter, and the candidates' geometries once
+/// read.
 pub(crate) struct SpatialScan {
-    pub(crate) query: Geometry,
-    pub(crate) mask: Mask,
-    pub(crate) candidates: Vec<RowId>,
-    pub(crate) pos: usize,
-    /// Candidate-count diagnostics for the filter-effectiveness reports.
-    pub(crate) primary_candidates: usize,
+    /// Per argument row: the query geometry and the mask.
+    queries: Vec<(Geometry, Mask)>,
+    /// The indexed column is the operator's second argument
+    /// (`Sdo_Relate(:window, geometry, …)`): the relation is the query's
+    /// to the candidate, not the candidate's to the query.
+    swapped: bool,
+    /// `(argument row, candidate)` pairs in output order: by argument row,
+    /// then rowid.
+    pairs: Vec<(usize, RowId)>,
+    pos: usize,
+    /// The candidates' geometries, read from the base table by the first
+    /// fetch.
+    geoms: Option<HashMap<RowId, Geometry>>,
 }
 
-/// The exact-filter fetch loop (§3.2.2's second phase), shared by both
-/// spatial indextypes: pull candidates, look up their geometry in the
-/// `…$G` table, emit those whose exact relation holds.
+impl SpatialScan {
+    /// Each argument row's query geometry and mask (`Sdo_Relate`'s
+    /// non-column arguments), and where the indexed column stands.
+    pub(crate) fn parse(
+        info: &IndexInfo,
+        call: &OperatorCall,
+        args: &[Vec<Value>],
+    ) -> Result<Self> {
+        let err = |msg: &str| Error::odci(&info.indextype_name, "ODCIIndexStart", msg);
+        if call.column_pos > 1 {
+            return Err(err("the indexed column must be one of Sdo_Relate's two geometries"));
+        }
+        let queries = args
+            .iter()
+            .map(|row| {
+                let query = row.first().ok_or_else(|| err("missing query geometry"))?;
+                let query = Geometry::from_value(query)?;
+                let mask = row.get(1).and_then(|v| v.as_str().ok()).unwrap_or("ANYINTERACT");
+                Ok((query, Mask::parse(mask)?))
+            })
+            .collect::<Result<_>>()?;
+        let swapped = call.column_pos == 1;
+        Ok(SpatialScan { queries, swapped, pairs: Vec::new(), pos: 0, geoms: None })
+    }
+
+    /// The query geometries, by argument row.
+    pub(crate) fn windows(&self) -> impl Iterator<Item = &Geometry> {
+        self.queries.iter().map(|(g, _)| g)
+    }
+
+    /// The scan with the primary filter's `(argument row, rowid)` pairs as
+    /// its candidates. A candidate found twice for a query (sharing several
+    /// tiles with it) is one candidate.
+    pub(crate) fn with_pairs(self, mut pairs: Vec<(usize, RowId)>) -> ScanContext {
+        pairs.sort_unstable();
+        pairs.dedup();
+        ScanContext::State(Box::new(SpatialScan { pairs, ..self }))
+    }
+}
+
+/// The exact-filter fetch (§3.2.2's second phase), shared by both spatial
+/// indextypes. The first fetch reads every distinct candidate's geometry
+/// from the base table's indexed column as one set, as Oracle Spatial's
+/// secondary filter does; each fetch then emits the pairs whose exact
+/// relation holds.
 pub(crate) fn exact_fetch(
     srv: &mut dyn ServerContext,
-    geom_table_name: &str,
-    st: &mut SpatialScan,
+    info: &IndexInfo,
+    ctx: &mut ScanContext,
     nrows: usize,
 ) -> Result<FetchResult> {
+    let st = ctx.state_mut::<SpatialScan>().ok_or_else(|| {
+        Error::odci(&info.indextype_name, "ODCIIndexFetch", "bad scan state")
+    })?;
+    if st.geoms.is_none() {
+        let mut rids: Vec<RowId> = st.pairs.iter().map(|&(_, rid)| rid).collect();
+        rids.sort_unstable();
+        rids.dedup();
+        let rows = srv.fetch_base_rows(&info.table_name, &[&info.column_name], &rids)?;
+        let mut geoms = HashMap::with_capacity(rids.len());
+        for (rid, row) in rids.into_iter().zip(rows) {
+            if let Some(v) = row.and_then(|mut r| r.pop()).filter(|v| !v.is_null()) {
+                geoms.insert(rid, Geometry::from_value(&v)?);
+            }
+        }
+        st.geoms = Some(geoms);
+    }
+    let geoms = st.geoms.as_ref().expect("geometries read");
     let mut out = Vec::with_capacity(nrows);
-    while out.len() < nrows && st.pos < st.candidates.len() {
-        let rid = st.candidates[st.pos];
+    while out.len() < nrows && st.pos < st.pairs.len() {
+        let (arg, rid) = st.pairs[st.pos];
         st.pos += 1;
-        let rows = srv.query(
-            &format!("SELECT geom FROM {geom_table_name} WHERE rid = ?"),
-            &[Value::RowId(rid)],
-        )?;
-        let Some(row) = rows.first() else { continue };
-        let g = Geometry::deserialize(row[0].as_str()?)?;
-        if g.relate(&st.query, st.mask) {
-            out.push(FetchedRow::plain(rid));
+        let Some(g) = geoms.get(&rid) else { continue };
+        let (query, mask) = &st.queries[arg];
+        let holds = if st.swapped { query.relate(g, *mask) } else { g.relate(query, *mask) };
+        if holds {
+            out.push(FetchedRow::plain(rid).for_arg(arg));
         }
     }
-    let done = st.pos >= st.candidates.len();
-    let _ = st.primary_candidates;
-    Ok(FetchResult { rows: out, done })
+    Ok(FetchResult { rows: out, done: st.pos >= st.pairs.len() })
 }
 
 impl SpatialIndexMethods {
@@ -276,32 +344,58 @@ impl OdciIndex for SpatialIndexMethods {
         info: &IndexInfo,
         op: &OperatorCall,
     ) -> Result<ScanContext> {
-        let query = Geometry::from_value(op.args.first().ok_or_else(|| {
-            Error::odci(&info.indextype_name, "ODCIIndexStart", "missing query geometry")
-        })?)?;
-        let mask = Mask::parse(op.args.get(1).and_then(|v| v.as_str().ok()).unwrap_or("ANYINTERACT"))?;
-        let tess = tessellation(&info.parameters);
+        self.start_batch(srv, info, op, std::slice::from_ref(&op.args))
+    }
 
-        // Primary filter: candidate rowids sharing a tile with the query.
-        let mut candidates: BTreeSet<RowId> = BTreeSet::new();
-        for tile in tess.tiles_for(&query) {
-            let rows = srv.query(
-                &format!("SELECT rid FROM {} WHERE tile = ?", tile_table(info)),
-                &[Value::Integer(tile)],
-            )?;
-            for r in rows {
-                candidates.insert(r[0].as_rowid()?);
+    /// Primary filter for the whole batch as one sort-merge on tile ids:
+    /// the batch's sorted (tile, argument row) list against one
+    /// key-ordered range read of the tile table over the list's span — the
+    /// pre-8i hand-written tile join (`legacy.rs`), behind the operator.
+    fn start_batch(
+        &self,
+        srv: &mut dyn ServerContext,
+        info: &IndexInfo,
+        call: &OperatorCall,
+        args: &[Vec<Value>],
+    ) -> Result<ScanContext> {
+        let scan = SpatialScan::parse(info, call, args)?;
+        let tess = tessellation(&info.parameters);
+        let mut wanted: Vec<(i64, usize)> = scan
+            .windows()
+            .enumerate()
+            .flat_map(|(arg, q)| tess.tiles_for(q).into_iter().map(move |tile| (tile, arg)))
+            .collect();
+        wanted.sort_unstable();
+        let (Some(&(lo, _)), Some(&(hi, _))) = (wanted.first(), wanted.last()) else {
+            return Ok(scan.with_pairs(Vec::new()));
+        };
+        let rows = srv.query(
+            &format!("SELECT tile, rid FROM {} WHERE tile >= ? AND tile <= ?", tile_table(info)),
+            &[Value::Integer(lo), Value::Integer(hi)],
+        )?;
+        let mut entries = rows
+            .iter()
+            .map(|r| Ok((r[0].as_integer()?, r[1].as_rowid()?)))
+            .collect::<Result<Vec<(i64, RowId)>>>()?;
+        entries.sort_unstable();
+        let mut pairs = Vec::new();
+        let (mut i, mut j) = (0, 0);
+        while i < entries.len() && j < wanted.len() {
+            let tile = entries[i].0;
+            match tile.cmp(&wanted[j].0) {
+                Ordering::Less => i += 1,
+                Ordering::Greater => j += 1,
+                Ordering::Equal => {
+                    let ie = i + entries[i..].iter().take_while(|e| e.0 == tile).count();
+                    let je = j + wanted[j..].iter().take_while(|w| w.0 == tile).count();
+                    for &(_, arg) in &wanted[j..je] {
+                        pairs.extend(entries[i..ie].iter().map(|&(_, rid)| (arg, rid)));
+                    }
+                    (i, j) = (ie, je);
+                }
             }
         }
-        let candidates: Vec<RowId> = candidates.into_iter().collect();
-        let primary = candidates.len();
-        Ok(ScanContext::State(Box::new(SpatialScan {
-            query,
-            mask,
-            candidates,
-            pos: 0,
-            primary_candidates: primary,
-        })))
+        Ok(scan.with_pairs(pairs))
     }
 
     fn fetch(
@@ -311,11 +405,7 @@ impl OdciIndex for SpatialIndexMethods {
         ctx: &mut ScanContext,
         nrows: usize,
     ) -> Result<FetchResult> {
-        let gt = geom_table(info);
-        let st = ctx.state_mut::<SpatialScan>().ok_or_else(|| {
-            Error::odci(&info.indextype_name, "ODCIIndexFetch", "bad scan state")
-        })?;
-        exact_fetch(srv, &gt, st, nrows)
+        exact_fetch(srv, info, ctx, nrows)
     }
 
     fn close(&self, _srv: &mut dyn ServerContext, _info: &IndexInfo, _ctx: ScanContext) -> Result<()> {

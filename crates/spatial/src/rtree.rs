@@ -8,10 +8,12 @@
 //! claim made concrete: a second indexing scheme for the same
 //! `Sdo_Relate` operator.
 //!
-//! Nodes are rows of an index-organized table `(nodeid, payload)` — every
-//! node access is a point lookup through the server-callback SQL
-//! interface, exactly how a cartridge would build a paged tree over
-//! database storage. Row 0 is metadata (`root id, next node id`).
+//! Nodes are rows of an index-organized table `(nodeid, payload)`, read
+//! and written through the server-callback SQL interface, exactly how a
+//! cartridge would build a paged tree over database storage: a point
+//! lookup per node on the insert and delete paths, a `nodeid` range read
+//! per run of nearby nodes of a level in a search. Row 0 is metadata
+//! (`root id, next node id`).
 //! Inserts use least-area-enlargement descent with quadratic splits;
 //! deletes remove leaf entries without condensing (ancestor MBRs may stay
 //! loose — searches remain correct, just occasionally less selective).
@@ -23,6 +25,10 @@ use crate::geometry::Mbr;
 
 /// Maximum entries per node before splitting.
 pub const MAX_ENTRIES: usize = 8;
+
+/// Node ids at most this far apart share one range read in a search:
+/// reading past a few unwanted nodes costs less than another callback.
+const READ_GAP: i64 = 32;
 
 /// One R-tree node.
 #[derive(Debug, Clone, PartialEq)]
@@ -190,24 +196,67 @@ impl<'a> RTree<'a> {
 
     /// All rowids whose MBR intersects `query`.
     pub fn search(&mut self, query: &Mbr) -> Result<Vec<RowId>> {
+        Ok(self.search_all(std::slice::from_ref(query))?.pop().unwrap_or_default())
+    }
+
+    /// For each of `windows`, the rowids whose MBR intersects it. One
+    /// traversal with the window set, a tree level at a time:
+    /// each node is read and decoded once, and descends with the windows
+    /// its entry intersects.
+    pub fn search_all(&mut self, windows: &[Mbr]) -> Result<Vec<Vec<RowId>>> {
         let (root, _) = self.read_meta()?;
-        let mut out = Vec::new();
-        let mut stack = vec![root];
-        while let Some(id) = stack.pop() {
-            let node = self.read_node(id)?;
-            for (mbr, payload) in &node.entries {
-                if mbr.intersects(query) {
+        let mut out = vec![Vec::new(); windows.len()];
+        let mut level = vec![(root, (0..windows.len()).collect::<Vec<_>>())];
+        while !level.is_empty() {
+            level.sort_unstable_by_key(|&(id, _)| id);
+            let ids: Vec<i64> = level.iter().map(|&(id, _)| id).collect();
+            let nodes = self.read_nodes(&ids)?;
+            let mut next = Vec::new();
+            for (node, (_, live)) in nodes.iter().zip(&level) {
+                for (mbr, payload) in &node.entries {
+                    let hits: Vec<usize> =
+                        live.iter().copied().filter(|&w| mbr.intersects(&windows[w])).collect();
+                    if hits.is_empty() {
+                        continue;
+                    }
                     if node.leaf {
-                        out.push(RowId::from_u64(*payload));
+                        hits.into_iter().for_each(|w| out[w].push(RowId::from_u64(*payload)));
                     } else {
-                        stack.push(*payload as i64);
+                        next.push((*payload as i64, hits));
                     }
                 }
             }
+            level = next;
         }
         Ok(out)
     }
 
+    /// The nodes `ids` (sorted, distinct) names, in that order: one
+    /// `nodeid` range read per run of ids at most [`READ_GAP`] apart.
+    fn read_nodes(&mut self, ids: &[i64]) -> Result<Vec<Node>> {
+        let sql =
+            format!("SELECT nodeid, payload FROM {} WHERE nodeid >= ? AND nodeid <= ?", self.table);
+        let mut nodes = Vec::with_capacity(ids.len());
+        let mut rest = ids;
+        while let [lo, ..] = *rest {
+            let run = 1 + rest.windows(2).take_while(|w| w[1] - w[0] <= READ_GAP).count();
+            let hi = rest[run - 1];
+            let rows = self.srv.query(&sql, &[Value::Integer(lo), Value::Integer(hi)])?;
+            let mut read = rows
+                .iter()
+                .map(|r| Ok((r[0].as_integer()?, r[1].as_str()?)))
+                .collect::<Result<Vec<(i64, &str)>>>()?;
+            read.sort_unstable_by_key(|&(id, _)| id);
+            for &id in &rest[..run] {
+                let at = read
+                    .binary_search_by_key(&id, |&(id, _)| id)
+                    .map_err(|_| Error::Storage(format!("rtree node {id} missing")))?;
+                nodes.push(decode_node(id, read[at].1)?);
+            }
+            rest = &rest[run..];
+        }
+        Ok(nodes)
+    }
     /// Insert an entry.
     pub fn insert(&mut self, rid: RowId, mbr: Mbr) -> Result<()> {
         let (root, mut next) = self.read_meta()?;

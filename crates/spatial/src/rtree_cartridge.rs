@@ -9,7 +9,9 @@
 //!
 //! Storage: `DR$<index>$R (nodeid, payload)` holds the R-tree nodes (see
 //! [`crate::rtree`]); `DR$<index>$G (rid, geom)` holds serialized
-//! geometries for the exact filter, identical to the tile cartridge's.
+//! geometries, identical to the tile cartridge's. A scan's exact filter
+//! is the tile cartridge's too: it reads candidates' geometries from the
+//! base table.
 
 use extidx_common::{Error, Result, RowId, Value};
 use extidx_core::build::{try_partition_map, DEFAULT_BUILD_BATCH_ROWS};
@@ -21,7 +23,7 @@ use extidx_core::stats::{IndexCost, OdciStats};
 use extidx_core::OdciIndex;
 
 use crate::cartridge::{exact_fetch, geom_table, SpatialScan};
-use crate::geometry::{Geometry, Mask};
+use crate::geometry::{Geometry, Mbr};
 use crate::rtree::RTree;
 
 /// The R-tree indextype implementation.
@@ -179,21 +181,27 @@ impl OdciIndex for RtreeIndexMethods {
         info: &IndexInfo,
         op: &OperatorCall,
     ) -> Result<ScanContext> {
-        let query = Geometry::from_value(op.args.first().ok_or_else(|| {
-            Error::odci(&info.indextype_name, "ODCIIndexStart", "missing query geometry")
-        })?)?;
-        let mask = Mask::parse(op.args.get(1).and_then(|v| v.as_str().ok()).unwrap_or("ANYINTERACT"))?;
-        // Primary filter: R-tree window search on the query MBR.
-        let table = rtree_table(info);
-        let candidates = RTree::open(srv, table).search(&query.mbr())?;
-        let primary = candidates.len();
-        Ok(ScanContext::State(Box::new(SpatialScan {
-            query,
-            mask,
-            candidates,
-            pos: 0,
-            primary_candidates: primary,
-        })))
+        self.start_batch(srv, info, op, std::slice::from_ref(&op.args))
+    }
+
+    /// Primary filter for the whole batch: one R-tree traversal with the
+    /// batch's query MBRs as a window set.
+    fn start_batch(
+        &self,
+        srv: &mut dyn ServerContext,
+        info: &IndexInfo,
+        call: &OperatorCall,
+        args: &[Vec<Value>],
+    ) -> Result<ScanContext> {
+        let scan = SpatialScan::parse(info, call, args)?;
+        let windows: Vec<Mbr> = scan.windows().map(Geometry::mbr).collect();
+        let found = RTree::open(srv, rtree_table(info)).search_all(&windows)?;
+        let pairs = found
+            .into_iter()
+            .enumerate()
+            .flat_map(|(arg, rids)| rids.into_iter().map(move |rid| (arg, rid)))
+            .collect();
+        Ok(scan.with_pairs(pairs))
     }
 
     fn fetch(
@@ -203,11 +211,7 @@ impl OdciIndex for RtreeIndexMethods {
         ctx: &mut ScanContext,
         nrows: usize,
     ) -> Result<FetchResult> {
-        let gt = geom_table(info);
-        let st = ctx.state_mut::<SpatialScan>().ok_or_else(|| {
-            Error::odci(&info.indextype_name, "ODCIIndexFetch", "bad scan state")
-        })?;
-        exact_fetch(srv, &gt, st, nrows)
+        exact_fetch(srv, info, ctx, nrows)
     }
 
     fn close(&self, _srv: &mut dyn ServerContext, _info: &IndexInfo, _ctx: ScanContext) -> Result<()> {

@@ -302,6 +302,8 @@ pub(crate) struct DomainMatch {
     bound: PredicateBound,
     /// The operator's non-column arguments as the plan keeps them.
     args: Vec<RExpr>,
+    /// Where the indexed column stands among the operator's arguments.
+    column_pos: usize,
     /// Their values now, when none of them reads an outer row: what
     /// ODCIStats costing is asked with.
     values: Option<Vec<Value>>,
@@ -320,6 +322,7 @@ impl DomainMatch {
             indextype: self.def.indextype,
             operator: self.operator,
             args: self.args,
+            column_pos: self.column_pos,
             bound: self.bound,
             label: self.label,
             forced,
@@ -360,7 +363,8 @@ pub(crate) fn domain_matches(
         if !it.supports(&op.name, op.args.len()) {
             continue;
         }
-        let Some((args, values)) = domain_args(db, &op.args, &d.column, scope, outer) else {
+        let Some((column_pos, args, values)) = domain_args(db, &op.args, &d.column, scope, outer)
+        else {
             continue;
         };
         // Health gate: an unusable index is invisible to costing (its
@@ -392,6 +396,7 @@ pub(crate) fn domain_matches(
             operator: op.name.clone(),
             bound: op.bound.clone(),
             args,
+            column_pos,
             values,
             label,
             forced,
@@ -400,29 +405,30 @@ pub(crate) fn domain_matches(
     Ok((found, degraded))
 }
 
-/// The operator's arguments other than the indexed column (a bare column
-/// of `scope`, taken once) as a domain scan keeps them, with their values
-/// when all are known now. A column-free argument is folded: kept as its
-/// value, or as the expression when it reads a bind (evaluated again when
-/// the scan opens). Any other argument must compile against `outer`.
-/// `None` when an argument fits neither or folds to NULL: a NULL operand
-/// makes the operator NULL for every row, which the functional fallback
-/// answers without asking the cartridge.
+/// The position of the indexed column (a bare column of `scope`, taken
+/// once) among the operator's arguments, and the other arguments as a
+/// domain scan keeps them, with their values when all are known now. A
+/// column-free argument is folded: kept as its value, or as the expression
+/// when it reads a bind (evaluated again when the scan opens). Any other
+/// argument must compile against `outer`. `None` when an argument fits
+/// neither or folds to NULL: a NULL operand makes the operator NULL for
+/// every row, which the functional fallback answers without asking the
+/// cartridge.
 fn domain_args(
     db: &Exec<'_>,
     args: &[Expr],
     column: &str,
     scope: &Scope,
     outer: Option<&Scope>,
-) -> Option<(Vec<RExpr>, Option<Vec<Value>>)> {
-    let (mut col_seen, mut kept, mut values) = (false, Vec::new(), Some(Vec::new()));
-    for a in args {
+) -> Option<(usize, Vec<RExpr>, Option<Vec<Value>>)> {
+    let (mut col_pos, mut kept, mut values) = (None, Vec::new(), Some(Vec::new()));
+    for (i, a) in args.iter().enumerate() {
         if let Expr::Column { qualifier, name } = a {
-            if !col_seen
+            if col_pos.is_none()
                 && name.eq_ignore_ascii_case(column)
                 && scope.resolve(qualifier.as_deref(), name).is_ok()
             {
-                col_seen = true;
+                col_pos = Some(i);
                 continue;
             }
         }
@@ -438,7 +444,7 @@ fn domain_args(
             vs.push(v);
         }
     }
-    col_seen.then_some((kept, values))
+    Some((col_pos?, kept, values))
 }
 
 /// A sargable conjunct: one column of this table compared with literals
@@ -836,6 +842,7 @@ pub(crate) fn best_table_access(
             let call = OperatorCall {
                 operator: m.operator.clone(),
                 args: values.clone(),
+                column_pos: m.column_pos,
                 bound: m.bound.clone(),
                 wants_ancillary: m.label.is_some(),
             };

@@ -42,7 +42,7 @@ use std::ops::Deref;
 use std::sync::Arc;
 use std::time::Instant;
 
-use extidx_common::{Error, LobRef, Result, Row, Value};
+use extidx_common::{Error, LobRef, Result, Row, RowId, Value};
 use extidx_core::events::EventHandler;
 use extidx_core::meta::IndexInfo;
 use extidx_core::sandbox;
@@ -170,9 +170,24 @@ pub(crate) enum Callee<'a> {
 /// the health-breaker note. Component, callback mode and the Maintenance
 /// base table all derive from `routine` and the callee.
 pub(crate) fn odci_call<T>(
+    lane: Lane<'_, '_>,
+    routine: Routine,
+    callee: Callee<'_>,
+    detail: impl Into<String>,
+    f: impl FnOnce(&mut dyn ServerContext) -> Result<T>,
+) -> Result<T> {
+    odci_batch_call(lane, routine, callee, 1, detail, f)
+}
+
+/// [`odci_call`] for a crossing that answers `rows` argument rows at once
+/// (a batched domain scan's Start, Fetch and Close): its tick budget is
+/// `rows` times the per-call budget, so a batch never faults where its
+/// rows, one crossing each, would fit.
+pub(crate) fn odci_batch_call<T>(
     mut lane: Lane<'_, '_>,
     routine: Routine,
     callee: Callee<'_>,
+    rows: usize,
     detail: impl Into<String>,
     f: impl FnOnce(&mut dyn ServerContext) -> Result<T>,
 ) -> Result<T> {
@@ -183,7 +198,7 @@ pub(crate) fn odci_call<T>(
     };
     let (name, mode) = (routine.name(), routine.mode());
     let component = if recovering { Component::Recovery } else { routine.component() };
-    let budget = lane.db().tick_budget();
+    let budget = lane.db().tick_budget().saturating_mul(rows.max(1) as u64);
     let h = lane.db().trace.record(component, name, who, detail);
     let result = sandbox::sandboxed_call(who, name, budget, || {
         if !recovering {
@@ -355,6 +370,29 @@ impl ServerContext for ServerCtx<'_, '_, '_> {
             sandbox::tick();
             sink(self, &batch)?;
         }
+    }
+
+    /// One page-ordered multi-fetch under the lane's snapshot — the
+    /// executor's own rowid join — charged one tick. A rowid that
+    /// addresses no row (a stale entry of an unversioned index store)
+    /// fetches nothing, as `WHERE ROWID = ?` would: such a batch falls
+    /// back to one fetch per rowid.
+    fn fetch_base_rows(
+        &mut self,
+        table: &str,
+        cols: &[&str],
+        rids: &[RowId],
+    ) -> Result<Vec<Option<Row>>> {
+        sandbox::tick();
+        let (db, snap) = (self.db(), self.snap());
+        let tdef = db.catalog.table(table)?;
+        let cols = cols.iter().map(|c| tdef.column_index(c)).collect::<Result<Vec<_>>>()?;
+        let fetch = |rids: &[RowId]| executor::fetch_visible(db, &snap, table, rids);
+        let rows = fetch(rids).unwrap_or_else(|_| {
+            rids.iter().map(|&rid| fetch(&[rid]).ok().and_then(|mut r| r.pop().flatten())).collect()
+        });
+        let project = |row: &Row| cols.iter().map(|&i| row[i].clone()).collect();
+        Ok(rows.into_iter().map(|row| row.map(project)).collect())
     }
 
     fn fault_point(&mut self, point: &str) -> Result<()> {

@@ -30,6 +30,7 @@ use std::time::Instant;
 use extidx_common::{Error, Key, Result, Row, RowId, Value};
 use extidx_core::governor;
 use extidx_core::meta::{IndexInfo, OperatorCall};
+use extidx_core::odci;
 use extidx_core::scan::ScanContext;
 use extidx_core::server::BaseRow;
 use extidx_core::trace::{Component, Routine};
@@ -37,7 +38,8 @@ use extidx_core::OdciIndex;
 use extidx_storage::{SegmentId, Snapshot, StorageEngine};
 
 use crate::catalog::{Catalog, TableDef, TableOrg};
-use crate::exec_ctx::{odci_call, Callee, Exec, Lane};
+use crate::database::Database;
+use crate::exec_ctx::{odci_batch_call, Callee, Exec, Lane};
 use crate::expr::{eval, AggKind, EvalCtx, ExecRow, RExpr, Slots};
 use crate::plan::{value_of, FilterTerm, KeyBound, PlanKind, PlanNode, Projection, ReadSet};
 use crate::vtables;
@@ -135,21 +137,22 @@ fn take_front(queue: &mut VecDeque<ExecRow>, max_rows: usize) -> RowBatch {
     RowBatch { rows: queue.drain(..k).collect() }
 }
 
-/// Rowid→row join shared by every rowid-producing access path: resolve
-/// `rids` against `table` under the statement's snapshot in one
-/// page-ordered multi-fetch, aligned with the input, each row borrowed
-/// from storage. A rowid may resolve to an older displaced version, or to
-/// nothing at all (version not visible) — `None`, which callers skip like
-/// a non-match.
-fn fetch_visible<'a>(
-    db: &'a Exec<'_>,
+/// Rowid→row join shared by every rowid-producing access path and by
+/// cartridges' [`ServerContext::fetch_base_rows`](extidx_core::ServerContext):
+/// resolve `rids` against `table` under `snap` in one page-ordered
+/// multi-fetch, aligned with the input, each row borrowed from storage. A
+/// rowid may resolve to an older displaced version, or to nothing at all
+/// (version not visible) — `None`, which callers skip like a non-match.
+pub(crate) fn fetch_visible<'a>(
+    db: &'a Database,
+    snap: &Snapshot,
     table: &str,
     rids: &[RowId],
 ) -> Result<Vec<Option<&'a Row>>> {
     let tdef = db.catalog.table(table)?;
     match tdef.org {
-        TableOrg::Heap => db.storage.heap_fetch_multi(tdef.seg, rids, &db.snap),
-        TableOrg::Index { .. } => db.storage.iot_fetch_multi(tdef.seg, rids, &db.snap),
+        TableOrg::Heap => db.storage.heap_fetch_multi(tdef.seg, rids, snap),
+        TableOrg::Index { .. } => db.storage.iot_fetch_multi(tdef.seg, rids, snap),
     }
 }
 
@@ -238,7 +241,7 @@ fn build_node(plan: &PlanNode, cells: &mut Option<Vec<Arc<NodeStats>>>) -> Box<d
         PlanKind::RowCount { .. } => Box::new(RowCountExec { done: false }),
         PlanKind::View { .. } => Box::new(ViewExec { rows: None, idx: 0 }),
         PlanKind::DomainScan { outer, .. } => Box::new(DomainScanExec {
-            outer: outer.as_ref().map(|o| OuterRows::new(build_node(o, cells))),
+            outer: outer.as_ref().map(|o| build_node(o, cells)),
             ..DomainScanExec::default()
         }),
         PlanKind::Filter { input, .. } => Box::new(FilterExec { input: build_node(input, cells) }),
@@ -821,7 +824,7 @@ impl Access for BTreeAccessExec {
                 break;
             }
             let rids = entries.iter().map(|(_, e)| e[1].as_rowid()).collect::<Result<Vec<_>>>()?;
-            let fetched = fetch_visible(db, table, &rids)?;
+            let fetched = fetch_visible(db, &db.snap, table, &rids)?;
             rows.extend(rids.into_iter().zip(fetched).filter_map(|(rid, row)| Some((rid, row?))));
         }
         Ok(rows)
@@ -924,7 +927,8 @@ impl Access for RowIdEqExec {
         let Value::RowId(rid) = value_of(rid, &db.eval_ctx())? else {
             return Ok(Vec::new());
         };
-        let row = fetch_visible(db, table, &[rid]).ok().and_then(|mut v| v.pop().flatten());
+        let row =
+            fetch_visible(db, &db.snap, table, &[rid]).ok().and_then(|mut v| v.pop().flatten());
         Ok(row.map(|row| (rid, row)).into_iter().collect())
     }
 
@@ -939,19 +943,25 @@ impl Access for RowIdEqExec {
 
 /// Drives ODCIIndexStart/Fetch/Close on a cartridge and joins returned
 /// rowids to base rows — the server half of Fig. 1's index-access path.
-/// One pass per row of the outer input (a domain join), or one pass over
-/// an empty row when there is none.
+/// One batched scan ([`OdciIndex::start_batch`]) per batch of the outer
+/// input (a domain join), or one over a batch of one empty row when there
+/// is none.
 #[derive(Default)]
 struct DomainScanExec {
     /// A domain join's outer input.
-    outer: Option<OuterRows>,
-    /// The row the current pass runs against; `None` between passes.
-    current: Option<ExecRow>,
-    /// Whether the one pass of a scan with no outer input has begun.
+    outer: Option<Box<dyn ExecNode>>,
+    /// The outer rows of the batch in flight, one per argument row the
+    /// scan was started with (a fetched row's
+    /// [`arg`](extidx_core::scan::FetchedRow::arg) indexes it); `None`
+    /// between batches.
+    batch: Option<Vec<ExecRow>>,
+    /// Whether the one batch of a scan with no outer input has begun.
     passed: bool,
     runtime: Option<(Arc<dyn OdciIndex>, IndexInfo)>,
     /// The open cartridge scan context, between ODCIIndexStart and Close.
     ctx: Option<ScanContext>,
+    /// Argument rows of the open scan: what its crossings' budgets scale by.
+    rows: usize,
     /// Rows already joined to the base table, ready to stream out. Whole
     /// `FetchResult` batches are joined at once through [`fetch_visible`],
     /// which orders page touches, so the cache sees each heap page once
@@ -974,46 +984,45 @@ impl DomainScanExec {
         Ok(())
     }
 
-    /// The row the next pass runs against: the outer input's next row, or
-    /// once an empty row when there is no outer input.
-    fn next_pass_row(
-        &mut self,
-        outer: Option<&PlanNode>,
-        db: &Exec<'_>,
-        max_rows: usize,
-    ) -> Result<Option<ExecRow>> {
-        match (&mut self.outer, outer) {
-            (Some(rows), Some(plan)) => rows.pop(plan, db, max_rows),
-            _ => Ok((!std::mem::replace(&mut self.passed, true)).then(ExecRow::default)),
-        }
-    }
-
-    /// Begin a pass against `row`: evaluate the operator's arguments and,
-    /// unless one is NULL, ODCIIndexStart with them. A NULL argument makes
-    /// the operator NULL for every row, so the pass holds nothing and the
-    /// cartridge is never asked.
-    fn begin_pass(&mut self, plan: &PlanNode, row: &ExecRow, db: &Exec<'_>) -> Result<()> {
-        plan_of!(plan, PlanKind::DomainScan { index, operator, args, bound, label, .. });
+    /// Begin the batch `rows`: evaluate the operator's arguments against
+    /// each row and ODCIIndexStart once with those of the rows that have
+    /// no NULL argument. A NULL argument makes the operator NULL, so its
+    /// row joins nothing and the cartridge never sees it; a batch of such
+    /// rows alone starts no scan.
+    fn begin_batch(&mut self, plan: &PlanNode, rows: Vec<ExecRow>, db: &Exec<'_>) -> Result<()> {
+        plan_of!(
+            plan,
+            PlanKind::DomainScan { index, operator, args, column_pos, bound, label, .. }
+        );
         let ctx = db.eval_ctx();
-        let args = args.iter().map(|e| eval(e, row, &ctx)).collect::<Result<Vec<_>>>()?;
-        self.fetch_done = true;
-        if args.iter().any(Value::is_null) {
+        let (mut kept, mut arg_rows) = (Vec::with_capacity(rows.len()), Vec::new());
+        for row in rows {
+            let values = args.iter().map(|e| eval(e, &row, &ctx)).collect::<Result<Vec<_>>>()?;
+            if !values.iter().any(Value::is_null) {
+                kept.push(row);
+                arg_rows.push(values);
+            }
+        }
+        (self.batch, self.fetch_done, self.rows) = (Some(kept), true, arg_rows.len());
+        if arg_rows.is_empty() {
             return Ok(());
         }
         self.ensure_runtime(index, db)?;
         let (index, info) = self.runtime.as_ref().expect("runtime resolved").clone();
         let call = OperatorCall {
             operator: operator.clone(),
-            args,
+            args: Vec::new(),
+            column_pos: *column_pos,
             bound: bound.clone(),
             wants_ancillary: label.is_some(),
         };
-        let started = odci_call(
+        let started = odci_batch_call(
             Lane::Read(db),
             Routine::IndexStart,
             Callee::Index(&info),
-            format!("{}({} args)", call.operator, call.args.len()),
-            |ctx| index.start(ctx, &info, &call),
+            self.rows,
+            format!("{}({} args) rows={}", call.operator, args.len(), self.rows),
+            |ctx| index.start_batch(ctx, &info, &call, &arg_rows),
         );
         match started {
             Ok(c) => {
@@ -1039,8 +1048,8 @@ impl DomainScanExec {
         if let Some(ctx) = self.ctx.take() {
             let (index, info) = self.runtime.as_ref().expect("runtime resolved").clone();
             let callee = Callee::Index(&info);
-            odci_call(Lane::Read(db), Routine::IndexClose, callee, "", |sctx| {
-                index.close(sctx, &info, ctx)
+            odci_batch_call(Lane::Read(db), Routine::IndexClose, callee, self.rows, "", |sctx| {
+                odci::close_batch(&*index, sctx, &info, ctx)
             })?;
         }
         Ok(())
@@ -1055,12 +1064,13 @@ impl DomainScanExec {
     fn close_on_error(&mut self, db: &Exec<'_>) {
         let Some(ctx) = self.ctx.take() else { return };
         let (index, info) = self.runtime.as_ref().expect("runtime resolved").clone();
-        let r = odci_call(
+        let r = odci_batch_call(
             Lane::Read(db),
             Routine::IndexClose,
             Callee::Recovering(&info),
+            self.rows,
             "error-path close",
-            |sctx| index.close(sctx, &info, ctx),
+            |sctx| odci::close_batch(&*index, sctx, &info, ctx),
         );
         if let Err(e) = r {
             db.trace().record(
@@ -1072,12 +1082,12 @@ impl DomainScanExec {
         }
     }
 
-    /// Up to `max_rows` rows of the current pass: drive ODCIIndexFetch
-    /// until the join buffer holds at least one row or the pass is
+    /// Up to `max_rows` rows of the current batch: drive ODCIIndexFetch
+    /// until the join buffer holds at least one row or the scan is
     /// exhausted (closing it). Returns after one non-empty fetch — the
     /// pipelining property: the first rows never wait for the rest.
     fn next_rows(&mut self, plan: &PlanNode, db: &Exec<'_>, max_rows: usize) -> Result<RowBatch> {
-        plan_of!(plan, PlanKind::DomainScan { table, label, reads, .. });
+        plan_of!(plan, PlanKind::DomainScan { outer, table, label, reads, .. });
         while self.buffer.is_empty() {
             if self.fetch_done {
                 self.close(db)?;
@@ -1086,15 +1096,22 @@ impl DomainScanExec {
             let (index, info) = self.runtime.as_ref().expect("runtime resolved").clone();
             let batch = db.batch_size();
             let scan_ctx = self.ctx.as_mut().expect("scan open");
-            let fetched = odci_call(
+            let fetched = odci_batch_call(
                 Lane::Read(db),
                 Routine::IndexFetch,
                 Callee::Index(&info),
+                self.rows,
                 format!("nrows={batch}"),
-                |sctx| index.fetch(sctx, &info, scan_ctx, batch),
+                |sctx| odci::fetch_batch(&*index, sctx, &info, scan_ctx, batch),
             );
+            let outer_rows = self.batch.as_deref().unwrap_or_default();
             let result = match fetched {
-                Ok(r) => r,
+                Ok(r) if r.rows.iter().all(|fr| fr.arg < outer_rows.len()) => r,
+                Ok(_) => {
+                    self.close_on_error(db);
+                    let msg = "fetched a row for an argument row outside the batch";
+                    return Err(Error::odci(&info.indextype_name, "ODCIIndexFetch", msg));
+                }
                 Err(e) => {
                     // Don't leak the cartridge scan context: close it
                     // best-effort before surfacing the fetch error.
@@ -1114,13 +1131,16 @@ impl DomainScanExec {
             // Join the whole fetch batch at once: one page-ordered
             // multi-fetch instead of a heap_fetch per rowid.
             let rids: Vec<RowId> = result.rows.iter().map(|fr| fr.rowid).collect();
-            let joined = fetch_visible(db, table, &rids)?;
+            let joined = fetch_visible(db, &db.snap, table, &rids)?;
             for (fr, row) in result.rows.into_iter().zip(joined) {
                 let Some(row) = row else { continue };
                 let mut row = exec_row(reads, fr.rowid, row);
                 if let (Some(label), Some(v)) = (*label, fr.ancillary) {
                     row.ancillary.push((label, v));
                 }
+                // Joining to the empty row of a scan leaves its rows as
+                // they are.
+                let row = if outer.is_some() { join_rows(&outer_rows[fr.arg], row) } else { row };
                 self.buffer.push_back(row);
             }
         }
@@ -1132,27 +1152,24 @@ impl ExecNode for DomainScanExec {
     fn next_batch(&mut self, plan: &PlanNode, db: &Exec<'_>, max_rows: usize) -> Result<RowBatch> {
         plan_of!(plan, PlanKind::DomainScan { outer, .. });
         // Returns after the first non-empty `ODCIIndexFetch` of whichever
-        // pass matches first.
+        // batch has rows first.
         loop {
-            if self.current.is_none() {
-                let Some(row) = self.next_pass_row(outer.as_deref(), db, max_rows)? else {
-                    return Ok(RowBatch::default());
+            if self.batch.is_none() {
+                let rows = match (&mut self.outer, outer) {
+                    (Some(input), Some(plan)) => input.next_batch(plan, db, max_rows)?.rows,
+                    _ if !std::mem::replace(&mut self.passed, true) => vec![ExecRow::default()],
+                    _ => Vec::new(),
                 };
-                self.begin_pass(plan, &row, db)?;
-                self.current = Some(row);
+                if rows.is_empty() {
+                    return Ok(RowBatch::default());
+                }
+                self.begin_batch(plan, rows, db)?;
             }
-            let inner = self.next_rows(plan, db, max_rows)?;
-            if inner.rows.is_empty() {
-                self.current = None;
-                continue;
+            let rows = self.next_rows(plan, db, max_rows)?;
+            if !rows.rows.is_empty() {
+                return Ok(rows);
             }
-            if outer.is_none() {
-                // Joining to the empty row leaves each row as it is.
-                return Ok(inner);
-            }
-            let row = self.current.as_ref().expect("pass row present");
-            let rows = inner.rows.into_iter().map(|r| join_rows(row, r)).collect();
-            return Ok(RowBatch { rows });
+            self.batch = None;
         }
     }
 
@@ -1161,14 +1178,14 @@ impl ExecNode for DomainScanExec {
         if let Some(outer) = &mut self.outer {
             outer.reset(db)?;
         }
-        (self.current, self.passed, self.fetch_done) = (None, false, false);
+        (self.batch, self.passed, self.fetch_done) = (None, false, false);
         self.buffer.clear();
         Ok(())
     }
 
     fn abandon(&mut self, db: &Exec<'_>) {
         if let Some(outer) = &mut self.outer {
-            outer.input.abandon(db);
+            outer.abandon(db);
         }
         self.close_on_error(db);
     }

@@ -287,9 +287,10 @@ pub enum PlanKind {
     /// indextype, fetches base rows by the returned rowids. Over an `outer`
     /// input it is a *domain join*, how a user-defined operator acting as
     /// a join condition (`Sdo_Relate(r.geometry, p.geometry, …)`) is
-    /// evaluated through the index: one pass per outer row, each fetched
-    /// row joined after it. Without one it makes one pass over an empty
-    /// row.
+    /// evaluated through the index: one batched scan per outer batch (the
+    /// rows whose arguments are all non-NULL), each fetched row joined
+    /// after the outer row it answers. Without one it makes one scan of a
+    /// batch of one empty row.
     DomainScan {
         outer: Option<Box<PlanNode>>,
         table: String,
@@ -297,8 +298,10 @@ pub enum PlanKind {
         indextype: String,
         operator: String,
         /// The operator's non-column arguments, evaluated against each
-        /// pass's row (constructors, binds and outer columns included).
+        /// outer row (constructors, binds and outer columns included).
         args: Vec<RExpr>,
+        /// Where the indexed column stands among the operator's arguments.
+        column_pos: usize,
         bound: PredicateBound,
         /// Ancillary label bridging to `SCORE(label)` (§2.4.2 ancillary
         /// operators).

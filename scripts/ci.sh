@@ -91,6 +91,22 @@ cargo test -q --test rows_copied_once
 cargo test -q --test consistency -- a_null_outer_argument_empties_its_domain_join_pass \
     no_index_and_full_hints_bind_a_domain_join seeded_domain_joins_match_their_functional_twin
 cargo test -q --test scan_lifecycle domain_join_scans_balance_under_faults
+# Set-at-a-time domain scans: one batched ODCIIndexStart per outer batch.
+# The indexed column second keeps an asymmetric mask's direction (scan and
+# join, both spatial indextypes) and is refused by text, VIR and chem;
+# faults at a batch's Start and at fetches with later argument rows
+# pending leave Start ≡ Close and the answers unchanged (a cartridge's own
+# start_batch and the core default); a tick budget that fits row by row
+# fits the batch; and the core default's per-row scans are tagged, closed
+# and cleaned up on a failed row.
+cargo test -q --test consistency -- an_indexed_column_second_keeps_the_masks_direction_in_a_scan \
+    an_indexed_column_second_keeps_the_masks_direction_in_a_join \
+    text_vir_and_chem_refuse_an_indexed_column_second
+cargo test -q --test scan_lifecycle -- \
+    faults_inside_a_batch_leave_the_join_balanced_and_its_answers_unchanged \
+    the_default_batch_of_a_text_join_balances_under_faults \
+    a_tiny_tick_budget_that_fits_row_by_row_fits_the_batched_join
+cargo test -q -p extidx-core --test mock_server the_default_
 
 # Key-prefix access paths (DESIGN.md §4h "One table of sargable bounds"):
 # plan shapes over a composite-key IOT, the strict-bound regression with
@@ -461,9 +477,27 @@ if grep -n "match_op_predicat[e]" crates/sql/src/optimizer.rs; then
     exit 1
 fi
 for t in a_null_outer_argument_empties_its_domain_join_pass \
-    no_index_and_full_hints_bind_a_domain_join seeded_domain_joins_match_their_functional_twin; do
+    no_index_and_full_hints_bind_a_domain_join seeded_domain_joins_match_their_functional_twin \
+    an_indexed_column_second_keeps_the_masks_direction_in_a_scan \
+    an_indexed_column_second_keeps_the_masks_direction_in_a_join \
+    text_vir_and_chem_refuse_an_indexed_column_second; do
     grep -q "fn $t" tests/consistency.rs
 done
+for t in faults_inside_a_batch_leave_the_join_balanced_and_its_answers_unchanged \
+    the_default_batch_of_a_text_join_balances_under_faults \
+    a_tiny_tick_budget_that_fits_row_by_row_fits_the_batched_join; do
+    grep -q "fn $t" tests/scan_lifecycle.rs
+done
+
+# Set-at-a-time domain scans (DESIGN.md §4b "Domain join"): the executor
+# starts a cartridge's scan in exactly one place, through start_batch (a
+# single-table scan is a batch of one), and never calls a per-row start.
+# (Bracketed so the patterns do not match this file.)
+echo "== one batched ODCIIndexStart (structural guard) =="
+[ "$(grep -rn "\.start_batc[h](" crates/sql/src | wc -l)" -eq 1 ]
+if grep -rn "index\.star[t](" crates/sql/src; then
+    exit 1
+fi
 
 # One perf instrument: no hand-set timing floor, bench-record writer or
 # micro-bench harness may come back beside the ledger. (Bracketed so the

@@ -11,6 +11,7 @@ use extidx::sql::Database;
 use extidx::text::tokenizer::{tokenize, StopWords};
 use extidx::text::query::parse_query;
 
+const MASKS: [&str; 4] = ["ANYINTERACT", "OVERLAPS", "INSIDE", "CONTAINS"];
 const VOCAB: [&str; 8] = ["ale", "brix", "cole", "dun", "erg", "fyn", "gorse", "hale"];
 
 fn random_doc(rng: &mut StdRng) -> String {
@@ -266,10 +267,22 @@ fn starts_and_closes(db: &Database) -> (u64, u64) {
     (starts, closes)
 }
 
+/// The argument rows the `ODCIIndexStart`s traced since the last clear
+/// were given: each Start's detail ends `rows=<n>`.
+fn started_rows(db: &Database) -> u64 {
+    let starts = db.trace().events().into_iter().filter(|e| e.routine == "ODCIIndexStart");
+    starts
+        .map(|e| {
+            let n = e.detail.rsplit("rows=").next().and_then(|n| n.parse::<u64>().ok());
+            n.unwrap_or_else(|| panic!("Start detail {:?} names no rows", e.detail))
+        })
+        .sum()
+}
+
 /// Run `sql` as a domain join, and its `NO_INDEX` twin: the answers must be
 /// bag-equal and the join's Start/Close balanced. Returns the join's
-/// `ODCIIndexStart` count.
-fn join_matches_functional_twin(db: &mut Database, sql: &str) -> u64 {
+/// `ODCIIndexStart` count and the argument rows those Starts were given.
+fn join_matches_functional_twin(db: &mut Database, sql: &str) -> (u64, u64) {
     let plan = db.explain(sql).unwrap().join("\n");
     assert!(plan.contains("DOMAIN JOIN"), "{sql} must plan a domain join:\n{plan}");
     let expect = bag(db, &hinted(sql, "NO_INDEX"));
@@ -277,7 +290,7 @@ fn join_matches_functional_twin(db: &mut Database, sql: &str) -> u64 {
     assert_eq!(bag(db, sql), expect, "{sql}: indexed join != NO_INDEX twin");
     let (starts, closes) = starts_and_closes(db);
     assert_eq!(starts, closes, "{sql}: {starts} ODCIIndexStart vs {closes} ODCIIndexClose");
-    starts
+    (starts, started_rows(db))
 }
 
 /// Roads `0..n` (`nulls` of them with a NULL geometry) and parks `0..n`,
@@ -315,11 +328,15 @@ fn a_null_outer_argument_empties_its_domain_join_pass() {
     let mut db = roads_and_parks("SpatialIndexType", 12, &[9]);
     let only_null = "SELECT r.gid, p.gid FROM roads r, parks p \
                      WHERE Sdo_Relate(p.geometry, r.geometry, 'mask=ANYINTERACT') AND r.gid = 9";
-    assert_eq!(join_matches_functional_twin(&mut db, only_null), 0, "Start for the NULL road");
+    assert_eq!(join_matches_functional_twin(&mut db, only_null), (0, 0), "Start for the NULL road");
     assert!(bag(&mut db, only_null).is_empty());
     let all = "SELECT r.gid, p.gid FROM roads r, parks p \
                WHERE Sdo_Relate(p.geometry, r.geometry, 'mask=ANYINTERACT') AND r.gid < 11";
-    assert_eq!(join_matches_functional_twin(&mut db, all), 10, "one Start per non-NULL road");
+    assert_eq!(
+        join_matches_functional_twin(&mut db, all),
+        (1, 10),
+        "one Start for the outer batch, given the 10 non-NULL roads"
+    );
     assert!(!bag(&mut db, all).is_empty());
 
     // The text join: a NULL watchlist term matches nothing.
@@ -336,7 +353,7 @@ fn a_null_outer_argument_empties_its_domain_join_pass() {
     db.execute("INSERT INTO watchlist VALUES ('ale'), (NULL), ('gorse')").unwrap();
     db.trace().set_enabled(true);
     let sql = "SELECT w.term, d.id FROM watchlist w, docs d WHERE Contains(d.body, w.term)";
-    assert_eq!(join_matches_functional_twin(&mut db, sql), 2, "Start for the NULL term");
+    assert_eq!(join_matches_functional_twin(&mut db, sql), (1, 2), "Start given the NULL term");
     assert!(!bag(&mut db, sql).is_empty());
 }
 
@@ -365,9 +382,11 @@ fn no_index_and_full_hints_bind_a_domain_join() {
 #[test]
 fn seeded_domain_joins_match_their_functional_twin() {
     // Random layers with ~10 % NULL geometries on both sides, joined
-    // through each spatial indextype under every mask; then the text
-    // join with NULL documents and NULL terms. Seeds are named so a
-    // failure reproduces.
+    // through each spatial indextype under every mask, with the indexed
+    // column first and second; then the text join with NULL documents
+    // and NULL terms. Each join is one batched Start given exactly the
+    // outer rows whose argument is not NULL. Seeds are named so a failure
+    // reproduces.
     use extidx::spatial::{geometry_sql, SpatialWorkload};
 
     const SEEDS: [u64; 2] = [0x101A_0001, 0x101A_0002];
@@ -396,13 +415,15 @@ fn seeded_domain_joins_match_their_functional_twin() {
             ))
             .unwrap();
             db.trace().set_enabled(true);
-            for mask in ["ANYINTERACT", "OVERLAPS", "INSIDE", "CONTAINS"] {
+            let operands = ["p.geometry, r.geometry", "r.geometry, p.geometry"];
+            for (mask, operands) in MASKS.iter().flat_map(|m| operands.map(|o| (m, o))) {
                 let sql = format!(
                     "SELECT r.gid, p.gid FROM roads r, parks p \
-                     WHERE Sdo_Relate(p.geometry, r.geometry, 'mask={mask}') AND r.gid < 20"
+                     WHERE Sdo_Relate({operands}, 'mask={mask}') AND r.gid < 20"
                 );
-                let starts = join_matches_functional_twin(&mut db, &sql);
-                assert_eq!(starts, outer_live, "seed {seed:#x}, {indextype}, {mask}");
+                let started = join_matches_functional_twin(&mut db, &sql);
+                let want = (u64::from(outer_live > 0), outer_live);
+                assert_eq!(started, want, "seed {seed:#x}, {indextype}, {mask}, {operands}");
             }
         }
 
@@ -428,6 +449,109 @@ fn seeded_domain_joins_match_their_functional_twin() {
         }
         db.trace().set_enabled(true);
         let sql = "SELECT w.term, d.id FROM watchlist w, docs d WHERE Contains(d.body, w.term)";
-        assert_eq!(join_matches_functional_twin(&mut db, sql), live, "seed {seed:#x}, text");
+        let want = (u64::from(live > 0), live);
+        assert_eq!(join_matches_functional_twin(&mut db, sql), want, "seed {seed:#x}, text");
+    }
+}
+
+/// Two parcels, 1 = (10, 10, 20, 20) inside 2 = (0, 0, 100, 100), indexed
+/// by `indextype`; and one window (5, 5, 50, 50), which lies inside parcel
+/// 2 and contains parcel 1.
+fn parcels_and_a_window(indextype: &str) -> Database {
+    use extidx::spatial::{geometry_sql, Geometry, Mbr};
+
+    let rect = |xmin: f64, ymin: f64, xmax: f64, ymax: f64| {
+        geometry_sql(&Geometry::Rect(Mbr { xmin, ymin, xmax, ymax }))
+    };
+    let mut db = Database::with_cache_pages(4096);
+    extidx::spatial::install(&mut db).unwrap();
+    db.execute("CREATE TABLE parcels (id INTEGER, geometry SDO_GEOMETRY)").unwrap();
+    for (id, parcel) in [(1, rect(10.0, 10.0, 20.0, 20.0)), (2, rect(0.0, 0.0, 100.0, 100.0))] {
+        db.execute(&format!("INSERT INTO parcels VALUES ({id}, {parcel})")).unwrap();
+    }
+    let index = format!("CREATE INDEX sidx ON parcels(geometry) INDEXTYPE IS {indextype}");
+    db.execute(&index).unwrap();
+    db.execute("CREATE TABLE windows (wid INTEGER, geometry SDO_GEOMETRY)").unwrap();
+    db.execute(&format!("INSERT INTO windows VALUES (7, {})", rect(5.0, 5.0, 50.0, 50.0))).unwrap();
+    db.trace().set_enabled(true);
+    db
+}
+
+/// `sql`'s integer rows, sorted.
+fn int_rows(db: &mut Database, sql: &str) -> Vec<Vec<i64>> {
+    let rows = db.query(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+    let mut rows: Vec<Vec<i64>> =
+        rows.iter().map(|r| r.iter().map(|v| v.as_integer().unwrap()).collect()).collect();
+    rows.sort();
+    rows
+}
+
+#[test]
+fn an_indexed_column_second_keeps_the_masks_direction_in_a_scan() {
+    // `Sdo_Relate(:window, geometry, 'mask=INSIDE')` asks whether the
+    // window lies inside the parcel: parcel 2 only. A cartridge that
+    // assumed the column first answered parcel 1.
+    for indextype in ["SpatialIndexType", "RtreeIndexType"] {
+        let mut db = parcels_and_a_window(indextype);
+        let window = "SDO_GEOMETRY(2, VARRAY(5, 5, 50, 50))";
+        for (mask, want) in [("INSIDE", 2), ("CONTAINS", 1)] {
+            let sql = format!(
+                "SELECT /*+ INDEX(parcels sidx) */ id FROM parcels \
+                 WHERE Sdo_Relate({window}, geometry, 'mask={mask}')"
+            );
+            let plan = db.explain(&sql).unwrap().join("\n");
+            assert!(plan.contains("DOMAIN INDEX SCAN"), "{indextype}: {plan}");
+            let functional = sql.replace("INDEX(parcels sidx)", "NO_INDEX");
+            assert_eq!(int_rows(&mut db, &functional), [[want]], "{indextype}, {mask}: NO_INDEX");
+            assert_eq!(int_rows(&mut db, &sql), [[want]], "{indextype}, {mask}: via the index");
+        }
+    }
+}
+
+#[test]
+fn an_indexed_column_second_keeps_the_masks_direction_in_a_join() {
+    for indextype in ["SpatialIndexType", "RtreeIndexType"] {
+        let mut db = parcels_and_a_window(indextype);
+        for (mask, want) in [("INSIDE", 2), ("CONTAINS", 1)] {
+            let sql = format!(
+                "SELECT w.wid, p.id FROM windows w, parcels p \
+                 WHERE Sdo_Relate(w.geometry, p.geometry, 'mask={mask}')"
+            );
+            assert_eq!(join_matches_functional_twin(&mut db, &sql), (1, 1), "{indextype}");
+            assert_eq!(int_rows(&mut db, &sql), [[7, want]], "{indextype}, {mask}");
+        }
+    }
+}
+
+#[test]
+fn text_vir_and_chem_refuse_an_indexed_column_second() {
+    // Their operators read the indexed column as the first argument; with
+    // it second, ODCIIndexStart refuses rather than answer the operator
+    // with its operands swapped.
+    let mut db = Database::with_cache_pages(4096);
+    extidx::text::install(&mut db).unwrap();
+    extidx::vir::install(&mut db).unwrap();
+    extidx::chem::install(&mut db).unwrap();
+    db.execute("CREATE TABLE docs (id INTEGER, body VARCHAR2(200))").unwrap();
+    db.execute("INSERT INTO docs VALUES (1, 'gorse stand')").unwrap();
+    db.execute("CREATE INDEX dt ON docs(body) INDEXTYPE IS TextIndexType").unwrap();
+    db.execute("CREATE TABLE mols (id INTEGER, mol VARCHAR2(64))").unwrap();
+    db.execute("INSERT INTO mols VALUES (1, 'CCO')").unwrap();
+    db.execute("CREATE INDEX mi ON mols(mol) INDEXTYPE IS ChemIndexType").unwrap();
+    let sig = extidx::vir::SignatureWorkload::new(3).random().serialize();
+    db.execute("CREATE TABLE images (id INTEGER, img VIR_IMAGE)").unwrap();
+    db.execute(&format!("INSERT INTO images VALUES (1, VIR_IMAGE('{sig}'))")).unwrap();
+    db.execute("CREATE INDEX vi ON images(img) INDEXTYPE IS VirIndexType").unwrap();
+    let weights = "globalcolor=0.5, localcolor=0.0, texture=0.5, structure=0.0";
+    for sql in [
+        "SELECT /*+ INDEX(docs dt) */ id FROM docs WHERE Contains('gorse', body)".to_string(),
+        "SELECT /*+ INDEX(mols mi) */ id FROM mols WHERE MolContains('CO', mol)".to_string(),
+        format!(
+            "SELECT /*+ INDEX(images vi) */ id FROM images \
+             WHERE VirSimilar(VIR_IMAGE('{sig}'), img, '{weights}', 10)"
+        ),
+    ] {
+        let err = db.query(&sql).expect_err(&sql).to_string();
+        assert!(err.contains("first argument"), "{sql}: {err}");
     }
 }

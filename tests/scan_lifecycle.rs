@@ -167,63 +167,227 @@ fn dropped_cursor_closes_its_scan() {
     assert_eq!(trace_counts(&trace), (1, 1), "and the drop must not close it twice");
 }
 
-/// Domain joins re-parameterize one scan per outer row (one pass each);
-/// every one of those starts needs its close, including under a fetch
-/// fault striking deep into the join, and an outer row with a NULL
-/// geometry starts none.
-#[test]
-fn domain_join_scans_balance_under_faults() {
+/// The argument rows the `ODCIIndexStart`s traced since the last clear
+/// were given, one entry per Start: each Start's detail ends `rows=<n>`.
+fn started_rows(db: &Database) -> Vec<u64> {
+    let starts = db.trace().events().into_iter().filter(|e| e.routine == "ODCIIndexStart");
+    starts
+        .map(|e| {
+            let n = e.detail.rsplit("rows=").next().and_then(|n| n.parse().ok());
+            n.unwrap_or_else(|| panic!("Start detail {:?} names no rows", e.detail))
+        })
+        .collect()
+}
+
+/// `SDO_GEOMETRY` literal of a rectangle.
+fn rect(x0: f64, y0: f64, x1: f64, y1: f64) -> String {
+    geometry_sql(&Geometry::Rect(Mbr { xmin: x0, ymin: y0, xmax: x1, ymax: y1 }))
+}
+
+/// Roads `0..n`, road `i` a strip crossing park `i % 12` and its right
+/// neighbour (if any), with a NULL geometry where `null(i)`; 12 parks and
+/// `far` more far from every road (so the parks layer is the larger and
+/// roads stay the outer side), indexed by `indextype`.
+fn roads_and_parks(indextype: &str, n: i64, far: i64, null: impl Fn(i64) -> bool) -> Database {
     let mut db = Database::with_cache_pages(4096);
     extidx::spatial::install(&mut db).unwrap();
     for table in ["roads", "parks"] {
         db.execute(&format!("CREATE TABLE {table} (gid INTEGER, geometry SDO_GEOMETRY)")).unwrap();
     }
-    let rect = |x0: f64, y0: f64, x1: f64, y1: f64| {
-        geometry_sql(&Geometry::Rect(Mbr { xmin: x0, ymin: y0, xmax: x1, ymax: y1 }))
-    };
+    for i in 0..n {
+        let o = (i % 12) as f64 * 30.0;
+        let r = if null(i) { "NULL".to_string() } else { rect(o, 0.0, o + 40.0, 10.0) };
+        db.execute(&format!("INSERT INTO roads VALUES ({i}, {r})")).unwrap();
+    }
     for i in 0..12 {
         let o = f64::from(i) * 30.0;
-        let r = rect(o, 0.0, o + 40.0, 10.0);
         let p = rect(o + 5.0, 0.0, o + 20.0, 50.0);
-        db.execute(&format!("INSERT INTO roads VALUES ({i}, {r})")).unwrap();
         db.execute(&format!("INSERT INTO parks VALUES ({i}, {p})")).unwrap();
     }
-    // A road with no geometry: its pass is empty and starts no scan. (A
-    // park far from every road keeps the two layers the same size, so
-    // roads stay the outer side.)
-    db.execute("INSERT INTO roads VALUES (12, NULL)").unwrap();
-    let far = rect(1000.0, 1000.0, 1010.0, 1010.0);
-    db.execute(&format!("INSERT INTO parks VALUES (12, {far})")).unwrap();
-    db.execute("CREATE INDEX parks_sidx ON parks(geometry) INDEXTYPE IS SpatialIndexType").unwrap();
+    for i in 12..12 + far {
+        let far = rect(1000.0, 1000.0, 1010.0, 1010.0);
+        db.execute(&format!("INSERT INTO parks VALUES ({i}, {far})")).unwrap();
+    }
+    db.execute(&format!("CREATE INDEX parks_sidx ON parks(geometry) INDEXTYPE IS {indextype}"))
+        .unwrap();
     db.trace().set_enabled(true);
+    db
+}
 
-    let join = "SELECT r.gid, p.gid FROM roads r, parks p \
-                WHERE Sdo_Relate(r.geometry, p.geometry, 'mask=OVERLAPS')";
-    let plan = db.explain(join).unwrap().join("\n");
+const ROADS_PARKS: &str = "SELECT r.gid, p.gid FROM roads r, parks p \
+                           WHERE Sdo_Relate(r.geometry, p.geometry, 'mask=OVERLAPS')";
+
+/// Arm `point` at its `k`-th crossing, run `sql`: the statement must reach
+/// the fault and fail, and leave Start ≡ Close.
+fn fault_fails_balanced(db: &mut Database, point: &str, indextype: &str, k: u64, sql: &str) {
+    let inj = db.fault_injector().clone();
+    inj.reset();
+    inj.arm(point, Some(indextype), k, FaultKind::Fail);
+    db.trace().clear();
+    let res = db.query(sql);
+    let reached = inj.fired() > 0;
+    inj.disarm_all();
+    assert!(reached, "{point}#{k} never reached");
+    assert!(res.is_err(), "{point}#{k}: the statement must fail");
+    assert_balanced(db, &format!("{indextype} {point}#{k}"));
+}
+
+/// A domain join runs one batched scan per outer batch, started with the
+/// outer rows whose argument is not NULL (a road with no geometry is never
+/// passed); the Start needs its Close under a fetch fault that strikes
+/// while later outer rows are still pending, too.
+#[test]
+fn domain_join_scans_balance_under_faults() {
+    let mut db = roads_and_parks("SpatialIndexType", 13, 1, |i| i == 12);
+    let plan = db.explain(ROADS_PARKS).unwrap().join("\n");
     assert!(plan.contains("DOMAIN JOIN"), "setup must produce a domain join:\n{plan}");
 
     db.trace().clear();
-    let rows = db.query(join).unwrap();
+    let rows = db.query(ROADS_PARKS).unwrap();
     assert!(!rows.is_empty());
     let (starts, closes) = start_close_counts(&db);
-    assert_eq!(starts, 12, "a domain join starts one scan per outer row with a geometry");
+    assert_eq!(starts, 1, "a domain join starts one scan per outer batch");
+    assert_eq!(started_rows(&db), [12], "the Start gets the 12 roads with a geometry");
     assert_eq!(starts, closes, "clean domain join unbalanced");
 
-    // Fetch faults mid-join: the k-th fetch dies, its scan must close.
-    let inj = db.fault_injector().clone();
+    // Fetch faults mid-join: with two rows a fetch, the k-th fetch dies
+    // while later roads' rows are still to come, and the scan must close.
+    db.set_batch_size(2);
     for k in [1u64, 3, 5] {
-        inj.reset();
-        inj.arm("ODCIIndexFetch", Some("SPATIALINDEXTYPE"), k, FaultKind::Fail);
-        db.trace().clear();
-        let res = db.query(join);
-        let reached = inj.fired() > 0;
-        inj.disarm_all();
-        assert!(reached, "fetch#{k} never reached");
-        assert!(res.is_err());
-        assert_balanced(&db, &format!("join fetch#{k}"));
+        fault_fails_balanced(&mut db, "ODCIIndexFetch", "SPATIALINDEXTYPE", k, ROADS_PARKS);
     }
     db.trace().clear();
-    assert_eq!(db.query(join).unwrap(), rows, "engine wedged after join faults");
+    assert_eq!(db.query(ROADS_PARKS).unwrap(), rows, "engine wedged after join faults");
+}
+
+/// Faults inside batches: an outer input of two batches (1 024 rows and
+/// 6), so the Start of batch 1 and of batch 2 can each fail, and a
+/// fetch can fail with later argument rows of its batch still pending.
+/// Every one leaves Start ≡ Close and the answers unchanged afterwards, on
+/// both spatial indextypes.
+#[test]
+fn faults_inside_a_batch_leave_the_join_balanced_and_its_answers_unchanged() {
+    const ROADS: i64 = 1030;
+    let null = |i: i64| i % 10 == 3;
+    let live = (0..ROADS).filter(|&i| !null(i)).count() as u64;
+    for indextype in ["SpatialIndexType", "RtreeIndexType"] {
+        let mut db = roads_and_parks(indextype, ROADS, ROADS, null);
+        db.trace().clear();
+        let rows = db.query(ROADS_PARKS).unwrap();
+        let crossings = |i: i64| if i % 12 == 11 { 1 } else { 2 };
+        let want: usize = (0..ROADS).filter(|&i| !null(i)).map(crossings).sum();
+        assert_eq!(rows.len(), want, "{indextype}: a road crosses its park and the next");
+        let started = started_rows(&db);
+        assert_eq!(started.len(), 2, "{indextype}: one Start per outer batch");
+        assert_eq!(started.iter().sum::<u64>(), live, "{indextype}: started rows");
+        assert_balanced(&db, indextype);
+
+        let upper = indextype.to_ascii_uppercase();
+        for k in [1, 2] {
+            fault_fails_balanced(&mut db, "ODCIIndexStart", &upper, k, ROADS_PARKS);
+        }
+        db.set_batch_size(4);
+        for k in [1, 2, 300] {
+            fault_fails_balanced(&mut db, "ODCIIndexFetch", &upper, k, ROADS_PARKS);
+        }
+        db.trace().clear();
+        assert_eq!(db.query(ROADS_PARKS).unwrap(), rows, "{indextype}: answers changed");
+        assert_balanced(&db, indextype);
+    }
+}
+
+/// A cartridge without its own `start_batch` (text) runs one `start` per
+/// argument row inside the batch's one Start crossing. Faults at the
+/// batch's Start and at fetches with later terms pending leave it
+/// balanced, and the join stays identical to its `NO_INDEX` twin.
+#[test]
+fn the_default_batch_of_a_text_join_balances_under_faults() {
+    let mut db = text_db(100);
+    db.execute("CREATE TABLE watchlist (term VARCHAR2(20))").unwrap();
+    db.execute("INSERT INTO watchlist VALUES ('gorse'), (NULL), ('stand'), ('filler')").unwrap();
+    db.trace().set_enabled(true);
+    let join = "SELECT w.term, d.id FROM watchlist w, docs d WHERE Contains(d.body, w.term)";
+    assert!(db.explain(join).unwrap().join("\n").contains("DOMAIN JOIN"));
+    let twin = |db: &mut Database, sql: &str| {
+        let rows = db.query(sql).unwrap();
+        let mut rows: Vec<String> = rows.iter().map(|r| format!("{r:?}")).collect();
+        rows.sort();
+        rows
+    };
+    let expect = twin(&mut db, &join.replacen("SELECT", "SELECT /*+ NO_INDEX */", 1));
+    db.trace().clear();
+    assert_eq!(twin(&mut db, join), expect, "indexed text join != NO_INDEX twin");
+    assert_eq!(started_rows(&db), [3], "one Start, given the three non-NULL terms");
+    assert_balanced(&db, "clean text join");
+
+    fault_fails_balanced(&mut db, "ODCIIndexStart", "TEXTINDEXTYPE", 1, join);
+    db.set_batch_size(3);
+    for k in [1, 2, 20] {
+        fault_fails_balanced(&mut db, "ODCIIndexFetch", "TEXTINDEXTYPE", k, join);
+    }
+    db.trace().clear();
+    assert_eq!(twin(&mut db, join), expect, "answers changed after faults");
+    assert_balanced(&db, "text join after faults");
+}
+
+/// The tick budget of a batched crossing is the per-call budget times its
+/// argument rows: a join whose rows, each scanned alone, fit a tiny budget
+/// fits it batched — with a cartridge's own `start_batch` (tiles) and with
+/// the default one (text), which calls back once per row and more.
+#[test]
+fn a_tiny_tick_budget_that_fits_row_by_row_fits_the_batched_join() {
+    /// The smallest budget under which every one of `scans` succeeds,
+    /// set on `db` with `index` rebuilt after the overrun that found it.
+    /// Each scan is planned (and its plan cached) under the default budget
+    /// first, so only the scans' own crossings meet the small ones.
+    fn row_by_row_budget(db: &mut Database, index: &str, scans: &[String]) -> u64 {
+        let fits = |db: &mut Database, b: u64| {
+            db.set_tick_budget(b);
+            scans.iter().all(|sql| db.query(sql).is_ok())
+        };
+        let plan_all = |db: &mut Database| {
+            db.set_tick_budget(extidx::core::DEFAULT_TICK_BUDGET);
+            for sql in scans.iter().chain(scans) {
+                db.query(sql).unwrap();
+            }
+        };
+        plan_all(db);
+        let Some(too_small) = (1..=64).rev().find(|&b| !fits(db, b)) else { return 1 };
+        db.set_tick_budget(extidx::core::DEFAULT_TICK_BUDGET);
+        db.execute(&format!("ALTER INDEX {index} REBUILD")).unwrap();
+        plan_all(db);
+        assert!(fits(db, too_small + 1), "the budget found must fit every scan again");
+        too_small + 1
+    }
+
+    let mut db = roads_and_parks("SpatialIndexType", 13, 1, |i| i == 12);
+    let scans: Vec<String> = (0..12)
+        .map(|i| {
+            let o = f64::from(i) * 30.0;
+            let road = rect(o, 0.0, o + 40.0, 10.0);
+            format!(
+                "SELECT /*+ INDEX(parks parks_sidx) */ gid FROM parks \
+                 WHERE Sdo_Relate({road}, geometry, 'mask=OVERLAPS')"
+            )
+        })
+        .collect();
+    let expect = db.query(ROADS_PARKS).unwrap();
+    let budget = row_by_row_budget(&mut db, "parks_sidx", &scans);
+    assert_eq!(db.query(ROADS_PARKS).unwrap(), expect, "tiles under a budget of {budget}");
+
+    let mut db = text_db(100);
+    db.execute("CREATE TABLE watchlist (term VARCHAR2(20))").unwrap();
+    let terms = ["gorse AND stand", "filler AND stand", "gorse AND filler"];
+    for t in terms {
+        db.execute(&format!("INSERT INTO watchlist VALUES ('{t}')")).unwrap();
+    }
+    let join = "SELECT w.term, d.id FROM watchlist w, docs d WHERE Contains(d.body, w.term)";
+    let expect = db.query(join).unwrap();
+    let scans = terms
+        .map(|t| format!("SELECT /*+ INDEX(docs dt) */ id FROM docs WHERE Contains(body, '{t}')"));
+    let budget = row_by_row_budget(&mut db, "dt", &scans);
+    assert!(budget > 1, "a two-term text scan calls back more than once");
+    assert_eq!(db.query(join).unwrap(), expect, "text under a budget of {budget}");
 }
 
 /// Multi-seed qgen sweep: the generated workloads cover all five

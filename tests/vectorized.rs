@@ -332,7 +332,7 @@ fn domain_join_inner_scan_spans_fetch_batches_per_outer_row() {
 
 /// Pipelining pin for joins: the first `next_row` of a domain-join cursor
 /// pays one `ODCIIndexStart` and one `ODCIIndexFetch` — the first outer
-/// row's first fetch batch — not a whole executor batch of joined rows.
+/// batch's first fetch batch — not a whole executor batch of joined rows.
 #[test]
 fn first_domain_join_cursor_row_costs_one_start_and_one_fetch() {
     let mut db = Database::with_cache_pages(4096);
@@ -367,7 +367,7 @@ fn first_domain_join_cursor_row_costs_one_start_and_one_fetch() {
         n += 1;
     }
     assert_eq!(n, 40);
-    assert_eq!(calls("ODCIIndexStart"), 40, "one parameterized scan per outer row");
+    assert_eq!(calls("ODCIIndexStart"), 1, "one batched scan per outer batch");
 }
 
 /// The pipeline breakers (GROUP BY, DISTINCT, ORDER BY) fed more than
