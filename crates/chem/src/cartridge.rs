@@ -27,7 +27,7 @@ use extidx_core::stats::{IndexCost, OdciStats};
 use extidx_core::OdciIndex;
 
 use crate::fingerprint::Fingerprint;
-use crate::molecule::Molecule;
+use crate::molecule::{Molecule, Substructure};
 use crate::store::{FingerprintStore, StorageMode};
 
 /// The indextype implementation.
@@ -45,16 +45,12 @@ fn mol_fingerprint(v: &Value) -> Result<Option<(Molecule, Fingerprint)>> {
     }
 }
 
-/// What a chemistry scan is evaluating.
-enum ChemQuery {
-    Substructure { pattern: Molecule },
-    /// Thresholding already happened during the screen in `start`.
-    Similarity,
-}
-
 /// Scan state: screened candidates awaiting verification/emission.
 struct ChemScan {
-    query: ChemQuery,
+    /// A substructure search's pattern, prepared once for every candidate
+    /// of the scan; `None` for a similarity search, whose thresholding
+    /// already happened during the screen in `start`.
+    pattern: Option<Substructure>,
     /// `(rid, tanimoto-or-0)` survivors of the fingerprint screen.
     candidates: Vec<(RowId, f64)>,
     /// The next candidate not yet verified (or emitted, for similarity).
@@ -167,20 +163,21 @@ impl OdciIndex for ChemIndexMethods {
     ) -> Result<ScanContext> {
         op.require_column_first(info)?;
         let records = FingerprintStore::for_index(info).read_all(srv, info)?;
-        let (query, candidates) = match op.operator.as_str() {
+        let (pattern, candidates) = match op.operator.as_str() {
             "MOLCONTAINS" => {
                 let sub_text = op.args.first().and_then(|v| v.as_str().ok()).ok_or_else(|| {
                     Error::odci(&info.indextype_name, "ODCIIndexStart", "missing substructure")
                 })?;
                 let pattern = Molecule::parse(sub_text)?;
                 let sub_fp = Fingerprint::of(&pattern);
+                let pattern = Substructure::new(&pattern);
                 // Screen: fp(sub) ⊆ fp(mol) is necessary for containment.
                 let cands: Vec<(RowId, f64)> = records
                     .into_iter()
                     .filter(|(_, fp)| sub_fp.is_subset_of(fp))
                     .map(|(rid, _)| (rid, 0.0))
                     .collect();
-                (ChemQuery::Substructure { pattern }, cands)
+                (Some(pattern), cands)
             }
             "MOLSIMILAR" => {
                 let q_text = op.args.first().and_then(|v| v.as_str().ok()).ok_or_else(|| {
@@ -198,7 +195,7 @@ impl OdciIndex for ChemIndexMethods {
                 // Nearest-neighbor flavour: best matches first.
                 cands.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
                 let _ = threshold;
-                (ChemQuery::Similarity, cands)
+                (None, cands)
             }
             other => {
                 return Err(Error::odci(
@@ -209,7 +206,7 @@ impl OdciIndex for ChemIndexMethods {
             }
         };
         Ok(ScanContext::State(Box::new(ChemScan {
-            query,
+            pattern,
             candidates,
             pos: 0,
             verified: VecDeque::new(),
@@ -228,8 +225,8 @@ impl OdciIndex for ChemIndexMethods {
             Error::odci(&info.indextype_name, "ODCIIndexFetch", "bad scan state")
         })?;
         let len = st.candidates.len();
-        let pattern = match &st.query {
-            ChemQuery::Similarity => {
+        let pattern = match &mut st.pattern {
+            None => {
                 let end = (st.pos + nrows).min(len);
                 let rows = st.candidates[st.pos..end].iter().map(|&(rid, sim)| {
                     if st.wants_ancillary {
@@ -242,7 +239,7 @@ impl OdciIndex for ChemIndexMethods {
                 st.pos = end;
                 return Ok(FetchResult { rows, done: end == len });
             }
-            ChemQuery::Substructure { pattern } => pattern,
+            Some(pattern) => pattern,
         };
         // Exact verification against the stored molecules, `nrows`
         // candidates at a time read as one set from the base table.
@@ -262,7 +259,7 @@ impl OdciIndex for ChemIndexMethods {
                 let Some(text) = mol.as_ref().and_then(|row| row[0].as_str().ok()) else {
                     continue;
                 };
-                if Molecule::parse(text)?.contains_subgraph(pattern) {
+                if pattern.in_text(text)? {
                     st.verified.push_back(i);
                 }
             }

@@ -30,7 +30,7 @@ use extidx_sql::Database;
 
 pub use cartridge::{ChemIndexMethods, ChemStats};
 pub use fingerprint::Fingerprint;
-pub use molecule::Molecule;
+pub use molecule::{Molecule, Substructure};
 pub use store::{file_name, StorageMode};
 pub use workload::MoleculeWorkload;
 
@@ -42,8 +42,8 @@ pub fn install(db: &mut Database) -> Result<()> {
             return Ok(Value::Null);
         }
         let mol = Molecule::parse(args[0].as_str()?)?;
-        let sub = Molecule::parse(args[1].as_str()?)?;
-        Ok(Value::Boolean(mol.contains_subgraph(&sub)))
+        let mut sub = Substructure::parse(args[1].as_str()?)?;
+        Ok(Value::Boolean(sub.in_molecule(&mol)))
     }))?;
     db.register_function(ScalarFunction::new("MolSimilarFn", |_, args| {
         if args[0].is_null() || args[1].is_null() {

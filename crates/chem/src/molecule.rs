@@ -11,10 +11,28 @@
 
 use extidx_common::{Error, Result};
 
-/// An atom: its element symbol.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The element symbols the notation knows, in [`Element`] order.
+const ELEMENTS: [&str; 11] = ["C", "N", "O", "S", "P", "F", "Cl", "Br", "I", "B", "H"];
+
+/// An interned element symbol: its position in `ELEMENTS`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Element(u8);
+
+impl Element {
+    /// The element's symbol, e.g. `"Cl"`.
+    pub fn symbol(self) -> &'static str {
+        ELEMENTS[self.0 as usize]
+    }
+
+    fn of(symbol: &str) -> Option<Element> {
+        ELEMENTS.iter().position(|e| *e == symbol).map(|i| Element(i as u8))
+    }
+}
+
+/// An atom: its element.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Atom {
-    pub element: String,
+    pub element: Element,
 }
 
 /// A bond between two atoms with an order (1, 2, 3).
@@ -32,92 +50,88 @@ pub struct Molecule {
     pub bonds: Vec<Bond>,
 }
 
+/// Parse the linear notation into `atoms` and `bonds` (both cleared
+/// first), with `stack` as the branch stack. Ring closures live in a fixed
+/// array (one per digit), so a parse into warm buffers allocates nothing.
+fn parse_into(
+    input: &str,
+    atoms: &mut Vec<Atom>,
+    bonds: &mut Vec<Bond>,
+    stack: &mut Vec<usize>,
+) -> Result<()> {
+    atoms.clear();
+    bonds.clear();
+    stack.clear();
+    let mut prev: Option<usize> = None;
+    let mut pending_order: u8 = 1;
+    let mut rings: [Option<(usize, u8)>; 10] = [None; 10];
+    let mut chars = input.chars().peekable();
+    while let Some(c) = chars.next() {
+        match c {
+            ' ' => {}
+            '-' => pending_order = 1,
+            '=' => pending_order = 2,
+            '#' => pending_order = 3,
+            '(' => {
+                let p = prev.ok_or_else(|| Error::Parse("branch with no prior atom".into()))?;
+                stack.push(p);
+            }
+            ')' => {
+                let p = stack.pop();
+                prev = Some(p.ok_or_else(|| Error::Parse("unbalanced ) in molecule".into()))?);
+            }
+            d if d.is_ascii_digit() => {
+                let p = prev.ok_or_else(|| Error::Parse("ring digit with no prior atom".into()))?;
+                let ring = &mut rings[(d as u8 - b'0') as usize];
+                match ring.take() {
+                    Some((other, order)) => {
+                        bonds.push(Bond { a: other, b: p, order: order.max(pending_order) });
+                    }
+                    None => *ring = Some((p, pending_order)),
+                }
+                pending_order = 1;
+            }
+            c if c.is_ascii_uppercase() => {
+                // Two-letter elements: Cl, Br.
+                let element = match (c, chars.peek()) {
+                    ('C', Some('l')) | ('B', Some('r')) => {
+                        let two = if c == 'C' { "Cl" } else { "Br" };
+                        chars.next();
+                        Element::of(two)
+                    }
+                    _ => Element::of(c.encode_utf8(&mut [0; 4])),
+                }
+                .ok_or_else(|| Error::Parse(format!("unknown element {:?}", c.to_string())))?;
+                let idx = atoms.len();
+                atoms.push(Atom { element });
+                if let Some(p) = prev {
+                    bonds.push(Bond { a: p, b: idx, order: pending_order });
+                }
+                prev = Some(idx);
+                pending_order = 1;
+            }
+            other => {
+                return Err(Error::Parse(format!("unexpected character {other:?} in molecule")))
+            }
+        }
+    }
+    if !stack.is_empty() {
+        return Err(Error::Parse("unbalanced ( in molecule".into()));
+    }
+    if rings.iter().any(Option::is_some) {
+        return Err(Error::Parse("unclosed ring bond in molecule".into()));
+    }
+    if atoms.is_empty() {
+        return Err(Error::Parse("empty molecule".into()));
+    }
+    Ok(())
+}
+
 impl Molecule {
     /// Parse the linear notation.
     pub fn parse(input: &str) -> Result<Molecule> {
-        let chars: Vec<char> = input.chars().collect();
-        let mut atoms: Vec<Atom> = Vec::new();
-        let mut bonds: Vec<Bond> = Vec::new();
-        let mut stack: Vec<usize> = Vec::new();
-        let mut prev: Option<usize> = None;
-        let mut pending_order: u8 = 1;
-        let mut rings: std::collections::HashMap<u8, (usize, u8)> = std::collections::HashMap::new();
-        let mut i = 0;
-        while i < chars.len() {
-            let c = chars[i];
-            match c {
-                ' ' => i += 1,
-                '-' => {
-                    pending_order = 1;
-                    i += 1;
-                }
-                '=' => {
-                    pending_order = 2;
-                    i += 1;
-                }
-                '#' => {
-                    pending_order = 3;
-                    i += 1;
-                }
-                '(' => {
-                    let p = prev.ok_or_else(|| Error::Parse("branch with no prior atom".into()))?;
-                    stack.push(p);
-                    i += 1;
-                }
-                ')' => {
-                    prev = Some(
-                        stack.pop().ok_or_else(|| Error::Parse("unbalanced ) in molecule".into()))?,
-                    );
-                    i += 1;
-                }
-                d if d.is_ascii_digit() => {
-                    let p = prev.ok_or_else(|| Error::Parse("ring digit with no prior atom".into()))?;
-                    let key = d as u8 - b'0';
-                    match rings.remove(&key) {
-                        Some((other, order)) => {
-                            bonds.push(Bond { a: other, b: p, order: order.max(pending_order) });
-                        }
-                        None => {
-                            rings.insert(key, (p, pending_order));
-                        }
-                    }
-                    pending_order = 1;
-                    i += 1;
-                }
-                c if c.is_ascii_uppercase() => {
-                    // Two-letter elements: Cl, Br.
-                    let mut element = c.to_string();
-                    if let Some(&next) = chars.get(i + 1) {
-                        if next.is_ascii_lowercase() && matches!((c, next), ('C', 'l') | ('B', 'r')) {
-                            element.push(next);
-                            i += 1;
-                        }
-                    }
-                    if !matches!(element.as_str(), "C" | "N" | "O" | "S" | "P" | "F" | "Cl" | "Br" | "I" | "B" | "H")
-                    {
-                        return Err(Error::Parse(format!("unknown element {element:?}")));
-                    }
-                    let idx = atoms.len();
-                    atoms.push(Atom { element });
-                    if let Some(p) = prev {
-                        bonds.push(Bond { a: p, b: idx, order: pending_order });
-                    }
-                    prev = Some(idx);
-                    pending_order = 1;
-                    i += 1;
-                }
-                other => return Err(Error::Parse(format!("unexpected character {other:?} in molecule"))),
-            }
-        }
-        if !stack.is_empty() {
-            return Err(Error::Parse("unbalanced ( in molecule".into()));
-        }
-        if !rings.is_empty() {
-            return Err(Error::Parse("unclosed ring bond in molecule".into()));
-        }
-        if atoms.is_empty() {
-            return Err(Error::Parse("empty molecule".into()));
-        }
+        let (mut atoms, mut bonds) = (Vec::new(), Vec::new());
+        parse_into(input, &mut atoms, &mut bonds, &mut Vec::new())?;
         Ok(Molecule { atoms, bonds })
     }
 
@@ -156,19 +170,19 @@ impl Molecule {
     /// forward and reverse atom/bond sequences.
     fn render_path(&self, path: &[usize], bonds: &[&'static str]) -> String {
         let fwd = {
-            let mut s = self.atoms[path[0]].element.clone();
+            let mut s = String::from(self.atoms[path[0]].element.symbol());
             for (i, b) in bonds.iter().enumerate() {
                 s.push_str(b);
-                s.push_str(&self.atoms[path[i + 1]].element);
+                s.push_str(self.atoms[path[i + 1]].element.symbol());
             }
             s
         };
         let rev = {
             let n = path.len();
-            let mut s = self.atoms[path[n - 1]].element.clone();
+            let mut s = String::from(self.atoms[path[n - 1]].element.symbol());
             for i in (0..bonds.len()).rev() {
                 s.push_str(bonds[i]);
-                s.push_str(&self.atoms[path[i]].element);
+                s.push_str(self.atoms[path[i]].element.symbol());
             }
             s
         };
@@ -214,54 +228,155 @@ impl Molecule {
     /// Exact subgraph-isomorphism check: is `pattern` a substructure of
     /// `self`? Atom labels and bond orders must match; extra bonds in
     /// `self` between matched atoms are allowed (standard substructure
-    /// semantics).
+    /// semantics). One-off form of [`Substructure::in_molecule`].
     pub fn contains_subgraph(&self, pattern: &Molecule) -> bool {
-        if pattern.atoms.len() > self.atoms.len() {
-            return false;
+        Substructure::new(pattern).in_molecule(self)
+    }
+}
+
+/// A molecule graph with compressed adjacency: atom `a`'s `(neighbor,
+/// bond order)` pairs are `nbrs[start[a]..start[a + 1]]`, in bond order.
+#[derive(Debug, Default)]
+struct Graph {
+    atoms: Vec<Atom>,
+    start: Vec<usize>,
+    nbrs: Vec<(usize, u8)>,
+}
+
+impl Graph {
+    /// Rebuild the adjacency of `self.atoms` from `bonds`, reusing buffers.
+    fn link(&mut self, bonds: &[Bond]) {
+        let n = self.atoms.len();
+        self.start.clear();
+        self.start.resize(n + 1, 0);
+        for b in bonds {
+            self.start[b.a + 1] += 1;
+            self.start[b.b + 1] += 1;
         }
-        let p_adj = pattern.adjacency();
-        let t_adj = self.adjacency();
-        let mut mapping = vec![usize::MAX; pattern.atoms.len()];
-        let mut used = vec![false; self.atoms.len()];
-        self.match_rec(pattern, &p_adj, &t_adj, 0, &mut mapping, &mut used)
+        for a in 0..n {
+            self.start[a + 1] += self.start[a];
+        }
+        self.nbrs.clear();
+        self.nbrs.resize(2 * bonds.len(), (0, 0));
+        // `start[a]` is a's write cursor while filling, then restored.
+        for b in bonds {
+            self.nbrs[self.start[b.a]] = (b.b, b.order);
+            self.start[b.a] += 1;
+            self.nbrs[self.start[b.b]] = (b.a, b.order);
+            self.start[b.b] += 1;
+        }
+        for a in (1..=n).rev() {
+            self.start[a] = self.start[a - 1];
+        }
+        self.start[0] = 0;
     }
 
-    fn match_rec(
-        &self,
-        pattern: &Molecule,
-        p_adj: &[Vec<(usize, u8)>],
-        t_adj: &[Vec<(usize, u8)>],
-        next: usize,
-        mapping: &mut Vec<usize>,
-        used: &mut Vec<bool>,
-    ) -> bool {
-        if next == pattern.atoms.len() {
-            return true;
+    fn of(m: &Molecule) -> Graph {
+        let mut g = Graph { atoms: m.atoms.clone(), ..Graph::default() };
+        g.link(&m.bonds);
+        g
+    }
+
+    fn neighbors(&self, a: usize) -> &[(usize, u8)] {
+        &self.nbrs[self.start[a]..self.start[a + 1]]
+    }
+}
+
+/// A substructure pattern prepared once — its graph and adjacency — with
+/// one scratch (target atoms, bonds, adjacency, mapping, used flags) that
+/// every target it is tested against reuses: a test of a target text is
+/// one parse and one match into warm buffers, with no allocation.
+#[derive(Debug)]
+pub struct Substructure {
+    pattern: Graph,
+    target: Graph,
+    bonds: Vec<Bond>,
+    stack: Vec<usize>,
+    mapping: Vec<usize>,
+    used: Vec<bool>,
+}
+
+impl Substructure {
+    /// Prepare `pattern` for matching.
+    pub fn new(pattern: &Molecule) -> Substructure {
+        Substructure {
+            pattern: Graph::of(pattern),
+            target: Graph::default(),
+            bonds: Vec::new(),
+            stack: Vec::new(),
+            mapping: Vec::new(),
+            used: Vec::new(),
         }
-        'candidates: for t in 0..self.atoms.len() {
-            if used[t] || self.atoms[t].element != pattern.atoms[next].element {
-                continue;
-            }
-            // Every already-mapped pattern neighbor of `next` must be a
-            // target neighbor of `t` with a matching bond order.
-            for &(pn, order) in &p_adj[next] {
-                if pn < next {
-                    let tn = mapping[pn];
-                    if !t_adj[t].iter().any(|&(x, o)| x == tn && o == order) {
-                        continue 'candidates;
-                    }
+    }
+
+    /// Parse and prepare a pattern.
+    pub fn parse(pattern: &str) -> Result<Substructure> {
+        Ok(Substructure::new(&Molecule::parse(pattern)?))
+    }
+
+    /// Whether the molecule written `text` contains the pattern.
+    pub fn in_text(&mut self, text: &str) -> Result<bool> {
+        parse_into(text, &mut self.target.atoms, &mut self.bonds, &mut self.stack)?;
+        self.target.link(&self.bonds);
+        Ok(self.matches())
+    }
+
+    /// Whether `m` contains the pattern.
+    pub fn in_molecule(&mut self, m: &Molecule) -> bool {
+        self.target.atoms.clear();
+        self.target.atoms.extend_from_slice(&m.atoms);
+        self.target.link(&m.bonds);
+        self.matches()
+    }
+
+    fn matches(&mut self) -> bool {
+        let (p, t) = (self.pattern.atoms.len(), self.target.atoms.len());
+        if p > t {
+            return false;
+        }
+        self.mapping.clear();
+        self.mapping.resize(p, usize::MAX);
+        self.used.clear();
+        self.used.resize(t, false);
+        match_rec(&self.pattern, &self.target, 0, &mut self.mapping, &mut self.used)
+    }
+}
+
+/// Backtracking search for an injective map of pattern atoms `next..`
+/// onto unused target atoms, given the map of atoms `..next`.
+fn match_rec(
+    pattern: &Graph,
+    target: &Graph,
+    next: usize,
+    mapping: &mut [usize],
+    used: &mut [bool],
+) -> bool {
+    if next == pattern.atoms.len() {
+        return true;
+    }
+    'candidates: for t in 0..target.atoms.len() {
+        if used[t] || target.atoms[t] != pattern.atoms[next] {
+            continue;
+        }
+        // Every already-mapped pattern neighbor of `next` must be a
+        // target neighbor of `t` with a matching bond order.
+        for &(pn, order) in pattern.neighbors(next) {
+            if pn < next {
+                let tn = mapping[pn];
+                if !target.neighbors(t).iter().any(|&(x, o)| x == tn && o == order) {
+                    continue 'candidates;
                 }
             }
-            mapping[next] = t;
-            used[t] = true;
-            if self.match_rec(pattern, p_adj, t_adj, next + 1, mapping, used) {
-                return true;
-            }
-            used[t] = false;
-            mapping[next] = usize::MAX;
         }
-        false
+        mapping[next] = t;
+        used[t] = true;
+        if match_rec(pattern, target, next + 1, mapping, used) {
+            return true;
+        }
+        used[t] = false;
+        mapping[next] = usize::MAX;
     }
+    false
 }
 
 #[cfg(test)]
@@ -298,9 +413,9 @@ mod tests {
     #[test]
     fn parses_two_letter_elements() {
         let m = Molecule::parse("CCl").unwrap();
-        assert_eq!(m.atoms[1].element, "Cl");
+        assert_eq!(m.atoms[1].element.symbol(), "Cl");
         let m = Molecule::parse("CBr").unwrap();
-        assert_eq!(m.atoms[1].element, "Br");
+        assert_eq!(m.atoms[1].element.symbol(), "Br");
     }
 
     #[test]

@@ -63,6 +63,11 @@ impl BaseRow {
     }
 }
 
+/// One query callback as a closure: a cartridge's
+/// `|sql, binds| srv.query(sql, binds)`, or a client's `Database::query_with`,
+/// so a cartridge's read helper serves its scan and a harness alike.
+pub type RunQuery<'a> = dyn FnMut(&str, &[Value]) -> Result<Vec<Row>> + 'a;
+
 /// Callback type for [`ServerContext::scan_base_batches`].
 pub type BatchSink<'a> = dyn FnMut(&mut dyn ServerContext, &[BaseRow]) -> Result<()> + 'a;
 

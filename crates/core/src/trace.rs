@@ -16,6 +16,7 @@
 //! virtual table and the tkprof-style session report.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -169,7 +170,6 @@ pub struct RoutineStats {
 
 #[derive(Default)]
 struct TraceInner {
-    enabled: bool,
     events: std::collections::VecDeque<TraceEvent>,
     capacity: usize,
     next_seq: u64,
@@ -178,20 +178,31 @@ struct TraceInner {
     aggregates: BTreeMap<(String, &'static str), RoutineStats>,
 }
 
+/// The ring and its on/off switch. The switch is read without the lock,
+/// so a crossing under a disabled trace takes no lock and builds no
+/// detail string.
+struct Shared {
+    enabled: AtomicBool,
+    ring: Mutex<TraceInner>,
+}
+
 /// A shared, toggleable trace. Cloning shares the underlying buffer, so
 /// the engine and a test/bench harness can watch the same stream.
 #[derive(Clone)]
 pub struct CallTrace {
-    inner: Arc<Mutex<TraceInner>>,
+    inner: Arc<Shared>,
 }
 
 impl Default for CallTrace {
     fn default() -> Self {
         CallTrace {
-            inner: Arc::new(Mutex::new(TraceInner {
-                capacity: DEFAULT_TRACE_CAPACITY,
-                ..TraceInner::default()
-            })),
+            inner: Arc::new(Shared {
+                enabled: AtomicBool::new(false),
+                ring: Mutex::new(TraceInner {
+                    capacity: DEFAULT_TRACE_CAPACITY,
+                    ..TraceInner::default()
+                }),
+            }),
         }
     }
 }
@@ -217,18 +228,21 @@ impl CallTrace {
 
     /// Enable or disable recording.
     pub fn set_enabled(&self, on: bool) {
-        self.inner.lock().enabled = on;
+        // Under the lock, so a crossing that saw the trace on records into
+        // the ring before `set_enabled(false)` returns.
+        let _g = self.inner.ring.lock();
+        self.inner.enabled.store(on, Ordering::Relaxed);
     }
 
     /// Whether recording is on.
     pub fn is_enabled(&self) -> bool {
-        self.inner.lock().enabled
+        self.inner.enabled.load(Ordering::Relaxed)
     }
 
     /// Change the ring capacity. Excess oldest events are dropped (and
     /// counted) immediately.
     pub fn set_capacity(&self, capacity: usize) {
-        let mut g = self.inner.lock();
+        let mut g = self.inner.ring.lock();
         g.capacity = capacity.max(1);
         while g.events.len() > g.capacity {
             g.events.pop_front();
@@ -238,26 +252,30 @@ impl CallTrace {
 
     /// Events evicted from the ring since the last [`CallTrace::clear`].
     pub fn dropped(&self) -> u64 {
-        self.inner.lock().dropped
+        self.inner.ring.lock().dropped
     }
 
     /// Record a crossing (no-op while disabled, but the returned handle is
     /// still valid to pass to [`CallTrace::finish`]). The event enters the
     /// stream *before* the cartridge routine runs, so events a routine
-    /// generates by calling back into the server appear after it.
+    /// generates by calling back into the server appear after it. `detail`
+    /// runs only when the event is recorded.
     pub fn record(
         &self,
         component: Component,
         routine: &'static str,
         indextype: &str,
-        detail: impl Into<String>,
+        detail: impl FnOnce() -> String,
     ) -> CrossingHandle {
         let started = Instant::now();
-        let mut g = self.inner.lock();
         // A disabled trace hands back a handle that can never match a
         // recorded event, so a later `finish` stays a no-op.
         let mut seq = u64::MAX;
-        if g.enabled {
+        if !self.is_enabled() {
+            return CrossingHandle { seq, started };
+        }
+        let mut g = self.inner.ring.lock();
+        if self.is_enabled() {
             seq = g.next_seq;
             g.next_seq += 1;
             let agg = g.aggregates.entry((indextype.to_string(), routine)).or_default();
@@ -267,7 +285,7 @@ impl CallTrace {
                 component,
                 routine,
                 indextype: indextype.to_string(),
-                detail: detail.into(),
+                detail: detail(),
                 elapsed_micros: 0,
             });
             if g.events.len() > g.capacity {
@@ -282,9 +300,12 @@ impl CallTrace {
     /// [`CallTrace::record`], updating both the ring event (if still
     /// resident) and the per-routine aggregates.
     pub fn finish(&self, handle: CrossingHandle) {
+        if handle.seq == u64::MAX || !self.is_enabled() {
+            return;
+        }
         let elapsed = handle.started.elapsed().as_micros() as u64;
-        let mut g = self.inner.lock();
-        if !g.enabled {
+        let mut g = self.inner.ring.lock();
+        if !self.is_enabled() {
             return;
         }
         // Events are seq-ordered; search from the back since the crossing
@@ -300,19 +321,20 @@ impl CallTrace {
 
     /// Snapshot the recorded events (oldest retained first).
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.inner.lock().events.iter().cloned().collect()
+        self.inner.ring.lock().events.iter().cloned().collect()
     }
 
     /// How many events and aggregates [`CallTrace::events`] and
     /// [`CallTrace::aggregates`] return now, counted without copying them.
     pub fn sizes(&self) -> (usize, usize) {
-        let g = self.inner.lock();
+        let g = self.inner.ring.lock();
         (g.events.len(), g.aggregates.len())
     }
 
     /// Snapshot the per-(indextype, routine) aggregates, sorted by key.
     pub fn aggregates(&self) -> Vec<(String, &'static str, RoutineStats)> {
         self.inner
+            .ring
             .lock()
             .aggregates
             .iter()
@@ -322,7 +344,7 @@ impl CallTrace {
 
     /// Clear recorded events, aggregates, and the dropped counter.
     pub fn clear(&self) {
-        let mut g = self.inner.lock();
+        let mut g = self.inner.ring.lock();
         g.events.clear();
         g.aggregates.clear();
         g.dropped = 0;
@@ -330,7 +352,7 @@ impl CallTrace {
 
     /// Routine names in recorded order — handy for call-sequence asserts.
     pub fn routine_sequence(&self) -> Vec<&'static str> {
-        self.inner.lock().events.iter().map(|e| e.routine).collect()
+        self.inner.ring.lock().events.iter().map(|e| e.routine).collect()
     }
 }
 
@@ -341,7 +363,10 @@ mod tests {
     #[test]
     fn disabled_trace_records_nothing() {
         let t = CallTrace::new();
-        t.record(Component::Ddl, "ODCIIndexCreate", "T", "x");
+        t.record(Component::Ddl, "ODCIIndexCreate", "T", || "x".into());
+        // The detail is never built while the trace is off.
+        let h = t.record(Component::Ddl, "ODCIIndexCreate", "T", || unreachable!("built"));
+        t.finish(h);
         assert!(t.events().is_empty());
         assert!(t.aggregates().is_empty());
     }
@@ -350,9 +375,9 @@ mod tests {
     fn enabled_trace_records_in_order() {
         let t = CallTrace::new();
         t.set_enabled(true);
-        t.record(Component::IndexAccess, "ODCIIndexStart", "T", "q1");
-        t.record(Component::IndexAccess, "ODCIIndexFetch", "T", "q1");
-        t.record(Component::IndexAccess, "ODCIIndexClose", "T", "q1");
+        t.record(Component::IndexAccess, "ODCIIndexStart", "T", || "q1".into());
+        t.record(Component::IndexAccess, "ODCIIndexFetch", "T", || "q1".into());
+        t.record(Component::IndexAccess, "ODCIIndexClose", "T", || "q1".into());
         assert_eq!(
             t.routine_sequence(),
             vec!["ODCIIndexStart", "ODCIIndexFetch", "ODCIIndexClose"]
@@ -364,7 +389,7 @@ mod tests {
         let t = CallTrace::new();
         t.set_enabled(true);
         let t2 = t.clone();
-        t2.record(Component::Optimizer, "ODCIStatsSelectivity", "T", "");
+        t2.record(Component::Optimizer, "ODCIStatsSelectivity", "T", || "".into());
         assert_eq!(t.events().len(), 1);
         t.clear();
         assert!(t2.events().is_empty());
@@ -392,7 +417,7 @@ mod tests {
         t.set_enabled(true);
         t.set_capacity(3);
         for i in 0..5 {
-            t.record(Component::Dml, "ODCIIndexInsert", "T", format!("row {i}"));
+            t.record(Component::Dml, "ODCIIndexInsert", "T", || format!("row {i}"));
         }
         let evs = t.events();
         assert_eq!(evs.len(), 3);
@@ -412,7 +437,7 @@ mod tests {
     fn finish_stamps_elapsed_and_aggregates() {
         let t = CallTrace::new();
         t.set_enabled(true);
-        let h = t.record(Component::IndexAccess, "ODCIIndexFetch", "T", "q");
+        let h = t.record(Component::IndexAccess, "ODCIIndexFetch", "T", || "q".into());
         std::thread::sleep(std::time::Duration::from_millis(2));
         t.finish(h);
         let evs = t.events();
@@ -427,7 +452,7 @@ mod tests {
         let t = CallTrace::new();
         t.set_enabled(true);
         for _ in 0..4 {
-            t.record(Component::Ddl, "ODCIIndexCreate", "T", "");
+            t.record(Component::Ddl, "ODCIIndexCreate", "T", || "".into());
         }
         t.set_capacity(2);
         assert_eq!(t.events().len(), 2);

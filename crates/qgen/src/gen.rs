@@ -9,7 +9,7 @@
 use extidx_chem::MoleculeWorkload;
 use extidx_spatial::{geometry_sql, Geometry, SpatialWorkload};
 use extidx_text::CorpusGenerator;
-use extidx_vir::SignatureWorkload;
+use extidx_vir::{Signature, SignatureWorkload};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// The heap-organized fuzz table.
@@ -432,6 +432,15 @@ pub struct Workload {
 
 const MASKS: [&str; 6] = ["ANYINTERACT", "OVERLAPS", "INSIDE", "CONTAINS", "EQUAL", "TOUCH"];
 const WEIGHTS: [&str; 3] = ["", "globalcolor=1.0", "globalcolor=0.5, texture=0.5"];
+/// A weight list whose ratios are inexact in binary (`threshold / w`
+/// rounds), drawn in place of a [`WEIGHTS`] entry a quarter of the time.
+const INEXACT_WEIGHTS: &str = "globalcolor=0.3, localcolor=0.3, texture=0.4";
+
+/// Signature text with every value at full precision.
+fn full_precision(vals: impl Iterator<Item = f64>) -> String {
+    vals.map(|v| v.to_string()).collect::<Vec<_>>().join(",")
+}
+
 /// Comparison operators of [`Atom::NumCmp`] and [`Atom::KeyCmp`].
 pub const CMP_OPS: [&str; 5] = ["<", "<=", ">", ">=", "="];
 
@@ -476,6 +485,10 @@ struct WorkloadGen {
     corpus: CorpusGenerator,
     spatial: SpatialWorkload,
     sigs: SignatureWorkload,
+    /// Draws the VIR-only choices (full-precision signature text, inexact
+    /// weights, near-threshold queries) apart from `rng`, so they shift no
+    /// other draw of a seed's stream.
+    vir_rng: StdRng,
     mols: MoleculeWorkload,
     /// Substructure fragments reused between stored molecules and
     /// MolContains queries so matches actually occur.
@@ -504,6 +517,7 @@ impl WorkloadGen {
             corpus: CorpusGenerator::new(50, 1.1, seed ^ 0x747874),
             spatial: SpatialWorkload::new(100.0, seed ^ 0x67656f),
             sigs: SignatureWorkload::new(seed ^ 0x696d67),
+            vir_rng: StdRng::seed_from_u64(seed ^ 0x766972),
             mols,
             frags,
             sig_pool: Vec::new(),
@@ -563,7 +577,7 @@ impl WorkloadGen {
         self.next_id += 1;
         let doc = (!self.rng.gen_bool(NULL_P)).then(|| self.corpus.document(8));
         let geom = (!self.rng.gen_bool(NULL_P)).then(|| self.spatial.rect(2.0, 25.0));
-        let img = (!self.rng.gen_bool(NULL_P)).then(|| self.sigs.random().serialize());
+        let img = (!self.rng.gen_bool(NULL_P)).then(|| self.signature());
         let mol = (!self.rng.gen_bool(NULL_P)).then(|| {
             if self.rng.gen_bool(0.5) {
                 let f = self.frags[self.rng.gen_range(0..self.frags.len())].clone();
@@ -609,10 +623,31 @@ impl WorkloadGen {
         match self.rng.gen_range(0..5u32) {
             0 => GenCell::Doc((!null).then(|| self.corpus.document(8))),
             1 => GenCell::Geom((!null).then(|| self.spatial.rect(2.0, 25.0))),
-            2 => GenCell::Img((!null).then(|| self.sigs.random().serialize())),
+            2 => GenCell::Img((!null).then(|| self.signature())),
             3 => GenCell::Mol((!null).then(|| self.mols.molecule(8))),
             _ => GenCell::Num((!null).then(|| self.stored_num())),
         }
+    }
+
+    /// A random signature's text: the generators' 3-decimal form, or half
+    /// the time every value at full precision (a copy rounded to 3
+    /// decimals compares differently near a threshold).
+    fn signature(&mut self) -> String {
+        let sig = self.sigs.random();
+        if self.vir_rng.gen_bool(0.5) {
+            sig.serialize()
+        } else {
+            full_precision(sig.channels.iter().flatten().copied())
+        }
+    }
+
+    /// `image` with every value moved by `threshold` ± 0.00005. Every weight
+    /// list the stream draws sums to 1, so the query's distance from
+    /// `image` is that shift.
+    fn near_threshold(&mut self, image: &str, threshold: f64) -> String {
+        let sig = Signature::deserialize(image).expect("pooled signatures parse");
+        let shift = threshold + self.vir_rng.gen_range(-0.00005..0.00005);
+        full_precision(sig.channels.iter().flatten().map(|v| v + shift))
     }
 
     fn id_pred(&mut self) -> IdPred {
@@ -652,18 +687,29 @@ impl WorkloadGen {
                 mask: MASKS[self.rng.gen_range(0..MASKS.len())].to_string(),
             },
             40..=53 => {
+                let pooled = !null_lit && !self.sig_pool.is_empty() && self.rng.gen_bool(0.5);
                 let sig = if null_lit {
                     None
-                } else if !self.sig_pool.is_empty() && self.rng.gen_bool(0.5) {
+                } else if pooled {
                     Some(self.sig_pool[self.rng.gen_range(0..self.sig_pool.len())].clone())
                 } else {
-                    Some(self.sigs.random().serialize())
+                    Some(self.signature())
                 };
-                Atom::VirSimilar {
-                    sig,
-                    weights: WEIGHTS[self.rng.gen_range(0..WEIGHTS.len())].to_string(),
-                    threshold: self.rng.gen_range(50..800i64) as f64 / 10.0,
+                let mut weights = WEIGHTS[self.rng.gen_range(0..WEIGHTS.len())];
+                if self.vir_rng.gen_bool(0.25) {
+                    weights = INEXACT_WEIGHTS;
                 }
+                let threshold = self.rng.gen_range(50..800i64) as f64 / 10.0;
+                // Half the pooled queries sit within 0.00005 of the
+                // threshold from their image, where a copy of the image
+                // rounded to 3 decimals answers differently.
+                let sig = match sig {
+                    Some(image) if pooled && self.vir_rng.gen_bool(0.5) => {
+                        Some(self.near_threshold(&image, threshold))
+                    }
+                    sig => sig,
+                };
+                Atom::VirSimilar { sig, weights: weights.to_string(), threshold }
             }
             54..=67 => Atom::MolContains {
                 frag: (!null_lit).then(|| self.frags[self.rng.gen_range(0..self.frags.len())].clone()),

@@ -851,7 +851,7 @@ pub(crate) fn best_table_access(
                 Lane::Read(db),
                 Routine::StatsSelectivity,
                 Callee::Index(&info),
-                format!("{}({})", call.operator, m.def.name),
+                || format!("{}({})", call.operator, m.def.name),
                 |ctx| stats.selectivity(ctx, &info, &call),
             )?
             .clamp(0.0, 1.0);
@@ -859,7 +859,7 @@ pub(crate) fn best_table_access(
                 Lane::Read(db),
                 Routine::StatsIndexCost,
                 Callee::Index(&info),
-                format!("sel={sel:.4}"),
+                || format!("sel={sel:.4}"),
                 |ctx| stats.index_cost(ctx, &info, &call, sel),
             )?;
             let matched = (rows * sel).max(1.0);

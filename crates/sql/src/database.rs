@@ -428,7 +428,8 @@ impl Database {
         self.fault.check(routine, indextype).inspect_err(|e| {
             // `e` carries the point name and call number, so a static
             // routine label suffices for the FAULT trace row.
-            self.trace.record(Component::Fault, "FaultInjected", indextype.unwrap_or(""), e.to_string());
+            let who = indextype.unwrap_or("");
+            self.trace.record(Component::Fault, "FaultInjected", who, || e.to_string());
         })
     }
 
@@ -549,10 +550,12 @@ impl Database {
                         Component::Recovery,
                         "CrashRecovery",
                         &d.indextype,
-                        format!(
-                            "{}: external file activity after last commit; quarantined",
-                            d.name
-                        ),
+                        || {
+                            format!(
+                                "{}: external file activity after last commit; quarantined",
+                                d.name
+                            )
+                        },
                     );
                 }
             }
@@ -567,7 +570,7 @@ impl Database {
                 Component::Health,
                 "HealthTransition",
                 indextype,
-                format!("{index}: {} -> {}", t.from, t.to),
+                || format!("{index}: {} -> {}", t.from, t.to),
             );
         }
     }
@@ -883,7 +886,7 @@ impl Database {
             // its error is swallowed like any other compensation failure.
             let inverse = rec.op.inverse();
             let (routine, rid, call) = maintenance_call(&inverse, &*index, &info);
-            let (callee, detail) = (Callee::Recovering(&info), format!("compensate {rid}"));
+            let (callee, detail) = (Callee::Recovering(&info), || format!("compensate {rid}"));
             let _ = odci_call(Lane::Write(self), routine, callee, detail, call);
         }
         self.scope.compensating = false;
@@ -1243,7 +1246,7 @@ impl Database {
             let mark = self.storage.undo_mark();
             let (routine, rid, call) = maintenance_call(&op, &*index, &info);
             let callee = Callee::Index(&info);
-            match odci_call(Lane::Write(self), routine, callee, rid.to_string(), call) {
+            match odci_call(Lane::Write(self), routine, callee, || rid.to_string(), call) {
                 Ok(()) => {
                     self.scope.maint.push(MaintRecord { index: d.name.clone(), op });
                     return Ok(());
@@ -1259,7 +1262,7 @@ impl Database {
                         Component::Fault,
                         "MaintenanceRetry",
                         &d.indextype,
-                        format!("attempt {attempt}: {e}"),
+                        || format!("attempt {attempt}: {e}"),
                     );
                     std::thread::sleep(retry.backoff(attempt));
                 }
@@ -1339,7 +1342,7 @@ impl Database {
                 Component::Txn,
                 "WriteConflict",
                 "",
-                format!("lost to txn {other_txn} on {key}"),
+                || format!("lost to txn {other_txn} on {key}"),
             );
             self.trace.finish(h);
         }
@@ -1351,7 +1354,7 @@ impl Database {
     pub(crate) fn trace_timeout(&self, err: &Error) {
         if let Error::StatementTimeout { detail } = err {
             self.governor.bump(&self.governor.counters.statement_timeouts);
-            let h = self.trace.record(Component::Txn, "Timeout", "", detail.clone());
+            let h = self.trace.record(Component::Txn, "Timeout", "", || detail.clone());
             self.trace.finish(h);
         }
     }
@@ -1406,7 +1409,7 @@ impl Database {
         };
         for (name, h) in self.event_handlers.clone() {
             let callee = Callee::Handler(&name);
-            odci_call(Lane::Write(self), routine, callee, event.to_string(), |ctx| {
+            odci_call(Lane::Write(self), routine, callee, || event.to_string(), |ctx| {
                 h.on_event(event, ctx)
             })?;
         }

@@ -169,7 +169,7 @@ impl Database {
             }
             let (index, _, info) = self.domain_index_runtime(&d)?;
             let callee = Callee::Index(&info);
-            odci_call(Lane::Write(self), Routine::IndexTruncate, callee, &d.name, |ctx| {
+            odci_call(Lane::Write(self), Routine::IndexTruncate, callee, || d.name.clone(), |ctx| {
                 index.truncate(ctx, &info)
             })?;
         }
@@ -260,7 +260,7 @@ impl Database {
             Lane::Write(self),
             Routine::IndexCreate,
             Callee::Index(&info),
-            format!("{} ON {}({})", def.name, def.table, def.column),
+            || format!("{} ON {}({})", def.name, def.table, def.column),
             |ctx| index.create(ctx, &info),
         );
         match created {
@@ -276,7 +276,7 @@ impl Database {
                     Lane::Write(self),
                     Routine::IndexDrop,
                     Callee::Index(&info),
-                    format!("{}: cleanup after failed create", def.name),
+                    || format!("{}: cleanup after failed create", def.name),
                     |ctx| index.drop_index(ctx, &info),
                 );
                 if cleaned.is_ok() {
@@ -317,7 +317,7 @@ impl Database {
         };
         let (index, _, info) = self.domain_index_runtime(&def)?;
         let callee = Callee::Index(&info);
-        odci_call(Lane::Write(self), Routine::IndexAlter, callee, &def.name, |ctx| {
+        odci_call(Lane::Write(self), Routine::IndexAlter, callee, || def.name.clone(), |ctx| {
             index.alter(ctx, &info, &delta)
         })?;
         Ok(StmtResult::Ok)
@@ -343,18 +343,19 @@ impl Database {
             Component::Recovery,
             "IndexRebuild",
             &d.indextype,
-            format!("{}: full rebuild from {}", d.name, d.table),
+            || format!("{}: full rebuild from {}", d.name, d.table),
         );
         // Best-effort drop of whatever storage the cartridge has — it may
         // be half-written, which is exactly why we're here.
         let callee = Callee::Index(&info);
-        let _ = odci_call(Lane::Write(self), Routine::IndexDrop, callee, &d.name, |ctx| {
+        let _ = odci_call(Lane::Write(self), Routine::IndexDrop, callee, || d.name.clone(), |ctx| {
             index.drop_index(ctx, &info)
         });
         // Rebuild-from-scratch must *replace* external storage, not append
         // to half-written leftovers the faulted drop may have missed.
         self.force_remove_external_files(&index, &info);
-        let r = odci_call(Lane::Write(self), Routine::IndexCreate, callee, &d.name, |ctx| {
+        let detail = || d.name.clone();
+        let r = odci_call(Lane::Write(self), Routine::IndexCreate, callee, detail, |ctx| {
             index.create(ctx, &info)
         });
         if let Err(e) = r {
@@ -384,7 +385,7 @@ impl Database {
         let (index, _, info) = self.domain_index_runtime(d)?;
         let healthy = self.catalog.health.is_usable(&d.name);
         let callee = Callee::Index(&info);
-        let r = odci_call(Lane::Write(self), Routine::IndexDrop, callee, &d.name, |ctx| {
+        let r = odci_call(Lane::Write(self), Routine::IndexDrop, callee, || d.name.clone(), |ctx| {
             index.drop_index(ctx, &info)
         });
         if healthy {
@@ -398,7 +399,7 @@ impl Database {
                 Component::Recovery,
                 "ODCIIndexDrop",
                 &d.indextype,
-                format!("{}: cleanup failure ignored on drop: {e}", d.name),
+                || format!("{}: cleanup failure ignored on drop: {e}", d.name),
             );
         }
         // The dictionary entry is going away on every path that reaches
@@ -553,7 +554,7 @@ impl Database {
             }
             let (_, stats, info) = self.domain_index_runtime(&d)?;
             let callee = Callee::Index(&info);
-            odci_call(Lane::Write(self), Routine::StatsCollect, callee, &d.name, |ctx| {
+            odci_call(Lane::Write(self), Routine::StatsCollect, callee, || d.name.clone(), |ctx| {
                 stats.collect(ctx, &info)
             })?;
         }

@@ -173,7 +173,7 @@ pub(crate) fn odci_call<T>(
     lane: Lane<'_, '_>,
     routine: Routine,
     callee: Callee<'_>,
-    detail: impl Into<String>,
+    detail: impl FnOnce() -> String,
     f: impl FnOnce(&mut dyn ServerContext) -> Result<T>,
 ) -> Result<T> {
     odci_batch_call(lane, routine, callee, 1, detail, f)
@@ -188,7 +188,7 @@ pub(crate) fn odci_batch_call<T>(
     routine: Routine,
     callee: Callee<'_>,
     rows: usize,
-    detail: impl Into<String>,
+    detail: impl FnOnce() -> String,
     f: impl FnOnce(&mut dyn ServerContext) -> Result<T>,
 ) -> Result<T> {
     let (who, info, recovering) = match callee {

@@ -1021,7 +1021,7 @@ impl DomainScanExec {
             Routine::IndexStart,
             Callee::Index(&info),
             self.rows,
-            format!("{}({} args) rows={}", call.operator, args.len(), self.rows),
+            || format!("{}({} args) rows={}", call.operator, args.len(), self.rows),
             |ctx| index.start_batch(ctx, &info, &call, &arg_rows),
         );
         match started {
@@ -1037,7 +1037,7 @@ impl DomainScanExec {
                     Component::Recovery,
                     "ODCIIndexClose",
                     &info.indextype_name,
-                    "start failed; no scan context",
+                    || "start failed; no scan context".into(),
                 );
                 Err(e)
             }
@@ -1048,7 +1048,8 @@ impl DomainScanExec {
         if let Some(ctx) = self.ctx.take() {
             let (index, info) = self.runtime.as_ref().expect("runtime resolved").clone();
             let callee = Callee::Index(&info);
-            odci_batch_call(Lane::Read(db), Routine::IndexClose, callee, self.rows, "", |sctx| {
+            let rows = self.rows;
+            odci_batch_call(Lane::Read(db), Routine::IndexClose, callee, rows, String::new, |sctx| {
                 odci::close_batch(&*index, sctx, &info, ctx)
             })?;
         }
@@ -1069,7 +1070,7 @@ impl DomainScanExec {
             Routine::IndexClose,
             Callee::Recovering(&info),
             self.rows,
-            "error-path close",
+            || "error-path close".into(),
             |sctx| odci::close_batch(&*index, sctx, &info, ctx),
         );
         if let Err(e) = r {
@@ -1077,7 +1078,7 @@ impl DomainScanExec {
                 Component::Recovery,
                 "CloseFailed",
                 &info.indextype_name,
-                e.to_string(),
+                || e.to_string(),
             );
         }
     }
@@ -1101,7 +1102,7 @@ impl DomainScanExec {
                 Routine::IndexFetch,
                 Callee::Index(&info),
                 self.rows,
-                format!("nrows={batch}"),
+                || format!("nrows={batch}"),
                 |sctx| odci::fetch_batch(&*index, sctx, &info, scan_ctx, batch),
             );
             let outer_rows = self.batch.as_deref().unwrap_or_default();

@@ -20,11 +20,11 @@ use extidx_core::build::{try_partition_map, DEFAULT_BUILD_BATCH_ROWS};
 use extidx_core::meta::{IndexInfo, OperatorCall};
 use extidx_core::params::ParamString;
 use extidx_core::scan::{FetchResult, FetchedRow, ScanContext};
-use extidx_core::server::{workspace_state, BaseRow, ServerContext};
+use extidx_core::server::{workspace_state, BaseRow, RunQuery, ServerContext};
 use extidx_core::stats::{IndexCost, OdciStats};
 use extidx_core::OdciIndex;
 
-use crate::query::{parse_query, TextQuery};
+use crate::query::{parse_query, Postings, RunMerge, TextQuery};
 use crate::tokenizer::{tokenize, StopWords};
 
 /// The indextype implementation (the paper's `TextIndexMethods` object
@@ -108,46 +108,32 @@ fn doc_entries(text: &str, rid: RowId, stop: &StopWords) -> Vec<(String, RowId, 
     tokenize(text, stop).into_iter().map(|(t, f)| (t, rid, f)).collect()
 }
 
-/// Load the posting list of every positive query term.
-fn load_postings(
-    srv: &mut dyn ServerContext,
+/// Load the posting list of every query term from the index table
+/// `table`, once per distinct term. A token's rows arrive in `(token,
+/// rid)` key order, so each list is already rid-ordered (a list that is
+/// not is sorted).
+pub fn load_postings(
+    run: &mut RunQuery,
     table: &str,
     q: &TextQuery,
-) -> Result<BTreeMap<String, BTreeMap<RowId, u32>>> {
+) -> Result<BTreeMap<String, Postings>> {
+    let sql = format!("SELECT rid, freq FROM {table} WHERE token = ?");
     let mut postings = BTreeMap::new();
     for term in q.terms() {
         if postings.contains_key(&term) {
             continue;
         }
-        let rows = srv.query(
-            &format!("SELECT rid, freq FROM {table} WHERE token = ?"),
-            &[Value::from(term.clone())],
-        )?;
-        let mut list = BTreeMap::new();
+        let rows = run(&sql, &[Value::from(term.clone())])?;
+        let mut list: Postings = Vec::with_capacity(rows.len());
         for r in rows {
-            list.insert(r[0].as_rowid()?, r[1].as_integer()? as u32);
+            list.push((r[0].as_rowid()?, r[1].as_integer()? as u32));
+        }
+        if !list.is_sorted_by_key(|&(rid, _)| rid) {
+            list.sort_unstable_by_key(|&(rid, _)| rid);
         }
         postings.insert(term, list);
     }
     Ok(postings)
-}
-
-/// Whether one rowid satisfies the query given the loaded postings.
-fn rid_matches(q: &TextQuery, postings: &BTreeMap<String, BTreeMap<RowId, u32>>, rid: RowId) -> bool {
-    match q {
-        TextQuery::Term(t) => postings.get(t).is_some_and(|p| p.contains_key(&rid)),
-        TextQuery::And(a, b) => rid_matches(a, postings, rid) && rid_matches(b, postings, rid),
-        TextQuery::Or(a, b) => rid_matches(a, postings, rid) || rid_matches(b, postings, rid),
-        TextQuery::Not(a) => !rid_matches(a, postings, rid),
-    }
-}
-
-fn rid_score(
-    terms: &[String],
-    postings: &BTreeMap<String, BTreeMap<RowId, u32>>,
-    rid: RowId,
-) -> u32 {
-    terms.iter().filter_map(|t| postings.get(t).and_then(|p| p.get(&rid))).sum()
 }
 
 /// Precompute-All scan state (Return State context): ranked result rows.
@@ -159,16 +145,19 @@ struct PrecomputedScan {
 }
 
 /// Incremental scan state (kept in the statement workspace behind a
-/// Return Handle): candidate rowids evaluated batch-by-batch.
+/// Return Handle): the merge of the query's posting lists, advanced one
+/// fetch batch at a time.
 struct IncrementalScan {
-    query: TextQuery,
-    /// Positive terms, cached once (scoring would otherwise re-derive
-    /// them per candidate row).
-    terms: Vec<String>,
-    postings: BTreeMap<String, BTreeMap<RowId, u32>>,
-    candidates: Vec<RowId>,
-    pos: usize,
+    merge: RunMerge,
     wants_ancillary: bool,
+}
+
+fn fetched(rid: RowId, score: u32, wants_ancillary: bool) -> FetchedRow {
+    if wants_ancillary {
+        FetchedRow::with_ancillary(rid, Value::Number(score as f64))
+    } else {
+        FetchedRow::plain(rid)
+    }
 }
 
 impl TextIndexMethods {
@@ -317,33 +306,18 @@ impl OdciIndex for TextIndexMethods {
             .parameters
             .first("ScanMode")
             .is_some_and(|m| m.eq_ignore_ascii_case("INCREMENTAL"));
-        let table = index_table(info);
-        let postings = load_postings(srv, &table, &q)?;
+        let postings = load_postings(&mut |sql, b| srv.query(sql, b), &index_table(info), &q)?;
+        let merge = q.merge(postings)?;
         if incremental {
-            // Incremental Computation: defer boolean evaluation and
-            // scoring to fetch time; keep (potentially large) merge state
-            // in the statement workspace.
-            let mut candidates: Vec<RowId> = Vec::new();
-            for list in postings.values() {
-                candidates.extend(list.keys().copied());
-            }
-            candidates.sort_unstable();
-            candidates.dedup();
-            let state = IncrementalScan {
-                terms: q.terms(),
-                query: q,
-                postings,
-                candidates,
-                pos: 0,
-                wants_ancillary: op.wants_ancillary,
-            };
+            // Incremental Computation: advance the merge at fetch time;
+            // keep its state in the statement workspace.
+            let state = IncrementalScan { merge, wants_ancillary: op.wants_ancillary };
             let handle = srv.workspace_put(Box::new(state));
             Ok(ScanContext::Handle(handle))
         } else {
             // Precompute All: evaluate the boolean query and rank the
             // entire result by score before the first fetch.
-            let result = q.evaluate_postings(&postings)?;
-            let mut rows: Vec<(RowId, u32)> = result.into_iter().collect();
+            let mut rows: Vec<(RowId, u32)> = merge.collect();
             rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
             Ok(ScanContext::State(Box::new(PrecomputedScan {
                 rows,
@@ -368,13 +342,7 @@ impl OdciIndex for TextIndexMethods {
                 let end = (st.pos + nrows).min(st.rows.len());
                 let out: Vec<FetchedRow> = st.rows[st.pos..end]
                     .iter()
-                    .map(|(rid, score)| {
-                        if st.wants_ancillary {
-                            FetchedRow::with_ancillary(*rid, Value::Number(*score as f64))
-                        } else {
-                            FetchedRow::plain(*rid)
-                        }
-                    })
+                    .map(|&(rid, score)| fetched(rid, score, st.wants_ancillary))
                     .collect();
                 st.pos = end;
                 Ok(FetchResult { rows: out, done: st.pos >= st.rows.len() })
@@ -387,21 +355,14 @@ impl OdciIndex for TextIndexMethods {
                     &info.indextype_name,
                     "ODCIIndexFetch",
                 )?;
-                let mut out = Vec::with_capacity(nrows);
-                while out.len() < nrows && st.pos < st.candidates.len() {
-                    let rid = st.candidates[st.pos];
-                    st.pos += 1;
-                    if rid_matches(&st.query, &st.postings, rid) {
-                        if st.wants_ancillary {
-                            let score = rid_score(&st.terms, &st.postings, rid);
-                            out.push(FetchedRow::with_ancillary(rid, Value::Number(score as f64)));
-                        } else {
-                            out.push(FetchedRow::plain(rid));
-                        }
-                    }
-                }
-                let done = st.pos >= st.candidates.len();
-                Ok(FetchResult { rows: out, done })
+                let wants_ancillary = st.wants_ancillary;
+                let out: Vec<FetchedRow> = st
+                    .merge
+                    .by_ref()
+                    .take(nrows)
+                    .map(|(rid, score)| fetched(rid, score, wants_ancillary))
+                    .collect();
+                Ok(FetchResult { rows: out, done: st.merge.is_done() })
             }
         }
     }

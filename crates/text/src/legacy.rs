@@ -19,6 +19,7 @@
 use extidx_common::{Result, Row, Value};
 use extidx_sql::Database;
 
+use crate::cartridge::load_postings;
 use crate::query::parse_query;
 
 /// Monotonic temp-table suffix so concurrent/benchmark calls don't clash.
@@ -40,28 +41,14 @@ pub fn two_step_query(
 
     // Step 1: scan the text index for ALL satisfying rowids.
     let index_table = format!("DR${}$I", index_name.to_ascii_uppercase());
-    let mut postings = std::collections::BTreeMap::new();
-    for term in q.terms() {
-        if postings.contains_key(&term) {
-            continue;
-        }
-        let rows = db.query_with(
-            &format!("SELECT rid, freq FROM {index_table} WHERE token = ?"),
-            &[Value::from(term.clone())],
-        )?;
-        let mut list = std::collections::BTreeMap::new();
-        for r in rows {
-            list.insert(r[0].as_rowid()?, r[1].as_integer()? as u32);
-        }
-        postings.insert(term, list);
-    }
-    let matches = q.evaluate_postings(&postings)?;
+    let postings = load_postings(&mut |sql, b| db.query_with(sql, b), &index_table, &q)?;
+    let matches = q.evaluate_postings(postings)?;
 
     // …written out into a temporary result table.
     let seq = TEMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let temp = format!("TEXT_RESULTS_{seq}");
     db.execute(&format!("CREATE TABLE {temp} (rid ROWID)"))?;
-    let rids: Vec<Value> = matches.keys().map(|r| Value::RowId(*r)).collect();
+    let rids: Vec<Value> = matches.iter().map(|&(rid, _)| Value::RowId(rid)).collect();
     for chunk in rids.chunks(256) {
         let mut sql = format!("INSERT INTO {temp} VALUES ");
         for i in 0..chunk.len() {

@@ -61,87 +61,177 @@ impl TextQuery {
     }
 
     /// Evaluate over posting lists (index path): each term maps to its
-    /// posting list (rowid → term frequency). Returns the matching rowids
-    /// with an aggregate score (sum of matched-term frequencies).
+    /// rid-ordered posting list. Returns the matching rowids in rid order,
+    /// each with an aggregate score (sum of matched-term frequencies).
     ///
     /// `NOT` subtrees subtract from their AND sibling; a query whose top
     /// level is effectively negative is rejected.
-    pub fn evaluate_postings(
-        &self,
-        postings: &BTreeMap<String, BTreeMap<RowId, u32>>,
-    ) -> Result<BTreeMap<RowId, u32>> {
-        match self.eval_set(postings)? {
-            SetResult::Positive(m) => Ok(m),
-            SetResult::Negative(_) => Err(Error::Semantic(
-                "a Contains query cannot be purely negative (NOT without a positive side)".into(),
-            )),
-        }
+    pub fn evaluate_postings(&self, postings: BTreeMap<String, Postings>) -> Result<Postings> {
+        Ok(self.merge(postings)?.collect())
     }
 
-    fn eval_set(
-        &self,
-        postings: &BTreeMap<String, BTreeMap<RowId, u32>>,
-    ) -> Result<SetResult> {
+    /// Compile the query over its terms' posting lists (a term without a
+    /// list has no postings) into one linear merge of rid-ordered runs:
+    /// AND an intersection, OR a union, AND NOT a difference, frequencies
+    /// summed. The merge yields `(rid, score)` in rid order, on demand.
+    pub fn merge(&self, postings: BTreeMap<String, Postings>) -> Result<RunMerge> {
+        let (names, lists): (Vec<String>, Vec<Postings>) = postings.into_iter().unzip();
+        let (positive, mut root) = self.compile(&names)?;
+        if !positive {
+            return Err(Error::Semantic(
+                "a Contains query cannot be purely negative (NOT without a positive side)".into(),
+            ));
+        }
+        root.start(&lists);
+        Ok(RunMerge { lists, root })
+    }
+
+    /// The merge tree of this subquery over the lists of the sorted term
+    /// `names`, and whether it is positive (the rows that match) or
+    /// negative (the rows that must not match).
+    fn compile(&self, names: &[String]) -> Result<(bool, Node)> {
+        let node = |merge| Node { cur: None, merge };
         Ok(match self {
             TextQuery::Term(t) => {
-                SetResult::Positive(postings.get(t).cloned().unwrap_or_default())
+                (true, node(Merge::Run { list: names.binary_search(t).ok(), pos: 0 }))
             }
-            TextQuery::Not(a) => match a.eval_set(postings)? {
-                SetResult::Positive(m) => SetResult::Negative(m),
-                SetResult::Negative(m) => SetResult::Positive(m),
+            TextQuery::Not(a) => {
+                let (positive, n) = a.compile(names)?;
+                (!positive, n)
+            }
+            TextQuery::And(a, b) => match (a.compile(names)?, b.compile(names)?) {
+                ((true, l), (true, r)) => (true, node(Merge::And(Box::new(l), Box::new(r)))),
+                ((true, l), (false, r)) | ((false, r), (true, l)) => {
+                    (true, node(Merge::AndNot(Box::new(l), Box::new(r))))
+                }
+                ((false, _), (false, _)) => {
+                    return Err(Error::Semantic(
+                        "AND of two NOT subqueries is purely negative".into(),
+                    ))
+                }
             },
-            TextQuery::And(a, b) => {
-                let (l, r) = (a.eval_set(postings)?, b.eval_set(postings)?);
-                match (l, r) {
-                    (SetResult::Positive(l), SetResult::Positive(r)) => {
-                        let mut out = BTreeMap::new();
-                        for (rid, f) in &l {
-                            if let Some(g) = r.get(rid) {
-                                out.insert(*rid, f + g);
-                            }
-                        }
-                        SetResult::Positive(out)
-                    }
-                    (SetResult::Positive(l), SetResult::Negative(r))
-                    | (SetResult::Negative(r), SetResult::Positive(l)) => {
-                        let mut out = l;
-                        for rid in r.keys() {
-                            out.remove(rid);
-                        }
-                        SetResult::Positive(out)
-                    }
-                    (SetResult::Negative(_), SetResult::Negative(_)) => {
-                        return Err(Error::Semantic(
-                            "AND of two NOT subqueries is purely negative".into(),
-                        ))
-                    }
+            TextQuery::Or(a, b) => match (a.compile(names)?, b.compile(names)?) {
+                ((true, l), (true, r)) => (true, node(Merge::Or(Box::new(l), Box::new(r)))),
+                _ => {
+                    return Err(Error::Semantic(
+                        "OR with a NOT subquery is purely negative on one side".into(),
+                    ))
                 }
-            }
-            TextQuery::Or(a, b) => {
-                let (l, r) = (a.eval_set(postings)?, b.eval_set(postings)?);
-                match (l, r) {
-                    (SetResult::Positive(mut l), SetResult::Positive(r)) => {
-                        for (rid, f) in r {
-                            *l.entry(rid).or_insert(0) += f;
-                        }
-                        SetResult::Positive(l)
-                    }
-                    _ => {
-                        return Err(Error::Semantic(
-                            "OR with a NOT subquery is purely negative on one side".into(),
-                        ))
-                    }
-                }
-            }
+            },
         })
     }
 }
 
-enum SetResult {
-    /// Rowids that match (with scores).
-    Positive(BTreeMap<RowId, u32>),
-    /// Rowids that must NOT match.
-    Negative(BTreeMap<RowId, u32>),
+/// A term's posting list: `(rid, term frequency)` in ascending rid order,
+/// the order the `(token, rid)` index table returns a token's rows in.
+pub type Postings = Vec<(RowId, u32)>;
+
+/// A query merged over its posting lists ([`TextQuery::merge`]): an
+/// iterator of matching `(rid, score)` in rid order. Each step advances
+/// the runs only as far as the next match, so a scan that stops early
+/// leaves the rest of the lists unread.
+pub struct RunMerge {
+    lists: Vec<Postings>,
+    root: Node,
+}
+
+impl RunMerge {
+    /// Whether no match is left.
+    pub fn is_done(&self) -> bool {
+        self.root.cur.is_none()
+    }
+}
+
+impl Iterator for RunMerge {
+    type Item = (RowId, u32);
+
+    fn next(&mut self) -> Option<(RowId, u32)> {
+        let cur = self.root.cur?;
+        self.root.advance(&self.lists);
+        Some(cur)
+    }
+}
+
+/// One step of the merge and its current `(rid, score)`, `None` once
+/// exhausted. A node's children always sit on their own current rows.
+struct Node {
+    cur: Option<(RowId, u32)>,
+    merge: Merge,
+}
+
+enum Merge {
+    /// A cursor into one posting list; `None` for a term with no list.
+    Run { list: Option<usize>, pos: usize },
+    And(Box<Node>, Box<Node>),
+    Or(Box<Node>, Box<Node>),
+    AndNot(Box<Node>, Box<Node>),
+}
+
+fn rid_of(row: Option<(RowId, u32)>) -> Option<RowId> {
+    row.map(|(rid, _)| rid)
+}
+
+impl Node {
+    /// Put every node of the tree on its first row, children first.
+    fn start(&mut self, lists: &[Postings]) {
+        if let Merge::And(a, b) | Merge::Or(a, b) | Merge::AndNot(a, b) = &mut self.merge {
+            a.start(lists);
+            b.start(lists);
+        }
+        self.settle(lists);
+    }
+
+    /// Move past the current row.
+    fn advance(&mut self, lists: &[Postings]) {
+        let at = rid_of(self.cur);
+        match &mut self.merge {
+            Merge::Run { pos, .. } => *pos += 1,
+            Merge::And(a, b) => {
+                a.advance(lists);
+                b.advance(lists);
+            }
+            Merge::Or(a, b) => {
+                for side in [a, b] {
+                    if rid_of(side.cur) == at {
+                        side.advance(lists);
+                    }
+                }
+            }
+            Merge::AndNot(a, _) => a.advance(lists),
+        }
+        self.settle(lists);
+    }
+
+    /// Advance the children to this node's next row, and set `cur` to it.
+    fn settle(&mut self, lists: &[Postings]) {
+        self.cur = match &mut self.merge {
+            Merge::Run { list, pos } => list.and_then(|l| lists[l].get(*pos).copied()),
+            Merge::And(a, b) => loop {
+                match (a.cur, b.cur) {
+                    (Some((x, f)), Some((y, g))) if x == y => break Some((x, f + g)),
+                    (Some((x, _)), Some((y, _))) if x < y => a.advance(lists),
+                    (Some(_), Some(_)) => b.advance(lists),
+                    _ => break None,
+                }
+            },
+            Merge::Or(a, b) => match (a.cur, b.cur) {
+                (Some((x, f)), Some((y, g))) if x == y => Some((x, f + g)),
+                (Some(l), Some(r)) => Some(if l.0 < r.0 { l } else { r }),
+                (l, r) => l.or(r),
+            },
+            Merge::AndNot(a, b) => loop {
+                let Some((x, f)) = a.cur else { break None };
+                while rid_of(b.cur).is_some_and(|y| y < x) {
+                    b.advance(lists);
+                }
+                if rid_of(b.cur) == Some(x) {
+                    a.advance(lists);
+                } else {
+                    break Some((x, f));
+                }
+            },
+        };
+    }
 }
 
 /// Parse a keyword query string.
@@ -302,54 +392,58 @@ mod tests {
 
     #[test]
     fn posting_evaluation_and() {
-        let mut postings: BTreeMap<String, BTreeMap<RowId, u32>> = BTreeMap::new();
+        let mut postings: BTreeMap<String, Postings> = BTreeMap::new();
         let r1 = RowId::new(1, 0, 0);
         let r2 = RowId::new(1, 0, 1);
-        postings.insert("oracle".into(), [(r1, 2), (r2, 1)].into_iter().collect());
-        postings.insert("unix".into(), [(r1, 1)].into_iter().collect());
+        postings.insert("oracle".into(), vec![(r1, 2), (r2, 1)]);
+        postings.insert("unix".into(), vec![(r1, 1)]);
         let q = parse_query("oracle AND unix").unwrap();
-        let out = q.evaluate_postings(&postings).unwrap();
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[&r1], 3); // summed frequencies as score
+        let out = q.evaluate_postings(postings).unwrap();
+        assert_eq!(out, vec![(r1, 3)]); // summed frequencies as score
     }
 
     #[test]
     fn posting_evaluation_or_scores_sum() {
-        let mut postings: BTreeMap<String, BTreeMap<RowId, u32>> = BTreeMap::new();
-        let r1 = RowId::new(1, 0, 0);
-        postings.insert("a".into(), [(r1, 2)].into_iter().collect());
-        postings.insert("b".into(), [(r1, 3)].into_iter().collect());
+        let mut postings: BTreeMap<String, Postings> = BTreeMap::new();
+        let (r1, r2, r3) = (RowId::new(1, 0, 0), RowId::new(1, 0, 1), RowId::new(1, 0, 2));
+        postings.insert("a".into(), vec![(r1, 2), (r3, 1)]);
+        postings.insert("b".into(), vec![(r1, 3), (r2, 4)]);
         let q = parse_query("a OR b").unwrap();
-        let out = q.evaluate_postings(&postings).unwrap();
-        assert_eq!(out[&r1], 5);
+        let out = q.evaluate_postings(postings).unwrap();
+        assert_eq!(out, vec![(r1, 5), (r2, 4), (r3, 1)]);
     }
 
     #[test]
     fn posting_evaluation_and_not() {
-        let mut postings: BTreeMap<String, BTreeMap<RowId, u32>> = BTreeMap::new();
+        let mut postings: BTreeMap<String, Postings> = BTreeMap::new();
         let r1 = RowId::new(1, 0, 0);
         let r2 = RowId::new(1, 0, 1);
-        postings.insert("oracle".into(), [(r1, 1), (r2, 1)].into_iter().collect());
-        postings.insert("cobol".into(), [(r2, 1)].into_iter().collect());
+        postings.insert("oracle".into(), vec![(r1, 1), (r2, 1)]);
+        postings.insert("cobol".into(), vec![(r2, 1)]);
         let q = parse_query("oracle AND NOT cobol").unwrap();
-        let out = q.evaluate_postings(&postings).unwrap();
-        assert_eq!(out.keys().copied().collect::<Vec<_>>(), vec![r1]);
+        let out = q.evaluate_postings(postings.clone()).unwrap();
+        assert_eq!(out, vec![(r1, 1)]);
+        // NOT first, and a doubly negated term is positive again.
+        let q = parse_query("NOT cobol AND oracle").unwrap();
+        assert_eq!(q.evaluate_postings(postings.clone()).unwrap(), vec![(r1, 1)]);
+        let q = parse_query("NOT NOT cobol").unwrap();
+        assert_eq!(q.evaluate_postings(postings).unwrap(), vec![(r2, 1)]);
     }
 
     #[test]
     fn purely_negative_rejected_on_index_path() {
-        let postings = BTreeMap::new();
         let q = parse_query("NOT oracle").unwrap();
-        assert!(q.evaluate_postings(&postings).is_err());
+        assert!(q.evaluate_postings(BTreeMap::new()).is_err());
+        assert!(parse_query("a OR NOT b").unwrap().merge(BTreeMap::new()).is_err());
+        assert!(parse_query("NOT a AND NOT b").unwrap().merge(BTreeMap::new()).is_err());
         // …but the functional path handles it.
         assert!(q.matches(&doc("plain document")));
     }
 
     #[test]
     fn missing_term_is_empty_posting() {
-        let postings = BTreeMap::new();
         let q = parse_query("absent").unwrap();
-        assert!(q.evaluate_postings(&postings).unwrap().is_empty());
+        assert!(q.evaluate_postings(BTreeMap::new()).unwrap().is_empty());
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 
 use extidx_common::RowId;
-use extidx_text::query::{parse_query, TextQuery};
+use extidx_text::query::{parse_query, Postings, TextQuery};
 use extidx_text::tokenizer::{tokenize, StopWords};
 
 /// Random documents over a tiny vocabulary so term overlap is common.
@@ -36,19 +36,84 @@ fn arb_query() -> impl Strategy<Value = TextQuery> {
     })
 }
 
-/// Build the postings map the index path would load.
-fn postings_of(docs: &[String]) -> BTreeMap<String, BTreeMap<RowId, u32>> {
-    let mut postings: BTreeMap<String, BTreeMap<RowId, u32>> = BTreeMap::new();
+/// Build the rid-ordered posting lists the index path would load.
+fn postings_of(docs: &[String]) -> BTreeMap<String, Postings> {
+    let mut postings: BTreeMap<String, Postings> = BTreeMap::new();
     for (i, d) in docs.iter().enumerate() {
         let rid = RowId::new(1, 0, i as u16);
         for (tok, freq) in tokenize(d, &StopWords::none()) {
-            postings.entry(tok).or_default().insert(rid, freq);
+            postings.entry(tok).or_default().push((rid, freq));
         }
     }
     postings
 }
 
+/// Reference posting evaluator, as the index path evaluated queries before
+/// it merged rid-ordered runs: one `rid → score` map per subquery, built
+/// bottom-up; `Ok` holds the rows that match, `Err` the rows that must not
+/// (a negated subquery), and `None` is a refused query.
+fn reference_eval(
+    q: &TextQuery,
+    postings: &BTreeMap<String, Postings>,
+) -> Option<Result<BTreeMap<RowId, u32>, BTreeMap<RowId, u32>>> {
+    Some(match q {
+        TextQuery::Term(t) => {
+            Ok(postings.get(t).map(|l| l.iter().copied().collect()).unwrap_or_default())
+        }
+        TextQuery::Not(a) => match reference_eval(a, postings)? {
+            Ok(m) => Err(m),
+            Err(m) => Ok(m),
+        },
+        TextQuery::And(a, b) => match (reference_eval(a, postings)?, reference_eval(b, postings)?) {
+            (Ok(l), Ok(r)) => {
+                Ok(l.iter().filter_map(|(rid, f)| r.get(rid).map(|g| (*rid, f + g))).collect())
+            }
+            (Ok(mut l), Err(r)) | (Err(r), Ok(mut l)) => {
+                l.retain(|rid, _| !r.contains_key(rid));
+                Ok(l)
+            }
+            (Err(_), Err(_)) => return None,
+        },
+        TextQuery::Or(a, b) => match (reference_eval(a, postings)?, reference_eval(b, postings)?) {
+            (Ok(mut l), Ok(r)) => {
+                for (rid, f) in r {
+                    *l.entry(rid).or_insert(0) += f;
+                }
+                Ok(l)
+            }
+            _ => return None,
+        },
+    })
+}
+
 proptest! {
+    /// The merge of rid-ordered runs returns exactly the reference
+    /// evaluator's rows and scores, in rid order, and refuses exactly the
+    /// queries it cannot answer. Each case checks eight queries in three
+    /// shapes each: as drawn, NOT on the left of an AND, and an OR with a
+    /// NOT side.
+    #[test]
+    fn runs_equal_the_map_evaluator(
+        docs in prop::collection::vec(arb_doc(), 0..20),
+        queries in prop::collection::vec(arb_query(), 8..9),
+    ) {
+        let postings = postings_of(&docs);
+        let not = |q: &TextQuery| Box::new(TextQuery::Not(Box::new(q.clone())));
+        for q in &queries {
+            for q in [
+                q.clone(),
+                TextQuery::And(not(q), Box::new(TextQuery::Term("alpha".into()))),
+                TextQuery::Or(Box::new(q.clone()), not(q)),
+            ] {
+                let expect: Option<Vec<(RowId, u32)>> = match reference_eval(&q, &postings) {
+                    Some(Ok(m)) => Some(m.into_iter().collect()),
+                    _ => None,
+                };
+                prop_assert_eq!(q.evaluate_postings(postings.clone()).ok(), expect);
+            }
+        }
+    }
+
     /// Functional (per-document) evaluation and posting-list evaluation
     /// return exactly the same document set.
     #[test]
@@ -58,7 +123,7 @@ proptest! {
     ) {
         let postings = postings_of(&docs);
         // Only test queries the index path accepts (positive top level).
-        if let Ok(index_result) = q.evaluate_postings(&postings) {
+        if let Ok(index_result) = q.evaluate_postings(postings) {
             let functional: Vec<usize> = docs
                 .iter()
                 .enumerate()
@@ -66,7 +131,7 @@ proptest! {
                 .map(|(i, _)| i)
                 .collect();
             let indexed: Vec<usize> =
-                index_result.keys().map(|rid| rid.slot as usize).collect();
+                index_result.iter().map(|(rid, _)| rid.slot as usize).collect();
             prop_assert_eq!(functional, indexed);
         }
     }
@@ -79,7 +144,7 @@ proptest! {
         q in arb_query(),
     ) {
         let postings = postings_of(&docs);
-        if let Ok(result) = q.evaluate_postings(&postings) {
+        if let Ok(result) = q.evaluate_postings(postings) {
             for (rid, score) in &result {
                 let doc = &docs[rid.slot as usize];
                 prop_assert!(q.matches(&tokenize(doc, &StopWords::none())));

@@ -2,21 +2,24 @@
 //!
 //! Index storage: `DR$<index>$S (q1, rid, q2, q3, q4, sig)` — an
 //! index-organized table keyed on `(q1, rid)`, where `q1…q4` are the
-//! coarse per-channel means and `sig` is the serialized full signature.
-//! Keying on `q1` makes the **first filter pass** ("a range query on the
-//! index data table") an IOT range scan.
+//! coarse per-channel means and `sig` is the base value's signature text,
+//! verbatim. Keying on `q1` makes the **first filter pass** ("a range
+//! query on the index data table") an IOT range scan.
 //!
 //! The scan evaluates `VirSimilar` in the paper's three phases:
-//! 1. range query on `q1` (coarse first channel) — via SQL `BETWEEN`;
+//! 1. one range query — `q1 BETWEEN` on the key, plus a `BETWEEN` on every
+//!    other positively weighted channel, tested on each row in the scan;
 //! 2. coarse weighted distance over `q1…q4` ≤ threshold;
-//! 3. full signature comparison ≤ threshold (during fetch).
+//! 3. full signature comparison ≤ threshold (during fetch), parsing only
+//!    the weighted channels and stopping once the distance passes the
+//!    threshold.
 
-use extidx_common::{Error, Result, RowId, Value};
+use extidx_common::{Error, Result, Row, RowId, Value};
 use extidx_core::build::{try_partition_map, DEFAULT_BUILD_BATCH_ROWS};
 use extidx_core::meta::{IndexInfo, OperatorCall};
 use extidx_core::params::ParamString;
 use extidx_core::scan::{FetchResult, FetchedRow, ScanContext};
-use extidx_core::server::{BaseRow, ServerContext};
+use extidx_core::server::{BaseRow, RunQuery, ServerContext};
 use extidx_core::stats::{IndexCost, OdciStats};
 use extidx_core::OdciIndex;
 
@@ -29,14 +32,14 @@ fn sig_table(info: &IndexInfo) -> String {
     info.storage_table_name("S")
 }
 
-/// Extract a signature from an indexed column value: either a serialized
-/// VARCHAR2 or a `VIR_IMAGE(signature)` object.
-pub fn column_signature(v: &Value) -> Result<Option<Signature>> {
+/// The signature text of an indexed column value: a VARCHAR2 itself or
+/// the first attribute of a `VIR_IMAGE(signature)` object.
+fn signature_text(v: &Value) -> Result<Option<&str>> {
     Ok(match v {
         Value::Null => None,
-        Value::Varchar(s) => Some(Signature::deserialize(s)?),
+        Value::Varchar(s) => Some(s),
         Value::Object(_, attrs) => match attrs.first() {
-            Some(Value::Varchar(s)) => Some(Signature::deserialize(s)?),
+            Some(Value::Varchar(s)) => Some(s),
             Some(Value::Null) | None => None,
             Some(other) => {
                 return Err(Error::type_mismatch("VARCHAR2 signature attribute", other.type_name()))
@@ -46,26 +49,43 @@ pub fn column_signature(v: &Value) -> Result<Option<Signature>> {
     })
 }
 
+/// Extract a signature from an indexed column value: either a serialized
+/// VARCHAR2 or a `VIR_IMAGE(signature)` object.
+pub fn column_signature(v: &Value) -> Result<Option<Signature>> {
+    signature_text(v)?.map(Signature::deserialize).transpose()
+}
+
+/// The index row of a column value: its coarse values and its signature
+/// text, stored verbatim so that phase 3 compares exactly the values the
+/// functional `VirSimilar` compares.
+fn index_entry(v: &Value) -> Result<Option<([f64; CHANNELS], &str)>> {
+    let Some(text) = signature_text(v)? else { return Ok(None) };
+    Ok(Some((Signature::deserialize(text)?.coarse(), text)))
+}
+
+fn insert_sql(info: &IndexInfo) -> String {
+    format!("INSERT INTO {} VALUES (?, ?, ?, ?, ?, ?)", sig_table(info))
+}
+
+fn insert_binds(rid: RowId, c: &[f64; CHANNELS], text: &str) -> [Value; 6] {
+    [
+        Value::Number(c[0]),
+        Value::RowId(rid),
+        Value::Number(c[1]),
+        Value::Number(c[2]),
+        Value::Number(c[3]),
+        Value::from(text),
+    ]
+}
+
 fn index_one(srv: &mut dyn ServerContext, info: &IndexInfo, rid: RowId, v: &Value) -> Result<()> {
-    let Some(sig) = column_signature(v)? else { return Ok(()) };
-    let c = sig.coarse();
-    srv.execute(
-        &format!("INSERT INTO {} VALUES (?, ?, ?, ?, ?, ?)", sig_table(info)),
-        &[
-            Value::Number(c[0]),
-            Value::RowId(rid),
-            Value::Number(c[1]),
-            Value::Number(c[2]),
-            Value::Number(c[3]),
-            Value::from(sig.serialize()),
-        ],
-    )?;
+    let Some((c, text)) = index_entry(v)? else { return Ok(()) };
+    srv.execute(&insert_sql(info), &insert_binds(rid, &c, text))?;
     Ok(())
 }
 
 fn unindex_one(srv: &mut dyn ServerContext, info: &IndexInfo, rid: RowId, v: &Value) -> Result<()> {
-    let Some(sig) = column_signature(v)? else { return Ok(()) };
-    let c = sig.coarse();
+    let Some((c, _)) = index_entry(v)? else { return Ok(()) };
     srv.execute(
         &format!("DELETE FROM {} WHERE q1 = ? AND rid = ?", sig_table(info)),
         &[Value::Number(c[0]), Value::RowId(rid)],
@@ -96,96 +116,131 @@ struct VirScan {
     query: Signature,
     weights: Weights,
     threshold: f64,
-    /// `(rid, serialized signature)` candidates that passed phases 1–2.
+    /// `(rid, signature text)` candidates that passed phases 1–2.
     candidates: Vec<(RowId, String)>,
     pos: usize,
 }
 
-/// Counts of rows surviving each filter phase — the E4 report.
+/// Rows surviving each filter phase and the time each phase took — the
+/// E4 report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseCounts {
     pub total: usize,
+    /// Rows in the `q1` range alone, the IOT key range.
+    pub after_key_range: usize,
+    /// Rows in every phase-1 range: what phase 1 reads.
     pub after_range: usize,
     pub after_coarse: usize,
     pub matches: usize,
+    /// Wall time of phases 1, 2 and 3, in microseconds.
+    pub phase_micros: [u64; 3],
 }
 
-/// Run the three phases directly and report per-phase survivor counts
-/// (used by the experiment harness to quantify filter effectiveness).
+/// Run the three phases against the index table `table` through `run` and
+/// report per-phase survivor counts and times (the experiment harness's
+/// measure of filter effectiveness).
 pub fn phase_counts(
-    srv: &mut dyn ServerContext,
-    info: &IndexInfo,
+    run: &mut RunQuery,
+    table: &str,
     query: &Signature,
     weights: &Weights,
     threshold: f64,
 ) -> Result<PhaseCounts> {
-    let table = sig_table(info);
-    let total = srv.query(&format!("SELECT COUNT(*) FROM {table}"), &[])?[0][0].as_integer()? as usize;
-    let (rows, _) = phase12(srv, &table, query, weights, threshold)?;
-    let after_coarse = rows.len();
-    let after_range = phase1_count(srv, &table, query, weights, threshold)?;
+    let total = run(&format!("SELECT COUNT(*) FROM {table}"), &[])?[0][0].as_integer()? as usize;
+    let after_key_range = phase1_count(run, table, query, weights, threshold)?;
+    let t = std::time::Instant::now();
+    let rows = run(&phase1_sql(table, weights), &phase1_binds(query, weights, threshold))?;
+    let t1 = t.elapsed();
+    let after_range = rows.len();
+    let survivors = phase2(rows, query, weights, threshold)?;
+    let t2 = t.elapsed();
     let mut matches = 0;
-    for (_, sig_text) in &rows {
-        let sig = Signature::deserialize(sig_text)?;
-        if sig.distance(query, weights) <= threshold {
-            matches += 1;
-        }
+    for (_, text) in &survivors {
+        matches += Signature::distance_within(text, query, weights, threshold)?.is_some() as usize;
     }
-    Ok(PhaseCounts { total, after_range, after_coarse, matches })
+    let t3 = t.elapsed();
+    let phase_micros =
+        [t1.as_micros() as u64, (t2 - t1).as_micros() as u64, (t3 - t2).as_micros() as u64];
+    let after_coarse = survivors.len();
+    Ok(PhaseCounts { total, after_key_range, after_range, after_coarse, matches, phase_micros })
 }
 
-/// Phase-1 candidate count alone (range query on `q1`).
+/// Rows in the `q1` key range alone (the selectivity estimate's count).
 fn phase1_count(
-    srv: &mut dyn ServerContext,
+    run: &mut RunQuery,
     table: &str,
     query: &Signature,
     weights: &Weights,
     threshold: f64,
 ) -> Result<usize> {
-    let qc = query.coarse();
-    let (lo, hi) = phase1_bounds(&qc, weights, threshold);
-    let rows = srv.query(
+    let (lo, hi) =
+        phase1_range(query.coarse()[0], weights.0[0], threshold).unwrap_or((f64::MIN, f64::MAX));
+    let rows = run(
         &format!("SELECT COUNT(*) FROM {table} WHERE q1 BETWEEN ? AND ?"),
         &[Value::Number(lo), Value::Number(hi)],
     )?;
     Ok(rows[0][0].as_integer()? as usize)
 }
 
-/// Safe `q1` bounds: if the first channel's weight is positive, a
-/// qualifying image's `q1` can differ by at most `threshold / w1`.
-fn phase1_bounds(qc: &[f64; CHANNELS], w: &Weights, threshold: f64) -> (f64, f64) {
-    if w.0[0] > 0.0 {
-        let r = threshold / w.0[0];
-        (qc[0] - r, qc[0] + r)
-    } else {
-        (f64::MIN, f64::MAX)
-    }
+/// A channel weighted `w > 0` contributes `w·|qc − c|` to the coarse
+/// distance, so a row phase 2 accepts has `|qc − c| ≤ threshold / w`.
+/// The range is widened outward by far more than the few ulps that
+/// rounding in `threshold / w` and in phase 2's sum can move that bound,
+/// so it is a superset of what phase 2 accepts. `None` for a weight of 0:
+/// the channel cannot prune.
+fn phase1_range(qc: f64, w: f64, threshold: f64) -> Option<(f64, f64)> {
+    (w > 0.0).then(|| {
+        let r = threshold / w;
+        let (lo, hi) = (qc - r, qc + r);
+        let pad = lo.abs().max(hi.abs()) * 1e-12 + f64::MIN_POSITIVE;
+        (lo - pad, hi + pad)
+    })
 }
 
-/// Phases 1+2: range query on `q1`, then coarse-distance filter. Returns
-/// surviving `(rid, serialized signature)` rows plus the phase-1 count.
-fn phase12(
-    srv: &mut dyn ServerContext,
-    table: &str,
+/// Phase 1's one callback: a `BETWEEN` per positively weighted channel,
+/// `q1`'s on the IOT key and the others residual terms the engine tests on
+/// each row before it is copied out.
+fn phase1_sql(table: &str, w: &Weights) -> String {
+    let ranges: Vec<String> = (0..CHANNELS)
+        .filter(|&c| w.0[c] > 0.0)
+        .map(|c| format!("q{} BETWEEN ? AND ?", c + 1))
+        .collect();
+    let mut sql = format!("SELECT q1, rid, q2, q3, q4, sig FROM {table}");
+    if !ranges.is_empty() {
+        sql.push_str(" WHERE ");
+        sql.push_str(&ranges.join(" AND "));
+    }
+    sql
+}
+
+fn phase1_binds(query: &Signature, w: &Weights, threshold: f64) -> Vec<Value> {
+    let qc = query.coarse();
+    (0..CHANNELS)
+        .filter_map(|c| phase1_range(qc[c], w.0[c], threshold))
+        .flat_map(|(lo, hi)| [Value::Number(lo), Value::Number(hi)])
+        .collect()
+}
+
+/// Phase 2: the exact coarse-distance filter over phase 1's rows. Returns
+/// the surviving `(rid, signature text)` pairs.
+fn phase2(
+    rows: Vec<Row>,
     query: &Signature,
     weights: &Weights,
     threshold: f64,
-) -> Result<(Vec<(RowId, String)>, usize)> {
+) -> Result<Vec<(RowId, String)>> {
     let qc = query.coarse();
-    let (lo, hi) = phase1_bounds(&qc, weights, threshold);
-    let rows = srv.query(
-        &format!("SELECT q1, rid, q2, q3, q4, sig FROM {table} WHERE q1 BETWEEN ? AND ?"),
-        &[Value::Number(lo), Value::Number(hi)],
-    )?;
-    let phase1 = rows.len();
     let mut out = Vec::new();
-    for r in rows {
+    for mut r in rows {
         let c = [r[0].as_number()?, r[2].as_number()?, r[3].as_number()?, r[4].as_number()?];
         if Signature::coarse_distance(&qc, &c, weights) <= threshold {
-            out.push((r[1].as_rowid()?, r[5].as_str()?.to_string()));
+            let Value::Varchar(text) = std::mem::replace(&mut r[5], Value::Null) else {
+                return Err(Error::Storage("VIR signature text missing".into()));
+            };
+            out.push((r[1].as_rowid()?, text));
         }
     }
-    Ok((out, phase1))
+    Ok(out)
 }
 
 impl OdciIndex for VirIndexMethods {
@@ -217,29 +272,14 @@ impl OdciIndex for VirIndexMethods {
         // Signature extraction + coarse-channel computation is the
         // CPU-heavy part (the paper's "feature extraction"); fan it out.
         // The per-row inserts stay on the coordinator, in input order.
-        let prepared = try_partition_map(batch, parallel, |row| {
-            Ok::<_, Error>(match column_signature(row.value())? {
-                Some(sig) => {
-                    let c = sig.coarse();
-                    Some((row.rid, c, sig.serialize()))
-                }
-                None => None,
-            })
+        let coarse = try_partition_map(batch, parallel, |row| {
+            Ok::<_, Error>(index_entry(row.value())?.map(|(c, _)| c))
         })?;
-        let table = sig_table(info);
-        let sql = format!("INSERT INTO {table} VALUES (?, ?, ?, ?, ?, ?)");
-        for (rid, c, sig_text) in prepared.into_iter().flatten() {
-            srv.execute(
-                &sql,
-                &[
-                    Value::Number(c[0]),
-                    Value::RowId(rid),
-                    Value::Number(c[1]),
-                    Value::Number(c[2]),
-                    Value::Number(c[3]),
-                    Value::from(sig_text),
-                ],
-            )?;
+        let sql = insert_sql(info);
+        for (row, c) in batch.iter().zip(coarse) {
+            if let (Some(c), Some(text)) = (c, signature_text(row.value())?) {
+                srv.execute(&sql, &insert_binds(row.rid, &c, text))?;
+            }
         }
         Ok(())
     }
@@ -304,7 +344,11 @@ impl OdciIndex for VirIndexMethods {
         // Phases 1 and 2 — "the first two passes of filtering are very
         // selective and greatly reduce the data set on which the image
         // signature comparisons need to be performed."
-        let (candidates, _) = phase12(srv, &sig_table(info), &query, &weights, threshold)?;
+        let rows = srv.query(
+            &phase1_sql(&sig_table(info), &weights),
+            &phase1_binds(&query, &weights, threshold),
+        )?;
+        let candidates = phase2(rows, &query, &weights, threshold)?;
         Ok(ScanContext::State(Box::new(VirScan { query, weights, threshold, candidates, pos: 0 })))
     }
 
@@ -315,8 +359,6 @@ impl OdciIndex for VirIndexMethods {
         ctx: &mut ScanContext,
         nrows: usize,
     ) -> Result<FetchResult> {
-        let wants_anc = false;
-        let _ = wants_anc;
         let st = ctx.state_mut::<VirScan>().ok_or_else(|| {
             Error::odci(&info.indextype_name, "ODCIIndexFetch", "bad scan state")
         })?;
@@ -325,9 +367,9 @@ impl OdciIndex for VirIndexMethods {
             let (rid, sig_text) = &st.candidates[st.pos];
             st.pos += 1;
             // Phase 3: the actual image signature comparison.
-            let sig = Signature::deserialize(sig_text)?;
-            let d = sig.distance(&st.query, &st.weights);
-            if d <= st.threshold {
+            if let Some(d) =
+                Signature::distance_within(sig_text, &st.query, &st.weights, st.threshold)?
+            {
                 out.push(FetchedRow::with_ancillary(*rid, Value::Number(d)));
             }
         }
@@ -360,7 +402,9 @@ impl OdciStats for VirStats {
             return Ok(0.0);
         }
         let Ok((query, weights, threshold)) = parse_args(info, op) else { return Ok(0.01) };
-        let phase1 = phase1_count(srv, &sig_table(info), &query, &weights, threshold)? as f64;
+        let table = sig_table(info);
+        let mut run = |sql: &str, b: &[Value]| srv.query(sql, b);
+        let phase1 = phase1_count(&mut run, &table, &query, &weights, threshold)? as f64;
         // Coarse/full filters cut phase-1 candidates further; halve as a
         // rough calibration.
         Ok((phase1 / total * 0.5).clamp(0.0, 1.0))
@@ -381,5 +425,38 @@ impl OdciStats for VirStats {
             io_cost: 2.0 + total * selectivity / 40.0,
             cpu_cost: total * selectivity * 0.002,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// A coarse value that phase 2 accepts lies in its phase-1 range, also
+    /// where `qc ± threshold / w` rounds inward: at `qc =
+    /// 3.5326046636964814`, `w = 0.4` and threshold 2, the value one ulp
+    /// below `qc − 5` is 5.000…02 away, and `0.4 × 5.000…02` rounds to 2.
+    #[test]
+    fn phase1_ranges_hold_every_value_phase2_accepts() {
+        let (qc, w, t): (f64, f64, f64) = (3.5326046636964814, 0.4, 2.0);
+        let c = (qc - t / w).next_down();
+        assert!(w * (qc - c).abs() <= t && c < qc - t / w);
+        let (lo, hi) = phase1_range(qc, w, t).unwrap();
+        assert!(lo <= c && c <= hi);
+
+        let mut rng = StdRng::seed_from_u64(39);
+        for _ in 0..100_000 {
+            let qc = if rng.gen_bool(0.9) { rng.gen_range(0.0..100.0) } else { 0.0 };
+            let w = [0.1, 0.3, 0.4, 0.7, rng.gen_range(1e-9..1.0)][rng.gen_range(0..5usize)];
+            let t = [2.0, 3.0, 0.1, rng.gen_range(0.0..10.0)][rng.gen_range(0..4usize)];
+            let (lo, hi) = phase1_range(qc, w, t).unwrap();
+            // The nearest values outside the range are beyond phase 2's reach.
+            for c in [lo.next_down(), hi.next_up()] {
+                assert!(w * (qc - c).abs() > t, "qc={qc} w={w} t={t} c={c}");
+            }
+        }
+        assert_eq!(phase1_range(50.0, 0.0, 3.0), None);
     }
 }

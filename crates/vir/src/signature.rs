@@ -43,7 +43,8 @@ impl Default for Weights {
 
 impl Weights {
     /// Parse a weight list: `"globalcolor=0.5 texture=0.5"` (commas or
-    /// whitespace as separators; unnamed channels weigh 0).
+    /// whitespace as separators; unnamed channels weigh 0). A negative,
+    /// NaN or infinite weight is refused.
     pub fn parse(s: &str) -> Result<Weights> {
         let mut w = [0.0; CHANNELS];
         let mut any = false;
@@ -59,10 +60,18 @@ impl Weights {
                 .iter()
                 .position(|n| n.eq_ignore_ascii_case(name.trim()))
                 .ok_or_else(|| Error::Semantic(format!("unknown channel {name:?}")))?;
-            w[idx] = value
+            let v = value
                 .trim()
                 .parse::<f64>()
                 .map_err(|_| Error::Semantic(format!("bad weight value {value:?}")))?;
+            // A negative weight would let the coarse distance exceed the
+            // full one, so phase 2 could dismiss a true match.
+            if !(v.is_finite() && v >= 0.0) {
+                return Err(Error::Semantic(format!(
+                    "weight {value:?} of {name:?} must be a finite non-negative number"
+                )));
+            }
+            w[idx] = v;
             any = true;
         }
         if !any {
@@ -103,6 +112,47 @@ impl Signature {
             d += w.0[c] * mad;
         }
         d
+    }
+
+    /// [`Signature::distance`] from the signature serialized in `text` to
+    /// `query`, or `None` once it is known to exceed `threshold`. Only the
+    /// channels `w` weighs are parsed, and parsing stops as soon as the
+    /// partial sum passes the threshold: every term is non-negative, so a
+    /// partial sum never exceeds the full one. A returned distance is
+    /// bit-identical to [`Signature::distance`]'s.
+    pub fn distance_within(
+        text: &str,
+        query: &Signature,
+        w: &Weights,
+        threshold: f64,
+    ) -> Result<Option<f64>> {
+        let Some(last) = (0..CHANNELS).rev().find(|&c| w.0[c] != 0.0) else {
+            return Ok((0.0 <= threshold).then_some(0.0));
+        };
+        let mut vals = text.split(',');
+        let mut d = 0.0;
+        for c in 0..=last {
+            if w.0[c] == 0.0 {
+                vals.by_ref().take(CHANNEL_DIM).for_each(drop);
+                continue;
+            }
+            let mut sum = 0.0;
+            for q in &query.channels[c] {
+                let v = vals
+                    .next()
+                    .ok_or_else(|| Error::Storage(format!("signature too short: {text:?}")))?;
+                let v: f64 = v
+                    .trim()
+                    .parse()
+                    .map_err(|_| Error::Storage(format!("bad signature value {v:?}")))?;
+                sum += (v - q).abs();
+                if d + w.0[c] * (sum / CHANNEL_DIM as f64) > threshold {
+                    return Ok(None);
+                }
+            }
+            d += w.0[c] * (sum / CHANNEL_DIM as f64);
+        }
+        Ok((d <= threshold).then_some(d))
     }
 
     /// Coarse weighted distance: lower bound of [`Signature::distance`].
@@ -234,6 +284,9 @@ mod tests {
         assert_eq!(Weights::parse("").unwrap(), Weights::default());
         assert!(Weights::parse("hue=1").is_err());
         assert!(Weights::parse("texture:1").is_err());
+        for bad in ["globalcolor=-1", "texture=NaN", "texture=inf", "structure=-0.25"] {
+            assert!(matches!(Weights::parse(bad), Err(Error::Semantic(_))), "{bad}");
+        }
     }
 
     #[test]

@@ -62,6 +62,31 @@ proptest! {
         prop_assert!(a.distance(&b, &w) < 0.01);
     }
 
+    /// Phase 3's early-exit comparison of a signature's text answers
+    /// exactly `distance(…) <= threshold`, with the same distance, at full
+    /// precision (`{:?}` renders every bit) and at thresholds on both sides
+    /// of the distance, including a weight of 0 on any channel.
+    #[test]
+    fn distance_within_equals_distance(
+        a in arb_signature(),
+        b in arb_signature(),
+        w in arb_weights(),
+        zero in 0usize..CHANNELS + 1,
+        scale in 0.0f64..2.0,
+    ) {
+        let mut w = w;
+        if zero < CHANNELS {
+            w.0[zero] = 0.0;
+        }
+        let text: Vec<String> = a.channels.iter().flatten().map(|v| format!("{v:?}")).collect();
+        let text = text.join(",");
+        let d = a.distance(&b, &w);
+        for threshold in [d, d * scale, d * (1.0 + scale), 0.0] {
+            let within = Signature::distance_within(&text, &b, &w, threshold).unwrap();
+            prop_assert_eq!(within, (d <= threshold).then_some(d));
+        }
+    }
+
     /// Weight parsing accepts every rendering of valid weights.
     #[test]
     fn weights_parse_rendered(w in arb_weights()) {

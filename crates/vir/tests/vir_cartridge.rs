@@ -337,3 +337,152 @@ fn delete_cost_does_not_grow_with_the_q1_population() {
     };
     assert_eq!(delete_reads(1_000), delete_reads(10_000));
 }
+
+/// One image with signature `sig` under a VIR index, and the answers of
+/// `VirSimilar(img, query, weights, threshold)` forced through the index
+/// and forced to the functional implementation.
+fn both_paths(
+    sig: &str,
+    query: &str,
+    weights: &str,
+    threshold: f64,
+) -> [extidx_common::Result<Vec<i64>>; 2] {
+    let mut db = vir_db();
+    db.execute("CREATE TABLE images (id INTEGER, img VIR_IMAGE)").unwrap();
+    db.execute_with("INSERT INTO images VALUES (1, VIR_IMAGE(?))", &[sig.into()]).unwrap();
+    db.execute("CREATE INDEX img_idx ON images(img) INDEXTYPE IS VirIndexType").unwrap();
+    ["INDEX(images img_idx)", "NO_INDEX"].map(|hint| {
+        let sql = format!(
+            "SELECT /*+ {hint} */ id FROM images WHERE VirSimilar(img, ?, ?, ?) ORDER BY id"
+        );
+        let rows = db.query_with(&sql, &[query.into(), weights.into(), threshold.into()])?;
+        Ok(rows.iter().map(|r| r[0].as_integer().unwrap()).collect())
+    })
+}
+
+fn join(vals: impl IntoIterator<Item = f64>) -> String {
+    vals.into_iter().map(|v| v.to_string()).collect::<Vec<_>>().join(",")
+}
+
+/// The index compares the base value's own signature text, not a copy
+/// rounded to 3 decimals: channel 0 is 3.0004 away from the query on
+/// average, just over the threshold, and a rounded copy reads 3.0.
+#[test]
+fn the_index_compares_signatures_at_full_precision() {
+    let sig = join([13.0004; 7].into_iter().chain([6.9996]).chain([10.0; 24]));
+    let query = join([10.0; 32]);
+    let [indexed, functional] = both_paths(&sig, &query, "globalcolor=1.0", 3.0);
+    assert_eq!(functional.unwrap(), Vec::<i64>::new());
+    assert_eq!(indexed.unwrap(), Vec::<i64>::new());
+    // Just inside the threshold, both find it.
+    let [indexed, functional] = both_paths(&sig, &query, "globalcolor=1.0", 3.0005);
+    assert_eq!((indexed.unwrap(), functional.unwrap()), (vec![1], vec![1]));
+}
+
+/// A negative weight would make the coarse distance no lower bound of
+/// the full one (here the coarse distance is 5, the full distance 0), so
+/// both implementations refuse it rather than answer differently.
+#[test]
+fn negative_and_nan_weights_are_refused_on_both_paths() {
+    let ch0 = (0..8).map(|i| if i % 2 == 0 { 40.0 } else { 60.0 });
+    let sig = join(ch0.chain([50.0; 8]).chain([55.0; 8]).chain([50.0; 8]));
+    let query = join([50.0; 32]);
+    for weights in ["globalcolor=-1, texture=1", "globalcolor=NaN", "texture=-0.5"] {
+        for answer in both_paths(&sig, &query, weights, 3.0) {
+            let err = answer.expect_err(weights);
+            assert!(matches!(err, extidx_common::Error::Semantic(_)), "{weights}: {err}");
+        }
+    }
+}
+
+/// Phase 1 ranges every positively weighted channel, not only `q1`: the
+/// one callback reads fewer rows than the `q1` range holds, and the
+/// answer is unchanged.
+#[test]
+fn phase_one_ranges_every_weighted_channel() {
+    let mut db = vir_db();
+    let (base, dup_ids) = load_images(&mut db, 1500, 4, 81);
+    db.execute("CREATE INDEX img_idx ON images(img) INDEXTYPE IS VirIndexType").unwrap();
+    let w = Weights::parse("globalcolor=0.5, texture=0.5").unwrap();
+    let counts = extidx_vir::phase_counts(
+        &mut |sql, binds| db.query_with(sql, binds),
+        "DR$IMG_IDX$S",
+        &base,
+        &w,
+        3.0,
+    )
+    .unwrap();
+    assert_eq!(counts.total, 1504);
+    assert!(counts.after_range < counts.after_key_range, "{counts:?}");
+    assert!(counts.after_coarse <= counts.after_range && counts.matches <= counts.after_coarse);
+    // The key range stays an IOT range scan; the other range is a filter.
+    let plan = db
+        .explain(
+            "SELECT q1, rid, q2, q3, q4, sig FROM DR$IMG_IDX$S \
+             WHERE q1 BETWEEN 40 AND 52 AND q3 BETWEEN 41 AND 53",
+        )
+        .unwrap()
+        .join("\n");
+    assert!(plan.contains("IOT RANGE"), "{plan}");
+    let sql = "SELECT /*+ INDEX(images img_idx) */ id FROM images WHERE \
+               VirSimilar(img, ?, 'globalcolor=0.5, texture=0.5', 3.0) ORDER BY id";
+    let found = db.query_with(sql, &[base.serialize().into()]).unwrap();
+    assert_eq!(found.len(), counts.matches);
+    for id in dup_ids {
+        assert!(found.contains(&vec![Value::Integer(id)]), "duplicate {id} missing");
+    }
+}
+
+/// Seeded differential near the threshold: images stored at full
+/// precision, and queries that sit within 0.00005 of the threshold from
+/// one of them (every value of the image moved by the threshold, and every
+/// weight list sums to 1), under each weight list the query generator
+/// draws, one of them with ratios inexact in binary. The forced index
+/// answers as the functional implementation does, on both sides of the
+/// threshold.
+#[test]
+fn indexed_equals_functional_near_the_threshold() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    let full = |vals: &mut dyn Iterator<Item = f64>| join(vals.collect::<Vec<_>>());
+    let mut db = vir_db();
+    db.execute("CREATE TABLE images (id INTEGER, img VIR_IMAGE)").unwrap();
+    let mut wl = SignatureWorkload::new(39);
+    let images: Vec<Signature> = (0..300).map(|_| wl.random()).collect();
+    for (i, sig) in images.iter().enumerate() {
+        let text = full(&mut sig.channels.iter().flatten().copied());
+        db.execute_with(
+            "INSERT INTO images VALUES (?, VIR_IMAGE(?))",
+            &[(i as i64).into(), text.into()],
+        )
+        .unwrap();
+    }
+    db.execute("CREATE INDEX img_idx ON images(img) INDEXTYPE IS VirIndexType").unwrap();
+    let mut rng = StdRng::seed_from_u64(39);
+    let mut hits = [0; 2];
+    for weights in [
+        "",
+        "globalcolor=1.0",
+        "globalcolor=0.5, texture=0.5",
+        "globalcolor=0.3, localcolor=0.3, texture=0.4",
+    ] {
+        for _ in 0..25 {
+            let base = rng.gen_range(0..images.len());
+            let threshold = rng.gen_range(50..800) as f64 / 10.0;
+            let shift = threshold + rng.gen_range(-0.00005..0.00005);
+            let query = full(&mut images[base].channels.iter().flatten().map(|v| v + shift));
+            let binds = [query.into(), weights.into(), threshold.into()];
+            let [indexed, functional] = ["INDEX(images img_idx)", "NO_INDEX"].map(|hint| {
+                let sql = format!(
+                    "SELECT /*+ {hint} */ id FROM images WHERE VirSimilar(img, ?, ?, ?) ORDER BY id"
+                );
+                db.query_with(&sql, &binds).unwrap()
+            });
+            assert_eq!(indexed, functional, "weights {weights:?}, threshold {threshold}");
+            hits[functional.contains(&vec![Value::Integer(base as i64)]) as usize] += 1;
+        }
+    }
+    // The base image falls on both sides of the threshold.
+    assert!(hits[0] > 10 && hits[1] > 10, "{hits:?}");
+}

@@ -546,4 +546,31 @@ for t in database_lane_autocommit_loses_to_an_open_session_write \
 done
 grep -q "Client::Admin" crates/qgen/src/concurrent.rs
 
+# Lean candidate pipelines (DESIGN.md §4b): the VIR index stores the base
+# value's signature text verbatim and never re-serializes it, text
+# evaluates a query as one merge of rid-ordered posting runs with no
+# per-rowid map, and chem has one substructure matcher, prepared once per
+# scan. The VIR wrong-answer probes (full precision, refused weights,
+# ranges on every weighted channel, the near-threshold differential), the
+# phase-1 superset check, the early-exit distance property, the chem and
+# text equivalence tests and the disabled-trace check run by name.
+# (Bracketed so the patterns do not match this file.)
+echo "== lean candidate pipelines (structural guard + equivalence tests) =="
+if grep -nE "\bserializ[e]\(" crates/vir/src/cartridge.rs; then
+    exit 1
+fi
+if grep -rn "BTreeMap<RowI[d]" crates/text/src; then
+    exit 1
+fi
+[ "$(grep -rn "fn match_re[c]\b" crates/chem/src | wc -l)" -eq 1 ]
+cargo test -q -p extidx-vir --test vir_cartridge -- \
+    the_index_compares_signatures_at_full_precision \
+    negative_and_nan_weights_are_refused_on_both_paths \
+    phase_one_ranges_every_weighted_channel indexed_equals_functional_near_the_threshold
+cargo test -q -p extidx-vir --lib phase1_ranges_hold_every_value_phase2_accepts
+cargo test -q -p extidx-vir --test properties distance_within_equals_distance
+cargo test -q -p extidx-chem --test equivalence
+cargo test -q -p extidx-text --test properties
+cargo test -q -p extidx-core --lib trace::tests::disabled_trace_records_nothing
+
 echo "CI OK"
