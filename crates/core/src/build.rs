@@ -19,10 +19,33 @@
 //! [`crate::params::ParamString::parallel_degree`]), mirroring Oracle's
 //! `PARALLEL` clause.
 
+use crate::meta::IndexInfo;
+use crate::odci::OdciIndex;
+use crate::server::ServerContext;
+
 /// Default number of base-table rows a streaming build holds in memory at
 /// once (the `batch_size` handed to
 /// [`crate::server::ServerContext::scan_base_batches`]).
 pub const DEFAULT_BUILD_BATCH_ROWS: usize = 1024;
+
+/// Stream the indexed column of the base table through
+/// [`OdciIndex::build_batch`], [`DEFAULT_BUILD_BATCH_ROWS`] rows at a time,
+/// at the index's `PARALLEL <n>` degree: the one populate path of every
+/// cartridge's `create` and rebuild-on-`alter`. The whole table is never
+/// materialized.
+pub fn populate_from_base(
+    index: &dyn OdciIndex,
+    srv: &mut dyn ServerContext,
+    info: &IndexInfo,
+) -> extidx_common::Result<()> {
+    let parallel = info.parameters.parallel_degree();
+    srv.scan_base_batches(
+        &info.table_name,
+        &[&info.column_name],
+        DEFAULT_BUILD_BATCH_ROWS,
+        &mut |srv, batch| index.build_batch(srv, info, batch, parallel),
+    )
+}
 
 /// Apply `f` to every item, fanning contiguous chunks across `parallel`
 /// scoped worker threads. Results come back in input order; with

@@ -47,7 +47,7 @@ pub mod server;
 pub mod stats;
 pub mod trace;
 
-pub use build::{partition_map, try_partition_map, DEFAULT_BUILD_BATCH_ROWS};
+pub use build::{partition_map, populate_from_base, try_partition_map, DEFAULT_BUILD_BATCH_ROWS};
 pub use fault::{FaultInjector, FaultKind, RetryPolicy};
 pub use governor::CancelToken;
 pub use health::{BreakerConfig, HealthDump, HealthRegistry, HealthState};

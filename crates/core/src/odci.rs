@@ -71,8 +71,8 @@ pub trait OdciIndex: Send + Sync {
     /// Bulk-build path: index one batch of base-table rows (each carrying
     /// the indexed value in `values[0]`), with a hint of how many worker
     /// threads the build may use for CPU-side work. Called by streaming
-    /// builds (`create`/`alter` driving
-    /// [`ServerContext::scan_base_batches`]).
+    /// builds: `create`/`alter` call [`crate::build::populate_from_base`],
+    /// which drives [`ServerContext::scan_base_batches`] into it.
     ///
     /// The default implementation keeps third-party cartridges working:
     /// it loops over [`OdciIndex::insert`] serially. Cartridges override

@@ -489,6 +489,9 @@ struct WorkloadGen {
     /// weights, near-threshold queries) apart from `rng`, so they shift no
     /// other draw of a seed's stream.
     vir_rng: StdRng,
+    /// The first near-threshold VirSimilar atom drawn for the query being
+    /// generated: [`WorkloadGen::query`] makes it the whole predicate.
+    near_atom: Option<Atom>,
     mols: MoleculeWorkload,
     /// Substructure fragments reused between stored molecules and
     /// MolContains queries so matches actually occur.
@@ -518,6 +521,7 @@ impl WorkloadGen {
             spatial: SpatialWorkload::new(100.0, seed ^ 0x67656f),
             sigs: SignatureWorkload::new(seed ^ 0x696d67),
             vir_rng: StdRng::seed_from_u64(seed ^ 0x766972),
+            near_atom: None,
             mols,
             frags,
             sig_pool: Vec::new(),
@@ -703,13 +707,16 @@ impl WorkloadGen {
                 // Half the pooled queries sit within 0.00005 of the
                 // threshold from their image, where a copy of the image
                 // rounded to 3 decimals answers differently.
+                let near = pooled && self.vir_rng.gen_bool(0.5);
                 let sig = match sig {
-                    Some(image) if pooled && self.vir_rng.gen_bool(0.5) => {
-                        Some(self.near_threshold(&image, threshold))
-                    }
+                    Some(image) if near => Some(self.near_threshold(&image, threshold)),
                     sig => sig,
                 };
-                Atom::VirSimilar { sig, weights: weights.to_string(), threshold }
+                let atom = Atom::VirSimilar { sig, weights: weights.to_string(), threshold };
+                if near && self.near_atom.is_none() {
+                    self.near_atom = Some(atom.clone());
+                }
+                atom
             }
             54..=67 => Atom::MolContains {
                 frag: (!null_lit).then(|| self.frags[self.rng.gen_range(0..self.frags.len())].clone()),
@@ -784,6 +791,14 @@ impl WorkloadGen {
         }
         let order_limit = self.rng.gen_bool(0.3).then(|| self.rng.gen_range(1..=8u64));
         let (items, distinct) = self.select_list(select_score.is_none() && order_limit.is_none());
+        // A near-threshold VirSimilar atom is the whole predicate: ANDed
+        // with other atoms, the one row whose answer it flips rarely
+        // survives them. Every draw above still happened, so no later draw
+        // of the seed's stream moves.
+        if let Some(atom) = self.near_atom.take() {
+            pred = Pred::Atom(atom);
+            select_score = None;
+        }
         Query { table, pred, items, distinct, select_score, order_limit }
     }
 
@@ -903,6 +918,47 @@ mod tests {
         let c = generate(43, 120);
         let csql: Vec<String> = c.stmts.iter().map(Stmt::sql).collect();
         assert_ne!(asql, csql, "different seeds must differ");
+    }
+
+    /// A VirSimilar atom whose query lies within 0.00005 of its threshold
+    /// from a pooled image is its query's whole predicate; every other
+    /// VirSimilar atom stays where it was drawn.
+    #[test]
+    fn near_threshold_vir_atoms_are_whole_predicates() {
+        fn vir_atoms<'a>(p: &'a Pred, out: &mut Vec<&'a Atom>) {
+            match p {
+                Pred::Atom(a @ Atom::VirSimilar { sig: Some(_), .. }) => out.push(a),
+                Pred::Atom(_) => {}
+                Pred::And(cs) | Pred::Or(cs) => cs.iter().for_each(|c| vir_atoms(c, out)),
+            }
+        }
+        let mut near_queries = 0;
+        for seed in 0..4u64 {
+            let mut g = WorkloadGen::new(seed);
+            g.preamble();
+            for _ in 0..200 {
+                let Stmt::Query(q) = g.statement() else { continue };
+                let mut atoms = Vec::new();
+                vir_atoms(&q.pred, &mut atoms);
+                for atom in atoms {
+                    let Atom::VirSimilar { sig: Some(sig), weights, threshold } = atom else {
+                        unreachable!()
+                    };
+                    let query = Signature::deserialize(sig).unwrap();
+                    let w = extidx_vir::Weights::parse(weights).unwrap();
+                    let near = g.sig_pool.iter().any(|image| {
+                        let d = Signature::deserialize(image).unwrap().distance(&query, &w);
+                        (d - threshold).abs() < 0.0001
+                    });
+                    if near {
+                        near_queries += 1;
+                        assert!(matches!(q.pred, Pred::Atom(_)), "seed {seed}: {}", q.pred.sql());
+                        assert_eq!(q.select_score, None);
+                    }
+                }
+            }
+        }
+        assert!(near_queries > 0, "no near-threshold VirSimilar query drawn");
     }
 
     #[test]

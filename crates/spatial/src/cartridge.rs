@@ -1,12 +1,8 @@
 //! The ODCIIndex implementation for the spatial indextype.
 //!
-//! Two storage tables per index (both index-organized, created through
-//! server callbacks):
-//!
-//! - `DR$<index>$T (tile, rid)` — the tile table: one row per (tile,
-//!   geometry) pair, the primary filter;
-//! - `DR$<index>$G (rid, geom)` — serialized geometries, the exact
-//!   filter's input.
+//! One storage table per index, index-organized and created through a
+//! server callback: `DR$<index>$T (tile, rid)`, one row per (tile,
+//! geometry) pair. It holds the primary filter, and nothing else.
 //!
 //! A scan evaluates `Sdo_Relate` for a batch of argument rows (a window
 //! query is a batch of one; a domain join passes a batch of outer rows) in
@@ -14,16 +10,14 @@
 //! candidate set of tiles … which overlap") runs in `ODCIIndexStart`, as
 //! one sort-merge of the batch's tiles with the tile table; the exact
 //! filter ("applies an exact filter to these candidate rows") runs during
-//! `ODCIIndexFetch`, over geometries read from the base table.
-//!
-//! The `…$G` table is still maintained: the ODCIStats routines count it,
-//! and the pre-8i baseline (`legacy.rs`) reads it.
+//! `ODCIIndexFetch`, over the candidates' geometries read from the base
+//! table's indexed column — the index keeps no copy of them.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
 use extidx_common::{Error, Result, RowId, Value};
-use extidx_core::build::{try_partition_map, DEFAULT_BUILD_BATCH_ROWS};
+use extidx_core::build::{populate_from_base, try_partition_map};
 use extidx_core::meta::{IndexInfo, OperatorCall};
 use extidx_core::params::ParamString;
 use extidx_core::scan::{FetchResult, FetchedRow, ScanContext};
@@ -39,10 +33,6 @@ pub struct SpatialIndexMethods;
 
 fn tile_table(info: &IndexInfo) -> String {
     info.storage_table_name("T")
-}
-
-pub(crate) fn geom_table(info: &IndexInfo) -> String {
-    info.storage_table_name("G")
 }
 
 /// Tessellation from index parameters (`:World 1024 :Level 6`).
@@ -76,10 +66,6 @@ fn index_one(
             &[Value::Integer(tile), Value::RowId(rid)],
         )?;
     }
-    srv.execute(
-        &format!("INSERT INTO {} VALUES (?, ?)", geom_table(info)),
-        &[Value::RowId(rid), Value::from(g.serialize())],
-    )?;
     Ok(())
 }
 
@@ -100,10 +86,6 @@ fn unindex_one(
             &[Value::Integer(tile), Value::RowId(rid)],
         )?;
     }
-    srv.execute(
-        &format!("DELETE FROM {} WHERE rid = ?", geom_table(info)),
-        &[Value::RowId(rid)],
-    )?;
     Ok(())
 }
 
@@ -209,20 +191,6 @@ pub(crate) fn exact_fetch(
     Ok(FetchResult { rows: out, done: st.pos >= st.pairs.len() })
 }
 
-impl SpatialIndexMethods {
-    /// Stream the base table through [`OdciIndex::build_batch`] — shared
-    /// by `create` and rebuild-on-`alter`, honoring `PARALLEL <n>`.
-    fn populate_from_base(&self, srv: &mut dyn ServerContext, info: &IndexInfo) -> Result<()> {
-        let parallel = info.parameters.parallel_degree();
-        srv.scan_base_batches(
-            &info.table_name,
-            &[&info.column_name],
-            DEFAULT_BUILD_BATCH_ROWS,
-            &mut |srv, batch| self.build_batch(srv, info, batch, parallel),
-        )
-    }
-}
-
 impl OdciIndex for SpatialIndexMethods {
     fn create(&self, srv: &mut dyn ServerContext, info: &IndexInfo) -> Result<()> {
         srv.execute(
@@ -233,23 +201,14 @@ impl OdciIndex for SpatialIndexMethods {
             ),
             &[],
         )?;
-        srv.execute(
-            &format!(
-                "CREATE TABLE {} (rid ROWID, geom VARCHAR2(4000), PRIMARY KEY (rid)) \
-                 ORGANIZATION INDEX",
-                geom_table(info)
-            ),
-            &[],
-        )?;
-        self.populate_from_base(srv, info)
+        populate_from_base(self, srv, info)
     }
 
     fn alter(&self, srv: &mut dyn ServerContext, info: &IndexInfo, _delta: &ParamString) -> Result<()> {
         // Changed tessellation parameters require a rebuild under the
         // merged parameters.
-        srv.execute(&format!("TRUNCATE TABLE {}", tile_table(info)), &[])?;
-        srv.execute(&format!("TRUNCATE TABLE {}", geom_table(info)), &[])?;
-        self.populate_from_base(srv, info)
+        self.truncate(srv, info)?;
+        populate_from_base(self, srv, info)
     }
 
     fn build_batch(
@@ -260,43 +219,35 @@ impl OdciIndex for SpatialIndexMethods {
         parallel: usize,
     ) -> Result<()> {
         let tess = tessellation(&info.parameters);
-        // Geometry parsing, tile decomposition and serialization are pure
-        // CPU — fan them out; the tile/geom inserts stay on the
-        // coordinator, in input order.
+        // Geometry parsing and tile decomposition are pure CPU — fan them
+        // out; the tile inserts stay on the coordinator, in input order.
         let prepared = try_partition_map(batch, parallel, |row| {
             let v = row.value();
             if v.is_null() {
                 return Ok::<_, Error>(None);
             }
             let g = Geometry::from_value(v)?;
-            Ok(Some((row.rid, tess.tiles_for(&g), g.serialize())))
+            Ok(Some((row.rid, tess.tiles_for(&g))))
         })?;
         let tt = tile_table(info);
-        let gt = geom_table(info);
-        for (rid, tiles, geom) in prepared.into_iter().flatten() {
+        for (rid, tiles) in prepared.into_iter().flatten() {
             for tile in tiles {
                 srv.execute(
                     &format!("INSERT INTO {tt} VALUES (?, ?)"),
                     &[Value::Integer(tile), Value::RowId(rid)],
                 )?;
             }
-            srv.execute(
-                &format!("INSERT INTO {gt} VALUES (?, ?)"),
-                &[Value::RowId(rid), Value::from(geom)],
-            )?;
         }
         Ok(())
     }
 
     fn truncate(&self, srv: &mut dyn ServerContext, info: &IndexInfo) -> Result<()> {
         srv.execute(&format!("TRUNCATE TABLE {}", tile_table(info)), &[])?;
-        srv.execute(&format!("TRUNCATE TABLE {}", geom_table(info)), &[])?;
         Ok(())
     }
 
     fn drop_index(&self, srv: &mut dyn ServerContext, info: &IndexInfo) -> Result<()> {
         srv.execute(&format!("DROP TABLE {}", tile_table(info)), &[])?;
-        srv.execute(&format!("DROP TABLE {}", geom_table(info)), &[])?;
         Ok(())
     }
 
@@ -413,6 +364,14 @@ impl OdciIndex for SpatialIndexMethods {
     }
 }
 
+/// The base table's row count, the ODCIStats denominator of both spatial
+/// indextypes: the optimizer applies a selectivity to base rows, NULL
+/// geometries included.
+pub(crate) fn base_rows(srv: &mut dyn ServerContext, info: &IndexInfo) -> Result<f64> {
+    let rows = srv.query(&format!("SELECT COUNT(*) FROM {}", info.table_name), &[])?;
+    Ok(rows[0][0].as_integer()? as f64)
+}
+
 /// ODCIStats for the spatial indextype: candidate density from the tile
 /// table drives selectivity; cost counts tile probes plus exact
 /// comparisons.
@@ -429,8 +388,7 @@ impl OdciStats for SpatialStats {
         info: &IndexInfo,
         op: &OperatorCall,
     ) -> Result<f64> {
-        let total =
-            srv.query(&format!("SELECT COUNT(*) FROM {}", geom_table(info)), &[])?[0][0].as_integer()? as f64;
+        let total = base_rows(srv, info)?;
         if total == 0.0 {
             return Ok(0.0);
         }

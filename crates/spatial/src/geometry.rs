@@ -246,39 +246,6 @@ impl Geometry {
             other => return Err(Error::Semantic(format!("unknown gtype {other}"))),
         })
     }
-
-    /// Compact text serialization used by the index's geometry table.
-    pub fn serialize(&self) -> String {
-        let v = match self {
-            Geometry::Point { x, y } => (GTYPE_POINT, vec![*x, *y]),
-            Geometry::Rect(r) => (GTYPE_RECT, vec![r.xmin, r.ymin, r.xmax, r.ymax]),
-            Geometry::Polygon(pts) => {
-                (GTYPE_POLYGON, pts.iter().flat_map(|(x, y)| [*x, *y]).collect())
-            }
-        };
-        format!(
-            "{}:{}",
-            v.0,
-            v.1.iter().map(|c| c.to_string()).collect::<Vec<_>>().join(",")
-        )
-    }
-
-    /// Inverse of [`Geometry::serialize`].
-    pub fn deserialize(s: &str) -> Result<Geometry> {
-        let (g, rest) = s
-            .split_once(':')
-            .ok_or_else(|| Error::Storage(format!("bad geometry encoding {s:?}")))?;
-        let gtype: i64 =
-            g.parse().map_err(|_| Error::Storage(format!("bad gtype in {s:?}")))?;
-        let coords: Vec<f64> = if rest.is_empty() {
-            Vec::new()
-        } else {
-            rest.split(',')
-                .map(|c| c.parse::<f64>().map_err(|_| Error::Storage(format!("bad coord in {s:?}"))))
-                .collect::<Result<_>>()?
-        };
-        Self::from_parts(gtype, &coords)
-    }
 }
 
 fn edges(pts: &[(f64, f64)]) -> impl Iterator<Item = ((f64, f64), (f64, f64))> + '_ {
@@ -419,16 +386,7 @@ mod tests {
             Geometry::Polygon(vec![(0.0, 0.0), (4.0, 0.0), (2.0, 3.0)]),
         ] {
             assert_eq!(Geometry::from_value(&g.to_value()).unwrap(), g);
-            assert_eq!(Geometry::deserialize(&g.serialize()).unwrap(), g);
         }
-    }
-
-    #[test]
-    fn deserialize_errors() {
-        assert!(Geometry::deserialize("nocolon").is_err());
-        assert!(Geometry::deserialize("9:1,2").is_err());
-        assert!(Geometry::deserialize("1:1").is_err());
-        assert!(Geometry::deserialize("3:1,2,3,4").is_err());
     }
 
     #[test]

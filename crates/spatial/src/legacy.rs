@@ -8,13 +8,14 @@
 //! predicate manually. "The drawback … is that the querying algorithm
 //! which may be proprietary has to be exposed to the user."
 //!
-//! [`legacy_relate_join`] reproduces that formulation against the same
-//! `DR$…$T`/`DR$…$G` tables the modern cartridge maintains: a SQL tile
-//! join for the primary filter, then a hand-rolled exact filter.
+//! [`legacy_relate_join`] reproduces that formulation against the
+//! `DR$…$T` tile tables the modern cartridge maintains: a SQL tile join
+//! for the primary filter, then a hand-rolled exact filter over each
+//! candidate's gid and geometry, read from its base table by rowid.
 
 use std::collections::BTreeSet;
 
-use extidx_common::{Result, RowId, Value};
+use extidx_common::{Error, Result, RowId, Value};
 use extidx_sql::Database;
 
 use crate::geometry::{Geometry, Mask};
@@ -34,10 +35,19 @@ pub fn legacy_relate_join(
     index_b: &str,
     mask: Mask,
 ) -> Result<Vec<(Value, Value)>> {
-    let ta = format!("DR${}$T", index_a.to_ascii_uppercase());
-    let tb = format!("DR${}$T", index_b.to_ascii_uppercase());
-    let ga = format!("DR${}$G", index_a.to_ascii_uppercase());
-    let gb = format!("DR${}$G", index_b.to_ascii_uppercase());
+    // Each side's exposed tile table, and the gid and geometry of a row.
+    let side = |db: &Database, table: &str, gid_col: &str, index: &str| {
+        let def = db
+            .catalog()
+            .domain_index(index)
+            .ok_or_else(|| Error::not_found("index", index))?;
+        Ok::<_, Error>((
+            format!("DR${}$T", def.name),
+            format!("SELECT {gid_col}, {} FROM {table} WHERE ROWID = ?", def.column),
+        ))
+    };
+    let (ta, row_a) = side(db, table_a, gid_col_a, index_a)?;
+    let (tb, row_b) = side(db, table_b, gid_col_b, index_b)?;
 
     // Primary filter, exposed to the "user" as a plain SQL join on tile
     // codes (the r.grpcode = p.grpcode part of the paper's query).
@@ -53,24 +63,15 @@ pub fn legacy_relate_join(
         if !seen.insert((ra, rb)) {
             continue;
         }
-        let geom_a = db.query_with(&format!("SELECT geom FROM {ga} WHERE rid = ?"), &[Value::RowId(ra)])?;
-        let geom_b = db.query_with(&format!("SELECT geom FROM {gb} WHERE rid = ?"), &[Value::RowId(rb)])?;
-        let (Some(a_row), Some(b_row)) = (geom_a.first(), geom_b.first()) else { continue };
-        let a = Geometry::deserialize(a_row[0].as_str()?)?;
-        let b = Geometry::deserialize(b_row[0].as_str()?)?;
-        if a.relate(&b, mask) {
-            // Map rowids back to user-visible ids through the base tables.
-            let gid_a = db.query_with(
-                &format!("SELECT {gid_col_a} FROM {table_a} WHERE ROWID = ?"),
-                &[Value::RowId(ra)],
-            )?;
-            let gid_b = db.query_with(
-                &format!("SELECT {gid_col_b} FROM {table_b} WHERE ROWID = ?"),
-                &[Value::RowId(rb)],
-            )?;
-            if let (Some(x), Some(y)) = (gid_a.first(), gid_b.first()) {
-                results.push((x[0].clone(), y[0].clone()));
-            }
+        let a = db.query_with(&row_a, &[Value::RowId(ra)])?;
+        let b = db.query_with(&row_b, &[Value::RowId(rb)])?;
+        let (Some([gid_a, geom_a]), Some([gid_b, geom_b])) =
+            (a.first().map(Vec::as_slice), b.first().map(Vec::as_slice))
+        else {
+            continue;
+        };
+        if Geometry::from_value(geom_a)?.relate(&Geometry::from_value(geom_b)?, mask) {
+            results.push((gid_a.clone(), gid_b.clone()));
         }
     }
     Ok(results)

@@ -1,20 +1,19 @@
 //! A second spatial indextype: `Sdo_Relate` via an R-tree.
 //!
-//! Same operator, same queries, same geometry table — different primary
+//! Same operator, same queries, same exact filter — different primary
 //! filter. The paper's §3.2.2 point: "the Oracle8i extensibility
 //! framework allows changing the underlying spatial indexing algorithms
 //! without requiring the end users to change their queries." Swap
 //! `INDEXTYPE IS SpatialIndexType` for `INDEXTYPE IS RtreeIndexType` and
 //! every query keeps working.
 //!
-//! Storage: `DR$<index>$R (nodeid, payload)` holds the R-tree nodes (see
-//! [`crate::rtree`]); `DR$<index>$G (rid, geom)` holds serialized
-//! geometries, identical to the tile cartridge's. A scan's exact filter
-//! is the tile cartridge's too: it reads candidates' geometries from the
-//! base table.
+//! Storage: one table, `DR$<index>$R (nodeid, payload)`, holding the
+//! R-tree nodes (see [`crate::rtree`]). A scan's exact filter is the tile
+//! cartridge's: it reads the candidates' geometries from the base table's
+//! indexed column.
 
 use extidx_common::{Error, Result, RowId, Value};
-use extidx_core::build::{try_partition_map, DEFAULT_BUILD_BATCH_ROWS};
+use extidx_core::build::{populate_from_base, try_partition_map};
 use extidx_core::meta::{IndexInfo, OperatorCall};
 use extidx_core::params::ParamString;
 use extidx_core::scan::{FetchResult, ScanContext};
@@ -22,7 +21,7 @@ use extidx_core::server::{BaseRow, ServerContext};
 use extidx_core::stats::{IndexCost, OdciStats};
 use extidx_core::OdciIndex;
 
-use crate::cartridge::{exact_fetch, geom_table, SpatialScan};
+use crate::cartridge::{base_rows, exact_fetch, SpatialScan};
 use crate::geometry::{Geometry, Mbr};
 use crate::rtree::RTree;
 
@@ -37,61 +36,28 @@ fn index_one(srv: &mut dyn ServerContext, info: &IndexInfo, rid: RowId, value: &
     if value.is_null() {
         return Ok(());
     }
-    let g = Geometry::from_value(value)?;
-    let table = rtree_table(info);
-    RTree::open(srv, table).insert(rid, g.mbr())?;
-    srv.execute(
-        &format!("INSERT INTO {} VALUES (?, ?)", geom_table(info)),
-        &[Value::RowId(rid), Value::from(g.serialize())],
-    )?;
-    Ok(())
+    let mbr = Geometry::from_value(value)?.mbr();
+    RTree::open(srv, rtree_table(info)).insert(rid, mbr)
 }
 
 fn unindex_one(srv: &mut dyn ServerContext, info: &IndexInfo, rid: RowId, value: &Value) -> Result<()> {
     if value.is_null() {
         return Ok(());
     }
-    let g = Geometry::from_value(value)?;
-    let table = rtree_table(info);
-    RTree::open(srv, table).delete(rid, g.mbr())?;
-    srv.execute(
-        &format!("DELETE FROM {} WHERE rid = ?", geom_table(info)),
-        &[Value::RowId(rid)],
-    )?;
+    let mbr = Geometry::from_value(value)?.mbr();
+    RTree::open(srv, rtree_table(info)).delete(rid, mbr)?;
     Ok(())
-}
-
-impl RtreeIndexMethods {
-    /// Stream the base table through [`OdciIndex::build_batch`] — the
-    /// R-tree itself mutates serially, but parsing still fans out.
-    fn populate_from_base(&self, srv: &mut dyn ServerContext, info: &IndexInfo) -> Result<()> {
-        let parallel = info.parameters.parallel_degree();
-        srv.scan_base_batches(
-            &info.table_name,
-            &[&info.column_name],
-            DEFAULT_BUILD_BATCH_ROWS,
-            &mut |srv, batch| self.build_batch(srv, info, batch, parallel),
-        )
-    }
 }
 
 impl OdciIndex for RtreeIndexMethods {
     fn create(&self, srv: &mut dyn ServerContext, info: &IndexInfo) -> Result<()> {
         RTree::create(srv, rtree_table(info))?;
-        srv.execute(
-            &format!(
-                "CREATE TABLE {} (rid ROWID, geom VARCHAR2(4000), PRIMARY KEY (rid)) \
-                 ORGANIZATION INDEX",
-                geom_table(info)
-            ),
-            &[],
-        )?;
-        self.populate_from_base(srv, info)
+        populate_from_base(self, srv, info)
     }
 
     fn alter(&self, srv: &mut dyn ServerContext, info: &IndexInfo, _delta: &ParamString) -> Result<()> {
         self.truncate(srv, info)?;
-        self.populate_from_base(srv, info)
+        populate_from_base(self, srv, info)
     }
 
     fn build_batch(
@@ -101,25 +67,20 @@ impl OdciIndex for RtreeIndexMethods {
         batch: &[BaseRow],
         parallel: usize,
     ) -> Result<()> {
-        // Parse + MBR + serialization are pure CPU and fan out; the tree
-        // insertions are stateful (node splits) and stay serial on the
-        // coordinator, in input order.
+        // Parse + MBR are pure CPU and fan out; the tree insertions are
+        // stateful (node splits) and stay serial on the coordinator, in
+        // input order.
         let prepared = try_partition_map(batch, parallel, |row| {
             let v = row.value();
             if v.is_null() {
                 return Ok::<_, Error>(None);
             }
             let g = Geometry::from_value(v)?;
-            Ok(Some((row.rid, g.mbr(), g.serialize())))
+            Ok(Some((row.rid, g.mbr())))
         })?;
         let rt = rtree_table(info);
-        let gt = geom_table(info);
-        for (rid, mbr, geom) in prepared.into_iter().flatten() {
+        for (rid, mbr) in prepared.into_iter().flatten() {
             RTree::open(srv, rt.clone()).insert(rid, mbr)?;
-            srv.execute(
-                &format!("INSERT INTO {gt} VALUES (?, ?)"),
-                &[Value::RowId(rid), Value::from(geom)],
-            )?;
         }
         Ok(())
     }
@@ -130,13 +91,11 @@ impl OdciIndex for RtreeIndexMethods {
         let table = rtree_table(info);
         srv.execute(&format!("INSERT INTO {table} VALUES (0, '1,2')"), &[])?;
         srv.execute(&format!("INSERT INTO {table} VALUES (1, 'L|')"), &[])?;
-        srv.execute(&format!("TRUNCATE TABLE {}", geom_table(info)), &[])?;
         Ok(())
     }
 
     fn drop_index(&self, srv: &mut dyn ServerContext, info: &IndexInfo) -> Result<()> {
         srv.execute(&format!("DROP TABLE {}", rtree_table(info)), &[])?;
-        srv.execute(&format!("DROP TABLE {}", geom_table(info)), &[])?;
         Ok(())
     }
 
@@ -234,8 +193,7 @@ impl OdciStats for RtreeStats {
         info: &IndexInfo,
         op: &OperatorCall,
     ) -> Result<f64> {
-        let total = srv.query(&format!("SELECT COUNT(*) FROM {}", geom_table(info)), &[])?[0][0]
-            .as_integer()? as f64;
+        let total = base_rows(srv, info)?;
         if total == 0.0 {
             return Ok(0.0);
         }
@@ -255,8 +213,7 @@ impl OdciStats for RtreeStats {
         _op: &OperatorCall,
         selectivity: f64,
     ) -> Result<IndexCost> {
-        let total = srv.query(&format!("SELECT COUNT(*) FROM {}", geom_table(info)), &[])?[0][0]
-            .as_integer()? as f64;
+        let total = base_rows(srv, info)?;
         Ok(IndexCost {
             io_cost: 3.0 + (total.max(1.0)).log2() / 3.0 + selectivity * total / 8.0,
             cpu_cost: selectivity * total * 0.01,

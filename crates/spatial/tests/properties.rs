@@ -88,14 +88,6 @@ proptest! {
         }
     }
 
-    /// Serialization round-trips geometry exactly.
-    #[test]
-    fn serialization_roundtrip(g in arb_geom()) {
-        let s = g.serialize();
-        let back = Geometry::deserialize(&s).unwrap();
-        prop_assert_eq!(back, g);
-    }
-
     /// MBR containment is implied by geometric containment.
     #[test]
     fn mbr_respects_containment(a in arb_geom(), b in arb_geom()) {

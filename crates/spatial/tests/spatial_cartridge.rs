@@ -230,15 +230,63 @@ fn polygons_in_the_index() {
     assert_eq!(rows, vec![vec![Value::Integer(0)]]);
 }
 
+/// Each spatial indextype owns exactly one storage table — its primary
+/// filter — and `DROP INDEX` removes it.
 #[test]
 fn drop_index_removes_storage_tables() {
-    let mut db = spatial_db();
-    load_layer(&mut db, "parcels", &[rect(0.0, 0.0, 10.0, 10.0)]);
-    db.execute("CREATE INDEX sidx ON parcels(geometry) INDEXTYPE IS SpatialIndexType").unwrap();
-    assert!(db.query("SELECT COUNT(*) FROM DR$SIDX$T").is_ok());
-    db.execute("DROP INDEX sidx").unwrap();
-    assert!(db.query("SELECT COUNT(*) FROM DR$SIDX$T").is_err());
-    assert!(db.query("SELECT COUNT(*) FROM DR$SIDX$G").is_err());
+    let storage = |db: &Database| {
+        let mut names = db.catalog().table_names();
+        names.retain(|t| t.starts_with("DR$SIDX$"));
+        names
+    };
+    for (indextype, table) in [("SpatialIndexType", "DR$SIDX$T"), ("RtreeIndexType", "DR$SIDX$R")] {
+        let mut db = spatial_db();
+        load_layer(&mut db, "parcels", &[rect(0.0, 0.0, 10.0, 10.0)]);
+        db.execute(&format!("CREATE INDEX sidx ON parcels(geometry) INDEXTYPE IS {indextype}"))
+            .unwrap();
+        assert_eq!(storage(&db), vec![table.to_string()], "{indextype}");
+        assert!(db.query(&format!("SELECT COUNT(*) FROM {table}")).is_ok());
+        db.execute("DROP INDEX sidx").unwrap();
+        assert!(storage(&db).is_empty(), "{indextype}");
+        assert!(db.query(&format!("SELECT COUNT(*) FROM {table}")).is_err());
+    }
+}
+
+/// ODCIStats' selectivity is a share of the base table's rows, NULL
+/// geometries included, because the optimizer multiplies it by the base
+/// row count. Ten rows, five of them NULL, and a window that holds the
+/// other five in one tile: 0.5 under both indextypes.
+#[test]
+fn selectivity_is_a_share_of_base_rows() {
+    for indextype in ["SpatialIndexType", "RtreeIndexType"] {
+        let mut db = spatial_db();
+        db.execute("CREATE TABLE sites (gid INTEGER, geometry SDO_GEOMETRY)").unwrap();
+        for i in 0..10 {
+            let x = 1.0 + i as f64 * 0.1;
+            let g = if i % 2 == 0 { geometry_sql(&rect(x, 1.0, x + 0.5, 1.5)) } else { "NULL".into() };
+            db.execute(&format!("INSERT INTO sites VALUES ({i}, {g})")).unwrap();
+        }
+        // 256/64 = 4-unit tiles: every geometry and the window lie in tile 0.
+        db.execute(&format!(
+            "CREATE INDEX sidx ON sites(geometry) INDEXTYPE IS {indextype} \
+             PARAMETERS (':World 256 :Level 6')"
+        ))
+        .unwrap();
+        db.trace().set_enabled(true);
+        let window = geometry_sql(&rect(0.5, 0.5, 3.5, 3.5));
+        db.explain(&format!(
+            "SELECT gid FROM sites WHERE Sdo_Relate(geometry, {window}, 'mask=ANYINTERACT')"
+        ))
+        .unwrap();
+        let sels: Vec<String> = db
+            .trace()
+            .events()
+            .into_iter()
+            .filter(|e| e.routine == "ODCIStatsIndexCost")
+            .map(|e| e.detail)
+            .collect();
+        assert_eq!(sels, vec!["sel=0.5000".to_string()], "{indextype}");
+    }
 }
 
 /// EXPLAIN ANALYZE smoke: the tile-index window scan is annotated with

@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 
 use extidx_common::{Error, Result, RowId, Value};
-use extidx_core::build::{try_partition_map, DEFAULT_BUILD_BATCH_ROWS};
+use extidx_core::build::{populate_from_base, try_partition_map};
 use extidx_core::meta::{IndexInfo, OperatorCall};
 use extidx_core::params::ParamString;
 use extidx_core::scan::{FetchResult, FetchedRow, ScanContext};
@@ -160,22 +160,6 @@ fn fetched(rid: RowId, score: u32, wants_ancillary: bool) -> FetchedRow {
     }
 }
 
-impl TextIndexMethods {
-    /// Stream the base table through [`OdciIndex::build_batch`] — the
-    /// shared populate path for `create` and rebuild-on-`alter`. The whole
-    /// table is never materialized; `PARALLEL <n>` in the parameters fans
-    /// tokenization across worker threads.
-    fn populate_from_base(&self, srv: &mut dyn ServerContext, info: &IndexInfo) -> Result<()> {
-        let parallel = info.parameters.parallel_degree();
-        srv.scan_base_batches(
-            &info.table_name,
-            &[&info.column_name],
-            DEFAULT_BUILD_BATCH_ROWS,
-            &mut |srv, batch| self.build_batch(srv, info, batch, parallel),
-        )
-    }
-}
-
 impl OdciIndex for TextIndexMethods {
     fn create(&self, srv: &mut dyn ServerContext, info: &IndexInfo) -> Result<()> {
         let table = index_table(info);
@@ -187,7 +171,7 @@ impl OdciIndex for TextIndexMethods {
             &[],
         )?;
         // Populate from existing base rows, one batch at a time.
-        self.populate_from_base(srv, info)
+        populate_from_base(self, srv, info)
     }
 
     fn alter(&self, srv: &mut dyn ServerContext, info: &IndexInfo, _delta: &ParamString) -> Result<()> {
@@ -195,7 +179,7 @@ impl OdciIndex for TextIndexMethods {
         // list) require a rebuild: truncate and repopulate under the
         // merged parameters `info` already carries.
         self.truncate(srv, info)?;
-        self.populate_from_base(srv, info)
+        populate_from_base(self, srv, info)
     }
 
     fn build_batch(

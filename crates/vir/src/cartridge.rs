@@ -15,7 +15,7 @@
 //!    threshold.
 
 use extidx_common::{Error, Result, Row, RowId, Value};
-use extidx_core::build::{try_partition_map, DEFAULT_BUILD_BATCH_ROWS};
+use extidx_core::build::{populate_from_base, try_partition_map};
 use extidx_core::meta::{IndexInfo, OperatorCall};
 use extidx_core::params::ParamString;
 use extidx_core::scan::{FetchResult, FetchedRow, ScanContext};
@@ -253,13 +253,7 @@ impl OdciIndex for VirIndexMethods {
             ),
             &[],
         )?;
-        let parallel = info.parameters.parallel_degree();
-        srv.scan_base_batches(
-            &info.table_name,
-            &[&info.column_name],
-            DEFAULT_BUILD_BATCH_ROWS,
-            &mut |srv, batch| self.build_batch(srv, info, batch, parallel),
-        )
+        populate_from_base(self, srv, info)
     }
 
     fn build_batch(

@@ -573,4 +573,24 @@ cargo test -q -p extidx-chem --test equivalence
 cargo test -q -p extidx-text --test properties
 cargo test -q -p extidx-core --lib trace::tests::disabled_trace_records_nothing
 
+# Spatial indexes store only their primary filter (DESIGN.md §4b): the
+# exact filter reads the base column, so neither spatial indextype keeps a
+# geometry table or a text codec for one, and every cartridge that builds
+# by streaming the base table does so through the one
+# `extidx_core::build::populate_from_base`. The one-storage-table, base-row
+# selectivity and near-threshold-predicate probes run by name. (Bracketed
+# so the patterns do not match this file.)
+echo "== spatial primary filter only, one build loop (structural guard) =="
+if grep -rnE "geom_tabl[e]|storage_table_name\(\"[G]\"\)|fn serializ[e]\b|fn deserializ[e]\b" \
+    crates/spatial/src; then
+    exit 1
+fi
+if grep -rn "scan_base_batche[s](" crates/text/src crates/vir/src crates/spatial/src; then
+    exit 1
+fi
+cargo test -q -p extidx-spatial --test spatial_cartridge -- \
+    drop_index_removes_storage_tables selectivity_is_a_share_of_base_rows \
+    legacy_join_matches_modern_query
+cargo test -q -p extidx-qgen --lib gen::tests::near_threshold_vir_atoms_are_whole_predicates
+
 echo "CI OK"
