@@ -151,6 +151,13 @@ pub struct SqlStat {
 /// Statements kept in the `V$SQLSTATS` history.
 const SQLSTATS_CAPACITY: usize = 256;
 
+/// The WAL watermark (DESIGN.md §4i): a transaction end that finds this
+/// many records in the WAL folds it through [`Database::checkpoint`]. A
+/// server that never checkpoints thus holds at most this many records plus
+/// those of its open transactions, and one fold redoes about this many
+/// (EXPERIMENTS.md E16 times it).
+pub const WAL_FOLD_RECORDS: usize = 2048;
+
 /// `V$` virtual tables are read-only views over engine state.
 fn reject_vtable_dml(table: &str) -> Result<()> {
     if Catalog::is_vtable(table) {
@@ -846,16 +853,25 @@ impl Database {
         self.deliver(DbEvent::Commit)
     }
 
-    /// The one vacuum placement (DESIGN.md §4l): the end of a
-    /// transaction, under the write lock it already holds. An abort always
-    /// runs the §4k pass. A commit skips it when the horizon still equals
-    /// the last pass's: horizons only rise, and every commit since that
-    /// pass got a csn above it, so the pass would prune nothing.
+    /// The one vacuum placement and the one WAL fold placement (DESIGN.md
+    /// §4l, §4i): the end of a transaction, under the write lock it already
+    /// holds. An abort always runs the §4k pass. A commit skips it when the
+    /// horizon still equals the last pass's: horizons only rise, and every
+    /// commit since that pass got a csn above it, so the pass would prune
+    /// nothing. Then, once the WAL holds [`WAL_FOLD_RECORDS`] records, the
+    /// checkpoint folds it, after this transaction's commit marker.
     fn maintenance_after_txn_end(&mut self, committed: bool) {
         if committed && self.vacuumed_at == Some(self.storage.vacuum_horizon()) {
             self.refresh_occupancy();
         } else {
             self.vacuum();
+        }
+        let medium = self.storage.wal_medium();
+        if medium.is_some_and(|m| m.stats().wal_len >= WAL_FOLD_RECORDS) {
+            // A fold fails only on a crashed medium, and that is not this
+            // transaction's error: it has ended, a commit's marker has
+            // landed. The next write fails on the frozen medium.
+            let _ = self.checkpoint();
         }
     }
 

@@ -41,8 +41,10 @@
 //!   autocommit statement end their transaction under the write lock they
 //!   already hold, and run the §4k vacuum pass there
 //!   (`Database::maintenance_after_txn_end`). A commit that leaves the
-//!   horizon where the last pass left it skips the pass in O(1). No thread
-//!   runs beside the sessions;
+//!   horizon where the last pass left it skips the pass in O(1). With a
+//!   durable medium attached, the same place folds the WAL once it holds
+//!   `WAL_FOLD_RECORDS` records (DESIGN.md §4i), so a server that never
+//!   checkpoints keeps a bounded WAL. No thread runs beside the sessions;
 //! - **orphans**: a [`Session`] dropped mid-transaction while the lock is
 //!   contended parks its transaction with the governor, and every write
 //!   lock taken here (statements, COMMIT, ROLLBACK, [`Server::admin`],

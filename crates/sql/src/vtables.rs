@@ -200,6 +200,35 @@ pub(crate) static VTABLES: &[VTable] = &[
             counters.map(|(name, value)| vec![Value::from(name), Value::from(value)]).collect()
         },
     },
+    // The durable medium's WAL: one row while durability is on, none
+    // otherwise. CHECKPOINTS counts the folds at transaction end too.
+    VTable {
+        name: "V$WAL",
+        columns: &[
+            ("RECORDS", SqlType::Integer),
+            ("APPENDED", SqlType::Integer),
+            ("COMMITS", SqlType::Integer),
+            ("CHECKPOINTS", SqlType::Integer),
+            ("LAST_FOLDED_LSN", SqlType::Integer),
+            ("CARRIED_TXNS", SqlType::Integer),
+        ],
+        row_count: |db| usize::from(db.storage.wal_medium().is_some()),
+        rows: |db| {
+            let stats = db.storage.wal_medium().map(|m| m.stats()).into_iter();
+            stats
+                .map(|s| {
+                    vec![
+                        Value::from(s.wal_len as i64),
+                        Value::from(s.records_appended as i64),
+                        Value::from(s.commits as i64),
+                        Value::from(s.checkpoints as i64),
+                        Value::from(s.last_folded_lsn as i64),
+                        Value::from(s.carried_txns as i64),
+                    ]
+                })
+                .collect()
+        },
+    },
     // The CallTrace ring. DROPPED repeats the ring's eviction counter on
     // every row so `SELECT MAX(DROPPED)` surfaces it.
     VTable {
@@ -334,13 +363,14 @@ mod tests {
     use crate::plan::tests::fixture;
 
     /// The list cannot drift from what the views answer: on a quiet
-    /// database every view's rows are as wide as its declared columns
-    /// (plus the hidden ROWID slot) and of the declared types, `SELECT *`
-    /// returns the declared columns, and its row count is what the
-    /// optimizer was told.
+    /// durable database every view's rows are as wide as its declared
+    /// columns (plus the hidden ROWID slot) and of the declared types,
+    /// `SELECT *` returns the declared columns, and its row count is what
+    /// the optimizer was told.
     #[test]
     fn every_view_answers_its_declared_shape() {
         let mut db = fixture();
+        db.enable_durability(extidx_storage::DurableMedium::new()).unwrap();
         db.trace().set_enabled(true);
         db.execute("ANALYZE TABLE docs").unwrap();
         for v in VTABLES {
@@ -361,5 +391,12 @@ mod tests {
             assert_eq!(columns, declared, "{}: SELECT * columns", v.name);
             assert_eq!(rows.len(), count, "{}: row count", v.name);
         }
+    }
+
+    /// `V$WAL` holds no row while durability is off.
+    #[test]
+    fn the_wal_view_is_empty_without_durability() {
+        let mut db = fixture();
+        assert!(db.query("SELECT * FROM V$WAL").unwrap().is_empty());
     }
 }

@@ -37,7 +37,10 @@
 //! costs the records since the previous checkpoint, not the size of the
 //! database, and needs no quiescence: the image only ever receives
 //! committed records. Only the first image of an empty medium is a copy
-//! of a live engine.
+//! of a live engine. The SQL layer checkpoints when a client asks, and at
+//! every transaction end that finds the WAL at its watermark
+//! (`WAL_FOLD_RECORDS`), so the WAL stays bounded by the records since the
+//! last fold plus those of open transactions, with no client checkpoint.
 //!
 //! Recovery (driven by the SQL layer) is the same fold with nothing open —
 //! the uncommitted tail is dropped from the medium, not merely skipped, so
@@ -309,13 +312,20 @@ impl CheckpointImage {
     }
 }
 
-/// Counters for observability and the E16 experiment.
+/// Counters for observability (`V$WAL`) and the E16 experiment. The
+/// first three only ever rise, folds or not; the rest describe the WAL and
+/// the image as they are now.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalStats {
     pub records_appended: u64,
     pub commits: u64,
+    /// Checkpoints taken: explicit ones and the folds at transaction end.
     pub checkpoints: u64,
     pub wal_len: usize,
+    /// The LSN the image covers (0 before the first checkpoint).
+    pub last_folded_lsn: u64,
+    /// Transactions whose records the last fold carried forward.
+    pub carried_txns: usize,
 }
 
 /// One durably appended WAL entry: its LSN, the transaction that wrote it
@@ -604,10 +614,13 @@ impl DurableMedium {
         }
     }
 
-    /// Current counters (plus live WAL length).
+    /// Current counters, with the live WAL length and the image's LSN
+    /// and carried transactions, read under the one lock.
     pub fn stats(&self) -> WalStats {
         let g = self.inner.lock();
-        WalStats { wal_len: g.wal.len(), ..g.stats }
+        let (last_folded_lsn, carried_txns) =
+            g.checkpoint.as_ref().map_or((0, 0), |c| (c.last_lsn, c.carried.len()));
+        WalStats { wal_len: g.wal.len(), last_folded_lsn, carried_txns, ..g.stats }
     }
 }
 

@@ -158,6 +158,26 @@ cargo test -q --test recovery a_rollback_stopped_by_a_fault_leaves_every_version
 # probe whose free list once came back reordered.
 cargo test -q -p extidx-storage --test replay_placement
 
+# The WAL watermark (DESIGN.md §4i): with no client checkpoint, two
+# sessions' transaction ends keep the WAL under WAL_FOLD_RECORDS plus the
+# open transactions' records, and recovery equals the committed history; a
+# crash inside a fold at a transaction end keeps the committed prefix;
+# V$WAL has no row without durability. The fold has one placement
+# (`maintenance_after_txn_end`, the one non-test use of the constant) and
+# no thread of its own. (Bracketed so the patterns do not match this file.)
+echo "== WAL watermark (bound + crash inside a fold + one fold placement) =="
+cargo test -q --test wal_bound -- \
+    two_sessions_without_a_client_checkpoint_keep_the_wal_under_the_watermark \
+    a_crash_inside_a_fold_at_transaction_end_keeps_the_committed_prefix
+cargo test -q -p extidx-sql --lib vtables::tests::the_wal_view_is_empty_without_durability
+fold_uses=$(for f in crates/sql/src/*.rs; do
+    awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } { print f ": " $0 }' "$f"
+done | grep "WAL_FOLD_RECORD[S]" | grep -vE ": *//|const WAL_FOLD_RECORD[S]")
+[ "$(echo "$fold_uses" | grep -c .)" -eq 1 ]
+if grep -n "thread::spaw[n]" crates/sql/src/session.rs crates/sql/src/database.rs; then
+    exit 1
+fi
+
 # MVCC: the concurrent differential oracle (N interleaved sessions vs a
 # commit-order serial twin, incl. the 8-seed sweep and the 4-thread
 # insert stress), the snapshot-visibility property tests (every scan
