@@ -163,25 +163,41 @@ fn e2_text() -> Result<()> {
     Ok(())
 }
 
-/// Statements the statement cache has looked up so far: every client
-/// statement and every SQL callback a cartridge issues.
-fn statements_run(db: &mut Database) -> Result<i64> {
-    let rows = db.query(
-        "SELECT VALUE FROM V$CACHE_STATS \
-         WHERE NAME = 'PLAN_CACHE_HITS' OR NAME = 'PLAN_CACHE_MISSES'",
-    )?;
-    rows.iter().map(|r| r[0].as_integer()).sum()
+/// `(statements, key-range reads)` so far, from `V$CACHE_STATS`: the
+/// statement cache's lookups — every client statement and every SQL
+/// callback a cartridge issues — and the in-place index-table reads, which
+/// run no statement.
+fn callback_counters(db: &mut Database) -> Result<(i64, i64)> {
+    let (mut statements, mut range_reads) = (0, 0);
+    for r in db.query("SELECT NAME, VALUE FROM V$CACHE_STATS")? {
+        match r[0].as_str()? {
+            "PLAN_CACHE_HITS" | "PLAN_CACHE_MISSES" => statements += r[1].as_integer()?,
+            "KEY_RANGE_READS" => range_reads += r[1].as_integer()?,
+            _ => {}
+        }
+    }
+    Ok((statements, range_reads))
 }
 
-/// One run of `sql`: its ODCI scan crossings (Start, Fetch, Close) and the
-/// SQL callback statements the cartridge issued in them.
-fn scan_calls(db: &mut Database, sql: &str) -> Result<(u64, i64)> {
-    let idle = -statements_run(db)? + statements_run(db)?;
+/// What one run of a query cost in crossings and callbacks.
+struct ScanCalls {
+    /// ODCI scan crossings (Start, Fetch, Close).
+    crossings: u64,
+    /// SQL callback statements the cartridge issued in them.
+    sql: i64,
+    /// Key-range reads of its index table.
+    range_reads: i64,
+}
+
+/// One run of `sql`: its ODCI scan crossings and the SQL callbacks and
+/// key-range reads the cartridge issued in them.
+fn scan_calls(db: &mut Database, sql: &str) -> Result<ScanCalls> {
+    let idle = -callback_counters(db)?.0 + callback_counters(db)?.0;
     db.trace().set_enabled(true);
     db.trace().clear();
-    let before = statements_run(db)?;
+    let before = callback_counters(db)?;
     db.query(sql)?;
-    let callbacks = statements_run(db)? - before - idle - 1;
+    let after = callback_counters(db)?;
     let crossings = db
         .trace()
         .aggregates()
@@ -190,17 +206,18 @@ fn scan_calls(db: &mut Database, sql: &str) -> Result<(u64, i64)> {
         .map(|(_, _, s)| s.calls)
         .sum();
     db.trace().set_enabled(false);
-    Ok((crossings, callbacks))
+    let sql_callbacks = after.0 - before.0 - idle - 1;
+    Ok(ScanCalls { crossings, sql: sql_callbacks, range_reads: after.1 - before.1 })
 }
 
 /// E3 — §3.2.2: the modern Sdo_Relate join vs the pre-8i hand-written
 /// tile join; the claim is performance parity with a drastically simpler
 /// query. A domain join starts one batched scan per outer batch: its
-/// crossings and callbacks are reported per join.
+/// crossings, SQL callbacks and key-range reads are reported per join.
 fn e3_spatial() -> Result<()> {
     let mut rep = Report::new(&[
         "layer size", "pairs", "modern (tiles)", "modern (R-tree)", "legacy", "legacy/tiles",
-        "crossings tiles/R-tree", "callbacks tiles/R-tree",
+        "crossings tiles/R-tree", "SQL callbacks tiles/R-tree", "range reads tiles/R-tree",
     ]);
     for n in [100usize, 300, 600] {
         let mut fx = spatial_fixture(n, 9)?;
@@ -211,7 +228,7 @@ fn e3_spatial() -> Result<()> {
         let modern = time_median(3, || {
             db.query(sql).expect("modern spatial join");
         });
-        let (tile_crossings, tile_callbacks) = scan_calls(db, sql)?;
+        let tiles = scan_calls(db, sql)?;
         let legacy_rows = spatial_legacy::legacy_relate_join(
             db, "roads", "gid", "roads_sidx", "parks", "gid", "parks_sidx", Mask::Overlaps,
         )?
@@ -231,19 +248,20 @@ fn e3_spatial() -> Result<()> {
         db.execute("CREATE INDEX parks_sidx ON parks(geometry) INDEXTYPE IS RtreeIndexType")?;
         let rtree_rows = db.query(sql)?.len();
         assert_eq!(rtree_rows, modern_rows, "indexing algorithms must agree");
-        let rtree = time_median(3, || {
+        let rtree_time = time_median(3, || {
             db.query(sql).expect("rtree spatial join");
         });
-        let (rtree_crossings, rtree_callbacks) = scan_calls(db, sql)?;
+        let rtree = scan_calls(db, sql)?;
         rep.row(&[
             format!("{n}x{n}"),
             modern_rows.to_string(),
             fmt_dur(modern),
-            fmt_dur(rtree),
+            fmt_dur(rtree_time),
             fmt_dur(legacy),
             format!("{:.2}x", legacy.as_secs_f64() / modern.as_secs_f64()),
-            format!("{tile_crossings}/{rtree_crossings}"),
-            format!("{tile_callbacks}/{rtree_callbacks}"),
+            format!("{}/{}", tiles.crossings, rtree.crossings),
+            format!("{}/{}", tiles.sql, rtree.sql),
+            format!("{}/{}", tiles.range_reads, rtree.range_reads),
         ]);
     }
     rep.print();
@@ -267,7 +285,7 @@ fn e4_vir() -> Result<()> {
         "all ranges",
         "coarse",
         "matches",
-        "phase 1/2/3",
+        "Start (1+2) / Fetch (3)",
     ]);
     for n in [2000usize, 8000, 20000] {
         // Unindexed baseline.
@@ -289,7 +307,9 @@ fn e4_vir() -> Result<()> {
             idx.db.query(&sql).expect("indexed similarity");
         });
 
-        // Survivors and time of each phase, run against the index table.
+        // Survivors of each phase, through the scan's own filter over the
+        // index table; and the scan's time in the crossings that run the
+        // phases: 1 and 2 in ODCIIndexStart, 3 in ODCIIndexFetch.
         let w = extidx_vir::Weights::parse(weights)?;
         let db = &mut idx.db;
         let p = extidx_vir::phase_counts(
@@ -300,7 +320,15 @@ fn e4_vir() -> Result<()> {
             threshold,
         )?;
         assert_eq!(p.matches, matches);
-        let [t1, t2, t3] = p.phase_micros;
+        db.trace().set_enabled(true);
+        db.trace().clear();
+        db.query(&sql)?;
+        let micros = |routine: &str| -> u64 {
+            let aggs = db.trace().aggregates();
+            aggs.iter().filter(|(_, r, _)| *r == routine).map(|(_, _, s)| s.total_micros).sum()
+        };
+        let (start, fetch) = (micros("ODCIIndexStart"), micros("ODCIIndexFetch"));
+        db.trace().set_enabled(false);
 
         rep.row(&[
             n.to_string(),
@@ -311,7 +339,7 @@ fn e4_vir() -> Result<()> {
             p.after_range.to_string(),
             p.after_coarse.to_string(),
             matches.to_string(),
-            format!("{t1}/{t2}/{t3} µs"),
+            format!("{start}/{fetch} µs"),
         ]);
     }
     rep.print();

@@ -7,8 +7,10 @@
 //!
 //! - parameterized SQL execution (`execute`/`query`) against the host
 //!   engine, which is how cartridges create, maintain, and search their
-//!   index storage tables, and the base-table rowid join
-//!   (`fetch_base_rows`) their scans verify candidates with;
+//!   index storage tables, the base-table rowid join
+//!   (`fetch_base_rows`) their scans verify candidates with, and the
+//!   in-place key-range read of an index-organized table
+//!   (`read_key_range`) their scans read their index data with;
 //! - the LOB interface (file-like, per §3.2.4);
 //! - the statement-duration workspace backing "Return Handle" scan
 //!   contexts (§2.2.3);
@@ -71,6 +73,17 @@ pub type RunQuery<'a> = dyn FnMut(&str, &[Value]) -> Result<Vec<Row>> + 'a;
 /// Callback type for [`ServerContext::scan_base_batches`].
 pub type BatchSink<'a> = dyn FnMut(&mut dyn ServerContext, &[BaseRow]) -> Result<()> + 'a;
 
+/// Callback type for [`ServerContext::read_key_range`]: handed each stored
+/// row, lent for the call, in the table's column order.
+pub type RowVisitor<'a> = dyn FnMut(&[Value]) -> Result<()> + 'a;
+
+/// One key-range read as a closure: a cartridge's
+/// `|t, k, lo, hi, v| srv.read_key_range(t, k, lo, hi, v)`, or
+/// [`read_key_range_via_query`] over a client's `Database::query_with`, so
+/// a cartridge's read helper serves its scan and a harness alike.
+pub type KeyRangeRead<'a> =
+    dyn FnMut(&str, &str, &Value, &Value, &mut RowVisitor) -> Result<()> + 'a;
+
 /// The callback surface the server hands to every ODCI routine.
 pub trait ServerContext {
     /// The restriction mode this context was issued under.
@@ -126,6 +139,28 @@ pub trait ServerContext {
         rids.iter()
             .map(|rid| Ok(self.query(&sql, &[Value::RowId(*rid)])?.into_iter().next()))
             .collect()
+    }
+
+    /// Visit, in key order, every stored row of the index-organized
+    /// `table` whose leading key column `key_col` lies in `lo..=hi`, each
+    /// lent to `visit` as the table's whole row. A NULL bound, or `lo`
+    /// above `hi`, visits nothing. This is how a scan reads its index
+    /// table (a posting list, a tile span, a node run) without a
+    /// statement per read and without a copy of every row.
+    ///
+    /// A host engine pages its own IOT range under the crossing's
+    /// snapshot; it refuses a heap table or any column but the leading
+    /// key column with [`extidx_common::Error::CallbackViolation`]. The
+    /// default, for servers without one, runs the range as one query.
+    fn read_key_range(
+        &mut self,
+        table: &str,
+        key_col: &str,
+        lo: &Value,
+        hi: &Value,
+        visit: &mut RowVisitor,
+    ) -> Result<()> {
+        read_key_range_via_query(&mut |sql, b| self.query(sql, b), table, key_col, lo, hi, visit)
     }
 
     // ---- LOB interface (file-like, §3.2.4) --------------------------------
@@ -212,6 +247,26 @@ pub fn workspace_state<'a, T: 'static>(
         .ok_or_else(|| {
             extidx_common::Error::odci(indextype, routine, "scan workspace state missing or of wrong type")
         })
+}
+
+/// Query-based form of [`ServerContext::read_key_range`]: one
+/// `SELECT * … WHERE key_col >= ? AND key_col <= ?` through `run`, its
+/// rows visited in the order the query returns them (key order, on an
+/// index-organized table). The trait's default body, and what a harness
+/// holding only a client runs.
+pub fn read_key_range_via_query(
+    run: &mut RunQuery,
+    table: &str,
+    key_col: &str,
+    lo: &Value,
+    hi: &Value,
+    visit: &mut RowVisitor,
+) -> Result<()> {
+    let sql = format!("SELECT * FROM {table} WHERE {key_col} >= ? AND {key_col} <= ?");
+    for row in run(&sql, &[lo.clone(), hi.clone()])? {
+        visit(&row)?;
+    }
+    Ok(())
 }
 
 /// Query-based fallback for [`ServerContext::scan_base_batches`]: one

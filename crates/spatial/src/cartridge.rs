@@ -13,7 +13,6 @@
 //! `ODCIIndexFetch`, over the candidates' geometries read from the base
 //! table's indexed column — the index keeps no copy of them.
 
-use std::cmp::Ordering;
 use std::collections::HashMap;
 
 use extidx_common::{Error, Result, RowId, Value};
@@ -299,9 +298,9 @@ impl OdciIndex for SpatialIndexMethods {
     }
 
     /// Primary filter for the whole batch as one sort-merge on tile ids:
-    /// the batch's sorted (tile, argument row) list against one
-    /// key-ordered range read of the tile table over the list's span — the
-    /// pre-8i hand-written tile join (`legacy.rs`), behind the operator.
+    /// the batch's sorted (tile, argument row) list against one in-place
+    /// key-range read of the tile table over the list's span — the pre-8i
+    /// hand-written tile join (`legacy.rs`), behind the operator.
     fn start_batch(
         &self,
         srv: &mut dyn ServerContext,
@@ -320,32 +319,18 @@ impl OdciIndex for SpatialIndexMethods {
         let (Some(&(lo, _)), Some(&(hi, _))) = (wanted.first(), wanted.last()) else {
             return Ok(scan.with_pairs(Vec::new()));
         };
-        let rows = srv.query(
-            &format!("SELECT tile, rid FROM {} WHERE tile >= ? AND tile <= ?", tile_table(info)),
-            &[Value::Integer(lo), Value::Integer(hi)],
-        )?;
-        let mut entries = rows
-            .iter()
-            .map(|r| Ok((r[0].as_integer()?, r[1].as_rowid()?)))
-            .collect::<Result<Vec<(i64, RowId)>>>()?;
-        entries.sort_unstable();
-        let mut pairs = Vec::new();
-        let (mut i, mut j) = (0, 0);
-        while i < entries.len() && j < wanted.len() {
-            let tile = entries[i].0;
-            match tile.cmp(&wanted[j].0) {
-                Ordering::Less => i += 1,
-                Ordering::Greater => j += 1,
-                Ordering::Equal => {
-                    let ie = i + entries[i..].iter().take_while(|e| e.0 == tile).count();
-                    let je = j + wanted[j..].iter().take_while(|w| w.0 == tile).count();
-                    for &(_, arg) in &wanted[j..je] {
-                        pairs.extend(entries[i..ie].iter().map(|&(_, rid)| (arg, rid)));
-                    }
-                    (i, j) = (ie, je);
-                }
-            }
-        }
+        // The tile table arrives in `(tile, rid)` order: each row meets the
+        // wanted tiles in one forward pass.
+        let (mut pairs, mut j) = (Vec::new(), 0);
+        let (lo, hi) = (Value::Integer(lo), Value::Integer(hi));
+        srv.read_key_range(&tile_table(info), "tile", &lo, &hi, &mut |row| {
+            let tile = row[0].as_integer()?;
+            j += wanted[j..].iter().take_while(|w| w.0 < tile).count();
+            let rid = row[1].as_rowid()?;
+            let args = wanted[j..].iter().take_while(|w| w.0 == tile).map(|&(_, arg)| arg);
+            pairs.extend(args.map(|arg| (arg, rid)));
+            Ok(())
+        })?;
         Ok(scan.with_pairs(pairs))
     }
 

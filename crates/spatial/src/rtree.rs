@@ -8,12 +8,12 @@
 //! claim made concrete: a second indexing scheme for the same
 //! `Sdo_Relate` operator.
 //!
-//! Nodes are rows of an index-organized table `(nodeid, payload)`, read
-//! and written through the server-callback SQL interface, exactly how a
-//! cartridge would build a paged tree over database storage: a point
-//! lookup per node on the insert and delete paths, a `nodeid` range read
-//! per run of nearby nodes of a level in a search. Row 0 is metadata
-//! (`root id, next node id`).
+//! Nodes are rows of an index-organized table `(nodeid, payload)`, written
+//! through server-callback SQL and read in place through the key-range
+//! callback, exactly how a cartridge would build a paged tree over database
+//! storage: a one-key read per node on the insert and delete paths, a
+//! `nodeid` range read per run of nearby nodes of a level in a search. Row
+//! 0 is metadata (`root id, next node id`).
 //! Inserts use least-area-enlargement descent with quadratic splits;
 //! deletes remove leaf entries without condensing (ancestor MBRs may stay
 //! loose — searches remain correct, just occasionally less selective).
@@ -111,7 +111,7 @@ fn decode_node(id: i64, s: &str) -> Result<Node> {
 // ---------------------------------------------------------------------------
 
 /// An R-tree persisted in a `(nodeid INTEGER, payload VARCHAR2)` IOT,
-/// accessed exclusively through [`ServerContext`] SQL callbacks.
+/// accessed exclusively through [`ServerContext`] callbacks.
 pub struct RTree<'a> {
     pub table: String,
     srv: &'a mut dyn ServerContext,
@@ -151,35 +151,36 @@ impl<'a> RTree<'a> {
     }
 
     fn read_meta(&mut self) -> Result<(i64, i64)> {
-        let rows = self
-            .srv
-            .query(&format!("SELECT payload FROM {} WHERE nodeid = 0", self.table), &[])?;
-        let s = rows
-            .first()
-            .and_then(|r| r.first())
-            .and_then(|v| v.as_str().ok())
-            .ok_or_else(|| Error::Storage("rtree metadata missing".into()))?
-            .to_string();
-        let (root, next) =
-            s.split_once(',').ok_or_else(|| Error::Storage("bad rtree metadata".into()))?;
-        Ok((
-            root.parse().map_err(|_| Error::Storage("bad rtree root".into()))?,
-            next.parse().map_err(|_| Error::Storage("bad rtree next".into()))?,
-        ))
+        let mut meta = None;
+        self.read_payloads(0, 0, &mut |_, s| {
+            let (root, next) =
+                s.split_once(',').ok_or_else(|| Error::Storage("bad rtree metadata".into()))?;
+            meta = Some((
+                root.parse().map_err(|_| Error::Storage("bad rtree root".into()))?,
+                next.parse().map_err(|_| Error::Storage("bad rtree next".into()))?,
+            ));
+            Ok(())
+        })?;
+        meta.ok_or_else(|| Error::Storage("rtree metadata missing".into()))
     }
 
     fn read_node(&mut self, id: i64) -> Result<Node> {
-        let rows = self.srv.query(
-            &format!("SELECT payload FROM {} WHERE nodeid = ?", self.table),
-            &[Value::Integer(id)],
-        )?;
-        let s = rows
-            .first()
-            .and_then(|r| r.first())
-            .and_then(|v| v.as_str().ok())
-            .ok_or_else(|| Error::Storage(format!("rtree node {id} missing")))?
-            .to_string();
-        decode_node(id, &s)
+        // `read_nodes` answers every id it is asked for, or fails.
+        Ok(self.read_nodes(&[id])?.remove(0))
+    }
+
+    /// Every `(nodeid, payload)` row with `lo ≤ nodeid ≤ hi`, in id order:
+    /// one key-range read of the node table, each payload lent in place.
+    fn read_payloads(
+        &mut self,
+        lo: i64,
+        hi: i64,
+        visit: &mut dyn FnMut(i64, &str) -> Result<()>,
+    ) -> Result<()> {
+        let (lo, hi) = (Value::Integer(lo), Value::Integer(hi));
+        self.srv.read_key_range(&self.table, "nodeid", &lo, &hi, &mut |row| {
+            visit(row[0].as_integer()?, row[1].as_str()?)
+        })
     }
 
     fn write_node(&mut self, n: &Node) -> Result<()> {
@@ -234,24 +235,29 @@ impl<'a> RTree<'a> {
     /// The nodes `ids` (sorted, distinct) names, in that order: one
     /// `nodeid` range read per run of ids at most [`READ_GAP`] apart.
     fn read_nodes(&mut self, ids: &[i64]) -> Result<Vec<Node>> {
-        let sql =
-            format!("SELECT nodeid, payload FROM {} WHERE nodeid >= ? AND nodeid <= ?", self.table);
         let mut nodes = Vec::with_capacity(ids.len());
         let mut rest = ids;
         while let [lo, ..] = *rest {
             let run = 1 + rest.windows(2).take_while(|w| w[1] - w[0] <= READ_GAP).count();
-            let hi = rest[run - 1];
-            let rows = self.srv.query(&sql, &[Value::Integer(lo), Value::Integer(hi)])?;
-            let mut read = rows
-                .iter()
-                .map(|r| Ok((r[0].as_integer()?, r[1].as_str()?)))
-                .collect::<Result<Vec<(i64, &str)>>>()?;
-            read.sort_unstable_by_key(|&(id, _)| id);
-            for &id in &rest[..run] {
-                let at = read
-                    .binary_search_by_key(&id, |&(id, _)| id)
-                    .map_err(|_| Error::Storage(format!("rtree node {id} missing")))?;
-                nodes.push(decode_node(id, read[at].1)?);
+            let (wanted, hi) = (&rest[..run], rest[run - 1]);
+            // Rows arrive in id order: each is the next wanted id or
+            // unwanted, and a wanted id passed over is missing.
+            let mut next = 0;
+            self.read_payloads(lo, hi, &mut |id, s| {
+                match wanted.get(next) {
+                    Some(&w) if w == id => {
+                        nodes.push(decode_node(id, s)?);
+                        next += 1;
+                    }
+                    Some(&w) if w < id => {
+                        return Err(Error::Storage(format!("rtree node {w} missing")));
+                    }
+                    _ => {}
+                }
+                Ok(())
+            })?;
+            if next < run {
+                return Err(Error::Storage(format!("rtree node {} missing", wanted[next])));
             }
             rest = &rest[run..];
         }

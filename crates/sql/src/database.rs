@@ -128,6 +128,9 @@ pub struct Database {
     /// Every SQL text parsed and planned once, for every lane
     /// (DESIGN.md §4m).
     pub(crate) stmts: StatementCache,
+    /// `ServerContext::read_key_range` calls (`V$CACHE_STATS`
+    /// `KEY_RANGE_READS`): index-table reads that run no statement.
+    pub(crate) key_range_reads: AtomicU64,
     /// The open transaction of this lane's own client (`BEGIN` through
     /// [`Database::execute`]), as a `Session` keeps its own.
     txn: Option<Snapshot>,
@@ -280,6 +283,7 @@ impl Database {
             governor: Arc::default(),
             vacuumed_at: None,
             stmts: StatementCache::default(),
+            key_range_reads: AtomicU64::new(0),
             txn: None,
         }
     }

@@ -47,7 +47,7 @@ use extidx_core::events::EventHandler;
 use extidx_core::meta::IndexInfo;
 use extidx_core::sandbox;
 use extidx_core::scan::WorkspaceHandle;
-use extidx_core::server::{BatchSink, CallbackMode, ServerContext};
+use extidx_core::server::{BatchSink, CallbackMode, RowVisitor, ServerContext};
 use extidx_core::trace::{Component, Routine};
 use extidx_storage::Snapshot;
 
@@ -223,13 +223,13 @@ pub(crate) fn odci_batch_call<T>(
 /// engine through this, on the lane of the crossing that issued them,
 /// under the routine's §2.5 restriction mode.
 ///
-/// Reads — queries, the base scan, LOB and file reads, the workspace —
-/// answer from the lane's snapshot and scratch: the statement's on the
-/// read lane, so a cartridge that probes its own metadata table mid-scan
-/// sees the statement-consistent image; the current transaction's and the
-/// statement scope's on the write lane. Mutations go through
-/// [`ServerCtx::writer`]: they run on the write lane and are refused with
-/// [`Error::CallbackViolation`] on the read lane.
+/// Reads — queries, the base scan, key-range reads, LOB and file reads,
+/// the workspace — answer from the lane's snapshot and scratch: the
+/// statement's on the read lane, so a cartridge that probes its own
+/// metadata table mid-scan sees the statement-consistent image; the
+/// current transaction's and the statement scope's on the write lane.
+/// Mutations go through [`ServerCtx::writer`]: they run on the write lane
+/// and are refused with [`Error::CallbackViolation`] on the read lane.
 pub(crate) struct ServerCtx<'c, 'a, 'e> {
     lane: &'c mut Lane<'a, 'e>,
     /// The read lane's statement scratch, borrowed for the crossing (the
@@ -393,6 +393,20 @@ impl ServerContext for ServerCtx<'_, '_, '_> {
         });
         let project = |row: &Row| cols.iter().map(|&i| row[i].clone()).collect();
         Ok(rows.into_iter().map(|row| row.map(project)).collect())
+    }
+
+    /// The executor's own IOT range under the lane's snapshot
+    /// ([`executor::read_key_range`]): no statement is prepared or run, and
+    /// no row is copied out of storage.
+    fn read_key_range(
+        &mut self,
+        table: &str,
+        key_col: &str,
+        lo: &Value,
+        hi: &Value,
+        visit: &mut RowVisitor,
+    ) -> Result<()> {
+        executor::read_key_range(self.db(), &self.snap(), table, key_col, lo, hi, visit)
     }
 
     fn fault_point(&mut self, point: &str) -> Result<()> {

@@ -32,7 +32,8 @@ use extidx_core::governor;
 use extidx_core::meta::{IndexInfo, OperatorCall};
 use extidx_core::odci;
 use extidx_core::scan::ScanContext;
-use extidx_core::server::BaseRow;
+use extidx_core::sandbox;
+use extidx_core::server::{BaseRow, RowVisitor};
 use extidx_core::trace::{Component, Routine};
 use extidx_core::OdciIndex;
 use extidx_storage::{SegmentId, Snapshot, StorageEngine};
@@ -435,11 +436,64 @@ impl HeapWalk {
     }
 }
 
-/// Cursor of the one IOT read: [`IotScanExec`], [`BTreeAccessExec`] and
-/// [`BaseScan`] page through `StorageEngine::iot_range` with it, `max_rows`
-/// rows at a time from an exclusive after-key, so a scan that stops early
-/// (a `LIMIT` quota, a join's, a build batch boundary) has read and
-/// charged only the batches it returned. `lo`/`hi` are inclusive.
+/// A bound on a key prefix must cover all longer keys sharing the prefix:
+/// the upper bound is padded to `key_cols` parts with NULLs, which sort
+/// last.
+fn pad_key(key_cols: usize) -> impl FnOnce(Key) -> Key {
+    move |mut k: Key| {
+        k.0.resize(k.0.len().max(key_cols), Value::Null);
+        k
+    }
+}
+
+/// `ServerContext::read_key_range` on either lane: the stored rows of the
+/// index-organized `table` whose leading key column `key_col` lies in
+/// `lo..=hi`, each lent to `visit` in key order, read under `snap` through
+/// the one [`IotCursor`] in [`BATCH_TARGET`] batches — the batches, bounds
+/// and page charges of the IOT range plan the query
+/// `SELECT * … WHERE key_col >= ? AND key_col <= ?` runs. Each batch read
+/// is charged a sandbox tick and a statement-deadline poll, as [`pump`]
+/// polls once per batch; a range that can hold nothing reads no batch. A
+/// heap table, or any column but the leading key column, is refused.
+pub(crate) fn read_key_range(
+    db: &Database,
+    snap: &Snapshot,
+    table: &str,
+    key_col: &str,
+    lo: &Value,
+    hi: &Value,
+    visit: &mut RowVisitor,
+) -> Result<()> {
+    let tdef = db.catalog.table(table)?;
+    let TableOrg::Index { key_cols } = tdef.org else {
+        return Err(Error::CallbackViolation(format!(
+            "read_key_range needs an index-organized table; {table} is a heap"
+        )));
+    };
+    if tdef.column_index(key_col)? != 0 {
+        return Err(Error::CallbackViolation(format!(
+            "read_key_range reads by the leading key column of {table}, not {key_col}"
+        )));
+    }
+    db.key_range_reads.fetch_add(1, Ordering::Relaxed);
+    let bound = |v: &Value| Some((!v.is_null()).then(|| Key(vec![v.clone()])));
+    let mut cursor = IotCursor::spanning(tdef.seg, bound(lo), bound(hi), pad_key(key_cols));
+    while !cursor.done {
+        sandbox::tick();
+        governor::poll()?;
+        for (_, row) in cursor.next_rows(&db.storage, snap, BATCH_TARGET)? {
+            visit(row)?;
+        }
+    }
+    Ok(())
+}
+
+/// Cursor of the one IOT read: [`IotScanExec`], [`BTreeAccessExec`],
+/// [`BaseScan`] and [`read_key_range`] page through
+/// `StorageEngine::iot_range` with it, `max_rows` rows at a time from an
+/// exclusive after-key, so a scan that stops early (a `LIMIT` quota, a
+/// join's, a build batch boundary) has read and charged only the batches
+/// it returned. `lo`/`hi` are inclusive.
 pub(crate) struct IotCursor {
     seg: SegmentId,
     lo: Option<Key>,
@@ -457,9 +511,7 @@ impl IotCursor {
 
     /// The cursor over the inclusive range a plan's key bounds name under
     /// the statement's binds, `pad_hi` widening the upper key to every
-    /// entry it prefixes. A range that can hold nothing — a bound with a
-    /// NULL part, or a lower bound past the upper one (a reversed `BETWEEN
-    /// ? AND ?`) — reads nothing.
+    /// entry it prefixes.
     fn over(
         db: &Exec<'_>,
         seg: SegmentId,
@@ -469,14 +521,26 @@ impl IotCursor {
     ) -> Result<Self> {
         let ctx = db.eval_ctx();
         let resolve = |b: Option<&KeyBound>| b.map(|b| b.resolve(&ctx)).transpose();
-        // `Some(None)`: a bound with a NULL part.
-        let (lo, hi) = (resolve(lo)?, resolve(hi)?);
+        Ok(IotCursor::spanning(seg, resolve(lo)?, resolve(hi)?, pad_hi))
+    }
+
+    /// The cursor over inclusive bounds (`None`: unbounded; `Some(None)`: a
+    /// bound with a NULL part), `pad_hi` widening the upper key to every
+    /// entry it prefixes. A range that can hold nothing — a bound with a
+    /// NULL part, or a lower bound past the upper one (a reversed `BETWEEN
+    /// ? AND ?`) — reads nothing.
+    fn spanning(
+        seg: SegmentId,
+        lo: Option<Option<Key>>,
+        hi: Option<Option<Key>>,
+        pad_hi: impl FnOnce(Key) -> Key,
+    ) -> Self {
         if matches!(lo, Some(None)) || matches!(hi, Some(None)) {
-            return Ok(IotCursor { done: true, ..IotCursor::new(seg, None, None) });
+            return IotCursor { done: true, ..IotCursor::new(seg, None, None) };
         }
         let cursor = IotCursor::new(seg, lo.flatten(), hi.flatten().map(pad_hi));
         let reversed = matches!((&cursor.lo, &cursor.hi), (Some(l), Some(h)) if l > h);
-        Ok(IotCursor { done: reversed, ..cursor })
+        IotCursor { done: reversed, ..cursor }
     }
 
     /// The next up-to-`max_rows` rows visible under `snap`, each with its
@@ -764,17 +828,11 @@ impl Access for IotScanExec {
             Some(c) => c,
             None => {
                 let tdef = db.catalog.table(table)?;
-                // A bound on a key prefix must cover all longer keys sharing
-                // the prefix: pad the upper bound with NULLs, which sort last.
                 let key_cols = match tdef.org {
                     TableOrg::Index { key_cols } => key_cols,
                     _ => 1,
                 };
-                let pad = |mut k: Key| {
-                    k.0.resize(k.0.len().max(key_cols), Value::Null);
-                    k
-                };
-                self.cursor.insert(IotCursor::over(db, tdef.seg, lo, hi, pad)?)
+                self.cursor.insert(IotCursor::over(db, tdef.seg, lo, hi, pad_key(key_cols))?)
             }
         };
         cursor.next_rows(&db.storage, &db.snap, max_rows)

@@ -7,6 +7,8 @@
 //! plan runs (a plan holds no data). [`Database::trace_report`] renders
 //! the same counters tkprof-style.
 
+use std::sync::atomic::Ordering;
+
 use extidx_common::{Error, Result, Row, SqlType, Value};
 use extidx_storage::SegmentId;
 
@@ -24,7 +26,8 @@ pub(crate) struct VTable {
     rows: fn(&Database) -> Vec<Row>,
 }
 
-/// Buffer-cache and statement-cache counters, in `V$CACHE_STATS` order.
+/// Buffer-cache and statement-cache counters, then the key-range reads
+/// that bypass the statement cache, in `V$CACHE_STATS` order.
 const CACHE_COUNTERS: &[&str] = &[
     "LOGICAL_READS",
     "PHYSICAL_READS",
@@ -33,6 +36,7 @@ const CACHE_COUNTERS: &[&str] = &[
     "PLAN_CACHE_MISSES",
     "PLAN_CACHE_INVALIDATIONS",
     "PLAN_CACHE_ENTRIES",
+    "KEY_RANGE_READS",
 ];
 
 /// Every `V$` view the engine answers.
@@ -53,6 +57,7 @@ pub(crate) static VTABLES: &[VTable] = &[
                 misses,
                 invalidations,
                 entries as u64,
+                db.key_range_reads.load(Ordering::Relaxed),
             ];
             let named = CACHE_COUNTERS.iter().zip(values);
             named.map(|(name, v)| vec![Value::from(*name), Value::from(v as i64)]).collect()

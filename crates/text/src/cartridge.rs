@@ -20,7 +20,7 @@ use extidx_core::build::{populate_from_base, try_partition_map};
 use extidx_core::meta::{IndexInfo, OperatorCall};
 use extidx_core::params::ParamString;
 use extidx_core::scan::{FetchResult, FetchedRow, ScanContext};
-use extidx_core::server::{workspace_state, BaseRow, RunQuery, ServerContext};
+use extidx_core::server::{workspace_state, BaseRow, KeyRangeRead, ServerContext};
 use extidx_core::stats::{IndexCost, OdciStats};
 use extidx_core::OdciIndex;
 
@@ -109,28 +109,24 @@ fn doc_entries(text: &str, rid: RowId, stop: &StopWords) -> Vec<(String, RowId, 
 }
 
 /// Load the posting list of every query term from the index table
-/// `table`, once per distinct term. A token's rows arrive in `(token,
-/// rid)` key order, so each list is already rid-ordered (a list that is
-/// not is sorted).
+/// `table` through `read`, once per distinct term: one key-range read of
+/// the term's `(token, rid)` keys, so each list arrives rid-ordered.
 pub fn load_postings(
-    run: &mut RunQuery,
+    read: &mut KeyRangeRead,
     table: &str,
     q: &TextQuery,
 ) -> Result<BTreeMap<String, Postings>> {
-    let sql = format!("SELECT rid, freq FROM {table} WHERE token = ?");
     let mut postings = BTreeMap::new();
     for term in q.terms() {
         if postings.contains_key(&term) {
             continue;
         }
-        let rows = run(&sql, &[Value::from(term.clone())])?;
-        let mut list: Postings = Vec::with_capacity(rows.len());
-        for r in rows {
-            list.push((r[0].as_rowid()?, r[1].as_integer()? as u32));
-        }
-        if !list.is_sorted_by_key(|&(rid, _)| rid) {
-            list.sort_unstable_by_key(|&(rid, _)| rid);
-        }
+        let mut list: Postings = Vec::new();
+        let token = Value::from(term.clone());
+        read(table, "token", &token, &token, &mut |row| {
+            list.push((row[1].as_rowid()?, row[2].as_integer()? as u32));
+            Ok(())
+        })?;
         postings.insert(term, list);
     }
     Ok(postings)
@@ -290,7 +286,8 @@ impl OdciIndex for TextIndexMethods {
             .parameters
             .first("ScanMode")
             .is_some_and(|m| m.eq_ignore_ascii_case("INCREMENTAL"));
-        let postings = load_postings(&mut |sql, b| srv.query(sql, b), &index_table(info), &q)?;
+        let read: &mut KeyRangeRead = &mut |t, k, lo, hi, v| srv.read_key_range(t, k, lo, hi, v);
+        let postings = load_postings(read, &index_table(info), &q)?;
         let merge = q.merge(postings)?;
         if incremental {
             // Incremental Computation: advance the merge at fetch time;

@@ -17,6 +17,7 @@
 //! faithfully present.
 
 use extidx_common::{Result, Row, Value};
+use extidx_core::server::read_key_range_via_query;
 use extidx_sql::Database;
 
 use crate::cartridge::load_postings;
@@ -41,7 +42,13 @@ pub fn two_step_query(
 
     // Step 1: scan the text index for ALL satisfying rowids.
     let index_table = format!("DR${}$I", index_name.to_ascii_uppercase());
-    let postings = load_postings(&mut |sql, b| db.query_with(sql, b), &index_table, &q)?;
+    let postings = load_postings(
+        &mut |t, k, lo, hi, v| {
+            read_key_range_via_query(&mut |sql, b| db.query_with(sql, b), t, k, lo, hi, v)
+        },
+        &index_table,
+        &q,
+    )?;
     let matches = q.evaluate_postings(postings)?;
 
     // …written out into a temporary result table.

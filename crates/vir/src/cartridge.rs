@@ -7,19 +7,22 @@
 //! query on the index data table") an IOT range scan.
 //!
 //! The scan evaluates `VirSimilar` in the paper's three phases:
-//! 1. one range query — `q1 BETWEEN` on the key, plus a `BETWEEN` on every
-//!    other positively weighted channel, tested on each row in the scan;
-//! 2. coarse weighted distance over `q1…q4` ≤ threshold;
+//! 1. one key-range read of the `q1` range, plus a range on every other
+//!    positively weighted channel, tested on each row where it lies;
+//! 2. coarse weighted distance over `q1…q4` ≤ threshold, in the same pass:
+//!    only its survivors copy their signature text out of the table;
 //! 3. full signature comparison ≤ threshold (during fetch), parsing only
 //!    the weighted channels and stopping once the distance passes the
 //!    threshold.
 
-use extidx_common::{Error, Result, Row, RowId, Value};
+use extidx_common::{Error, Result, RowId, Value};
 use extidx_core::build::{populate_from_base, try_partition_map};
 use extidx_core::meta::{IndexInfo, OperatorCall};
 use extidx_core::params::ParamString;
 use extidx_core::scan::{FetchResult, FetchedRow, ScanContext};
-use extidx_core::server::{BaseRow, RunQuery, ServerContext};
+use extidx_core::server::{
+    read_key_range_via_query, BaseRow, KeyRangeRead, RunQuery, ServerContext,
+};
 use extidx_core::stats::{IndexCost, OdciStats};
 use extidx_core::OdciIndex;
 
@@ -121,8 +124,7 @@ struct VirScan {
     pos: usize,
 }
 
-/// Rows surviving each filter phase and the time each phase took — the
-/// E4 report.
+/// Rows surviving each filter phase — the E4 report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseCounts {
     pub total: usize,
@@ -132,13 +134,14 @@ pub struct PhaseCounts {
     pub after_range: usize,
     pub after_coarse: usize,
     pub matches: usize,
-    /// Wall time of phases 1, 2 and 3, in microseconds.
-    pub phase_micros: [u64; 3],
 }
 
 /// Run the three phases against the index table `table` through `run` and
-/// report per-phase survivor counts and times (the experiment harness's
-/// measure of filter effectiveness).
+/// report per-phase survivor counts (the experiment harness's measure of
+/// filter effectiveness). Phases 1 and 2 are the scan's own
+/// [`CoarseFilter`], over the rows the scan's key-range read visits (here
+/// through its query form, so the harness times the scan's crossings, not
+/// this).
 pub fn phase_counts(
     run: &mut RunQuery,
     table: &str,
@@ -148,21 +151,16 @@ pub fn phase_counts(
 ) -> Result<PhaseCounts> {
     let total = run(&format!("SELECT COUNT(*) FROM {table}"), &[])?[0][0].as_integer()? as usize;
     let after_key_range = phase1_count(run, table, query, weights, threshold)?;
-    let t = std::time::Instant::now();
-    let rows = run(&phase1_sql(table, weights), &phase1_binds(query, weights, threshold))?;
-    let t1 = t.elapsed();
-    let after_range = rows.len();
-    let survivors = phase2(rows, query, weights, threshold)?;
-    let t2 = t.elapsed();
+    let (survivors, after_range) = CoarseFilter::new(query, weights, threshold).survivors(
+        &mut |t, k, lo, hi, v| read_key_range_via_query(run, t, k, lo, hi, v),
+        table,
+    )?;
     let mut matches = 0;
     for (_, text) in &survivors {
         matches += Signature::distance_within(text, query, weights, threshold)?.is_some() as usize;
     }
-    let t3 = t.elapsed();
-    let phase_micros =
-        [t1.as_micros() as u64, (t2 - t1).as_micros() as u64, (t3 - t2).as_micros() as u64];
     let after_coarse = survivors.len();
-    Ok(PhaseCounts { total, after_key_range, after_range, after_coarse, matches, phase_micros })
+    Ok(PhaseCounts { total, after_key_range, after_range, after_coarse, matches })
 }
 
 /// Rows in the `q1` key range alone (the selectivity estimate's count).
@@ -197,50 +195,55 @@ fn phase1_range(qc: f64, w: f64, threshold: f64) -> Option<(f64, f64)> {
     })
 }
 
-/// Phase 1's one callback: a `BETWEEN` per positively weighted channel,
-/// `q1`'s on the IOT key and the others residual terms the engine tests on
-/// each row before it is copied out.
-fn phase1_sql(table: &str, w: &Weights) -> String {
-    let ranges: Vec<String> = (0..CHANNELS)
-        .filter(|&c| w.0[c] > 0.0)
-        .map(|c| format!("q{} BETWEEN ? AND ?", c + 1))
-        .collect();
-    let mut sql = format!("SELECT q1, rid, q2, q3, q4, sig FROM {table}");
-    if !ranges.is_empty() {
-        sql.push_str(" WHERE ");
-        sql.push_str(&ranges.join(" AND "));
-    }
-    sql
-}
-
-fn phase1_binds(query: &Signature, w: &Weights, threshold: f64) -> Vec<Value> {
-    let qc = query.coarse();
-    (0..CHANNELS)
-        .filter_map(|c| phase1_range(qc[c], w.0[c], threshold))
-        .flat_map(|(lo, hi)| [Value::Number(lo), Value::Number(hi)])
-        .collect()
-}
-
-/// Phase 2: the exact coarse-distance filter over phase 1's rows. Returns
-/// the surviving `(rid, signature text)` pairs.
-fn phase2(
-    rows: Vec<Row>,
-    query: &Signature,
-    weights: &Weights,
+/// Phases 1 and 2 as one predicate over the index table's rows, for the
+/// scan and [`phase_counts`] alike: phase 1 is the `q1` key range of one
+/// key-range read plus a range on every other positively weighted channel,
+/// tested on each row where it lies; phase 2 is the exact coarse distance.
+struct CoarseFilter<'q> {
+    qc: [f64; CHANNELS],
+    weights: &'q Weights,
     threshold: f64,
-) -> Result<Vec<(RowId, String)>> {
-    let qc = query.coarse();
-    let mut out = Vec::new();
-    for mut r in rows {
-        let c = [r[0].as_number()?, r[2].as_number()?, r[3].as_number()?, r[4].as_number()?];
-        if Signature::coarse_distance(&qc, &c, weights) <= threshold {
-            let Value::Varchar(text) = std::mem::replace(&mut r[5], Value::Null) else {
+    /// Each channel's phase-1 range; `None` for an unweighted channel.
+    ranges: [Option<(f64, f64)>; CHANNELS],
+}
+
+impl<'q> CoarseFilter<'q> {
+    fn new(query: &Signature, weights: &'q Weights, threshold: f64) -> Self {
+        let qc = query.coarse();
+        let ranges = std::array::from_fn(|c| phase1_range(qc[c], weights.0[c], threshold));
+        CoarseFilter { qc, weights, threshold, ranges }
+    }
+
+    /// Read `table (q1, rid, q2, q3, q4, sig)` over the `q1` range (all of
+    /// it when `q1` is unweighted) through `read`. Returns the `(rid,
+    /// signature text)` of every row phase 2 accepts — only those clone
+    /// their text — and how many rows were in every phase-1 range.
+    fn survivors(
+        &self,
+        read: &mut KeyRangeRead,
+        table: &str,
+    ) -> Result<(Vec<(RowId, String)>, usize)> {
+        let (lo, hi) = self.ranges[0].unwrap_or((f64::NEG_INFINITY, f64::INFINITY));
+        let (mut out, mut in_ranges) = (Vec::new(), 0);
+        read(table, "q1", &Value::Number(lo), &Value::Number(hi), &mut |row| {
+            let number = |i: usize| row[i].as_number();
+            let c = [number(0)?, number(2)?, number(3)?, number(4)?];
+            let inside = |ch: usize| self.ranges[ch].is_none_or(|(l, h)| (l..=h).contains(&c[ch]));
+            if !(1..CHANNELS).all(inside) {
+                return Ok(());
+            }
+            in_ranges += 1;
+            if Signature::coarse_distance(&self.qc, &c, self.weights) > self.threshold {
+                return Ok(());
+            }
+            let Value::Varchar(text) = &row[5] else {
                 return Err(Error::Storage("VIR signature text missing".into()));
             };
-            out.push((r[1].as_rowid()?, text));
-        }
+            out.push((row[1].as_rowid()?, text.clone()));
+            Ok(())
+        })?;
+        Ok((out, in_ranges))
     }
-    Ok(out)
 }
 
 impl OdciIndex for VirIndexMethods {
@@ -338,11 +341,9 @@ impl OdciIndex for VirIndexMethods {
         // Phases 1 and 2 — "the first two passes of filtering are very
         // selective and greatly reduce the data set on which the image
         // signature comparisons need to be performed."
-        let rows = srv.query(
-            &phase1_sql(&sig_table(info), &weights),
-            &phase1_binds(&query, &weights, threshold),
-        )?;
-        let candidates = phase2(rows, &query, &weights, threshold)?;
+        let read: &mut KeyRangeRead = &mut |t, k, lo, hi, v| srv.read_key_range(t, k, lo, hi, v);
+        let (candidates, _) =
+            CoarseFilter::new(&query, &weights, threshold).survivors(read, &sig_table(info))?;
         Ok(ScanContext::State(Box::new(VirScan { query, weights, threshold, candidates, pos: 0 })))
     }
 

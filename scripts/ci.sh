@@ -613,4 +613,32 @@ cargo test -q -p extidx-spatial --test spatial_cartridge -- \
     legacy_join_matches_modern_query
 cargo test -q -p extidx-qgen --lib gen::tests::near_threshold_vir_atoms_are_whole_predicates
 
+# Index tables read in place (DESIGN.md §4d "The crossing"): the text,
+# tile, VIR and R-tree scans read their index tables through
+# `ServerContext::read_key_range`, the executor's own IOT cursor under the
+# crossing's snapshot, so no such read issues SQL any more — only the
+# legacy baselines (legacy.rs) and the ODCIStats routines (their count
+# queries) still do. The IOT cursor stays the one IOT range loop. The
+# contract, snapshot, deadline and tick-budget tests run by name.
+# (Bracketed so the patterns do not match this file.)
+echo "== index tables read in place (structural guard + contract tests) =="
+scan_sql='SELECT [^"]*WHERE toke[n] = [?]|tile >= [?] AND tile <= [?]'
+scan_sql="$scan_sql"'|nodeid >= [?] AND nodeid <= [?]|q(1|[{][}]) BETWEE[N]|SELECT payload FRO[M]'
+for f in crates/text/src/*.rs crates/spatial/src/*.rs crates/vir/src/*.rs; do
+    case "$f" in */legacy.rs) continue ;; esac
+    awk -v f="$f" -v old="$scan_sql" '/^#\[cfg\(test\)\]/ { exit }
+        match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+        fn != "query_selectivity" && fn != "phase1_count" && $0 ~ old {
+            print f ":" FNR ": " $0; bad = 1
+        }
+        END { exit bad }' "$f"
+done
+[ "$(grep -rn "iot_range(" crates/sql/src | wc -l)" -eq 1 ]
+cargo test -q -p extidx-sql --test key_range_read
+cargo test -q --test mvcc_visibility scans_read_their_index_tables_at_the_readers_snapshot
+cargo test -q --test server_governor -- \
+    timeout_inside_a_multi_batch_key_range_read_keeps_start_close_balanced \
+    a_tick_budget_below_the_read_batches_faults_the_start
+cargo test -q --test observability v_tables_answer_plain_sql
+
 echo "CI OK"

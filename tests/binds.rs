@@ -206,9 +206,11 @@ fn shape(plan: &[String]) -> Vec<String> {
     plan.iter().map(|l| l.split_whitespace().take_while(node).collect::<Vec<_>>().join(" ")).collect()
 }
 
-/// With binds, every callback shape the cartridges issue takes the access
-/// path its literal form takes — and where a rowid makes a literal form
-/// unwritable, the key probe or rowid fetch it must.
+/// With binds, every key-probe callback shape over the cartridges' index
+/// tables takes the access path its literal form takes — and where a rowid
+/// makes a literal form unwritable, the key probe or rowid fetch it must.
+/// (Scans read these tables by `read_key_range` now; the ODCIStats
+/// routines, the legacy baselines and maintenance still issue such SQL.)
 #[test]
 fn callback_shapes_plan_with_binds_as_with_literals() {
     let mut db = cartridge_db();

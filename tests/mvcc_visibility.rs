@@ -214,12 +214,8 @@ const CREATE_TEXT: &str = "CREATE INDEX T_DOC ON T(doc) INDEXTYPE IS TextIndexTy
 
 /// Every forcible index answer must equal the index-free answer.
 fn assert_index_agrees(sess: &mut Session, preds: &[(&str, &str)]) {
-    for (index, pred) in preds {
-        let forced =
-            sorted_ids(&sess.query(&format!("SELECT /*+ INDEX(T {index}) */ id FROM T WHERE {pred}")).unwrap());
-        let free = sorted_ids(&sess.query(&format!("SELECT /*+ NO_INDEX */ id FROM T WHERE {pred}")).unwrap());
-        assert_eq!(forced, free, "INDEX({index}) vs NO_INDEX for `{pred}`");
-    }
+    let probes: Vec<_> = preds.iter().map(|&(i, pred)| ("T", i, pred.to_string())).collect();
+    forced_answers(sess, &probes);
 }
 
 const T_PROBES: [(&str, &str); 5] = [
@@ -696,5 +692,102 @@ fn a_statement_rollback_keeps_an_earlier_write_of_the_same_image() {
             ],
             "{ddl}"
         );
+    }
+}
+
+/// The forced-index answer of each `(table, index, predicate)` probe,
+/// checked equal to its `NO_INDEX` twin.
+fn forced_answers(sess: &mut Session, probes: &[(&str, &str, String)]) -> Vec<Vec<i64>> {
+    let mut out = Vec::new();
+    for (table, index, pred) in probes {
+        let forced = format!("SELECT /*+ INDEX({table} {index}) */ id FROM {table} WHERE {pred}");
+        let forced = sorted_ids(&sess.query(&forced).unwrap());
+        let free = format!("SELECT /*+ NO_INDEX */ id FROM {table} WHERE {pred}");
+        let free = sorted_ids(&sess.query(&free).unwrap());
+        assert_eq!(forced, free, "INDEX({index}) vs NO_INDEX for `{pred}`");
+        out.push(forced);
+    }
+    out
+}
+
+/// The text, tile, R-tree and VIR scans read their index tables in place
+/// (`ServerContext::read_key_range`), under the crossing's snapshot: a
+/// reader pinned before a committed DELETE + INSERT keeps its answers —
+/// also through a posting list longer than one read batch — while a later
+/// snapshot sees the change. The writer's one multi-row INSERT splits R-tree
+/// nodes, and each row's maintenance reads the nodes the rows before it
+/// wrote in the same statement: the write lane reads its own writes, or the
+/// committed tree would lose entries.
+#[test]
+fn scans_read_their_index_tables_at_the_readers_snapshot() {
+    use extidx::spatial::{geometry_sql, Geometry, Mbr};
+    let rect = |x: f64, y: f64| {
+        geometry_sql(&Geometry::Rect(Mbr { xmin: x, ymin: y, xmax: x + 8.0, ymax: y + 8.0 }))
+    };
+    let mut sigs = extidx::vir::SignatureWorkload::new(42);
+    let query = sigs.random().serialize();
+    let server = Server::new(fresh_db(ChaosOpts::default()));
+    let mut s = server.session();
+    s.execute("CREATE TABLE KT (id INTEGER, doc VARCHAR2(64), geom SDO_GEOMETRY, img VIR_IMAGE)")
+        .unwrap();
+    s.execute("CREATE TABLE KR (id INTEGER, geom SDO_GEOMETRY)").unwrap();
+    // Row `id` on a 40-wide grid, ids 1 200 and up in its first rows.
+    let row = |id: i64, sig: &str| {
+        let (x, y) = ((id % 40) as f64 * 10.0, (id % 1200 / 40) as f64 * 10.0);
+        format!("({id}, 'common gorse{}', {}, VIR_IMAGE('{sig}'))", id % 3, rect(x, y))
+    };
+    for chunk in (0..1200i64).collect::<Vec<_>>().chunks(100) {
+        let rows: Vec<String> = chunk
+            .iter()
+            .map(|&i| row(i, &if i % 5 == 0 { query.clone() } else { sigs.random().serialize() }))
+            .collect();
+        s.execute(&format!("INSERT INTO KT VALUES {}", rows.join(", "))).unwrap();
+    }
+    let kr_row =
+        |i: i64| format!("({i}, {})", rect((i % 20) as f64 * 10.0, (i / 20) as f64 * 10.0));
+    let kr: Vec<String> = (0..200).map(kr_row).collect();
+    s.execute(&format!("INSERT INTO KR VALUES {}", kr.join(", "))).unwrap();
+    s.execute("CREATE INDEX KT_DOC ON KT(doc) INDEXTYPE IS TextIndexType").unwrap();
+    s.execute("CREATE INDEX KT_GEOM ON KT(geom) INDEXTYPE IS SpatialIndexType").unwrap();
+    s.execute("CREATE INDEX KT_IMG ON KT(img) INDEXTYPE IS VirIndexType").unwrap();
+    s.execute("CREATE INDEX KR_GEOM ON KR(geom) INDEXTYPE IS RtreeIndexType").unwrap();
+
+    let window = |w: f64, h: f64| {
+        geometry_sql(&Geometry::Rect(Mbr { xmin: 0.0, ymin: 0.0, xmax: w, ymax: h }))
+    };
+    let probes = [
+        ("KT", "KT_DOC", "Contains(doc, 'common')".to_string()),
+        ("KT", "KT_DOC", "Contains(doc, 'gorse1')".to_string()),
+        ("KT", "KT_GEOM", format!("Sdo_Relate(geom, {}, 'mask=ANYINTERACT')", window(395.0, 25.0))),
+        ("KT", "KT_IMG", format!("VirSimilar(img, '{query}', 'globalcolor=0.5, texture=0.5', 3)")),
+        ("KR", "KR_GEOM", format!("Sdo_Relate(geom, {}, 'mask=ANYINTERACT')", window(195.0, 35.0))),
+    ];
+
+    let mut reader = server.session();
+    reader.execute("BEGIN").unwrap();
+    let baseline = forced_answers(&mut reader, &probes);
+    assert_eq!(baseline[0].len(), 1200, "every document holds 'common': two read batches");
+    assert!(baseline.iter().all(|ids| !ids.is_empty()), "{baseline:?}");
+
+    let mut writer = server.session();
+    writer.execute("BEGIN").unwrap();
+    writer.execute("DELETE FROM KT WHERE id < 100").unwrap();
+    let fresh: Vec<String> = (3600..3630).map(|i| row(i, &query)).collect();
+    writer.execute(&format!("INSERT INTO KT VALUES {}", fresh.join(", "))).unwrap();
+    writer.execute("DELETE FROM KR WHERE id < 40").unwrap();
+    let in_first_row = |i: i64| format!("({i}, {})", rect((i % 20) as f64 * 10.0, 0.0));
+    let fresh: Vec<String> = (3600..3630).map(in_first_row).collect();
+    writer.execute(&format!("INSERT INTO KR VALUES {}", fresh.join(", "))).unwrap();
+    writer.execute("COMMIT").unwrap();
+
+    assert_eq!(forced_answers(&mut reader, &probes), baseline, "the pinned reader's answers moved");
+    reader.execute("COMMIT").unwrap();
+
+    let now = forced_answers(&mut server.session(), &probes);
+    for (probe, (before, after)) in probes.iter().zip(baseline.iter().zip(&now)) {
+        let (deleted, inserted) = (|&i: &i64| i < 40, |&i: &i64| i >= 3600);
+        assert!(before.iter().any(deleted), "{probe:?} never saw a deleted row: {before:?}");
+        let moved = !after.iter().any(deleted) && after.iter().any(inserted);
+        assert!(moved, "{probe:?}: a later snapshot missed the commit: {after:?}");
     }
 }

@@ -191,13 +191,14 @@ fn v_tables_answer_plain_sql() {
     db.trace().set_enabled(true);
     db.query("SELECT id FROM docs WHERE Contains(body, 'gorse')").unwrap();
 
-    // V$CACHE_STATS: the buffer-cache and statement-cache counters,
-    // filterable by name.
+    // V$CACHE_STATS: the buffer-cache and statement-cache counters and
+    // the key-range reads, filterable by name.
     let all = db.query("SELECT NAME, VALUE FROM V$CACHE_STATS ORDER BY NAME").unwrap();
     let names: Vec<String> = all.iter().map(|r| r[0].to_string()).collect();
     assert_eq!(
         names,
         vec![
+            "KEY_RANGE_READS",
             "LOGICAL_READS",
             "PHYSICAL_READS",
             "PHYSICAL_WRITES",
@@ -212,6 +213,7 @@ fn v_tables_answer_plain_sql() {
         .unwrap();
     assert_eq!(one.len(), 1);
     assert!(one[0][0].as_integer().unwrap() > 0, "a bulked scan must have touched pages");
+    assert!(all[0][1].as_integer().unwrap() > 0, "the text scan reads its postings by key range");
 
     // V$TRACE: the event ring with monotonically increasing SEQ.
     let trace = db.query("SELECT SEQ, ROUTINE, ELAPSED_MICROS FROM V$TRACE ORDER BY SEQ").unwrap();
@@ -233,7 +235,7 @@ fn v_tables_answer_plain_sql() {
              WHERE s.NAME = t.NAME ORDER BY s.NAME",
         )
         .unwrap();
-    assert_eq!(joined.len(), 7);
+    assert_eq!(joined.len(), 8);
 }
 
 /// The ring's eviction is visible through V$TRACE's DROPPED column.
@@ -381,10 +383,12 @@ fn v_tables_stay_coherent_under_two_sessions() {
     assert_eq!(count[0][0], Value::Integer(40), "all 40 concurrent inserts must be durable");
 }
 
-/// The statement cache in `V$CACHE_STATS`: a text index scan issues one
-/// callback shape per query term, and every query repeats it with another
-/// term bound. Six distinct queries are six misses at the top level, while
-/// the callback is parsed and planned once and then served as a hit.
+/// The statement cache in `V$CACHE_STATS`: planning a text query issues
+/// the same ODCIStats callback shapes for every query — a bound
+/// `COUNT(*)` per query term among them — with another term bound. (The
+/// scan itself reads its postings by key range and runs no statement.) Six
+/// distinct queries are six misses at the top level, while each callback
+/// is parsed and planned once and then served as a hit.
 #[test]
 fn a_repeated_callback_shape_is_counted_as_plan_cache_hits() {
     use std::collections::HashMap;

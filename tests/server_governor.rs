@@ -62,6 +62,12 @@ fn wait_until(mut cond: impl FnMut() -> bool, what: &str) {
 const PROBE: &str = "SELECT /*+ INDEX(docs dt) */ id FROM docs WHERE Contains(body, 'gorse')";
 
 fn text_server(rows: i64) -> Server {
+    Server::new(server_db(rows))
+}
+
+/// `docs (id, body)` with `rows` rows, the even ones holding `gorse`,
+/// under the text index `dt`.
+fn server_db(rows: i64) -> Database {
     let mut db = Database::with_cache_pages(4096);
     extidx::text::install(&mut db).unwrap();
     db.execute("CREATE TABLE docs (id INTEGER, body VARCHAR2(200))").unwrap();
@@ -71,21 +77,19 @@ fn text_server(rows: i64) -> Server {
             .unwrap();
     }
     db.execute("CREATE INDEX dt ON docs(body) INDEXTYPE IS TextIndexType").unwrap();
-    Server::new(db)
+    db
+}
+
+/// `routine`'s crossings so far.
+fn calls(server: &Server, routine: &str) -> u64 {
+    server.read(|db| {
+        let aggs = db.trace().aggregates();
+        aggs.iter().filter(|(_, r, _)| *r == routine).map(|(_, _, s)| s.calls).sum()
+    })
 }
 
 fn start_close_counts(server: &Server) -> (u64, u64) {
-    server.read(|db| {
-        let (mut starts, mut closes) = (0, 0);
-        for (_, routine, s) in db.trace().aggregates() {
-            match routine {
-                "ODCIIndexStart" => starts += s.calls,
-                "ODCIIndexClose" => closes += s.calls,
-                _ => {}
-            }
-        }
-        (starts, closes)
-    })
+    (calls(server, "ODCIIndexStart"), calls(server, "ODCIIndexClose"))
 }
 
 fn timeout_trace_rows(server: &Server) -> usize {
@@ -395,4 +399,69 @@ fn vserver_reports_governor_counters() {
         matches!(timeouts, Some(Value::Integer(n)) if n >= 0),
         "STATEMENT_TIMEOUTS row must stay queryable: {timeouts:?}"
     );
+}
+
+/// Postings of `gorse` in a 5 000-row `text_server`: three key-range read
+/// batches of at most 1 024 rows.
+const GORSE_ROWS: usize = 2_500;
+
+/// Deadline inside a multi-batch key-range read: a text scan's Start reads
+/// each term's postings in place, charged a tick and a deadline poll per
+/// read batch, and issues no other callback. Sweeping the poll-count
+/// deadline therefore strikes inside Start at every batch of the read —
+/// twice per batch — each strike surfaces as `StatementTimeout`, Start ≡
+/// Close holds after each, and a clearing budget answers exactly.
+#[test]
+fn timeout_inside_a_multi_batch_key_range_read_keeps_start_close_balanced() {
+    let server = text_server(2 * GORSE_ROWS as i64);
+    server.admin(|db| db.trace().set_enabled(true));
+    let mut s = server.session();
+    for _ in 0..3 {
+        assert_eq!(s.query(PROBE).unwrap().len(), GORSE_ROWS, "clean probe");
+    }
+    let (mut in_start, mut completed) = (0, false);
+    for ticks in 1..=256u64 {
+        s.execute(&format!("SET STATEMENT_TIMEOUT_TICKS = {ticks}")).unwrap();
+        let start_fetch = || (calls(&server, "ODCIIndexStart"), calls(&server, "ODCIIndexFetch"));
+        let (starts, fetches) = start_fetch();
+        match s.query(PROBE) {
+            Err(Error::StatementTimeout { .. }) => {
+                let (starts_now, fetches_now) = start_fetch();
+                in_start += usize::from(starts_now > starts && fetches_now == fetches);
+            }
+            Ok(rows) => {
+                assert_eq!(rows.len(), GORSE_ROWS, "ticks {ticks}: the cleared scan diverged");
+                completed = true;
+                break;
+            }
+            Err(e) => panic!("ticks {ticks}: unexpected error {e}"),
+        }
+        let (starts, closes) = start_close_counts(&server);
+        assert_eq!(starts, closes, "ticks {ticks}: {starts} Start vs {closes} Close");
+    }
+    assert!(completed, "256 ticks did not clear the scan");
+    let batches = GORSE_ROWS.div_ceil(1024);
+    assert_eq!(in_start, 2 * batches, "one tick and one poll per read batch");
+}
+
+/// A tick budget smaller than a Start's key-range read batches is a
+/// `CartridgeFault`: each batch costs the crossing one tick. A budget of
+/// one tick per batch reads the whole posting list.
+#[test]
+fn a_tick_budget_below_the_read_batches_faults_the_start() {
+    let mut db = server_db(2 * GORSE_ROWS as i64);
+    for _ in 0..3 {
+        assert_eq!(db.query(PROBE).unwrap().len(), GORSE_ROWS, "clean probe");
+    }
+    let batches = GORSE_ROWS.div_ceil(1024) as u64;
+    db.set_tick_budget(batches - 1);
+    match db.query(PROBE) {
+        Err(Error::CartridgeFault { routine, reason, .. }) => {
+            assert_eq!(routine, "ODCIIndexStart");
+            assert!(reason.contains("tick budget exceeded"), "reason: {reason}");
+        }
+        other => panic!("{} ticks: expected a CartridgeFault, got {other:?}", batches - 1),
+    }
+    db.set_tick_budget(batches);
+    assert_eq!(db.query(PROBE).unwrap().len(), GORSE_ROWS, "{batches} ticks read every batch");
 }
