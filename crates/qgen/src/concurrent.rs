@@ -31,7 +31,7 @@
 //!    concatenated in commit (csn) order, replay on a fresh
 //!    single-session engine; the final per-table row bags must be
 //!    identical. Restricting concurrent DML to fresh-id inserts and
-//!    `id =` updates/deletes (see [`ConcurrentGen`]) is what makes
+//!    `id =` updates/deletes (see [`WorkloadGen::concurrent`]) is what makes
 //!    statement-level serial replay equivalent to the SI execution — any
 //!    snapshot/commit-time divergence in a statement's match set implies
 //!    a write-write overlap, which first-writer-wins aborts.
@@ -47,9 +47,9 @@ use extidx_common::{Error, Value};
 use extidx_sql::{Server, Session, StmtResult};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-use crate::gen::{ConcurrentGen, Query, Stmt, HEAP, IOT};
-use crate::harness::{fmt_rows, forcible_indexes, fresh_db, ChaosOpts};
-use crate::interp::{answer_rows, apply_cell, query_rows, Mirror};
+use crate::gen::{IdPred, Query, Stmt, WorkloadGen, HEAP, IOT};
+use crate::harness::{check_variants, fresh_db, plan_variants, with_bind_forms, ChaosOpts, Lifted};
+use crate::interp::{query_rows, Mirror};
 
 /// Counters from a clean concurrent run — returned so tests can assert
 /// the schedule actually exercised commits, conflicts, and queries
@@ -110,26 +110,6 @@ struct Sess {
     txn: Option<TxnState>,
 }
 
-/// Apply one accepted DML statement to a mirror.
-fn apply_stmt(mirror: &mut Mirror, stmt: &Stmt) {
-    match stmt {
-        Stmt::Insert { table, row } => {
-            mirror.table_mut(table).insert(row.id, row.clone());
-        }
-        Stmt::Update { table, pred, cell } => {
-            for row in mirror.table_mut(table).values_mut() {
-                if pred.matches(row.id) {
-                    apply_cell(row, cell);
-                }
-            }
-        }
-        Stmt::Delete { table, pred } => {
-            mirror.table_mut(table).retain(|id, _| !pred.matches(*id));
-        }
-        other => unreachable!("concurrent stream emits only DML, got {other:?}"),
-    }
-}
-
 /// User rows a statement writes, evaluated against the state it executes
 /// in (matched ids for UPDATE/DELETE, the fresh id for INSERT).
 fn writes_of(mirror: &Mirror, stmt: &Stmt) -> Vec<(&'static str, i64)> {
@@ -167,40 +147,12 @@ fn check_snapshot_query(
     expected_mirror: &Mirror,
     report: &mut ConcurrentReport,
 ) -> Result<(), String> {
-    let expected = query_rows(q, expected_mirror);
-    let mut variants: Vec<(String, String)> = vec![
-        ("plan".into(), q.sql(None)),
-        ("full".into(), q.sql(Some(&format!("FULL({})", q.table)))),
-    ];
-    for idx in server.read(|db| forcible_indexes(db, q)) {
-        let hint = format!("INDEX({} {idx})", q.table);
-        variants.push((format!("index:{idx}"), q.sql(Some(&hint))));
-    }
-    let mut bad: Vec<String> = Vec::new();
-    let mut first: Option<Vec<Vec<String>>> = None;
-    for (label, sql) in &variants {
-        let rows = sess
-            .query(sql)
-            .map_err(|e| format!("variant [{label}] errored: {e}\n  sql: {sql}"))?;
-        let [got, full] =
-            answer_rows(q, &rows).map_err(|e| format!("variant [{label}]: {e}\n  sql: {sql}"))?;
-        if got != expected {
-            bad.push(format!("variant [{label}]\n  sql: {sql}\n  got      {}", fmt_rows(&got)));
-        } else if first.get_or_insert_with(|| full.clone()) != &full {
-            bad.push(format!("variant [{label}] differs from [plan]\n  sql: {sql}"));
-        }
-        report.queries += 1;
-    }
-    if !bad.is_empty() {
-        return Err(format!(
-            "{} of {} variants violate the snapshot (expected {}):\n{}",
-            bad.len(),
-            variants.len(),
-            fmt_rows(&expected),
-            bad.join("\n")
-        ));
-    }
-    Ok(())
+    let variants = server.read(|db| plan_variants(db, q, false));
+    let variants = with_bind_forms(variants, ChaosOpts::default());
+    report.queries += variants.len();
+    let run = |v: &Lifted| Ok(sess.query(&v.sql));
+    check_variants(q, &query_rows(q, expected_mirror), &variants, run)
+        .map_err(|detail| format!("a variant violates the snapshot: {detail}"))
 }
 
 /// `SELECT * FROM t` as a sorted bag of row renderings (engine-vs-engine
@@ -244,7 +196,7 @@ pub fn run_concurrent_seed_opts(
 ) -> Result<ConcurrentReport, String> {
     assert!(sessions >= 2, "a concurrent run needs at least two sessions");
     let server = Server::new(fresh_db(chaos));
-    let mut gen = ConcurrentGen::new(seed);
+    let mut gen = WorkloadGen::concurrent(seed);
     let preamble = gen.preamble();
     {
         let mut s0 = server.session();
@@ -297,7 +249,7 @@ pub fn run_concurrent_seed_opts(
                     ));
                 }
                 for st in &t.stmts {
-                    apply_stmt(committed, st);
+                    committed.apply(st);
                 }
                 committed_log.extend(t.stmts);
                 *commit_seq += 1;
@@ -366,7 +318,7 @@ pub fn run_concurrent_seed_opts(
                 } else {
                     match pick_id(&mut rng, &t.expected, table) {
                         Some(id) if roll < 90 => gen.update_eq(table, id),
-                        Some(id) => gen.delete_eq(table, id),
+                        Some(id) => Stmt::Delete { table, pred: IdPred::Eq(id) },
                         None => gen.insert(table),
                     }
                 };
@@ -374,7 +326,7 @@ pub fn run_concurrent_seed_opts(
                     Ok(_) => {
                         let t = s.txn.as_mut().expect("txn dml state");
                         t.writes.extend(writes_of(&t.expected, &stmt));
-                        apply_stmt(&mut t.expected, &stmt);
+                        t.expected.apply(&stmt);
                         t.stmts.push(stmt);
                     }
                     Err(e) if is_conflict(&e) => report.stmt_conflicts += 1,
@@ -406,7 +358,7 @@ pub fn run_concurrent_seed_opts(
             } else {
                 match pick_id(&mut rng, &committed, table) {
                     Some(id) if roll < 92 => gen.update_eq(table, id),
-                    Some(id) => gen.delete_eq(table, id),
+                    Some(id) => Stmt::Delete { table, pred: IdPred::Eq(id) },
                     None => gen.insert(table),
                 }
             };
@@ -414,7 +366,7 @@ pub fn run_concurrent_seed_opts(
                 Ok(_) => {
                     let writes: HashSet<(&'static str, i64)> =
                         writes_of(&committed, &stmt).into_iter().collect();
-                    apply_stmt(&mut committed, &stmt);
+                    committed.apply(&stmt);
                     committed_log.push(stmt);
                     commit_seq += 1;
                     committed_writes.push((commit_seq, writes));

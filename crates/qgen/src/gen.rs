@@ -9,13 +9,25 @@
 use extidx_chem::MoleculeWorkload;
 use extidx_spatial::{geometry_sql, Geometry, SpatialWorkload};
 use extidx_text::CorpusGenerator;
-use extidx_vir::{Signature, SignatureWorkload};
+use extidx_vir::SignatureWorkload;
 use rand::{rngs::StdRng, Rng, SeedableRng};
+
+use crate::interp::apply_cell;
+use crate::spec::{column_spec, Arg, OpAtom, SPECS};
 
 /// The heap-organized fuzz table.
 pub const HEAP: &str = "F_HEAP";
 /// The index-organized fuzz table (primary key `(grp, id)`).
 pub const IOT: &str = "F_IOT";
+
+/// The fuzz table that is not `table`.
+pub fn other_table(table: &str) -> &'static str {
+    if table == HEAP {
+        IOT
+    } else {
+        HEAP
+    }
+}
 
 /// Distinct non-NULL `grp` values.
 const GROUPS: i64 = 4;
@@ -46,7 +58,7 @@ pub struct GenRow {
     pub num: Option<f64>,
 }
 
-fn quote(s: &str) -> String {
+pub(crate) fn quote(s: &str) -> String {
     format!("'{}'", s.replace('\'', "''"))
 }
 
@@ -78,6 +90,17 @@ impl GenRow {
             opt_str(&self.doc),
             opt_str(&self.mol),
         )
+    }
+
+    /// The column's value as an operator argument.
+    pub fn arg(&self, col: Col) -> Arg {
+        match col {
+            Col::Doc => Arg::Str(self.doc.clone()),
+            Col::Geom => Arg::Geom(self.geom.clone()),
+            Col::Img => Arg::Str(self.img.clone()),
+            Col::Mol => Arg::Str(self.mol.clone()),
+            Col::Num => unreachable!("num is no operator's column"),
+        }
     }
 }
 
@@ -121,6 +144,17 @@ impl GenCell {
             GenCell::Img(_) => Col::Img,
             GenCell::Mol(_) => Col::Mol,
             GenCell::Num(_) => Col::Num,
+        }
+    }
+
+    /// A NULL of `col`.
+    fn null(col: Col) -> GenCell {
+        match col {
+            Col::Doc => GenCell::Doc(None),
+            Col::Geom => GenCell::Geom(None),
+            Col::Img => GenCell::Img(None),
+            Col::Mol => GenCell::Mol(None),
+            Col::Num => GenCell::Num(None),
         }
     }
 
@@ -220,16 +254,12 @@ impl Item {
     }
 }
 
-/// One atomic predicate. Operator literal arguments are `Option` so the
-/// generator can inject NULL literals (a NULL operand makes the whole
-/// operator NULL under three-valued logic).
+/// One atomic predicate: a user-defined operator as its spec draws it
+/// (NULL literal arguments included: a NULL operand makes the whole
+/// operator NULL under three-valued logic), or a relational comparison.
 #[derive(Debug, Clone)]
 pub enum Atom {
-    Contains { query: Option<String>, label: Option<i64> },
-    SdoRelate { window: Option<Geometry>, mask: String },
-    VirSimilar { sig: Option<String>, weights: String, threshold: f64 },
-    MolContains { frag: Option<String> },
-    MolSimilar { query: String, threshold: f64 },
+    Op(OpAtom),
     NumCmp { op: &'static str, value: f64 },
     KeyCmp { col: KeyCol, op: &'static str, value: i64 },
     KeyBetween { col: KeyCol, lo: i64, hi: i64 },
@@ -239,28 +269,7 @@ pub enum Atom {
 impl Atom {
     pub fn sql(&self) -> String {
         match self {
-            Atom::Contains { query, label } => match label {
-                Some(l) => format!("Contains(doc, {}, {l})", opt_str(query)),
-                None => format!("Contains(doc, {})", opt_str(query)),
-            },
-            Atom::SdoRelate { window, mask } => {
-                let w = match window {
-                    Some(g) => geometry_sql(g),
-                    None => "NULL".into(),
-                };
-                format!("Sdo_Relate(geom, {w}, 'mask={mask}')")
-            }
-            Atom::VirSimilar { sig, weights, threshold } => {
-                format!(
-                    "VirSimilar(img, {}, {}, {threshold:.1})",
-                    opt_str(sig),
-                    quote(weights)
-                )
-            }
-            Atom::MolContains { frag } => format!("MolContains(mol, {})", opt_str(frag)),
-            Atom::MolSimilar { query, threshold } => {
-                format!("MolSimilar(mol, {}, {threshold:.2})", quote(query))
-            }
+            Atom::Op(a) => a.sql(),
             Atom::NumCmp { op, value } => {
                 cmp_sql("num", op, &format!("{value:.1}"), (value * 10.0).round() as i64)
             }
@@ -269,22 +278,6 @@ impl Atom {
             Atom::IsNull { col, negated } => {
                 format!("{} IS {}NULL", col.name(), if *negated { "NOT " } else { "" })
             }
-        }
-    }
-
-    /// `(operator, column, arity, has_null_literal)` for atoms backed by
-    /// a user-defined operator — what hint forcing needs to decide
-    /// whether a domain index is applicable.
-    pub fn op_info(&self) -> Option<(&'static str, &'static str, usize, bool)> {
-        match self {
-            Atom::Contains { query, label } => {
-                Some(("CONTAINS", "DOC", 2 + usize::from(label.is_some()), query.is_none()))
-            }
-            Atom::SdoRelate { window, .. } => Some(("SDO_RELATE", "GEOM", 3, window.is_none())),
-            Atom::VirSimilar { sig, .. } => Some(("VIRSIMILAR", "IMG", 4, sig.is_none())),
-            Atom::MolContains { frag } => Some(("MOLCONTAINS", "MOL", 2, frag.is_none())),
-            Atom::MolSimilar { .. } => Some(("MOLSIMILAR", "MOL", 3, false)),
-            _ => None,
         }
     }
 
@@ -366,6 +359,10 @@ pub struct Query {
     /// `ORDER BY id LIMIT n` — id is unique, so the prefix is
     /// deterministic and comparable as an ordered list.
     pub order_limit: Option<u64>,
+    /// A top-level operator atom of `pred` to check in the join form too:
+    /// `SELECT o.id, i.id FROM <other table> o, <table> i` over the atom
+    /// with its first argument read from `o`'s row ([`Query::join_sql`]).
+    pub join: Option<OpAtom>,
 }
 
 impl Query {
@@ -385,6 +382,15 @@ impl Query {
             self.table,
             self.pred.sql()
         )
+    }
+
+    /// The join form of [`Query::join`]: `i` is this query's table and
+    /// `o` the other fuzz table.
+    pub fn join_sql(&self, hint: Option<&str>) -> Option<String> {
+        let atom = self.join.as_ref()?;
+        let hint = hint.filter(|h| !h.is_empty()).map(|h| format!("/*+ {h} */ ")).unwrap_or_default();
+        let (outer, pred) = (other_table(self.table), atom.join_sql("i", "o"));
+        Some(format!("SELECT {hint}o.id, i.id FROM {outer} o, {} i WHERE {pred}", self.table))
     }
 
     /// The NoREC companion: same predicate, aggregated server-side.
@@ -430,79 +436,73 @@ pub struct Workload {
     pub stmts: Vec<Stmt>,
 }
 
-const MASKS: [&str; 6] = ["ANYINTERACT", "OVERLAPS", "INSIDE", "CONTAINS", "EQUAL", "TOUCH"];
-const WEIGHTS: [&str; 3] = ["", "globalcolor=1.0", "globalcolor=0.5, texture=0.5"];
-/// A weight list whose ratios are inexact in binary (`threshold / w`
-/// rounds), drawn in place of a [`WEIGHTS`] entry a quarter of the time.
-const INEXACT_WEIGHTS: &str = "globalcolor=0.3, localcolor=0.3, texture=0.4";
-
-/// Signature text with every value at full precision.
-fn full_precision(vals: impl Iterator<Item = f64>) -> String {
-    vals.map(|v| v.to_string()).collect::<Vec<_>>().join(",")
-}
-
 /// Comparison operators of [`Atom::NumCmp`] and [`Atom::KeyCmp`].
 pub const CMP_OPS: [&str; 5] = ["<", "<=", ">", ">=", "="];
 
-/// Domain/B-tree index slots the stream can drop and recreate. Names are
-/// fixed; the indexing *scheme* behind the geometry slot can flip between
-/// the tile and R-tree cartridges across recreations (§3.2.2's
+/// Domain/B-tree index slots the stream can drop and recreate: one per
+/// indexed column of each table, the `num` slot a B-tree. Names are fixed;
+/// the column's spec draws the indexing scheme behind each recreation (the
+/// geometry slot flips between the tile and R-tree cartridges, §3.2.2's
 /// algorithm-swap claim, fuzzed).
-#[derive(Debug, Clone, Copy)]
-enum SlotKind {
-    Text,
-    Geo,
-    Img,
-    Mol,
-    Num,
-}
-
 struct IndexSlot {
     name: &'static str,
     table: &'static str,
-    kind: SlotKind,
+    col: Col,
 }
 
 const SLOTS: [IndexSlot; 10] = [
-    IndexSlot { name: "QH_TXT", table: HEAP, kind: SlotKind::Text },
-    IndexSlot { name: "QH_GEO", table: HEAP, kind: SlotKind::Geo },
-    IndexSlot { name: "QH_IMG", table: HEAP, kind: SlotKind::Img },
-    IndexSlot { name: "QH_MOL", table: HEAP, kind: SlotKind::Mol },
-    IndexSlot { name: "QH_NUM", table: HEAP, kind: SlotKind::Num },
-    IndexSlot { name: "QI_TXT", table: IOT, kind: SlotKind::Text },
-    IndexSlot { name: "QI_GEO", table: IOT, kind: SlotKind::Geo },
-    IndexSlot { name: "QI_IMG", table: IOT, kind: SlotKind::Img },
-    IndexSlot { name: "QI_MOL", table: IOT, kind: SlotKind::Mol },
-    IndexSlot { name: "QI_NUM", table: IOT, kind: SlotKind::Num },
+    IndexSlot { name: "QH_TXT", table: HEAP, col: Col::Doc },
+    IndexSlot { name: "QH_GEO", table: HEAP, col: Col::Geom },
+    IndexSlot { name: "QH_IMG", table: HEAP, col: Col::Img },
+    IndexSlot { name: "QH_MOL", table: HEAP, col: Col::Mol },
+    IndexSlot { name: "QH_NUM", table: HEAP, col: Col::Num },
+    IndexSlot { name: "QI_TXT", table: IOT, col: Col::Doc },
+    IndexSlot { name: "QI_GEO", table: IOT, col: Col::Geom },
+    IndexSlot { name: "QI_IMG", table: IOT, col: Col::Img },
+    IndexSlot { name: "QI_MOL", table: IOT, col: Col::Mol },
+    IndexSlot { name: "QI_NUM", table: IOT, col: Col::Num },
 ];
 
-struct WorkloadGen {
-    rng: StdRng,
+/// The columns an operator indexes, in the order a row draws them.
+const OP_COLS: [Col; 4] = [Col::Doc, Col::Geom, Col::Img, Col::Mol];
+
+/// Generator state. The operator specs draw from it
+/// ([`crate::spec::OperatorSpec`]).
+pub(crate) struct WorkloadGen {
+    pub(crate) rng: StdRng,
     /// Draws every query's select list, so a seed's statements and
     /// predicates are the same whatever its select lists are.
     select_rng: StdRng,
     next_id: i64,
-    corpus: CorpusGenerator,
-    spatial: SpatialWorkload,
-    sigs: SignatureWorkload,
+    pub(crate) corpus: CorpusGenerator,
+    pub(crate) spatial: SpatialWorkload,
+    pub(crate) sigs: SignatureWorkload,
     /// Draws the VIR-only choices (full-precision signature text, inexact
     /// weights, near-threshold queries) apart from `rng`, so they shift no
     /// other draw of a seed's stream.
-    vir_rng: StdRng,
-    /// The first near-threshold VirSimilar atom drawn for the query being
-    /// generated: [`WorkloadGen::query`] makes it the whole predicate.
-    near_atom: Option<Atom>,
-    mols: MoleculeWorkload,
+    pub(crate) vir_rng: StdRng,
+    /// Draws the specs' edge values (edge weights, thresholds at a stored
+    /// value, the indexed column second), the chem store, and which
+    /// queries also run as a join, apart from the draws above.
+    pub(crate) edge_rng: StdRng,
+    /// The first atom drawn for the query being generated that must be its
+    /// whole predicate: [`WorkloadGen::query`] makes it so.
+    pub(crate) whole_atom: Option<OpAtom>,
+    pub(crate) mols: MoleculeWorkload,
     /// Substructure fragments reused between stored molecules and
     /// MolContains queries so matches actually occur.
-    frags: Vec<String>,
+    pub(crate) frags: Vec<String>,
     /// Serialized signatures of inserted images; query signatures are
     /// sometimes drawn from here so VirSimilar thresholds bite.
-    sig_pool: Vec<String>,
+    pub(crate) sig_pool: Vec<String>,
+    /// Inserted molecules, for MolSimilar thresholds at a stored value.
+    pub(crate) mol_pool: Vec<String>,
     /// `num` values that were stored at some point; half of all `num`
     /// comparison literals are drawn from here, because `<` and `<=` only
     /// differ on a row that holds the literal itself.
     num_pool: Vec<f64>,
+    /// Whether chem indexes may keep their data in external files.
+    pub(crate) file_store: bool,
     /// Which index slots the *generator* believes exist — only steers
     /// which DDL gets emitted; the harness derives truth from the
     /// catalog, so a stale belief just yields a no-op statement.
@@ -510,7 +510,7 @@ struct WorkloadGen {
 }
 
 impl WorkloadGen {
-    fn new(seed: u64) -> Self {
+    fn new(seed: u64, file_store: bool) -> Self {
         let mut mols = MoleculeWorkload::new(seed ^ 0x6d6f6c);
         let frags = vec![mols.molecule(3), mols.molecule(4), mols.molecule(3)];
         WorkloadGen {
@@ -521,37 +521,27 @@ impl WorkloadGen {
             spatial: SpatialWorkload::new(100.0, seed ^ 0x67656f),
             sigs: SignatureWorkload::new(seed ^ 0x696d67),
             vir_rng: StdRng::seed_from_u64(seed ^ 0x766972),
-            near_atom: None,
+            edge_rng: StdRng::seed_from_u64(seed ^ 0x65646765),
+            whole_atom: None,
             mols,
             frags,
             sig_pool: Vec::new(),
+            mol_pool: Vec::new(),
             num_pool: Vec::new(),
+            file_store,
             slot_alive: [true; SLOTS.len()],
         }
     }
 
     fn create_sql(&mut self, slot: &IndexSlot) -> String {
-        let on = format!("CREATE INDEX {} ON {}", slot.name, slot.table);
-        match slot.kind {
-            SlotKind::Text => {
-                let params = match self.rng.gen_range(0..3u32) {
-                    0 => "",
-                    1 => " PARAMETERS (':ScanMode PRECOMPUTE')",
-                    _ => " PARAMETERS (':ScanMode INCREMENTAL')",
-                };
-                format!("{on}(doc) INDEXTYPE IS TextIndexType{params}")
-            }
-            SlotKind::Geo => {
-                let it = if self.rng.gen_bool(0.5) { "SpatialIndexType" } else { "RtreeIndexType" };
-                format!("{on}(geom) INDEXTYPE IS {it}")
-            }
-            SlotKind::Img => format!("{on}(img) INDEXTYPE IS VirIndexType"),
-            SlotKind::Mol => format!("{on}(mol) INDEXTYPE IS ChemIndexType"),
-            SlotKind::Num => format!("{on}(num)"),
-        }
+        let tail = match slot.col {
+            Col::Num => "(num)".to_string(),
+            col => (column_spec(col).create)(self),
+        };
+        format!("CREATE INDEX {} ON {}{tail}", slot.name, slot.table)
     }
 
-    fn preamble(&mut self) -> Vec<String> {
+    pub(crate) fn preamble(&mut self) -> Vec<String> {
         let cols = "doc VARCHAR2(4000), geom SDO_GEOMETRY, img VIR_IMAGE, \
                     mol VARCHAR2(400), num NUMBER";
         let mut out = vec![
@@ -568,7 +558,7 @@ impl WorkloadGen {
         out
     }
 
-    fn table(&mut self) -> &'static str {
+    pub(crate) fn table(&mut self) -> &'static str {
         if self.rng.gen_bool(0.5) {
             HEAP
         } else {
@@ -579,24 +569,19 @@ impl WorkloadGen {
     fn row(&mut self) -> GenRow {
         let id = self.next_id;
         self.next_id += 1;
-        let doc = (!self.rng.gen_bool(NULL_P)).then(|| self.corpus.document(8));
-        let geom = (!self.rng.gen_bool(NULL_P)).then(|| self.spatial.rect(2.0, 25.0));
-        let img = (!self.rng.gen_bool(NULL_P)).then(|| self.signature());
-        let mol = (!self.rng.gen_bool(NULL_P)).then(|| {
-            if self.rng.gen_bool(0.5) {
-                let f = self.frags[self.rng.gen_range(0..self.frags.len())].clone();
-                self.mols.molecule_containing(&f, 4)
-            } else {
-                self.mols.molecule(8)
-            }
-        });
-        let num = (!self.rng.gen_bool(NULL_P)).then(|| self.stored_num());
-        if let Some(s) = &img {
-            if self.sig_pool.len() < 24 {
-                self.sig_pool.push(s.clone());
+        let mut row = GenRow { id, doc: None, geom: None, img: None, mol: None, num: None };
+        for col in OP_COLS {
+            if !self.rng.gen_bool(NULL_P) {
+                apply_cell(&mut row, &(column_spec(col).value)(self, true));
             }
         }
-        GenRow { id, doc, geom, img, mol, num }
+        row.num = (!self.rng.gen_bool(NULL_P)).then(|| self.stored_num());
+        for (v, pool) in [(&row.img, &mut self.sig_pool), (&row.mol, &mut self.mol_pool)] {
+            if let (Some(v), true) = (v, pool.len() < 24) {
+                pool.push(v.clone());
+            }
+        }
+        row
     }
 
     /// A fresh `num` cell value, remembered for later comparison literals.
@@ -624,34 +609,11 @@ impl WorkloadGen {
 
     fn cell(&mut self) -> GenCell {
         let null = self.rng.gen_bool(0.25);
-        match self.rng.gen_range(0..5u32) {
-            0 => GenCell::Doc((!null).then(|| self.corpus.document(8))),
-            1 => GenCell::Geom((!null).then(|| self.spatial.rect(2.0, 25.0))),
-            2 => GenCell::Img((!null).then(|| self.signature())),
-            3 => GenCell::Mol((!null).then(|| self.mols.molecule(8))),
-            _ => GenCell::Num((!null).then(|| self.stored_num())),
+        match OP_COLS.get(self.rng.gen_range(0..5u32) as usize) {
+            Some(&col) if null => GenCell::null(col),
+            Some(&col) => (column_spec(col).value)(self, false),
+            None => GenCell::Num((!null).then(|| self.stored_num())),
         }
-    }
-
-    /// A random signature's text: the generators' 3-decimal form, or half
-    /// the time every value at full precision (a copy rounded to 3
-    /// decimals compares differently near a threshold).
-    fn signature(&mut self) -> String {
-        let sig = self.sigs.random();
-        if self.vir_rng.gen_bool(0.5) {
-            sig.serialize()
-        } else {
-            full_precision(sig.channels.iter().flatten().copied())
-        }
-    }
-
-    /// `image` with every value moved by `threshold` ± 0.00005. Every weight
-    /// list the stream draws sums to 1, so the query's distance from
-    /// `image` is that shift.
-    fn near_threshold(&mut self, image: &str, threshold: f64) -> String {
-        let sig = Signature::deserialize(image).expect("pooled signatures parse");
-        let shift = threshold + self.vir_rng.gen_range(-0.00005..0.00005);
-        full_precision(sig.channels.iter().flatten().map(|v| v + shift))
     }
 
     fn id_pred(&mut self) -> IdPred {
@@ -664,68 +626,18 @@ impl WorkloadGen {
         }
     }
 
-    fn text_query(&mut self) -> String {
-        let term = |g: &mut Self| {
-            let rank = g.rng.gen_range(0..g.corpus.vocab_size());
-            g.corpus.term(rank).to_string()
-        };
-        let a = term(self);
-        match self.rng.gen_range(0..4u32) {
-            0 => a,
-            1 => format!("{a} AND {}", term(self)),
-            2 => format!("{a} OR {}", term(self)),
-            _ => format!("{a} AND NOT {}", term(self)),
-        }
-    }
-
     fn atom(&mut self) -> Atom {
         // NULL literal injection rate for operator arguments.
         let null_lit = self.rng.gen_bool(0.08);
-        match self.rng.gen_range(0..100u32) {
-            0..=21 => Atom::Contains {
-                query: (!null_lit).then(|| self.text_query()),
-                label: None,
-            },
-            22..=39 => Atom::SdoRelate {
-                window: (!null_lit).then(|| self.spatial.rect(5.0, 45.0)),
-                mask: MASKS[self.rng.gen_range(0..MASKS.len())].to_string(),
-            },
-            40..=53 => {
-                let pooled = !null_lit && !self.sig_pool.is_empty() && self.rng.gen_bool(0.5);
-                let sig = if null_lit {
-                    None
-                } else if pooled {
-                    Some(self.sig_pool[self.rng.gen_range(0..self.sig_pool.len())].clone())
-                } else {
-                    Some(self.signature())
-                };
-                let mut weights = WEIGHTS[self.rng.gen_range(0..WEIGHTS.len())];
-                if self.vir_rng.gen_bool(0.25) {
-                    weights = INEXACT_WEIGHTS;
-                }
-                let threshold = self.rng.gen_range(50..800i64) as f64 / 10.0;
-                // Half the pooled queries sit within 0.00005 of the
-                // threshold from their image, where a copy of the image
-                // rounded to 3 decimals answers differently.
-                let near = pooled && self.vir_rng.gen_bool(0.5);
-                let sig = match sig {
-                    Some(image) if near => Some(self.near_threshold(&image, threshold)),
-                    sig => sig,
-                };
-                let atom = Atom::VirSimilar { sig, weights: weights.to_string(), threshold };
-                if near && self.near_atom.is_none() {
-                    self.near_atom = Some(atom.clone());
-                }
-                atom
+        let mut draw = self.rng.gen_range(0..100u32);
+        for spec in &SPECS {
+            if draw < spec.share {
+                return Atom::Op((spec.draw)(self, null_lit));
             }
-            54..=67 => Atom::MolContains {
-                frag: (!null_lit).then(|| self.frags[self.rng.gen_range(0..self.frags.len())].clone()),
-            },
-            68..=77 => Atom::MolSimilar {
-                query: self.mols.molecule(6),
-                threshold: self.rng.gen_range(10..80i64) as f64 / 100.0,
-            },
-            78..=87 => Atom::NumCmp {
+            draw -= spec.share;
+        }
+        match draw {
+            0..=9 => Atom::NumCmp {
                 op: CMP_OPS[self.rng.gen_range(0..CMP_OPS.len())],
                 value: if !self.num_pool.is_empty() && self.rng.gen_bool(0.5) {
                     self.num_pool[self.rng.gen_range(0..self.num_pool.len())]
@@ -733,7 +645,7 @@ impl WorkloadGen {
                     self.rng.gen_range(0..1000i64) as f64 / 10.0
                 },
             },
-            88..=93 => {
+            10..=15 => {
                 let col = if self.rng.gen_bool(0.3) { KeyCol::Grp } else { KeyCol::Id };
                 self.key_atom(col)
             }
@@ -745,7 +657,7 @@ impl WorkloadGen {
         }
     }
 
-    fn query(&mut self) -> Query {
+    pub(crate) fn query(&mut self) -> Query {
         let table = self.table();
         let n = self.rng.gen_range(1..=3u32);
         let mut children = Vec::new();
@@ -782,24 +694,30 @@ impl WorkloadGen {
                 one => std::slice::from_mut(one),
             };
             for c in slots.iter_mut() {
-                if let Pred::Atom(Atom::Contains { query: Some(_), label }) = c {
-                    *label = Some(1);
-                    select_score = Some(1);
-                    break;
+                if let Pred::Atom(Atom::Op(a)) = c {
+                    if a.spec.ancillary && !a.has_null() {
+                        a.label = Some(1);
+                        select_score = Some(1);
+                        break;
+                    }
                 }
             }
         }
         let order_limit = self.rng.gen_bool(0.3).then(|| self.rng.gen_range(1..=8u64));
         let (items, distinct) = self.select_list(select_score.is_none() && order_limit.is_none());
-        // A near-threshold VirSimilar atom is the whole predicate: ANDed
-        // with other atoms, the one row whose answer it flips rarely
-        // survives them. Every draw above still happened, so no later draw
-        // of the seed's stream moves.
-        if let Some(atom) = self.near_atom.take() {
-            pred = Pred::Atom(atom);
+        // An atom that must be the whole predicate becomes it. Every draw
+        // above still happened, so no later draw of the seed's stream moves.
+        if let Some(atom) = self.whole_atom.take() {
+            pred = Pred::Atom(Atom::Op(atom));
             select_score = None;
         }
-        Query { table, pred, items, distinct, select_score, order_limit }
+        let first_op = pred.top_atoms().into_iter().find_map(|a| match a {
+            Atom::Op(a) if !a.refused() => Some(OpAtom { label: None, ..a.clone() }),
+            _ => None,
+        });
+        // A share of those queries checks its operator in the join form too.
+        let join = first_op.filter(|_| self.edge_rng.gen_bool(0.15));
+        Query { table, pred, items, distinct, select_score, order_limit, join }
     }
 
     /// A select list: `id` alone for a third of the queries, else one to
@@ -844,60 +762,34 @@ impl WorkloadGen {
     }
 }
 
-/// Structured statement source for the concurrent scheduler
-/// (`crate::concurrent`): the same seeded vocabulary as [`generate`],
-/// handed out one statement at a time, restricted to the forms whose
-/// serial commit-order replay is sound under snapshot isolation —
-/// inserts of globally fresh ids and UPDATE/DELETE keyed by `id =`
-/// equality. (Range predicates could straddle a concurrent insert, and
-/// the resulting phantom behavior under SI legitimately differs from a
-/// serial replay, so they stay out of the concurrent stream.)
-pub struct ConcurrentGen {
-    inner: WorkloadGen,
-}
-
-impl ConcurrentGen {
-    pub fn new(seed: u64) -> Self {
-        ConcurrentGen { inner: WorkloadGen::new(seed) }
-    }
-
-    /// The fixed schema preamble (both fuzz tables + all index slots).
-    pub fn preamble(&mut self) -> Vec<String> {
-        self.inner.preamble()
-    }
-
-    /// Pick one of the two fuzz tables.
-    pub fn table(&mut self) -> &'static str {
-        self.inner.table()
+/// The concurrent scheduler's statement source (`crate::concurrent`): the
+/// same seeded vocabulary as [`generate`], handed out one statement at a
+/// time, restricted to the forms whose serial commit-order replay is sound
+/// under snapshot isolation — inserts of globally fresh ids and
+/// UPDATE/DELETE keyed by `id =` equality. (Range predicates could
+/// straddle a concurrent insert, and the resulting phantom behavior under
+/// SI legitimately differs from a serial replay, so they stay out of the
+/// concurrent stream.)
+impl WorkloadGen {
+    pub(crate) fn concurrent(seed: u64) -> Self {
+        WorkloadGen::new(seed, false)
     }
 
     /// An INSERT of a globally fresh id.
-    pub fn insert(&mut self, table: &'static str) -> Stmt {
-        let row = self.inner.row();
-        Stmt::Insert { table, row }
+    pub(crate) fn insert(&mut self, table: &'static str) -> Stmt {
+        Stmt::Insert { table, row: self.row() }
     }
 
     /// An UPDATE of exactly the row `id` (one random cell).
-    pub fn update_eq(&mut self, table: &'static str, id: i64) -> Stmt {
-        let cell = self.inner.cell();
-        Stmt::Update { table, pred: IdPred::Eq(id), cell }
-    }
-
-    /// A DELETE of exactly the row `id`.
-    pub fn delete_eq(&mut self, table: &'static str, id: i64) -> Stmt {
-        Stmt::Delete { table, pred: IdPred::Eq(id) }
-    }
-
-    /// A domain-operator query (same shape as the serial stream's).
-    pub fn query(&mut self) -> Query {
-        self.inner.query()
+    pub(crate) fn update_eq(&mut self, table: &'static str, id: i64) -> Stmt {
+        Stmt::Update { table, pred: IdPred::Eq(id), cell: self.cell() }
     }
 }
 
 /// Generate the workload for `seed`: the fixed schema preamble plus `n`
 /// random statements. Pure — identical inputs yield identical output.
 pub fn generate(seed: u64, n: usize) -> Workload {
-    let mut g = WorkloadGen::new(seed);
+    let mut g = WorkloadGen::new(seed, true);
     let preamble = g.preamble();
     let stmts = (0..n).map(|_| g.statement()).collect();
     Workload { preamble, stmts }
@@ -906,6 +798,7 @@ pub fn generate(seed: u64, n: usize) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use extidx_vir::Signature;
 
     #[test]
     fn generation_is_deterministic_per_seed() {
@@ -920,45 +813,46 @@ mod tests {
         assert_ne!(asql, csql, "different seeds must differ");
     }
 
-    /// A VirSimilar atom whose query lies within 0.00005 of its threshold
-    /// from a pooled image is its query's whole predicate; every other
-    /// VirSimilar atom stays where it was drawn.
+    /// A VirSimilar atom within 0.0001 of its threshold from a pooled
+    /// image, or one whose weights the operator refuses, is its query's
+    /// whole predicate; every other VirSimilar atom stays where it was drawn.
     #[test]
-    fn near_threshold_vir_atoms_are_whole_predicates() {
-        fn vir_atoms<'a>(p: &'a Pred, out: &mut Vec<&'a Atom>) {
+    fn boundary_and_refused_vir_atoms_are_whole_predicates() {
+        fn vir_atoms<'a>(p: &'a Pred, out: &mut Vec<&'a OpAtom>) {
             match p {
-                Pred::Atom(a @ Atom::VirSimilar { sig: Some(_), .. }) => out.push(a),
+                Pred::Atom(Atom::Op(a)) if a.spec.name == "VirSimilar" && !a.has_null() => out.push(a),
                 Pred::Atom(_) => {}
                 Pred::And(cs) | Pred::Or(cs) => cs.iter().for_each(|c| vir_atoms(c, out)),
             }
         }
-        let mut near_queries = 0;
+        let (mut boundary, mut refused) = (0, 0);
         for seed in 0..4u64 {
-            let mut g = WorkloadGen::new(seed);
+            let mut g = WorkloadGen::new(seed, true);
             g.preamble();
             for _ in 0..200 {
                 let Stmt::Query(q) = g.statement() else { continue };
+                let whole = matches!(q.pred, Pred::Atom(_)) && q.select_score.is_none();
                 let mut atoms = Vec::new();
                 vir_atoms(&q.pred, &mut atoms);
-                for atom in atoms {
-                    let Atom::VirSimilar { sig: Some(sig), weights, threshold } = atom else {
+                for a in atoms {
+                    let [Arg::Str(Some(sig)), Arg::Str(Some(w)), Arg::Num(t, _)] = &a.args[..] else {
                         unreachable!()
                     };
                     let query = Signature::deserialize(sig).unwrap();
-                    let w = extidx_vir::Weights::parse(weights).unwrap();
-                    let near = g.sig_pool.iter().any(|image| {
+                    let at = |w| g.sig_pool.iter().any(|image| {
                         let d = Signature::deserialize(image).unwrap().distance(&query, &w);
-                        (d - threshold).abs() < 0.0001
+                        (d - t).abs() < 0.0001
                     });
-                    if near {
-                        near_queries += 1;
-                        assert!(matches!(q.pred, Pred::Atom(_)), "seed {seed}: {}", q.pred.sql());
-                        assert_eq!(q.select_score, None);
+                    match extidx_vir::Weights::parse(w) {
+                        Err(_) => refused += 1,
+                        Ok(w) if at(w) => boundary += 1,
+                        Ok(_) => continue,
                     }
+                    assert!(whole, "seed {seed}: {}", q.pred.sql());
                 }
             }
         }
-        assert!(near_queries > 0, "no near-threshold VirSimilar query drawn");
+        assert!(boundary > 0 && refused > 0, "{boundary} boundary, {refused} refused atoms");
     }
 
     #[test]

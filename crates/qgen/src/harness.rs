@@ -19,13 +19,17 @@
 //! statement prefix is therefore a valid workload, so delta debugging
 //! can bisect freely.
 
+use std::sync::Arc;
+
 use extidx_common::Value;
 use extidx_core::HealthState;
 use extidx_sql::lexer::{lex, Token};
 use extidx_sql::{Database, DurableMedium, WAL_FAULT_POINTS};
 
-use crate::gen::{generate, Query, Stmt};
-use crate::interp::{answer_rows, apply_cell, query_rows, Mirror};
+use crate::checked::{Checked, Crossings};
+use crate::gen::{generate, other_table, Atom, Pred, Query, Stmt, HEAP, IOT};
+use crate::interp::{accepted, answer_rows, join_rows, query_rows, Mirror};
+use crate::spec::observe;
 
 /// Chaos switches for an oracle run. All are deterministic: batch
 /// dropping is stateless, and quarantine flips are keyed on the
@@ -33,8 +37,8 @@ use crate::interp::{answer_rows, apply_cell, query_rows, Mirror};
 /// replay identically.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChaosOpts {
-    /// Drop the final batch of every domain-index scan (exercises the
-    /// executor's partial-fetch handling).
+    /// Drop the final batch of every domain-index scan: the planted bug,
+    /// at the plug-in boundary ([`Checked`]).
     pub drop_last_batch: bool,
     /// Randomly quarantine a healthy domain index — or `ALTER INDEX …
     /// REBUILD` a quarantined one — before ~8% of statements, forcing
@@ -158,13 +162,36 @@ pub struct Divergence {
 
 /// A fresh engine with all five cartridges installed.
 pub fn fresh_db(chaos: ChaosOpts) -> Database {
+    checked_db(chaos).0
+}
+
+/// [`fresh_db`], and what its indextypes' [`Checked`] wrappers record:
+/// each indextype is re-created over its implementation, wrapped.
+pub fn checked_db(chaos: ChaosOpts) -> (Database, Arc<Crossings>) {
     let mut db = Database::with_cache_pages(4096);
     extidx_text::install(&mut db).expect("text cartridge");
     extidx_spatial::install(&mut db).expect("spatial cartridge");
     extidx_vir::install(&mut db).expect("vir cartridge");
     extidx_chem::install(&mut db).expect("chem cartridge");
-    db.set_chaos_drop_last_domain_batch(chaos.drop_last_batch);
-    db
+    let crossings = Arc::new(Crossings::default());
+    for name in db.catalog().registry().indextype_names() {
+        let it = db.catalog().registry().indextype(&name).expect("a listed indextype");
+        let using = format!("CHECKED_{name}");
+        let checked = Checked {
+            inner: it.implementation.clone(),
+            crossings: crossings.clone(),
+            drop_last_batch: chaos.drop_last_batch,
+        };
+        db.register_odci_implementation(&using, Arc::new(checked), it.stats.clone());
+        let ops = it.operators.iter().map(|o| {
+            let types: Vec<String> = o.arg_types.iter().map(ToString::to_string).collect();
+            format!("{}({})", o.name, types.join(", "))
+        });
+        let ops = ops.collect::<Vec<_>>().join(", ");
+        db.execute(&format!("DROP INDEXTYPE {name}")).expect("an indextype no index uses drops");
+        db.execute(&format!("CREATE INDEXTYPE {name} FOR {ops} USING {using}")).expect("re-created");
+    }
+    (db, crossings)
 }
 
 /// Indexes that can be *forced* for this query right now: the catalog
@@ -182,10 +209,14 @@ pub(crate) fn forcible_indexes(db: &Database, q: &Query) -> Vec<String> {
             continue;
         }
         let Ok(it) = db.catalog().registry().indextype(&d.indextype) else { continue };
-        let usable = atoms.iter().any(|a| {
-            a.op_info().is_some_and(|(op, col, arity, has_null)| {
-                !has_null && d.column.eq_ignore_ascii_case(col) && it.supports(op, arity)
-            })
+        // An operator atom counts its column, its arguments and its label.
+        let usable = atoms.iter().any(|a| match a {
+            Atom::Op(a) => {
+                let arity = 1 + a.args.len() + usize::from(a.label.is_some());
+                let col = d.column.eq_ignore_ascii_case(a.spec.col.name());
+                !a.has_null() && col && it.supports(a.spec.name, arity)
+            }
+            _ => false,
         });
         if usable {
             out.push(d.name.clone());
@@ -209,7 +240,7 @@ pub(crate) fn fmt_rows(rows: &[Vec<String>]) -> String {
 
 /// Each `(label, sql)` as itself, then — under [`ChaosOpts::binds`] — as
 /// its [`lift_binds`] form.
-fn with_bind_forms(variants: Vec<(String, String)>, chaos: ChaosOpts) -> Vec<(String, Lifted)> {
+pub(crate) fn with_bind_forms(variants: Vec<(String, String)>, chaos: ChaosOpts) -> Vec<(String, Lifted)> {
     let lifted: Vec<_> = if chaos.binds {
         variants.iter().map(|(l, sql)| (format!("{l}+binds"), lift_binds(sql))).collect()
     } else {
@@ -231,48 +262,81 @@ fn run_variant(db: &mut Database, v: &Lifted) -> extidx_common::Result<Vec<Vec<V
     db.query_with(&v.sql, &v.binds)
 }
 
-/// Run one query through every path and compare. `Some(detail)` on the
-/// first disagreement.
-fn check_query(db: &mut Database, mirror: &Mirror, q: &Query, chaos: ChaosOpts) -> Option<String> {
-    let expected = query_rows(q, mirror);
-    let expected_count = crate::interp::accepted_ids(q, mirror).len() as i64;
+/// Hold a variant's engine answer against the mirror's expectation: an
+/// expected refusal (`Err`) must be an error; an error is otherwise a
+/// divergence, unless the query's operator refuses its arguments and the
+/// mirror just reached no row that asks it. `Ok(None)` is an agreed
+/// refusal.
+fn settle<T, U>(
+    label: &str,
+    sql: &str,
+    expected: &Result<T, String>,
+    refusable: bool,
+    got: extidx_common::Result<U>,
+) -> Result<Option<U>, String> {
+    match (expected, got) {
+        (Err(_), Err(_)) => Ok(None),
+        (Ok(_), Err(_)) if refusable => Ok(None),
+        (Err(why), Ok(_)) => Err(format!("variant [{label}] answered, not refused ({why})\n  sql: {sql}")),
+        (Ok(_), Err(e)) => Err(format!("variant [{label}] errored: {e}\n  sql: {sql}")),
+        (Ok(_), Ok(v)) => Ok(Some(v)),
+    }
+}
 
+/// Whether the query's operator refuses its arguments (a refused atom is
+/// always its query's whole predicate).
+fn refusable(q: &Query) -> bool {
+    matches!(&q.pred, Pred::Atom(Atom::Op(a)) if a.refused())
+}
+
+/// The plan variants of `q`: the optimizer's choice, `FULL`, `NO_INDEX`
+/// (with `no_index`), and one `INDEX(t idx)` per index that can be forced.
+pub(crate) fn plan_variants(db: &Database, q: &Query, no_index: bool) -> Vec<(String, String)> {
     let mut variants: Vec<(String, String)> = vec![
         ("plan".into(), q.sql(None)),
         ("full".into(), q.sql(Some(&format!("FULL({})", q.table)))),
-        ("no_index".into(), q.sql(Some(&format!("NO_INDEX({})", q.table)))),
     ];
+    if no_index {
+        variants.push(("no_index".into(), q.sql(Some(&format!("NO_INDEX({})", q.table)))));
+    }
     for idx in forcible_indexes(db, q) {
         let hint = format!("INDEX({} {idx})", q.table);
         variants.push((format!("index:{idx}"), q.sql(Some(&hint))));
     }
+    variants
+}
 
-    // Every variant's full answer, geometries, images and ROWIDs included,
-    // must equal the first one's.
-    let mut first: Option<(String, Vec<Vec<String>>)> = None;
-    for (label, v) in &with_bind_forms(variants, chaos) {
+/// Hold each variant's answer against the mirror's rows and — geometries,
+/// images and ROWIDs included — against the first variant's. `run` answers
+/// a variant, or describes the breach of the scan contract it caused.
+pub(crate) fn check_variants(
+    q: &Query,
+    expected: &Result<Vec<Vec<String>>, String>,
+    variants: &[(String, Lifted)],
+    mut run: impl FnMut(&Lifted) -> Result<extidx_common::Result<Vec<Vec<Value>>>, String>,
+) -> Result<(), String> {
+    let mut first: Option<(&str, Vec<Vec<String>>)> = None;
+    for (label, v) in variants {
         let Lifted { sql, binds, .. } = v;
-        let [got, full] = match run_variant(db, v) {
-            Err(e) => {
-                return Some(format!("variant [{label}] errored: {e}\n  sql: {sql}\n  binds: {binds:?}"))
-            }
-            Ok(rows) => match answer_rows(q, &rows) {
-                Ok(forms) => forms,
-                Err(e) => return Some(format!("variant [{label}] bad row shape: {e}\n  sql: {sql}")),
-            },
-        };
-        if got != expected {
-            return Some(format!(
+        let broke = |breach| format!("variant [{label}] broke the scan contract: {breach}\n  sql: {sql}");
+        let got = run(v).map_err(broke)?;
+        let settled = settle(label, sql, expected, refusable(q), got);
+        let Some(rows) = settled.map_err(|detail| format!("{detail}\n  binds: {binds:?}"))? else { continue };
+        let shape = |e| format!("variant [{label}] bad row shape: {e}\n  sql: {sql}");
+        let [got, full] = answer_rows(q, &rows).map_err(shape)?;
+        let expected = expected.as_ref().expect("an answer where the plans answer");
+        if got != *expected {
+            return Err(format!(
                 "variant [{label}] diverges from interpreter\n  sql: {sql}\n  binds: {binds:?}\n  \
                  expected {}\n  got      {}",
-                fmt_rows(&expected),
+                fmt_rows(expected),
                 fmt_rows(&got)
             ));
         }
         match &first {
-            None => first = Some((label.clone(), full)),
+            None => first = Some((label, full)),
             Some((first_label, want)) if full != *want => {
-                return Some(format!(
+                return Err(format!(
                     "variant [{label}] diverges from [{first_label}]\n  sql: {sql}\n  \
                      binds: {binds:?}\n  [{first_label}] {}\n  [{label}] {}",
                     fmt_rows(want),
@@ -282,9 +346,31 @@ fn check_query(db: &mut Database, mirror: &Mirror, q: &Query, chaos: ChaosOpts) 
             Some(_) => {}
         }
     }
+    Ok(())
+}
+
+/// Run one query through every path and compare. `Some(detail)` on the
+/// first disagreement, or on the first variant after which the
+/// [`Checked`] wrappers saw a breach of the scan contract.
+fn check_query(
+    db: &mut Database,
+    crossings: &Crossings,
+    mirror: &Mirror,
+    q: &Query,
+    chaos: ChaosOpts,
+) -> Option<String> {
+    let variants = with_bind_forms(plan_variants(db, q, true), chaos);
+    let run = |v: &Lifted| {
+        let got = run_variant(db, v);
+        crossings.verdict().map_or(Ok(got), Err)
+    };
+    if let Err(detail) = check_variants(q, &query_rows(q, mirror), &variants, run) {
+        return Some(detail);
+    }
 
     // NoREC: the aggregated form of the same predicate must agree with
     // the row-retrieval count.
+    let expected_count = accepted(q, mirror).map(|rows| Value::Integer(rows.len() as i64));
     let full_hint = format!("FULL({})", q.table);
     let counts = vec![
         ("count".to_string(), q.count_sql(None)),
@@ -292,15 +378,80 @@ fn check_query(db: &mut Database, mirror: &Mirror, q: &Query, chaos: ChaosOpts) 
     ];
     for (label, v) in with_bind_forms(counts, chaos) {
         let sql = &v.sql;
-        match run_variant(db, &v) {
-            Err(e) => return Some(format!("variant [{label}] errored: {e}\n  sql: {sql}")),
-            Ok(rows) => {
-                let got = rows.first().and_then(|r| r.first()).cloned();
-                if got != Some(Value::Integer(expected_count)) {
-                    return Some(format!(
-                        "variant [{label}] count diverges\n  sql: {sql}\n  expected {expected_count}, got {got:?}"
-                    ));
-                }
+        let got = match settle(&label, sql, &expected_count, refusable(q), run_variant(db, &v)) {
+            Err(detail) => return Some(detail),
+            Ok(None) => continue,
+            Ok(Some(rows)) => rows.first().and_then(|r| r.first()).cloned(),
+        };
+        if got.as_ref() != expected_count.as_ref().ok() {
+            return Some(format!(
+                "variant [{label}] count diverges\n  sql: {sql}\n  expected {expected_count:?}, got {got:?}"
+            ));
+        }
+    }
+    crossings.verdict().or_else(|| check_join(db, crossings, mirror, q))
+}
+
+/// The generated join form of a query's operator ([`Query::join_sql`]):
+/// `o`, the other fuzz table, supplies the argument, and NULLs sit on both
+/// sides. Unhinted, under `NO_INDEX(i)` and under `FULL(i)` the answer is
+/// the mirror's pairs; the two hints start no scan of `i`'s indexes; and
+/// `INDEX(i idx)`, which no single-table predicate of `i` can use, is
+/// refused. Every domain join EXPLAIN shows (a scan of the inner table's
+/// index per batch of outer rows) is given exactly the outer rows whose
+/// argument is not NULL. `o`'s indexes are hinted away unless the
+/// operator takes its column in either position: a domain join over them
+/// would pass the column second, which their cartridges refuse.
+fn check_join(db: &mut Database, crossings: &Crossings, mirror: &Mirror, q: &Query) -> Option<String> {
+    let atom = q.join.as_ref()?;
+    let expected = join_rows(q, atom, mirror);
+    let base = if atom.spec.either_position { "" } else { "NO_INDEX(o) " };
+    let mut variants: Vec<(String, bool)> =
+        ["", "NO_INDEX(i)", "FULL(i)"].iter().map(|h| (format!("{base}{h}"), false)).collect();
+    for d in db.catalog().domain_indexes_on(q.table) {
+        if d.column.eq_ignore_ascii_case(atom.spec.col.name()) {
+            variants.push((format!("{base}INDEX(i {})", d.name), true));
+        }
+    }
+    let args_of = |t: &str| mirror.table(t).values().filter(|r| !r.arg(atom.spec.col).is_null()).count();
+    for (hint, refused) in variants {
+        let sql = q.join_sql(Some(&hint)).expect("a join form");
+        let plan = db.explain(&sql).map(|lines| lines.join("\n")).unwrap_or_default();
+        let got = db.query(&sql);
+        let seen = crossings.take();
+        let label = format!("join {hint}");
+        let mut breaches = seen.breaches;
+        breaches.extend((seen.open > 0).then(|| format!("{} Start without Close", seen.open)));
+        for t in [HEAP, IOT] {
+            let joined = plan.contains(&format!("DOMAIN JOIN {t} "));
+            let started = seen.started.get(t).copied().unwrap_or(0);
+            if (hint.contains("(i)") || hint.contains("INDEX(i")) && t == q.table && started > 0 {
+                breaches.push(format!("{started} argument rows started a scan of {t}'s indexes"));
+            } else if started != if joined { args_of(other_table(t)) } else { 0 } {
+                breaches.push(format!("Starts on {t} given {started} argument rows, plan:\n{plan}"));
+            }
+        }
+        if !breaches.is_empty() {
+            let breach = breaches.join("; ");
+            return Some(format!("variant [{label}] broke the scan contract: {breach}\n  sql: {sql}"));
+        }
+        let want = if refused { &Err("no single-table predicate uses it".into()) } else { &expected };
+        let rows = match settle(&label, &sql, want, false, got) {
+            Err(detail) => return Some(detail),
+            Ok(rows) => rows,
+        };
+        if let Some(rows) = rows {
+            let mut got: Vec<Vec<String>> =
+                rows.iter().map(|r| r.iter().map(ToString::to_string).collect()).collect();
+            got.sort();
+            let expected = expected.as_ref().expect("pairs where the plans answer");
+            if got != *expected {
+                return Some(format!(
+                    "variant [{label}] diverges from interpreter\n  sql: {sql}\n  \
+                     expected {}\n  got      {}",
+                    fmt_rows(expected),
+                    fmt_rows(&got)
+                ));
             }
         }
     }
@@ -342,51 +493,31 @@ fn quarantine_chaos(db: &mut Database, stmt: &Stmt) {
 
 /// Execute one statement against engine + mirror. `Some(detail)` when a
 /// query statement exposes a divergence.
-fn step(db: &mut Database, mirror: &mut Mirror, stmt: &Stmt, chaos: ChaosOpts) -> Option<String> {
+fn step(
+    db: &mut Database,
+    crossings: &Crossings,
+    mirror: &mut Mirror,
+    stmt: &Stmt,
+    chaos: ChaosOpts,
+) -> Option<String> {
     if chaos.quarantine {
         quarantine_chaos(db, stmt);
     }
     match stmt {
-        Stmt::Sql(sql) => {
-            let _ = db.execute(sql);
-            None
-        }
-        Stmt::Truncate { table } => {
+        Stmt::Query(q) => check_query(db, crossings, mirror, q, chaos),
+        _ => {
             if db.execute(&stmt.sql()).is_ok() {
-                mirror.table_mut(table).clear();
+                mirror.apply(stmt);
             }
             None
         }
-        Stmt::Insert { table, row } => {
-            if db.execute(&stmt.sql()).is_ok() {
-                mirror.table_mut(table).insert(row.id, row.clone());
-            }
-            None
-        }
-        Stmt::Update { table, pred, cell } => {
-            if db.execute(&stmt.sql()).is_ok() {
-                for row in mirror.table_mut(table).values_mut() {
-                    if pred.matches(row.id) {
-                        apply_cell(row, cell);
-                    }
-                }
-            }
-            None
-        }
-        Stmt::Delete { table, pred } => {
-            if db.execute(&stmt.sql()).is_ok() {
-                mirror.table_mut(table).retain(|id, _| !pred.matches(*id));
-            }
-            None
-        }
-        Stmt::Query(q) => check_query(db, mirror, q, chaos),
     }
 }
 
 /// Replay `preamble + stmts + final_stmt` from scratch; true if any
 /// divergence shows (used as the delta-debugging failure predicate).
 fn replay_fails(preamble: &[String], stmts: &[Stmt], final_stmt: &Stmt, chaos: ChaosOpts) -> bool {
-    let mut db = fresh_db(chaos);
+    let (mut db, crossings) = checked_db(chaos);
     for sql in preamble {
         if db.execute(sql).is_err() {
             return false;
@@ -394,11 +525,11 @@ fn replay_fails(preamble: &[String], stmts: &[Stmt], final_stmt: &Stmt, chaos: C
     }
     let mut mirror = Mirror::default();
     for s in stmts {
-        if step(&mut db, &mut mirror, s, chaos).is_some() {
+        if step(&mut db, &crossings, &mut mirror, s, chaos).is_some() {
             return true;
         }
     }
-    step(&mut db, &mut mirror, final_stmt, chaos).is_some()
+    step(&mut db, &crossings, &mut mirror, final_stmt, chaos).is_some()
 }
 
 /// Classic ddmin over the statement prefix: repeatedly drop chunks (then
@@ -476,13 +607,13 @@ fn render_script(
 /// disagreement, already minimized by delta debugging.
 pub fn run_seed(seed: u64, n: usize, chaos: ChaosOpts) -> Option<Divergence> {
     let workload = generate(seed, n);
-    let mut db = fresh_db(chaos);
+    let (mut db, crossings) = checked_db(chaos);
     for sql in &workload.preamble {
         db.execute(sql).unwrap_or_else(|e| panic!("preamble failed: {sql}: {e}"));
     }
     let mut mirror = Mirror::default();
     for (i, s) in workload.stmts.iter().enumerate() {
-        if let Some(detail) = step(&mut db, &mut mirror, s, chaos) {
+        if let Some(detail) = step(&mut db, &crossings, &mut mirror, s, chaos) {
             let kept = ddmin(&workload.preamble, &workload.stmts[..i], s, chaos);
             let script = render_script(seed, i, &detail, &workload.preamble, &kept, s);
             return Some(Divergence { seed, step: i, detail, minimized: kept.len() + 1, script });
@@ -492,17 +623,6 @@ pub fn run_seed(seed: u64, n: usize, chaos: ChaosOpts) -> Option<Divergence> {
 }
 
 // ---- crash-recover-compare mode --------------------------------------------
-
-/// `SELECT *` bag of one table, as sorted display strings (rows have no
-/// guaranteed order, and `Value` is not `Ord`).
-fn table_bag(db: &mut Database, table: &str) -> Result<Vec<String>, String> {
-    let rows = db
-        .query(&format!("SELECT * FROM {table}"))
-        .map_err(|e| format!("SELECT * FROM {table}: {e}"))?;
-    let mut bag: Vec<String> = rows.iter().map(|r| format!("{r:?}")).collect();
-    bag.sort();
-    Ok(bag)
-}
 
 /// `ALTER INDEX … REBUILD` every non-VALID domain index (recovery may
 /// legitimately leave external-file indexes quarantined).
@@ -664,32 +784,11 @@ fn compare_recovered(recovered: &mut Database, twin: &mut Database) -> Option<St
     if let Err(e) = rebuild_degraded(twin) {
         return Some(format!("twin: {e}"));
     }
-    // Per-table bag equality.
-    let mut tables = recovered.catalog().table_names();
-    let mut twin_tables = twin.catalog().table_names();
-    tables.sort();
-    twin_tables.sort();
-    if tables != twin_tables {
-        return Some(format!(
-            "recovered tables {tables:?} != committed-prefix tables {twin_tables:?}"
-        ));
-    }
-    for t in &tables {
-        let got = match table_bag(recovered, t) {
-            Ok(b) => b,
-            Err(e) => return Some(format!("recovered: {e}")),
-        };
-        let want = match table_bag(twin, t) {
-            Ok(b) => b,
-            Err(e) => return Some(format!("twin: {e}")),
-        };
-        if got != want {
-            return Some(format!(
-                "table {t}: recovered bag ({} rows) != committed-prefix bag ({} rows)",
-                got.len(),
-                want.len()
-            ));
-        }
+    // Every table, and every external file's length, must agree.
+    let (got, want) = (observe(recovered, &[]), observe(twin, &[]));
+    if got != want {
+        let first = got.iter().zip(&want).find(|(g, w)| g != w);
+        return Some(format!("recovered != committed prefix, first at {first:?}"));
     }
     // Health must agree too (all VALID after the rebuild pass).
     let mut rh: Vec<(String, HealthState)> =

@@ -11,13 +11,11 @@
 
 use std::collections::BTreeMap;
 
-use extidx_chem::{Fingerprint, Molecule};
 use extidx_common::Value;
-use extidx_spatial::{geometry_sql, Mask};
-use extidx_text::{query::parse_query, tokenizer};
-use extidx_vir::{Signature, Weights};
+use extidx_spatial::geometry_sql;
 
-use crate::gen::{Atom, Col, GenCell, GenRow, Item, Pred, Query, HEAP, IOT};
+use crate::gen::{other_table, Atom, Col, GenCell, GenRow, Item, Pred, Query, Stmt, HEAP, IOT};
+use crate::spec::{Answer, OpAtom};
 
 /// In-memory copies of both fuzz tables, keyed by the unique `id`.
 #[derive(Debug, Default, Clone)]
@@ -42,6 +40,21 @@ impl Mirror {
             other => panic!("unknown fuzz table {other}"),
         }
     }
+
+    /// Apply a statement the engine accepted; queries and index DDL change
+    /// no row.
+    pub fn apply(&mut self, stmt: &Stmt) {
+        match stmt {
+            Stmt::Truncate { table } => self.table_mut(table).clear(),
+            Stmt::Insert { table, row } => drop(self.table_mut(table).insert(row.id, row.clone())),
+            Stmt::Update { table, pred, cell } => {
+                let rows = self.table_mut(table).values_mut().filter(|row| pred.matches(row.id));
+                rows.for_each(|row| apply_cell(row, cell));
+            }
+            Stmt::Delete { table, pred } => self.table_mut(table).retain(|id, _| !pred.matches(*id)),
+            Stmt::Sql(_) | Stmt::Query(_) => {}
+        }
+    }
 }
 
 /// Apply an UPDATE cell to one row.
@@ -53,10 +66,6 @@ pub fn apply_cell(row: &mut GenRow, cell: &GenCell) {
         GenCell::Mol(v) => row.mol = v.clone(),
         GenCell::Num(v) => row.num = *v,
     }
-}
-
-fn mol(s: &str) -> Molecule {
-    Molecule::parse(s).expect("generated molecule parses")
 }
 
 /// `a op b` for the generator's comparison operators ([`crate::gen::CMP_OPS`]).
@@ -71,104 +80,67 @@ fn cmp_holds<T: PartialOrd>(op: &str, a: &T, b: &T) -> bool {
     }
 }
 
-/// Evaluate one atom under three-valued logic: `None` is SQL's UNKNOWN.
-/// Any NULL operand — stored or literal — makes an operator atom
-/// UNKNOWN, matching both the engine's functional short-circuit and the
-/// domain-index path (which never returns rows for NULL arguments).
-pub fn eval_atom(a: &Atom, row: &GenRow) -> Option<bool> {
-    match a {
-        Atom::Contains { query, .. } => {
-            let q = query.as_deref()?;
-            let doc = row.doc.as_deref()?;
-            let parsed = parse_query(q).expect("generated text query parses");
-            let tokens = tokenizer::tokenize(doc, &tokenizer::StopWords::none());
-            Some(parsed.matches(&tokens))
-        }
-        Atom::SdoRelate { window, mask } => {
-            let w = window.as_ref()?;
-            let g = row.geom.as_ref()?;
-            let m = Mask::parse(mask).expect("generated mask parses");
-            Some(g.relate(w, m))
-        }
-        Atom::VirSimilar { sig, weights, threshold } => {
-            let q = Signature::deserialize(sig.as_deref()?).expect("query signature parses");
-            let s = Signature::deserialize(row.img.as_deref()?).expect("stored signature parses");
-            let w = Weights::parse(weights).expect("generated weights parse");
-            Some(s.distance(&q, &w) <= *threshold)
-        }
-        Atom::MolContains { frag } => {
-            let f = mol(frag.as_deref()?);
-            let m = mol(row.mol.as_deref()?);
-            Some(m.contains_subgraph(&f))
-        }
-        Atom::MolSimilar { query, threshold } => {
-            let a = Fingerprint::of(&mol(row.mol.as_deref()?));
-            let b = Fingerprint::of(&mol(query));
-            Some(a.tanimoto(&b) >= *threshold)
-        }
-        Atom::NumCmp { op, value } => Some(cmp_holds(op, &row.num?, value)),
-        Atom::KeyCmp { col, op, value } => Some(cmp_holds(op, &col.of(row.id)?, value)),
-        Atom::KeyBetween { col, lo, hi } => Some((*lo..=*hi).contains(&col.of(row.id)?)),
-        Atom::IsNull { col, negated } => {
-            let is_null = match col {
-                Col::Doc => row.doc.is_none(),
-                Col::Geom => row.geom.is_none(),
-                Col::Img => row.img.is_none(),
-                Col::Mol => row.mol.is_none(),
-                Col::Num => row.num.is_none(),
-            };
-            Some(is_null != *negated)
-        }
-    }
+/// Evaluate one atom under three-valued logic: `None` is SQL's UNKNOWN,
+/// `Err` the operator's refusal of its arguments. Any NULL operand —
+/// stored or literal — makes an operator atom UNKNOWN, matching both the
+/// engine's functional short-circuit and the domain-index path (which
+/// never returns rows for NULL arguments).
+pub fn eval_atom(a: &Atom, row: &GenRow) -> Answer {
+    Ok(match a {
+        Atom::Op(op) => return op.holds(row),
+        Atom::NumCmp { op, value } => row.num.map(|n| cmp_holds(op, &n, value)),
+        Atom::KeyCmp { col, op, value } => col.of(row.id).map(|k| cmp_holds(op, &k, value)),
+        Atom::KeyBetween { col, lo, hi } => col.of(row.id).map(|k| (*lo..=*hi).contains(&k)),
+        Atom::IsNull { col: Col::Num, negated } => Some(row.num.is_none() != *negated),
+        Atom::IsNull { col, negated } => Some(row.arg(*col).is_null() != *negated),
+    })
 }
 
 /// Kleene AND/OR over the predicate tree.
-pub fn eval_pred(p: &Pred, row: &GenRow) -> Option<bool> {
-    match p {
-        Pred::Atom(a) => eval_atom(a, row),
-        Pred::And(cs) => {
-            let mut unknown = false;
-            for c in cs {
-                match eval_pred(c, row) {
-                    Some(false) => return Some(false),
-                    None => unknown = true,
-                    Some(true) => {}
-                }
-            }
-            if unknown {
-                None
-            } else {
-                Some(true)
-            }
+pub fn eval_pred(p: &Pred, row: &GenRow) -> Answer {
+    let (cs, and) = match p {
+        Pred::Atom(a) => return eval_atom(a, row),
+        Pred::And(cs) => (cs, true),
+        Pred::Or(cs) => (cs, false),
+    };
+    // AND stops at a FALSE, OR at a TRUE; otherwise UNKNOWN wins.
+    let mut unknown = false;
+    for c in cs {
+        match eval_pred(c, row)? {
+            Some(v) if v != and => return Ok(Some(v)),
+            None => unknown = true,
+            Some(_) => {}
         }
-        Pred::Or(cs) => {
-            let mut unknown = false;
-            for c in cs {
-                match eval_pred(c, row) {
-                    Some(true) => return Some(true),
-                    None => unknown = true,
-                    Some(false) => {}
-                }
-            }
-            if unknown {
-                None
-            } else {
-                Some(false)
+    }
+    Ok((!unknown).then_some(and))
+}
+
+/// The rows of the query's table its WHERE clause accepts (TRUE; UNKNOWN
+/// rejects), in id order — before LIMIT — or the refusal the first row
+/// that reaches a refused operator meets.
+pub fn accepted<'m>(q: &Query, mirror: &'m Mirror) -> Result<Vec<&'m GenRow>, String> {
+    let mut out = Vec::new();
+    for row in mirror.table(q.table).values() {
+        if eval_pred(&q.pred, row)? == Some(true) {
+            out.push(row);
+        }
+    }
+    Ok(out)
+}
+
+/// The join form's expected `(o.id, i.id)` pairs ([`Query::join_sql`]),
+/// sorted, as the engine's rows display.
+pub fn join_rows(q: &Query, atom: &OpAtom, mirror: &Mirror) -> Result<Vec<Vec<String>>, String> {
+    let mut rows = Vec::new();
+    for o in mirror.table(other_table(q.table)).values() {
+        for i in mirror.table(q.table).values() {
+            if atom.holds_joined(o, i)? == Some(true) {
+                rows.push(vec![o.id.to_string(), i.id.to_string()]);
             }
         }
     }
-}
-
-/// All ids the query's WHERE clause accepts, ascending — before LIMIT.
-/// A WHERE clause accepts a row only when it evaluates to TRUE (UNKNOWN
-/// rejects).
-pub fn accepted_ids(q: &Query, mirror: &Mirror) -> Vec<i64> {
-    mirror
-        .table(q.table)
-        .values()
-        .filter(|row| eval_pred(&q.pred, row) == Some(true))
-        .map(|row| row.id)
-        .collect()
+    rows.sort();
+    Ok(rows)
 }
 
 /// Whether the mirror models an item's values. A geometry, an image or a
@@ -208,14 +180,12 @@ fn mirror_cell(item: Item, row: &GenRow) -> (String, String) {
 /// The query's expected answer as [`answer_rows`] renders the engine's:
 /// ascending by id and truncated by LIMIT under `ORDER BY id LIMIT n`,
 /// else deduplicated under DISTINCT and sorted.
-pub fn query_rows(q: &Query, mirror: &Mirror) -> Vec<Vec<String>> {
-    let rows = mirror.table(q.table).values();
-    let accepted = rows.filter(|row| eval_pred(&q.pred, row) == Some(true));
-    let cells = accepted.map(|row| -> (Vec<String>, Vec<String>) {
+pub fn query_rows(q: &Query, mirror: &Mirror) -> Result<Vec<Vec<String>>, String> {
+    let cells = accepted(q, mirror)?.into_iter().map(|row| -> (Vec<String>, Vec<String>) {
         q.items.iter().map(|&i| mirror_cell(i, row)).unzip()
     });
     let mut rows: Vec<Vec<String>> = match q.order_limit {
-        Some(n) => return cells.take(n as usize).map(|(shown, _)| shown).collect(),
+        Some(n) => return Ok(cells.take(n as usize).map(|(shown, _)| shown).collect()),
         None if q.distinct => {
             let mut seen = BTreeMap::new();
             for (shown, identity) in cells {
@@ -226,7 +196,7 @@ pub fn query_rows(q: &Query, mirror: &Mirror) -> Vec<Vec<String>> {
         None => cells.map(|(shown, _)| shown).collect(),
     };
     rows.sort();
-    rows
+    Ok(rows)
 }
 
 /// An engine answer to `q` in the two forms the oracles compare: as
@@ -254,32 +224,35 @@ pub fn answer_rows(q: &Query, rows: &[Vec<Value>]) -> Result<[Vec<Vec<String>>; 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::Atom;
+    use crate::spec::{Arg, SPECS};
 
     fn row(id: i64, doc: Option<&str>, num: Option<f64>) -> GenRow {
         GenRow { id, doc: doc.map(String::from), geom: None, img: None, mol: None, num }
     }
 
+    fn contains(query: Option<&str>) -> Atom {
+        let args = vec![Arg::Str(query.map(String::from))];
+        Atom::Op(OpAtom { spec: &SPECS[0], args, col_second: false, label: None })
+    }
+
     #[test]
     fn null_operands_are_unknown_not_false_positive() {
         let r = row(1, None, None);
-        let contains = Atom::Contains { query: Some("alpha".into()), label: None };
-        assert_eq!(eval_atom(&contains, &r), None, "NULL doc is UNKNOWN");
-        let null_query = Atom::Contains { query: None, label: None };
+        assert_eq!(eval_atom(&contains(Some("alpha")), &r), Ok(None), "NULL doc is UNKNOWN");
         let r2 = row(2, Some("alpha beta"), None);
-        assert_eq!(eval_atom(&null_query, &r2), None, "NULL literal is UNKNOWN");
+        assert_eq!(eval_atom(&contains(None), &r2), Ok(None), "NULL literal is UNKNOWN");
         let isnull = Atom::IsNull { col: Col::Doc, negated: false };
-        assert_eq!(eval_atom(&isnull, &r), Some(true), "IS NULL is two-valued");
+        assert_eq!(eval_atom(&isnull, &r), Ok(Some(true)), "IS NULL is two-valued");
     }
 
     #[test]
     fn kleene_or_rescues_unknown_and_rejects_it() {
         let r = row(1, None, Some(5.0));
-        let unknown = Pred::Atom(Atom::Contains { query: Some("x".into()), label: None });
+        let unknown = Pred::Atom(contains(Some("x")));
         let yes = Pred::Atom(Atom::NumCmp { op: ">", value: 1.0 });
         let no = Pred::Atom(Atom::NumCmp { op: "<", value: 1.0 });
-        assert_eq!(eval_pred(&Pred::Or(vec![unknown.clone(), yes]), &r), Some(true));
-        assert_eq!(eval_pred(&Pred::Or(vec![unknown.clone(), no.clone()]), &r), None);
-        assert_eq!(eval_pred(&Pred::And(vec![unknown, no]), &r), Some(false));
+        assert_eq!(eval_pred(&Pred::Or(vec![unknown.clone(), yes]), &r), Ok(Some(true)));
+        assert_eq!(eval_pred(&Pred::Or(vec![unknown.clone(), no.clone()]), &r), Ok(None));
+        assert_eq!(eval_pred(&Pred::And(vec![unknown, no]), &r), Ok(Some(false)));
     }
 }

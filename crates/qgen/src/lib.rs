@@ -11,24 +11,34 @@
 //! `/*+ FULL */`), and demands bag-equality of the result sets and
 //! NoREC-style agreement between row retrieval and `COUNT(*)`.
 //!
+//! - [`spec`] — one [`spec::OperatorSpec`] per user-defined operator: its
+//!   indextypes and `PARAMETERS`, value and argument draws (edge values
+//!   included), column positions, mirror predicate, and the fixture the
+//!   fault and crash matrices drive; every module below reads it;
 //! - [`gen`] — structured schemas, rows, and statement streams, fully
 //!   deterministic per seed (heap and index-organized tables, NULL-heavy
 //!   columns, all five cartridge domains, mixed AND/OR predicates,
-//!   ancillary `Score`, ORDER BY/LIMIT);
+//!   ancillary `Score`, ORDER BY/LIMIT, a generated two-table join form);
 //! - [`interp`] — the brute-force mirror interpreter: a `BTreeMap` of
 //!   structured rows evaluated with SQL three-valued logic, sharing no
 //!   code with the parser, optimizer, executor, or index layers;
+//! - [`checked`] — the plug-in boundary checked: every indextype runs
+//!   behind a wrapper that reports a NULL argument row reaching
+//!   `ODCIIndexStart` and a Start left unclosed (and plants the lost-batch
+//!   bug under [`ChaosOpts::drop_last_batch`]);
 //! - [`harness`] — execution, comparison, deterministic replay, and
 //!   delta-debugging shrink to a minimal self-contained SQL repro.
 
+pub mod checked;
 pub mod concurrent;
 pub mod gen;
 pub mod harness;
 pub mod interp;
+pub mod spec;
 
 pub use concurrent::{
     conflict_storm, lost_update_demo, run_concurrent_seed, run_concurrent_seed_opts,
     ConcurrentReport, StormReport,
 };
 pub use gen::{generate, Workload};
-pub use harness::{fresh_db, run_crash_seed, run_multi_crash_seed, run_seed, ChaosOpts, Divergence};
+pub use harness::{checked_db, fresh_db, run_crash_seed, run_multi_crash_seed, run_seed, ChaosOpts, Divergence};

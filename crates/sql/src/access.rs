@@ -924,8 +924,7 @@ pub(crate) fn best_table_access(
     // restated over its physical column index. The conjuncts stay
     // in the residual filter — the bound only lets the scan skip pages
     // whose recorded min/max provably exclude every qualifying row.
-    let zone_prune: Vec<ZoneBound> = if db.zone_pruning()
-        && matches!(best.kind, CandKind::Full)
+    let zone_prune: Vec<ZoneBound> = if matches!(best.kind, CandKind::Full)
         && matches!(tdef.org, TableOrg::Heap)
     {
         bounds

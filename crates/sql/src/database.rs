@@ -102,19 +102,12 @@ pub struct Database {
     pub(crate) scope: StatementScope,
     /// Rows per ODCIIndexFetch call (the §2.5 batch interface, E8).
     pub(crate) batch_size: usize,
-    /// Consult per-page zone maps in full scans to skip pages whose
-    /// min/max provably exclude the scan's pruning bounds.
-    pub(crate) zone_pruning: bool,
     /// Fault injection at every server↔cartridge crossing.
     fault: FaultInjector,
     /// Per-crossing tick budget for sandboxed cartridge calls: every
     /// server callback a routine issues costs one tick, and exceeding the
     /// budget converts the call into an [`Error::CartridgeFault`].
     tick_budget: u64,
-    /// Deliberate executor bug for validating the differential oracle:
-    /// when set, a domain scan silently discards the rows of its final
-    /// ODCIIndexFetch batch. Never enabled outside tests.
-    pub(crate) chaos_drop_last_domain_batch: bool,
     /// Bounded per-statement execution history backing `V$SQLSTATS`.
     pub(crate) sqlstats: Mutex<VecDeque<SqlStat>>,
     next_sql_id: AtomicU64,
@@ -274,10 +267,8 @@ impl Database {
             trace: CallTrace::new(),
             scope: StatementScope::default(),
             batch_size: 32,
-            zone_pruning: true,
             fault: FaultInjector::new(),
             tick_budget: extidx_core::DEFAULT_TICK_BUDGET,
-            chaos_drop_last_domain_batch: false,
             sqlstats: Mutex::new(VecDeque::new()),
             next_sql_id: AtomicU64::new(0),
             governor: Arc::default(),
@@ -375,27 +366,6 @@ impl Database {
     /// Current domain-scan fetch batch size.
     pub fn batch_size(&self) -> usize {
         self.batch_size
-    }
-
-    /// Toggle zone-map page pruning in full scans (on by default). Kept
-    /// as a knob because the off arm is the reference: the widen-never-
-    /// narrow tests and E15 compare pruned scans against unpruned ones.
-    pub fn set_zone_pruning(&mut self, on: bool) {
-        self.zone_pruning = on;
-    }
-
-    /// Whether full scans consult zone maps.
-    pub fn zone_pruning(&self) -> bool {
-        self.zone_pruning
-    }
-
-    /// Plant the deliberate lost-last-batch executor bug. Kept as the
-    /// differential oracle's negative control: it exists solely so the
-    /// oracle's own tests can prove the oracle detects (and minimizes) a
-    /// real result-corruption defect.
-    #[doc(hidden)]
-    pub fn set_chaos_drop_last_domain_batch(&mut self, on: bool) {
-        self.chaos_drop_last_domain_batch = on;
     }
 
     /// Direct storage access for white-box tests and benches.
@@ -1256,7 +1226,9 @@ impl Database {
     /// injected) first rewinds the failed call's partial storage effects —
     /// undo recorded past a pre-call mark — then retries under the
     /// bounded-backoff [`RetryPolicy`]. Exhausted retries surface the
-    /// underlying error.
+    /// underlying error, and so does a retryable failure of an index that
+    /// keeps external files: the rewind cannot reach them, so a retry would
+    /// apply the call's file writes twice.
     fn invoke_maintenance(&mut self, d: &DomainIndexDef, op: MaintOp) -> Result<()> {
         let (index, _, info) = self.domain_index_runtime(d)?;
         let retry = RetryPolicy::default();
@@ -1271,7 +1243,11 @@ impl Database {
                     self.scope.maint.push(MaintRecord { index: d.name.clone(), op });
                     return Ok(());
                 }
-                Err(e) if e.is_retryable() && retry.should_retry(attempt) => {
+                Err(e)
+                    if e.is_retryable()
+                        && retry.should_retry(attempt)
+                        && index.external_files(&info).is_empty() =>
+                {
                     // Rewind just this call's partial effects so the retry
                     // starts from a clean slate instead of double-applying.
                     self.storage.rollback_to(mark).map_err(|cause| Error::RollbackFailed {

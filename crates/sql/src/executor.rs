@@ -1182,11 +1182,6 @@ impl DomainScanExec {
             if result.rows.is_empty() {
                 continue;
             }
-            // Deliberate, test-armed bug: lose the scan's final batch.
-            // The differential oracle must catch this (ISSUE acceptance).
-            if result.done && db.chaos_drop_last_domain_batch {
-                continue;
-            }
             // Join the whole fetch batch at once: one page-ordered
             // multi-fetch instead of a heap_fetch per rowid.
             let rids: Vec<RowId> = result.rows.iter().map(|fr| fr.rowid).collect();

@@ -76,13 +76,12 @@ fn reads_a_table(stmt: &Statement) -> bool {
     )
 }
 
-/// What a plan was made under. It holds while all four inputs do: the
-/// dictionary version, the health epoch (no index changed state), the
-/// zone-pruning setting, and the size class of every table the plan reads.
+/// What a plan was made under. It holds while all three inputs do: the
+/// dictionary version, the health epoch (no index changed state), and the
+/// size class of every table the plan reads.
 struct Stamp {
     catalog: u64,
     health: u64,
-    zone_pruning: bool,
     sizes: Vec<TableSize>,
 }
 
@@ -110,7 +109,6 @@ impl Stamp {
     fn holds(&self, db: &Database) -> bool {
         self.catalog == db.catalog.version()
             && self.health == db.catalog.health.epoch()
-            && self.zone_pruning == db.zone_pruning
             && self.sizes.iter().all(|s| TableSize::of(&db.storage, s.seg, s.iot) == *s)
     }
 }
@@ -182,8 +180,7 @@ impl StatementCache {
         // The inputs are read before planning: one that moves meanwhile
         // leaves the stamp older than the plan, and the next execution
         // replans.
-        let (catalog, health, zone_pruning) =
-            (ecx.catalog.version(), ecx.catalog.health.epoch(), ecx.zone_pruning);
+        let (catalog, health) = (ecx.catalog.version(), ecx.catalog.health.epoch());
         let plan = Arc::new(make(ecx)?);
         let sizes = plan
             .root
@@ -192,7 +189,7 @@ impl StatementCache {
             .filter_map(|t| ecx.catalog.table(t).ok())
             .map(|t| TableSize::of(&ecx.storage, t.seg, matches!(t.org, TableOrg::Index { .. })))
             .collect();
-        *p.plan.lock() = Some((Stamp { catalog, health, zone_pruning, sizes }, Arc::clone(&plan)));
+        *p.plan.lock() = Some((Stamp { catalog, health, sizes }, Arc::clone(&plan)));
         Ok(plan)
     }
 

@@ -84,12 +84,12 @@ cargo test -q -p extidx-sql --lib executor::tests
 cargo test -q --test rows_copied_once
 # One domain-index access path (DESIGN.md §4b "Domain join"): a domain join
 # is a domain scan with an outer input. An outer row with a NULL argument
-# gets an empty pass and no ODCIIndexStart; NO_INDEX / FULL on the inner
-# table plan the functional twin; and the seeded join differential (both
-# spatial indextypes × four masks with NULL geometries on both sides, plus
-# the text join) holds indexed ≡ NO_INDEX and Start ≡ Close.
+# gets an empty pass and no ODCIIndexStart; and NO_INDEX / FULL on the
+# inner table plan the functional twin. The generated join form of the
+# differential oracle (qgen) holds indexed ≡ mirror ≡ NO_INDEX and
+# Start ≡ Close for every operator (the "one operator spec" stanza).
 cargo test -q --test consistency -- a_null_outer_argument_empties_its_domain_join_pass \
-    no_index_and_full_hints_bind_a_domain_join seeded_domain_joins_match_their_functional_twin
+    no_index_and_full_hints_bind_a_domain_join
 cargo test -q --test scan_lifecycle domain_join_scans_balance_under_faults
 # Set-at-a-time domain scans: one batched ODCIIndexStart per outer batch.
 # The indexed column second keeps an asymmetric mask's direction (scan and
@@ -121,8 +121,8 @@ cargo test -q -p extidx-text -p extidx-spatial -p extidx-vir delete_cost_does_no
 
 # The statement cache (DESIGN.md §4m): the stale-plan tests — each
 # changes one input of a cached plan's validity stamp (CREATE/DROP INDEX,
-# quarantine and REBUILD, DROP + CREATE TABLE, ANALYZE, zone pruning, a
-# table's growth, crash recovery) and demands the answer of a twin planned
+# quarantine and REBUILD, DROP + CREATE TABLE, ANALYZE, a table's growth,
+# crash recovery) and demands the answer of a twin planned
 # afresh — the bind cases (NULL key binds, a reversed BETWEEN, a stale
 # ROWID, too few binds, every callback shape planned like its literal
 # form), and the bind ≡ literal qgen sweep, whose warm-up binds catch a
@@ -497,7 +497,7 @@ if grep -n "match_op_predicat[e]" crates/sql/src/optimizer.rs; then
     exit 1
 fi
 for t in a_null_outer_argument_empties_its_domain_join_pass \
-    no_index_and_full_hints_bind_a_domain_join seeded_domain_joins_match_their_functional_twin \
+    no_index_and_full_hints_bind_a_domain_join \
     an_indexed_column_second_keeps_the_masks_direction_in_a_scan \
     an_indexed_column_second_keeps_the_masks_direction_in_a_join \
     text_vir_and_chem_refuse_an_indexed_column_second; do
@@ -640,5 +640,27 @@ cargo test -q --test server_governor -- \
     timeout_inside_a_multi_batch_key_range_read_keeps_start_close_balanced \
     a_tick_budget_below_the_read_batches_faults_the_start
 cargo test -q --test observability v_tables_answer_plain_sql
+
+# One operator spec drives every oracle (DESIGN.md §4e): qgen's `spec`
+# module describes each operator once; the generator, the mirror, the
+# generated join form and the fault and crash matrices read it, and the
+# `Checked` wrapper checks the plug-in boundary. No test hand-writes a
+# cartridge rig again, and the engine keeps no test-only switch for them.
+# The wrapper's own test, the whole-predicate draws, the rig-driven chaos
+# sweep and the FILE-store retry pin run by name; the crash matrix over the
+# same rigs runs in the crash-recovery stanza, the differential sweeps
+# with the generated join form in the differential one.
+# (Bracketed so the patterns do not match this file.)
+echo "== one operator spec (structural guard + spec-driven sweeps) =="
+if grep -rnE "fn (text|spatial|vir|chem)_ri[g]" tests; then
+    exit 1
+fi
+if grep -rnE "chaos_drop_last_domain_batc[h]|zone_prunin[g]" crates/sql/src; then
+    exit 1
+fi
+grep -q "fn domain_index_crash_matrix" tests/recovery.rs
+cargo test -q -p extidx-qgen --lib -- checked::tests gen::tests::boundary_and_refused
+cargo test -q --test fault_matrix -- --include-ignored chaos_faults_never_desynchronize_the_index \
+    transient_faults_are_absorbed_by_retry
 
 echo "CI OK"

@@ -11,7 +11,6 @@ use extidx::sql::Database;
 use extidx::text::tokenizer::{tokenize, StopWords};
 use extidx::text::query::parse_query;
 
-const MASKS: [&str; 4] = ["ANYINTERACT", "OVERLAPS", "INSIDE", "CONTAINS"];
 const VOCAB: [&str; 8] = ["ale", "brix", "cole", "dun", "erg", "fyn", "gorse", "hale"];
 
 fn random_doc(rng: &mut StdRng) -> String {
@@ -136,77 +135,9 @@ fn random_workload_never_desynchronizes_the_index() {
     assert_eq!(actual as usize, expected_postings);
 }
 
-#[test]
-fn two_spatial_indextypes_agree_under_churn() {
-    // Cross-validation: the tile index and the R-tree index are fully
-    // independent implementations of the same operator. Drive both with
-    // an identical random DML stream and demand identical query answers
-    // throughout — disagreement means one of them drifted.
-    use extidx::spatial::{geometry_sql, SpatialWorkload};
-
-    let mut dbs: Vec<Database> = Vec::new();
-    for indextype in ["SpatialIndexType", "RtreeIndexType"] {
-        let mut db = Database::with_cache_pages(8192);
-        extidx::spatial::install(&mut db).unwrap();
-        db.execute("CREATE TABLE parcels (gid INTEGER, geometry SDO_GEOMETRY)").unwrap();
-        db.execute(&format!(
-            "CREATE INDEX sidx ON parcels(geometry) INDEXTYPE IS {indextype}"
-        ))
-        .unwrap();
-        dbs.push(db);
-    }
-
-    let mut rng = StdRng::seed_from_u64(424_242);
-    let mut wl = SpatialWorkload::new(800.0, 9);
-    let mut live: Vec<i64> = Vec::new();
-    let mut next_gid = 0i64;
-    for step in 0..150 {
-        match rng.gen_range(0..10) {
-            0..=5 => {
-                let g = geometry_sql(&wl.rect(3.0, 60.0));
-                for db in dbs.iter_mut() {
-                    db.execute(&format!("INSERT INTO parcels VALUES ({next_gid}, {g})")).unwrap();
-                }
-                live.push(next_gid);
-                next_gid += 1;
-            }
-            6..=7 if !live.is_empty() => {
-                let gid = live[rng.gen_range(0..live.len())];
-                let g = geometry_sql(&wl.rect(3.0, 60.0));
-                for db in dbs.iter_mut() {
-                    db.execute(&format!("UPDATE parcels SET geometry = {g} WHERE gid = {gid}"))
-                        .unwrap();
-                }
-            }
-            _ if !live.is_empty() => {
-                let pos = rng.gen_range(0..live.len());
-                let gid = live.swap_remove(pos);
-                for db in dbs.iter_mut() {
-                    db.execute(&format!("DELETE FROM parcels WHERE gid = {gid}")).unwrap();
-                }
-            }
-            _ => {}
-        }
-        if step % 5 == 0 {
-            let window = geometry_sql(&wl.rect(100.0, 300.0));
-            for mask in ["ANYINTERACT", "OVERLAPS", "INSIDE"] {
-                let sql = format!(
-                    "SELECT gid FROM parcels WHERE Sdo_Relate(geometry, {window}, 'mask={mask}') \
-                     ORDER BY gid"
-                );
-                let a = dbs[0].query(&sql).unwrap();
-                let b = dbs[1].query(&sql).unwrap();
-                assert_eq!(a, b, "indextypes disagree at step {step}, mask {mask}");
-            }
-        }
-    }
-}
-
-#[test]
-fn text_operator_as_indexed_join_condition() {
-    // §2.3: "A user-defined operator can also be a join condition." A
-    // keyword table joined against the document corpus through Contains,
-    // evaluated via a parameterized domain-index scan per keyword row.
+/// Docs `0..300` of seeded random words under a text index, and a
+/// watchlist holding the `terms` rows, traced.
+fn docs_and_watchlist(terms: &str) -> Database {
     let mut db = Database::with_cache_pages(8192);
     extidx::text::install(&mut db).unwrap();
     db.execute("CREATE TABLE docs (id INTEGER, body VARCHAR2(400))").unwrap();
@@ -217,7 +148,17 @@ fn text_operator_as_indexed_join_condition() {
     }
     db.execute("CREATE INDEX dt ON docs(body) INDEXTYPE IS TextIndexType").unwrap();
     db.execute("CREATE TABLE watchlist (term VARCHAR2(20))").unwrap();
-    db.execute("INSERT INTO watchlist VALUES ('ale'), ('gorse')").unwrap();
+    db.execute(&format!("INSERT INTO watchlist VALUES {terms}")).unwrap();
+    db.trace().set_enabled(true);
+    db
+}
+
+#[test]
+fn text_operator_as_indexed_join_condition() {
+    // §2.3: "A user-defined operator can also be a join condition." A
+    // keyword table joined against the document corpus through Contains,
+    // evaluated via a parameterized domain-index scan per keyword row.
+    let mut db = docs_and_watchlist("('ale'), ('gorse')");
 
     let sql = "SELECT w.term, d.id FROM watchlist w, docs d WHERE Contains(d.body, w.term)";
     let plan = db.explain(sql).unwrap().join("\n");
@@ -340,18 +281,7 @@ fn a_null_outer_argument_empties_its_domain_join_pass() {
     assert!(!bag(&mut db, all).is_empty());
 
     // The text join: a NULL watchlist term matches nothing.
-    let mut db = Database::with_cache_pages(8192);
-    extidx::text::install(&mut db).unwrap();
-    db.execute("CREATE TABLE docs (id INTEGER, body VARCHAR2(400))").unwrap();
-    let mut rng = StdRng::seed_from_u64(7);
-    for i in 0..300i64 {
-        let body = random_doc(&mut rng);
-        db.execute_with("INSERT INTO docs VALUES (?, ?)", &[i.into(), body.into()]).unwrap();
-    }
-    db.execute("CREATE INDEX dt ON docs(body) INDEXTYPE IS TextIndexType").unwrap();
-    db.execute("CREATE TABLE watchlist (term VARCHAR2(20))").unwrap();
-    db.execute("INSERT INTO watchlist VALUES ('ale'), (NULL), ('gorse')").unwrap();
-    db.trace().set_enabled(true);
+    let mut db = docs_and_watchlist("('ale'), (NULL), ('gorse')");
     let sql = "SELECT w.term, d.id FROM watchlist w, docs d WHERE Contains(d.body, w.term)";
     assert_eq!(join_matches_functional_twin(&mut db, sql), (1, 2), "Start given the NULL term");
     assert!(!bag(&mut db, sql).is_empty());
@@ -377,81 +307,6 @@ fn no_index_and_full_hints_bind_a_domain_join() {
     // Forcing an index that only a join predicate can use stays an error:
     // the inner table's own access has no predicate for it.
     assert!(db.query(&hinted(sql, "INDEX(p parks_sidx)")).is_err());
-}
-
-#[test]
-fn seeded_domain_joins_match_their_functional_twin() {
-    // Random layers with ~10 % NULL geometries on both sides, joined
-    // through each spatial indextype under every mask, with the indexed
-    // column first and second; then the text join with NULL documents
-    // and NULL terms. Each join is one batched Start given exactly the
-    // outer rows whose argument is not NULL. Seeds are named so a failure
-    // reproduces.
-    use extidx::spatial::{geometry_sql, SpatialWorkload};
-
-    const SEEDS: [u64; 2] = [0x101A_0001, 0x101A_0002];
-    for seed in SEEDS {
-        for indextype in ["SpatialIndexType", "RtreeIndexType"] {
-            let mut db = Database::with_cache_pages(4096);
-            extidx::spatial::install(&mut db).unwrap();
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut wl = SpatialWorkload::new(300.0, seed);
-            let mut outer_live = 0u64;
-            for (table, rows) in [("roads", 30i64), ("parks", 60)] {
-                db.execute(&format!("CREATE TABLE {table} (gid INTEGER, geometry SDO_GEOMETRY)"))
-                    .unwrap();
-                for gid in 0..rows {
-                    let g = if rng.gen_bool(0.1) {
-                        "NULL".to_string()
-                    } else {
-                        outer_live += u64::from(table == "roads" && gid < 20);
-                        geometry_sql(&wl.rect(2.0, 90.0))
-                    };
-                    db.execute(&format!("INSERT INTO {table} VALUES ({gid}, {g})")).unwrap();
-                }
-            }
-            db.execute(&format!(
-                "CREATE INDEX parks_sidx ON parks(geometry) INDEXTYPE IS {indextype}"
-            ))
-            .unwrap();
-            db.trace().set_enabled(true);
-            let operands = ["p.geometry, r.geometry", "r.geometry, p.geometry"];
-            for (mask, operands) in MASKS.iter().flat_map(|m| operands.map(|o| (m, o))) {
-                let sql = format!(
-                    "SELECT r.gid, p.gid FROM roads r, parks p \
-                     WHERE Sdo_Relate({operands}, 'mask={mask}') AND r.gid < 20"
-                );
-                let started = join_matches_functional_twin(&mut db, &sql);
-                let want = (u64::from(outer_live > 0), outer_live);
-                assert_eq!(started, want, "seed {seed:#x}, {indextype}, {mask}, {operands}");
-            }
-        }
-
-        let mut db = Database::with_cache_pages(8192);
-        extidx::text::install(&mut db).unwrap();
-        let mut rng = StdRng::seed_from_u64(seed);
-        db.execute("CREATE TABLE docs (id INTEGER, body VARCHAR2(400))").unwrap();
-        for i in 0..200i64 {
-            let body = if rng.gen_bool(0.1) { None } else { Some(random_doc(&mut rng)) };
-            let body = body.map_or(extidx::common::Value::Null, Into::into);
-            db.execute_with("INSERT INTO docs VALUES (?, ?)", &[i.into(), body]).unwrap();
-        }
-        db.execute("CREATE INDEX dt ON docs(body) INDEXTYPE IS TextIndexType").unwrap();
-        db.execute("CREATE TABLE watchlist (term VARCHAR2(20))").unwrap();
-        let mut live = 0u64;
-        for term in VOCAB {
-            if rng.gen_bool(0.1) {
-                db.execute("INSERT INTO watchlist VALUES (NULL)").unwrap();
-            } else {
-                db.execute(&format!("INSERT INTO watchlist VALUES ('{term}')")).unwrap();
-                live += 1;
-            }
-        }
-        db.trace().set_enabled(true);
-        let sql = "SELECT w.term, d.id FROM watchlist w, docs d WHERE Contains(d.body, w.term)";
-        let want = (u64::from(live > 0), live);
-        assert_eq!(join_matches_functional_twin(&mut db, sql), want, "seed {seed:#x}, text");
-    }
 }
 
 /// Two parcels, 1 = (10, 10, 20, 20) inside 2 = (0, 0, 100, 100), indexed

@@ -19,288 +19,65 @@ use extidx::core::fault::FaultKind;
 use extidx::core::health::BreakerConfig;
 use extidx::core::server::ServerContext;
 use extidx::sql::Database;
-use extidx::spatial::{geometry_sql, SpatialWorkload};
-use extidx::vir::SignatureWorkload;
-use extidx_common::{Error, Value};
+use extidx_common::Error;
+use extidx_qgen::spec::{named_rig, observe, rigs, Rig};
+use extidx_qgen::{fresh_db, ChaosOpts};
 
-/// A deterministic snapshot of *everything observable*: every cataloged
-/// table's full contents (this includes the DR$ index-storage tables),
-/// every external file's length, and the results of index-path probe
-/// queries. Two equal snapshots mean base table, B-tree path, and domain
-/// index agree byte-for-byte.
-fn snapshot(db: &mut Database, probes: &[(String, Vec<Value>)]) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut tables = db.catalog().table_names();
-    tables.sort();
-    for t in tables {
-        let mut rows: Vec<String> = db
-            .query(&format!("SELECT * FROM {t}"))
-            .unwrap_or_else(|e| panic!("snapshot of {t}: {e}"))
-            .iter()
-            .map(|r| format!("{r:?}"))
-            .collect();
-        rows.sort();
-        out.push(format!("table {t}: {}", rows.join(" | ")));
-    }
-    let mut files = db.storage().files_ref().list();
-    files.sort();
-    for f in files {
-        let len = db.storage().files_ref().length(&f).unwrap_or(u64::MAX);
-        out.push(format!("file {f}: {len} bytes"));
-    }
-    for (sql, binds) in probes {
-        let mut rows: Vec<String> = db
-            .query_with(sql, binds)
-            .unwrap_or_else(|e| panic!("probe {sql}: {e}"))
-            .iter()
-            .map(|r| format!("{r:?}"))
-            .collect();
-        rows.sort();
-        out.push(format!("probe {sql}: {}", rows.join(" | ")));
-    }
-    out
+/// A fresh engine holding `rig`'s fixture.
+fn loaded(rig: &Rig) -> Database {
+    let mut db = fresh_db(ChaosOpts::default());
+    rig.load(&mut db);
+    db
 }
 
-struct Rig {
-    name: &'static str,
-    indextype: &'static str,
-    db: Database,
-    /// (label, sql, binds) — each statement touches several rows so a
-    /// mid-statement fault leaves *completed* maintenance calls behind
-    /// that only the compensation log can reverse.
-    dmls: Vec<(&'static str, String, Vec<Value>)>,
-    probes: Vec<(String, Vec<Value>)>,
-    /// Cartridge-internal fault points (checked with no indextype filter).
-    internal_points: Vec<&'static str>,
-}
-
-fn text_rig() -> Rig {
-    let mut db = Database::with_cache_pages(4096);
-    extidx::text::install(&mut db).unwrap();
-    db.execute("CREATE TABLE docs (id INTEGER, body VARCHAR2(200))").unwrap();
-    for (id, body) in
-        [(1, "ale under the gorse"), (2, "cole and dun ferries"), (3, "gorse hale erg")]
-    {
-        db.execute_with("INSERT INTO docs VALUES (?, ?)", &[i64::from(id).into(), body.into()])
-            .unwrap();
-    }
-    db.execute("CREATE INDEX dt ON docs(body) INDEXTYPE IS TextIndexType").unwrap();
-    db.execute("CREATE INDEX db_id ON docs(id)").unwrap();
-    Rig {
-        name: "text",
-        indextype: "TEXTINDEXTYPE",
-        db,
-        dmls: vec![
-            (
-                "insert",
-                "INSERT INTO docs VALUES (10, 'fyn brix gorse'), (11, 'ale cole'), \
-                 (12, 'dun erg hale')"
-                    .into(),
-                vec![],
-            ),
-            ("update", "UPDATE docs SET body = 'brix fyn rewritten' WHERE id >= 2".into(), vec![]),
-            ("delete", "DELETE FROM docs WHERE id >= 2".into(), vec![]),
-        ],
-        probes: vec![
-            ("SELECT id FROM docs WHERE Contains(body, 'gorse')".into(), vec![]),
-            ("SELECT id FROM docs WHERE Contains(body, 'ale OR dun')".into(), vec![]),
-            ("SELECT body FROM docs WHERE id = 2".into(), vec![]),
-        ],
-        internal_points: vec![
-            "text.maintenance.indexed",
-            "text.maintenance.reindex",
-            "text.maintenance.unindexed",
-        ],
-    }
-}
-
-fn spatial_rig(indextype: &'static str, internal: Vec<&'static str>) -> Rig {
-    let mut db = Database::with_cache_pages(4096);
-    extidx::spatial::install(&mut db).unwrap();
-    db.execute("CREATE TABLE parcels (gid INTEGER, geometry SDO_GEOMETRY)").unwrap();
-    let mut wl = SpatialWorkload::new(800.0, 41);
-    for gid in 1..=3i64 {
-        let g = geometry_sql(&wl.rect(5.0, 50.0));
-        db.execute(&format!("INSERT INTO parcels VALUES ({gid}, {g})")).unwrap();
-    }
-    db.execute(&format!("CREATE INDEX sx ON parcels(geometry) INDEXTYPE IS {indextype}"))
-        .unwrap();
-    db.execute("CREATE INDEX pb_gid ON parcels(gid)").unwrap();
-    let g1 = geometry_sql(&wl.rect(5.0, 50.0));
-    let g2 = geometry_sql(&wl.rect(5.0, 50.0));
-    let g3 = geometry_sql(&wl.rect(5.0, 50.0));
-    let g4 = geometry_sql(&wl.rect(5.0, 50.0));
-    let window = geometry_sql(&wl.rect(200.0, 700.0));
-    Rig {
-        name: if indextype.starts_with("Rtree") { "rtree" } else { "spatial" },
-        indextype: if indextype.starts_with("Rtree") { "RTREEINDEXTYPE" } else { "SPATIALINDEXTYPE" },
-        db,
-        dmls: vec![
-            ("insert", format!("INSERT INTO parcels VALUES (10, {g1}), (11, {g2}), (12, {g3})"), vec![]),
-            ("update", format!("UPDATE parcels SET geometry = {g4} WHERE gid >= 2"), vec![]),
-            ("delete", "DELETE FROM parcels WHERE gid >= 2".into(), vec![]),
-        ],
-        probes: vec![
-            (
-                format!(
-                    "SELECT gid FROM parcels WHERE Sdo_Relate(geometry, {window}, 'mask=ANYINTERACT')"
-                ),
-                vec![],
-            ),
-            ("SELECT gid FROM parcels WHERE gid = 2".into(), vec![]),
-        ],
-        internal_points: internal,
-    }
-}
-
-fn vir_rig() -> Rig {
-    let mut db = Database::with_cache_pages(4096);
-    extidx::vir::install(&mut db).unwrap();
-    db.execute("CREATE TABLE assets (id INTEGER, img VIR_IMAGE)").unwrap();
-    let mut wl = SignatureWorkload::new(17);
-    let base = wl.random();
-    for id in 1..=3i64 {
-        let sig = wl.near_duplicate(&base, 0.3);
-        db.execute_with(
-            "INSERT INTO assets VALUES (?, VIR_IMAGE(?))",
-            &[id.into(), sig.serialize().into()],
-        )
-        .unwrap();
-    }
-    db.execute("CREATE INDEX ax ON assets(img) INDEXTYPE IS VirIndexType").unwrap();
-    db.execute("CREATE INDEX ab_id ON assets(id)").unwrap();
-    let s1: Value = wl.near_duplicate(&base, 0.4).serialize().into();
-    let s2: Value = wl.random().serialize().into();
-    let s3: Value = wl.near_duplicate(&base, 0.2).serialize().into();
-    let s4: Value = wl.random().serialize().into();
-    Rig {
-        name: "vir",
-        indextype: "VIRINDEXTYPE",
-        db,
-        dmls: vec![
-            (
-                "insert",
-                "INSERT INTO assets VALUES (10, VIR_IMAGE(?)), (11, VIR_IMAGE(?)), \
-                 (12, VIR_IMAGE(?))"
-                    .into(),
-                vec![s1, s2, s3],
-            ),
-            ("update", "UPDATE assets SET img = VIR_IMAGE(?) WHERE id >= 2".into(), vec![s4]),
-            ("delete", "DELETE FROM assets WHERE id >= 2".into(), vec![]),
-        ],
-        probes: vec![
-            (
-                "SELECT id FROM assets WHERE VirSimilar(img, ?, 'globalcolor=0.5, texture=0.5', 2.5)"
-                    .into(),
-                vec![base.serialize().into()],
-            ),
-            ("SELECT id FROM assets WHERE id = 2".into(), vec![]),
-        ],
-        internal_points: vec!["vir.maintenance.indexed", "vir.maintenance.reindex"],
-    }
-}
-
-fn chem_rig(params: &str, name: &'static str) -> Rig {
-    let mut db = Database::with_cache_pages(4096);
-    extidx::chem::install(&mut db).unwrap();
-    db.execute("CREATE TABLE compounds (id INTEGER, mol VARCHAR2(256))").unwrap();
-    for (id, mol) in [(1, "CC(=O)N"), (2, "CCO"), (3, "CCN")] {
-        db.execute_with("INSERT INTO compounds VALUES (?, ?)", &[i64::from(id).into(), mol.into()])
-            .unwrap();
-    }
-    db.execute(&format!(
-        "CREATE INDEX cx ON compounds(mol) INDEXTYPE IS ChemIndexType PARAMETERS ('{params}')"
-    ))
-    .unwrap();
-    db.execute("CREATE INDEX cb_id ON compounds(id)").unwrap();
-    Rig {
-        name,
-        indextype: "CHEMINDEXTYPE",
-        db,
-        dmls: vec![
-            (
-                "insert",
-                "INSERT INTO compounds VALUES (10, 'CC(=O)NC'), (11, 'CCCO'), (12, 'NCCN')".into(),
-                vec![],
-            ),
-            ("update", "UPDATE compounds SET mol = 'CC(=O)O' WHERE id >= 2".into(), vec![]),
-            ("delete", "DELETE FROM compounds WHERE id >= 2".into(), vec![]),
-        ],
-        probes: vec![
-            ("SELECT id FROM compounds WHERE MolContains(mol, 'CC(=O)N')".into(), vec![]),
-            ("SELECT id FROM compounds WHERE MolContains(mol, 'CCO')".into(), vec![]),
-            ("SELECT mol FROM compounds WHERE id = 2".into(), vec![]),
-        ],
-        internal_points: vec![
-            "chem.maintenance.indexed",
-            "chem.maintenance.reindex",
-            "chem.maintenance.unindexed",
-        ],
-    }
-}
-
-fn all_rigs() -> Vec<Rig> {
-    vec![
-        text_rig(),
-        spatial_rig(
-            "SpatialIndexType",
-            vec!["spatial.maintenance.indexed", "spatial.maintenance.reindex"],
-        ),
-        spatial_rig(
-            "RtreeIndexType",
-            vec!["rtree.maintenance.indexed", "rtree.maintenance.reindex"],
-        ),
-        vir_rig(),
-        chem_rig(":Storage LOB", "chem-lob"),
-        // External-file store: statement recovery here needs the
-        // compensation log (for completed calls) plus the §5 rollback
-        // event (for the failed call's own partial file effects).
-        chem_rig(":Storage FILE :Events ON", "chem-file"),
-    ]
-}
-
-/// The matrix: for every rig × DML × crossing, arm a permanent fault at
-/// the k-th matching call (k = 1, 2, … until the statement completes
-/// without reaching the fault) and assert the failed statement left
-/// every observable byte exactly as it found it.
-#[test]
-fn fault_at_every_crossing_leaves_state_unchanged() {
-    let mut injected_runs = 0u32;
-    let mut internal_runs = 0u32;
-    for rig in &mut all_rigs() {
-        let Rig { name, indextype, db, dmls, probes, internal_points } = rig;
-        let s0 = snapshot(db, probes);
-        let mut crossings: Vec<(String, Option<String>)> = ["ODCIIndexInsert", "ODCIIndexUpdate", "ODCIIndexDelete"]
-            .iter()
-            .map(|r| (r.to_string(), Some(indextype.to_string())))
-            .collect();
-        crossings.extend(internal_points.iter().map(|p| (p.to_string(), None)));
-
+/// The matrix: for every operator spec's rig × DML × crossing, arm a
+/// permanent fault of `kind` at the k-th matching call (k = 1, 2, … until
+/// the statement completes without reaching the fault) and assert the
+/// failed statement left every observable byte exactly as it found it.
+/// Returns the injected-failure executions, and how many of them struck
+/// at cartridge-internal points.
+fn sweep(kind: FaultKind) -> (u32, u32) {
+    let (mut injected_runs, mut internal_runs) = (0u32, 0u32);
+    for rig in rigs() {
+        let Rig { name, dmls, probes, .. } = &rig;
+        let db = &mut loaded(&rig);
+        if kind == FaultKind::Panic {
+            // Keep the circuit breaker out of the way: this matrix pins
+            // containment and statement atomicity; quarantine transitions
+            // are pinned by tests/quarantine.rs. Without this a quarantined
+            // index would start absorbing DML into its pending log and the
+            // later crossings would never be reached.
+            db.catalog().health.set_breaker(BreakerConfig { threshold: u32::MAX, window: 1 });
+        }
+        let s0 = observe(db, probes);
+        let crossings = rig.crossings();
         let inj = db.fault_injector().clone();
-        for (dml_name, dml, binds) in dmls.iter() {
-            for (point, ity) in &crossings {
+        for (dml_name, dml) in dmls {
+            for &(point, ity) in &crossings {
                 let mut swept = 0;
                 for k in 1..=8u64 {
                     inj.reset();
-                    inj.arm(point, ity.as_deref(), k, FaultKind::Fail);
+                    inj.arm(point, ity, k, kind);
                     db.execute("BEGIN").unwrap();
-                    let res = db.execute_with(dml, binds);
+                    let res = db.execute(dml);
                     let reached = inj.fired() > 0;
                     inj.disarm_all();
-                    let label = format!("{name}/{dml_name}/{point}#{k}");
+                    let label = format!("{name}/{dml_name}/{point}#{k} ({kind:?})");
                     if reached {
                         let err = res.expect_err(&label);
-                        assert!(!err.is_retryable(), "{label}: retryable escaped: {err}");
+                        if kind == FaultKind::Panic {
+                            assert!(matches!(err, Error::CartridgeFault { .. }), "{label}: {err}");
+                        } else {
+                            assert!(!err.is_retryable(), "{label}: retryable escaped: {err}");
+                        }
                         // Statement-atomic: already back to S0 before any
                         // transaction-level rollback.
-                        assert_eq!(snapshot(db, probes), s0, "{label}: state torn after statement failure");
+                        assert_eq!(observe(db, probes), s0, "{label}: state torn after statement failure");
                         db.execute("ROLLBACK").unwrap();
-                        assert_eq!(snapshot(db, probes), s0, "{label}: state torn after txn rollback");
+                        assert_eq!(observe(db, probes), s0, "{label}: state torn after txn rollback");
                         swept += 1;
                         injected_runs += 1;
-                        if ity.is_none() {
-                            internal_runs += 1;
-                        }
+                        internal_runs += u32::from(ity.is_none());
                     } else {
                         // Fault armed beyond the last crossing: the DML ran
                         // clean; undo it via transaction rollback (which
@@ -308,26 +85,27 @@ fn fault_at_every_crossing_leaves_state_unchanged() {
                         // via the rollback event).
                         res.unwrap_or_else(|e| panic!("{label}: clean run failed: {e}"));
                         db.execute("ROLLBACK").unwrap();
-                        assert_eq!(snapshot(db, probes), s0, "{label}: txn rollback incomplete");
+                        assert_eq!(observe(db, probes), s0, "{label}: txn rollback incomplete");
                         break;
                     }
                     assert!(k < 8, "{label}: fault still firing at call 8 — runaway crossing count");
                 }
-                // Every DML must cross at least one maintenance boundary of
-                // its own kind (insert→Insert, …) for the matrix to mean
-                // anything; other routines legitimately sweep zero.
-                let expected_hit = match *dml_name {
-                    "insert" => point.contains("Insert") || point.ends_with("indexed"),
-                    "update" => point.contains("Update") || point.ends_with("reindex"),
-                    "delete" => point.contains("Delete") || point.ends_with("unindexed"),
-                    _ => false,
-                };
-                if expected_hit && !point.ends_with("indexed") && !point.ends_with("reindex") && !point.ends_with("unindexed") {
+                // Every DML must cross the maintenance routine of its own
+                // kind (insert→Insert, …) for the matrix to mean anything;
+                // other routines legitimately sweep zero.
+                let own = ["insert", "update", "delete"].iter().position(|d| d == dml_name);
+                if own.is_some_and(|i| crossings[i].0 == point) {
                     assert!(swept > 0, "{name}/{dml_name}: {point} never reached");
                 }
             }
         }
     }
+    (injected_runs, internal_runs)
+}
+
+#[test]
+fn fault_at_every_crossing_leaves_state_unchanged() {
+    let (injected_runs, internal_runs) = sweep(FaultKind::Fail);
     // Visible under --nocapture; the matrix size is reported in
     // EXPERIMENTS.md E11.
     println!(
@@ -338,64 +116,15 @@ fn fault_at_every_crossing_leaves_state_unchanged() {
 }
 
 /// Panic-mode matrix (ignored by default; CI runs it via
-/// `--include-ignored`): the same sweep as the Fail matrix, but the
-/// cartridge *panics* at the crossing instead of returning an error. The
-/// sandbox must contain every unwind — the process survives, the
-/// statement fails with a `CartridgeFault`, and compensation restores
-/// the pre-statement state byte-for-byte, exactly as for a returned
-/// error.
+/// `--include-ignored`): the same sweep, but the cartridge *panics* at the
+/// crossing instead of returning an error. The sandbox must contain every
+/// unwind — the process survives, the statement fails with a
+/// `CartridgeFault`, and compensation restores the pre-statement state
+/// byte-for-byte, exactly as for a returned error.
 #[test]
 #[ignore = "full panic sweep; run via scripts/ci.sh or --include-ignored"]
 fn panic_at_every_crossing_is_contained_and_leaves_state_unchanged() {
-    let mut contained_runs = 0u32;
-    for rig in &mut all_rigs() {
-        let Rig { name, indextype, db, dmls, probes, internal_points } = rig;
-        // Keep the circuit breaker out of the way: this matrix pins
-        // containment and statement atomicity; quarantine transitions
-        // are pinned separately by tests/quarantine.rs. Without this a
-        // quarantined index would start absorbing DML into its pending
-        // log and the later crossings would never be reached.
-        db.catalog().health.set_breaker(BreakerConfig { threshold: u32::MAX, window: 1 });
-        let s0 = snapshot(db, probes);
-        let mut crossings: Vec<(String, Option<String>)> =
-            ["ODCIIndexInsert", "ODCIIndexUpdate", "ODCIIndexDelete"]
-                .iter()
-                .map(|r| (r.to_string(), Some(indextype.to_string())))
-                .collect();
-        crossings.extend(internal_points.iter().map(|p| (p.to_string(), None)));
-
-        let inj = db.fault_injector().clone();
-        for (dml_name, dml, binds) in dmls.iter() {
-            for (point, ity) in &crossings {
-                for k in 1..=8u64 {
-                    inj.reset();
-                    inj.arm(point, ity.as_deref(), k, FaultKind::Panic);
-                    db.execute("BEGIN").unwrap();
-                    let res = db.execute_with(dml, binds);
-                    let reached = inj.fired() > 0;
-                    inj.disarm_all();
-                    let label = format!("{name}/{dml_name}/{point}#{k} (panic)");
-                    if reached {
-                        let err = res.expect_err(&label);
-                        assert!(
-                            matches!(err, Error::CartridgeFault { .. }),
-                            "{label}: expected CartridgeFault, got {err}"
-                        );
-                        assert_eq!(snapshot(db, probes), s0, "{label}: state torn after panic");
-                        db.execute("ROLLBACK").unwrap();
-                        assert_eq!(snapshot(db, probes), s0, "{label}: state torn after rollback");
-                        contained_runs += 1;
-                    } else {
-                        res.unwrap_or_else(|e| panic!("{label}: clean run failed: {e}"));
-                        db.execute("ROLLBACK").unwrap();
-                        assert_eq!(snapshot(db, probes), s0, "{label}: txn rollback incomplete");
-                        break;
-                    }
-                    assert!(k < 8, "{label}: fault still firing at call 8");
-                }
-            }
-        }
-    }
+    let (contained_runs, _) = sweep(FaultKind::Panic);
     assert!(contained_runs > 0, "panic matrix swept nothing");
     println!("panic matrix: {contained_runs} contained-panic statement executions verified");
 }
@@ -405,46 +134,51 @@ fn panic_at_every_crossing_is_contained_and_leaves_state_unchanged() {
 /// equals a fault-free run.
 #[test]
 fn transient_faults_are_absorbed_by_retry() {
+    let rig = named_rig("text");
     // Reference: the same DML stream with no faults.
     let reference = {
-        let mut rig = text_rig();
-        for (_, dml, binds) in rig.dmls.clone() {
-            rig.db.execute_with(&dml, &binds).unwrap();
+        let mut db = loaded(&rig);
+        for (_, dml) in &rig.dmls {
+            db.execute(dml).unwrap();
         }
-        let probes = rig.probes.clone();
-        snapshot(&mut rig.db, &probes)
+        observe(&mut db, &rig.probes)
     };
 
     // Entry-crossing transients: the routine never ran, so the retry
     // starts clean. Two failures against a 3-attempt policy → absorbed.
-    let mut rig = text_rig();
-    let inj = rig.db.fault_injector().clone();
+    let mut db = loaded(&rig);
+    let inj = db.fault_injector().clone();
     let routines = ["ODCIIndexInsert", "ODCIIndexUpdate", "ODCIIndexDelete"];
-    for (i, (label, dml, binds)) in rig.dmls.clone().iter().enumerate() {
+    for (i, (label, dml)) in rig.dmls.iter().enumerate() {
         inj.reset();
         inj.arm(routines[i], Some("TEXTINDEXTYPE"), 1, FaultKind::Transient { failures: 2 });
-        rig.db.execute_with(dml, binds).unwrap_or_else(|e| panic!("{label}: retry failed: {e}"));
+        db.execute(dml).unwrap_or_else(|e| panic!("{label}: retry failed: {e}"));
         assert_eq!(inj.fired(), 2, "{label}: expected both transient firings");
         assert!(!inj.is_armed());
     }
-    let probes = rig.probes.clone();
-    assert_eq!(snapshot(&mut rig.db, &probes), reference);
+    assert_eq!(observe(&mut db, &rig.probes), reference);
 
     // Post-effect transient: the fault strikes *after* the cartridge
     // applied its postings, so the retry loop must first rewind the
     // partial effects (undo-mark split) or the index would double-apply.
-    let mut rig = text_rig();
-    let inj = rig.db.fault_injector().clone();
+    let mut db = loaded(&rig);
+    let inj = db.fault_injector().clone();
     inj.arm("text.maintenance.indexed", None, 1, FaultKind::Transient { failures: 1 });
-    let (_, insert_dml, binds) = rig.dmls[0].clone();
-    rig.db.execute_with(&insert_dml, &binds).unwrap();
+    for (_, dml) in &rig.dmls {
+        db.execute(dml).unwrap();
+    }
     assert_eq!(inj.fired(), 1);
-    let (_, update_dml, ub) = rig.dmls[1].clone();
-    rig.db.execute_with(&update_dml, &ub).unwrap();
-    let (_, delete_dml, db_) = rig.dmls[2].clone();
-    rig.db.execute_with(&delete_dml, &db_).unwrap();
-    let probes = rig.probes.clone();
-    assert_eq!(snapshot(&mut rig.db, &probes), reference);
+    assert_eq!(observe(&mut db, &rig.probes), reference);
+
+    // The same post-effect transient on an index that keeps external files
+    // fails the statement instead: the rewind cannot reach the file, so a
+    // retry would append the row's entry twice.
+    let rig = named_rig("chem-file");
+    let mut db = loaded(&rig);
+    let s0 = observe(&mut db, &rig.probes);
+    db.fault_injector().arm("chem.maintenance.indexed", None, 1, FaultKind::Transient { failures: 1 });
+    assert!(db.execute(&rig.dmls[0].1).is_err(), "a FILE-store write was retried");
+    assert_eq!(observe(&mut db, &rig.probes), s0);
 }
 
 /// `DbEvent::Rollback` must reach registered handlers on *both* scopes:
@@ -452,32 +186,33 @@ fn transient_faults_are_absorbed_by_retry() {
 /// transaction ROLLBACK.
 #[test]
 fn rollback_event_reaches_handlers_at_both_scopes() {
-    let mut rig = text_rig();
+    let rig = named_rig("text");
+    let db = &mut loaded(&rig);
     let events: Arc<Mutex<Vec<DbEvent>>> = Arc::new(Mutex::new(Vec::new()));
     let sink = events.clone();
     let handler = move |ev: DbEvent, _srv: &mut dyn ServerContext| -> extidx_common::Result<()> {
         sink.lock().unwrap().push(ev);
         Ok(())
     };
-    rig.db.register_event_handler("probe", Arc::new(handler));
+    db.register_event_handler("probe", Arc::new(handler));
 
     // Statement-level: induced cartridge failure mid-INSERT.
-    let inj = rig.db.fault_injector().clone();
+    let inj = db.fault_injector().clone();
     inj.arm_fail("ODCIIndexInsert", Some("TEXTINDEXTYPE"), 2);
-    let (_, insert_dml, binds) = rig.dmls[0].clone();
-    assert!(rig.db.execute_with(&insert_dml, &binds).is_err());
+    let insert = &rig.dmls[0].1;
+    assert!(db.execute(insert).is_err());
     assert_eq!(events.lock().unwrap().as_slice(), &[DbEvent::Rollback]);
 
     // Transaction-level: clean DML, explicit ROLLBACK.
-    rig.db.execute("BEGIN").unwrap();
-    rig.db.execute_with(&insert_dml, &binds).unwrap();
-    rig.db.execute("ROLLBACK").unwrap();
+    db.execute("BEGIN").unwrap();
+    db.execute(insert).unwrap();
+    db.execute("ROLLBACK").unwrap();
     assert_eq!(events.lock().unwrap().as_slice(), &[DbEvent::Rollback, DbEvent::Rollback]);
 
     // And COMMIT delivers Commit.
-    rig.db.execute("BEGIN").unwrap();
-    rig.db.execute("DELETE FROM docs WHERE id = 3").unwrap();
-    rig.db.execute("COMMIT").unwrap();
+    db.execute("BEGIN").unwrap();
+    db.execute("DELETE FROM docs WHERE id = 3").unwrap();
+    db.execute("COMMIT").unwrap();
     assert_eq!(
         events.lock().unwrap().as_slice(),
         &[DbEvent::Rollback, DbEvent::Rollback, DbEvent::Commit]
@@ -617,132 +352,79 @@ fn self_referencing_update_sees_pre_statement_state() {
 /// fully usable — no wedged scan workspace, no stale state.
 #[test]
 fn scan_and_stats_faults_fail_the_query_but_not_the_engine() {
-    let mut rig = text_rig();
+    let db = &mut loaded(&named_rig("text"));
     // Bulk the table up so the cost model prefers the domain-index scan
     // over a full scan with functional operator evaluation — otherwise
     // the Start/Fetch crossings are never reached.
     for i in 100..180 {
-        rig.db
-            .execute_with(
+        db.execute_with(
                 "INSERT INTO docs VALUES (?, ?)",
                 &[i64::from(i).into(), format!("filler row {i} without the term").into()],
             )
             .unwrap();
     }
-    let inj = rig.db.fault_injector().clone();
+    let inj = db.fault_injector().clone();
     // A distinct text per point: a cached plan would not consult the
     // stats routines again.
     let probe = |tag: &str| format!("SELECT /* {tag} */ id FROM docs WHERE Contains(body, 'gorse')");
-    let clean = rig.db.query(&probe("clean")).unwrap();
+    let clean = db.query(&probe("clean")).unwrap();
     for point in ["ODCIStatsSelectivity", "ODCIStatsIndexCost", "ODCIIndexStart", "ODCIIndexFetch"] {
         inj.reset();
         inj.arm_fail(point, Some("TEXTINDEXTYPE"), 1);
-        let res = rig.db.query(&probe(point));
+        let res = db.query(&probe(point));
         assert!(res.is_err(), "{point}: query should fail");
         assert_eq!(inj.fired(), 1, "{point} never reached");
         inj.disarm_all();
-        assert_eq!(rig.db.query(&probe(point)).unwrap(), clean, "{point}: engine wedged");
+        assert_eq!(db.query(&probe(point)).unwrap(), clean, "{point}: engine wedged");
     }
 }
 
 /// Extended chaos sweep (ignored by default; CI runs it via
-/// `--include-ignored`): a seeded random DML workload with faults armed
-/// at random crossings, continuously checking that the domain index never
-/// drifts from a functional reference over the base table.
+/// `--include-ignored`): on every rig, a seeded stream of the rig's DML
+/// with faults armed at random crossings, checking after every statement
+/// that each operator probe answers through the domain index exactly as
+/// its functional twin does — the index never drifts from the base table.
 #[test]
 #[ignore = "long randomized sweep; run with --include-ignored"]
 fn chaos_faults_never_desynchronize_the_index() {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    const VOCAB: [&str; 8] = ["ale", "brix", "cole", "dun", "erg", "fyn", "gorse", "hale"];
-    let mut rng = StdRng::seed_from_u64(20_260_805);
-    let mut db = Database::with_cache_pages(8192);
-    extidx::text::install(&mut db).unwrap();
-    db.execute("CREATE TABLE docs (id INTEGER, body VARCHAR2(200))").unwrap();
-    db.execute("CREATE INDEX dt ON docs(body) INDEXTYPE IS TextIndexType").unwrap();
-    let inj = db.fault_injector().clone();
-    let points = [
-        "ODCIIndexInsert",
-        "ODCIIndexUpdate",
-        "ODCIIndexDelete",
-        "text.maintenance.indexed",
-        "text.maintenance.reindex",
-        "text.maintenance.unindexed",
-    ];
-
-    let reference = |db: &mut Database, term: &str| -> Vec<i64> {
-        use extidx::text::tokenizer::{tokenize, StopWords};
-        let rows = db.query("SELECT id, body FROM docs").unwrap();
-        let mut ids: Vec<i64> = rows
-            .iter()
-            .filter(|r| tokenize(r[1].as_str().unwrap(), &StopWords::none()).contains_key(term))
-            .map(|r| r[0].as_integer().unwrap())
-            .collect();
-        ids.sort_unstable();
-        ids
+    let sorted = |db: &mut Database, sql: &str| {
+        let mut rows: Vec<String> = db.query(sql).unwrap().iter().map(|r| format!("{r:?}")).collect();
+        rows.sort();
+        rows
     };
-
-    let mut next_id = 0i64;
-    let mut live: Vec<i64> = Vec::new();
-    for step in 0..300 {
-        // Every third step, arm a random fault (sometimes transient).
-        inj.reset();
-        if step % 3 == 0 {
-            let point = points[rng.gen_range(0..points.len())];
-            let kind = if rng.gen_bool(0.3) {
-                FaultKind::Transient { failures: rng.gen_range(1..=2) }
-            } else {
-                FaultKind::Fail
-            };
-            inj.arm(point, None, rng.gen_range(1..=2), kind);
-        }
-        let doc: String = (0..rng.gen_range(1..6))
-            .map(|_| VOCAB[rng.gen_range(0..VOCAB.len())])
-            .collect::<Vec<_>>()
-            .join(" ");
-        let res = match rng.gen_range(0..3) {
-            0 => {
-                let r = db.execute_with(
-                    "INSERT INTO docs VALUES (?, ?)",
-                    &[next_id.into(), doc.clone().into()],
-                );
-                if r.is_ok() {
-                    live.push(next_id);
-                }
-                next_id += 1;
-                r
-            }
-            1 if !live.is_empty() => {
-                let id = live[rng.gen_range(0..live.len())];
-                db.execute_with(
-                    "UPDATE docs SET body = ? WHERE id = ?",
-                    &[doc.clone().into(), id.into()],
-                )
-            }
-            _ if !live.is_empty() => {
-                let pos = rng.gen_range(0..live.len());
-                let id = live[pos];
-                let r = db.execute_with("DELETE FROM docs WHERE id = ?", &[id.into()]);
-                if r.is_ok() {
-                    live.swap_remove(pos);
-                }
-                r
-            }
-            _ => Ok(extidx::sql::StmtResult::Ok),
-        };
-        inj.disarm_all();
-        // A fault may legitimately fail the statement; what can never
-        // happen is drift between index answers and the base table.
-        let _ = res;
-        let term = VOCAB[rng.gen_range(0..VOCAB.len())];
-        let mut indexed: Vec<i64> = db
-            .query_with("SELECT id FROM docs WHERE Contains(body, ?)", &[term.into()])
-            .unwrap()
-            .iter()
-            .map(|r| r[0].as_integer().unwrap())
+    let mut rng = StdRng::seed_from_u64(20_260_805);
+    for rig in rigs() {
+        let db = &mut loaded(&rig);
+        let inj = db.fault_injector().clone();
+        let points = rig.crossings();
+        // The probes that call the operator (the other one reads a row by
+        // key), forced through the index and through the functional twin.
+        let forced = format!("SELECT /*+ INDEX({} {}) */", rig.table, rig.index);
+        let probes: Vec<(String, String)> = (rig.probes.iter().filter(|p| p.contains('(')))
+            .map(|p| (p.replacen("SELECT", &forced, 1), p.replacen("SELECT", "SELECT /*+ NO_INDEX */", 1)))
             .collect();
-        indexed.sort_unstable();
-        assert_eq!(indexed, reference(&mut db, term), "drift at step {step} (term {term})");
+        for step in 0..100 {
+            // Every third step, arm a random fault (sometimes transient).
+            inj.reset();
+            if step % 3 == 0 {
+                let (point, ity) = points[rng.gen_range(0..points.len())];
+                let kind = if rng.gen_bool(0.3) {
+                    FaultKind::Transient { failures: rng.gen_range(1..=2) }
+                } else {
+                    FaultKind::Fail
+                };
+                inj.arm(point, ity, rng.gen_range(1..=2), kind);
+            }
+            // A fault may legitimately fail the statement; what can never
+            // happen is drift between index answers and the base table.
+            let _ = db.execute(&rig.dmls[rng.gen_range(0..rig.dmls.len())].1);
+            inj.disarm_all();
+            for (sql, twin) in &probes {
+                assert_eq!(sorted(db, sql), sorted(db, twin), "{}: drift at step {step}: {sql}", rig.name);
+            }
+        }
     }
 }

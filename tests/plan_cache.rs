@@ -187,20 +187,6 @@ fn analyze_replans_with_the_new_statistics() {
     assert_ne!(reads, btree_reads, "ANALYZE must move the plan off the B-tree");
 }
 
-/// Stamp input: the zone-pruning setting.
-#[test]
-fn zone_pruning_off_replans_the_full_scan() {
-    let mut db = table_db("z", 4000);
-    let sql = "SELECT COUNT(*) FROM z WHERE id BETWEEN 100 AND 150";
-    let (rows, pruned_reads) = cached(&mut db, sql);
-    assert_eq!(rows, vec![vec![Value::Integer(51)]]);
-
-    db.set_zone_pruning(false);
-    let (after, reads) = assert_like_fresh(&mut db, sql);
-    assert_eq!(after, rows);
-    assert!(reads > pruned_reads * 4, "unpruned ({reads} gets) vs pruned ({pruned_reads})");
-}
-
 /// Stamp input: the table's size class, ⌊log2(rows + 1)⌋.
 #[test]
 fn a_table_grown_from_one_row_to_ten_thousand_is_replanned() {

@@ -21,13 +21,14 @@
 
 use extidx::core::health::HealthState;
 use extidx::sql::Database;
-use extidx::spatial::{geometry_sql, SpatialWorkload};
 use extidx::storage::wal::{
     FP_WAL_APPEND, FP_WAL_APPLY, FP_WAL_CHECKPOINT, FP_WAL_CHECKPOINT_TRUNCATE, FP_WAL_COMMIT,
 };
 use extidx::storage::{DurableMedium, Snapshot};
-use extidx::vir::SignatureWorkload;
 use extidx_common::Value;
+use extidx_qgen::spec::{observe, rigs};
+use extidx_qgen::gen::Stmt;
+use extidx_qgen::{fresh_db, ChaosOpts};
 
 /// Statement-level crash points (the checkpoint points fire only inside
 /// `checkpoint()` and are exercised separately).
@@ -43,27 +44,6 @@ fn bag(db: &mut Database, table: &str) -> Vec<String> {
         .collect();
     rows.sort();
     rows
-}
-
-/// Observable state: every table's bag plus every probe's sorted result.
-fn observe(db: &mut Database, probes: &[(String, Vec<Value>)]) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut tables = db.catalog().table_names();
-    tables.sort();
-    for t in tables {
-        out.push(format!("table {t}: {}", bag(db, &t).join(" | ")));
-    }
-    for (sql, binds) in probes {
-        let mut rows: Vec<String> = db
-            .query_with(sql, binds)
-            .unwrap_or_else(|e| panic!("probe {sql}: {e}"))
-            .iter()
-            .map(|r| format!("{r:?}"))
-            .collect();
-        rows.sort();
-        out.push(format!("probe {sql}: {}", rows.join(" | ")));
-    }
-    out
 }
 
 /// Crash `db` by arming `point` and running `crash_stmt`; returns the
@@ -168,159 +148,12 @@ fn lob_crash_points_restore_committed_prefix() {
 
 // ---- domain-index matrix ----------------------------------------------------
 
-struct Rig {
-    name: &'static str,
-    /// The domain index's catalog name.
-    index_name: &'static str,
-    db: Database,
-    medium: DurableMedium,
-    crash_stmts: Vec<String>,
-    probes: Vec<(String, Vec<Value>)>,
-    /// Rebuild the same engine shape for the recovered instance.
-    install: fn(&mut Database),
-}
-
-fn durable(install: fn(&mut Database)) -> (Database, DurableMedium) {
-    let mut db = Database::with_cache_pages(4096);
-    install(&mut db);
-    let medium = DurableMedium::new();
-    db.enable_durability(medium.clone()).unwrap();
-    (db, medium)
-}
-
-fn text_rig() -> Rig {
-    fn install(db: &mut Database) {
-        extidx::text::install(db).unwrap();
-    }
-    let (mut db, medium) = durable(install);
-    db.execute("CREATE TABLE docs (id INTEGER, body VARCHAR2(200))").unwrap();
-    for (id, body) in
-        [(1, "ale under the gorse"), (2, "cole and dun ferries"), (3, "gorse hale erg")]
-    {
-        db.execute_with("INSERT INTO docs VALUES (?, ?)", &[i64::from(id).into(), body.into()])
-            .unwrap();
-    }
-    db.execute("CREATE INDEX dt ON docs(body) INDEXTYPE IS TextIndexType").unwrap();
-    Rig {
-        name: "text",
-        index_name: "DT",
-        db,
-        medium,
-        crash_stmts: vec![
-            "INSERT INTO docs VALUES (10, 'fyn brix gorse'), (11, 'ale cole')".into(),
-            "UPDATE docs SET body = 'brix fyn rewritten' WHERE id >= 2".into(),
-            "DELETE FROM docs WHERE id >= 2".into(),
-        ],
-        probes: vec![
-            ("SELECT id FROM docs WHERE Contains(body, 'gorse')".into(), vec![]),
-            ("SELECT id FROM docs WHERE Contains(body, 'ale OR dun')".into(), vec![]),
-        ],
-        install,
-    }
-}
-
-fn spatial_rig() -> Rig {
-    fn install(db: &mut Database) {
-        extidx::spatial::install(db).unwrap();
-    }
-    let (mut db, medium) = durable(install);
-    db.execute("CREATE TABLE parcels (gid INTEGER, geometry SDO_GEOMETRY)").unwrap();
-    let mut wl = SpatialWorkload::new(800.0, 41);
-    for gid in 1..=3i64 {
-        let g = geometry_sql(&wl.rect(5.0, 50.0));
-        db.execute(&format!("INSERT INTO parcels VALUES ({gid}, {g})")).unwrap();
-    }
-    db.execute("CREATE INDEX sx ON parcels(geometry) INDEXTYPE IS RtreeIndexType").unwrap();
-    let g1 = geometry_sql(&wl.rect(5.0, 50.0));
-    let g2 = geometry_sql(&wl.rect(5.0, 50.0));
-    let window = geometry_sql(&wl.rect(200.0, 700.0));
-    Rig {
-        name: "rtree",
-        index_name: "SX",
-        db,
-        medium,
-        crash_stmts: vec![
-            format!("INSERT INTO parcels VALUES (10, {g1}), (11, {g2})"),
-            "DELETE FROM parcels WHERE gid >= 2".into(),
-        ],
-        probes: vec![(
-            format!(
-                "SELECT gid FROM parcels WHERE Sdo_Relate(geometry, {window}, 'mask=ANYINTERACT')"
-            ),
-            vec![],
-        )],
-        install,
-    }
-}
-
-fn vir_rig() -> Rig {
-    fn install(db: &mut Database) {
-        extidx::vir::install(db).unwrap();
-    }
-    let (mut db, medium) = durable(install);
-    db.execute("CREATE TABLE assets (id INTEGER, img VIR_IMAGE)").unwrap();
-    let mut wl = SignatureWorkload::new(17);
-    let base = wl.random();
-    for id in 1..=3i64 {
-        let sig = wl.near_duplicate(&base, 0.3);
-        db.execute_with(
-            "INSERT INTO assets VALUES (?, VIR_IMAGE(?))",
-            &[id.into(), sig.serialize().into()],
-        )
-        .unwrap();
-    }
-    db.execute("CREATE INDEX ax ON assets(img) INDEXTYPE IS VirIndexType").unwrap();
-    Rig {
-        name: "vir",
-        index_name: "AX",
-        db,
-        medium,
-        crash_stmts: vec!["DELETE FROM assets WHERE id >= 2".into()],
-        probes: vec![(
-            "SELECT id FROM assets WHERE VirSimilar(img, ?, 'globalcolor=0.5, texture=0.5', 2.5)"
-                .into(),
-            vec![base.serialize().into()],
-        )],
-        install,
-    }
-}
-
-fn chem_rig(params: &'static str, name: &'static str) -> Rig {
-    fn install(db: &mut Database) {
-        extidx::chem::install(db).unwrap();
-    }
-    let (mut db, medium) = durable(install);
-    db.execute("CREATE TABLE compounds (id INTEGER, mol VARCHAR2(256))").unwrap();
-    for (id, mol) in [(1, "CC(=O)N"), (2, "CCO"), (3, "CCN")] {
-        db.execute_with("INSERT INTO compounds VALUES (?, ?)", &[i64::from(id).into(), mol.into()])
-            .unwrap();
-    }
-    db.execute(&format!(
-        "CREATE INDEX cx ON compounds(mol) INDEXTYPE IS ChemIndexType PARAMETERS ('{params}')"
-    ))
-    .unwrap();
-    Rig {
-        name,
-        index_name: "CX",
-        db,
-        medium,
-        crash_stmts: vec![
-            "INSERT INTO compounds VALUES (10, 'CC(=O)NC'), (11, 'CCCO')".into(),
-            "DELETE FROM compounds WHERE id >= 2".into(),
-        ],
-        probes: vec![
-            ("SELECT id FROM compounds WHERE MolContains(mol, 'CC(=O)N')".into(), vec![]),
-            ("SELECT id FROM compounds WHERE MolContains(mol, 'CCO')".into(), vec![]),
-        ],
-        install,
-    }
-}
-
-/// The matrix: every cartridge × every statement crash point × every DML
-/// shape × every call site of the point within the statement (`at_call`
-/// sweep — a crash on the FIRST `wal.append` of an INSERT lands before
-/// any index maintenance ran, a crash on a later one lands after the
-/// chem FILE store already wrote to its file; both must recover).
+/// The matrix: every operator spec's rig × every statement crash point ×
+/// every DML of the rig × every call site of the point within the
+/// statement (`at_call` sweep — a crash on the FIRST `wal.append` of an
+/// INSERT lands before any index maintenance ran, a crash on a later one
+/// lands after the chem FILE store already wrote to its file; both must
+/// recover).
 ///
 /// Internal-table indexes must come back VALID and answering; the
 /// external-file chem index comes back QUARANTINED whenever the crash
@@ -329,59 +162,50 @@ fn chem_rig(params: &'static str, name: &'static str) -> Rig {
 /// committed prefix.
 #[test]
 fn domain_index_crash_matrix() {
-    type RigMaker = fn() -> Rig;
-    let makers: Vec<(RigMaker, bool)> = vec![
-        (text_rig as RigMaker, false),
-        (spatial_rig, false),
-        (vir_rig, false),
-        (|| chem_rig(":Storage LOB", "chem-lob"), false),
-        (|| chem_rig(":Storage FILE :Events ON", "chem-file"), true),
-    ];
-    for (maker, file_backed) in &makers {
-        let probe_rig = maker();
-        let ncrash = probe_rig.crash_stmts.len();
-        drop(probe_rig);
+    let mut cases = 0;
+    for rig in rigs() {
         let mut quarantine_seen = false;
-        for ci in 0..ncrash {
+        for (_, stmt) in &rig.dmls {
             for point in STMT_POINTS {
                 // Sweep the point's call sites until one instance of the
                 // statement no longer reaches call `k`.
                 for k in 1..=200u64 {
-                    let mut rig = maker();
-                    let committed = observe(&mut rig.db, &rig.probes);
-                    let stmt = rig.crash_stmts[ci].clone();
-                    rig.db.fault_injector().arm_fail(point, None, k);
-                    let r = rig.db.execute(&stmt);
-                    if rig.db.fault_injector().fired() == 0 {
+                    let medium = DurableMedium::new();
+                    let mut db = fresh_db(ChaosOpts::default());
+                    db.enable_durability(medium.clone()).unwrap();
+                    rig.load(&mut db);
+                    let committed = observe(&mut db, &rig.probes);
+                    db.fault_injector().arm_fail(point, None, k);
+                    let r = db.execute(stmt);
+                    if db.fault_injector().fired() == 0 {
                         // The statement has fewer than k call sites for
                         // this point: sweep exhausted.
                         assert!(k > 1, "{}: {point} never fired for `{stmt}`", rig.name);
                         break;
                     }
+                    cases += 1;
                     assert!(r.is_err(), "{}: statement survived crash at {point}#{k}", rig.name);
-                    assert!(rig.medium.is_crashed(), "{}: medium not frozen at {point}#{k}", rig.name);
-                    drop(rig.db); // the process is dead
+                    assert!(medium.is_crashed(), "{}: medium not frozen at {point}#{k}", rig.name);
+                    drop(db); // the process is dead
 
-                    let mut rec = Database::with_cache_pages(4096);
-                    (rig.install)(&mut rec);
-                    rec.enable_durability(rig.medium.clone()).unwrap();
+                    let mut rec = fresh_db(ChaosOpts::default());
+                    rec.enable_durability(medium).unwrap();
 
-                    if rec.index_health(rig.index_name) == HealthState::Quarantined {
+                    if rec.index_health(rig.index) == HealthState::Quarantined {
                         // The backing file absorbed writes from the
                         // crashed statement (files do not wait for
                         // commit): only legal for the FILE-backed rig.
                         assert!(
-                            *file_backed,
+                            rig.file_backed,
                             "{}: internal-table index quarantined at {point}#{k}",
                             rig.name
                         );
                         quarantine_seen = true;
                         // Degraded probes still answer via the fallback.
                         let _ = observe(&mut rec, &rig.probes);
-                        rec.execute(&format!("ALTER INDEX {} REBUILD", rig.index_name))
-                            .unwrap_or_else(|e| {
-                                panic!("{}: REBUILD after crash at {point}#{k}: {e}", rig.name)
-                            });
+                        rec.execute(&format!("ALTER INDEX {} REBUILD", rig.index)).unwrap_or_else(|e| {
+                            panic!("{}: REBUILD after crash at {point}#{k}: {e}", rig.name)
+                        });
                     } else {
                         // Index storage replayed from the WAL (or, for
                         // the FILE rig, the crash landed before any file
@@ -406,11 +230,12 @@ fn domain_index_crash_matrix() {
             }
         }
         assert_eq!(
-            *file_backed, quarantine_seen,
-            "quarantine expected iff FILE-backed (rig family with {})",
-            if *file_backed { "external files" } else { "internal storage" }
+            rig.file_backed, quarantine_seen,
+            "{}: quarantine expected iff the index keeps external files",
+            rig.name
         );
     }
+    println!("crash matrix: {cases} crashed statements recovered");
 }
 
 // ---- checkpoints ------------------------------------------------------------
@@ -880,7 +705,8 @@ fn chem_file_lifecycle_never_leaks_files() {
 /// Zone maps may widen but must never exclude a live row. Churn the
 /// table through interleaved committed and rolled-back statements (plus
 /// failed statements, which take the undo path), then demand range
-/// queries agree with pruning on and off.
+/// queries answer as their generic twins, `num + 0`, which no zone map
+/// can prune.
 #[test]
 fn zone_maps_survive_rollback_churn() {
     let mut db = Database::with_cache_pages(256);
@@ -899,27 +725,19 @@ fn zone_maps_survive_rollback_churn() {
         db.execute(&format!("INSERT INTO z VALUES (900, {})", round * 7777)).unwrap();
         db.execute("UPDATE z SET num = 0 - num WHERE id >= 10").unwrap();
         db.execute("ROLLBACK").unwrap();
-        // Every range query agrees with pruning on and off.
+        // Every range query answers as its unprunable generic twin.
+        let mut rows = |sql: &str| {
+            let mut rows: Vec<String> =
+                db.query(sql).unwrap().iter().map(|r| format!("{r:?}")).collect();
+            rows.sort();
+            rows
+        };
         for (lo, hi) in [(0, 100), (100, 500), (round * 100, round * 100 + 250), (5000, 9000)] {
-            db.set_zone_pruning(true);
-            let mut pruned: Vec<String> = db
-                .query(&format!("SELECT id FROM z WHERE num >= {lo} AND num <= {hi}"))
-                .unwrap()
-                .iter()
-                .map(|r| format!("{r:?}"))
-                .collect();
-            db.set_zone_pruning(false);
-            let mut full: Vec<String> = db
-                .query(&format!("SELECT id FROM z WHERE num >= {lo} AND num <= {hi}"))
-                .unwrap()
-                .iter()
-                .map(|r| format!("{r:?}"))
-                .collect();
-            db.set_zone_pruning(true);
-            pruned.sort();
-            full.sort();
+            let sql = format!("SELECT id FROM z WHERE num >= {lo} AND num <= {hi}");
+            let twin = format!("SELECT id FROM z WHERE num + 0 >= {lo} AND num + 0 <= {hi}");
             assert_eq!(
-                pruned, full,
+                rows(&sql),
+                rows(&twin),
                 "round {round}: zone pruning dropped rows for num in [{lo}, {hi}]"
             );
         }
@@ -969,126 +787,37 @@ fn failed_rebuild_leaves_build_failed_and_the_next_rebuild_restores() {
 
 // ---- a checkpoint changes what recovery costs, not what it recovers ------------
 
-const TABLES: [(&str, &str, &str); 5] = [
-    ("docs", "id", "body"),
-    ("parcels", "gid", "geometry"),
-    ("zones", "gid", "geometry"),
-    ("assets", "id", "img"),
-    ("compounds", "id", "mol"),
-];
-
-/// Seeded DML over the five cartridges' base tables.
-struct DmlStream {
-    x: u64,
-    /// Rows ever inserted per table (ids are 1..=n).
-    ids: [u64; 5],
-    spatial: SpatialWorkload,
-    sigs: SignatureWorkload,
-}
-
-impl DmlStream {
-    fn rand(&mut self, n: u64) -> u64 {
-        self.x = self.x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        (self.x >> 33) % n
-    }
-
-    fn value(&mut self, table: usize) -> String {
-        const WORDS: &[&str] = &["ale", "brix", "cole", "dun", "erg", "fyn", "gorse", "hale"];
-        const MOLS: &[&str] = &["CCO", "CCN", "CC(=O)N", "CCCO", "CC(=O)NC", "CC(=O)O"];
-        match table {
-            0 => {
-                let words: Vec<&str> = (0..4).map(|_| WORDS[self.rand(8) as usize]).collect();
-                format!("'{}'", words.join(" "))
-            }
-            1 | 2 => geometry_sql(&self.spatial.rect(5.0, 50.0)),
-            3 => format!("VIR_IMAGE('{}')", self.sigs.random().serialize()),
-            _ => format!("'{}'", MOLS[self.rand(6) as usize]),
-        }
-    }
-
-    fn dml(&mut self) -> String {
-        let t = self.rand(5) as usize;
-        let (table, key, col) = TABLES[t];
-        let op = if self.ids[t] < 3 { 0 } else { self.rand(3) };
-        if op == 0 {
-            self.ids[t] += 1;
-            let id = self.ids[t];
-            return format!("INSERT INTO {table} VALUES ({id}, {})", self.value(t));
-        }
-        let id = 1 + self.rand(self.ids[t]);
-        if op == 1 {
-            format!("UPDATE {table} SET {col} = {} WHERE {key} = {id}", self.value(t))
-        } else {
-            format!("DELETE FROM {table} WHERE {key} = {id}")
-        }
-    }
-}
-
-/// The schema, the five domain indexes, then `n` statements in all of
-/// single-statement DML and BEGIN…COMMIT / ROLLBACK transactions; each
-/// statement with whether it is an autocommit one.
+/// The spec-driven workload's schema and DML (its queries and index DDL
+/// left out), a seeded share grouped into BEGIN…COMMIT / ROLLBACK
+/// transactions; each statement with whether it is an autocommit one.
 fn five_cartridge_stream(seed: u64, n: usize) -> Vec<(String, bool)> {
-    let mut out: Vec<(String, bool)> = TABLES
-        .iter()
-        .map(|(t, k, c)| {
-            let ty = match *c {
-                "body" => "VARCHAR2(200)",
-                "geometry" => "SDO_GEOMETRY",
-                "img" => "VIR_IMAGE",
-                _ => "VARCHAR2(256)",
-            };
-            format!("CREATE TABLE {t} ({k} INTEGER, {c} {ty})")
-        })
-        .chain([
-            "CREATE INDEX dt ON docs(body) INDEXTYPE IS TextIndexType".into(),
-            "CREATE INDEX px ON parcels(geometry) INDEXTYPE IS SpatialIndexType".into(),
-            "CREATE INDEX zx ON zones(geometry) INDEXTYPE IS RtreeIndexType".into(),
-            "CREATE INDEX ax ON assets(img) INDEXTYPE IS VirIndexType".into(),
-            "CREATE INDEX cx ON compounds(mol) INDEXTYPE IS ChemIndexType PARAMETERS (':Storage LOB')"
-                .into(),
-        ])
-        .map(|sql| (sql, true))
-        .collect();
-    let mut g = DmlStream {
-        x: seed,
-        ids: [0; 5],
-        spatial: SpatialWorkload::new(800.0, seed),
-        sigs: SignatureWorkload::new(seed),
+    let w = extidx_qgen::generate(seed, n);
+    let mut out: Vec<(String, bool)> = w.preamble.into_iter().map(|sql| (sql, true)).collect();
+    let dml = |s: &Stmt| matches!(s, Stmt::Insert { .. } | Stmt::Update { .. } | Stmt::Delete { .. });
+    let mut dml = w.stmts.iter().filter(|s| dml(s)).map(Stmt::sql);
+    let mut x = seed;
+    let mut rand = |n: u64| {
+        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (x >> 33) % n
     };
-    while out.len() < n {
-        if g.rand(5) == 0 {
+    while let Some(sql) = dml.next() {
+        if rand(5) == 0 {
             out.push(("BEGIN".into(), false));
-            for _ in 0..1 + g.rand(3) {
-                out.push((g.dml(), false));
-            }
-            out.push((if g.rand(3) == 0 { "ROLLBACK" } else { "COMMIT" }.into(), false));
+            out.push((sql, false));
+            out.extend(dml.by_ref().take(rand(3) as usize).map(|sql| (sql, false)));
+            out.push((if rand(3) == 0 { "ROLLBACK" } else { "COMMIT" }.into(), false));
         } else {
-            out.push((g.dml(), true));
+            out.push((sql, true));
         }
     }
     out
 }
 
-fn five_cartridge_db() -> Database {
-    let mut db = Database::with_cache_pages(4096);
-    extidx::text::install(&mut db).unwrap();
-    extidx::spatial::install(&mut db).unwrap();
-    extidx::vir::install(&mut db).unwrap();
-    extidx::chem::install(&mut db).unwrap();
-    db
-}
-
-/// Every table's bag — the cartridges' index tables included — and the
-/// health export.
+/// Every table — the cartridges' index tables included — and external
+/// file, and the health export.
 fn tables_and_health(db: &mut Database) -> (Vec<String>, Vec<String>) {
-    let tables = db
-        .catalog()
-        .table_names()
-        .into_iter()
-        .map(|t| format!("table {t}: {}", bag(db, &t).join(" | ")))
-        .collect();
     let health = db.catalog().health.snapshot().iter().map(|s| format!("{s:?}")).collect();
-    (tables, health)
+    (observe(db, &[]), health)
 }
 
 /// One seeded DML stream over all five cartridges against two media: one
@@ -1099,7 +828,7 @@ fn tables_and_health(db: &mut Database) -> (Vec<String>, Vec<String>) {
 #[test]
 fn checkpointing_and_never_checkpointing_media_recover_identically() {
     const K: usize = 7;
-    let stream = five_cartridge_stream(0xC0FFEE, 160);
+    let stream = five_cartridge_stream(0xC0FFEE, 320);
     // Crash on an autocommit statement right after another one with no
     // checkpoint in between, so both media end on the same commit marker.
     let crash_at = (130..stream.len())
@@ -1108,7 +837,7 @@ fn checkpointing_and_never_checkpointing_media_recover_identically() {
     let mut recovered = Vec::new();
     for every in [Some(K), None] {
         let medium = DurableMedium::new();
-        let mut db = five_cartridge_db();
+        let mut db = fresh_db(ChaosOpts::default());
         db.enable_durability(medium.clone()).unwrap();
         let mut inside_txn = 0;
         for (i, (sql, _)) in stream[..crash_at].iter().enumerate() {
@@ -1121,13 +850,13 @@ fn checkpointing_and_never_checkpointing_media_recover_identically() {
         assert!(every.is_none() || inside_txn > 0, "no checkpoint landed inside a transaction");
         let committed = tables_and_health(&mut db).0;
         crash(db, &medium, FP_WAL_COMMIT, &stream[crash_at].0);
-        let mut rec = five_cartridge_db();
+        let mut rec = fresh_db(ChaosOpts::default());
         rec.enable_durability(medium).unwrap();
         let state = tables_and_health(&mut rec);
         assert_eq!(state.0, committed, "checkpoint every {every:?}: recovered != committed prefix");
         recovered.push(state);
     }
-    assert!(recovered[0].0.iter().any(|t| t.starts_with("table DR$")), "no index table compared");
+    assert!(recovered[0].0.iter().any(|t| t.contains(" FROM DR$")), "no index table compared");
     assert_eq!(recovered[0], recovered[1], "a checkpoint changed what recovery recovers");
 }
 

@@ -391,41 +391,13 @@ fn a_tiny_tick_budget_that_fits_row_by_row_fits_the_batched_join() {
 }
 
 /// Multi-seed qgen sweep: the generated workloads cover all five
-/// cartridges, DDL churn, forced-plan hints, and ORDER BY/LIMIT early
-/// termination. After every statement (and each hinted variant) the
-/// Start/Close aggregate counts must match exactly.
+/// cartridges, DDL churn, forced-plan hints, joins and ORDER BY/LIMIT early
+/// termination, and the oracle's `Checked` wrappers demand Start ≡ Close
+/// at the plug-in boundary after every statement and plan variant.
 #[test]
 fn qgen_sweep_never_leaks_a_scan_context() {
-    use extidx_qgen::gen::Stmt;
-
     for seed in [0xD1FF_u64, 7, 23] {
-        let workload = extidx_qgen::generate(seed, 120);
-        let mut db = extidx_qgen::fresh_db(extidx_qgen::ChaosOpts::default());
-        for sql in &workload.preamble {
-            db.execute(sql).unwrap_or_else(|e| panic!("preamble {sql}: {e}"));
-        }
-        db.trace().set_enabled(true);
-        for (i, stmt) in workload.stmts.iter().enumerate() {
-            let mut sqls = vec![stmt.sql()];
-            if let Stmt::Query(q) = stmt {
-                // Forced-plan variants: hint every domain index on the
-                // table plus the hintless scan-suppressing paths.
-                sqls.push(q.sql(Some(&format!("FULL({})", q.table))));
-                for d in db.catalog().domain_indexes_on(q.table) {
-                    sqls.push(q.sql(Some(&format!("INDEX({} {})", q.table, d.name))));
-                }
-                sqls.push(q.count_sql(None));
-            }
-            for sql in sqls {
-                // Hinted variants may legitimately error (e.g. a forced
-                // index whose operator doesn't match); leaks may not.
-                let _ = db.execute(&sql);
-                let (starts, closes) = start_close_counts(&db);
-                assert_eq!(
-                    starts, closes,
-                    "seed {seed}, statement {i}: scan leak after {sql:?}"
-                );
-            }
-        }
+        let divergence = extidx_qgen::run_seed(seed, 120, extidx_qgen::ChaosOpts::default());
+        assert!(divergence.is_none(), "seed {seed}: {:?}", divergence.map(|d| d.detail));
     }
 }

@@ -72,15 +72,12 @@ fn zone_maps_widen_never_narrow_under_update_delete() {
         "SELECT id FROM zt WHERE val > 2900",
         "SELECT COUNT(*) FROM zt WHERE val < 0",
     ];
+    // Each probe's generic twin, `val + 0`, is one no zone map can prune.
     let check = |db: &mut Database, stage: &str| {
         for sql in &probes {
-            db.set_zone_pruning(true);
-            let pruned = bag(db, sql);
-            db.set_zone_pruning(false);
-            let full = bag(db, sql);
+            let (pruned, full) = (bag(db, sql), bag(db, &sql.replace("val", "val + 0")));
             assert_eq!(pruned, full, "zone pruning changed the result after {stage}: {sql}");
         }
-        db.set_zone_pruning(true);
     };
     check(&mut db, "load");
 
@@ -471,11 +468,14 @@ fn cost_ordered_conjuncts_call_the_operator_only_on_surviving_rows() {
     .unwrap();
     db.execute("CREATE OPERATOR SlowOp BINDING (INTEGER) RETURN INTEGER USING SlowOpFn").unwrap();
     db.execute("CREATE TABLE t (id INTEGER, x INTEGER, grp INTEGER)").unwrap();
-    for i in 1..=N {
+    // Rows go in strided, so every page holds ids from the whole range and
+    // no zone map prunes a page: the operator meets every row the scan
+    // reads, unless the cheaper term rejects it first.
+    for j in 0..N {
+        let i = j * 7 % N + 1;
         db.execute_with("INSERT INTO t VALUES (?, ?, ?)", &[i.into(), i.into(), (i % GROUPS).into()])
             .unwrap();
     }
-    db.set_zone_pruning(false);
 
     // The FILTER line's terms, in evaluation order, as their class tags.
     let filter_classes = |db: &mut Database, sql: &str| -> Vec<String> {
