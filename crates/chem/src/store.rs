@@ -87,6 +87,18 @@ fn decode_records(bytes: &[u8]) -> Result<Vec<(RowId, Fingerprint)>> {
     Ok(out)
 }
 
+/// `bytes` with every record of rowid `target` left out.
+fn without_record(bytes: &[u8], target: u64) -> Vec<u8> {
+    let mut out = Vec::with_capacity(bytes.len());
+    for rec in bytes.chunks(RECORD_BYTES) {
+        let whole = rec.len() == RECORD_BYTES;
+        if !whole || u64::from_le_bytes(rec[..8].try_into().expect("8 bytes")) != target {
+            out.extend_from_slice(rec);
+        }
+    }
+    out
+}
+
 /// The record store for one index, dispatching on storage mode.
 pub struct FingerprintStore {
     pub mode: StorageMode,
@@ -184,7 +196,11 @@ impl FingerprintStore {
                 // retryable: the read-modify-rewrite cycle is restartable
                 // from scratch, so a transient filesystem error should be
                 // retried by the server rather than abort the statement.
-                let mut bytes = srv.file_read(&name).map_err(Error::retryable)?;
+                // The server's rewind before a retry cannot reach the file,
+                // so the cycle replaces any record of `rid` a failed
+                // attempt left there: appending a rowid is idempotent.
+                let bytes = srv.file_read(&name).map_err(Error::retryable)?;
+                let mut bytes = without_record(&bytes, rid.to_u64());
                 bytes.extend_from_slice(&rec);
                 srv.file_write(&name, &bytes).map_err(Error::retryable)?;
                 srv.file_flush(&name).map_err(Error::retryable)?;
@@ -214,15 +230,7 @@ impl FingerprintStore {
                 // Retryable for the same reason as `append`: the whole
                 // cycle restarts cleanly from the on-disk image.
                 let bytes = srv.file_read(&name).map_err(Error::retryable)?;
-                let mut out = Vec::with_capacity(bytes.len());
-                for rec in bytes.chunks(RECORD_BYTES) {
-                    if rec.len() == RECORD_BYTES
-                        && u64::from_le_bytes(rec[..8].try_into().expect("8 bytes")) == target
-                    {
-                        continue;
-                    }
-                    out.extend_from_slice(rec);
-                }
+                let out = without_record(&bytes, target);
                 srv.file_write(&name, &out).map_err(Error::retryable)?;
                 srv.file_flush(&name).map_err(Error::retryable)?;
             }

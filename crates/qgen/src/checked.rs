@@ -1,6 +1,6 @@
 //! The plug-in boundary, checked.
 //!
-//! [`crate::fresh_db`] registers every indextype's implementation wrapped
+//! [`crate::checked_db`] registers every indextype's implementation wrapped
 //! in a [`Checked`] [`OdciIndex`], which forwards every routine —
 //! `start_batch` included, so each cartridge's own batching still runs —
 //! and records in the engine's [`Crossings`] the two things only a

@@ -31,7 +31,7 @@
 //!    concatenated in commit (csn) order, replay on a fresh
 //!    single-session engine; the final per-table row bags must be
 //!    identical. Restricting concurrent DML to fresh-id inserts and
-//!    `id =` updates/deletes (see [`WorkloadGen::concurrent`]) is what makes
+//!    `id =` updates/deletes (see `WorkloadGen::update_eq`) is what makes
 //!    statement-level serial replay equivalent to the SI execution — any
 //!    snapshot/commit-time divergence in a statement's match set implies
 //!    a write-write overlap, which first-writer-wins aborts.
@@ -195,8 +195,8 @@ pub fn run_concurrent_seed_opts(
     chaos: ChaosOpts,
 ) -> Result<ConcurrentReport, String> {
     assert!(sessions >= 2, "a concurrent run needs at least two sessions");
-    let server = Server::new(fresh_db(chaos));
-    let mut gen = WorkloadGen::concurrent(seed);
+    let server = Server::new(fresh_db());
+    let mut gen = WorkloadGen::new(seed, false);
     let preamble = gen.preamble();
     {
         let mut s0 = server.session();
@@ -420,7 +420,7 @@ pub fn run_concurrent_seed_opts(
     // Final oracle 2: serial twin — replay the committed history in
     // commit order on a fresh single-session engine and demand identical
     // per-table row bags.
-    let mut twin = fresh_db(chaos);
+    let mut twin = fresh_db();
     for sql in &preamble {
         twin.execute(sql).map_err(|e| format!("twin preamble: {sql}: {e}"))?;
     }
@@ -462,7 +462,7 @@ pub fn run_concurrent_seed_opts(
 /// (the deliberate anomaly knob), the oracle must return `Some(detail)`
 /// describing the divergence.
 pub fn lost_update_demo(enforce: bool) -> Option<String> {
-    let server = Server::new(fresh_db(ChaosOpts::default()));
+    let server = Server::new(fresh_db());
     server.admin(|db| db.storage_mut().set_conflict_checks(enforce));
     let mut a = server.session();
     let mut b = server.session();
@@ -495,7 +495,7 @@ pub fn lost_update_demo(enforce: bool) -> Option<String> {
     };
 
     // Serial twin: a's transaction, then b's iff it committed.
-    let mut twin = fresh_db(ChaosOpts::default());
+    let mut twin = fresh_db();
     twin.execute("CREATE TABLE LU (id INTEGER, x NUMBER, y NUMBER)").expect("twin create");
     twin.execute("INSERT INTO LU VALUES (1, 10, 20)").expect("twin seed");
     twin.execute("UPDATE LU SET x = 11 WHERE id = 1").expect("twin a");
@@ -550,7 +550,7 @@ pub fn conflict_storm(
     increments_per_writer: usize,
 ) -> Result<StormReport, String> {
     const HOT_ROWS: usize = 4;
-    let server = Server::new(fresh_db(ChaosOpts::default()));
+    let server = Server::new(fresh_db());
     {
         let mut s = server.session();
         s.execute("CREATE TABLE HOT (id INTEGER, n INTEGER)")

@@ -42,7 +42,7 @@ pub fn grp_of(id: i64) -> Option<i64> {
 
 /// Probability that a generated cell is NULL — the workload is
 /// deliberately NULL-heavy so three-valued logic divergences surface.
-const NULL_P: f64 = 0.18;
+pub(crate) const NULL_P: f64 = 0.18;
 
 /// One generated row. `id` values are unique across the whole workload
 /// (a monotone counter), so result sets are identified by their id bags.
@@ -62,34 +62,13 @@ pub(crate) fn quote(s: &str) -> String {
     format!("'{}'", s.replace('\'', "''"))
 }
 
-fn opt_str(v: &Option<String>) -> String {
-    match v {
-        Some(s) => quote(s),
-        None => "NULL".into(),
-    }
-}
-
 impl GenRow {
     pub fn insert_sql(&self, table: &str) -> String {
-        let geom = match &self.geom {
-            Some(g) => geometry_sql(g),
-            None => "NULL".into(),
-        };
-        let img = match &self.img {
-            Some(s) => format!("VIR_IMAGE({})", quote(s)),
-            None => "NULL".into(),
-        };
-        let num = match self.num {
-            Some(n) => format!("{n:.1}"),
-            None => "NULL".into(),
-        };
         let grp = grp_of(self.id).map_or("NULL".into(), |g| g.to_string());
-        format!(
-            "INSERT INTO {table} VALUES ({grp}, {}, {}, {geom}, {img}, {}, {num})",
-            self.id,
-            opt_str(&self.doc),
-            opt_str(&self.mol),
-        )
+        let (doc, mol) = (GenCell::Doc(self.doc.clone()), GenCell::Mol(self.mol.clone()));
+        let (geom, img) = (GenCell::Geom(self.geom.clone()), GenCell::Img(self.img.clone()));
+        let cells = [doc, geom, img, mol, GenCell::Num(self.num)].map(|c| c.sql()).join(", ");
+        format!("INSERT INTO {table} VALUES ({grp}, {}, {cells})", self.id)
     }
 
     /// The column's value as an operator argument.
@@ -148,7 +127,7 @@ impl GenCell {
     }
 
     /// A NULL of `col`.
-    fn null(col: Col) -> GenCell {
+    pub(crate) fn null(col: Col) -> GenCell {
         match col {
             Col::Doc => GenCell::Doc(None),
             Col::Geom => GenCell::Geom(None),
@@ -158,13 +137,13 @@ impl GenCell {
         }
     }
 
-    fn sql(&self) -> String {
+    pub(crate) fn sql(&self) -> String {
         match self {
-            GenCell::Doc(v) | GenCell::Mol(v) => opt_str(v),
+            GenCell::Doc(Some(s)) | GenCell::Mol(Some(s)) => quote(s),
             GenCell::Geom(Some(g)) => geometry_sql(g),
             GenCell::Img(Some(s)) => format!("VIR_IMAGE({})", quote(s)),
             GenCell::Num(Some(n)) => format!("{n:.1}"),
-            GenCell::Geom(None) | GenCell::Img(None) | GenCell::Num(None) => "NULL".into(),
+            _ => "NULL".into(),
         }
     }
 }
@@ -510,7 +489,7 @@ pub(crate) struct WorkloadGen {
 }
 
 impl WorkloadGen {
-    fn new(seed: u64, file_store: bool) -> Self {
+    pub(crate) fn new(seed: u64, file_store: bool) -> Self {
         let mut mols = MoleculeWorkload::new(seed ^ 0x6d6f6c);
         let frags = vec![mols.molecule(3), mols.molecule(4), mols.molecule(3)];
         WorkloadGen {
@@ -572,16 +551,25 @@ impl WorkloadGen {
         let mut row = GenRow { id, doc: None, geom: None, img: None, mol: None, num: None };
         for col in OP_COLS {
             if !self.rng.gen_bool(NULL_P) {
-                apply_cell(&mut row, &(column_spec(col).value)(self, true));
+                let cell = (column_spec(col).value)(self, true);
+                self.remember(&cell);
+                apply_cell(&mut row, &cell);
             }
         }
         row.num = (!self.rng.gen_bool(NULL_P)).then(|| self.stored_num());
-        for (v, pool) in [(&row.img, &mut self.sig_pool), (&row.mol, &mut self.mol_pool)] {
-            if let (Some(v), true) = (v, pool.len() < 24) {
-                pool.push(v.clone());
-            }
-        }
         row
+    }
+
+    /// Pool an inserted image or molecule for later query arguments.
+    pub(crate) fn remember(&mut self, cell: &GenCell) {
+        let (v, pool) = match cell {
+            GenCell::Img(Some(v)) => (v, &mut self.sig_pool),
+            GenCell::Mol(Some(v)) => (v, &mut self.mol_pool),
+            _ => return,
+        };
+        if pool.len() < 24 {
+            pool.push(v.clone());
+        }
     }
 
     /// A fresh `num` cell value, remembered for later comparison literals.
@@ -771,10 +759,6 @@ impl WorkloadGen {
 /// SI legitimately differs from a serial replay, so they stay out of the
 /// concurrent stream.)
 impl WorkloadGen {
-    pub(crate) fn concurrent(seed: u64) -> Self {
-        WorkloadGen::new(seed, false)
-    }
-
     /// An INSERT of a globally fresh id.
     pub(crate) fn insert(&mut self, table: &'static str) -> Stmt {
         Stmt::Insert { table, row: self.row() }

@@ -161,18 +161,19 @@ pub struct Divergence {
 }
 
 /// A fresh engine with all five cartridges installed.
-pub fn fresh_db(chaos: ChaosOpts) -> Database {
-    checked_db(chaos).0
-}
-
-/// [`fresh_db`], and what its indextypes' [`Checked`] wrappers record:
-/// each indextype is re-created over its implementation, wrapped.
-pub fn checked_db(chaos: ChaosOpts) -> (Database, Arc<Crossings>) {
+pub fn fresh_db() -> Database {
     let mut db = Database::with_cache_pages(4096);
     extidx_text::install(&mut db).expect("text cartridge");
     extidx_spatial::install(&mut db).expect("spatial cartridge");
     extidx_vir::install(&mut db).expect("vir cartridge");
     extidx_chem::install(&mut db).expect("chem cartridge");
+    db
+}
+
+/// [`fresh_db`] with every indextype re-created over its implementation
+/// wrapped in [`Checked`], and what the wrappers record.
+pub fn checked_db(chaos: ChaosOpts) -> (Database, Arc<Crossings>) {
+    let mut db = fresh_db();
     let crossings = Arc::new(Crossings::default());
     for name in db.catalog().registry().indextype_names() {
         let it = db.catalog().registry().indextype(&name).expect("a listed indextype");
@@ -717,16 +718,15 @@ fn crash_and_resume(
     checkpoints: &[usize],
 ) -> Option<String> {
     let medium = DurableMedium::new();
-    let chaos = ChaosOpts::default();
-    let mut db = fresh_db(chaos);
+    let mut db = fresh_db();
     db.enable_durability(medium.clone()).expect("enable durability");
-    let mut twin = fresh_db(chaos);
+    let mut twin = fresh_db();
     for sql in preamble {
         db.execute(sql).unwrap_or_else(|e| panic!("preamble failed: {sql}: {e}"));
         twin.execute(sql).unwrap_or_else(|e| panic!("preamble failed: {sql}: {e}"));
     }
     let recover = |twin: &mut Database, what: String| -> Result<Database, String> {
-        let mut db = fresh_db(chaos);
+        let mut db = fresh_db();
         db.enable_durability(medium.clone()).map_err(|e| format!("{what}: recovery failed: {e}"))?;
         match compare_recovered(&mut db, twin) {
             Some(detail) => Err(format!("{what}: {detail}")),

@@ -13,8 +13,9 @@
 //!
 //! - [`spec`] — one [`spec::OperatorSpec`] per user-defined operator: its
 //!   indextypes and `PARAMETERS`, value and argument draws (edge values
-//!   included), column positions, mirror predicate, and the fixture the
-//!   fault and crash matrices drive; every module below reads it;
+//!   included), column positions and mirror predicate, which every module
+//!   below reads; and the fault and crash matrices' fixtures
+//!   ([`spec::rigs`]) with their random stream ([`spec::RigStream`]);
 //! - [`gen`] — structured schemas, rows, and statement streams, fully
 //!   deterministic per seed (heap and index-organized tables, NULL-heavy
 //!   columns, all five cartridge domains, mixed AND/OR predicates,
@@ -22,8 +23,9 @@
 //! - [`interp`] — the brute-force mirror interpreter: a `BTreeMap` of
 //!   structured rows evaluated with SQL three-valued logic, sharing no
 //!   code with the parser, optimizer, executor, or index layers;
-//! - [`checked`] — the plug-in boundary checked: every indextype runs
-//!   behind a wrapper that reports a NULL argument row reaching
+//! - [`checked`] — the plug-in boundary checked: in the differential
+//!   oracle's engine ([`checked_db`]) every indextype runs behind a
+//!   wrapper that reports a NULL argument row reaching
 //!   `ODCIIndexStart` and a Start left unclosed (and plants the lost-batch
 //!   bug under [`ChaosOpts::drop_last_batch`]);
 //! - [`harness`] — execution, comparison, deterministic replay, and

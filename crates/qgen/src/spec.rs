@@ -5,20 +5,26 @@
 //! is created, how its column's values and its other arguments are drawn
 //! (edge values included), which argument positions the indexed column
 //! may take, what the operator answers (the mirror predicate the
-//! interpreter evaluates, §2.4.2's functional twin), and the fixture the
-//! fault and crash matrices drive. The generator ([`crate::gen`]), the
-//! mirror ([`crate::interp`]), the differential and concurrent oracles
-//! and both matrices (`tests/fault_matrix.rs`, `tests/recovery.rs`) read
-//! [`SPECS`] and nothing else about an operator.
+//! interpreter evaluates, §2.4.2's functional twin). The generator
+//! ([`crate::gen`]), the mirror ([`crate::interp`]) and the differential
+//! and concurrent oracles read [`SPECS`] and nothing else about an
+//! operator. The fault and crash matrices (`tests/fault_matrix.rs`,
+//! `tests/recovery.rs`) drive one fixture per indextype ([`rigs`]), whose
+//! random stream ([`RigStream`]) draws values and probes through the same
+//! specs.
+
+use std::collections::BTreeMap;
 
 use extidx_chem::{Fingerprint, Molecule};
+use extidx_common::Error;
 use extidx_spatial::{geometry_sql, Geometry, Mask, SpatialWorkload};
 use extidx_sql::Database;
 use extidx_text::{query::parse_query, tokenizer};
 use extidx_vir::{Signature, SignatureWorkload, Weights};
 use rand::Rng;
 
-use crate::gen::{quote, Col, GenCell, GenRow, WorkloadGen};
+use crate::gen::{quote, Col, GenCell, GenRow, WorkloadGen, NULL_P};
+use crate::interp::apply_cell;
 
 /// An operator argument other than the indexed column.
 #[derive(Debug, Clone, PartialEq)]
@@ -146,9 +152,6 @@ pub struct OperatorSpec {
     /// The mirror predicate over `(stored, args, col_second)`.
     holds: fn(&Arg, &[Arg], bool) -> Answer,
     refuses: fn(&[Arg]) -> bool,
-    /// The fault and crash matrices' fixtures (an indextype's fixture is
-    /// held by the first operator it evaluates).
-    pub rigs: fn() -> Vec<Rig>,
 }
 
 /// Every operator, in the generator's draw order.
@@ -176,7 +179,6 @@ pub static SPECS: [OperatorSpec; 5] = [
             Ok(Some(parsed.matches(&tokenizer::tokenize(doc, &tokenizer::StopWords::none()))))
         },
         refuses: |_| false,
-        rigs: || vec![text_rig()],
     },
     OperatorSpec {
         name: "Sdo_Relate",
@@ -204,7 +206,6 @@ pub static SPECS: [OperatorSpec; 5] = [
             Ok(Some(if col_second { w.relate(g, mask) } else { g.relate(w, mask) }))
         },
         refuses: |_| false,
-        rigs: || ["SpatialIndexType", "RtreeIndexType"].map(spatial_rig).into(),
     },
     OperatorSpec {
         name: "VirSimilar",
@@ -227,7 +228,6 @@ pub static SPECS: [OperatorSpec; 5] = [
             Ok(Some(s.distance(&q, &w) <= t))
         },
         refuses: |args| Weights::parse(args[1].text().expect("weights")).is_err(),
-        rigs: || vec![vir_rig()],
     },
     OperatorSpec {
         name: "MolContains",
@@ -263,7 +263,6 @@ pub static SPECS: [OperatorSpec; 5] = [
             Ok(Some(molecule(m).contains_subgraph(&molecule(f))))
         },
         refuses: |_| false,
-        rigs: || [":Storage LOB", ":Storage FILE :Events ON"].map(chem_rig).into(),
     },
     OperatorSpec {
         name: "MolSimilar",
@@ -293,7 +292,6 @@ pub static SPECS: [OperatorSpec; 5] = [
             Ok(Some(fingerprint(m).tanimoto(&fingerprint(q)) >= t))
         },
         refuses: |_| false,
-        rigs: Vec::new,
     },
 ];
 
@@ -443,6 +441,12 @@ pub struct Rig {
     pub probes: Vec<String>,
     /// Fault points inside the cartridge (armed with no indextype filter).
     pub internal_points: Vec<&'static str>,
+    /// The key column, the indexed column and which operators' column it is.
+    key: &'static str,
+    column: &'static str,
+    col: Col,
+    /// The rows `setup` inserts, keyed 1, 2, 3.
+    rows: Vec<GenCell>,
 }
 
 impl Rig {
@@ -460,11 +464,128 @@ impl Rig {
             db.execute(sql).unwrap_or_else(|e| panic!("{}: {sql}: {e}", self.name));
         }
     }
+
+    /// A seeded stream of random DML and probes over the loaded fixture.
+    pub fn stream(&self, seed: u64) -> RigStream<'_> {
+        let rows: BTreeMap<i64, GenRow> =
+            (1..).zip(&self.rows).map(|(k, v)| (k, keyed(k, v))).collect();
+        let (g, next_key) = (WorkloadGen::new(seed, false), rows.len() as i64 + 1);
+        RigStream { rig: self, g, next_key, rows, begun: None }
+    }
 }
 
-/// Every indextype's fixture, one per storage variant.
+/// A row holding only `cell`, under `key`.
+fn keyed(key: i64, cell: &GenCell) -> GenRow {
+    let mut row = GenRow { id: key, doc: None, geom: None, img: None, mol: None, num: None };
+    apply_cell(&mut row, cell);
+    row
+}
+
+/// Single-row DML over a [`Rig`]'s table — inserts under fresh keys,
+/// updates and deletes of a random key (present or not), values drawn by
+/// the column's spec with the generator's NULL rate — and probes drawn by
+/// every operator on the column, answered by the mirror over the rows the
+/// statements that succeeded left. The functional `NO_INDEX` path is the
+/// differential oracle's to check; here the index answers the mirror.
+pub struct RigStream<'r> {
+    rig: &'r Rig,
+    g: WorkloadGen,
+    rows: BTreeMap<i64, GenRow>,
+    next_key: i64,
+    /// The rows at `BEGIN`, while a transaction is open.
+    begun: Option<BTreeMap<i64, GenRow>>,
+}
+
+impl RigStream<'_> {
+    /// Run the next DML statement on `db`; the model follows it only if it
+    /// succeeds (a failed statement must leave no trace).
+    pub fn execute(&mut self, db: &mut Database) -> Result<(), Error> {
+        let Rig { table: t, key, column, col, .. } = *self.rig;
+        let fresh = self.g.rng.gen_range(0..3u32) == 0 || self.rows.is_empty();
+        let k = if fresh { self.next_key } else { self.g.rng.gen_range(1..self.next_key) };
+        let delete = !fresh && self.g.rng.gen_bool(0.5);
+        let cell = if delete {
+            None
+        } else if self.g.rng.gen_bool(NULL_P) {
+            Some(GenCell::null(col))
+        } else {
+            Some((column_spec(col).value)(&mut self.g, fresh))
+        };
+        let sql = match &cell {
+            None => format!("DELETE FROM {t} WHERE {key} = {k}"),
+            Some(v) if fresh => format!("INSERT INTO {t} VALUES ({k}, {})", v.sql()),
+            Some(v) => format!("UPDATE {t} SET {column} = {} WHERE {key} = {k}", v.sql()),
+        };
+        db.execute(&sql)?;
+        match cell {
+            None => drop(self.rows.remove(&k)),
+            Some(v) => {
+                self.g.remember(&v);
+                if fresh {
+                    self.next_key += 1;
+                    self.rows.insert(k, keyed(k, &v));
+                } else if let Some(row) = self.rows.get_mut(&k) {
+                    apply_cell(row, &v);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// `BEGIN` outside a transaction; inside one, `COMMIT` or `ROLLBACK`,
+    /// which takes the model back to the rows at `BEGIN`.
+    pub fn toggle_transaction(&mut self, db: &mut Database, commit: bool) -> Result<(), Error> {
+        let sql = match self.begun.take() {
+            None => {
+                self.begun = Some(self.rows.clone());
+                "BEGIN"
+            }
+            Some(_) if commit => "COMMIT",
+            Some(rows) => {
+                self.rows = rows;
+                "ROLLBACK"
+            }
+        };
+        db.execute(sql).map(drop)
+    }
+
+    /// Draw an operator query on the column that the operator does not
+    /// refuse, with no NULL argument, and run it forced through the domain
+    /// index: `Err` unless it answers the keys the mirror does.
+    pub fn check(&mut self, db: &mut Database) -> Result<(), String> {
+        let Rig { table: t, key, column, col, index, .. } = *self.rig;
+        let specs: Vec<&OperatorSpec> = SPECS.iter().filter(|s| s.col == col).collect();
+        let atom = loop {
+            let atom = (specs[self.g.rng.gen_range(0..specs.len())].draw)(&mut self.g, false);
+            self.g.whole_atom = None;
+            if !atom.refused() {
+                break atom;
+            }
+        };
+        let pred = atom.render(column, &atom.args[0].sql());
+        let want: Vec<i64> =
+            self.rows.values().filter(|r| atom.holds(r) == Ok(Some(true))).map(|r| r.id).collect();
+        let sql = format!("SELECT /*+ INDEX({t} {index}) */ {key} FROM {t} WHERE {pred}");
+        let rows = db.query(&sql).map_err(|e| format!("{sql}: {e}"))?;
+        let mut got: Vec<i64> = rows.iter().map(|r| r[0].as_integer().expect("key")).collect();
+        got.sort_unstable();
+        if got != want {
+            return Err(format!("{sql}: got {got:?}, the mirror {want:?}"));
+        }
+        Ok(())
+    }
+}
+
+/// Every indextype's fixture, the chem one per storage variant.
 pub fn rigs() -> Vec<Rig> {
-    SPECS.iter().flat_map(|s| (s.rigs)()).collect()
+    vec![
+        text_rig(),
+        spatial_rig("SpatialIndexType"),
+        spatial_rig("RtreeIndexType"),
+        vir_rig(),
+        chem_rig(":Storage LOB"),
+        chem_rig(":Storage FILE :Events ON"),
+    ]
 }
 
 /// The fixture named `name`.
@@ -479,24 +600,25 @@ pub fn named_rig(name: &str) -> Rig {
 fn fixture(
     (name, indextype, index): (&'static str, &'static str, &'static str),
     using: &str,
-    (table, key, col, ty): (&'static str, &str, &str, &str),
-    vals: [String; 7],
+    (table, key, column, ty): (&'static str, &'static str, &'static str, &str),
+    vals: [GenCell; 7],
     ops: &[&str],
     internal_points: Vec<&'static str>,
 ) -> Rig {
-    let mut setup = vec![format!("CREATE TABLE {table} ({key} INTEGER, {col} {ty})")];
-    setup.extend((0..3).map(|i| format!("INSERT INTO {table} VALUES ({}, {})", i + 1, vals[i])));
-    setup.push(format!("CREATE INDEX {index} ON {table}({col}) INDEXTYPE IS {using}"));
+    let mut setup = vec![format!("CREATE TABLE {table} ({key} INTEGER, {column} {ty})")];
+    let insert = |i: usize, key| format!("({key}, {})", vals[i].sql());
+    setup.extend((0..3).map(|i| format!("INSERT INTO {table} VALUES {}", insert(i, i + 1))));
+    setup.push(format!("CREATE INDEX {index} ON {table}({column}) INDEXTYPE IS {using}"));
     setup.push(format!("CREATE INDEX {index}_{key} ON {table}({key})"));
-    let rows: Vec<String> = (3..6).map(|i| format!("({}, {})", i + 7, vals[i])).collect();
+    let rows: Vec<String> = (3..6).map(|i| insert(i, i + 7)).collect();
     let dmls = vec![
         ("insert", format!("INSERT INTO {table} VALUES {}", rows.join(", "))),
-        ("update", format!("UPDATE {table} SET {col} = {} WHERE {key} >= 2", vals[6])),
+        ("update", format!("UPDATE {table} SET {column} = {} WHERE {key} >= 2", vals[6].sql())),
         ("delete", format!("DELETE FROM {table} WHERE {key} >= 2")),
     ];
     let mut probes: Vec<String> =
         ops.iter().map(|op| format!("SELECT {key} FROM {table} WHERE {op}")).collect();
-    probes.push(format!("SELECT {col} FROM {table} WHERE {key} = 2"));
+    probes.push(format!("SELECT {column} FROM {table} WHERE {key} = 2"));
     Rig {
         name,
         indextype,
@@ -507,6 +629,10 @@ fn fixture(
         dmls,
         probes,
         internal_points,
+        key,
+        column,
+        col: vals[0].col(),
+        rows: vals[..3].to_vec(),
     }
 }
 
@@ -517,7 +643,7 @@ fn text_rig() -> Rig {
         ("text", "TEXTINDEXTYPE", "DT"),
         "TextIndexType",
         ("docs", "id", "body", "VARCHAR2(200)"),
-        docs.map(quote).collect::<Vec<_>>().try_into().expect("seven documents"),
+        docs.map(|d| GenCell::Doc(Some(d.into()))).collect::<Vec<_>>().try_into().expect("seven"),
         &["Contains(body, 'gorse')", "Contains(body, 'ale OR dun')"],
         vec!["text.maintenance.indexed", "text.maintenance.reindex", "text.maintenance.unindexed"],
     )
@@ -525,7 +651,7 @@ fn text_rig() -> Rig {
 
 fn spatial_rig(indextype: &'static str) -> Rig {
     let mut wl = SpatialWorkload::new(800.0, 41);
-    let vals: [String; 7] = std::array::from_fn(|_| geometry_sql(&wl.rect(5.0, 50.0)));
+    let vals: [GenCell; 7] = std::array::from_fn(|_| GenCell::Geom(Some(wl.rect(5.0, 50.0))));
     let window = geometry_sql(&wl.rect(200.0, 700.0));
     let (rig, points) = if indextype.starts_with("Rtree") {
         (("rtree", "RTREEINDEXTYPE", "SX"), ["rtree.maintenance.indexed", "rtree.maintenance.reindex"])
@@ -544,7 +670,7 @@ fn vir_rig() -> Rig {
     let mut sigs: Vec<_> = (0..3).map(|_| wl.near_duplicate(&base, 0.3)).collect();
     sigs.extend([wl.near_duplicate(&base, 0.4), wl.random(), wl.near_duplicate(&base, 0.2)]);
     sigs.push(wl.random());
-    let vals = sigs.iter().map(|s| format!("VIR_IMAGE('{}')", s.serialize()));
+    let vals = sigs.iter().map(|s| GenCell::Img(Some(s.serialize())));
     fixture(
         ("vir", "VIRINDEXTYPE", "AX"),
         "VirIndexType",
@@ -564,7 +690,7 @@ fn chem_rig(params: &'static str) -> Rig {
         (if params.contains("FILE") { "chem-file" } else { "chem-lob" }, "CHEMINDEXTYPE", "CX"),
         &format!("ChemIndexType PARAMETERS ('{params}')"),
         ("compounds", "id", "mol", "VARCHAR2(256)"),
-        mols.map(quote),
+        mols.map(|m| GenCell::Mol(Some(m.into()))),
         &["MolContains(mol, 'CC(=O)N')", "MolContains(mol, 'CCO')"],
         vec!["chem.maintenance.indexed", "chem.maintenance.reindex", "chem.maintenance.unindexed"],
     )

@@ -1226,9 +1226,8 @@ impl Database {
     /// injected) first rewinds the failed call's partial storage effects —
     /// undo recorded past a pre-call mark — then retries under the
     /// bounded-backoff [`RetryPolicy`]. Exhausted retries surface the
-    /// underlying error, and so does a retryable failure of an index that
-    /// keeps external files: the rewind cannot reach them, so a retry would
-    /// apply the call's file writes twice.
+    /// underlying error. The rewind cannot reach external files, so a
+    /// routine that writes them must be safe to run twice.
     fn invoke_maintenance(&mut self, d: &DomainIndexDef, op: MaintOp) -> Result<()> {
         let (index, _, info) = self.domain_index_runtime(d)?;
         let retry = RetryPolicy::default();
@@ -1243,11 +1242,7 @@ impl Database {
                     self.scope.maint.push(MaintRecord { index: d.name.clone(), op });
                     return Ok(());
                 }
-                Err(e)
-                    if e.is_retryable()
-                        && retry.should_retry(attempt)
-                        && index.external_files(&info).is_empty() =>
-                {
+                Err(e) if e.is_retryable() && retry.should_retry(attempt) => {
                     // Rewind just this call's partial effects so the retry
                     // starts from a clean slate instead of double-applying.
                     self.storage.rollback_to(mark).map_err(|cause| Error::RollbackFailed {

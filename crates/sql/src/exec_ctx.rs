@@ -491,6 +491,7 @@ impl ServerContext for ServerCtx<'_, '_, '_> {
 
     fn file_read(&mut self, name: &str) -> Result<Vec<u8>> {
         sandbox::tick();
+        self.db().fault_check("file_read", None)?;
         self.db().storage.files_ref().read(name)
     }
 

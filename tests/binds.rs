@@ -12,7 +12,7 @@ use extidx::spatial::{geometry_sql, SpatialWorkload};
 use extidx::sql::Database;
 use extidx::text::CorpusGenerator;
 use extidx::vir::SignatureWorkload;
-use extidx_qgen::{fresh_db, ChaosOpts};
+use extidx_qgen::fresh_db;
 
 type Rows = Vec<Vec<Value>>;
 
@@ -140,7 +140,7 @@ fn too_few_binds_is_a_semantic_error() {
 /// Every cartridge's storage tables, populated: `f` carries a text, a
 /// spatial (tile), an R-tree, a VIR and a chem index.
 fn cartridge_db() -> Database {
-    let mut db = fresh_db(ChaosOpts::default());
+    let mut db = fresh_db();
     db.execute(
         "CREATE TABLE f (id INTEGER, doc VARCHAR2(4000), geom SDO_GEOMETRY, \
          box SDO_GEOMETRY, img VIR_IMAGE, mol VARCHAR2(400))",

@@ -8,8 +8,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use extidx::sql::Database;
-use extidx::text::tokenizer::{tokenize, StopWords};
 use extidx::text::query::parse_query;
+use extidx::text::tokenizer::{tokenize, StopWords};
+use extidx_qgen::fresh_db;
+use extidx_qgen::spec::rigs;
 
 const VOCAB: [&str; 8] = ["ale", "brix", "cole", "dun", "erg", "fyn", "gorse", "hale"];
 
@@ -32,107 +34,38 @@ fn reference_matches(db: &mut Database, query: &str) -> Vec<i64> {
     ids
 }
 
-fn indexed_matches(db: &mut Database, query: &str) -> Vec<i64> {
-    let mut ids: Vec<i64> = db
-        .query_with("SELECT id FROM docs WHERE Contains(body, ?)", &[query.into()])
-        .unwrap()
-        .iter()
-        .map(|r| r[0].as_integer().unwrap())
-        .collect();
-    ids.sort_unstable();
-    ids
-}
-
+/// Every rig (one per indextype and chem store, `extidx_qgen::spec`) under
+/// 400 seeded single-row INSERT / UPDATE / DELETE statements — random keys,
+/// values drawn by the column's operator spec — a tenth of the steps
+/// opening a transaction or ending the open one by COMMIT or ROLLBACK.
+/// Every seventh step a random operator probe forced through the domain
+/// index answers the rows the spec's mirror answers; at the end the text
+/// index holds exactly the postings its base table implies.
 #[test]
 fn random_workload_never_desynchronizes_the_index() {
     let mut rng = StdRng::seed_from_u64(20_260_704);
-    let mut db = Database::with_cache_pages(8192);
-    extidx::text::install(&mut db).unwrap();
-    db.execute("CREATE TABLE docs (id INTEGER, body VARCHAR2(400))").unwrap();
-    db.execute("CREATE INDEX dt ON docs(body) INDEXTYPE IS TextIndexType").unwrap();
-
-    let mut next_id: i64 = 0;
-    let mut live: Vec<i64> = Vec::new();
-    let mut in_txn = false;
-
-    for step in 0..400 {
-        match rng.gen_range(0..100) {
-            // Insert (45%)
-            0..=44 => {
-                let body = random_doc(&mut rng);
-                db.execute_with("INSERT INTO docs VALUES (?, ?)", &[next_id.into(), body.into()])
-                    .unwrap();
-                live.push(next_id);
-                next_id += 1;
+    for rig in rigs() {
+        let mut db = fresh_db();
+        rig.load(&mut db);
+        let mut stream = rig.stream(rng.gen());
+        for step in 0..400 {
+            if rng.gen_range(0..10) == 0 {
+                stream.toggle_transaction(&mut db, rng.gen_bool(0.5)).unwrap();
+            } else {
+                stream.execute(&mut db).unwrap();
             }
-            // Update (20%)
-            45..=64 if !live.is_empty() => {
-                let id = live[rng.gen_range(0..live.len())];
-                let body = random_doc(&mut rng);
-                db.execute_with(
-                    "UPDATE docs SET body = ? WHERE id = ?",
-                    &[body.into(), id.into()],
-                )
-                .unwrap();
-            }
-            // Delete (15%)
-            65..=79 if !live.is_empty() => {
-                let pos = rng.gen_range(0..live.len());
-                let id = live.swap_remove(pos);
-                db.execute_with("DELETE FROM docs WHERE id = ?", &[id.into()]).unwrap();
-            }
-            // Transaction toggles (10%): begin, then commit or roll back
-            // a couple of steps later.
-            80..=89 => {
-                if in_txn {
-                    if rng.gen_bool(0.5) {
-                        db.execute("COMMIT").unwrap();
-                    } else {
-                        db.execute("ROLLBACK").unwrap();
-                        // Resync the id model: re-read surviving ids.
-                        live = db
-                            .query("SELECT id FROM docs")
-                            .unwrap()
-                            .iter()
-                            .map(|r| r[0].as_integer().unwrap())
-                            .collect();
-                    }
-                    in_txn = false;
-                } else {
-                    db.execute("BEGIN").unwrap();
-                    in_txn = true;
-                }
-            }
-            // Everything else: consistency probe.
-            _ => {}
-        }
-
-        // Every few steps, compare index answers with the reference for a
-        // few query shapes.
-        if step % 7 == 0 {
-            let a = VOCAB[rng.gen_range(0..VOCAB.len())];
-            let b = VOCAB[rng.gen_range(0..VOCAB.len())];
-            for q in [a.to_string(), format!("{a} AND {b}"), format!("{a} OR {b}"), format!("{a} AND NOT {b}")] {
-                assert_eq!(
-                    indexed_matches(&mut db, &q),
-                    reference_matches(&mut db, &q),
-                    "index drifted from base table at step {step}, query {q:?}"
-                );
+            if step % 7 == 0 {
+                stream.check(&mut db).unwrap_or_else(|e| panic!("{}: step {step}: {e}", rig.name));
             }
         }
+        if rig.name == "text" {
+            let base = db.query("SELECT body FROM docs WHERE body IS NOT NULL").unwrap();
+            let none = StopWords::none();
+            let postings = base.iter().map(|r| tokenize(r[0].as_str().unwrap(), &none).len());
+            let actual = db.query("SELECT COUNT(*) FROM DR$DT$I").unwrap()[0][0].as_integer();
+            assert_eq!(actual.unwrap() as usize, postings.sum::<usize>());
+        }
     }
-    if in_txn {
-        db.execute("COMMIT").unwrap();
-    }
-    // Final deep check: the inverted index contains exactly the postings
-    // the base table implies.
-    let base = db.query("SELECT id, body FROM docs").unwrap();
-    let mut expected_postings = 0usize;
-    for r in &base {
-        expected_postings += tokenize(r[1].as_str().unwrap(), &StopWords::none()).len();
-    }
-    let actual = db.query("SELECT COUNT(*) FROM DR$DT$I").unwrap()[0][0].as_integer().unwrap();
-    assert_eq!(actual as usize, expected_postings);
 }
 
 /// Docs `0..300` of seeded random words under a text index, and a

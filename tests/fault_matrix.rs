@@ -21,11 +21,11 @@ use extidx::core::server::ServerContext;
 use extidx::sql::Database;
 use extidx_common::Error;
 use extidx_qgen::spec::{named_rig, observe, rigs, Rig};
-use extidx_qgen::{fresh_db, ChaosOpts};
+use extidx_qgen::fresh_db;
 
 /// A fresh engine holding `rig`'s fixture.
 fn loaded(rig: &Rig) -> Database {
-    let mut db = fresh_db(ChaosOpts::default());
+    let mut db = fresh_db();
     rig.load(&mut db);
     db
 }
@@ -130,55 +130,41 @@ fn panic_at_every_crossing_is_contained_and_leaves_state_unchanged() {
 }
 
 /// Transient faults (bounded runs of retryable errors) must be absorbed
-/// by the engine's retry loop: the statement succeeds and the final state
-/// equals a fault-free run.
+/// by the engine's retry loop: every statement succeeds and leaves the
+/// state a fault-free run leaves.
 #[test]
 fn transient_faults_are_absorbed_by_retry() {
-    let rig = named_rig("text");
-    // Reference: the same DML stream with no faults.
-    let reference = {
-        let mut db = loaded(&rig);
-        for (_, dml) in &rig.dmls {
-            db.execute(dml).unwrap();
+    let (text, chem) = (named_rig("text"), named_rig("chem-file"));
+    let cases: [(&Rig, &[&str], u64); 4] = [
+        // Entry-crossing transients: the routine never ran, so the retry
+        // starts clean. Two failures against a 3-attempt policy → absorbed.
+        (&text, &["ODCIIndexInsert", "ODCIIndexUpdate", "ODCIIndexDelete"], 2),
+        // Post-effect transients: the fault strikes *after* the cartridge
+        // applied its postings, so the retry loop must first rewind the
+        // partial effects (undo-mark split) or the index would
+        // double-apply. The rewind cannot reach an external file, so there
+        // the cartridge's append replaces the record a failed attempt left.
+        (&text, &["text.maintenance.indexed"], 1),
+        (&chem, &["chem.maintenance.indexed"], 1),
+        // A transient failure of the server's file read, before any write.
+        (&chem, &["file_read"], 2),
+    ];
+    for (rig, points, failures) in cases {
+        // The same statements with no faults, for reference.
+        let (mut db, mut twin) = (loaded(rig), loaded(rig));
+        let inj = db.fault_injector().clone();
+        for point in points {
+            inj.arm(point, None, 1, FaultKind::Transient { failures: failures as u32 });
         }
-        observe(&mut db, &rig.probes)
-    };
-
-    // Entry-crossing transients: the routine never ran, so the retry
-    // starts clean. Two failures against a 3-attempt policy → absorbed.
-    let mut db = loaded(&rig);
-    let inj = db.fault_injector().clone();
-    let routines = ["ODCIIndexInsert", "ODCIIndexUpdate", "ODCIIndexDelete"];
-    for (i, (label, dml)) in rig.dmls.iter().enumerate() {
-        inj.reset();
-        inj.arm(routines[i], Some("TEXTINDEXTYPE"), 1, FaultKind::Transient { failures: 2 });
-        db.execute(dml).unwrap_or_else(|e| panic!("{label}: retry failed: {e}"));
-        assert_eq!(inj.fired(), 2, "{label}: expected both transient firings");
-        assert!(!inj.is_armed());
+        for (label, dml) in &rig.dmls {
+            db.execute(dml).unwrap_or_else(|e| panic!("{points:?}/{label}: retry failed: {e}"));
+            twin.execute(dml).unwrap();
+            let want = observe(&mut twin, &rig.probes);
+            assert_eq!(observe(&mut db, &rig.probes), want, "{points:?}/{label}: retried state");
+        }
+        assert_eq!(inj.fired(), failures * points.len() as u64, "{points:?}");
+        assert!(!inj.is_armed(), "{points:?}");
     }
-    assert_eq!(observe(&mut db, &rig.probes), reference);
-
-    // Post-effect transient: the fault strikes *after* the cartridge
-    // applied its postings, so the retry loop must first rewind the
-    // partial effects (undo-mark split) or the index would double-apply.
-    let mut db = loaded(&rig);
-    let inj = db.fault_injector().clone();
-    inj.arm("text.maintenance.indexed", None, 1, FaultKind::Transient { failures: 1 });
-    for (_, dml) in &rig.dmls {
-        db.execute(dml).unwrap();
-    }
-    assert_eq!(inj.fired(), 1);
-    assert_eq!(observe(&mut db, &rig.probes), reference);
-
-    // The same post-effect transient on an index that keeps external files
-    // fails the statement instead: the rewind cannot reach the file, so a
-    // retry would append the row's entry twice.
-    let rig = named_rig("chem-file");
-    let mut db = loaded(&rig);
-    let s0 = observe(&mut db, &rig.probes);
-    db.fault_injector().arm("chem.maintenance.indexed", None, 1, FaultKind::Transient { failures: 1 });
-    assert!(db.execute(&rig.dmls[0].1).is_err(), "a FILE-store write was retried");
-    assert_eq!(observe(&mut db, &rig.probes), s0);
 }
 
 /// `DbEvent::Rollback` must reach registered handlers on *both* scopes:
@@ -295,23 +281,12 @@ fn iot_base_table_dml_maintains_secondary_and_domain_indexes() {
 
     // Statement atomicity on an IOT: induced cartridge failure mid-insert
     // leaves no trace in table, B-tree, or domain index.
-    let before = {
-        let mut rows: Vec<String> =
-            db.query("SELECT * FROM docs").unwrap().iter().map(|r| format!("{r:?}")).collect();
-        rows.sort();
-        rows
-    };
+    let before = observe(&mut db, &[]);
     db.fault_injector().arm_fail("ODCIIndexInsert", Some("TEXTINDEXTYPE"), 2);
     assert!(db
         .execute("INSERT INTO docs VALUES (50, 1, 'gorse one'), (51, 1, 'gorse two')")
         .is_err());
-    let after = {
-        let mut rows: Vec<String> =
-            db.query("SELECT * FROM docs").unwrap().iter().map(|r| format!("{r:?}")).collect();
-        rows.sort();
-        rows
-    };
-    assert_eq!(before, after);
+    assert_eq!(observe(&mut db, &[]), before);
     assert_eq!(contains(&mut db, "gorse"), vec![40]);
 }
 
@@ -380,33 +355,29 @@ fn scan_and_stats_faults_fail_the_query_but_not_the_engine() {
 }
 
 /// Extended chaos sweep (ignored by default; CI runs it via
-/// `--include-ignored`): on every rig, a seeded stream of the rig's DML
-/// with faults armed at random crossings, checking after every statement
-/// that each operator probe answers through the domain index exactly as
-/// its functional twin does — the index never drifts from the base table.
+/// `--include-ignored`): on every rig, 300 (text) or 100 seeded single-row
+/// INSERT / UPDATE / DELETE statements with random keys and values drawn by
+/// the column's operator spec, a fault armed at a random crossing before
+/// every third one (sometimes transient). After every statement one random
+/// operator probe forced through the domain index must answer the rows the
+/// spec's mirror of the statements that succeeded answers: the index never
+/// drifts from the base table, and a failed statement leaves no trace in
+/// it.
 #[test]
 #[ignore = "long randomized sweep; run with --include-ignored"]
 fn chaos_faults_never_desynchronize_the_index() {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    let sorted = |db: &mut Database, sql: &str| {
-        let mut rows: Vec<String> = db.query(sql).unwrap().iter().map(|r| format!("{r:?}")).collect();
-        rows.sort();
-        rows
-    };
     let mut rng = StdRng::seed_from_u64(20_260_805);
     for rig in rigs() {
         let db = &mut loaded(&rig);
         let inj = db.fault_injector().clone();
         let points = rig.crossings();
-        // The probes that call the operator (the other one reads a row by
-        // key), forced through the index and through the functional twin.
-        let forced = format!("SELECT /*+ INDEX({} {}) */", rig.table, rig.index);
-        let probes: Vec<(String, String)> = (rig.probes.iter().filter(|p| p.contains('(')))
-            .map(|p| (p.replacen("SELECT", &forced, 1), p.replacen("SELECT", "SELECT /*+ NO_INDEX */", 1)))
-            .collect();
-        for step in 0..100 {
+        let mut stream = rig.stream(rng.gen());
+        // Text keeps the 300-step stream it once ran alone; a VIR or chem
+        // probe costs its mirror several times more, so the rest run 100.
+        for step in 0..if rig.name == "text" { 300 } else { 100 } {
             // Every third step, arm a random fault (sometimes transient).
             inj.reset();
             if step % 3 == 0 {
@@ -420,11 +391,9 @@ fn chaos_faults_never_desynchronize_the_index() {
             }
             // A fault may legitimately fail the statement; what can never
             // happen is drift between index answers and the base table.
-            let _ = db.execute(&rig.dmls[rng.gen_range(0..rig.dmls.len())].1);
+            let _ = stream.execute(db);
             inj.disarm_all();
-            for (sql, twin) in &probes {
-                assert_eq!(sorted(db, sql), sorted(db, twin), "{}: drift at step {step}: {sql}", rig.name);
-            }
+            stream.check(db).unwrap_or_else(|e| panic!("{}: step {step}: {e}", rig.name));
         }
     }
 }

@@ -22,7 +22,7 @@
 
 use extidx::common::{Error, Value};
 use extidx::sql::{Database, Server, Session};
-use extidx_qgen::{fresh_db, ChaosOpts};
+use extidx_qgen::fresh_db;
 use proptest::prelude::*;
 
 const MOLS: [&str; 6] = ["CCO", "COC", "OCC", "CCC", "CCN", "CCS"];
@@ -57,7 +57,7 @@ fn observe(sess: &mut Session, lo: i64, hi: i64) -> Vec<Vec<i64>> {
 /// A server with `MV (id, mol, num)`, a chemistry domain index on `mol`
 /// (fingerprints in a shared LOB), and `n` seeded rows.
 fn setup(n: usize, seed: u64) -> Server {
-    let server = Server::new(fresh_db(ChaosOpts::default()));
+    let server = Server::new(fresh_db());
     let mut s = server.session();
     s.execute("CREATE TABLE MV (id INTEGER, mol VARCHAR2(64), num INTEGER)").unwrap();
     s.execute("CREATE INDEX MV_MOL ON MV(mol) INDEXTYPE IS ChemIndexType").unwrap();
@@ -218,7 +218,7 @@ fn v_mvcc_reports_occupancy_and_vacuum_counters() {
 /// concurrent snapshot reads is never hidden by a pruned page.
 #[test]
 fn zone_pruning_active_on_chained_segment() {
-    let server = Server::new(fresh_db(ChaosOpts::default()));
+    let server = Server::new(fresh_db());
     let mut s = server.session();
     s.execute("CREATE TABLE big (id INTEGER, val INTEGER)").unwrap();
     for i in 0..3000i64 {

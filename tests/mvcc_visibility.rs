@@ -17,7 +17,7 @@
 use extidx::common::Value;
 use extidx::sql::{Server, Session};
 use extidx::storage::Snapshot;
-use extidx_qgen::{fresh_db, ChaosOpts};
+use extidx_qgen::fresh_db;
 use proptest::prelude::*;
 
 /// Molecules for the chem-indexed column: the first half match the
@@ -59,7 +59,7 @@ fn observe(sess: &mut Session, lo: i64, hi: i64) -> Vec<Vec<i64>> {
 /// A server with `MV (id, mol, num)`, a chemistry domain index on `mol`,
 /// and `n` seeded rows.
 fn setup(n: usize, seed: u64) -> Server {
-    let server = Server::new(fresh_db(ChaosOpts::default()));
+    let server = Server::new(fresh_db());
     let mut s = server.session();
     s.execute("CREATE TABLE MV (id INTEGER, mol VARCHAR2(64), num INTEGER)").unwrap();
     s.execute("CREATE INDEX MV_MOL ON MV(mol) INDEXTYPE IS ChemIndexType").unwrap();
@@ -201,7 +201,7 @@ use extidx::common::Error;
 /// with `T (id, k, doc)` holding rows 1 = (5, 'alpha …') and
 /// 2 = (6, 'beta …'), and no index yet.
 fn build_rig() -> Server {
-    let server = Server::new(fresh_db(ChaosOpts::default()));
+    let server = Server::new(fresh_db());
     let mut s = server.session();
     s.execute("CREATE TABLE T (id INTEGER, k INTEGER, doc VARCHAR2(64))").unwrap();
     s.execute("INSERT INTO T (id, k, doc) VALUES (1, 5, 'alpha one')").unwrap();
@@ -255,7 +255,7 @@ fn index_build_skips_rows_deleted_for_its_snapshot() {
 /// a heap table with a chemistry index.
 #[test]
 fn index_rebuild_skips_rows_deleted_for_its_snapshot() {
-    let server = Server::new(fresh_db(ChaosOpts::default()));
+    let server = Server::new(fresh_db());
     let mut a = server.session();
     a.execute("CREATE TABLE MV (id INTEGER, mol VARCHAR2(64), num INTEGER)").unwrap();
     a.execute("CREATE INDEX MV_MOL ON MV(mol) INDEXTYPE IS ChemIndexType").unwrap();
@@ -369,7 +369,7 @@ fn repopulating_alter_refuses_while_another_transaction_has_uncommitted_versions
 /// writer's record.
 #[test]
 fn file_store_resync_refuses_while_another_transaction_has_uncommitted_versions() {
-    let server = Server::new(fresh_db(ChaosOpts::default()));
+    let server = Server::new(fresh_db());
     let mut a = server.session();
     a.execute("CREATE TABLE MV (id INTEGER, mol VARCHAR2(64), num INTEGER)").unwrap();
     a.execute(
@@ -660,7 +660,7 @@ fn a_statement_rollback_keeps_an_earlier_write_of_the_same_image() {
         "CREATE TABLE P (id INTEGER, v INTEGER)",
         "CREATE TABLE P (id INTEGER, v INTEGER, PRIMARY KEY (id)) ORGANIZATION INDEX",
     ] {
-        let server = Server::new(fresh_db(ChaosOpts::default()));
+        let server = Server::new(fresh_db());
         let (mut a, mut b, mut c) = (server.session(), server.session(), server.session());
         a.execute(ddl).unwrap();
         a.execute("INSERT INTO P VALUES (1, 1), (2, 1)").unwrap();
@@ -726,7 +726,7 @@ fn scans_read_their_index_tables_at_the_readers_snapshot() {
     };
     let mut sigs = extidx::vir::SignatureWorkload::new(42);
     let query = sigs.random().serialize();
-    let server = Server::new(fresh_db(ChaosOpts::default()));
+    let server = Server::new(fresh_db());
     let mut s = server.session();
     s.execute("CREATE TABLE KT (id INTEGER, doc VARCHAR2(64), geom SDO_GEOMETRY, img VIR_IMAGE)")
         .unwrap();

@@ -28,7 +28,7 @@ use extidx::storage::{DurableMedium, Snapshot};
 use extidx_common::Value;
 use extidx_qgen::spec::{observe, rigs};
 use extidx_qgen::gen::Stmt;
-use extidx_qgen::{fresh_db, ChaosOpts};
+use extidx_qgen::fresh_db;
 
 /// Statement-level crash points (the checkpoint points fire only inside
 /// `checkpoint()` and are exercised separately).
@@ -171,7 +171,7 @@ fn domain_index_crash_matrix() {
                 // statement no longer reaches call `k`.
                 for k in 1..=200u64 {
                     let medium = DurableMedium::new();
-                    let mut db = fresh_db(ChaosOpts::default());
+                    let mut db = fresh_db();
                     db.enable_durability(medium.clone()).unwrap();
                     rig.load(&mut db);
                     let committed = observe(&mut db, &rig.probes);
@@ -188,7 +188,7 @@ fn domain_index_crash_matrix() {
                     assert!(medium.is_crashed(), "{}: medium not frozen at {point}#{k}", rig.name);
                     drop(db); // the process is dead
 
-                    let mut rec = fresh_db(ChaosOpts::default());
+                    let mut rec = fresh_db();
                     rec.enable_durability(medium).unwrap();
 
                     if rec.index_health(rig.index) == HealthState::Quarantined {
@@ -747,42 +747,33 @@ fn zone_maps_survive_rollback_churn() {
 // ---- satellite 3: a failed REBUILD leaves BUILD_FAILED, the next one recovers --
 
 /// A REBUILD of a quarantined index whose `ODCIIndexCreate` faults leaves
-/// the index BUILD_FAILED. Base-table DML keeps succeeding against it,
-/// and the next REBUILD re-reads the base table: VALID again, with the
-/// index answering exactly what a scan of the table answers.
+/// the index BUILD_FAILED. Base-table DML keeps succeeding against it, and
+/// the next REBUILD re-reads the base table: on every rig, VALID again,
+/// with random operator probes forced through the index answering the
+/// spec's mirror.
 #[test]
 fn failed_rebuild_leaves_build_failed_and_the_next_rebuild_restores() {
-    let mut db = Database::with_cache_pages(256);
-    extidx::text::install(&mut db).unwrap();
-    db.execute("CREATE TABLE docs (id INTEGER, body VARCHAR2(100))").unwrap();
-    db.execute("INSERT INTO docs VALUES (1, 'alpha beta')").unwrap();
-    db.execute("CREATE INDEX dt ON docs(body) INDEXTYPE IS TextIndexType").unwrap();
-    db.quarantine_index("DT").unwrap();
-    db.execute("INSERT INTO docs VALUES (2, 'gamma delta')").unwrap();
-    db.execute("INSERT INTO docs VALUES (3, 'epsilon zeta')").unwrap();
-
-    db.fault_injector().arm_fail("ODCIIndexCreate", Some("TEXTINDEXTYPE"), 1);
-    assert!(db.execute("ALTER INDEX dt REBUILD").is_err());
-    db.fault_injector().disarm_all();
-    assert_eq!(db.index_health("DT"), HealthState::BuildFailed);
-
-    db.execute("INSERT INTO docs VALUES (4, 'eta theta')").unwrap();
-    db.execute("UPDATE docs SET body = 'gamma again' WHERE id = 1").unwrap();
-    db.execute("DELETE FROM docs WHERE id = 3").unwrap();
-
-    db.execute("ALTER INDEX dt REBUILD").unwrap();
-    assert_eq!(db.index_health("DT"), HealthState::Valid);
-    for word in ["alpha", "gamma", "epsilon", "eta"] {
-        let pred = format!("WHERE Contains(body, '{word}')");
-        let mut forced =
-            db.query(&format!("SELECT /*+ INDEX(docs dt) */ id FROM docs {pred}")).unwrap();
-        let mut free = db.query(&format!("SELECT /*+ NO_INDEX(docs) */ id FROM docs {pred}")).unwrap();
-        forced.sort_by_key(|r| format!("{r:?}"));
-        free.sort_by_key(|r| format!("{r:?}"));
-        assert_eq!(forced, free, "INDEX vs NO_INDEX for '{word}'");
+    for rig in rigs() {
+        let mut db = fresh_db();
+        rig.load(&mut db);
+        db.quarantine_index(rig.index).unwrap();
+        let mut stream = rig.stream(29);
+        let rebuild = format!("ALTER INDEX {} REBUILD", rig.index);
+        for step in 0..30 {
+            if step == 10 {
+                db.fault_injector().arm_fail("ODCIIndexCreate", Some(rig.indextype), 1);
+                assert!(db.execute(&rebuild).is_err(), "{}", rig.name);
+                db.fault_injector().disarm_all();
+                assert_eq!(db.index_health(rig.index), HealthState::BuildFailed, "{}", rig.name);
+            }
+            stream.execute(&mut db).unwrap();
+        }
+        db.execute(&rebuild).unwrap();
+        assert_eq!(db.index_health(rig.index), HealthState::Valid, "{}", rig.name);
+        for _ in 0..8 {
+            stream.check(&mut db).unwrap_or_else(|e| panic!("{}: {e}", rig.name));
+        }
     }
-    let gamma = db.query("SELECT /*+ INDEX(docs dt) */ id FROM docs WHERE Contains(body, 'gamma')");
-    assert_eq!(gamma.unwrap().len(), 2);
 }
 
 // ---- a checkpoint changes what recovery costs, not what it recovers ------------
@@ -829,6 +820,12 @@ fn tables_and_health(db: &mut Database) -> (Vec<String>, Vec<String>) {
 fn checkpointing_and_never_checkpointing_media_recover_identically() {
     const K: usize = 7;
     let stream = five_cartridge_stream(0xC0FFEE, 320);
+    // Every cartridge is indexed, with both spatial indextypes and a chem
+    // LOB store among the indexes.
+    for kind in ["Text", "Spatial", "Rtree", "Vir", "Chem"].map(|k| format!("IS {k}IndexType")) {
+        assert!(stream.iter().any(|(sql, _)| sql.contains(&kind)), "no {kind} index");
+    }
+    assert!(stream.iter().any(|(sql, _)| sql.contains("':Storage LOB'")), "no chem LOB store");
     // Crash on an autocommit statement right after another one with no
     // checkpoint in between, so both media end on the same commit marker.
     let crash_at = (130..stream.len())
@@ -837,7 +834,7 @@ fn checkpointing_and_never_checkpointing_media_recover_identically() {
     let mut recovered = Vec::new();
     for every in [Some(K), None] {
         let medium = DurableMedium::new();
-        let mut db = fresh_db(ChaosOpts::default());
+        let mut db = fresh_db();
         db.enable_durability(medium.clone()).unwrap();
         let mut inside_txn = 0;
         for (i, (sql, _)) in stream[..crash_at].iter().enumerate() {
@@ -850,7 +847,7 @@ fn checkpointing_and_never_checkpointing_media_recover_identically() {
         assert!(every.is_none() || inside_txn > 0, "no checkpoint landed inside a transaction");
         let committed = tables_and_health(&mut db).0;
         crash(db, &medium, FP_WAL_COMMIT, &stream[crash_at].0);
-        let mut rec = fresh_db(ChaosOpts::default());
+        let mut rec = fresh_db();
         rec.enable_durability(medium).unwrap();
         let state = tables_and_health(&mut rec);
         assert_eq!(state.0, committed, "checkpoint every {every:?}: recovered != committed prefix");
