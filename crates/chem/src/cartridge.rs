@@ -161,7 +161,6 @@ impl OdciIndex for ChemIndexMethods {
         info: &IndexInfo,
         op: &OperatorCall,
     ) -> Result<ScanContext> {
-        op.require_column_first(info)?;
         let records = FingerprintStore::for_index(info).read_all(srv, info)?;
         let (pattern, candidates) = match op.operator.as_str() {
             "MOLCONTAINS" => {

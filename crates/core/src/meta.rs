@@ -7,7 +7,7 @@
 //! predicate a scan must evaluate, including the `op(...) relop value`
 //! bound the optimizer matched (§2.4.2).
 
-use extidx_common::{Error, Result, SqlType, Value};
+use extidx_common::{SqlType, Value};
 
 use crate::params::ParamString;
 
@@ -145,9 +145,9 @@ pub struct OperatorCall {
     /// rows travel beside it.
     pub args: Vec<Value>,
     /// Position of the indexed column among the operator's arguments
-    /// (`1` for `Sdo_Relate(:window, geometry, …)`). An asymmetric
-    /// operator answers in that order or refuses it
-    /// ([`OperatorCall::require_column_first`]).
+    /// (`1` for `Sdo_Relate(:window, geometry, …)`): always one the
+    /// indextype declares ([`crate::OdciIndex::column_positions`]). An
+    /// asymmetric operator answers in that order.
     pub column_pos: usize,
     /// The bound the returned value must satisfy.
     pub bound: PredicateBound,
@@ -168,23 +168,6 @@ impl OperatorCall {
         }
     }
 
-    /// For an indextype whose operators take the indexed column as their
-    /// first argument: an `ODCIIndexStart` error when it stands elsewhere,
-    /// instead of an answer to the operator with its operands swapped.
-    pub fn require_column_first(&self, info: &IndexInfo) -> Result<()> {
-        if self.column_pos == 0 {
-            return Ok(());
-        }
-        Err(Error::odci(
-            &info.indextype_name,
-            "ODCIIndexStart",
-            format!(
-                "{} needs the indexed column as its first argument (it is argument {})",
-                self.operator,
-                self.column_pos + 1
-            ),
-        ))
-    }
 }
 
 #[cfg(test)]

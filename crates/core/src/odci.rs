@@ -57,6 +57,17 @@ pub trait OdciIndex: Send + Sync {
     /// `ODCIIndexDrop`: tear down index storage.
     fn drop_index(&self, srv: &mut dyn ServerContext, info: &IndexInfo) -> Result<()>;
 
+    /// The argument positions at which this indextype's operators take the
+    /// indexed column. A declaration, not a routine: the optimizer matches
+    /// a domain index to an operator call only when the column stands at
+    /// one of them (§2.4.2), so a scan never sees it anywhere else. The
+    /// default is the first argument, `Contains(column, query)`; an
+    /// operator relating two values of one type may take either
+    /// (`Sdo_Relate(window, geometry, …)`).
+    fn column_positions(&self) -> &'static [usize] {
+        &[0]
+    }
+
     /// External files backing this index, if any (empty for indexes whose
     /// data lives in database objects). The engine uses this for two
     /// recovery duties the cartridge cannot perform itself: force-removing

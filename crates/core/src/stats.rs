@@ -4,10 +4,11 @@
 //! `ODCIStatsSelectivity` on the cartridge; §2.4.2 explains why: "The
 //! choice between the indexed implementation and the functional evaluation
 //! of the operator is made by the Oracle cost based optimizer using
-//! selectivity and cost functions." A cartridge that wants its index
-//! considered intelligently implements [`OdciStats`] and attaches it to
-//! the indextype; otherwise the engine falls back to
-//! [`DefaultStats`]-style guesses.
+//! selectivity and cost functions." Every indextype carries an
+//! [`OdciStats`] implementation (`CREATE INDEXTYPE … USING` names one with
+//! the index routines), and the optimizer asks it for every domain index it
+//! costs; there is no engine-side fallback. [`DefaultStats`] holds the
+//! traditional default selectivity an implementation may answer with.
 
 use extidx_common::Result;
 
@@ -58,9 +59,8 @@ pub trait OdciStats: Send + Sync {
     ) -> Result<IndexCost>;
 }
 
-/// Engine-side fallback guesses used when an indextype registers no
-/// [`OdciStats`]: a fixed selectivity and a cost proportional to the base
-/// table, mirroring Oracle's default handling of unanalyzed paths.
+/// Oracle's default guess for an unanalyzed operator predicate, for an
+/// [`OdciStats`] implementation that has nothing better to answer.
 #[derive(Debug, Clone, Copy)]
 pub struct DefaultStats {
     /// Selectivity assumed for any user-defined operator predicate.
@@ -74,15 +74,6 @@ impl Default for DefaultStats {
     }
 }
 
-impl DefaultStats {
-    /// The guessed cost of a domain scan over a base table of
-    /// `table_pages` pages: assume the index reads a selectivity-scaled
-    /// fraction of them plus a constant start-up.
-    pub fn guessed_cost(&self, table_pages: f64) -> IndexCost {
-        IndexCost { io_cost: 2.0 + table_pages * self.default_selectivity, cpu_cost: 1.0 }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,14 +82,5 @@ mod tests {
     fn total_sums_components() {
         let c = IndexCost { io_cost: 10.0, cpu_cost: 2.5 };
         assert!((c.total() - 12.5).abs() < f64::EPSILON);
-    }
-
-    #[test]
-    fn default_guesses_scale_with_table() {
-        let d = DefaultStats::default();
-        let small = d.guessed_cost(10.0);
-        let big = d.guessed_cost(10_000.0);
-        assert!(big.total() > small.total());
-        assert!((d.default_selectivity - 0.01).abs() < f64::EPSILON);
     }
 }

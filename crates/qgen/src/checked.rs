@@ -82,6 +82,7 @@ impl OdciIndex for Checked {
         alter(srv: &mut dyn ServerContext, info: &IndexInfo, delta: &ParamString) -> Result<()>;
         truncate(srv: &mut dyn ServerContext, info: &IndexInfo) -> Result<()>;
         drop_index(srv: &mut dyn ServerContext, info: &IndexInfo) -> Result<()>;
+        column_positions() -> &'static [usize];
         external_files(info: &IndexInfo) -> Vec<String>;
         build_batch(srv: &mut dyn ServerContext, info: &IndexInfo, rows: &[BaseRow], n: usize)
             -> Result<()>;

@@ -400,18 +400,17 @@ fn check_query(
 /// `INDEX(i idx)`, which no single-table predicate of `i` can use, is
 /// refused. Every domain join EXPLAIN shows (a scan of the inner table's
 /// index per batch of outer rows) is given exactly the outer rows whose
-/// argument is not NULL. `o`'s indexes are hinted away unless the
-/// operator takes its column in either position: a domain join over them
-/// would pass the column second, which their cartridges refuse.
+/// argument is not NULL. `o`'s indexes take part unhinted: a domain join
+/// over one passes the column second, which the optimizer plans only for
+/// an indextype that declares that position.
 fn check_join(db: &mut Database, crossings: &Crossings, mirror: &Mirror, q: &Query) -> Option<String> {
     let atom = q.join.as_ref()?;
     let expected = join_rows(q, atom, mirror);
-    let base = if atom.spec.either_position { "" } else { "NO_INDEX(o) " };
     let mut variants: Vec<(String, bool)> =
-        ["", "NO_INDEX(i)", "FULL(i)"].iter().map(|h| (format!("{base}{h}"), false)).collect();
+        ["", "NO_INDEX(i)", "FULL(i)"].iter().map(|h| (h.to_string(), false)).collect();
     for d in db.catalog().domain_indexes_on(q.table) {
         if d.column.eq_ignore_ascii_case(atom.spec.col.name()) {
-            variants.push((format!("{base}INDEX(i {})", d.name), true));
+            variants.push((format!("INDEX(i {})", d.name), true));
         }
     }
     let args_of = |t: &str| mirror.table(t).values().filter(|r| !r.arg(atom.spec.col).is_null()).count();

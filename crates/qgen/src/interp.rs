@@ -232,7 +232,7 @@ mod tests {
 
     fn contains(query: Option<&str>) -> Atom {
         let args = vec![Arg::Str(query.map(String::from))];
-        Atom::Op(OpAtom { spec: &SPECS[0], args, col_second: false, label: None })
+        Atom::Op(OpAtom::new(&SPECS[0], args))
     }
 
     #[test]

@@ -14,12 +14,14 @@
 //! specs.
 
 use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, OnceLock};
 
-use extidx_chem::{Fingerprint, Molecule};
+use extidx_chem::{Fingerprint, Molecule, Substructure};
 use extidx_common::Error;
 use extidx_spatial::{geometry_sql, Geometry, Mask, SpatialWorkload};
 use extidx_sql::Database;
-use extidx_text::{query::parse_query, tokenizer};
+use extidx_text::query::{parse_query, TextQuery};
+use extidx_text::tokenizer;
 use extidx_vir::{Signature, SignatureWorkload, Weights};
 use rand::Rng;
 
@@ -64,6 +66,46 @@ impl Arg {
 /// stored or literal), `Err` a refusal of the arguments.
 pub type Answer = Result<Option<bool>, String>;
 
+/// An operator's query side — every argument but the indexed column —
+/// parsed once: what its mirror holds each stored value to.
+#[derive(Debug)]
+pub(crate) enum Probe {
+    /// A NULL operand: UNKNOWN for every row.
+    Null,
+    Text(TextQuery),
+    Relate(Geometry, Mask),
+    Vir(Signature, Weights, f64),
+    /// The pattern, prepared with the scratch every stored molecule reuses.
+    Substructure(Mutex<Substructure>),
+    Similar(Fingerprint, f64),
+}
+
+impl Probe {
+    /// The operator's answer for a non-NULL `stored` value.
+    fn holds(&self, stored: &Arg, col_second: bool) -> Option<bool> {
+        let stored_text = || stored.text().expect("a stored text value");
+        Some(match self {
+            Probe::Null => return None,
+            Probe::Text(q) => {
+                q.matches(&tokenizer::tokenize(stored_text(), &tokenizer::StopWords::none()))
+            }
+            Probe::Relate(w, mask) => {
+                let Arg::Geom(Some(g)) = stored else { unreachable!("a stored geometry") };
+                if col_second { w.relate(g, *mask) } else { g.relate(w, *mask) }
+            }
+            Probe::Vir(q, w, t) => {
+                let s = Signature::deserialize(stored_text()).expect("stored signatures parse");
+                s.distance(q, w) <= *t
+            }
+            Probe::Substructure(pattern) => {
+                let mut pattern = pattern.lock().expect("no mirror panicked mid-match");
+                pattern.in_text(stored_text()).expect("generated molecule parses")
+            }
+            Probe::Similar(q, t) => fingerprint(stored_text()).tanimoto(q) >= *t,
+        })
+    }
+}
+
 /// One operator predicate: `Op(col, args…[, label])`, or with the indexed
 /// column second, `Op(args[0], col, args[1..]…)`.
 #[derive(Debug, Clone)]
@@ -75,9 +117,15 @@ pub struct OpAtom {
     pub col_second: bool,
     /// The ancillary label, paired with a `SCORE(label)` select item.
     pub label: Option<i64>,
+    /// `args` parsed, at the first row the mirror holds to them.
+    pub(crate) probe: Arc<OnceLock<Result<Probe, String>>>,
 }
 
 impl OpAtom {
+    pub fn new(spec: &'static OperatorSpec, args: Vec<Arg>) -> OpAtom {
+        OpAtom { spec, args, col_second: false, label: None, probe: Arc::default() }
+    }
+
     pub fn sql(&self) -> String {
         self.render(self.spec.col.name(), &self.args[0].sql())
     }
@@ -99,16 +147,18 @@ impl OpAtom {
         format!("{}({})", self.spec.name, args.join(", "))
     }
 
-    /// The operator's answer for `row`.
+    /// The operator's answer for `row`. The query side is parsed once per
+    /// atom, not once per row.
     pub fn holds(&self, row: &GenRow) -> Answer {
-        (self.spec.holds)(&row.arg(self.spec.col), &self.args, self.col_second)
+        let probe = self.probe.get_or_init(|| (self.spec.probe)(&self.args));
+        answer(&row.arg(self.spec.col), probe.as_ref(), self.col_second)
     }
 
     /// [`OpAtom::holds`] with the first argument read from `outer`.
     pub fn holds_joined(&self, outer: &GenRow, inner: &GenRow) -> Answer {
         let mut args = self.args.clone();
         args[0] = outer.arg(self.spec.col);
-        (self.spec.holds)(&inner.arg(self.spec.col), &args, self.col_second)
+        answer(&inner.arg(self.spec.col), (self.spec.probe)(&args).as_ref(), self.col_second)
     }
 
     /// Whether the operator refuses these arguments whatever the row: every
@@ -120,6 +170,15 @@ impl OpAtom {
     pub fn has_null(&self) -> bool {
         self.args.iter().any(Arg::is_null)
     }
+}
+
+/// The answer for a stored value: UNKNOWN when it is NULL, else what the
+/// query side says of it, or its refusal.
+fn answer(stored: &Arg, probe: Result<&Probe, &String>, col_second: bool) -> Answer {
+    if stored.is_null() {
+        return Ok(None);
+    }
+    Ok(probe.map_err(Clone::clone)?.holds(stored, col_second))
 }
 
 /// What the framework's contract says of one user-defined operator.
@@ -135,8 +194,6 @@ pub struct OperatorSpec {
     /// The indextypes that evaluate it, each with the `PARAMETERS` strings
     /// an index of it is created with (`""`: none).
     pub indextypes: &'static [(&'static str, &'static [&'static str])],
-    /// The indexed column may be the first or the second argument.
-    pub either_position: bool,
     /// It has an ancillary `SCORE` (a trailing label argument).
     pub ancillary: bool,
     /// Its share of the generator's operator draws, out of 100.
@@ -149,8 +206,10 @@ pub struct OperatorSpec {
     /// The other arguments, NULL literals (when asked) and edge values
     /// included.
     pub(crate) draw: fn(&mut WorkloadGen, bool) -> OpAtom,
-    /// The mirror predicate over `(stored, args, col_second)`.
-    holds: fn(&Arg, &[Arg], bool) -> Answer,
+    /// The mirror's query side: the other arguments parsed (`Err`: the
+    /// operator refuses them), which [`OpAtom::holds`] tests each stored
+    /// value against.
+    probe: fn(&[Arg]) -> Result<Probe, String>,
     refuses: fn(&[Arg]) -> bool,
 }
 
@@ -161,7 +220,6 @@ pub static SPECS: [OperatorSpec; 5] = [
         col: Col::Doc,
         join_arg: "doc",
         indextypes: &[("TextIndexType", &["", ":ScanMode PRECOMPUTE", ":ScanMode INCREMENTAL"])],
-        either_position: false,
         ancillary: true,
         share: 22,
         value: |g, _| GenCell::Doc(Some(g.corpus.document(8))),
@@ -173,10 +231,9 @@ pub static SPECS: [OperatorSpec; 5] = [
             let query = (!null_lit).then(|| text_query(g));
             atom(&SPECS[0], vec![Arg::Str(query)])
         },
-        holds: |doc, args, _| {
-            let (Some(doc), Some(q)) = (doc.text(), args[0].text()) else { return Ok(None) };
-            let parsed = parse_query(q).map_err(|e| e.to_string())?;
-            Ok(Some(parsed.matches(&tokenizer::tokenize(doc, &tokenizer::StopWords::none()))))
+        probe: |args| {
+            let Some(q) = args[0].text() else { return Ok(Probe::Null) };
+            parse_query(q).map(Probe::Text).map_err(|e| e.to_string())
         },
         refuses: |_| false,
     },
@@ -185,7 +242,6 @@ pub static SPECS: [OperatorSpec; 5] = [
         col: Col::Geom,
         join_arg: "geom",
         indextypes: &[("SpatialIndexType", &[""]), ("RtreeIndexType", &[""])],
-        either_position: true,
         ancillary: false,
         share: 18,
         value: |g, _| GenCell::Geom(Some(g.spatial.rect(2.0, 25.0))),
@@ -200,10 +256,10 @@ pub static SPECS: [OperatorSpec; 5] = [
             a.col_second = g.edge_rng.gen_bool(0.5);
             a
         },
-        holds: |geom, args, col_second| {
-            let (Arg::Geom(Some(g)), Arg::Geom(Some(w))) = (geom, &args[0]) else { return Ok(None) };
+        probe: |args| {
+            let Arg::Geom(Some(w)) = &args[0] else { return Ok(Probe::Null) };
             let mask = Mask::parse(args[1].text().expect("a mask")).map_err(|e| e.to_string())?;
-            Ok(Some(if col_second { w.relate(g, mask) } else { g.relate(w, mask) }))
+            Ok(Probe::Relate(w.clone(), mask))
         },
         refuses: |_| false,
     },
@@ -212,20 +268,17 @@ pub static SPECS: [OperatorSpec; 5] = [
         col: Col::Img,
         join_arg: "img.signature",
         indextypes: &[("VirIndexType", &[""])],
-        either_position: false,
         ancillary: false,
         share: 14,
         value: |g, _| GenCell::Img(Some(signature(g))),
         create: |_| create_tail("img", "VirIndexType", ""),
         draw: draw_vir,
-        holds: |img, args, _| {
-            let (Some(s), Some(q), &Arg::Num(t, _)) = (img.text(), args[0].text(), &args[2]) else {
-                return Ok(None);
+        probe: |args| {
+            let (Some(q), &Arg::Num(t, _)) = (args[0].text(), &args[2]) else {
+                return Ok(Probe::Null);
             };
             let w = Weights::parse(args[1].text().expect("weights")).map_err(|e| e.to_string())?;
-            let (s, q) = (Signature::deserialize(s), Signature::deserialize(q));
-            let (s, q) = (s.expect("stored signatures parse"), q.expect("query signatures parse"));
-            Ok(Some(s.distance(&q, &w) <= t))
+            Ok(Probe::Vir(Signature::deserialize(q).expect("query signatures parse"), w, t))
         },
         refuses: |args| Weights::parse(args[1].text().expect("weights")).is_err(),
     },
@@ -234,7 +287,6 @@ pub static SPECS: [OperatorSpec; 5] = [
         col: Col::Mol,
         join_arg: "mol",
         indextypes: &[("ChemIndexType", CHEM_PARAMS)],
-        either_position: false,
         ancillary: false,
         share: 14,
         value: |g, fresh| {
@@ -258,9 +310,9 @@ pub static SPECS: [OperatorSpec; 5] = [
             let frag = (!null_lit).then(|| g.frags[g.rng.gen_range(0..g.frags.len())].clone());
             atom(&SPECS[3], vec![Arg::Str(frag)])
         },
-        holds: |mol, args, _| {
-            let (Some(m), Some(f)) = (mol.text(), args[0].text()) else { return Ok(None) };
-            Ok(Some(molecule(m).contains_subgraph(&molecule(f))))
+        probe: |args| {
+            let Some(f) = args[0].text() else { return Ok(Probe::Null) };
+            Ok(Probe::Substructure(Mutex::new(Substructure::new(&molecule(f)))))
         },
         refuses: |_| false,
     },
@@ -269,7 +321,6 @@ pub static SPECS: [OperatorSpec; 5] = [
         col: Col::Mol,
         join_arg: "mol",
         indextypes: &[("ChemIndexType", CHEM_PARAMS)],
-        either_position: false,
         ancillary: false,
         share: 10,
         value: |g, fresh| (SPECS[3].value)(g, fresh),
@@ -285,11 +336,11 @@ pub static SPECS: [OperatorSpec; 5] = [
             }
             atom(&SPECS[4], vec![Arg::Str(Some(query)), threshold])
         },
-        holds: |mol, args, _| {
-            let (Some(m), Some(q), &Arg::Num(t, _)) = (mol.text(), args[0].text(), &args[1]) else {
-                return Ok(None);
+        probe: |args| {
+            let (Some(q), &Arg::Num(t, _)) = (args[0].text(), &args[1]) else {
+                return Ok(Probe::Null);
             };
-            Ok(Some(fingerprint(m).tanimoto(&fingerprint(q)) >= t))
+            Ok(Probe::Similar(fingerprint(q), t))
         },
         refuses: |_| false,
     },
@@ -314,7 +365,7 @@ pub(crate) fn column_spec(col: Col) -> &'static OperatorSpec {
 }
 
 fn atom(spec: &'static OperatorSpec, args: Vec<Arg>) -> OpAtom {
-    OpAtom { spec, args, col_second: false, label: None }
+    OpAtom::new(spec, args)
 }
 
 fn create_tail(col: &str, indextype: &str, params: &str) -> String {

@@ -117,9 +117,6 @@ impl SpatialScan {
         args: &[Vec<Value>],
     ) -> Result<Self> {
         let err = |msg: &str| Error::odci(&info.indextype_name, "ODCIIndexStart", msg);
-        if call.column_pos > 1 {
-            return Err(err("the indexed column must be one of Sdo_Relate's two geometries"));
-        }
         let queries = args
             .iter()
             .map(|row| {
@@ -248,6 +245,11 @@ impl OdciIndex for SpatialIndexMethods {
     fn drop_index(&self, srv: &mut dyn ServerContext, info: &IndexInfo) -> Result<()> {
         srv.execute(&format!("DROP TABLE {}", tile_table(info)), &[])?;
         Ok(())
+    }
+
+    /// `Sdo_Relate` relates two geometries: either may be the indexed one.
+    fn column_positions(&self) -> &'static [usize] {
+        &[0, 1]
     }
 
     fn insert(

@@ -99,6 +99,11 @@ impl OdciIndex for RtreeIndexMethods {
         Ok(())
     }
 
+    /// `Sdo_Relate` relates two geometries: either may be the indexed one.
+    fn column_positions(&self) -> &'static [usize] {
+        &[0, 1]
+    }
+
     fn insert(
         &self,
         srv: &mut dyn ServerContext,

@@ -118,15 +118,10 @@ pub(crate) fn resolve_table_hints(
 
 /// `(rows, pages)` the optimizer believes a table has.
 fn table_shape(db: &Database, tdef: &TableDef) -> (f64, f64) {
-    match tdef.org {
-        TableOrg::Heap => match db.storage().heap(tdef.seg) {
-            Ok(h) => (h.row_count() as f64, h.page_count().max(1) as f64),
-            Err(_) => (1.0, 1.0),
-        },
-        TableOrg::Index { .. } => match db.storage().iot(tdef.seg) {
-            Ok(t) => (t.row_count() as f64, t.page_count() as f64),
-            Err(_) => (1.0, 1.0),
-        },
+    let storage = db.storage();
+    match (storage.row_count(tdef.seg), storage.page_count(tdef.seg)) {
+        (Ok(rows), Ok(pages)) => (rows as f64, pages.max(1) as f64),
+        _ => (1.0, 1.0),
     }
 }
 
@@ -336,10 +331,11 @@ impl DomainMatch {
 /// For a scan (`outer` is `None`) every other argument must be a constant
 /// or a bind; for a domain join it may also read the outer scope's row.
 /// An index qualifies when its indextype supports the operator, the
-/// indexed column is a bare argument and the hints allow it (`FULL` and
-/// `NO_INDEX` forbid every index, `INDEX` all but the one it names). An
-/// unusable (quarantined or build-failed) index is an error when forced;
-/// otherwise it is returned by name, for EXPLAIN's degraded note.
+/// indexed column is a bare argument at a position the indextype declares
+/// ([`extidx_core::OdciIndex::column_positions`]) and the hints allow it
+/// (`FULL` and `NO_INDEX` forbid every index, `INDEX` all but the one it
+/// names). An unusable (quarantined or build-failed) index is an error when
+/// forced; otherwise it is returned by name, for EXPLAIN's degraded note.
 pub(crate) fn domain_matches(
     db: &Exec<'_>,
     tdef: &TableDef,
@@ -363,7 +359,9 @@ pub(crate) fn domain_matches(
         if !it.supports(&op.name, op.args.len()) {
             continue;
         }
-        let Some((column_pos, args, values)) = domain_args(db, &op.args, &d.column, scope, outer)
+        let at = |i| it.implementation.column_positions().contains(&i);
+        let Some((column_pos, args, values)) =
+            domain_args(db, &op.args, &d.column, at, scope, outer)
         else {
             continue;
         };
@@ -406,18 +404,19 @@ pub(crate) fn domain_matches(
 }
 
 /// The position of the indexed column (a bare column of `scope`, taken
-/// once) among the operator's arguments, and the other arguments as a
-/// domain scan keeps them, with their values when all are known now. A
-/// column-free argument is folded: kept as its value, or as the expression
-/// when it reads a bind (evaluated again when the scan opens). Any other
-/// argument must compile against `outer`. `None` when an argument fits
-/// neither or folds to NULL: a NULL operand makes the operator NULL for
-/// every row, which the functional fallback answers without asking the
-/// cartridge.
+/// once, at a position `at` admits) among the operator's arguments, and
+/// the other arguments as a domain scan keeps them, with their values when
+/// all are known now. A column-free argument is folded: kept as its value,
+/// or as the expression when it reads a bind (evaluated again when the
+/// scan opens). Any other argument must compile against `outer`. `None`
+/// when an argument fits neither or folds to NULL: a NULL operand makes the
+/// operator NULL for every row, which the functional fallback answers
+/// without asking the cartridge.
 fn domain_args(
     db: &Exec<'_>,
     args: &[Expr],
     column: &str,
+    at: impl Fn(usize) -> bool,
     scope: &Scope,
     outer: Option<&Scope>,
 ) -> Option<(usize, Vec<RExpr>, Option<Vec<Value>>)> {
@@ -425,6 +424,7 @@ fn domain_args(
     for (i, a) in args.iter().enumerate() {
         if let Expr::Column { qualifier, name } = a {
             if col_pos.is_none()
+                && at(i)
                 && name.eq_ignore_ascii_case(column)
                 && scope.resolve(qualifier.as_deref(), name).is_ok()
             {

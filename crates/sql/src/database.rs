@@ -40,7 +40,7 @@ use extidx_storage::file_store::FileStats;
 use extidx_storage::{CommitBlob, DurableMedium, Snapshot, StorageEngine};
 
 use crate::ast::{AlterIndexAction, Expr, InsertSource, Statement};
-use crate::catalog::{BTreeIndexDef, Catalog, CatalogDump, DomainIndexDef, TableDef, TableOrg};
+use crate::catalog::{BTreeIndexDef, Catalog, CatalogDump, DomainIndexDef, TableDef};
 use crate::ddl::CreatedObject;
 use crate::exec_ctx::{self, odci_call, Callee, Exec, Lane, QueryCursor, SessionScratch};
 use crate::executor;
@@ -373,8 +373,11 @@ impl Database {
         &self.storage
     }
 
-    /// Mutable storage access for admin knobs (conflict-check ablation,
-    /// vacuum forcing) in tests and benches.
+    /// Mutable storage access, for the concurrent oracle's conflict-check
+    /// ablation (`set_conflict_checks`) and its vacuum passes between
+    /// statements — which, unlike [`Database::vacuum`], neither record the
+    /// horizon nor refresh the governor's occupancy. Rows change through
+    /// SQL only.
     pub fn storage_mut(&mut self) -> &mut StorageEngine {
         &mut self.storage
     }
@@ -1029,10 +1032,7 @@ impl Database {
                 return Err(Error::type_mismatch(c.ty.to_string(), v.type_name()));
             }
         }
-        let rid = match tdef.org {
-            TableOrg::Heap => self.storage.heap_insert(tdef.seg, row.clone())?,
-            TableOrg::Index { .. } => self.storage.iot_insert(tdef.seg, row.clone())?,
-        };
+        let rid = self.storage.insert(tdef.seg, row.clone())?;
         self.maintain(tdef, rid, None, Some(&row))
     }
 
@@ -1058,12 +1058,10 @@ impl Database {
         // pre-statement row images before mutating anything, so
         // self-referencing updates (subqueries over the updated table,
         // `SET x = x + 1`) all see the same snapshot.
-        let mut planned: Vec<(Option<RowId>, Row, Row)> = Vec::with_capacity(matches.len());
+        let mut planned: Vec<(RowId, Row, Row)> = Vec::with_capacity(matches.len());
         for (rid, old_row) in matches {
             let mut exec_row = ExecRow::new(old_row.clone());
-            if let Some(r) = rid {
-                exec_row.values.push(Value::RowId(r));
-            }
+            exec_row.values.push(Value::RowId(rid));
             let mut new_row = old_row.clone();
             for (idx, e) in &compiled {
                 let v = eval(e, &exec_row, &self.eval_ctx(binds))?;
@@ -1071,34 +1069,19 @@ impl Database {
             }
             planned.push((rid, old_row, new_row));
         }
-        // Phase 2: apply the mutations and maintain every index.
+        // Phase 2: apply the mutations and maintain every index. A row
+        // that keeps its rowid is an update to every index; one that moved
+        // (an IOT key change) is a delete at the old rowid and an insert at
+        // the new one.
         let mut count = 0u64;
         for (rid, old_row, new_row) in planned {
             extidx_core::governor::poll()?;
-            match (tdef.org.clone(), rid) {
-                (TableOrg::Heap, Some(rid)) => {
-                    let old = self.storage.heap_update(tdef.seg, rid, new_row.clone())?;
-                    self.maintain(&tdef, rid, Some(&old), Some(&new_row))?;
-                }
-                (TableOrg::Index { key_cols }, rid) => {
-                    let old_rid = rid.expect("IOT rows carry logical rowids");
-                    let old_key = Key(old_row[..key_cols].to_vec());
-                    let new_key = Key(new_row[..key_cols].to_vec());
-                    if old_key == new_key {
-                        // Key unchanged: in-place replace keeps the logical
-                        // rowid, so indexes see a plain update.
-                        self.storage.iot_upsert(tdef.seg, new_row.clone())?;
-                        self.maintain(&tdef, old_rid, Some(&old_row), Some(&new_row))?;
-                    } else {
-                        // Key change moves the row: a new logical rowid, so
-                        // indexes see delete-old + insert-new.
-                        self.storage.iot_delete(tdef.seg, &old_key)?;
-                        let new_rid = self.storage.iot_insert(tdef.seg, new_row.clone())?;
-                        self.maintain(&tdef, old_rid, Some(&old_row), None)?;
-                        self.maintain(&tdef, new_rid, None, Some(&new_row))?;
-                    }
-                }
-                (TableOrg::Heap, None) => unreachable!("heap rows always carry rowids"),
+            let moved_to = self.storage.update(tdef.seg, rid, &old_row, new_row.clone())?;
+            if moved_to == rid {
+                self.maintain(&tdef, rid, Some(&old_row), Some(&new_row))?;
+            } else {
+                self.maintain(&tdef, rid, Some(&old_row), None)?;
+                self.maintain(&tdef, moved_to, None, Some(&new_row))?;
             }
             count += 1;
         }
@@ -1118,25 +1101,14 @@ impl Database {
         let mut count = 0u64;
         for (rid, old_row) in matches {
             extidx_core::governor::poll()?;
-            match (tdef.org.clone(), rid) {
-                (TableOrg::Heap, Some(rid)) => {
-                    let old = self.storage.heap_delete(tdef.seg, rid)?;
-                    self.maintain(&tdef, rid, Some(&old), None)?;
-                }
-                (TableOrg::Index { key_cols }, rid) => {
-                    let old_rid = rid.expect("IOT rows carry logical rowids");
-                    let key = Key(old_row[..key_cols].to_vec());
-                    self.storage.iot_delete(tdef.seg, &key)?;
-                    self.maintain(&tdef, old_rid, Some(&old_row), None)?;
-                }
-                (TableOrg::Heap, None) => unreachable!("heap rows always carry rowids"),
-            }
+            let old = self.storage.delete(tdef.seg, rid, &old_row)?;
+            self.maintain(&tdef, rid, Some(&old), None)?;
             count += 1;
         }
         Ok(StmtResult::Affected(count))
     }
 
-    /// Find the rows a DML statement targets: `(rowid?, row)` pairs,
+    /// Find the rows a DML statement targets: `(rowid, row)` pairs,
     /// materialized before mutation (Halloween-safe), through the target
     /// scan the statement cache keeps for `p`.
     fn collect_dml_targets(
@@ -1145,7 +1117,7 @@ impl Database {
         binds: &[Value],
         tdef: &TableDef,
         where_clause: Option<&Expr>,
-    ) -> Result<Vec<(Option<RowId>, Row)>> {
+    ) -> Result<Vec<(RowId, Row)>> {
         let snap = self.storage.current_snapshot();
         let scratch = std::cell::RefCell::new(SessionScratch::default());
         let ecx = Exec::new(&*self, &scratch, snap, binds);
@@ -1156,10 +1128,8 @@ impl Database {
         let mut out = Vec::new();
         executor::drain(exec.as_mut(), &plan.root, &ecx, |batch| {
             for mut r in batch.rows {
-                // Heap rows carry physical rowids; IOT rows carry logical
-                // rowids (ordinals) — both arrive in the hidden ROWID
-                // column.
-                let rid = Some(r.values[col_count].as_rowid()?);
+                // A heap's or an IOT's rowid, in the hidden ROWID column.
+                let rid = r.values[col_count].as_rowid()?;
                 r.values.truncate(col_count);
                 out.push((rid, r.values));
             }
@@ -1195,7 +1165,7 @@ impl Database {
                 self.storage.iot_delete(b.seg, &Key(vec![k.clone(), Value::RowId(rid)]))?;
             }
             if let Some(k) = new_key {
-                self.storage.iot_insert(b.seg, vec![k.clone(), Value::RowId(rid)])?;
+                self.storage.insert(b.seg, vec![k.clone(), Value::RowId(rid)])?;
             }
         }
         let domain: Vec<DomainIndexDef> =

@@ -229,7 +229,7 @@ impl Database {
                 if key.is_null() {
                     continue;
                 }
-                self.storage.iot_insert(seg, vec![key, Value::RowId(rid)])?;
+                self.storage.insert(seg, vec![key, Value::RowId(rid)])?;
             }
         }
     }
@@ -489,10 +489,7 @@ impl Database {
     pub(crate) fn run_analyze(&mut self, name: &str) -> Result<StmtResult> {
         let tdef = self.catalog.table(name)?.clone();
         let col_count = tdef.columns.len();
-        let pages = match tdef.org {
-            TableOrg::Heap => self.storage.heap(tdef.seg)?.page_count(),
-            TableOrg::Index { .. } => self.storage.iot(tdef.seg)?.page_count(),
-        };
+        let pages = self.storage.page_count(tdef.seg)?;
         let mut distinct: Vec<std::collections::BTreeSet<Key>> = vec![Default::default(); col_count];
         let mut nulls = vec![0usize; col_count];
         let mut mins: Vec<Option<Value>> = vec![None; col_count];

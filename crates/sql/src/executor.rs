@@ -138,23 +138,17 @@ fn take_front(queue: &mut VecDeque<ExecRow>, max_rows: usize) -> RowBatch {
     RowBatch { rows: queue.drain(..k).collect() }
 }
 
-/// Rowid→row join shared by every rowid-producing access path and by
-/// cartridges' [`ServerContext::fetch_base_rows`](extidx_core::ServerContext):
-/// resolve `rids` against `table` under `snap` in one page-ordered
-/// multi-fetch, aligned with the input, each row borrowed from storage. A
-/// rowid may resolve to an older displaced version, or to nothing at all
-/// (version not visible) — `None`, which callers skip like a non-match.
+/// [`StorageEngine::fetch`](extidx_storage::StorageEngine::fetch) of
+/// `table`, for every rowid-producing access path and for cartridges'
+/// [`ServerContext::fetch_base_rows`](extidx_core::ServerContext): `None`
+/// (nothing visible) is skipped like a non-match.
 pub(crate) fn fetch_visible<'a>(
     db: &'a Database,
     snap: &Snapshot,
     table: &str,
     rids: &[RowId],
 ) -> Result<Vec<Option<&'a Row>>> {
-    let tdef = db.catalog.table(table)?;
-    match tdef.org {
-        TableOrg::Heap => db.storage.heap_fetch_multi(tdef.seg, rids, snap),
-        TableOrg::Index { .. } => db.storage.iot_fetch_multi(tdef.seg, rids, snap),
-    }
+    db.storage.fetch(db.catalog.table(table)?.seg, rids, snap)
 }
 
 /// The one copy of a storage row into the executor: the columns `reads`
@@ -910,10 +904,7 @@ impl ExecNode for RowCountExec {
         // chain of the segment is settled; with a concurrent writer's
         // versions in play, count what this statement's snapshot sees.
         let rows = if db.storage.segment_settled(tdef.seg) {
-            match tdef.org {
-                TableOrg::Heap => db.storage.heap(tdef.seg)?.row_count(),
-                TableOrg::Index { .. } => db.storage.iot(tdef.seg)?.row_count(),
-            }
+            db.storage.row_count(tdef.seg)?
         } else {
             let (mut scan, mut rows) = (BaseScan::new(tdef), 0);
             loop {

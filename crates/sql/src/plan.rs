@@ -721,6 +721,10 @@ pub(crate) mod tests {
         fn drop_index(&self, _: &mut dyn Srv, _: &IndexInfo) -> Result<()> {
             Ok(())
         }
+        /// Either position, as the spatial indextype it stands in for.
+        fn column_positions(&self) -> &'static [usize] {
+            &[0, 1]
+        }
         fn insert(&self, _: &mut dyn Srv, _: &IndexInfo, _: RowId, _: &Value) -> Result<()> {
             Ok(())
         }

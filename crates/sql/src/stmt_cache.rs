@@ -28,7 +28,6 @@ use extidx_storage::{SegmentId, StorageEngine};
 use parking_lot::Mutex;
 
 use crate::ast::{InsertSource, Statement};
-use crate::catalog::TableOrg;
 use crate::database::Database;
 use crate::exec_ctx::Exec;
 use crate::parser::parse_counting_binds;
@@ -82,34 +81,21 @@ fn reads_a_table(stmt: &Statement) -> bool {
 struct Stamp {
     catalog: u64,
     health: u64,
-    sizes: Vec<TableSize>,
+    sizes: Vec<(SegmentId, u32)>,
 }
 
-/// The order of magnitude of one table's row count, ⌊log2(rows + 1)⌋: the
-/// one input of the relational cost model that moves without DDL.
-#[derive(PartialEq)]
-struct TableSize {
-    seg: SegmentId,
-    iot: bool,
-    class: u32,
-}
-
-impl TableSize {
-    fn of(storage: &StorageEngine, seg: SegmentId, iot: bool) -> TableSize {
-        let rows = if iot {
-            storage.iot(seg).map(|t| t.row_count())
-        } else {
-            storage.heap(seg).map(|h| h.row_count())
-        };
-        TableSize { seg, iot, class: (rows.unwrap_or(0) as u64 + 1).ilog2() }
-    }
+/// A table's segment with the order of magnitude of its row count,
+/// ⌊log2(rows + 1)⌋: the one input of the relational cost model that moves
+/// without DDL.
+fn table_size(storage: &StorageEngine, seg: SegmentId) -> (SegmentId, u32) {
+    (seg, (storage.row_count(seg).unwrap_or(0) as u64 + 1).ilog2())
 }
 
 impl Stamp {
     fn holds(&self, db: &Database) -> bool {
         self.catalog == db.catalog.version()
             && self.health == db.catalog.health.epoch()
-            && self.sizes.iter().all(|s| TableSize::of(&db.storage, s.seg, s.iot) == *s)
+            && self.sizes.iter().all(|&(seg, class)| table_size(&db.storage, seg) == (seg, class))
     }
 }
 
@@ -187,7 +173,7 @@ impl StatementCache {
             .tables()
             .into_iter()
             .filter_map(|t| ecx.catalog.table(t).ok())
-            .map(|t| TableSize::of(&ecx.storage, t.seg, matches!(t.org, TableOrg::Index { .. })))
+            .map(|t| table_size(&ecx.storage, t.seg))
             .collect();
         *p.plan.lock() = Some((Stamp { catalog, health, sizes }, Arc::clone(&plan)));
         Ok(plan)

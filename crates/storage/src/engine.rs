@@ -30,7 +30,7 @@ use std::collections::HashMap;
 use std::ops::Bound;
 use std::sync::Arc;
 
-use extidx_common::{Error, Key, LobRef, Result, Row, RowId};
+use extidx_common::{Error, Key, LobRef, Result, Row, RowId, Value};
 
 use crate::buffer::{BufferCache, CacheStats};
 use crate::file_store::FileStore;
@@ -61,6 +61,12 @@ pub struct VacuumStats {
     pub slots_reclaimed: u64,
     /// Whole chains dropped (drained to trivial or reclaimed).
     pub chains_dropped: u64,
+}
+
+/// A segment's organization: what the row surface dispatches on.
+enum Org<'a> {
+    Heap(&'a HeapTable),
+    Iot(&'a IndexOrganizedTable),
 }
 
 /// The storage engine: all segments plus cache, undo, and external files.
@@ -475,19 +481,19 @@ impl StorageEngine {
         Ok(seg)
     }
 
-    /// `Ok` when `seg` is a heap or an IOT: DDL on a missing segment logs
-    /// nothing.
-    fn has_segment(&self, seg: SegmentId) -> Result<()> {
-        if self.segs.heaps.contains_key(&seg) || self.segs.iots.contains_key(&seg) {
-            Ok(())
-        } else {
-            Err(Error::Storage(format!("{seg}: no such segment")))
+    /// `seg`'s organization; `Err` for a missing segment, on which DDL
+    /// logs nothing.
+    fn org(&self, seg: SegmentId) -> Result<Org<'_>> {
+        if let Some(h) = self.segs.heaps.get(&seg) {
+            return Ok(Org::Heap(h));
         }
+        let found = self.segs.iots.get(&seg).map(Org::Iot);
+        found.ok_or_else(|| Error::Storage(format!("{seg}: no such segment")))
     }
 
     /// Drop any segment; its cached pages are discarded.
     pub fn drop_segment(&mut self, seg: SegmentId) -> Result<()> {
-        self.has_segment(seg)?;
+        self.org(seg)?;
         self.log_apply(WalRecord::DropSegment { seg })?;
         self.versions.forget_segment(seg);
         self.cache.discard_segment(seg);
@@ -497,7 +503,7 @@ impl StorageEngine {
     /// Truncate a segment in place (non-transactional, like Oracle
     /// TRUNCATE: it is DDL and cannot be rolled back).
     pub fn truncate_segment(&mut self, seg: SegmentId) -> Result<()> {
-        self.has_segment(seg)?;
+        self.org(seg)?;
         self.log_apply(WalRecord::TruncateSegment { seg })?;
         self.versions.forget_segment(seg);
         self.cache.discard_segment(seg);
@@ -506,16 +512,15 @@ impl StorageEngine {
 
     // ----- segment shape and cache ------------------------------------------
 
-    /// Borrow a heap segment for its shape metadata (`row_count`,
-    /// `page_count`). Rows are read through the snapshot reads below.
+    /// Borrow a heap segment for white-box checks of its pages. Rows are
+    /// read through the snapshot reads below.
     pub fn heap(&self, seg: SegmentId) -> Result<&HeapTable> {
         let found = self.segs.heaps.get(&seg);
         found.ok_or_else(|| Error::Storage(format!("{seg}: no such heap segment")))
     }
 
-    /// Borrow an IOT segment for its shape metadata (`row_count`,
-    /// `page_count`, `height`). Rows are read through the snapshot reads
-    /// below.
+    /// Borrow an IOT segment for its tree shape (`height`, the key-probe
+    /// cost input). Rows are read through the snapshot reads below.
     pub fn iot(&self, seg: SegmentId) -> Result<&IndexOrganizedTable> {
         let found = self.segs.iots.get(&seg);
         found.ok_or_else(|| Error::Storage(format!("{seg}: no such IOT segment")))
@@ -546,13 +551,17 @@ impl StorageEngine {
         self.cache.stats()
     }
 
-    // ----- heap mutations ----------------------------------------------------
+    // ----- rows: one surface over heaps and IOTs ----------------------------
+    //
+    // Heap or IOT is this engine's business: the six calls below dispatch
+    // once on the segment's kind, to a heap body inline or an IOT helper.
 
-    /// Insert a row into a heap segment, at the rowid the heap peeks; the
-    /// WAL record names it, so commit-order replay reproduces live
-    /// placement exactly.
-    pub fn heap_insert(&mut self, seg: SegmentId, row: Row) -> Result<RowId> {
-        let rid = self.heap(seg)?.peek_insert_rid(&row);
+    /// Insert `row` and return its rowid: an IOT's logical rowid, or the
+    /// heap slot the heap peeks — the WAL record names it, so commit-order
+    /// replay reproduces live placement exactly.
+    pub fn insert(&mut self, seg: SegmentId, row: Row) -> Result<RowId> {
+        let Org::Heap(h) = self.org(seg)? else { return self.iot_insert(seg, row) };
+        let rid = h.peek_insert_rid(&row);
         self.log_apply(WalRecord::HeapInsertAt { seg, rid, row })?;
         self.cache.write((seg, rid.page));
         let t = self.current.txn;
@@ -562,28 +571,59 @@ impl StorageEngine {
         Ok(rid)
     }
 
-    /// Update a row in place; returns the old image. Under a transaction
-    /// the displaced image is pushed onto the row's version chain so
-    /// concurrent snapshots keep seeing it.
-    pub fn heap_update(&mut self, seg: SegmentId, rid: RowId, new_row: Row) -> Result<Row> {
-        self.heap(seg)?;
-        self.check_write(seg, RowKey::Rid(rid))?;
-        let old = self.log_apply(WalRecord::HeapUpdate { seg, rid, row: new_row })?.old_row();
-        self.cache.write((seg, rid.page));
+    /// Replace the row at `rid`, read as `old`, with `new`; returns the
+    /// row's rowid after the update, new only when an IOT key changed (a
+    /// delete plus an insert). An IOT key comes from `old`, never from an
+    /// ordinal: a row another transaction deleted has none left, yet a
+    /// write of its key must still lose first-writer-wins. Under a
+    /// transaction the displaced image is pushed onto the row's chain.
+    pub fn update(&mut self, seg: SegmentId, rid: RowId, old: &[Value], new: Row) -> Result<RowId> {
+        let Org::Iot(iot) = self.org(seg)? else {
+            self.check_write(seg, RowKey::Rid(rid))?;
+            let displaced = self.log_apply(WalRecord::HeapUpdate { seg, rid, row: new })?.old_row();
+            self.cache.write((seg, rid.page));
+            let (t, at) = (self.current.txn, self.undo_mark());
+            self.versions.edit(seg, RowKey::Rid(rid), t, |c| c.write(t, Some((at, 0)), false));
+            self.record(UndoOp::Apply(WalRecord::HeapUpdate { seg, rid, row: displaced }));
+            self.wal_applied()?;
+            return Ok(rid);
+        };
+        let key = Key(key_of(old, iot.key_cols()).to_vec());
+        if key.0 != key_of(&new, iot.key_cols()) {
+            self.iot_delete(seg, &key)?;
+            return self.iot_insert(seg, new);
+        }
+        // The key stays: replace the row under its ordinal.
+        self.check_write(seg, RowKey::Key(&key))?;
+        let ord = iot.peek_upsert_ord(&new)?;
+        let Applied { row: displaced, charge, .. } =
+            self.log_apply(WalRecord::IotUpsertOrd { seg, row: new, ord })?;
+        let leaf = self.iot_leaf_page_for(seg, &key);
+        self.charge_iot(seg, charge, leaf);
         let (t, at) = (self.current.txn, self.undo_mark());
-        self.versions.edit(seg, RowKey::Rid(rid), t, |c| c.write(t, Some((at, 0)), false));
-        self.record(UndoOp::Apply(WalRecord::HeapUpdate { seg, rid, row: old.clone() }));
+        let version = displaced.as_ref().map(|(_, ord)| (at, *ord));
+        self.versions.edit(seg, RowKey::Key(&key), t, |c| c.write(t, version, false));
+        self.record(UndoOp::Apply(match displaced {
+            Some((row, ord)) => WalRecord::IotUpsertOrd { seg, row, ord },
+            None => WalRecord::IotDelete { seg, key },
+        }));
         self.wal_applied()?;
-        Ok(old)
+        Ok(Self::ord_to_rid(seg, ord))
     }
 
-    /// Delete a row; returns the old image. Under a transaction the delete
-    /// is *deferred*: the chain marks the in-place version dead and the
-    /// physical slot survives until vacuum, so the rowid is never recycled
-    /// while a snapshot can still see the row. (Replay applies the delete
-    /// at its commit — by then it is durable and unconditional.)
-    pub fn heap_delete(&mut self, seg: SegmentId, rid: RowId) -> Result<Row> {
-        self.heap(seg)?;
+    /// Delete the row at `rid`, read as `old`, and return the image removed
+    /// (`old` when an IOT held nothing under its key any more). An IOT row
+    /// is deleted by `old`'s key, as [`Self::update`] takes it. A heap
+    /// delete under a transaction is *deferred*: the chain marks the
+    /// in-place version dead and the slot survives until vacuum, so the
+    /// rowid is never recycled while a snapshot can still see the row.
+    /// (Replay applies the delete at its commit — by then it is durable and
+    /// unconditional.)
+    pub fn delete(&mut self, seg: SegmentId, rid: RowId, old: &[Value]) -> Result<Row> {
+        if let Org::Iot(iot) = self.org(seg)? {
+            let key = Key(key_of(old, iot.key_cols()).to_vec());
+            return Ok(self.iot_delete(seg, &key)?.unwrap_or_else(|| old.to_vec()));
+        }
         self.check_write(seg, RowKey::Rid(rid))?;
         let t = self.current.txn;
         let rec = WalRecord::HeapDelete { seg, rid };
@@ -612,7 +652,40 @@ impl StorageEngine {
         Ok(old)
     }
 
-    // ----- IOT mutations -------------------------------------------------------
+    /// The one rowid join: the rows at `rids` visible under `snap`, aligned
+    /// with the input (`None`: nothing visible there), borrowed. Cartridge
+    /// postings are not versioned, so a domain scan's visibility is this.
+    pub fn fetch<'a>(
+        &'a self,
+        seg: SegmentId,
+        rids: &[RowId],
+        snap: &Snapshot,
+    ) -> Result<Vec<Option<&'a Row>>> {
+        match self.org(seg)? {
+            Org::Heap(h) => self.heap_fetch_multi(h, rids, snap),
+            Org::Iot(t) => Ok(self.iot_fetch_multi(t, rids, snap)),
+        }
+    }
+
+    /// The segment's physical row count: what every snapshot sees while
+    /// [`Self::segment_settled`] holds.
+    pub fn row_count(&self, seg: SegmentId) -> Result<usize> {
+        Ok(match self.org(seg)? {
+            Org::Heap(h) => h.row_count(),
+            Org::Iot(t) => t.row_count(),
+        })
+    }
+
+    /// The pages a heap has allocated, or an IOT's modeled leaf pages: the
+    /// full-scan cost input.
+    pub fn page_count(&self, seg: SegmentId) -> Result<usize> {
+        Ok(match self.org(seg)? {
+            Org::Heap(h) => h.page_count(),
+            Org::Iot(t) => t.page_count(),
+        })
+    }
+
+    // ----- IOT helpers ---------------------------------------------------------
 
     fn charge_iot(&self, seg: SegmentId, charge: IoCharge, base_page: u32) {
         // Model: reads touch pages descending from the root; writes dirty
@@ -650,9 +723,9 @@ impl StorageEngine {
     /// the insert receives so commit-order replay reproduces logical rowids
     /// exactly; consequently the duplicate check runs *before* logging
     /// (replay applies ordinal-explicit records unconditionally).
-    pub fn iot_insert(&mut self, seg: SegmentId, row: Row) -> Result<RowId> {
+    fn iot_insert(&mut self, seg: SegmentId, row: Row) -> Result<RowId> {
         let iot = self.iot(seg)?;
-        let key = Key(row[..iot.key_cols().min(row.len())].to_vec());
+        let key = Key(key_of(&row, iot.key_cols()).to_vec());
         if iot.ordinal_of(&key).is_some() {
             return Err(Error::Constraint(format!("duplicate key {key} in IOT {seg}")));
         }
@@ -668,29 +741,8 @@ impl StorageEngine {
         Ok(Self::ord_to_rid(seg, ord))
     }
 
-    /// Insert-or-replace into an IOT. Returns the previous row (if any)
-    /// and the row's logical rowid, which is stable across replaces.
-    pub fn iot_upsert(&mut self, seg: SegmentId, row: Row) -> Result<(Option<Row>, RowId)> {
-        let iot = self.iot(seg)?;
-        let key = Key(row[..iot.key_cols().min(row.len())].to_vec());
-        self.check_write(seg, RowKey::Key(&key))?;
-        let ord = iot.peek_upsert_ord(&row)?;
-        let Applied { row: old, charge, .. } =
-            self.log_apply(WalRecord::IotUpsertOrd { seg, row, ord })?;
-        let leaf = self.iot_leaf_page_for(seg, &key);
-        self.charge_iot(seg, charge, leaf);
-        let (t, at) = (self.current.txn, self.undo_mark());
-        let displaced = old.as_ref().map(|(_, ord)| (at, *ord));
-        self.versions.edit(seg, RowKey::Key(&key), t, |c| c.write(t, displaced, false));
-        self.record(UndoOp::Apply(match &old {
-            Some((o, ord)) => WalRecord::IotUpsertOrd { seg, row: o.clone(), ord: *ord },
-            None => WalRecord::IotDelete { seg, key },
-        }));
-        self.wal_applied()?;
-        Ok((old.map(|(o, _)| o), Self::ord_to_rid(seg, ord)))
-    }
-
     /// Delete by key from an IOT; returns the removed row if present.
+    /// Public for B-tree index entries, which are deleted by key.
     pub fn iot_delete(&mut self, seg: SegmentId, key: &Key) -> Result<Option<Row>> {
         self.iot(seg)?;
         self.check_write(seg, RowKey::Key(key))?;
@@ -713,9 +765,9 @@ impl StorageEngine {
 
     // ----- snapshot reads ---------------------------------------------------
     //
-    // The whole heap/IOT read surface, four functions, all pinned to a
-    // `Snapshot`: the heap page walk, the heap rowid join, the IOT key
-    // range and the IOT rowid join.
+    // The whole heap/IOT read surface, three functions, all pinned to a
+    // `Snapshot`: the heap page walk, the IOT key range and the one rowid
+    // join, [`Self::fetch`], which dispatches to a join per organization.
 
     /// The image of a physically present heap row visible under `snap`
     /// (`None` = invisible: written by a concurrent uncommitted/too-new
@@ -761,21 +813,17 @@ impl StorageEngine {
         })))
     }
 
-    /// Batched rowid→row join under `snap` (the domain-scan join:
-    /// cartridge postings are not versioned, so visibility is applied at
-    /// the base-row fetch). Pages are visited in (page, slot) order so the
-    /// buffer cache is charged **once per distinct page** instead of once
-    /// per row. Aligned with the input: `None` marks a rowid with no
-    /// visible version. A rowid that addresses no physical row is an error
-    /// unless a chain explains its absence. Rows are borrowed, like the
-    /// page walk's, so the caller copies only what it keeps.
-    pub fn heap_fetch_multi<'a>(
+    /// [`Self::fetch`] from heap `h`. Pages are visited in (page, slot)
+    /// order so the buffer cache is charged **once per distinct page**
+    /// instead of once per row. A rowid that addresses no physical row is
+    /// an error unless a chain explains its absence.
+    fn heap_fetch_multi<'a>(
         &'a self,
-        seg: SegmentId,
+        h: &'a HeapTable,
         rids: &[RowId],
         snap: &Snapshot,
     ) -> Result<Vec<Option<&'a Row>>> {
-        let h = self.heap(seg)?;
+        let seg = h.segment();
         let chains = self.versions.heap.get(&seg).filter(|m| !m.is_empty());
         let mut order: Vec<usize> = (0..rids.len()).collect();
         order.sort_by_key(|&i| (rids[i].page, rids[i].slot));
@@ -854,18 +902,15 @@ impl StorageEngine {
         Ok(out)
     }
 
-    /// Batched logical-rowid→row join for IOTs under `snap`, aligned with
-    /// the input — the IOT counterpart of [`Self::heap_fetch_multi`].
-    /// Ghost ordinals resolve through the chains; `None` marks a rowid
-    /// nothing visible lives at. One height-probe read per rowid. Rows are
-    /// borrowed, as from [`Self::iot_range`].
-    pub fn iot_fetch_multi<'a>(
+    /// [`Self::fetch`] from IOT `iot`, by logical rowid. Ghost ordinals
+    /// resolve through the chains. One height-probe read per rowid.
+    fn iot_fetch_multi<'a>(
         &'a self,
-        seg: SegmentId,
+        iot: &'a IndexOrganizedTable,
         rids: &[RowId],
         snap: &Snapshot,
-    ) -> Result<Vec<Option<&'a Row>>> {
-        let iot = self.iot(seg)?;
+    ) -> Vec<Option<&'a Row>> {
+        let seg = iot.segment();
         let chains = self.versions.iot.get(&seg).filter(|m| !m.is_empty());
         let fetch = |rid: RowId| {
             let ord = Self::rid_to_ord(rid);
@@ -888,7 +933,7 @@ impl StorageEngine {
                 (r, _) => Some(r),
             }
         };
-        Ok(rids.iter().map(|&rid| fetch(rid)).collect())
+        rids.iter().map(|&rid| fetch(rid)).collect()
     }
 
     /// Pop the span that names `t`'s undo entry `at` (rollback support):
@@ -1279,6 +1324,11 @@ impl StorageEngine {
     }
 }
 
+/// The key of an IOT row: its first `key_cols` columns.
+fn key_of(row: &[Value], key_cols: usize) -> &[Value] {
+    &row[..key_cols.min(row.len())]
+}
+
 /// The hash an IOT key's leaf page derives from: the segment, then the
 /// key's display text the way hashing a `str` feeds it (its bytes, then
 /// `0xff`), streamed through `fmt::Write` instead of built into a `String`
@@ -1341,31 +1391,33 @@ mod tests {
     fn heap_rollback_restores_all_three_ops() {
         let mut e = StorageEngine::new(64);
         let seg = e.create_heap().unwrap();
-        let keep = e.heap_insert(seg, row(1)).unwrap();
-        let doomed = e.heap_insert(seg, row(2)).unwrap();
+        let keep = e.insert(seg, row(1)).unwrap();
+        let doomed = e.insert(seg, row(2)).unwrap();
 
         let mark = e.undo_mark();
-        let added = e.heap_insert(seg, row(3)).unwrap();
-        e.heap_update(seg, keep, row(100)).unwrap();
-        e.heap_delete(seg, doomed).unwrap();
+        let added = e.insert(seg, row(3)).unwrap();
+        assert_eq!(e.update(seg, keep, &row(1), row(100)).unwrap(), keep);
+        assert_eq!(e.delete(seg, doomed, &row(2)).unwrap(), row(2));
 
         e.rollback_to(mark).unwrap();
-        let fetched = e.heap_fetch_multi(seg, &[keep, doomed], &Snapshot::latest()).unwrap();
+        let fetched = e.fetch(seg, &[keep, doomed], &Snapshot::latest()).unwrap();
         assert_eq!(fetched, vec![Some(&row(1)), Some(&row(2))]);
-        assert!(e.heap_fetch_multi(seg, &[added], &Snapshot::latest()).is_err());
-        assert_eq!(e.heap(seg).unwrap().row_count(), 2);
+        assert!(e.fetch(seg, &[added], &Snapshot::latest()).is_err());
+        assert_eq!(e.row_count(seg).unwrap(), 2);
     }
 
     #[test]
     fn iot_rollback_restores() {
         let mut e = StorageEngine::new(64);
         let seg = e.create_iot(1).unwrap();
-        e.iot_insert(seg, vec![Value::Integer(1), Value::from("old")]).unwrap();
+        let old = vec![Value::Integer(1), Value::from("old")];
+        let rid = e.insert(seg, old.clone()).unwrap();
 
         let mark = e.undo_mark();
-        e.iot_insert(seg, vec![Value::Integer(2), Value::from("new")]).unwrap();
-        e.iot_upsert(seg, vec![Value::Integer(1), Value::from("changed")]).unwrap();
-        e.iot_delete(seg, &Key::single(Value::Integer(1))).unwrap();
+        e.insert(seg, vec![Value::Integer(2), Value::from("new")]).unwrap();
+        let changed = vec![Value::Integer(1), Value::from("changed")];
+        assert_eq!(e.update(seg, rid, &old, changed.clone()).unwrap(), rid);
+        assert_eq!(e.delete(seg, rid, &changed).unwrap(), changed);
 
         e.rollback_to(mark).unwrap();
         let get = |k: i64| {
@@ -1385,9 +1437,9 @@ mod tests {
         let medium = DurableMedium::new();
         e.attach_wal(medium.clone());
         let seg = e.create_iot(1).unwrap();
-        e.iot_insert(seg, vec![Value::Integer(1), Value::from("first")]).unwrap();
+        e.insert(seg, vec![Value::Integer(1), Value::from("first")]).unwrap();
         let logged = medium.stats().records_appended;
-        let dup = e.iot_insert(seg, vec![Value::Integer(1), Value::from("second")]);
+        let dup = e.insert(seg, vec![Value::Integer(1), Value::from("second")]);
         assert!(matches!(dup, Err(Error::Constraint(_))), "{dup:?}");
         assert_eq!(medium.stats().records_appended, logged, "nothing logged");
         let key = Key::single(Value::Integer(1));
@@ -1419,13 +1471,13 @@ mod tests {
         let mut e = StorageEngine::new(64);
         let mark = e.undo_mark();
         let seg = e.create_heap().unwrap();
-        e.heap_insert(seg, row(1)).unwrap();
+        e.insert(seg, row(1)).unwrap();
         e.files().create("external.idx");
         e.files().write("external.idx", b"orphaned index entry").unwrap();
 
         e.rollback_to(mark).unwrap();
         // Database state rolled back…
-        assert_eq!(e.heap(seg).unwrap().row_count(), 0);
+        assert_eq!(e.row_count(seg).unwrap(), 0);
         // …but the external file kept the now-inconsistent data (§5).
         assert_eq!(e.files().read("external.idx").unwrap(), b"orphaned index entry");
     }
@@ -1434,11 +1486,11 @@ mod tests {
     fn drop_segment_discards_cache_pages() {
         let mut e = StorageEngine::new(64);
         let seg = e.create_heap().unwrap();
-        e.heap_insert(seg, row(1)).unwrap();
+        e.insert(seg, row(1)).unwrap();
         assert!(e.cache().resident_pages() > 0);
         e.drop_segment(seg).unwrap();
         assert_eq!(e.cache().resident_pages(), 0);
-        assert!(e.heap(seg).is_err());
+        assert!(e.row_count(seg).is_err());
     }
 
     #[test]
@@ -1446,27 +1498,26 @@ mod tests {
         let mut e = StorageEngine::new(64);
         let h = e.create_heap().unwrap();
         let t = e.create_iot(1).unwrap();
-        e.heap_insert(h, row(1)).unwrap();
-        e.iot_insert(t, vec![Value::Integer(1)]).unwrap();
+        e.insert(h, row(1)).unwrap();
+        e.insert(t, row(1)).unwrap();
         e.truncate_segment(h).unwrap();
         e.truncate_segment(t).unwrap();
-        assert_eq!(e.heap(h).unwrap().row_count(), 0);
-        assert_eq!(e.iot(t).unwrap().row_count(), 0);
+        assert_eq!((e.row_count(h).unwrap(), e.row_count(t).unwrap()), (0, 0));
     }
 
     #[test]
     fn iot_logical_rowids_survive_update_and_rollback() {
         let mut e = StorageEngine::new(64);
         let seg = e.create_iot(1).unwrap();
-        let rid = e.iot_insert(seg, vec![Value::Integer(7), Value::from("v1")]).unwrap();
+        let v1 = vec![Value::Integer(7), Value::from("v1")];
+        let rid = e.insert(seg, v1.clone()).unwrap();
         let latest = Snapshot::latest();
-        let fetch =
-            |e: &StorageEngine| e.iot_fetch_multi(seg, &[rid], &latest).unwrap().remove(0).cloned();
+        let fetch = |e: &StorageEngine| e.fetch(seg, &[rid], &latest).unwrap().remove(0).cloned();
         assert_eq!(fetch(&e).unwrap()[1], Value::from("v1"));
 
-        // In-place replace keeps the logical rowid.
-        let (_, rid2) = e.iot_upsert(seg, vec![Value::Integer(7), Value::from("v2")]).unwrap();
-        assert_eq!(rid, rid2);
+        // An update that keeps the key keeps the logical rowid.
+        let v2 = vec![Value::Integer(7), Value::from("v2")];
+        assert_eq!(e.update(seg, rid, &v1, v2.clone()).unwrap(), rid);
         let key = Key::single(Value::Integer(7));
         let range = |e: &StorageEngine, lo, hi| -> Vec<(RowId, Row)> {
             let got = e.iot_range(seg, lo, hi, usize::MAX, &latest).unwrap();
@@ -1477,14 +1528,21 @@ mod tests {
 
         // Delete + rollback restores the row under the same rowid.
         let mark = e.undo_mark();
-        e.iot_delete(seg, &key).unwrap();
+        e.delete(seg, rid, &v2).unwrap();
         assert!(fetch(&e).is_none());
         e.rollback_to(mark).unwrap();
         assert_eq!(fetch(&e).unwrap()[1], Value::from("v2"));
 
         // Range scan hands back the same rowids.
         let pairs = range(&e, Unbounded, Unbounded);
-        assert_eq!(pairs, vec![(rid, vec![Value::Integer(7), Value::from("v2")])]);
+        assert_eq!(pairs, vec![(rid, v2.clone())]);
+
+        // An update that changes the key moves the row to a new rowid.
+        let v3 = vec![Value::Integer(8), Value::from("v3")];
+        let moved = e.update(seg, rid, &v2, v3.clone()).unwrap();
+        assert_ne!(moved, rid);
+        assert!(fetch(&e).is_none());
+        assert_eq!(range(&e, Unbounded, Unbounded), vec![(moved, v3)]);
     }
 
     /// The physical row count is every snapshot's answer exactly when the
@@ -1495,8 +1553,8 @@ mod tests {
         let mut e = StorageEngine::new(64);
         let heap = e.create_heap().unwrap();
         let iot = e.create_iot(1).unwrap();
-        let kept = e.heap_insert(heap, row(1)).unwrap();
-        e.iot_insert(iot, row(1)).unwrap();
+        let kept = e.insert(heap, row(1)).unwrap();
+        e.insert(iot, row(1)).unwrap();
         e.commit_txn(Snapshot::latest());
         let txns = e.txn_manager();
         let write = |e: &mut StorageEngine, f: &dyn Fn(&mut StorageEngine)| {
@@ -1509,14 +1567,14 @@ mod tests {
 
         let reader = txns.begin();
         let writer = write(&mut e, &|e| {
-            e.heap_update(heap, kept, row(2)).unwrap();
-            e.iot_insert(iot, row(2)).unwrap();
+            e.update(heap, kept, &row(1), row(2)).unwrap();
+            e.insert(iot, row(2)).unwrap();
         });
         assert!(!e.segment_settled(heap) && !e.segment_settled(iot), "writer in flight");
         e.commit_txn(writer);
         assert!(!e.segment_settled(iot), "the reader's snapshot predates the commit");
         let seen = e.iot_range(iot, Unbounded, Unbounded, 9, &reader).unwrap().len();
-        assert_eq!((seen, e.iot(iot).unwrap().row_count()), (1, 2));
+        assert_eq!((seen, e.row_count(iot).unwrap()), (1, 2));
         e.commit_txn(reader);
         assert!(e.segment_settled(heap) && e.segment_settled(iot), "settled, not yet vacuumed");
         assert_eq!(e.mvcc_segment_stats().len(), 2, "the chains are still there");
@@ -1524,13 +1582,13 @@ mod tests {
         // A committed heap delete leaves its row in the slot until the
         // vacuum reclaims it, so the physical count is not exact before.
         let deleter = write(&mut e, &|e| {
-            e.heap_delete(heap, kept).unwrap();
+            e.delete(heap, kept, &row(2)).unwrap();
         });
         e.commit_txn(deleter);
         assert!(!e.segment_settled(heap));
         e.vacuum();
         assert!(e.segment_settled(heap) && e.segment_settled(iot));
-        assert_eq!(e.heap(heap).unwrap().row_count(), 0);
+        assert_eq!(e.row_count(heap).unwrap(), 0);
     }
 
     /// A write a savepoint rollback took back is no write: a transaction
@@ -1545,14 +1603,14 @@ mod tests {
         let (a, b) = (txns.begin(), txns.begin());
         e.set_current_txn(a);
         let mark = e.undo_mark();
-        let rid = e.heap_insert(heap, row(1)).unwrap();
-        e.iot_insert(iot, row(1)).unwrap();
+        let rid = e.insert(heap, row(1)).unwrap();
+        e.insert(iot, row(1)).unwrap();
         e.rollback_to(mark).unwrap();
         e.set_current_txn(b);
-        assert_eq!(e.heap_insert(heap, row(2)).unwrap(), rid, "the freed slot is reused");
-        e.iot_insert(iot, row(1)).unwrap();
+        assert_eq!(e.insert(heap, row(2)).unwrap(), rid, "the freed slot is reused");
+        e.insert(iot, row(1)).unwrap();
         e.commit_txn(a);
-        e.heap_update(heap, rid, row(3)).expect("a wrote nothing b must wait for");
+        e.update(heap, rid, &row(2), row(3)).expect("a wrote nothing b must wait for");
         e.commit_txn(b);
     }
 
@@ -1586,17 +1644,19 @@ mod tests {
         let mut e = StorageEngine::new(64);
         let heap = e.create_heap().unwrap();
         let iot = e.create_iot(1).unwrap();
-        let rid = e.heap_insert(heap, kv(1, 0)).unwrap();
-        e.iot_insert(iot, kv(1, 0)).unwrap();
+        let rid = e.insert(heap, kv(1, 0)).unwrap();
+        let irid = e.insert(iot, kv(1, 0)).unwrap();
         e.commit_txn(Snapshot::latest());
         let txns = e.txn_manager();
         let (a, b) = (txns.begin(), txns.begin());
         as_txn(&mut e, a, |e| {
-            e.heap_update(heap, rid, kv(1, 1)).unwrap();
-            e.iot_upsert(iot, kv(1, 1)).unwrap();
+            e.update(heap, rid, &kv(1, 0), kv(1, 1)).unwrap();
+            e.update(iot, irid, &kv(1, 0), kv(1, 1)).unwrap();
         });
+        // b writes the image its snapshot reads, as a statement would.
         let (h, i) = as_txn(&mut e, b, |e| {
-            (lost(e.heap_update(heap, rid, kv(1, 2))), lost(e.iot_upsert(iot, kv(1, 2))))
+            let heap_write = lost(e.update(heap, rid, &kv(1, 0), kv(1, 2)));
+            (heap_write, lost(e.update(iot, irid, &kv(1, 0), kv(1, 2))))
         });
         assert_eq!(h.0, a.txn, "the uncommitted winner is named");
         assert!(h.1.starts_with("heap rowid"), "{}", h.1);
@@ -1606,17 +1666,17 @@ mod tests {
         // a commits: b's snapshot predates it, so b still loses, to a.
         let csn = e.commit_txn(a);
         assert_eq!(txns.committed_csn(a.txn), Some(csn));
-        let key = Key::single(Value::Integer(1));
-        let (h, i) =
-            as_txn(&mut e, b, |e| (lost(e.heap_delete(heap, rid)), lost(e.iot_delete(iot, &key))));
+        let (h, i) = as_txn(&mut e, b, |e| {
+            (lost(e.delete(heap, rid, &kv(1, 0))), lost(e.delete(iot, irid, &kv(1, 0))))
+        });
         assert_eq!((h.0, i.0), (a.txn, a.txn), "a write committed after b's snapshot wins");
         assert!(h.1.starts_with("heap rowid") && i.1.starts_with("iot key"));
 
         // With checks off the same write goes through (a lost update).
         e.set_conflict_checks(false);
         as_txn(&mut e, b, |e| {
-            e.heap_update(heap, rid, kv(1, 2)).expect("checks off: no committed conflict");
-            e.iot_upsert(iot, kv(1, 2)).expect("checks off: no committed conflict");
+            e.update(heap, rid, &kv(1, 0), kv(1, 2)).expect("checks off: no committed conflict");
+            e.update(iot, irid, &kv(1, 0), kv(1, 2)).expect("checks off: no committed conflict");
         });
         e.commit_txn(b);
     }
@@ -1693,22 +1753,22 @@ mod tests {
     fn a_committed_conflict_lasts_while_its_snapshot_pins_the_horizon() {
         let mut e = StorageEngine::new(64);
         let heap = e.create_heap().unwrap();
-        let rid = e.heap_insert(heap, row(1)).unwrap();
+        let rid = e.insert(heap, row(1)).unwrap();
         e.commit_txn(Snapshot::latest());
         let txns = e.txn_manager();
         let (old, a) = (txns.begin(), txns.begin());
-        as_txn(&mut e, a, |e| e.heap_update(heap, rid, row(2))).unwrap();
+        as_txn(&mut e, a, |e| e.update(heap, rid, &row(1), row(2))).unwrap();
         e.commit_txn(a);
         let fresh = txns.begin();
         e.vacuum();
         assert_eq!(e.vacuum_horizon(), old.high, "old pins the horizon");
-        let (winner, _) = lost(as_txn(&mut e, old, |e| e.heap_update(heap, rid, row(3))));
+        let (winner, _) = lost(as_txn(&mut e, old, |e| e.update(heap, rid, &row(1), row(3))));
         assert_eq!(winner, a.txn, "the conflict survives a vacuum pass");
         e.rollback_txn(old).unwrap();
         e.vacuum();
         assert!(e.mvcc_segment_stats().is_empty(), "the horizon passed a: its chain is gone");
         assert_eq!(txns.status(a.txn), None, "and so is a's status");
-        as_txn(&mut e, fresh, |e| e.heap_update(heap, rid, row(3))).expect("no conflict left");
+        as_txn(&mut e, fresh, |e| e.update(heap, rid, &row(2), row(3))).expect("no conflict left");
         e.commit_txn(fresh);
     }
 
@@ -1722,21 +1782,20 @@ mod tests {
         let mut e = StorageEngine::new(64);
         let (heap, iot) = (e.create_heap().unwrap(), e.create_iot(1).unwrap());
         let lob = e.lob_allocate().unwrap();
-        let rid = e.heap_insert(heap, kv(1, 0)).unwrap();
-        e.iot_insert(iot, kv(1, 0)).unwrap();
-        e.iot_insert(iot, kv(2, 0)).unwrap();
+        let rid = e.insert(heap, kv(1, 0)).unwrap();
+        let (one, two) = (e.insert(iot, kv(1, 0)).unwrap(), e.insert(iot, kv(2, 0)).unwrap());
         e.lob_write(lob, 0, b"before").unwrap();
         e.commit_txn(Snapshot::latest());
         let txns = e.txn_manager();
         let (reader, w) = (txns.begin(), txns.begin());
         as_txn(&mut e, w, |e| {
-            e.heap_update(heap, rid, kv(1, 1)).unwrap();
-            e.iot_upsert(iot, kv(1, 1)).unwrap();
-            e.iot_delete(iot, &Key::single(Value::Integer(2))).unwrap();
+            e.update(heap, rid, &kv(1, 0), kv(1, 1)).unwrap();
+            e.update(iot, one, &kv(1, 0), kv(1, 1)).unwrap();
+            e.delete(iot, two, &kv(2, 0)).unwrap();
             e.lob_write(lob, 1, b"XY").unwrap();
         });
         let entry = |at: usize| &e.undo[&w.txn][at];
-        let heap_row = e.heap_fetch_multi(heap, &[rid], &reader).unwrap()[0].unwrap();
+        let heap_row = e.fetch(heap, &[rid], &reader).unwrap()[0].unwrap();
         assert!(std::ptr::eq(heap_row, entry(0).row()), "heap update");
         let rows = e.iot_range(iot, Unbounded, Unbounded, 9, &reader).unwrap();
         assert!(std::ptr::eq(rows[0].2, entry(1).row()), "IOT replace");
@@ -1754,23 +1813,23 @@ mod tests {
     fn a_log_outlives_its_transaction_only_while_a_version_reads_it() {
         let mut e = StorageEngine::new(64);
         let heap = e.create_heap().unwrap();
-        let rid = e.heap_insert(heap, row(1)).unwrap();
+        let rid = e.insert(heap, row(1)).unwrap();
         assert!(e.undo.contains_key(&0));
         e.commit_txn(Snapshot::latest());
         assert!(e.undo.is_empty(), "transaction 0's log ends with it");
         let txns = e.txn_manager();
         let (reader, w) = (txns.begin(), txns.begin());
-        as_txn(&mut e, w, |e| e.heap_update(heap, rid, row(2))).unwrap();
+        as_txn(&mut e, w, |e| e.update(heap, rid, &row(1), row(2))).unwrap();
         e.commit_txn(w);
         e.vacuum();
         assert!(e.undo.contains_key(&w.txn), "the reader still reads w's before-image");
-        assert_eq!(e.heap_fetch_multi(heap, &[rid], &reader).unwrap(), vec![Some(&row(1))]);
+        assert_eq!(e.fetch(heap, &[rid], &reader).unwrap(), vec![Some(&row(1))]);
         e.commit_txn(reader);
         e.vacuum();
         assert!(e.undo.is_empty(), "no version reads w's log any more");
 
         let (reader, aborted) = (txns.begin(), txns.begin());
-        as_txn(&mut e, aborted, |e| e.heap_update(heap, rid, row(3))).unwrap();
+        as_txn(&mut e, aborted, |e| e.update(heap, rid, &row(2), row(3))).unwrap();
         e.rollback_txn(aborted).unwrap();
         assert!(e.undo.is_empty(), "a rolled-back transaction leaves no log");
         e.commit_txn(reader);
@@ -1791,7 +1850,7 @@ mod tests {
         let mut e = StorageEngine::new(1024);
         let seg = e.create_iot(1).unwrap();
         for i in 0..100 {
-            e.iot_insert(seg, vec![Value::Integer(i), Value::from("v")]).unwrap();
+            e.insert(seg, vec![Value::Integer(i), Value::from("v")]).unwrap();
         }
         e.cache().reset_stats();
         let key = Key::single(Value::Integer(42));

@@ -4,10 +4,10 @@
 //! "many applications resort to maintaining file-based indexes for data
 //! residing in database tables") and the Daylight baseline (§3.2.4). Files
 //! live in memory behind a file-system-like API with explicit operation
-//! counters, plus a configurable *write-through* mode: the legacy Daylight
-//! engine persisted intermediate index state on every update, which is
-//! exactly the "intermediate write operations" the LOB migration
-//! eliminated.
+//! counters. A caller that persists intermediate index state records it
+//! with [`FileStore::flush`], counted apart: the legacy Daylight engine
+//! flushed on every update, which is exactly the "intermediate write
+//! operations" the LOB migration eliminated.
 //!
 //! Crucially, the file store sits **outside** the transaction manager:
 //! nothing here participates in undo, which is how the reproduction

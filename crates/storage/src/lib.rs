@@ -36,14 +36,16 @@
 //!   [`wal::Segments`], which only its one apply changes — live writes,
 //!   rollback, vacuum and redo alike) and funnels every mutation through
 //!   the buffer cache, WAL and the driving transaction's undo log (no
-//!   mutator takes a log), and every heap/IOT
-//!   read through four snapshot-pinned functions (there is no
-//!   snapshot-blind read to call instead): the heap page walk, the IOT key
-//!   range — one merge of the segment's rows with its version chains over
-//!   the same bounds, charged height plus the leaves it returned — and a
-//!   rowid join for each. Every one of the four borrows: a row comes back
-//!   as `&Row` into the engine, never as a copy, so a reader copies only
-//!   the columns it keeps, and only of the rows it keeps. LOB reads take a
+//!   mutator takes a log). Heap or IOT is the engine's decision: callers
+//!   insert, update, delete, join rowids to rows and size segments through
+//!   one organization-blind row surface, and every heap/IOT read goes
+//!   through three snapshot-pinned functions (there is no snapshot-blind
+//!   read to call instead): the heap page walk, the IOT key range — one
+//!   merge of the segment's rows with its version chains over the same
+//!   bounds, charged height plus the leaves it returned — and the one
+//!   rowid join. Every one of the three borrows: a row comes back as
+//!   `&Row` into the engine, never as a copy, so a reader copies only the
+//!   columns it keeps, and only of the rows it keeps. LOB reads take a
 //!   snapshot as well.
 
 pub mod buffer;

@@ -44,21 +44,21 @@ proptest! {
         for op in ops {
             match op {
                 HeapOp::Insert(v) => {
-                    let rid = engine.heap_insert(seg, row(v)).unwrap();
+                    let rid = engine.insert(seg, row(v)).unwrap();
                     prop_assert!(!model.contains_key(&rid), "fresh rowid must be unused");
                     model.insert(rid, row(v));
                     live.push(rid);
                 }
                 HeapOp::Update(i, v) if !live.is_empty() => {
                     let rid = live[i % live.len()];
-                    let old = engine.heap_update(seg, rid, row(v)).unwrap();
-                    prop_assert_eq!(&old, model.get(&rid).unwrap());
+                    let old = model.get(&rid).unwrap();
+                    prop_assert_eq!(engine.update(seg, rid, old, row(v)).unwrap(), rid);
                     model.insert(rid, row(v));
                 }
                 HeapOp::Delete(i) if !live.is_empty() => {
                     let idx = i % live.len();
                     let rid = live.swap_remove(idx);
-                    let old = engine.heap_delete(seg, rid).unwrap();
+                    let old = engine.delete(seg, rid, model.get(&rid).unwrap()).unwrap();
                     prop_assert_eq!(&old, model.get(&rid).unwrap());
                     model.remove(&rid);
                 }
@@ -70,7 +70,7 @@ proptest! {
         // the physical scan and the snapshot-pinned page walk alike.
         let latest = Snapshot::latest();
         for (rid, expected) in &model {
-            let fetched = engine.heap_fetch_multi(seg, &[*rid], &latest).unwrap();
+            let fetched = engine.fetch(seg, &[*rid], &latest).unwrap();
             prop_assert_eq!(fetched, vec![Some(expected)]);
         }
         let scanned: BTreeMap<RowId, Row> = engine
@@ -99,15 +99,17 @@ proptest! {
         // Committed prefix.
         for op in before {
             match op {
-                HeapOp::Insert(v) => live.push(engine.heap_insert(seg, row(v)).unwrap()),
+                HeapOp::Insert(v) => live.push(engine.insert(seg, row(v)).unwrap()),
                 HeapOp::Update(i, v) if !live.is_empty() => {
                     let rid = live[i % live.len()];
-                    engine.heap_update(seg, rid, row(v)).unwrap();
+                    let old = engine.heap(seg).unwrap().fetch(rid).unwrap().clone();
+                    engine.update(seg, rid, &old, row(v)).unwrap();
                 }
                 HeapOp::Delete(i) if !live.is_empty() => {
                     let idx = i % live.len();
                     let rid = live.swap_remove(idx);
-                    engine.heap_delete(seg, rid).unwrap();
+                    let old = engine.heap(seg).unwrap().fetch(rid).unwrap().clone();
+                    engine.delete(seg, rid, &old).unwrap();
                 }
                 _ => {}
             }
@@ -125,19 +127,19 @@ proptest! {
         for op in during {
             match op {
                 HeapOp::Insert(v) => {
-                    txn_live.push(engine.heap_insert(seg, row(v)).unwrap())
+                    txn_live.push(engine.insert(seg, row(v)).unwrap())
                 }
                 HeapOp::Update(i, v) if !txn_live.is_empty() => {
                     let rid = txn_live[i % txn_live.len()];
-                    if engine.heap(seg).unwrap().fetch(rid).is_ok() {
-                        engine.heap_update(seg, rid, row(v)).unwrap();
+                    if let Ok(old) = engine.heap(seg).unwrap().fetch(rid).cloned() {
+                        engine.update(seg, rid, &old, row(v)).unwrap();
                     }
                 }
                 HeapOp::Delete(i) if !txn_live.is_empty() => {
                     let idx = i % txn_live.len();
                     let rid = txn_live.swap_remove(idx);
-                    if engine.heap(seg).unwrap().fetch(rid).is_ok() {
-                        engine.heap_delete(seg, rid).unwrap();
+                    if let Ok(old) = engine.heap(seg).unwrap().fetch(rid).cloned() {
+                        engine.delete(seg, rid, &old).unwrap();
                     }
                 }
                 _ => {}
@@ -190,7 +192,7 @@ proptest! {
 }
 
 proptest! {
-    /// `heap_fetch_multi` returns exactly what N single `HeapTable::fetch`
+    /// `fetch` from a heap returns exactly what N single `HeapTable::fetch`
     /// calls would, in the caller's order — regardless of how the batch
     /// is internally sorted by (page, slot) — charges the cache once per
     /// distinct page, and errors whenever a requested rowid is deleted,
@@ -205,7 +207,7 @@ proptest! {
         let seg = engine.create_heap().unwrap();
         let mut live: Vec<RowId> = values
             .iter()
-            .map(|&v| engine.heap_insert(seg, row(v)).unwrap())
+            .map(|&v| engine.insert(seg, row(v)).unwrap())
             .collect();
         let mut dead: Vec<RowId> = Vec::new();
         for d in deletes {
@@ -213,7 +215,8 @@ proptest! {
                 break;
             }
             let rid = live.swap_remove(d % live.len());
-            engine.heap_delete(seg, rid).unwrap();
+            let old = engine.heap(seg).unwrap().fetch(rid).unwrap().clone();
+            engine.delete(seg, rid, &old).unwrap();
             dead.push(rid);
         }
 
@@ -221,7 +224,7 @@ proptest! {
         let batch: Vec<RowId> = picks.iter().map(|&i| live[i % live.len()]).collect();
         let latest = Snapshot::latest();
         let before = engine.cache_stats();
-        let multi = engine.heap_fetch_multi(seg, &batch, &latest).unwrap();
+        let multi = engine.fetch(seg, &batch, &latest).unwrap();
         let charged = engine.cache_stats().since(&before).logical_reads;
         let heap = engine.heap(seg).unwrap();
         let singles: Vec<Option<&Row>> =
@@ -235,7 +238,7 @@ proptest! {
             let mut poisoned = batch.clone();
             poisoned.push(bad);
             prop_assert!(heap.fetch(bad).is_err());
-            prop_assert!(engine.heap_fetch_multi(seg, &poisoned, &latest).is_err());
+            prop_assert!(engine.fetch(seg, &poisoned, &latest).is_err());
         }
     }
 }
@@ -283,24 +286,26 @@ type View = (BTreeMap<RowId, Row>, Vec<(RowId, Row)>, Vec<u8>);
 
 fn apply(e: &mut StorageEngine, heap: SegmentId, iot: SegmentId, lane: &mut TxnLane, ops: &[MixedOp]) {
     e.set_current_txn(lane.snap);
+    let snap = lane.snap;
     for op in ops {
         let live = &mut lane.heap_live;
         match op {
-            MixedOp::HeapInsert(v) => live.push(e.heap_insert(heap, row(*v)).unwrap()),
+            MixedOp::HeapInsert(v) => live.push(e.insert(heap, row(*v)).unwrap()),
             MixedOp::HeapUpdate(i, v) if !live.is_empty() => {
-                e.heap_update(heap, live[i % live.len()], row(*v)).unwrap();
+                let rid = live[i % live.len()];
+                let old = e.fetch(heap, &[rid], &snap).unwrap()[0].cloned().unwrap();
+                e.update(heap, rid, &old, row(*v)).unwrap();
             }
             MixedOp::HeapDelete(i) if !live.is_empty() => {
                 let rid = live.swap_remove(i % live.len());
-                e.heap_delete(heap, rid).unwrap();
+                let old = e.fetch(heap, &[rid], &snap).unwrap()[0].cloned().unwrap();
+                e.delete(heap, rid, &old).unwrap();
             }
             MixedOp::IotUpsert(k, v) => {
                 let r = vec![Value::Integer(lane.key_base + k), Value::Integer(*v)];
-                e.iot_upsert(iot, r).unwrap();
+                iot_put(e, iot, r, &snap).unwrap();
             }
-            MixedOp::IotDelete(k) => {
-                e.iot_delete(iot, &Key::single(Value::Integer(lane.key_base + k))).unwrap();
-            }
+            MixedOp::IotDelete(k) => iot_remove(e, iot, lane.key_base + k, &snap).unwrap(),
             MixedOp::LobWrite(off, bytes) => e.lob_write(lane.lob, *off, bytes).unwrap(),
             MixedOp::LobAppend(bytes) => {
                 e.lob_append(lane.lob, bytes).unwrap();
@@ -418,6 +423,40 @@ fn ikey(k: i64) -> Key {
     Key::single(Value::Integer(k))
 }
 
+/// The row `snap` sees under IOT key `k`, with its rowid.
+fn iot_get(e: &StorageEngine, seg: SegmentId, k: i64, snap: &Snapshot) -> Option<(RowId, Row)> {
+    let key = ikey(k);
+    let got = e.iot_range(seg, Bound::Included(&key), Bound::Included(&key), 1, snap).unwrap();
+    got.first().map(|&(rid, _, row)| (rid, row.clone()))
+}
+
+/// Write `row` as a statement reading under `snap` would: update the row
+/// it sees under the key, else insert one.
+fn iot_put(
+    e: &mut StorageEngine,
+    seg: SegmentId,
+    row: Row,
+    snap: &Snapshot,
+) -> extidx_common::Result<RowId> {
+    match iot_get(e, seg, row[0].as_integer().unwrap(), snap) {
+        Some((rid, old)) => e.update(seg, rid, &old, row),
+        None => e.insert(seg, row),
+    }
+}
+
+/// Delete the row `snap` sees under key `k`, if any.
+fn iot_remove(
+    e: &mut StorageEngine,
+    seg: SegmentId,
+    k: i64,
+    snap: &Snapshot,
+) -> extidx_common::Result<()> {
+    match iot_get(e, seg, k, snap) {
+        Some((rid, old)) => e.delete(seg, rid, &old).map(drop),
+        None => Ok(()),
+    }
+}
+
 /// Apply one lane's writes to the engine and to that lane's model; keys
 /// are `2k + parity`, so the two lanes never write the same key.
 fn write_lane(
@@ -432,10 +471,10 @@ fn write_lane(
     for &(upsert, k, v) in writes {
         let key = 2 * k + parity;
         if upsert {
-            e.iot_upsert(seg, vec![Value::Integer(key), Value::Integer(v)]).unwrap();
+            iot_put(e, seg, vec![Value::Integer(key), Value::Integer(v)], &snap).unwrap();
             model.insert(key, v);
         } else {
-            e.iot_delete(seg, &ikey(key)).unwrap();
+            iot_remove(e, seg, key, &snap).unwrap();
             model.remove(&key);
         }
     }
@@ -449,8 +488,8 @@ proptest! {
     /// bounds (incl. `lo > hi` and `Excluded(k)` on both sides, which
     /// `BTreeMap::range` panics on) with an exclusive after-key and any
     /// `limit` returns exactly that snapshot's model of the range, in key
-    /// order, and each row's rowid is one `iot_fetch_multi` resolves back
-    /// to that row.
+    /// order, and each row's rowid is one `fetch` resolves back to that
+    /// row.
     #[test]
     fn iot_range_matches_btreemap(
         prefix in prop::collection::btree_map(-60i64..60, any::<i64>(), 0..80),
@@ -461,7 +500,7 @@ proptest! {
         let mut e = StorageEngine::new(256);
         let seg = e.create_iot(1).unwrap();
         for (k, v) in &prefix {
-            e.iot_insert(seg, vec![Value::Integer(*k), Value::Integer(*v)]).unwrap();
+            e.insert(seg, vec![Value::Integer(*k), Value::Integer(*v)]).unwrap();
         }
         e.commit_txn(Snapshot::latest());
         let txns = e.txn_manager();
@@ -505,7 +544,7 @@ proptest! {
                     prop_assert!(page.len() <= limit);
                     for &(rid, key, row) in &page {
                         prop_assert_eq!(&Key(row[..1].to_vec()), key);
-                        let fetched = e.iot_fetch_multi(seg, &[rid], snap).unwrap();
+                        let fetched = e.fetch(seg, &[rid], snap).unwrap();
                         let want = vec![Some(row)];
                         prop_assert_eq!(fetched, want, "{} under {:?}", rid, snap);
                         got.push((row[0].as_integer().unwrap(), row[1].as_integer().unwrap()));
@@ -628,6 +667,12 @@ fn twin_heap(e: &StorageEngine, seg: SegmentId, snap: &Snapshot) -> Vec<(RowId, 
     out
 }
 
+/// The rowid of the IOT row `snap` sees under `id`, which the heap sees
+/// too: a write reaches both segments through the same call.
+fn twin_rid(e: &StorageEngine, iot: SegmentId, id: i64, snap: &Snapshot) -> RowId {
+    iot_get(e, iot, id, snap).expect("the IOT sees every row the heap sees").0
+}
+
 /// The `(id, value)` multiset `snap` sees in each segment: heap, IOT.
 type TwinView = (Vec<(i64, i64)>, Vec<(i64, i64)>);
 
@@ -709,8 +754,8 @@ proptest! {
         let twin_row = |id: i64, v: i64| vec![Value::Integer(id), Value::Integer(v)];
         let mut next_id = 0;
         for v in prefix {
-            e.heap_insert(heap, twin_row(next_id, v)).unwrap();
-            e.iot_insert(iot, twin_row(next_id, v)).unwrap();
+            e.insert(heap, twin_row(next_id, v)).unwrap();
+            e.insert(iot, twin_row(next_id, v)).unwrap();
             next_id += 1;
         }
         e.commit_txn(Snapshot::latest());
@@ -728,20 +773,21 @@ proptest! {
                         TwinOp::Insert(_, v) => {
                             let row = twin_row(next_id, v);
                             next_id += 1;
-                            let h = outcome(e.heap_insert(heap, row.clone()));
-                            (Some(next_id - 1), h, outcome(e.iot_insert(iot, row)))
+                            let h = outcome(e.insert(heap, row.clone()));
+                            (Some(next_id - 1), h, outcome(e.insert(iot, row)))
                         }
                         TwinOp::Update(_, pick, v) if !seen.is_empty() => {
-                            let (rid, id, _) = seen[pick % seen.len()];
+                            let (rid, id, old) = seen[pick % seen.len()];
+                            let (irid, old) = (twin_rid(&e, iot, id, &snap), twin_row(id, old));
                             let row = twin_row(id, v);
-                            let h = outcome(e.heap_update(heap, rid, row.clone()));
-                            (Some(id), h, outcome(e.iot_upsert(iot, row)))
+                            let h = outcome(e.update(heap, rid, &old, row.clone()));
+                            (Some(id), h, outcome(e.update(iot, irid, &old, row)))
                         }
                         TwinOp::Delete(_, pick) if !seen.is_empty() => {
-                            let (rid, id, _) = seen[pick % seen.len()];
-                            let key = Key::single(Value::Integer(id));
-                            let h = outcome(e.heap_delete(heap, rid));
-                            (Some(id), h, outcome(e.iot_delete(iot, &key)))
+                            let (rid, id, old) = seen[pick % seen.len()];
+                            let (irid, old) = (twin_rid(&e, iot, id, &snap), twin_row(id, old));
+                            let h = outcome(e.delete(heap, rid, &old));
+                            (Some(id), h, outcome(e.delete(iot, irid, &old)))
                         }
                         _ => (None, Ok(None), Ok(None)),
                     };

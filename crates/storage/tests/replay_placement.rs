@@ -17,7 +17,7 @@
 //! frees its slot after the commit; replay frees it at the delete's place
 //! in the group).
 
-use std::ops::Bound::Unbounded;
+use std::ops::Bound::{Included, Unbounded};
 use std::sync::Arc;
 
 use extidx_common::{Key, LobRef, Row, Value};
@@ -101,13 +101,13 @@ fn the_free_list_comes_back_in_live_order() {
     let (mut e, medium) = durable_engine();
     let seg = e.create_heap().unwrap();
     autocommit(&mut e, &medium);
-    let rids: Vec<_> = (0..6).map(|i| e.heap_insert(seg, row(i, 8)).unwrap()).collect();
+    let rids: Vec<_> = (0..6).map(|i| e.insert(seg, row(i, 8)).unwrap()).collect();
     autocommit(&mut e, &medium);
-    for &rid in &rids[..4] {
-        e.heap_delete(seg, rid).unwrap();
+    for (i, &rid) in rids[..4].iter().enumerate() {
+        e.delete(seg, rid, &row(i as i64, 8)).unwrap();
     }
     autocommit(&mut e, &medium);
-    e.heap_insert(seg, row(6, 8)).unwrap();
+    e.insert(seg, row(6, 8)).unwrap();
     autocommit(&mut e, &medium);
     assert_same_placement(&e.snapshot(), &medium.recover().engine, &[], "probe");
 }
@@ -124,44 +124,56 @@ fn random_write(
 ) {
     let snap = e.current_snapshot();
     let seg = heaps[rng.gen_range(0..heaps.len())];
-    let live_rids = |e: &StorageEngine| {
-        let mut rids = Vec::new();
+    let live_rows = |e: &StorageEngine| {
+        let mut rows = Vec::new();
         let mut page = 0;
-        while let Some(rows) = e.heap_page(seg, page, 0, &snap).unwrap() {
-            rids.extend(rows.map(|(rid, _)| rid));
+        while let Some(visible) = e.heap_page(seg, page, 0, &snap).unwrap() {
+            rows.extend(visible.map(|(rid, r)| (rid, r.clone())));
             page += 1;
         }
-        rids
+        rows
+    };
+    // The IOT row under `k` a statement reading under `snap` would find.
+    let iot_row = |e: &StorageEngine, k: i64| {
+        let key = Key::single(Value::Integer(k));
+        let found = e.iot_range(iot, Included(&key), Included(&key), 1, &snap).unwrap();
+        found.first().map(|&(rid, _, r)| (rid, r.clone()))
     };
     let k = rng.gen_range(0..40i64);
     let width = [8, 300, 2_000, 3_500][rng.gen_range(0..4usize)];
     match rng.gen_range(0..12) {
         0..=2 => {
-            let _ = e.heap_insert(seg, row(k, width));
+            let _ = e.insert(seg, row(k, width));
         }
         3 => {
-            let rids = live_rids(e);
-            if !rids.is_empty() {
-                let rid = rids[rng.gen_range(0..rids.len())];
-                e.heap_update(seg, rid, row(k, width)).unwrap();
+            let rows = live_rows(e);
+            if !rows.is_empty() {
+                let (rid, old) = &rows[rng.gen_range(0..rows.len())];
+                e.update(seg, *rid, old, row(k, width)).unwrap();
             }
         }
         // A versioned heap delete is deferred to the vacuum; see the
         // module doc.
         4 if snap.txn == 0 => {
-            let rids = live_rids(e);
-            if !rids.is_empty() {
-                e.heap_delete(seg, rids[rng.gen_range(0..rids.len())]).unwrap();
+            let rows = live_rows(e);
+            if !rows.is_empty() {
+                let (rid, old) = &rows[rng.gen_range(0..rows.len())];
+                e.delete(seg, *rid, old).unwrap();
             }
         }
         4 | 5 => {
-            let _ = e.iot_insert(iot, row(k, width % 400));
+            let _ = e.insert(iot, row(k, width % 400));
         }
         6 => {
-            let _ = e.iot_upsert(iot, row(k, width % 400));
+            let _ = match iot_row(e, k) {
+                Some((rid, old)) => e.update(iot, rid, &old, row(k, width % 400)),
+                None => e.insert(iot, row(k, width % 400)),
+            };
         }
         7 => {
-            let _ = e.iot_delete(iot, &Key::single(Value::Integer(k)));
+            if let Some((rid, old)) = iot_row(e, k) {
+                e.delete(iot, rid, &old).unwrap();
+            }
         }
         8 => lobs.push(e.lob_allocate().unwrap()),
         _ if lobs.is_empty() => {}

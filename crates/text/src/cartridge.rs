@@ -275,7 +275,6 @@ impl OdciIndex for TextIndexMethods {
         info: &IndexInfo,
         op: &OperatorCall,
     ) -> Result<ScanContext> {
-        op.require_column_first(info)?;
         let text_query = op
             .args
             .first()

@@ -336,7 +336,6 @@ impl OdciIndex for VirIndexMethods {
         info: &IndexInfo,
         op: &OperatorCall,
     ) -> Result<ScanContext> {
-        op.require_column_first(info)?;
         let (query, weights, threshold) = parse_args(info, op)?;
         // Phases 1 and 2 — "the first two passes of filtering are very
         // selective and greatly reduce the data set on which the image

@@ -311,11 +311,10 @@ fn an_indexed_column_second_keeps_the_masks_direction_in_a_join() {
     }
 }
 
-#[test]
-fn text_vir_and_chem_refuse_an_indexed_column_second() {
-    // Their operators read the indexed column as the first argument; with
-    // it second, ODCIIndexStart refuses rather than answer the operator
-    // with its operands swapped.
+/// A table of each first-argument indextype — text, VIR, chem — with
+/// one indexed row: `(table, index, column)` of each, and a predicate with
+/// the indexed column second.
+fn first_argument_tables() -> (Database, Vec<(&'static str, &'static str, String)>) {
     let mut db = Database::with_cache_pages(4096);
     extidx::text::install(&mut db).unwrap();
     extidx::vir::install(&mut db).unwrap();
@@ -331,15 +330,46 @@ fn text_vir_and_chem_refuse_an_indexed_column_second() {
     db.execute(&format!("INSERT INTO images VALUES (1, VIR_IMAGE('{sig}'))")).unwrap();
     db.execute("CREATE INDEX vi ON images(img) INDEXTYPE IS VirIndexType").unwrap();
     let weights = "globalcolor=0.5, localcolor=0.0, texture=0.5, structure=0.0";
-    for sql in [
-        "SELECT /*+ INDEX(docs dt) */ id FROM docs WHERE Contains('gorse', body)".to_string(),
-        "SELECT /*+ INDEX(mols mi) */ id FROM mols WHERE MolContains('CO', mol)".to_string(),
-        format!(
-            "SELECT /*+ INDEX(images vi) */ id FROM images \
-             WHERE VirSimilar(VIR_IMAGE('{sig}'), img, '{weights}', 10)"
-        ),
-    ] {
+    let vir = format!("VirSimilar(VIR_IMAGE('{sig}'), img, '{weights}', 10)");
+    let tables = vec![
+        ("docs", "dt", "Contains('gorse', body)".to_string()),
+        ("mols", "mi", "MolContains('CO', mol)".to_string()),
+        ("images", "vi", vir),
+    ];
+    (db, tables)
+}
+
+#[test]
+fn text_vir_and_chem_refuse_an_indexed_column_second() {
+    // Their operators read the indexed column as the first argument, and
+    // their indextypes declare that position only: with the column second
+    // the optimizer refuses to force the index rather than have the
+    // cartridge answer the operator with its operands swapped.
+    let (mut db, tables) = first_argument_tables();
+    for (table, index, pred) in tables {
+        let sql = format!("SELECT /*+ INDEX({table} {index}) */ id FROM {table} WHERE {pred}");
         let err = db.query(&sql).expect_err(&sql).to_string();
-        assert!(err.contains("first argument"), "{sql}: {err}");
+        assert!(err.contains("no predicate can use it"), "{sql}: {err}");
     }
+}
+
+#[test]
+fn an_unhinted_query_uses_an_index_only_at_a_declared_argument_position() {
+    // Unhinted, a scan and a join over an index whose indextype takes the
+    // column first plan the functional twin when the column stands
+    // second, and answer what NO_INDEX answers. (VirSimilar has no
+    // functional binding with the image second, so no twin to answer.)
+    let (mut db, tables) = first_argument_tables();
+    db.execute("CREATE TABLE frags (fid INTEGER, frag VARCHAR2(64))").unwrap();
+    db.execute("INSERT INTO frags VALUES (7, 'CCOC')").unwrap();
+    let join = "SELECT f.fid, m.id FROM frags f, mols m WHERE MolContains(f.frag, m.mol)";
+    let scans = tables.iter().filter(|(table, ..)| *table != "images");
+    let scans = scans.map(|(table, _, pred)| format!("SELECT id FROM {table} WHERE {pred}"));
+    for sql in scans.chain([join.to_string()]) {
+        let plan = db.explain(&sql).unwrap().join("\n");
+        assert!(!plan.contains("DOMAIN"), "{sql} must not plan a domain index:\n{plan}");
+        let expect = bag(&mut db, &hinted(&sql, "NO_INDEX"));
+        assert_eq!(bag(&mut db, &sql), expect, "{sql}");
+    }
+    assert_eq!(int_rows(&mut db, join), [[7, 1]], "CCOC contains CCO");
 }

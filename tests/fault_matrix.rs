@@ -355,7 +355,7 @@ fn scan_and_stats_faults_fail_the_query_but_not_the_engine() {
 }
 
 /// Extended chaos sweep (ignored by default; CI runs it via
-/// `--include-ignored`): on every rig, 300 (text) or 100 seeded single-row
+/// `--include-ignored`): on every rig, 300 seeded single-row
 /// INSERT / UPDATE / DELETE statements with random keys and values drawn by
 /// the column's operator spec, a fault armed at a random crossing before
 /// every third one (sometimes transient). After every statement one random
@@ -375,9 +375,7 @@ fn chaos_faults_never_desynchronize_the_index() {
         let inj = db.fault_injector().clone();
         let points = rig.crossings();
         let mut stream = rig.stream(rng.gen());
-        // Text keeps the 300-step stream it once ran alone; a VIR or chem
-        // probe costs its mirror several times more, so the rest run 100.
-        for step in 0..if rig.name == "text" { 300 } else { 100 } {
+        for step in 0..300 {
             // Every third step, arm a random fault (sometimes transient).
             inj.reset();
             if step % 3 == 0 {

@@ -11,7 +11,7 @@
 //! domain scans must stay Start≡Close balanced, and the deadline must be
 //! visible as a TXN/Timeout row in `V$TRACE` and in `V$SERVER`.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use extidx::common::{Error, Value};
@@ -318,38 +318,33 @@ fn four_session_soak_stays_bounded() {
 /// usable for the next statement.
 #[test]
 fn cancel_token_interrupts_from_another_thread() {
-    let server = text_server(400);
-    let mut s = server.session();
-    let token = s.cancel_token();
-    // Each statement clears its token at start, so a single pre-cancel
-    // can be wiped: spin-cancel from the peer thread instead, and if the
-    // (short) statement ever wins the race and completes, just rerun it —
-    // the canceller cannot lose every round.
-    let mut observed = None;
-    for _ in 0..50 {
-        let stop = AtomicBool::new(false);
-        let res = std::thread::scope(|scope| {
-            scope.spawn(|| {
-                while !stop.load(Ordering::Relaxed) {
-                    token.cancel();
-                    std::hint::spin_loop();
-                }
-            });
-            let res = s.query(PROBE);
-            // Always stop the canceller before leaving the scope, even
-            // when the query completed — the scope join must not spin.
-            stop.store(true, Ordering::Relaxed);
-            res
-        });
-        match res {
-            Err(e) => {
-                observed = Some(e);
-                break;
-            }
-            Ok(_) => continue,
+    use extidx::core::operator::ScalarFunction;
+
+    // The statement calls a function that reports it running and then
+    // polls the governor until the cancel lands, so the peer thread
+    // cancels a statement known to be running: no race to lose.
+    let (running, started) = std::sync::mpsc::sync_channel(1);
+    let mut db = server_db(400);
+    db.register_function(ScalarFunction::new("AwaitCancelFn", move |_, _| {
+        let _ = running.try_send(());
+        let deadline = Instant::now() + Duration::from_secs(20);
+        loop {
+            extidx::core::governor::poll()?;
+            assert!(Instant::now() < deadline, "the cancel never reached the statement");
+            std::thread::yield_now();
         }
-    }
-    let err = observed.expect("cancellation was never observed in 50 attempts");
+    }))
+    .unwrap();
+    let server = Server::new(db);
+    let mut s = server.session();
+    let token = &s.cancel_token();
+    let err = std::thread::scope(|scope| {
+        scope.spawn(move || {
+            started.recv_timeout(Duration::from_secs(20)).expect("the statement runs");
+            token.cancel();
+        });
+        s.query("SELECT id FROM docs WHERE AwaitCancelFn(id) = 1").expect_err("cancelled")
+    });
     assert!(matches!(err, Error::StatementTimeout { .. }), "got {err}");
     assert!(err.to_string().contains("cancelled"), "detail must name the cancel: {err}");
     // Token cleared per statement: the session is not poisoned.
