@@ -161,22 +161,22 @@ impl OdciIndex for ChemIndexMethods {
         info: &IndexInfo,
         op: &OperatorCall,
     ) -> Result<ScanContext> {
-        let records = FingerprintStore::for_index(info).read_all(srv, info)?;
-        let (pattern, candidates) = match op.operator.as_str() {
+        let store = FingerprintStore::for_index(info);
+        let mut candidates: Vec<(RowId, f64)> = Vec::new();
+        let pattern = match op.operator.as_str() {
             "MOLCONTAINS" => {
                 let sub_text = op.args.first().and_then(|v| v.as_str().ok()).ok_or_else(|| {
                     Error::odci(&info.indextype_name, "ODCIIndexStart", "missing substructure")
                 })?;
                 let pattern = Molecule::parse(sub_text)?;
                 let sub_fp = Fingerprint::of(&pattern);
-                let pattern = Substructure::new(&pattern);
                 // Screen: fp(sub) ⊆ fp(mol) is necessary for containment.
-                let cands: Vec<(RowId, f64)> = records
-                    .into_iter()
-                    .filter(|(_, fp)| sub_fp.is_subset_of(fp))
-                    .map(|(rid, _)| (rid, 0.0))
-                    .collect();
-                (Some(pattern), cands)
+                store.for_each_record(srv, info, |rid, fp| {
+                    if sub_fp.is_subset_of(fp) {
+                        candidates.push((rid, 0.0));
+                    }
+                })?;
+                Some(Substructure::new(&pattern))
             }
             "MOLSIMILAR" => {
                 let q_text = op.args.first().and_then(|v| v.as_str().ok()).ok_or_else(|| {
@@ -186,15 +186,15 @@ impl OdciIndex for ChemIndexMethods {
                     Error::odci(&info.indextype_name, "ODCIIndexStart", "missing threshold")
                 })?;
                 let q_fp = Fingerprint::of(&Molecule::parse(q_text)?);
-                let mut cands: Vec<(RowId, f64)> = records
-                    .into_iter()
-                    .map(|(rid, fp)| (rid, q_fp.tanimoto(&fp)))
-                    .filter(|(_, t)| *t >= threshold)
-                    .collect();
+                store.for_each_record(srv, info, |rid, fp| {
+                    let t = q_fp.tanimoto(fp);
+                    if t >= threshold {
+                        candidates.push((rid, t));
+                    }
+                })?;
                 // Nearest-neighbor flavour: best matches first.
-                cands.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-                let _ = threshold;
-                (None, cands)
+                candidates.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+                None
             }
             other => {
                 return Err(Error::odci(
@@ -241,7 +241,8 @@ impl OdciIndex for ChemIndexMethods {
             Some(pattern) => pattern,
         };
         // Exact verification against the stored molecules, `nrows`
-        // candidates at a time read as one set from the base table.
+        // candidates at a time read as one set from the base table, each
+        // molecule text parsed and matched where it lies.
         let mut out: Vec<usize> = Vec::with_capacity(nrows);
         while out.len() < nrows {
             if let Some(i) = st.verified.pop_front() {
@@ -253,15 +254,15 @@ impl OdciIndex for ChemIndexMethods {
             }
             let end = (st.pos + nrows).min(len);
             let rids: Vec<RowId> = st.candidates[st.pos..end].iter().map(|&(rid, _)| rid).collect();
-            let mols = srv.fetch_base_rows(&info.table_name, &[&info.column_name], &rids)?;
-            for (i, mol) in (st.pos..end).zip(mols) {
-                let Some(text) = mol.as_ref().and_then(|row| row[0].as_str().ok()) else {
-                    continue;
-                };
-                if pattern.in_text(text)? {
-                    st.verified.push_back(i);
+            let (first, verified) = (st.pos, &mut st.verified);
+            srv.fetch_base_rows(&info.table_name, &[&info.column_name], &rids, &mut |i, mol| {
+                if let Ok(text) = mol[0].as_str() {
+                    if pattern.in_text(text)? {
+                        verified.push_back(first + i);
+                    }
                 }
-            }
+                Ok(())
+            })?;
             st.pos = end;
         }
         // The scan ends where a candidate-at-a-time loop would: when this

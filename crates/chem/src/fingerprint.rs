@@ -32,27 +32,120 @@ impl Default for Fingerprint {
     }
 }
 
-fn feature_hash(s: &str, salt: u64) -> u64 {
+/// Longest rendered path: [`MAX_PATH`] two-letter symbols and the bonds
+/// between them.
+const PATH_BYTES: usize = 3 * MAX_PATH - 1;
+
+fn feature_hash(s: &[u8], salt: u64) -> u64 {
     // FNV-1a with a salt, adequate and dependency-free.
     let mut h = 0xcbf29ce484222325u64 ^ salt.wrapping_mul(0x9e3779b97f4a7c15);
-    for b in s.as_bytes() {
+    for b in s {
         h ^= *b as u64;
         h = h.wrapping_mul(0x100000001b3);
     }
     h
 }
 
+/// A path rendered into a fixed buffer.
+#[derive(Default)]
+struct Rendered {
+    bytes: [u8; PATH_BYTES],
+    len: usize,
+}
+
+impl Rendered {
+    fn push(&mut self, s: &[u8]) {
+        self.bytes[self.len..self.len + s.len()].copy_from_slice(s);
+        self.len += s.len();
+    }
+
+    fn as_slice(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
+}
+
+/// The path enumeration behind [`Fingerprint::of`]: every simple path of
+/// up to [`MAX_PATH`] atoms from every start atom, rendered forwards and
+/// reversed into two reused buffers, the lexicographically smaller of the
+/// two hashed (so both traversals of a path set the same bits). Nothing
+/// is allocated.
+struct PathWalk<'m> {
+    m: &'m Molecule,
+    /// The path so far, `path[..len]`.
+    path: [usize; MAX_PATH],
+    /// `bonds[i]`: the bond symbol between `path[i - 1]` and `path[i]`.
+    bonds: [u8; MAX_PATH],
+    fwd: Rendered,
+    rev: Rendered,
+    fp: Fingerprint,
+}
+
+impl PathWalk<'_> {
+    /// Set the features of the path `path[..len]` and of every extension
+    /// of it.
+    fn extend(&mut self, len: usize) {
+        self.set_feature(len);
+        if len == MAX_PATH {
+            return;
+        }
+        let (m, last) = (self.m, self.path[len - 1]);
+        for b in &m.bonds {
+            let next = match (b.a == last, b.b == last) {
+                (true, _) => b.b,
+                (_, true) => b.a,
+                _ => continue,
+            };
+            if self.path[..len].contains(&next) {
+                continue;
+            }
+            self.path[len] = next;
+            self.bonds[len] = match b.order {
+                2 => b'=',
+                3 => b'#',
+                _ => b'-',
+            };
+            self.extend(len + 1);
+        }
+    }
+
+    fn set_feature(&mut self, len: usize) {
+        let symbol = |i: usize| self.m.atoms[self.path[i]].element.symbol().as_bytes();
+        let (fwd, rev) = (&mut self.fwd, &mut self.rev);
+        fwd.len = 0;
+        fwd.push(symbol(0));
+        for i in 1..len {
+            fwd.push(&[self.bonds[i]]);
+            fwd.push(symbol(i));
+        }
+        rev.len = 0;
+        rev.push(symbol(len - 1));
+        for i in (0..len - 1).rev() {
+            rev.push(&[self.bonds[i + 1]]);
+            rev.push(symbol(i));
+        }
+        let feature = fwd.as_slice().min(rev.as_slice());
+        for salt in 0..BITS_PER_FEATURE as u64 {
+            self.fp.set((feature_hash(feature, salt) as usize) % FP_BITS);
+        }
+    }
+}
+
 impl Fingerprint {
     /// Fingerprint of a molecule.
     pub fn of(m: &Molecule) -> Fingerprint {
-        let mut fp = Fingerprint::default();
-        for path in m.paths(MAX_PATH) {
-            for salt in 0..BITS_PER_FEATURE as u64 {
-                let bit = (feature_hash(&path, salt) as usize) % FP_BITS;
-                fp.set(bit);
-            }
+        let mut walk = PathWalk {
+            m,
+            path: [0; MAX_PATH],
+            bonds: [0; MAX_PATH],
+            fwd: Rendered::default(),
+            rev: Rendered::default(),
+            fp: Fingerprint::default(),
+        };
+        for start in 0..m.atoms.len() {
+            walk.path[0] = start;
+            walk.extend(1);
         }
-        fp
+        walk.fp
     }
 
     /// Set one bit.
@@ -162,6 +255,34 @@ mod tests {
         let b = Fingerprint::from_bytes(&a.to_bytes()).unwrap();
         assert_eq!(a, b);
         assert!(Fingerprint::from_bytes(&[0u8; 3]).is_none());
+    }
+
+    /// Every fingerprint word of a fixed corpus, folded: the bits
+    /// `Fingerprint::of` sets are part of every stored index, so a
+    /// faster enumeration must set exactly the same ones.
+    #[test]
+    fn fingerprints_are_bit_for_bit_stable() {
+        let corpus = crate::workload::MoleculeWorkload::new(7).corpus(1000, 12);
+        let fold = corpus
+            .iter()
+            .flat_map(|s| Fingerprint::of(&Molecule::parse(s).unwrap()).words)
+            .fold(0xcbf29ce484222325u64, |acc, w| (acc ^ w).wrapping_mul(0x100000001b3));
+        assert_eq!(fold, 0xe969a3d3ef27ce2b);
+    }
+
+    #[test]
+    fn both_directions_of_a_path_are_one_feature() {
+        let fp = |s: &str| Fingerprint::of(&Molecule::parse(s).unwrap());
+        assert_eq!(fp("CN"), fp("NC"));
+        assert_eq!(fp("CC(=O)N"), fp("NC(=O)C"));
+        assert_eq!(fp("ClCC#N"), fp("N#CCCl"));
+    }
+
+    #[test]
+    fn bond_orders_are_part_of_a_feature() {
+        let fp = |s: &str| Fingerprint::of(&Molecule::parse(s).unwrap());
+        assert_ne!(fp("CC(=O)N"), fp("CC(O)N"));
+        assert_ne!(fp("CC=C"), fp("CC#C"));
     }
 
     #[test]

@@ -24,8 +24,25 @@ impl Element {
         ELEMENTS[self.0 as usize]
     }
 
-    fn of(symbol: &str) -> Option<Element> {
-        ELEMENTS.iter().position(|e| *e == symbol).map(|i| Element(i as u8))
+    /// The element whose symbol starts with the uppercase letter `first`,
+    /// given the byte `next` after it, and the symbol's length in bytes:
+    /// `C` then `l` is chlorine and `B` then `r` bromine.
+    fn of_bytes(first: u8, next: Option<u8>) -> Option<(Element, usize)> {
+        let (index, len) = match (first, next) {
+            (b'C', Some(b'l')) => (6, 2),
+            (b'B', Some(b'r')) => (7, 2),
+            (b'C', _) => (0, 1),
+            (b'N', _) => (1, 1),
+            (b'O', _) => (2, 1),
+            (b'S', _) => (3, 1),
+            (b'P', _) => (4, 1),
+            (b'F', _) => (5, 1),
+            (b'I', _) => (8, 1),
+            (b'B', _) => (9, 1),
+            (b'H', _) => (10, 1),
+            _ => return None,
+        };
+        Some((Element(index), len))
     }
 }
 
@@ -65,24 +82,26 @@ fn parse_into(
     let mut prev: Option<usize> = None;
     let mut pending_order: u8 = 1;
     let mut rings: [Option<(usize, u8)>; 10] = [None; 10];
-    let mut chars = input.chars().peekable();
-    while let Some(c) = chars.next() {
+    let bytes = input.as_bytes();
+    let mut at = 0;
+    while let Some(&c) = bytes.get(at) {
+        at += 1;
         match c {
-            ' ' => {}
-            '-' => pending_order = 1,
-            '=' => pending_order = 2,
-            '#' => pending_order = 3,
-            '(' => {
+            b' ' => {}
+            b'-' => pending_order = 1,
+            b'=' => pending_order = 2,
+            b'#' => pending_order = 3,
+            b'(' => {
                 let p = prev.ok_or_else(|| Error::Parse("branch with no prior atom".into()))?;
                 stack.push(p);
             }
-            ')' => {
+            b')' => {
                 let p = stack.pop();
                 prev = Some(p.ok_or_else(|| Error::Parse("unbalanced ) in molecule".into()))?);
             }
-            d if d.is_ascii_digit() => {
+            b'0'..=b'9' => {
                 let p = prev.ok_or_else(|| Error::Parse("ring digit with no prior atom".into()))?;
-                let ring = &mut rings[(d as u8 - b'0') as usize];
+                let ring = &mut rings[(c - b'0') as usize];
                 match ring.take() {
                     Some((other, order)) => {
                         bonds.push(Bond { a: other, b: p, order: order.max(pending_order) });
@@ -91,17 +110,11 @@ fn parse_into(
                 }
                 pending_order = 1;
             }
-            c if c.is_ascii_uppercase() => {
-                // Two-letter elements: Cl, Br.
-                let element = match (c, chars.peek()) {
-                    ('C', Some('l')) | ('B', Some('r')) => {
-                        let two = if c == 'C' { "Cl" } else { "Br" };
-                        chars.next();
-                        Element::of(two)
-                    }
-                    _ => Element::of(c.encode_utf8(&mut [0; 4])),
-                }
-                .ok_or_else(|| Error::Parse(format!("unknown element {:?}", c.to_string())))?;
+            b'A'..=b'Z' => {
+                let (element, len) = Element::of_bytes(c, bytes.get(at).copied()).ok_or_else(
+                    || Error::Parse(format!("unknown element {:?}", (c as char).to_string())),
+                )?;
+                at += len - 1;
                 let idx = atoms.len();
                 atoms.push(Atom { element });
                 if let Some(p) = prev {
@@ -110,8 +123,11 @@ fn parse_into(
                 prev = Some(idx);
                 pending_order = 1;
             }
-            other => {
-                return Err(Error::Parse(format!("unexpected character {other:?} in molecule")))
+            _ => {
+                // Every byte before `at - 1` was one ASCII character, so
+                // a character starts there.
+                let other = input[at - 1..].chars().next().expect("a character starts here");
+                return Err(Error::Parse(format!("unexpected character {other:?} in molecule")));
             }
         }
     }
@@ -138,91 +154,6 @@ impl Molecule {
     /// Number of atoms.
     pub fn atom_count(&self) -> usize {
         self.atoms.len()
-    }
-
-    /// Adjacency list: `(neighbor, bond order)` per atom.
-    pub fn adjacency(&self) -> Vec<Vec<(usize, u8)>> {
-        let mut adj = vec![Vec::new(); self.atoms.len()];
-        for b in &self.bonds {
-            adj[b.a].push((b.b, b.order));
-            adj[b.b].push((b.a, b.order));
-        }
-        adj
-    }
-
-    /// All linear paths up to `max_len` atoms, rendered as label strings
-    /// (the fingerprint features). Each path is emitted in its
-    /// lexicographically smaller direction so both traversals agree.
-    pub fn paths(&self, max_len: usize) -> Vec<String> {
-        let adj = self.adjacency();
-        let mut out = Vec::new();
-        for start in 0..self.atoms.len() {
-            let mut visited = vec![false; self.atoms.len()];
-            visited[start] = true;
-            let mut path = vec![start];
-            let mut bonds = Vec::new();
-            self.walk(&adj, &mut visited, &mut path, &mut bonds, max_len, &mut out);
-        }
-        out
-    }
-
-    /// Render a path canonically: the lexicographically smaller of the
-    /// forward and reverse atom/bond sequences.
-    fn render_path(&self, path: &[usize], bonds: &[&'static str]) -> String {
-        let fwd = {
-            let mut s = String::from(self.atoms[path[0]].element.symbol());
-            for (i, b) in bonds.iter().enumerate() {
-                s.push_str(b);
-                s.push_str(self.atoms[path[i + 1]].element.symbol());
-            }
-            s
-        };
-        let rev = {
-            let n = path.len();
-            let mut s = String::from(self.atoms[path[n - 1]].element.symbol());
-            for i in (0..bonds.len()).rev() {
-                s.push_str(bonds[i]);
-                s.push_str(self.atoms[path[i]].element.symbol());
-            }
-            s
-        };
-        if fwd <= rev {
-            fwd
-        } else {
-            rev
-        }
-    }
-
-    fn walk(
-        &self,
-        adj: &[Vec<(usize, u8)>],
-        visited: &mut Vec<bool>,
-        path: &mut Vec<usize>,
-        bonds: &mut Vec<&'static str>,
-        max_len: usize,
-        out: &mut Vec<String>,
-    ) {
-        out.push(self.render_path(path, bonds));
-        if path.len() >= max_len {
-            return;
-        }
-        let last = *path.last().expect("path nonempty");
-        for &(n, order) in &adj[last] {
-            if visited[n] {
-                continue;
-            }
-            visited[n] = true;
-            path.push(n);
-            bonds.push(match order {
-                2 => "=",
-                3 => "#",
-                _ => "-",
-            });
-            self.walk(adj, visited, path, bonds, max_len, out);
-            bonds.pop();
-            path.pop();
-            visited[n] = false;
-        }
     }
 
     /// Exact subgraph-isomorphism check: is `pattern` a substructure of
@@ -343,7 +274,11 @@ impl Substructure {
 }
 
 /// Backtracking search for an injective map of pattern atoms `next..`
-/// onto unused target atoms, given the map of atoms `..next`.
+/// onto unused target atoms, given the map of atoms `..next`. A pattern
+/// atom with an already-mapped neighbour can only map onto a target
+/// neighbour of that neighbour's image, so its candidates are that
+/// image's adjacency; only an atom with none (the first) scans every
+/// target atom.
 fn match_rec(
     pattern: &Graph,
     target: &Graph,
@@ -354,9 +289,11 @@ fn match_rec(
     if next == pattern.atoms.len() {
         return true;
     }
-    'candidates: for t in 0..target.atoms.len() {
+    let anchor = pattern.neighbors(next).iter().find(|&&(pn, _)| pn < next);
+    let anchor = anchor.map(|&(pn, order)| (mapping[pn], order));
+    let mut try_map = |t: usize| {
         if used[t] || target.atoms[t] != pattern.atoms[next] {
-            continue;
+            return false;
         }
         // Every already-mapped pattern neighbor of `next` must be a
         // target neighbor of `t` with a matching bond order.
@@ -364,7 +301,7 @@ fn match_rec(
             if pn < next {
                 let tn = mapping[pn];
                 if !target.neighbors(t).iter().any(|&(x, o)| x == tn && o == order) {
-                    continue 'candidates;
+                    return false;
                 }
             }
         }
@@ -375,12 +312,21 @@ fn match_rec(
         }
         used[t] = false;
         mapping[next] = usize::MAX;
+        false
+    };
+    match anchor {
+        Some((image, order)) => {
+            target.neighbors(image).iter().any(|&(t, o)| o == order && try_map(t))
+        }
+        None => (0..target.atoms.len()).any(try_map),
     }
-    false
 }
 
 #[cfg(test)]
 mod tests {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
     use super::*;
 
     #[test]
@@ -396,8 +342,7 @@ mod tests {
         // isobutane-ish: C(C)(C)C
         let m = Molecule::parse("C(C)(C)C").unwrap();
         assert_eq!(m.atom_count(), 4);
-        let adj = m.adjacency();
-        assert_eq!(adj[0].len(), 3, "central carbon bonds to three others");
+        assert_eq!(Graph::of(&m).neighbors(0).len(), 3, "central carbon bonds to three others");
     }
 
     #[test]
@@ -406,8 +351,8 @@ mod tests {
         let m = Molecule::parse("C1CCCCC1").unwrap();
         assert_eq!(m.atom_count(), 6);
         assert_eq!(m.bonds.len(), 6);
-        let adj = m.adjacency();
-        assert!(adj.iter().all(|n| n.len() == 2), "every ring atom has two neighbors");
+        let g = Graph::of(&m);
+        assert!((0..6).all(|a| g.neighbors(a).len() == 2), "every ring atom has two neighbors");
     }
 
     #[test]
@@ -461,20 +406,157 @@ mod tests {
     }
 
     #[test]
-    fn paths_canonical_direction() {
-        let m = Molecule::parse("CN").unwrap();
-        let paths = m.paths(2);
-        // Both directions canonicalize to the same 2-atom path string.
-        let two: Vec<&String> = paths.iter().filter(|p| p.contains('-')).collect();
-        assert_eq!(two.len(), 2);
-        assert_eq!(two[0], two[1]);
+    fn parse_error_messages() {
+        let message = |s: &str| match Molecule::parse(s) {
+            Err(Error::Parse(m)) => m,
+            other => panic!("{s:?}: expected a parse error, got {other:?}"),
+        };
+        assert_eq!(message(""), "empty molecule");
+        assert_eq!(message("  "), "empty molecule");
+        assert_eq!(message("C(C"), "unbalanced ( in molecule");
+        assert_eq!(message("C)"), "unbalanced ) in molecule");
+        assert_eq!(message("C1CC"), "unclosed ring bond in molecule");
+        assert_eq!(message("Xy"), "unknown element \"X\"");
+        assert_eq!(message("CZ"), "unknown element \"Z\"");
+        assert_eq!(message("(C)"), "branch with no prior atom");
+        assert_eq!(message("1C"), "ring digit with no prior atom");
+        assert_eq!(message("Cx"), "unexpected character 'x' in molecule");
+        assert_eq!(message("C.C"), "unexpected character '.' in molecule");
     }
 
     #[test]
-    fn branch_molecule_roundtrip_paths() {
-        let m = Molecule::parse("CC(=O)N").unwrap();
-        let paths = m.paths(4);
-        assert!(paths.iter().any(|p| p.contains('=')), "double bond appears in a path");
-        assert!(!paths.is_empty());
+    fn non_ascii_input_is_a_parse_error() {
+        for s in ["Cé", "é", "CC(é)", "C\u{1F600}", "ClÉ", "C1CC=ö1"] {
+            assert!(matches!(Molecule::parse(s), Err(Error::Parse(_))), "{s:?}");
+            assert!(matches!(Substructure::parse("C").unwrap().in_text(s), Err(Error::Parse(_))));
+        }
+        assert!(matches!(
+            Molecule::parse("Cé"),
+            Err(Error::Parse(m)) if m == "unexpected character 'é' in molecule"
+        ));
+    }
+
+    #[test]
+    fn every_element_symbol_parses_to_itself() {
+        for (i, symbol) in ELEMENTS.iter().enumerate() {
+            let m = Molecule::parse(&format!("C{symbol}C")).unwrap();
+            assert_eq!(m.atoms[1].element, Element(i as u8), "{symbol}");
+            assert_eq!(m.atoms[1].element.symbol(), *symbol);
+        }
+    }
+
+    /// The matcher's definition, with no pruning: try every unused target
+    /// atom for every pattern atom and check every mapped neighbour.
+    fn exhaustive_match(
+        pattern: &Graph,
+        target: &Graph,
+        next: usize,
+        mapping: &mut [usize],
+        used: &mut [bool],
+    ) -> bool {
+        if next == pattern.atoms.len() {
+            return true;
+        }
+        (0..target.atoms.len()).any(|t| {
+            let fits = !used[t]
+                && target.atoms[t] == pattern.atoms[next]
+                && pattern.neighbors(next).iter().filter(|&&(pn, _)| pn < next).all(|&(pn, o)| {
+                    target.neighbors(t).iter().any(|&(x, xo)| x == mapping[pn] && xo == o)
+                });
+            if !fits {
+                return false;
+            }
+            (mapping[next], used[t]) = (t, true);
+            let found = exhaustive_match(pattern, target, next + 1, mapping, used);
+            (mapping[next], used[t]) = (usize::MAX, false);
+            found
+        })
+    }
+
+    /// A random molecule text of about `atoms` atoms over `symbols`, with
+    /// branches, ring closures and all three bond orders.
+    fn random_text(rng: &mut StdRng, atoms: usize, symbols: &[&str]) -> String {
+        let mut out = String::new();
+        let (mut depth, mut open_rings) = (0, Vec::new());
+        for i in 0..atoms {
+            if i > 0 {
+                out.push_str(["", "", "", "-", "=", "#"][rng.gen_range(0..6usize)]);
+            }
+            out.push_str(symbols[rng.gen_range(0..symbols.len())]);
+            if i + 1 < atoms && rng.gen_bool(0.15) && open_rings.len() < 3 {
+                let digit = (1..10).find(|d| !open_rings.contains(d)).expect("a free digit");
+                out.push(char::from(b'0' + digit));
+                open_rings.push(digit);
+            } else if !open_rings.is_empty() && rng.gen_bool(0.3) {
+                out.push(char::from(b'0' + open_rings.pop().expect("an open ring")));
+            }
+            if i + 1 < atoms && rng.gen_bool(0.2) {
+                out.push('(');
+                depth += 1;
+            } else if depth > 0 && rng.gen_bool(0.4) {
+                out.push(')');
+                depth -= 1;
+            }
+        }
+        for digit in open_rings {
+            // Close each ring on the last atom (or reopen it there: a
+            // digit twice on one atom is a self-bond the parser allows).
+            out.push(char::from(b'0' + digit));
+        }
+        out.push_str(&")".repeat(depth));
+        out
+    }
+
+    #[test]
+    fn neighbour_driven_matching_agrees_with_exhaustive_search() {
+        let mut rng = StdRng::seed_from_u64(0x5eed_c4e3);
+        let symbols = ["C", "C", "C", "N", "O", "S", "Cl", "Br"];
+        let (mut found, mut missed, mut larger) = (0, 0, 0);
+        let mut orders_seen = [false; 4];
+        for case in 0..3000 {
+            let atoms = rng.gen_range(1..14);
+            let text = random_text(&mut rng, atoms, &symbols);
+            let small = &symbols[..rng.gen_range(1..symbols.len() + 1)];
+            let atoms = rng.gen_range(1..7);
+            let pattern_text = random_text(&mut rng, atoms, small);
+            let (Ok(mol), Ok(pat)) = (Molecule::parse(&text), Molecule::parse(&pattern_text))
+            else {
+                panic!("case {case}: generated texts parse: {text:?} {pattern_text:?}");
+            };
+            mol.bonds.iter().for_each(|b| orders_seen[b.order as usize] = true);
+            let (p, t) = (Graph::of(&pat), Graph::of(&mol));
+            let mut mapping = vec![usize::MAX; p.atoms.len()];
+            let expected = exhaustive_match(&p, &t, 0, &mut mapping, &mut vec![false; t.atoms.len()]);
+            let got = Substructure::parse(&pattern_text).unwrap().in_text(&text).unwrap();
+            assert_eq!(got, expected, "case {case}: {pattern_text:?} in {text:?}");
+            larger += usize::from(pat.atom_count() > mol.atom_count());
+            if got {
+                found += 1;
+            } else {
+                missed += 1;
+            }
+        }
+        // The draws reach what they are meant to: both answers, patterns
+        // larger than their targets, and every bond order.
+        assert!(found > 300 && missed > 300, "{found} matches, {missed} misses");
+        assert!(larger > 50, "{larger} patterns larger than their target");
+        assert_eq!(orders_seen[1..], [true; 3]);
+    }
+
+    #[test]
+    fn matching_within_rings_and_halogens() {
+        let cases = [
+            ("C1CCCCC1Cl", "ClC1CCCCC1", true),
+            ("C1CCCCC1", "C1CCCC1", false),
+            ("BrC1=CC=CC=C1", "C=CBr", true),
+            ("BrC1=CC=CC=C1", "C#CBr", false),
+            ("CC(Cl)(Br)C#N", "ClCBr", true),
+            ("CC(Cl)C(Br)C", "ClCBr", false),
+            ("C1CC1", "C1CC1C", false),
+        ];
+        for (text, pattern, expected) in cases {
+            let got = Substructure::parse(pattern).unwrap().in_text(text).unwrap();
+            assert_eq!(got, expected, "{pattern} in {text}");
+        }
     }
 }

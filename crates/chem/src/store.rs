@@ -23,7 +23,7 @@
 use extidx_common::{Error, LobRef, Result, RowId, Value};
 use extidx_core::build::{partition_map, DEFAULT_BUILD_BATCH_ROWS};
 use extidx_core::meta::IndexInfo;
-use extidx_core::server::{BaseRow, ServerContext};
+use extidx_core::server::{read_lob, BaseRow, ServerContext};
 
 use crate::fingerprint::{Fingerprint, FP_BYTES};
 
@@ -67,24 +67,24 @@ fn encode_record(rid: u64, fp: &Fingerprint) -> [u8; RECORD_BYTES] {
     rec
 }
 
-fn decode_records(bytes: &[u8]) -> Result<Vec<(RowId, Fingerprint)>> {
+/// Visit every live record of a store image where it lies: its position
+/// in the image, its rowid and its fingerprint payload
+/// ([`Fingerprint::to_bytes`]'s form). Tombstones are skipped; an image
+/// that is not a whole number of records is corrupt.
+fn walk_records(bytes: &[u8], mut visit: impl FnMut(usize, RowId, &[u8])) -> Result<()> {
     if !bytes.len().is_multiple_of(RECORD_BYTES) {
         return Err(Error::Storage(format!(
             "fingerprint store corrupted: {} bytes is not a record multiple",
             bytes.len()
         )));
     }
-    let mut out = Vec::with_capacity(bytes.len() / RECORD_BYTES);
-    for rec in bytes.chunks(RECORD_BYTES) {
+    for (i, rec) in bytes.chunks_exact(RECORD_BYTES).enumerate() {
         let rid = u64::from_le_bytes(rec[..8].try_into().expect("8-byte slice"));
-        if rid == TOMBSTONE {
-            continue;
+        if rid != TOMBSTONE {
+            visit(i, RowId::from_u64(rid), &rec[8..]);
         }
-        let fp = Fingerprint::from_bytes(&rec[8..])
-            .ok_or_else(|| Error::Storage("bad fingerprint payload".into()))?;
-        out.push((RowId::from_u64(rid), fp));
     }
-    Ok(out)
+    Ok(())
 }
 
 /// `bytes` with every record of rowid `target` left out.
@@ -215,14 +215,17 @@ impl FingerprintStore {
         match self.mode {
             StorageMode::Lob => {
                 let lob = self.locator(srv, info)?;
-                let bytes = srv.lob_read_all(lob)?;
-                for (i, rec) in bytes.chunks(RECORD_BYTES).enumerate() {
-                    if rec.len() == RECORD_BYTES
-                        && u64::from_le_bytes(rec[..8].try_into().expect("8 bytes")) == target
-                    {
-                        // In-place tombstone: one small patch write.
-                        srv.lob_write(lob, (i * RECORD_BYTES) as u64, &TOMBSTONE.to_le_bytes())?;
-                    }
+                let mut at = Vec::new();
+                read_lob(srv, lob, |bytes| {
+                    walk_records(bytes, |i, rid, _| {
+                        if rid.to_u64() == target {
+                            at.push(i);
+                        }
+                    })
+                })?;
+                for i in at {
+                    // In-place tombstone: one small patch write.
+                    srv.lob_write(lob, (i * RECORD_BYTES) as u64, &TOMBSTONE.to_le_bytes())?;
                 }
             }
             StorageMode::File => {
@@ -238,20 +241,25 @@ impl FingerprintStore {
         Ok(())
     }
 
-    /// Read every live record.
-    pub fn read_all(
+    /// Visit every live record — its rowid and fingerprint — where it
+    /// lies: in the LOB image the crossing's snapshot sees, or in the
+    /// external file.
+    pub fn for_each_record(
         &self,
         srv: &mut dyn ServerContext,
         info: &IndexInfo,
-    ) -> Result<Vec<(RowId, Fingerprint)>> {
-        let bytes = match self.mode {
+        mut visit: impl FnMut(RowId, &Fingerprint),
+    ) -> Result<()> {
+        let mut each = |_, rid, payload: &[u8]| {
+            visit(rid, &Fingerprint::from_bytes(payload).expect("a record holds a whole payload"))
+        };
+        match self.mode {
             StorageMode::Lob => {
                 let lob = self.locator(srv, info)?;
-                srv.lob_read_all(lob)?
+                read_lob(srv, lob, |bytes| walk_records(bytes, &mut each))
             }
-            StorageMode::File => srv.file_read(&file_name(info))?,
-        };
-        decode_records(&bytes)
+            StorageMode::File => walk_records(&srv.file_read(&file_name(info))?, each),
+        }
     }
 
     /// Fingerprint one base row: parse the molecule and encode its
@@ -311,13 +319,19 @@ mod tests {
     use super::*;
     use crate::molecule::Molecule;
 
+    /// The live records of `bytes`, by position.
+    fn records(bytes: &[u8]) -> Result<Vec<(usize, RowId, Fingerprint)>> {
+        let mut out = Vec::new();
+        walk_records(bytes, |i, rid, fp| out.push((i, rid, Fingerprint::from_bytes(fp).unwrap())))?;
+        Ok(out)
+    }
+
     #[test]
     fn record_roundtrip() {
         let fp = Fingerprint::of(&Molecule::parse("CC=O").unwrap());
         let rid = RowId::new(3, 17, 4);
         let rec = encode_record(rid.to_u64(), &fp);
-        let decoded = decode_records(&rec).unwrap();
-        assert_eq!(decoded, vec![(rid, fp)]);
+        assert_eq!(records(&rec).unwrap(), vec![(0, rid, fp)]);
     }
 
     #[test]
@@ -326,12 +340,13 @@ mod tests {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&encode_record(TOMBSTONE, &fp));
         bytes.extend_from_slice(&encode_record(RowId::new(1, 0, 0).to_u64(), &fp));
-        let decoded = decode_records(&bytes).unwrap();
-        assert_eq!(decoded.len(), 1);
+        let live = records(&bytes).unwrap();
+        assert_eq!(live.len(), 1);
+        assert_eq!(live[0].0, 1, "the live record keeps its position");
     }
 
     #[test]
     fn corrupt_length_rejected() {
-        assert!(decode_records(&[1, 2, 3]).is_err());
+        assert!(records(&[1, 2, 3]).is_err());
     }
 }

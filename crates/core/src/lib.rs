@@ -59,6 +59,7 @@ pub use registry::SchemaRegistry;
 pub use sandbox::{sandboxed_call, tick, DEFAULT_TICK_BUDGET};
 pub use scan::{FetchResult, FetchedRow, ScanContext};
 pub use server::{
-    read_key_range_via_query, scan_base_batches_via_query, BaseRow, CallbackMode, ServerContext,
+    read_key_range_via_query, read_lob, scan_base_batches_via_query, BaseRow, CallbackMode,
+    ServerContext,
 };
 pub use stats::{IndexCost, OdciStats};

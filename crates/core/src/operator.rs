@@ -18,12 +18,15 @@ use std::sync::Arc;
 
 use extidx_common::{Error, LobRef, Result, SqlType, Value};
 
+use crate::server::LobVisitor;
+
 /// The minimal server surface a functional implementation may touch while
 /// evaluating one row: LOB dereferencing. (Functional implementations are
 /// row-local by design; anything bigger belongs in an index scan.)
 pub trait FnContext {
-    /// Read a whole LOB's bytes.
-    fn lob_read_all(&self, lob: LobRef) -> Result<Vec<u8>>;
+    /// Read a whole LOB: `visit` is called once with its bytes, lent for
+    /// the call, as [`crate::ServerContext::lob_read_all`] lends them.
+    fn lob_read_all(&self, lob: LobRef, visit: &mut LobVisitor) -> Result<()>;
 }
 
 /// A no-op context for functions that never touch LOBs (tests, pure
@@ -31,7 +34,7 @@ pub trait FnContext {
 pub struct NoLobContext;
 
 impl FnContext for NoLobContext {
-    fn lob_read_all(&self, lob: LobRef) -> Result<Vec<u8>> {
+    fn lob_read_all(&self, lob: LobRef, _: &mut LobVisitor) -> Result<()> {
         Err(Error::Storage(format!("{lob}: no LOB access in this context")))
     }
 }
@@ -207,6 +210,6 @@ mod tests {
 
     #[test]
     fn no_lob_context_rejects() {
-        assert!(NoLobContext.lob_read_all(LobRef(1)).is_err());
+        assert!(NoLobContext.lob_read_all(LobRef(1), &mut |_| Ok(())).is_err());
     }
 }

@@ -10,8 +10,10 @@
 //!   index storage tables, the base-table rowid join
 //!   (`fetch_base_rows`) their scans verify candidates with, and the
 //!   in-place key-range read of an index-organized table
-//!   (`read_key_range`) their scans read their index data with;
-//! - the LOB interface (file-like, per §3.2.4);
+//!   (`read_key_range`) their scans read their index data with — both
+//!   lend what they read, in storage, for the length of a visitor call;
+//! - the LOB interface (file-like, per §3.2.4), whose whole-LOB read
+//!   lends the snapshot's image the same way;
 //! - the statement-duration workspace backing "Return Handle" scan
 //!   contexts (§2.2.3);
 //! - database-event registration (§5's proposed mechanism for external
@@ -28,7 +30,7 @@
 use std::any::Any;
 use std::sync::Arc;
 
-use extidx_common::{LobRef, Result, Row, RowId, Value};
+use extidx_common::{Error, LobRef, Result, Row, RowId, Value};
 
 use crate::events::EventHandler;
 use crate::scan::WorkspaceHandle;
@@ -77,6 +79,15 @@ pub type BatchSink<'a> = dyn FnMut(&mut dyn ServerContext, &[BaseRow]) -> Result
 /// row, lent for the call, in the table's column order.
 pub type RowVisitor<'a> = dyn FnMut(&[Value]) -> Result<()> + 'a;
 
+/// Callback type for [`ServerContext::fetch_base_rows`]: handed each
+/// visible candidate's position in the rowid list and its projected
+/// values, lent for the call.
+pub type BaseRowVisitor<'a> = dyn FnMut(usize, &[&Value]) -> Result<()> + 'a;
+
+/// Callback type for [`ServerContext::lob_read_all`]: handed the whole LOB
+/// as the crossing's snapshot sees it, lent for the call.
+pub type LobVisitor<'a> = dyn FnMut(&[u8]) -> Result<()> + 'a;
+
 /// One key-range read as a closure: a cartridge's
 /// `|t, k, lo, hi, v| srv.read_key_range(t, k, lo, hi, v)`, or
 /// [`read_key_range_via_query`] over a client's `Database::query_with`, so
@@ -121,10 +132,13 @@ pub trait ServerContext {
         sink: &mut BatchSink,
     ) -> Result<()>;
 
-    /// The base-table rows at `rids`, projected to `cols`, aligned with
-    /// `rids`: `None` where no row is visible. This is the rowid join a
-    /// scan's exact filter or verification step reads its candidates with,
-    /// as one set instead of one `WHERE ROWID = ?` query per candidate.
+    /// Visit the base-table rows at `rids`, projected to `cols`: `visit`
+    /// gets each visible row's position in `rids` and its values, lent for
+    /// the call, in `rids` order; a rowid with no visible row is skipped.
+    /// This is the rowid join a scan's exact filter or verification step
+    /// reads its candidates with, as one set instead of one
+    /// `WHERE ROWID = ?` query per candidate, and without a copy of any
+    /// row.
     ///
     /// A host engine reads its own base table in page order under the
     /// crossing's snapshot; the default, for servers without one, runs
@@ -134,11 +148,15 @@ pub trait ServerContext {
         table: &str,
         cols: &[&str],
         rids: &[RowId],
-    ) -> Result<Vec<Option<Row>>> {
+        visit: &mut BaseRowVisitor,
+    ) -> Result<()> {
         let sql = format!("SELECT {} FROM {table} WHERE ROWID = ?", cols.join(", "));
-        rids.iter()
-            .map(|rid| Ok(self.query(&sql, &[Value::RowId(*rid)])?.into_iter().next()))
-            .collect()
+        for (i, rid) in rids.iter().enumerate() {
+            if let Some(row) = self.query(&sql, &[Value::RowId(*rid)])?.first() {
+                visit(i, &row.iter().collect::<Vec<_>>())?;
+            }
+        }
+        Ok(())
     }
 
     /// Visit, in key order, every stored row of the index-organized
@@ -171,8 +189,10 @@ pub trait ServerContext {
     fn lob_length(&mut self, lob: LobRef) -> Result<u64>;
     /// Read `len` bytes at `offset`.
     fn lob_read(&mut self, lob: LobRef, offset: u64, len: usize) -> Result<Vec<u8>>;
-    /// Read the whole LOB.
-    fn lob_read_all(&mut self, lob: LobRef) -> Result<Vec<u8>>;
+    /// Read the whole LOB: `visit` is called once with its bytes as the
+    /// crossing's snapshot sees them, lent for the call (see [`read_lob`]
+    /// for the by-value form).
+    fn lob_read_all(&mut self, lob: LobRef, visit: &mut LobVisitor) -> Result<()>;
     /// Write bytes at `offset`.
     fn lob_write(&mut self, lob: LobRef, offset: u64, bytes: &[u8]) -> Result<()>;
     /// Append bytes; returns the offset written at.
@@ -245,8 +265,24 @@ pub fn workspace_state<'a, T: 'static>(
     srv.workspace_get(handle)
         .and_then(|any| any.downcast_mut::<T>())
         .ok_or_else(|| {
-            extidx_common::Error::odci(indextype, routine, "scan workspace state missing or of wrong type")
+            Error::odci(indextype, routine, "scan workspace state missing or of wrong type")
         })
+}
+
+/// [`ServerContext::lob_read_all`] as a value: `f` of the lent image.
+pub fn read_lob<T>(
+    srv: &mut dyn ServerContext,
+    lob: LobRef,
+    f: impl FnOnce(&[u8]) -> Result<T>,
+) -> Result<T> {
+    let (mut f, mut out) = (Some(f), None);
+    srv.lob_read_all(lob, &mut |bytes| {
+        if let Some(f) = f.take() {
+            out = Some(f(bytes)?);
+        }
+        Ok(())
+    })?;
+    out.ok_or_else(|| Error::Storage(format!("{lob}: the LOB read lent no image")))
 }
 
 /// Query-based form of [`ServerContext::read_key_range`]: one
@@ -290,7 +326,7 @@ pub fn scan_base_batches_via_query(
         let rid = match row.get(ncols) {
             Some(Value::RowId(rid)) => *rid,
             other => {
-                return Err(extidx_common::Error::Semantic(format!(
+                return Err(Error::Semantic(format!(
                     "scan_base_batches fallback: expected ROWID in column {ncols}, got {other:?}"
                 )))
             }

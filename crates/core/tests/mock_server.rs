@@ -13,7 +13,7 @@ use extidx_core::meta::{IndexInfo, OperatorCall};
 use extidx_core::odci::{close_batch, drain_scan, fetch_batch};
 use extidx_core::params::ParamString;
 use extidx_core::scan::{FetchResult, FetchedRow, ScanContext, WorkspaceHandle};
-use extidx_core::server::{workspace_state, CallbackMode, ServerContext};
+use extidx_core::server::{read_lob, workspace_state, CallbackMode, LobVisitor, ServerContext};
 use extidx_core::OdciIndex;
 
 /// A ServerContext over plain in-memory maps — no SQL engine anywhere.
@@ -25,6 +25,10 @@ struct MockServer {
     next_ws: u64,
     files: HashMap<String, Vec<u8>>,
     handlers: Vec<(String, Arc<dyn EventHandler>)>,
+    /// Base rows by rowid: when set, the mock answers the one-rowid
+    /// queries the default `fetch_base_rows` issues, and logs them.
+    base: Option<HashMap<RowId, Row>>,
+    queries: Vec<String>,
 }
 
 impl ServerContext for MockServer {
@@ -34,8 +38,12 @@ impl ServerContext for MockServer {
     fn execute(&mut self, _sql: &str, _binds: &[Value]) -> Result<u64> {
         Err(Error::Unsupported("mock server has no SQL".into()))
     }
-    fn query(&mut self, _sql: &str, _binds: &[Value]) -> Result<Vec<Row>> {
-        Err(Error::Unsupported("mock server has no SQL".into()))
+    fn query(&mut self, sql: &str, binds: &[Value]) -> Result<Vec<Row>> {
+        let (Some(base), [Value::RowId(rid)]) = (&self.base, binds) else {
+            return Err(Error::Unsupported("mock server has no SQL".into()));
+        };
+        self.queries.push(sql.to_string());
+        Ok(base.get(rid).cloned().into_iter().collect())
     }
     fn scan_base_batches(
         &mut self,
@@ -61,8 +69,8 @@ impl ServerContext for MockServer {
         let o = (offset as usize).min(b.len());
         Ok(b[o..(o + len).min(b.len())].to_vec())
     }
-    fn lob_read_all(&mut self, lob: LobRef) -> Result<Vec<u8>> {
-        self.lobs.get(&lob.0).cloned().ok_or_else(|| Error::Storage("no lob".into()))
+    fn lob_read_all(&mut self, lob: LobRef, visit: &mut LobVisitor) -> Result<()> {
+        visit(self.lobs.get(&lob.0).ok_or_else(|| Error::Storage("no lob".into()))?)
     }
     fn lob_write(&mut self, lob: LobRef, offset: u64, bytes: &[u8]) -> Result<()> {
         let b = self.lobs.get_mut(&lob.0).ok_or_else(|| Error::Storage("no lob".into()))?;
@@ -295,9 +303,41 @@ fn the_default_start_batch_closes_what_it_opened_when_a_row_fails() {
 fn the_default_fetch_base_rows_asks_query_per_rowid() {
     // The mock has no SQL, so the query-loop default reports its error.
     let mut srv = MockServer::default();
-    let err = srv.fetch_base_rows("T", &["C"], &[RowId::new(1, 0, 0)]).unwrap_err();
+    let mut visits = 0;
+    let mut count = |_: usize, _: &[&Value]| -> Result<()> {
+        visits += 1;
+        Ok(())
+    };
+    let err = srv.fetch_base_rows("T", &["C"], &[RowId::new(1, 0, 0)], &mut count).unwrap_err();
     assert!(matches!(err, Error::Unsupported(_)), "{err}");
-    assert_eq!(srv.fetch_base_rows("T", &["C"], &[]).unwrap(), Vec::<Option<Row>>::new());
+    srv.fetch_base_rows("T", &["C"], &[], &mut count).unwrap();
+    assert_eq!(visits, 0);
+}
+
+#[test]
+fn the_default_fetch_base_rows_lends_each_visible_row_by_position() {
+    let (a, b, gone) = (RowId::new(1, 0, 0), RowId::new(1, 0, 1), RowId::new(1, 0, 2));
+    let mut srv = MockServer {
+        base: Some(HashMap::from([(a, vec![Value::from("x")]), (b, vec![Value::from("y")])])),
+        ..MockServer::default()
+    };
+    let mut seen = Vec::new();
+    srv.fetch_base_rows("T", &["C"], &[b, gone, a], &mut |i, row| {
+        seen.push((i, row.iter().map(|v| (*v).clone()).collect::<Vec<_>>()));
+        Ok(())
+    })
+    .unwrap();
+    // Positions in the rowid list, in its order; the missing row skipped.
+    assert_eq!(seen, [(0, vec![Value::from("y")]), (2, vec![Value::from("x")])]);
+    assert_eq!(srv.queries, vec!["SELECT C FROM T WHERE ROWID = ?"; 3]);
+
+    // A visitor's error ends the join there.
+    srv.queries.clear();
+    let err = srv
+        .fetch_base_rows("T", &["C"], &[a, b], &mut |_, _| Err(Error::Storage("stop".into())))
+        .unwrap_err();
+    assert!(matches!(err, Error::Storage(_)), "{err}");
+    assert_eq!(srv.queries.len(), 1);
 }
 
 #[test]
@@ -339,10 +379,10 @@ fn mock_lob_interface_roundtrips() {
     let lob = srv.lob_create().unwrap();
     srv.lob_append(lob, b"hello ").unwrap();
     srv.lob_append(lob, b"world").unwrap();
-    assert_eq!(srv.lob_read_all(lob).unwrap(), b"hello world");
+    assert_eq!(read_lob(&mut srv, lob, |b| Ok(b.to_vec())).unwrap(), b"hello world");
     assert_eq!(srv.lob_read(lob, 6, 5).unwrap(), b"world");
     srv.lob_overwrite(lob, b"x").unwrap();
     assert_eq!(srv.lob_length(lob).unwrap(), 1);
     srv.lob_free(lob).unwrap();
-    assert!(srv.lob_read_all(lob).is_err());
+    assert!(read_lob(&mut srv, lob, |b| Ok(b.to_vec())).is_err());
 }

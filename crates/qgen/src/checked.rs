@@ -157,7 +157,7 @@ mod tests {
     use extidx_common::{LobRef, Row, SqlType};
     use extidx_core::events::EventHandler;
     use extidx_core::scan::WorkspaceHandle;
-    use extidx_core::server::{BatchSink, CallbackMode};
+    use extidx_core::server::{BatchSink, CallbackMode, LobVisitor};
 
     use super::*;
 
@@ -174,7 +174,7 @@ mod tests {
         fn lob_create(&mut self) -> Result<LobRef> { unreachable!() }
         fn lob_length(&mut self, _: LobRef) -> Result<u64> { unreachable!() }
         fn lob_read(&mut self, _: LobRef, _: u64, _: usize) -> Result<Vec<u8>> { unreachable!() }
-        fn lob_read_all(&mut self, _: LobRef) -> Result<Vec<u8>> { unreachable!() }
+        fn lob_read_all(&mut self, _: LobRef, _: &mut LobVisitor) -> Result<()> { unreachable!() }
         fn lob_write(&mut self, _: LobRef, _: u64, _: &[u8]) -> Result<()> { unreachable!() }
         fn lob_append(&mut self, _: LobRef, _: &[u8]) -> Result<u64> { unreachable!() }
         fn lob_overwrite(&mut self, _: LobRef, _: &[u8]) -> Result<()> { unreachable!() }

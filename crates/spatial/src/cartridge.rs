@@ -148,8 +148,8 @@ impl SpatialScan {
 /// The exact-filter fetch (§3.2.2's second phase), shared by both spatial
 /// indextypes. The first fetch reads every distinct candidate's geometry
 /// from the base table's indexed column as one set, as Oracle Spatial's
-/// secondary filter does; each fetch then emits the pairs whose exact
-/// relation holds.
+/// secondary filter does, each decoded from the value lent where it lies;
+/// each fetch then emits the pairs whose exact relation holds.
 pub(crate) fn exact_fetch(
     srv: &mut dyn ServerContext,
     info: &IndexInfo,
@@ -163,13 +163,13 @@ pub(crate) fn exact_fetch(
         let mut rids: Vec<RowId> = st.pairs.iter().map(|&(_, rid)| rid).collect();
         rids.sort_unstable();
         rids.dedup();
-        let rows = srv.fetch_base_rows(&info.table_name, &[&info.column_name], &rids)?;
         let mut geoms = HashMap::with_capacity(rids.len());
-        for (rid, row) in rids.into_iter().zip(rows) {
-            if let Some(v) = row.and_then(|mut r| r.pop()).filter(|v| !v.is_null()) {
-                geoms.insert(rid, Geometry::from_value(&v)?);
+        srv.fetch_base_rows(&info.table_name, &[&info.column_name], &rids, &mut |i, row| {
+            if !row[0].is_null() {
+                geoms.insert(rids[i], Geometry::from_value(row[0])?);
             }
-        }
+            Ok(())
+        })?;
         st.geoms = Some(geoms);
     }
     let geoms = st.geoms.as_ref().expect("geometries read");

@@ -47,7 +47,9 @@ use extidx_core::events::EventHandler;
 use extidx_core::meta::IndexInfo;
 use extidx_core::sandbox;
 use extidx_core::scan::WorkspaceHandle;
-use extidx_core::server::{BatchSink, CallbackMode, RowVisitor, ServerContext};
+use extidx_core::server::{
+    BaseRowVisitor, BatchSink, CallbackMode, LobVisitor, RowVisitor, ServerContext,
+};
 use extidx_core::trace::{Component, Routine};
 use extidx_storage::Snapshot;
 
@@ -223,11 +225,11 @@ pub(crate) fn odci_batch_call<T>(
 /// engine through this, on the lane of the crossing that issued them,
 /// under the routine's §2.5 restriction mode.
 ///
-/// Reads — queries, the base scan, key-range reads, LOB and file reads,
-/// the workspace — answer from the lane's snapshot and scratch: the
-/// statement's on the read lane, so a cartridge that probes its own
-/// metadata table mid-scan sees the statement-consistent image; the
-/// current transaction's and the statement scope's on the write lane.
+/// Reads — queries, the base scan, the rowid join, key-range reads, LOB
+/// and file reads, the workspace — answer from the lane's snapshot and
+/// scratch: the statement's on the read lane, so a cartridge that probes
+/// its own metadata table mid-scan sees the statement-consistent image;
+/// the current transaction's and the statement scope's on the write lane.
 /// Mutations go through [`ServerCtx::writer`]: they run on the write lane
 /// and are refused with [`Error::CallbackViolation`] on the read lane.
 pub(crate) struct ServerCtx<'c, 'a, 'e> {
@@ -373,16 +375,18 @@ impl ServerContext for ServerCtx<'_, '_, '_> {
     }
 
     /// One page-ordered multi-fetch under the lane's snapshot — the
-    /// executor's own rowid join — charged one tick. A rowid that
-    /// addresses no row (a stale entry of an unversioned index store)
-    /// fetches nothing, as `WHERE ROWID = ?` would: such a batch falls
-    /// back to one fetch per rowid.
+    /// executor's own rowid join — charged one tick, each visible row's
+    /// projected values lent to `visit` where they lie in storage. A rowid
+    /// that addresses no row (a stale entry of an unversioned index store)
+    /// fetches nothing, as `WHERE ROWID = ?` would: such a batch falls back
+    /// to one fetch per rowid.
     fn fetch_base_rows(
         &mut self,
         table: &str,
         cols: &[&str],
         rids: &[RowId],
-    ) -> Result<Vec<Option<Row>>> {
+        visit: &mut BaseRowVisitor,
+    ) -> Result<()> {
         sandbox::tick();
         let (db, snap) = (self.db(), self.snap());
         let tdef = db.catalog.table(table)?;
@@ -391,8 +395,14 @@ impl ServerContext for ServerCtx<'_, '_, '_> {
         let rows = fetch(rids).unwrap_or_else(|_| {
             rids.iter().map(|&rid| fetch(&[rid]).ok().and_then(|mut r| r.pop().flatten())).collect()
         });
-        let project = |row: &Row| cols.iter().map(|&i| row[i].clone()).collect();
-        Ok(rows.into_iter().map(|row| row.map(project)).collect())
+        let mut lent = Vec::with_capacity(cols.len());
+        for (i, row) in rows.into_iter().enumerate() {
+            let Some(row) = row else { continue };
+            lent.clear();
+            lent.extend(cols.iter().map(|&c| &row[c]));
+            visit(i, &lent)?;
+        }
+        Ok(())
     }
 
     /// The executor's own IOT range under the lane's snapshot
@@ -428,9 +438,9 @@ impl ServerContext for ServerCtx<'_, '_, '_> {
         self.db().storage.lob_read(lob, offset, len, &self.snap())
     }
 
-    fn lob_read_all(&mut self, lob: LobRef) -> Result<Vec<u8>> {
+    fn lob_read_all(&mut self, lob: LobRef, visit: &mut LobVisitor) -> Result<()> {
         sandbox::tick();
-        self.db().storage.lob_read_all(lob, &self.snap())
+        self.db().storage.lob_read_all(lob, &self.snap(), visit)?
     }
 
     fn lob_write(&mut self, lob: LobRef, offset: u64, bytes: &[u8]) -> Result<()> {

@@ -10,6 +10,7 @@
 use extidx_common::{Error, Result, SqlType, Value};
 use extidx_core::meta::like_match;
 use extidx_core::operator::{FnContext, Operator, ScalarFunction};
+use extidx_core::server::LobVisitor;
 
 use crate::ast::{BinOp, Expr, UnOp};
 use crate::catalog::Catalog;
@@ -787,8 +788,8 @@ pub struct EvalCtx<'a> {
 }
 
 impl FnContext for EvalCtx<'_> {
-    fn lob_read_all(&self, lob: extidx_common::LobRef) -> Result<Vec<u8>> {
-        self.storage.lob_read_all(lob, &self.snap)
+    fn lob_read_all(&self, lob: extidx_common::LobRef, visit: &mut LobVisitor) -> Result<()> {
+        self.storage.lob_read_all(lob, &self.snap, visit)?
     }
 }
 

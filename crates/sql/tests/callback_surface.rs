@@ -17,7 +17,7 @@ use extidx_core::operator::ScalarFunction;
 use extidx_core::params::ParamString;
 use extidx_core::sandbox;
 use extidx_core::scan::{FetchResult, ScanContext};
-use extidx_core::server::ServerContext;
+use extidx_core::server::{read_lob, ServerContext};
 use extidx_core::stats::{IndexCost, OdciStats};
 use extidx_core::OdciIndex;
 use extidx_sql::Database;
@@ -100,6 +100,7 @@ fn read_everything(srv: &mut dyn ServerContext, info: &IndexInfo) -> Vec<String>
     let select = format!("SELECT v FROM {base} ORDER BY v");
     note("query", charged(srv, |s| format!("{:?}", s.query(&select, &[]))));
     note("execute", charged(srv, |s| format!("{:?}", s.execute(&select, &[]))));
+    let mut rids = Vec::new();
     note(
         "scan_base_batches",
         charged(srv, |s| {
@@ -108,13 +109,29 @@ fn read_everything(srv: &mut dyn ServerContext, info: &IndexInfo) -> Vec<String>
                 rows.extend(batch.iter().map(|r| (r.rid, r.values.clone())));
                 Ok(())
             });
+            rids = rows.iter().map(|(rid, _)| *rid).collect();
+            format!("{r:?} {rows:?}")
+        }),
+    );
+    // The rowid join, backwards and with a rowid that addresses no row
+    // (which sends the batch down the per-rowid fallback).
+    rids.reverse();
+    rids.insert(1, RowId::new(rids[0].table, 999, 0));
+    note(
+        "fetch_base_rows",
+        charged(srv, |s| {
+            let mut rows = Vec::new();
+            let r = s.fetch_base_rows(&base, &["v", "v"], &rids, &mut |i, row| {
+                rows.push((i, row.iter().map(|v| (*v).clone()).collect::<Vec<_>>()));
+                Ok(())
+            });
             format!("{r:?} {rows:?}")
         }),
     );
     note("fault_point", charged(srv, |s| format!("{:?}", s.fault_point("probe.point"))));
     note("lob_length", charged(srv, |s| format!("{:?}", s.lob_length(lob))));
     note("lob_read", charged(srv, |s| format!("{:?}", s.lob_read(lob, 2, 4))));
-    note("lob_read_all", charged(srv, |s| format!("{:?}", s.lob_read_all(lob))));
+    note("lob_read_all", charged(srv, |s| format!("{:?}", read_lob(s, lob, |b| Ok(b.to_vec())))));
     note("file_exists", charged(srv, |s| format!("{} {}", s.file_exists(FILE), s.file_exists(NEW_FILE))));
     note("file_read", charged(srv, |s| format!("{:?}", s.file_read(FILE))));
     note("file_length", charged(srv, |s| format!("{:?}", s.file_length(FILE))));
@@ -227,7 +244,7 @@ fn scan_routines_are_refused_every_mutation_and_nothing_changes() {
     let mut db = probe_db();
     let lob = lob();
     let latest = Snapshot::latest();
-    let lob_before = db.storage().lob_read_all(lob, &latest).unwrap();
+    let lob_before = db.storage().lob_read_all(lob, &latest, <[u8]>::to_vec).unwrap();
     let files_before = db.file_stats();
     // Inside an explicit transaction every storage write — row, LOB
     // allocation or LOB span — stays in the undo log until COMMIT, so an
@@ -271,7 +288,7 @@ fn scan_routines_are_refused_every_mutation_and_nothing_changes() {
 
     // Nothing changed: rows, the LOB, the files, and no handler fires.
     assert_eq!(db.query("SELECT COUNT(*) FROM base").unwrap()[0][0], Value::Integer(3));
-    assert_eq!(db.storage().lob_read_all(lob, &latest).unwrap(), lob_before);
+    assert_eq!(db.storage().lob_read_all(lob, &latest, <[u8]>::to_vec).unwrap(), lob_before);
     assert_eq!(db.file_stats(), files_before);
     let files = db.storage().files_ref();
     assert!(!files.exists(NEW_FILE));
@@ -291,7 +308,7 @@ fn read_callbacks_answer_the_same_on_both_lanes() {
     let lanes: Vec<&str> = reads.iter().map(|(lane, _)| *lane).collect();
     assert_eq!(lanes, ["write", "read"]);
     let (write, read) = (&reads[0].1, &reads[1].1);
-    assert_eq!(write.len(), 11);
+    assert_eq!(write.len(), 12);
     for (w, r) in write.iter().zip(read) {
         assert_eq!(w, r, "the lanes disagree");
     }

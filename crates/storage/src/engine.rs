@@ -1015,19 +1015,25 @@ impl StorageEngine {
         }
     }
 
-    /// Read a whole LOB, as `snap` sees it.
-    pub fn lob_read_all(&self, lob: LobRef, snap: &Snapshot) -> Result<Vec<u8>> {
+    /// The whole LOB as `snap` sees it, lent to `f`: the stored bytes
+    /// where they lie, or the snapshot's reconstructed image.
+    pub fn lob_read_all<T>(
+        &self,
+        lob: LobRef,
+        snap: &Snapshot,
+        f: impl FnOnce(&[u8]) -> T,
+    ) -> Result<T> {
         match self.lob_image(lob, snap)? {
             LobImage::Current => {
                 let (bytes, charge) = self.segs.lobs.read_all(lob)?;
                 self.charge_lob(lob, charge);
-                Ok(bytes)
+                Ok(f(bytes))
             }
             LobImage::Patched(bytes) => {
                 self.charge_lob_span(lob, 0, bytes.len());
-                Ok(bytes)
+                Ok(f(&bytes))
             }
-            LobImage::Absent => Ok(Vec::new()),
+            LobImage::Absent => Ok(f(&[])),
         }
     }
 
@@ -1048,7 +1054,7 @@ impl StorageEngine {
         // locator was physically freed — a whole-image span restores the
         // content) and un-apply every invisible span, newest first.
         let physical = self.segs.lobs.read_all(lob).map(|(b, _)| b).unwrap_or_default();
-        Ok(mvcc::resolve_lob_image(&self.txns, &self.undo, chain, &physical, snap))
+        Ok(mvcc::resolve_lob_image(&self.txns, &self.undo, chain, physical, snap))
     }
 
     /// Cache charge for a read served from a displaced version (same page
@@ -1459,9 +1465,9 @@ mod tests {
         e.lob_write(temp, 0, b"scratch").unwrap();
 
         e.rollback_to(mark).unwrap();
-        assert_eq!(e.lob_read_all(keep, &Snapshot::latest()).unwrap(), b"stable");
+        assert_eq!(e.lob_read_all(keep, &Snapshot::latest(), <[u8]>::to_vec).unwrap(), b"stable");
         assert!(
-            e.lob_read_all(temp, &Snapshot::latest()).is_err(),
+            e.lob_read_all(temp, &Snapshot::latest(), <[u8]>::to_vec).is_err(),
             "rolled-back allocation is gone"
         );
     }
@@ -1802,7 +1808,7 @@ mod tests {
         assert!(std::ptr::eq(rows[1].2, entry(2).row()), "IOT delete");
         let span = &e.versions.lobs[&lob].spans[0];
         assert_eq!((span.by, span.at, entry(3).bytes()), (w.txn, 3, &b"ef"[..]));
-        assert_eq!(e.lob_read_all(lob, &reader).unwrap(), b"before");
+        assert_eq!(e.lob_read_all(lob, &reader, <[u8]>::to_vec).unwrap(), b"before");
     }
 
     /// A committed versioned transaction's undo log lives while a chain

@@ -90,11 +90,11 @@ impl LobStore {
         Ok((out, charge))
     }
 
-    /// Read the whole LOB.
-    pub fn read_all(&self, r: LobRef) -> Result<(Vec<u8>, IoCharge)> {
+    /// The whole LOB, where it lies.
+    pub fn read_all(&self, r: LobRef) -> Result<(&[u8], IoCharge)> {
         let data = self.get(r)?;
         let charge = IoCharge { page_reads: pages_spanned(0, data.len()).max(1), page_writes: 0 };
-        Ok((data.clone(), charge))
+        Ok((data, charge))
     }
 
     /// Write bytes at `offset`, extending (zero-filled) if needed.
@@ -175,7 +175,7 @@ mod tests {
         let r = alloc(&mut s);
         s.write(r, 4, b"xy").unwrap();
         let (all, _) = s.read_all(r).unwrap();
-        assert_eq!(all, vec![0, 0, 0, 0, b'x', b'y']);
+        assert_eq!(all, [0, 0, 0, 0, b'x', b'y']);
     }
 
     #[test]
@@ -195,7 +195,7 @@ mod tests {
         let r = alloc(&mut s);
         s.write(r, 0, b"old").unwrap();
         let (old, _) = s.overwrite(r, b"newer".to_vec()).unwrap();
-        assert_eq!((old, s.read_all(r).unwrap().0), (b"old".to_vec(), b"newer".to_vec()));
+        assert_eq!((&old[..], s.read_all(r).unwrap().0), (&b"old"[..], &b"newer"[..]));
     }
 
     #[test]

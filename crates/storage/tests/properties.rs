@@ -187,7 +187,8 @@ proptest! {
             model[off..off + bytes.len()].copy_from_slice(bytes);
             engine.lob_write(lob, off as u64, bytes).unwrap();
         }
-        prop_assert_eq!(engine.lob_read_all(lob, &Snapshot::latest()).unwrap(), model);
+        let seen = engine.lob_read_all(lob, &Snapshot::latest(), <[u8]>::to_vec).unwrap();
+        prop_assert_eq!(seen, model);
     }
 }
 
@@ -328,7 +329,7 @@ fn view(e: &StorageEngine, heap: SegmentId, iot: SegmentId, lane: &TxnLane) -> V
     let all = (Bound::Unbounded, Bound::Unbounded);
     let keyed = e.iot_range(iot, all.0, all.1, usize::MAX, &lane.snap).unwrap();
     let keyed = keyed.into_iter().map(|(rid, _, r)| (rid, r.clone())).collect();
-    (rows, keyed, e.lob_read_all(lane.lob, &lane.snap).unwrap())
+    (rows, keyed, e.lob_read_all(lane.lob, &lane.snap, <[u8]>::to_vec).unwrap())
 }
 
 fn mark_of(e: &mut StorageEngine, lane: &TxnLane) -> usize {

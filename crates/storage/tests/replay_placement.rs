@@ -69,7 +69,7 @@ fn assert_same_placement(live: &Segments, recovered: &Segments, lobs: &[LobRef],
         assert_eq!(a.peek_next_ord(), b.peek_next_ord(), "{what}: next ordinal of {seg}");
     }
     for &lob in lobs {
-        let bytes = |s: &Segments| s.lobs.read_all(lob).ok().map(|(b, _)| b);
+        let bytes = |s: &Segments| s.lobs.read_all(lob).ok().map(|(b, _)| b.to_vec());
         assert_eq!(bytes(live), bytes(recovered), "{what}: bytes of {lob}");
     }
     assert_eq!(live.lobs.lob_count(), recovered.lobs.lob_count(), "{what}: LOB count");

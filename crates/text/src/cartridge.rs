@@ -20,7 +20,7 @@ use extidx_core::build::{populate_from_base, try_partition_map};
 use extidx_core::meta::{IndexInfo, OperatorCall};
 use extidx_core::params::ParamString;
 use extidx_core::scan::{FetchResult, FetchedRow, ScanContext};
-use extidx_core::server::{workspace_state, BaseRow, KeyRangeRead, ServerContext};
+use extidx_core::server::{read_lob, workspace_state, BaseRow, KeyRangeRead, ServerContext};
 use extidx_core::stats::{IndexCost, OdciStats};
 use extidx_core::OdciIndex;
 
@@ -36,17 +36,19 @@ pub fn index_table(info: &IndexInfo) -> String {
     info.storage_table_name("I")
 }
 
-/// Read a document value as text, dereferencing LOB locators through
-/// server callbacks.
-fn document_text(srv: &mut dyn ServerContext, v: &Value) -> Result<Option<String>> {
-    Ok(match v {
-        Value::Null => None,
-        Value::Varchar(s) => Some(s.clone()),
-        Value::Lob(l) => Some(String::from_utf8_lossy(&srv.lob_read_all(*l)?).into_owned()),
-        other => {
-            return Err(Error::type_mismatch("VARCHAR2 or LOB", other.type_name()));
-        }
-    })
+/// `f` of a document value's text (`None` for NULL), a LOB's read where
+/// it lies through the lent image.
+fn with_document<T>(
+    srv: &mut dyn ServerContext,
+    v: &Value,
+    f: impl FnOnce(&str) -> T,
+) -> Result<Option<T>> {
+    match v {
+        Value::Null => Ok(None),
+        Value::Varchar(s) => Ok(Some(f(s))),
+        Value::Lob(l) => read_lob(srv, *l, |bytes| Ok(Some(f(&String::from_utf8_lossy(bytes))))),
+        other => Err(Error::type_mismatch("VARCHAR2 or LOB", other.type_name())),
+    }
 }
 
 /// Rows per multi-row `INSERT` issued through the server callback.
@@ -190,7 +192,7 @@ impl OdciIndex for TextIndexMethods {
         // resolved on the coordinating thread…
         let mut docs: Vec<(RowId, String)> = Vec::with_capacity(batch.len());
         for row in batch {
-            if let Some(text) = document_text(srv, row.value())? {
+            if let Some(text) = with_document(srv, row.value(), str::to_owned)? {
                 docs.push((row.rid, text));
             }
         }
@@ -219,9 +221,9 @@ impl OdciIndex for TextIndexMethods {
         rid: RowId,
         new_value: &Value,
     ) -> Result<()> {
-        if let Some(text) = document_text(srv, new_value)? {
-            let stop = StopWords::from_params(&info.parameters);
-            let entries = doc_entries(&text, rid, &stop);
+        let stop = StopWords::from_params(&info.parameters);
+        let entries = with_document(srv, new_value, |text| doc_entries(text, rid, &stop))?;
+        if let Some(entries) = entries {
             insert_postings(srv, &index_table(info), &entries)?;
             // Postings are in the DR$ table at this point: a fault here
             // exercises rewind of a routine's completed partial effects.
@@ -255,10 +257,10 @@ impl OdciIndex for TextIndexMethods {
         rid: RowId,
         old_value: &Value,
     ) -> Result<()> {
-        if let Some(text) = document_text(srv, old_value)? {
-            let stop = StopWords::from_params(&info.parameters);
+        let stop = StopWords::from_params(&info.parameters);
+        if let Some(tokens) = with_document(srv, old_value, |text| tokenize(text, &stop))? {
             let table = index_table(info);
-            for (token, _) in tokenize(&text, &stop) {
+            for (token, _) in tokens {
                 srv.execute(
                     &format!("DELETE FROM {table} WHERE token = ? AND rid = ?"),
                     &[Value::from(token), Value::RowId(rid)],

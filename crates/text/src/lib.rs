@@ -46,10 +46,21 @@ pub use corpus::CorpusGenerator;
 /// indextype.
 pub fn install(db: &mut Database) -> Result<()> {
     db.register_function(ScalarFunction::new("TextContains", |ctx, args| {
-        let doc = match &args[0] {
+        let matches = |doc: &str| -> Result<bool> {
+            let q = query::parse_query(args[1].as_str()?)?;
+            Ok(q.matches(&tokenizer::tokenize(doc, &tokenizer::StopWords::none())))
+        };
+        let hit = match &args[0] {
             Value::Null => return Ok(Value::Null),
-            Value::Varchar(s) => s.clone(),
-            Value::Lob(l) => String::from_utf8_lossy(&ctx.lob_read_all(*l)?).into_owned(),
+            Value::Varchar(s) => matches(s)?,
+            Value::Lob(l) => {
+                let mut hit = false;
+                ctx.lob_read_all(*l, &mut |bytes| {
+                    hit = matches(&String::from_utf8_lossy(bytes))?;
+                    Ok(())
+                })?;
+                hit
+            }
             other => {
                 return Err(extidx_common::Error::type_mismatch(
                     "VARCHAR2 or LOB",
@@ -57,10 +68,7 @@ pub fn install(db: &mut Database) -> Result<()> {
                 ))
             }
         };
-        let query = args[1].as_str()?;
-        let q = query::parse_query(query)?;
-        let tokens = tokenizer::tokenize(&doc, &tokenizer::StopWords::none());
-        Ok(Value::Boolean(q.matches(&tokens)))
+        Ok(Value::Boolean(hit))
     }))?;
     db.register_odci_implementation(
         "TextIndexMethods",

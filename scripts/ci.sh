@@ -7,6 +7,27 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export CARGO_NET_OFFLINE=true
 
+# Run tests by name: `by_name <cargo test args> -- <names> [--include-ignored]`.
+# Every name must match a test of the selection (as cargo's filter does, by
+# substring), so a renamed test fails the gate instead of passing by
+# running nothing.
+by_name() {
+    local args=() names=() flags=() listed name
+    while [ "$1" != -- ]; do args+=("$1"); shift; done
+    shift
+    for name in "$@"; do
+        case "$name" in --*) flags+=("$name") ;; *) names+=("$name") ;; esac
+    done
+    listed=$(cargo test "${args[@]}" -- --list | sed -n 's/: test$//p')
+    for name in "${names[@]}"; do
+        if ! grep -qF -- "$name" <<<"$listed"; then
+            echo "no test matches '$name' in: cargo test ${args[*]}" >&2
+            exit 1
+        fi
+    done
+    cargo test "${args[@]}" -- "${names[@]}" "${flags[@]}"
+}
+
 echo "== build (release) =="
 cargo build --release
 
@@ -47,8 +68,8 @@ cargo test -q --test fault_matrix -- --include-ignored \
 # their domain scan).
 echo "== observability (EXPLAIN ANALYZE + V\$ smoke) =="
 cargo test -q --test observability --test scan_lifecycle
-cargo test -q -p extidx-sql --lib vtables::tests
-cargo test -q -p extidx-text -p extidx-spatial -p extidx-vir -p extidx-chem explain_analyze
+by_name -q -p extidx-sql --lib -- vtables::tests
+by_name -q -p extidx-text -p extidx-spatial -p extidx-vir -p extidx-chem -- explain_analyze
 
 # Cartridge sandbox: the quarantine state machine end to end, the panic
 # fault matrix (FaultKind::Panic at every ODCI crossing and every
@@ -56,8 +77,8 @@ cargo test -q -p extidx-text -p extidx-spatial -p extidx-vir -p extidx-chem expl
 # flips indexes QUARANTINED<->VALID mid-workload demanding bag-equality.
 echo "== cartridge sandbox (quarantine + panic containment) =="
 cargo test -q --test quarantine
-cargo test -q --test fault_matrix panic_at_every_crossing -- --include-ignored
-cargo test -q --test differential quarantine_chaos_sweep -- --include-ignored
+by_name -q --test fault_matrix -- panic_at_every_crossing --include-ignored
+by_name -q --test differential -- quarantine_chaos_sweep --include-ignored
 # The one callback surface: a scan routine is refused every mutating
 # callback (same text, same tick charge, nothing changed, no handler
 # registered), and every read callback answers the same on both lanes.
@@ -82,7 +103,7 @@ done
 # line for line, to its generic twin's.
 echo "== batch executor (batch seams + pipelining + zone maps + compiled terms) =="
 cargo test -q --test vectorized -- --include-ignored
-cargo test -q -p extidx-sql --lib executor::tests
+by_name -q -p extidx-sql --lib -- executor::tests
 cargo test -q --test rows_copied_once
 # One domain-index access path (DESIGN.md §4b "Domain join"): a domain join
 # is a domain scan with an outer input. An outer row with a NULL argument
@@ -90,9 +111,9 @@ cargo test -q --test rows_copied_once
 # inner table plan the functional twin. The generated join form of the
 # differential oracle (qgen) holds indexed ≡ mirror ≡ NO_INDEX and
 # Start ≡ Close for every operator (the "one operator spec" stanza).
-cargo test -q --test consistency -- a_null_outer_argument_empties_its_domain_join_pass \
+by_name -q --test consistency -- a_null_outer_argument_empties_its_domain_join_pass \
     no_index_and_full_hints_bind_a_domain_join
-cargo test -q --test scan_lifecycle domain_join_scans_balance_under_faults
+by_name -q --test scan_lifecycle -- domain_join_scans_balance_under_faults
 # Set-at-a-time domain scans: one batched ODCIIndexStart per outer batch.
 # The indexed column second keeps an asymmetric mask's direction (scan and
 # join, both spatial indextypes, which declare either position), and text,
@@ -103,15 +124,15 @@ cargo test -q --test scan_lifecycle domain_join_scans_balance_under_faults
 # start_batch and the core default); a tick budget that fits row by row
 # fits the batch; and the core default's per-row scans are tagged, closed
 # and cleaned up on a failed row.
-cargo test -q --test consistency -- an_indexed_column_second_keeps_the_masks_direction_in_a_scan \
+by_name -q --test consistency -- an_indexed_column_second_keeps_the_masks_direction_in_a_scan \
     an_indexed_column_second_keeps_the_masks_direction_in_a_join \
     text_vir_and_chem_refuse_an_indexed_column_second \
     an_unhinted_query_uses_an_index_only_at_a_declared_argument_position
-cargo test -q --test scan_lifecycle -- \
+by_name -q --test scan_lifecycle -- \
     faults_inside_a_batch_leave_the_join_balanced_and_its_answers_unchanged \
     the_default_batch_of_a_text_join_balances_under_faults \
     a_tiny_tick_budget_that_fits_row_by_row_fits_the_batched_join
-cargo test -q -p extidx-core --test mock_server the_default_
+by_name -q -p extidx-core --test mock_server -- the_default_
 
 # Key-prefix access paths (DESIGN.md §4h "One table of sargable bounds"):
 # plan shapes over a composite-key IOT, the strict-bound regression with
@@ -122,7 +143,7 @@ cargo test -q -p extidx-core --test mock_server the_default_
 # seeds catch the key-prefix candidate widened by one.
 echo "== key-prefix access paths (plan shapes + size independence + qgen sweep) =="
 cargo test -q --test key_prefix -- --include-ignored
-cargo test -q -p extidx-text -p extidx-spatial -p extidx-vir delete_cost_does_not_grow
+by_name -q -p extidx-text -p extidx-spatial -p extidx-vir -- delete_cost_does_not_grow
 
 # The statement cache (DESIGN.md §4m): the stale-plan tests — each
 # changes one input of a cached plan's validity stamp (CREATE/DROP INDEX,
@@ -134,7 +155,7 @@ cargo test -q -p extidx-text -p extidx-spatial -p extidx-vir delete_cost_does_no
 # plan shaped by the values it was costed at.
 echo "== statement cache (stale plans + bind semantics + bind = literal sweep) =="
 cargo test -q --test plan_cache --test binds
-cargo test -q --test differential bind_literal_sweep -- --include-ignored
+by_name -q --test differential -- bind_literal_sweep --include-ignored
 
 # Durability: WAL + checkpoints. The crash-point matrix (every wal.*
 # fault point x {heap, IOT, LOB, each cartridge}, with an at-call sweep
@@ -154,7 +175,7 @@ cargo test -q --test recovery -- --include-ignored
 # One before-image (DESIGN.md §4j): a ROLLBACK whose first compensation
 # cannot reach the WAL leaves every version it had not taken back readable
 # (each undo entry leaves the log only once its compensation is applied).
-cargo test -q --test recovery a_rollback_stopped_by_a_fault_leaves_every_version_readable
+by_name -q --test recovery -- a_rollback_stopped_by_a_fault_leaves_every_version_readable
 # Replay reproduces the live placement (DESIGN.md §4i "One apply"): a
 # seeded heap / IOT / LOB history with statement and transaction
 # rollbacks and checkpoints, recovered and compared slot for slot with the
@@ -171,10 +192,10 @@ cargo test -q -p extidx-storage --test replay_placement
 # (`maintenance_after_txn_end`, the one non-test use of the constant) and
 # no thread of its own. (Bracketed so the patterns do not match this file.)
 echo "== WAL watermark (bound + crash inside a fold + one fold placement) =="
-cargo test -q --test wal_bound -- \
+by_name -q --test wal_bound -- \
     two_sessions_without_a_client_checkpoint_keep_the_wal_under_the_watermark \
     a_crash_inside_a_fold_at_transaction_end_keeps_the_committed_prefix
-cargo test -q -p extidx-sql --lib vtables::tests::the_wal_view_is_empty_without_durability
+by_name -q -p extidx-sql --lib -- vtables::tests::the_wal_view_is_empty_without_durability
 fold_uses=$(for f in crates/sql/src/*.rs; do
     awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } { print f ": " $0 }' "$f"
 done | grep "WAL_FOLD_RECORD[S]" | grep -vE ": *//|const WAL_FOLD_RECORD[S]")
@@ -200,7 +221,7 @@ echo "== mvcc (concurrent oracle + visibility properties) =="
 MVCC_SEED="${MVCC_SEED:-1}" \
     cargo test -q --test mvcc_differential -- --include-ignored
 cargo test -q --test mvcc_visibility
-cargo test -q --test recovery in_flight
+by_name -q --test recovery -- in_flight
 # First-writer-wins decided once, at write time, from the version chain
 # (DESIGN.md §4j "Write conflicts"): the engine-level conflict tests (a
 # second writer loses to an active or later-committed first one, checks
@@ -208,11 +229,11 @@ cargo test -q --test recovery in_flight
 # a committed conflict lasts exactly as long as its snapshot pins the
 # horizon, a rolled-back write wins nothing), then the heap = IOT property
 # against its reference model of the rule, at 512 cases.
-cargo test -q -p extidx-storage --lib -- second_writer_loses_at_write_time \
+by_name -q -p extidx-storage --lib -- second_writer_loses_at_write_time \
     lob_span_conflicts_are_range_granular a_lob_allocated_after_the_snapshot_loses \
     a_committed_conflict_lasts_while_its_snapshot_pins_the_horizon \
     a_rolled_back_write_wins_no_conflict
-PROPTEST_CASES=512 cargo test -q -p extidx-storage --test properties \
+PROPTEST_CASES=512 by_name -q -p extidx-storage --test properties -- \
     heap_and_iot_share_one_row_version
 # One before-image per write (DESIGN.md §4j): a displaced version names the
 # undo entry holding its image, and the rollback pop matches that position,
@@ -221,8 +242,8 @@ PROPTEST_CASES=512 cargo test -q -p extidx-storage --test properties \
 # engine tests read an older snapshot's image out of the entry itself,
 # keep a committed log exactly while a reader needs it, and hold an entry
 # to one WAL record's 48 bytes.
-cargo test -q --test mvcc_visibility a_statement_rollback_keeps_an_earlier_write_of_the_same_image
-cargo test -q -p extidx-storage --lib -- an_older_snapshot_reads_the_undo_entry_itself \
+by_name -q --test mvcc_visibility -- a_statement_rollback_keeps_an_earlier_write_of_the_same_image
+by_name -q -p extidx-storage --lib -- an_older_snapshot_reads_the_undo_entry_itself \
     a_log_outlives_its_transaction_only_while_a_version_reads_it \
     an_undo_entry_is_one_wal_record_wide
 
@@ -589,15 +610,15 @@ if grep -rn "BTreeMap<RowI[d]" crates/text/src; then
     exit 1
 fi
 [ "$(grep -rn "fn match_re[c]\b" crates/chem/src | wc -l)" -eq 1 ]
-cargo test -q -p extidx-vir --test vir_cartridge -- \
+by_name -q -p extidx-vir --test vir_cartridge -- \
     the_index_compares_signatures_at_full_precision \
     negative_and_nan_weights_are_refused_on_both_paths \
     phase_one_ranges_every_weighted_channel indexed_equals_functional_near_the_threshold
-cargo test -q -p extidx-vir --lib phase1_ranges_hold_every_value_phase2_accepts
-cargo test -q -p extidx-vir --test properties distance_within_equals_distance
+by_name -q -p extidx-vir --lib -- phase1_ranges_hold_every_value_phase2_accepts
+by_name -q -p extidx-vir --test properties -- distance_within_equals_distance
 cargo test -q -p extidx-chem --test equivalence
 cargo test -q -p extidx-text --test properties
-cargo test -q -p extidx-core --lib trace::tests::disabled_trace_records_nothing
+by_name -q -p extidx-core --lib -- trace::tests::disabled_trace_records_nothing
 
 # Spatial indexes store only their primary filter (DESIGN.md §4b): the
 # exact filter reads the base column, so neither spatial indextype keeps a
@@ -614,10 +635,10 @@ fi
 if grep -rn "scan_base_batche[s](" crates/text/src crates/vir/src crates/spatial/src; then
     exit 1
 fi
-cargo test -q -p extidx-spatial --test spatial_cartridge -- \
+by_name -q -p extidx-spatial --test spatial_cartridge -- \
     drop_index_removes_storage_tables selectivity_is_a_share_of_base_rows \
     legacy_join_matches_modern_query
-cargo test -q -p extidx-qgen --lib gen::tests::near_threshold_vir_atoms_are_whole_predicates
+by_name -q -p extidx-qgen --lib -- gen::tests::boundary_and_refused_vir_atoms_are_whole_predicates
 
 # Index tables read in place (DESIGN.md §4d "The crossing"): the text,
 # tile, VIR and R-tree scans read their index tables through
@@ -625,9 +646,21 @@ cargo test -q -p extidx-qgen --lib gen::tests::near_threshold_vir_atoms_are_whol
 # crossing's snapshot, so no such read issues SQL any more — only the
 # legacy baselines (legacy.rs) and the ODCIStats routines (their count
 # queries) still do. The IOT cursor stays the one IOT range loop. The
-# contract, snapshot, deadline and tick-budget tests run by name.
+# candidates a scan verifies and the chem fingerprint LOB are lent the
+# same way (§4d "Index tables read in place"): `fetch_base_rows` visits
+# rows where they lie rather than returning copies, and chem walks its
+# records in the lent LOB image, with no decoded copy of the store and no
+# whole-LOB read into a vector. The contract, snapshot, deadline and
+# tick-budget tests run by name.
 # (Bracketed so the patterns do not match this file.)
 echo "== index tables read in place (structural guard + contract tests) =="
+if grep -rnE "decode_record[s]|lob_read_al[l]\([^,()]*\)|(lob_read_al[l]|read_lo[b])\(.*to_ve[c]" \
+    crates/chem/src; then
+    exit 1
+fi
+if grep -rn "Vec<Option<Ro[w]>>" crates/core/src/server.rs crates/sql/src/exec_ctx.rs; then
+    exit 1
+fi
 scan_sql='SELECT [^"]*WHERE toke[n] = [?]|tile >= [?] AND tile <= [?]'
 scan_sql="$scan_sql"'|nodeid >= [?] AND nodeid <= [?]|q(1|[{][}]) BETWEE[N]|SELECT payload FRO[M]'
 for f in crates/text/src/*.rs crates/spatial/src/*.rs crates/vir/src/*.rs; do
@@ -641,11 +674,12 @@ for f in crates/text/src/*.rs crates/spatial/src/*.rs crates/vir/src/*.rs; do
 done
 [ "$(grep -rn "iot_range(" crates/sql/src | wc -l)" -eq 1 ]
 cargo test -q -p extidx-sql --test key_range_read
-cargo test -q --test mvcc_visibility scans_read_their_index_tables_at_the_readers_snapshot
-cargo test -q --test server_governor -- \
+by_name -q --test mvcc_visibility -- scans_read_their_index_tables_at_the_readers_snapshot \
+    a_pinned_chem_reader_screens_its_own_lob_image_and_skips_rows_it_cannot_see
+by_name -q --test server_governor -- \
     timeout_inside_a_multi_batch_key_range_read_keeps_start_close_balanced \
     a_tick_budget_below_the_read_batches_faults_the_start
-cargo test -q --test observability v_tables_answer_plain_sql
+by_name -q --test observability -- v_tables_answer_plain_sql
 
 # One operator spec drives every oracle (DESIGN.md §4e): qgen's `spec`
 # module describes each operator once; the generator, the mirror, the
@@ -666,8 +700,8 @@ if grep -rnE "chaos_drop_last_domain_batc[h]|zone_prunin[g]" crates/sql/src; the
     exit 1
 fi
 grep -q "fn domain_index_crash_matrix" tests/recovery.rs
-cargo test -q -p extidx-qgen --lib -- checked::tests gen::tests::boundary_and_refused
-cargo test -q --test fault_matrix -- transient_faults_are_absorbed_by_retry
+by_name -q -p extidx-qgen --lib -- checked::tests gen::tests::boundary_and_refused
+by_name -q --test fault_matrix -- transient_faults_are_absorbed_by_retry
 
 # Heap or IOT is storage's decision (DESIGN.md §4j "One row surface"): the
 # SQL layer inserts, updates, deletes, joins rowids to rows and sizes
@@ -689,7 +723,7 @@ fi
 if grep -n "TableOr[g]::" crates/sql/src/database.rs crates/sql/src/stmt_cache.rs; then
     exit 1
 fi
-cargo test -q -p extidx-storage --lib iot_logical_rowids_survive_update_and_rollback
-cargo test -q --test fault_matrix iot_base_table_dml_maintains_secondary_and_domain_indexes
+by_name -q -p extidx-storage --lib -- iot_logical_rowids_survive_update_and_rollback
+by_name -q --test fault_matrix -- iot_base_table_dml_maintains_secondary_and_domain_indexes
 
 echo "CI OK"

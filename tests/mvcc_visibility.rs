@@ -791,3 +791,49 @@ fn scans_read_their_index_tables_at_the_readers_snapshot() {
         assert!(moved, "{probe:?}: a later snapshot missed the commit: {after:?}");
     }
 }
+
+/// Chem's scans screen the fingerprint LOB and verify candidates where
+/// they lie, under the crossing's snapshot. A reader pinned before another
+/// session's committed chem INSERT + DELETE screens its own snapshot's
+/// image of the LOB: the writer's append and tombstone are spans it cannot
+/// see, so it still finds the deleted row's record, which the physical LOB
+/// has tombstoned, and not the inserted one. A FILE store is not
+/// versioned, so the same reader screens the writer's appended record
+/// there too, and its verification skips that candidate, whose base row
+/// its snapshot cannot see. Every answer equals `NO_INDEX`.
+#[test]
+fn a_pinned_chem_reader_screens_its_own_lob_image_and_skips_rows_it_cannot_see() {
+    let server = setup(12, 0);
+    let mut s = server.session();
+    s.execute("CREATE TABLE MF (id INTEGER, mol VARCHAR2(64))").unwrap();
+    for i in 0..12 {
+        s.execute(&format!("INSERT INTO MF VALUES ({i}, '{}')", MOLS[i % MOLS.len()])).unwrap();
+    }
+    let file_store = "PARAMETERS (':Storage FILE')";
+    s.execute(&format!("CREATE INDEX MF_MOL ON MF(mol) INDEXTYPE IS ChemIndexType {file_store}"))
+        .unwrap();
+    let probes = [
+        ("MV", "MV_MOL", "MolContains(mol, 'CO')".to_string()),
+        ("MV", "MV_MOL", "MolSimilar(mol, 'CCO', 0.5)".to_string()),
+        ("MF", "MF_MOL", "MolContains(mol, 'CO')".to_string()),
+    ];
+
+    let mut reader = server.session();
+    reader.execute("BEGIN").unwrap();
+    let baseline = forced_answers(&mut reader, &probes);
+    // Rows 0, 1 and 2 hold 'CCO', 'COC' and 'OCC'.
+    assert!(baseline[0].contains(&1) && baseline[2].contains(&1), "{baseline:?}");
+
+    let mut writer = server.session();
+    writer.execute("INSERT INTO MV (id, mol, num) VALUES (100, 'CCO', 0)").unwrap();
+    writer.execute("DELETE FROM MV WHERE id = 1").unwrap();
+    writer.execute("INSERT INTO MF VALUES (100, 'CCO')").unwrap();
+
+    assert_eq!(forced_answers(&mut reader, &probes), baseline, "the pinned reader's answers moved");
+    reader.execute("COMMIT").unwrap();
+
+    let now = forced_answers(&mut server.session(), &probes);
+    assert!(now[0].contains(&100) && !now[0].contains(&1), "{now:?}");
+    assert!(now[1].contains(&100), "{now:?}");
+    assert!(now[2].contains(&100), "{now:?}");
+}

@@ -142,7 +142,7 @@ fn chem_parallel_build_is_deterministic() {
             .unwrap();
         let lob =
             db.query("SELECT data FROM DR$MI$META WHERE id = 1").unwrap()[0][0].as_lob().unwrap();
-        db.storage().lob_read_all(lob, &Snapshot::latest()).unwrap()
+        db.storage().lob_read_all(lob, &Snapshot::latest(), <[u8]>::to_vec).unwrap()
     };
     let serial = lob_bytes("");
     assert!(!serial.is_empty(), "chem: serial build produced an empty store");

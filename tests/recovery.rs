@@ -139,7 +139,7 @@ fn lob_crash_points_restore_committed_prefix() {
         assert_eq!(rows.len(), 1, "crash at {point}: uncommitted LOB row survived");
         let Value::Lob(lob) = rows[0][1] else { panic!("expected LOB value") };
         assert_eq!(
-            rec.storage().lob_read_all(lob, &Snapshot::latest()).unwrap(),
+            rec.storage().lob_read_all(lob, &Snapshot::latest(), <[u8]>::to_vec).unwrap(),
             b"the committed payload",
             "crash at {point}: LOB bytes not recovered"
         );
