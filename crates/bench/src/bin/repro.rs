@@ -18,7 +18,7 @@
 //! repro e7-scan-modes     §2.2.3: Precompute-All vs Incremental scans
 //! repro e8-batch          §2.5:   batched ODCIIndexFetch round trips
 //! repro e9-events         §5:     rollback vs external stores + events
-//! repro e10-build         parallel index build + batched rowid→row join
+//! repro e10-build         parallel index build, its time split, batched row join
 //! repro e13-observe       EXPLAIN ANALYZE + V$ tables + tkprof-style report
 //! repro e14-quarantine    sandbox: panic containment, quarantine, REBUILD
 //! repro all               everything above
@@ -28,7 +28,7 @@
 //! wins, by what factor, where the crossovers are) are the reproduction
 //! targets recorded in EXPERIMENTS.md.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use extidx_bench::{fmt_dur, spatial_fixture, text_corpus, text_fixture, text_fixture_with_params, time_median, vir_fixture, chem_fixture, Report};
 use extidx_chem::{Fingerprint, Molecule, MoleculeWorkload, Substructure};
@@ -632,8 +632,9 @@ fn e9_events() -> Result<()> {
 }
 
 /// E10 — the build pipeline: `CREATE INDEX … PARAMETERS ('PARALLEL n')`
-/// wall time vs worker degree, then the buffer-cache profile of a
-/// 10k-row domain scan under the batched rowid→row join.
+/// wall time vs worker degree, where a serial build's time goes, then the
+/// buffer-cache profile of a 10k-row domain scan under the batched
+/// rowid→row join.
 fn e10_build() -> Result<()> {
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     println!("host parallelism: {cores} core(s)\n");
@@ -657,6 +658,8 @@ fn e10_build() -> Result<()> {
     println!("at every degree (tests/parallel_build.rs) and speedup tracks cores — a");
     println!("1-core host shows none, by design.");
 
+    e10_build_split()?;
+
     // Batched rowid→row join: the domain scan joins whole fetch batches,
     // sorting rowids by (page, slot) so the buffer cache is charged once
     // per distinct heap page rather than once per fetched row.
@@ -674,6 +677,94 @@ fn e10_build() -> Result<()> {
         s.logical_reads, s.physical_reads
     );
     println!("  ({:.1} rows joined per buffer-cache touch)", matches as f64 / s.logical_reads.max(1) as f64);
+    Ok(())
+}
+
+/// E10's build split: where a serial text build over the E10 corpus goes
+/// (tokenizing against inserting postings through the callback `INSERT`),
+/// then the storage layer's per-row insert of the same postings into a
+/// heap and into an IOT keyed `(token, rid)`, in document order (as each
+/// document tokenizes) and in key order (as the build hands them over).
+fn e10_build_split() -> Result<()> {
+    use extidx_common::{Row, RowId, Value};
+    use extidx_storage::StorageEngine;
+    use extidx_text::tokenizer::{tokenize, StopWords};
+
+    type Posting = (String, RowId, u32);
+    let posting_row = |(tok, rid, f): &Posting| -> Row {
+        vec![Value::from(tok.as_str()), Value::RowId(*rid), Value::Integer(*f as i64)]
+    };
+    let corpus = extidx_text::CorpusGenerator::new(2000, 1.0, 42).corpus(4000, 60);
+    let stop = StopWords::none();
+    let mut postings: Vec<Posting> = Vec::new();
+    let t = Instant::now();
+    for (i, body) in corpus.iter().enumerate() {
+        let rid = RowId::new(1, (i / 16) as u32, (i % 16) as u16);
+        postings.extend(tokenize(body, &stop).into_iter().map(|(tok, f)| (tok, rid, f)));
+    }
+    let tokenize_time = t.elapsed();
+    let mut by_key = postings.clone();
+    by_key.sort_unstable();
+
+    // The build's own write: 256-row multi-row INSERTs into the DR$ shape.
+    let sql_insert = |entries: &[Posting]| -> Result<Duration> {
+        let mut db = Database::new();
+        db.execute(
+            "CREATE TABLE post (token VARCHAR2(128), rid ROWID, freq INTEGER, \
+             PRIMARY KEY (token, rid)) ORGANIZATION INDEX",
+        )?;
+        let t = Instant::now();
+        for chunk in entries.chunks(256) {
+            let values = vec!["(?, ?, ?)"; chunk.len()].join(", ");
+            let binds: Vec<Value> = chunk.iter().flat_map(posting_row).collect();
+            db.execute_with(&format!("INSERT INTO post VALUES {values}"), &binds)?;
+        }
+        Ok(t.elapsed())
+    };
+    let sql_doc = sql_insert(&postings)?;
+    let sql_key = sql_insert(&by_key)?;
+    let mut db = text_corpus(4000, 60, 2000, 42)?;
+    let build = time_median(3, || {
+        db.execute("CREATE INDEX doc_text ON docs(body) INDEXTYPE IS TextIndexType")
+            .expect("e10 create index");
+        db.execute("DROP INDEX doc_text").expect("e10 drop index");
+    });
+    let n = postings.len() as f64;
+    let per_row = |d: Duration| format!("{:.2}µs", d.as_secs_f64() * 1e6 / n);
+    println!("\nwhere a serial build goes ({} docs, {n} postings):", corpus.len());
+    let mut rep = Report::new(&["step", "time", "per posting"]);
+    rep.row(&["tokenize".into(), fmt_dur(tokenize_time), per_row(tokenize_time)]);
+    rep.row(&["posting INSERTs, document order".into(), fmt_dur(sql_doc), per_row(sql_doc)]);
+    rep.row(&["posting INSERTs, key order".into(), fmt_dur(sql_key), per_row(sql_key)]);
+    rep.row(&["whole CREATE INDEX (median of 3)".into(), fmt_dur(build), per_row(build)]);
+    rep.print();
+
+    // One storage-layer insert per posting row, no SQL: heap against IOT,
+    // the median of three fresh segments.
+    let storage_insert = |entries: &[Posting], iot: bool| -> Result<f64> {
+        let mut runs = Vec::new();
+        for _ in 0..3 {
+            let mut engine = StorageEngine::new(32_768);
+            let seg = if iot { engine.create_iot(2)? } else { engine.create_heap()? };
+            let rows: Vec<Row> = entries.iter().map(posting_row).collect();
+            let t = Instant::now();
+            for row in rows {
+                engine.insert(seg, row)?;
+            }
+            runs.push(t.elapsed().as_secs_f64() * 1e9 / n);
+        }
+        runs.sort_by(f64::total_cmp);
+        Ok(runs[1])
+    };
+    println!("\nstorage layer, one insert per posting row (ns/row, median of 3):");
+    let mut rep = Report::new(&["order", "heap", "IOT", "IOT / heap"]);
+    for (order, entries) in [("document", &postings), ("key (token, rid)", &by_key)] {
+        let heap = storage_insert(entries, false)?;
+        let iot = storage_insert(entries, true)?;
+        let ratio = format!("{:.1}x", iot / heap);
+        rep.row(&[order.into(), format!("{heap:.0}"), format!("{iot:.0}"), ratio]);
+    }
+    rep.print();
     Ok(())
 }
 

@@ -216,6 +216,15 @@ impl Value {
     /// locator, so only equal values compare equal; other incomparable
     /// pairs order by type name so the sort is still total.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
+        // The pairs an index key compares on every step of a B-tree
+        // descent, first: what `sql_cmp` answers for them, without its
+        // NULL checks and `Option`.
+        match (self, other) {
+            (Value::Varchar(a), Value::Varchar(b)) => return a.cmp(b),
+            (Value::RowId(a), Value::RowId(b)) => return a.cmp(b),
+            (Value::Integer(a), Value::Integer(b)) => return a.cmp(b),
+            _ => {}
+        }
         match (self.is_null(), other.is_null()) {
             (true, true) => return Ordering::Equal,
             (true, false) => return Ordering::Greater,

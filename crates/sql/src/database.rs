@@ -37,10 +37,10 @@ use extidx_core::trace::{CallTrace, Component, Routine};
 use extidx_core::OdciIndex;
 use extidx_storage::buffer::CacheStats;
 use extidx_storage::file_store::FileStats;
-use extidx_storage::{CommitBlob, DurableMedium, Snapshot, StorageEngine};
+use extidx_storage::{CommitBlob, DurableMedium, SegmentId, Snapshot, StorageEngine};
 
 use crate::ast::{AlterIndexAction, Expr, InsertSource, Statement};
-use crate::catalog::{BTreeIndexDef, Catalog, CatalogDump, DomainIndexDef, TableDef};
+use crate::catalog::{Catalog, CatalogDump, DomainIndexDef, TableDef};
 use crate::ddl::CreatedObject;
 use crate::exec_ctx::{self, odci_call, Callee, Exec, Lane, QueryCursor, SessionScratch};
 use crate::executor;
@@ -194,6 +194,20 @@ struct MaintRecord {
     /// so an index dropped later in the statement is skipped cleanly).
     index: String,
     op: MaintOp,
+}
+
+/// The indexes a DML statement maintains on its table, each with the
+/// column it keys: B-trees by segment, domain indexes by definition.
+#[derive(Default)]
+struct TableIndexes {
+    btree: Vec<(usize, SegmentId)>,
+    domain: Vec<(usize, DomainIndexDef)>,
+}
+
+impl TableIndexes {
+    fn is_empty(&self) -> bool {
+        self.btree.is_empty() && self.domain.is_empty()
+    }
 }
 
 /// How `op` crosses into the cartridge: the maintenance routine, the row
@@ -1005,6 +1019,7 @@ impl Database {
                 m
             }
         };
+        let indexes = self.indexes_on(&tdef)?;
         let mut count = 0u64;
         for src in rows {
             if src.len() != col_map.len() {
@@ -1019,21 +1034,25 @@ impl Database {
             for (v, &target) in src.into_iter().zip(&col_map) {
                 full[target] = self.coerce_value(v, &tdef.columns[target].ty)?;
             }
-            self.insert_row(&tdef, full)?;
+            self.insert_row(&tdef, &indexes, full)?;
             count += 1;
         }
         Ok(StmtResult::Affected(count))
     }
 
-    /// Insert one fully-shaped row and maintain all indexes.
-    fn insert_row(&mut self, tdef: &TableDef, row: Row) -> Result<()> {
+    /// Insert one fully-shaped row and maintain `indexes`, the table's.
+    /// The row is copied only for an index to read.
+    fn insert_row(&mut self, tdef: &TableDef, indexes: &TableIndexes, row: Row) -> Result<()> {
         for (v, c) in row.iter().zip(&tdef.columns) {
             if !v.conforms_to(&c.ty) {
                 return Err(Error::type_mismatch(c.ty.to_string(), v.type_name()));
             }
         }
+        if indexes.is_empty() {
+            return self.storage.insert(tdef.seg, row).map(drop);
+        }
         let rid = self.storage.insert(tdef.seg, row.clone())?;
-        self.maintain(tdef, rid, None, Some(&row))
+        self.maintain(indexes, rid, None, Some(&row))
     }
 
     fn run_update(
@@ -1073,15 +1092,16 @@ impl Database {
         // that keeps its rowid is an update to every index; one that moved
         // (an IOT key change) is a delete at the old rowid and an insert at
         // the new one.
+        let indexes = self.indexes_on(&tdef)?;
         let mut count = 0u64;
         for (rid, old_row, new_row) in planned {
             extidx_core::governor::poll()?;
             let moved_to = self.storage.update(tdef.seg, rid, &old_row, new_row.clone())?;
             if moved_to == rid {
-                self.maintain(&tdef, rid, Some(&old_row), Some(&new_row))?;
+                self.maintain(&indexes, rid, Some(&old_row), Some(&new_row))?;
             } else {
-                self.maintain(&tdef, rid, Some(&old_row), None)?;
-                self.maintain(&tdef, moved_to, None, Some(&new_row))?;
+                self.maintain(&indexes, rid, Some(&old_row), None)?;
+                self.maintain(&indexes, moved_to, None, Some(&new_row))?;
             }
             count += 1;
         }
@@ -1098,11 +1118,12 @@ impl Database {
         reject_vtable_dml(table)?;
         let tdef = self.catalog.table(table)?.clone();
         let matches = self.collect_dml_targets(p, binds, &tdef, where_clause)?;
+        let indexes = self.indexes_on(&tdef)?;
         let mut count = 0u64;
         for (rid, old_row) in matches {
             extidx_core::governor::poll()?;
             let old = self.storage.delete(tdef.seg, rid, &old_row)?;
-            self.maintain(&tdef, rid, Some(&old), None)?;
+            self.maintain(&indexes, rid, Some(&old), None)?;
             count += 1;
         }
         Ok(StmtResult::Affected(count))
@@ -1140,20 +1161,29 @@ impl Database {
 
     // ---- index maintenance (the implicit part of §2.4.1) -----------------------
 
-    /// Maintain every index on `tdef` for one row change, given the row
-    /// images before and after it (an insert has no `old`, a delete no
-    /// `new`).
+    /// Every index on `tdef`, with the column each one keys: looked up
+    /// once per DML statement, not once per row it maintains.
+    fn indexes_on(&self, tdef: &TableDef) -> Result<TableIndexes> {
+        let mut indexes = TableIndexes::default();
+        for b in self.catalog.btree_indexes_on(&tdef.name) {
+            indexes.btree.push((tdef.column_index(&b.column)?, b.seg));
+        }
+        for d in self.catalog.domain_indexes_on(&tdef.name) {
+            indexes.domain.push((tdef.column_index(&d.column)?, d.clone()));
+        }
+        Ok(indexes)
+    }
+
+    /// Maintain `indexes` for one row change, given the row images before
+    /// and after it (an insert has no `old`, a delete no `new`).
     fn maintain(
         &mut self,
-        tdef: &TableDef,
+        indexes: &TableIndexes,
         rid: RowId,
         old: Option<&[Value]>,
         new: Option<&[Value]>,
     ) -> Result<()> {
-        let btree: Vec<BTreeIndexDef> =
-            self.catalog.btree_indexes_on(&tdef.name).into_iter().cloned().collect();
-        for b in btree {
-            let idx = tdef.column_index(&b.column)?;
+        for &(idx, seg) in &indexes.btree {
             // B-trees do not index NULL keys: a side that is NULL has no
             // entry, exactly like a side that does not exist.
             let old_key = old.map(|r| &r[idx]).filter(|v| !v.is_null());
@@ -1162,30 +1192,27 @@ impl Database {
                 continue;
             }
             if let Some(k) = old_key {
-                self.storage.iot_delete(b.seg, &Key(vec![k.clone(), Value::RowId(rid)]))?;
+                self.storage.iot_delete(seg, &Key(vec![k.clone(), Value::RowId(rid)]))?;
             }
             if let Some(k) = new_key {
-                self.storage.insert(b.seg, vec![k.clone(), Value::RowId(rid)])?;
+                self.storage.insert(seg, vec![k.clone(), Value::RowId(rid)])?;
             }
         }
-        let domain: Vec<DomainIndexDef> =
-            self.catalog.domain_indexes_on(&tdef.name).into_iter().cloned().collect();
-        for d in domain {
+        for (idx, d) in &indexes.domain {
             // An unusable index gets no crossing: its REBUILD re-reads the
             // base table, so there is no work to owe it.
             if !self.catalog.health.is_usable(&d.name) {
                 continue;
             }
-            let idx = tdef.column_index(&d.column)?;
             let op = match (old, new) {
-                (None, Some(n)) => MaintOp::Insert { rid, value: n[idx].clone() },
+                (None, Some(n)) => MaintOp::Insert { rid, value: n[*idx].clone() },
                 (Some(o), Some(n)) => {
-                    MaintOp::Update { rid, old: o[idx].clone(), new: n[idx].clone() }
+                    MaintOp::Update { rid, old: o[*idx].clone(), new: n[*idx].clone() }
                 }
-                (Some(o), None) => MaintOp::Delete { rid, old: o[idx].clone() },
+                (Some(o), None) => MaintOp::Delete { rid, old: o[*idx].clone() },
                 (None, None) => return Ok(()),
             };
-            self.invoke_maintenance(&d, op)?;
+            self.invoke_maintenance(d, op)?;
         }
         Ok(())
     }

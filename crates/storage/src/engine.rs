@@ -595,7 +595,7 @@ impl StorageEngine {
         }
         // The key stays: replace the row under its ordinal.
         self.check_write(seg, RowKey::Key(&key))?;
-        let ord = iot.peek_upsert_ord(&new)?;
+        let ord = iot.ordinal_of(&key).unwrap_or(iot.peek_next_ord());
         let Applied { row: displaced, charge, .. } =
             self.log_apply(WalRecord::IotUpsertOrd { seg, row: new, ord })?;
         let leaf = self.iot_leaf_page_for(seg, &key);

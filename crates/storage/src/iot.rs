@@ -26,6 +26,7 @@
 //! addresses that flow through index maintenance and rowid→row joins
 //! exactly like heap rows.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::Arc;
@@ -139,34 +140,38 @@ impl IndexOrganizedTable {
         self.next_ord
     }
 
-    /// The ordinal an upsert of `row` ends up under: the existing key's
-    /// ordinal, or the next fresh one.
-    pub fn peek_upsert_ord(&self, row: &[extidx_common::Value]) -> Result<u64> {
-        let key = self.key_of(row)?;
-        Ok(self.ordinal_of(&key).unwrap_or(self.next_ord))
-    }
-
     /// Put `row` under ordinal `ord`, replacing any row with its key — an
-    /// insert at [`Self::peek_next_ord`], an upsert at
-    /// [`Self::peek_upsert_ord`], or the restore of a deleted row under its
-    /// original logical rowid. Returns the replaced row with its ordinal.
+    /// insert at [`Self::peek_next_ord`], an upsert at the key's
+    /// [`Self::ordinal_of`] (else the next), or the restore of a deleted
+    /// row under its original logical rowid. Returns the replaced row with
+    /// its ordinal.
     /// Duplicate keys are the engine's to refuse before it logs the insert.
+    /// One descent of the row map: a replaced row's slot is rewritten in
+    /// place and keeps its stored key, which equals `row`'s in key order.
     pub fn insert_with_ordinal(
         &mut self,
         row: Row,
         ord: u64,
     ) -> Result<(Option<(Row, u64)>, IoCharge)> {
-        let key = self.key_of(&row)?;
+        let key = Arc::new(self.key_of(&row)?);
         let charge = IoCharge { page_reads: self.height(), page_writes: 1 };
         self.total_bytes += approx_row_size(&row);
-        let old = self.rows.remove(&key).map(|(prev, old)| {
-            self.total_bytes = self.total_bytes.saturating_sub(approx_row_size(&old));
-            self.keys_by_ord.remove(&prev);
-            (old, prev)
-        });
-        let key = Arc::new(key);
-        self.keys_by_ord.insert(ord, Arc::clone(&key));
-        self.rows.insert(key, (ord, row));
+        let old = match self.rows.entry(key) {
+            Entry::Vacant(slot) => {
+                self.keys_by_ord.insert(ord, Arc::clone(slot.key()));
+                slot.insert((ord, row));
+                None
+            }
+            Entry::Occupied(mut slot) => {
+                let (prev, old) = std::mem::replace(slot.get_mut(), (ord, row));
+                self.total_bytes = self.total_bytes.saturating_sub(approx_row_size(&old));
+                if prev != ord {
+                    self.keys_by_ord.remove(&prev);
+                    self.keys_by_ord.insert(ord, Arc::clone(slot.key()));
+                }
+                Some((old, prev))
+            }
+        };
         self.next_ord = self.next_ord.max(ord + 1);
         Ok((old, charge))
     }
@@ -227,6 +232,7 @@ impl IndexOrganizedTable {
 mod tests {
     use super::*;
     use extidx_common::Value;
+    use proptest::prelude::*;
     use Bound::{Excluded, Included, Unbounded};
 
     fn iot() -> IndexOrganizedTable {
@@ -246,7 +252,8 @@ mod tests {
     /// Upsert where the engine does: under the key's ordinal, else a
     /// fresh one. Returns the replaced row and the ordinal.
     fn upsert(t: &mut IndexOrganizedTable, row: Row) -> (Option<Row>, u64) {
-        let ord = t.peek_upsert_ord(&row).unwrap();
+        let key = t.key_of(&row).unwrap();
+        let ord = t.ordinal_of(&key).unwrap_or(t.peek_next_ord());
         let (old, _) = t.insert_with_ordinal(row, ord).unwrap();
         (old.map(|(r, _)| r), ord)
     }
@@ -414,5 +421,68 @@ mod tests {
         let second: Vec<_> = t.range(Excluded(last_key), Unbounded).take(10).collect();
         assert_eq!(second.len(), 4);
         assert_eq!(second[0].2[0], Value::Integer(3));
+    }
+
+    #[derive(Debug, Clone)]
+    enum IotOp {
+        /// Insert a fresh key under the next ordinal (skipped when taken).
+        Insert(i64, usize),
+        /// Upsert under the key's ordinal, or a fresh one.
+        Upsert(i64, usize),
+        Delete(i64),
+        /// Put a deleted row back under its old ordinal, as undo does —
+        /// over whatever row holds its key by then.
+        Restore(usize),
+    }
+
+    fn arb_iot_ops() -> impl Strategy<Value = Vec<IotOp>> {
+        prop::collection::vec(
+            prop_oneof![
+                (0i64..6, 0usize..40).prop_map(|(k, n)| IotOp::Insert(k, n)),
+                (0i64..6, 0usize..40).prop_map(|(k, n)| IotOp::Upsert(k, n)),
+                (0i64..6).prop_map(IotOp::Delete),
+                any::<usize>().prop_map(IotOp::Restore),
+            ],
+            0..80,
+        )
+    }
+
+    proptest! {
+        /// Whatever mix of inserts, upserts, deletes and restores runs —
+        /// a restore over an occupied key included — the reverse map names
+        /// only rows that carry its ordinal, one entry a row, and the byte
+        /// total is the rows' sum.
+        #[test]
+        fn ordinal_map_and_byte_total_track_the_rows(ops in arb_iot_ops()) {
+            let mut t = IndexOrganizedTable::new(SegmentId(3), 1);
+            let mut deleted: Vec<(Row, u64)> = Vec::new();
+            let row = |k: i64, n: usize| vec![Value::Integer(k), Value::from("x".repeat(n))];
+            for op in ops {
+                match op {
+                    IotOp::Insert(k, n) => {
+                        if t.ordinal_of(&Key::single(Value::Integer(k))).is_none() {
+                            put(&mut t, row(k, n)).unwrap();
+                        }
+                    }
+                    IotOp::Upsert(k, n) => {
+                        upsert(&mut t, row(k, n));
+                    }
+                    IotOp::Delete(k) => {
+                        deleted.extend(t.delete(&Key::single(Value::Integer(k))).0);
+                    }
+                    IotOp::Restore(i) if !deleted.is_empty() => {
+                        let (r, ord) = deleted.swap_remove(i % deleted.len());
+                        t.insert_with_ordinal(r, ord).unwrap();
+                    }
+                    IotOp::Restore(_) => {}
+                }
+                for (ord, key) in &t.keys_by_ord {
+                    prop_assert_eq!(t.rows.get(&**key).map(|&(o, _)| o), Some(*ord));
+                }
+                prop_assert_eq!(t.row_count(), t.keys_by_ord.len());
+                let bytes: usize = t.rows.values().map(|(_, r)| approx_row_size(r)).sum();
+                prop_assert_eq!(t.total_bytes, bytes);
+            }
+        }
     }
 }

@@ -200,7 +200,11 @@ impl OdciIndex for TextIndexMethods {
         let per_doc = try_partition_map(&docs, parallel, |(rid, text)| {
             Ok::<_, Error>(doc_entries(text, *rid, &stop))
         })?;
-        let entries: Vec<(String, RowId, u32)> = per_doc.into_iter().flatten().collect();
+        // Hand the postings over in `(token, rid)` key order, as Oracle
+        // sorts an index build: each insert then descends next to the one
+        // before it.
+        let mut entries: Vec<(String, RowId, u32)> = per_doc.into_iter().flatten().collect();
+        entries.sort_unstable();
         insert_postings(srv, &index_table(info), &entries)
     }
 

@@ -47,8 +47,7 @@ pub use corpus::CorpusGenerator;
 pub fn install(db: &mut Database) -> Result<()> {
     db.register_function(ScalarFunction::new("TextContains", |ctx, args| {
         let matches = |doc: &str| -> Result<bool> {
-            let q = query::parse_query(args[1].as_str()?)?;
-            Ok(q.matches(&tokenizer::tokenize(doc, &tokenizer::StopWords::none())))
+            Ok(query::parse_query(args[1].as_str()?)?.matches_text(doc))
         };
         let hit = match &args[0] {
             Value::Null => return Ok(Value::Null),

@@ -50,13 +50,34 @@ impl TextQuery {
         }
     }
 
-    /// Evaluate against one document's token counts (functional path).
+    /// Evaluate against one document's token counts.
     pub fn matches(&self, tokens: &BTreeMap<String, u32>) -> bool {
+        self.holds(&|t| tokens.contains_key(t))
+    }
+
+    /// Evaluate against one document's text (the functional path): one
+    /// pass over its words, split and case-folded as
+    /// [`crate::tokenizer::tokenize`] does, notes which query terms occur
+    /// — no token map and no string per word. Equal to [`Self::matches`]
+    /// over the document's tokens with no stop words.
+    pub fn matches_text(&self, text: &str) -> bool {
+        let terms = self.terms();
+        let mut seen = vec![false; terms.len()];
+        for word in text.split(|c: char| !c.is_ascii_alphanumeric()).filter(|w| !w.is_empty()) {
+            for (term, seen) in terms.iter().zip(&mut seen) {
+                *seen |= word.eq_ignore_ascii_case(term);
+            }
+        }
+        self.holds(&|t| terms.iter().zip(&seen).any(|(term, &seen)| seen && term == t))
+    }
+
+    /// Whether the query holds when `has` says which terms occur.
+    fn holds(&self, has: &dyn Fn(&str) -> bool) -> bool {
         match self {
-            TextQuery::Term(t) => tokens.contains_key(t),
-            TextQuery::And(a, b) => a.matches(tokens) && b.matches(tokens),
-            TextQuery::Or(a, b) => a.matches(tokens) || b.matches(tokens),
-            TextQuery::Not(a) => !a.matches(tokens),
+            TextQuery::Term(t) => has(t),
+            TextQuery::And(a, b) => a.holds(has) && b.holds(has),
+            TextQuery::Or(a, b) => a.holds(has) || b.holds(has),
+            TextQuery::Not(a) => !a.holds(has),
         }
     }
 

@@ -136,6 +136,25 @@ proptest! {
         }
     }
 
+    /// The functional path's one pass over a document's words agrees
+    /// with evaluating the query over the tokenizer's counts, whatever the
+    /// case and the punctuation (an empty separator fuses two words into
+    /// one token that matches neither).
+    #[test]
+    fn one_pass_over_the_words_equals_the_token_map(
+        words in prop::collection::vec(
+            (
+                prop_oneof!["alpha", "Beta", "GAMMA", "dElta", "epsilonx"],
+                prop_oneof![" ", ", ", "-", "!? ", ""],
+            ),
+            0..12,
+        ),
+        q in arb_query(),
+    ) {
+        let doc: String = words.iter().map(|(w, sep)| format!("{w}{sep}")).collect();
+        prop_assert_eq!(q.matches_text(&doc), q.matches(&tokenize(&doc, &StopWords::none())));
+    }
+
     /// Scores are positive exactly for matched documents that contain a
     /// positive query term.
     #[test]

@@ -726,4 +726,27 @@ fi
 by_name -q -p extidx-storage --lib -- iot_logical_rowids_survive_update_and_rollback
 by_name -q --test fault_matrix -- iot_base_table_dml_maintains_secondary_and_domain_indexes
 
+# Index-table writes without wasted work (DESIGN.md §4c "The write path"):
+# the buffer cache keeps exact LRU as a hash probe plus a list splice, no
+# ordered map of stamps (the stamp-map LRU survives only as the test's
+# reference model), and an IOT insert makes one descent of the row map, no
+# remove before its insert. The list-vs-stamp model test, the IOT
+# ordinal/byte invariants under random insert, upsert, delete and restore,
+# and the parallel-build byte identity (the text build now inserts in key
+# order) run by name. (Bracketed so the patterns do not match this file.)
+echo "== the write path (structural guard + model tests) =="
+if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' \
+    crates/storage/src/buffer.rs | grep "BTreeMa[p]"; then
+    exit 1
+fi
+if awk '/fn insert_with_ordina[l]\(/ { inside = 1 } inside { print FILENAME ":" FNR ": " $0 }
+    inside && /^    }$/ { exit }' crates/storage/src/iot.rs | grep -E "rows\.remov[e]\("; then
+    exit 1
+fi
+by_name -q -p extidx-storage --lib -- buffer::tests::list_lru_matches_the_stamp_model \
+    iot::tests::ordinal_map_and_byte_total_track_the_rows
+by_name -q --test parallel_build -- text_parallel_build_is_deterministic \
+    spatial_parallel_build_is_deterministic vir_parallel_build_is_deterministic \
+    chem_parallel_build_is_deterministic rtree_parallel_build_is_deterministic
+
 echo "CI OK"
