@@ -38,8 +38,8 @@ pub enum Component {
     IndexAccess,
     /// The cost-based optimizer.
     Optimizer,
-    /// Compensation replay after a failed statement — inverse maintenance
-    /// operations restoring domain indexes to pre-statement state.
+    /// Recovery paths: crash recovery, index REBUILD, cleanup after a
+    /// failed or dropped index, a scan's error-path close.
     Recovery,
     /// The fault-injection harness firing at a crossing.
     Fault,

@@ -80,9 +80,36 @@ pub(crate) enum Probe {
     Similar(Fingerprint, f64),
 }
 
+/// A stored chem or VIR value parsed once, when a row of
+/// [`RigStream`]'s model is written, rather than once per probe.
+#[derive(Debug, Clone)]
+pub(crate) enum Parsed {
+    Sig(Signature),
+    Mol(Molecule, Fingerprint),
+}
+
+impl Parsed {
+    /// What the mirror parses of `row`'s `col` value: `None` for NULL and
+    /// for text and geometry, which it reads as they are.
+    fn of(row: &GenRow, col: Col) -> Option<Parsed> {
+        match col {
+            Col::Img => row.img.as_deref().map(|s| {
+                Parsed::Sig(Signature::deserialize(s).expect("stored signatures parse"))
+            }),
+            Col::Mol => row.mol.as_deref().map(|s| {
+                let mol = molecule(s);
+                let fp = Fingerprint::of(&mol);
+                Parsed::Mol(mol, fp)
+            }),
+            _ => None,
+        }
+    }
+}
+
 impl Probe {
-    /// The operator's answer for a non-NULL `stored` value.
-    fn holds(&self, stored: &Arg, col_second: bool) -> Option<bool> {
+    /// The operator's answer for a non-NULL `stored` value, read from
+    /// `parsed` where a model row has parsed it.
+    fn holds(&self, stored: &Arg, parsed: Option<&Parsed>, col_second: bool) -> Option<bool> {
         let stored_text = || stored.text().expect("a stored text value");
         Some(match self {
             Probe::Null => return None,
@@ -93,15 +120,24 @@ impl Probe {
                 let Arg::Geom(Some(g)) = stored else { unreachable!("a stored geometry") };
                 if col_second { w.relate(g, *mask) } else { g.relate(w, *mask) }
             }
-            Probe::Vir(q, w, t) => {
-                let s = Signature::deserialize(stored_text()).expect("stored signatures parse");
-                s.distance(q, w) <= *t
-            }
+            Probe::Vir(q, w, t) => match parsed {
+                Some(Parsed::Sig(s)) => s.distance(q, w) <= *t,
+                _ => {
+                    let s = Signature::deserialize(stored_text()).expect("stored signatures parse");
+                    s.distance(q, w) <= *t
+                }
+            },
             Probe::Substructure(pattern) => {
                 let mut pattern = pattern.lock().expect("no mirror panicked mid-match");
-                pattern.in_text(stored_text()).expect("generated molecule parses")
+                match parsed {
+                    Some(Parsed::Mol(mol, _)) => pattern.in_molecule(mol),
+                    _ => pattern.in_text(stored_text()).expect("generated molecule parses"),
+                }
             }
-            Probe::Similar(q, t) => fingerprint(stored_text()).tanimoto(q) >= *t,
+            Probe::Similar(q, t) => match parsed {
+                Some(Parsed::Mol(_, fp)) => fp.tanimoto(q) >= *t,
+                _ => fingerprint(stored_text()).tanimoto(q) >= *t,
+            },
         })
     }
 }
@@ -150,15 +186,21 @@ impl OpAtom {
     /// The operator's answer for `row`. The query side is parsed once per
     /// atom, not once per row.
     pub fn holds(&self, row: &GenRow) -> Answer {
+        self.holds_parsed(row, None)
+    }
+
+    /// [`OpAtom::holds`] of a row whose stored value is already `parsed`.
+    fn holds_parsed(&self, row: &GenRow, parsed: Option<&Parsed>) -> Answer {
         let probe = self.probe.get_or_init(|| (self.spec.probe)(&self.args));
-        answer(&row.arg(self.spec.col), probe.as_ref(), self.col_second)
+        answer(&row.arg(self.spec.col), parsed, probe.as_ref(), self.col_second)
     }
 
     /// [`OpAtom::holds`] with the first argument read from `outer`.
     pub fn holds_joined(&self, outer: &GenRow, inner: &GenRow) -> Answer {
         let mut args = self.args.clone();
         args[0] = outer.arg(self.spec.col);
-        answer(&inner.arg(self.spec.col), (self.spec.probe)(&args).as_ref(), self.col_second)
+        let probe = (self.spec.probe)(&args);
+        answer(&inner.arg(self.spec.col), None, probe.as_ref(), self.col_second)
     }
 
     /// Whether the operator refuses these arguments whatever the row: every
@@ -174,11 +216,16 @@ impl OpAtom {
 
 /// The answer for a stored value: UNKNOWN when it is NULL, else what the
 /// query side says of it, or its refusal.
-fn answer(stored: &Arg, probe: Result<&Probe, &String>, col_second: bool) -> Answer {
+fn answer(
+    stored: &Arg,
+    parsed: Option<&Parsed>,
+    probe: Result<&Probe, &String>,
+    col_second: bool,
+) -> Answer {
     if stored.is_null() {
         return Ok(None);
     }
-    Ok(probe.map_err(Clone::clone)?.holds(stored, col_second))
+    Ok(probe.map_err(Clone::clone)?.holds(stored, parsed, col_second))
 }
 
 /// What the framework's contract says of one user-defined operator.
@@ -474,7 +521,7 @@ fn draw_vir(g: &mut WorkloadGen, null_lit: bool) -> OpAtom {
 /// One indextype's fixture for the fault and crash matrices: a small
 /// table, its domain index and a B-tree, DML statements that each touch
 /// several rows (so a mid-statement fault leaves completed maintenance
-/// calls behind that only the compensation log can reverse), the probes
+/// calls behind that the statement's rollback must reverse), the probes
 /// that read the index back, and the cartridge-internal fault points.
 pub struct Rig {
     pub name: &'static str,
@@ -518,18 +565,22 @@ impl Rig {
 
     /// A seeded stream of random DML and probes over the loaded fixture.
     pub fn stream(&self, seed: u64) -> RigStream<'_> {
-        let rows: BTreeMap<i64, GenRow> =
+        let rows: BTreeMap<i64, ModelRow> =
             (1..).zip(&self.rows).map(|(k, v)| (k, keyed(k, v))).collect();
         let (g, next_key) = (WorkloadGen::new(seed, false), rows.len() as i64 + 1);
         RigStream { rig: self, g, next_key, rows, begun: None }
     }
 }
 
-/// A row holding only `cell`, under `key`.
-fn keyed(key: i64, cell: &GenCell) -> GenRow {
+/// A row of [`RigStream`]'s model, with its stored value parsed once.
+type ModelRow = (GenRow, Option<Parsed>);
+
+/// A model row holding only `cell`, under `key`.
+fn keyed(key: i64, cell: &GenCell) -> ModelRow {
     let mut row = GenRow { id: key, doc: None, geom: None, img: None, mol: None, num: None };
     apply_cell(&mut row, cell);
-    row
+    let parsed = Parsed::of(&row, cell.col());
+    (row, parsed)
 }
 
 /// Single-row DML over a [`Rig`]'s table — inserts under fresh keys,
@@ -541,10 +592,10 @@ fn keyed(key: i64, cell: &GenCell) -> GenRow {
 pub struct RigStream<'r> {
     rig: &'r Rig,
     g: WorkloadGen,
-    rows: BTreeMap<i64, GenRow>,
+    rows: BTreeMap<i64, ModelRow>,
     next_key: i64,
     /// The rows at `BEGIN`, while a transaction is open.
-    begun: Option<BTreeMap<i64, GenRow>>,
+    begun: Option<BTreeMap<i64, ModelRow>>,
 }
 
 impl RigStream<'_> {
@@ -575,8 +626,9 @@ impl RigStream<'_> {
                 if fresh {
                     self.next_key += 1;
                     self.rows.insert(k, keyed(k, &v));
-                } else if let Some(row) = self.rows.get_mut(&k) {
+                } else if let Some((row, parsed)) = self.rows.get_mut(&k) {
                     apply_cell(row, &v);
+                    *parsed = Parsed::of(row, col);
                 }
             }
         }
@@ -614,8 +666,10 @@ impl RigStream<'_> {
             }
         };
         let pred = atom.render(column, &atom.args[0].sql());
-        let want: Vec<i64> =
-            self.rows.values().filter(|r| atom.holds(r) == Ok(Some(true))).map(|r| r.id).collect();
+        let want: Vec<i64> = (self.rows.values())
+            .filter(|(r, parsed)| atom.holds_parsed(r, parsed.as_ref()) == Ok(Some(true)))
+            .map(|(r, _)| r.id)
+            .collect();
         let sql = format!("SELECT /*+ INDEX({t} {index}) */ {key} FROM {t} WHERE {pred}");
         let rows = db.query(&sql).map_err(|e| format!("{sql}: {e}"))?;
         let mut got: Vec<i64> = rows.iter().map(|r| r[0].as_integer().expect("key")).collect();
@@ -732,13 +786,20 @@ fn vir_rig() -> Rig {
     )
 }
 
-/// The chem fixture over the LOB store or the external-file one, whose
-/// statement recovery needs the compensation log (for completed calls)
-/// plus the §5 rollback event (for the failed call's own file effects).
-fn chem_rig(params: &'static str) -> Rig {
+/// The chem fixture over the index store `params` names: the LOB store
+/// (`chem-lob`), or the external file with the §5 events (`chem-file`) or
+/// without them (`chem-file-no-events`). A failed statement puts the file
+/// back from its image either way; a transaction `ROLLBACK` reaches the
+/// file only through the Rollback event.
+pub fn chem_rig(params: &'static str) -> Rig {
     let mols = ["CC(=O)N", "CCO", "CCN", "CC(=O)NC", "CCCO", "NCCN", "CC(=O)O"];
+    let name = match params {
+        p if !p.contains("FILE") => "chem-lob",
+        p if p.contains("Events") => "chem-file",
+        _ => "chem-file-no-events",
+    };
     fixture(
-        (if params.contains("FILE") { "chem-file" } else { "chem-lob" }, "CHEMINDEXTYPE", "CX"),
+        (name, "CHEMINDEXTYPE", "CX"),
         &format!("ChemIndexType PARAMETERS ('{params}')"),
         ("compounds", "id", "mol", "VARCHAR2(256)"),
         mols.map(|m| GenCell::Mol(Some(m.into()))),

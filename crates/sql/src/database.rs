@@ -36,7 +36,7 @@ use extidx_core::stats::OdciStats;
 use extidx_core::trace::{CallTrace, Component, Routine};
 use extidx_core::OdciIndex;
 use extidx_storage::buffer::CacheStats;
-use extidx_storage::file_store::FileStats;
+use extidx_storage::file_store::{FileStats, FileStore};
 use extidx_storage::{CommitBlob, DurableMedium, SegmentId, Snapshot, StorageEngine};
 
 use crate::ast::{AlterIndexAction, Expr, InsertSource, Statement};
@@ -166,34 +166,12 @@ fn reject_vtable_dml(table: &str) -> Result<()> {
 }
 
 /// One domain-index maintenance operation — an index's share of a
-/// base-table DML.
-#[derive(Debug, Clone)]
-enum MaintOp {
-    Insert { rid: RowId, value: Value },
-    Update { rid: RowId, old: Value, new: Value },
-    Delete { rid: RowId, old: Value },
-}
-
-impl MaintOp {
-    /// The operation that undoes this one: delete-for-insert,
-    /// re-insert-for-delete, reverse-update.
-    fn inverse(self) -> MaintOp {
-        match self {
-            MaintOp::Insert { rid, value } => MaintOp::Delete { rid, old: value },
-            MaintOp::Update { rid, old, new } => MaintOp::Update { rid, old: new, new: old },
-            MaintOp::Delete { rid, old } => MaintOp::Insert { rid, value: old },
-        }
-    }
-}
-
-/// One successful domain-index maintenance call, with everything needed
-/// to replay its inverse.
-#[derive(Debug, Clone)]
-struct MaintRecord {
-    /// Domain index name (re-resolved through the catalog at replay time,
-    /// so an index dropped later in the statement is skipped cleanly).
-    index: String,
-    op: MaintOp,
+/// base-table DML — over values borrowed from the row images.
+#[derive(Clone, Copy)]
+enum MaintOp<'v> {
+    Insert(&'v Value),
+    Update { old: &'v Value, new: &'v Value },
+    Delete(&'v Value),
 }
 
 /// The indexes a DML statement maintains on its table, each with the
@@ -210,25 +188,6 @@ impl TableIndexes {
     }
 }
 
-/// How `op` crosses into the cartridge: the maintenance routine, the row
-/// it is about, and the call itself.
-fn maintenance_call<'a>(
-    op: &'a MaintOp,
-    index: &'a dyn OdciIndex,
-    info: &'a IndexInfo,
-) -> (Routine, RowId, impl FnOnce(&mut dyn ServerContext) -> Result<()> + 'a) {
-    let (routine, rid) = match op {
-        MaintOp::Insert { rid, .. } => (Routine::IndexInsert, *rid),
-        MaintOp::Update { rid, .. } => (Routine::IndexUpdate, *rid),
-        MaintOp::Delete { rid, .. } => (Routine::IndexDelete, *rid),
-    };
-    (routine, rid, move |ctx: &mut dyn ServerContext| match op {
-        MaintOp::Insert { rid, value } => index.insert(ctx, info, *rid, value),
-        MaintOp::Update { rid, old, new } => index.update(ctx, info, *rid, old, new),
-        MaintOp::Delete { rid, old } => index.delete(ctx, info, *rid, old),
-    })
-}
-
 /// One top-level statement's scope: everything that must be taken back
 /// if it fails, beside the row-level undo the storage engine keeps with
 /// the transaction. [`Database::rollback_statement`] is the only reader
@@ -242,20 +201,29 @@ pub(crate) struct StatementScope {
     /// (dropped) if it fails, so a cartridge routine that errors after
     /// issuing DDL leaves no debris.
     pub(crate) created: Vec<CreatedObject>,
-    /// Compensation log: every *successful* ODCIIndex maintenance call in
-    /// the statement. On failure the inverse operations are replayed in
-    /// reverse before storage rollback, so domain indexes (including
-    /// external-file stores invisible to undo) return to their
-    /// pre-statement state (§5).
-    maint: Vec<MaintRecord>,
-    /// True while inverse maintenance operations are being replayed —
-    /// suppresses fault injection and compensation recording so recovery
-    /// itself is never sabotaged or re-logged.
-    compensating: bool,
+    /// File images: each external file the statement changed, with its
+    /// bytes before the first change (`None`: it did not exist) — what
+    /// undo cannot reach (§5). `None` while no statement is open, so an
+    /// event handler that `deliver` runs after a transaction ends keeps no
+    /// image for a later statement to restore.
+    files: Option<Vec<(String, Option<Vec<u8>>)>>,
     /// Write-lane cartridge workspace, statement duration. Behind a mutex
     /// only because `Database` is `Sync` and the stored states are not;
     /// the write lane reaches it through `get_mut`.
     pub(crate) workspace: Mutex<SessionScratch>,
+}
+
+impl StatementScope {
+    /// Keep `name`'s image from `files` if the open statement is about to
+    /// change it for the first time. Read without counting in `FileStats`:
+    /// the image is the server's, not the cartridge's I/O.
+    pub(crate) fn keep_file_image(&mut self, files: &FileStore, name: &str) {
+        if let Some(images) = &mut self.files {
+            if images.iter().all(|(n, _)| n != name) {
+                images.push((name.to_string(), files.contents(name).map(<[u8]>::to_vec)));
+            }
+        }
+    }
 }
 
 impl Default for Database {
@@ -417,12 +385,8 @@ impl Database {
     }
 
     /// Check the fault injector at a server↔cartridge crossing, tracing
-    /// fired faults. Suppressed during compensation replay: recovery must
-    /// never be sabotaged by the same harness that caused the failure.
+    /// fired faults.
     pub(crate) fn fault_check(&self, routine: &str, indextype: Option<&str>) -> Result<()> {
-        if self.scope.compensating {
-            return Ok(());
-        }
         self.fault.check(routine, indextype).inspect_err(|e| {
             // `e` carries the point name and call number, so a static
             // routine label suffices for the FAULT trace row.
@@ -576,12 +540,8 @@ impl Database {
     /// Feed a crossing's outcome to the index-health breaker.
     /// Only [`Error::CartridgeFault`] counts as a fault — errors a
     /// cartridge *reports* (including injected ones) keep their existing
-    /// fail-the-statement semantics and never degrade the index. Skipped
-    /// during compensation replay.
+    /// fail-the-statement semantics and never degrade the index.
     pub(crate) fn note_health_outcome(&self, info: &IndexInfo, err: Option<&Error>) {
-        if self.scope.compensating {
-            return;
-        }
         let health = &self.catalog.health;
         let t = match err {
             Some(Error::CartridgeFault { .. }) => health.note_fault(&info.index_name),
@@ -675,7 +635,9 @@ impl Database {
             self.storage.in_txn() || self.storage.undo_mark() == 0,
             "undo outlived its transaction: a write outside any statement scope was not closed"
         );
+        debug_assert!(self.scope.files.is_none(), "file images outlived their statement");
         self.scope.mark = self.storage.undo_mark();
+        self.scope.files = Some(Vec::new());
         let result = p
             .statement(binds)
             .and_then(|stmt| self.refuse_unversioned_ddl(stmt))
@@ -687,27 +649,22 @@ impl Database {
     }
 
     /// Statement atomicity — the one failure sequence, in its fixed order:
-    /// replay inverse maintenance operations so domain indexes (including
-    /// external stores invisible to undo) return to their pre-statement state,
-    /// compensate any DDL the statement (or its callbacks) performed, roll
+    /// compensate any DDL the statement (or its callbacks) performed, put
+    /// back the external files it changed (undo cannot reach them), roll
     /// the row-level changes back to the statement's savepoint, deliver
-    /// the §5 Rollback event. Compensation failures are swallowed — the
-    /// original error wins — but a failed *storage* rollback is a double
-    /// fault that must surface: state may be torn.
+    /// the §5 Rollback event. Compensation and restore failures are
+    /// swallowed — the original error wins — but a failed *storage*
+    /// rollback is a double fault that must surface: state may be torn.
     fn rollback_statement(&mut self, original: Error) -> Error {
         let created = std::mem::take(&mut self.scope.created);
-        let maint = std::mem::take(&mut self.scope.maint);
+        let files = self.scope.files.take().unwrap_or_default();
         let had_effects =
-            self.storage.undo_mark() > self.scope.mark || !created.is_empty() || !maint.is_empty();
-        // The inverse calls' *database-resident* effects land in the same
-        // undo log, so the physical rollback below reverses them too
-        // (span-granular LOB undo restores exact byte ranges, so
-        // compensation records would otherwise survive as duplicates).
-        // External file-store effects are invisible to undo and persist —
-        // which is the whole point of logical compensation.
-        self.compensate_maintenance(maint);
+            self.storage.undo_mark() > self.scope.mark || !created.is_empty() || !files.is_empty();
         for obj in created.into_iter().rev() {
             let _ = self.compensate_created(obj);
+        }
+        for (name, image) in files {
+            let _ = self.restore_file(&name, image.as_deref());
         }
         let err = match self.storage.rollback_to(self.scope.mark) {
             Ok(()) => original,
@@ -722,6 +679,23 @@ impl Database {
             let _ = self.fire_event(DbEvent::Rollback);
         }
         err
+    }
+
+    /// Put external file `name` back to `image` (`None`: absent). A file
+    /// that already matches its image is left alone, so it gets no WAL
+    /// stamp that would quarantine its index after a crash.
+    fn restore_file(&mut self, name: &str, image: Option<&[u8]>) -> Result<()> {
+        let files = self.storage.files_ref();
+        match image {
+            _ if files.contents(name) == image => Ok(()),
+            None => self.storage.file_remove(name),
+            Some(bytes) => {
+                if !files.exists(name) {
+                    self.storage.file_create(name)?;
+                }
+                self.storage.file_write(name, bytes)
+            }
+        }
     }
 
     /// Append a WAL commit marker for transaction `txn` (no-op when
@@ -741,7 +715,7 @@ impl Database {
     //
     // A `Session` (under the server's write lock) and this lane's own
     // client drive transactions through these methods, so ODCI maintenance
-    // and the compensation log are serialized per statement, and WAL commit
+    // and the file images are serialized per statement, and WAL commit
     // markers land in csn order. A client's transaction is its `Snapshot`;
     // its undo stays in the storage engine.
 
@@ -875,28 +849,6 @@ impl Database {
         let ev = self.deliver(DbEvent::Rollback);
         rolled?;
         ev
-    }
-
-    /// Replay the inverse of every recorded maintenance operation, newest
-    /// first: delete-for-insert, re-insert-for-delete, reverse-update.
-    /// Best-effort — an index dropped later in the statement is skipped,
-    /// and inverse-call failures are swallowed (the statement's original
-    /// error wins; storage rollback still restores database-resident
-    /// index data).
-    fn compensate_maintenance(&mut self, maint: Vec<MaintRecord>) {
-        self.scope.compensating = true;
-        for rec in maint.into_iter().rev() {
-            let Some(d) = self.catalog.domain_index(&rec.index).cloned() else { continue };
-            let Ok((index, _, info)) = self.domain_index_runtime(&d) else { continue };
-            // Inverse calls cross like any other: a cartridge that panics
-            // while being compensated must not tear the process down, and
-            // its error is swallowed like any other compensation failure.
-            let inverse = rec.op.inverse();
-            let (routine, rid, call) = maintenance_call(&inverse, &*index, &info);
-            let (callee, detail) = (Callee::Recovering(&info), || format!("compensate {rid}"));
-            let _ = odci_call(Lane::Write(self), routine, callee, detail, call);
-        }
-        self.scope.compensating = false;
     }
 
     /// Dispatch without boundary bookkeeping (also the entry point for
@@ -1205,40 +1157,44 @@ impl Database {
                 continue;
             }
             let op = match (old, new) {
-                (None, Some(n)) => MaintOp::Insert { rid, value: n[*idx].clone() },
-                (Some(o), Some(n)) => {
-                    MaintOp::Update { rid, old: o[*idx].clone(), new: n[*idx].clone() }
-                }
-                (Some(o), None) => MaintOp::Delete { rid, old: o[*idx].clone() },
+                (None, Some(n)) => MaintOp::Insert(&n[*idx]),
+                (Some(o), Some(n)) => MaintOp::Update { old: &o[*idx], new: &n[*idx] },
+                (Some(o), None) => MaintOp::Delete(&o[*idx]),
                 (None, None) => return Ok(()),
             };
-            self.invoke_maintenance(d, op)?;
+            self.invoke_maintenance(d, rid, op)?;
         }
         Ok(())
     }
 
     /// The single chokepoint for domain-index maintenance: crosses into
-    /// the cartridge routine and on success records the operation in the
-    /// compensation log. A retryable failure (cartridge-classified or
-    /// injected) first rewinds the failed call's partial storage effects —
-    /// undo recorded past a pre-call mark — then retries under the
-    /// bounded-backoff [`RetryPolicy`]. Exhausted retries surface the
-    /// underlying error. The rewind cannot reach external files, so a
-    /// routine that writes them must be safe to run twice.
-    fn invoke_maintenance(&mut self, d: &DomainIndexDef, op: MaintOp) -> Result<()> {
+    /// the cartridge routine for `op` on row `rid`. A retryable failure
+    /// (cartridge-classified or injected) first rewinds the failed call's
+    /// partial storage effects — undo recorded past a pre-call mark — then
+    /// retries under the bounded-backoff [`RetryPolicy`]. Exhausted retries
+    /// surface the underlying error. The rewind cannot reach external
+    /// files (only a failed statement restores their images), so a routine
+    /// that writes them must be safe to run twice.
+    fn invoke_maintenance(&mut self, d: &DomainIndexDef, rid: RowId, op: MaintOp) -> Result<()> {
         let (index, _, info) = self.domain_index_runtime(d)?;
+        let routine = match op {
+            MaintOp::Insert(_) => Routine::IndexInsert,
+            MaintOp::Update { .. } => Routine::IndexUpdate,
+            MaintOp::Delete(_) => Routine::IndexDelete,
+        };
         let retry = RetryPolicy::default();
         let mut attempt: u32 = 0;
         loop {
             attempt += 1;
             let mark = self.storage.undo_mark();
-            let (routine, rid, call) = maintenance_call(&op, &*index, &info);
+            let call = |ctx: &mut dyn ServerContext| match op {
+                MaintOp::Insert(value) => index.insert(ctx, &info, rid, value),
+                MaintOp::Update { old, new } => index.update(ctx, &info, rid, old, new),
+                MaintOp::Delete(old) => index.delete(ctx, &info, rid, old),
+            };
             let callee = Callee::Index(&info);
             match odci_call(Lane::Write(self), routine, callee, || rid.to_string(), call) {
-                Ok(()) => {
-                    self.scope.maint.push(MaintRecord { index: d.name.clone(), op });
-                    return Ok(());
-                }
+                Ok(()) => return Ok(()),
                 Err(e) if e.is_retryable() && retry.should_retry(attempt) => {
                     // Rewind just this call's partial effects so the retry
                     // starts from a clean slate instead of double-applying.

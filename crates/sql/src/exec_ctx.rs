@@ -154,11 +154,10 @@ pub(crate) enum Callee<'a> {
     /// A domain index's cartridge. The call is fault-injectable and its
     /// outcome feeds the index's health breaker.
     Index(&'a IndexInfo),
-    /// The same cartridge on a recovery path (compensation replay, a
-    /// scan's error-path close): no fault check and no breaker
-    /// accounting — recovery is never sabotaged by the harness that
-    /// caused the failure, nor blamed for it — and traced under
-    /// [`Component::Recovery`].
+    /// The same cartridge on a recovery path (a scan's error-path
+    /// close): no fault check and no breaker accounting — recovery is
+    /// never sabotaged by the harness that caused the failure, nor blamed
+    /// for it — and traced under [`Component::Recovery`].
     Recovering(&'a IndexInfo),
     /// A registered [`EventHandler`], by name: there is no index to blame.
     Handler(&'a str),
@@ -305,6 +304,15 @@ impl ServerCtx<'_, '_, '_> {
             return Err(read_only_violation(what));
         };
         sandbox::tick();
+        Ok(db)
+    }
+
+    /// [`Self::writer`] for a callback that changes external file `name`:
+    /// the open statement first keeps the file's image, which a failure
+    /// restores.
+    fn file_writer(&mut self, what: &str, name: &str) -> Result<&mut Database> {
+        let db = self.writer(what)?;
+        db.scope.keep_file_image(db.storage.files_ref(), name);
         Ok(db)
     }
 }
@@ -487,7 +495,7 @@ impl ServerContext for ServerCtx<'_, '_, '_> {
     }
 
     fn file_create(&mut self, name: &str) -> Result<()> {
-        self.writer("file_create")?.storage.file_create(name)
+        self.file_writer("file_create", name)?.storage.file_create(name)
     }
 
     fn file_exists(&mut self, name: &str) -> bool {
@@ -496,7 +504,7 @@ impl ServerContext for ServerCtx<'_, '_, '_> {
     }
 
     fn file_remove(&mut self, name: &str) -> Result<()> {
-        self.writer("file_remove")?.storage.file_remove(name)
+        self.file_writer("file_remove", name)?.storage.file_remove(name)
     }
 
     fn file_read(&mut self, name: &str) -> Result<Vec<u8>> {
@@ -506,11 +514,11 @@ impl ServerContext for ServerCtx<'_, '_, '_> {
     }
 
     fn file_write(&mut self, name: &str, bytes: &[u8]) -> Result<()> {
-        self.writer("file_write")?.storage.file_write(name, bytes)
+        self.file_writer("file_write", name)?.storage.file_write(name, bytes)
     }
 
     fn file_append(&mut self, name: &str, bytes: &[u8]) -> Result<()> {
-        self.writer("file_append")?.storage.file_append(name, bytes)
+        self.file_writer("file_append", name)?.storage.file_append(name, bytes)
     }
 
     fn file_flush(&mut self, name: &str) -> Result<()> {

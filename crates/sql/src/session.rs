@@ -17,7 +17,7 @@
 //!   cartridge can never mutate shared state from a reader.
 //! - Everything else (DML, DDL, transaction control) takes the **write
 //!   lock** for the duration of the statement. That exclusivity is what
-//!   serializes ODCIIndex maintenance and the compensation log: a
+//!   serializes ODCIIndex maintenance and the file images: a
 //!   cartridge never observes a torn statement, and crash recovery's
 //!   commit markers are appended in commit order because csn assignment
 //!   and the marker append happen under one exclusive hold.

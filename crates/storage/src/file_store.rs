@@ -92,6 +92,12 @@ impl FileStore {
         Ok(data.clone())
     }
 
+    /// The file's bytes, lent without counting a read: the server's own
+    /// look (a statement's before-image), not an index's I/O.
+    pub fn contents(&self, name: &str) -> Option<&[u8]> {
+        self.files.get(name).map(Vec::as_slice)
+    }
+
     /// Replace the whole file content.
     pub fn write(&mut self, name: &str, bytes: &[u8]) -> Result<()> {
         let data = self

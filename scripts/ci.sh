@@ -749,4 +749,19 @@ by_name -q --test parallel_build -- text_parallel_build_is_deterministic \
     spatial_parallel_build_is_deterministic vir_parallel_build_is_deterministic \
     chem_parallel_build_is_deterministic rtree_parallel_build_is_deterministic
 
+# One way back for a failed statement (DESIGN.md §4d): storage undo for
+# everything in the database, and the file images the statement kept for
+# the external files it changed, restored before the undo runs. The
+# logical compensation log (inverse ODCIIndex calls) stays deleted. The
+# no-events FILE matrix, the deliver-after-transaction handler and the
+# pinned file counters run by name.
+echo "== one way back (structural guard) =="
+if grep -rnE "MaintRecord|compensate_maintenance|compensating" crates/sql/src; then
+    exit 1
+fi
+by_name -q --test fault_matrix -- \
+    fault_at_every_crossing_restores_an_external_file_without_events \
+    a_handler_file_write_after_the_transaction_is_not_restored_by_a_later_failure \
+    file_images_do_not_count_as_cartridge_file_io
+
 echo "CI OK"

@@ -7,9 +7,11 @@
 //!
 //! Mechanisms under test (see DESIGN.md "Statement atomicity under
 //! cartridge failures"):
-//! - the compensation log replaying inverse maintenance operations,
-//! - row-level storage undo,
-//! - `DbEvent::Rollback` delivery for external-file index stores,
+//! - row-level storage undo, for index data in the database,
+//! - the file images a statement keeps of the external files it changes,
+//!   written back when it fails (also with no §5 events registered),
+//! - `DbEvent::Rollback` delivery, which reaches an external-file store
+//!   on a transaction `ROLLBACK` too,
 //! - the bounded-backoff retry loop for transient cartridge errors.
 
 use std::sync::{Arc, Mutex};
@@ -19,8 +21,9 @@ use extidx::core::fault::FaultKind;
 use extidx::core::health::BreakerConfig;
 use extidx::core::server::ServerContext;
 use extidx::sql::Database;
+use extidx::storage::file_store::FileStats;
 use extidx_common::Error;
-use extidx_qgen::spec::{named_rig, observe, rigs, Rig};
+use extidx_qgen::spec::{chem_rig, named_rig, observe, rigs, Rig};
 use extidx_qgen::fresh_db;
 
 /// A fresh engine holding `rig`'s fixture.
@@ -115,11 +118,73 @@ fn fault_at_every_crossing_leaves_state_unchanged() {
     );
 }
 
+/// External files with no §5 events: a fault (returned or panicked) at
+/// every crossing of every DML on the chem `':Storage FILE'` rig, each
+/// statement autocommitted. A failed statement must leave the file's
+/// bytes, every table and the probes forced through the index as it found
+/// them — the file is restored from the image the statement kept, as
+/// nothing else reaches it without events. (A transaction `ROLLBACK` is
+/// not asserted here: by §5 it leaves stale file records, which E9
+/// reports.)
+#[test]
+fn fault_at_every_crossing_restores_an_external_file_without_events() {
+    let rig = chem_rig(":Storage FILE");
+    assert!(rig.file_backed);
+    let hint = format!("SELECT /*+ INDEX({} {}) */ ", rig.table, rig.index);
+    // The rig's last probe reads a row by key; the others are operator
+    // probes, which also run forced through the index.
+    let (_, ops) = rig.probes.split_last().expect("probes");
+    let mut probes = rig.probes.clone();
+    probes.extend(ops.iter().map(|p| p.replacen("SELECT ", &hint, 1)));
+    // The file bytes, every table and the probes, plain and forced.
+    let state = |db: &mut Database| -> (Vec<(Vec<u8>, String)>, Vec<String>) {
+        let files = db.storage().files_ref();
+        let bytes = files.list().into_iter().map(|f| (files.read(&f).unwrap(), f)).collect();
+        (bytes, observe(db, &probes))
+    };
+    // The breaker stays out of the way of the panics, as in `sweep`.
+    let fixture = || {
+        let db = loaded(&rig);
+        db.catalog().health.set_breaker(BreakerConfig { threshold: u32::MAX, window: 1 });
+        db
+    };
+    let mut failed = 0u32;
+    for kind in [FaultKind::Fail, FaultKind::Panic] {
+        let mut db = fixture();
+        for (dml_name, dml) in &rig.dmls {
+            for (point, ity) in rig.crossings() {
+                for k in 1..=8u64 {
+                    let before = state(&mut db);
+                    let inj = db.fault_injector().clone();
+                    inj.reset();
+                    inj.arm(point, ity, k, kind);
+                    let res = db.execute(dml);
+                    let reached = inj.fired() > 0;
+                    inj.disarm_all();
+                    let label = format!("{dml_name}/{point}#{k} ({kind:?})");
+                    if !reached {
+                        // The DML ran clean and committed: start the next
+                        // crossing from the fixture again.
+                        res.unwrap_or_else(|e| panic!("{label}: clean run failed: {e}"));
+                        db = fixture();
+                        break;
+                    }
+                    res.expect_err(&label);
+                    assert_eq!(state(&mut db), before, "{label}: external file or index torn");
+                    failed += 1;
+                }
+            }
+        }
+    }
+    assert!(failed > 0, "the sweep failed no statement");
+    println!("no-events FILE matrix: {failed} failed statements, every one restored");
+}
+
 /// Panic-mode matrix (ignored by default; CI runs it via
 /// `--include-ignored`): the same sweep, but the cartridge *panics* at the
 /// crossing instead of returning an error. The sandbox must contain every
 /// unwind — the process survives, the statement fails with a
-/// `CartridgeFault`, and compensation restores the pre-statement state
+/// `CartridgeFault`, and its rollback restores the pre-statement state
 /// byte-for-byte, exactly as for a returned error.
 #[test]
 #[ignore = "full panic sweep; run via scripts/ci.sh or --include-ignored"]
@@ -203,6 +268,60 @@ fn rollback_event_reaches_handlers_at_both_scopes() {
         events.lock().unwrap().as_slice(),
         &[DbEvent::Rollback, DbEvent::Rollback, DbEvent::Commit]
     );
+}
+
+/// A §5 handler that runs once a transaction has ended writes outside any
+/// statement: it keeps no file image, so a later failed statement puts
+/// back only the files it changed itself (and `run_top`'s debug assertion
+/// that no image outlives its statement holds).
+#[test]
+fn a_handler_file_write_after_the_transaction_is_not_restored_by_a_later_failure() {
+    let mut db = fresh_db();
+    db.execute("CREATE TABLE t (id INTEGER)").unwrap();
+    let log = |ev: DbEvent, srv: &mut dyn ServerContext| -> extidx_common::Result<()> {
+        if !srv.file_exists("events.log") {
+            srv.file_create("events.log")?;
+        }
+        srv.file_append("events.log", format!("{ev};").as_bytes())
+    };
+    db.register_event_handler("log", Arc::new(log));
+    db.execute("INSERT INTO t VALUES (1)").unwrap();
+    db.execute("BEGIN").unwrap();
+    db.execute("INSERT INTO t VALUES (2)").unwrap();
+    db.execute("ROLLBACK").unwrap();
+    // Row 3 lands before the second row fails: the statement had effects,
+    // so its Rollback event runs, after its own images were restored.
+    assert!(db.execute("INSERT INTO t VALUES (3), ('x')").is_err());
+    let log = db.storage().files_ref().read("events.log").unwrap();
+    assert_eq!(String::from_utf8(log).unwrap(), "COMMIT;ROLLBACK;ROLLBACK;");
+    assert_eq!(db.query("SELECT id FROM t").unwrap(), vec![vec![1.into()]]);
+}
+
+/// The external-file counters of one successful single-row INSERT,
+/// UPDATE and DELETE on a chem FILE store: a file image a statement keeps
+/// is the server's read, not the cartridge's, and adds nothing to them.
+#[test]
+fn file_images_do_not_count_as_cartridge_file_io() {
+    let mut db = loaded(&chem_rig(":Storage FILE"));
+    let mut delta = |sql: &str| {
+        db.reset_file_stats();
+        db.execute(sql).unwrap();
+        db.file_stats()
+    };
+    // Each change reads the file and writes it whole, then flushes (a
+    // write op too); a record is 72 bytes, the fixture holds three.
+    let io = |read_ops, bytes_read, bytes_written| FileStats {
+        opens: 0,
+        read_ops,
+        write_ops: 2 * read_ops,
+        bytes_read,
+        bytes_written,
+        flushes: read_ops,
+    };
+    // An update takes the old record out, then appends the new one.
+    assert_eq!(delta("INSERT INTO compounds VALUES (20, 'CCCN')"), io(1, 216, 288));
+    assert_eq!(delta("UPDATE compounds SET mol = 'CCOC' WHERE id = 1"), io(2, 504, 504));
+    assert_eq!(delta("DELETE FROM compounds WHERE id = 2"), io(1, 288, 216));
 }
 
 /// Regression (ISSUE 2 satellite): DML against an index-organized base
